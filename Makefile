@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-scanner bench-world bench-cluster bench-tga bench-grid bench-serve bench-daemon bench-wire cover experiments clean
+.PHONY: all build vet test race bench bench-compare cover smoke experiments clean
 
 all: vet build test
 
@@ -18,73 +18,15 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The repository's one benchmark (benchmark/README.md): five workloads,
+# three untraced runs each plus one traced, written to
+# benchmark/out/result.json. bench-compare judges two such results against
+# the bounds in BENCHMARK.json: make bench-compare A=parent.json B=change.json
 bench:
-	$(GO) test -bench=. -benchmem -run '^$$' .
+	$(GO) run ./benchmark
 
-# Regenerate the committed scanner hot-path baseline (see README.md for
-# the JSON format). Fails if the batched path drops below 2x the legacy
-# per-packet dispatch shape.
-bench-scanner:
-	$(GO) test -run '^TestWriteScannerBenchBaseline$$' -count=1 -v \
-		-scanner-bench-out BENCH_scanner.json .
-
-# Regenerate the committed world reply-path baseline: the arena-batched
-# flat-LPM world vs the legacy per-packet trie-routed shape, plus the
-# SizeScale × workers scaling grid through the cluster path. Fails if the
-# batched path drops below 3x legacy, a batched row exceeds 125 allocs/op,
-# or a 10^8-host world takes over 2s to fully materialize.
-bench-world:
-	$(GO) test -run '^TestWriteWorldBenchBaseline$$' -count=1 -v \
-		-world-bench-out BENCH_world.json .
-
-# Regenerate the committed cluster scaling baseline: aggregate throughput
-# for 1→8 workers, each behind its own rate-capped link. Fails if 4
-# workers fall below 2x one worker's throughput.
-bench-cluster:
-	$(GO) test -run '^TestWriteClusterBenchBaseline$$' -count=1 -v \
-		-cluster-bench-out BENCH_cluster.json .
-
-# Regenerate the committed TGA driver baseline: the offline-generator ×
-# protocol grid, serial-and-uncached vs pipelined-and-cached. Fails if
-# the optimized driver falls below 1.5x the serial grid.
-bench-tga:
-	$(GO) test -run '^TestWriteTGABenchBaseline$$' -count=1 -v \
-		-tga-bench-out BENCH_tga.json .
-
-# Regenerate the committed grid engine baseline: the ICMP evaluation
-# suite executed per-RQ (no dedup) vs through the shared cell-grid
-# engine, plus a warm-store resume pass. Fails if the engine stops
-# deduping cells or the wall-clock win falls below 1.05x the per-RQ
-# drivers (the low floor reflects the batched world path making the
-# deduped scans themselves cheap).
-bench-grid:
-	$(GO) test -run '^TestWriteGridBenchBaseline$$' -count=1 -v \
-		-grid-bench-out BENCH_grid.json .
-
-# Regenerate the committed serve-daemon load baseline: client-observed
-# lookup latency quantiles, bulk lookup throughput, and snapshot open
-# time over a real build. Fails if lookup p99 exceeds 50ms or bulk
-# throughput drops below 10k addresses/sec.
-bench-serve:
-	$(GO) test -run '^TestWriteServeBenchBaseline$$' -count=1 -v \
-		-serve-bench-out BENCH_serve.json .
-
-# Regenerate the committed longitudinal-daemon baseline: epoch cycle
-# time, probes saved by volatility-prioritized scheduling vs a full
-# per-epoch re-scan, stale-detection recall for both, and the
-# publish-to-serve generation swap cost. Fails if prioritization stops
-# saving probes or its recall falls below the full re-scan's.
-bench-daemon:
-	$(GO) test -run '^TestWriteDaemonBenchBaseline$$' -count=1 -v \
-		-daemon-bench-out BENCH_daemon.json .
-
-# Regenerate the committed wire-layer baseline: the canonical arena link
-# bare vs behind an empty chain and each middleware. Fails if composing
-# an empty chain costs more than 5% of bare-link throughput (the
-# zero-overhead guarantee), measured in the same run.
-bench-wire:
-	$(GO) test -run '^TestWriteWireBenchBaseline$$' -count=1 -v \
-		-wire-bench-out BENCH_wire.json .
+bench-compare:
+	$(GO) run ./benchmark -compare $(A) $(B)
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...
@@ -99,4 +41,4 @@ experiments:
 	$(GO) run ./cmd/experiments
 
 clean:
-	rm -f cover.out
+	rm -rf cover.out .bench_build benchmark/out

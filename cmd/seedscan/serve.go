@@ -121,10 +121,31 @@ func cmdServe(args []string) error {
 	return runServe(ctx, *addr, srv, st, interval)
 }
 
+// Bounds on what one client connection can hold of the daemon. There is
+// no WriteTimeout: /v1/snapshot streams whole images, however long the
+// client takes to read them.
+const (
+	// serveReadHeaderTimeout closes a connection whose request headers
+	// have not fully arrived in this long (slow-header clients).
+	serveReadHeaderTimeout = 5 * time.Second
+	// serveIdleTimeout closes a keep-alive connection with no request in
+	// flight for this long.
+	serveIdleTimeout = 2 * time.Minute
+	// serveMaxHeaderBytes caps request line plus headers; queries are an
+	// address or a prefix, bulk inputs travel in the body.
+	serveMaxHeaderBytes = 16 << 10
+)
+
 // runServe is the daemon loop behind cmdServe, split out so tests can drive
 // it with their own context and listen address.
 func runServe(ctx context.Context, addr string, handler http.Handler, st *hitlistdb.Store, watch time.Duration) error {
-	hs := &http.Server{Addr: addr, Handler: handler}
+	hs := &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+		MaxHeaderBytes:    serveMaxHeaderBytes,
+	}
 
 	// The watcher's lifetime is tied to runServe itself, not the parent
 	// context: when ListenAndServe fails immediately (port in use) the

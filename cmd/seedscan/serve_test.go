@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -164,6 +165,71 @@ func TestRunServeListenFailureStopsWatcher(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("watch goroutine still refreshing after runServe returned")
 		}
+	}
+}
+
+// TestRunServeClosesStalledHeaders pins the daemon's connection bounds: a
+// client that opens a connection and never finishes its request headers
+// is cut off by the server once serveReadHeaderTimeout passes, and while
+// it stalls a well-behaved client is still answered.
+func TestRunServeClosesStalledHeaders(t *testing.T) {
+	st, err := hitlistdb.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- runServe(ctx, addr, srv, st, 0) }()
+	waitGeneration(t, "http://"+addr, 0)
+
+	// Headers without the terminating blank line: the request never starts.
+	stalled, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	start := time.Now()
+	if _, err := io.WriteString(stalled, "GET /v1/healthz HTTP/1.1\r\nHost: stalled\r\n"); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get("http://" + addr + "/v1/healthz")
+	if err != nil {
+		t.Fatalf("healthz beside a stalled connection: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz beside a stalled connection: status %d", resp.StatusCode)
+	}
+
+	// The server, not this deadline, must end the stalled connection.
+	stalled.SetReadDeadline(start.Add(serveReadHeaderTimeout + 5*time.Second))
+	if _, err := io.Copy(io.Discard, stalled); err != nil {
+		t.Fatalf("stalled connection still open %v after its last byte: %v", time.Since(start), err)
+	}
+	if held := time.Since(start); held < serveReadHeaderTimeout/2 {
+		t.Fatalf("stalled connection closed after %v, before the %v header timeout", held, serveReadHeaderTimeout)
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("runServe exited with %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("runServe did not shut down")
 	}
 }
 

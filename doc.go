@@ -8,9 +8,11 @@
 // deterministic simulated IPv6 Internet instead of live scans. See
 // internal/tga/all for the paper-set versus extended-set distinction.
 //
-// The root package carries the module documentation and the benchmark
-// harness (bench_test.go); the implementation lives under internal/ and
-// the runnable entry points under cmd/ and examples/. See README.md for a
-// tour, DESIGN.md for the system inventory, and EXPERIMENTS.md for
-// paper-versus-measured results.
+// The root package carries the module documentation and one benchmark per
+// table and figure (bench_test.go); the implementation lives under
+// internal/, the runnable entry points under cmd/ and examples/, and the
+// repository's performance benchmark — five workloads, end-to-end and
+// per-layer metrics, declared in BENCHMARK.json — under benchmark/ (go run
+// ./benchmark). See README.md for a tour, DESIGN.md for the system
+// inventory, and EXPERIMENTS.md for paper-versus-measured results.
 package seedscan

@@ -107,16 +107,12 @@ func (l *OfflineList) Prefixes() []ipaddr.Prefix { return l.prefixes }
 // Contains reports whether a falls in a listed aliased prefix.
 func (l *OfflineList) Contains(a ipaddr.Addr) bool { return l.trie.Contains(a) }
 
-// Prober abstracts the scanner for the online test — an alias of the
-// shared scanner.Prober definition.
-type Prober = scanner.Prober
-
 // Dealiaser splits address lists into clean and aliased parts under a
 // given mode. The zero value is unusable; construct with New.
 type Dealiaser struct {
 	mode    Mode
 	offline *OfflineList
-	prober  Prober
+	prober  scanner.Prober
 	proto   proto.Protocol
 
 	mu      sync.Mutex
@@ -151,7 +147,7 @@ type Dealiaser struct {
 
 // New builds a Dealiaser. offline may be nil for ModeNone/ModeOnline;
 // prober may be nil for ModeNone/ModeOffline.
-func New(mode Mode, offline *OfflineList, prober Prober, p proto.Protocol, seed uint64) *Dealiaser {
+func New(mode Mode, offline *OfflineList, prober scanner.Prober, p proto.Protocol, seed uint64) *Dealiaser {
 	d := &Dealiaser{
 		mode:     mode,
 		offline:  offline,

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -77,6 +78,22 @@ func TestClusterMatchesSingleScanner(t *testing.T) {
 			t.Fatalf("%v: expected a real shard fan-out, got %d shards", p, got.Shards)
 		}
 		assertIdentical(t, p, got, wantRes, wantStats)
+	}
+}
+
+// TestPoolScanDoesNotMutateCallerSlice pins the scanner.Prober rule for
+// the pool: consumers pass shared target lists (with duplicates) uncopied,
+// so dedup, shuffle and partitioning must all work on the pool's own copy.
+func TestPoolScanDoesNotMutateCallerSlice(t *testing.T) {
+	w := clusterWorld(t)
+	targets := testTargets(t, w)
+	before := append([]ipaddr.Addr(nil), targets...)
+	pool := NewLocalPool(3, w.Link(), Config{Secret: testSecret, ShardSize: 128})
+	if _, err := pool.ScanContext(context.Background(), targets, proto.ICMP); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(targets, before) {
+		t.Fatal("pool scan reordered or rewrote the caller's target slice")
 	}
 }
 

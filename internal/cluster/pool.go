@@ -78,13 +78,13 @@ func (p *Pool) ScanContext(ctx context.Context, targets []ipaddr.Addr, pr proto.
 	return res.Results, nil
 }
 
-// Scan implements the tga.Prober surface.
+// Scan implements scanner.Prober.
 func (p *Pool) Scan(targets []ipaddr.Addr, pr proto.Protocol) []scanner.Result {
 	res, _ := p.ScanContext(context.Background(), targets, pr)
 	return res
 }
 
-// ScanActive implements the alias.Prober surface.
+// ScanActive implements scanner.Prober.
 func (p *Pool) ScanActive(targets []ipaddr.Addr, pr proto.Protocol) []ipaddr.Addr {
 	out, _ := p.ScanActiveContext(context.Background(), targets, pr)
 	return out

@@ -22,7 +22,7 @@ type OracleProber struct {
 	World *world.World
 }
 
-// Scan implements tga.Prober against ground truth.
+// Scan implements scanner.Prober against ground truth.
 func (o *OracleProber) Scan(targets []ipaddr.Addr, p proto.Protocol) []scanner.Result {
 	epoch := o.World.Epoch()
 	out := make([]scanner.Result, len(targets))
@@ -36,8 +36,8 @@ func (o *OracleProber) Scan(targets []ipaddr.Addr, p proto.Protocol) []scanner.R
 	return out
 }
 
-// ScanActive mirrors scanner.Scanner's convenience method so the oracle
-// also satisfies alias.Prober.
+// ScanActive completes scanner.Prober, mirroring scanner.Scanner's
+// convenience method.
 func (o *OracleProber) ScanActive(targets []ipaddr.Addr, p proto.Protocol) []ipaddr.Addr {
 	var hits []ipaddr.Addr
 	for _, r := range o.Scan(targets, p) {

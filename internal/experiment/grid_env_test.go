@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -98,6 +99,28 @@ func TestCrossSpecDedupRunsEachCellOnce(t *testing.T) {
 	}
 	if got := snap.Counters["grid.cells.deduped"]; got != 4 {
 		t.Fatalf("grid.cells.deduped after RQ4 = %d, want 4", got)
+	}
+
+	// Dedup shares results, it does not change them: every planned cell,
+	// shared or not, reads back from the engine exactly what executing it
+	// directly (RunCell on a fresh environment, no engine) produces.
+	direct := NewEnv(EnvConfig{NumASes: 80, CollectScale: 0.25, Budget: 1000})
+	for _, spec := range []grid.Spec{
+		e.SpecRQ1b(protos, gens, 1000), e.SpecRQ2(protos, gens, 1000), e.SpecRQ4(protos, gens, 1000),
+	} {
+		rs, err := e.Grid().Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range spec.Cells {
+			want, err := direct.RunCell(context.Background(), c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rs.Of(c); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s cell %s: engine outcome %+v, direct outcome %+v", spec.Name, c.ID(), got.Outcome, want.Outcome)
+			}
+		}
 	}
 }
 

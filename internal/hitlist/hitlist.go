@@ -30,16 +30,6 @@ import (
 	"seedscan/internal/telemetry"
 )
 
-// Prober is the scanning dependency (satisfied by *scanner.Scanner) — an
-// alias of the shared scanner.Prober definition.
-type Prober = scanner.Prober
-
-// ContextProber is the cancellable prober variant. When the configured
-// Prober also implements it (as *scanner.Scanner does), BuildContext scans
-// through it so cancellation lands mid-scan instead of only between
-// pipeline stages.
-type ContextProber = scanner.ContextProber
-
 // Snapshot is one published hitlist build.
 type Snapshot struct {
 	// BuiltAt records the build time (informational).
@@ -90,7 +80,8 @@ func (s *Service) Build(sources ...*seeds.Dataset) (*Snapshot, error) {
 // aggregate, dealias (two-tier), verify responsiveness per protocol, and
 // publish the aliased-prefix artifact. Cancelling ctx stops the build at
 // the next stage boundary (or mid-scan when the prober implements
-// ContextProber) and returns ctx's error; no partial snapshot is returned.
+// scanner.ContextProber) and returns ctx's error; no partial snapshot is
+// returned.
 //
 // Sources may be empty datasets: the result is a valid, empty snapshot.
 // Calling with no sources at all is an error — it is almost always a bug
@@ -135,7 +126,7 @@ func (s *Service) BuildContext(ctx context.Context, sources ...*seeds.Dataset) (
 	// 3. Verify responsiveness per protocol.
 	for _, p := range proto.All {
 		vspan := span.Child("hitlist.verify", telemetry.Attrs{"proto": p.String()})
-		active, err := s.scanActive(ctx, clean, p)
+		active, err := scanner.AsContextProber(s.set.prober).ScanActiveContext(ctx, clean, p)
 		if err != nil {
 			vspan.End()
 			return nil, err
@@ -164,17 +155,6 @@ func (s *Service) BuildContext(ctx context.Context, sources ...*seeds.Dataset) (
 	SortPrefixes(snap.AliasedPrefixes)
 	s.set.tele.Counter("hitlist.aliased_prefixes").Add(int64(len(snap.AliasedPrefixes)))
 	return snap, nil
-}
-
-// scanActive verifies one protocol, through the cancellable path when the
-// prober offers one. The target slice is copied because scanners shuffle
-// their input plan in place.
-func (s *Service) scanActive(ctx context.Context, targets []ipaddr.Addr, p proto.Protocol) ([]ipaddr.Addr, error) {
-	dup := append([]ipaddr.Addr(nil), targets...)
-	if cp, ok := s.set.prober.(ContextProber); ok {
-		return cp.ScanActiveContext(ctx, dup, p)
-	}
-	return s.set.prober.ScanActive(dup, p), nil
 }
 
 // SortPrefixes sorts prefixes by (base address, bits) — the canonical

@@ -135,39 +135,6 @@ func TestBuildPipeline(t *testing.T) {
 	}
 }
 
-// TestConfigAdapterMatchesOptions pins the deprecated NewWithConfig
-// adapter: a Config-built service must produce the identical snapshot to
-// the equivalent option-built one.
-func TestConfigAdapterMatchesOptions(t *testing.T) {
-	w, sc, srcs := buildEnv(t)
-	known := alias.NewOfflineList(w.AliasedPrefixes())
-	oldSvc, err := NewWithConfig(Config{Prober: sc, KnownAliases: known, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newSvc, err := New(WithProber(sc), WithKnownAliases(known), WithSeed(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldSnap, err := oldSvc.Build(srcs[seeds.SourceHitlist])
-	if err != nil {
-		t.Fatal(err)
-	}
-	newSnap, err := newSvc.Build(srcs[seeds.SourceHitlist])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldSnap.Input != newSnap.Input ||
-		oldSnap.AliasedAddrs != newSnap.AliasedAddrs ||
-		oldSnap.Responsive.Len() != newSnap.Responsive.Len() ||
-		len(oldSnap.AliasedPrefixes) != len(newSnap.AliasedPrefixes) {
-		t.Fatalf("adapter diverges from options:\n old %s\n new %s", oldSnap.Summary(), newSnap.Summary())
-	}
-	if _, err := NewWithConfig(Config{}); err == nil {
-		t.Fatal("adapter accepted nil prober")
-	}
-}
-
 func TestBuildContextCancellation(t *testing.T) {
 	_, sc, srcs := buildEnv(t)
 	svc, err := New(WithProber(sc), WithSeed(1))

@@ -2,18 +2,18 @@ package hitlist
 
 import (
 	"seedscan/internal/alias"
+	"seedscan/internal/scanner"
 	"seedscan/internal/telemetry"
 )
 
 // Option configures a Service at construction time, following the same
-// functional-options convention as scanner.New: every setting is explicit,
-// defaults are pinned in defaultSettings, and the old Config struct
-// survives only as a deprecated adapter.
+// functional-options convention as scanner.New: every setting is explicit
+// and defaults are pinned in defaultSettings.
 type Option func(*settings)
 
 // settings is the resolved configuration an option set produces.
 type settings struct {
-	prober Prober
+	prober scanner.Prober
 	known  *alias.OfflineList
 	seed   uint64
 	tele   *telemetry.Registry
@@ -27,7 +27,7 @@ func defaultSettings() settings {
 
 // WithProber sets the scanning dependency used to verify responsiveness
 // and to power the online alias test. Required.
-func WithProber(p Prober) Option {
+func WithProber(p scanner.Prober) Option {
 	return func(s *settings) { s.prober = p }
 }
 
@@ -47,34 +47,4 @@ func WithSeed(seed uint64) Option {
 // registry is accepted and leaves telemetry off.
 func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(s *settings) { s.tele = reg }
-}
-
-// Config assembles a Service.
-//
-// Deprecated: use New with functional options (WithProber, WithKnownAliases,
-// WithSeed, WithTelemetry). Config remains only as an adapter for old call
-// sites, mirroring scanner.Config.
-type Config struct {
-	// Prober verifies responsiveness and powers the online alias test.
-	Prober Prober
-	// KnownAliases seeds the alias filter (may be nil).
-	KnownAliases *alias.OfflineList
-	// Seed keys the online dealiaser's probe generation.
-	Seed uint64
-}
-
-// Options converts the legacy Config to the equivalent option list.
-func (c Config) Options() []Option {
-	opts := []Option{WithProber(c.Prober), WithSeed(c.Seed)}
-	if c.KnownAliases != nil {
-		opts = append(opts, WithKnownAliases(c.KnownAliases))
-	}
-	return opts
-}
-
-// NewWithConfig builds a Service from the legacy Config struct.
-//
-// Deprecated: use New with functional options.
-func NewWithConfig(cfg Config) (*Service, error) {
-	return New(cfg.Options()...)
 }

@@ -16,15 +16,6 @@ import (
 	"seedscan/internal/world"
 )
 
-// Prober is the daemon's scanning dependency (satisfied by
-// *scanner.Scanner and *cluster.Pool) — an alias of the shared
-// scanner.Prober definition.
-type Prober = scanner.Prober
-
-// ContextProber is the cancellable prober variant; when the configured
-// Prober also implements it, epoch scans honor mid-scan cancellation.
-type ContextProber = scanner.ContextProber
-
 // Cohort is a named address set whose persistence the daemon reports per
 // epoch — e.g. the hits of a TGA run, re-checked epoch after epoch.
 // Cohort members join the scan universe.
@@ -38,7 +29,7 @@ type Config struct {
 	// World is the synthetic Internet whose epoch clock the daemon
 	// advances; Prober scans against it.
 	World  *world.World
-	Prober Prober
+	Prober scanner.Prober
 	// Corpus is the initial seed universe (typically the union of seed
 	// sources, dealiased).
 	Corpus []ipaddr.Addr
@@ -220,16 +211,9 @@ func (d *Daemon) epochCell(epoch int, targets []ipaddr.Addr) grid.Cell {
 // epoch was already advanced by Run; hits are sorted so the checkpointed
 // result is canonical regardless of scan-plan shuffling.
 func (d *Daemon) exec(ctx context.Context, c grid.Cell) (grid.CellResult, error) {
-	targets := append([]ipaddr.Addr(nil), d.pending...) // scanners shuffle in place
-	var hits []ipaddr.Addr
-	if cp, ok := d.cfg.Prober.(ContextProber); ok {
-		var err error
-		hits, err = cp.ScanActiveContext(ctx, targets, d.cfg.Proto)
-		if err != nil {
-			return grid.CellResult{}, err
-		}
-	} else {
-		hits = d.cfg.Prober.ScanActive(targets, d.cfg.Proto)
+	hits, err := scanner.AsContextProber(d.cfg.Prober).ScanActiveContext(ctx, d.pending, d.cfg.Proto)
+	if err != nil {
+		return grid.CellResult{}, err
 	}
 	return grid.CellResult{Hits: ipaddr.DedupSorted(hits)}, nil
 }

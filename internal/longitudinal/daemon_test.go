@@ -111,7 +111,7 @@ func normalize(reps []EpochReport) []EpochReport {
 // generation exactly once.
 func TestDaemonResumeEquivalence(t *testing.T) {
 	const epochs = 6
-	cfg := func(w *world.World, corpus []ipaddr.Addr, p Prober, st grid.Store, pub *hitlistdb.Store) Config {
+	cfg := func(w *world.World, corpus []ipaddr.Addr, p scanner.Prober, st grid.Store, pub *hitlistdb.Store) Config {
 		return Config{
 			World: w, Prober: p, Corpus: corpus, Proto: proto.ICMP,
 			StartEpoch: 1, Epochs: epochs, StaleAfter: 2, StableEvery: 3,

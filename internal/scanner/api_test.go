@@ -38,8 +38,8 @@ func TestScanDoesNotMutateCallerSlice(t *testing.T) {
 	}
 }
 
-// TestWithRetriesZeroProbesOnce covers the configuration the old Config
-// struct could not express: zero retries, one packet per silent target.
+// TestWithRetriesZeroProbesOnce: zero retries means one packet per silent
+// target.
 func TestWithRetriesZeroProbesOnce(t *testing.T) {
 	w := testWorld(t)
 	w.SetEpoch(world.CollectEpoch)
@@ -60,46 +60,18 @@ func TestWithRetriesZeroProbesOnce(t *testing.T) {
 	}
 }
 
-// TestConfigAdapterKeepsDefaults pins the deprecated NewWithConfig
-// behavior: zero values still mean §4.2 defaults.
-func TestConfigAdapterKeepsDefaults(t *testing.T) {
-	w := testWorld(t)
-	w.SetEpoch(world.CollectEpoch)
-	var targets []ipaddr.Addr
-	base := ipaddr.MustParse("3fff::")
-	for i := 0; i < 10; i++ {
-		targets = append(targets, base.AddLo(uint64(i)))
+// gatedLink holds every exchange over inner until release is closed, and
+// closes started on the first one, so a scan can be caught mid-flight
+// deterministically.
+func gatedLink(inner wire.Link) (link wire.LinkFunc, started, release chan struct{}) {
+	started, release = make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	link = func(pkts [][]byte, rb *probe.ReplyBuf) {
+		once.Do(func() { close(started) })
+		<-release
+		inner.ExchangeBatchInto(pkts, rb)
 	}
-	// A legacy single-packet link, so the adapter also covers the
-	// wire.Promote lift NewWithConfig performs.
-	s := NewWithConfig(packetWorldLink{w}, Config{Secret: 5})
-	res := s.Scan(targets, proto.ICMP)
-	for _, r := range res {
-		if r.Attempts != 3 {
-			t.Fatalf("attempts = %d, want 3 (2 retries)", r.Attempts)
-		}
-	}
-}
-
-// packetWorldLink answers through the world one packet at a time — the
-// first-generation link shape, kept to exercise the wire.Promote lift.
-type packetWorldLink struct{ w *world.World }
-
-func (l packetWorldLink) Exchange(pkt []byte) [][]byte { return l.w.HandlePacket(pkt) }
-
-// slowLink delays each exchange until released, so a scan can be caught
-// mid-flight deterministically.
-type slowLink struct {
-	inner   wire.Link
-	started chan struct{}
-	release chan struct{}
-	once    sync.Once
-}
-
-func (l *slowLink) ExchangeBatchInto(pkts [][]byte, rb *probe.ReplyBuf) {
-	l.once.Do(func() { close(l.started) })
-	<-l.release
-	l.inner.ExchangeBatchInto(pkts, rb)
+	return link, started, release
 }
 
 func TestScanContextCancellationMidScan(t *testing.T) {
@@ -110,7 +82,7 @@ func TestScanContextCancellationMidScan(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		targets = append(targets, base.AddLo(uint64(i)))
 	}
-	link := &slowLink{inner: w.Link(), started: make(chan struct{}), release: make(chan struct{})}
+	link, started, release := gatedLink(w.Link())
 	s := New(link, WithSecret(5), WithWorkers(2))
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -121,9 +93,9 @@ func TestScanContextCancellationMidScan(t *testing.T) {
 		res, err = s.ScanContext(ctx, targets, proto.ICMP)
 		close(done)
 	}()
-	<-link.started
+	<-started
 	cancel()
-	close(link.release)
+	close(release)
 	<-done
 
 	if err != context.Canceled {

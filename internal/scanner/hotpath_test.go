@@ -8,16 +8,8 @@ import (
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/proto"
 	"seedscan/internal/telemetry"
-	"seedscan/internal/wire"
 	"seedscan/internal/world"
 )
-
-// exchangeOnly answers through the world one packet at a time — the
-// first-generation link shape, so tests can pin the wire.Promote lift of
-// a per-packet link against the canonical arena-batched path.
-type exchangeOnly struct{ w *world.World }
-
-func (e exchangeOnly) Exchange(pkt []byte) [][]byte { return e.w.HandlePacket(pkt) }
 
 // statsEqual compares two merged snapshots field by field.
 func statsEqual(t *testing.T, got, want *Stats) {
@@ -41,53 +33,33 @@ func statsEqual(t *testing.T, got, want *Stats) {
 	}
 }
 
-// TestBatchedMatchesUnbatched pins the semantics-preserving claim behind
-// wire.Promote: scanning through a promoted per-packet legacy link must
-// produce results and counters byte-identical to the canonical
-// arena-batched exchange, for every protocol.
-func TestBatchedMatchesUnbatched(t *testing.T) {
-	w := world.New(world.Config{Seed: 42, NumASes: 60, LossRate: 0.1})
-	w.SetEpoch(world.CollectEpoch)
-	samp := w.NewSampler(19)
-	targets := samp.Hosts(700)
-
-	for _, p := range proto.All {
-		batched := New(w.Link(), WithSecret(33))
-		unbatched := New(wire.Promote(exchangeOnly{w}), WithSecret(33))
-		rb := batched.Scan(targets, p)
-		ru := unbatched.Scan(targets, p)
-		if len(rb) != len(ru) {
-			t.Fatalf("%v: %d vs %d results", p, len(rb), len(ru))
-		}
-		for i := range rb {
-			if rb[i] != ru[i] {
-				t.Fatalf("%v: result %d differs: batched %+v, unbatched %+v", p, i, rb[i], ru[i])
-			}
-		}
-		statsEqual(t, batched.Stats(), unbatched.Stats())
-		if got, want := batched.VirtualElapsed(), unbatched.VirtualElapsed(); got != want {
-			t.Fatalf("%v: virtual elapsed %v vs %v", p, got, want)
-		}
-	}
-}
-
 // TestChunkSizeDoesNotChangeResults sweeps chunk sizes around the target
-// count so tail chunks, chunk==1, and chunk>len(targets) are all covered.
+// count so tail chunks, chunk==1 (one packet per exchange), and
+// chunk>len(targets) are all covered: results, counters and the virtual
+// clock must match for every protocol, on a lossy world so retries run.
 func TestChunkSizeDoesNotChangeResults(t *testing.T) {
-	w := world.New(world.Config{Seed: 42, NumASes: 60, LossRate: 0})
+	w := world.New(world.Config{Seed: 42, NumASes: 60, LossRate: 0.1})
 	w.SetEpoch(world.CollectEpoch)
 	samp := w.NewSampler(29)
 	targets := samp.Hosts(130)
 
-	ref := New(w.Link(), WithSecret(8), WithProbeChunk(1)).Scan(targets, proto.ICMP)
-	for _, chunk := range []int{2, 7, 64, 129, 130, 1000} {
-		got := New(w.Link(), WithSecret(8), WithProbeChunk(chunk)).Scan(targets, proto.ICMP)
-		if len(got) != len(ref) {
-			t.Fatalf("chunk %d: %d results, want %d", chunk, len(got), len(ref))
-		}
-		for i := range got {
-			if got[i] != ref[i] {
-				t.Fatalf("chunk %d: result %d differs", chunk, i)
+	for _, p := range proto.All {
+		ref := New(w.Link(), WithSecret(8), WithProbeChunk(1))
+		want := ref.Scan(targets, p)
+		for _, chunk := range []int{2, 7, 64, 129, 130, 1000} {
+			s := New(w.Link(), WithSecret(8), WithProbeChunk(chunk))
+			got := s.Scan(targets, p)
+			if len(got) != len(want) {
+				t.Fatalf("%v chunk %d: %d results, want %d", p, chunk, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%v chunk %d: result %d differs", p, chunk, i)
+				}
+			}
+			statsEqual(t, s.Stats(), ref.Stats())
+			if got, want := s.VirtualElapsed(), ref.VirtualElapsed(); got != want {
+				t.Fatalf("%v chunk %d: virtual elapsed %v vs %v", p, chunk, got, want)
 			}
 		}
 	}
@@ -149,29 +121,6 @@ func TestConcurrentScansSharedScanner(t *testing.T) {
 	}
 }
 
-// batchSlowLink gates the first ExchangeBatch so a batched scan can be
-// cancelled deterministically mid-flight. It keeps the second-generation
-// BatchLink shape, so the cancellation test also rides through the
-// wire.Promote batch adapter.
-type batchSlowLink struct {
-	w       *world.World
-	started chan struct{}
-	release chan struct{}
-	once    sync.Once
-}
-
-func (l *batchSlowLink) Exchange(pkt []byte) [][]byte { return l.w.HandlePacket(pkt) }
-
-func (l *batchSlowLink) ExchangeBatch(pkts [][]byte) [][][]byte {
-	l.once.Do(func() { close(l.started) })
-	<-l.release
-	replies := make([][][]byte, len(pkts))
-	for i, pkt := range pkts {
-		replies[i] = l.w.HandlePacket(pkt)
-	}
-	return replies
-}
-
 // TestBatchedCancelReturnsProbedPrefix pins the partial-results invariant
 // for the chunked claim loop: on cancellation the returned slice is
 // exactly the fully-probed claimed prefix, in scan order.
@@ -183,10 +132,10 @@ func TestBatchedCancelReturnsProbedPrefix(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		targets = append(targets, base.AddLo(uint64(i)))
 	}
-	link := &batchSlowLink{w: w, started: make(chan struct{}), release: make(chan struct{})}
+	link, started, release := gatedLink(w.Link())
 	// WithoutShuffle so scan order == deduped input order and the prefix
 	// can be checked against the caller's slice.
-	s := New(wire.Promote(link), WithSecret(5), WithWorkers(2), WithoutShuffle())
+	s := New(link, WithSecret(5), WithWorkers(2), WithoutShuffle())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -196,9 +145,9 @@ func TestBatchedCancelReturnsProbedPrefix(t *testing.T) {
 		res, err = s.ScanContext(ctx, targets, proto.ICMP)
 		close(done)
 	}()
-	<-link.started
+	<-started
 	cancel()
-	close(link.release)
+	close(release)
 	<-done
 
 	if err != context.Canceled {

@@ -3,13 +3,10 @@ package scanner
 import (
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/telemetry"
-	"seedscan/internal/wire"
 )
 
-// Option configures a Scanner at construction time. The options replace
-// the old zero-value-means-default Config convention: every setting is
-// explicit, so WithRetries(0) genuinely means "probe once, no retry" —
-// a configuration the Config struct could not express.
+// Option configures a Scanner at construction time. Every setting is
+// explicit, so WithRetries(0) genuinely means "probe once, no retry".
 type Option func(*settings)
 
 // settings is the resolved configuration an option set produces.
@@ -25,10 +22,10 @@ type settings struct {
 	tele      *telemetry.Registry
 }
 
-// defaultChunk is the number of targets a worker claims (and, on a
-// BatchLink, probes per exchange) per loop iteration. Large enough to
-// amortize claim/rate-limit/counter updates, small enough that
-// cancellation still lands promptly and tail chunks stay balanced.
+// defaultChunk is the number of targets a worker claims, and probes per
+// exchange, per loop iteration. Large enough to amortize
+// claim/rate-limit/counter updates, small enough that cancellation still
+// lands promptly and tail chunks stay balanced.
 const defaultChunk = 64
 
 // defaultSettings mirrors §4.2 of the paper: 2 retries (3 packets total),
@@ -116,64 +113,4 @@ func WithoutShuffle() Option {
 // accounting. A nil registry is accepted and leaves telemetry off.
 func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(s *settings) { s.tele = reg }
-}
-
-// Config tunes a Scanner. Zero values get sensible defaults from
-// NewWithConfig.
-//
-// Deprecated: Config cannot represent Retries: 0 (probe once) because zero
-// means "default". Use New with functional options (WithRetries,
-// WithWorkers, ...) instead; Config remains only as an adapter for old
-// call sites.
-type Config struct {
-	// SourceAddr is the scanner's own address, stamped on probes.
-	SourceAddr ipaddr.Addr
-	// Retries is the number of additional attempts after the first probe
-	// goes unanswered (default 2, i.e. 3 packets total, matching §4.2).
-	Retries int
-	// Workers is the number of concurrent probe workers (default 8).
-	Workers int
-	// RatePPS caps the aggregate probe rate on a virtual clock (default
-	// 10_000, the paper's ethical rate limit).
-	RatePPS int
-	// Blocklist holds prefixes that must never be probed (opt-out ranges).
-	Blocklist *ipaddr.Trie
-	// Secret keys the validation cookies and the scan-order shuffle.
-	Secret uint64
-	// NoShuffle disables the ethical scan-order randomization.
-	NoShuffle bool
-}
-
-// Options converts the legacy Config to the equivalent option list,
-// preserving its zero-value-means-default semantics.
-func (c Config) Options() []Option {
-	var opts []Option
-	if !c.SourceAddr.IsZero() {
-		opts = append(opts, WithSourceAddr(c.SourceAddr))
-	}
-	if c.Retries != 0 {
-		opts = append(opts, WithRetries(c.Retries))
-	}
-	if c.Workers != 0 {
-		opts = append(opts, WithWorkers(c.Workers))
-	}
-	if c.RatePPS != 0 {
-		opts = append(opts, WithRatePPS(c.RatePPS))
-	}
-	if c.Blocklist != nil {
-		opts = append(opts, WithBlocklist(c.Blocklist))
-	}
-	opts = append(opts, WithSecret(c.Secret))
-	if c.NoShuffle {
-		opts = append(opts, WithoutShuffle())
-	}
-	return opts
-}
-
-// NewWithConfig builds a Scanner from the legacy Config struct over a
-// legacy single-packet link, lifted through wire.Promote.
-//
-// Deprecated: use New with functional options over a wire.Link.
-func NewWithConfig(link Link, cfg Config) *Scanner {
-	return New(wire.Promote(link), cfg.Options()...)
 }

@@ -21,10 +21,7 @@
 // the steady-state exchange loop is allocation-free on both sides.
 //
 // The scanner exchanges packets exclusively through internal/wire: New
-// takes a wire.Link (compose middlewares onto it with wire.Chain), and
-// legacy single-packet or allocating-batch links are lifted with
-// wire.Promote. The historical Link/BatchLink/ArenaLink names remain as
-// deprecated aliases of the wire package's shapes.
+// takes a wire.Link (compose middlewares onto it with wire.Chain).
 package scanner
 
 import (
@@ -40,24 +37,6 @@ import (
 	"seedscan/internal/telemetry"
 	"seedscan/internal/wire"
 )
-
-// Link is the first-generation single-packet wire.
-//
-// Deprecated: the scanner exchanges packets exclusively through the
-// canonical wire.Link; lift legacy implementations with wire.Promote.
-type Link = wire.PacketLink
-
-// BatchLink is the second-generation allocating batched wire.
-//
-// Deprecated: implement wire.Link (ExchangeBatchInto) instead; existing
-// implementations are lifted with wire.Promote.
-type BatchLink = wire.BatchLink
-
-// ArenaLink is the historical name for links that implement the canonical
-// arena-batched exchange alongside the legacy per-packet one.
-//
-// Deprecated: new code should implement and accept wire.Link.
-type ArenaLink = wire.ArenaLink
 
 // dnsQueryName is the fixed liveness qname stamped on UDP/53 probes.
 const dnsQueryName = "liveness.seedscan.example"
@@ -224,9 +203,9 @@ type Scanner struct {
 }
 
 // New builds a Scanner over link — the canonical arena-batched wire,
-// typically a world's WireLink or a wire.Chain composed onto one; lift
-// legacy links with wire.Promote. With no options it matches the paper's
-// §4.2 setup: 2 retries, 8 workers, 10k pps, shuffled scan order.
+// typically a world's WireLink or a wire.Chain composed onto one. With no
+// options it matches the paper's §4.2 setup: 2 retries, 8 workers, 10k
+// pps, shuffled scan order.
 func New(link wire.Link, opts ...Option) *Scanner {
 	set := defaultSettings()
 	for _, o := range opts {

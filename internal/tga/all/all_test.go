@@ -139,7 +139,7 @@ func TestOnlineAdaptationHelpsDET(t *testing.T) {
 
 	run := func(withFeedback bool) int {
 		g := all.MustNew("DET")
-		var prober tga.Prober = sc
+		var prober scanner.Prober = sc
 		cfg := tga.RunConfig{Budget: budget, BatchSize: 512, Proto: proto.ICMP, Prober: prober, ExcludeSeeds: true}
 		if !withFeedback {
 			cfg.Prober = &silentProber{inner: sc}

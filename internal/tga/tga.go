@@ -66,16 +66,6 @@ type Generator interface {
 	Feedback(results []ProbeResult)
 }
 
-// Prober abstracts the scanner for the driver — an alias of the shared
-// scanner.Prober, one definition for the whole stack instead of a local
-// copy per consumer.
-type Prober = scanner.Prober
-
-// ContextProber is the cancellable prober surface. When a RunConfig's
-// Prober also implements it (as *scanner.Scanner does), the driver routes
-// scans through ScanContext so an in-flight scan stops with the run.
-type ContextProber = scanner.ContextProber
-
 // Dealiaser abstracts output dealiasing for the driver.
 type Dealiaser interface {
 	Split(addrs []ipaddr.Addr) (clean, aliased []ipaddr.Addr)
@@ -91,7 +81,7 @@ type RunConfig struct {
 	// Proto selects the probe type.
 	Proto proto.Protocol
 	// Prober runs the scans (nil: generation-only run, no feedback).
-	Prober Prober
+	Prober scanner.Prober
 	// Dealiaser classifies active outputs (nil: nothing flagged aliased).
 	Dealiaser Dealiaser
 	// ExcludeSeeds removes seed addresses from the generated set, so the
@@ -316,7 +306,7 @@ func (d *driver) produce(parent *telemetry.Span) (fresh []ipaddr.Addr, cont bool
 // stage spans; the caller ends it.
 func (d *driver) consume(ctx context.Context, batchSpan *telemetry.Span, fresh []ipaddr.Addr) (hits, aliased int, err error) {
 	scanSpan := batchSpan.Child("scan", nil)
-	results, err := scanBatch(ctx, d.cfg.Prober, fresh, d.cfg.Proto)
+	results, err := scanner.AsContextProber(d.cfg.Prober).ScanContext(ctx, fresh, d.cfg.Proto)
 	var active []ipaddr.Addr
 	for _, r := range results {
 		if r.Active() {
@@ -477,15 +467,6 @@ func (d *driver) runPipelined(ctx context.Context) error {
 		b.span.EndWith(telemetry.Attrs{"hits": hits, "aliased": aliased})
 	}
 	return ctx.Err()
-}
-
-// scanBatch routes one batch through the prober, using the cancellable
-// surface when available.
-func scanBatch(ctx context.Context, p Prober, targets []ipaddr.Addr, pr proto.Protocol) ([]scanner.Result, error) {
-	if cp, ok := p.(ContextProber); ok {
-		return cp.ScanContext(ctx, targets, pr)
-	}
-	return p.Scan(targets, pr), nil
 }
 
 // CanonicalSeeds returns seeds in the canonical ascending order every

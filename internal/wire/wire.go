@@ -4,23 +4,10 @@
 // interface, Link, and anything that wants to observe or shape traffic in
 // flight composes onto it as a Middleware via Chain.
 //
-// Link is the arena-batched shape the scanner hot path was already built
-// around (the former scanner.ArenaLink): one call exchanges a whole chunk
-// of probes and answers into a caller-owned probe.ReplyBuf, so the
-// steady-state exchange allocates nothing on either side. The two older
-// link generations — per-packet Exchange and allocating ExchangeBatch —
-// survive as PacketLink and BatchLink, and Promote lifts either into a
-// Link so legacy implementations keep working without the scanner carrying
-// a triple type-switch.
-//
-// Promotion rules: a promoted link preserves classification semantics
-// exactly. The canonical contract allows at most one reply per probe;
-// when a legacy link returns several, Promote keeps the first — the same
-// "first validated reply wins" rule the scanner applies, so results are
-// identical (extra replies could only bump receive counters, which no
-// implementation in this repository ever produced). Promoted replies are
-// copied into the caller's arena, so the legacy link's allocations do not
-// leak past the exchange.
+// Link is arena-batched: one call exchanges a whole chunk of probes and
+// answers into a caller-owned probe.ReplyBuf, at most one reply per probe,
+// so the steady-state exchange allocates nothing on either side. LinkFunc
+// adapts a function, which is how tests write fake links.
 //
 // Middlewares wrap a Link with a send-side hook (they see — and may
 // rewrite, reorder, or drop — every probe before the inner link does) and
@@ -37,11 +24,7 @@
 // wire.faults.duplicated, wire.faults.delayed.
 package wire
 
-import (
-	"fmt"
-
-	"seedscan/internal/probe"
-)
+import "seedscan/internal/probe"
 
 // Link is the canonical wire between a scanner and the Internet (real or
 // simulated): one call exchanges a batch of packets, answering each into
@@ -60,71 +43,3 @@ type LinkFunc func(pkts [][]byte, rb *probe.ReplyBuf)
 
 // ExchangeBatchInto calls f.
 func (f LinkFunc) ExchangeBatchInto(pkts [][]byte, rb *probe.ReplyBuf) { f(pkts, rb) }
-
-// PacketLink is the first-generation wire: send one packet, collect
-// whatever comes back for it. Promote lifts one into a Link.
-type PacketLink interface {
-	Exchange(pkt []byte) [][]byte
-}
-
-// BatchLink is the second-generation wire: one allocating call per chunk,
-// one reply set per packet (replies[i] answers pkts[i]). Promote lifts one
-// into a Link.
-type BatchLink interface {
-	PacketLink
-	ExchangeBatch(pkts [][]byte) [][][]byte
-}
-
-// ArenaLink is the historical name for links that implement the canonical
-// arena-batched exchange alongside the legacy per-packet one. New code
-// should implement and accept plain Link.
-type ArenaLink interface {
-	PacketLink
-	Link
-}
-
-// Promote lifts any known link generation into the canonical Link. A
-// value already implementing Link (however partially historical its other
-// methods) is returned as-is; BatchLink and PacketLink implementations get
-// an adapter that copies their replies into the caller's arena, keeping
-// the first reply per packet (see the package comment for why that is
-// semantics-preserving). Promote panics on nil or on a value implementing
-// no known generation — both are wiring bugs, not runtime conditions.
-func Promote(link any) Link {
-	switch l := link.(type) {
-	case Link:
-		return l
-	case BatchLink:
-		return batchAdapter{l}
-	case PacketLink:
-		return packetAdapter{l}
-	}
-	panic(fmt.Sprintf("wire: %T implements no known link generation", link))
-}
-
-// batchAdapter lifts a BatchLink: one ExchangeBatch per exchange, replies
-// copied into the arena.
-type batchAdapter struct{ l BatchLink }
-
-func (a batchAdapter) ExchangeBatchInto(pkts [][]byte, rb *probe.ReplyBuf) {
-	replies := a.l.ExchangeBatch(pkts)
-	rb.Reset(len(pkts))
-	for i := range pkts {
-		if i < len(replies) && len(replies[i]) > 0 {
-			rb.PutRaw(i, replies[i][0])
-		}
-	}
-}
-
-// packetAdapter lifts a PacketLink: one Exchange per packet, replies
-// copied into the arena.
-type packetAdapter struct{ l PacketLink }
-
-func (a packetAdapter) ExchangeBatchInto(pkts [][]byte, rb *probe.ReplyBuf) {
-	rb.Reset(len(pkts))
-	for i, pkt := range pkts {
-		if rs := a.l.Exchange(pkt); len(rs) > 0 {
-			rb.PutRaw(i, rs[0])
-		}
-	}
-}

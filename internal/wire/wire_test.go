@@ -69,42 +69,6 @@ func TestEmptyChainIsBareLink(t *testing.T) {
 	}
 }
 
-// legacyPacketWorld exposes the world through the deprecated
-// single-packet link shape.
-type legacyPacketWorld struct{ w *world.World }
-
-func (l legacyPacketWorld) Exchange(pkt []byte) [][]byte { return l.w.HandlePacket(pkt) }
-
-// legacyBatchWorld adds the deprecated slice-batched shape on top.
-type legacyBatchWorld struct{ legacyPacketWorld }
-
-func (l legacyBatchWorld) ExchangeBatch(pkts [][]byte) [][][]byte {
-	out := make([][][]byte, len(pkts))
-	for i, pkt := range pkts {
-		out[i] = l.w.HandlePacket(pkt)
-	}
-	return out
-}
-
-// TestPromoteEquivalence pins that both legacy link generations, lifted
-// with Promote, scan identically to the canonical arena link.
-func TestPromoteEquivalence(t *testing.T) {
-	w, targets := testWorld(t)
-	want, wantStats := scanThrough(w.Link(), targets, proto.ICMP)
-	for name, link := range map[string]wire.Link{
-		"packet": wire.Promote(legacyPacketWorld{w}),
-		"batch":  wire.Promote(legacyBatchWorld{legacyPacketWorld{w}}),
-	} {
-		got, gotStats := scanThrough(link, targets, proto.ICMP)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: promoted link diverges from arena link", name)
-		}
-		if wantStats != gotStats {
-			t.Fatalf("%s: stats diverge: %v vs %v", name, wantStats, gotStats)
-		}
-	}
-}
-
 // TestTapTransparencyAndCounts runs a tapped scan concurrently from
 // several goroutines (meaningful under -race): results must be unchanged
 // and the tap's totals must equal the scanners' own packet counters.

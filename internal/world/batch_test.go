@@ -60,11 +60,13 @@ func batchTestPackets(t *testing.T, w *World) [][]byte {
 	return pkts
 }
 
-// TestHandleBatchMatchesHandlePacket pins the batched reply path to the
-// per-packet path byte for byte — across epochs, every probe kind, routed,
-// unrouted, aliased, pathological, and malformed input — on both a warm
-// world and a cold (still lazy) one built from the same seed.
-func TestHandleBatchMatchesHandlePacket(t *testing.T) {
+// TestBatchAnswersAsBatchesOfOne pins that a batch of N answers exactly
+// as N batches of 1, byte for byte — a reply depends on its probe alone,
+// not on its position in the arena or on its neighbours — across epochs,
+// every probe kind, routed, unrouted, aliased, pathological, and malformed
+// input, on both a warm world and a cold (still lazy) one built from the
+// same seed.
+func TestBatchAnswersAsBatchesOfOne(t *testing.T) {
 	cfg := Config{Seed: 1234, NumASes: 60}
 	w := New(cfg)
 	pkts := batchTestPackets(t, w)
@@ -79,15 +81,15 @@ func TestHandleBatchMatchesHandlePacket(t *testing.T) {
 		}
 		replies := 0
 		for i, pkt := range pkts {
-			want := w.HandlePacket(pkt)
+			want := handleOne(w, pkt)
 			got := rb.Reply(i)
 			switch {
 			case len(want) == 0:
 				if got != nil {
-					t.Fatalf("epoch %d pkt %d: batch replied %x, per-packet was silent", epoch, i, got)
+					t.Fatalf("epoch %d pkt %d: batch replied %x, batch of one was silent", epoch, i, got)
 				}
 			case got == nil:
-				t.Fatalf("epoch %d pkt %d: batch silent, per-packet replied %x", epoch, i, want[0])
+				t.Fatalf("epoch %d pkt %d: batch silent, batch of one replied %x", epoch, i, want[0])
 			default:
 				replies++
 				if !bytes.Equal(got, want[0]) {

@@ -5,13 +5,7 @@ import "seedscan/internal/probe"
 // WireLink adapts the world to the canonical wire.Link: every batch of
 // packets sent is handled synchronously by the responder, and the replies
 // come back in the caller-owned arena. It is the in-process stand-in for a
-// raw socket.
-//
-// The legacy Exchange and ExchangeBatch methods are gone — the latter
-// allocated a fresh ReplyBuf plus one reply slice per packet on every
-// call; the canonical interface is allocation-free and every consumer now
-// speaks it (compose observers onto it with wire.Chain, or lift a
-// legacy-shaped fake with wire.Promote).
+// raw socket. Compose observers onto it with wire.Chain.
 type WireLink struct {
 	w *World
 }

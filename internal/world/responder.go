@@ -18,10 +18,10 @@ import (
 //
 // Loss and rate limiting are deterministic functions of each probe's
 // destination and its varying cookie field, so retries genuinely re-roll,
-// and answering a batch is exactly equivalent to one HandlePacket per
-// packet. rb is reset to the batch size; replies alias its arena and stay
-// valid until its next Reset. HandleBatch is safe for concurrent use as
-// long as each concurrent caller owns its rb.
+// and a batch of N answers exactly as N batches of one. rb is reset to the
+// batch size; replies alias its arena and stay valid until its next Reset.
+// HandleBatch is safe for concurrent use as long as each concurrent caller
+// owns its rb.
 func (w *World) HandleBatch(pkts [][]byte, rb *probe.ReplyBuf) {
 	rb.Reset(len(pkts))
 	replies := 0
@@ -35,18 +35,6 @@ func (w *World) HandleBatch(pkts [][]byte, rb *probe.ReplyBuf) {
 		t.batchPackets.Add(int64(len(pkts)))
 		t.batchReplies.Add(int64(replies))
 	}
-}
-
-// HandlePacket answers one probe, allocating the reply. It is the
-// single-packet convenience form of HandleBatch — byte-for-byte the same
-// replies — for callers without a reusable ReplyBuf.
-func (w *World) HandlePacket(pkt []byte) [][]byte {
-	var rb probe.ReplyBuf
-	rb.Reset(1)
-	if !w.handleInto(pkt, &rb, 0) {
-		return nil
-	}
-	return [][]byte{rb.Reply(0)}
 }
 
 // handleInto answers pkts[i] into rb, reporting whether a reply was

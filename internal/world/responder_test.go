@@ -14,6 +14,17 @@ func newTestRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) 
 
 var scannerAddr = ipaddr.MustParse("2001:4860:4860::8888")
 
+// handleOne answers one probe as a batch of one: nil when the world stays
+// silent, else the single reply.
+func handleOne(w *World, pkt []byte) [][]byte {
+	var rb probe.ReplyBuf
+	w.HandleBatch([][]byte{pkt}, &rb)
+	if r := rb.Reply(0); r != nil {
+		return [][]byte{r}
+	}
+	return nil
+}
+
 // findActive samples an address active on p at the current epoch.
 func findActive(t *testing.T, w *World, p proto.Protocol) ipaddr.Addr {
 	t.Helper()
@@ -36,7 +47,7 @@ func TestEchoReplyFromActiveHost(t *testing.T) {
 	dst := findActive(t, w, proto.ICMP)
 	payload := []byte("cookie-abcdef")
 	pkt := probe.BuildEchoRequest(scannerAddr, dst, 77, 3, payload)
-	replies := w.HandlePacket(pkt)
+	replies := handleOne(w, pkt)
 	if len(replies) != 1 {
 		t.Fatalf("replies = %d", len(replies))
 	}
@@ -59,7 +70,7 @@ func TestSilenceForDeadAddress(t *testing.T) {
 	w := smallWorld(t)
 	// Unrouted address: always silence.
 	pkt := probe.BuildEchoRequest(scannerAddr, ipaddr.MustParse("3fff::1"), 1, 1, nil)
-	if got := w.HandlePacket(pkt); got != nil {
+	if got := handleOne(w, pkt); got != nil {
 		t.Fatalf("unrouted address replied: %d packets", len(got))
 	}
 }
@@ -69,7 +80,7 @@ func TestSynAckFromOpenPort(t *testing.T) {
 	dst := findActive(t, w, proto.TCP443)
 	cookie := uint32(0xfeedface)
 	pkt := probe.BuildTCPSyn(scannerAddr, dst, 54321, 443, cookie)
-	replies := w.HandlePacket(pkt)
+	replies := handleOne(w, pkt)
 	if len(replies) != 1 {
 		t.Fatalf("replies = %d", len(replies))
 	}
@@ -102,7 +113,7 @@ func TestClosedPortMayRST(t *testing.T) {
 			continue
 		}
 		pkt := probe.BuildTCPSyn(scannerAddr, a, 54321, 80, 1)
-		replies := w.HandlePacket(pkt)
+		replies := handleOne(w, pkt)
 		if len(replies) == 1 {
 			p, err := probe.Parse(replies[0])
 			if err != nil {
@@ -129,7 +140,7 @@ func TestDNSResponseFromResolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replies := w.HandlePacket(q)
+	replies := handleOne(w, q)
 	if len(replies) != 1 {
 		t.Fatalf("replies = %d", len(replies))
 	}
@@ -158,7 +169,7 @@ func TestUnreachableFromRouter(t *testing.T) {
 				continue
 			}
 			pkt := probe.BuildEchoRequest(scannerAddr, a, 9, 9, nil)
-			replies := w.HandlePacket(pkt)
+			replies := handleOne(w, pkt)
 			if len(replies) == 1 {
 				p, err := probe.Parse(replies[0])
 				if err != nil {
@@ -198,7 +209,7 @@ func TestAliasedSlabAnswersRandomAddresses(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		a := aliased.Prefix.RandomWithin(rng)
 		pkt := probe.BuildEchoRequest(scannerAddr, a, 5, uint16(i), nil)
-		if len(w.HandlePacket(pkt)) != 1 {
+		if len(handleOne(w, pkt)) != 1 {
 			t.Fatalf("aliased %v did not answer", a)
 		}
 	}
@@ -222,7 +233,7 @@ func TestRateLimitedRegionDropsMostProbes(t *testing.T) {
 	for i := 0; i < n; i++ {
 		a := rl.Prefix.RandomWithin(rng)
 		pkt := probe.BuildEchoRequest(scannerAddr, a, 1, uint16(i), nil)
-		answered += len(w.HandlePacket(pkt))
+		answered += len(handleOne(w, pkt))
 	}
 	frac := float64(answered) / n
 	if frac < rl.RespRate-0.1 || frac > rl.RespRate+0.1 {
@@ -238,7 +249,7 @@ func TestRetriesRerollLoss(t *testing.T) {
 	var ok, drop int
 	for seq := 0; seq < 64; seq++ {
 		pkt := probe.BuildEchoRequest(scannerAddr, dst, 1, uint16(seq), nil)
-		if len(w.HandlePacket(pkt)) == 1 {
+		if len(handleOne(w, pkt)) == 1 {
 			ok++
 		} else {
 			drop++
@@ -249,9 +260,9 @@ func TestRetriesRerollLoss(t *testing.T) {
 	}
 	// Same seq is deterministic.
 	pkt := probe.BuildEchoRequest(scannerAddr, dst, 1, 7, nil)
-	first := len(w.HandlePacket(pkt))
+	first := len(handleOne(w, pkt))
 	for i := 0; i < 5; i++ {
-		if len(w.HandlePacket(pkt)) != first {
+		if len(handleOne(w, pkt)) != first {
 			t.Fatal("same probe gave different outcomes")
 		}
 	}
@@ -259,17 +270,19 @@ func TestRetriesRerollLoss(t *testing.T) {
 
 func TestMalformedPacketsSilentlyDropped(t *testing.T) {
 	w := smallWorld(t)
-	if w.HandlePacket([]byte{1, 2, 3}) != nil {
+	if handleOne(w, []byte{1, 2, 3}) != nil {
 		t.Fatal("garbage packet answered")
 	}
 	pkt := probe.BuildEchoRequest(scannerAddr, findActive(t, w, proto.ICMP), 1, 1, nil)
 	pkt[len(pkt)-1] ^= 0xff // break checksum
-	if w.HandlePacket(pkt) != nil {
+	if handleOne(w, pkt) != nil {
 		t.Fatal("corrupt packet answered")
 	}
 }
 
-func BenchmarkHandlePacketEcho(b *testing.B) {
+// BenchmarkHandleBatchEcho answers one 1024-probe echo batch per iteration
+// into a reused arena, the way a scanner worker drives the world.
+func BenchmarkHandleBatchEcho(b *testing.B) {
 	w := New(Config{Seed: 42, NumASes: 60, LossRate: 0})
 	s := w.NewSampler(1)
 	addrs := s.Hosts(1024)
@@ -280,9 +293,10 @@ func BenchmarkHandlePacketEcho(b *testing.B) {
 	for i, a := range addrs {
 		pkts[i] = probe.BuildEchoRequest(scannerAddr, a, uint16(i), 0, []byte("cookiecookie"))
 	}
+	var rb probe.ReplyBuf
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.HandlePacket(pkts[i&1023])
+		w.HandleBatch(pkts, &rb)
 	}
 }
