@@ -11,6 +11,7 @@ package ipaddr
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"net/netip"
 	"strings"
 )
@@ -194,13 +195,15 @@ func (a Addr) CommonPrefixLen(b Addr) int {
 // NybbleDistance returns the number of hex digit positions where a and b
 // differ — the Hamming distance over nybbles used by 6Gen's clustering.
 func (a Addr) NybbleDistance(b Addr) int {
-	d := 0
-	for i := 0; i < NybbleCount; i++ {
-		if a.Nybble(i) != b.Nybble(i) {
-			d++
-		}
-	}
-	return d
+	return nonzeroNybbles(a.hi^b.hi) + nonzeroNybbles(a.lo^b.lo)
+}
+
+// nonzeroNybbles counts the hex digits of x that are not zero: each
+// nybble's four bits are folded into its lowest, and those are counted.
+func nonzeroNybbles(x uint64) int {
+	x |= x >> 1
+	x |= x >> 2
+	return bits.OnesCount64(x & 0x1111111111111111)
 }
 
 func leadingZeros64(x uint64) int {

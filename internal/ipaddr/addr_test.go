@@ -172,6 +172,30 @@ func TestNybbleDistance(t *testing.T) {
 	}
 }
 
+func TestNybbleDistanceMatchesPerPosition(t *testing.T) {
+	// same selects the positions forced equal, so that distances across the
+	// whole range 0..32 are drawn, not only the near-32 of two random
+	// addresses.
+	f := func(ahi, alo, bhi, blo uint64, same uint32) bool {
+		a, b := AddrFrom64s(ahi, alo), AddrFrom64s(bhi, blo)
+		for i := 0; i < NybbleCount; i++ {
+			if same&(1<<i) != 0 {
+				b = b.WithNybble(i, a.Nybble(i))
+			}
+		}
+		want := 0
+		for i := 0; i < NybbleCount; i++ {
+			if a.Nybble(i) != b.Nybble(i) {
+				want++
+			}
+		}
+		return a.NybbleDistance(b) == want && b.NybbleDistance(a) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestXorZeroIdentity(t *testing.T) {
 	f := func(hi, lo uint64) bool {
 		a := AddrFrom64s(hi, lo)

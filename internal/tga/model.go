@@ -129,7 +129,7 @@ type TreeModel struct {
 
 // SnapshotTree captures root's leaves as an immutable TreeModel.
 func SnapshotTree(root *TreeNode) *TreeModel {
-	leaves := root.Leaves()
+	leaves := root.appendLeaves(nil)
 	m := &TreeModel{
 		LeafModels: make([]TreeLeafModel, len(leaves)),
 		NodeCount:  root.CountNodes(),
@@ -143,15 +143,17 @@ func SnapshotTree(root *TreeNode) *TreeModel {
 // Leaves materializes fresh mutable leaf nodes — new LeafGens, zeroed
 // online counters — over the model's read-only patterns and seed groups.
 // Each call returns independent nodes, so many runs can adopt one model.
+// Nodes and generators are two slabs: adopting a model costs three
+// allocations however many leaves it has.
 func (m *TreeModel) Leaves() []*TreeNode {
+	nodes := make([]TreeNode, len(m.LeafModels))
+	gens := make([]LeafGen, len(m.LeafModels))
 	out := make([]*TreeNode, len(m.LeafModels))
-	for i, lm := range m.LeafModels {
-		out[i] = &TreeNode{
-			Seeds:    lm.Seeds,
-			SplitPos: -1,
-			Masks:    lm.Masks,
-			Gen:      NewLeafGen(lm.Masks, nil),
-		}
+	for i := range m.LeafModels {
+		lm := &m.LeafModels[i]
+		gens[i].start(lm.Masks)
+		nodes[i] = TreeNode{Seeds: lm.Seeds, SplitPos: -1, Masks: lm.Masks, Gen: &gens[i]}
+		out[i] = &nodes[i]
 	}
 	return out
 }

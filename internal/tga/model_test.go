@@ -62,8 +62,56 @@ func TestBuildTreeParallelMatchesSerial(t *testing.T) {
 			if serial.CountNodes() != par.CountNodes() {
 				t.Fatalf("node count %d != %d", serial.CountNodes(), par.CountNodes())
 			}
+			// The leaves a run adopts: same patterns, same seed groups in
+			// the same order, and together a partition of the input that
+			// keeps input (ascending) order within each group.
+			sl, pl := serial.Leaves(), par.Leaves()
+			if len(sl) != len(pl) {
+				t.Fatalf("leaf count %d != %d", len(sl), len(pl))
+			}
+			total := 0
+			for i := range sl {
+				if sl[i].Masks != pl[i].Masks {
+					t.Fatalf("leaf %d masks differ", i)
+				}
+				if len(sl[i].Seeds) != len(pl[i].Seeds) {
+					t.Fatalf("leaf %d seed count %d != %d", i, len(sl[i].Seeds), len(pl[i].Seeds))
+				}
+				for j, a := range sl[i].Seeds {
+					if a != pl[i].Seeds[j] {
+						t.Fatalf("leaf %d seed %d differs", i, j)
+					}
+					if j > 0 && !sl[i].Seeds[j-1].Less(a) {
+						t.Fatalf("leaf %d seeds out of input order at %d", i, j)
+					}
+				}
+				if sl[i].Masks != ObservedMasks(sl[i].Seeds) {
+					t.Fatalf("leaf %d masks are not its seeds' observed values", i)
+				}
+				total += len(sl[i].Seeds)
+			}
+			if total != len(seeds) {
+				t.Fatalf("leaves hold %d seeds, input %d", total, len(seeds))
+			}
 		})
 	}
+}
+
+func TestSplitClipsChildSeedCapacity(t *testing.T) {
+	// Sibling groups share one backing array and the parallel builder
+	// gives siblings to different goroutines: an append to one child's
+	// seeds must reallocate, never write into the next group.
+	root := BuildTree(synthSeeds(t, 2000), 4, SplitLeftmost)
+	var walk func(n *TreeNode)
+	walk = func(n *TreeNode) {
+		for _, c := range n.Children {
+			if cap(c.Seeds) != len(c.Seeds) {
+				t.Fatalf("child with %d seeds has capacity %d", len(c.Seeds), cap(c.Seeds))
+			}
+			walk(c)
+		}
+	}
+	walk(root)
 }
 
 func TestBuildTreeAutoThreshold(t *testing.T) {

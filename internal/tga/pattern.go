@@ -40,18 +40,22 @@ func ValueCounts(seeds []ipaddr.Addr) [ipaddr.NybbleCount][16]int {
 func PositionEntropy(seeds []ipaddr.Addr) [ipaddr.NybbleCount]float64 {
 	counts := ValueCounts(seeds)
 	var h [ipaddr.NybbleCount]float64
-	n := float64(len(seeds))
-	if n == 0 {
-		return h
-	}
 	for i := range counts {
-		for _, c := range counts[i] {
-			if c == 0 {
-				continue
-			}
-			p := float64(c) / n
-			h[i] -= p * math.Log2(p)
+		h[i] = entropy(&counts[i], len(seeds))
+	}
+	return h
+}
+
+// entropy is the Shannon entropy (bits) of one position's value tally over
+// n seeds.
+func entropy(counts *[16]int, n int) float64 {
+	h := 0.0
+	for _, c := range counts {
+		if c == 0 {
+			continue
 		}
+		p := float64(c) / float64(n)
+		h -= p * math.Log2(p)
 	}
 	return h
 }
@@ -67,52 +71,54 @@ func MaskValues(m ValueMask) []byte {
 	return out
 }
 
-// maskEnum enumerates the cartesian product of per-position value lists in
-// odometer order (least significant position varies fastest).
+// maskEnum enumerates the cartesian product of per-position value masks in
+// odometer order (least significant position varies fastest, values
+// ascending), which is ascending address order. It is a value with no
+// pointers: the zero maskEnum yields nothing, and a position with an empty
+// mask makes the whole product empty.
 type maskEnum struct {
-	values [ipaddr.NybbleCount][]byte
-	idx    [ipaddr.NybbleCount]int
-	done   bool
-	primed bool
+	masks [ipaddr.NybbleCount]ValueMask
+	cur   ipaddr.Addr // last address returned, advanced in place
+	state enumState
 }
 
-func newMaskEnum(values [ipaddr.NybbleCount][]byte) *maskEnum {
-	e := &maskEnum{values: values}
-	for i := range e.values {
-		if len(e.values[i]) == 0 {
-			e.done = true
-		}
-	}
-	return e
-}
+type enumState uint8
+
+const (
+	enumFresh enumState = iota // nothing returned yet
+	enumRunning
+	enumDone
+)
 
 // next returns the next address, or false when exhausted.
 func (e *maskEnum) next() (ipaddr.Addr, bool) {
-	if e.done {
+	switch e.state {
+	case enumDone:
 		return ipaddr.Addr{}, false
-	}
-	if !e.primed {
-		e.primed = true
-		return e.current(), true
-	}
-	// Odometer increment from position 31 down.
-	for i := ipaddr.NybbleCount - 1; i >= 0; i-- {
-		e.idx[i]++
-		if e.idx[i] < len(e.values[i]) {
-			return e.current(), true
+	case enumFresh:
+		for i, m := range e.masks {
+			if m == 0 {
+				e.state = enumDone
+				return ipaddr.Addr{}, false
+			}
+			e.cur = e.cur.WithNybble(i, byte(bits.TrailingZeros16(m)))
 		}
-		e.idx[i] = 0
+		e.state = enumRunning
+		return e.cur, true
 	}
-	e.done = true
+	// Odometer increment from position 31 down: step to the next allowed
+	// value above the current one, or wrap to the lowest and carry.
+	for i := ipaddr.NybbleCount - 1; i >= 0; i-- {
+		m := e.masks[i]
+		v := e.cur.Nybble(i)
+		if above := m &^ (1<<(v+1) - 1); above != 0 {
+			e.cur = e.cur.WithNybble(i, byte(bits.TrailingZeros16(above)))
+			return e.cur, true
+		}
+		e.cur = e.cur.WithNybble(i, byte(bits.TrailingZeros16(m)))
+	}
+	e.state = enumDone
 	return ipaddr.Addr{}, false
-}
-
-func (e *maskEnum) current() ipaddr.Addr {
-	var a ipaddr.Addr
-	for i := 0; i < ipaddr.NybbleCount; i++ {
-		a = a.WithNybble(i, e.values[i][e.idx[i]])
-	}
-	return a
 }
 
 // LeafGen generates addresses for one pattern region: first the cartesian
@@ -122,9 +128,9 @@ func (e *maskEnum) current() ipaddr.Addr {
 // same address twice.
 type LeafGen struct {
 	masks [ipaddr.NybbleCount]ValueMask // current allowed values
-	jobs  []*maskEnum
+	job   maskEnum                      // the enumeration under way
 	// widen state
-	widenPos []int // positions in widening preference order
+	widenPos []int // positions in widening preference order; nil means the default, derived at the first widen
 	nextW    int
 }
 
@@ -133,40 +139,40 @@ type LeafGen struct {
 // nil allows IID positions 31..16 that were variable, then fixed IID
 // positions, a sensible default for tree leaves.
 func NewLeafGen(masks [ipaddr.NybbleCount]ValueMask, widenOrder []int) *LeafGen {
-	g := &LeafGen{masks: masks}
-	var values [ipaddr.NybbleCount][]byte
-	for i, m := range masks {
-		values[i] = MaskValues(m)
-	}
-	g.jobs = append(g.jobs, newMaskEnum(values))
-	if widenOrder == nil {
-		// Variable IID positions first (least significant first), then
-		// fixed IID positions.
-		for i := ipaddr.NybbleCount - 1; i >= 16; i-- {
-			if bits.OnesCount16(masks[i]) > 1 {
-				widenOrder = append(widenOrder, i)
-			}
-		}
-		for i := ipaddr.NybbleCount - 1; i >= 16; i-- {
-			if bits.OnesCount16(masks[i]) == 1 {
-				widenOrder = append(widenOrder, i)
-			}
-		}
-	}
-	g.widenPos = widenOrder
+	g := &LeafGen{widenPos: widenOrder}
+	g.start(masks)
 	return g
+}
+
+// start points g at the first job, the product of the observed values.
+func (g *LeafGen) start(masks [ipaddr.NybbleCount]ValueMask) {
+	g.masks = masks
+	g.job.masks = masks
+}
+
+// defaultWidenOrder lists the variable IID positions (least significant
+// first), then the fixed IID positions. The result is never nil.
+func defaultWidenOrder(masks *[ipaddr.NybbleCount]ValueMask) []int {
+	order := make([]int, 0, ipaddr.NybbleCount-16)
+	for i := ipaddr.NybbleCount - 1; i >= 16; i-- {
+		if bits.OnesCount16(masks[i]) > 1 {
+			order = append(order, i)
+		}
+	}
+	for i := ipaddr.NybbleCount - 1; i >= 16; i-- {
+		if bits.OnesCount16(masks[i]) == 1 {
+			order = append(order, i)
+		}
+	}
+	return order
 }
 
 // Next returns the next fresh candidate, or false when the region cannot
 // produce more (fully widened and enumerated).
 func (g *LeafGen) Next() (ipaddr.Addr, bool) {
 	for {
-		for len(g.jobs) > 0 {
-			job := g.jobs[0]
-			if a, ok := job.next(); ok {
-				return a, true
-			}
-			g.jobs = g.jobs[1:]
+		if a, ok := g.job.next(); ok {
+			return a, true
 		}
 		if !g.widen() {
 			return ipaddr.Addr{}, false
@@ -174,10 +180,15 @@ func (g *LeafGen) Next() (ipaddr.Addr, bool) {
 	}
 }
 
-// widen adds one new value to one position and queues the job enumerating
-// the newly unlocked combinations. Returns false when nothing is left to
-// widen.
+// widen adds one new value to one position and starts the job enumerating
+// the newly unlocked combinations. It is only reached once the job under
+// way is exhausted. Returns false when nothing is left to widen.
 func (g *LeafGen) widen() bool {
+	if g.widenPos == nil {
+		// Nothing has widened yet, so the masks are still the observed ones
+		// the default order is defined on.
+		g.widenPos = defaultWidenOrder(&g.masks)
+	}
 	for tries := 0; tries < len(g.widenPos)*16+1; tries++ {
 		if len(g.widenPos) == 0 {
 			return false
@@ -189,15 +200,8 @@ func (g *LeafGen) widen() bool {
 			continue
 		}
 		g.masks[pos] |= 1 << v
-		var values [ipaddr.NybbleCount][]byte
-		for i, m := range g.masks {
-			if i == pos {
-				values[i] = []byte{v}
-			} else {
-				values[i] = MaskValues(m)
-			}
-		}
-		g.jobs = append(g.jobs, newMaskEnum(values))
+		g.job = maskEnum{masks: g.masks}
+		g.job.masks[pos] = 1 << v
 		return true
 	}
 	return false

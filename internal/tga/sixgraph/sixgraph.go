@@ -33,7 +33,12 @@ type Generator struct {
 type cluster struct {
 	masks [ipaddr.NybbleCount]tga.ValueMask
 	seeds int
-	gen   *tga.LeafGen
+	// weight is the cluster's share of attention before what it has
+	// produced is discounted. Logarithmic weighting visits every pattern
+	// near-uniformly with a mild bias to seed-rich ones; breadth across
+	// patterns is what gives 6Graph its AS diversity.
+	weight float64
+	gen    *tga.LeafGen
 }
 
 // bucketPositions is how many leading nybble positions must match exactly
@@ -87,8 +92,8 @@ func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 		return nil, errors.New("sixgraph: empty seed set")
 	}
 	mergeDist := g.mergeDistance()
-	root := tga.BuildTreeAuto(seeds, g.minLeaf(), tga.SplitMinEntropy)
-	leaves := root.Leaves()
+	// Only the leaves' patterns and seed counts are merged; no run state.
+	leaves := tga.SnapshotTree(tga.BuildTreeAuto(seeds, g.minLeaf(), tga.SplitMinEntropy)).LeafModels
 
 	// Pattern graph: union-find over leaves within MergeDistance.
 	parent := make([]int, len(leaves))
@@ -162,9 +167,10 @@ func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
 	g.clusters = make([]*cluster, len(mm.Clusters))
 	for i, cm := range mm.Clusters {
 		g.clusters[i] = &cluster{
-			masks: cm.Masks,
-			seeds: cm.Seeds,
-			gen:   tga.NewLeafGen(cm.Masks, nil),
+			masks:  cm.Masks,
+			seeds:  cm.Seeds,
+			weight: 1 + math.Log2(float64(cm.Seeds)+1),
+			gen:    tga.NewLeafGen(cm.Masks, nil),
 		}
 	}
 	g.produced = make([]int, len(g.clusters))
@@ -201,10 +207,7 @@ func (g *Generator) NextBatch(n int) []ipaddr.Addr {
 			if c.gen == nil {
 				continue
 			}
-			// Logarithmic weighting visits every pattern near-uniformly
-			// with a mild bias to seed-rich ones; breadth across patterns
-			// is what gives 6Graph its AS diversity.
-			score := (1 + math.Log2(float64(c.seeds)+1)) / float64(g.produced[i]+1)
+			score := c.weight / float64(g.produced[i]+1)
 			if score > bestScore {
 				best, bestScore = i, score
 			}

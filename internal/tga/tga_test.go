@@ -44,13 +44,9 @@ func TestPositionEntropy(t *testing.T) {
 }
 
 func TestMaskEnumOdometer(t *testing.T) {
-	var values [ipaddr.NybbleCount][]byte
-	for i := range values {
-		values[i] = []byte{0}
-	}
-	values[31] = []byte{1, 2}
-	values[30] = []byte{0, 5}
-	e := newMaskEnum(values)
+	e := maskEnum{masks: pinnedMasks(0)}
+	e.masks[31] = 1<<1 | 1<<2
+	e.masks[30] = 1<<0 | 1<<5
 	var got []ipaddr.Addr
 	for {
 		a, ok := e.next()
@@ -66,6 +62,9 @@ func TestMaskEnumOdometer(t *testing.T) {
 	if got[0] != ipaddr.MustParse("::1") || got[1] != ipaddr.MustParse("::2") ||
 		got[2] != ipaddr.MustParse("::51") || got[3] != ipaddr.MustParse("::52") {
 		t.Fatalf("order wrong: %v", got)
+	}
+	if _, ok := e.next(); ok {
+		t.Fatal("enumerated past the end")
 	}
 }
 

@@ -2,7 +2,6 @@ package tga
 
 import (
 	"math/bits"
-	"sort"
 	"sync"
 
 	"seedscan/internal/ipaddr"
@@ -29,24 +28,33 @@ func SplitMinEntropy(seeds []ipaddr.Addr, candidates []int) int {
 	if len(candidates) == 0 {
 		return -1
 	}
-	h := PositionEntropy(seeds)
+	// Only the candidates' value distributions are compared, so only they
+	// are tallied.
+	var counts [ipaddr.NybbleCount][16]int
+	for _, a := range seeds {
+		for _, c := range candidates {
+			counts[c][a.Nybble(c)]++
+		}
+	}
 	best, bestH := -1, 0.0
 	for _, c := range candidates {
-		if best == -1 || h[c] < bestH {
-			best, bestH = c, h[c]
+		if h := entropy(&counts[c], len(seeds)); best == -1 || h < bestH {
+			best, bestH = c, h
 		}
 	}
 	return best
 }
 
-// TreeNode is one node of a space tree. Leaves carry the pattern masks and
+// TreeNode is one node of a space tree. Leaves carry the pattern masks;
+// the leaves a run generates from (Leaves) also carry a generator and
 // per-leaf online statistics.
 type TreeNode struct {
 	Seeds    []ipaddr.Addr
 	SplitPos int
 	Children []*TreeNode
 
-	// Leaf state.
+	// Leaf state. Gen is nil inside a built tree: construction mines
+	// patterns only, and Leaves attaches the run state.
 	Masks [ipaddr.NybbleCount]ValueMask
 	Gen   *LeafGen
 
@@ -75,7 +83,7 @@ func (n *TreeNode) Reward() float64 {
 
 // BuildTree grows a space tree over the seeds: each node splits on the
 // position chosen by h until minLeaf seeds or no varying position remains.
-// Every leaf gets its observed-value masks and a LeafGen.
+// Every leaf gets its observed-value masks.
 func BuildTree(seeds []ipaddr.Addr, minLeaf int, h SplitHeuristic) *TreeNode {
 	if minLeaf < 1 {
 		minLeaf = 1
@@ -116,14 +124,8 @@ func BuildTreeParallel(seeds []ipaddr.Addr, minLeaf int, h SplitHeuristic) *Tree
 
 // buildP is build with concurrent child descent.
 func buildP(n *TreeNode, minLeaf int, h SplitHeuristic, depth int, tokens chan struct{}, wg *sync.WaitGroup) {
-	groups, pos := splitGroups(n, minLeaf, h, depth)
-	if groups == nil {
-		return // made a leaf
-	}
-	n.SplitPos = pos
-	for _, g := range groups {
-		child := &TreeNode{Seeds: g}
-		n.Children = append(n.Children, child)
+	if !split(n, minLeaf, h, depth) {
+		return
 	}
 	for _, child := range n.Children {
 		select {
@@ -140,11 +142,12 @@ func buildP(n *TreeNode, minLeaf int, h SplitHeuristic, depth int, tokens chan s
 	}
 }
 
-// splitGroups decides whether n splits and, if so, returns the child seed
-// groups in ascending split-value order and the split position. A nil
-// return means n was finalized as a leaf. Shared by the serial and
-// parallel builders so they cannot diverge.
-func splitGroups(n *TreeNode, minLeaf int, h SplitHeuristic, depth int) ([][]ipaddr.Addr, int) {
+// split is the one split decision, shared by the serial and parallel
+// builders so they cannot diverge. It either finalizes n as a leaf and
+// returns false, or sets n.SplitPos and gives n one child per value seen at
+// that position, in ascending value order, each holding its seeds in input
+// order.
+func split(n *TreeNode, minLeaf int, h SplitHeuristic, depth int) bool {
 	masks := ObservedMasks(n.Seeds)
 	var prefixCandidates []int
 	for i := 0; i < prefixPositions; i++ {
@@ -154,7 +157,7 @@ func splitGroups(n *TreeNode, minLeaf int, h SplitHeuristic, depth int) ([][]ipa
 	}
 	if len(prefixCandidates) == 0 && (len(n.Seeds) <= minLeaf || depth >= ipaddr.NybbleCount) {
 		makeLeaf(n, masks)
-		return nil, -1
+		return false
 	}
 	var candidates []int
 	if len(prefixCandidates) > 0 {
@@ -167,29 +170,41 @@ func splitGroups(n *TreeNode, minLeaf int, h SplitHeuristic, depth int) ([][]ipa
 		}
 	}
 	pos := h(n.Seeds, candidates)
-	if pos < 0 {
+	if pos < 0 || bits.OnesCount16(masks[pos]) <= 1 {
 		makeLeaf(n, masks)
-		return nil, -1
+		return false
 	}
-	groups := make(map[byte][]ipaddr.Addr)
+	n.SplitPos = pos
+
+	// Counting partition: the groups lie back to back in one array, in
+	// ascending value order, each in input order. Capacities are clipped so
+	// that an append to one child's seeds cannot reach a sibling's, which
+	// another goroutine of the parallel builder may own.
+	var count, next [16]int
+	for _, a := range n.Seeds {
+		count[a.Nybble(pos)]++
+	}
+	sum := 0
+	for v, c := range count {
+		next[v] = sum
+		sum += c
+	}
+	grouped := make([]ipaddr.Addr, len(n.Seeds))
 	for _, a := range n.Seeds {
 		v := a.Nybble(pos)
-		groups[v] = append(groups[v], a)
+		grouped[next[v]] = a
+		next[v]++
 	}
-	if len(groups) <= 1 {
-		makeLeaf(n, masks)
-		return nil, -1
+	children := make([]TreeNode, 0, bits.OnesCount16(masks[pos]))
+	n.Children = make([]*TreeNode, 0, cap(children))
+	for v, c := range count {
+		if c == 0 {
+			continue
+		}
+		children = append(children, TreeNode{Seeds: grouped[next[v]-c : next[v] : next[v]]})
+		n.Children = append(n.Children, &children[len(children)-1])
 	}
-	vals := make([]int, 0, len(groups))
-	for v := range groups {
-		vals = append(vals, int(v))
-	}
-	sort.Ints(vals)
-	ordered := make([][]ipaddr.Addr, 0, len(vals))
-	for _, v := range vals {
-		ordered = append(ordered, groups[byte(v)])
-	}
-	return ordered, pos
+	return true
 }
 
 // prefixPositions is how many leading nybbles are always fully split:
@@ -198,74 +213,32 @@ func splitGroups(n *TreeNode, minLeaf int, h SplitHeuristic, depth int) ([][]ipa
 const prefixPositions = 8
 
 func build(n *TreeNode, minLeaf int, h SplitHeuristic, depth int) {
-	masks := ObservedMasks(n.Seeds)
-	var prefixCandidates []int
-	for i := 0; i < prefixPositions; i++ {
-		if bits.OnesCount16(masks[i]) > 1 {
-			prefixCandidates = append(prefixCandidates, i)
-		}
-	}
-	if len(prefixCandidates) == 0 && (len(n.Seeds) <= minLeaf || depth >= ipaddr.NybbleCount) {
-		makeLeaf(n, masks)
+	if !split(n, minLeaf, h, depth) {
 		return
 	}
-	var candidates []int
-	if len(prefixCandidates) > 0 {
-		candidates = prefixCandidates
-	} else {
-		for i, m := range masks {
-			if bits.OnesCount16(m) > 1 {
-				candidates = append(candidates, i)
-			}
-		}
-	}
-	pos := h(n.Seeds, candidates)
-	if pos < 0 {
-		makeLeaf(n, masks)
-		return
-	}
-	groups := make(map[byte][]ipaddr.Addr)
-	for _, a := range n.Seeds {
-		v := a.Nybble(pos)
-		groups[v] = append(groups[v], a)
-	}
-	if len(groups) <= 1 {
-		makeLeaf(n, masks)
-		return
-	}
-	n.SplitPos = pos
-	vals := make([]int, 0, len(groups))
-	for v := range groups {
-		vals = append(vals, int(v))
-	}
-	sort.Ints(vals)
-	for _, v := range vals {
-		child := &TreeNode{Seeds: groups[byte(v)]}
+	for _, child := range n.Children {
 		build(child, minLeaf, h, depth+1)
-		n.Children = append(n.Children, child)
 	}
 }
 
 func makeLeaf(n *TreeNode, masks [ipaddr.NybbleCount]ValueMask) {
 	n.SplitPos = -1
 	n.Masks = masks
-	n.Gen = NewLeafGen(masks, nil)
 }
 
-// Leaves returns the leaves in DHC (depth-first, value-sorted) order.
-func (n *TreeNode) Leaves() []*TreeNode {
-	var out []*TreeNode
-	var walk func(*TreeNode)
-	walk = func(x *TreeNode) {
-		if x.IsLeaf() {
-			out = append(out, x)
-			return
-		}
-		for _, c := range x.Children {
-			walk(c)
-		}
+// Leaves returns fresh run-state copies of the tree's leaves in DHC
+// (depth-first, value-sorted) order: the mined masks and seed groups, a new
+// generator each, zeroed online counters. The tree itself is left as built.
+func (n *TreeNode) Leaves() []*TreeNode { return SnapshotTree(n).Leaves() }
+
+// appendLeaves appends the tree's own leaf nodes to out in DHC order.
+func (n *TreeNode) appendLeaves(out []*TreeNode) []*TreeNode {
+	if n.IsLeaf() {
+		return append(out, n)
 	}
-	walk(n)
+	for _, c := range n.Children {
+		out = c.appendLeaves(out)
+	}
 	return out
 }
 
