@@ -12,6 +12,7 @@
 package seedscan
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -93,7 +94,7 @@ func BenchmarkTable3_DatasetSummary(b *testing.B) {
 func BenchmarkTable4_AliasesByDealiasing(b *testing.B) {
 	e := benchEnv()
 	for i := 0; i < b.N; i++ {
-		res, err := e.RunTable4([]string{"6Tree", "6Gen"}, benchBudget)
+		res, err := e.RunTable4Ctx(context.Background(), []string{"6Tree", "6Gen"}, benchBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,7 +109,7 @@ func BenchmarkTable4_AliasesByDealiasing(b *testing.B) {
 func BenchmarkFigure3_RQ1aPerfRatio(b *testing.B) {
 	e := benchEnv()
 	for i := 0; i < b.N; i++ {
-		res, err := e.RunRQ1a([]proto.Protocol{proto.ICMP}, benchGens, benchBudget)
+		res, err := e.RunRQ1aCtx(context.Background(), []proto.Protocol{proto.ICMP}, benchGens, benchBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func BenchmarkFigure3_RQ1aPerfRatio(b *testing.B) {
 func BenchmarkFigure4_RQ1bPerfRatio(b *testing.B) {
 	e := benchEnv()
 	for i := 0; i < b.N; i++ {
-		res, err := e.RunRQ1b([]proto.Protocol{proto.ICMP}, benchGens, benchBudget)
+		res, err := e.RunRQ1bCtx(context.Background(), []proto.Protocol{proto.ICMP}, benchGens, benchBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,7 +135,7 @@ func BenchmarkFigure4_RQ1bPerfRatio(b *testing.B) {
 func BenchmarkFigure5_RQ2PerfRatio(b *testing.B) {
 	e := benchEnv()
 	for i := 0; i < b.N; i++ {
-		res, err := e.RunRQ2([]proto.Protocol{proto.TCP443}, benchGens, benchBudget)
+		res, err := e.RunRQ2Ctx(context.Background(), []proto.Protocol{proto.TCP443}, benchGens, benchBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -170,11 +171,11 @@ var rq3Sources = []seeds.Source{
 func BenchmarkTable5_SubpopVsBigBudget(b *testing.B) {
 	e := benchEnv()
 	for i := 0; i < b.N; i++ {
-		rq3, err := e.RunRQ3([]proto.Protocol{proto.ICMP}, []string{"6Tree"}, rq3Sources, benchBudget/4)
+		rq3, err := e.RunRQ3Ctx(context.Background(), []proto.Protocol{proto.ICMP}, []string{"6Tree"}, rq3Sources, benchBudget/4)
 		if err != nil {
 			b.Fatal(err)
 		}
-		t5, err := e.RunTable5(rq3)
+		t5, err := e.RunTable5Ctx(context.Background(), rq3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -188,7 +189,7 @@ func BenchmarkTable5_SubpopVsBigBudget(b *testing.B) {
 func BenchmarkTable6_ASCharacterization(b *testing.B) {
 	e := benchEnv()
 	for i := 0; i < b.N; i++ {
-		rq3, err := e.RunRQ3([]proto.Protocol{proto.ICMP}, []string{"6Tree", "6Sense"}, rq3Sources, benchBudget/4)
+		rq3, err := e.RunRQ3Ctx(context.Background(), []proto.Protocol{proto.ICMP}, []string{"6Tree", "6Sense"}, rq3Sources, benchBudget/4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -206,7 +207,7 @@ func BenchmarkTable6_ASCharacterization(b *testing.B) {
 func BenchmarkFigure6_RQ4Cumulative(b *testing.B) {
 	e := benchEnv()
 	for i := 0; i < b.N; i++ {
-		res, err := e.RunRQ4([]proto.Protocol{proto.ICMP}, all.Names, benchBudget)
+		res, err := e.RunRQ4Ctx(context.Background(), []proto.Protocol{proto.ICMP}, all.Names, benchBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -221,7 +222,7 @@ func BenchmarkFigure6_RQ4Cumulative(b *testing.B) {
 func BenchmarkFigure7_CrossPort(b *testing.B) {
 	e := benchEnv()
 	for i := 0; i < b.N; i++ {
-		res, err := e.RunCrossPort([]string{"6Tree"}, benchBudget/4)
+		res, err := e.RunCrossPortCtx(context.Background(), []string{"6Tree"}, benchBudget/4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -246,7 +247,7 @@ func BenchmarkTable8_DomainVolumes(b *testing.B) {
 func BenchmarkTables9to12_RawRQ1RQ2(b *testing.B) {
 	e := benchEnv()
 	for i := 0; i < b.N; i++ {
-		grid, err := e.RunRawGrid([]proto.Protocol{proto.ICMP}, []string{"6Tree", "6Sense"},
+		grid, err := e.RunRawGridCtx(context.Background(), []proto.Protocol{proto.ICMP}, []string{"6Tree", "6Sense"},
 			[]string{"All", "Active-Inactive", "All Active", "ICMP"}, benchBudget)
 		if err != nil {
 			b.Fatal(err)
@@ -261,7 +262,7 @@ func BenchmarkTables9to12_RawRQ1RQ2(b *testing.B) {
 func BenchmarkTables13to15_RawRQ3(b *testing.B) {
 	e := benchEnv()
 	for i := 0; i < b.N; i++ {
-		rq3, err := e.RunRQ3([]proto.Protocol{proto.ICMP}, []string{"6Tree"}, rq3Sources, benchBudget/4)
+		rq3, err := e.RunRQ3Ctx(context.Background(), []proto.Protocol{proto.ICMP}, []string{"6Tree"}, rq3Sources, benchBudget/4)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,7 @@ func main() {
 	fmt.Printf("%-10s %12s %12s %10s\n", "treatment", "hits", "aliased", "ASes")
 	for _, mode := range alias.Modes {
 		seedSet := env.DealiasedSeeds(mode).Slice()
-		res, err := env.RunTGA("6Tree", seedSet, proto.ICMP, budget)
+		res, err := env.RunTGACtx(context.Background(), "6Tree", seedSet, proto.ICMP, budget)
 		if err != nil {
 			log.Fatal(err)
 		}

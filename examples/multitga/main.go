@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,7 @@ func main() {
 	env := experiment.NewEnv(experiment.EnvConfig{
 		WorldSeed: 21, NumASes: 150, CollectScale: 0.4,
 	})
-	res, err := env.RunRQ4([]proto.Protocol{proto.ICMP}, all.Names, 10000)
+	res, err := env.RunRQ4Ctx(context.Background(), []proto.Protocol{proto.ICMP}, all.Names, 10000)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,15 +23,16 @@ func main() {
 	})
 	const gen = "DET" // the paper's most port-sensitive generator
 	const budget = 10000
+	ctx := context.Background()
 
 	fmt.Printf("generator: %s, budget %d per run\n\n", gen, budget)
 	fmt.Printf("%-8s %14s %14s %10s %10s\n", "proto", "hits(all)", "hits(port)", "ASes(all)", "ASes(port)")
 	for _, p := range proto.All {
-		allRes, err := env.RunTGA(gen, env.AllActiveSeeds().Slice(), p, budget)
+		allRes, err := env.RunTGACtx(ctx, gen, env.AllActiveSeeds().Slice(), p, budget)
 		if err != nil {
 			log.Fatal(err)
 		}
-		portRes, err := env.RunTGA(gen, env.PortActiveSeeds(p).Slice(), p, budget)
+		portRes, err := env.RunTGACtx(ctx, gen, env.PortActiveSeeds(p).Slice(), p, budget)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 
 	"seedscan/internal/proto"
@@ -58,7 +59,7 @@ func TestBatchSizeAblation(t *testing.T) {
 
 func TestRawGridShape(t *testing.T) {
 	e := testEnv(t)
-	grid, err := e.RunRawGrid([]proto.Protocol{proto.ICMP}, []string{"6Tree"},
+	grid, err := e.RunRawGridCtx(context.Background(), []proto.Protocol{proto.ICMP}, []string{"6Tree"},
 		[]string{"All", "All Active"}, 2000)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func TestCrossPortMatrix(t *testing.T) {
 	e := testEnv(t)
-	res, err := e.RunCrossPort([]string{"6Tree"}, 1500)
+	res, err := e.RunCrossPortCtx(context.Background(), []string{"6Tree"}, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"seedscan/internal/experiment/grid"
 	"seedscan/internal/proto"
 	"seedscan/internal/telemetry"
 )
@@ -37,7 +38,7 @@ func TestGridCancellationMidRun(t *testing.T) {
 	// them all.
 	started := 0
 	var mu sync.Mutex
-	err := runParallel(ctx, 1, len(gens), func(ctx context.Context, i int) error {
+	err := grid.RunParallel(ctx, 1, len(gens), func(ctx context.Context, i int) error {
 		mu.Lock()
 		started++
 		mu.Unlock()
@@ -74,7 +75,7 @@ func TestEnvTelemetryFlow(t *testing.T) {
 	e := NewEnv(EnvConfig{NumASes: 80, CollectScale: 0.25, Budget: 1000, Telemetry: tr})
 
 	gens := []string{"6Tree"}
-	if _, err := e.RunRQ1a([]proto.Protocol{proto.ICMP}, gens, 1000); err != nil {
+	if _, err := e.RunRQ1aCtx(context.Background(), []proto.Protocol{proto.ICMP}, gens, 1000); err != nil {
 		t.Fatal(err)
 	}
 

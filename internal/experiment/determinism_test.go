@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 
 	"seedscan/internal/proto"
@@ -14,11 +15,11 @@ func TestEndToEndDeterminism(t *testing.T) {
 	build := func() (string, string, string) {
 		e := NewEnv(cfg)
 		sum := e.DatasetSummary().Render()
-		rq1a, err := e.RunRQ1a([]proto.Protocol{proto.ICMP}, []string{"6Tree", "6Sense", "DET"}, 2000)
+		rq1a, err := e.RunRQ1aCtx(context.Background(), []proto.Protocol{proto.ICMP}, []string{"6Tree", "6Sense", "DET"}, 2000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rq4, err := e.RunRQ4([]proto.Protocol{proto.ICMP}, []string{"6Tree", "6Gen"}, 2000)
+		rq4, err := e.RunRQ4Ctx(context.Background(), []proto.Protocol{proto.ICMP}, []string{"6Tree", "6Gen"}, 2000)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -294,16 +294,10 @@ type TGAResult struct {
 	Outcome metrics.Outcome
 }
 
-// RunTGA generates budget addresses with the named TGA from seedSet,
+// RunTGACtx generates budget addresses with the named TGA from seedSet,
 // scans them on p, dealiases the output with the shared joint dealiaser,
 // and measures hits/ASes/aliases. ICMP outcomes exclude the pathological
-// AS12322 analogue, as §4.1 prescribes. It is RunTGACtx with a background
-// context.
-func (e *Env) RunTGA(name string, seedSet []ipaddr.Addr, p proto.Protocol, budget int) (TGAResult, error) {
-	return e.RunTGACtx(context.Background(), name, seedSet, p, budget)
-}
-
-// RunTGACtx is RunTGA under a context: cancellation stops the run between
+// AS12322 analogue, as §4.1 prescribes. Cancellation stops the run between
 // batches (and mid-scan), and the environment's tracer is attached to ctx
 // so the TGA driver's span hierarchy lands in Env telemetry unless the
 // caller brought a tracer of its own.

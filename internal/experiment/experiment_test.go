@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -133,7 +134,7 @@ func TestSourceOverlapsShape(t *testing.T) {
 func TestRQ1aShape(t *testing.T) {
 	e := testEnv(t)
 	gens := []string{"6Tree", "6Gen"}
-	res, err := e.RunRQ1a([]proto.Protocol{proto.ICMP}, gens, 3000)
+	res, err := e.RunRQ1aCtx(context.Background(), []proto.Protocol{proto.ICMP}, gens, 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestRQ1aShape(t *testing.T) {
 func TestTable4Shape(t *testing.T) {
 	e := testEnv(t)
 	gens := []string{"6Tree", "6Gen"}
-	res, err := e.RunTable4(gens, 3000)
+	res, err := e.RunTable4Ctx(context.Background(), gens, 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestTable4Shape(t *testing.T) {
 func TestRQ4GreedyOrdering(t *testing.T) {
 	e := testEnv(t)
 	gens := []string{"6Sense", "6Tree", "6Scan"}
-	res, err := e.RunRQ4([]proto.Protocol{proto.ICMP}, gens, 3000)
+	res, err := e.RunRQ4Ctx(context.Background(), []proto.Protocol{proto.ICMP}, gens, 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestRQ3AndDerivedTables(t *testing.T) {
 	e := testEnv(t)
 	gens := []string{"6Tree"}
 	srcs := []seeds.Source{seeds.SourceHitlist, seeds.SourceScamper}
-	rq3, err := e.RunRQ3([]proto.Protocol{proto.ICMP}, gens, srcs, 1500)
+	rq3, err := e.RunRQ3Ctx(context.Background(), []proto.Protocol{proto.ICMP}, gens, srcs, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestRQ3AndDerivedTables(t *testing.T) {
 	if hitlistHits == 0 {
 		t.Fatal("hitlist-seeded run found nothing")
 	}
-	t5, err := e.RunTable5(rq3)
+	t5, err := e.RunTable5Ctx(context.Background(), rq3)
 	if err != nil {
 		t.Fatal(err)
 	}

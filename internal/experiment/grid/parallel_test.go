@@ -1,4 +1,4 @@
-package experiment
+package grid
 
 import (
 	"context"
@@ -14,7 +14,7 @@ import (
 func TestRunParallelErrorCancelsSiblings(t *testing.T) {
 	boom := errors.New("boom")
 	unblocked := make(chan struct{})
-	err := runParallel(context.Background(), 2, 2, func(ctx context.Context, i int) error {
+	err := RunParallel(context.Background(), 2, 2, func(ctx context.Context, i int) error {
 		if i == 0 {
 			// Give the sibling time to start and block on its context.
 			time.Sleep(10 * time.Millisecond)
@@ -43,7 +43,7 @@ func TestRunParallelErrorCancelsSiblings(t *testing.T) {
 func TestRunParallelSerialPathUsesGridContext(t *testing.T) {
 	boom := errors.New("boom")
 	var ran int
-	err := runParallel(context.Background(), 1, 3, func(ctx context.Context, i int) error {
+	err := RunParallel(context.Background(), 1, 3, func(ctx context.Context, i int) error {
 		ran++
 		if i == 0 {
 			return boom
@@ -62,7 +62,7 @@ func TestRunParallelSerialPathUsesGridContext(t *testing.T) {
 // the parent's error even when no job failed.
 func TestRunParallelParentCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	err := runParallel(ctx, 2, 4, func(ctx context.Context, i int) error {
+	err := RunParallel(ctx, 2, 4, func(ctx context.Context, i int) error {
 		cancel()
 		<-ctx.Done()
 		return nil

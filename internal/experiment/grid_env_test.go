@@ -69,10 +69,10 @@ func TestCrossSpecDedupRunsEachCellOnce(t *testing.T) {
 	gens := []string{"6Tree", "EIP"}
 	protos := []proto.Protocol{proto.ICMP}
 
-	if _, err := e.RunRQ1b(protos, gens, 1000); err != nil {
+	if _, err := e.RunRQ1bCtx(context.Background(), protos, gens, 1000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunRQ2(protos, gens, 1000); err != nil {
+	if _, err := e.RunRQ2Ctx(context.Background(), protos, gens, 1000); err != nil {
 		t.Fatal(err)
 	}
 	snap := tr.Registry().Snapshot()
@@ -90,7 +90,7 @@ func TestCrossSpecDedupRunsEachCellOnce(t *testing.T) {
 
 	// RQ4's cells (every generator on All Active, ICMP) were all run by
 	// RQ1.b already — nothing new executes.
-	if _, err := e.RunRQ4(protos, gens, 1000); err != nil {
+	if _, err := e.RunRQ4Ctx(context.Background(), protos, gens, 1000); err != nil {
 		t.Fatal(err)
 	}
 	snap = tr.Registry().Snapshot()
@@ -152,7 +152,7 @@ func TestResumeEquivalence(t *testing.T) {
 	protos := []proto.Protocol{proto.ICMP}
 
 	// Control: one uninterrupted run, no store.
-	control, err := NewEnv(cfg).RunRQ1a(protos, gens, 800)
+	control, err := NewEnv(cfg).RunRQ1aCtx(context.Background(), protos, gens, 800)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestResumeEquivalence(t *testing.T) {
 	rcfg := cfg
 	rcfg.GridStore = js2
 	rcfg.Telemetry = tr
-	resumed, err := NewEnv(rcfg).RunRQ1a(protos, gens, 800)
+	resumed, err := NewEnv(rcfg).RunRQ1aCtx(context.Background(), protos, gens, 800)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,6 @@
 package experiment
 
-import (
-	"context"
-	"runtime"
-
-	"seedscan/internal/experiment/grid"
-)
+import "runtime"
 
 // Experiment grids run many independent TGA runs; each run is
 // deterministic in isolation (its own generator, deterministic scanning
@@ -29,11 +24,4 @@ func (e *Env) Workers() int {
 		w = 8
 	}
 	return w
-}
-
-// runParallel executes fn(0..n-1) on up to `workers` goroutines and
-// returns the first error; see grid.RunParallel, whose semantics it
-// shares (the implementation moved there with the grid engine).
-func runParallel(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
-	return grid.RunParallel(ctx, workers, n, fn)
 }

@@ -63,13 +63,8 @@ type RawGrid struct {
 	Outcome  map[proto.Protocol]map[string]map[string]metrics.Outcome
 }
 
-// RunRawGrid reproduces Tables 9-12 for the given protocols and
+// RunRawGridCtx reproduces Tables 9-12 for the given protocols and
 // generators, optionally restricting the dataset rows (nil = all nine).
-func (e *Env) RunRawGrid(protos []proto.Protocol, gens, datasets []string, budget int) (*RawGrid, error) {
-	return e.RunRawGridCtx(context.Background(), protos, gens, datasets, budget)
-}
-
-// RunRawGridCtx is RunRawGrid under a context.
 func (e *Env) RunRawGridCtx(ctx context.Context, protos []proto.Protocol, gens, datasets []string, budget int) (*RawGrid, error) {
 	if budget <= 0 {
 		budget = e.Cfg.Budget

@@ -21,14 +21,9 @@ type Recommendation struct {
 	Evidence string
 }
 
-// RunRecommendations evaluates the evidence behind each of the paper's
+// RunRecommendationsCtx evaluates the evidence behind each of the paper's
 // §10 recommendations on this environment, using the given generators and
 // budget for the measurement runs.
-func (e *Env) RunRecommendations(gens []string, budget int) ([]Recommendation, error) {
-	return e.RunRecommendationsCtx(context.Background(), gens, budget)
-}
-
-// RunRecommendationsCtx is RunRecommendations under a context.
 func (e *Env) RunRecommendationsCtx(ctx context.Context, gens []string, budget int) ([]Recommendation, error) {
 	if budget <= 0 {
 		budget = e.Cfg.Budget

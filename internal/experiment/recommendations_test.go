@@ -1,13 +1,14 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestRecommendationsEvidence(t *testing.T) {
 	e := testEnv(t)
-	recs, err := e.RunRecommendations([]string{"6Tree", "6Gen"}, 2500)
+	recs, err := e.RunRecommendationsCtx(context.Background(), []string{"6Tree", "6Gen"}, 2500)
 	if err != nil {
 		t.Fatal(err)
 	}

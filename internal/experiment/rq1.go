@@ -60,14 +60,9 @@ func (e *Env) compare(ctx context.Context, spec grid.Spec, origName, chgName str
 	return res, nil
 }
 
-// RunRQ1a answers RQ1.a (Figure 3): how does dealiasing the seed dataset
+// RunRQ1aCtx answers RQ1.a (Figure 3): how does dealiasing the seed dataset
 // change TGA hits, ASes, and generated aliases? Original = full collected
 // dataset; changed = joint (online+offline) dealiased dataset.
-func (e *Env) RunRQ1a(protos []proto.Protocol, gens []string, budget int) (*ComparisonResult, error) {
-	return e.RunRQ1aCtx(context.Background(), protos, gens, budget)
-}
-
-// RunRQ1aCtx is RunRQ1a under a context.
 func (e *Env) RunRQ1aCtx(ctx context.Context, protos []proto.Protocol, gens []string, budget int) (*ComparisonResult, error) {
 	return e.compare(ctx, e.SpecRQ1a(protos, gens, budget), "Full", "Dealiased",
 		treatFull, treatJoint, protos, gens, budget)
@@ -84,12 +79,7 @@ type Table4Result struct {
 	Aliases map[string][]int
 }
 
-// RunTable4 reproduces Table 4.
-func (e *Env) RunTable4(gens []string, budget int) (*Table4Result, error) {
-	return e.RunTable4Ctx(context.Background(), gens, budget)
-}
-
-// RunTable4Ctx is RunTable4 under a context.
+// RunTable4Ctx reproduces Table 4.
 func (e *Env) RunTable4Ctx(ctx context.Context, gens []string, budget int) (*Table4Result, error) {
 	if budget <= 0 {
 		budget = e.Cfg.Budget
@@ -140,14 +130,9 @@ func (r *Table4Result) Render() string {
 	return t.String()
 }
 
-// RunRQ1b answers RQ1.b (Figure 4): does restricting seeds to responsive
+// RunRQ1bCtx answers RQ1.b (Figure 4): does restricting seeds to responsive
 // addresses help? Original = joint-dealiased dataset (active+inactive);
 // changed = All Active.
-func (e *Env) RunRQ1b(protos []proto.Protocol, gens []string, budget int) (*ComparisonResult, error) {
-	return e.RunRQ1bCtx(context.Background(), protos, gens, budget)
-}
-
-// RunRQ1bCtx is RunRQ1b under a context.
 func (e *Env) RunRQ1bCtx(ctx context.Context, protos []proto.Protocol, gens []string, budget int) (*ComparisonResult, error) {
 	return e.compare(ctx, e.SpecRQ1b(protos, gens, budget), "Dealiased", "All Active",
 		treatJoint, treatAllActive, protos, gens, budget)

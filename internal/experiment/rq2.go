@@ -6,14 +6,9 @@ import (
 	"seedscan/internal/proto"
 )
 
-// RunRQ2 answers RQ2 (Figure 5): does tailoring the seed dataset to the
+// RunRQ2Ctx answers RQ2 (Figure 5): does tailoring the seed dataset to the
 // scanned port/protocol help? Original = All Active; changed = seeds
 // active on the scanned protocol specifically.
-func (e *Env) RunRQ2(protos []proto.Protocol, gens []string, budget int) (*ComparisonResult, error) {
-	return e.RunRQ2Ctx(context.Background(), protos, gens, budget)
-}
-
-// RunRQ2Ctx is RunRQ2 under a context.
 func (e *Env) RunRQ2Ctx(ctx context.Context, protos []proto.Protocol, gens []string, budget int) (*ComparisonResult, error) {
 	return e.compare(ctx, e.SpecRQ2(protos, gens, budget), "All Active", "Port-Specific",
 		treatAllActive, treatPort, protos, gens, budget)
@@ -32,13 +27,8 @@ type CrossPortResult struct {
 // InputLabels names the cross-port input datasets in order.
 var InputLabels = []string{"ICMP", "TCP80", "TCP443", "UDP53", "All Active"}
 
-// RunCrossPort reproduces Figure 7: each input dataset (seeds active on
+// RunCrossPortCtx reproduces Figure 7: each input dataset (seeds active on
 // one protocol, plus All Active) scanned on every protocol.
-func (e *Env) RunCrossPort(gens []string, budget int) (*CrossPortResult, error) {
-	return e.RunCrossPortCtx(context.Background(), gens, budget)
-}
-
-// RunCrossPortCtx is RunCrossPort under a context.
 func (e *Env) RunCrossPortCtx(ctx context.Context, gens []string, budget int) (*CrossPortResult, error) {
 	if budget <= 0 {
 		budget = e.Cfg.Budget

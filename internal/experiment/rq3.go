@@ -24,14 +24,9 @@ type RQ3Result struct {
 	Hits map[seeds.Source]map[proto.Protocol]map[string][]ipaddr.Addr
 }
 
-// RunRQ3 runs every generator on every source-specific active dataset for
-// the given protocols.
-func (e *Env) RunRQ3(protos []proto.Protocol, gens []string, sources []seeds.Source, budget int) (*RQ3Result, error) {
-	return e.RunRQ3Ctx(context.Background(), protos, gens, sources, budget)
-}
-
-// RunRQ3Ctx is RunRQ3 under a context. Sources whose active dataset is
-// empty yield zero outcomes without running (the grid executor's skip).
+// RunRQ3Ctx runs every generator on every source-specific active dataset
+// for the given protocols. Sources whose active dataset is empty yield
+// zero outcomes without running (the grid executor's skip).
 func (e *Env) RunRQ3Ctx(ctx context.Context, protos []proto.Protocol, gens []string, sources []seeds.Source, budget int) (*RQ3Result, error) {
 	if budget <= 0 {
 		budget = e.Cfg.Budget
@@ -76,14 +71,9 @@ type Table5Row struct {
 // Table5Result reproduces Table 5.
 type Table5Result struct{ Rows []Table5Row }
 
-// RunTable5 reproduces Table 5: the union of each generator's twelve
+// RunTable5Ctx reproduces Table 5: the union of each generator's twelve
 // source-specific ICMP runs versus one run with a 12× budget on All
 // Active. rq3 must contain ICMP runs for every source.
-func (e *Env) RunTable5(rq3 *RQ3Result) (*Table5Result, error) {
-	return e.RunTable5Ctx(context.Background(), rq3)
-}
-
-// RunTable5Ctx is RunTable5 under a context.
 func (e *Env) RunTable5Ctx(ctx context.Context, rq3 *RQ3Result) (*Table5Result, error) {
 	db := e.World.ASDB()
 	bigBudget := rq3.Budget * len(rq3.Sources)

@@ -21,12 +21,7 @@ type RQ4Result struct {
 	ASOrder  map[proto.Protocol][]metrics.Contribution
 }
 
-// RunRQ4 reproduces Figure 6: combined-generator coverage on All Active.
-func (e *Env) RunRQ4(protos []proto.Protocol, gens []string, budget int) (*RQ4Result, error) {
-	return e.RunRQ4Ctx(context.Background(), protos, gens, budget)
-}
-
-// RunRQ4Ctx is RunRQ4 under a context.
+// RunRQ4Ctx reproduces Figure 6: combined-generator coverage on All Active.
 func (e *Env) RunRQ4Ctx(ctx context.Context, protos []proto.Protocol, gens []string, budget int) (*RQ4Result, error) {
 	if budget <= 0 {
 		budget = e.Cfg.Budget

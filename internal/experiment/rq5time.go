@@ -46,12 +46,8 @@ func (e *Env) SpecRQ5Time(gens []string, budget int) grid.Spec {
 	return spec
 }
 
-// RunRQ5Time reproduces the RQ5 metrics-over-time table.
-func (e *Env) RunRQ5Time(gens []string, budget, epochs int) (*RQ5TimeResult, error) {
-	return e.RunRQ5TimeCtx(context.Background(), gens, budget, epochs)
-}
-
-// RunRQ5TimeCtx runs the TGA cohort cells through the shared grid, then
+// RunRQ5TimeCtx reproduces the RQ5 metrics-over-time table. It runs the
+// TGA cohort cells through the shared grid, then
 // drives a longitudinal daemon over its own copy of the world for several
 // epochs. The daemon scans a private world+scanner pair built from the
 // same EnvConfig — byte-identical addresses and truth, but advancing its

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ func TestRQ5TimeResumeByteIdentical(t *testing.T) {
 	gens := []string{"6Tree", "DET"}
 	render := func(store grid.Store) string {
 		env := NewEnv(EnvConfig{NumASes: 40, CollectScale: 0.3, Budget: 3000, GridStore: store})
-		res, err := env.RunRQ5Time(gens, 3000, 4)
+		res, err := env.RunRQ5TimeCtx(context.Background(), gens, 3000, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,12 +82,3 @@ func MustNew(name string) tga.Generator {
 	}
 	return g
 }
-
-// NewAll constructs one fresh instance of every generator, in order.
-func NewAll() []tga.Generator {
-	out := make([]tga.Generator, 0, len(Names))
-	for _, n := range Names {
-		out = append(out, MustNew(n))
-	}
-	return out
-}

@@ -4,10 +4,14 @@
 // discovered active addresses folded into the seed set, letting DET hone
 // in on productive regions — or, when seeds contain aliases, dive straight
 // into aliased regions (the RQ1.a failure mode).
+//
+// Policy over tga.LeafSearch: leaves rank by smoothed hit rate, then seed
+// count; 1-Explore of the batch goes down that ranking in geometric shares
+// and the rest round-robin from its top; a probe counts when proposed, and
+// every RebuildEvery feedback rounds the tree regrows around the hits.
 package det
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -27,9 +31,7 @@ type Generator struct {
 	Explore float64
 
 	seeds    []ipaddr.Addr
-	leaves   []*tga.TreeNode
-	pending  map[ipaddr.Addr]*tga.TreeNode // candidate → proposing leaf
-	emitted  *ipaddr.Set                   // never re-propose after a rebuild
+	search   *tga.LeafSearch
 	hits     []ipaddr.Addr
 	rounds   int
 	rebuilds int
@@ -63,11 +65,7 @@ func (g *Generator) ModelParams() string {
 // tree over the (deduplicated) seeds. Online rebuilds fold hits in and are
 // per-run state, so only this first tree is cacheable.
 func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
-	if len(seeds) == 0 {
-		return nil, errors.New("det: empty seed set")
-	}
-	uniq := ipaddr.DedupSorted(seeds)
-	return tga.SnapshotTree(tga.BuildTreeAuto(uniq, g.minLeaf(), tga.SplitMinEntropy)), nil
+	return tga.MineTree(ipaddr.DedupSorted(seeds), g.minLeaf(), tga.SplitMinEntropy)
 }
 
 // InitFromModel implements tga.ModelBuilder.
@@ -82,49 +80,19 @@ func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
 	if g.Explore <= 0 {
 		g.Explore = 0.35
 	}
-	g.MinLeaf = g.minLeaf()
 	g.seeds = seeds
-	g.pending = make(map[ipaddr.Addr]*tga.TreeNode)
-	g.emitted = ipaddr.NewSet()
-	g.leaves = tm.Leaves()
+	g.search = tga.NewLeafSearch(tm.Leaves(), len(seeds), func(l *tga.TreeNode, got int) { l.Probes += got })
 	g.rebuilds++
 	return nil
 }
 
 // Init builds the initial entropy-split tree.
-func (g *Generator) Init(seeds []ipaddr.Addr) error {
-	m, err := g.BuildModel(seeds)
-	if err != nil {
-		return err
-	}
-	return g.InitFromModel(m, seeds)
-}
-
-func (g *Generator) rebuild() {
-	seedSet := ipaddr.NewOASetFrom(g.seeds)
-	for _, h := range g.hits {
-		seedSet.Add(h)
-	}
-	root := tga.BuildTreeAuto(seedSet.Slice(), g.MinLeaf, tga.SplitMinEntropy)
-	g.leaves = root.Leaves()
-	g.rebuilds++
-}
+func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, seeds) }
 
 // NextBatch allocates (1-Explore) of the batch to leaves by descending
 // reward and the rest uniformly.
 func (g *Generator) NextBatch(n int) []ipaddr.Addr {
-	if len(g.leaves) == 0 {
-		return nil
-	}
-	order := make([]*tga.TreeNode, 0, len(g.leaves))
-	for _, l := range g.leaves {
-		if l.Gen != nil {
-			order = append(order, l)
-		}
-	}
-	if len(order) == 0 {
-		return nil
-	}
+	order := g.search.Live()
 	// Score: smoothed hit rate with a mildly pessimistic prior, so probed
 	// productive leaves outrank untouched ones; ties (notably all-untouched
 	// leaves early on) break by seed density, which is what the entropy
@@ -139,73 +107,26 @@ func (g *Generator) NextBatch(n int) []ipaddr.Addr {
 		}
 		return len(order[i].Seeds) > len(order[j].Seeds)
 	})
-
-	out := make([]ipaddr.Addr, 0, n)
-	exploit := int(float64(n) * (1 - g.Explore))
-	// Exploit: top leaves get geometric shares.
-	take := func(l *tga.TreeNode, k int) {
-		for got := 0; got < k; {
-			a, ok := l.Gen.Next()
-			if !ok {
-				l.Gen = nil
-				return
-			}
-			if !g.emitted.Add(a) {
-				continue // already proposed before a rebuild
-			}
-			out = append(out, a)
-			g.pending[a] = l
-			l.Probes++
-			got++
-		}
-	}
-	share := exploit / 2
-	for _, l := range order {
-		if share < 1 {
-			share = 1
-		}
-		if len(out) >= exploit {
-			break
-		}
-		if rem := exploit - len(out); share > rem {
-			share = rem
-		}
-		take(l, share)
-		share /= 2
-	}
-	// Explore: round-robin over all live leaves.
-	i := 0
-	for len(out) < n && i < 4*len(order) {
-		l := order[i%len(order)]
-		if l.Gen != nil {
-			take(l, 1)
-		}
-		i++
-	}
-	return out
+	next := 0 // explore: round-robin from the top of the ranking
+	return g.search.NextBatch(n, order, int(float64(n)*(1-g.Explore)), 4*len(order), func() int {
+		next++
+		return next - 1
+	})
 }
 
 // Feedback updates leaf rewards and folds hits into the seed pool;
 // periodically the tree is rebuilt around them.
 func (g *Generator) Feedback(results []tga.ProbeResult) {
-	for _, r := range results {
-		l, ok := g.pending[r.Addr]
-		if !ok {
-			continue
-		}
-		delete(g.pending, r.Addr)
+	g.search.Resolve(results, func(l *tga.TreeNode, r tga.ProbeResult) {
 		if r.Active {
 			l.Hits++
 			g.hits = append(g.hits, r.Addr)
 		}
-		if r.Aliased {
-			l.Alias++
-		}
-	}
+	})
 	g.rounds++
 	if g.rounds%g.RebuildEvery == 0 {
-		g.rebuild()
-		g.pending = make(map[ipaddr.Addr]*tga.TreeNode)
+		g.search.Rebuild(g.seeds, g.hits, g.minLeaf(), tga.SplitMinEntropy)
+		g.rebuilds++
 	}
 }
 

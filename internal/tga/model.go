@@ -2,6 +2,7 @@ package tga
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 
@@ -41,6 +42,16 @@ type ModelBuilder interface {
 	// InitFromModel adopts m (built from the same seeds and params) in
 	// place of Init.
 	InitFromModel(m Model, seeds []ipaddr.Addr) error
+}
+
+// InitByModel is Generator.Init for a ModelBuilder: mine the model, then
+// adopt it.
+func InitByModel(g ModelBuilder, seeds []ipaddr.Addr) error {
+	m, err := g.BuildModel(seeds)
+	if err != nil {
+		return err
+	}
+	return g.InitFromModel(m, seeds)
 }
 
 // ModelSource resolves a generator's mined model, typically from a
@@ -124,16 +135,22 @@ type TreeLeafModel struct {
 // and the input to 6Graph's pattern merging.
 type TreeModel struct {
 	LeafModels []TreeLeafModel
-	NodeCount  int
+}
+
+// MineTree is the tree TGAs' BuildModel: the space tree over seeds, split
+// by h down to minLeaf seeds and built across CPUs on large seed sets,
+// snapshotted as a TreeModel.
+func MineTree(seeds []ipaddr.Addr, minLeaf int, h SplitHeuristic) (Model, error) {
+	if len(seeds) == 0 {
+		return nil, errors.New("tga: empty seed set")
+	}
+	return SnapshotTree(BuildTreeAuto(seeds, minLeaf, h)), nil
 }
 
 // SnapshotTree captures root's leaves as an immutable TreeModel.
 func SnapshotTree(root *TreeNode) *TreeModel {
 	leaves := root.appendLeaves(nil)
-	m := &TreeModel{
-		LeafModels: make([]TreeLeafModel, len(leaves)),
-		NodeCount:  root.CountNodes(),
-	}
+	m := &TreeModel{LeafModels: make([]TreeLeafModel, len(leaves))}
 	for i, l := range leaves {
 		m.LeafModels[i] = TreeLeafModel{Masks: l.Masks, Seeds: l.Seeds}
 	}
@@ -157,6 +174,3 @@ func (m *TreeModel) Leaves() []*TreeNode {
 	}
 	return out
 }
-
-// LeafCount reports the number of leaves.
-func (m *TreeModel) LeafCount() int { return len(m.LeafModels) }

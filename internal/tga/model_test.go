@@ -59,9 +59,6 @@ func TestBuildTreeParallelMatchesSerial(t *testing.T) {
 			serial := BuildTree(seeds, 4, h.fn)
 			par := BuildTreeParallel(seeds, 4, h.fn)
 			treesEqual(t, serial, par)
-			if serial.CountNodes() != par.CountNodes() {
-				t.Fatalf("node count %d != %d", serial.CountNodes(), par.CountNodes())
-			}
 			// The leaves a run adopts: same patterns, same seed groups in
 			// the same order, and together a partition of the input that
 			// keeps input (ascending) order within each group.
@@ -126,11 +123,8 @@ func TestTreeModelLeavesIndependent(t *testing.T) {
 	seeds := synthSeeds(t, 1000)
 	root := BuildTree(seeds, 4, SplitLeftmost)
 	m := SnapshotTree(root)
-	if m.LeafCount() != len(root.Leaves()) {
-		t.Fatalf("leaf count %d != %d", m.LeafCount(), len(root.Leaves()))
-	}
-	if m.NodeCount != root.CountNodes() {
-		t.Fatalf("node count %d != %d", m.NodeCount, root.CountNodes())
+	if len(m.LeafModels) != len(root.Leaves()) {
+		t.Fatalf("leaf count %d != %d", len(m.LeafModels), len(root.Leaves()))
 	}
 	a, b := m.Leaves(), m.Leaves()
 	// Materialized leaves are mutable run state: advancing one run's

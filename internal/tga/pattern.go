@@ -60,17 +60,6 @@ func entropy(counts *[16]int, n int) float64 {
 	return h
 }
 
-// MaskValues lists the values set in m in ascending order.
-func MaskValues(m ValueMask) []byte {
-	out := make([]byte, 0, bits.OnesCount16(m))
-	for v := byte(0); v < 16; v++ {
-		if m&(1<<v) != 0 {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // maskEnum enumerates the cartesian product of per-position value masks in
 // odometer order (least significant position varies fastest, values
 // ascending), which is ascending address order. It is a value with no

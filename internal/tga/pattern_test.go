@@ -240,13 +240,3 @@ func TestMaskSizeEdgeCases(t *testing.T) {
 		t.Fatal("one full position must give 16")
 	}
 }
-
-func TestMaskValuesOrdered(t *testing.T) {
-	vs := MaskValues(1<<3 | 1<<0 | 1<<15)
-	if len(vs) != 3 || vs[0] != 0 || vs[1] != 3 || vs[2] != 15 {
-		t.Fatalf("MaskValues = %v", vs)
-	}
-	if len(MaskValues(0)) != 0 {
-		t.Fatal("empty mask values")
-	}
-}

@@ -7,6 +7,10 @@
 //
 // 6Gen also originated the online /96 dealiasing test this repository's
 // alias package implements; as a generator it runs offline.
+//
+// Policy over tga.Expander: clusters are added densest first, a cluster
+// weighs the square root of its size, and a visit takes four addresses per
+// member, capped at a quarter of the batch.
 package sixgen
 
 import (
@@ -28,16 +32,22 @@ type Generator struct {
 	// their nearest cluster regardless of radius (default 4096).
 	MaxClusters int
 
-	clusters []*cluster
-	produced []int
-	emitted  *ipaddr.Set
+	clusters *tga.Expander
 }
 
+// cluster is one cluster while it is being mined.
 type cluster struct {
 	rep   ipaddr.Addr // first member, the cluster representative
 	masks [ipaddr.NybbleCount]tga.ValueMask
 	size  int
-	gen   *tga.LeafGen
+}
+
+// absorb widens c's range to include a.
+func (c *cluster) absorb(a ipaddr.Addr) {
+	for i := 0; i < ipaddr.NybbleCount; i++ {
+		c.masks[i] |= 1 << a.Nybble(i)
+	}
+	c.size++
 }
 
 // Model is 6Gen's cacheable mined model: the clusters in density order,
@@ -98,17 +108,10 @@ func clusterRun(seeds []ipaddr.Addr, idx []int, radius int) []*cluster {
 			}
 		}
 		if best == nil {
-			c := &cluster{rep: a, size: 1}
-			for i := 0; i < ipaddr.NybbleCount; i++ {
-				c.masks[i] = 1 << a.Nybble(i)
-			}
-			clusters = append(clusters, c)
-			continue
+			best = &cluster{rep: a}
+			clusters = append(clusters, best)
 		}
-		for i := 0; i < ipaddr.NybbleCount; i++ {
-			best.masks[i] |= 1 << a.Nybble(i)
-		}
-		best.size++
+		best.absorb(a)
 	}
 	return clusters
 }
@@ -135,18 +138,11 @@ func clusterSerial(seeds []ipaddr.Addr, radius, maxClusters int) []*cluster {
 			best = byPrefix[key][0]
 		}
 		if best == nil {
-			c := &cluster{rep: a, size: 1}
-			for i := 0; i < ipaddr.NybbleCount; i++ {
-				c.masks[i] = 1 << a.Nybble(i)
-			}
-			byPrefix[key] = append(byPrefix[key], c)
-			clusters = append(clusters, c)
-			continue
+			best = &cluster{rep: a}
+			byPrefix[key] = append(byPrefix[key], best)
+			clusters = append(clusters, best)
 		}
-		for i := 0; i < ipaddr.NybbleCount; i++ {
-			best.masks[i] |= 1 << a.Nybble(i)
-		}
-		best.size++
+		best.absorb(a)
 	}
 	return clusters
 }
@@ -225,76 +221,21 @@ func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
 	if !ok {
 		return fmt.Errorf("sixgen: model type %T", m)
 	}
-	g.MaxClusterRadius = g.radius()
-	g.MaxClusters = g.maxClusters()
-	g.clusters = make([]*cluster, len(mm.Clusters))
-	for i, cm := range mm.Clusters {
-		g.clusters[i] = &cluster{
-			rep:   cm.Rep,
-			masks: cm.Masks,
-			size:  cm.Size,
-			gen:   tga.NewLeafGen(cm.Masks, nil),
-		}
+	g.clusters = tga.NewExpander(len(mm.Clusters), len(seeds))
+	for _, c := range mm.Clusters {
+		g.clusters.Add(c.Masks, math.Sqrt(float64(c.Size)), 4*c.Size)
 	}
-	g.produced = make([]int, len(g.clusters))
-	g.emitted = ipaddr.NewSet()
 	return nil
 }
 
 // Init clusters the seeds and prepares range enumerators.
-func (g *Generator) Init(seeds []ipaddr.Addr) error {
-	m, err := g.BuildModel(seeds)
-	if err != nil {
-		return err
-	}
-	return g.InitFromModel(m, seeds)
-}
+func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, seeds) }
 
 // NextBatch enumerates ranges weighted by cluster size, densest-first.
-func (g *Generator) NextBatch(n int) []ipaddr.Addr {
-	out := make([]ipaddr.Addr, 0, n)
-	for len(out) < n {
-		best, bestScore := -1, -1.0
-		for i, c := range g.clusters {
-			if c.gen == nil {
-				continue
-			}
-			score := math.Sqrt(float64(c.size)) / float64(g.produced[i]+1)
-			if score > bestScore {
-				best, bestScore = i, score
-			}
-		}
-		if best < 0 {
-			break
-		}
-		c := g.clusters[best]
-		chunk := 4 * c.size
-		if chunk < 8 {
-			chunk = 8
-		}
-		if chunk > n/4 {
-			chunk = n/4 + 1
-		}
-		got := 0
-		for got < chunk && len(out) < n {
-			a, ok := c.gen.Next()
-			if !ok {
-				c.gen = nil
-				break
-			}
-			if !g.emitted.Add(a) {
-				continue
-			}
-			out = append(out, a)
-			got++
-		}
-		g.produced[best] += got
-	}
-	return out
-}
+func (g *Generator) NextBatch(n int) []ipaddr.Addr { return g.clusters.NextBatch(n, n/4+1) }
 
 // Feedback implements tga.Generator; 6Gen ignores scan results.
 func (g *Generator) Feedback([]tga.ProbeResult) {}
 
 // ClusterCount reports the number of clusters built (diagnostics).
-func (g *Generator) ClusterCount() int { return len(g.clusters) }
+func (g *Generator) ClusterCount() int { return g.clusters.Len() }

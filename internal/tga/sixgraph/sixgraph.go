@@ -4,6 +4,12 @@
 // few positions are connected in a pattern graph; connected components are
 // merged into wider patterns whose value masks are unioned, and generation
 // expands the merged patterns.
+//
+// Policy over tga.Expander: patterns are added biggest first, a pattern
+// weighs 1 + log2(seeds + 1), and a visit takes one address per seed,
+// capped at a quarter of the batch. The logarithm visits every pattern
+// near-uniformly with a mild bias to seed-rich ones; breadth across
+// patterns is what gives 6Graph its AS diversity.
 package sixgraph
 
 import (
@@ -25,20 +31,8 @@ type Generator struct {
 	// most this many positions (default 2).
 	MergeDistance int
 
-	clusters []*cluster
-	produced []int
-	emitted  *ipaddr.Set
-}
-
-type cluster struct {
-	masks [ipaddr.NybbleCount]tga.ValueMask
-	seeds int
-	// weight is the cluster's share of attention before what it has
-	// produced is discounted. Logarithmic weighting visits every pattern
-	// near-uniformly with a mild bias to seed-rich ones; breadth across
-	// patterns is what gives 6Graph its AS diversity.
-	weight float64
-	gen    *tga.LeafGen
+	model    *Model // read-only; kept for the diagnostics
+	clusters *tga.Expander
 }
 
 // bucketPositions is how many leading nybble positions must match exactly
@@ -162,30 +156,16 @@ func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
 	if !ok {
 		return fmt.Errorf("sixgraph: model type %T", m)
 	}
-	g.MinLeaf = g.minLeaf()
-	g.MergeDistance = g.mergeDistance()
-	g.clusters = make([]*cluster, len(mm.Clusters))
-	for i, cm := range mm.Clusters {
-		g.clusters[i] = &cluster{
-			masks:  cm.Masks,
-			seeds:  cm.Seeds,
-			weight: 1 + math.Log2(float64(cm.Seeds)+1),
-			gen:    tga.NewLeafGen(cm.Masks, nil),
-		}
+	g.model = mm
+	g.clusters = tga.NewExpander(len(mm.Clusters), len(seeds))
+	for _, c := range mm.Clusters {
+		g.clusters.Add(c.Masks, 1+math.Log2(float64(c.Seeds)+1), c.Seeds)
 	}
-	g.produced = make([]int, len(g.clusters))
-	g.emitted = ipaddr.NewSet()
 	return nil
 }
 
 // Init builds the entropy tree and merges similar leaves.
-func (g *Generator) Init(seeds []ipaddr.Addr) error {
-	m, err := g.BuildModel(seeds)
-	if err != nil {
-		return err
-	}
-	return g.InitFromModel(m, seeds)
-}
+func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, seeds) }
 
 // maskDistance counts positions where two mask arrays differ.
 func maskDistance(a, b [ipaddr.NybbleCount]tga.ValueMask) int {
@@ -198,61 +178,21 @@ func maskDistance(a, b [ipaddr.NybbleCount]tga.ValueMask) int {
 	return d
 }
 
-// NextBatch allocates proportionally to cluster seed counts.
-func (g *Generator) NextBatch(n int) []ipaddr.Addr {
-	out := make([]ipaddr.Addr, 0, n)
-	for len(out) < n {
-		best, bestScore := -1, -1.0
-		for i, c := range g.clusters {
-			if c.gen == nil {
-				continue
-			}
-			score := c.weight / float64(g.produced[i]+1)
-			if score > bestScore {
-				best, bestScore = i, score
-			}
-		}
-		if best < 0 {
-			break
-		}
-		c := g.clusters[best]
-		chunk := c.seeds
-		if chunk < 8 {
-			chunk = 8
-		}
-		if chunk > n/4 {
-			chunk = n/4 + 1
-		}
-		got := 0
-		for got < chunk && len(out) < n {
-			a, ok := c.gen.Next()
-			if !ok {
-				c.gen = nil
-				break
-			}
-			if !g.emitted.Add(a) {
-				continue
-			}
-			out = append(out, a)
-			got++
-		}
-		g.produced[best] += got
-	}
-	return out
-}
+// NextBatch allocates across the merged patterns by weight.
+func (g *Generator) NextBatch(n int) []ipaddr.Addr { return g.clusters.NextBatch(n, n/4+1) }
 
 // Feedback implements tga.Generator; 6Graph ignores scan results.
 func (g *Generator) Feedback([]tga.ProbeResult) {}
 
 // ClusterCount reports the number of merged patterns (diagnostics).
-func (g *Generator) ClusterCount() int { return len(g.clusters) }
+func (g *Generator) ClusterCount() int { return g.clusters.Len() }
 
 // ClusterWidth reports the total variable positions across clusters — a
 // measure of how much merging widened the patterns (diagnostics).
 func (g *Generator) ClusterWidth() int {
 	total := 0
-	for _, c := range g.clusters {
-		for _, m := range c.masks {
+	for _, c := range g.model.Clusters {
+		for _, m := range c.Masks {
 			if bits.OnesCount16(m) > 1 {
 				total++
 			}

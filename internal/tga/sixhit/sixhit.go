@@ -4,10 +4,15 @@
 // updated from batch hit rates, and generation is ε-greedy — mostly the
 // best-Q leaves, with a random exploration slice. The tree is recreated
 // periodically around accumulated hits.
+//
+// Policy over tga.LeafSearch: leaves rank by Q; all but ε of the batch goes
+// down that ranking in geometric shares and the rest to uniformly random
+// live leaves; a probe counts when its result arrives, and Q moves toward
+// each round's per-leaf hit rate over what was proposed that round. Every
+// RebuildEvery rounds the tree regrows around the hits and Q starts over.
 package sixhit
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -30,17 +35,18 @@ type Generator struct {
 	// Seed drives exploration randomness (default 1).
 	Seed int64
 
-	rng     *rand.Rand
-	seeds   []ipaddr.Addr
-	leaves  []*tga.TreeNode
-	q       map[*tga.TreeNode]float64
-	batchN  map[*tga.TreeNode]int // probes this round
-	batchH  map[*tga.TreeNode]int // hits this round
-	pending map[ipaddr.Addr]*tga.TreeNode
-	emitted *ipaddr.Set
-	hits    []ipaddr.Addr
-	rounds  int
+	rng    *rand.Rand
+	seeds  []ipaddr.Addr
+	search *tga.LeafSearch
+	q      map[*tga.TreeNode]float64 // leaves not yet updated are at initialQ
+	batchN map[*tga.TreeNode]int     // proposed this round
+	batchH map[*tga.TreeNode]int     // hits this round
+	hits   []ipaddr.Addr
+	rounds int
 }
+
+// initialQ is optimistic, which encourages trying every region once.
+const initialQ = 0.5
 
 // New returns a 6Hit generator with default parameters.
 func New() *Generator {
@@ -71,11 +77,7 @@ func (g *Generator) ModelParams() string {
 // tree over the (deduplicated) seeds. Later rebuilds fold hits in and stay
 // per-run.
 func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
-	if len(seeds) == 0 {
-		return nil, errors.New("sixhit: empty seed set")
-	}
-	uniq := ipaddr.DedupSorted(seeds)
-	return tga.SnapshotTree(tga.BuildTreeAuto(uniq, g.minLeaf(), tga.SplitLeftmost)), nil
+	return tga.MineTree(ipaddr.DedupSorted(seeds), g.minLeaf(), tga.SplitLeftmost)
 }
 
 // InitFromModel implements tga.ModelBuilder.
@@ -93,138 +95,59 @@ func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
 	if g.RebuildEvery <= 0 {
 		g.RebuildEvery = 16
 	}
-	g.MinLeaf = g.minLeaf()
 	g.rng = rand.New(rand.NewSource(g.Seed))
 	g.seeds = seeds
-	g.emitted = ipaddr.NewSet()
-	g.pending = make(map[ipaddr.Addr]*tga.TreeNode)
-	g.adopt(tm.Leaves())
+	g.search = tga.NewLeafSearch(tm.Leaves(), len(seeds), func(l *tga.TreeNode, got int) { g.batchN[l] += got })
+	g.q = make(map[*tga.TreeNode]float64)
+	g.batchN = make(map[*tga.TreeNode]int)
+	g.batchH = make(map[*tga.TreeNode]int)
 	return nil
 }
 
 // Init builds the initial tree.
-func (g *Generator) Init(seeds []ipaddr.Addr) error {
-	m, err := g.BuildModel(seeds)
-	if err != nil {
-		return err
-	}
-	return g.InitFromModel(m, seeds)
-}
+func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, seeds) }
 
-// adopt installs a fresh leaf set and resets the bandit state over it.
-func (g *Generator) adopt(leaves []*tga.TreeNode) {
-	g.leaves = leaves
-	g.q = make(map[*tga.TreeNode]float64, len(g.leaves))
-	g.batchN = make(map[*tga.TreeNode]int)
-	g.batchH = make(map[*tga.TreeNode]int)
-	for _, l := range g.leaves {
-		// Optimistic initialization encourages trying every region once.
-		g.q[l] = 0.5
+func (g *Generator) qOf(l *tga.TreeNode) float64 {
+	if q, ok := g.q[l]; ok {
+		return q
 	}
-}
-
-func (g *Generator) rebuild() {
-	pool := ipaddr.NewOASetFrom(g.seeds)
-	for _, h := range g.hits {
-		pool.Add(h)
-	}
-	root := tga.BuildTreeAuto(pool.Slice(), g.MinLeaf, tga.SplitLeftmost)
-	g.adopt(root.Leaves())
-}
-
-func (g *Generator) live() []*tga.TreeNode {
-	out := g.leaves[:0:0]
-	for _, l := range g.leaves {
-		if l.Gen != nil {
-			out = append(out, l)
-		}
-	}
-	return out
+	return initialQ
 }
 
 // NextBatch spends (1-ε) of the batch on the highest-Q leaves and ε on
 // uniformly random leaves.
 func (g *Generator) NextBatch(n int) []ipaddr.Addr {
-	live := g.live()
-	if len(live) == 0 {
-		return nil
-	}
-	sort.SliceStable(live, func(i, j int) bool { return g.q[live[i]] > g.q[live[j]] })
-
-	out := make([]ipaddr.Addr, 0, n)
-	take := func(l *tga.TreeNode, k int) {
-		for got := 0; got < k; {
-			a, ok := l.Gen.Next()
-			if !ok {
-				l.Gen = nil
-				return
-			}
-			if !g.emitted.Add(a) {
-				continue
-			}
-			out = append(out, a)
-			g.pending[a] = l
-			g.batchN[l]++
-			got++
-		}
-	}
-
-	exploit := n - int(float64(n)*g.Epsilon)
-	// Greedy: top leaf gets half the exploit budget, next gets half of the
-	// remainder, and so on.
-	share := exploit / 2
-	for _, l := range live {
-		if len(out) >= exploit {
-			break
-		}
-		if share < 1 {
-			share = 1
-		}
-		if rem := exploit - len(out); share > rem {
-			share = rem
-		}
-		take(l, share)
-		share /= 2
-	}
-	// Explore: random leaves.
-	for tries := 0; len(out) < n && tries < 8*len(live); tries++ {
-		l := live[g.rng.Intn(len(live))]
-		if l.Gen != nil {
-			take(l, 1)
-		}
-	}
-	return out
+	live := g.search.Live()
+	sort.SliceStable(live, func(i, j int) bool { return g.qOf(live[i]) > g.qOf(live[j]) })
+	return g.search.NextBatch(n, live, n-int(float64(n)*g.Epsilon), 8*len(live), func() int {
+		return g.rng.Intn(len(live))
+	})
 }
 
 // Feedback updates Q-values from the round's hit rates and periodically
 // recreates the tree.
 func (g *Generator) Feedback(results []tga.ProbeResult) {
-	for _, r := range results {
-		l, ok := g.pending[r.Addr]
-		if !ok {
-			continue
-		}
-		delete(g.pending, r.Addr)
+	g.search.Resolve(results, func(l *tga.TreeNode, r tga.ProbeResult) {
 		if r.Active {
 			g.batchH[l]++
 			l.Hits++
 			g.hits = append(g.hits, r.Addr)
 		}
 		l.Probes++
-	}
+	})
 	for l, n := range g.batchN {
 		if n == 0 {
 			continue
 		}
 		reward := float64(g.batchH[l]) / float64(n)
-		g.q[l] = (1-g.Alpha)*g.q[l] + g.Alpha*reward
+		g.q[l] = (1-g.Alpha)*g.qOf(l) + g.Alpha*reward
 	}
-	g.batchN = make(map[*tga.TreeNode]int)
-	g.batchH = make(map[*tga.TreeNode]int)
+	clear(g.batchN)
+	clear(g.batchH)
 
 	g.rounds++
 	if g.rounds%g.RebuildEvery == 0 {
-		g.rebuild()
-		g.pending = make(map[ipaddr.Addr]*tga.TreeNode)
+		g.search.Rebuild(g.seeds, g.hits, g.minLeaf(), tga.SplitLeftmost)
+		clear(g.q) // the new leaves start over at initialQ
 	}
 }

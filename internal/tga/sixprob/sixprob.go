@@ -192,13 +192,7 @@ func buildTrie(seedAddrs []ipaddr.Addr, depth int, parallel bool) *node {
 }
 
 // Init implements tga.Generator: BuildModel + InitFromModel.
-func (g *Generator) Init(seedAddrs []ipaddr.Addr) error {
-	m, err := g.BuildModel(seedAddrs)
-	if err != nil {
-		return err
-	}
-	return g.InitFromModel(m, seedAddrs)
-}
+func (g *Generator) Init(seedAddrs []ipaddr.Addr) error { return tga.InitByModel(g, seedAddrs) }
 
 // InitFromModel implements tga.ModelBuilder: it adopts a mined model
 // (possibly from the cross-run cache) and builds fresh run state. The

@@ -8,10 +8,14 @@
 //
 // 6Scan's algorithmic kinship with 6Tree is why RQ4 finds it contributes
 // almost nothing when the two run together.
+//
+// Policy over tga.LeafSearch: regions rank by hit count, then seed count;
+// TopShare of the batch goes down that ranking in geometric shares and the
+// cold rest round-robin, the cursor carrying over from batch to batch; a
+// probe counts when proposed, and the tree is never rebuilt.
 package sixscan
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -27,10 +31,8 @@ type Generator struct {
 	// (default 0.7).
 	TopShare float64
 
-	leaves  []*tga.TreeNode
-	pending map[ipaddr.Addr]*tga.TreeNode
-	emitted *ipaddr.Set
-	rr      int // round-robin cursor for the cold share
+	search *tga.LeafSearch
+	rr     int // round-robin cursor for the cold share
 }
 
 // New returns a 6Scan generator with default parameters.
@@ -58,10 +60,7 @@ func (g *Generator) ModelParams() string {
 // BuildModel implements tga.ModelBuilder: the 6Tree-style space tree.
 // 6Scan never rebuilds, so the whole tree is cacheable.
 func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
-	if len(seeds) == 0 {
-		return nil, errors.New("sixscan: empty seed set")
-	}
-	return tga.SnapshotTree(tga.BuildTreeAuto(seeds, g.minLeaf(), tga.SplitLeftmost)), nil
+	return tga.MineTree(seeds, g.minLeaf(), tga.SplitLeftmost)
 }
 
 // InitFromModel implements tga.ModelBuilder.
@@ -73,98 +72,36 @@ func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
 	if g.TopShare <= 0 || g.TopShare >= 1 {
 		g.TopShare = 0.7
 	}
-	g.MinLeaf = g.minLeaf()
-	g.leaves = tm.Leaves()
-	g.pending = make(map[ipaddr.Addr]*tga.TreeNode)
-	g.emitted = ipaddr.NewSet()
+	g.search = tga.NewLeafSearch(tm.Leaves(), len(seeds), func(l *tga.TreeNode, got int) { l.Probes += got })
 	return nil
 }
 
 // Init builds the space tree with 6Tree's splitting order.
-func (g *Generator) Init(seeds []ipaddr.Addr) error {
-	m, err := g.BuildModel(seeds)
-	if err != nil {
-		return err
-	}
-	return g.InitFromModel(m, seeds)
-}
+func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, seeds) }
 
 // NextBatch spends TopShare of the batch on regions sorted by region
 // encoding feedback (hit count, then seed count) and the rest round-robin
 // across all live regions.
 func (g *Generator) NextBatch(n int) []ipaddr.Addr {
-	live := make([]*tga.TreeNode, 0, len(g.leaves))
-	for _, l := range g.leaves {
-		if l.Gen != nil {
-			live = append(live, l)
-		}
-	}
-	if len(live) == 0 {
-		return nil
-	}
+	live := g.search.Live()
 	sort.SliceStable(live, func(i, j int) bool {
 		if live[i].Hits != live[j].Hits {
 			return live[i].Hits > live[j].Hits
 		}
 		return len(live[i].Seeds) > len(live[j].Seeds)
 	})
-
-	out := make([]ipaddr.Addr, 0, n)
-	take := func(l *tga.TreeNode, k int) {
-		for got := 0; got < k; {
-			a, ok := l.Gen.Next()
-			if !ok {
-				l.Gen = nil
-				return
-			}
-			if !g.emitted.Add(a) {
-				continue
-			}
-			out = append(out, a)
-			g.pending[a] = l
-			l.Probes++
-			got++
-		}
-	}
-	hot := int(float64(n) * g.TopShare)
-	share := hot / 2
-	for _, l := range live {
-		if len(out) >= hot {
-			break
-		}
-		if share < 1 {
-			share = 1
-		}
-		if rem := hot - len(out); share > rem {
-			share = rem
-		}
-		take(l, share)
-		share /= 2
-	}
-	for tries := 0; len(out) < n && tries < 4*len(live); tries++ {
-		l := live[g.rr%len(live)]
+	return g.search.NextBatch(n, live, int(float64(n)*g.TopShare), 4*len(live), func() int {
 		g.rr++
-		if l.Gen != nil {
-			take(l, 1)
-		}
-	}
-	return out
+		return g.rr - 1
+	})
 }
 
 // Feedback decodes each result back to its region (the in-process
 // equivalent of the payload region encoding) and bumps hit counters.
 func (g *Generator) Feedback(results []tga.ProbeResult) {
-	for _, r := range results {
-		l, ok := g.pending[r.Addr]
-		if !ok {
-			continue
-		}
-		delete(g.pending, r.Addr)
+	g.search.Resolve(results, func(l *tga.TreeNode, r tga.ProbeResult) {
 		if r.Active {
 			l.Hits++
 		}
-		if r.Aliased {
-			l.Alias++
-		}
-	}
+	})
 }

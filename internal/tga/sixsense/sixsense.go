@@ -139,9 +139,6 @@ type Model struct {
 	arms []arm
 }
 
-// ArmCount reports the number of trained arms.
-func (m *Model) ArmCount() int { return len(m.arms) }
-
 // ModelParams implements tga.ModelBuilder. The arm granularity and Markov
 // structure are fixed; ASShare and Seed only steer the online search and
 // sampling, so no parameter shapes the mined model.
@@ -216,13 +213,7 @@ func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
 }
 
 // Init groups seeds into arms and trains the per-arm models.
-func (g *Generator) Init(seeds []ipaddr.Addr) error {
-	m, err := g.BuildModel(seeds)
-	if err != nil {
-		return err
-	}
-	return g.InitFromModel(m, seeds)
-}
+func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, seeds) }
 
 // NextBatch splits the batch between reward-ranked arms and the
 // diversity share, sampling candidates from each arm's Markov model and
@@ -232,27 +223,21 @@ func (g *Generator) NextBatch(n int) []ipaddr.Addr {
 		return nil
 	}
 	out := make([]ipaddr.Addr, 0, n)
-	sampleFrom := func(a *arm, k int) {
-		misses := 0
-		for got := 0; got < k && misses < 8*k+16; {
+	sampleFrom := func(a *arm, k int) int {
+		got := 0
+		for misses := 0; got < k && misses < 8*k+16; {
 			c := a.sample(g.rng)
-			if !g.emitted.Contains(c) && !g.aliasBlacklist.Contains(c) {
-				g.emitted.Add(c)
-				out = append(out, c)
-				g.pending[c] = a
-				a.probes++
-				got++
-				continue
-			}
-			// The model path is saturated: explore its immediate
-			// neighbourhood instead of resampling from scratch. The real
-			// 6Sense's neural generator has full support over the nybble
-			// alphabet; single-position perturbation restores that without
-			// abandoning the learned pattern.
-			c = c.WithNybble(modelStart+g.rng.Intn(ipaddr.NybbleCount-modelStart), byte(g.rng.Intn(16)))
 			if g.emitted.Contains(c) || g.aliasBlacklist.Contains(c) {
-				misses++
-				continue
+				// The model path is saturated: explore its immediate
+				// neighbourhood instead of resampling from scratch. The real
+				// 6Sense's neural generator has full support over the nybble
+				// alphabet; single-position perturbation restores that without
+				// abandoning the learned pattern.
+				c = c.WithNybble(modelStart+g.rng.Intn(ipaddr.NybbleCount-modelStart), byte(g.rng.Intn(16)))
+				if g.emitted.Contains(c) || g.aliasBlacklist.Contains(c) {
+					misses++
+					continue
+				}
 			}
 			g.emitted.Add(c)
 			out = append(out, c)
@@ -260,25 +245,13 @@ func (g *Generator) NextBatch(n int) []ipaddr.Addr {
 			a.probes++
 			got++
 		}
+		return got
 	}
 
 	exploit := n - int(float64(n)*g.ASShare)
 	byReward := append([]*arm(nil), g.arms...)
 	sort.SliceStable(byReward, func(i, j int) bool { return byReward[i].reward() > byReward[j].reward() })
-	share := exploit / 2
-	for _, a := range byReward {
-		if len(out) >= exploit {
-			break
-		}
-		if share < 1 {
-			share = 1
-		}
-		if rem := exploit - len(out); share > rem {
-			share = rem
-		}
-		sampleFrom(a, share)
-		share /= 2
-	}
+	tga.GeometricShares(byReward, exploit, sampleFrom)
 
 	// Diversity share: least-probed arms first, one candidate each.
 	byProbes := append([]*arm(nil), g.arms...)

@@ -4,10 +4,14 @@
 // of leaf regions in seed-density order. 6Tree is the ancestor of most
 // tree-based TGAs and — per the paper's RQ4 — still outperforms several of
 // its successors.
+//
+// Policy over tga.Expander: a leaf weighs its seed count and a visit takes
+// four addresses per seed, uncapped — small leaves are visited briefly, so
+// a batch spreads across many regions, and that breadth is what makes 6Tree
+// competitive on AS diversity.
 package sixtree
 
 import (
-	"errors"
 	"fmt"
 
 	"seedscan/internal/ipaddr"
@@ -19,14 +23,7 @@ type Generator struct {
 	// MinLeaf stops splitting below this many seeds (default 4).
 	MinLeaf int
 
-	leaves []*tga.TreeNode
-	weight []float64
-	// produced tracks per-leaf output for proportional allocation.
-	produced []int
-	// emitted guards against cross-leaf duplicates once leaves widen into
-	// each other's space.
-	emitted *ipaddr.OASet
-	total   int
+	leaves *tga.Expander
 }
 
 // New returns a 6Tree generator with default parameters.
@@ -50,13 +47,9 @@ func (g *Generator) ModelParams() string {
 	return fmt.Sprintf("minleaf=%d", g.minLeaf())
 }
 
-// BuildModel implements tga.ModelBuilder: it mines the space tree, fanning
-// subtree construction across CPUs on large seed sets.
+// BuildModel implements tga.ModelBuilder: it mines the space tree.
 func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
-	if len(seeds) == 0 {
-		return nil, errors.New("sixtree: empty seed set")
-	}
-	return tga.SnapshotTree(tga.BuildTreeAuto(seeds, g.minLeaf(), tga.SplitLeftmost)), nil
+	return tga.MineTree(seeds, g.minLeaf(), tga.SplitLeftmost)
 }
 
 // InitFromModel implements tga.ModelBuilder: it adopts a mined tree and
@@ -66,82 +59,22 @@ func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
 	if !ok {
 		return fmt.Errorf("sixtree: model type %T", m)
 	}
-	g.leaves = tm.Leaves()
-	g.weight = make([]float64, len(g.leaves))
-	g.produced = make([]int, len(g.leaves))
-	g.emitted = ipaddr.NewOASet(len(seeds))
-	for i, l := range g.leaves {
-		// Density-ordered expansion: regions holding more seeds relative
-		// to their pattern size are searched harder.
-		g.weight[i] = float64(len(l.Seeds))
+	g.leaves = tga.NewExpander(len(tm.LeafModels), len(seeds))
+	for _, l := range tm.LeafModels {
+		g.leaves.Add(l.Masks, float64(len(l.Seeds)), 4*len(l.Seeds))
 	}
 	return nil
 }
 
 // Init builds the space tree.
-func (g *Generator) Init(seeds []ipaddr.Addr) error {
-	m, err := g.BuildModel(seeds)
-	if err != nil {
-		return err
-	}
-	return g.InitFromModel(m, seeds)
-}
+func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, seeds) }
 
 // NextBatch allocates n candidates across leaves proportionally to seed
-// weight, skipping exhausted leaves.
-func (g *Generator) NextBatch(n int) []ipaddr.Addr {
-	if len(g.leaves) == 0 {
-		return nil
-	}
-	out := make([]ipaddr.Addr, 0, n)
-	// Repeatedly pick the leaf with the highest weight-per-produced ratio:
-	// a deterministic proportional-share scheduler.
-	for len(out) < n {
-		best, bestScore := -1, -1.0
-		for i, l := range g.leaves {
-			if l.Gen == nil {
-				continue
-			}
-			score := g.weight[i] / float64(g.produced[i]+1)
-			if score > bestScore {
-				best, bestScore = i, score
-			}
-		}
-		if best < 0 {
-			break
-		}
-		l := g.leaves[best]
-		// Chunk scales with the leaf's seed weight so small leaves are
-		// visited briefly and the batch spreads across many regions —
-		// 6Tree's breadth is what makes it competitive on AS diversity.
-		chunk := 4 * int(g.weight[best])
-		if chunk < 8 {
-			chunk = 8
-		}
-		got := 0
-		for got < chunk && len(out) < n {
-			a, ok := l.Gen.Next()
-			if !ok {
-				l.Gen = nil // exhausted
-				break
-			}
-			if !g.emitted.Add(a) {
-				continue // another leaf already proposed it
-			}
-			out = append(out, a)
-			got++
-		}
-		g.produced[best] += got
-		if l.Gen == nil && got == 0 {
-			continue
-		}
-	}
-	g.total += len(out)
-	return out
-}
+// weight.
+func (g *Generator) NextBatch(n int) []ipaddr.Addr { return g.leaves.NextBatch(n, n) }
 
 // Feedback implements tga.Generator; 6Tree ignores scan results.
 func (g *Generator) Feedback([]tga.ProbeResult) {}
 
 // LeafCount reports the number of tree leaves (for diagnostics and tests).
-func (g *Generator) LeafCount() int { return len(g.leaves) }
+func (g *Generator) LeafCount() int { return g.leaves.Len() }

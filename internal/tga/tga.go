@@ -1,8 +1,11 @@
 // Package tga defines the Target Generation Algorithm interface and the
-// driver that runs a generator against the scanner, plus the pattern-mining
-// machinery (observed-value masks, per-position entropy, space trees, and
-// leaf enumerators) shared by the TGA implementations in the
-// subpackages.
+// driver that runs a generator against the scanner, plus what the TGA
+// implementations in the subpackages share: the pattern-mining machinery
+// (observed-value masks, per-position entropy, space trees, and leaf
+// enumerators — pattern.go, tree.go, model.go) and the two schedulers that
+// walk mined regions (schedule.go): Expander, the proportional-share
+// expansion behind 6Tree, 6Gen and 6Graph, and LeafSearch, the ranked
+// exploit-and-explore search behind DET, 6Hit and 6Scan.
 //
 // Eight generators reproduce the paper's study set: Entropy/IP, 6Gen,
 // 6Tree, 6Hit, DET, 6Graph, 6Scan, and 6Sense; two more (AddrMiner,
@@ -100,7 +103,7 @@ type RunConfig struct {
 	// the generator's own Init mines the model.
 	Models ModelSource
 	// CollectCandidates records every unique candidate in
-	// RunResult.Candidates, in generation order. GenerateContext uses it;
+	// RunResult.Candidates, in generation order. Generate uses it;
 	// scan-oriented callers leave it off to avoid the copy.
 	CollectCandidates bool
 }
@@ -121,9 +124,6 @@ type RunResult struct {
 	// order, only when RunConfig.CollectCandidates is set.
 	Candidates []ipaddr.Addr
 }
-
-// HitSet returns the hits as a set.
-func (r *RunResult) HitSet() *ipaddr.Set { return ipaddr.NewSet(r.Hits...) }
 
 // maxIdleRounds is how many consecutive batches may propose nothing new
 // before the driver declares the generator exhausted. Generators that loop
@@ -484,34 +484,10 @@ func CanonicalSeeds(seeds []ipaddr.Addr) []ipaddr.Addr {
 
 // Generate runs g without scanning and returns up to budget unique
 // candidates in generation order — useful for offline analysis and tests.
-// It is GenerateContext with a background context and no exclusions.
+// It is Run with no prober, so it shares the driver's full-batch requests,
+// dedup and idle-round exhaustion.
 func Generate(g Generator, seeds []ipaddr.Addr, budget int) ([]ipaddr.Addr, error) {
-	return GenerateContext(context.Background(), g, seeds, GenerateConfig{Budget: budget})
-}
-
-// GenerateConfig parameterizes a generation-only run.
-type GenerateConfig struct {
-	// Budget is the number of unique candidates to generate.
-	Budget int
-	// BatchSize is the request granularity (default 4096).
-	BatchSize int
-	// ExcludeSeeds removes seed addresses from the output.
-	ExcludeSeeds bool
-	// Models resolves mined models, as in RunConfig.
-	Models ModelSource
-}
-
-// GenerateContext runs g without scanning under ctx, sharing the driver's
-// batch loop — the same full-batch requests, dedup, idle-round exhaustion,
-// and optional seed exclusion as RunContext, minus the prober.
-func GenerateContext(ctx context.Context, g Generator, seeds []ipaddr.Addr, cfg GenerateConfig) ([]ipaddr.Addr, error) {
-	res, err := RunContext(ctx, g, seeds, RunConfig{
-		Budget:            cfg.Budget,
-		BatchSize:         cfg.BatchSize,
-		ExcludeSeeds:      cfg.ExcludeSeeds,
-		Models:            cfg.Models,
-		CollectCandidates: true,
-	})
+	res, err := RunContext(context.Background(), g, seeds, RunConfig{Budget: budget, CollectCandidates: true})
 	if err != nil {
 		return nil, err
 	}

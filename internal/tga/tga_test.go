@@ -134,9 +134,6 @@ func TestBuildTreeShape(t *testing.T) {
 	if total != len(seeds) {
 		t.Fatalf("leaves cover %d seeds, want %d", total, len(seeds))
 	}
-	if root.CountNodes() < 3 {
-		t.Fatalf("nodes = %d", root.CountNodes())
-	}
 }
 
 func TestSplitHeuristics(t *testing.T) {
@@ -151,17 +148,6 @@ func TestSplitHeuristics(t *testing.T) {
 	// position 31 has 3 values → entropy ~1.585. Min-entropy picks 11.
 	if got := SplitMinEntropy(seeds, []int{11, 31}); got != 11 {
 		t.Fatalf("min-entropy = %d", got)
-	}
-}
-
-func TestNodeRewardAndDensity(t *testing.T) {
-	n := &TreeNode{}
-	if got := n.Reward(); got != 0.5 {
-		t.Fatalf("prior reward = %v", got)
-	}
-	n.Probes, n.Hits = 100, 50
-	if got := n.Reward(); got < 0.49 || got > 0.51 {
-		t.Fatalf("reward = %v", got)
 	}
 }
 

@@ -61,25 +61,10 @@ type TreeNode struct {
 	// Online statistics, updated by adaptive generators.
 	Probes int
 	Hits   int
-	Alias  int
 }
 
 // IsLeaf reports whether the node has no children.
 func (n *TreeNode) IsLeaf() bool { return len(n.Children) == 0 }
-
-// Density is the seed density of the leaf's initial pattern space.
-func (n *TreeNode) Density() float64 {
-	size := MaskSize(n.Masks)
-	if size == 0 {
-		return 0
-	}
-	return float64(len(n.Seeds)) / size
-}
-
-// Reward is the smoothed online hit rate used by adaptive generators.
-func (n *TreeNode) Reward() float64 {
-	return (float64(n.Hits) + 1) / (float64(n.Probes) + 2)
-}
 
 // BuildTree grows a space tree over the seeds: each node splits on the
 // position chosen by h until minLeaf seeds or no varying position remains.
@@ -240,13 +225,4 @@ func (n *TreeNode) appendLeaves(out []*TreeNode) []*TreeNode {
 		out = c.appendLeaves(out)
 	}
 	return out
-}
-
-// CountNodes returns the total node count.
-func (n *TreeNode) CountNodes() int {
-	total := 1
-	for _, c := range n.Children {
-		total += c.CountNodes()
-	}
-	return total
 }
