@@ -5,7 +5,7 @@
 // Usage:
 //
 //	experiments [-budget N] [-ases N] [-scale F] [-seed N] [-run LIST]
-//	            [-only LIST] [-resume DIR] [-list-cells] [-gens SET]
+//	            [-resume DIR] [-list-cells] [-gens SET]
 //
 // -gens picks the generator sweep: "paper" (default, the eight studied
 // TGAs), "extended" (adds AddrMiner and 6Prob), or an explicit
@@ -16,10 +16,10 @@
 // raw,rq5,rq5time,raw912,ablation (default: all except raw912 and
 // ablation, which run only when named). rq5time is the longitudinal
 // metrics-over-time table: a multi-epoch daemon run reporting seed decay,
-// TGA hit persistence, and alias-set drift. -only is -run under its grid-era name and takes
-// precedence. -resume DIR checkpoints every completed grid cell to
-// DIR/cells.jsonl and resumes from it on restart; -list-cells prints the
-// deduplicated cell plan for the selection and exits without scanning.
+// TGA hit persistence, and alias-set drift. -resume DIR checkpoints every
+// completed grid cell to DIR/cells.jsonl and resumes from it on restart;
+// -list-cells prints the deduplicated cell plan for the selection and exits
+// without scanning.
 package main
 
 import (
@@ -51,14 +51,10 @@ func main() {
 	trace := flag.String("trace", "", "write a JSONL telemetry event log to this file")
 	metrics := flag.Bool("metrics", false, "print final metric values on exit")
 	clusterWorkers := flag.Int("cluster-workers", 0, "fan scanning out across N in-process cluster workers (results unchanged)")
-	only := flag.String("only", "", "comma-separated specs to run (overrides -run)")
 	resumeDir := flag.String("resume", "", "checkpoint completed grid cells under this directory and resume from them")
 	listCells := flag.Bool("list-cells", false, "print the deduplicated cell plan for the selection and exit")
 	flag.Parse()
 
-	if *only != "" {
-		*runList = *only
-	}
 	want := map[string]bool{}
 	for _, r := range strings.Split(*runList, ",") {
 		want[strings.TrimSpace(r)] = true
@@ -234,8 +230,15 @@ func main() {
 		}
 	}
 	if sel("ablation") {
+		// Every k-th All Active seed, not the first 5000: the set is ordered
+		// by the protocol that first found each address, so its head holds
+		// only addresses the packet path has already seen answer ICMP, which
+		// agree with the oracle by construction.
 		targets := env.AllActiveSeeds().Slice()
-		if len(targets) > 5000 {
+		if n := len(targets); n > 5000 {
+			for i := 0; i < 5000; i++ {
+				targets[i] = targets[i*n/5000]
+			}
 			targets = targets[:5000]
 		}
 		fmt.Printf("Ablation: packet-path vs oracle agreement on %d targets: %.2f%%\n",

@@ -61,7 +61,7 @@ func cmdDaemon(args []string) error {
 	// Fault-injecting chains change scan outcomes but not the environment
 	// fingerprint, so -state checkpoints written under different -wire-*
 	// flags would replay stale cells; point faulted runs at a fresh -state.
-	env := buildEnvWire(*seed, *ases, *scale, 0, tr, wc.mws)
+	env := buildEnv(*seed, *ases, *scale, 0, tr, wc.mws)
 
 	if err := os.MkdirAll(*state, 0o755); err != nil {
 		return err

@@ -120,17 +120,10 @@ func envFlags(fs *flag.FlagSet) (seed *uint64, ases *int, scale *float64) {
 	return
 }
 
-func buildEnv(seed uint64, ases int, scale float64, budget int) *experiment.Env {
-	return buildEnvTele(seed, ases, scale, budget, nil)
-}
-
-func buildEnvTele(seed uint64, ases int, scale float64, budget int, tr *telemetry.Tracer) *experiment.Env {
-	return buildEnvWire(seed, ases, scale, budget, tr, nil)
-}
-
-// buildEnvWire is buildEnvTele plus a wire middleware chain composed onto
-// the environment's link (see the -wire-* flags).
-func buildEnvWire(seed uint64, ases int, scale float64, budget int, tr *telemetry.Tracer, chain []wire.Middleware) *experiment.Env {
+// buildEnv assembles the environment every subcommand works in. tr may be
+// nil (no telemetry); chain is the wire middleware composed onto the
+// environment's link (see the -wire-* flags), nil for the bare link.
+func buildEnv(seed uint64, ases int, scale float64, budget int, tr *telemetry.Tracer, chain []wire.Middleware) *experiment.Env {
 	return experiment.NewEnv(experiment.EnvConfig{
 		WorldSeed: seed, NumASes: ases, CollectScale: scale, Budget: budget,
 		Telemetry: tr, Chain: chain,
@@ -235,11 +228,11 @@ func cmdCollect(args []string) error {
 	if err != nil {
 		return err
 	}
-	env := buildEnv(*seed, *ases, *scale, 0)
+	env := buildEnv(*seed, *ases, *scale, 0, nil, nil)
 	ds := env.Sources[s]
 	fmt.Printf("%s: %d unique addresses, %d ASes\n", ds.Name, ds.Len(), ds.ASCount(env.World.ASDB()))
 	aliasedN, activeN := 0, 0
-	ds.Addrs.Each(func(a ipaddrAddr) {
+	ds.Addrs.Each(func(a ipaddr.Addr) {
 		if env.World.IsAliased(a) {
 			aliasedN++
 		}
@@ -375,7 +368,7 @@ func cmdScan(args []string) error {
 	if *clusterN <= 0 {
 		envChain = wc.mws
 	}
-	env := buildEnvWire(*seed, *ases, *scale, 0, tr, envChain)
+	env := buildEnv(*seed, *ases, *scale, 0, tr, envChain)
 	ds := env.Sources[s]
 	ccfg := cluster.Config{
 		Secret:    env.Cfg.ScanSecret,
@@ -538,7 +531,7 @@ func cmdDealias(args []string) error {
 		return err
 	}
 	defer finish()
-	env := buildEnvTele(*seed, *ases, *scale, 0, tr)
+	env := buildEnv(*seed, *ases, *scale, 0, tr, nil)
 	ds := env.Sources[s]
 	d := alias.New(mode, env.Offline, env.Scanner, proto.ICMP, *seed)
 	d.SetTelemetry(tr.Registry())
@@ -555,7 +548,7 @@ func cmdHitlist(args []string) error {
 	outAliases := fs.String("aliases", "", "write the aliased-prefix list to this file")
 	fs.Parse(args)
 
-	env := buildEnv(*seed, *ases, *scale, 0)
+	env := buildEnv(*seed, *ases, *scale, 0, nil, nil)
 	svc, err := hitlist.New(
 		hitlist.WithProber(env.Scanner),
 		hitlist.WithKnownAliases(env.Offline),
@@ -620,6 +613,3 @@ func cmdResolve(args []string) error {
 	}
 	return nil
 }
-
-// ipaddrAddr shortens the address type name in this file.
-type ipaddrAddr = ipaddr.Addr

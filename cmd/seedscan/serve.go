@@ -36,7 +36,7 @@ func cmdBuildDB(args []string) error {
 	ctx, stop := signalContext()
 	defer stop()
 
-	env := buildEnvTele(*seed, *ases, *scale, 0, tr)
+	env := buildEnv(*seed, *ases, *scale, 0, tr, nil)
 	svc, err := hitlist.New(
 		hitlist.WithProber(env.Scanner),
 		hitlist.WithKnownAliases(env.Offline),

@@ -302,7 +302,7 @@ func sortPrefixes(ps []ipaddr.Prefix) {
 // probeHostBits derives the deterministic "random" host bits for probe k
 // of a prefix. A package variable so tests can force address collisions.
 var probeHostBits = func(seed uint64, p ipaddr.Prefix, salt uint64) uint64 {
-	return mix64(seed, p.Addr().Hi(), p.Addr().Lo(), salt)
+	return ipaddr.Mix64(seed, p.Addr().Hi(), p.Addr().Lo(), salt)
 }
 
 // testPrefixes probes ProbesPerPrefix random addresses in each claimed
@@ -348,20 +348,4 @@ func (d *Dealiaser) testPrefixes(prefixes []ipaddr.Prefix) {
 	d.mu.Unlock()
 	probesSent.Add(int64(len(targets)))
 	tested.Add(int64(len(prefixes)))
-}
-
-// mix64 is the deterministic fold used for probe address generation.
-func mix64(vals ...uint64) uint64 {
-	h := uint64(0x2545f4914f6cdd1d)
-	for _, v := range vals {
-		h = smix(h ^ v)
-	}
-	return h
-}
-
-func smix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return x ^ x>>31
 }

@@ -102,8 +102,9 @@ func Partition(targets []ipaddr.Addr, shardSize int) []Shard {
 	return shards
 }
 
-// mix64 folds 64-bit values through the splitmix finalizer (the package's
-// local copy, same construction the scanner and world use).
+// mix64 finalizes each value with splitmix64 and folds the results with
+// xor-multiply. It is not ipaddr.Mix64 (which chains the finalizer through
+// the running hash), and shard assignment is pinned to it.
 func mix64(vals ...uint64) uint64 {
 	h := uint64(0x2545f4914f6cdd1d)
 	for _, v := range vals {

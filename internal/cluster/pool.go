@@ -98,13 +98,7 @@ func (p *Pool) ScanActiveContext(ctx context.Context, targets []ipaddr.Addr, pr 
 	if err != nil {
 		return nil, err
 	}
-	var out []ipaddr.Addr
-	for _, r := range res {
-		if r.Active() {
-			out = append(out, r.Addr)
-		}
-	}
-	return out, nil
+	return scanner.ActiveAddrs(res), nil
 }
 
 // Stats returns the pool's cumulative merged counters across every run —

@@ -39,13 +39,7 @@ func (o *OracleProber) Scan(targets []ipaddr.Addr, p proto.Protocol) []scanner.R
 // ScanActive completes scanner.Prober, mirroring scanner.Scanner's
 // convenience method.
 func (o *OracleProber) ScanActive(targets []ipaddr.Addr, p proto.Protocol) []ipaddr.Addr {
-	var hits []ipaddr.Addr
-	for _, r := range o.Scan(targets, p) {
-		if r.Active() {
-			hits = append(hits, r.Addr)
-		}
-	}
-	return hits
+	return scanner.ActiveAddrs(o.Scan(targets, p))
 }
 
 // ScanAgreement scans targets with both the packet-path scanner and the

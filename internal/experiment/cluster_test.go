@@ -30,8 +30,8 @@ func TestClusterEnvMatchesSingleScanner(t *testing.T) {
 	if sa.Len() != sc.Len() {
 		t.Fatalf("All Active seeds: single %d, clustered %d", sa.Len(), sc.Len())
 	}
-	// Dataset.Slice() order is unspecified (map iteration); feed both runs
-	// the same sorted list so any divergence below is the cluster's fault.
+	// Generators take their seeds in canonical sorted order; feed both runs
+	// the same list so any divergence below is the cluster's fault.
 	seedsSingle, seedsClustered := sa.Addrs.Sorted(), sc.Addrs.Sorted()
 	for i, a := range seedsSingle {
 		if b := seedsClustered[i]; a != b {

@@ -62,7 +62,7 @@ func TestActiveSubsets(t *testing.T) {
 			t.Fatalf("%v active empty", p)
 		}
 		// Port-specific ⊆ All Active.
-		if port.Diff(allActive, "x").Len() != 0 {
+		if port.Addrs.Diff(allActive.Addrs).Len() != 0 {
 			t.Fatalf("%v active not a subset of All Active", p)
 		}
 	}

@@ -2,6 +2,12 @@
 // seedscan: a compact value type with nybble-level access, prefixes, sets,
 // and a binary radix trie for longest-prefix matching.
 //
+// There is one address set, Set, and it keeps insertion order: Slice, Each
+// and the derived sets iterate in the order addresses were first added, so
+// set algebra over deterministically built inputs is itself deterministic.
+// Its slots are int32 (at most 2^30 addresses) and its hash is unkeyed: no
+// network-facing handler builds a Set. Dedup is the same table, bare.
+//
 // Target Generation Algorithms operate on the 32 hexadecimal digits
 // ("nybbles") of an IPv6 address, so nybble indexing is a first-class
 // operation here: nybble 0 is the most significant hex digit and nybble 31

@@ -2,63 +2,97 @@ package ipaddr
 
 import "sort"
 
-// Set is an unordered collection of unique addresses. The zero value is not
-// usable for writes; construct with NewSet or NewSetCap. Read methods
-// (Contains, Len, Each, Slice, Sorted) are nil-receiver safe and treat a
-// nil set as empty, so snapshot consumers can read partially-populated
-// records without guarding every access.
+// Set is a collection of unique addresses kept in insertion order. Slice,
+// Each and every derived set (Clone, Filter, Diff, Intersect) keep the
+// receiver's insertion order; AddAll and AddSet append what is new in the
+// argument's order.
+//
+// The layout is flat open addressing: table slots hold index+1 into addrs
+// (0 = empty), linear probing, load at most 1/2, doubling growth, no
+// removal. The zero value is an empty set ready for use. Read methods
+// (Contains, Len, Each, Slice, Sorted) treat a nil set as empty, so snapshot
+// consumers can read partially-populated records without guarding every
+// access. Concurrent readers are safe; a writer needs exclusion.
 type Set struct {
-	m map[Addr]struct{}
+	table []int32
+	addrs []Addr
 }
 
-// NewSet returns an empty set, optionally pre-populated with addrs.
+// NewSet returns a set holding the unique addresses of addrs, in order.
 func NewSet(addrs ...Addr) *Set {
-	s := &Set{m: make(map[Addr]struct{}, len(addrs))}
-	for _, a := range addrs {
-		s.m[a] = struct{}{}
-	}
+	s := NewSetCap(len(addrs))
+	s.AddAll(addrs)
 	return s
 }
 
-// NewSetCap returns an empty set with capacity hint n.
-func NewSetCap(n int) *Set { return &Set{m: make(map[Addr]struct{}, n)} }
+// NewSetCap returns an empty set pre-sized for n addresses.
+func NewSetCap(n int) *Set {
+	s := new(Set)
+	s.reserve(n)
+	return s
+}
+
+// reserve rebuilds the table with room for n addresses in total.
+func (s *Set) reserve(n int) {
+	if n > 1<<30 {
+		panic("ipaddr: Set larger than 2^30 addresses")
+	}
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	if cap(s.addrs) < n {
+		s.addrs = append(make([]Addr, 0, n), s.addrs...)
+	}
+	// addrs carries the order, so rehashing just re-derives the slots.
+	s.table = make([]int32, size)
+	for i, a := range s.addrs {
+		s.table[s.slot(a)] = int32(i + 1)
+	}
+}
+
+// slot returns the table slot that holds a, or the empty one where a
+// belongs. The table must not be empty.
+func (s *Set) slot(a Addr) uint64 {
+	mask := uint64(len(s.table) - 1)
+	h := dedupHash(a) & mask
+	for s.table[h] != 0 && s.addrs[s.table[h]-1] != a {
+		h = (h + 1) & mask
+	}
+	return h
+}
 
 // Add inserts a, reporting whether it was newly added.
 func (s *Set) Add(a Addr) bool {
-	if _, ok := s.m[a]; ok {
+	if 2*(len(s.addrs)+1) > len(s.table) {
+		s.reserve(2 * len(s.addrs))
+	}
+	h := s.slot(a)
+	if s.table[h] != 0 {
 		return false
 	}
-	s.m[a] = struct{}{}
+	s.addrs = append(s.addrs, a)
+	s.table[h] = int32(len(s.addrs))
 	return true
 }
 
 // AddAll inserts every address in addrs.
 func (s *Set) AddAll(addrs []Addr) {
 	for _, a := range addrs {
-		s.m[a] = struct{}{}
+		s.Add(a)
 	}
 }
 
 // AddSet inserts every address in o (a nil o adds nothing).
 func (s *Set) AddSet(o *Set) {
-	if o == nil {
-		return
-	}
-	for a := range o.m {
-		s.m[a] = struct{}{}
+	if o != nil {
+		s.AddAll(o.addrs)
 	}
 }
 
-// Remove deletes a if present.
-func (s *Set) Remove(a Addr) { delete(s.m, a) }
-
 // Contains reports membership (false for a nil set).
 func (s *Set) Contains(a Addr) bool {
-	if s == nil {
-		return false
-	}
-	_, ok := s.m[a]
-	return ok
+	return s != nil && len(s.table) > 0 && s.table[s.slot(a)] != 0
 }
 
 // Len returns the number of addresses (0 for a nil set).
@@ -66,29 +100,26 @@ func (s *Set) Len() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.m)
+	return len(s.addrs)
 }
 
-// Each calls fn for every address in unspecified order.
+// Each calls fn for every address in insertion order.
 func (s *Set) Each(fn func(Addr)) {
 	if s == nil {
 		return
 	}
-	for a := range s.m {
+	for _, a := range s.addrs {
 		fn(a)
 	}
 }
 
-// Slice returns the addresses in unspecified order.
+// Slice returns the addresses in insertion order, as a fresh copy the
+// caller may sort or modify.
 func (s *Set) Slice() []Addr {
 	if s == nil {
 		return nil
 	}
-	out := make([]Addr, 0, len(s.m))
-	for a := range s.m {
-		out = append(out, a)
-	}
-	return out
+	return append(make([]Addr, 0, len(s.addrs)), s.addrs...)
 }
 
 // Sorted returns the addresses in ascending numeric order.
@@ -100,88 +131,58 @@ func (s *Set) Sorted() []Addr {
 
 // Clone returns a deep copy of s.
 func (s *Set) Clone() *Set {
-	c := NewSetCap(len(s.m))
-	for a := range s.m {
-		c.m[a] = struct{}{}
+	return &Set{
+		table: append([]int32(nil), s.table...),
+		addrs: append([]Addr(nil), s.addrs...),
 	}
-	return c
-}
-
-// Intersect returns a new set containing addresses present in both s and o.
-func (s *Set) Intersect(o *Set) *Set {
-	small, big := s, o
-	if big.Len() < small.Len() {
-		small, big = big, small
-	}
-	out := NewSetCap(small.Len())
-	for a := range small.m {
-		if big.Contains(a) {
-			out.m[a] = struct{}{}
-		}
-	}
-	return out
-}
-
-// Union returns a new set containing addresses present in either set.
-func (s *Set) Union(o *Set) *Set {
-	out := NewSetCap(s.Len() + o.Len())
-	out.AddSet(s)
-	out.AddSet(o)
-	return out
-}
-
-// Diff returns a new set with the addresses of s that are not in o.
-func (s *Set) Diff(o *Set) *Set {
-	out := NewSetCap(s.Len())
-	for a := range s.m {
-		if !o.Contains(a) {
-			out.m[a] = struct{}{}
-		}
-	}
-	return out
 }
 
 // Filter returns a new set with the addresses of s for which keep returns
 // true.
 func (s *Set) Filter(keep func(Addr) bool) *Set {
 	out := NewSetCap(s.Len())
-	for a := range s.m {
+	for _, a := range s.addrs {
 		if keep(a) {
-			out.m[a] = struct{}{}
+			out.Add(a)
 		}
 	}
 	return out
 }
 
+// Intersect returns a new set with the addresses of s that are also in o.
+func (s *Set) Intersect(o *Set) *Set { return s.Filter(o.Contains) }
+
+// Diff returns a new set with the addresses of s that are not in o.
+func (s *Set) Diff(o *Set) *Set {
+	return s.Filter(func(a Addr) bool { return !o.Contains(a) })
+}
+
 // Dedup returns the unique addresses of addrs, preserving first-seen order.
+// The scanner dedups every target list on its hot path: this is a Set sized
+// for the input whose backing slice is handed back, two allocations in all.
 func Dedup(addrs []Addr) []Addr {
-	// Flat open addressing instead of a Go map: the scanner dedups every
-	// target list on its hot path, and hashing 16-byte keys through the
-	// runtime map dominates for large lists. Slots hold index+1 into out
-	// (0 = empty), so the table is a single int32 allocation.
-	size := 1
-	for size < 2*len(addrs) {
-		size <<= 1
-	}
-	mask := uint64(size - 1)
-	table := make([]int32, size)
-	out := make([]Addr, 0, len(addrs))
-	for _, a := range addrs {
-		h := dedupHash(a) & mask
-		for {
-			idx := table[h]
-			if idx == 0 {
-				table[h] = int32(len(out) + 1)
-				out = append(out, a)
-				break
+	var s Set
+	s.reserve(len(addrs))
+	s.AddAll(addrs)
+	return s.addrs
+}
+
+// DedupSorted returns addrs with adjacent duplicates removed. On sorted
+// input (the canonical seed order) that is full deduplication, in order,
+// without hashing. Duplicate-free input is returned as-is, uncopied.
+func DedupSorted(addrs []Addr) []Addr {
+	for i := 1; i < len(addrs); i++ {
+		if addrs[i] == addrs[i-1] {
+			out := append([]Addr(nil), addrs[:i]...)
+			for ; i < len(addrs); i++ {
+				if addrs[i] != addrs[i-1] {
+					out = append(out, addrs[i])
+				}
 			}
-			if out[idx-1] == a {
-				break
-			}
-			h = (h + 1) & mask
+			return out
 		}
 	}
-	return out
+	return addrs
 }
 
 // dedupHash folds an address to a table slot with two rounds of multiply-
@@ -191,4 +192,31 @@ func dedupHash(a Addr) uint64 {
 	h := a.hi*0x9e3779b97f4a7c15 ^ a.lo*0xbf58476d1ce4e5b9
 	h = (h ^ h>>29) * 0x94d049bb133111eb
 	return h ^ h>>32
+}
+
+// Digest folds addrs into an order-sensitive 64-bit digest — the seed
+// fingerprint the TGA model cache keys on. Callers that need a canonical
+// digest (the cache does) must pass the seeds in canonical sorted order.
+func Digest(addrs []Addr) uint64 {
+	h := uint64(0x9e3779b97f4a7c15) ^ uint64(len(addrs))
+	for _, a := range addrs {
+		h ^= dedupHash(a)
+		h *= 0x100000001b3
+		h ^= h >> 32
+	}
+	return h
+}
+
+// Mix64 folds any number of 64-bit values into one well-mixed value with a
+// splitmix64 round per value — the seeded, stateless decision hash shared
+// by the world, the scanner, the dealiaser and the seed collectors.
+func Mix64(vals ...uint64) uint64 {
+	h := uint64(0x2545f4914f6cdd1d)
+	for _, v := range vals {
+		h = (h ^ v) + 0x9e3779b97f4a7c15
+		h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+		h = (h ^ h>>27) * 0x94d049bb133111eb
+		h ^= h >> 31
+	}
+	return h
 }

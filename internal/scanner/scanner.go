@@ -89,6 +89,17 @@ type Result struct {
 // Active reports whether the result is a hit.
 func (r Result) Active() bool { return r.Status == StatusActive }
 
+// ActiveAddrs returns the addresses of the hits in results, in result order.
+func ActiveAddrs(results []Result) []ipaddr.Addr {
+	var out []ipaddr.Addr
+	for _, r := range results {
+		if r.Active() {
+			out = append(out, r.Addr)
+		}
+	}
+	return out
+}
+
 // Stats is a point-in-time snapshot of a scanner's counters, merged
 // across the per-worker shards by Scanner.Stats.
 type Stats struct {
@@ -282,7 +293,7 @@ func (s *Scanner) VirtualElapsed() float64 { return s.rl.VirtualElapsed() }
 
 // cookie derives the per-target validation cookie.
 func (s *Scanner) cookie(a ipaddr.Addr, p proto.Protocol) uint64 {
-	return mix64(s.set.secret, a.Hi(), a.Lo(), uint64(p))
+	return ipaddr.Mix64(s.set.secret, a.Hi(), a.Lo(), uint64(p))
 }
 
 // Scan probes every target on p and returns one Result per unique target.
@@ -407,7 +418,7 @@ func (s *Scanner) ScanContext(ctx context.Context, targets []ipaddr.Addr, p prot
 func PlanOrder(secret uint64, shuffle bool, targets []ipaddr.Addr, p proto.Protocol) []ipaddr.Addr {
 	targets = ipaddr.Dedup(targets)
 	if shuffle {
-		rng := rand.New(rand.NewSource(int64(mix64(secret, uint64(p), uint64(len(targets))))))
+		rng := rand.New(rand.NewSource(int64(ipaddr.Mix64(secret, uint64(p), uint64(len(targets))))))
 		rng.Shuffle(len(targets), func(i, j int) { targets[i], targets[j] = targets[j], targets[i] })
 	}
 	return targets
@@ -415,12 +426,7 @@ func PlanOrder(secret uint64, shuffle bool, targets []ipaddr.Addr, p proto.Proto
 
 // ScanActive is a convenience wrapper returning only hit addresses.
 func (s *Scanner) ScanActive(targets []ipaddr.Addr, p proto.Protocol) []ipaddr.Addr {
-	var out []ipaddr.Addr
-	for _, r := range s.Scan(targets, p) {
-		if r.Active() {
-			out = append(out, r.Addr)
-		}
-	}
+	out, _ := s.ScanActiveContext(context.Background(), targets, p)
 	return out
 }
 
@@ -431,13 +437,7 @@ func (s *Scanner) ScanActiveContext(ctx context.Context, targets []ipaddr.Addr, 
 	if err != nil {
 		return nil, err
 	}
-	var out []ipaddr.Addr
-	for _, r := range results {
-		if r.Active() {
-			out = append(out, r.Addr)
-		}
-	}
-	return out, nil
+	return ActiveAddrs(results), nil
 }
 
 // prepareChunk initializes a claimed chunk: zeroed results, blocklist
@@ -643,20 +643,3 @@ func srcPortFor(cookie uint64) uint16 {
 func putUint64(b []byte, v uint64) { binary.BigEndian.PutUint64(b, v) }
 
 func getUint64(b []byte) uint64 { return binary.BigEndian.Uint64(b) }
-
-// mix64 is the scanner's local copy of the split-mix fold (kept local so
-// the package has no dependency on the world's internals).
-func mix64(vals ...uint64) uint64 {
-	h := uint64(0x2545f4914f6cdd1d)
-	for _, v := range vals {
-		h = smix(h ^ v)
-	}
-	return h
-}
-
-func smix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return x ^ x>>31
-}

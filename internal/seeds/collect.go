@@ -84,9 +84,9 @@ func domainPool(w *world.World, scale float64) (hosts, aliased []ipaddr.Addr) {
 	if n < 100 {
 		n = 100
 	}
-	samp := w.NewSampler(mixSeed(w.Seed(), 0xd0d0d0d0), domainClasses...)
+	samp := w.NewSampler(ipaddr.Mix64(w.Seed(), 0xd0d0d0d0), domainClasses...)
 	hosts = samp.Hosts(n)
-	aliasSamp := w.NewSampler(mixSeed(w.Seed(), 0xd0d0d0d1))
+	aliasSamp := w.NewSampler(ipaddr.Mix64(w.Seed(), 0xd0d0d0d1))
 	aliased = aliasSamp.Aliased(int(5000 * scale))
 	return hosts, aliased
 }
@@ -117,7 +117,7 @@ func Collect(w *world.World, src Source, cfg CollectConfig) *Dataset {
 	}
 	n := int(float64(p.baseCount) * cfg.Scale)
 	ds := NewDataset(src.String())
-	seed := mixSeed(cfg.Seed, uint64(src))
+	seed := ipaddr.Mix64(cfg.Seed, uint64(src))
 
 	hosts := int(float64(n) * p.hostFrac)
 	aliases := int(float64(n) * p.aliasFrac)
@@ -140,7 +140,7 @@ func Collect(w *world.World, src Source, cfg CollectConfig) *Dataset {
 			fromPoolHosts = int(float64(hosts) * p.sharedFrac)
 			fromPoolAliases = int(float64(aliases) * p.sharedFrac)
 			poolHosts, poolAliased := domainPool(w, cfg.Scale)
-			rng := newPoolRand(mixSeed(seed, 4))
+			rng := newPoolRand(ipaddr.Mix64(seed, 4))
 			for i := 0; i < fromPoolHosts && len(poolHosts) > 0; i++ {
 				ds.Addrs.Add(poolHosts[rng.Intn(len(poolHosts))])
 			}
@@ -153,11 +153,11 @@ func Collect(w *world.World, src Source, cfg CollectConfig) *Dataset {
 		// Aliased pollution comes from the full region set, not the class
 		// filter: wildcard DNS and TGA output land in aliased slabs
 		// wherever they are.
-		aliasSamp := w.NewSampler(mixSeed(seed, 2))
+		aliasSamp := w.NewSampler(ipaddr.Mix64(seed, 2))
 		ds.Addrs.AddAll(aliasSamp.Aliased(aliases - fromPoolAliases))
 	}
 
-	noiseSamp := w.NewSampler(mixSeed(seed, 3), p.classes...)
+	noiseSamp := w.NewSampler(ipaddr.Mix64(seed, 3), p.classes...)
 	ds.Addrs.AddAll(noiseSamp.TemplateNoise(noise))
 
 	if p.staleFrac > 0 {
@@ -188,23 +188,8 @@ func CombineAll(bySource map[Source]*Dataset) *Dataset {
 	return all
 }
 
-func mixSeed(vals ...uint64) uint64 {
-	h := uint64(0x2545f4914f6cdd1d)
-	for _, v := range vals {
-		h = smix(h ^ v)
-	}
-	return h
-}
-
 func unitHash(vals ...uint64) float64 {
-	return float64(mixSeed(vals...)>>11) / float64(1<<53)
-}
-
-func smix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return x ^ x>>31
+	return float64(ipaddr.Mix64(vals...)>>11) / float64(1<<53)
 }
 
 // newPoolRand builds the deterministic RNG a toplist uses to draw from the

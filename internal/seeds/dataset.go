@@ -37,7 +37,7 @@ func FromSet(name string, s *ipaddr.Set) *Dataset {
 // Len returns the number of unique addresses.
 func (d *Dataset) Len() int { return d.Addrs.Len() }
 
-// Slice returns the addresses in unspecified order.
+// Slice returns a copy of the addresses in insertion order.
 func (d *Dataset) Slice() []ipaddr.Addr { return d.Addrs.Slice() }
 
 // SortedSlice returns the addresses in canonical ascending order — the
@@ -59,84 +59,17 @@ func (d *Dataset) Clone(name string) *Dataset {
 	return &Dataset{Name: name, Addrs: d.Addrs.Clone()}
 }
 
-// Union returns a new dataset with the addresses of both.
-func (d *Dataset) Union(o *Dataset, name string) *Dataset {
-	return &Dataset{Name: name, Addrs: d.Addrs.Union(o.Addrs)}
-}
-
 // Intersect returns a new dataset with the common addresses.
 func (d *Dataset) Intersect(o *Dataset, name string) *Dataset {
 	return &Dataset{Name: name, Addrs: d.Addrs.Intersect(o.Addrs)}
 }
 
-// Diff returns a new dataset with d's addresses not in o.
-func (d *Dataset) Diff(o *Dataset, name string) *Dataset {
-	return &Dataset{Name: name, Addrs: d.Addrs.Diff(o.Addrs)}
-}
-
-// Filter returns a new dataset keeping only addresses where keep is true.
-func (d *Dataset) Filter(name string, keep func(ipaddr.Addr) bool) *Dataset {
-	return &Dataset{Name: name, Addrs: d.Addrs.Filter(keep)}
-}
-
 // Restrict returns a new dataset with only the addresses also in allowed.
 func (d *Dataset) Restrict(name string, allowed *ipaddr.Set) *Dataset {
-	return d.Filter(name, allowed.Contains)
+	return &Dataset{Name: name, Addrs: d.Addrs.Intersect(allowed)}
 }
 
 // ASCount returns the number of distinct ASes covered.
 func (d *Dataset) ASCount(db *asdb.DB) int {
 	return db.CountASes(d.Addrs.Slice())
-}
-
-// OverlapFraction returns the fraction of d's addresses present in others
-// (the "Overlap" column of Figures 1-2).
-func (d *Dataset) OverlapFraction(others ...*Dataset) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	n := 0
-	d.Addrs.Each(func(a ipaddr.Addr) {
-		for _, o := range others {
-			if o != d && o.Addrs.Contains(a) {
-				n++
-				return
-			}
-		}
-	})
-	return float64(n) / float64(d.Len())
-}
-
-// ASOverlapFraction returns the fraction of d's ASes also seen by any
-// other dataset.
-func (d *Dataset) ASOverlapFraction(db *asdb.DB, others ...*Dataset) float64 {
-	mine := db.ASSet(d.Addrs.Slice())
-	if len(mine) == 0 {
-		return 0
-	}
-	theirs := make(map[int]struct{})
-	for _, o := range others {
-		if o == d {
-			continue
-		}
-		for asn := range db.ASSet(o.Addrs.Slice()) {
-			theirs[asn] = struct{}{}
-		}
-	}
-	n := 0
-	for asn := range mine {
-		if _, ok := theirs[asn]; ok {
-			n++
-		}
-	}
-	return float64(n) / float64(len(mine))
-}
-
-// UnionAll merges datasets into one.
-func UnionAll(name string, ds ...*Dataset) *Dataset {
-	out := NewDataset(name)
-	for _, d := range ds {
-		out.Addrs.AddSet(d.Addrs)
-	}
-	return out
 }

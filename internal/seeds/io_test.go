@@ -19,7 +19,7 @@ func TestDatasetWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != d.Len() || got.Diff(d, "x").Len() != 0 {
+	if got.Len() != d.Len() || got.Addrs.Diff(d.Addrs).Len() != 0 {
 		t.Fatalf("round trip lost addresses: %d vs %d", got.Len(), d.Len())
 	}
 }

@@ -107,10 +107,8 @@ func (g *Generator) Online() bool { return true }
 // the moment memory changes. The DET core still mines in parallel on
 // large pools via BuildTreeAuto.
 func (g *Generator) Init(seedAddrs []ipaddr.Addr) error {
-	pool := ipaddr.NewOASetFrom(seedAddrs)
-	for _, a := range g.Memory.Snapshot() {
-		pool.Add(a)
-	}
+	pool := ipaddr.NewSet(seedAddrs...)
+	pool.AddAll(g.Memory.Snapshot())
 	return g.inner.Init(pool.Slice())
 }
 

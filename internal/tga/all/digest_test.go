@@ -82,7 +82,7 @@ func syntheticOutcome(a ipaddr.Addr) tga.ProbeResult {
 // generators hear back about every candidate that is not a seed, as they
 // would from a driver run with ExcludeSeeds.
 func candidateStream(g tga.Generator, seeds []ipaddr.Addr) []ipaddr.Addr {
-	seedSet := ipaddr.NewOASetFrom(seeds)
+	seedSet := ipaddr.NewSet(seeds...)
 	var stream []ipaddr.Addr
 	for round := 0; round < 40; round++ {
 		batch := g.NextBatch(1024)

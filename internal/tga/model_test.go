@@ -2,7 +2,6 @@ package tga
 
 import (
 	"math/rand"
-	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -14,15 +13,13 @@ import (
 func synthSeeds(t testing.TB, n int) []ipaddr.Addr {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
-	set := ipaddr.NewOASet(n)
+	set := ipaddr.NewSetCap(n)
 	prefixes := []string{"2001:db8::", "2001:db9::", "2a01:4f8::", "2400:cb00::"}
 	for set.Len() < n {
 		base := ipaddr.MustParse(prefixes[rng.Intn(len(prefixes))])
 		set.Add(base.AddLo(uint64(rng.Intn(1 << 14))))
 	}
-	seeds := append([]ipaddr.Addr(nil), set.Slice()...)
-	sort.Slice(seeds, func(i, j int) bool { return seeds[i].Less(seeds[j]) })
-	return seeds
+	return set.Sorted()
 }
 
 func treesEqual(t *testing.T, a, b *TreeNode) {

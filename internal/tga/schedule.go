@@ -19,7 +19,7 @@ type Expander struct {
 	chunk    []int
 	produced []int
 	gens     []LeafGen
-	emitted  *ipaddr.OASet
+	emitted  *ipaddr.Set
 }
 
 // NewExpander returns an expander with room for the given number of
@@ -30,7 +30,7 @@ func NewExpander(regions, capHint int) *Expander {
 		chunk:    make([]int, 0, regions),
 		produced: make([]int, 0, regions),
 		gens:     make([]LeafGen, 0, regions),
-		emitted:  ipaddr.NewOASet(capHint),
+		emitted:  ipaddr.NewSetCap(capHint),
 	}
 }
 
@@ -106,7 +106,7 @@ func GeometricShares[T any](ranked []T, budget int, take func(x T, k int) int) {
 type LeafSearch struct {
 	leaves  []*TreeNode
 	pending map[ipaddr.Addr]*TreeNode
-	emitted *ipaddr.OASet
+	emitted *ipaddr.Set
 	took    func(l *TreeNode, got int)
 	out     []ipaddr.Addr // the batch under construction
 }
@@ -118,7 +118,7 @@ func NewLeafSearch(leaves []*TreeNode, capHint int, took func(l *TreeNode, got i
 	return &LeafSearch{
 		leaves:  leaves,
 		pending: make(map[ipaddr.Addr]*TreeNode),
-		emitted: ipaddr.NewOASet(capHint),
+		emitted: ipaddr.NewSetCap(capHint),
 		took:    took,
 	}
 }
@@ -193,10 +193,8 @@ func (s *LeafSearch) Resolve(results []ProbeResult, report func(l *TreeNode, r P
 // now on. Candidates still awaiting results are forgotten with the leaves
 // that proposed them; what was emitted stays emitted.
 func (s *LeafSearch) Rebuild(seeds, hits []ipaddr.Addr, minLeaf int, h SplitHeuristic) {
-	pool := ipaddr.NewOASetFrom(seeds)
-	for _, a := range hits {
-		pool.Add(a)
-	}
+	pool := ipaddr.NewSet(seeds...)
+	pool.AddAll(hits)
 	s.leaves = BuildTreeAuto(pool.Slice(), minLeaf, h).Leaves()
 	s.pending = make(map[ipaddr.Addr]*TreeNode)
 }

@@ -79,7 +79,7 @@ type Generator struct {
 
 	model    *Model
 	frontier candHeap
-	emitted  map[ipaddr.Addr]struct{}
+	emitted  *ipaddr.Set
 	tick     uint64
 
 	// Derived once per InitFromModel so the hot path never calls math.Log:
@@ -205,7 +205,7 @@ func (g *Generator) InitFromModel(m tga.Model, _ []ipaddr.Addr) error {
 		return fmt.Errorf("sixprob: model type %T", m)
 	}
 	g.model = mm
-	g.emitted = make(map[ipaddr.Addr]struct{})
+	g.emitted = ipaddr.NewSet()
 	g.frontier = candHeap{}
 	g.tick = 0
 	g.hasFloor = false
@@ -256,11 +256,9 @@ func (g *Generator) NextBatch(nwant int) []ipaddr.Addr {
 			if c.muts == 0 {
 				continue
 			}
-			if _, dup := g.emitted[c.addr]; dup {
-				continue
+			if g.emitted.Add(c.addr) {
+				out = append(out, c.addr)
 			}
-			g.emitted[c.addr] = struct{}{}
-			out = append(out, c.addr)
 			continue
 		}
 		g.expand(c)

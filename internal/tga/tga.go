@@ -185,9 +185,9 @@ func RunContext(ctx context.Context, g Generator, seeds []ipaddr.Addr, cfg RunCo
 		return nil, fmt.Errorf("tga: init %s: %w", g.Name(), err)
 	}
 	if cfg.ExcludeSeeds {
-		d.seedSet = ipaddr.NewOASetFrom(seeds)
+		d.seedSet = ipaddr.NewSet(seeds...)
 	}
-	d.generated = ipaddr.NewOASet(cfg.Budget)
+	d.generated = ipaddr.NewSetCap(cfg.Budget)
 
 	var err error
 	if pipelined {
@@ -198,7 +198,7 @@ func RunContext(ctx context.Context, g Generator, seeds []ipaddr.Addr, cfg RunCo
 	}
 	d.res.Generated = d.generated.Len()
 	if d.cfg.CollectCandidates {
-		d.res.Candidates = append([]ipaddr.Addr(nil), d.generated.Slice()...)
+		d.res.Candidates = d.generated.Slice()
 	}
 	d.endRun(err)
 	if err != nil {
@@ -219,8 +219,8 @@ type driver struct {
 	runSpan *telemetry.Span
 	res     *RunResult
 
-	seedSet   *ipaddr.OASet // nil unless ExcludeSeeds
-	generated *ipaddr.OASet
+	seedSet   *ipaddr.Set // nil unless ExcludeSeeds
+	generated *ipaddr.Set
 	idle      int
 	batchIdx  int
 }
@@ -307,12 +307,7 @@ func (d *driver) produce(parent *telemetry.Span) (fresh []ipaddr.Addr, cont bool
 func (d *driver) consume(ctx context.Context, batchSpan *telemetry.Span, fresh []ipaddr.Addr) (hits, aliased int, err error) {
 	scanSpan := batchSpan.Child("scan", nil)
 	results, err := scanner.AsContextProber(d.cfg.Prober).ScanContext(ctx, fresh, d.cfg.Proto)
-	var active []ipaddr.Addr
-	for _, r := range results {
-		if r.Active() {
-			active = append(active, r.Addr)
-		}
-	}
+	active := scanner.ActiveAddrs(results)
 	scanSpan.EndWith(telemetry.Attrs{"targets": len(fresh), "active": len(active)})
 	if err != nil {
 		return 0, 0, err
@@ -331,7 +326,7 @@ func (d *driver) consume(ctx context.Context, batchSpan *telemetry.Span, fresh [
 
 	if d.g.Online() {
 		fbSpan := batchSpan.Child("feedback", nil)
-		aliasSet := ipaddr.NewOASetFrom(aliasedAddrs)
+		aliasSet := ipaddr.NewSet(aliasedAddrs...)
 		fb := make([]ProbeResult, len(results))
 		for i, r := range results {
 			fb[i] = ProbeResult{

@@ -112,7 +112,7 @@ type asHeader struct {
 
 // asRNG returns the deterministic per-AS generator RNG for slot i.
 func (w *World) asRNG(i int) *rand.Rand {
-	return rand.New(rand.NewSource(int64(mix64(w.seed, tagASSeed, uint64(i)))))
+	return rand.New(rand.NewSource(int64(ipaddr.Mix64(w.seed, tagASSeed, uint64(i)))))
 }
 
 // headerOf derives slot i's header, reusing a materialized group's copy

@@ -49,11 +49,11 @@ func TestEpochZeroOneUnchanged(t *testing.T) {
 		if !ok || r.Aliased || !r.Template.Matches(a) {
 			continue
 		}
-		u := unit(mix64(w.seed, tagExists, a.Hi(), a.Lo()))
+		u := unit(ipaddr.Mix64(w.seed, tagExists, a.Hi(), a.Lo()))
 		legacy0 := u < r.Density
 		var legacy1 bool
 		if legacy0 {
-			legacy1 = unit(mix64(w.seed, tagChurn, a.Hi(), a.Lo())) >= r.Churn
+			legacy1 = unit(ipaddr.Mix64(w.seed, tagChurn, a.Hi(), a.Lo())) >= r.Churn
 		} else {
 			legacy1 = u < r.Density*(1+r.Birth)
 		}
@@ -160,7 +160,7 @@ func TestEpochCohortsAndChurn(t *testing.T) {
 			if !alive[e][i] && alive[e+1][i] && alive[e-1][i] {
 				// Alive on both sides of a one-epoch gap: that can only be a
 				// flap, and the flap hash must say so.
-				flapped := unit(mix64(w.seed, tagFlap, a.Hi(), a.Lo(), uint64(e))) < r.Churn*flapFraction
+				flapped := unit(ipaddr.Mix64(w.seed, tagFlap, a.Hi(), a.Lo(), uint64(e))) < r.Churn*flapFraction
 				if !flapped {
 					t.Fatalf("%v down at epoch %d without a flap roll", a, e)
 				}
@@ -187,7 +187,7 @@ func TestFlapDowntimeIsTransient(t *testing.T) {
 		if !ok || r.Aliased || !r.Template.Matches(a) || r.Churn <= 0 {
 			continue
 		}
-		u := unit(mix64(w.seed, tagExists, a.Hi(), a.Lo()))
+		u := unit(ipaddr.Mix64(w.seed, tagExists, a.Hi(), a.Lo()))
 		if u >= r.Density {
 			continue // only cohort 0 here
 		}
@@ -199,7 +199,7 @@ func TestFlapDowntimeIsTransient(t *testing.T) {
 		}
 		checked++
 		for e := 2; e <= maxEpoch; e++ {
-			flapped := unit(mix64(w.seed, tagFlap, a.Hi(), a.Lo(), uint64(e))) < r.Churn*flapFraction
+			flapped := unit(ipaddr.Mix64(w.seed, tagFlap, a.Hi(), a.Lo(), uint64(e))) < r.Churn*flapFraction
 			if got := w.ExistsAt(a, e); got != !flapped {
 				t.Fatalf("epoch %d: %v exists=%v, flap=%v", e, a, got, flapped)
 			}

@@ -24,24 +24,6 @@ const (
 	tagASSeed
 )
 
-// splitmix64 is the finalizer from Vigna's SplitMix64 generator; it is a
-// strong 64-bit mixer.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return x ^ x>>31
-}
-
-// mix64 folds any number of 64-bit values into one well-mixed value.
-func mix64(vals ...uint64) uint64 {
-	h := uint64(0x2545f4914f6cdd1d)
-	for _, v := range vals {
-		h = splitmix64(h ^ v)
-	}
-	return h
-}
-
 // unit maps a hash to [0, 1).
 func unit(h uint64) float64 {
 	return float64(h>>11) / float64(1<<53)

@@ -73,11 +73,11 @@ func (w *World) handleInto(pkt []byte, rb *probe.ReplyBuf, i int) bool {
 // delivered applies transit loss and the region's response rate. The vary
 // value must change across retries (the scanner varies its cookie field).
 func (w *World) delivered(r *Region, dst ipaddr.Addr, pr proto.Protocol, vary uint64) bool {
-	if unit(mix64(w.seed, tagLoss, dst.Hi(), dst.Lo(), uint64(pr), vary)) < w.lossRate {
+	if unit(ipaddr.Mix64(w.seed, tagLoss, dst.Hi(), dst.Lo(), uint64(pr), vary)) < w.lossRate {
 		return false
 	}
 	if r.RespRate < 1 &&
-		unit(mix64(w.seed, tagRate, dst.Hi(), dst.Lo(), uint64(pr), vary)) >= r.RespRate {
+		unit(ipaddr.Mix64(w.seed, tagRate, dst.Hi(), dst.Lo(), uint64(pr), vary)) >= r.RespRate {
 		return false
 	}
 	return true
@@ -92,7 +92,7 @@ func (w *World) answerEcho(p probe.Packet, r *Region, dst ipaddr.Addr, epoch int
 		return true
 	}
 	if !w.existsAt(dst, r, epoch) &&
-		unit(mix64(w.seed, tagUnreach, dst.Hi(), dst.Lo())) < r.SendsUnreach {
+		unit(ipaddr.Mix64(w.seed, tagUnreach, dst.Hi(), dst.Lo())) < r.SendsUnreach {
 		rb.PutUnreachable(i, r.RouterAddr(), p.Header.Src, probe.UnreachAddr, raw)
 		return true
 	}
@@ -109,7 +109,7 @@ func (w *World) answerSyn(p probe.Packet, r *Region, dst ipaddr.Addr, epoch int,
 	default:
 		// Port outside the study: a live host may RST, otherwise silence.
 		if w.existsAt(dst, r, epoch) &&
-			unit(mix64(w.seed, tagRST, dst.Hi(), dst.Lo(), uint64(p.DstPort))) < r.SendsRST {
+			unit(ipaddr.Mix64(w.seed, tagRST, dst.Hi(), dst.Lo(), uint64(p.DstPort))) < r.SendsRST {
 			rb.PutTCPRst(i, dst, p.Header.Src, p.DstPort, p.SrcPort, 0, p.TCPSeq+1)
 			return true
 		}
@@ -119,19 +119,19 @@ func (w *World) answerSyn(p probe.Packet, r *Region, dst ipaddr.Addr, epoch int,
 		return false
 	}
 	if w.activeOn(dst, r, pr, epoch) {
-		seq := uint32(mix64(w.seed, tagTCPSeq, dst.Hi(), dst.Lo(), uint64(p.TCPSeq)))
+		seq := uint32(ipaddr.Mix64(w.seed, tagTCPSeq, dst.Hi(), dst.Lo(), uint64(p.TCPSeq)))
 		rb.PutTCPSynAck(i, dst, p.Header.Src, p.DstPort, p.SrcPort, seq, p.TCPSeq+1)
 		return true
 	}
 	if w.existsAt(dst, r, epoch) {
 		// Live host, closed port: RST per the region's firewalling habits.
-		if unit(mix64(w.seed, tagRST, dst.Hi(), dst.Lo(), uint64(p.DstPort))) < r.SendsRST {
+		if unit(ipaddr.Mix64(w.seed, tagRST, dst.Hi(), dst.Lo(), uint64(p.DstPort))) < r.SendsRST {
 			rb.PutTCPRst(i, dst, p.Header.Src, p.DstPort, p.SrcPort, 0, p.TCPSeq+1)
 			return true
 		}
 		return false
 	}
-	if unit(mix64(w.seed, tagUnreach, dst.Hi(), dst.Lo())) < r.SendsUnreach {
+	if unit(ipaddr.Mix64(w.seed, tagUnreach, dst.Hi(), dst.Lo())) < r.SendsUnreach {
 		rb.PutUnreachable(i, r.RouterAddr(), p.Header.Src, probe.UnreachAddr, raw)
 		return true
 	}
@@ -150,7 +150,7 @@ func (w *World) answerDNS(p probe.Packet, r *Region, dst ipaddr.Addr, epoch int,
 		return true
 	}
 	if w.existsAt(dst, r, epoch) &&
-		unit(mix64(w.seed, tagUnreach, dst.Hi(), dst.Lo(), uint64(p.DstPort))) < r.SendsUnreach {
+		unit(ipaddr.Mix64(w.seed, tagUnreach, dst.Hi(), dst.Lo(), uint64(p.DstPort))) < r.SendsUnreach {
 		// Live host without a resolver: ICMP port unreachable from the host.
 		rb.PutUnreachable(i, dst, p.Header.Src, probe.UnreachPort, raw)
 		return true

@@ -77,53 +77,34 @@ func (s *Sampler) pickRegion() *Region {
 // Hosts samples n distinct addresses that exist at the collection epoch.
 // It may return fewer if the eligible space is too sparse.
 func (s *Sampler) Hosts(n int) []ipaddr.Addr {
-	out := make([]ipaddr.Addr, 0, n)
-	seen := make(map[ipaddr.Addr]struct{}, n)
-	misses := 0
-	for len(out) < n && misses < n*maxRejects {
-		r := s.pickRegion()
-		if r == nil {
-			break
-		}
-		a := r.Template.Random(s.rng)
-		if !s.w.existsAt(a, r, CollectEpoch) {
-			misses++
-			continue
-		}
-		if _, dup := seen[a]; dup {
-			misses++
-			continue
-		}
-		seen[a] = struct{}{}
-		out = append(out, a)
-	}
-	return out
+	return s.distinct(n, func(a ipaddr.Addr, r *Region) bool {
+		return s.w.existsAt(a, r, CollectEpoch)
+	})
 }
 
 // ActiveHosts samples n distinct addresses active on p at the collection
 // epoch.
 func (s *Sampler) ActiveHosts(n int, p proto.Protocol) []ipaddr.Addr {
-	out := make([]ipaddr.Addr, 0, n)
-	seen := make(map[ipaddr.Addr]struct{}, n)
+	return s.distinct(n, func(a ipaddr.Addr, r *Region) bool {
+		return s.w.activeOn(a, r, p, CollectEpoch)
+	})
+}
+
+// distinct draws in-template addresses until n distinct ones pass ok,
+// giving up after n*maxRejects failed or repeated draws.
+func (s *Sampler) distinct(n int, ok func(ipaddr.Addr, *Region) bool) []ipaddr.Addr {
+	out := ipaddr.NewSetCap(n)
 	misses := 0
-	for len(out) < n && misses < n*maxRejects {
+	for out.Len() < n && misses < n*maxRejects {
 		r := s.pickRegion()
 		if r == nil {
 			break
 		}
-		a := r.Template.Random(s.rng)
-		if !s.w.activeOn(a, r, p, CollectEpoch) {
+		if a := r.Template.Random(s.rng); !ok(a, r) || !out.Add(a) {
 			misses++
-			continue
 		}
-		if _, dup := seen[a]; dup {
-			misses++
-			continue
-		}
-		seen[a] = struct{}{}
-		out = append(out, a)
 	}
-	return out
+	return out.Slice()
 }
 
 // TemplateNoise samples n in-template addresses with no existence check —

@@ -204,7 +204,7 @@ func (w *World) existsAt(a ipaddr.Addr, r *Region, epoch int) bool {
 	if !r.Template.Matches(a) {
 		return false
 	}
-	u := unit(mix64(w.seed, tagExists, a.Hi(), a.Lo()))
+	u := unit(ipaddr.Mix64(w.seed, tagExists, a.Hi(), a.Lo()))
 	if epoch <= CollectEpoch {
 		return u < r.Density
 	}
@@ -224,7 +224,7 @@ func (w *World) existsAt(a ipaddr.Addr, r *Region, epoch int) bool {
 		return false
 	}
 	if epoch >= 2 && r.Churn > 0 &&
-		unit(mix64(w.seed, tagFlap, a.Hi(), a.Lo(), uint64(epoch))) < r.Churn*flapFraction {
+		unit(ipaddr.Mix64(w.seed, tagFlap, a.Hi(), a.Lo(), uint64(epoch))) < r.Churn*flapFraction {
 		return false
 	}
 	return true
@@ -235,7 +235,7 @@ func (w *World) existsAt(a ipaddr.Addr, r *Region, epoch int) bool {
 // churn hash, so the first transition stays byte-identical to the
 // two-epoch experiments.
 func (w *World) churnHash(a ipaddr.Addr) uint64 {
-	return mix64(w.seed, tagChurn, a.Hi(), a.Lo())
+	return ipaddr.Mix64(w.seed, tagChurn, a.Hi(), a.Lo())
 }
 
 // ExistsAt reports whether a is an existing host at the given epoch.
@@ -264,7 +264,7 @@ func (w *World) activeOn(a ipaddr.Addr, r *Region, p proto.Protocol, epoch int) 
 	if !w.existsAt(a, r, epoch) {
 		return false
 	}
-	return unit(mix64(w.seed, tagProto, a.Hi(), a.Lo(), uint64(p))) < r.Resp[p]
+	return unit(ipaddr.Mix64(w.seed, tagProto, a.Hi(), a.Lo(), uint64(p))) < r.Resp[p]
 }
 
 // ActiveOnAny reports whether a answers on at least one studied protocol.
@@ -280,7 +280,7 @@ func (w *World) ActiveOnAny(a ipaddr.Addr, epoch int) bool {
 		return false
 	}
 	for _, p := range proto.All {
-		if unit(mix64(w.seed, tagProto, a.Hi(), a.Lo(), uint64(p))) < r.Resp[p] {
+		if unit(ipaddr.Mix64(w.seed, tagProto, a.Hi(), a.Lo(), uint64(p))) < r.Resp[p] {
 			return true
 		}
 	}
