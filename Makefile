@@ -1,14 +1,18 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-compare cover smoke experiments golden-check clean
+.PHONY: all build vet fmt-check test race bench bench-compare cover smoke experiments golden-check clean
 
-all: vet build test
+all: vet fmt-check build test
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Fails, listing them, if any Go file is not gofmt-formatted.
+fmt-check:
+	@out=$$(gofmt -l .) && if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

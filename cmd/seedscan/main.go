@@ -10,9 +10,11 @@
 //	run       run one TGA end-to-end (generate, scan, dealias, measure)
 //	scan      scan a dataset's addresses on one protocol
 //	dealias   split a dataset into clean and aliased addresses
+//	hitlist   run the full hitlist-service pipeline and publish artifacts
 //	build-db  build a hitlist and publish it into a hitlistdb store
 //	serve     answer hitlist queries over HTTP from a hitlistdb store
 //	daemon    run the longitudinal epoch-driven scanning service
+//	resolve   simulate a ZDNS AAAA-resolution campaign over synthetic domains
 //	worker    serve shards to a cluster coordinator over TCP
 //
 // scan can also coordinate a sharded cluster scan: -cluster-workers N

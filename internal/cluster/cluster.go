@@ -1,15 +1,16 @@
 // Package cluster distributes one scan across many workers while keeping
 // the outcome indistinguishable from a single-scanner run.
 //
-// A Coordinator hash-partitions the scan's canonical target order (the
-// deduplicated, secret-shuffled order scanner.PlanOrder computes) into
-// shards, leases shards to workers, and merges the per-shard results and
-// stats back into one scanner.Result slice and one Stats snapshot that are
-// byte-identical to probing everything through one scanner. Identity holds
-// because per-target classification is a pure function of (target, secret,
-// world replies): neither which worker probes an address nor in what order
-// changes its outcome, so shard membership and scheduling are free
-// variables the coordinator exploits for parallelism and fault tolerance.
+// A Coordinator plans the scan once — the deduplicated, secret-shuffled
+// canonical order scanner.PlanOrder computes — cuts that order into
+// consecutive ShardSize-wide windows, leases the windows to workers, and
+// writes each shard's results and stats back by position into one
+// scanner.Result slice and one Stats snapshot that are byte-identical to
+// probing everything through one scanner. Identity holds because
+// per-target classification is a pure function of (target, secret, world
+// replies): neither which worker probes an address nor when changes its
+// outcome, so scheduling is a free variable the coordinator exploits for
+// parallelism and fault tolerance.
 //
 // Workers come in two flavours behind the same Worker interface:
 // LocalWorker runs a scanner in-process (deterministic tests,
@@ -48,15 +49,17 @@ type Job struct {
 	HeartbeatEvery time.Duration
 }
 
-// Shard is one leased unit of work: a subset of the canonical target list.
+// Shard is one leased unit of work: a window of the canonical target
+// order, to be probed exactly as given (scanner.ScanPlanned).
 type Shard struct {
 	ID      int
 	Targets []ipaddr.Addr
 }
 
-// ShardResult is a completed shard: one scanner result per shard target
-// (in whatever order the worker probed them — the coordinator re-keys by
-// address) plus the stats delta this shard alone contributed.
+// ShardResult is a completed shard: one scanner result per shard target,
+// in shard-target order (Results[j].Addr == Shard.Targets[j] — the
+// coordinator verifies the echo and merges by position), plus the stats
+// delta this shard alone contributed.
 type ShardResult struct {
 	Shard   int
 	Results []scanner.Result
@@ -68,7 +71,8 @@ type ShardResult struct {
 	WallSeconds float64
 }
 
-// Worker executes shard scans for a coordinator. Implementations must call
+// Worker executes shard scans for a coordinator. Implementations return
+// one result per shard target, in shard-target order, and must call
 // beat (with the number of targets finished so far) at least once per
 // Job.HeartbeatEvery while making progress, or the coordinator will expire
 // the lease and reassign the shard. RunShard must honour ctx cancellation:
@@ -76,43 +80,4 @@ type ShardResult struct {
 type Worker interface {
 	ID() string
 	RunShard(ctx context.Context, job Job, shard Shard, beat func(done int)) (*ShardResult, error)
-}
-
-// Partition hash-partitions targets into shards of roughly shardSize
-// addresses. The shard an address lands in is a pure function of the
-// address and the shard count — independent of the order targets arrive
-// in — so any two runs over the same target set produce the same shards.
-func Partition(targets []ipaddr.Addr, shardSize int) []Shard {
-	if shardSize < 1 {
-		shardSize = 1
-	}
-	n := (len(targets) + shardSize - 1) / shardSize
-	if n == 0 {
-		return nil
-	}
-	shards := make([]Shard, n)
-	for i := range shards {
-		shards[i].ID = i
-		shards[i].Targets = make([]ipaddr.Addr, 0, shardSize+shardSize/4)
-	}
-	for _, a := range targets {
-		i := int(mix64(a.Hi(), a.Lo()) % uint64(n))
-		shards[i].Targets = append(shards[i].Targets, a)
-	}
-	return shards
-}
-
-// mix64 finalizes each value with splitmix64 and folds the results with
-// xor-multiply. It is not ipaddr.Mix64 (which chains the finalizer through
-// the running hash), and shard assignment is pinned to it.
-func mix64(vals ...uint64) uint64 {
-	h := uint64(0x2545f4914f6cdd1d)
-	for _, v := range vals {
-		v += 0x9e3779b97f4a7c15
-		v = (v ^ v>>30) * 0xbf58476d1ce4e5b9
-		v = (v ^ v>>27) * 0x94d049bb133111eb
-		h ^= v ^ v>>31
-		h *= 0x9e3779b97f4a7c15
-	}
-	return h
 }

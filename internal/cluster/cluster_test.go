@@ -3,7 +3,10 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +16,7 @@ import (
 	"seedscan/internal/proto"
 	"seedscan/internal/scanner"
 	"seedscan/internal/telemetry"
+	"seedscan/internal/wire"
 	"seedscan/internal/world"
 )
 
@@ -40,50 +44,163 @@ func clusterWorld(t testing.TB) *world.World {
 }
 
 // baseline runs the reference single scanner the cluster must match.
-func baseline(w *world.World, targets []ipaddr.Addr, p proto.Protocol) ([]scanner.Result, [7]int64) {
-	s := scanner.New(w.Link(), scanner.WithSecret(testSecret))
+func baseline(link wire.Link, targets []ipaddr.Addr, p proto.Protocol, opts ...scanner.Option) ([]scanner.Result, [7]int64) {
+	s := scanner.New(link, append(slices.Clone(opts), scanner.WithSecret(testSecret))...)
 	res := s.Scan(targets, p)
 	return res, s.Stats().Values()
 }
 
-func assertIdentical(t *testing.T, p proto.Protocol, got *RunResult, wantRes []scanner.Result, wantStats [7]int64) {
+// localWorker is an in-process worker replicating baseline's scanner.
+func localWorker(w *world.World, id string) *LocalWorker {
+	return NewLocalWorker(id, scanner.New(w.Link(), scanner.WithSecret(testSecret)))
+}
+
+func assertIdentical(t *testing.T, label any, got *RunResult, wantRes []scanner.Result, wantStats [7]int64) {
 	t.Helper()
 	if len(got.Results) != len(wantRes) {
-		t.Fatalf("%v: cluster returned %d results, single scanner %d", p, len(got.Results), len(wantRes))
+		t.Fatalf("%v: cluster returned %d results, single scanner %d", label, len(got.Results), len(wantRes))
 	}
 	for i := range wantRes {
 		if got.Results[i] != wantRes[i] {
-			t.Fatalf("%v: result %d diverges: cluster %+v, single %+v", p, i, got.Results[i], wantRes[i])
+			t.Fatalf("%v: result %d diverges: cluster %+v, single %+v", label, i, got.Results[i], wantRes[i])
 		}
 	}
 	if gotStats := got.Stats.Values(); gotStats != wantStats {
-		t.Fatalf("%v: cluster stats %v != single-scanner stats %v", p, gotStats, wantStats)
+		t.Fatalf("%v: cluster stats %v != single-scanner stats %v", label, gotStats, wantStats)
 	}
 }
 
-// TestClusterMatchesSingleScanner is the core identity property: a
-// 3-worker cluster merge is byte-identical — results, order, attempts,
-// stats — to one scanner scanning everything.
+// identityInput is testTargets (duplicates included) plus a /48 the
+// returned blocklist covers, so every result status occurs.
+func identityInput(t testing.TB, w *world.World) ([]ipaddr.Addr, *ipaddr.Trie) {
+	t.Helper()
+	blocked := ipaddr.MustParsePrefix("2001:db8:b10c::/48")
+	targets := testTargets(t, w)
+	for i := 0; i < 40; i++ {
+		targets = append(targets, blocked.Addr().AddLo(uint64(i)))
+	}
+	trie := ipaddr.NewTrie()
+	trie.Insert(blocked, true)
+	return targets, trie
+}
+
+// testChain is the benchmark's scan_sharded chain, a tap outside seeded
+// loss and duplication — or, when not chained, no chain and an idle tap.
+func testChain(chained bool) (*wire.Tap, []wire.Middleware) {
+	tap := wire.NewTap(nil)
+	if !chained {
+		return tap, nil
+	}
+	return tap, []wire.Middleware{tap, wire.NewFaults(wire.FaultsConfig{Seed: 11, Loss: .05, Dupe: .01})}
+}
+
+// TestClusterMatchesSingleScanner is the core identity property, as one
+// table: over every protocol, a bare and a faulty tapped link, any worker
+// count, any shard size, TCP workers and a worker dying mid-run, the
+// merged Results (element-wise, in order) and Stats equal the single
+// scanner's, every target is accounted for under exactly one status, and
+// the tap saw exactly the packets the stats claim.
 func TestClusterMatchesSingleScanner(t *testing.T) {
 	w := clusterWorld(t)
-	targets := testTargets(t, w)
-	for _, p := range proto.All {
-		wantRes, wantStats := baseline(w, targets, p)
-		pool := NewLocalPool(3, w.Link(), Config{Secret: testSecret, ShardSize: 128})
-		got, err := pool.Run(context.Background(), targets, p)
-		if err != nil {
-			t.Fatalf("%v: cluster run: %v", p, err)
-		}
-		if got.Shards < 5 {
-			t.Fatalf("%v: expected a real shard fan-out, got %d shards", p, got.Shards)
-		}
-		assertIdentical(t, p, got, wantRes, wantStats)
+	targets, blocklist := identityInput(t, w)
+	opts := []scanner.Option{scanner.WithBlocklist(blocklist)}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	type row struct {
+		name string
+		run  func(p proto.Protocol, chain []wire.Middleware) (*RunResult, error)
+		// wasted: failed leases put probes on the wire that no recorded
+		// shard's stats count.
+		wasted bool
 	}
+	var rows []row
+	for _, workers := range []int{1, 3, 8} {
+		for _, size := range []int{1, 7, 2048, len(targets) + 1} {
+			rows = append(rows, row{fmt.Sprintf("local%d/shard%d", workers, size),
+				func(p proto.Protocol, chain []wire.Middleware) (*RunResult, error) {
+					pool := NewLocalPool(workers, w.Link(), Config{Secret: testSecret, ShardSize: size, Chain: chain}, opts...)
+					return pool.Run(ctx, targets, p)
+				}, false})
+		}
+	}
+	rows = append(rows, row{"tcp2/shard200", func(p proto.Protocol, chain []wire.Middleware) (*RunResult, error) {
+		link := wire.Chain(w.Link(), chain...)
+		var workers []Worker
+		for i := 0; i < 2; i++ {
+			rw, err := DialWorker(startWorker(t, ctx, link, "tw"+strconv.Itoa(i), opts...))
+			if err != nil {
+				return nil, err
+			}
+			defer rw.Close()
+			workers = append(workers, rw)
+		}
+		return NewCoordinator(Config{Secret: testSecret, ShardSize: 200}).Run(ctx, workers, targets, p)
+	}, false})
+	rows = append(rows, row{"local3/shard128/kill", func(p proto.Protocol, chain []wire.Middleware) (*RunResult, error) {
+		pool := NewLocalPool(3, w.Link(), Config{Secret: testSecret, ShardSize: 128, Chain: chain, WorkerFailureLimit: 2}, opts...)
+		crashMidShard(pool.workers[1].(*LocalWorker))
+		got, err := pool.Run(ctx, targets, p)
+		if err == nil && got.Reassigned == 0 {
+			err = errors.New("crashed worker's shards were never reassigned")
+		}
+		return got, err
+	}, true})
+
+	for _, p := range proto.All {
+		for _, chained := range []bool{false, true} {
+			_, chain := testChain(chained)
+			wantRes, wantStats := baseline(wire.Chain(w.Link(), chain...), targets, p, opts...)
+			for _, r := range rows {
+				name := fmt.Sprintf("%v/chained=%v/%s", p, chained, r.name)
+				tap, chain := testChain(chained)
+				got, err := r.run(p, chain)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				assertIdentical(t, name, got, wantRes, wantStats)
+				// Conservation: one status per target, one tap sighting per packet.
+				var byStatus [scanner.StatusBlocked + 1]int64
+				for _, res := range got.Results {
+					byStatus[res.Status]++
+				}
+				st := got.Stats
+				if byStatus[scanner.StatusActive] != st.Hits.Load() || byStatus[scanner.StatusRST] != st.RSTs.Load() ||
+					byStatus[scanner.StatusUnreachable] != st.Unreachables.Load() || byStatus[scanner.StatusBlocked] != st.Blocked.Load() {
+					t.Fatalf("%s: results by status %v disagree with stats %v", name, byStatus, st.Values())
+				}
+				if byStatus[scanner.StatusBlocked] != 40 {
+					t.Fatalf("%s: %d blocked results, want the 40 blocklisted targets", name, byStatus[scanner.StatusBlocked])
+				}
+				if sent := st.PacketsSent.Load(); chained && (tap.Probes() < sent || tap.Probes() > sent && !r.wasted) {
+					t.Fatalf("%s: tap saw %d probes, stats claim %d sent", name, tap.Probes(), sent)
+				}
+			}
+		}
+	}
+}
+
+// crashMidShard makes a local worker die after its first heartbeat batch
+// of every shard it is ever leased, until the coordinator retires it. Its
+// batch is shrunk below the shard size so the crash lands mid-shard, with
+// real probes already sent for the doomed lease. It returns the kill count.
+func crashMidShard(w *LocalWorker) *atomic.Int64 {
+	kills := new(atomic.Int64)
+	w.batch = 64
+	w.failHook = func(done int) error {
+		if done > 0 {
+			kills.Add(1)
+			return errors.New("simulated worker crash")
+		}
+		return nil
+	}
+	return kills
 }
 
 // TestPoolScanDoesNotMutateCallerSlice pins the scanner.Prober rule for
 // the pool: consumers pass shared target lists (with duplicates) uncopied,
-// so dedup, shuffle and partitioning must all work on the pool's own copy.
+// so dedup and shuffle must work on the pool's own copy, which its shards
+// are windows of.
 func TestPoolScanDoesNotMutateCallerSlice(t *testing.T) {
 	w := clusterWorld(t)
 	targets := testTargets(t, w)
@@ -104,7 +221,7 @@ func TestKillWorkerMidShard(t *testing.T) {
 	w := clusterWorld(t)
 	targets := testTargets(t, w)
 	p := proto.TCP443
-	wantRes, wantStats := baseline(w, targets, p)
+	wantRes, wantStats := baseline(w.Link(), targets, p)
 
 	pool := NewLocalPool(3, w.Link(), Config{
 		Secret:             testSecret,
@@ -112,20 +229,7 @@ func TestKillWorkerMidShard(t *testing.T) {
 		LeaseTimeout:       2 * time.Second,
 		WorkerFailureLimit: 2,
 	})
-	// Worker 1 dies after its first heartbeat batch of every shard it is
-	// ever leased, until the coordinator retires it. Its batch is shrunk
-	// below the shard size so the crash lands mid-shard, with real probes
-	// already sent for the doomed lease.
-	var kills atomic.Int64
-	crasher := pool.workers[1].(*LocalWorker)
-	crasher.batch = 64
-	crasher.failHook = func(done int) error {
-		if done > 0 {
-			kills.Add(1)
-			return errors.New("simulated worker crash")
-		}
-		return nil
-	}
+	kills := crashMidShard(pool.workers[1].(*LocalWorker))
 
 	got, err := pool.Run(context.Background(), targets, p)
 	if err != nil {
@@ -165,12 +269,9 @@ func TestHungWorkerLeaseExpires(t *testing.T) {
 	w := clusterWorld(t)
 	targets := testTargets(t, w)
 	p := proto.ICMP
-	wantRes, wantStats := baseline(w, targets, p)
+	wantRes, wantStats := baseline(w.Link(), targets, p)
 
-	mk := func(id string) *LocalWorker {
-		return NewLocalWorker(id, scanner.New(w.Link(), scanner.WithSecret(testSecret)))
-	}
-	workers := []Worker{mk("w0"), &hangWorker{inner: mk("w1")}, mk("w2")}
+	workers := []Worker{localWorker(w, "w0"), &hangWorker{inner: localWorker(w, "w1")}, localWorker(w, "w2")}
 	coord := NewCoordinator(Config{
 		Secret:       testSecret,
 		ShardSize:    128,
@@ -218,7 +319,7 @@ func TestMaxInflightBoundsLeases(t *testing.T) {
 	workers := make([]Worker, 4)
 	for i := range workers {
 		workers[i] = &gateWorker{
-			inner:   NewLocalWorker(workerName(i), scanner.New(w.Link(), scanner.WithSecret(testSecret))),
+			inner:   localWorker(w, workerName(i)),
 			cur:     &cur,
 			maxSeen: &maxSeen,
 		}
@@ -258,25 +359,76 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 }
 
-// TestPartitionIsOrderIndependent: shard membership must depend only on
-// the address, never on input order.
-func TestPartitionIsOrderIndependent(t *testing.T) {
-	targets := testTargets(t, clusterWorld(t))
-	targets = ipaddr.Dedup(targets)
-	a := Partition(targets, 100)
-	rev := make([]ipaddr.Addr, len(targets))
-	for i, x := range targets {
-		rev[len(targets)-1-i] = x
+// liar is a worker that scans honestly and then corrupts its answer.
+type liar struct {
+	*LocalWorker
+	lie func(*ShardResult)
+}
+
+func (l liar) RunShard(ctx context.Context, job Job, shard Shard, beat func(int)) (*ShardResult, error) {
+	res, err := l.LocalWorker.RunShard(ctx, job, shard, beat)
+	if err == nil {
+		l.lie(res)
 	}
-	b := Partition(rev, 100)
-	if len(a) != len(b) {
-		t.Fatalf("shard counts differ: %d vs %d", len(a), len(b))
+	return res, err
+}
+
+// lies are the ways a shard result can disagree with its lease. Every
+// shard of the tests below has at least two targets.
+var lies = map[string]func(*ShardResult){
+	"wrong id":  func(r *ShardResult) { r.Shard++ },
+	"one short": func(r *ShardResult) { r.Results = r.Results[:len(r.Results)-1] },
+	"swapped":   func(r *ShardResult) { r.Results[0], r.Results[1] = r.Results[1], r.Results[0] },
+	"status 9":  func(r *ShardResult) { r.Results[len(r.Results)-1].Status = 9 },
+	"no stats":  func(r *ShardResult) { r.Stats = nil },
+}
+
+// TestLyingWorkerIsAFailedLease: an answer that is not the leased shard,
+// target for target, is rejected per lease — requeued, the worker charged
+// and named — and the run still converges on the single scanner's bytes.
+func TestLyingWorkerIsAFailedLease(t *testing.T) {
+	w := clusterWorld(t)
+	targets := ipaddr.Dedup(testTargets(t, w))[:1000] // 15 shards of 64 and one of 40
+	p := proto.TCP80
+	wantRes, wantStats := baseline(w.Link(), targets, p)
+	for name, lie := range lies {
+		var logged []string
+		coord := NewCoordinator(Config{Secret: testSecret, ShardSize: 64, Logf: func(f string, a ...any) {
+			logged = append(logged, fmt.Sprintf(f, a...))
+		}})
+		got, err := coord.Run(context.Background(), []Worker{liar{localWorker(w, "liar"), lie}, localWorker(w, "honest")}, targets, p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Reassigned == 0 {
+			t.Fatalf("%s: no lease was reassigned", name)
+		}
+		if got.Workers["liar"].ShardsCompleted != 0 {
+			t.Fatalf("%s: a lie was recorded: %+v", name, got.Workers)
+		}
+		assertIdentical(t, name, got, wantRes, wantStats)
+		if len(logged) == 0 || !strings.Contains(logged[0], "shard") || !strings.Contains(logged[0], "worker liar") {
+			t.Fatalf("%s: rejection not reported with worker and shard: %q", name, logged)
+		}
 	}
-	for i := range a {
-		as := ipaddr.NewSet(a[i].Targets...)
-		bs := ipaddr.NewSet(b[i].Targets...)
-		if as.Len() != bs.Len() || as.Diff(bs).Len() != 0 {
-			t.Fatalf("shard %d membership differs under input reordering", i)
+}
+
+// TestOnlyLyingWorkersError: with nobody honest the run ends in an error —
+// workers retired, or a shard out of attempts — never in a merged result.
+func TestOnlyLyingWorkersError(t *testing.T) {
+	w := clusterWorld(t)
+	targets := ipaddr.Dedup(testTargets(t, w))[:1000]
+	for name, lie := range lies {
+		for _, cfg := range []Config{
+			{WorkerFailureLimit: 2},
+			{WorkerFailureLimit: 1000, MaxShardAttempts: 2},
+		} {
+			cfg.Secret, cfg.ShardSize = testSecret, 64
+			got, err := NewCoordinator(cfg).Run(context.Background(),
+				[]Worker{liar{localWorker(w, "l0"), lie}, liar{localWorker(w, "l1"), lie}}, targets, proto.ICMP)
+			if err == nil || got != nil {
+				t.Fatalf("%s: liars alone produced a result (err %v)", name, err)
+			}
 		}
 	}
 }
@@ -316,7 +468,7 @@ func TestConcurrentPoolRuns(t *testing.T) {
 	pool := NewLocalPool(3, w.Link(), Config{Secret: testSecret, ShardSize: 128})
 	want := make(map[proto.Protocol][]scanner.Result)
 	for _, p := range proto.All {
-		want[p], _ = baseline(w, targets, p)
+		want[p], _ = baseline(w.Link(), targets, p)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, len(proto.All))

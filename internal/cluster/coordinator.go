@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"seedscan/internal/ipaddr"
@@ -19,8 +21,6 @@ import (
 type Config struct {
 	// Secret keys validation cookies and the canonical shuffle.
 	Secret uint64
-	// NoShuffle disables the canonical-order shuffle (tests).
-	NoShuffle bool
 	// Retries / RatePPS are shipped to workers in the Job so remote
 	// scanners replicate the coordinator's reference configuration
 	// (defaults 2 and 10000, the scanner's own defaults).
@@ -61,7 +61,7 @@ func (c *Config) fillDefaults(workers int) {
 	if c.RatePPS == 0 {
 		c.RatePPS = 10000
 	}
-	if c.ShardSize == 0 {
+	if c.ShardSize <= 0 {
 		c.ShardSize = 2048
 	}
 	if c.MaxInflight <= 0 {
@@ -113,14 +113,14 @@ type RunResult struct {
 	Workers    map[string]WorkerReport
 }
 
-// lease is one shard assignment. beatNs is touched by the worker's
-// heartbeat callback and read by the coordinator's expiry sweep, hence the
-// channel-free clock through the runner goroutine.
+// lease is one shard assignment. beatNs is the run clock (runState.clock)
+// at the last sign of life: stored by the worker's heartbeat callback on
+// its runner goroutine, read by the coordinator's expiry sweep.
 type lease struct {
 	shard  int
 	worker int
 	cancel context.CancelFunc
-	beat   chan struct{} // non-blocking heartbeat notifications
+	beatNs atomic.Int64
 }
 
 // doneEvent is a runner goroutine's terminal report.
@@ -142,10 +142,9 @@ func (c *Coordinator) Run(ctx context.Context, workers []Worker, targets []ipadd
 	}
 	cfg := c.cfg
 	cfg.fillDefaults(len(workers))
-	reg := cfg.Telemetry
 
-	canonical := scanner.PlanOrder(cfg.Secret, !cfg.NoShuffle, targets, p)
-	shards := Partition(canonical, cfg.ShardSize)
+	canonical := scanner.PlanOrder(cfg.Secret, true, targets, p)
+	shards := (len(canonical) + cfg.ShardSize - 1) / cfg.ShardSize
 	job := Job{
 		Proto:          p,
 		Secret:         cfg.Secret,
@@ -155,25 +154,28 @@ func (c *Coordinator) Run(ctx context.Context, workers []Worker, targets []ipadd
 	}
 
 	run := &runState{
-		cfg:     cfg,
-		workers: workers,
-		job:     job,
-		shards:  shards,
-		leases:  make(map[int]*lease),
-		results: make(map[int]*ShardResult, len(shards)),
-		busy:    make([]bool, len(workers)),
-		dead:    make([]bool, len(workers)),
-		fails:   make([]int, len(workers)),
+		cfg:       cfg,
+		workers:   workers,
+		job:       job,
+		canonical: canonical,
+		start:     time.Now(),
+		attempts:  make([]int, shards),
+		leases:    make(map[int]*lease),
+		done:      make([]bool, shards),
+		out:       make([]scanner.Result, len(canonical)),
+		stats:     &scanner.Stats{},
+		busy:      make([]bool, len(workers)),
+		dead:      make([]bool, len(workers)),
+		fails:     make([]int, len(workers)),
 		// Buffered so a runner goroutine can always deliver its terminal
 		// event even after Run has returned (stale workers never block).
 		events:  make(chan doneEvent, len(workers)),
-		reports: make(map[string]*WorkerReport, len(workers)),
-		reg:     reg,
+		reports: make(map[string]WorkerReport, len(workers)),
+		reg:     cfg.Telemetry,
 	}
-	for i := len(shards) - 1; i >= 0; i-- {
+	for i := shards - 1; i >= 0; i-- {
 		run.pending = append(run.pending, i)
 	}
-	run.attempts = make([]int, len(shards))
 
 	rctx, rcancel := context.WithCancel(ctx)
 	defer rcancel()
@@ -181,71 +183,85 @@ func (c *Coordinator) Run(ctx context.Context, workers []Worker, targets []ipadd
 	if err := run.loop(rctx); err != nil {
 		return nil, err
 	}
-	return run.merge(canonical)
+	return &RunResult{
+		Results:    run.out,
+		Stats:      run.stats,
+		Shards:     shards,
+		Reassigned: run.reassigned,
+		Workers:    run.reports,
+	}, nil
 }
 
 // runState is the mutable state of one Run, owned by the event loop
-// goroutine; runner goroutines communicate only through events and the
-// per-lease heartbeat channel.
+// goroutine; runner goroutines communicate only through events and their
+// lease's beatNs.
 type runState struct {
-	cfg     Config
-	workers []Worker
-	job     Job
-	shards  []Shard
+	cfg       Config
+	workers   []Worker
+	job       Job
+	canonical []ipaddr.Addr // the one plan; shard i is its i-th window
+	start     time.Time     // zero of the lease clock
 
 	pending  []int // shard ids awaiting a lease (LIFO)
 	attempts []int
 	leases   map[int]*lease
-	results  map[int]*ShardResult
+	done     []bool // shard recorded into out and stats
+	recorded int
+	out      []scanner.Result // canonical order, filled shard by shard
+	stats    *scanner.Stats
 	busy     []bool // worker has a runner goroutine outstanding
+	running  int    // how many do
 	dead     []bool
 	fails    []int
 
 	events     chan doneEvent
 	reassigned int
-	reports    map[string]*WorkerReport
+	reports    map[string]WorkerReport
 	reg        *telemetry.Registry
 }
 
-// loop drives leases until every shard has a result or the run fails.
-func (r *runState) loop(ctx context.Context) error {
-	// lastBeat lives here, keyed by lease, so the expiry sweep and the
-	// heartbeat drain both run on the loop goroutine — no locking.
-	lastBeat := make(map[*lease]time.Time)
+// shard returns shard sid: the sid-th ShardSize-wide window of the
+// canonical order, capacity clipped so a worker cannot append into the
+// next window.
+func (r *runState) shard(sid int) Shard {
+	lo := sid * r.cfg.ShardSize
+	hi := min(lo+r.cfg.ShardSize, len(r.canonical))
+	return Shard{ID: sid, Targets: r.canonical[lo:hi:hi]}
+}
 
-	sweep := r.cfg.LeaseTimeout / 4
-	if sweep < time.Millisecond {
-		sweep = time.Millisecond
-	}
-	ticker := time.NewTicker(sweep)
+// clock is the monotonic time since the run started, in nanoseconds.
+func (r *runState) clock() int64 { return int64(time.Since(r.start)) }
+
+// loop drives leases until every shard is recorded or the run fails.
+func (r *runState) loop(ctx context.Context) error {
+	ticker := time.NewTicker(max(r.cfg.LeaseTimeout/4, time.Millisecond))
 	defer ticker.Stop()
 
-	for len(r.results) < len(r.shards) {
-		if err := r.assign(ctx, lastBeat); err != nil {
+	for r.recorded < len(r.done) {
+		if err := r.assign(ctx); err != nil {
 			return err
 		}
-		if len(r.leases) == 0 && !r.anyBusy() {
+		if r.running == 0 {
 			// Nothing running, nothing assignable: every worker is retired
 			// while shards remain.
 			return fmt.Errorf("cluster: %d shards unfinished and no live workers remain",
-				len(r.shards)-len(r.results))
+				len(r.done)-r.recorded)
 		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case ev := <-r.events:
-			r.handleDone(ev, lastBeat)
+			r.handleDone(ev)
 		case <-ticker.C:
-			r.expire(lastBeat)
+			r.expire()
 		}
-		r.drainBeats(lastBeat)
 	}
 	return nil
 }
 
 // assign leases pending shards to idle live workers, bounded by
 // MaxInflight.
-func (r *runState) assign(ctx context.Context, lastBeat map[*lease]time.Time) error {
+func (r *runState) assign(ctx context.Context) error {
 	for len(r.pending) > 0 && len(r.leases) < r.cfg.MaxInflight {
 		wi := r.idleWorker()
 		if wi < 0 {
@@ -259,24 +275,19 @@ func (r *runState) assign(ctx context.Context, lastBeat map[*lease]time.Time) er
 		r.attempts[sid]++
 
 		lctx, cancel := context.WithCancel(ctx)
-		le := &lease{shard: sid, worker: wi, cancel: cancel, beat: make(chan struct{}, 1)}
+		le := &lease{shard: sid, worker: wi, cancel: cancel}
+		le.beatNs.Store(r.clock())
 		r.leases[sid] = le
-		lastBeat[le] = time.Now()
 		r.busy[wi] = true
+		r.running++
 		r.gaugeInflight()
 		r.reg.Counter("cluster.shards.leased").Inc()
 		r.reg.Counter("cluster.worker." + r.workers[wi].ID() + ".shards_leased").Inc()
 
 		go func(w Worker, le *lease, sh Shard, job Job) {
-			beat := func(int) {
-				select {
-				case le.beat <- struct{}{}:
-				default:
-				}
-			}
-			res, err := w.RunShard(lctx, job, sh, beat)
+			res, err := w.RunShard(lctx, job, sh, func(int) { le.beatNs.Store(r.clock()) })
 			r.events <- doneEvent{le: le, res: res, err: err}
-		}(r.workers[wi], le, r.shards[sid], r.job)
+		}(r.workers[wi], le, r.shard(sid), r.job)
 	}
 	return nil
 }
@@ -291,47 +302,18 @@ func (r *runState) idleWorker() int {
 	return -1
 }
 
-func (r *runState) anyBusy() bool {
-	for _, b := range r.busy {
-		if b {
-			return true
-		}
-	}
-	return false
-}
-
-// drainBeats moves queued heartbeats into lastBeat.
-func (r *runState) drainBeats(lastBeat map[*lease]time.Time) {
-	for _, le := range r.leases {
-		select {
-		case <-le.beat:
-			lastBeat[le] = time.Now()
-		default:
-		}
-	}
-}
-
 // expire revokes leases whose workers have gone quiet past the timeout and
 // requeues their shards.
-func (r *runState) expire(lastBeat map[*lease]time.Time) {
-	now := time.Now()
+func (r *runState) expire() {
+	now := r.clock()
 	for sid, le := range r.leases {
-		// A queued-but-undrained beat counts: drain first.
-		select {
-		case <-le.beat:
-			lastBeat[le] = now
-		default:
-		}
-		if now.Sub(lastBeat[le]) <= r.cfg.LeaseTimeout {
+		if now-le.beatNs.Load() <= int64(r.cfg.LeaseTimeout) {
 			continue
 		}
 		le.cancel()
 		delete(r.leases, sid)
-		delete(lastBeat, le)
-		r.pending = append(r.pending, sid)
-		r.reassigned++
+		r.requeue(sid)
 		r.gaugeInflight()
-		r.reg.Counter("cluster.shards.reassigned").Inc()
 		r.logf("cluster: lease on shard %d expired after %v of silence from worker %s",
 			sid, r.cfg.LeaseTimeout, r.workers[le.worker].ID())
 		r.workerFailed(le.worker)
@@ -340,47 +322,81 @@ func (r *runState) expire(lastBeat map[*lease]time.Time) {
 	}
 }
 
+// requeue puts a shard whose lease failed or expired back in line.
+func (r *runState) requeue(sid int) {
+	r.pending = append(r.pending, sid)
+	r.reassigned++
+	r.reg.Counter("cluster.shards.reassigned").Inc()
+}
+
 // handleDone processes one runner goroutine's terminal report.
-func (r *runState) handleDone(ev doneEvent, lastBeat map[*lease]time.Time) {
-	wi := ev.le.worker
+func (r *runState) handleDone(ev doneEvent) {
+	wi, sid := ev.le.worker, ev.le.shard
 	r.busy[wi] = false
-	current := r.leases[ev.le.shard] == ev.le
+	r.running--
+	current := r.leases[sid] == ev.le
 	if current {
-		delete(r.leases, ev.le.shard)
-		delete(lastBeat, ev.le)
+		delete(r.leases, sid)
 		ev.le.cancel()
 		r.gaugeInflight()
 	}
+	if r.done[sid] {
+		// A straggler on an expired lease finishing (or failing) after the
+		// shard was recorded elsewhere: same bytes, nothing to do.
+		return
+	}
 
+	sh := r.shard(sid)
+	err := ev.err
+	if err == nil {
+		// An answer that is not this lease's shard, target for target, is
+		// a failed lease like any other: it must never reach out.
+		err = checkResult(sh, ev.res)
+	}
 	switch {
-	case ev.err == nil && r.results[ev.le.shard] == nil:
+	case err == nil:
 		// First completion wins — whether the lease is still current or
 		// was expired and the straggler finished late, the bytes are the
 		// same, so accept it and drop any competing reassigned lease. The
 		// dropped runner reports back through handleDone as a stale event
 		// and is not charged a failure.
-		if other, ok := r.leases[ev.le.shard]; ok && !current {
+		if other, ok := r.leases[sid]; ok {
 			other.cancel()
-			delete(r.leases, ev.le.shard)
-			delete(lastBeat, other)
+			delete(r.leases, sid)
 			r.gaugeInflight()
 		}
-		r.removePending(ev.le.shard)
-		r.record(wi, ev.res)
-	case ev.err == nil:
-		// Duplicate completion of an already-recorded shard: discard.
-	case current && r.results[ev.le.shard] == nil:
+		r.removePending(sid)
+		r.record(wi, sh, ev.res)
+	case current:
 		// Failure while holding the lease: requeue and charge the worker.
-		r.pending = append(r.pending, ev.le.shard)
-		r.reassigned++
-		r.reg.Counter("cluster.shards.reassigned").Inc()
-		r.logf("cluster: shard %d failed on worker %s: %v",
-			ev.le.shard, r.workers[wi].ID(), ev.err)
+		r.requeue(sid)
+		r.logf("cluster: shard %d failed on worker %s: %v", sid, r.workers[wi].ID(), err)
 		r.workerFailed(wi)
 	default:
-		// Failure on an expired or superseded lease — the shard has
-		// already been requeued (or completed elsewhere); nothing to do.
+		// Failure on an expired lease — the shard has already been
+		// requeued; nothing to do.
 	}
+}
+
+// checkResult verifies a worker's answer against the shard it was leased:
+// the lease's shard id, stats, one result per target, each echoing its
+// target's address in target order with a status a scanner can produce.
+// The positional merge relies on exactly this.
+func checkResult(sh Shard, res *ShardResult) error {
+	if res == nil || res.Stats == nil {
+		return errors.New("no result, or one without stats")
+	}
+	if res.Shard != sh.ID || len(res.Results) != len(sh.Targets) {
+		return fmt.Errorf("answer is shard %d with %d results, leased %d targets",
+			res.Shard, len(res.Results), len(sh.Targets))
+	}
+	for j, got := range res.Results {
+		if got.Addr != sh.Targets[j] || got.Status > scanner.StatusBlocked {
+			return fmt.Errorf("result %d is %v with status %d, target %d is %v",
+				j, got.Addr, got.Status, j, sh.Targets[j])
+		}
+	}
+	return nil
 }
 
 // workerFailed charges one failure and retires the worker at the limit.
@@ -401,23 +417,21 @@ func (r *runState) logf(format string, args ...any) {
 	}
 }
 
-// record stores a completed shard and updates per-worker accounting.
-func (r *runState) record(wi int, res *ShardResult) {
-	r.results[res.Shard] = res
+// record merges a verified shard — results into its window of out, stats
+// into the run's sum — and updates per-worker accounting.
+func (r *runState) record(wi int, sh Shard, res *ShardResult) {
+	copy(r.out[sh.ID*r.cfg.ShardSize:], res.Results)
+	r.stats.Add(res.Stats)
+	r.done[sh.ID] = true
+	r.recorded++
 	r.fails[wi] = 0
 	id := r.workers[wi].ID()
 	rep := r.reports[id]
-	if rep == nil {
-		rep = &WorkerReport{}
-		r.reports[id] = rep
-	}
 	rep.ShardsCompleted++
 	rep.WallSeconds += res.WallSeconds
-	sent := int64(0)
-	if res.Stats != nil {
-		sent = res.Stats.PacketsSent.Load()
-	}
+	sent := res.Stats.PacketsSent.Load()
 	rep.PacketsSent += sent
+	r.reports[id] = rep
 	r.reg.Counter("cluster.shards.completed").Inc()
 	r.reg.Counter("cluster.worker." + id + ".shards_completed").Inc()
 	r.reg.Counter("cluster.worker." + id + ".packets_sent").Add(sent)
@@ -436,36 +450,4 @@ func (r *runState) removePending(sid int) {
 
 func (r *runState) gaugeInflight() {
 	r.reg.Gauge("cluster.shards.inflight").Set(float64(len(r.leases)))
-}
-
-// merge re-keys every shard result by address and emits the canonical
-// order, summing shard stats into one snapshot.
-func (r *runState) merge(canonical []ipaddr.Addr) (*RunResult, error) {
-	merged := &scanner.Stats{}
-	byAddr := make(map[ipaddr.Addr]scanner.Result, len(canonical))
-	for _, sr := range r.results {
-		merged.Add(sr.Stats)
-		for _, res := range sr.Results {
-			byAddr[res.Addr] = res
-		}
-	}
-	out := make([]scanner.Result, len(canonical))
-	for i, a := range canonical {
-		res, ok := byAddr[a]
-		if !ok {
-			return nil, fmt.Errorf("cluster: merged shards missing result for %v", a)
-		}
-		out[i] = res
-	}
-	reports := make(map[string]WorkerReport, len(r.reports))
-	for id, rep := range r.reports {
-		reports[id] = *rep
-	}
-	return &RunResult{
-		Results:    out,
-		Stats:      merged,
-		Shards:     len(r.shards),
-		Reassigned: r.reassigned,
-		Workers:    reports,
-	}, nil
 }

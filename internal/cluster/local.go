@@ -42,8 +42,9 @@ func NewLocalWorker(id string, s *scanner.Scanner) *LocalWorker {
 // ID implements Worker.
 func (w *LocalWorker) ID() string { return w.id }
 
-// RunShard implements Worker: it scans the shard in heartbeat-sized
-// batches and returns the shard's results with its exact stats delta.
+// RunShard implements Worker: it probes the shard's targets as given, in
+// heartbeat-sized batches, and returns one result per target in target
+// order with the shard's exact stats delta.
 func (w *LocalWorker) RunShard(ctx context.Context, job Job, shard Shard, beat func(done int)) (*ShardResult, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -56,11 +57,8 @@ func (w *LocalWorker) RunShard(ctx context.Context, job Job, shard Shard, beat f
 				return nil, err
 			}
 		}
-		end := off + w.batch
-		if end > len(shard.Targets) {
-			end = len(shard.Targets)
-		}
-		rs, err := w.s.ScanContext(ctx, shard.Targets[off:end], job.Proto)
+		end := min(off+w.batch, len(shard.Targets))
+		rs, err := w.s.ScanPlanned(ctx, shard.Targets[off:end], job.Proto)
 		if err != nil {
 			return nil, err
 		}

@@ -12,14 +12,15 @@ package cluster
 // magic and version, so both ends fail fast against strangers and future
 // incompatible revisions. Integers are big-endian throughout; addresses
 // travel as their 16 raw bytes; stats as the 7 counters of
-// scanner.Stats.Values in declaration order.
+// scanner.Stats.Values in declaration order. A result frame carries one
+// result per target of its shard frame, in shard-target order; each
+// echoes its address so the coordinator can verify the order it merges by.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"sync"
 	"time"
 
@@ -29,10 +30,12 @@ import (
 )
 
 // wireMagic and wireVersion gate the handshake. Bump the version on any
-// incompatible frame-layout change.
+// incompatible change to the frame layout or to what a frame promises:
+// version 2 made "results arrive in shard-target order" protocol, so a
+// version 1 worker, which re-planned each shard, is refused at the hello.
 var wireMagic = [4]byte{'S', 'S', 'C', 'W'}
 
-const wireVersion = 1
+const wireVersion = 2
 
 // Frame types.
 const (
@@ -53,12 +56,12 @@ const maxFrame = 64 << 20
 // because a worker's heartbeat goroutine writes concurrently with the
 // serve loop.
 type framer struct {
-	conn net.Conn
+	conn io.ReadWriter
 	wmu  sync.Mutex
 	lenb [5]byte
 }
 
-func newFramer(conn net.Conn) *framer { return &framer{conn: conn} }
+func newFramer(conn io.ReadWriter) *framer { return &framer{conn: conn} }
 
 // write sends one frame.
 func (f *framer) write(typ byte, payload []byte) error {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +12,7 @@ import (
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/proto"
 	"seedscan/internal/scanner"
-	"seedscan/internal/world"
+	"seedscan/internal/wire"
 )
 
 func TestWireCodecRoundTrips(t *testing.T) {
@@ -74,12 +75,15 @@ func TestWireCodecRoundTrips(t *testing.T) {
 }
 
 func TestWireRejectsVersionMismatch(t *testing.T) {
-	b := encodeHello("x")
-	binary.BigEndian.PutUint16(b[4:6], wireVersion+1)
-	if _, err := decodeHello(b); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("future version accepted: %v", err)
+	// Version 1 workers re-planned their shards; 3 does not exist yet.
+	for _, v := range []uint16{1, wireVersion + 1} {
+		b := encodeHello("x")
+		binary.BigEndian.PutUint16(b[4:6], v)
+		if _, err := decodeHello(b); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("version %d accepted: %v", v, err)
+		}
 	}
-	b = encodeHello("x")
+	b := encodeHello("x")
 	copy(b[:4], "NOPE")
 	if _, err := decodeHello(b); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("bad magic accepted: %v", err)
@@ -87,8 +91,8 @@ func TestWireRejectsVersionMismatch(t *testing.T) {
 }
 
 // startWorker serves the wire protocol on a loopback listener backed by
-// the shared test world, exactly as `seedscan worker` does.
-func startWorker(t *testing.T, ctx context.Context, w *world.World, id string) string {
+// link, exactly as `seedscan worker` does.
+func startWorker(t *testing.T, ctx context.Context, link wire.Link, id string, opts ...scanner.Option) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -97,10 +101,10 @@ func startWorker(t *testing.T, ctx context.Context, w *world.World, id string) s
 	cfg := ServeConfig{
 		WorkerID: id,
 		NewScanner: func(job Job) (*scanner.Scanner, error) {
-			return scanner.New(w.Link(),
+			return scanner.New(link, append(slices.Clone(opts),
 				scanner.WithSecret(job.Secret),
 				scanner.WithRetries(job.Retries),
-				scanner.WithRatePPS(job.RatePPS)), nil
+				scanner.WithRatePPS(job.RatePPS))...), nil
 		},
 	}
 	go Serve(ctx, ln, cfg)
@@ -114,13 +118,13 @@ func TestTCPClusterMatchesSingleScanner(t *testing.T) {
 	w := clusterWorld(t)
 	targets := testTargets(t, w)
 	p := proto.TCP80
-	wantRes, wantStats := baseline(w, targets, p)
+	wantRes, wantStats := baseline(w.Link(), targets, p)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var workers []Worker
 	for i := 0; i < 2; i++ {
-		addr := startWorker(t, ctx, w, "tw"+string(rune('0'+i)))
+		addr := startWorker(t, ctx, w.Link(), "tw"+string(rune('0'+i)))
 		rw, err := DialWorker(addr)
 		if err != nil {
 			t.Fatal(err)
@@ -150,14 +154,14 @@ func TestTCPWorkerCrashRecovers(t *testing.T) {
 	w := clusterWorld(t)
 	targets := testTargets(t, w)
 	p := proto.ICMP
-	wantRes, wantStats := baseline(w, targets, p)
+	wantRes, wantStats := baseline(w.Link(), targets, p)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// The doomed worker gets its own server context we can kill.
 	dctx, die := context.WithCancel(ctx)
-	doomedAddr := startWorker(t, dctx, w, "doomed")
-	survivorAddr := startWorker(t, ctx, w, "survivor")
+	doomedAddr := startWorker(t, dctx, w.Link(), "doomed")
+	survivorAddr := startWorker(t, ctx, w.Link(), "survivor")
 
 	doomed, err := DialWorker(doomedAddr)
 	if err != nil {

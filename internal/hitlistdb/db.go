@@ -204,7 +204,7 @@ func (db *DB) find(a ipaddr.Addr) (int, bool) {
 	if hi > db.hdr.addrCount {
 		hi = db.hdr.addrCount
 	}
-	i := lo + sort.Search(hi-lo, func(i int) bool { return !db.recordAddr(lo+i).Less(a) })
+	i := lo + sort.Search(hi-lo, func(i int) bool { return !db.recordAddr(lo + i).Less(a) })
 	if i < db.hdr.addrCount && db.recordAddr(i) == a {
 		return i, true
 	}

@@ -21,10 +21,10 @@ func TestTrackerLifetimeAndFlaps(t *testing.T) {
 	a := addr(1)
 	probed := []ipaddr.Addr{a}
 
-	observe(tr, 1, probed, a)  // up
-	observe(tr, 2, probed, a)  // up
-	observe(tr, 3, probed)     // down  (flap 1)
-	observe(tr, 4, probed, a)  // up    (flap 2)
+	observe(tr, 1, probed, a) // up
+	observe(tr, 2, probed, a) // up
+	observe(tr, 3, probed)    // down  (flap 1)
+	observe(tr, 4, probed, a) // up    (flap 2)
 	st := tr.State(a)
 	if st == nil {
 		t.Fatal("no state")
@@ -109,10 +109,10 @@ func TestTrackerPrefix64Aggregation(t *testing.T) {
 
 func TestSchedulerPriorityAndBudget(t *testing.T) {
 	tr := NewTracker(0.5, 3)
-	fresh := addr(100)                       // never probed
-	down := addr(101)                        // pending stale confirmation
-	flappy := addr(102)                      // volatile
-	stale := addr(103)                       // confirmed stale
+	fresh := addr(100)  // never probed
+	down := addr(101)   // pending stale confirmation
+	flappy := addr(102) // volatile
+	stale := addr(103)  // confirmed stale
 	stables := []ipaddr.Addr{}
 	for i := uint64(0); i < 8; i++ {
 		stables = append(stables, ipaddr.MustParse("2001:db8:1::").AddLo(i))

@@ -338,9 +338,17 @@ func (s *Scanner) newWorkerState() *workerState {
 func (s *Scanner) putWorkerState(st *workerState) { s.wsPool.Put(st) }
 
 // ScanContext probes every target on p and returns one Result per unique
-// target. Targets are deduplicated, shuffled (unless WithoutShuffle),
-// blocklist-filtered, and probed with retries. The caller's slice is never
+// target. Targets are deduplicated and shuffled (unless WithoutShuffle)
+// by PlanOrder, then probed by ScanPlanned. The caller's slice is never
 // mutated; dedup and shuffle operate on a private copy.
+func (s *Scanner) ScanContext(ctx context.Context, targets []ipaddr.Addr, p proto.Protocol) ([]Result, error) {
+	return s.ScanPlanned(ctx, PlanOrder(s.set.secret, s.set.shuffle, targets, p), p)
+}
+
+// ScanPlanned probes planned exactly as given — no dedup, no shuffle —
+// with blocklist filtering and retries; result i is planned[i]. It is the
+// second half of ScanContext, exported so a cluster worker can probe a
+// window of the coordinator's PlanOrder without planning it again.
 //
 // Workers claim contiguous chunks of the target list and probe each chunk
 // through one arena-batched exchange per attempt round. Results are
@@ -348,21 +356,19 @@ func (s *Scanner) putWorkerState(st *workerState) { s.wsPool.Put(st) }
 // on the target, its cookie, and the link's replies.
 //
 // Cancelling ctx stops the scan between chunks: already-probed results
-// are returned (a prefix of the scan order) together with ctx.Err().
-func (s *Scanner) ScanContext(ctx context.Context, targets []ipaddr.Addr, p proto.Protocol) ([]Result, error) {
-	targets = PlanOrder(s.set.secret, s.set.shuffle, targets, p)
-
+// are returned (a prefix of planned) together with ctx.Err().
+func (s *Scanner) ScanPlanned(ctx context.Context, planned []ipaddr.Addr, p proto.Protocol) ([]Result, error) {
 	reg := s.set.tele
 	wall := reg.StartTimer("scanner.scan.wall_seconds")
 
-	results := make([]Result, len(targets))
+	results := make([]Result, len(planned))
 	// next is the chunk claim cursor; sent counts only this scan's packets
 	// so virtual-time attribution stays correct under concurrent scans.
 	var next, sent atomic.Int64
 	var wg sync.WaitGroup
 	workers := s.set.workers
-	if workers > len(targets) {
-		workers = len(targets)
+	if workers > len(planned) {
+		workers = len(planned)
 	}
 	chunk := s.set.chunk
 	for w := 0; w < workers; w++ {
@@ -373,14 +379,14 @@ func (s *Scanner) ScanContext(ctx context.Context, targets []ipaddr.Addr, p prot
 			defer s.putWorkerState(st)
 			for ctx.Err() == nil {
 				start := int(next.Add(int64(chunk))) - chunk
-				if start >= len(targets) {
+				if start >= len(planned) {
 					return
 				}
 				end := start + chunk
-				if end > len(targets) {
-					end = len(targets)
+				if end > len(planned) {
+					end = len(planned)
 				}
-				s.probeChunk(st, targets[start:end], p, results[start:end], &sent)
+				s.probeChunk(st, planned[start:end], p, results[start:end], &sent)
 			}
 		}()
 	}
@@ -395,11 +401,11 @@ func (s *Scanner) ScanContext(ctx context.Context, targets []ipaddr.Addr, p prot
 	}
 	if err := ctx.Err(); err != nil {
 		// Workers claim chunks in order and fully probe every claimed
-		// index below len(targets) before exiting, so the claimed prefix
+		// index below len(planned) before exiting, so the claimed prefix
 		// is exactly the probed prefix.
 		probed := int(next.Load())
-		if probed > len(targets) {
-			probed = len(targets)
+		if probed > len(planned) {
+			probed = len(planned)
 		}
 		return results[:probed], err
 	}
@@ -412,9 +418,9 @@ func (s *Scanner) ScanContext(ctx context.Context, targets []ipaddr.Addr, p prot
 // secret-keyed shuffle. Dedup always copies, so the caller's (routinely
 // shared) seed/candidate list is never reordered.
 //
-// It is exported so a cluster coordinator can pre-compute the canonical
-// result order of the equivalent single-scanner run before
-// hash-partitioning the targets across workers.
+// It is exported so a cluster coordinator can compute the canonical order
+// of the equivalent single-scanner run once and hand windows of it to
+// workers, which probe them as given through ScanPlanned.
 func PlanOrder(secret uint64, shuffle bool, targets []ipaddr.Addr, p proto.Protocol) []ipaddr.Addr {
 	targets = ipaddr.Dedup(targets)
 	if shuffle {

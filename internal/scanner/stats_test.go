@@ -1,6 +1,8 @@
 package scanner
 
 import (
+	"context"
+	"slices"
 	"testing"
 
 	"seedscan/internal/ipaddr"
@@ -91,6 +93,77 @@ func TestPlanOrderMatchesScanOrder(t *testing.T) {
 	for i := range plan {
 		if res[i].Addr != plan[i] {
 			t.Fatalf("order diverges at %d: plan %v, scan %v", i, plan[i], res[i].Addr)
+		}
+	}
+}
+
+// TestScanContextIsScanPlannedOverPlanOrder pins the seam a cluster splits
+// a scan at: ScanContext is ScanPlanned over PlanOrder — same results in
+// the same order, same stats — and ScanPlanned probes its list as given,
+// mutating neither it nor the caller's targets.
+func TestScanContextIsScanPlannedOverPlanOrder(t *testing.T) {
+	w := testWorld(t)
+	w.SetEpoch(world.ScanEpoch)
+	targets := append(w.NewSampler(9).Hosts(300), addrRange(100)...)
+	targets = append(targets, targets[:40]...)
+	before := slices.Clone(targets)
+
+	for _, p := range proto.All {
+		whole := New(w.Link(), WithSecret(99))
+		want, err := whole.ScanContext(context.Background(), targets, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := PlanOrder(99, true, targets, p)
+		asPlanned := slices.Clone(plan)
+		halves := New(w.Link(), WithSecret(99))
+		got, err := halves.ScanPlanned(context.Background(), plan, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%v: ScanPlanned(PlanOrder(targets)) differs from ScanContext(targets)", p)
+		}
+		if g, w := halves.Stats().Values(), whole.Stats().Values(); g != w {
+			t.Fatalf("%v: stats %v != %v", p, g, w)
+		}
+		if !slices.Equal(plan, asPlanned) || !slices.Equal(targets, before) {
+			t.Fatalf("%v: scan rewrote its input", p)
+		}
+	}
+
+	// As given means as given: no dedup, no shuffle.
+	twice := []ipaddr.Addr{targets[0], targets[1], targets[0]}
+	res, _ := New(w.Link(), WithSecret(99)).ScanPlanned(context.Background(), twice, proto.ICMP)
+	if len(res) != 3 || res[0].Addr != twice[0] || res[1].Addr != twice[1] || res[2] != res[0] {
+		t.Fatalf("ScanPlanned re-planned its input: %+v", res)
+	}
+
+	// A cancelled scan returns the probed prefix of the planned order.
+	plan := PlanOrder(99, true, targets, proto.ICMP)
+	link, started, release := gatedLink(w.Link())
+	s := New(link, WithSecret(99), WithWorkers(2))
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	var cut []Result
+	var err error
+	go func() {
+		cut, err = s.ScanPlanned(ctx, plan, proto.ICMP)
+		close(done)
+	}()
+	<-started
+	cancel()
+	close(release)
+	<-done
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(cut) == 0 || len(cut) >= len(plan) {
+		t.Fatalf("cancelled scan returned %d results of %d planned", len(cut), len(plan))
+	}
+	for i, r := range cut {
+		if r.Addr != plan[i] || r.Attempts == 0 {
+			t.Fatalf("result %d is not the probed plan[%d]: %+v, want %v", i, i, r, plan[i])
 		}
 	}
 }

@@ -307,12 +307,12 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) int {
 // and GenerationAge are the staleness view: which world epoch the served
 // build scanned at, and how long ago it was built.
 type healthzResponse struct {
-	OK          bool      `json:"ok"`
-	Generation  uint64    `json:"generation"`
-	Epoch       int       `json:"epoch"`
-	Addrs       int       `json:"addrs"`
-	Prefixes    int       `json:"prefixes"`
-	BuiltAt     time.Time `json:"built_at"`
+	OK         bool      `json:"ok"`
+	Generation uint64    `json:"generation"`
+	Epoch      int       `json:"epoch"`
+	Addrs      int       `json:"addrs"`
+	Prefixes   int       `json:"prefixes"`
+	BuiltAt    time.Time `json:"built_at"`
 	// GenerationAge is seconds since the served build was produced.
 	GenerationAge float64  `json:"generation_age_seconds"`
 	Protocols     []string `json:"protocols"`
