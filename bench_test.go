@@ -1,17 +1,16 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section, each regenerating its result on a scaled-down
-// environment. Run with:
+// Benchmark harness: BenchmarkSection regenerates every table and figure
+// of the paper's evaluation section (experiment.Sections, the table
+// cmd/experiments runs) on a scaled-down environment; the rest cover
+// Table 8 and the design decisions DESIGN.md calls out. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// The benchmarks report domain metrics (hits, ASes, aliases…) via
-// b.ReportMetric alongside wall-clock cost, so a single run shows both the
-// reproduction's shape and its price. Absolute magnitudes are scaled
-// (budget ~8k vs the paper's 50M); EXPERIMENTS.md records the shape
-// comparison in detail.
+// Absolute magnitudes are scaled (budget ~8k vs the paper's 50M);
+// EXPERIMENTS.md records the shape comparison in detail.
 package seedscan
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
@@ -23,7 +22,6 @@ import (
 	"seedscan/internal/scanner"
 	"seedscan/internal/seeds"
 	"seedscan/internal/telemetry"
-	"seedscan/internal/tga/all"
 )
 
 // benchBudget is the per-TGA generation budget used across benches.
@@ -45,192 +43,32 @@ var benchEnv = sync.OnceValue(func() *experiment.Env {
 	return e
 })
 
-// benchGens is the subset of generators used by the heavier sweeps; the
-// table-specific benches that need all eight use all.Names.
-var benchGens = []string{"6Sense", "DET", "6Tree", "6Gen"}
-
-func BenchmarkTable1_PriorWorkMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if len(experiment.RenderPriorWork()) == 0 {
-			b.Fatal("empty table")
-		}
-	}
+// benchParams sweeps a generator subset on ICMP; the full sweeps belong
+// to cmd/experiments.
+var benchParams = experiment.Params{
+	Protos: []proto.Protocol{proto.ICMP},
+	Gens:   []string{"6Sense", "DET", "6Tree", "6Gen"},
+	Budget: benchBudget,
 }
 
-func BenchmarkFigure1_SeedOverlap(b *testing.B) {
+// BenchmarkSection runs each `experiments -run` section end to end. The
+// environment's engine memoizes cells, so the first iteration pays for the
+// section's TGA runs (less what an earlier section shared) and later ones
+// for its fold and render.
+func BenchmarkSection(b *testing.B) {
 	e := benchEnv()
-	for i := 0; i < b.N; i++ {
-		ips, ases := e.SourceOverlaps(false)
-		if i == 0 {
-			b.ReportMetric(ips.AnyOther[0]*100, "censys-overlap-%")
-			b.ReportMetric(ases.AnyOther[8]*100, "scamper-as-overlap-%")
-		}
-	}
-}
-
-func BenchmarkFigure2_ResponsiveOverlap(b *testing.B) {
-	e := benchEnv()
-	for i := 0; i < b.N; i++ {
-		ips, _ := e.SourceOverlaps(true)
-		if i == 0 {
-			b.ReportMetric(ips.AnyOther[0]*100, "censys-overlap-%")
-		}
-	}
-}
-
-func BenchmarkTable3_DatasetSummary(b *testing.B) {
-	e := benchEnv()
-	for i := 0; i < b.N; i++ {
-		sum := e.DatasetSummary()
-		if i == 0 {
-			last := sum.Rows[len(sum.Rows)-1]
-			b.ReportMetric(float64(last.Unique), "seeds")
-			b.ReportMetric(float64(last.ActiveAny), "active")
-			b.ReportMetric(float64(last.ActiveASes), "active-ases")
-		}
-	}
-}
-
-func BenchmarkTable4_AliasesByDealiasing(b *testing.B) {
-	e := benchEnv()
-	for i := 0; i < b.N; i++ {
-		res, err := e.RunTable4Ctx(context.Background(), []string{"6Tree", "6Gen"}, benchBudget)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			row := res.Aliases["6Tree"]
-			b.ReportMetric(float64(row[0]), "aliases-none")
-			b.ReportMetric(float64(row[3]), "aliases-joint")
-		}
-	}
-}
-
-func BenchmarkFigure3_RQ1aPerfRatio(b *testing.B) {
-	e := benchEnv()
-	for i := 0; i < b.N; i++ {
-		res, err := e.RunRQ1aCtx(context.Background(), []proto.Protocol{proto.ICMP}, benchGens, benchBudget)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportMeanRatios(b, res)
-		}
-	}
-}
-
-func BenchmarkFigure4_RQ1bPerfRatio(b *testing.B) {
-	e := benchEnv()
-	for i := 0; i < b.N; i++ {
-		res, err := e.RunRQ1bCtx(context.Background(), []proto.Protocol{proto.ICMP}, benchGens, benchBudget)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportMeanRatios(b, res)
-		}
-	}
-}
-
-func BenchmarkFigure5_RQ2PerfRatio(b *testing.B) {
-	e := benchEnv()
-	for i := 0; i < b.N; i++ {
-		res, err := e.RunRQ2Ctx(context.Background(), []proto.Protocol{proto.TCP443}, benchGens, benchBudget)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportMeanRatios(b, res)
-		}
-	}
-}
-
-func reportMeanRatios(b *testing.B, res *experiment.ComparisonResult) {
-	b.Helper()
-	var hits, ases float64
-	n := 0
-	for _, rows := range res.Ratios {
-		for _, r := range rows {
-			hits += r.Hits
-			ases += r.ASes
-			n++
-		}
-	}
-	if n > 0 {
-		b.ReportMetric(hits/float64(n), "mean-hits-PR")
-		b.ReportMetric(ases/float64(n), "mean-ases-PR")
-	}
-}
-
-// rq3Sources is the source subset used by the RQ3-derived benches (the
-// full 12-source sweep belongs to cmd/experiments).
-var rq3Sources = []seeds.Source{
-	seeds.SourceHitlist, seeds.SourceScamper, seeds.SourceCensys, seeds.SourceRIPEAtlas,
-}
-
-func BenchmarkTable5_SubpopVsBigBudget(b *testing.B) {
-	e := benchEnv()
-	for i := 0; i < b.N; i++ {
-		rq3, err := e.RunRQ3Ctx(context.Background(), []proto.Protocol{proto.ICMP}, []string{"6Tree"}, rq3Sources, benchBudget/4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		t5, err := e.RunTable5Ctx(context.Background(), rq3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(t5.Rows[0].CombinedASes), "combined-ases")
-			b.ReportMetric(float64(t5.Rows[0].BigHits), "big-hits")
-		}
-	}
-}
-
-func BenchmarkTable6_ASCharacterization(b *testing.B) {
-	e := benchEnv()
-	for i := 0; i < b.N; i++ {
-		rq3, err := e.RunRQ3Ctx(context.Background(), []proto.Protocol{proto.ICMP}, []string{"6Tree", "6Sense"}, rq3Sources, benchBudget/4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		t6 := e.Table6(rq3, 3)
-		if i == 0 {
-			cell := t6.Cells[seeds.SourceHitlist][proto.ICMP]
-			b.ReportMetric(float64(cell.Total), "hitlist-ases")
-			if len(cell.Top) > 0 {
-				b.ReportMetric(cell.Top[0].Share*100, "top-as-share-%")
+	for _, s := range experiment.Sections {
+		b.Run(s.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var out bytes.Buffer
+				if err := s.Run(context.Background(), e, benchParams, &out); err != nil {
+					b.Fatal(err)
+				}
+				if out.Len() == 0 {
+					b.Fatal("section printed nothing")
+				}
 			}
-		}
-	}
-}
-
-func BenchmarkFigure6_RQ4Cumulative(b *testing.B) {
-	e := benchEnv()
-	for i := 0; i < b.N; i++ {
-		res, err := e.RunRQ4Ctx(context.Background(), []proto.Protocol{proto.ICMP}, all.Names, benchBudget)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			order := res.HitOrder[proto.ICMP]
-			b.ReportMetric(float64(order[0].New), "top-contributor-hits")
-			b.ReportMetric(float64(order[len(order)-1].Total), "combined-hits")
-		}
-	}
-}
-
-func BenchmarkFigure7_CrossPort(b *testing.B) {
-	e := benchEnv()
-	for i := 0; i < b.N; i++ {
-		res, err := e.RunCrossPortCtx(context.Background(), []string{"6Tree"}, benchBudget/4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			// ICMP input scanned on ICMP vs TCP443 input scanned on TCP443.
-			b.ReportMetric(float64(res.Hits[0][proto.ICMP]), "icmp-icmp-hits")
-			b.ReportMetric(float64(res.Hits[2][proto.TCP443]), "tcp443-tcp443-hits")
-		}
+		})
 	}
 }
 
@@ -240,36 +78,6 @@ func BenchmarkTable8_DomainVolumes(b *testing.B) {
 		rows := e.DomainVolumes()
 		if len(rows) != 8 {
 			b.Fatal("wrong row count")
-		}
-	}
-}
-
-func BenchmarkTables9to12_RawRQ1RQ2(b *testing.B) {
-	e := benchEnv()
-	for i := 0; i < b.N; i++ {
-		grid, err := e.RunRawGridCtx(context.Background(), []proto.Protocol{proto.ICMP}, []string{"6Tree", "6Sense"},
-			[]string{"All", "Active-Inactive", "All Active", "ICMP"}, benchBudget)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(grid.Outcome[proto.ICMP]["All"]["6Tree"].Hits), "6tree-all-hits")
-			b.ReportMetric(float64(grid.Outcome[proto.ICMP]["All Active"]["6Tree"].Hits), "6tree-allactive-hits")
-		}
-	}
-}
-
-func BenchmarkTables13to15_RawRQ3(b *testing.B) {
-	e := benchEnv()
-	for i := 0; i < b.N; i++ {
-		rq3, err := e.RunRQ3Ctx(context.Background(), []proto.Protocol{proto.ICMP}, []string{"6Tree"}, rq3Sources, benchBudget/4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			o := rq3.Outcome[seeds.SourceHitlist][proto.ICMP]["6Tree"]
-			b.ReportMetric(float64(o.Hits), "hitlist-6tree-hits")
-			b.ReportMetric(float64(o.ASes), "hitlist-6tree-ases")
 		}
 	}
 }
@@ -311,7 +119,7 @@ func BenchmarkAblation_PacketPathVsOracle(b *testing.B) {
 func BenchmarkAblation_OnlineBatchSize(b *testing.B) {
 	e := benchEnv()
 	for i := 0; i < b.N; i++ {
-		hits, err := e.BatchSizeAblation("DET", proto.ICMP, benchBudget, []int{512, 4096})
+		hits, err := e.BatchSizeAblation(context.Background(), "DET", proto.ICMP, benchBudget, []int{512, 4096})
 		if err != nil {
 			b.Fatal(err)
 		}

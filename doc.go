@@ -9,7 +9,7 @@
 // internal/tga/all for the paper-set versus extended-set distinction.
 //
 // The root package carries the module documentation and one benchmark per
-// table and figure (bench_test.go); the implementation lives under
+// experiments section (bench_test.go); the implementation lives under
 // internal/, the runnable entry points under cmd/ and examples/, and the
 // repository's performance benchmark — five workloads, end-to-end and
 // per-layer metrics, declared in BENCHMARK.json — under benchmark/ (go run

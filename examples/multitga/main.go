@@ -30,8 +30,8 @@ func main() {
 
 	fmt.Println("per-generator results (ICMP, budget 10k each):")
 	fmt.Printf("  %-8s %10s %8s\n", "TGA", "hits", "ASes")
-	for _, g := range all.Names {
-		o := res.Outcome[proto.ICMP][g]
+	for gi, g := range res.Gens {
+		o := res.At(0, 0, gi).Outcome // RQ4's one row (All Active), first protocol
 		fmt.Printf("  %-8s %10d %8d\n", g, o.Hits, o.ASes)
 	}
 

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"context"
+	"fmt"
+	"strings"
 
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/proto"
@@ -62,20 +64,54 @@ func (e *Env) ScanAgreement(targets []ipaddr.Addr, p proto.Protocol) float64 {
 	return float64(agree) / float64(len(targets))
 }
 
+// batchAblation declares the feedback batch-size ablation: one generator
+// on All Active at several batch sizes, one row per size. The
+// experiment-default size dedups against the regular RQ cells.
+func (e *Env) batchAblation(gen string, p proto.Protocol, budget int, sizes []int) Sweep {
+	rows := make([]Row, len(sizes))
+	for i, bs := range sizes {
+		rows[i] = rowAllActive
+		rows[i].Batch = bs
+	}
+	return e.sweep(Sweep{Name: "Batch ablation", Rows: rows}, []proto.Protocol{p}, []string{gen}, budget)
+}
+
 // BatchSizeAblation runs one online generator at several feedback batch
-// sizes and reports hits per size — quantifying how much online adaptation
-// depends on feedback frequency (DESIGN.md decision 3). The runs go
-// through the grid engine, so the experiment-default batch size dedups
-// against the regular RQ cells and counts raw (unfiltered) hits from the
-// checkpointed result.
-func (e *Env) BatchSizeAblation(gen string, p proto.Protocol, budget int, sizes []int) (map[int]int, error) {
-	rs, err := e.Grid().Run(context.Background(), e.SpecBatchAblation(gen, p, budget, sizes))
-	if err != nil {
-		return nil, err
+// sizes and reports raw (unfiltered) hits per size — quantifying how much
+// online adaptation depends on feedback frequency (DESIGN.md decision 3).
+func (e *Env) BatchSizeAblation(ctx context.Context, gen string, p proto.Protocol, budget int, sizes []int) (map[int]int, error) {
+	return run(ctx, e, e.batchAblation(gen, p, budget, sizes), batchHits)
+}
+
+// batchHits folds the ablation sweep into hits per batch size.
+func batchHits(rs *SweepResult) map[int]int {
+	out := make(map[int]int, len(rs.Rows))
+	for i, row := range rs.Rows {
+		out[row.Batch] = len(rs.At(i, 0, 0).Hits)
 	}
-	out := make(map[int]int, len(sizes))
-	for _, bs := range sizes {
-		out[bs] = len(rs.Of(e.cell(gen, TreatmentAllActive, p, budget, bs)).Hits)
+	return out
+}
+
+// renderAblation prints the two ablations of `-run ablation`: packet-path
+// vs. oracle agreement, and the run batch-size sweep's hits per size.
+func (e *Env) renderAblation(rs *SweepResult) string {
+	// Every k-th All Active seed, not the first 5000: the set is ordered
+	// by the protocol that first found each address, so its head holds
+	// only addresses the packet path has already seen answer ICMP, which
+	// agree with the oracle by construction.
+	targets := e.AllActiveSeeds().Slice()
+	if n := len(targets); n > 5000 {
+		for i := 0; i < 5000; i++ {
+			targets[i] = targets[i*n/5000]
+		}
+		targets = targets[:5000]
 	}
-	return out, nil
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "Ablation: packet-path vs oracle agreement on %d targets: %.2f%%\n",
+		len(targets), 100*e.ScanAgreement(targets, rs.Protos[0]))
+	fmt.Fprintf(&sb, "Ablation: %s hits by feedback batch size:\n", rs.Gens[0])
+	for i, row := range rs.Rows {
+		fmt.Fprintf(&sb, "  batch %5d -> %d hits\n", row.Batch, len(rs.At(i, 0, 0).Hits))
+	}
+	return sb.String()
 }

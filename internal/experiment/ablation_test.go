@@ -2,8 +2,11 @@ package experiment
 
 import (
 	"context"
+	"slices"
+	"strings"
 	"testing"
 
+	"seedscan/internal/experiment/grid"
 	"seedscan/internal/proto"
 )
 
@@ -43,7 +46,7 @@ func TestOracleProberShape(t *testing.T) {
 
 func TestBatchSizeAblation(t *testing.T) {
 	e := testEnv(t)
-	hits, err := e.BatchSizeAblation("DET", proto.ICMP, 3000, []int{512, 3000})
+	hits, err := e.BatchSizeAblation(context.Background(), "DET", proto.ICMP, 3000, []int{512, 3000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,13 +62,14 @@ func TestBatchSizeAblation(t *testing.T) {
 
 func TestRawGridShape(t *testing.T) {
 	e := testEnv(t)
-	grid, err := e.RunRawGridCtx(context.Background(), []proto.Protocol{proto.ICMP}, []string{"6Tree"},
-		[]string{"All", "All Active"}, 2000)
+	sw := e.sweep(rawGrid, icmpOnly, []string{"6Tree"}, 2000)
+	all, active := slices.Index(sw.Rows, Row{Label: "All", Treatment: TreatmentFull}), slices.Index(sw.Rows, rowAllActive)
+	sw.Rows = []Row{sw.Rows[all], sw.Rows[active]}
+	rs, err := e.runSweep(context.Background(), sw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	allOut := grid.Outcome[proto.ICMP]["All"]["6Tree"]
-	activeOut := grid.Outcome[proto.ICMP]["All Active"]["6Tree"]
+	allOut, activeOut := rs.At(0, 0, 0).Outcome, rs.At(1, 0, 0).Outcome
 	if allOut.Hits == 0 || activeOut.Hits == 0 {
 		t.Fatalf("grid zeros: %+v / %+v", allOut, activeOut)
 	}
@@ -73,23 +77,31 @@ func TestRawGridShape(t *testing.T) {
 	if float64(activeOut.Hits) < 0.5*float64(allOut.Hits) {
 		t.Fatalf("All Active (%d) collapsed vs All (%d)", activeOut.Hits, allOut.Hits)
 	}
-	if out := grid.Render(proto.ICMP); len(out) == 0 {
-		t.Fatal("render empty")
+	if out := rs.renderRaw("Hits (%s)", "ASes (%s)"); len(out) != 1 || !strings.Contains(out[0], "All Active") {
+		t.Fatalf("render = %q", out)
 	}
 }
 
 func TestGridSeedsResolveAllLabels(t *testing.T) {
 	e := testEnv(t)
-	for _, label := range GridDatasets {
-		got, err := e.TreatmentSeeds(gridTreatment(label))
+	rows := rawGrid.Rows
+	if len(rows) != 9 {
+		t.Fatalf("Tables 9-12 have %d rows, want 9", len(rows))
+	}
+	for _, row := range rows {
+		got, err := e.TreatmentSeeds(row.Treatment)
 		if err != nil {
-			t.Fatalf("treatment %q: %v", label, err)
+			t.Fatalf("treatment %q: %v", row.Label, err)
 		}
 		if len(got) == 0 {
-			t.Fatalf("treatment %q resolved to empty seeds", label)
+			t.Fatalf("treatment %q resolved to empty seeds", row.Label)
 		}
 	}
-	if _, err := e.TreatmentSeeds(gridTreatment("bogus")); err == nil {
-		t.Fatal("bogus label resolved")
+	// The scanned-port placeholder is resolved by Spec, never by the
+	// executor.
+	for _, bogus := range []grid.Treatment{"unknown:bogus", treatmentScannedPort} {
+		if _, err := e.TreatmentSeeds(bogus); err == nil {
+			t.Fatalf("treatment %q resolved", bogus)
+		}
 	}
 }

@@ -80,10 +80,10 @@ func (s *DatasetSummary) Render() string {
 			"ICMP", "TCP80", "TCP443", "UDP53", "Active", "ActiveASes"},
 	}
 	for _, r := range s.Rows {
-		t.AddRow(r.Source, r.Category, fmtInt(r.Unique), fmtInt(r.ASes), fmtInt(r.Dealiased),
-			fmtInt(r.Active[proto.ICMP]), fmtInt(r.Active[proto.TCP80]),
-			fmtInt(r.Active[proto.TCP443]), fmtInt(r.Active[proto.UDP53]),
-			fmtInt(r.ActiveAny), fmtInt(r.ActiveASes))
+		t.AddRow(r.Source, r.Category, FmtInt(r.Unique), FmtInt(r.ASes), FmtInt(r.Dealiased),
+			FmtInt(r.Active[proto.ICMP]), FmtInt(r.Active[proto.TCP80]),
+			FmtInt(r.Active[proto.TCP443]), FmtInt(r.Active[proto.UDP53]),
+			FmtInt(r.ActiveAny), FmtInt(r.ActiveASes))
 	}
 	return t.String()
 }
@@ -112,8 +112,8 @@ func (e *Env) SourceOverlaps(responsive bool) (ips, ases metrics.OverlapMatrix) 
 	return metrics.Overlaps(names, ipSets), metrics.Overlaps(names, asSets)
 }
 
-// RenderOverlap prints an overlap matrix in Figure 1/2's layout.
-func RenderOverlap(title string, m metrics.OverlapMatrix) string {
+// renderOverlap prints an overlap matrix in Figure 1/2's layout.
+func renderOverlap(title string, m metrics.OverlapMatrix) string {
 	t := &Table{Title: title, Header: append(append([]string{""}, m.Names...), "Overlap")}
 	for i, n := range m.Names {
 		cells := []string{n}
@@ -146,9 +146,9 @@ func (e *Env) DomainVolumes() []DomainVolumeRow {
 	return out
 }
 
-// RenderTable7 prints the paper's collection dates (Table 7) — facts of
+// renderTable7 prints the paper's collection dates (Table 7) — facts of
 // the authors' campaign, documented rather than simulated.
-func RenderTable7() string {
+func renderTable7() string {
 	t := &Table{
 		Title:  "Table 7: Date of dataset collection (paper's campaign)",
 		Header: []string{"Source", "Collected", "Description"},
@@ -187,7 +187,7 @@ func (s *DatasetSummary) RenderWithPaper() string {
 			continue
 		}
 		m := seeds.Meta[src]
-		t.AddRow(row.Source, fmtInt(row.Unique),
+		t.AddRow(row.Source, FmtInt(row.Unique),
 			pct(row.Dealiased, row.Unique), pct(m.PaperDealiased, m.PaperUnique),
 			pct(row.ActiveAny, row.Unique), pct(m.PaperActive, m.PaperUnique))
 	}

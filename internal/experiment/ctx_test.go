@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"io"
 	"sync"
 	"testing"
 
@@ -19,14 +20,13 @@ func TestGridPreCancelledContext(t *testing.T) {
 	if _, err := e.RunRQ1aCtx(ctx, []proto.Protocol{proto.ICMP}, gens, 500); err != context.Canceled {
 		t.Fatalf("RQ1a err = %v, want context.Canceled", err)
 	}
-	if _, err := e.RunRQ3Ctx(ctx, []proto.Protocol{proto.ICMP}, gens, nil, 500); err != context.Canceled {
-		t.Fatalf("RQ3 err = %v, want context.Canceled", err)
-	}
-	if _, err := e.RunRawGridCtx(ctx, []proto.Protocol{proto.ICMP}, gens, []string{"All"}, 500); err != context.Canceled {
-		t.Fatalf("RawGrid err = %v, want context.Canceled", err)
-	}
-	if _, err := e.RunCrossPortCtx(ctx, gens, 500); err != context.Canceled {
-		t.Fatalf("CrossPort err = %v, want context.Canceled", err)
+	// Every section that runs cells stops on the cancelled context, the
+	// ablation (which once ran under context.Background) included.
+	p := Params{Protos: []proto.Protocol{proto.ICMP}, Gens: gens, Budget: 500}
+	for _, s := range Sections {
+		if err := s.Run(ctx, e, p, io.Discard); s.sweeps != nil && err != context.Canceled {
+			t.Fatalf("-run %s err = %v, want context.Canceled", s.Name, err)
+		}
 	}
 }
 

@@ -1,11 +1,15 @@
 // Package experiment orchestrates the paper's research questions end to
 // end: it builds the world, collects and preprocesses seed datasets
-// (Table 2's treatments), drives the eight TGAs through the scanner with
-// two-tier output dealiasing, and renders every table and figure of the
-// evaluation section. Every TGA-running harness compiles into a
-// declarative grid.Spec and executes through the Env's shared grid
-// engine, which deduplicates cells across specs and checkpoints completed
-// cells for resume (see internal/experiment/grid).
+// (Table 2's treatments), drives the TGAs (the paper's eight, or the
+// extended ten) through the scanner with two-tier output dealiasing, and
+// renders every table and figure of the evaluation section. Sections is
+// the one table of experiments: each entry names its `-run` key, the
+// Sweeps (treatment rows × protocols × generators at one budget) it needs,
+// and the fold that renders their results. A Sweep enumerates its cells
+// once, as a grid.Spec for the Env's shared engine — which deduplicates
+// cells across sweeps and checkpoints them for resume (see
+// internal/experiment/grid) — and its results are read back by the same
+// positions.
 package experiment
 
 import (
@@ -217,14 +221,17 @@ func (e *Env) Fingerprint() string {
 		c.OfflineCoverage, c.ScanSecret, ipaddr.Digest(e.Full.SortedSlice()))
 }
 
-// Grid returns the environment's cell engine, shared by every spec so
-// identical cells across concurrently running harnesses execute once.
+// Grid returns the environment's cell engine, shared by every sweep so
+// identical cells across concurrently running harnesses execute once. Each
+// cell is deterministic in isolation and what cells share (scanner
+// counters, dealiaser verdicts, treatment caches) is concurrency-safe, so
+// the fan-out width changes wall-clock only.
 func (e *Env) Grid() *grid.Engine {
 	e.gridOnce.Do(func() {
 		e.gridEngine = grid.NewEngine(grid.Config{
 			Fingerprint: e.Fingerprint(),
 			Store:       e.Cfg.GridStore,
-			Workers:     e.Workers(),
+			Workers:     e.Cfg.Workers,
 			Telemetry:   e.Tele,
 			Exec:        e.RunCell,
 		})

@@ -165,8 +165,8 @@ func TestTable4Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	totalRaw := 0
-	for _, g := range gens {
-		row := res.Aliases[g]
+	for gi, g := range gens {
+		row := res.Aliases(gi)
 		totalRaw += row[0]
 		// Aliases drop as dealiasing gets stricter: none >> joint.
 		if row[0] > 0 && row[3] > row[0]/5 {
@@ -209,20 +209,31 @@ func TestRQ4GreedyOrdering(t *testing.T) {
 
 func TestRQ3AndDerivedTables(t *testing.T) {
 	e := testEnv(t)
-	gens := []string{"6Tree"}
-	srcs := []seeds.Source{seeds.SourceHitlist, seeds.SourceScamper}
-	rq3, err := e.RunRQ3Ctx(context.Background(), []proto.Protocol{proto.ICMP}, gens, srcs, 1500)
+	sw := e.sweep(rq3, icmpOnly, []string{"6Tree"}, 1500)
+	if len(sw.Rows) != len(seeds.AllSources) {
+		t.Fatalf("rq3 rows = %d, want every source", len(sw.Rows))
+	}
+	// Two sources keep the test small; row 0 is the hitlist.
+	sw.Rows = []Row{sw.Rows[seeds.SourceHitlist], sw.Rows[seeds.SourceScamper]}
+	if sw.Rows[0].Label != seeds.SourceHitlist.String() {
+		t.Fatalf("row 0 = %q", sw.Rows[0].Label)
+	}
+	rq3, err := e.runSweep(context.Background(), sw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hitlistHits := rq3.Outcome[seeds.SourceHitlist][proto.ICMP]["6Tree"].Hits
-	if hitlistHits == 0 {
+	if hitlistHits := rq3.At(0, 0, 0).Outcome.Hits; hitlistHits == 0 {
 		t.Fatal("hitlist-seeded run found nothing")
 	}
-	t5, err := e.RunTable5Ctx(context.Background(), rq3)
+	bigSweep := e.table5Big(sw)
+	if bigSweep.Budget != 2*1500 {
+		t.Fatalf("big budget = %d, want sources × per-source budget", bigSweep.Budget)
+	}
+	big, err := e.runSweep(context.Background(), bigSweep)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t5 := e.table5(rq3, big)
 	if len(t5.Rows) != 1 {
 		t.Fatalf("table5 rows = %d", len(t5.Rows))
 	}
@@ -230,18 +241,17 @@ func TestRQ3AndDerivedTables(t *testing.T) {
 	if r.BigHits == 0 || r.CombinedHits == 0 {
 		t.Fatalf("table5 zeros: %+v", r)
 	}
-	t6 := e.Table6(rq3, 3)
-	cell := t6.Cells[seeds.SourceHitlist][proto.ICMP]
+	cell := e.table6Cell(rq3, 0, 0, 3)
 	if cell.Total == 0 || len(cell.Top) == 0 {
 		t.Fatalf("table6 cell empty: %+v", cell)
 	}
 	if cell.Top[0].Share <= 0 || cell.Top[0].Share > 1 {
 		t.Fatalf("share out of range: %v", cell.Top[0].Share)
 	}
-	if !strings.Contains(t6.Render(), "Total") || !strings.Contains(t5.Render(), "Generator") {
+	if !strings.Contains(e.renderTable6(rq3), "Total") || !strings.Contains(t5.Render(), "Generator") {
 		t.Fatal("renders wrong")
 	}
-	if !strings.Contains(rq3.RenderRaw(proto.ICMP), "6Tree") {
+	if raw := rq3.renderRaw("Hits (%s)", "ASes (%s)"); len(raw) != 1 || !strings.Contains(raw[0], "6Tree") {
 		t.Fatal("raw render wrong")
 	}
 }
@@ -261,21 +271,21 @@ func TestPriorWorkMatrix(t *testing.T) {
 	if !rows[6].Applies["6Scan"] {
 		t.Fatal("'Port Spec.' row wrong")
 	}
-	out := RenderPriorWork()
+	out := renderPriorWork()
 	if !strings.Contains(out, "6Sense") || !strings.Contains(out, "Port Spec.") {
 		t.Fatal("render wrong")
 	}
 }
 
 func TestRenderHelpers(t *testing.T) {
-	if got := fmtInt(1234567); got != "1,234,567" {
-		t.Fatalf("fmtInt = %q", got)
+	if got := FmtInt(1234567); got != "1,234,567" {
+		t.Fatalf("FmtInt = %q", got)
 	}
-	if got := fmtInt(-1234); got != "-1,234" {
-		t.Fatalf("fmtInt neg = %q", got)
+	if got := FmtInt(-1234); got != "-1,234" {
+		t.Fatalf("FmtInt neg = %q", got)
 	}
-	if got := fmtInt(7); got != "7" {
-		t.Fatalf("fmtInt small = %q", got)
+	if got := FmtInt(7); got != "7" {
+		t.Fatalf("FmtInt small = %q", got)
 	}
 	if got := fmtRatio(0.5); got != "+0.50" {
 		t.Fatalf("fmtRatio = %q", got)

@@ -41,7 +41,7 @@ func ratioBar(v float64) string {
 func (r *ComparisonResult) RenderFigure() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s: %s vs. %s (Performance Ratio; bar full scale ±%.0f)\n",
-		r.Name, r.Changed, r.Original, barScale)
+		r.Name, r.Rows[1].Label, r.Rows[0].Label, barScale)
 	for _, p := range proto.All {
 		rows, ok := r.Ratios[p]
 		if !ok {
@@ -66,7 +66,7 @@ func (r *RQ4Result) RenderCumulativeFigure(p proto.Protocol) string {
 	}
 	total := order[len(order)-1].Total
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Figure 6 (%s): cumulative unique hits, combined total %s\n", p, fmtInt(total))
+	fmt.Fprintf(&sb, "Figure 6 (%s): cumulative unique hits, combined total %s\n", p, FmtInt(total))
 	for _, c := range order {
 		frac := 0.0
 		if total > 0 {
@@ -74,22 +74,23 @@ func (r *RQ4Result) RenderCumulativeFigure(p proto.Protocol) string {
 		}
 		n := int(frac * 48)
 		fmt.Fprintf(&sb, "%-8s %s %5.1f%% (+%s)\n", c.Name,
-			strings.Repeat("#", n)+strings.Repeat(".", 48-n), 100*frac, fmtInt(c.New))
+			strings.Repeat("#", n)+strings.Repeat(".", 48-n), 100*frac, FmtInt(c.New))
 	}
 	return sb.String()
 }
 
-// RatioSummary reduces a set of ratio rows to their mean — handy for
-// headlines ("dealiasing buys +1.7 PR on average").
-func RatioSummary(rows []metrics.RatioRow) (hits, ases, aliases float64) {
+// meanRatios reduces a set of ratio rows to their mean — the headline
+// numbers ("dealiasing buys +1.7 PR on average").
+func meanRatios(rows []metrics.RatioRow) (mean metrics.RatioRow) {
 	if len(rows) == 0 {
-		return 0, 0, 0
+		return mean
 	}
 	for _, r := range rows {
-		hits += r.Hits
-		ases += r.ASes
-		aliases += r.Aliases
+		mean.Hits += r.Hits
+		mean.ASes += r.ASes
+		mean.Aliases += r.Aliases
 	}
 	n := float64(len(rows))
-	return hits / n, ases / n, aliases / n
+	mean.Hits, mean.ASes, mean.Aliases = mean.Hits/n, mean.ASes/n, mean.Aliases/n
+	return mean
 }

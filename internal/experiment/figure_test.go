@@ -29,14 +29,13 @@ func TestRatioBarShapes(t *testing.T) {
 
 func TestRenderFigure(t *testing.T) {
 	r := &ComparisonResult{
-		Name: "RQ-test", Original: "A", Changed: "B",
+		SweepResult: &SweepResult{Sweep: Sweep{Name: "RQ-test", Rows: []Row{{Label: "A"}, {Label: "B"}}}},
 		Ratios: map[proto.Protocol][]metrics.RatioRow{
 			proto.ICMP: {{Generator: "6Tree", Hits: 1.5, ASes: -0.5}},
 		},
-		Raw: map[proto.Protocol]map[string][2]metrics.Outcome{},
 	}
 	out := r.RenderFigure()
-	if !strings.Contains(out, "6Tree") || !strings.Contains(out, "#") {
+	if !strings.Contains(out, "RQ-test: B vs. A") || !strings.Contains(out, "6Tree") || !strings.Contains(out, "#") {
 		t.Fatalf("figure render:\n%s", out)
 	}
 }
@@ -64,11 +63,10 @@ func TestRatioSummary(t *testing.T) {
 		{Hits: 1, ASes: 2, Aliases: -1},
 		{Hits: 3, ASes: 0, Aliases: -1},
 	}
-	h, a, al := RatioSummary(rows)
-	if h != 2 || a != 1 || al != -1 {
-		t.Fatalf("summary = %v %v %v", h, a, al)
+	if m := meanRatios(rows); m.Hits != 2 || m.ASes != 1 || m.Aliases != -1 {
+		t.Fatalf("mean = %+v", m)
 	}
-	if h, _, _ := RatioSummary(nil); h != 0 {
-		t.Fatal("empty summary nonzero")
+	if m := meanRatios(nil); m != (metrics.RatioRow{}) {
+		t.Fatalf("empty mean = %+v", m)
 	}
 }

@@ -20,6 +20,7 @@ package grid
 
 import (
 	"fmt"
+	"slices"
 
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/metrics"
@@ -85,25 +86,22 @@ type PlannedCell struct {
 }
 
 // Plan deduplicates the specs' cells in first-seen order — the exact
-// worklist an Engine.Run over the same specs would execute. It is the
-// backing of `experiments -list-cells`.
+// worklist an Engine.Run over the same specs would execute — naming each
+// requesting spec once. It is the backing of `experiments -list-cells`.
 func Plan(specs ...Spec) []PlannedCell {
 	index := make(map[string]int)
 	var out []PlannedCell
 	for _, s := range specs {
-		seenInSpec := make(map[string]bool)
 		for _, c := range s.Cells {
 			id := c.ID()
 			i, ok := index[id]
 			if !ok {
-				index[id] = len(out)
-				out = append(out, PlannedCell{Cell: c, Specs: []string{s.Name}})
-				seenInSpec[id] = true
-				continue
+				i = len(out)
+				index[id] = i
+				out = append(out, PlannedCell{Cell: c})
 			}
-			if !seenInSpec[id] {
+			if !slices.Contains(out[i].Specs, s.Name) {
 				out[i].Specs = append(out[i].Specs, s.Name)
-				seenInSpec[id] = true
 			}
 		}
 	}

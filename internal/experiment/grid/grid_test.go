@@ -123,7 +123,6 @@ func TestJSONLStoreRoundTripAndTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
 	if s2.Len() != 2 {
 		t.Fatalf("replayed %d records, want 2", s2.Len())
 	}
@@ -141,6 +140,24 @@ func TestJSONLStoreRoundTripAndTornTail(t *testing.T) {
 	}
 	if _, ok := s2.Get(c3.Key("fp")); !ok {
 		t.Fatal("appended record missing")
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// ...and the next open must see it: the append starts on its own line,
+	// not glued onto the torn fragment (which would hide it and everything
+	// written after it).
+	s3, err := OpenJSONL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if s3.Len() != 3 {
+		t.Fatalf("third open replayed %d records, want all 3 complete ones", s3.Len())
+	}
+	if _, ok := s3.Get(c3.Key("fp")); !ok {
+		t.Fatal("record appended after the torn tail did not survive a reopen")
 	}
 }
 

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -79,10 +80,12 @@ type record struct {
 	Hits      []string        `json:"hits"`
 }
 
-// JSONLStore is an append-only on-disk Store: one JSON record per line.
-// Opening replays the file into memory, skipping any truncated final line
-// (the signature of a crash mid-append), so a store file is always safe
-// to resume from.
+// JSONLStore is an append-only on-disk Store: one JSON record per
+// newline-terminated line. Opening replays the file into memory up to the
+// first line that is not a complete record — the torn tail a crash
+// mid-append leaves, or corruption — and truncates the file there, so the
+// next append starts on a line of its own and a store file is always safe
+// to resume from, however many times the writer crashed.
 type JSONLStore struct {
 	mu   sync.Mutex
 	m    map[string]CellResult
@@ -90,16 +93,33 @@ type JSONLStore struct {
 	path string
 }
 
+// maxRecordBytes bounds one record line; a longer one ends replay like
+// any other unusable line.
+const maxRecordBytes = 1 << 28
+
 // OpenJSONL opens or creates the store file at path and loads every
 // complete record in it.
-func OpenJSONL(path string) (*JSONLStore, error) {
+func OpenJSONL(path string) (*JSONLStore, error) { return openJSONL(path, maxRecordBytes) }
+
+// splitRecords is a bufio.SplitFunc yielding newline-terminated lines
+// only: an unterminated tail is a torn append, not a record.
+func splitRecords(data []byte, _ bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	return 0, nil, nil
+}
+
+func openJSONL(path string, maxRecord int) (*JSONLStore, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("grid: open store: %w", err)
 	}
 	s := &JSONLStore{m: make(map[string]CellResult), f: f, path: path}
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<28)
+	sc.Buffer(make([]byte, 0, min(1<<20, maxRecord)), maxRecord)
+	sc.Split(splitRecords)
+	var good int64 // offset just past the last replayed record
 	for sc.Scan() {
 		var rec record
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
@@ -112,12 +132,19 @@ func OpenJSONL(path string) (*JSONLStore, error) {
 			break
 		}
 		s.m[rec.Key] = res
+		good += int64(len(sc.Bytes())) + 1
 	}
 	if err := sc.Err(); err != nil && err != bufio.ErrTooLong {
 		f.Close()
 		return nil, fmt.Errorf("grid: replay store %s: %w", path, err)
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+	// Appending after an unusable line would glue the next record onto it
+	// and hide every later checkpoint from the next open; cut it off.
+	if err := f.Truncate(good); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("grid: truncate store %s: %w", path, err)
+	}
+	if _, err := f.Seek(good, io.SeekStart); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("grid: seek store %s: %w", path, err)
 	}

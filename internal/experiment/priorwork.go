@@ -36,8 +36,8 @@ func PriorWorkMatrix() []PriorWorkRow {
 	}
 }
 
-// RenderPriorWork prints Table 1.
-func RenderPriorWork() string {
+// renderPriorWork prints Table 1.
+func renderPriorWork() string {
 	t := &Table{
 		Title:  "Table 1: Dataset construction and preprocessing methods by TGA",
 		Header: append([]string{"Included"}, PriorWorkColumns...),

@@ -1,11 +1,9 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"seedscan/internal/metrics"
 	"seedscan/internal/proto"
 )
 
@@ -21,53 +19,49 @@ type Recommendation struct {
 	Evidence string
 }
 
-// RunRecommendationsCtx evaluates the evidence behind each of the paper's
-// §10 recommendations on this environment, using the given generators and
-// budget for the measurement runs.
-func (e *Env) RunRecommendationsCtx(ctx context.Context, gens []string, budget int) ([]Recommendation, error) {
-	if budget <= 0 {
-		budget = e.Cfg.Budget
+// recommendationSweeps declares §10's measurement runs: single-protocol
+// RQ1.a, RQ1.b, RQ2 and RQ4, in the order recommendations takes them.
+func (e *Env) recommendationSweeps(gens []string, budget int) []Sweep {
+	return []Sweep{
+		e.sweep(rq1a, icmpOnly, gens, budget),
+		e.sweep(rq1b, icmpOnly, gens, budget),
+		e.sweep(rq2, []proto.Protocol{proto.TCP443}, gens, budget),
+		e.sweep(rq4, icmpOnly, gens, budget),
 	}
+}
+
+// recommendations evaluates the evidence behind each of the paper's §10
+// recommendations on this environment, from recommendationSweeps' results.
+func (e *Env) recommendations(rs []*SweepResult) []Recommendation {
 	var out []Recommendation
+	gens := rs[0].Gens
 
 	// 1. Dealiasing.
-	rq1a, err := e.RunRQ1aCtx(ctx, []proto.Protocol{proto.ICMP}, gens, budget)
-	if err != nil {
-		return nil, err
-	}
-	meanHits, meanAliases := meanRatios(rq1a.Ratios[proto.ICMP])
+	rq1a := meanRatios(foldComparison(rs[0]).Ratios[proto.ICMP])
 	out = append(out, Recommendation{
 		Title: "Dealiasing",
 		Guidance: "Dealias seed datasets with BOTH the published offline list and " +
 			"the online /96 test before generation.",
 		Evidence: fmt.Sprintf("joint-dealiased seeds changed ICMP hits by %+.2f PR on average "+
-			"and cut generated aliases by %+.2f PR across %d generators", meanHits, meanAliases, len(gens)),
+			"and cut generated aliases by %+.2f PR across %d generators", rq1a.Hits, rq1a.Aliases, len(gens)),
 	})
 
 	// 2. Unresponsive addresses.
-	rq1b, err := e.RunRQ1bCtx(ctx, []proto.Protocol{proto.ICMP}, gens, budget)
-	if err != nil {
-		return nil, err
-	}
-	bHits, _ := meanRatios(rq1b.Ratios[proto.ICMP])
+	rq1b := meanRatios(foldComparison(rs[1]).Ratios[proto.ICMP])
 	out = append(out, Recommendation{
 		Title:    "Unresponsive Addresses",
 		Guidance: "Pre-scan seeds and drop addresses that no longer respond on any protocol.",
-		Evidence: fmt.Sprintf("responsive-only seeds changed ICMP hits by %+.2f PR on average", bHits),
+		Evidence: fmt.Sprintf("responsive-only seeds changed ICMP hits by %+.2f PR on average", rq1b.Hits),
 	})
 
 	// 3. Port-specific seeds.
-	rq2, err := e.RunRQ2Ctx(ctx, []proto.Protocol{proto.TCP443}, gens, budget)
-	if err != nil {
-		return nil, err
-	}
-	pHits, pASes := meanRatiosHitsASes(rq2.Ratios[proto.TCP443])
+	rq2 := meanRatios(foldComparison(rs[2]).Ratios[proto.TCP443])
 	out = append(out, Recommendation{
 		Title: "Port-Specific Seeds",
 		Guidance: "Restrict seeds to the scanned port for more application-layer hits, " +
 			"but blend ICMP-active seeds back in when network coverage matters.",
 		Evidence: fmt.Sprintf("TCP443-specific seeds: hits %+.2f PR but ASes %+.2f PR on average "+
-			"— the hits-vs-diversity tradeoff", pHits, pASes),
+			"— the hits-vs-diversity tradeoff", rq2.Hits, rq2.ASes),
 	})
 
 	// 4. Multiple ports.
@@ -80,10 +74,7 @@ func (e *Env) RunRecommendationsCtx(ctx context.Context, gens []string, budget i
 	})
 
 	// 5-6. Generator choice and combination.
-	rq4, err := e.RunRQ4Ctx(ctx, []proto.Protocol{proto.ICMP}, gens, budget)
-	if err != nil {
-		return nil, err
-	}
+	rq4 := e.foldRQ4(rs[3])
 	hitOrder := rq4.HitOrder[proto.ICMP]
 	asOrder := rq4.ASOrder[proto.ICMP]
 	topShare := 0.0
@@ -101,37 +92,13 @@ func (e *Env) RunRecommendationsCtx(ctx context.Context, gens []string, budget i
 		Guidance: "Run multiple TGAs and union their output for representative coverage.",
 		Evidence: fmt.Sprintf("the top generator alone covers %.0f%% of combined hits (%s of %s); "+
 			"each additional TGA adds unique addresses",
-			100*topShare, fmtInt(hitOrder[0].New), fmtInt(hitOrder[len(hitOrder)-1].Total)),
+			100*topShare, FmtInt(hitOrder[0].New), FmtInt(hitOrder[len(hitOrder)-1].Total)),
 	})
-	return out, nil
+	return out
 }
 
-func meanRatios(rows []metrics.RatioRow) (hits, aliases float64) {
-	if len(rows) == 0 {
-		return 0, 0
-	}
-	for _, r := range rows {
-		hits += r.Hits
-		aliases += r.Aliases
-	}
-	n := float64(len(rows))
-	return hits / n, aliases / n
-}
-
-func meanRatiosHitsASes(rows []metrics.RatioRow) (hits, ases float64) {
-	if len(rows) == 0 {
-		return 0, 0
-	}
-	for _, r := range rows {
-		hits += r.Hits
-		ases += r.ASes
-	}
-	n := float64(len(rows))
-	return hits / n, ases / n
-}
-
-// RenderRecommendations prints §10's list with evidence.
-func RenderRecommendations(recs []Recommendation) string {
+// renderRecommendations prints §10's list with evidence.
+func renderRecommendations(recs []Recommendation) string {
 	var sb strings.Builder
 	sb.WriteString("RQ5 (§10): Recommendations and best practices, with measured evidence\n")
 	sb.WriteString(strings.Repeat("-", 70))

@@ -8,10 +8,15 @@ import (
 
 func TestRecommendationsEvidence(t *testing.T) {
 	e := testEnv(t)
-	recs, err := e.RunRecommendationsCtx(context.Background(), []string{"6Tree", "6Gen"}, 2500)
-	if err != nil {
-		t.Fatal(err)
+	var rs []*SweepResult
+	for _, sw := range e.recommendationSweeps([]string{"6Tree", "6Gen"}, 2500) {
+		r, err := e.runSweep(context.Background(), sw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs = append(rs, r)
 	}
+	recs := e.recommendations(rs)
 	if len(recs) != 6 {
 		t.Fatalf("recommendations = %d", len(recs))
 	}
@@ -28,7 +33,7 @@ func TestRecommendationsEvidence(t *testing.T) {
 			t.Fatalf("missing recommendation %q", want)
 		}
 	}
-	out := RenderRecommendations(recs)
+	out := renderRecommendations(recs)
 	if !strings.Contains(out, "RQ5") || !strings.Contains(out, "evidence:") {
 		t.Fatal("render wrong")
 	}

@@ -55,8 +55,8 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// fmtInt renders n with thousands separators, as the paper's tables do.
-func fmtInt(n int) string {
+// FmtInt renders n with thousands separators, as the paper's tables do.
+func FmtInt(n int) string {
 	s := fmt.Sprintf("%d", n)
 	neg := strings.HasPrefix(s, "-")
 	if neg {

@@ -3,63 +3,45 @@ package experiment
 import (
 	"context"
 
+	"seedscan/internal/experiment/grid"
 	"seedscan/internal/proto"
 )
+
+// SpecRQ2 enumerates RQ2 / Figure 5: All Active vs. port-specific seeds.
+func (e *Env) SpecRQ2(protos []proto.Protocol, gens []string, budget int) grid.Spec {
+	return e.sweep(rq2, protos, gens, budget).Spec()
+}
 
 // RunRQ2Ctx answers RQ2 (Figure 5): does tailoring the seed dataset to the
 // scanned port/protocol help? Original = All Active; changed = seeds
 // active on the scanned protocol specifically.
 func (e *Env) RunRQ2Ctx(ctx context.Context, protos []proto.Protocol, gens []string, budget int) (*ComparisonResult, error) {
-	return e.compare(ctx, e.SpecRQ2(protos, gens, budget), "All Active", "Port-Specific",
-		treatAllActive, treatPort, protos, gens, budget)
+	return run(ctx, e, e.sweep(rq2, protos, gens, budget), foldComparison)
 }
 
-// CrossPortResult holds Appendix D's Figure 7: hits per (input dataset
-// active on X) × (scanned protocol Y), summed over generators.
-type CrossPortResult struct {
-	Budget int
-	Gens   []string
-	// Hits[input][scan] — input indexes proto.All plus the final "All
-	// Active" row at index proto.Count.
-	Hits [proto.Count + 1][proto.Count]int
-}
-
-// InputLabels names the cross-port input datasets in order.
-var InputLabels = []string{"ICMP", "TCP80", "TCP443", "UDP53", "All Active"}
-
-// RunCrossPortCtx reproduces Figure 7: each input dataset (seeds active on
-// one protocol, plus All Active) scanned on every protocol.
-func (e *Env) RunCrossPortCtx(ctx context.Context, gens []string, budget int) (*CrossPortResult, error) {
-	if budget <= 0 {
-		budget = e.Cfg.Budget
+// renderCrossPort prints Figure 7: hits per input dataset × scanned
+// protocol, summed over generators.
+func renderCrossPort(rs *SweepResult) string {
+	header := []string{"Input \\ Scan"}
+	for _, p := range rs.Protos {
+		header = append(header, p.String())
 	}
-	rs, err := e.Grid().Run(ctx, e.SpecCrossPort(gens, budget))
-	if err != nil {
-		return nil, err
-	}
-	res := &CrossPortResult{Budget: budget, Gens: gens}
-	for i, in := range crossPortInputs() {
-		for _, scanP := range proto.All {
-			total := 0
-			for _, g := range gens {
-				total += rs.Of(e.cell(g, in, scanP, budget, 0)).Outcome.Hits
-			}
-			res.Hits[i][scanP] = total
+	t := &Table{Title: "Figure 7: Active addresses per scanned protocol, by input dataset", Header: header}
+	for ri, row := range rs.Rows {
+		cells := []string{row.Label}
+		for pi := range rs.Protos {
+			cells = append(cells, FmtInt(crossPortHits(rs, ri, pi)))
 		}
-	}
-	return res, nil
-}
-
-// Render prints the cross-port matrix.
-func (r *CrossPortResult) Render() string {
-	t := &Table{
-		Title:  "Figure 7: Active addresses per scanned protocol, by input dataset",
-		Header: []string{"Input \\ Scan", "ICMP", "TCP80", "TCP443", "UDP53"},
-	}
-	for i, label := range InputLabels {
-		t.AddRow(label,
-			fmtInt(r.Hits[i][proto.ICMP]), fmtInt(r.Hits[i][proto.TCP80]),
-			fmtInt(r.Hits[i][proto.TCP443]), fmtInt(r.Hits[i][proto.UDP53]))
+		t.AddRow(cells...)
 	}
 	return t.String()
+}
+
+// crossPortHits is one cell of Figure 7's matrix.
+func crossPortHits(rs *SweepResult, row, pi int) int {
+	total := 0
+	for gi := range rs.Gens {
+		total += rs.At(row, pi, gi).Outcome.Hits
+	}
+	return total
 }

@@ -3,55 +3,53 @@ package experiment
 import (
 	"context"
 
+	"seedscan/internal/experiment/grid"
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/metrics"
 	"seedscan/internal/proto"
 )
 
 // RQ4Result holds RQ4 (Figure 6): every generator run on the All Active
-// dataset per protocol, with the greedy cumulative-contribution orderings
-// for hits and ASes.
+// dataset per protocol (the sweep's one row), with the greedy cumulative-
+// contribution orderings for hits and ASes.
 type RQ4Result struct {
-	Budget int
-	Gens   []string
-	// Outcome[p][gen] is the per-run measurement.
-	Outcome map[proto.Protocol]map[string]metrics.Outcome
+	*SweepResult
 	// HitOrder[p] / ASOrder[p] are the greedy coverage orderings.
 	HitOrder map[proto.Protocol][]metrics.Contribution
 	ASOrder  map[proto.Protocol][]metrics.Contribution
 }
 
+// SpecRQ4 enumerates RQ4 / Figure 6: every generator on All Active per
+// protocol.
+func (e *Env) SpecRQ4(protos []proto.Protocol, gens []string, budget int) grid.Spec {
+	return e.sweep(rq4, protos, gens, budget).Spec()
+}
+
 // RunRQ4Ctx reproduces Figure 6: combined-generator coverage on All Active.
 func (e *Env) RunRQ4Ctx(ctx context.Context, protos []proto.Protocol, gens []string, budget int) (*RQ4Result, error) {
-	if budget <= 0 {
-		budget = e.Cfg.Budget
-	}
-	rs, err := e.Grid().Run(ctx, e.SpecRQ4(protos, gens, budget))
-	if err != nil {
-		return nil, err
-	}
+	return run(ctx, e, e.sweep(rq4, protos, gens, budget), e.foldRQ4)
+}
+
+// foldRQ4 orders each protocol's generators by greedy marginal coverage.
+func (e *Env) foldRQ4(rs *SweepResult) *RQ4Result {
 	res := &RQ4Result{
-		Budget:   budget,
-		Gens:     gens,
-		Outcome:  make(map[proto.Protocol]map[string]metrics.Outcome),
-		HitOrder: make(map[proto.Protocol][]metrics.Contribution),
-		ASOrder:  make(map[proto.Protocol][]metrics.Contribution),
+		SweepResult: rs,
+		HitOrder:    make(map[proto.Protocol][]metrics.Contribution),
+		ASOrder:     make(map[proto.Protocol][]metrics.Contribution),
 	}
 	db := e.World.ASDB()
-	for _, p := range protos {
-		res.Outcome[p] = make(map[string]metrics.Outcome)
-		hitSets := make(map[string]map[ipaddr.Addr]struct{}, len(gens))
-		asSets := make(map[string]map[int]struct{}, len(gens))
-		for _, g := range gens {
-			c := rs.Of(e.cell(g, TreatmentAllActive, p, budget, 0))
-			res.Outcome[p][g] = c.Outcome
-			hitSets[g] = metrics.AddrSet(c.Hits)
-			asSets[g] = db.ASSet(c.Hits)
+	for pi, p := range rs.Protos {
+		hitSets := make(map[string]map[ipaddr.Addr]struct{}, len(rs.Gens))
+		asSets := make(map[string]map[int]struct{}, len(rs.Gens))
+		for gi, g := range rs.Gens {
+			hits := rs.At(0, pi, gi).Hits
+			hitSets[g] = metrics.AddrSet(hits)
+			asSets[g] = db.ASSet(hits)
 		}
 		res.HitOrder[p] = metrics.GreedyCover(hitSets)
 		res.ASOrder[p] = metrics.GreedyCover(asSets)
 	}
-	return res, nil
+	return res
 }
 
 // Render prints Figure 6's cumulative contributions.
@@ -72,9 +70,9 @@ func (r *RQ4Result) Render() string {
 			an, at := "-", "-"
 			if i < len(ases) {
 				ag = ases[i].Name
-				an, at = fmtInt(ases[i].New), fmtInt(ases[i].Total)
+				an, at = FmtInt(ases[i].New), FmtInt(ases[i].Total)
 			}
-			t.AddRow(fmtInt(i+1), hits[i].Name, fmtInt(hits[i].New), fmtInt(hits[i].Total), ag, an, at)
+			t.AddRow(FmtInt(i+1), hits[i].Name, FmtInt(hits[i].New), FmtInt(hits[i].Total), ag, an, at)
 		}
 		out += t.String() + "\n"
 	}

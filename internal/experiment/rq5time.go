@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"seedscan/internal/experiment/grid"
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/longitudinal"
 	"seedscan/internal/proto"
@@ -34,41 +33,22 @@ type RQ5TimeResult struct {
 	AliasAdded, AliasRemoved []int
 }
 
-// SpecRQ5Time enumerates the TGA cohort cells RQ5 tracks over time: one
-// All Active run per generator on ICMP, whose hits become the persistence
-// cohorts. The daemon's own per-epoch cells are created dynamically (they
-// depend on tracker state) and are not part of the static plan.
-func (e *Env) SpecRQ5Time(gens []string, budget int) grid.Spec {
-	spec := grid.Spec{Name: "RQ5 / metrics over time"}
-	for _, g := range gens {
-		spec.Cells = append(spec.Cells, e.cell(g, TreatmentAllActive, proto.ICMP, budget, 0))
-	}
-	return spec
-}
-
-// RunRQ5TimeCtx reproduces the RQ5 metrics-over-time table. It runs the
-// TGA cohort cells through the shared grid, then
-// drives a longitudinal daemon over its own copy of the world for several
-// epochs. The daemon scans a private world+scanner pair built from the
-// same EnvConfig — byte-identical addresses and truth, but advancing its
-// epoch clock never perturbs the shared Env other sections scan through.
-// Daemon epoch cells checkpoint into the same grid store under an
-// "rq5time"-suffixed fingerprint, so -resume covers this table too.
-func (e *Env) RunRQ5TimeCtx(ctx context.Context, gens []string, budget, epochs int) (*RQ5TimeResult, error) {
-	if budget <= 0 {
-		budget = e.Cfg.Budget
-	}
+// rq5Time reproduces the RQ5 metrics-over-time table from the run cohort
+// sweep: it drives a longitudinal daemon over its own copy of the world
+// for several epochs (zero means DefaultRQ5Epochs). The daemon scans a
+// private world+scanner pair built from the same EnvConfig —
+// byte-identical addresses and truth, but advancing its epoch clock never
+// perturbs the shared Env other sections scan through. Daemon epoch cells
+// checkpoint into the same grid store under a "|rq5time"-suffixed
+// fingerprint, so -resume covers this table too.
+func (e *Env) rq5Time(ctx context.Context, cohortRuns *SweepResult, epochs int) (*RQ5TimeResult, error) {
 	if epochs <= 0 {
 		epochs = DefaultRQ5Epochs
 	}
-	spec := e.SpecRQ5Time(gens, budget)
-	rs, err := e.Grid().Run(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
+	gens := cohortRuns.Gens
 	cohorts := make([]longitudinal.Cohort, 0, len(gens))
-	for i, g := range gens {
-		cohorts = append(cohorts, longitudinal.Cohort{Name: g, Addrs: rs.Of(spec.Cells[i]).Hits})
+	for gi, g := range gens {
+		cohorts = append(cohorts, longitudinal.Cohort{Name: g, Addrs: cohortRuns.At(0, 0, gi).Hits})
 	}
 
 	c := e.Cfg
@@ -132,11 +112,11 @@ func (r *RQ5TimeResult) Render() string {
 	}
 	for i, rep := range r.Epochs {
 		t.AddRow(
-			fmtInt(rep.Epoch), fmtInt(rep.Probed), fmtInt(rep.Saved),
-			fmtInt(rep.Hits), fmtInt(rep.Alive),
-			fmtInt(rep.AliveSeeds), fmtPct(float64(rep.AliveSeeds)/float64(r.CorpusSize)),
-			fmtInt(rep.ConfirmedStale), fmtInt(len(rep.AliasPrefixes)),
-			fmtInt(r.AliasAdded[i]), fmtInt(r.AliasRemoved[i]))
+			FmtInt(rep.Epoch), FmtInt(rep.Probed), FmtInt(rep.Saved),
+			FmtInt(rep.Hits), FmtInt(rep.Alive),
+			FmtInt(rep.AliveSeeds), fmtPct(float64(rep.AliveSeeds)/float64(r.CorpusSize)),
+			FmtInt(rep.ConfirmedStale), FmtInt(len(rep.AliasPrefixes)),
+			FmtInt(r.AliasAdded[i]), FmtInt(r.AliasRemoved[i]))
 	}
 	out := t.String() + "\n"
 
@@ -145,12 +125,12 @@ func (r *RQ5TimeResult) Render() string {
 		Header: append([]string{"Epoch"}, r.Gens...),
 	}
 	for _, rep := range r.Epochs {
-		row := []string{fmtInt(rep.Epoch)}
+		row := []string{FmtInt(rep.Epoch)}
 		for _, g := range r.Gens {
 			cell := "-"
 			for _, cs := range rep.Cohorts {
 				if cs.Name == g && cs.Total > 0 {
-					cell = fmt.Sprintf("%s (%s)", fmtInt(cs.Alive), fmtPct(float64(cs.Alive)/float64(cs.Total)))
+					cell = fmt.Sprintf("%s (%s)", FmtInt(cs.Alive), fmtPct(float64(cs.Alive)/float64(cs.Total)))
 					break
 				}
 			}

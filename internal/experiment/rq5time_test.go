@@ -16,7 +16,11 @@ func TestRQ5TimeResumeByteIdentical(t *testing.T) {
 	gens := []string{"6Tree", "DET"}
 	render := func(store grid.Store) string {
 		env := NewEnv(EnvConfig{NumASes: 40, CollectScale: 0.3, Budget: 3000, GridStore: store})
-		res, err := env.RunRQ5TimeCtx(context.Background(), gens, 3000, 4)
+		cohorts, err := env.runSweep(context.Background(), env.sweep(rq5Cohorts, icmpOnly, gens, 3000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := env.rq5Time(context.Background(), cohorts, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,167 +74,3 @@ func (e *Env) TreatmentSeeds(t grid.Treatment) ([]ipaddr.Addr, error) {
 	}
 	return nil, fmt.Errorf("experiment: unknown treatment %q", t)
 }
-
-// cell builds a fully normalized grid cell: defaults are resolved here so
-// equal work always has equal identity (a zero budget and the explicit
-// default budget dedup to the same cell).
-func (e *Env) cell(gen string, t grid.Treatment, p proto.Protocol, budget, batch int) grid.Cell {
-	if budget <= 0 {
-		budget = e.Cfg.Budget
-	}
-	if batch <= 0 {
-		batch = experimentBatchSize
-	}
-	return grid.Cell{Gen: gen, Treatment: t, Proto: p, Budget: budget, BatchSize: batch}
-}
-
-// compareSpec enumerates a "changed vs. original" comparison: both
-// treatments for every generator × protocol.
-func (e *Env) compareSpec(name string, orig, chg func(proto.Protocol) grid.Treatment,
-	protos []proto.Protocol, gens []string, budget int) grid.Spec {
-	spec := grid.Spec{Name: name}
-	for _, p := range protos {
-		for _, g := range gens {
-			spec.Cells = append(spec.Cells,
-				e.cell(g, orig(p), p, budget, 0),
-				e.cell(g, chg(p), p, budget, 0))
-		}
-	}
-	return spec
-}
-
-// The comparison axes of Figures 3-5, shared by the Run* harnesses and
-// the spec builders.
-var (
-	treatFull      = func(proto.Protocol) grid.Treatment { return TreatmentFull }
-	treatJoint     = func(proto.Protocol) grid.Treatment { return TreatmentDealiased(alias.ModeJoint) }
-	treatAllActive = func(proto.Protocol) grid.Treatment { return TreatmentAllActive }
-	treatPort      = func(p proto.Protocol) grid.Treatment { return TreatmentPortActive(p) }
-)
-
-// SpecRQ1a enumerates RQ1.a / Figure 3: full vs. joint-dealiased seeds.
-func (e *Env) SpecRQ1a(protos []proto.Protocol, gens []string, budget int) grid.Spec {
-	return e.compareSpec("RQ1.a / Figure 3", treatFull, treatJoint, protos, gens, budget)
-}
-
-// SpecRQ1b enumerates RQ1.b / Figure 4: joint-dealiased vs. All Active.
-func (e *Env) SpecRQ1b(protos []proto.Protocol, gens []string, budget int) grid.Spec {
-	return e.compareSpec("RQ1.b / Figure 4", treatJoint, treatAllActive, protos, gens, budget)
-}
-
-// SpecRQ2 enumerates RQ2 / Figure 5: All Active vs. port-specific seeds.
-func (e *Env) SpecRQ2(protos []proto.Protocol, gens []string, budget int) grid.Spec {
-	return e.compareSpec("RQ2 / Figure 5", treatAllActive, treatPort, protos, gens, budget)
-}
-
-// SpecTable4 enumerates Table 4: every generator on every seed-dealiasing
-// treatment, ICMP.
-func (e *Env) SpecTable4(gens []string, budget int) grid.Spec {
-	spec := grid.Spec{Name: "Table 4"}
-	for _, g := range gens {
-		for _, m := range alias.Modes {
-			spec.Cells = append(spec.Cells, e.cell(g, TreatmentDealiased(m), proto.ICMP, budget, 0))
-		}
-	}
-	return spec
-}
-
-// SpecRQ3 enumerates the per-source runs behind Tables 5, 6, and 13-15.
-// Nil sources means all of Table 3's.
-func (e *Env) SpecRQ3(protos []proto.Protocol, gens []string, sources []seeds.Source, budget int) grid.Spec {
-	if sources == nil {
-		sources = seeds.AllSources
-	}
-	spec := grid.Spec{Name: "RQ3"}
-	for _, src := range sources {
-		for _, p := range protos {
-			for _, g := range gens {
-				spec.Cells = append(spec.Cells, e.cell(g, TreatmentSourceActive(src), p, budget, 0))
-			}
-		}
-	}
-	return spec
-}
-
-// SpecTable5 enumerates Table 5's big-budget side: one All Active ICMP
-// run per generator at nSources × the per-source budget.
-func (e *Env) SpecTable5(gens []string, nSources, srcBudget int) grid.Spec {
-	if srcBudget <= 0 {
-		srcBudget = e.Cfg.Budget
-	}
-	spec := grid.Spec{Name: "Table 5"}
-	for _, g := range gens {
-		spec.Cells = append(spec.Cells, e.cell(g, TreatmentAllActive, proto.ICMP, srcBudget*nSources, 0))
-	}
-	return spec
-}
-
-// SpecRQ4 enumerates RQ4 / Figure 6: every generator on All Active per
-// protocol.
-func (e *Env) SpecRQ4(protos []proto.Protocol, gens []string, budget int) grid.Spec {
-	spec := grid.Spec{Name: "RQ4"}
-	for _, p := range protos {
-		for _, g := range gens {
-			spec.Cells = append(spec.Cells, e.cell(g, TreatmentAllActive, p, budget, 0))
-		}
-	}
-	return spec
-}
-
-// crossPortInputs lists Figure 7's input datasets in row order, matching
-// InputLabels.
-func crossPortInputs() []grid.Treatment {
-	inputs := make([]grid.Treatment, 0, proto.Count+1)
-	for _, p := range proto.All {
-		inputs = append(inputs, TreatmentPortActive(p))
-	}
-	return append(inputs, TreatmentAllActive)
-}
-
-// SpecCrossPort enumerates Appendix D's Figure 7: each input dataset
-// scanned on every protocol, summed over generators.
-func (e *Env) SpecCrossPort(gens []string, budget int) grid.Spec {
-	spec := grid.Spec{Name: "Figure 7"}
-	for _, in := range crossPortInputs() {
-		for _, scanP := range proto.All {
-			for _, g := range gens {
-				spec.Cells = append(spec.Cells, e.cell(g, in, scanP, budget, 0))
-			}
-		}
-	}
-	return spec
-}
-
-// SpecRawGrid enumerates the appendix's Tables 9-12 (nil datasets = all
-// nine treatment rows).
-func (e *Env) SpecRawGrid(protos []proto.Protocol, gens, datasets []string, budget int) grid.Spec {
-	if datasets == nil {
-		datasets = GridDatasets
-	}
-	spec := grid.Spec{Name: "Raw grid"}
-	for _, p := range protos {
-		for _, ds := range datasets {
-			for _, g := range gens {
-				spec.Cells = append(spec.Cells, e.cell(g, gridTreatment(ds), p, budget, 0))
-			}
-		}
-	}
-	return spec
-}
-
-// SpecOneCell wraps a single ad-hoc run as a one-cell spec, so one-off
-// CLI runs (`seedscan run`) share the engine's dedup, checkpointing, and
-// resume.
-func (e *Env) SpecOneCell(gen string, t grid.Treatment, p proto.Protocol, budget int) grid.Spec {
-	return grid.Spec{Name: gen + " on " + string(t), Cells: []grid.Cell{e.cell(gen, t, p, budget, 0)}}
-}
-
-// SpecBatchAblation enumerates the feedback batch-size ablation: one
-// generator on All Active at several batch sizes.
-func (e *Env) SpecBatchAblation(gen string, p proto.Protocol, budget int, sizes []int) grid.Spec {
-	spec := grid.Spec{Name: "Batch ablation"}
-	for _, bs := range sizes {
-		spec.Cells = append(spec.Cells, e.cell(gen, TreatmentAllActive, p, budget, bs))
-	}
-	return spec
-}

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"seedscan/internal/alias"
+	"seedscan/internal/experiment/grid"
+	"seedscan/internal/metrics"
 )
 
 // TestTable4RenderExtendedModes pins that extending alias.Modes with the
@@ -22,12 +24,11 @@ func TestTable4RenderExtendedModes(t *testing.T) {
 		t.Fatalf("extension column = %v, want cooldown appended last", last)
 	}
 
-	res := &Table4Result{
-		Budget: 1000,
-		Gens:   []string{"6Tree"},
-		Aliases: map[string][]int{
-			"6Tree": {500, 400, 30, 2, 7},
-		},
+	sw := table4
+	sw.Protos, sw.Gens, sw.Budget = icmpOnly, []string{"6Tree"}, 1000
+	res := &Table4Result{&SweepResult{Sweep: sw}}
+	for _, aliases := range []int{500, 400, 30, 2, 7} {
+		res.cells = append(res.cells, grid.CellResult{Outcome: metrics.Outcome{Aliases: aliases}})
 	}
 	got := res.Render()
 	for _, label := range []string{"D_All", "D_offline", "D_online", "D_joint", "D_cooldown"} {
