@@ -13,7 +13,6 @@ package det
 
 import (
 	"fmt"
-	"sort"
 
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/tga"
@@ -81,9 +80,22 @@ func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
 		g.Explore = 0.35
 	}
 	g.seeds = seeds
-	g.search = tga.NewLeafSearch(tm.Leaves(), len(seeds), func(l *tga.TreeNode, got int) { l.Probes += got })
+	g.search = tga.NewLeafSearch(tm.Leaves(), ranksAbove, func(l *tga.TreeNode, got int) { l.Probes += got })
 	g.rebuilds++
 	return nil
+}
+
+// ranksAbove is DET's leaf ranking: smoothed hit rate with a mildly
+// pessimistic prior, so probed productive leaves outrank untouched ones;
+// ties (notably all-untouched leaves early on) break by seed density, which
+// is what the entropy tree encodes about where hits live.
+func ranksAbove(a, b *tga.TreeNode) bool {
+	sa := (float64(a.Hits) + 1) / (float64(a.Probes) + 8)
+	sb := (float64(b.Hits) + 1) / (float64(b.Probes) + 8)
+	if sa != sb {
+		return sa > sb
+	}
+	return len(a.Seeds) > len(b.Seeds)
 }
 
 // Init builds the initial entropy-split tree.
@@ -92,23 +104,8 @@ func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, 
 // NextBatch allocates (1-Explore) of the batch to leaves by descending
 // reward and the rest uniformly.
 func (g *Generator) NextBatch(n int) []ipaddr.Addr {
-	order := g.search.Live()
-	// Score: smoothed hit rate with a mildly pessimistic prior, so probed
-	// productive leaves outrank untouched ones; ties (notably all-untouched
-	// leaves early on) break by seed density, which is what the entropy
-	// tree encodes about where hits live.
-	score := func(l *tga.TreeNode) float64 {
-		return (float64(l.Hits) + 1) / (float64(l.Probes) + 8)
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		si, sj := score(order[i]), score(order[j])
-		if si != sj {
-			return si > sj
-		}
-		return len(order[i].Seeds) > len(order[j].Seeds)
-	})
 	next := 0 // explore: round-robin from the top of the ranking
-	return g.search.NextBatch(n, order, int(float64(n)*(1-g.Explore)), 4*len(order), func() int {
+	return g.search.NextBatch(n, int(float64(n)*(1-g.Explore)), 4, func(int) int {
 		next++
 		return next - 1
 	})
@@ -130,5 +127,6 @@ func (g *Generator) Feedback(results []tga.ProbeResult) {
 	}
 }
 
-// Rebuilds reports how many times the tree was rebuilt (diagnostics).
+// Rebuilds reports how many trees the run has built, the initial one
+// included (diagnostics).
 func (g *Generator) Rebuilds() int { return g.rebuilds }

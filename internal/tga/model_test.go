@@ -2,6 +2,7 @@ package tga
 
 import (
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -26,6 +27,12 @@ func treesEqual(t *testing.T, a, b *TreeNode) {
 	t.Helper()
 	if a.SplitPos != b.SplitPos {
 		t.Fatalf("SplitPos %d != %d", a.SplitPos, b.SplitPos)
+	}
+	// The partitions below an internal node overwrite its window of the
+	// build's buffers: it must not keep a slice that now reads as someone
+	// else's seeds.
+	if !a.IsLeaf() && (a.Seeds != nil || b.Seeds != nil) {
+		t.Fatalf("internal node splitting at %d kept %d and %d seeds", a.SplitPos, len(a.Seeds), len(b.Seeds))
 	}
 	if len(a.Seeds) != len(b.Seeds) {
 		t.Fatalf("seed count %d != %d", len(a.Seeds), len(b.Seeds))
@@ -53,39 +60,52 @@ func TestBuildTreeParallelMatchesSerial(t *testing.T) {
 		fn   SplitHeuristic
 	}{{"leftmost", SplitLeftmost}, {"minentropy", SplitMinEntropy}} {
 		t.Run(h.name, func(t *testing.T) {
-			serial := BuildTree(seeds, 4, h.fn)
-			par := BuildTreeParallel(seeds, 4, h.fn)
-			treesEqual(t, serial, par)
-			// The leaves a run adopts: same patterns, same seed groups in
-			// the same order, and together a partition of the input that
-			// keeps input (ascending) order within each group.
-			sl, pl := serial.Leaves(), par.Leaves()
-			if len(sl) != len(pl) {
-				t.Fatalf("leaf count %d != %d", len(sl), len(pl))
-			}
-			total := 0
-			for i := range sl {
-				if sl[i].Masks != pl[i].Masks {
-					t.Fatalf("leaf %d masks differ", i)
+			// minLeaf 1 grows the deepest trees, where the two partition
+			// buffers are reused the most.
+			for _, minLeaf := range []int{4, 1} {
+				serial := BuildTree(seeds, minLeaf, h.fn)
+				par := BuildTreeParallel(seeds, minLeaf, h.fn)
+				if serial.IsLeaf() {
+					t.Fatal("root did not split")
 				}
-				if len(sl[i].Seeds) != len(pl[i].Seeds) {
-					t.Fatalf("leaf %d seed count %d != %d", i, len(sl[i].Seeds), len(pl[i].Seeds))
+				treesEqual(t, serial, par)
+				// The leaves a run adopts: same patterns, same seed groups in
+				// the same order, and together a partition of the input that
+				// keeps input (ascending) order within each group — no
+				// partition further down wrote over a leaf's window.
+				sl, pl := serial.Leaves(), par.Leaves()
+				if len(sl) != len(pl) {
+					t.Fatalf("leaf count %d != %d", len(sl), len(pl))
 				}
-				for j, a := range sl[i].Seeds {
-					if a != pl[i].Seeds[j] {
-						t.Fatalf("leaf %d seed %d differs", i, j)
+				union := ipaddr.NewSet()
+				total := 0
+				for i := range sl {
+					if sl[i].Masks != pl[i].Masks {
+						t.Fatalf("leaf %d masks differ", i)
 					}
-					if j > 0 && !sl[i].Seeds[j-1].Less(a) {
-						t.Fatalf("leaf %d seeds out of input order at %d", i, j)
+					if len(sl[i].Seeds) == 0 || len(sl[i].Seeds) != len(pl[i].Seeds) {
+						t.Fatalf("leaf %d seed count %d, %d", i, len(sl[i].Seeds), len(pl[i].Seeds))
 					}
+					for j, a := range sl[i].Seeds {
+						if a != pl[i].Seeds[j] {
+							t.Fatalf("leaf %d seed %d differs", i, j)
+						}
+						if j > 0 && !sl[i].Seeds[j-1].Less(a) {
+							t.Fatalf("leaf %d seeds out of input order at %d", i, j)
+						}
+					}
+					if sl[i].Masks != ObservedMasks(sl[i].Seeds) {
+						t.Fatalf("leaf %d masks are not its seeds' observed values", i)
+					}
+					union.AddAll(sl[i].Seeds)
+					total += len(sl[i].Seeds)
 				}
-				if sl[i].Masks != ObservedMasks(sl[i].Seeds) {
-					t.Fatalf("leaf %d masks are not its seeds' observed values", i)
+				if total != len(seeds) {
+					t.Fatalf("leaves hold %d seeds, input %d", total, len(seeds))
 				}
-				total += len(sl[i].Seeds)
-			}
-			if total != len(seeds) {
-				t.Fatalf("leaves hold %d seeds, input %d", total, len(seeds))
+				if !slices.Equal(union.Sorted(), seeds) {
+					t.Fatalf("leaves hold %d distinct seeds, not the %d of the input", union.Len(), len(seeds))
+				}
 			}
 		})
 	}

@@ -1,6 +1,11 @@
 package tga
 
-import "seedscan/internal/ipaddr"
+import (
+	"cmp"
+	"slices"
+
+	"seedscan/internal/ipaddr"
+)
 
 // minChunk is the least an Expander draws from a region per visit, so that
 // one-seed regions still get more than a glance.
@@ -12,25 +17,28 @@ const minChunk = 8
 // what another region already proposed (regions widen into each other).
 type Expander struct {
 	// weight, chunk, produced and gens are parallel, one entry per region.
-	// A region's weight is zeroed when its enumerator runs dry, which takes
-	// it out of the running: live weights are positive, so any live score
-	// beats the 0 the search for the best starts from.
 	weight   []float64
 	chunk    []int
 	produced []int
 	gens     []LeafGen
-	emitted  *ipaddr.Set
+	// heap holds the regions still in the running as a max-heap in visit
+	// order (before). A visit only lowers the visited region's score, so
+	// the root is sifted down after each visit, or removed when its
+	// enumerator runs dry.
+	heap    []int32
+	emitted *ipaddr.Set
 }
 
 // NewExpander returns an expander with room for the given number of
-// regions, expecting to emit about capHint addresses.
-func NewExpander(regions, capHint int) *Expander {
+// regions.
+func NewExpander(regions int) *Expander {
 	return &Expander{
 		weight:   make([]float64, 0, regions),
 		chunk:    make([]int, 0, regions),
 		produced: make([]int, 0, regions),
 		gens:     make([]LeafGen, 0, regions),
-		emitted:  ipaddr.NewSetCap(capHint),
+		heap:     make([]int32, 0, regions),
+		emitted:  ipaddr.NewSet(),
 	}
 }
 
@@ -43,6 +51,10 @@ func (e *Expander) Add(masks [ipaddr.NybbleCount]ValueMask, weight float64, chun
 	e.produced = append(e.produced, 0)
 	e.gens = append(e.gens, LeafGen{})
 	e.gens[len(e.gens)-1].start(masks)
+	if weight > 0 {
+		e.heap = append(e.heap, int32(len(e.gens)-1))
+		HeapUp(e.heap, len(e.heap)-1, e.before)
+	}
 }
 
 // Len reports the number of regions added.
@@ -52,23 +64,15 @@ func (e *Expander) Len() int { return len(e.gens) }
 // maxChunk. Fewer than n means every region is exhausted.
 func (e *Expander) NextBatch(n, maxChunk int) []ipaddr.Addr {
 	out := make([]ipaddr.Addr, 0, n)
-	for len(out) < n {
-		best, bestScore := -1, 0.0
-		for i, w := range e.weight {
-			if score := w / float64(e.produced[i]+1); score > bestScore {
-				best, bestScore = i, score
-			}
-		}
-		if best < 0 {
-			break
-		}
+	for len(out) < n && len(e.heap) > 0 {
+		best := e.heap[0]
 		gen := &e.gens[best]
 		chunk := min(e.chunk[best], maxChunk)
-		got := 0
+		got, dry := 0, false
 		for got < chunk && len(out) < n {
 			a, ok := gen.Next()
 			if !ok {
-				e.weight[best] = 0
+				dry = true
 				break
 			}
 			if e.emitted.Add(a) {
@@ -77,8 +81,64 @@ func (e *Expander) NextBatch(n, maxChunk int) []ipaddr.Addr {
 			}
 		}
 		e.produced[best] += got
+		if dry {
+			e.heap = HeapPop(e.heap, e.before)
+		} else {
+			HeapDown(e.heap, 0, e.before)
+		}
 	}
 	return out
+}
+
+// before is the visit order: the higher weight/(produced+1) first, the
+// lower index on ties — the region a strict-> linear argmax would pick.
+func (e *Expander) before(i, j int32) bool {
+	si, sj := e.weight[i]/float64(e.produced[i]+1), e.weight[j]/float64(e.produced[j]+1)
+	if si != sj {
+		return si > sj
+	}
+	return i < j
+}
+
+// HeapUp, HeapDown and HeapPop keep h a binary heap of indices under
+// before: h[0] is the index no other ranks before, and what the indices
+// name lives with the caller. HeapUp restores the heap after h[k] rose in
+// the order or was appended, HeapDown after it fell, and HeapPop removes
+// the root and returns the shortened heap.
+func HeapUp(h []int32, k int, before func(a, b int32) bool) {
+	for k > 0 {
+		p := (k - 1) / 2
+		if !before(h[k], h[p]) {
+			return
+		}
+		h[k], h[p] = h[p], h[k]
+		k = p
+	}
+}
+
+func HeapDown(h []int32, k int, before func(a, b int32) bool) {
+	for {
+		kid := 2*k + 1
+		if kid >= len(h) {
+			return
+		}
+		if r := kid + 1; r < len(h) && before(h[r], h[kid]) {
+			kid = r
+		}
+		if !before(h[kid], h[k]) {
+			return
+		}
+		h[k], h[kid] = h[kid], h[k]
+		k = kid
+	}
+}
+
+func HeapPop(h []int32, before func(a, b int32) bool) []int32 {
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	HeapDown(h, 0, before)
+	return h
 }
 
 // GeometricShares spends budget down a ranked list: half to the first
@@ -99,45 +159,120 @@ func GeometricShares[T any](ranked []T, budget int, take func(x T, k int) int) {
 }
 
 // LeafSearch is the online search over a space tree's leaves. It owns what
-// DET, 6Hit and 6Scan have in common: which leaf proposed each candidate
-// still awaiting its probe result, the set of everything ever proposed (so
-// nothing is proposed twice, across leaves or across rebuilds), the
-// exploit-then-explore batch, and the rebuild around discovered hits.
+// DET, 6Hit and 6Scan have in common: the ranking of the live leaves, which
+// leaf proposed each candidate still awaiting its probe result, the set of
+// everything ever proposed (so nothing is proposed twice, across leaves or
+// across rebuilds), the exploit-then-explore batch, and the rebuild around
+// discovered hits.
+//
+// The ranking is a stable sort of the live leaves by the generator's
+// comparison, ties in leaf order, and it is kept from batch to batch: only
+// the leaves whose key may have moved are re-keyed, sorted among
+// themselves and merged back into the rest. So a generator's comparison
+// may read only what changes when the search draws from a leaf (the took
+// callback), when Resolve reports it, or — for a leaf drawn since the
+// previous Resolve — during the Feedback that calls Resolve.
 type LeafSearch struct {
 	leaves  []*TreeNode
-	pending map[ipaddr.Addr]*TreeNode
-	emitted *ipaddr.Set
+	before  func(a, b *TreeNode) bool
 	took    func(l *TreeNode, got int)
-	out     []ipaddr.Addr // the batch under construction
+	pending map[ipaddr.Addr]int32 // the proposing leaf's index
+	emitted *ipaddr.Set
+
+	ranked []int32 // live leaf indices, best first, as of the last ranking
+	spare  []int32 // the next ranking's buffer
+	moved  []int32 // leaves to re-key at the next ranking
+	drawn  []int32 // leaves drawn from since the last Resolve
+	mark   []uint8 // per leaf: inMoved, inDrawn
+	out    []ipaddr.Addr
 }
 
-// NewLeafSearch starts a search over leaves, expecting to emit about
-// capHint addresses. took is told how many fresh candidates each draw got
-// from a leaf — where a generator counts probes at proposal time.
-func NewLeafSearch(leaves []*TreeNode, capHint int, took func(l *TreeNode, got int)) *LeafSearch {
-	return &LeafSearch{
-		leaves:  leaves,
-		pending: make(map[ipaddr.Addr]*TreeNode),
-		emitted: ipaddr.NewSetCap(capHint),
-		took:    took,
+const (
+	inMoved = 1 << iota
+	inDrawn
+)
+
+// NewLeafSearch starts a search over leaves, ranked by before (a strict
+// order: a ranks above b). took is told how many fresh candidates each draw
+// got from a leaf — where a generator counts probes at proposal time.
+func NewLeafSearch(leaves []*TreeNode, before func(a, b *TreeNode) bool, took func(l *TreeNode, got int)) *LeafSearch {
+	s := &LeafSearch{before: before, took: took, emitted: ipaddr.NewSet()}
+	s.reset(leaves)
+	return s
+}
+
+// reset searches leaves from now on, every one of them still to be ranked.
+func (s *LeafSearch) reset(leaves []*TreeNode) {
+	s.leaves = leaves
+	s.pending = make(map[ipaddr.Addr]int32)
+	s.ranked, s.drawn = s.ranked[:0], s.drawn[:0]
+	s.moved = make([]int32, len(leaves))
+	s.mark = make([]uint8, len(leaves))
+	for i := range leaves {
+		s.moved[i] = int32(i)
+		s.mark[i] = inMoved
 	}
 }
 
-// Live returns the leaves that can still produce, in leaf order, as a
-// fresh slice for the caller to rank.
-func (s *LeafSearch) Live() []*TreeNode {
-	live := make([]*TreeNode, 0, len(s.leaves))
-	for _, l := range s.leaves {
-		if l.Gen != nil {
-			live = append(live, l)
+// touch queues leaf i for re-keying at the next ranking and, when drawn,
+// again after the next Resolve.
+func (s *LeafSearch) touch(i int32, drawn bool) {
+	if s.mark[i]&inMoved == 0 {
+		s.mark[i] |= inMoved
+		s.moved = append(s.moved, i)
+	}
+	if drawn && s.mark[i]&inDrawn == 0 {
+		s.mark[i] |= inDrawn
+		s.drawn = append(s.drawn, i)
+	}
+}
+
+// rank brings the ranking up to date: the moved leaves still live are
+// sorted among themselves and merged into the unmoved rest, which is
+// already in order. The result is the stable sort of the live leaves.
+func (s *LeafSearch) rank() {
+	rest := s.ranked[:0]
+	for _, i := range s.ranked {
+		if s.mark[i]&inMoved == 0 {
+			rest = append(rest, i)
 		}
 	}
-	return live
+	moved := s.moved[:0]
+	for _, i := range s.moved {
+		s.mark[i] &^= inMoved
+		if s.leaves[i].Gen != nil {
+			moved = append(moved, i)
+		}
+	}
+	slices.SortFunc(moved, s.order)
+	next := s.spare[:0]
+	for _, i := range moved {
+		k, _ := slices.BinarySearchFunc(rest, i, s.order)
+		next = append(append(next, rest[:k]...), i)
+		rest = rest[k:]
+	}
+	s.spare, s.ranked = s.ranked, append(next, rest...)
+	s.moved = moved[:0]
 }
 
-// take draws up to k never-proposed addresses from l into the batch and
-// remembers l as their proposer. A leaf that runs dry is marked exhausted.
-func (s *LeafSearch) take(l *TreeNode, k int) int {
+// order compares leaves i and j by rank: the generator's comparison, then
+// leaf order.
+func (s *LeafSearch) order(i, j int32) int {
+	a, b := s.leaves[i], s.leaves[j]
+	switch {
+	case s.before(a, b):
+		return -1
+	case s.before(b, a):
+		return 1
+	}
+	return cmp.Compare(i, j)
+}
+
+// take draws up to k never-proposed addresses from leaf i into the batch
+// and remembers i as their proposer. A leaf that runs dry is marked
+// exhausted.
+func (s *LeafSearch) take(i int32, k int) int {
+	l := s.leaves[i]
 	got := 0
 	for got < k {
 		a, ok := l.Gen.Next()
@@ -147,27 +282,31 @@ func (s *LeafSearch) take(l *TreeNode, k int) int {
 		}
 		if s.emitted.Add(a) {
 			s.out = append(s.out, a)
-			s.pending[a] = l
+			s.pending[a] = i
 			got++
 		}
 	}
+	s.touch(i, true)
 	s.took(l, got)
 	return got
 }
 
-// NextBatch proposes up to n addresses from the ranked live leaves: the
-// first `exploit` in geometric shares from the top of the ranking, then one
-// at a time from ranked[pick() % len(ranked)] until the batch is full or
-// `tries` picks are made; an exhausted leaf costs a pick but no address.
-func (s *LeafSearch) NextBatch(n int, ranked []*TreeNode, exploit, tries int, pick func() int) []ipaddr.Addr {
-	if len(ranked) == 0 {
+// NextBatch ranks the live leaves and proposes up to n addresses from
+// them: the first `exploit` in geometric shares from the top of the
+// ranking, then one at a time from the leaf at rank pick(live) % live
+// until the batch is full or picksPerLeaf·live picks are made; a leaf
+// exhausted since the ranking costs a pick but no address.
+func (s *LeafSearch) NextBatch(n, exploit, picksPerLeaf int, pick func(live int) int) []ipaddr.Addr {
+	s.rank()
+	live := len(s.ranked)
+	if live == 0 {
 		return nil
 	}
 	s.out = make([]ipaddr.Addr, 0, n)
-	GeometricShares(ranked, exploit, s.take)
-	for ; len(s.out) < n && tries > 0; tries-- {
-		if l := ranked[pick()%len(ranked)]; l.Gen != nil {
-			s.take(l, 1)
+	GeometricShares(s.ranked, exploit, s.take)
+	for tries := picksPerLeaf * live; len(s.out) < n && tries > 0; tries-- {
+		if i := s.ranked[pick(live)%live]; s.leaves[i].Gen != nil {
+			s.take(i, 1)
 		}
 	}
 	out := s.out
@@ -179,22 +318,29 @@ func (s *LeafSearch) NextBatch(n int, ranked []*TreeNode, exploit, tries int, pi
 // proposed its address, once: results for addresses the search did not
 // propose, or already resolved, are skipped.
 func (s *LeafSearch) Resolve(results []ProbeResult, report func(l *TreeNode, r ProbeResult)) {
+	// The caller may re-key what it drew since the last Resolve once this
+	// returns (6Hit's per-round Q update).
+	for _, i := range s.drawn {
+		s.mark[i] &^= inDrawn
+		s.touch(i, false)
+	}
+	s.drawn = s.drawn[:0]
 	for _, r := range results {
-		l, ok := s.pending[r.Addr]
+		i, ok := s.pending[r.Addr]
 		if !ok {
 			continue
 		}
 		delete(s.pending, r.Addr)
-		report(l, r)
+		s.touch(i, false)
+		report(s.leaves[i], r)
 	}
 }
 
 // Rebuild regrows the tree over seeds ∪ hits and searches its leaves from
-// now on. Candidates still awaiting results are forgotten with the leaves
-// that proposed them; what was emitted stays emitted.
+// now on, ranked afresh. Candidates still awaiting results are forgotten
+// with the leaves that proposed them; what was emitted stays emitted.
 func (s *LeafSearch) Rebuild(seeds, hits []ipaddr.Addr, minLeaf int, h SplitHeuristic) {
 	pool := ipaddr.NewSet(seeds...)
 	pool.AddAll(hits)
-	s.leaves = BuildTreeAuto(pool.Slice(), minLeaf, h).Leaves()
-	s.pending = make(map[ipaddr.Addr]*TreeNode)
+	s.reset(BuildTreeAuto(pool.Slice(), minLeaf, h).Leaves())
 }

@@ -1,7 +1,10 @@
 package tga
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -27,7 +30,7 @@ func visits(batch []ipaddr.Addr) string {
 }
 
 func TestExpanderTieGoesToLowestIndex(t *testing.T) {
-	e := NewExpander(3, 0)
+	e := NewExpander(3)
 	for v := byte(1); v <= 3; v++ {
 		addRegion(e, v, 16, 2)
 	}
@@ -41,7 +44,7 @@ func TestExpanderTieGoesToLowestIndex(t *testing.T) {
 }
 
 func TestExpanderSkipsExhaustedRegionsForGood(t *testing.T) {
-	e := NewExpander(3, 0)
+	e := NewExpander(3)
 	addRegion(e, 1, 2, 1000) // two addresses, far the best score
 	addRegion(e, 2, 16, 2)
 	addRegion(e, 2, 16, 0.001) // the same 16 addresses, visited last: nothing fresh to give
@@ -49,8 +52,8 @@ func TestExpanderSkipsExhaustedRegionsForGood(t *testing.T) {
 		if got := visits(e.NextBatch(10, 10)); got != want {
 			t.Fatalf("batch %d visited %q, want %q", i, got, want)
 		}
-		if e.weight[0] != 0 {
-			t.Fatalf("batch %d: exhausted region keeps weight %v", i, e.weight[0])
+		if slices.Contains(e.heap, 0) {
+			t.Fatalf("batch %d: exhausted region still in the running", i)
 		}
 	}
 	if want := []int{2, 16, 0}; !reflect.DeepEqual(e.produced, want) {
@@ -106,14 +109,15 @@ func newSearch(t *testing.T) *LeafSearch {
 		t.Fatalf("only %d leaves", len(leaves))
 	}
 	leaves[1].Gen = NewLeafGen(leaves[0].Masks, nil)
-	return NewLeafSearch(leaves, 0, func(l *TreeNode, got int) { l.Probes += got })
+	return NewLeafSearch(leaves, func(a, b *TreeNode) bool { return a.Hits > b.Hits },
+		func(l *TreeNode, got int) { l.Probes += got })
 }
 
 // propose asks s for a batch of n the way DET does: 60% down the ranking,
 // the rest round-robin from its top.
 func propose(s *LeafSearch, n int) []ipaddr.Addr {
 	i := 0
-	return s.NextBatch(n, s.Live(), n*6/10, n, func() int { i++; return i - 1 })
+	return s.NextBatch(n, n*6/10, n, func(int) int { i++; return i - 1 })
 }
 
 func TestLeafSearchNeverProposesTwice(t *testing.T) {
@@ -139,16 +143,25 @@ func TestLeafSearchNeverProposesTwice(t *testing.T) {
 
 func TestLeafSearchExploreCountsPicksNotAddresses(t *testing.T) {
 	s := newSearch(t)
-	ranked := s.Live()
-	for _, l := range ranked[1:] {
-		l.Gen = nil // exhausted since they were ranked
+	live := len(s.leaves)
+	for i, l := range s.leaves[1:] {
+		l.Gen = NewLeafGen(pinnedMasks(byte(i)), []int{}) // one address, then dry
 	}
 	picks := 0
-	batch := s.NextBatch(100, ranked, 0, 8, func() int { picks++; return picks - 1 })
-	if want := (8 + len(ranked) - 1) / len(ranked); picks != 8 || len(batch) != want || ranked[0].Probes != want {
-		t.Fatalf("%d picks gave %d addresses, want 8 and %d (one live leaf of %d)", picks, len(batch), want, len(ranked))
+	batch := s.NextBatch(100, 0, 2, func(n int) int {
+		if n != live {
+			t.Fatalf("pick told of %d live leaves, want %d", n, live)
+		}
+		picks++
+		return picks - 1
+	})
+	// Leaf 0 ranks first (no hits anywhere, so leaf order) and is picked
+	// every live-th time; each other leaf answers its first pick and runs
+	// dry at its second, which still costs the pick.
+	if want := 2 + (live - 1); picks != 2*live || len(batch) != want || s.leaves[0].Probes != 2 {
+		t.Fatalf("%d picks gave %d addresses (%d from leaf 0), want %d, %d and 2", picks, len(batch), s.leaves[0].Probes, 2*live, want)
 	}
-	if got := s.NextBatch(100, nil, 60, 0, nil); got != nil {
+	if got := NewLeafSearch(nil, nil, nil).NextBatch(100, 60, 1, nil); got != nil {
 		t.Fatalf("no live leaves, got %v", got)
 	}
 }
@@ -197,5 +210,222 @@ func TestLeafSearchResolveAndRebuild(t *testing.T) {
 	s.Resolve(results, func(*TreeNode, ProbeResult) { t.Fatal("a proposal outlived the rebuild") })
 	if s.emitted.Len() != 50 || !s.emitted.Contains(batch[0]) || !s.emitted.Contains(batch[49]) {
 		t.Fatalf("emitted holds %d after the rebuild, want the 50 proposed", s.emitted.Len())
+	}
+}
+
+// argmaxExpander is the Expander as it was before it kept a heap: every
+// visit scans all regions for the highest weight/(produced+1), strict >,
+// and a region's weight is zeroed when its enumerator runs dry.
+type argmaxExpander struct {
+	weight   []float64
+	chunk    []int
+	produced []int
+	gens     []LeafGen
+	emitted  *ipaddr.Set
+}
+
+func (e *argmaxExpander) nextBatch(n, maxChunk int) []ipaddr.Addr {
+	out := make([]ipaddr.Addr, 0, n)
+	for len(out) < n {
+		best, bestScore := -1, 0.0
+		for i, w := range e.weight {
+			if score := w / float64(e.produced[i]+1); score > bestScore {
+				best, bestScore = i, score
+			}
+		}
+		if best < 0 {
+			break
+		}
+		chunk := min(e.chunk[best], maxChunk)
+		got := 0
+		for got < chunk && len(out) < n {
+			a, ok := e.gens[best].Next()
+			if !ok {
+				e.weight[best] = 0
+				break
+			}
+			if e.emitted.Add(a) {
+				out = append(out, a)
+				got++
+			}
+		}
+		e.produced[best] += got
+	}
+	return out
+}
+
+func TestExpanderHeapMatchesLinearArgmax(t *testing.T) {
+	for trial := int64(0); trial < 40; trial++ {
+		rng := rand.New(rand.NewSource(trial))
+		e := NewExpander(0)
+		ref := &argmaxExpander{emitted: ipaddr.NewSet()}
+		regions := 1 + rng.Intn(60)
+		for r := 0; r < regions; r++ {
+			// Few distinct weights and chunks, so scores tie often; regions
+			// overlap (a shared prefix digit), and some never widen, so
+			// they run dry.
+			masks := pinnedMasks(byte(rng.Intn(4)))
+			for k := 0; k < 1+rng.Intn(3); k++ {
+				masks[ipaddr.NybbleCount-1-rng.Intn(6)] = ValueMask(1 + rng.Intn(0xffff))
+			}
+			weight := []float64{0.5, 1, 2, 3, 1.5}[rng.Intn(5)]
+			chunk := rng.Intn(20)
+			e.Add(masks, weight, chunk)
+			ref.weight = append(ref.weight, weight)
+			ref.chunk = append(ref.chunk, max(minChunk, chunk))
+			ref.produced = append(ref.produced, 0)
+			ref.gens = append(ref.gens, LeafGen{})
+			ref.gens[r].start(masks)
+			if rng.Intn(3) > 0 {
+				e.gens[r].widenPos, ref.gens[r].widenPos = []int{}, []int{}
+			}
+		}
+		for batch := 0; batch < 30; batch++ {
+			n, maxChunk := 1+rng.Intn(200), 1+rng.Intn(40)
+			got, want := e.NextBatch(n, maxChunk), ref.nextBatch(n, maxChunk)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d batch %d: heap proposed %d addresses, argmax %d, or in another order", trial, batch, len(got), len(want))
+			}
+			if !slices.Equal(e.produced, ref.produced) {
+				t.Fatalf("trial %d batch %d: produced %v, argmax %v", trial, batch, e.produced, ref.produced)
+			}
+		}
+	}
+}
+
+// rankPolicy is one generator's ranking over a LeafSearch as the test
+// drives it: the comparison, and the state updates that move its keys.
+type rankPolicy struct {
+	before   func(a, b *TreeNode) bool
+	took     func(l *TreeNode, got int)
+	report   func(l *TreeNode, r ProbeResult)
+	feedback func() // after Resolve
+	rebuilt  func()
+}
+
+// rankPolicies mirror DET's, 6Scan's and 6Hit's rankings and updates.
+func rankPolicies() map[string]rankPolicy {
+	detScore := func(l *TreeNode) float64 { return (float64(l.Hits) + 1) / (float64(l.Probes) + 8) }
+	probes := func(l *TreeNode, got int) { l.Probes += got }
+	hits := func(l *TreeNode, r ProbeResult) { // the reward DET and 6Scan rank by
+		if r.Active {
+			l.Hits++
+		}
+	}
+	q := map[*TreeNode]float64{}
+	qOf := func(l *TreeNode) float64 {
+		if v, ok := q[l]; ok {
+			return v
+		}
+		return 0.5
+	}
+	batchN, batchH := map[*TreeNode]int{}, map[*TreeNode]int{}
+	return map[string]rankPolicy{
+		"DET": {
+			before: func(a, b *TreeNode) bool {
+				if sa, sb := detScore(a), detScore(b); sa != sb {
+					return sa > sb
+				}
+				return len(a.Seeds) > len(b.Seeds)
+			},
+			took: probes, report: hits, feedback: func() {}, rebuilt: func() {},
+		},
+		"6Scan": {
+			before: func(a, b *TreeNode) bool {
+				if a.Hits != b.Hits {
+					return a.Hits > b.Hits
+				}
+				return len(a.Seeds) > len(b.Seeds)
+			},
+			took: probes, report: hits, feedback: func() {}, rebuilt: func() {},
+		},
+		"6Hit": {
+			before: func(a, b *TreeNode) bool { return qOf(a) > qOf(b) },
+			took:   func(l *TreeNode, got int) { batchN[l] += got },
+			report: func(l *TreeNode, r ProbeResult) {
+				hits(l, r) // which its ranking must not read
+				if r.Active {
+					batchH[l]++
+				}
+				l.Probes++
+			},
+			feedback: func() {
+				for l, n := range batchN {
+					if n > 0 {
+						q[l] = 0.7*qOf(l) + 0.3*float64(batchH[l])/float64(n)
+					}
+				}
+				clear(batchN)
+				clear(batchH)
+			},
+			rebuilt: func() { clear(q) },
+		},
+	}
+}
+
+func TestLeafSearchRankingMatchesStableSort(t *testing.T) {
+	seeds := synthSeeds(t, 400)
+	// Leaves that never widen run dry, most of them within a few batches.
+	neverWiden := func(s *LeafSearch) {
+		for i, l := range s.leaves {
+			if i%3 != 0 {
+				l.Gen.widenPos = []int{}
+			}
+		}
+	}
+	for _, name := range []string{"DET", "6Scan", "6Hit"} {
+		for trial := int64(0); trial < 8; trial++ {
+			p := rankPolicies()[name]
+			rng := rand.New(rand.NewSource(trial))
+			s := NewLeafSearch(BuildTree(seeds, 2, SplitMinEntropy).Leaves(), p.before, p.took)
+			neverWiden(s)
+			var out [3][]ipaddr.Addr // the last three batches
+			var found []ipaddr.Addr
+			for step := 0; step < 120; step++ {
+				var want []*TreeNode
+				for _, l := range s.leaves {
+					if l.Gen != nil {
+						want = append(want, l)
+					}
+				}
+				sort.SliceStable(want, func(i, j int) bool { return p.before(want[i], want[j]) })
+
+				n := 1 + rng.Intn(300)
+				rr := 0
+				pick := func(live int) int { return rng.Intn(live) }
+				if rng.Intn(2) == 0 {
+					pick = func(int) int { rr++; return rr - 1 }
+				}
+				out = [3][]ipaddr.Addr{s.NextBatch(n, rng.Intn(n+1), 1+rng.Intn(4), pick), out[0], out[1]}
+				got := make([]*TreeNode, len(s.ranked))
+				for i, li := range s.ranked {
+					got[i] = s.leaves[li]
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s trial %d step %d: ranking of %d live leaves differs from the stable sort of %d", name, trial, step, len(got), len(want))
+				}
+
+				switch rng.Intn(8) {
+				case 0: // no feedback this round: the next batch follows at once
+				case 1: // rebuild around some of what was found
+					s.Rebuild(seeds, found[:min(len(found), 100)], 2, SplitMinEntropy)
+					neverWiden(s)
+					p.rebuilt()
+				default: // results for some of what is out, late ones included
+					var results []ProbeResult
+					for _, a := range slices.Concat(out[:]...) {
+						if rng.Intn(4) > 0 {
+							r := ProbeResult{Addr: a, Active: rng.Intn(3) == 0}
+							if r.Active {
+								found = append(found, a)
+							}
+							results = append(results, r)
+						}
+					}
+					s.Resolve(results, p.report)
+					p.feedback()
+				}
+			}
+		}
 	}
 }

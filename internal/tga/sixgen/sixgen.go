@@ -216,12 +216,12 @@ func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 
 // InitFromModel implements tga.ModelBuilder: it materializes fresh
 // per-run enumerators over the mined clusters.
-func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
+func (g *Generator) InitFromModel(m tga.Model, _ []ipaddr.Addr) error {
 	mm, ok := m.(*Model)
 	if !ok {
 		return fmt.Errorf("sixgen: model type %T", m)
 	}
-	g.clusters = tga.NewExpander(len(mm.Clusters), len(seeds))
+	g.clusters = tga.NewExpander(len(mm.Clusters))
 	for _, c := range mm.Clusters {
 		g.clusters.Add(c.Masks, math.Sqrt(float64(c.Size)), 4*c.Size)
 	}

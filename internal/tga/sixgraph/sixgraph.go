@@ -151,13 +151,13 @@ func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 
 // InitFromModel implements tga.ModelBuilder: it materializes fresh
 // per-run enumerators over the merged patterns.
-func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
+func (g *Generator) InitFromModel(m tga.Model, _ []ipaddr.Addr) error {
 	mm, ok := m.(*Model)
 	if !ok {
 		return fmt.Errorf("sixgraph: model type %T", m)
 	}
 	g.model = mm
-	g.clusters = tga.NewExpander(len(mm.Clusters), len(seeds))
+	g.clusters = tga.NewExpander(len(mm.Clusters))
 	for _, c := range mm.Clusters {
 		g.clusters.Add(c.Masks, 1+math.Log2(float64(c.Seeds)+1), c.Seeds)
 	}

@@ -15,7 +15,6 @@ package sixhit
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/tga"
@@ -97,7 +96,8 @@ func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
 	}
 	g.rng = rand.New(rand.NewSource(g.Seed))
 	g.seeds = seeds
-	g.search = tga.NewLeafSearch(tm.Leaves(), len(seeds), func(l *tga.TreeNode, got int) { g.batchN[l] += got })
+	g.search = tga.NewLeafSearch(tm.Leaves(), func(a, b *tga.TreeNode) bool { return g.qOf(a) > g.qOf(b) },
+		func(l *tga.TreeNode, got int) { g.batchN[l] += got })
 	g.q = make(map[*tga.TreeNode]float64)
 	g.batchN = make(map[*tga.TreeNode]int)
 	g.batchH = make(map[*tga.TreeNode]int)
@@ -117,11 +117,7 @@ func (g *Generator) qOf(l *tga.TreeNode) float64 {
 // NextBatch spends (1-ε) of the batch on the highest-Q leaves and ε on
 // uniformly random leaves.
 func (g *Generator) NextBatch(n int) []ipaddr.Addr {
-	live := g.search.Live()
-	sort.SliceStable(live, func(i, j int) bool { return g.qOf(live[i]) > g.qOf(live[j]) })
-	return g.search.NextBatch(n, live, n-int(float64(n)*g.Epsilon), 8*len(live), func() int {
-		return g.rng.Intn(len(live))
-	})
+	return g.search.NextBatch(n, n-int(float64(n)*g.Epsilon), 8, g.rng.Intn)
 }
 
 // Feedback updates Q-values from the round's hit rates and periodically

@@ -410,7 +410,7 @@ func (g *Generator) Feedback([]tga.ProbeResult) {}
 
 // before is the draw order: higher probability first, then the seeded
 // tie-break hash, then insertion order.
-func (c cand) before(o cand) bool {
+func (c *cand) before(o *cand) bool {
 	if c.lp != o.lp {
 		return c.lp > o.lp
 	}
@@ -420,9 +420,9 @@ func (c cand) before(o cand) bool {
 	return c.tick < o.tick
 }
 
-// candHeap is an index max-heap: the heap order lives in idx, so sifts
-// and prunes move 4-byte indices instead of the ~90-byte cand structs,
-// which sit in a reusable slab addressed through a free list.
+// candHeap is an index max-heap (tga.HeapUp et al.): the heap order lives
+// in idx, so sifts and prunes move 4-byte indices instead of the ~90-byte
+// cand structs, which sit in a reusable slab addressed through a free list.
 type candHeap struct {
 	slab []cand
 	free []int32
@@ -431,7 +431,8 @@ type candHeap struct {
 
 func (h *candHeap) Len() int { return len(h.idx) }
 
-func (h *candHeap) less(i, j int) bool { return h.slab[h.idx[i]].before(h.slab[h.idx[j]]) }
+// before orders slab slots by their candidates' draw order.
+func (h *candHeap) before(a, b int32) bool { return h.slab[a].before(&h.slab[b]) }
 
 func (h *candHeap) push(c cand) {
 	var slot int32
@@ -444,17 +445,12 @@ func (h *candHeap) push(c cand) {
 		h.slab = append(h.slab, c)
 	}
 	h.idx = append(h.idx, slot)
-	h.up(len(h.idx) - 1)
+	tga.HeapUp(h.idx, len(h.idx)-1, h.before)
 }
 
 func (h *candHeap) pop() cand {
 	top := h.idx[0]
-	last := len(h.idx) - 1
-	h.idx[0] = h.idx[last]
-	h.idx = h.idx[:last]
-	if last > 0 {
-		h.down(0)
-	}
+	h.idx = tga.HeapPop(h.idx, h.before)
 	c := h.slab[top]
 	h.slab[top] = cand{} // release the node/tail pointers for GC
 	h.free = append(h.free, top)
@@ -464,45 +460,16 @@ func (h *candHeap) pop() cand {
 // prune keeps the best `keep` candidates, frees the rest, and returns the
 // worst surviving log-probability — the new beam floor.
 func (h *candHeap) prune(keep int) float64 {
-	sort.Slice(h.idx, func(i, j int) bool { return h.less(i, j) })
+	sort.Slice(h.idx, func(i, j int) bool { return h.before(h.idx[i], h.idx[j]) })
 	for _, slot := range h.idx[keep:] {
 		h.slab[slot] = cand{}
 		h.free = append(h.free, slot)
 	}
 	h.idx = h.idx[:keep]
 	for i := keep/2 - 1; i >= 0; i-- {
-		h.down(i)
+		tga.HeapDown(h.idx, i, h.before)
 	}
 	return h.slab[h.idx[keep-1]].lp
-}
-
-func (h *candHeap) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
-			return
-		}
-		h.idx[i], h.idx[p] = h.idx[p], h.idx[i]
-		i = p
-	}
-}
-
-func (h *candHeap) down(i int) {
-	n := len(h.idx)
-	for {
-		kid := 2*i + 1
-		if kid >= n {
-			return
-		}
-		if r := kid + 1; r < n && h.less(r, kid) {
-			kid = r
-		}
-		if !h.less(kid, i) {
-			return
-		}
-		h.idx[i], h.idx[kid] = h.idx[kid], h.idx[i]
-		i = kid
-	}
 }
 
 // mix64 folds values into a well-mixed 64-bit hash (splitmix64 chain).

@@ -17,7 +17,6 @@ package sixscan
 
 import (
 	"fmt"
-	"sort"
 
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/tga"
@@ -64,7 +63,7 @@ func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 }
 
 // InitFromModel implements tga.ModelBuilder.
-func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
+func (g *Generator) InitFromModel(m tga.Model, _ []ipaddr.Addr) error {
 	tm, ok := m.(*tga.TreeModel)
 	if !ok {
 		return fmt.Errorf("sixscan: model type %T", m)
@@ -72,8 +71,16 @@ func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
 	if g.TopShare <= 0 || g.TopShare >= 1 {
 		g.TopShare = 0.7
 	}
-	g.search = tga.NewLeafSearch(tm.Leaves(), len(seeds), func(l *tga.TreeNode, got int) { l.Probes += got })
+	g.search = tga.NewLeafSearch(tm.Leaves(), ranksAbove, func(l *tga.TreeNode, got int) { l.Probes += got })
 	return nil
+}
+
+// ranksAbove is the region encoding feedback: hit count, then seed count.
+func ranksAbove(a, b *tga.TreeNode) bool {
+	if a.Hits != b.Hits {
+		return a.Hits > b.Hits
+	}
+	return len(a.Seeds) > len(b.Seeds)
 }
 
 // Init builds the space tree with 6Tree's splitting order.
@@ -83,14 +90,7 @@ func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, 
 // encoding feedback (hit count, then seed count) and the rest round-robin
 // across all live regions.
 func (g *Generator) NextBatch(n int) []ipaddr.Addr {
-	live := g.search.Live()
-	sort.SliceStable(live, func(i, j int) bool {
-		if live[i].Hits != live[j].Hits {
-			return live[i].Hits > live[j].Hits
-		}
-		return len(live[i].Seeds) > len(live[j].Seeds)
-	})
-	return g.search.NextBatch(n, live, int(float64(n)*g.TopShare), 4*len(live), func() int {
+	return g.search.NextBatch(n, int(float64(n)*g.TopShare), 4, func(int) int {
 		g.rr++
 		return g.rr - 1
 	})

@@ -54,12 +54,12 @@ func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 
 // InitFromModel implements tga.ModelBuilder: it adopts a mined tree and
 // builds fresh run state over it.
-func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
+func (g *Generator) InitFromModel(m tga.Model, _ []ipaddr.Addr) error {
 	tm, ok := m.(*tga.TreeModel)
 	if !ok {
 		return fmt.Errorf("sixtree: model type %T", m)
 	}
-	g.leaves = tga.NewExpander(len(tm.LeafModels), len(seeds))
+	g.leaves = tga.NewExpander(len(tm.LeafModels))
 	for _, l := range tm.LeafModels {
 		g.leaves.Add(l.Masks, float64(len(l.Seeds)), 4*len(l.Seeds))
 	}

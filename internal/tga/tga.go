@@ -28,6 +28,7 @@ package tga
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -185,7 +186,7 @@ func RunContext(ctx context.Context, g Generator, seeds []ipaddr.Addr, cfg RunCo
 		return nil, fmt.Errorf("tga: init %s: %w", g.Name(), err)
 	}
 	if cfg.ExcludeSeeds {
-		d.seedSet = ipaddr.NewSet(seeds...)
+		d.excluded = seeds
 	}
 	d.generated = ipaddr.NewSetCap(cfg.Budget)
 
@@ -219,7 +220,7 @@ type driver struct {
 	runSpan *telemetry.Span
 	res     *RunResult
 
-	seedSet   *ipaddr.Set // nil unless ExcludeSeeds
+	excluded  []ipaddr.Addr // the canonical seeds when ExcludeSeeds, else nil
 	generated *ipaddr.Set
 	idle      int
 	batchIdx  int
@@ -276,7 +277,7 @@ func (d *driver) produce(parent *telemetry.Span) (fresh []ipaddr.Addr, cont bool
 		if len(fresh) >= rem {
 			break
 		}
-		if d.seedSet != nil && d.seedSet.Contains(a) {
+		if _, seed := slices.BinarySearchFunc(d.excluded, a, ipaddr.Addr.Compare); seed {
 			continue
 		}
 		if d.generated.Add(a) {

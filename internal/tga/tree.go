@@ -49,6 +49,9 @@ func SplitMinEntropy(seeds []ipaddr.Addr, candidates []int) int {
 // the leaves a run generates from (Leaves) also carry a generator and
 // per-leaf online statistics.
 type TreeNode struct {
+	// Seeds is a leaf's seed group, in input order. An internal node's is
+	// nil once it has split: the partitions below it reuse its window of
+	// the build's buffers (see treeBuild), and its seeds are its leaves'.
 	Seeds    []ipaddr.Addr
 	SplitPos int
 	Children []*TreeNode
@@ -70,11 +73,8 @@ func (n *TreeNode) IsLeaf() bool { return len(n.Children) == 0 }
 // position chosen by h until minLeaf seeds or no varying position remains.
 // Every leaf gets its observed-value masks.
 func BuildTree(seeds []ipaddr.Addr, minLeaf int, h SplitHeuristic) *TreeNode {
-	if minLeaf < 1 {
-		minLeaf = 1
-	}
-	root := &TreeNode{Seeds: seeds}
-	build(root, minLeaf, h, 0)
+	b, root := newTreeBuild(seeds, minLeaf, h)
+	b.build(root, 0, 0)
 	return root
 }
 
@@ -94,45 +94,77 @@ func BuildTreeAuto(seeds []ipaddr.Addr, minLeaf int, h SplitHeuristic) *TreeNode
 // never interact, and children are assembled into their value-sorted slots
 // before workers descend, so the result is byte-for-byte the serial tree.
 func BuildTreeParallel(seeds []ipaddr.Addr, minLeaf int, h SplitHeuristic) *TreeNode {
-	if minLeaf < 1 {
-		minLeaf = 1
-	}
-	root := &TreeNode{Seeds: seeds}
+	b, root := newTreeBuild(seeds, minLeaf, h)
 	// Tokens bound concurrency; a worker that cannot claim one recurses
 	// inline, so construction never blocks on the semaphore.
 	tokens := make(chan struct{}, MineWorkers())
 	var wg sync.WaitGroup
-	buildP(root, minLeaf, h, 0, tokens, &wg)
+	b.buildP(root, 0, 0, tokens, &wg)
 	wg.Wait()
 	return root
 }
 
-// buildP is build with concurrent child descent.
-func buildP(n *TreeNode, minLeaf int, h SplitHeuristic, depth int, tokens chan struct{}, wg *sync.WaitGroup) {
-	if !split(n, minLeaf, h, depth) {
+// treeBuild is one tree construction: the split rule and the two buffers
+// the nodes partition their seeds into. The node at depth d whose seeds
+// are the window [off, off+len(Seeds)) of the input order writes its
+// children's groups into part[d%2] at that same window, so each depth
+// reuses the buffer two depths up. A leaf's window is never written again
+// — nothing descends from it — while an internal node's is overwritten,
+// in part, by its children's partitions, which is why split drops an
+// internal node's Seeds. Windows of different subtrees are disjoint,
+// which is what lets the parallel builder share the buffers.
+type treeBuild struct {
+	minLeaf int
+	h       SplitHeuristic
+	part    [2][]ipaddr.Addr
+}
+
+func newTreeBuild(seeds []ipaddr.Addr, minLeaf int, h SplitHeuristic) (*treeBuild, *TreeNode) {
+	n := len(seeds)
+	buf := make([]ipaddr.Addr, 2*n)
+	b := &treeBuild{minLeaf: max(minLeaf, 1), h: h, part: [2][]ipaddr.Addr{buf[:n:n], buf[n:]}}
+	return b, &TreeNode{Seeds: seeds}
+}
+
+func (b *treeBuild) build(n *TreeNode, off, depth int) {
+	if !b.split(n, off, depth) {
 		return
 	}
 	for _, child := range n.Children {
+		coff := off
+		off += len(child.Seeds) // before the child's split drops them
+		b.build(child, coff, depth+1)
+	}
+}
+
+// buildP is build with concurrent child descent.
+func (b *treeBuild) buildP(n *TreeNode, off, depth int, tokens chan struct{}, wg *sync.WaitGroup) {
+	if !b.split(n, off, depth) {
+		return
+	}
+	for _, child := range n.Children {
+		coff := off
+		off += len(child.Seeds) // before the child's split drops them
 		select {
 		case tokens <- struct{}{}:
 			wg.Add(1)
-			go func(c *TreeNode) {
+			go func() {
 				defer wg.Done()
-				buildP(c, minLeaf, h, depth+1, tokens, wg)
+				b.buildP(child, coff, depth+1, tokens, wg)
 				<-tokens
-			}(child)
+			}()
 		default:
-			buildP(child, minLeaf, h, depth+1, tokens, wg)
+			b.buildP(child, coff, depth+1, tokens, wg)
 		}
 	}
 }
 
 // split is the one split decision, shared by the serial and parallel
 // builders so they cannot diverge. It either finalizes n as a leaf and
-// returns false, or sets n.SplitPos and gives n one child per value seen at
+// returns false, or sets n.SplitPos, gives n one child per value seen at
 // that position, in ascending value order, each holding its seeds in input
-// order.
-func split(n *TreeNode, minLeaf int, h SplitHeuristic, depth int) bool {
+// order, and drops n's own Seeds.
+func (b *treeBuild) split(n *TreeNode, off, depth int) bool {
 	masks := ObservedMasks(n.Seeds)
 	var prefixCandidates []int
 	for i := 0; i < prefixPositions; i++ {
@@ -140,7 +172,7 @@ func split(n *TreeNode, minLeaf int, h SplitHeuristic, depth int) bool {
 			prefixCandidates = append(prefixCandidates, i)
 		}
 	}
-	if len(prefixCandidates) == 0 && (len(n.Seeds) <= minLeaf || depth >= ipaddr.NybbleCount) {
+	if len(prefixCandidates) == 0 && (len(n.Seeds) <= b.minLeaf || depth >= ipaddr.NybbleCount) {
 		makeLeaf(n, masks)
 		return false
 	}
@@ -154,17 +186,17 @@ func split(n *TreeNode, minLeaf int, h SplitHeuristic, depth int) bool {
 			}
 		}
 	}
-	pos := h(n.Seeds, candidates)
+	pos := b.h(n.Seeds, candidates)
 	if pos < 0 || bits.OnesCount16(masks[pos]) <= 1 {
 		makeLeaf(n, masks)
 		return false
 	}
 	n.SplitPos = pos
 
-	// Counting partition: the groups lie back to back in one array, in
-	// ascending value order, each in input order. Capacities are clipped so
-	// that an append to one child's seeds cannot reach a sibling's, which
-	// another goroutine of the parallel builder may own.
+	// Counting partition: the groups lie back to back in n's window of
+	// this depth's buffer, in ascending value order. Capacities are clipped
+	// so that an append to one child's seeds cannot reach a sibling's,
+	// which another goroutine of the parallel builder may own.
 	var count, next [16]int
 	for _, a := range n.Seeds {
 		count[a.Nybble(pos)]++
@@ -174,7 +206,7 @@ func split(n *TreeNode, minLeaf int, h SplitHeuristic, depth int) bool {
 		next[v] = sum
 		sum += c
 	}
-	grouped := make([]ipaddr.Addr, len(n.Seeds))
+	grouped := b.part[depth%2][off : off+len(n.Seeds)]
 	for _, a := range n.Seeds {
 		v := a.Nybble(pos)
 		grouped[next[v]] = a
@@ -189,6 +221,7 @@ func split(n *TreeNode, minLeaf int, h SplitHeuristic, depth int) bool {
 		children = append(children, TreeNode{Seeds: grouped[next[v]-c : next[v] : next[v]]})
 		n.Children = append(n.Children, &children[len(children)-1])
 	}
+	n.Seeds = nil
 	return true
 }
 
@@ -196,15 +229,6 @@ func split(n *TreeNode, minLeaf int, h SplitHeuristic, depth int) bool {
 // top-level allocations (distinct /32s) must never share a leaf, or merged
 // patterns would generate into address space no seed came from.
 const prefixPositions = 8
-
-func build(n *TreeNode, minLeaf int, h SplitHeuristic, depth int) {
-	if !split(n, minLeaf, h, depth) {
-		return
-	}
-	for _, child := range n.Children {
-		build(child, minLeaf, h, depth+1)
-	}
-}
 
 func makeLeaf(n *TreeNode, masks [ipaddr.NybbleCount]ValueMask) {
 	n.SplitPos = -1
