@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -60,15 +61,11 @@ func (o *wireOpts) build(seed uint64, reg *telemetry.Registry) (*wireChain, erro
 		c.mws = append(c.mws, c.tap)
 	}
 	if *o.shape != "" {
-		kv, err := parseWireKV("wire-shape", *o.shape, "pps", "jitter", "seed")
+		sc, err := parseShape(*o.shape, seed)
 		if err != nil {
 			return nil, err
 		}
-		pps := int(kv.num("pps", 0))
-		if pps <= 0 {
-			return nil, fmt.Errorf("-wire-shape: pps must be positive, got %v", kv.num("pps", 0))
-		}
-		c.shaper = wire.NewShaper(pps, kv.num("jitter", 0), kv.seed(seed))
+		c.shaper = wire.NewShaper(sc.pps, sc.jitter, sc.seed)
 		c.shaper.SetTelemetry(reg)
 		c.mws = append(c.mws, c.shaper)
 	}
@@ -93,21 +90,11 @@ func (o *wireOpts) build(seed uint64, reg *telemetry.Registry) (*wireChain, erro
 		c.mws = append(c.mws, rot)
 	}
 	if *o.faults != "" {
-		kv, err := parseWireKV("wire-faults", *o.faults, "loss", "dup", "delay", "seed")
+		cfg, err := parseFaults(*o.faults, seed)
 		if err != nil {
 			return nil, err
 		}
-		for _, k := range []string{"loss", "dup", "delay"} {
-			if v := kv.num(k, 0); v < 0 || v > 1 {
-				return nil, fmt.Errorf("-wire-faults: %s=%v out of [0,1]", k, v)
-			}
-		}
-		f := wire.NewFaults(wire.FaultsConfig{
-			Seed:  kv.seed(seed),
-			Loss:  kv.num("loss", 0),
-			Dupe:  kv.num("dup", 0),
-			Delay: kv.num("delay", 0),
-		})
+		f := wire.NewFaults(cfg)
 		f.SetTelemetry(reg)
 		c.faults = f
 		c.mws = append(c.mws, f)
@@ -133,16 +120,66 @@ func (c *wireChain) summary() {
 	}
 }
 
-// wireKV is a parsed key=value flag payload.
-type wireKV map[string]float64
+// shapeConfig is a parsed -wire-shape payload.
+type shapeConfig struct {
+	pps    int
+	jitter float64
+	seed   uint64
+}
 
-// parseWireKV parses "k=v,k=v" flag syntax, rejecting unknown keys.
+// parseShape parses -wire-shape: pps at least 1, jitter in [0,1], and seed
+// defaulting to def.
+func parseShape(s string, def uint64) (shapeConfig, error) {
+	kv, err := parseWireKV("wire-shape", s, "pps", "jitter", "seed")
+	if err != nil {
+		return shapeConfig{}, err
+	}
+	// The upper bound keeps the conversion to int defined.
+	pps := kv.num("pps", 0)
+	if pps < 1 || pps >= math.MaxInt {
+		return shapeConfig{}, fmt.Errorf("-wire-shape: pps=%v out of [1,%d)", pps, math.MaxInt)
+	}
+	if err := kv.fractions("wire-shape", "jitter"); err != nil {
+		return shapeConfig{}, err
+	}
+	return shapeConfig{pps: int(pps), jitter: kv.num("jitter", 0), seed: kv.seedOr(def)}, nil
+}
+
+// parseFaults parses -wire-faults: loss, dup and delay in [0,1], and seed
+// defaulting to def.
+func parseFaults(s string, def uint64) (wire.FaultsConfig, error) {
+	kv, err := parseWireKV("wire-faults", s, "loss", "dup", "delay", "seed")
+	if err != nil {
+		return wire.FaultsConfig{}, err
+	}
+	if err := kv.fractions("wire-faults", "loss", "dup", "delay"); err != nil {
+		return wire.FaultsConfig{}, err
+	}
+	return wire.FaultsConfig{
+		Seed:  kv.seedOr(def),
+		Loss:  kv.num("loss", 0),
+		Dupe:  kv.num("dup", 0),
+		Delay: kv.num("delay", 0),
+	}, nil
+}
+
+// wireKV is a parsed key=value flag payload: seed= as an unsigned integer,
+// so every uint64 seed is expressible exactly, and every other key as a
+// finite number.
+type wireKV struct {
+	nums    map[string]float64
+	seed    uint64
+	hasSeed bool
+}
+
+// parseWireKV parses "k=v,k=v" flag syntax, rejecting unknown keys; a
+// repeated key keeps its last value.
 func parseWireKV(flagName, s string, allowed ...string) (wireKV, error) {
 	ok := map[string]bool{}
 	for _, k := range allowed {
 		ok[k] = true
 	}
-	kv := wireKV{}
+	kv := wireKV{nums: map[string]float64{}}
 	for _, f := range strings.Split(s, ",") {
 		f = strings.TrimSpace(f)
 		if f == "" {
@@ -150,28 +187,49 @@ func parseWireKV(flagName, s string, allowed ...string) (wireKV, error) {
 		}
 		k, v, found := strings.Cut(f, "=")
 		if !found || !ok[k] {
-			return nil, fmt.Errorf("-%s: bad field %q (want %s)", flagName, f, strings.Join(allowed, "=,")+"=")
+			return wireKV{}, fmt.Errorf("-%s: bad field %q (want %s)", flagName, f, strings.Join(allowed, "=,")+"=")
+		}
+		if k == "seed" {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				return wireKV{}, fmt.Errorf("-%s: seed: %w", flagName, err)
+			}
+			kv.seed, kv.hasSeed = n, true
+			continue
 		}
 		n, err := strconv.ParseFloat(v, 64)
 		if err != nil {
-			return nil, fmt.Errorf("-%s: %s: %w", flagName, k, err)
+			return wireKV{}, fmt.Errorf("-%s: %s: %w", flagName, k, err)
 		}
-		kv[k] = n
+		if math.IsNaN(n) || math.IsInf(n, 0) {
+			return wireKV{}, fmt.Errorf("-%s: %s=%v is not a finite number", flagName, k, n)
+		}
+		kv.nums[k] = n
 	}
 	return kv, nil
 }
 
 func (kv wireKV) num(k string, def float64) float64 {
-	if v, found := kv[k]; found {
+	if v, found := kv.nums[k]; found {
 		return v
 	}
 	return def
 }
 
-// seed returns the payload's explicit seed= or the fallback.
-func (kv wireKV) seed(def uint64) uint64 {
-	if v, found := kv["seed"]; found {
-		return uint64(v)
+// fractions checks that each of keys, where given, lies in [0,1].
+func (kv wireKV) fractions(flagName string, keys ...string) error {
+	for _, k := range keys {
+		if v := kv.num(k, 0); v < 0 || v > 1 {
+			return fmt.Errorf("-%s: %s=%v out of [0,1]", flagName, k, v)
+		}
+	}
+	return nil
+}
+
+// seedOr returns the payload's explicit seed= or the fallback.
+func (kv wireKV) seedOr(def uint64) uint64 {
+	if kv.hasSeed {
+		return kv.seed
 	}
 	return def
 }

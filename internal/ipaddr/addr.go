@@ -45,7 +45,8 @@ func AddrFrom16(b [16]byte) Addr {
 
 // Parse parses an IPv6 address in any textual form accepted by net/netip.
 // IPv4 and IPv4-mapped forms are rejected: seedscan deals exclusively in
-// native IPv6.
+// native IPv6. So are zoned forms ("fe80::1%eth0"): Addr has no zone, and
+// dropping it would answer for an address the input did not name.
 func Parse(s string) (Addr, error) {
 	a, err := netip.ParseAddr(s)
 	if err != nil {
@@ -53,6 +54,9 @@ func Parse(s string) (Addr, error) {
 	}
 	if !a.Is6() || a.Is4In6() {
 		return Addr{}, fmt.Errorf("ipaddr: parse %q: not a native IPv6 address", s)
+	}
+	if a.Zone() != "" {
+		return Addr{}, fmt.Errorf("ipaddr: parse %q: zoned address", s)
 	}
 	return AddrFrom16(a.As16()), nil
 }

@@ -27,7 +27,7 @@ func TestParseRoundTrip(t *testing.T) {
 }
 
 func TestParseRejects(t *testing.T) {
-	for _, s := range []string{"", "1.2.3.4", "::ffff:1.2.3.4", "nonsense", "2001:db8::/32"} {
+	for _, s := range []string{"", "1.2.3.4", "::ffff:1.2.3.4", "nonsense", "2001:db8::/32", "2001:db8::1%x", "fe80::1%eth0"} {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", s)
 		}

@@ -23,7 +23,8 @@ func PrefixFrom(a Addr, bits int) Prefix {
 	return Prefix{addr: mask(a, bits), bits: uint8(bits)}
 }
 
-// ParsePrefix parses "addr/len" CIDR notation.
+// ParsePrefix parses "addr/len" CIDR notation. The length is plain decimal,
+// without a sign or a leading zero, as in net/netip; host bits are masked.
 func ParsePrefix(s string) (Prefix, error) {
 	i := strings.LastIndexByte(s, '/')
 	if i < 0 {
@@ -33,8 +34,9 @@ func ParsePrefix(s string) (Prefix, error) {
 	if err != nil {
 		return Prefix{}, err
 	}
-	bits, err := strconv.Atoi(s[i+1:])
-	if err != nil || bits < 0 || bits > 128 {
+	n := s[i+1:]
+	bits, err := strconv.Atoi(n)
+	if err != nil || n[0] < '0' || (n[0] == '0' && len(n) > 1) || bits > 128 {
 		return Prefix{}, fmt.Errorf("ipaddr: prefix %q: bad length", s)
 	}
 	return PrefixFrom(a, bits), nil

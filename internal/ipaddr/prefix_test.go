@@ -22,7 +22,10 @@ func TestPrefixParseAndString(t *testing.T) {
 }
 
 func TestPrefixParseErrors(t *testing.T) {
-	for _, s := range []string{"2001:db8::", "2001:db8::/129", "2001:db8::/-1", "1.2.3.0/24", "x/32"} {
+	for _, s := range []string{
+		"2001:db8::", "2001:db8::/129", "2001:db8::/-1", "1.2.3.0/24", "x/32", "2001:db8::/",
+		"2001:db8::1%x/64", "2001:db8::/+64", "2001:db8::/-0", "2001:db8::1/064",
+	} {
 		if _, err := ParsePrefix(s); err == nil {
 			t.Errorf("ParsePrefix(%q) succeeded", s)
 		}

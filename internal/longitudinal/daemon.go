@@ -208,14 +208,16 @@ func (d *Daemon) epochCell(epoch int, targets []ipaddr.Addr) grid.Cell {
 }
 
 // exec scans the pending target set at the pending epoch. The world's
-// epoch was already advanced by Run; hits are sorted so the checkpointed
-// result is canonical regardless of scan-plan shuffling.
+// epoch was already advanced by Run. The prober returns each hit once, in
+// its plan order — a pure function of the targets and the scan secret — so
+// the checkpointed result is reproducible; every consumer reads the hits
+// as a set.
 func (d *Daemon) exec(ctx context.Context, c grid.Cell) (grid.CellResult, error) {
 	hits, err := scanner.AsContextProber(d.cfg.Prober).ScanActiveContext(ctx, d.pending, d.cfg.Proto)
 	if err != nil {
 		return grid.CellResult{}, err
 	}
-	return grid.CellResult{Hits: ipaddr.DedupSorted(hits)}, nil
+	return grid.CellResult{Hits: hits}, nil
 }
 
 // Run executes the configured epoch range. It restores the world's epoch

@@ -20,8 +20,6 @@ import (
 
 // Generator is the DET TGA. Construct with New.
 type Generator struct {
-	// MinLeaf stops splitting below this many seeds (default 4).
-	MinLeaf int
 	// RebuildEvery rebuilds the tree after this many feedback rounds
 	// (default 16).
 	RebuildEvery int
@@ -38,7 +36,7 @@ type Generator struct {
 
 // New returns a DET generator with default parameters.
 func New() *Generator {
-	return &Generator{MinLeaf: 4, RebuildEvery: 16, Explore: 0.35}
+	return &Generator{RebuildEvery: 16, Explore: 0.35}
 }
 
 // Name implements tga.Generator.
@@ -47,24 +45,16 @@ func (g *Generator) Name() string { return "DET" }
 // Online implements tga.Generator.
 func (g *Generator) Online() bool { return true }
 
-func (g *Generator) minLeaf() int {
-	if g.MinLeaf <= 0 {
-		return 4
-	}
-	return g.MinLeaf
-}
-
-// ModelParams implements tga.ModelBuilder. Only MinLeaf shapes the initial
-// tree; RebuildEvery and Explore steer the online search and are excluded.
-func (g *Generator) ModelParams() string {
-	return fmt.Sprintf("minleaf=%d", g.minLeaf())
-}
+// ModelParams implements tga.ModelBuilder. The initial tree's leaf size is
+// the fixed tga.MinLeaf and RebuildEvery and Explore steer the online
+// search, so no parameter shapes the mined model.
+func (g *Generator) ModelParams() string { return "" }
 
 // BuildModel implements tga.ModelBuilder: the initial min-entropy space
 // tree over the (deduplicated) seeds. Online rebuilds fold hits in and are
 // per-run state, so only this first tree is cacheable.
 func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
-	return tga.MineTree(ipaddr.DedupSorted(seeds), g.minLeaf(), tga.SplitMinEntropy)
+	return tga.MineTree(ipaddr.DedupSorted(seeds), tga.MinLeaf, tga.SplitMinEntropy)
 }
 
 // InitFromModel implements tga.ModelBuilder.
@@ -122,7 +112,7 @@ func (g *Generator) Feedback(results []tga.ProbeResult) {
 	})
 	g.rounds++
 	if g.rounds%g.RebuildEvery == 0 {
-		g.search.Rebuild(g.seeds, g.hits, g.minLeaf(), tga.SplitMinEntropy)
+		g.search.Rebuild(g.seeds, g.hits, tga.MinLeaf, tga.SplitMinEntropy)
 		g.rebuilds++
 	}
 }

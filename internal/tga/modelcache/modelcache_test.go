@@ -28,6 +28,12 @@ func (b *countingBuilder) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 	return b.Generator.BuildModel(seeds)
 }
 
+// otherParams is a countingBuilder whose model-shaping parameters differ
+// from the generator's own.
+type otherParams struct{ *countingBuilder }
+
+func (otherParams) ModelParams() string { return "variant" }
+
 func someSeeds(n int) []ipaddr.Addr {
 	base := ipaddr.MustParse("2001:db8::")
 	out := make([]ipaddr.Addr, n)
@@ -81,8 +87,8 @@ func TestKeySensitivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Different params → different key.
-	b2 := &countingBuilder{Generator: &sixtree.Generator{MinLeaf: 8}}
-	if _, err := c.GetOrBuild(ctx, b2, someSeeds(100)); err != nil {
+	b2 := &countingBuilder{Generator: sixtree.New()}
+	if _, err := c.GetOrBuild(ctx, otherParams{b2}, someSeeds(100)); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.builds.Load() + b2.builds.Load(); got != 3 {

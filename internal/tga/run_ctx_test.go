@@ -120,52 +120,100 @@ func (c *collectSink) Emit(ev telemetry.Event) {
 
 func (c *collectSink) Close() error { return nil }
 
+// offlineGen is staticGen reporting itself offline, so the driver skips
+// its feedback stage.
+type offlineGen struct{ *staticGen }
+
+func (offlineGen) Online() bool { return false }
+
+// keepAll is a dealiaser that flags nothing.
+type keepAll struct{}
+
+func (keepAll) Split(addrs []ipaddr.Addr) (clean, aliased []ipaddr.Addr) { return addrs, nil }
+
 func TestRunContextEmitsNestedStageSpans(t *testing.T) {
-	sink := &collectSink{}
-	tr := telemetry.NewTracer(nil, sink)
-	ctx := telemetry.NewContext(context.Background(), tr)
-
-	g := &staticGen{addrs: manyAddrs(64)}
-	if _, err := RunContext(ctx, g, nil,
-		RunConfig{Budget: 64, BatchSize: 32, Prober: &nullProber{}}); err != nil {
-		t.Fatal(err)
-	}
-
-	starts := map[string][]telemetry.Event{}
-	for _, ev := range sink.events {
-		if ev.Type == "span_start" {
-			starts[ev.Name] = append(starts[ev.Name], ev)
-		}
-	}
-	if len(starts["run"]) != 1 {
-		t.Fatalf("run spans = %d", len(starts["run"]))
-	}
-	if len(starts["batch"]) < 2 {
-		t.Fatalf("batch spans = %d, want >= 2", len(starts["batch"]))
-	}
-	runID := starts["run"][0].Span
-	batchIDs := map[int64]bool{}
-	for _, b := range starts["batch"] {
-		if b.Parent != runID {
-			t.Fatalf("batch parent = %d, want run %d", b.Parent, runID)
-		}
-		batchIDs[b.Span] = true
-	}
-	for _, stage := range []string{"generate", "scan", "feedback"} {
-		if len(starts[stage]) == 0 {
-			t.Fatalf("no %s spans", stage)
-		}
-		for _, ev := range starts[stage] {
-			if !batchIDs[ev.Parent] {
-				t.Fatalf("%s span not nested under a batch", stage)
+	for _, tc := range []struct {
+		name   string
+		g      Generator
+		stages []string
+	}{
+		{"online", &staticGen{addrs: manyAddrs(256)}, []string{"generate", "scan", "dealias", "feedback"}},
+		{"offline", offlineGen{&staticGen{addrs: manyAddrs(256)}}, []string{"generate", "scan", "dealias"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := &collectSink{}
+			tr := telemetry.NewTracer(nil, sink)
+			ctx := telemetry.NewContext(context.Background(), tr)
+			if _, err := RunContext(ctx, tc.g, nil, RunConfig{
+				Budget: 256, BatchSize: 16, Prober: &nullProber{}, Dealiaser: keepAll{},
+			}); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	// tga.* counters accumulate in the tracer's registry.
-	if got := tr.Registry().Counter("tga.generated").Load(); got != 64 {
-		t.Fatalf("tga.generated = %d", got)
-	}
-	if tr.Registry().Counter("tga.batches").Load() < 2 {
-		t.Fatal("tga.batches not counted")
+
+			starts := map[string][]telemetry.Event{}
+			for _, ev := range sink.events {
+				if ev.Type == "span_start" {
+					starts[ev.Name] = append(starts[ev.Name], ev)
+				}
+			}
+			if len(starts["run"]) != 1 {
+				t.Fatalf("run spans = %d", len(starts["run"]))
+			}
+			if len(starts["batch"]) < 2 {
+				t.Fatalf("batch spans = %d, want >= 2", len(starts["batch"]))
+			}
+			runID := starts["run"][0].Span
+			batchIDs := map[int64]bool{}
+			for _, b := range starts["batch"] {
+				if b.Parent != runID {
+					t.Fatalf("batch parent = %d, want run %d", b.Parent, runID)
+				}
+				batchIDs[b.Span] = true
+			}
+			for _, stage := range tc.stages {
+				if len(starts[stage]) == 0 {
+					t.Fatalf("no %s spans", stage)
+				}
+				for _, ev := range starts[stage] {
+					if !batchIDs[ev.Parent] {
+						t.Fatalf("%s span not nested under a batch", stage)
+					}
+				}
+			}
+
+			// In emission order, a batch ends before the next one starts,
+			// and its stage spans end before it does.
+			var open int64                 // the batch currently open, 0 if none
+			children := map[int64]string{} // open stage spans of that batch
+			for _, ev := range sink.events {
+				switch {
+				case ev.Name == "batch" && ev.Type == "span_start":
+					if open != 0 {
+						t.Fatalf("batch %d started while batch %d was open", ev.Span, open)
+					}
+					open = ev.Span
+				case ev.Name == "batch" && ev.Type == "span_end":
+					if len(children) != 0 {
+						t.Fatalf("batch %d ended before its stages %v", ev.Span, children)
+					}
+					open = 0
+				case batchIDs[ev.Parent] && ev.Type == "span_start":
+					if ev.Parent != open {
+						t.Fatalf("%s span started under batch %d while batch %d was open", ev.Name, ev.Parent, open)
+					}
+					children[ev.Span] = ev.Name
+				case batchIDs[ev.Parent] && ev.Type == "span_end":
+					delete(children, ev.Span)
+				}
+			}
+
+			// tga.* counters accumulate in the tracer's registry.
+			if got := tr.Registry().Counter("tga.generated").Load(); got != 256 {
+				t.Fatalf("tga.generated = %d", got)
+			}
+			if tr.Registry().Counter("tga.batches").Load() < 2 {
+				t.Fatal("tga.batches not counted")
+			}
+		})
 	}
 }

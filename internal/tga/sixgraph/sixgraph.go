@@ -25,8 +25,6 @@ import (
 
 // Generator is the 6Graph TGA. Construct with New.
 type Generator struct {
-	// MinLeaf stops splitting below this many seeds (default 4).
-	MinLeaf int
 	// MergeDistance joins two leaf patterns when their masks differ in at
 	// most this many positions (default 2).
 	MergeDistance int
@@ -40,7 +38,7 @@ type Generator struct {
 const bucketPositions = 8
 
 // New returns a 6Graph generator with default parameters.
-func New() *Generator { return &Generator{MinLeaf: 4, MergeDistance: 2} }
+func New() *Generator { return &Generator{MergeDistance: 2} }
 
 // Name implements tga.Generator.
 func (g *Generator) Name() string { return "6Graph" }
@@ -60,13 +58,6 @@ type ClusterModel struct {
 	Seeds int
 }
 
-func (g *Generator) minLeaf() int {
-	if g.MinLeaf <= 0 {
-		return 4
-	}
-	return g.MinLeaf
-}
-
 func (g *Generator) mergeDistance() int {
 	if g.MergeDistance <= 0 {
 		return 2
@@ -76,7 +67,7 @@ func (g *Generator) mergeDistance() int {
 
 // ModelParams implements tga.ModelBuilder.
 func (g *Generator) ModelParams() string {
-	return fmt.Sprintf("minleaf=%d,mergedist=%d", g.minLeaf(), g.mergeDistance())
+	return fmt.Sprintf("mergedist=%d", g.mergeDistance())
 }
 
 // BuildModel implements tga.ModelBuilder: the entropy tree (built across
@@ -87,7 +78,7 @@ func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 	}
 	mergeDist := g.mergeDistance()
 	// Only the leaves' patterns and seed counts are merged; no run state.
-	leaves := tga.SnapshotTree(tga.BuildTreeAuto(seeds, g.minLeaf(), tga.SplitMinEntropy)).LeafModels
+	leaves := tga.SnapshotTree(tga.BuildTreeAuto(seeds, tga.MinLeaf, tga.SplitMinEntropy)).LeafModels
 
 	// Pattern graph: union-find over leaves within MergeDistance.
 	parent := make([]int, len(leaves))

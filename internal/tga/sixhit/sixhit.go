@@ -22,8 +22,6 @@ import (
 
 // Generator is the 6Hit TGA. Construct with New.
 type Generator struct {
-	// MinLeaf stops splitting below this many seeds (default 4).
-	MinLeaf int
 	// Epsilon is the random-exploration share (default 0.1).
 	Epsilon float64
 	// Alpha is the Q-value learning rate (default 0.3).
@@ -49,7 +47,7 @@ const initialQ = 0.5
 
 // New returns a 6Hit generator with default parameters.
 func New() *Generator {
-	return &Generator{MinLeaf: 4, Epsilon: 0.1, Alpha: 0.3, RebuildEvery: 16, Seed: 1}
+	return &Generator{Epsilon: 0.1, Alpha: 0.3, RebuildEvery: 16, Seed: 1}
 }
 
 // Name implements tga.Generator.
@@ -58,25 +56,16 @@ func (g *Generator) Name() string { return "6Hit" }
 // Online implements tga.Generator.
 func (g *Generator) Online() bool { return true }
 
-func (g *Generator) minLeaf() int {
-	if g.MinLeaf <= 0 {
-		return 4
-	}
-	return g.MinLeaf
-}
-
-// ModelParams implements tga.ModelBuilder. Only MinLeaf shapes the initial
-// tree; the bandit knobs (Epsilon, Alpha, RebuildEvery, Seed) steer the
-// online search and are excluded.
-func (g *Generator) ModelParams() string {
-	return fmt.Sprintf("minleaf=%d", g.minLeaf())
-}
+// ModelParams implements tga.ModelBuilder. The initial tree's leaf size is
+// the fixed tga.MinLeaf and the bandit knobs (Epsilon, Alpha, RebuildEvery,
+// Seed) steer the online search, so no parameter shapes the mined model.
+func (g *Generator) ModelParams() string { return "" }
 
 // BuildModel implements tga.ModelBuilder: the initial 6Tree-style space
 // tree over the (deduplicated) seeds. Later rebuilds fold hits in and stay
 // per-run.
 func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
-	return tga.MineTree(ipaddr.DedupSorted(seeds), g.minLeaf(), tga.SplitLeftmost)
+	return tga.MineTree(ipaddr.DedupSorted(seeds), tga.MinLeaf, tga.SplitLeftmost)
 }
 
 // InitFromModel implements tga.ModelBuilder.
@@ -143,7 +132,7 @@ func (g *Generator) Feedback(results []tga.ProbeResult) {
 
 	g.rounds++
 	if g.rounds%g.RebuildEvery == 0 {
-		g.search.Rebuild(g.seeds, g.hits, g.minLeaf(), tga.SplitLeftmost)
+		g.search.Rebuild(g.seeds, g.hits, tga.MinLeaf, tga.SplitLeftmost)
 		clear(g.q) // the new leaves start over at initialQ
 	}
 }

@@ -113,8 +113,7 @@ func New() *Generator {
 // Name implements tga.Generator.
 func (g *Generator) Name() string { return "6Prob" }
 
-// Online implements tga.Generator: 6Prob is offline, so it rides the
-// pipelined driver and the model cache.
+// Online implements tga.Generator: 6Prob is offline and ignores Feedback.
 func (g *Generator) Online() bool { return false }
 
 // ModelParams implements tga.ModelBuilder. The trie is a pure function of

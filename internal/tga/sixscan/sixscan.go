@@ -24,8 +24,6 @@ import (
 
 // Generator is the 6Scan TGA. Construct with New.
 type Generator struct {
-	// MinLeaf stops splitting below this many seeds (default 4).
-	MinLeaf int
 	// TopShare is the batch share given to the currently hottest regions
 	// (default 0.7).
 	TopShare float64
@@ -35,7 +33,7 @@ type Generator struct {
 }
 
 // New returns a 6Scan generator with default parameters.
-func New() *Generator { return &Generator{MinLeaf: 4, TopShare: 0.7} }
+func New() *Generator { return &Generator{TopShare: 0.7} }
 
 // Name implements tga.Generator.
 func (g *Generator) Name() string { return "6Scan" }
@@ -43,23 +41,15 @@ func (g *Generator) Name() string { return "6Scan" }
 // Online implements tga.Generator.
 func (g *Generator) Online() bool { return true }
 
-func (g *Generator) minLeaf() int {
-	if g.MinLeaf <= 0 {
-		return 4
-	}
-	return g.MinLeaf
-}
-
-// ModelParams implements tga.ModelBuilder. TopShare only steers the online
-// allocation and is excluded.
-func (g *Generator) ModelParams() string {
-	return fmt.Sprintf("minleaf=%d", g.minLeaf())
-}
+// ModelParams implements tga.ModelBuilder. The tree's leaf size is the
+// fixed tga.MinLeaf and TopShare only steers the online allocation, so no
+// parameter shapes the mined model.
+func (g *Generator) ModelParams() string { return "" }
 
 // BuildModel implements tga.ModelBuilder: the 6Tree-style space tree.
 // 6Scan never rebuilds, so the whole tree is cacheable.
 func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
-	return tga.MineTree(seeds, g.minLeaf(), tga.SplitLeftmost)
+	return tga.MineTree(seeds, tga.MinLeaf, tga.SplitLeftmost)
 }
 
 // InitFromModel implements tga.ModelBuilder.

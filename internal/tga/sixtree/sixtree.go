@@ -20,14 +20,11 @@ import (
 
 // Generator is the 6Tree TGA. Construct with New.
 type Generator struct {
-	// MinLeaf stops splitting below this many seeds (default 4).
-	MinLeaf int
-
 	leaves *tga.Expander
 }
 
-// New returns a 6Tree generator with default parameters.
-func New() *Generator { return &Generator{MinLeaf: 4} }
+// New returns a 6Tree generator.
+func New() *Generator { return &Generator{} }
 
 // Name implements tga.Generator.
 func (g *Generator) Name() string { return "6Tree" }
@@ -35,21 +32,13 @@ func (g *Generator) Name() string { return "6Tree" }
 // Online implements tga.Generator. 6Tree generates from the static tree.
 func (g *Generator) Online() bool { return false }
 
-func (g *Generator) minLeaf() int {
-	if g.MinLeaf <= 0 {
-		return 4
-	}
-	return g.MinLeaf
-}
-
-// ModelParams implements tga.ModelBuilder.
-func (g *Generator) ModelParams() string {
-	return fmt.Sprintf("minleaf=%d", g.minLeaf())
-}
+// ModelParams implements tga.ModelBuilder. The tree's leaf size is the
+// fixed tga.MinLeaf, so no parameter shapes the mined model.
+func (g *Generator) ModelParams() string { return "" }
 
 // BuildModel implements tga.ModelBuilder: it mines the space tree.
 func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
-	return tga.MineTree(seeds, g.minLeaf(), tga.SplitLeftmost)
+	return tga.MineTree(seeds, tga.MinLeaf, tga.SplitLeftmost)
 }
 
 // InitFromModel implements tga.ModelBuilder: it adopts a mined tree and

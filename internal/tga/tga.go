@@ -15,14 +15,10 @@
 // results, which is also what makes them susceptible to aliased-region
 // traps when seeds are not dealiased.
 //
-// The driver has two execution modes. Online generators run the classic
-// lockstep loop — generate, scan, dealias, feedback — because each batch's
-// proposals depend on the previous batch's probe results. Offline
-// generators run a bounded-depth pipeline: a producer goroutine generates
-// and dedups batches ahead of the scanner, so generation overlaps
-// scanning and dealiasing. Both modes share the same dedup, budget, and
-// idle-round accounting, and produce identical RunResults for offline
-// generators (pinned by tests under -race).
+// The driver runs every generator, online or offline, through one loop on
+// the caller's goroutine: each batch is generated, deduplicated, scanned,
+// dealiased and (for online generators) fed back before the next batch is
+// generated.
 package tga
 
 import (
@@ -91,13 +87,8 @@ type RunConfig struct {
 	// ExcludeSeeds removes seed addresses from the generated set, so the
 	// budget buys genuinely new candidates.
 	ExcludeSeeds bool
-	// Serial forces the lockstep loop even for offline generators.
-	// Online generators always run lockstep regardless.
+	// Serial has no effect; every run is lockstep.
 	Serial bool
-	// PipelineDepth bounds how many generated batches may queue ahead of
-	// the scanner in the pipelined (offline) mode (default 2). Depth
-	// bounds memory, not correctness.
-	PipelineDepth int
 	// Models resolves mined seed models for generators that implement
 	// ModelBuilder — typically the cross-run modelcache, so grid cells
 	// sharing a seed treatment reuse the model across protocols. Nil:
@@ -144,15 +135,10 @@ func Run(g Generator, seeds []ipaddr.Addr, cfg RunConfig) (*RunResult, error) {
 // exhausted, or ctx is cancelled. On cancellation the partial result
 // gathered so far is returned together with ctx.Err().
 //
-// Offline generators (Online() == false) run pipelined: generation and
-// dedup proceed on a producer goroutine up to PipelineDepth batches ahead
-// of the scanner. Pass Serial to force lockstep.
-//
 // When ctx carries a telemetry tracer (telemetry.NewContext), the driver
 // emits a span hierarchy — run → batch → generate/scan/dealias/feedback —
 // with per-batch budget consumption, and accumulates tga.* counters in the
-// tracer's registry. Pipelined runs additionally record tga.pipeline.*
-// stall and backpressure histograms.
+// tracer's registry. A batch span ends before the next one starts.
 func RunContext(ctx context.Context, g Generator, seeds []ipaddr.Addr, cfg RunConfig) (*RunResult, error) {
 	if cfg.Budget <= 0 {
 		return nil, fmt.Errorf("tga: budget must be positive, got %d", cfg.Budget)
@@ -160,10 +146,6 @@ func RunContext(ctx context.Context, g Generator, seeds []ipaddr.Addr, cfg RunCo
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 4096
 	}
-	if cfg.PipelineDepth <= 0 {
-		cfg.PipelineDepth = 2
-	}
-	pipelined := !cfg.Serial && !g.Online() && cfg.Prober != nil
 	seeds = CanonicalSeeds(seeds)
 	ctx, runSpan := telemetry.StartSpan(ctx, "run", telemetry.Attrs{
 		"generator": g.Name(),
@@ -171,7 +153,6 @@ func RunContext(ctx context.Context, g Generator, seeds []ipaddr.Addr, cfg RunCo
 		"budget":    cfg.Budget,
 		"batch":     cfg.BatchSize,
 		"seeds":     len(seeds),
-		"pipelined": pipelined,
 	})
 	d := &driver{
 		g:       g,
@@ -190,29 +171,16 @@ func RunContext(ctx context.Context, g Generator, seeds []ipaddr.Addr, cfg RunCo
 	}
 	d.generated = ipaddr.NewSetCap(cfg.Budget)
 
-	var err error
-	if pipelined {
-		d.reg.Counter("tga.pipeline.runs").Inc()
-		err = d.runPipelined(ctx)
-	} else {
-		err = d.runLockstep(ctx)
-	}
+	err := d.runLockstep(ctx)
 	d.res.Generated = d.generated.Len()
 	if d.cfg.CollectCandidates {
 		d.res.Candidates = d.generated.Slice()
 	}
 	d.endRun(err)
-	if err != nil {
-		return d.res, err
-	}
-	return d.res, nil
+	return d.res, err
 }
 
-// driver carries one run's state. The lockstep mode uses it from a single
-// goroutine; the pipelined mode hands the generator, dedup sets, and
-// idle/exhaustion accounting to the producer goroutine while the consumer
-// only touches res and the scan path, with the batch channel ordering
-// every cross-goroutine access.
+// driver carries one run's state.
 type driver struct {
 	g       Generator
 	cfg     RunConfig
@@ -342,9 +310,9 @@ func (d *driver) consume(ctx context.Context, batchSpan *telemetry.Span, fresh [
 	return len(clean), len(aliasedAddrs), nil
 }
 
-// runLockstep is the classic serial loop: one batch generates, scans,
-// dealiases, and feeds back before the next batch generates. Required for
-// online generators and for generation-only runs.
+// runLockstep is the driver's loop: one batch generates, scans,
+// dealiases, and feeds back before the next batch generates, so online
+// generators see every earlier result and batch spans never overlap.
 func (d *driver) runLockstep(ctx context.Context) error {
 	for d.generated.Len() < d.cfg.Budget {
 		if err := ctx.Err(); err != nil {
@@ -379,90 +347,6 @@ func (d *driver) runLockstep(ctx context.Context) error {
 		})
 	}
 	return nil
-}
-
-// producedBatch is one unit of pipelined work: the deduped fresh
-// candidates and their batch span, opened by the producer (who closed its
-// generate child) and ended by the consumer after scan/dealias.
-type producedBatch struct {
-	fresh []ipaddr.Addr
-	span  *telemetry.Span
-}
-
-// runPipelined overlaps generation with scanning for offline generators.
-// The producer goroutine owns the generator and all dedup/idle/exhaustion
-// state; the consumer owns the result. The bounded channel is the only
-// rendezvous: sends happen-before receives, and the consumer only reads
-// producer-owned state after the producer is done (channel closed and,
-// on early exit, drained).
-//
-// Offline generators ignore Feedback, so running generation ahead of the
-// scan cannot change what is generated — the pipelined run produces
-// exactly the lockstep run's result.
-func (d *driver) runPipelined(ctx context.Context) error {
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan producedBatch, d.cfg.PipelineDepth)
-
-	go func() {
-		defer close(ch)
-		for d.generated.Len() < d.cfg.Budget {
-			if pctx.Err() != nil {
-				return
-			}
-			batchSpan := d.runSpan.Child("batch", telemetry.Attrs{"index": d.batchIdx})
-			d.batchIdx++
-			d.reg.Counter("tga.batches").Inc()
-			d.reg.Counter("tga.pipeline.batches").Inc()
-
-			fresh, cont := d.produce(batchSpan)
-			if !cont {
-				batchSpan.EndWith(telemetry.Attrs{"budget_used": d.generated.Len(), "exhausted": true})
-				return
-			}
-			if len(fresh) == 0 {
-				batchSpan.EndWith(telemetry.Attrs{"budget_used": d.generated.Len(), "idle": true})
-				continue
-			}
-			// Blocked send = the scanner is the bottleneck (backpressure).
-			wait := time.Now()
-			select {
-			case ch <- producedBatch{fresh: fresh, span: batchSpan}:
-				d.reg.ObserveDuration("tga.pipeline.backpressure_seconds", time.Since(wait).Seconds())
-			case <-pctx.Done():
-				batchSpan.EndWith(telemetry.Attrs{"budget_used": d.generated.Len(), "cancelled": true})
-				return
-			}
-		}
-	}()
-
-	fail := func(err error) error {
-		cancel()
-		for b := range ch { // release the producer, then drain
-			b.span.EndWith(telemetry.Attrs{"cancelled": true})
-		}
-		return err
-	}
-	for {
-		// Blocked receive = generation is the bottleneck (producer stall).
-		wait := time.Now()
-		b, ok := <-ch
-		if !ok {
-			break
-		}
-		d.reg.ObserveDuration("tga.pipeline.producer_stall_seconds", time.Since(wait).Seconds())
-		if err := ctx.Err(); err != nil {
-			b.span.EndWith(telemetry.Attrs{"cancelled": true})
-			return fail(err)
-		}
-		hits, aliased, err := d.consume(ctx, b.span, b.fresh)
-		if err != nil {
-			b.span.EndWith(telemetry.Attrs{"cancelled": true})
-			return fail(err)
-		}
-		b.span.EndWith(telemetry.Attrs{"hits": hits, "aliased": aliased})
-	}
-	return ctx.Err()
 }
 
 // CanonicalSeeds returns seeds in the canonical ascending order every

@@ -69,6 +69,11 @@ type TreeNode struct {
 // IsLeaf reports whether the node has no children.
 func (n *TreeNode) IsLeaf() bool { return len(n.Children) == 0 }
 
+// MinLeaf is the leaf size every tree TGA (6Tree, DET, 6Hit, 6Scan,
+// 6Graph) mines and rebuilds its space tree with: a node of fewer seeds
+// does not split.
+const MinLeaf = 4
+
 // BuildTree grows a space tree over the seeds: each node splits on the
 // position chosen by h until minLeaf seeds or no varying position remains.
 // Every leaf gets its observed-value masks.
