@@ -1,17 +1,33 @@
 package all_test
 
 import (
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
+	"seedscan/internal/ipaddr"
 	"seedscan/internal/proto"
+	"seedscan/internal/scanner"
 	"seedscan/internal/telemetry"
 	"seedscan/internal/tga"
 	"seedscan/internal/tga/all"
 	"seedscan/internal/tga/modelcache"
 )
 
-// offlineNames are the generators that ignore feedback.
-var offlineNames = []string{"6Tree", "6Graph", "6Gen", "EIP", "6Prob"}
+// builders lists the registered generators that implement
+// tga.ModelBuilder, in ExtendedNames order, and groups them by the model
+// their ModelParams name.
+func builders() (names []string, byParams map[string][]string) {
+	byParams = map[string][]string{}
+	for _, name := range all.ExtendedNames {
+		if mb, ok := all.MustNew(name).(tga.ModelBuilder); ok {
+			names = append(names, name)
+			byParams[mb.ModelParams()] = append(byParams[mb.ModelParams()], name)
+		}
+	}
+	return names, byParams
+}
 
 func runResultsEqual(t *testing.T, name string, want, got *tga.RunResult) {
 	t.Helper()
@@ -39,16 +55,20 @@ func runResultsEqual(t *testing.T, name string, want, got *tga.RunResult) {
 	}
 }
 
-// TestModelCacheMatchesUncached runs each generator without the cross-run
-// model cache, then twice with it: the first cached run mines the model,
-// the second adopts it, and both match the uncached run exactly.
+// TestModelCacheMatchesUncached runs each model builder without the
+// cross-run model cache, then twice with it through one cache: a model is
+// mined by the first run that asks for it and adopted by every later one —
+// the second run of the same generator, and the runs of other generators
+// whose ModelParams name the same model (6Scan and 6Hit adopt the tree
+// 6Tree mined) — and every cached run matches its uncached run exactly.
 func TestModelCacheMatchesUncached(t *testing.T) {
 	_, sc, seeds := setup(t)
 	const budget = 2000
 	cache := modelcache.New()
 	reg := telemetry.NewRegistry()
 	cache.SetTelemetry(reg)
-	for _, name := range offlineNames {
+	names, byParams := builders()
+	for _, name := range names {
 		cfg := tga.RunConfig{
 			Budget: budget, BatchSize: 512, Proto: proto.ICMP,
 			Prober: sc, ExcludeSeeds: true,
@@ -66,11 +86,128 @@ func TestModelCacheMatchesUncached(t *testing.T) {
 			runResultsEqual(t, name, uncached, res)
 		}
 	}
-	if misses := reg.Counter("tga.modelcache.misses").Load(); misses != int64(len(offlineNames)) {
-		t.Errorf("misses = %d, want %d (one mine per generator)", misses, len(offlineNames))
+	models := len(byParams)
+	if misses := reg.Counter("tga.modelcache.misses").Load(); misses != int64(models) {
+		t.Errorf("misses = %d, want %d (one mine per distinct ModelParams)", misses, models)
 	}
-	if hits := reg.Counter("tga.modelcache.hits").Load(); hits != int64(len(offlineNames)) {
-		t.Errorf("hits = %d, want %d (second runs reuse)", hits, len(offlineNames))
+	if hits := reg.Counter("tga.modelcache.hits").Load(); hits != int64(2*len(names)-models) {
+		t.Errorf("hits = %d, want %d (every other run reuses)", hits, 2*len(names)-models)
+	}
+}
+
+// TestModelParamsNameTheModel holds every builder to the ModelParams
+// contract the cache keys on: builders that return the same value build
+// deep-equal models from the same canonical seeds.
+func TestModelParamsNameTheModel(t *testing.T) {
+	_, byParams := builders()
+	if got := byParams[tga.LeftmostTree]; !slices.Equal(got, []string{"6Tree", "6Scan", "6Hit"}) {
+		t.Errorf("%s is mined by %v, want 6Tree, 6Scan and 6Hit", tga.LeftmostTree, got)
+	}
+	for si, seeds := range [2][]ipaddr.Addr{syntheticSeeds(12), syntheticSeeds(64)} {
+		// BuildModel's input as the driver and the cache hand it over.
+		seeds = ipaddr.DedupSorted(seeds)
+		for params, names := range byParams {
+			if len(names) < 2 {
+				continue
+			}
+			var first tga.Model
+			for i, name := range names {
+				m, err := all.MustNew(name).(tga.ModelBuilder).BuildModel(seeds)
+				if err != nil {
+					t.Fatalf("%s, set %d: %v", name, si, err)
+				}
+				if i == 0 {
+					first = m
+				} else if !reflect.DeepEqual(m, first) {
+					t.Errorf("set %d: %s and %s both claim ModelParams %q but build different models", si, names[0], name, params)
+				}
+			}
+		}
+	}
+}
+
+// TestDuplicateSeedsAreOneSeed: listing a seed twice changes nothing a
+// generator proposes.
+func TestDuplicateSeedsAreOneSeed(t *testing.T) {
+	seeds := syntheticSeeds(64)
+	deduped := ipaddr.DedupSorted(seeds)
+	if len(deduped) == len(seeds) {
+		t.Fatal("the seed set holds no duplicates to test with")
+	}
+	for _, name := range all.ExtendedNames {
+		want, err := tga.Generate(all.MustNew(name), deduped, 3000)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := tga.Generate(all.MustNew(name), seeds, 3000)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: %d candidates from seeds with duplicates, %d without, or in another order", name, len(got), len(want))
+		}
+	}
+}
+
+// hashProber answers like mixOutcome and keeps no state, so runs on
+// concurrent goroutines hear what they would hear one at a time.
+type hashProber struct{}
+
+func (hashProber) Scan(ts []ipaddr.Addr, p proto.Protocol) []scanner.Result {
+	out := make([]scanner.Result, len(ts))
+	for i, a := range ts {
+		out[i] = scanner.Result{Addr: a, Proto: p}
+		if mixOutcome(a).Active {
+			out[i].Status = scanner.StatusActive
+		}
+	}
+	return out
+}
+
+func (h hashProber) ScanActive(ts []ipaddr.Addr, p proto.Protocol) []ipaddr.Addr {
+	return scanner.ActiveAddrs(h.Scan(ts, p))
+}
+
+// TestModelCacheSharedTreeConcurrent is the grid's sharing pattern: 6Tree,
+// 6Scan and 6Hit start on concurrent goroutines and adopt the one
+// leftmost tree the cache mines for them, and each run still matches its
+// uncached run. Under -race it also checks that adopting a tree never
+// writes through it.
+func TestModelCacheSharedTreeConcurrent(t *testing.T) {
+	seeds := syntheticSeeds(64)
+	names := []string{"6Tree", "6Scan", "6Hit"}
+	cfg := tga.RunConfig{Budget: 4000, BatchSize: 512, Proto: proto.ICMP, Prober: hashProber{}, ExcludeSeeds: true}
+	want := make([]*tga.RunResult, len(names))
+	for i, name := range names {
+		res, err := tga.Run(all.MustNew(name), seeds, cfg)
+		if err != nil {
+			t.Fatalf("%s uncached: %v", name, err)
+		}
+		want[i] = res
+	}
+	cache := modelcache.New()
+	reg := telemetry.NewRegistry()
+	cache.SetTelemetry(reg)
+	cfg.Models = cache
+	got := make([]*tga.RunResult, len(names))
+	errs := make([]error, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = tga.Run(all.MustNew(name), seeds, cfg)
+		}()
+	}
+	wg.Wait()
+	for i, name := range names {
+		if errs[i] != nil {
+			t.Fatalf("%s cached: %v", name, errs[i])
+		}
+		runResultsEqual(t, name, want[i], got[i])
+	}
+	if misses := reg.Counter("tga.modelcache.misses").Load(); misses != 1 {
+		t.Errorf("misses = %d, want 1 (one tree for three generators)", misses)
 	}
 }
 

@@ -3,6 +3,7 @@
 package tga
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"seedscan/internal/ipaddr"
@@ -26,6 +27,10 @@ func TestLeafGenAllocations(t *testing.T) {
 }
 
 func TestTreeModelLeavesAllocationsConstant(t *testing.T) {
+	// A 10,000-leaf slab starts a collection about every call, and on a
+	// loaded host the runtime then occasionally counts one stray malloc a
+	// call; with collection off, only Leaves' own allocations are counted.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	perCall := func(leaves int) float64 {
 		m := &TreeModel{LeafModels: make([]TreeLeafModel, leaves)}
 		for i := range m.LeafModels {
@@ -34,7 +39,7 @@ func TestTreeModelLeavesAllocationsConstant(t *testing.T) {
 		return testing.AllocsPerRun(10, func() { m.Leaves() })
 	}
 	small, large := perCall(10), perCall(10000)
-	if small != large || small > 3 {
-		t.Fatalf("Leaves allocates %v times for 10 leaves and %v for 10000, want the same and at most 3", small, large)
+	if small != large || small > 2 {
+		t.Fatalf("Leaves allocates %v times for 10 leaves and %v for 10000, want the same and at most 2", small, large)
 	}
 }

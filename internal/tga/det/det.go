@@ -45,10 +45,9 @@ func (g *Generator) Name() string { return "DET" }
 // Online implements tga.Generator.
 func (g *Generator) Online() bool { return true }
 
-// ModelParams implements tga.ModelBuilder. The initial tree's leaf size is
-// the fixed tga.MinLeaf and RebuildEvery and Explore steer the online
-// search, so no parameter shapes the mined model.
-func (g *Generator) ModelParams() string { return "" }
+// ModelParams implements tga.ModelBuilder: the min-entropy space tree with
+// the fixed tga.MinLeaf. RebuildEvery and Explore steer the online search.
+func (g *Generator) ModelParams() string { return tga.MinEntropyTree }
 
 // BuildModel implements tga.ModelBuilder: the initial min-entropy space
 // tree over the (deduplicated) seeds. Online rebuilds fold hits in and are

@@ -23,26 +23,38 @@ type Model any
 // mine a seed model once and reuse it for every run over the same
 // treatment.
 //
-// The contract: BuildModel is deterministic given canonically sorted
-// seeds, touches no run state, and returns an immutable Model.
-// InitFromModel replaces Init, adopting a Model previously produced by
-// BuildModel with the same seeds and ModelParams; it must create fresh
-// mutable run state and must not write through the Model. Init remains
-// equivalent to BuildModel followed by InitFromModel.
+// The contract: BuildModel is deterministic given canonical seeds, touches
+// no run state, and returns an immutable Model. InitFromModel replaces
+// Init, adopting a Model previously produced from the same seeds by any
+// builder with the same ModelParams; it must create fresh mutable run
+// state and must not write through the Model. Init remains equivalent to
+// BuildModel followed by InitFromModel.
 type ModelBuilder interface {
 	Generator
-	// ModelParams canonically encodes every parameter that shapes the
-	// mined model (clustering radius, entropy threshold, leaf size...).
-	// Runtime-only knobs — sampling seeds, exploration shares — are
-	// excluded: they do not change what BuildModel produces.
+	// ModelParams names the model BuildModel mines: two builders that
+	// return the same value build equal models from equal seeds, and so
+	// may adopt each other's. The value starts with what is mined (a
+	// generator's own name, or a model several generators share, like
+	// LeftmostTree) and canonically encodes every parameter that shapes it
+	// (clustering radius, entropy threshold...). Runtime-only knobs —
+	// sampling seeds, exploration shares — are excluded: they do not
+	// change what BuildModel produces.
 	ModelParams() string
-	// BuildModel mines the seed model. Seeds must be in canonical sorted
-	// order (Generator.Init's contract).
+	// BuildModel mines the seed model. Seeds must be canonical
+	// (Generator.Init's contract).
 	BuildModel(seeds []ipaddr.Addr) (Model, error)
 	// InitFromModel adopts m (built from the same seeds and params) in
 	// place of Init.
 	InitFromModel(m Model, seeds []ipaddr.Addr) error
 }
+
+// The ModelParams of the two space trees the tree TGAs share: MineTree
+// with MinLeaf and SplitLeftmost (6Tree, 6Scan, 6Hit) or SplitMinEntropy
+// (DET).
+const (
+	LeftmostTree   = "tree/leftmost"
+	MinEntropyTree = "tree/minentropy"
+)
 
 // InitByModel is Generator.Init for a ModelBuilder: mine the model, then
 // adopt it.
@@ -157,19 +169,18 @@ func SnapshotTree(root *TreeNode) *TreeModel {
 	return m
 }
 
-// Leaves materializes fresh mutable leaf nodes — new LeafGens, zeroed
-// online counters — over the model's read-only patterns and seed groups.
-// Each call returns independent nodes, so many runs can adopt one model.
-// Nodes and generators are two slabs: adopting a model costs three
-// allocations however many leaves it has.
+// Leaves materializes fresh mutable leaf nodes — zeroed online counters,
+// no generator until the first draw — over the model's read-only patterns
+// and seed groups. Each call returns independent nodes, so many runs can
+// adopt one model. The nodes are one slab: adopting a model costs two
+// allocations however many leaves it has, and a run pays for the
+// generators of only the leaves it draws from.
 func (m *TreeModel) Leaves() []*TreeNode {
 	nodes := make([]TreeNode, len(m.LeafModels))
-	gens := make([]LeafGen, len(m.LeafModels))
 	out := make([]*TreeNode, len(m.LeafModels))
 	for i := range m.LeafModels {
 		lm := &m.LeafModels[i]
-		gens[i].start(lm.Masks)
-		nodes[i] = TreeNode{Seeds: lm.Seeds, SplitPos: -1, Masks: lm.Masks, Gen: &gens[i]}
+		nodes[i] = TreeNode{Seeds: lm.Seeds, SplitPos: -1, Masks: lm.Masks}
 		out[i] = &nodes[i]
 	}
 	return out

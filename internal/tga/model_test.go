@@ -144,15 +144,18 @@ func TestTreeModelLeavesIndependent(t *testing.T) {
 		t.Fatalf("leaf count %d != %d", len(m.LeafModels), len(root.Leaves()))
 	}
 	a, b := m.Leaves(), m.Leaves()
-	// Materialized leaves are mutable run state: advancing one run's
-	// LeafGen or counters must not leak into another run over the model.
+	// Materialized leaves are mutable run state: starting, advancing or
+	// drying one run's LeafGen, or its counters, must not leak into another
+	// run over the model.
 	a[0].Probes = 99
+	a[0].Gen = NewLeafGen(a[0].Masks, nil)
 	a[0].Gen.Next()
+	a[1].Dry = true
 	if b[0].Probes != 0 {
 		t.Fatal("online counters shared between materializations")
 	}
-	if b[0].Gen == a[0].Gen {
-		t.Fatal("LeafGen shared between materializations")
+	if b[0].Gen != nil || b[1].Dry {
+		t.Fatal("leaf generator state shared between materializations")
 	}
 }
 

@@ -1,13 +1,17 @@
 // Package modelcache provides the cross-run TGA model cache: mined seed
 // models (6Gen's clustering, Entropy/IP's segment tables, the tree TGAs'
-// space trees, 6Sense's arms) keyed by (generator name, model params, seed
+// space trees, 6Sense's arms) keyed by (model params, seed count, seed
 // digest) so grid cells that share a seed treatment reuse the model across
-// protocols instead of re-mining it per cell.
+// protocols, and generators that mine the same model share it, instead of
+// re-mining it per cell and per generator.
 //
 // What is safe to reuse: the model is a pure function of the canonical
-// seed list and the generator's model-shaping parameters, so any two runs
-// with the same key — across protocols, probers, budgets, or dealiasers —
-// share it. What is not: anything fed by scan results (online rebuilds,
+// seed list and ModelParams, which names the model rather than the
+// generator (6Tree, 6Scan and 6Hit all mine tga.LeftmostTree), so any two
+// runs with the same key — across generators, protocols, probers, budgets,
+// or dealiasers — share it. Seeds are deduplicated before keying, so a
+// duplicated seed neither splits the cache nor reaches BuildModel twice.
+// What is not: anything fed by scan results (online rebuilds,
 // reward state) is per-run state that ModelBuilder.InitFromModel creates
 // fresh, and generators whose effective seed set includes mutable state
 // (AddrMiner's long-term memory) don't implement ModelBuilder at all.
@@ -25,8 +29,7 @@ import (
 
 // key identifies one mined model.
 type key struct {
-	name   string // generator name
-	params string // ModelParams: every model-shaping knob, canonical form
+	params string // ModelParams: what is mined and every knob shaping it
 	count  int    // seed count (cheap digest-collision guard)
 	digest uint64 // order-sensitive digest of the canonical seed list
 }
@@ -68,16 +71,17 @@ func (c *Cache) Len() int {
 }
 
 // GetOrBuild implements tga.ModelSource: it returns the cached model for
-// (g, seeds), mining it on the first request. Concurrent requests for the
-// same key mine once — later requesters block until the first build
-// finishes (or ctx is done). Seeds must be in canonical sorted order; the
-// digest is order-sensitive by design, so a non-canonical order would
-// fragment the cache, not corrupt it. A failed build is not cached:
+// (g.ModelParams(), seeds), mining it with g on the first request.
+// Concurrent requests for the same key mine once — later requesters block
+// until the first build finishes (or ctx is done). Seeds must be in
+// canonical sorted order and are deduplicated here; the digest is
+// order-sensitive by design, so a non-canonical order would fragment the
+// cache, not corrupt it. A failed build is not cached:
 // errors propagate to every waiter of that flight, then the slot is
 // cleared so a later request may retry.
 func (c *Cache) GetOrBuild(ctx context.Context, g tga.ModelBuilder, seeds []ipaddr.Addr) (tga.Model, error) {
+	seeds = ipaddr.DedupSorted(seeds)
 	k := key{
-		name:   g.Name(),
 		params: g.ModelParams(),
 		count:  len(seeds),
 		digest: ipaddr.Digest(seeds),

@@ -240,7 +240,7 @@ func (s *LeafSearch) rank() {
 	moved := s.moved[:0]
 	for _, i := range s.moved {
 		s.mark[i] &^= inMoved
-		if s.leaves[i].Gen != nil {
+		if !s.leaves[i].Dry {
 			moved = append(moved, i)
 		}
 	}
@@ -269,15 +269,18 @@ func (s *LeafSearch) order(i, j int32) int {
 }
 
 // take draws up to k never-proposed addresses from leaf i into the batch
-// and remembers i as their proposer. A leaf that runs dry is marked
-// exhausted.
+// and remembers i as their proposer. The leaf's generator starts at its
+// first draw; a leaf that runs dry is marked so.
 func (s *LeafSearch) take(i int32, k int) int {
 	l := s.leaves[i]
+	if l.Gen == nil {
+		l.Gen = NewLeafGen(l.Masks, nil)
+	}
 	got := 0
 	for got < k {
 		a, ok := l.Gen.Next()
 		if !ok {
-			l.Gen = nil
+			l.Gen, l.Dry = nil, true
 			break
 		}
 		if s.emitted.Add(a) {
@@ -305,7 +308,7 @@ func (s *LeafSearch) NextBatch(n, exploit, picksPerLeaf int, pick func(live int)
 	s.out = make([]ipaddr.Addr, 0, n)
 	GeometricShares(s.ranked, exploit, s.take)
 	for tries := picksPerLeaf * live; len(s.out) < n && tries > 0; tries-- {
-		if i := s.ranked[pick(live)%live]; s.leaves[i].Gen != nil {
+		if i := s.ranked[pick(live)%live]; !s.leaves[i].Dry {
 			s.take(i, 1)
 		}
 	}

@@ -108,7 +108,7 @@ func newSearch(t *testing.T) *LeafSearch {
 	if len(leaves) < 3 {
 		t.Fatalf("only %d leaves", len(leaves))
 	}
-	leaves[1].Gen = NewLeafGen(leaves[0].Masks, nil)
+	leaves[1].Masks = leaves[0].Masks
 	return NewLeafSearch(leaves, func(a, b *TreeNode) bool { return a.Hits > b.Hits },
 		func(l *TreeNode, got int) { l.Probes += got })
 }
@@ -161,8 +161,38 @@ func TestLeafSearchExploreCountsPicksNotAddresses(t *testing.T) {
 	if want := 2 + (live - 1); picks != 2*live || len(batch) != want || s.leaves[0].Probes != 2 {
 		t.Fatalf("%d picks gave %d addresses (%d from leaf 0), want %d, %d and 2", picks, len(batch), s.leaves[0].Probes, 2*live, want)
 	}
+	for i, l := range s.leaves {
+		if l.Dry != (i > 0) || l.Dry && l.Gen != nil {
+			t.Fatalf("leaf %d: dry %v with generator %v, want dry for every leaf but 0, and no generator kept", i, l.Dry, l.Gen != nil)
+		}
+	}
 	if got := NewLeafSearch(nil, nil, nil).NextBatch(100, 60, 1, nil); got != nil {
 		t.Fatalf("no live leaves, got %v", got)
+	}
+}
+
+func TestLeafSearchStartsOnlyDrawnLeaves(t *testing.T) {
+	// A thousand disjoint regions of sixteen addresses each.
+	m := &TreeModel{LeafModels: make([]TreeLeafModel, 1000)}
+	for i := range m.LeafModels {
+		masks := pinnedMasks(2)
+		masks[28], masks[29], masks[30], masks[31] = 1<<(i/100), 1<<(i/10%10), 1<<(i%10), 0xffff
+		m.LeafModels[i].Masks = masks
+	}
+	drawn := map[*TreeNode]bool{}
+	s := NewLeafSearch(m.Leaves(), func(a, b *TreeNode) bool { return false },
+		func(l *TreeNode, _ int) { drawn[l] = true })
+	if batch := propose(s, 256); len(batch) != 256 {
+		t.Fatalf("batch of %d", len(batch))
+	}
+	started := 0
+	for _, l := range s.leaves {
+		if l.Gen != nil || l.Dry {
+			started++
+		}
+	}
+	if started > len(drawn) || len(drawn) >= len(s.leaves) {
+		t.Fatalf("%d of %d leaves started a generator, %d drawn from", started, len(s.leaves), len(drawn))
 	}
 }
 
@@ -369,7 +399,7 @@ func TestLeafSearchRankingMatchesStableSort(t *testing.T) {
 	neverWiden := func(s *LeafSearch) {
 		for i, l := range s.leaves {
 			if i%3 != 0 {
-				l.Gen.widenPos = []int{}
+				l.Gen = NewLeafGen(l.Masks, []int{})
 			}
 		}
 	}
@@ -384,7 +414,7 @@ func TestLeafSearchRankingMatchesStableSort(t *testing.T) {
 			for step := 0; step < 120; step++ {
 				var want []*TreeNode
 				for _, l := range s.leaves {
-					if l.Gen != nil {
+					if !l.Dry {
 						want = append(want, l)
 					}
 				}

@@ -88,7 +88,7 @@ func (g *Generator) maxClusters() int {
 
 // ModelParams implements tga.ModelBuilder.
 func (g *Generator) ModelParams() string {
-	return fmt.Sprintf("radius=%d,maxclusters=%d", g.radius(), g.maxClusters())
+	return fmt.Sprintf("6gen/radius=%d,maxclusters=%d", g.radius(), g.maxClusters())
 }
 
 // clusterRun greedily clusters one prefix's seeds (given by index, all

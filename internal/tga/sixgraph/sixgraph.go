@@ -67,7 +67,7 @@ func (g *Generator) mergeDistance() int {
 
 // ModelParams implements tga.ModelBuilder.
 func (g *Generator) ModelParams() string {
-	return fmt.Sprintf("mergedist=%d", g.mergeDistance())
+	return fmt.Sprintf("6graph/mergedist=%d", g.mergeDistance())
 }
 
 // BuildModel implements tga.ModelBuilder: the entropy tree (built across

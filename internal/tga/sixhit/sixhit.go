@@ -56,14 +56,13 @@ func (g *Generator) Name() string { return "6Hit" }
 // Online implements tga.Generator.
 func (g *Generator) Online() bool { return true }
 
-// ModelParams implements tga.ModelBuilder. The initial tree's leaf size is
-// the fixed tga.MinLeaf and the bandit knobs (Epsilon, Alpha, RebuildEvery,
-// Seed) steer the online search, so no parameter shapes the mined model.
-func (g *Generator) ModelParams() string { return "" }
+// ModelParams implements tga.ModelBuilder: 6Tree's space tree. The bandit
+// knobs (Epsilon, Alpha, RebuildEvery, Seed) steer the online search.
+func (g *Generator) ModelParams() string { return tga.LeftmostTree }
 
 // BuildModel implements tga.ModelBuilder: the initial 6Tree-style space
-// tree over the (deduplicated) seeds. Later rebuilds fold hits in and stay
-// per-run.
+// tree over the (deduplicated) seeds — on canonical seeds, 6Tree's tree.
+// Later rebuilds fold hits in and stay per-run.
 func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 	return tga.MineTree(ipaddr.DedupSorted(seeds), tga.MinLeaf, tga.SplitLeftmost)
 }

@@ -117,9 +117,9 @@ func (g *Generator) Name() string { return "6Prob" }
 func (g *Generator) Online() bool { return false }
 
 // ModelParams implements tga.ModelBuilder. The trie is a pure function of
-// the seeds — every generation knob is runtime-only — so the encoding
-// carries only a format version.
-func (g *Generator) ModelParams() string { return "v=1" }
+// the seeds — every generation knob is runtime-only — so past the
+// generator's name the encoding carries only a format version.
+func (g *Generator) ModelParams() string { return "6prob/v=1" }
 
 // BuildModel implements tga.ModelBuilder: it mines the counted trie and
 // the global value frequencies. Input is canonicalized first — the trie's

@@ -41,10 +41,9 @@ func (g *Generator) Name() string { return "6Scan" }
 // Online implements tga.Generator.
 func (g *Generator) Online() bool { return true }
 
-// ModelParams implements tga.ModelBuilder. The tree's leaf size is the
-// fixed tga.MinLeaf and TopShare only steers the online allocation, so no
-// parameter shapes the mined model.
-func (g *Generator) ModelParams() string { return "" }
+// ModelParams implements tga.ModelBuilder: 6Tree's space tree. TopShare
+// only steers the online allocation.
+func (g *Generator) ModelParams() string { return tga.LeftmostTree }
 
 // BuildModel implements tga.ModelBuilder: the 6Tree-style space tree.
 // 6Scan never rebuilds, so the whole tree is cacheable.

@@ -141,8 +141,8 @@ type Model struct {
 
 // ModelParams implements tga.ModelBuilder. The arm granularity and Markov
 // structure are fixed; ASShare and Seed only steer the online search and
-// sampling, so no parameter shapes the mined model.
-func (g *Generator) ModelParams() string { return "" }
+// sampling, so the model is named by the generator alone.
+func (g *Generator) ModelParams() string { return "6sense" }
 
 // BuildModel implements tga.ModelBuilder: it groups seeds into /32 arms
 // and trains each arm's Markov model over its own seeds. Arms are

@@ -32,9 +32,9 @@ func (g *Generator) Name() string { return "6Tree" }
 // Online implements tga.Generator. 6Tree generates from the static tree.
 func (g *Generator) Online() bool { return false }
 
-// ModelParams implements tga.ModelBuilder. The tree's leaf size is the
-// fixed tga.MinLeaf, so no parameter shapes the mined model.
-func (g *Generator) ModelParams() string { return "" }
+// ModelParams implements tga.ModelBuilder: the leftmost-split space tree
+// with the fixed tga.MinLeaf, which 6Scan and 6Hit mine too.
+func (g *Generator) ModelParams() string { return tga.LeftmostTree }
 
 // BuildModel implements tga.ModelBuilder: it mines the space tree.
 func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {

@@ -53,10 +53,10 @@ type Generator interface {
 	// Online reports whether the generator adapts to Feedback.
 	Online() bool
 	// Init ingests the seed dataset. It may be called once per run. Seeds
-	// arrive in canonical ascending order and must be treated as
-	// read-only; several algorithms (6Sense's arm creation, 6Gen's greedy
-	// clustering) are order-sensitive, and the canonical order is what
-	// makes runs reproducible and mined models cacheable.
+	// arrive in canonical ascending order, without duplicates, and must be
+	// treated as read-only; several algorithms (6Sense's arm creation,
+	// 6Gen's greedy clustering) are order-sensitive, and the canonical
+	// order is what makes runs reproducible and mined models cacheable.
 	Init(seeds []ipaddr.Addr) error
 	// NextBatch proposes up to n candidate addresses. An empty result
 	// means the generator is exhausted.
@@ -146,7 +146,9 @@ func RunContext(ctx context.Context, g Generator, seeds []ipaddr.Addr, cfg RunCo
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 4096
 	}
-	seeds = CanonicalSeeds(seeds)
+	// A duplicated seed is one seed: every generator, and the model cache,
+	// sees the same canonical set however often an address was listed.
+	seeds = ipaddr.DedupSorted(CanonicalSeeds(seeds))
 	ctx, runSpan := telemetry.StartSpan(ctx, "run", telemetry.Attrs{
 		"generator": g.Name(),
 		"proto":     cfg.Proto.String(),

@@ -127,8 +127,8 @@ func TestBuildTreeShape(t *testing.T) {
 	total := 0
 	for _, l := range leaves {
 		total += len(l.Seeds)
-		if !l.IsLeaf() || l.Gen == nil {
-			t.Fatal("leaf not initialized")
+		if !l.IsLeaf() || l.Gen != nil || l.Dry {
+			t.Fatal("leaf has run state before its first draw")
 		}
 	}
 	if total != len(seeds) {
@@ -138,15 +138,15 @@ func TestBuildTreeShape(t *testing.T) {
 
 func TestSplitHeuristics(t *testing.T) {
 	seeds := seedsFrom("2001:db8:a::1", "2001:db8:b::2", "2001:db8:a::3")
-	if got := SplitLeftmost(seeds, []int{11, 31}); got != 11 {
+	if got := SplitLeftmost(seeds, 1<<11|1<<31); got != 11 {
 		t.Fatalf("leftmost = %d", got)
 	}
-	if got := SplitLeftmost(seeds, nil); got != -1 {
+	if got := SplitLeftmost(seeds, 0); got != -1 {
 		t.Fatal("leftmost on no candidates should be -1")
 	}
 	// Position 11 has 2 values {a,b} with seed counts 2/1 → entropy ~0.918;
 	// position 31 has 3 values → entropy ~1.585. Min-entropy picks 11.
-	if got := SplitMinEntropy(seeds, []int{11, 31}); got != 11 {
+	if got := SplitMinEntropy(seeds, 1<<11|1<<31); got != 11 {
 		t.Fatalf("min-entropy = %d", got)
 	}
 }

@@ -8,38 +8,41 @@ import (
 )
 
 // SplitHeuristic picks the nybble position a tree node splits on, from the
-// candidate positions (those with more than one observed value). Returning
-// -1 makes the node a leaf.
-type SplitHeuristic func(seeds []ipaddr.Addr, candidates []int) int
+// candidate positions (those with more than one observed value): bit i of
+// candidates is set when position i is one. Returning -1 makes the node a
+// leaf.
+type SplitHeuristic func(seeds []ipaddr.Addr, candidates uint32) int
 
 // SplitLeftmost is 6Tree's divisive hierarchical clustering order: split on
 // the most significant varying nybble, mirroring allocation hierarchy.
-func SplitLeftmost(seeds []ipaddr.Addr, candidates []int) int {
-	if len(candidates) == 0 {
+func SplitLeftmost(seeds []ipaddr.Addr, candidates uint32) int {
+	if candidates == 0 {
 		return -1
 	}
-	return candidates[0]
+	return bits.TrailingZeros32(candidates)
 }
 
 // SplitMinEntropy is DET/6Graph's heuristic: split where the value
 // distribution has the least (nonzero) entropy, isolating the strongest
 // structure first.
-func SplitMinEntropy(seeds []ipaddr.Addr, candidates []int) int {
-	if len(candidates) == 0 {
+func SplitMinEntropy(seeds []ipaddr.Addr, candidates uint32) int {
+	if candidates == 0 {
 		return -1
 	}
 	// Only the candidates' value distributions are compared, so only they
 	// are tallied.
 	var counts [ipaddr.NybbleCount][16]int
 	for _, a := range seeds {
-		for _, c := range candidates {
-			counts[c][a.Nybble(c)]++
+		for c := candidates; c != 0; c &= c - 1 {
+			p := bits.TrailingZeros32(c)
+			counts[p][a.Nybble(p)]++
 		}
 	}
 	best, bestH := -1, 0.0
-	for _, c := range candidates {
-		if h := entropy(&counts[c], len(seeds)); best == -1 || h < bestH {
-			best, bestH = c, h
+	for c := candidates; c != 0; c &= c - 1 {
+		p := bits.TrailingZeros32(c)
+		if h := entropy(&counts[p], len(seeds)); best == -1 || h < bestH {
+			best, bestH = p, h
 		}
 	}
 	return best
@@ -56,10 +59,13 @@ type TreeNode struct {
 	SplitPos int
 	Children []*TreeNode
 
-	// Leaf state. Gen is nil inside a built tree: construction mines
-	// patterns only, and Leaves attaches the run state.
+	// Leaf state. Gen is nil until a run first draws from the leaf: a
+	// generator starting over Masks then yields what one started earlier
+	// would have. Dry is set once the generator has run out, and Gen is
+	// dropped with it.
 	Masks [ipaddr.NybbleCount]ValueMask
 	Gen   *LeafGen
+	Dry   bool
 
 	// Online statistics, updated by adaptive generators.
 	Probes int
@@ -170,30 +176,19 @@ func (b *treeBuild) buildP(n *TreeNode, off, depth int, tokens chan struct{}, wg
 // that position, in ascending value order, each holding its seeds in input
 // order, and drops n's own Seeds.
 func (b *treeBuild) split(n *TreeNode, off, depth int) bool {
-	masks := ObservedMasks(n.Seeds)
-	var prefixCandidates []int
-	for i := 0; i < prefixPositions; i++ {
-		if bits.OnesCount16(masks[i]) > 1 {
-			prefixCandidates = append(prefixCandidates, i)
-		}
-	}
-	if len(prefixCandidates) == 0 && (len(n.Seeds) <= b.minLeaf || depth >= ipaddr.NybbleCount) {
-		makeLeaf(n, masks)
+	varying := varyingPositions(n.Seeds)
+	prefix := varying & (1<<prefixPositions - 1)
+	if prefix == 0 && (len(n.Seeds) <= b.minLeaf || depth >= ipaddr.NybbleCount) {
+		makeLeaf(n)
 		return false
 	}
-	var candidates []int
-	if len(prefixCandidates) > 0 {
-		candidates = prefixCandidates
-	} else {
-		for i, m := range masks {
-			if bits.OnesCount16(m) > 1 {
-				candidates = append(candidates, i)
-			}
-		}
+	candidates := varying
+	if prefix != 0 {
+		candidates = prefix
 	}
 	pos := b.h(n.Seeds, candidates)
-	if pos < 0 || bits.OnesCount16(masks[pos]) <= 1 {
-		makeLeaf(n, masks)
+	if pos < 0 || varying&(1<<pos) == 0 {
+		makeLeaf(n)
 		return false
 	}
 	n.SplitPos = pos
@@ -206,10 +201,13 @@ func (b *treeBuild) split(n *TreeNode, off, depth int) bool {
 	for _, a := range n.Seeds {
 		count[a.Nybble(pos)]++
 	}
-	sum := 0
+	sum, kids := 0, 0
 	for v, c := range count {
 		next[v] = sum
 		sum += c
+		if c > 0 {
+			kids++
+		}
 	}
 	grouped := b.part[depth%2][off : off+len(n.Seeds)]
 	for _, a := range n.Seeds {
@@ -217,7 +215,7 @@ func (b *treeBuild) split(n *TreeNode, off, depth int) bool {
 		grouped[next[v]] = a
 		next[v]++
 	}
-	children := make([]TreeNode, 0, bits.OnesCount16(masks[pos]))
+	children := make([]TreeNode, 0, kids)
 	n.Children = make([]*TreeNode, 0, cap(children))
 	for v, c := range count {
 		if c == 0 {
@@ -235,14 +233,43 @@ func (b *treeBuild) split(n *TreeNode, off, depth int) bool {
 // patterns would generate into address space no seed came from.
 const prefixPositions = 8
 
-func makeLeaf(n *TreeNode, masks [ipaddr.NybbleCount]ValueMask) {
+// varyingPositions returns, as a SplitHeuristic candidate mask, the
+// positions with more than one observed value: those where some seed's
+// nybble differs from the first seed's.
+func varyingPositions(seeds []ipaddr.Addr) uint32 {
+	if len(seeds) == 0 {
+		return 0
+	}
+	first := seeds[0]
+	var hi, lo uint64
+	for _, a := range seeds[1:] {
+		hi |= a.Hi() ^ first.Hi()
+		lo |= a.Lo() ^ first.Lo()
+	}
+	return nonzeroNybbleMask(hi) | nonzeroNybbleMask(lo)<<16
+}
+
+// nonzeroNybbleMask sets bit i for each nonzero nybble i of x, counting from
+// the most significant.
+func nonzeroNybbleMask(x uint64) uint32 {
+	var m uint32
+	for i := 0; x != 0; i++ {
+		if x>>60 != 0 {
+			m |= 1 << i
+		}
+		x <<= 4
+	}
+	return m
+}
+
+func makeLeaf(n *TreeNode) {
 	n.SplitPos = -1
-	n.Masks = masks
+	n.Masks = ObservedMasks(n.Seeds)
 }
 
 // Leaves returns fresh run-state copies of the tree's leaves in DHC
-// (depth-first, value-sorted) order: the mined masks and seed groups, a new
-// generator each, zeroed online counters. The tree itself is left as built.
+// (depth-first, value-sorted) order: the mined masks and seed groups, no
+// generator yet, zeroed online counters. The tree itself is left as built.
 func (n *TreeNode) Leaves() []*TreeNode { return SnapshotTree(n).Leaves() }
 
 // appendLeaves appends the tree's own leaf nodes to out in DHC order.
