@@ -6,6 +6,7 @@ import (
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/tga"
 	"seedscan/internal/tga/all"
+	"seedscan/internal/tga/sixprob"
 )
 
 // streamDigests pins every generator's exact candidate stream — the
@@ -39,6 +40,16 @@ var onlineDigests = map[string][2]uint64{
 	"6Scan":     {0x93b3832e441cf8f8, 0x729230469f11f8f6},
 	"6Hit":      {0xa54aa8c94058430f, 0xe532d95bdda70a55},
 	"AddrMiner": {0x56e9bdced283be64, 0xae63be819c868223},
+}
+
+// prunedProbDigests pins 6Prob's stream, per beam width, under beams small
+// enough to prune many times per run, so the kept set and the floor of
+// every prune are pinned along with the draw order. The constants were recorded, and
+// committed on their own, while the prune still fully sorted the frontier.
+var prunedProbDigests = map[int][2]uint64{
+	64:   {0xad9abf3d9b5af73d, 0xfd78f54aa9d4bda5},
+	1024: {0xc25ce076464f5424, 0xb773bdd09498a54b},
+	8192: {0xbceaaeca93af9400, 0x88b69d217080e0ea},
 }
 
 // splitmix is a self-contained deterministic stream, so the synthetic seeds
@@ -164,6 +175,23 @@ func TestCandidateStreamDigests(t *testing.T) {
 						t.Errorf("%s oracle, %s, set %d, %s: %d candidates, digest %#x, want %#x", pin.oracle, name, si, path, len(stream), got, want[si])
 					}
 				}
+			}
+		}
+	}
+}
+
+func TestPrunedSixProbStreamDigests(t *testing.T) {
+	sets := [2][]ipaddr.Addr{syntheticSeeds(12), syntheticSeeds(64)}
+	for beam, want := range prunedProbDigests {
+		for si, seeds := range sets {
+			g := sixprob.New()
+			g.Beam = beam
+			if err := g.Init(seeds); err != nil {
+				t.Fatal(err)
+			}
+			stream := candidateStream(g, seeds, syntheticOutcome)
+			if got := ipaddr.Digest(stream); got != want[si] {
+				t.Errorf("6Prob beam %d, set %d: %d candidates, digest %#x, want %#x", beam, si, len(stream), got, want[si])
 			}
 		}
 	}
