@@ -18,8 +18,9 @@
 package alias
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"seedscan/internal/ipaddr"
@@ -291,11 +292,11 @@ func (d *Dealiaser) claimUnknown(byPrefix map[ipaddr.Prefix][]ipaddr.Addr) (clai
 // sortPrefixes orders prefixes canonically (address, then length) so
 // probe generation is reproducible.
 func sortPrefixes(ps []ipaddr.Prefix) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Addr() != ps[j].Addr() {
-			return ps[i].Addr().Less(ps[j].Addr())
+	slices.SortFunc(ps, func(a, b ipaddr.Prefix) int {
+		if c := a.Addr().Compare(b.Addr()); c != 0 {
+			return c
 		}
-		return ps[i].Bits() < ps[j].Bits()
+		return cmp.Compare(a.Bits(), b.Bits())
 	})
 }
 

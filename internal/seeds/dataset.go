@@ -1,7 +1,7 @@
 package seeds
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"seedscan/internal/asdb"
@@ -48,7 +48,7 @@ func (d *Dataset) Slice() []ipaddr.Addr { return d.Addrs.Slice() }
 func (d *Dataset) SortedSlice() []ipaddr.Addr {
 	d.sortOnce.Do(func() {
 		s := d.Addrs.Slice()
-		sort.Slice(s, func(i, j int) bool { return s[i].Less(s[j]) })
+		slices.SortFunc(s, ipaddr.Addr.Compare)
 		d.sortedView = s
 	})
 	return d.sortedView

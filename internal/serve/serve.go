@@ -104,16 +104,18 @@ func New(store *hitlistdb.Store, opts ...Option) (*Server, error) {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // route registers one endpoint wrapped with telemetry: a request counter,
-// an error counter, and a latency histogram per endpoint name.
+// an error counter, and a latency histogram per endpoint name. The names
+// are built once here; each metric is still registered on first use.
 func (s *Server) route(name string, h func(http.ResponseWriter, *http.Request) int) {
+	requests, errs, seconds := "serve."+name+".requests", "serve."+name+".errors", "serve."+name+".seconds"
 	s.mux.HandleFunc("/"+apiVersion+"/"+name, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		status := h(w, r)
-		s.set.tele.Counter("serve." + name + ".requests").Inc()
+		s.set.tele.Counter(requests).Inc()
 		if status >= 400 {
-			s.set.tele.Counter("serve." + name + ".errors").Inc()
+			s.set.tele.Counter(errs).Inc()
 		}
-		s.set.tele.Histogram("serve." + name + ".seconds").Observe(time.Since(start).Seconds())
+		s.set.tele.Histogram(seconds).Observe(time.Since(start).Seconds())
 	})
 }
 

@@ -281,6 +281,17 @@ func TestServeTelemetry(t *testing.T) {
 
 	var ok lookupResponse
 	getJSON(t, ts.URL+"/v1/lookup?addr="+snap.Responsive.Sorted()[0].String(), &ok)
+	// Metrics register on first use: one clean lookup names no error
+	// counter and nothing for the routes not yet requested.
+	names := reg.Snapshot()
+	if _, ok := names.Counters["serve.lookup.requests"]; !ok {
+		t.Fatal("request counter not registered by a lookup")
+	}
+	for _, name := range []string{"serve.lookup.errors", "serve.bulk.requests"} {
+		if _, ok := names.Counters[name]; ok {
+			t.Fatalf("%s registered before first use", name)
+		}
+	}
 	var e errorBody
 	getJSON(t, ts.URL+"/v1/lookup?addr=junk", &e)
 

@@ -34,7 +34,8 @@ type Generator struct {
 }
 
 // bucketPositions is how many leading nybble positions must match exactly
-// for two leaf patterns to be merge candidates.
+// for two leaf patterns to be merge candidates. A multiple of 4, so the
+// key is whole packed words.
 const bucketPositions = 8
 
 // New returns a 6Graph generator with default parameters.
@@ -98,17 +99,24 @@ func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 	// Bucket leaves by their leading-position masks: leaves from different
 	// top-level allocations differ in many prefix positions and can never
 	// merge, so only same-bucket pairs are compared. This keeps the pass
-	// near-linear on Internet-scale seed sets.
-	buckets := make(map[[bucketPositions]tga.ValueMask][]int)
-	for i, l := range leaves {
-		var key [bucketPositions]tga.ValueMask
-		copy(key[:], l.Masks[:bucketPositions])
+	// near-linear on Internet-scale seed sets. The leading masks are the
+	// first bucketWords packed words, which the join then skips.
+	packed := make([]packedMasks, len(leaves))
+	buckets := make(map[[bucketWords]uint64][]int)
+	for i := range leaves {
+		packed[i] = pack(&leaves[i].Masks)
+		key := [bucketWords]uint64(packed[i][:bucketWords])
 		buckets[key] = append(buckets[key], i)
 	}
+	var rows []packedMasks
 	for _, idx := range buckets {
-		for x := 0; x < len(idx); x++ {
-			for y := x + 1; y < len(idx); y++ {
-				if maskDistance(leaves[idx[x]].Masks, leaves[idx[y]].Masks) <= mergeDist {
+		rows = rows[:0]
+		for _, i := range idx {
+			rows = append(rows, packed[i])
+		}
+		for x := range rows {
+			for y := x + 1; y < len(rows); y++ {
+				if withinDistance(&rows[x], &rows[y], mergeDist) {
 					union(idx[x], idx[y])
 				}
 			}
@@ -158,15 +166,42 @@ func (g *Generator) InitFromModel(m tga.Model, _ []ipaddr.Addr) error {
 // Init builds the entropy tree and merges similar leaves.
 func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, seeds) }
 
-// maskDistance counts positions where two mask arrays differ.
-func maskDistance(a, b [ipaddr.NybbleCount]tga.ValueMask) int {
-	d := 0
-	for i := range a {
-		if a[i] != b[i] {
-			d++
+// packedMasks is a leaf's value masks four to a word: position p is the
+// 16-bit lane p%4 of word p/4.
+type packedMasks [ipaddr.NybbleCount / 4]uint64
+
+// bucketWords is how many leading packed words the bucket key fixes.
+const bucketWords = bucketPositions / 4
+
+func pack(m *[ipaddr.NybbleCount]tga.ValueMask) packedMasks {
+	var p packedMasks
+	for i, v := range m {
+		p[i/4] |= uint64(v) << (16 * (i % 4))
+	}
+	return p
+}
+
+const (
+	laneLow  = 0x7fff_7fff_7fff_7fff // the low 15 bits of every lane
+	laneHigh = 0x8000_8000_8000_8000 // the top bit of every lane
+)
+
+// withinDistance reports whether two same-bucket leaves differ in at most
+// d mask positions. Per word it counts the non-zero lanes of the XOR:
+// adding laneLow to a lane's low 15 bits carries into its top bit exactly
+// when they are non-zero, and never into the next lane. Leaves of one
+// bucket differ mostly in their low positions, so it walks the words from
+// the last one up and stops at the first that takes the count past d.
+func withinDistance(a, b *packedMasks, d int) bool {
+	n := 0
+	for w := len(a) - 1; w >= bucketWords; w-- {
+		x := a[w] ^ b[w]
+		n += bits.OnesCount64((((x & laneLow) + laneLow) | x) & laneHigh)
+		if n > d {
+			return false
 		}
 	}
-	return d
+	return true
 }
 
 // NextBatch allocates across the merged patterns by weight.

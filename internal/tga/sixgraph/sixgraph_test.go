@@ -1,6 +1,8 @@
 package sixgraph
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"seedscan/internal/ipaddr"
@@ -103,6 +105,75 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("output diverges at %d: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// maskDistance is the reference join: positions where two mask arrays
+// differ, compared one by one.
+func maskDistance(a, b [ipaddr.NybbleCount]tga.ValueMask) int {
+	d := 0
+	for i := range a {
+		if a[i] != b[i] {
+			d++
+		}
+	}
+	return d
+}
+
+// TestPackedJoinMatchesMaskDistance pins the word-parallel join to the
+// reference on same-bucket pairs: random masks, lanes that differ only in
+// their lowest or only in their highest bit, and every position past the
+// bucket key differing, at merge distances 0 through 4.
+func TestPackedJoinMatchesMaskDistance(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	type pair struct {
+		name string
+		a, b [ipaddr.NybbleCount]tga.ValueMask
+	}
+	var pairs []pair
+	for i := 0; i < 2000; i++ {
+		var a [ipaddr.NybbleCount]tga.ValueMask
+		for p := range a {
+			a[p] = tga.ValueMask(rng.Intn(1 << 16))
+		}
+		b := a
+		// Flip a few positions past the key, some to a one-bit change.
+		for k := rng.Intn(7); k > 0; k-- {
+			p := bucketPositions + rng.Intn(ipaddr.NybbleCount-bucketPositions)
+			if rng.Intn(2) == 0 {
+				b[p] ^= 1 << rng.Intn(16)
+			} else {
+				b[p] = tga.ValueMask(rng.Intn(1 << 16))
+			}
+		}
+		pairs = append(pairs, pair{"random", a, b})
+	}
+	// n lanes differing only in bit 0 or only in bit 15, spread over the
+	// words (5 is coprime to 24, so n = 24 is every non-bucket position).
+	free := ipaddr.NybbleCount - bucketPositions
+	for _, bit := range []uint{0, 15} {
+		for n := 0; n <= free; n++ {
+			var a, b [ipaddr.NybbleCount]tga.ValueMask
+			for k := 0; k < n; k++ {
+				p := bucketPositions + k*5%free
+				a[p] = 0x0ff0
+				b[p] = a[p] ^ 1<<bit
+			}
+			pairs = append(pairs, pair{fmt.Sprintf("bit %d in %d lanes", bit, n), a, b})
+		}
+	}
+
+	for _, pr := range pairs {
+		pa, pb := pack(&pr.a), pack(&pr.b)
+		if [bucketWords]uint64(pa[:bucketWords]) != [bucketWords]uint64(pb[:bucketWords]) {
+			t.Fatalf("%s: pair not in one bucket", pr.name)
+		}
+		want := maskDistance(pr.a, pr.b)
+		for d := 0; d <= 4; d++ {
+			if got := withinDistance(&pa, &pb, d); got != (want <= d) {
+				t.Fatalf("%s: distance %d, withinDistance(d=%d) = %v", pr.name, want, d, got)
+			}
 		}
 	}
 }

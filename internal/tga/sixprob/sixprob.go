@@ -205,7 +205,7 @@ func (g *Generator) InitFromModel(m tga.Model, _ []ipaddr.Addr) error {
 	}
 	g.model = mm
 	g.emitted = ipaddr.NewSet()
-	g.frontier = candHeap{}
+	g.frontier = newCandHeap(g.Beam)
 	g.tick = 0
 	g.hasFloor = false
 	g.lnKeep = math.Log(1 - g.Eps)
@@ -221,23 +221,24 @@ func (g *Generator) InitFromModel(m tga.Model, _ []ipaddr.Addr) error {
 		}
 	}
 	if mm.total > 0 {
-		g.push(cand{n: mm.root, tail: mm.root.tail, lp: 0})
+		g.push(cand{n: mm.root})
 	}
 	return nil
 }
 
-// cand is a partial address: positions [0,depth) are fixed in addr, the
-// continuation is either a trie node (kids consulted at position depth)
-// or a compressed tail. lp is the accumulated log-probability.
+// cand is a partial address: positions [0,depth) are fixed in addr and n
+// continues it. A node with kids is consulted at position depth; a node
+// with a compressed tail continues along tail[off:]. lp is the
+// accumulated log-probability.
 type cand struct {
 	lp    float64
 	addr  ipaddr.Addr
-	depth int
-	muts  int
-	n     *node // nil when completing along a tail
-	tail  []byte
+	n     *node
 	tie   uint64
 	tick  uint64
+	depth uint8
+	muts  uint8
+	off   uint8
 }
 
 // NextBatch implements tga.Generator: it pops complete addresses in
@@ -273,34 +274,35 @@ func (g *Generator) NextBatch(nwant int) []ipaddr.Addr {
 // walk would accumulate, so the heap never carries the long chain of
 // intermediate pure-path candidates.
 func (g *Generator) expand(c cand) {
-	if c.tail != nil {
+	if c.n.tail != nil {
 		g.expandTail(c)
 		return
 	}
-	pos := c.depth
+	pos := int(c.depth)
 	total := float64(c.n.count)
 	var heaviest *node
+	var edges uint16
 	for v := 0; v < 16; v++ {
 		child := c.n.kids[v]
 		if child == nil {
 			continue
 		}
+		edges |= 1 << v
 		if heaviest == nil || child.count > heaviest.count {
 			heaviest = child
 		}
 		g.push(cand{
 			lp:    c.lp + math.Log(float64(child.count)/total) + g.lnKeep,
 			addr:  c.addr.WithNybble(pos, byte(v)),
-			depth: pos + 1,
+			depth: c.depth + 1,
 			muts:  c.muts,
 			n:     child,
-			tail:  child.tail,
 		})
 	}
-	if c.muts < g.MaxMutations && heaviest != nil {
+	if int(c.muts) < g.MaxMutations && heaviest != nil {
 		// Mutations to values without an edge borrow the heaviest
 		// sibling's subtree to complete the low half of the address.
-		g.pushMutationsAt(c.addr, pos, c.lp, c.muts, func(v byte) bool { return c.n.kids[v] != nil }, heaviest.tail, heaviest)
+		g.pushMutationsAt(c.addr, pos, c.lp, c.muts, edges, heaviest, 0)
 	}
 }
 
@@ -309,60 +311,59 @@ func (g *Generator) expand(c cand) {
 // mutation candidates at each tail position, each priced as if the walk
 // had followed the tail one position at a time.
 func (g *Generator) expandTail(c cand) {
-	pos := c.depth
+	pos := int(c.depth)
+	tail := c.n.tail[c.off:]
 	if c.muts > 0 {
 		addr := c.addr
-		for i, v := range c.tail {
+		for i, v := range tail {
 			addr = addr.WithNybble(pos+i, v)
 		}
 		g.push(cand{
-			lp:    c.lp + float64(len(c.tail))*g.lnKeep,
+			lp:    c.lp + float64(len(tail))*g.lnKeep,
 			addr:  addr,
 			depth: ipaddr.NybbleCount,
 			muts:  c.muts,
 		})
 	}
-	if c.muts >= g.MaxMutations {
+	if int(c.muts) >= g.MaxMutations {
 		return
 	}
 	prefix := c.addr
-	for i, v := range c.tail {
+	for i, v := range tail {
 		// Skip positions where even the best mutation lands under the
 		// floor; the floor only rises while we push, so the snapshot
 		// taken here is conservative.
 		lp := c.lp + float64(i)*g.lnKeep
-		if floor, ok := g.activeFloor(); ok && lp+g.maxMutLP[pos+i] < floor {
-			prefix = prefix.WithNybble(pos+i, v)
-			continue
+		if floor, ok := g.activeFloor(); !ok || lp+g.maxMutLP[pos+i] >= floor {
+			g.pushMutationsAt(prefix, pos+i, lp, c.muts, 1<<v, c.n, c.off+uint8(i)+1)
 		}
-		g.pushMutationsAt(prefix, pos+i, lp, c.muts,
-			func(w byte) bool { return w == v }, c.tail[i+1:], nil)
 		prefix = prefix.WithNybble(pos+i, v)
 	}
 }
 
 // pushMutationsAt pushes the top globally-frequent mutation values at one
-// position, skipping values the trie already covers there (skip), with
-// the given continuation. byFrq order means mutLP is non-increasing along
-// the walk, so the first value under the floor ends the position.
-func (g *Generator) pushMutationsAt(prefix ipaddr.Addr, pos int, lp float64, muts int,
-	skip func(byte) bool, tail []byte, n *node) {
+// position, skipping the values set in skip (those the trie already
+// covers there), each continued by n from tail offset off. byFrq order
+// means mutLP is non-increasing along the walk, so the first value under
+// the floor ends the position.
+func (g *Generator) pushMutationsAt(prefix ipaddr.Addr, pos int, lp float64, muts uint8,
+	skip uint16, n *node, off uint8) {
 	floor, gated := g.activeFloor()
 	pushed := 0
 	for _, v := range g.model.byFrq[pos] {
 		if gated && lp+g.mutLP[pos][v] < floor {
 			return
 		}
-		if skip(v) {
+		if skip&(1<<v) != 0 {
 			continue
 		}
 		g.push(cand{
 			lp:    lp + g.mutLP[pos][v],
 			addr:  prefix.WithNybble(pos, v),
-			depth: pos + 1,
+			depth: uint8(pos + 1),
 			muts:  muts + 1,
 			n:     n,
-			tail:  tail,
+			off:   off,
 		})
 		if pushed++; pushed == g.TopMutations {
 			return
@@ -370,36 +371,37 @@ func (g *Generator) pushMutationsAt(prefix ipaddr.Addr, pos int, lp float64, mut
 	}
 }
 
+// keep is how many candidates a beam prune leaves: half the beam, and at
+// least one.
+func (g *Generator) keep() int { return max(g.Beam/2, 1) }
+
 // activeFloor reports the beam floor when it is in force: the frontier
-// holds at least Beam/2 entries, so a candidate under the last prune's
+// holds at least keep() entries, so a candidate under the last prune's
 // cut line has no chance of surviving. Once pops drain the frontier below
-// half capacity there is room again and the floor stops gating, exactly
-// as a beam with free slots keeps low scorers.
+// that there is room again and the floor stops gating, exactly as a beam
+// with free slots keeps low scorers.
 func (g *Generator) activeFloor() (float64, bool) {
-	if g.hasFloor && g.frontier.Len() >= g.Beam/2 {
+	if g.hasFloor && g.frontier.Len() >= g.keep() {
 		return g.floor, true
 	}
 	return 0, false
 }
 
 // push stamps the candidate's deterministic tie-break key and inserts it,
-// pruning the frontier to the Beam/2 best entries when it outgrows Beam.
+// pruning the frontier to the keep() best entries when it outgrows Beam.
 // Candidates scoring strictly below the active floor are dropped up
 // front — the next prune would discard them anyway, and the O(1) drop is
-// what keeps mutation fan-out from forcing a sort every Beam/2 pushes.
+// what keeps mutation fan-out from forcing a prune every Beam/2 pushes.
 func (g *Generator) push(c cand) {
 	if floor, ok := g.activeFloor(); ok && c.lp < floor {
 		return
-	}
-	if c.n != nil && c.n.tail != nil {
-		c.n = nil // normalize: tail continuation owns the remainder
 	}
 	c.tie = mix64(g.Seed, c.addr.Hi(), c.addr.Lo(), uint64(c.depth))
 	c.tick = g.tick
 	g.tick++
 	g.frontier.push(c)
 	if g.Beam > 0 && g.frontier.Len() > g.Beam {
-		g.floor = g.frontier.prune(g.Beam / 2)
+		g.floor = g.frontier.prune(g.keep())
 		g.hasFloor = true
 	}
 }
@@ -420,12 +422,27 @@ func (c *cand) before(o *cand) bool {
 }
 
 // candHeap is an index max-heap (tga.HeapUp et al.): the heap order lives
-// in idx, so sifts and prunes move 4-byte indices instead of the ~90-byte
+// in idx, so sifts and prunes move 4-byte indices instead of the 56-byte
 // cand structs, which sit in a reusable slab addressed through a free list.
 type candHeap struct {
 	slab []cand
 	free []int32
 	idx  []int32
+}
+
+// newCandHeap sizes a frontier for a beam once: it holds beam+1 entries
+// just before each prune (DefaultBeam+1 for an unbounded beam, which grows
+// past that by append).
+func newCandHeap(beam int) candHeap {
+	size := DefaultBeam
+	if beam > 0 {
+		size = min(beam, DefaultBeam)
+	}
+	return candHeap{
+		slab: make([]cand, 0, size+1),
+		free: make([]int32, 0, size+1),
+		idx:  make([]int32, 0, size+1),
+	}
 }
 
 func (h *candHeap) Len() int { return len(h.idx) }
@@ -451,15 +468,18 @@ func (h *candHeap) pop() cand {
 	top := h.idx[0]
 	h.idx = tga.HeapPop(h.idx, h.before)
 	c := h.slab[top]
-	h.slab[top] = cand{} // release the node/tail pointers for GC
+	h.slab[top] = cand{} // release the node pointer for GC
 	h.free = append(h.free, top)
 	return c
 }
 
 // prune keeps the best `keep` candidates, frees the rest, and returns the
-// worst surviving log-probability — the new beam floor.
+// worst surviving log-probability — the new beam floor. Draw order is
+// total, so the kept set a selection finds is the one a full sort would,
+// and the re-heapified survivors pop in the same order.
 func (h *candHeap) prune(keep int) float64 {
-	sort.Slice(h.idx, func(i, j int) bool { return h.before(h.idx[i], h.idx[j]) })
+	h.selectBest(keep)
+	floor := h.slab[h.idx[keep-1]].lp
 	for _, slot := range h.idx[keep:] {
 		h.slab[slot] = cand{}
 		h.free = append(h.free, slot)
@@ -468,7 +488,54 @@ func (h *candHeap) prune(keep int) float64 {
 	for i := keep/2 - 1; i >= 0; i-- {
 		tga.HeapDown(h.idx, i, h.before)
 	}
-	return h.slab[h.idx[keep-1]].lp
+	return floor
+}
+
+// selectBest reorders idx so that its first k entries are the k best in
+// draw order and idx[k-1] is the k-th best: a quickselect with a
+// median-of-three pivot and Hoare partitioning.
+func (h *candHeap) selectBest(k int) {
+	idx := h.idx
+	lo, hi := 0, len(idx)-1
+	for lo < hi {
+		// Order lo, mid, hi so the pivot at mid is their median; the two
+		// ends then bound the partition scans.
+		mid := int(uint(lo+hi) >> 1)
+		if h.before(idx[mid], idx[lo]) {
+			idx[mid], idx[lo] = idx[lo], idx[mid]
+		}
+		if h.before(idx[hi], idx[mid]) {
+			idx[hi], idx[mid] = idx[mid], idx[hi]
+			if h.before(idx[mid], idx[lo]) {
+				idx[mid], idx[lo] = idx[lo], idx[mid]
+			}
+		}
+		pivot := idx[mid]
+		i, j := lo, hi
+		for i <= j {
+			for h.before(idx[i], pivot) {
+				i++
+			}
+			for h.before(pivot, idx[j]) {
+				j--
+			}
+			if i <= j {
+				idx[i], idx[j] = idx[j], idx[i]
+				i++
+				j--
+			}
+		}
+		// Now idx[lo..j] come no later than the pivot, idx[i..hi] no
+		// earlier, and anything between is the pivot itself.
+		switch {
+		case k-1 <= j:
+			hi = j
+		case k-1 >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // mix64 folds values into a well-mixed 64-bit hash (splitmix64 chain).

@@ -2,6 +2,9 @@ package sixprob
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"seedscan/internal/ipaddr"
@@ -167,6 +170,92 @@ func TestEmptyAndTinySeeds(t *testing.T) {
 	for _, a := range got {
 		if a == one[0] {
 			t.Fatal("single seed re-emitted")
+		}
+	}
+}
+
+// TestSelectBestMatchesSort pins the prune's selection to a full sort:
+// on candidates whose lp and tie collide heavily (so insertion order often
+// decides), the kept set, the floor, the freed slots and the order the
+// survivors pop in must all be what sorting the whole frontier gives.
+// Inputs arrive shuffled, best-first and worst-first.
+func TestSelectBestMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 600; trial++ {
+		n := 2 + rng.Intn(200)
+		if trial%40 == 0 {
+			n = 2 + rng.Intn(20000)
+		}
+		keep := 1 + rng.Intn(n-1)
+		var h candHeap
+		ticks := rng.Perm(n)
+		for i := 0; i < n; i++ {
+			h.slab = append(h.slab, cand{
+				lp:   -float64(rng.Intn(1 + trial%4)),
+				tie:  uint64(rng.Intn(1 + trial%3)),
+				tick: uint64(ticks[i]),
+			})
+			h.idx = append(h.idx, int32(i))
+		}
+		sorted := slices.Clone(h.idx)
+		sort.Slice(sorted, func(i, j int) bool { return h.before(sorted[i], sorted[j]) })
+		switch trial % 3 {
+		case 0:
+			rng.Shuffle(n, func(i, j int) { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] })
+		case 1:
+			copy(h.idx, sorted)
+		case 2:
+			for i, s := range sorted {
+				h.idx[n-1-i] = s
+			}
+		}
+		want := make([]cand, keep)
+		for i, s := range sorted[:keep] {
+			want[i] = h.slab[s]
+		}
+
+		floor := h.prune(keep)
+		if floor != want[keep-1].lp {
+			t.Fatalf("trial %d (n=%d keep=%d): floor %v, want %v", trial, n, keep, floor, want[keep-1].lp)
+		}
+		freed, dropped := slices.Clone(h.free), slices.Clone(sorted[keep:])
+		slices.Sort(freed)
+		slices.Sort(dropped)
+		if !slices.Equal(freed, dropped) {
+			t.Fatalf("trial %d (n=%d keep=%d): freed slots differ from the sort's tail", trial, n, keep)
+		}
+		for i := range want {
+			if c := h.pop(); c.tick != want[i].tick {
+				t.Fatalf("trial %d (n=%d keep=%d): pop %d is tick %d, want %d", trial, n, keep, i, c.tick, want[i].tick)
+			}
+		}
+		if h.Len() != 0 {
+			t.Fatalf("trial %d: %d entries left after %d pops", trial, h.Len(), keep)
+		}
+	}
+}
+
+// TestBeamOfOne pins the smallest beams: a prune keeps at least one
+// candidate (a beam of one used to prune to none and index past the
+// frontier), and the draws stay deterministic and seed-free.
+func TestBeamOfOne(t *testing.T) {
+	seeds := testSeeds(200)
+	seedSet := ipaddr.NewSet(seeds...)
+	for _, beam := range []int{1, 2, 3} {
+		mk := func() *Generator {
+			g := New()
+			g.Beam = beam
+			return g
+		}
+		a := drain(t, mk(), seeds, 300)
+		b := drain(t, mk(), seeds, 300)
+		if len(a) == 0 || !slices.Equal(a, b) {
+			t.Fatalf("beam %d: %d and %d draws, want equal and non-empty", beam, len(a), len(b))
+		}
+		for _, x := range a {
+			if seedSet.Contains(x) {
+				t.Fatalf("beam %d: candidate %v is a seed", beam, x)
+			}
 		}
 	}
 }
