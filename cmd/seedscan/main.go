@@ -473,6 +473,7 @@ func cmdWorker(args []string) error {
 	// environment; the job frame carries the secret/retries/rate needed for
 	// its shards to merge byte-identically.
 	w := world.New(world.Config{Seed: *seed, NumASes: *ases})
+	w.SetTelemetry(tr.Registry())
 	w.SetEpoch(world.ScanEpoch)
 
 	ln, err := net.Listen("tcp", *listen)

@@ -110,4 +110,9 @@ func TestEnvTelemetryFlow(t *testing.T) {
 	if snap.Counters["tga.generated"] == 0 {
 		t.Fatal("tga counters not wired into env registry")
 	}
+	for _, name := range []string{"world.batches", "world.batch.packets"} {
+		if snap.Counters[name] == 0 {
+			t.Fatalf("%s not wired into env registry", name)
+		}
+	}
 }

@@ -71,8 +71,8 @@ type EnvConfig struct {
 	// whose chain alters results must use a fresh GridStore, or stale
 	// checkpoints from an unfaulted run will be replayed as-is.
 	Chain []wire.Middleware
-	// Workers overrides the experiment fan-out width (default: NumCPU-1,
-	// capped at 8). Deterministic outcomes do not depend on it.
+	// Workers overrides how many grid cells run at once (default:
+	// GOMAXPROCS, capped at 8). Deterministic outcomes do not depend on it.
 	Workers int
 	// GridStore checkpoints completed grid cells, letting an interrupted
 	// run resume with byte-identical results. Nil keeps checkpoints
@@ -164,6 +164,7 @@ func NewEnv(cfg EnvConfig) *Env {
 		tr = telemetry.NewTracer(nil)
 	}
 	w := world.New(world.Config{Seed: cfg.WorldSeed, NumASes: cfg.NumASes, LossRate: cfg.LossRate})
+	w.SetTelemetry(tr.Registry())
 	w.SetEpoch(world.CollectEpoch)
 	srcs := seeds.CollectAll(w, seeds.CollectConfig{Seed: cfg.CollectSeed, Scale: cfg.CollectScale})
 	full := seeds.CombineAll(srcs)

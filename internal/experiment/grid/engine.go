@@ -17,8 +17,9 @@ type Config struct {
 	// engine still memoizes completed cells in-process, which is what
 	// deduplicates cells across specs).
 	Store Store
-	// Workers bounds the cell fan-out (default: NumCPU-1, capped at 8 —
-	// the experiment grid's historical width).
+	// Workers bounds the cell fan-out (default: GOMAXPROCS, capped at 8).
+	// Cells are the unit of parallelism: model mining inside a cell is
+	// serial, so the default gives every core a cell.
 	Workers int
 	// Telemetry receives grid.cells.* counters and per-spec progress
 	// events; nil gets a silent tracer.
@@ -55,13 +56,7 @@ func NewEngine(cfg Config) *Engine {
 		panic("grid: NewEngine requires Config.Exec")
 	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.NumCPU() - 1
-		if cfg.Workers < 1 {
-			cfg.Workers = 1
-		}
-		if cfg.Workers > 8 {
-			cfg.Workers = 8
-		}
+		cfg.Workers = min(runtime.GOMAXPROCS(0), 8)
 	}
 	tr := cfg.Telemetry
 	if tr == nil {

@@ -124,6 +124,53 @@ func TestCrossSpecDedupRunsEachCellOnce(t *testing.T) {
 	}
 }
 
+// TestGridWidthDoesNotChangeResults runs the cells of RQ1.a, Table 4 and
+// RQ4 as one grid at one worker and at four. 6Tree, 6Scan and 6Hit adopt
+// one cached tree per treatment, and every cell on a protocol shares that
+// protocol's output dealiaser, so at four workers concurrent cells meet
+// in both; every CellResult, hit order included, must still match the
+// one-worker run (run with -race).
+func TestGridWidthDoesNotChangeResults(t *testing.T) {
+	gens := []string{"6Tree", "6Scan", "6Hit", "6Gen"}
+	protos := []proto.Protocol{proto.ICMP, proto.TCP80}
+	const budget = 600
+	var specs [2]grid.Spec
+	var results [2]grid.Results
+	for i, workers := range []int{1, 4} {
+		e := NewEnv(EnvConfig{NumASes: 80, CollectScale: 0.25, Budget: budget, Workers: workers})
+		specs[i] = grid.Spec{Name: "width"}
+		for _, s := range []grid.Spec{
+			e.SpecRQ1a(protos, gens, budget), e.SpecTable4(gens, budget), e.SpecRQ4(protos[:1], gens, budget),
+		} {
+			specs[i].Cells = append(specs[i].Cells, s.Cells...)
+		}
+		rs, err := e.Grid().Run(context.Background(), specs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[i] = rs
+	}
+	if !reflect.DeepEqual(specs[0], specs[1]) {
+		t.Fatal("the two widths planned different cells")
+	}
+	if results[0].Len() < 2*len(gens) {
+		t.Fatalf("only %d unique cells", results[0].Len())
+	}
+	hits := 0
+	for _, c := range specs[0].Cells {
+		got, want := results[1].Of(c), results[0].Of(c)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("cell %s at 4 workers: %+v, %d hits; at 1 worker: %+v, %d hits",
+				c.ID(), got.Outcome, len(got.Hits), want.Outcome, len(want.Hits))
+		}
+		hits += len(want.Hits)
+	}
+	if hits == 0 {
+		t.Fatal("no cell found a hit: nothing was compared")
+	}
+	t.Logf("%d unique cells, %d hits compared", results[0].Len(), hits)
+}
+
 // cancelAfterStore wraps a Store and cancels a context once `trigger`
 // cells have been checkpointed — a deterministic mid-flight interruption
 // for the resume-equivalence test (the Env runs with Workers=1).

@@ -110,13 +110,17 @@ func FromBytes(data []byte) (*DB, error) {
 		db.index[i] = ipaddr.AddrFrom16([16]byte(data[off : off+16]))
 	}
 
-	// Validate sort order while building the alias containment view: a
-	// file with out-of-order records would silently break binary search.
+	// Validate sort order and the index before building the alias
+	// containment view: out-of-order records or an index entry that is not
+	// its block's first address would silently break binary search.
 	prev := ipaddr.Addr{}
 	for i := 0; i < hdr.addrCount; i++ {
 		a := db.recordAddr(i)
 		if i > 0 && !prev.Less(a) {
 			return nil, fmt.Errorf("hitlistdb: address records not strictly sorted at %d", i)
+		}
+		if i%hdr.stride == 0 && db.index[i/hdr.stride] != a {
+			return nil, fmt.Errorf("hitlistdb: index entry %d is not record %d", i/hdr.stride, i)
 		}
 		prev = a
 	}

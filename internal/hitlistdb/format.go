@@ -238,5 +238,11 @@ func parseHeader(b []byte) (headerInfo, error) {
 	if h.addrCount < 0 || h.prefixCount < 0 {
 		return headerInfo{}, fmt.Errorf("hitlistdb: negative record counts")
 	}
+	// Bound the counts by the file before anything multiplies them: a
+	// count near 2^63 would wrap the size check and pass it.
+	if h.addrCount > len(b)/recordSize || h.prefixCount > len(b)/prefixSize {
+		return headerInfo{}, fmt.Errorf("hitlistdb: header counts %d records + %d prefixes exceed a %d-byte file",
+			h.addrCount, h.prefixCount, len(b))
+	}
 	return h, nil
 }

@@ -1,8 +1,9 @@
 // Package telemetry is the instrumentation layer for the seedscan
 // pipeline: a concurrent metrics registry (counters, gauges, histograms
-// with wall-clock and virtual-clock timers), hierarchical spans emitted to
-// pluggable sinks (JSONL event log, human-readable summary), and progress
-// events for long experiment grids.
+// with wall-clock and virtual-clock timers, and Snapshot.Render for a
+// human-readable dump), hierarchical spans emitted to pluggable sinks (the
+// JSONL event log, read back by ReadEvents), and progress events for long
+// experiment grids.
 //
 // The package is dependency-free (standard library only) and every type is
 // nil-receiver safe: instrumented code calls Counter.Inc, Span.Child,

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -80,73 +79,4 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 		out = append(out, ev)
 	}
 	return out, sc.Err()
-}
-
-// SummarySink aggregates span durations by name in memory; Render prints a
-// compact per-stage table. It backs the CLIs' -metrics flag without
-// requiring a trace file.
-type SummarySink struct {
-	mu     sync.Mutex
-	spans  map[string]*spanAgg
-	events int
-}
-
-type spanAgg struct {
-	count int
-	total float64 // milliseconds
-	max   float64
-}
-
-// NewSummarySink returns an empty summary aggregator.
-func NewSummarySink() *SummarySink {
-	return &SummarySink{spans: make(map[string]*spanAgg)}
-}
-
-// Emit aggregates span_end events and counts the rest.
-func (s *SummarySink) Emit(ev Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.events++
-	if ev.Type != "span_end" {
-		return
-	}
-	a := s.spans[ev.Name]
-	if a == nil {
-		a = &spanAgg{}
-		s.spans[ev.Name] = a
-	}
-	a.count++
-	a.total += ev.DurationMS
-	if ev.DurationMS > a.max {
-		a.max = ev.DurationMS
-	}
-}
-
-// Close is a no-op; the sink keeps its aggregates for Render.
-func (s *SummarySink) Close() error { return nil }
-
-// Render formats the span aggregates, sorted by total time descending.
-func (s *SummarySink) Render() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.spans))
-	for n := range s.spans {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if s.spans[names[i]].total != s.spans[names[j]].total {
-			return s.spans[names[i]].total > s.spans[names[j]].total
-		}
-		return names[i] < names[j]
-	})
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "telemetry spans (%d events)\n", s.events)
-	sb.WriteString(strings.Repeat("-", 60))
-	sb.WriteByte('\n')
-	fmt.Fprintf(&sb, "  %-28s %8s %12s %12s\n", "span", "count", "total ms", "max ms")
-	for _, n := range names {
-		a := s.spans[n]
-		fmt.Fprintf(&sb, "  %-28s %8d %12.2f %12.2f\n", n, a.count, a.total, a.max)
-	}
-	return sb.String()
 }

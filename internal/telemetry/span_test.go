@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"context"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -226,22 +225,4 @@ func TestContextPropagation(t *testing.T) {
 	}
 	sp.Child("x", nil).End()
 	sp.End()
-}
-
-func TestSummarySink(t *testing.T) {
-	sum := NewSummarySink()
-	tr := NewTracer(nil, sum)
-	for i := 0; i < 3; i++ {
-		s := tr.StartSpan("scan", nil)
-		s.End()
-	}
-	tr.StartSpan("generate", nil).End()
-	tr.Close()
-	out := sum.Render()
-	if !strings.Contains(out, "scan") || !strings.Contains(out, "generate") {
-		t.Fatalf("summary missing spans:\n%s", out)
-	}
-	if !strings.Contains(out, "       3") {
-		t.Fatalf("summary missing count 3:\n%s", out)
-	}
 }

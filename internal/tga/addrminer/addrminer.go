@@ -104,8 +104,7 @@ func (g *Generator) Online() bool { return true }
 // AddrMiner deliberately does NOT implement tga.ModelBuilder: its
 // effective seed set depends on the Store's current contents, which grow
 // with every run, so a model keyed only on (seeds, params) would go stale
-// the moment memory changes. The DET core still mines in parallel on
-// large pools via BuildTreeAuto.
+// the moment memory changes, so every Init mines the DET tree afresh.
 func (g *Generator) Init(seedAddrs []ipaddr.Addr) error {
 	pool := ipaddr.NewSet(seedAddrs...)
 	pool.AddAll(g.Memory.Snapshot())

@@ -135,9 +135,6 @@ func candidateStream(g tga.Generator, seeds []ipaddr.Addr, outcome func(ipaddr.A
 
 func TestCandidateStreamDigests(t *testing.T) {
 	sets := [2][]ipaddr.Addr{syntheticSeeds(12), syntheticSeeds(64)} // mixed, large
-	if n := len(sets[1]); n < tga.ParallelMineThreshold {
-		t.Fatalf("large seed set has %d seeds, below ParallelMineThreshold %d", n, tga.ParallelMineThreshold)
-	}
 	for _, pin := range []struct {
 		oracle  string
 		outcome func(ipaddr.Addr) tga.ProbeResult

@@ -3,8 +3,6 @@ package tga
 import (
 	"context"
 	"errors"
-	"runtime"
-	"sync"
 
 	"seedscan/internal/ipaddr"
 )
@@ -72,67 +70,6 @@ type ModelSource interface {
 	GetOrBuild(ctx context.Context, g ModelBuilder, seeds []ipaddr.Addr) (Model, error)
 }
 
-// ParallelMineThreshold is the seed count at or above which model mining
-// (tree construction, clustering, per-segment value counting, arm
-// training) fans out across CPUs. Below it the serial path wins on
-// overhead. Parallel and serial mining produce identical models; tests
-// lower this to pin that.
-var ParallelMineThreshold = 4096
-
-// MineWorkers is the mining fan-out width.
-func MineWorkers() int {
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// MineParallel runs fn(0..n-1) on up to MineWorkers goroutines and waits.
-// Work items must be independent; fn is responsible for writing results to
-// disjoint slots so the combined output is deterministic.
-func MineParallel(n int, fn func(i int)) {
-	workers := MineWorkers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var (
-		wg   sync.WaitGroup
-		next int64
-		mu   sync.Mutex
-	)
-	claim := func() int {
-		mu.Lock()
-		i := int(next)
-		next++
-		mu.Unlock()
-		return i
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := claim()
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // TreeLeafModel is one leaf of a snapshotted space tree: the mined pattern
 // masks and the seed group that produced them. Both are read-only.
 type TreeLeafModel struct {
@@ -150,13 +87,12 @@ type TreeModel struct {
 }
 
 // MineTree is the tree TGAs' BuildModel: the space tree over seeds, split
-// by h down to minLeaf seeds and built across CPUs on large seed sets,
-// snapshotted as a TreeModel.
+// by h down to minLeaf seeds, snapshotted as a TreeModel.
 func MineTree(seeds []ipaddr.Addr, minLeaf int, h SplitHeuristic) (Model, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("tga: empty seed set")
 	}
-	return SnapshotTree(BuildTreeAuto(seeds, minLeaf, h)), nil
+	return SnapshotTree(BuildTree(seeds, minLeaf, h)), nil
 }
 
 // SnapshotTree captures root's leaves as an immutable TreeModel.

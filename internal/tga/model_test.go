@@ -3,7 +3,6 @@ package tga
 import (
 	"math/rand"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"seedscan/internal/ipaddr"
@@ -23,37 +22,23 @@ func synthSeeds(t testing.TB, n int) []ipaddr.Addr {
 	return set.Sorted()
 }
 
-func treesEqual(t *testing.T, a, b *TreeNode) {
+// internalNodesDropSeeds fails if an internal node kept its seeds: the
+// partitions below it overwrite its window of the build's buffers, so a
+// kept slice would now read as someone else's seeds.
+func internalNodesDropSeeds(t *testing.T, n *TreeNode) {
 	t.Helper()
-	if a.SplitPos != b.SplitPos {
-		t.Fatalf("SplitPos %d != %d", a.SplitPos, b.SplitPos)
+	if n.IsLeaf() {
+		return
 	}
-	// The partitions below an internal node overwrite its window of the
-	// build's buffers: it must not keep a slice that now reads as someone
-	// else's seeds.
-	if !a.IsLeaf() && (a.Seeds != nil || b.Seeds != nil) {
-		t.Fatalf("internal node splitting at %d kept %d and %d seeds", a.SplitPos, len(a.Seeds), len(b.Seeds))
+	if n.Seeds != nil {
+		t.Fatalf("internal node splitting at %d kept %d seeds", n.SplitPos, len(n.Seeds))
 	}
-	if len(a.Seeds) != len(b.Seeds) {
-		t.Fatalf("seed count %d != %d", len(a.Seeds), len(b.Seeds))
-	}
-	for i := range a.Seeds {
-		if a.Seeds[i] != b.Seeds[i] {
-			t.Fatalf("seed %d differs", i)
-		}
-	}
-	if a.Masks != b.Masks {
-		t.Fatalf("masks differ at node with %d seeds", len(a.Seeds))
-	}
-	if len(a.Children) != len(b.Children) {
-		t.Fatalf("child count %d != %d", len(a.Children), len(b.Children))
-	}
-	for i := range a.Children {
-		treesEqual(t, a.Children[i], b.Children[i])
+	for _, c := range n.Children {
+		internalNodesDropSeeds(t, c)
 	}
 }
 
-func TestBuildTreeParallelMatchesSerial(t *testing.T) {
+func TestBuildTreeLeavesPartitionInput(t *testing.T) {
 	seeds := synthSeeds(t, 6000)
 	for _, h := range []struct {
 		name string
@@ -63,42 +48,31 @@ func TestBuildTreeParallelMatchesSerial(t *testing.T) {
 			// minLeaf 1 grows the deepest trees, where the two partition
 			// buffers are reused the most.
 			for _, minLeaf := range []int{4, 1} {
-				serial := BuildTree(seeds, minLeaf, h.fn)
-				par := BuildTreeParallel(seeds, minLeaf, h.fn)
-				if serial.IsLeaf() {
+				root := BuildTree(seeds, minLeaf, h.fn)
+				if root.IsLeaf() {
 					t.Fatal("root did not split")
 				}
-				treesEqual(t, serial, par)
-				// The leaves a run adopts: same patterns, same seed groups in
-				// the same order, and together a partition of the input that
+				internalNodesDropSeeds(t, root)
+				// The leaves a run adopts are a partition of the input that
 				// keeps input (ascending) order within each group — no
-				// partition further down wrote over a leaf's window.
-				sl, pl := serial.Leaves(), par.Leaves()
-				if len(sl) != len(pl) {
-					t.Fatalf("leaf count %d != %d", len(sl), len(pl))
-				}
+				// partition further down wrote over a leaf's window — and
+				// their patterns are their seeds' observed values.
 				union := ipaddr.NewSet()
 				total := 0
-				for i := range sl {
-					if sl[i].Masks != pl[i].Masks {
-						t.Fatalf("leaf %d masks differ", i)
+				for i, l := range root.Leaves() {
+					if len(l.Seeds) == 0 {
+						t.Fatalf("leaf %d is empty", i)
 					}
-					if len(sl[i].Seeds) == 0 || len(sl[i].Seeds) != len(pl[i].Seeds) {
-						t.Fatalf("leaf %d seed count %d, %d", i, len(sl[i].Seeds), len(pl[i].Seeds))
-					}
-					for j, a := range sl[i].Seeds {
-						if a != pl[i].Seeds[j] {
-							t.Fatalf("leaf %d seed %d differs", i, j)
-						}
-						if j > 0 && !sl[i].Seeds[j-1].Less(a) {
+					for j, a := range l.Seeds {
+						if j > 0 && !l.Seeds[j-1].Less(a) {
 							t.Fatalf("leaf %d seeds out of input order at %d", i, j)
 						}
 					}
-					if sl[i].Masks != ObservedMasks(sl[i].Seeds) {
+					if l.Masks != ObservedMasks(l.Seeds) {
 						t.Fatalf("leaf %d masks are not its seeds' observed values", i)
 					}
-					union.AddAll(sl[i].Seeds)
-					total += len(sl[i].Seeds)
+					union.AddAll(l.Seeds)
+					total += len(l.Seeds)
 				}
 				if total != len(seeds) {
 					t.Fatalf("leaves hold %d seeds, input %d", total, len(seeds))
@@ -112,8 +86,8 @@ func TestBuildTreeParallelMatchesSerial(t *testing.T) {
 }
 
 func TestSplitClipsChildSeedCapacity(t *testing.T) {
-	// Sibling groups share one backing array and the parallel builder
-	// gives siblings to different goroutines: an append to one child's
+	// Sibling groups share one backing array, and leaf seed slices are
+	// shared read-only through TreeLeafModel: an append to one child's
 	// seeds must reallocate, never write into the next group.
 	root := BuildTree(synthSeeds(t, 2000), 4, SplitLeftmost)
 	var walk func(n *TreeNode)
@@ -126,14 +100,6 @@ func TestSplitClipsChildSeedCapacity(t *testing.T) {
 		}
 	}
 	walk(root)
-}
-
-func TestBuildTreeAutoThreshold(t *testing.T) {
-	seeds := synthSeeds(t, 512)
-	old := ParallelMineThreshold
-	defer func() { ParallelMineThreshold = old }()
-	ParallelMineThreshold = 1 // force the parallel path on a small set
-	treesEqual(t, BuildTree(seeds, 4, SplitLeftmost), BuildTreeAuto(seeds, 4, SplitLeftmost))
 }
 
 func TestTreeModelLeavesIndependent(t *testing.T) {
@@ -157,16 +123,4 @@ func TestTreeModelLeavesIndependent(t *testing.T) {
 	if b[0].Gen != nil || b[1].Dry {
 		t.Fatal("leaf generator state shared between materializations")
 	}
-}
-
-func TestMineParallelCoversAll(t *testing.T) {
-	const n = 1000
-	var marks [n]int32
-	MineParallel(n, func(i int) { atomic.AddInt32(&marks[i], 1) })
-	for i, m := range marks {
-		if m != 1 {
-			t.Fatalf("index %d visited %d times", i, m)
-		}
-	}
-	MineParallel(0, func(i int) { t.Fatal("called for n=0") })
 }

@@ -345,5 +345,5 @@ func (s *LeafSearch) Resolve(results []ProbeResult, report func(l *TreeNode, r P
 func (s *LeafSearch) Rebuild(seeds, hits []ipaddr.Addr, minLeaf int, h SplitHeuristic) {
 	pool := ipaddr.NewSet(seeds...)
 	pool.AddAll(hits)
-	s.reset(BuildTreeAuto(pool.Slice(), minLeaf, h).Leaves())
+	s.reset(BuildTree(pool.Slice(), minLeaf, h).Leaves())
 }

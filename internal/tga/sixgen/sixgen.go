@@ -29,7 +29,7 @@ type Generator struct {
 	// existing cluster (default 4).
 	MaxClusterRadius int
 	// MaxClusters caps the number of tracked clusters; further seeds join
-	// their nearest cluster regardless of radius (default 4096).
+	// their /64's first cluster regardless of radius (default 4096).
 	MaxClusters int
 
 	clusters *tga.Expander
@@ -91,35 +91,10 @@ func (g *Generator) ModelParams() string {
 	return fmt.Sprintf("6gen/radius=%d,maxclusters=%d", g.radius(), g.maxClusters())
 }
 
-// clusterRun greedily clusters one prefix's seeds (given by index, all
-// sharing Hi()), with no global cluster cap. This is exactly the serial
-// algorithm restricted to a single prefix: the prefix index already
-// confines clustering candidates to the same prefix, so per-prefix shards
-// are independent.
-func clusterRun(seeds []ipaddr.Addr, idx []int, radius int) []*cluster {
-	var clusters []*cluster
-	for _, j := range idx {
-		a := seeds[j]
-		var best *cluster
-		bestDist := radius + 1
-		for _, c := range clusters {
-			if d := c.rep.NybbleDistance(a); d < bestDist {
-				best, bestDist = c, d
-			}
-		}
-		if best == nil {
-			best = &cluster{rep: a}
-			clusters = append(clusters, best)
-		}
-		best.absorb(a)
-	}
-	return clusters
-}
-
-// clusterSerial is the reference greedy clustering with the global
+// mineClusters is the greedy clustering in seed order, with the global
 // MaxClusters cap: once the cap is reached, seeds join their prefix's
 // first cluster regardless of radius.
-func clusterSerial(seeds []ipaddr.Addr, radius, maxClusters int) []*cluster {
+func mineClusters(seeds []ipaddr.Addr, radius, maxClusters int) []*cluster {
 	// Greedy clustering with a prefix index: seeds sharing their top 16
 	// nybbles are clustering candidates (cross-prefix seeds are farther
 	// than any useful radius anyway).
@@ -147,57 +122,13 @@ func clusterSerial(seeds []ipaddr.Addr, radius, maxClusters int) []*cluster {
 	return clusters
 }
 
-// mineClusters clusters the seeds, in parallel per-prefix shards when the
-// seed set is large. The prefix index confines clustering candidates to
-// their own prefix, so cap-free shards (grouped by prefix in first-seen
-// order, each processing its seeds in seed order) reproduce the serial
-// result exactly. The one coupling between prefixes is the global
-// MaxClusters cap: if the cap-free total exceeds it, the cap would have
-// bound serially too, and we redo the mine with the exact serial
-// semantics. (Conversely, a cap-free total at or under the cap proves the
-// serial run never force-joined, so the shard concatenation is the serial
-// result up to cluster order, which the density sort canonicalizes.)
-func (g *Generator) mineClusters(seeds []ipaddr.Addr) []*cluster {
-	radius, maxClusters := g.radius(), g.maxClusters()
-	if len(seeds) >= tga.ParallelMineThreshold {
-		keyIdx := make(map[uint64]int)
-		var groups [][]int
-		for i, a := range seeds {
-			k := a.Hi()
-			gi, ok := keyIdx[k]
-			if !ok {
-				gi = len(groups)
-				keyIdx[k] = gi
-				groups = append(groups, nil)
-			}
-			groups[gi] = append(groups[gi], i)
-		}
-		perGroup := make([][]*cluster, len(groups))
-		tga.MineParallel(len(groups), func(i int) {
-			perGroup[i] = clusterRun(seeds, groups[i], radius)
-		})
-		total := 0
-		for _, cs := range perGroup {
-			total += len(cs)
-		}
-		if total <= maxClusters {
-			out := make([]*cluster, 0, total)
-			for _, cs := range perGroup {
-				out = append(out, cs...)
-			}
-			return out
-		}
-	}
-	return clusterSerial(seeds, radius, maxClusters)
-}
-
 // BuildModel implements tga.ModelBuilder: it mines the clusters and
 // snapshots them in density order.
 func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("sixgen: empty seed set")
 	}
-	clusters := g.mineClusters(seeds)
+	clusters := mineClusters(seeds, g.radius(), g.maxClusters())
 	// Density order: seeds per range combination, descending.
 	sort.SliceStable(clusters, func(i, j int) bool {
 		di := float64(clusters[i].size) / tga.MaskSize(clusters[i].masks)

@@ -71,15 +71,15 @@ func (g *Generator) ModelParams() string {
 	return fmt.Sprintf("6graph/mergedist=%d", g.mergeDistance())
 }
 
-// BuildModel implements tga.ModelBuilder: the entropy tree (built across
-// CPUs on large seed sets) with similar leaves merged into patterns.
+// BuildModel implements tga.ModelBuilder: the entropy tree with similar
+// leaves merged into patterns.
 func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("sixgraph: empty seed set")
 	}
 	mergeDist := g.mergeDistance()
 	// Only the leaves' patterns and seed counts are merged; no run state.
-	leaves := tga.SnapshotTree(tga.BuildTreeAuto(seeds, tga.MinLeaf, tga.SplitMinEntropy)).LeafModels
+	leaves := tga.SnapshotTree(tga.BuildTree(seeds, tga.MinLeaf, tga.SplitMinEntropy)).LeafModels
 
 	// Pattern graph: union-find over leaves within MergeDistance.
 	parent := make([]int, len(leaves))

@@ -6,7 +6,7 @@
 // is the empirical probability of its value given the prefix above it.
 // Single-seed subtrees are path-compressed into tails, which keeps the
 // trie near-linear in the seed count and lets it scale to hitlist-sized
-// inputs (mining fans out across CPUs above tga.ParallelMineThreshold).
+// inputs.
 //
 // Generation is a deterministic best-first walk: a max-heap of partial
 // addresses ordered by accumulated log-probability. Expanding a partial
@@ -142,15 +142,14 @@ func (g *Generator) BuildModel(seedAddrs []ipaddr.Addr) (tga.Model, error) {
 			return f[order[i]] > f[order[j]]
 		})
 	}
-	m.root = buildTrie(seedAddrs, 0, len(seedAddrs) >= tga.ParallelMineThreshold)
+	m.root = buildTrie(seedAddrs, 0)
 	return m, nil
 }
 
 // buildTrie recurses over a sorted, contiguous seed range. Sorted input
 // means every value at the current position is a contiguous run, so
-// grouping is a linear sweep. At the top level of large inputs the
-// independent value groups mine in parallel.
-func buildTrie(seedAddrs []ipaddr.Addr, depth int, parallel bool) *node {
+// grouping is a linear sweep.
+func buildTrie(seedAddrs []ipaddr.Addr, depth int) *node {
 	n := &node{count: len(seedAddrs)}
 	if len(seedAddrs) == 0 || depth == ipaddr.NybbleCount {
 		return n
@@ -163,29 +162,15 @@ func buildTrie(seedAddrs []ipaddr.Addr, depth int, parallel bool) *node {
 		n.tail = tail
 		return n
 	}
-	type group struct {
-		v    byte
-		span []ipaddr.Addr
-	}
-	var groups []group
+	n.kids = new([16]*node)
 	for lo := 0; lo < len(seedAddrs); {
 		v := seedAddrs[lo].Nybble(depth)
 		hi := lo + 1
 		for hi < len(seedAddrs) && seedAddrs[hi].Nybble(depth) == v {
 			hi++
 		}
-		groups = append(groups, group{v, seedAddrs[lo:hi]})
+		n.kids[v] = buildTrie(seedAddrs[lo:hi], depth+1)
 		lo = hi
-	}
-	n.kids = new([16]*node)
-	if parallel {
-		tga.MineParallel(len(groups), func(i int) {
-			n.kids[groups[i].v] = buildTrie(groups[i].span, depth+1, false)
-		})
-	} else {
-		for _, gr := range groups {
-			n.kids[gr.v] = buildTrie(gr.span, depth+1, false)
-		}
 	}
 	return n
 }

@@ -110,27 +110,6 @@ func TestModelRunStateSplit(t *testing.T) {
 	}
 }
 
-// TestParallelMiningMatchesSerial pins that fanning the trie build across
-// CPUs changes nothing about the draws.
-func TestParallelMiningMatchesSerial(t *testing.T) {
-	old := tga.ParallelMineThreshold
-	defer func() { tga.ParallelMineThreshold = old }()
-
-	seeds := testSeeds(300)
-	tga.ParallelMineThreshold = 1 << 30
-	serial := drain(t, New(), seeds, 300)
-	tga.ParallelMineThreshold = 1
-	parallel := drain(t, New(), seeds, 300)
-	if len(serial) != len(parallel) {
-		t.Fatalf("lengths differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("draw %d differs: %v vs %v", i, serial[i], parallel[i])
-		}
-	}
-}
-
 // TestHighestProbabilityFirst checks the drawing order is sensible: the
 // very first candidate must be a single mutation of the densest seed
 // structure, never a MaxMutations-deep rewrite.

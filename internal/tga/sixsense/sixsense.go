@@ -145,45 +145,33 @@ type Model struct {
 func (g *Generator) ModelParams() string { return "6sense" }
 
 // BuildModel implements tga.ModelBuilder: it groups seeds into /32 arms
-// and trains each arm's Markov model over its own seeds. Arms are
-// independent, so training fans out per arm on large seed sets; grouping
-// preserves first-seen arm order and per-arm seed order, so the result is
-// identical to the serial pass for any seed order.
+// and trains each arm's Markov model over its own seeds. Arms are kept in
+// first-seen order.
 func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("sixsense: empty seed set")
 	}
+	// Number the arms first: an arm is large, so the slice is allocated
+	// once at its final length.
 	keyIdx := make(map[uint64]int)
-	var groups [][]int // seed indices per arm, in seed order
-	for i, s := range seeds {
+	for _, s := range seeds {
 		k := s.Hi() >> 32
-		gi, ok := keyIdx[k]
-		if !ok {
-			gi = len(groups)
-			keyIdx[k] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], i)
-	}
-	arms := make([]arm, len(groups))
-	trainOne := func(i int) {
-		first := seeds[groups[i][0]]
-		a := &arms[i]
-		a.prefixHi = first.Hi() >> 32
-		for p := 0; p < prefixNybbles; p++ {
-			a.fixed[p] = first.Nybble(p)
-		}
-		for _, j := range groups[i] {
-			a.observe(seeds[j], 1)
-			a.seeds++
+		if _, ok := keyIdx[k]; !ok {
+			keyIdx[k] = len(keyIdx)
 		}
 	}
-	if len(seeds) >= tga.ParallelMineThreshold {
-		tga.MineParallel(len(groups), trainOne)
-	} else {
-		for i := range groups {
-			trainOne(i)
+	arms := make([]arm, len(keyIdx))
+	for _, s := range seeds {
+		k := s.Hi() >> 32
+		a := &arms[keyIdx[k]]
+		if a.seeds == 0 {
+			a.prefixHi = k
+			for p := 0; p < prefixNybbles; p++ {
+				a.fixed[p] = s.Nybble(p)
+			}
 		}
+		a.observe(s, 1)
+		a.seeds++
 	}
 	return &Model{arms: arms}, nil
 }

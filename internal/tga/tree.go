@@ -2,7 +2,6 @@ package tga
 
 import (
 	"math/bits"
-	"sync"
 
 	"seedscan/internal/ipaddr"
 )
@@ -84,34 +83,11 @@ const MinLeaf = 4
 // position chosen by h until minLeaf seeds or no varying position remains.
 // Every leaf gets its observed-value masks.
 func BuildTree(seeds []ipaddr.Addr, minLeaf int, h SplitHeuristic) *TreeNode {
-	b, root := newTreeBuild(seeds, minLeaf, h)
+	n := len(seeds)
+	buf := make([]ipaddr.Addr, 2*n)
+	b := &treeBuild{minLeaf: max(minLeaf, 1), h: h, part: [2][]ipaddr.Addr{buf[:n:n], buf[n:]}}
+	root := &TreeNode{Seeds: seeds}
 	b.build(root, 0, 0)
-	return root
-}
-
-// BuildTreeAuto is BuildTree with the construction strategy picked by seed
-// count: at or above ParallelMineThreshold subtrees are built across CPUs,
-// below it serially. Both strategies produce the same tree, so callers
-// (including the online TGAs' periodic rebuilds) can use it everywhere.
-func BuildTreeAuto(seeds []ipaddr.Addr, minLeaf int, h SplitHeuristic) *TreeNode {
-	if len(seeds) >= ParallelMineThreshold {
-		return BuildTreeParallel(seeds, minLeaf, h)
-	}
-	return BuildTree(seeds, minLeaf, h)
-}
-
-// BuildTreeParallel builds the same tree as BuildTree with sibling
-// subtrees constructed concurrently. Subtrees over disjoint seed groups
-// never interact, and children are assembled into their value-sorted slots
-// before workers descend, so the result is byte-for-byte the serial tree.
-func BuildTreeParallel(seeds []ipaddr.Addr, minLeaf int, h SplitHeuristic) *TreeNode {
-	b, root := newTreeBuild(seeds, minLeaf, h)
-	// Tokens bound concurrency; a worker that cannot claim one recurses
-	// inline, so construction never blocks on the semaphore.
-	tokens := make(chan struct{}, MineWorkers())
-	var wg sync.WaitGroup
-	b.buildP(root, 0, 0, tokens, &wg)
-	wg.Wait()
 	return root
 }
 
@@ -122,19 +98,11 @@ func BuildTreeParallel(seeds []ipaddr.Addr, minLeaf int, h SplitHeuristic) *Tree
 // reuses the buffer two depths up. A leaf's window is never written again
 // — nothing descends from it — while an internal node's is overwritten,
 // in part, by its children's partitions, which is why split drops an
-// internal node's Seeds. Windows of different subtrees are disjoint,
-// which is what lets the parallel builder share the buffers.
+// internal node's Seeds.
 type treeBuild struct {
 	minLeaf int
 	h       SplitHeuristic
 	part    [2][]ipaddr.Addr
-}
-
-func newTreeBuild(seeds []ipaddr.Addr, minLeaf int, h SplitHeuristic) (*treeBuild, *TreeNode) {
-	n := len(seeds)
-	buf := make([]ipaddr.Addr, 2*n)
-	b := &treeBuild{minLeaf: max(minLeaf, 1), h: h, part: [2][]ipaddr.Addr{buf[:n:n], buf[n:]}}
-	return b, &TreeNode{Seeds: seeds}
 }
 
 func (b *treeBuild) build(n *TreeNode, off, depth int) {
@@ -148,32 +116,9 @@ func (b *treeBuild) build(n *TreeNode, off, depth int) {
 	}
 }
 
-// buildP is build with concurrent child descent.
-func (b *treeBuild) buildP(n *TreeNode, off, depth int, tokens chan struct{}, wg *sync.WaitGroup) {
-	if !b.split(n, off, depth) {
-		return
-	}
-	for _, child := range n.Children {
-		coff := off
-		off += len(child.Seeds) // before the child's split drops them
-		select {
-		case tokens <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				b.buildP(child, coff, depth+1, tokens, wg)
-				<-tokens
-			}()
-		default:
-			b.buildP(child, coff, depth+1, tokens, wg)
-		}
-	}
-}
-
-// split is the one split decision, shared by the serial and parallel
-// builders so they cannot diverge. It either finalizes n as a leaf and
-// returns false, or sets n.SplitPos, gives n one child per value seen at
-// that position, in ascending value order, each holding its seeds in input
+// split is the split decision. It either finalizes n as a leaf and returns
+// false, or sets n.SplitPos, gives n one child per value seen at that
+// position, in ascending value order, each holding its seeds in input
 // order, and drops n's own Seeds.
 func (b *treeBuild) split(n *TreeNode, off, depth int) bool {
 	varying := varyingPositions(n.Seeds)
@@ -194,9 +139,9 @@ func (b *treeBuild) split(n *TreeNode, off, depth int) bool {
 	n.SplitPos = pos
 
 	// Counting partition: the groups lie back to back in n's window of
-	// this depth's buffer, in ascending value order. Capacities are clipped
-	// so that an append to one child's seeds cannot reach a sibling's,
-	// which another goroutine of the parallel builder may own.
+	// this depth's buffer, in ascending value order. Capacities are clipped:
+	// leaf seed slices are shared read-only through TreeLeafModel, and an
+	// append to one must never reach a sibling's window.
 	var count, next [16]int
 	for _, a := range n.Seeds {
 		count[a.Nybble(pos)]++
