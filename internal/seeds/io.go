@@ -17,11 +17,12 @@ import (
 // produced here interoperate with external tooling and vice versa.
 
 // WriteTo writes the dataset one address per line in sorted order,
-// preceded by a comment header.
+// preceded by a comment header. The name is quoted in the header, so no
+// name can break it across lines.
 func (d *Dataset) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
-	k, err := fmt.Fprintf(bw, "# seedscan dataset: %s (%d addresses)\n", d.Name, d.Len())
+	k, err := fmt.Fprintf(bw, "# seedscan dataset: %q (%d addresses)\n", d.Name, d.Len())
 	n += int64(k)
 	if err != nil {
 		return n, err
@@ -60,12 +61,15 @@ func (d *Dataset) WriteFile(path string) error {
 	return f.Close()
 }
 
-// ReadFrom parses one address per line, skipping blanks and '#' comments.
-// Malformed lines are reported with their line number.
-func ReadFrom(name string, r io.Reader) (*Dataset, error) {
-	d := NewDataset(name)
+// maxLine is the longest line, comments included, the readers accept.
+const maxLine = 1 << 20
+
+// readLines calls parse with each line of r that is neither blank nor a
+// '#' comment, trimmed of surrounding space. Errors, parse's included,
+// name what was being read and the line.
+func readLines(what string, r io.Reader, parse func(line string) error) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -73,14 +77,29 @@ func ReadFrom(name string, r io.Reader) (*Dataset, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		a, err := ipaddr.Parse(line)
-		if err != nil {
-			return nil, fmt.Errorf("seeds: %s line %d: %w", name, lineNo, err)
+		if err := parse(line); err != nil {
+			return fmt.Errorf("seeds: %s line %d: %w", what, lineNo, err)
 		}
-		d.Addrs.Add(a)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("seeds: %s: %w", name, err)
+		return fmt.Errorf("seeds: %s line %d: %w", what, lineNo+1, err)
+	}
+	return nil
+}
+
+// ReadFrom parses one address per line, skipping blanks and '#' comments.
+// Malformed lines are reported with their line number.
+func ReadFrom(name string, r io.Reader) (*Dataset, error) {
+	d := NewDataset(name)
+	err := readLines(name, r, func(line string) error {
+		a, err := ipaddr.Parse(line)
+		if err == nil {
+			d.Addrs.Add(a)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return d, nil
 }
@@ -119,21 +138,14 @@ func WritePrefixes(w io.Writer, prefixes []ipaddr.Prefix) error {
 // ReadPrefixes parses a prefix list, skipping blanks and comments.
 func ReadPrefixes(r io.Reader) ([]ipaddr.Prefix, error) {
 	var out []ipaddr.Prefix
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
+	err := readLines("prefix list", r, func(line string) error {
 		p, err := ipaddr.ParsePrefix(line)
-		if err != nil {
-			return nil, fmt.Errorf("seeds: prefix list line %d: %w", lineNo, err)
+		if err == nil {
+			out = append(out, p)
 		}
-		out = append(out, p)
-	}
-	if err := sc.Err(); err != nil {
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

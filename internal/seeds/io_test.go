@@ -113,3 +113,38 @@ func TestWrittenFileIsSortedWithHeader(t *testing.T) {
 		t.Fatalf("not sorted: %v", lines[1:])
 	}
 }
+
+func TestWriteToQuotesName(t *testing.T) {
+	d := FromAddrs("a\nb", addrsOf("2001:db8::1"))
+	var buf bytes.Buffer
+	if _, err := d.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadFrom("in", &buf)
+	if err != nil {
+		t.Fatalf("a dataset named with a newline was written unreadably: %v", err)
+	}
+	if back.Len() != 1 {
+		t.Fatalf("len = %d", back.Len())
+	}
+}
+
+func TestReadersShareLineLimit(t *testing.T) {
+	// Beyond bufio.Scanner's default 64 KiB token and within the 1 MiB
+	// limit: both readers skip the comment.
+	long := "#" + strings.Repeat("x", 70000) + "\n"
+	if _, err := ReadFrom("long", strings.NewReader(long+"2001:db8::1\n")); err != nil {
+		t.Fatalf("ReadFrom: %v", err)
+	}
+	if _, err := ReadPrefixes(strings.NewReader(long + "2001:db8::/32\n")); err != nil {
+		t.Fatalf("ReadPrefixes: %v", err)
+	}
+	// Beyond the limit, both name the line.
+	tooLong := "\n#" + strings.Repeat("x", maxLine) + "\n"
+	if _, err := ReadFrom("long", strings.NewReader(tooLong)); err == nil || !strings.HasPrefix(err.Error(), "seeds: long line 2: ") {
+		t.Fatalf("ReadFrom err = %v", err)
+	}
+	if _, err := ReadPrefixes(strings.NewReader(tooLong)); err == nil || !strings.HasPrefix(err.Error(), "seeds: prefix list line 2: ") {
+		t.Fatalf("ReadPrefixes err = %v", err)
+	}
+}

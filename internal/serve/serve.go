@@ -19,7 +19,9 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -205,6 +207,28 @@ type bulkRequest struct {
 	Addrs []string `json:"addrs"`
 }
 
+// maxBulkBody caps a /v1/bulk body in bytes; a longer one gets 413, as
+// too many addresses do.
+const maxBulkBody = 4 << 20
+
+// decodeBulk reads a bulkRequest that is the whole body: one JSON object
+// with no field but "addrs", followed by nothing but space.
+func decodeBulk(body io.Reader) (bulkRequest, error) {
+	var req bulkRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("data after the request object")
+		}
+		return req, err
+	}
+	return req, nil
+}
+
 // bulkResponse answers every requested address from one generation.
 type bulkResponse struct {
 	Generation uint64         `json:"generation"`
@@ -219,9 +243,14 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) int {
 	if !ok {
 		return http.StatusServiceUnavailable
 	}
-	var req bulkRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<22)).Decode(&req); err != nil {
-		return writeError(w, http.StatusBadRequest, db.Generation(), "bad body: %v", err)
+	req, err := decodeBulk(http.MaxBytesReader(w, r.Body, maxBulkBody))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLong *http.MaxBytesError
+		if errors.As(err, &tooLong) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		return writeError(w, status, db.Generation(), "bad body: %v", err)
 	}
 	if len(req.Addrs) > s.set.maxBulk {
 		return writeError(w, http.StatusRequestEntityTooLarge, db.Generation(),

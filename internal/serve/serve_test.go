@@ -23,6 +23,15 @@ import (
 // returns an httptest server over it plus the snapshot it serves.
 func startServer(t *testing.T, opts ...Option) (*httptest.Server, *hitlist.Snapshot, *hitlistdb.Store) {
 	t.Helper()
+	srv, snap, st := newServer(t, opts...)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	return ts, snap, st
+}
+
+// newServer is startServer without the listener: the Server itself.
+func newServer(t testing.TB, opts ...Option) (*Server, *hitlist.Snapshot, *hitlistdb.Store) {
+	t.Helper()
 	w := world.New(world.Config{Seed: 42, NumASes: 60, LossRate: 0})
 	w.SetEpoch(world.CollectEpoch)
 	srcs := seeds.CollectAll(w, seeds.CollectConfig{Seed: 7, Scale: 0.2})
@@ -48,9 +57,7 @@ func startServer(t *testing.T, opts ...Option) (*httptest.Server, *hitlist.Snaps
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return ts, snap, st
+	return srv, snap, st
 }
 
 func getJSON(t *testing.T, url string, out any) *http.Response {
@@ -161,6 +168,26 @@ func TestBulkEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET status %d", resp.StatusCode)
+	}
+}
+
+func TestBulkBodyIsOneStrictObject(t *testing.T) {
+	srv, _, _ := newServer(t, WithMaxBulk(10))
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"well formed", `{"addrs":["2001:db8::1"]}` + " \n", http.StatusOK},
+		{"trailing data", `{"addrs":["2001:db8::1"]}garbage`, http.StatusBadRequest},
+		{"a second object", `{"addrs":["2001:db8::1"]}{"addrs":[]}`, http.StatusBadRequest},
+		{"unknown field", `{"addr":["2001:db8::1"]}`, http.StatusBadRequest},
+		{"over the byte cap", `{"addrs":["` + strings.Repeat(" ", maxBulkBody) + `"]}`, http.StatusRequestEntityTooLarge},
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/bulk", strings.NewReader(tc.body)))
+		if rec.Code != tc.status {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.status, strings.TrimSpace(rec.Body.String()))
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package all_test
 
 import (
+	"context"
 	"reflect"
 	"slices"
 	"sync"
@@ -233,5 +234,62 @@ func TestModelCacheSharedAcrossProtocols(t *testing.T) {
 	}
 	if hits := reg.Counter("tga.modelcache.hits").Load(); hits != int64(len(proto.All)-1) {
 		t.Errorf("hits = %d, want %d", hits, len(proto.All)-1)
+	}
+}
+
+// fixedModel hands every run the one model it holds.
+type fixedModel struct{ m tga.Model }
+
+func (f fixedModel) GetOrBuild(context.Context, tga.ModelBuilder, []ipaddr.Addr) (tga.Model, error) {
+	return f.m, nil
+}
+
+// TestRunsLeaveTheirModelUnchanged holds every builder to the contract
+// that lets the cache share a model: two runs adopting one model at once,
+// under an oracle that reports hits for them to adapt to, leave it
+// deep-equal to a twin mined from the same seeds. Under -race it also
+// checks that the two runs' reads of the model never race a write.
+func TestRunsLeaveTheirModelUnchanged(t *testing.T) {
+	seeds := ipaddr.DedupSorted(syntheticSeeds(64))
+	names, _ := builders()
+	if len(names) != 9 {
+		t.Fatalf("%d model builders, want 9", len(names))
+	}
+	for _, name := range names {
+		mb := all.MustNew(name).(tga.ModelBuilder)
+		m, err := mb.BuildModel(seeds)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		twin, err := mb.BuildModel(seeds)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cfg := tga.RunConfig{
+			Budget: 4000, BatchSize: 512, Proto: proto.ICMP, Prober: hashProber{},
+			ExcludeSeeds: true, Models: fixedModel{m},
+		}
+		var wg sync.WaitGroup
+		res := make([]*tga.RunResult, 2)
+		errs := make([]error, 2)
+		for i := range res {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res[i], errs[i] = tga.Run(all.MustNew(name), seeds, cfg)
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%s run %d: %v", name, i, err)
+			}
+			if mb.Online() && len(res[i].Hits) == 0 {
+				t.Fatalf("%s run %d heard no hits to adapt to", name, i)
+			}
+		}
+		if !reflect.DeepEqual(m, twin) {
+			t.Errorf("%s: running from a model changed it", name)
+		}
 	}
 }

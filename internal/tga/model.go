@@ -70,8 +70,8 @@ type ModelSource interface {
 	GetOrBuild(ctx context.Context, g ModelBuilder, seeds []ipaddr.Addr) (Model, error)
 }
 
-// TreeLeafModel is one leaf of a snapshotted space tree: the mined pattern
-// masks and the seed group that produced them. Both are read-only.
+// TreeLeafModel is one leaf of a mined space tree: the pattern masks and
+// the seed group that produced them. Both are read-only.
 type TreeLeafModel struct {
 	Masks [ipaddr.NybbleCount]ValueMask
 	Seeds []ipaddr.Addr
@@ -86,37 +86,26 @@ type TreeModel struct {
 	LeafModels []TreeLeafModel
 }
 
-// MineTree is the tree TGAs' BuildModel: the space tree over seeds, split
-// by h down to minLeaf seeds, snapshotted as a TreeModel.
+// MineTree is the tree TGAs' BuildModel: the leaves of the space tree over
+// seeds, split by h down to minLeaf seeds.
 func MineTree(seeds []ipaddr.Addr, minLeaf int, h SplitHeuristic) (Model, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("tga: empty seed set")
 	}
-	return SnapshotTree(BuildTree(seeds, minLeaf, h)), nil
+	return mineTree(seeds, minLeaf, h), nil
 }
 
-// SnapshotTree captures root's leaves as an immutable TreeModel.
-func SnapshotTree(root *TreeNode) *TreeModel {
-	leaves := root.appendLeaves(nil)
-	m := &TreeModel{LeafModels: make([]TreeLeafModel, len(leaves))}
-	for i, l := range leaves {
-		m.LeafModels[i] = TreeLeafModel{Masks: l.Masks, Seeds: l.Seeds}
-	}
-	return m
-}
-
-// Leaves materializes fresh mutable leaf nodes — zeroed online counters,
-// no generator until the first draw — over the model's read-only patterns
-// and seed groups. Each call returns independent nodes, so many runs can
-// adopt one model. The nodes are one slab: adopting a model costs two
+// Leaves materializes fresh leaf nodes — zeroed online counters, no
+// generator until the first draw — each pointing at its read-only leaf of
+// the model. Each call returns independent nodes, so many runs can adopt
+// one model. The nodes are one slab: adopting a model costs two
 // allocations however many leaves it has, and a run pays for the
 // generators of only the leaves it draws from.
 func (m *TreeModel) Leaves() []*TreeNode {
 	nodes := make([]TreeNode, len(m.LeafModels))
 	out := make([]*TreeNode, len(m.LeafModels))
 	for i := range m.LeafModels {
-		lm := &m.LeafModels[i]
-		nodes[i] = TreeNode{Seeds: lm.Seeds, SplitPos: -1, Masks: lm.Masks}
+		nodes[i].TreeLeafModel = &m.LeafModels[i]
 		out[i] = &nodes[i]
 	}
 	return out

@@ -128,15 +128,7 @@ type LeafGen struct {
 // nil allows IID positions 31..16 that were variable, then fixed IID
 // positions, a sensible default for tree leaves.
 func NewLeafGen(masks [ipaddr.NybbleCount]ValueMask, widenOrder []int) *LeafGen {
-	g := &LeafGen{widenPos: widenOrder}
-	g.start(masks)
-	return g
-}
-
-// start points g at the first job, the product of the observed values.
-func (g *LeafGen) start(masks [ipaddr.NybbleCount]ValueMask) {
-	g.masks = masks
-	g.job.masks = masks
+	return &LeafGen{masks: masks, job: maskEnum{masks: masks}, widenPos: widenOrder}
 }
 
 // defaultWidenOrder lists the variable IID positions (least significant

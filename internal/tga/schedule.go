@@ -16,11 +16,7 @@ const minChunk = 8
 // address already produced, takes a chunk from its enumerator, and drops
 // what another region already proposed (regions widen into each other).
 type Expander struct {
-	// weight, chunk, produced and gens are parallel, one entry per region.
-	weight   []float64
-	chunk    []int
-	produced []int
-	gens     []LeafGen
+	regions []region
 	// heap holds the regions still in the running as a max-heap in visit
 	// order (before). A visit only lowers the visited region's score, so
 	// the root is sifted down after each visit, or removed when its
@@ -29,50 +25,57 @@ type Expander struct {
 	emitted *ipaddr.Set
 }
 
+// region is one pattern region of an Expander. Its masks are the caller's,
+// read-only; its enumerator starts at the region's first visit, over
+// those masks, and is dropped when it runs dry.
+type region struct {
+	masks    *[ipaddr.NybbleCount]ValueMask
+	gen      *LeafGen
+	weight   float64
+	chunk    int
+	produced int
+}
+
 // NewExpander returns an expander with room for the given number of
 // regions.
 func NewExpander(regions int) *Expander {
 	return &Expander{
-		weight:   make([]float64, 0, regions),
-		chunk:    make([]int, 0, regions),
-		produced: make([]int, 0, regions),
-		gens:     make([]LeafGen, 0, regions),
-		heap:     make([]int32, 0, regions),
-		emitted:  ipaddr.NewSet(),
+		regions: make([]region, 0, regions),
+		heap:    make([]int32, 0, regions),
+		emitted: ipaddr.NewSet(),
 	}
 }
 
-// Add appends a region: the pattern it enumerates, its positive weight,
-// and how many addresses a visit takes (at least minChunk). Regions are
-// visited in Add order when their scores tie.
-func (e *Expander) Add(masks [ipaddr.NybbleCount]ValueMask, weight float64, chunk int) {
-	e.weight = append(e.weight, weight)
-	e.chunk = append(e.chunk, max(minChunk, chunk))
-	e.produced = append(e.produced, 0)
-	e.gens = append(e.gens, LeafGen{})
-	e.gens[len(e.gens)-1].start(masks)
+// Add appends a region: the pattern it enumerates, which must stay
+// unchanged while the expander runs, its positive weight, and how many
+// addresses a visit takes (at least minChunk). Regions are visited in Add
+// order when their scores tie.
+func (e *Expander) Add(masks *[ipaddr.NybbleCount]ValueMask, weight float64, chunk int) {
+	e.regions = append(e.regions, region{masks: masks, weight: weight, chunk: max(minChunk, chunk)})
 	if weight > 0 {
-		e.heap = append(e.heap, int32(len(e.gens)-1))
+		e.heap = append(e.heap, int32(len(e.regions)-1))
 		HeapUp(e.heap, len(e.heap)-1, e.before)
 	}
 }
 
 // Len reports the number of regions added.
-func (e *Expander) Len() int { return len(e.gens) }
+func (e *Expander) Len() int { return len(e.regions) }
 
 // NextBatch returns up to n fresh addresses, no visit taking more than
 // maxChunk. Fewer than n means every region is exhausted.
 func (e *Expander) NextBatch(n, maxChunk int) []ipaddr.Addr {
 	out := make([]ipaddr.Addr, 0, n)
 	for len(out) < n && len(e.heap) > 0 {
-		best := e.heap[0]
-		gen := &e.gens[best]
-		chunk := min(e.chunk[best], maxChunk)
-		got, dry := 0, false
+		r := &e.regions[e.heap[0]]
+		if r.gen == nil {
+			r.gen = NewLeafGen(*r.masks, nil)
+		}
+		chunk := min(r.chunk, maxChunk)
+		got := 0
 		for got < chunk && len(out) < n {
-			a, ok := gen.Next()
+			a, ok := r.gen.Next()
 			if !ok {
-				dry = true
+				r.gen = nil
 				break
 			}
 			if e.emitted.Add(a) {
@@ -80,8 +83,8 @@ func (e *Expander) NextBatch(n, maxChunk int) []ipaddr.Addr {
 				got++
 			}
 		}
-		e.produced[best] += got
-		if dry {
+		r.produced += got
+		if r.gen == nil {
 			e.heap = HeapPop(e.heap, e.before)
 		} else {
 			HeapDown(e.heap, 0, e.before)
@@ -93,7 +96,8 @@ func (e *Expander) NextBatch(n, maxChunk int) []ipaddr.Addr {
 // before is the visit order: the higher weight/(produced+1) first, the
 // lower index on ties — the region a strict-> linear argmax would pick.
 func (e *Expander) before(i, j int32) bool {
-	si, sj := e.weight[i]/float64(e.produced[i]+1), e.weight[j]/float64(e.produced[j]+1)
+	ri, rj := &e.regions[i], &e.regions[j]
+	si, sj := ri.weight/float64(ri.produced+1), rj.weight/float64(rj.produced+1)
 	if si != sj {
 		return si > sj
 	}
@@ -345,5 +349,5 @@ func (s *LeafSearch) Resolve(results []ProbeResult, report func(l *TreeNode, r P
 func (s *LeafSearch) Rebuild(seeds, hits []ipaddr.Addr, minLeaf int, h SplitHeuristic) {
 	pool := ipaddr.NewSet(seeds...)
 	pool.AddAll(hits)
-	s.reset(BuildTree(pool.Slice(), minLeaf, h).Leaves())
+	s.reset(mineTree(pool.Slice(), minLeaf, h).Leaves())
 }

@@ -16,8 +16,17 @@ import (
 func addRegion(e *Expander, v byte, width int, weight float64) {
 	masks := pinnedMasks(v)
 	masks[ipaddr.NybbleCount-1] = 1<<width - 1
-	e.Add(masks, weight, 0)                  // chunk floored to minChunk
-	e.gens[len(e.gens)-1].widenPos = []int{} // never widen: the region can run dry
+	e.Add(&masks, weight, 0)                                     // chunk floored to minChunk
+	e.regions[len(e.regions)-1].gen = NewLeafGen(masks, []int{}) // never widen: the region can run dry
+}
+
+// produced lists what each of e's regions has produced, in Add order.
+func produced(e *Expander) []int {
+	out := make([]int, len(e.regions))
+	for i, r := range e.regions {
+		out[i] = r.produced
+	}
+	return out
 }
 
 // visits renders a batch as the region digit of each address.
@@ -56,8 +65,33 @@ func TestExpanderSkipsExhaustedRegionsForGood(t *testing.T) {
 			t.Fatalf("batch %d: exhausted region still in the running", i)
 		}
 	}
-	if want := []int{2, 16, 0}; !reflect.DeepEqual(e.produced, want) {
-		t.Fatalf("produced %v, want %v (duplicates do not count)", e.produced, want)
+	if want := []int{2, 16, 0}; !reflect.DeepEqual(produced(e), want) {
+		t.Fatalf("produced %v, want %v (duplicates do not count)", produced(e), want)
+	}
+	for i, r := range e.regions {
+		if r.gen != nil {
+			t.Fatalf("region %d kept its generator after running dry", i)
+		}
+	}
+}
+
+func TestExpanderStartsOnlyVisitedRegions(t *testing.T) {
+	// A thousand disjoint regions of sixteen addresses each, in falling
+	// weight: a batch of 256 taken 16 at a time visits the first sixteen.
+	masks := make([][ipaddr.NybbleCount]ValueMask, 1000)
+	e := NewExpander(len(masks))
+	for i := range masks {
+		masks[i] = pinnedMasks(2)
+		masks[i][28], masks[i][29], masks[i][30], masks[i][31] = 1<<(i/100), 1<<(i/10%10), 1<<(i%10), 0xffff
+		e.Add(&masks[i], float64(len(masks)-i), 16)
+	}
+	if batch := e.NextBatch(256, 16); len(batch) != 256 {
+		t.Fatalf("batch of %d", len(batch))
+	}
+	for i, r := range e.regions {
+		if visited := i < 16; (r.gen != nil) != visited || (r.produced > 0) != visited {
+			t.Fatalf("region %d: generator started %v, produced %d; want both only for the first 16", i, r.gen != nil, r.produced)
+		}
 	}
 }
 
@@ -104,12 +138,12 @@ var searchSeeds = seedsFrom(
 // at take time, with two leaves enumerating the same space so that only
 // the emitted set keeps them apart.
 func newSearch(t *testing.T) *LeafSearch {
-	leaves := BuildTree(searchSeeds, 2, SplitMinEntropy).Leaves()
-	if len(leaves) < 3 {
-		t.Fatalf("only %d leaves", len(leaves))
+	m := mustMine(t, searchSeeds, 2, SplitMinEntropy)
+	if len(m.LeafModels) < 3 {
+		t.Fatalf("only %d leaves", len(m.LeafModels))
 	}
-	leaves[1].Masks = leaves[0].Masks
-	return NewLeafSearch(leaves, func(a, b *TreeNode) bool { return a.Hits > b.Hits },
+	m.LeafModels[1].Masks = m.LeafModels[0].Masks
+	return NewLeafSearch(m.Leaves(), func(a, b *TreeNode) bool { return a.Hits > b.Hits },
 		func(l *TreeNode, got int) { l.Probes += got })
 }
 
@@ -250,7 +284,7 @@ type argmaxExpander struct {
 	weight   []float64
 	chunk    []int
 	produced []int
-	gens     []LeafGen
+	gens     []*LeafGen
 	emitted  *ipaddr.Set
 }
 
@@ -300,14 +334,13 @@ func TestExpanderHeapMatchesLinearArgmax(t *testing.T) {
 			}
 			weight := []float64{0.5, 1, 2, 3, 1.5}[rng.Intn(5)]
 			chunk := rng.Intn(20)
-			e.Add(masks, weight, chunk)
+			e.Add(&masks, weight, chunk)
 			ref.weight = append(ref.weight, weight)
 			ref.chunk = append(ref.chunk, max(minChunk, chunk))
 			ref.produced = append(ref.produced, 0)
-			ref.gens = append(ref.gens, LeafGen{})
-			ref.gens[r].start(masks)
+			ref.gens = append(ref.gens, NewLeafGen(masks, nil))
 			if rng.Intn(3) > 0 {
-				e.gens[r].widenPos, ref.gens[r].widenPos = []int{}, []int{}
+				e.regions[r].gen, ref.gens[r].widenPos = NewLeafGen(masks, []int{}), []int{}
 			}
 		}
 		for batch := 0; batch < 30; batch++ {
@@ -316,8 +349,8 @@ func TestExpanderHeapMatchesLinearArgmax(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("trial %d batch %d: heap proposed %d addresses, argmax %d, or in another order", trial, batch, len(got), len(want))
 			}
-			if !slices.Equal(e.produced, ref.produced) {
-				t.Fatalf("trial %d batch %d: produced %v, argmax %v", trial, batch, e.produced, ref.produced)
+			if !slices.Equal(produced(e), ref.produced) {
+				t.Fatalf("trial %d batch %d: produced %v, argmax %v", trial, batch, produced(e), ref.produced)
 			}
 		}
 	}
@@ -407,7 +440,7 @@ func TestLeafSearchRankingMatchesStableSort(t *testing.T) {
 		for trial := int64(0); trial < 8; trial++ {
 			p := rankPolicies()[name]
 			rng := rand.New(rand.NewSource(trial))
-			s := NewLeafSearch(BuildTree(seeds, 2, SplitMinEntropy).Leaves(), p.before, p.took)
+			s := NewLeafSearch(mustMine(t, seeds, 2, SplitMinEntropy).Leaves(), p.before, p.took)
 			neverWiden(s)
 			var out [3][]ipaddr.Addr // the last three batches
 			var found []ipaddr.Addr

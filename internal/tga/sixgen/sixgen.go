@@ -153,8 +153,9 @@ func (g *Generator) InitFromModel(m tga.Model, _ []ipaddr.Addr) error {
 		return fmt.Errorf("sixgen: model type %T", m)
 	}
 	g.clusters = tga.NewExpander(len(mm.Clusters))
-	for _, c := range mm.Clusters {
-		g.clusters.Add(c.Masks, math.Sqrt(float64(c.Size)), 4*c.Size)
+	for i := range mm.Clusters {
+		c := &mm.Clusters[i]
+		g.clusters.Add(&c.Masks, math.Sqrt(float64(c.Size)), 4*c.Size)
 	}
 	return nil
 }

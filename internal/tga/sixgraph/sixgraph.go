@@ -13,7 +13,6 @@
 package sixgraph
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -74,12 +73,13 @@ func (g *Generator) ModelParams() string {
 // BuildModel implements tga.ModelBuilder: the entropy tree with similar
 // leaves merged into patterns.
 func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
-	if len(seeds) == 0 {
-		return nil, errors.New("sixgraph: empty seed set")
+	// Only the leaves' patterns and seed counts are merged.
+	tm, err := tga.MineTree(seeds, tga.MinLeaf, tga.SplitMinEntropy)
+	if err != nil {
+		return nil, err
 	}
+	leaves := tm.(*tga.TreeModel).LeafModels
 	mergeDist := g.mergeDistance()
-	// Only the leaves' patterns and seed counts are merged; no run state.
-	leaves := tga.SnapshotTree(tga.BuildTree(seeds, tga.MinLeaf, tga.SplitMinEntropy)).LeafModels
 
 	// Pattern graph: union-find over leaves within MergeDistance.
 	parent := make([]int, len(leaves))
@@ -157,8 +157,9 @@ func (g *Generator) InitFromModel(m tga.Model, _ []ipaddr.Addr) error {
 	}
 	g.model = mm
 	g.clusters = tga.NewExpander(len(mm.Clusters))
-	for _, c := range mm.Clusters {
-		g.clusters.Add(c.Masks, 1+math.Log2(float64(c.Seeds)+1), c.Seeds)
+	for i := range mm.Clusters {
+		c := &mm.Clusters[i]
+		g.clusters.Add(&c.Masks, 1+math.Log2(float64(c.Seeds)+1), c.Seeds)
 	}
 	return nil
 }

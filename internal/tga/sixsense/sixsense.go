@@ -31,57 +31,71 @@ const (
 	aliasBits     = 96 // blacklist granularity
 )
 
-// arm is one /32 prefix group with its generation model and statistics.
+// arm is one mined /32 prefix group: its fixed prefix, its Markov model
+// over the seeds, and how many seeds trained it.
 type arm struct {
-	prefixHi uint64 // top 32 bits (nybbles 0..7) in the high word's top half
-	fixed    [prefixNybbles]byte
-	// counts[pos-modelStart][prev][next] is the Markov transition tally.
-	counts [ipaddr.NybbleCount - modelStart][16][16]int
-	// marginal[pos-modelStart][v] backs off when a context is unseen.
-	marginal [ipaddr.NybbleCount - modelStart][16]int
-	seeds    int
-	probes   int
-	hits     int
+	fixed [prefixNybbles]byte
+	markov
+	seeds int
 }
 
-func (a *arm) observe(addr ipaddr.Addr, weight int) {
+// markov is a position-conditioned first-order Markov model of the
+// nybbles from modelStart on. Tallies are int32, half the bytes a run
+// copies when it sharpens an arm; totals are summed in int.
+type markov struct {
+	// counts[pos-modelStart][prev][next] is the transition tally.
+	counts [ipaddr.NybbleCount - modelStart][16][16]int32
+	// marginal[pos-modelStart][v] backs off when a context is unseen.
+	marginal [ipaddr.NybbleCount - modelStart][16]int32
+}
+
+func (m *markov) observe(addr ipaddr.Addr, weight int32) {
 	prev := addr.Nybble(modelStart - 1)
 	for pos := modelStart; pos < ipaddr.NybbleCount; pos++ {
 		v := addr.Nybble(pos)
-		a.counts[pos-modelStart][prev][v] += weight
-		a.marginal[pos-modelStart][v] += weight
+		m.counts[pos-modelStart][prev][v] += weight
+		m.marginal[pos-modelStart][v] += weight
 		prev = v
 	}
 }
 
-// sample draws one address from the arm's model.
-func (a *arm) sample(rng *rand.Rand) ipaddr.Addr {
+// armRun is a run's view of one arm. The Markov model is the mined arm's
+// until the run first sharpens it, and the run's own copy from then on, so
+// a run that never hits in an arm copies nothing of it.
+type armRun struct {
+	*arm
+	m      *markov
+	probes int
+	hits   int
+}
+
+// observe sharpens the run's model of the arm, copying the mined one first.
+func (a *armRun) observe(addr ipaddr.Addr, weight int32) {
+	if a.m == &a.arm.markov {
+		own := *a.m
+		a.m = &own
+	}
+	a.m.observe(addr, weight)
+}
+
+// sample draws one address from the run's model of the arm.
+func (a *armRun) sample(rng *rand.Rand) ipaddr.Addr {
 	var out ipaddr.Addr
 	for i, v := range a.fixed {
 		out = out.WithNybble(i, v)
 	}
 	prev := a.fixed[prefixNybbles-1]
 	for pos := modelStart; pos < ipaddr.NybbleCount; pos++ {
-		row := a.counts[pos-modelStart][prev]
-		total := 0
-		for _, c := range row {
-			total += c
-		}
-		var v byte
+		row := &a.m.counts[pos-modelStart][prev]
+		total := sum(row)
 		if total == 0 {
 			// Back off to the positional marginal.
-			m := a.marginal[pos-modelStart]
-			mt := 0
-			for _, c := range m {
-				mt += c
-			}
-			if mt == 0 {
-				v = 0
-			} else {
-				v = weightedPick(m[:], mt, rng)
-			}
-		} else {
-			v = weightedPick(row[:], total, rng)
+			row = &a.m.marginal[pos-modelStart]
+			total = sum(row)
+		}
+		var v byte
+		if total > 0 {
+			v = weightedPick(row, total, rng)
 		}
 		out = out.WithNybble(pos, v)
 		prev = v
@@ -89,18 +103,26 @@ func (a *arm) sample(rng *rand.Rand) ipaddr.Addr {
 	return out
 }
 
-func weightedPick(counts []int, total int, rng *rand.Rand) byte {
+func sum(counts *[16]int32) int {
+	total := 0
+	for _, c := range counts {
+		total += int(c)
+	}
+	return total
+}
+
+func weightedPick(counts *[16]int32, total int, rng *rand.Rand) byte {
 	u := rng.Intn(total)
 	for v, c := range counts {
-		if u < c {
+		if u < int(c) {
 			return byte(v)
 		}
-		u -= c
+		u -= int(c)
 	}
 	return 0
 }
 
-func (a *arm) reward() float64 {
+func (a *armRun) reward() float64 {
 	return (float64(a.hits) + 1) / (float64(a.probes) + 2)
 }
 
@@ -113,9 +135,8 @@ type Generator struct {
 	Seed int64
 
 	rng     *rand.Rand
-	arms    []*arm
-	byHi    map[uint64]*arm
-	pending map[ipaddr.Addr]*arm
+	arms    []*armRun
+	pending map[ipaddr.Addr]*armRun
 	emitted *ipaddr.Set
 	// aliasBlacklist holds /96s flagged by the integrated dealiaser.
 	aliasBlacklist *ipaddr.Trie
@@ -132,9 +153,9 @@ func (g *Generator) Name() string { return "6Sense" }
 func (g *Generator) Online() bool { return true }
 
 // Model is 6Sense's cacheable mined model: the seed-trained /32 arms.
-// Runs sharpen their arms online (observe with weight 2 on hits), so
-// InitFromModel deep-copies every arm — the cached Model itself is never
-// written after mining.
+// Runs sharpen their arms online (observe with weight 2 on hits), each on
+// its own copy of an arm's Markov model, made at the arm's first hit — the
+// cached Model itself is never written after mining.
 type Model struct {
 	arms []arm
 }
@@ -165,7 +186,6 @@ func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 		k := s.Hi() >> 32
 		a := &arms[keyIdx[k]]
 		if a.seeds == 0 {
-			a.prefixHi = k
 			for p := 0; p < prefixNybbles; p++ {
 				a.fixed[p] = s.Nybble(p)
 			}
@@ -186,16 +206,16 @@ func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
 		g.ASShare = 0.25
 	}
 	g.rng = rand.New(rand.NewSource(g.Seed))
-	g.byHi = make(map[uint64]*arm, len(mm.arms))
-	g.arms = make([]*arm, len(mm.arms))
-	g.pending = make(map[ipaddr.Addr]*arm)
+	runs := make([]armRun, len(mm.arms))
+	g.arms = make([]*armRun, len(mm.arms))
+	g.pending = make(map[ipaddr.Addr]*armRun)
 	g.emitted = ipaddr.NewSet()
 	g.aliasBlacklist = ipaddr.NewTrie()
 	g.dry = 0
 	for i := range mm.arms {
-		cp := mm.arms[i] // array-valued fields copy by value
-		g.arms[i] = &cp
-		g.byHi[cp.prefixHi] = &cp
+		a := &mm.arms[i]
+		runs[i] = armRun{arm: a, m: &a.markov}
+		g.arms[i] = &runs[i]
 	}
 	return nil
 }
@@ -211,7 +231,7 @@ func (g *Generator) NextBatch(n int) []ipaddr.Addr {
 		return nil
 	}
 	out := make([]ipaddr.Addr, 0, n)
-	sampleFrom := func(a *arm, k int) int {
+	sampleFrom := func(a *armRun, k int) int {
 		got := 0
 		for misses := 0; got < k && misses < 8*k+16; {
 			c := a.sample(g.rng)
@@ -237,12 +257,12 @@ func (g *Generator) NextBatch(n int) []ipaddr.Addr {
 	}
 
 	exploit := n - int(float64(n)*g.ASShare)
-	byReward := append([]*arm(nil), g.arms...)
+	byReward := append([]*armRun(nil), g.arms...)
 	sort.SliceStable(byReward, func(i, j int) bool { return byReward[i].reward() > byReward[j].reward() })
 	tga.GeometricShares(byReward, exploit, sampleFrom)
 
 	// Diversity share: least-probed arms first, one candidate each.
-	byProbes := append([]*arm(nil), g.arms...)
+	byProbes := append([]*armRun(nil), g.arms...)
 	sort.SliceStable(byProbes, func(i, j int) bool { return byProbes[i].probes < byProbes[j].probes })
 	for _, a := range byProbes {
 		if len(out) >= n {

@@ -49,8 +49,9 @@ func (g *Generator) InitFromModel(m tga.Model, _ []ipaddr.Addr) error {
 		return fmt.Errorf("sixtree: model type %T", m)
 	}
 	g.leaves = tga.NewExpander(len(tm.LeafModels))
-	for _, l := range tm.LeafModels {
-		g.leaves.Add(l.Masks, float64(len(l.Seeds)), 4*len(l.Seeds))
+	for i := range tm.LeafModels {
+		l := &tm.LeafModels[i]
+		g.leaves.Add(&l.Masks, float64(len(l.Seeds)), 4*len(l.Seeds))
 	}
 	return nil
 }

@@ -114,20 +114,19 @@ func TestLeafGenExhaustsFullyWidenedSpace(t *testing.T) {
 	}
 }
 
-func TestBuildTreeShape(t *testing.T) {
+func TestMineTreeShape(t *testing.T) {
 	seeds := seedsFrom(
 		"2001:db8:a::1", "2001:db8:a::2", "2001:db8:a::3",
 		"2001:db8:b::1", "2001:db8:b::2",
 	)
-	root := BuildTree(seeds, 1, SplitLeftmost)
-	leaves := root.Leaves()
+	leaves := mustMine(t, seeds, 1, SplitLeftmost).Leaves()
 	if len(leaves) < 2 {
 		t.Fatalf("leaves = %d", len(leaves))
 	}
 	total := 0
 	for _, l := range leaves {
 		total += len(l.Seeds)
-		if !l.IsLeaf() || l.Gen != nil || l.Dry {
+		if l.Gen != nil || l.Dry || l.Probes != 0 || l.Hits != 0 {
 			t.Fatal("leaf has run state before its first draw")
 		}
 	}

@@ -47,130 +47,133 @@ func SplitMinEntropy(seeds []ipaddr.Addr, candidates uint32) int {
 	return best
 }
 
-// TreeNode is one node of a space tree. Leaves carry the pattern masks;
-// the leaves a run generates from (Leaves) also carry a generator and
-// per-leaf online statistics.
+// TreeNode is a run's view of one leaf of a mined space tree: the leaf's
+// read-only pattern masks and seed group, shared with the model, and the
+// state the run changes.
 type TreeNode struct {
-	// Seeds is a leaf's seed group, in input order. An internal node's is
-	// nil once it has split: the partitions below it reuse its window of
-	// the build's buffers (see treeBuild), and its seeds are its leaves'.
-	Seeds    []ipaddr.Addr
-	SplitPos int
-	Children []*TreeNode
+	*TreeLeafModel
 
-	// Leaf state. Gen is nil until a run first draws from the leaf: a
-	// generator starting over Masks then yields what one started earlier
-	// would have. Dry is set once the generator has run out, and Gen is
-	// dropped with it.
-	Masks [ipaddr.NybbleCount]ValueMask
-	Gen   *LeafGen
-	Dry   bool
+	// Gen is nil until a run first draws from the leaf: a generator
+	// starting over Masks then yields what one started earlier would have.
+	// Dry is set once the generator has run out, and Gen is dropped with it.
+	Gen *LeafGen
+	Dry bool
 
 	// Online statistics, updated by adaptive generators.
 	Probes int
 	Hits   int
 }
 
-// IsLeaf reports whether the node has no children.
-func (n *TreeNode) IsLeaf() bool { return len(n.Children) == 0 }
-
 // MinLeaf is the leaf size every tree TGA (6Tree, DET, 6Hit, 6Scan,
 // 6Graph) mines and rebuilds its space tree with: a node of fewer seeds
 // does not split.
 const MinLeaf = 4
 
-// BuildTree grows a space tree over the seeds: each node splits on the
-// position chosen by h until minLeaf seeds or no varying position remains.
-// Every leaf gets its observed-value masks.
-func BuildTree(seeds []ipaddr.Addr, minLeaf int, h SplitHeuristic) *TreeNode {
+// mineTree partitions seeds into the leaves of a space tree: each node
+// splits on the position chosen by h until minLeaf seeds or no varying
+// position remains. Empty seeds make one empty leaf.
+func mineTree(seeds []ipaddr.Addr, minLeaf int, h SplitHeuristic) *TreeModel {
 	n := len(seeds)
 	buf := make([]ipaddr.Addr, 2*n)
 	b := &treeBuild{minLeaf: max(minLeaf, 1), h: h, part: [2][]ipaddr.Addr{buf[:n:n], buf[n:]}}
-	root := &TreeNode{Seeds: seeds}
-	b.build(root, 0, 0)
-	return root
+	b.mine(seeds, 0, 0)
+	// A leaf is far larger than its window, so the leaves are allocated
+	// once, at their final length, after the windows are known.
+	m := &TreeModel{LeafModels: make([]TreeLeafModel, len(b.leaves))}
+	start := 0
+	for i, w := range b.leaves {
+		leaf := seeds // a root that does not split is its own leaf
+		if w.part >= 0 {
+			leaf = b.part[w.part][start:w.end:w.end]
+		}
+		m.LeafModels[i] = TreeLeafModel{Masks: ObservedMasks(leaf), Seeds: leaf}
+		start = int(w.end)
+	}
+	return m
 }
 
-// treeBuild is one tree construction: the split rule and the two buffers
-// the nodes partition their seeds into. The node at depth d whose seeds
-// are the window [off, off+len(Seeds)) of the input order writes its
+// treeBuild is one tree construction: the split rule, the two buffers the
+// nodes partition their seeds into, and the leaves' seed windows in DHC
+// (depth-first, value-sorted) order. The node at depth d whose seeds are
+// the window [off, off+len(seeds)) of the input order writes its
 // children's groups into part[d%2] at that same window, so each depth
 // reuses the buffer two depths up. A leaf's window is never written again
-// — nothing descends from it — while an internal node's is overwritten,
-// in part, by its children's partitions, which is why split drops an
-// internal node's Seeds.
+// — nothing descends from it — while an internal node's is overwritten, in
+// part, by its children's partitions.
 type treeBuild struct {
 	minLeaf int
 	h       SplitHeuristic
 	part    [2][]ipaddr.Addr
+	leaves  []window
 }
 
-func (b *treeBuild) build(n *TreeNode, off, depth int) {
-	if !b.split(n, off, depth) {
+// window is where a leaf's seeds lie: part[part] up to offset end, from
+// where the previous leaf's window ends — siblings' windows lie back to
+// back in their parent's, so the leaves' windows tile the input's offsets
+// in DHC order. part is -1 for a root that does not split.
+type window struct {
+	end  int32
+	part int8
+}
+
+// mine either records seeds as a leaf or partitions them on the split
+// position into one group per value seen there, in ascending value order,
+// each in input order, and mines each group.
+func (b *treeBuild) mine(seeds []ipaddr.Addr, off, depth int) {
+	pos := b.splitPos(seeds, depth)
+	if pos < 0 {
+		// A node's seeds lie in the buffer its parent partitioned into.
+		w := window{end: int32(off + len(seeds)), part: -1}
+		if depth > 0 {
+			w.part = int8((depth - 1) % 2)
+		}
+		b.leaves = append(b.leaves, w)
 		return
 	}
-	for _, child := range n.Children {
-		coff := off
-		off += len(child.Seeds) // before the child's split drops them
-		b.build(child, coff, depth+1)
+	// Counting partition: the groups lie back to back in the node's window
+	// of this depth's buffer, in ascending value order. Capacities are
+	// clipped: leaf seed slices are shared read-only through TreeLeafModel,
+	// and an append to one must never reach a sibling's window.
+	var count, next [16]int
+	for _, a := range seeds {
+		count[a.Nybble(pos)]++
+	}
+	sum := 0
+	for v, c := range count {
+		next[v] = sum
+		sum += c
+	}
+	grouped := b.part[depth%2][off : off+len(seeds)]
+	for _, a := range seeds {
+		v := a.Nybble(pos)
+		grouped[next[v]] = a
+		next[v]++
+	}
+	for v, c := range count {
+		if c > 0 {
+			start := next[v] - c
+			b.mine(grouped[start:next[v]:next[v]], off+start, depth+1)
+		}
 	}
 }
 
-// split is the split decision. It either finalizes n as a leaf and returns
-// false, or sets n.SplitPos, gives n one child per value seen at that
-// position, in ascending value order, each holding its seeds in input
-// order, and drops n's own Seeds.
-func (b *treeBuild) split(n *TreeNode, off, depth int) bool {
-	varying := varyingPositions(n.Seeds)
+// splitPos is the split decision: the position a node of these seeds at
+// this depth splits on, or -1 for a leaf.
+func (b *treeBuild) splitPos(seeds []ipaddr.Addr, depth int) int {
+	varying := varyingPositions(seeds)
 	prefix := varying & (1<<prefixPositions - 1)
-	if prefix == 0 && (len(n.Seeds) <= b.minLeaf || depth >= ipaddr.NybbleCount) {
-		makeLeaf(n)
-		return false
+	if prefix == 0 && (len(seeds) <= b.minLeaf || depth >= ipaddr.NybbleCount) {
+		return -1
 	}
 	candidates := varying
 	if prefix != 0 {
 		candidates = prefix
 	}
-	pos := b.h(n.Seeds, candidates)
+	pos := b.h(seeds, candidates)
 	if pos < 0 || varying&(1<<pos) == 0 {
-		makeLeaf(n)
-		return false
+		return -1
 	}
-	n.SplitPos = pos
-
-	// Counting partition: the groups lie back to back in n's window of
-	// this depth's buffer, in ascending value order. Capacities are clipped:
-	// leaf seed slices are shared read-only through TreeLeafModel, and an
-	// append to one must never reach a sibling's window.
-	var count, next [16]int
-	for _, a := range n.Seeds {
-		count[a.Nybble(pos)]++
-	}
-	sum, kids := 0, 0
-	for v, c := range count {
-		next[v] = sum
-		sum += c
-		if c > 0 {
-			kids++
-		}
-	}
-	grouped := b.part[depth%2][off : off+len(n.Seeds)]
-	for _, a := range n.Seeds {
-		v := a.Nybble(pos)
-		grouped[next[v]] = a
-		next[v]++
-	}
-	children := make([]TreeNode, 0, kids)
-	n.Children = make([]*TreeNode, 0, cap(children))
-	for v, c := range count {
-		if c == 0 {
-			continue
-		}
-		children = append(children, TreeNode{Seeds: grouped[next[v]-c : next[v] : next[v]]})
-		n.Children = append(n.Children, &children[len(children)-1])
-	}
-	n.Seeds = nil
-	return true
+	return pos
 }
 
 // prefixPositions is how many leading nybbles are always fully split:
@@ -205,25 +208,4 @@ func nonzeroNybbleMask(x uint64) uint32 {
 		x <<= 4
 	}
 	return m
-}
-
-func makeLeaf(n *TreeNode) {
-	n.SplitPos = -1
-	n.Masks = ObservedMasks(n.Seeds)
-}
-
-// Leaves returns fresh run-state copies of the tree's leaves in DHC
-// (depth-first, value-sorted) order: the mined masks and seed groups, no
-// generator yet, zeroed online counters. The tree itself is left as built.
-func (n *TreeNode) Leaves() []*TreeNode { return SnapshotTree(n).Leaves() }
-
-// appendLeaves appends the tree's own leaf nodes to out in DHC order.
-func (n *TreeNode) appendLeaves(out []*TreeNode) []*TreeNode {
-	if n.IsLeaf() {
-		return append(out, n)
-	}
-	for _, c := range n.Children {
-		out = c.appendLeaves(out)
-	}
-	return out
 }
