@@ -11,6 +11,7 @@ import (
 	"seedscan/internal/hitlistdb"
 	"seedscan/internal/longitudinal"
 	"seedscan/internal/proto"
+	"seedscan/internal/wire"
 )
 
 // cmdDaemon runs the longitudinal scanning service: it re-scans a budgeted,
@@ -36,7 +37,7 @@ func cmdDaemon(args []string) error {
 	state := fs.String("state", "daemon-state", "checkpoint directory; re-running resumes from it")
 	publish := fs.String("publish", "hitlistdb", "hitlistdb store directory to publish each epoch into (empty disables publishing)")
 	keep := fs.Int("keep", 3, "published generation files to retain on disk")
-	wo := wireFlags(fs)
+	wireFlags := wire.ChainFlags(fs)
 	fs.Parse(args)
 
 	p, err := proto.Parse(*protoName)
@@ -46,6 +47,10 @@ func cmdDaemon(args []string) error {
 	if *epochs <= 0 {
 		return fmt.Errorf("daemon: -epochs must be positive, got %d", *epochs)
 	}
+	chain, err := wireFlags(*seed)
+	if err != nil {
+		return err
+	}
 	tr, finish, err := newTracer(*trace, *metrics)
 	if err != nil {
 		return err
@@ -54,14 +59,9 @@ func cmdDaemon(args []string) error {
 	ctx, stop := signalContext()
 	defer stop()
 
-	wc, err := wo.build(*seed, tr.Registry())
-	if err != nil {
-		return err
-	}
-	// Fault-injecting chains change scan outcomes but not the environment
-	// fingerprint, so -state checkpoints written under different -wire-*
-	// flags would replay stale cells; point faulted runs at a fresh -state.
-	env := buildEnv(*seed, *ases, *scale, 0, tr, wc.mws)
+	// The chain's faults enter env.Fingerprint, so -state checkpoints
+	// written under other faults, or none, are never replayed.
+	env := buildEnv(*seed, *ases, *scale, tr, chain)
 
 	if err := os.MkdirAll(*state, 0o755); err != nil {
 		return err
@@ -123,6 +123,6 @@ func cmdDaemon(args []string) error {
 	live := d.LiveSeeds()
 	fmt.Printf("done: %d probes sent, %d saved vs full re-scan; %d seeds live, %d confirmed stale\n",
 		totalProbed, totalSaved, len(live), len(d.Tracker().ConfirmedStale()))
-	wc.summary()
+	wireSummary(tr.Registry())
 	return nil
 }

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -141,5 +143,48 @@ func TestCmdDaemonBadFlags(t *testing.T) {
 	}
 	if err := cmdDaemon(daemonArgs(tmp, "", "-epochs", "0")); err == nil {
 		t.Fatal("daemon accepted zero epochs")
+	}
+}
+
+// TestCmdDaemonFaultsScanAfresh: faults change scan outcomes, so a faulted
+// daemon at the -state of an unfaulted one scans every epoch afresh
+// instead of replaying the unfaulted cells, and a faulted re-run replays
+// its own cells without storing another.
+func TestCmdDaemonFaultsScanAfresh(t *testing.T) {
+	state := filepath.Join(t.TempDir(), "state")
+	cells := func() []byte {
+		b, err := os.ReadFile(filepath.Join(state, "cells.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if err := cmdDaemon(daemonArgs(state, "")); err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(cells(), []byte("\n")); n != 5 {
+		t.Fatalf("unfaulted run stored %d cells, want one per epoch", n)
+	}
+	faulted := daemonArgs(state, "", "-wire-faults", "loss=0.3")
+	if err := cmdDaemon(faulted); err != nil {
+		t.Fatal(err)
+	}
+	after := cells()
+	if n := bytes.Count(after, []byte("\n")); n != 10 {
+		t.Fatalf("faulted run left %d cells, want 5 unfaulted + 5 faulted: it replayed unfaulted epochs", n)
+	}
+	if err := cmdDaemon(faulted); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cells(), after) {
+		t.Fatal("faulted re-run stored new cells instead of replaying its own")
+	}
+	// Faults draw from the rotated packets, so rotation under faults is a
+	// different method too.
+	if err := cmdDaemon(append(faulted, "-wire-rotate", "2001:db8::1,2001:db8::2")); err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(cells(), []byte("\n")); n != 15 {
+		t.Fatalf("faulted rotated run left %d cells, want 15: it replayed the unrotated faulted epochs", n)
 	}
 }

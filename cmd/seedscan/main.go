@@ -19,8 +19,9 @@
 //
 // scan can also coordinate a sharded cluster scan: -cluster-workers N
 // fans out across N in-process workers, -cluster host:port,... drives
-// remote `seedscan worker` processes over the wire protocol. Either way
-// the merged output is byte-identical to the single-scanner scan.
+// remote `seedscan worker` processes over the wire protocol, whose job
+// frames carry the -wire-* chain to every worker. Either way the merged
+// output is byte-identical to the single-scanner scan.
 //
 // Every subcommand accepts -seed/-ases/-scale to shape the environment.
 package main
@@ -123,13 +124,29 @@ func envFlags(fs *flag.FlagSet) (seed *uint64, ases *int, scale *float64) {
 }
 
 // buildEnv assembles the environment every subcommand works in. tr may be
-// nil (no telemetry); chain is the wire middleware composed onto the
-// environment's link (see the -wire-* flags), nil for the bare link.
-func buildEnv(seed uint64, ases int, scale float64, budget int, tr *telemetry.Tracer, chain []wire.Middleware) *experiment.Env {
+// nil (no telemetry); chain is composed onto the environment's link (see
+// the -wire-* flags), the zero value for the bare link.
+func buildEnv(seed uint64, ases int, scale float64, tr *telemetry.Tracer, chain wire.ChainConfig) *experiment.Env {
 	return experiment.NewEnv(experiment.EnvConfig{
-		WorldSeed: seed, NumASes: ases, CollectScale: scale, Budget: budget,
-		Telemetry: tr, Chain: chain,
+		WorldSeed: seed, NumASes: ases, CollectScale: scale, Telemetry: tr, Wire: chain,
 	})
+}
+
+// wireSummary prints what the run's wire chain did, one line per piece
+// that moved, from the wire.* metrics in reg.
+func wireSummary(reg *telemetry.Registry) {
+	c := reg.Snapshot().Counters
+	if c["wire.tap.probes"] > 0 {
+		fmt.Printf("wire tap: %d probes, %d replies\n", c["wire.tap.probes"], c["wire.tap.replies"])
+	}
+	if c["wire.shaper.packets"] > 0 {
+		fmt.Printf("wire shaper: %d packets, %.2fs virtual egress time\n",
+			c["wire.shaper.packets"], float64(c["wire.shaper.virtual_ns"])/1e9)
+	}
+	if c["wire.faults.dropped"]+c["wire.faults.duplicated"]+c["wire.faults.delayed"] > 0 {
+		fmt.Printf("wire faults: %d dropped, %d duplicated, %d delayed\n",
+			c["wire.faults.dropped"], c["wire.faults.duplicated"], c["wire.faults.delayed"])
+	}
 }
 
 // teleFlags wires the shared telemetry flags into fs.
@@ -230,7 +247,7 @@ func cmdCollect(args []string) error {
 	if err != nil {
 		return err
 	}
-	env := buildEnv(*seed, *ases, *scale, 0, nil, nil)
+	env := buildEnv(*seed, *ases, *scale, nil, wire.ChainConfig{})
 	ds := env.Sources[s]
 	fmt.Printf("%s: %d unique addresses, %d ASes\n", ds.Name, ds.Len(), ds.ASCount(env.World.ASDB()))
 	aliasedN, activeN := 0, 0
@@ -335,7 +352,7 @@ func cmdScan(args []string) error {
 	protoName := fs.String("proto", "icmp", "protocol")
 	clusterAddrs := fs.String("cluster", "", "coordinate over remote workers at these comma-separated host:port addresses")
 	clusterN := fs.Int("cluster-workers", 0, "coordinate over this many in-process workers")
-	wopts := wireFlags(fs)
+	wireFlags := wire.ChainFlags(fs)
 	trace, metrics := teleFlags(fs)
 	fs.Parse(args)
 
@@ -347,35 +364,25 @@ func cmdScan(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *clusterAddrs != "" && !wopts.empty() {
-		// Chains wrap a local link; remote workers own theirs. The same
-		// flags on each `seedscan worker` give the distributed equivalent.
-		return errors.New("scan: -wire-* flags do not reach remote workers; pass them to each seedscan worker instead")
+	chain, err := wireFlags(*seed)
+	if err != nil {
+		return err
 	}
 	tr, finish, err := newTracer(*trace, *metrics)
 	if err != nil {
 		return err
 	}
 	defer finish()
-	wc, err := wopts.build(*seed, tr.Registry())
-	if err != nil {
-		return err
-	}
 	ctx, stop := signalContext()
 	defer stop()
-	// The in-process cluster path composes the chain through the pool
-	// (cluster.Config.Chain); the single-scanner path composes it onto the
-	// environment's link. Either way every probe crosses the same stack.
-	var envChain []wire.Middleware
-	if *clusterN <= 0 {
-		envChain = wc.mws
-	}
-	env := buildEnv(*seed, *ases, *scale, 0, tr, envChain)
+	// Every probe crosses the chain: the environment's scanner, the
+	// in-process pool and each remote worker all build it from one value.
+	env := buildEnv(*seed, *ases, *scale, tr, chain)
 	ds := env.Sources[s]
 	ccfg := cluster.Config{
 		Secret:    env.Cfg.ScanSecret,
 		Telemetry: tr.Registry(),
-		Chain:     wc.mws,
+		Wire:      chain,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", a...)
 		},
@@ -429,7 +436,7 @@ func cmdScan(args []string) error {
 			fmt.Printf("  %-12s %d\n", k, counts[k])
 		}
 	}
-	wc.summary()
+	wireSummary(tr.Registry())
 	return nil
 }
 
@@ -455,7 +462,6 @@ func cmdWorker(args []string) error {
 	seed, ases, _ := envFlags(fs)
 	listen := fs.String("listen", "127.0.0.1:9653", "address to serve the cluster wire protocol on")
 	id := fs.String("id", "", "worker id announced to coordinators (default: the listen address)")
-	wopts := wireFlags(fs)
 	trace, metrics := teleFlags(fs)
 	fs.Parse(args)
 
@@ -464,14 +470,10 @@ func cmdWorker(args []string) error {
 		return err
 	}
 	defer finish()
-	wc, err := wopts.build(*seed, tr.Registry())
-	if err != nil {
-		return err
-	}
 
 	// The worker rebuilds the same deterministic world as the coordinator's
-	// environment; the job frame carries the secret/retries/rate needed for
-	// its shards to merge byte-identically.
+	// environment; the job frame carries the secret, retries, rate and wire
+	// chain needed for its shards to merge byte-identically.
 	w := world.New(world.Config{Seed: *seed, NumASes: *ases})
 	w.SetTelemetry(tr.Registry())
 	w.SetEpoch(world.ScanEpoch)
@@ -488,25 +490,16 @@ func cmdWorker(args []string) error {
 
 	ctx, stop := signalContext()
 	defer stop()
-	// Every job's scanner probes through this worker's chain: a remote
-	// coordinator cannot ship middlewares over the wire protocol, so the
-	// -wire-* flags here are the per-worker half of a distributed chain.
-	link := wire.Chain(w.Link(), wc.mws...)
 	err = cluster.Serve(ctx, ln, cluster.ServeConfig{
-		WorkerID: *id,
-		NewScanner: func(job cluster.Job) (*scanner.Scanner, error) {
-			return scanner.New(link,
-				scanner.WithSecret(job.Secret),
-				scanner.WithRetries(job.Retries),
-				scanner.WithRatePPS(job.RatePPS),
-				scanner.WithTelemetry(tr.Registry())), nil
-		},
+		WorkerID:  *id,
+		Link:      w.Link(),
+		Options:   []scanner.Option{scanner.WithTelemetry(tr.Registry())},
 		Telemetry: tr.Registry(),
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", a...)
 		},
 	})
-	wc.summary()
+	wireSummary(tr.Registry())
 	if errors.Is(err, context.Canceled) {
 		return nil
 	}
@@ -534,7 +527,7 @@ func cmdDealias(args []string) error {
 		return err
 	}
 	defer finish()
-	env := buildEnv(*seed, *ases, *scale, 0, tr, nil)
+	env := buildEnv(*seed, *ases, *scale, tr, wire.ChainConfig{})
 	ds := env.Sources[s]
 	d := alias.New(mode, env.Offline, env.Scanner, proto.ICMP, *seed)
 	d.SetTelemetry(tr.Registry())
@@ -551,7 +544,7 @@ func cmdHitlist(args []string) error {
 	outAliases := fs.String("aliases", "", "write the aliased-prefix list to this file")
 	fs.Parse(args)
 
-	env := buildEnv(*seed, *ases, *scale, 0, nil, nil)
+	env := buildEnv(*seed, *ases, *scale, nil, wire.ChainConfig{})
 	svc, err := hitlist.New(
 		hitlist.WithProber(env.Scanner),
 		hitlist.WithKnownAliases(env.Offline),

@@ -13,6 +13,7 @@ import (
 	"seedscan/internal/hitlistdb"
 	"seedscan/internal/seeds"
 	"seedscan/internal/serve"
+	"seedscan/internal/wire"
 )
 
 // cmdBuildDB runs the hitlist pipeline over every seed source and publishes
@@ -36,7 +37,7 @@ func cmdBuildDB(args []string) error {
 	ctx, stop := signalContext()
 	defer stop()
 
-	env := buildEnv(*seed, *ases, *scale, 0, tr, nil)
+	env := buildEnv(*seed, *ases, *scale, tr, wire.ChainConfig{})
 	svc, err := hitlist.New(
 		hitlist.WithProber(env.Scanner),
 		hitlist.WithKnownAliases(env.Offline),

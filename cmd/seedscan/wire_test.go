@@ -1,24 +1,28 @@
 package main
 
 import (
+	"context"
 	"flag"
-	"math"
+	"net"
 	"strconv"
 	"testing"
 
+	"seedscan/internal/cluster"
 	"seedscan/internal/probe"
+	"seedscan/internal/telemetry"
 	"seedscan/internal/wire"
+	"seedscan/internal/world"
 )
 
-// buildWire parses args as the -wire-* flags and builds the chain.
-func buildWire(t *testing.T, args ...string) (*wireChain, error) {
+// buildWire parses args as the -wire-* flags into a chain.
+func buildWire(t *testing.T, args ...string) (wire.ChainConfig, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("wire", flag.ContinueOnError)
-	o := wireFlags(fs)
+	chain := wire.ChainFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	return o.build(42, nil)
+	return chain(42)
 }
 
 func TestWireFlagsRejectOutOfRange(t *testing.T) {
@@ -38,12 +42,15 @@ func TestWireFlagsRejectOutOfRange(t *testing.T) {
 		{"-wire-shape", "pps=Inf"},
 		{"-wire-shape", "pps=1e300"},
 		{"-wire-shape", "pps=0.5"},
+		{"-wire-rotate", "seed=3"},
+		{"-wire-rotate", "2001:db8::1,fe80::1%eth0"},
 	} {
 		if _, err := buildWire(t, args...); err == nil {
 			t.Errorf("%v accepted", args)
 		}
 	}
-	if _, err := buildWire(t, "-wire-faults", "loss=0.05,dup=0.01,delay=0.02,seed=7", "-wire-shape", "pps=50000,jitter=0.1"); err != nil {
+	if _, err := buildWire(t, "-wire-faults", "loss=0.05,dup=0.01,delay=0.02,seed=7", "-wire-shape", "pps=50000,jitter=0.1",
+		"-wire-rotate", "2001:db8::1,2001:db8::2,seed=9", "-wire-taps"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -67,7 +74,7 @@ func TestWireFaultsSeedIsExact(t *testing.T) {
 			}
 			rb.Reset(len(ps))
 		})
-		c.faults.Wrap(inner).ExchangeBatchInto(pkts, &probe.ReplyBuf{})
+		c.Build(inner, nil).ExchangeBatchInto(pkts, &probe.ReplyBuf{})
 		return got
 	}
 	a, b := forwarded(1<<53), forwarded(1<<53+1)
@@ -76,36 +83,28 @@ func TestWireFaultsSeedIsExact(t *testing.T) {
 	}
 }
 
-// FuzzParseWireKV feeds the -wire-shape and -wire-faults parsers text a
-// user typed: whatever they accept lies in range, and an explicit seed=
-// reaches the chain exactly as typed.
-func FuzzParseWireKV(f *testing.F) {
-	f.Add("pps=100000,jitter=0.2", uint64(7))
-	f.Add("loss=0.05,dup=0.01,delay=0.02", uint64(1<<53+1))
-	f.Add("loss=1,jitter=0", uint64(math.MaxUint64))
-	f.Fuzz(func(t *testing.T, s string, seed uint64) {
-		const def = 42
-		check := func(in string, wantSeed uint64) {
-			if sc, err := parseShape(in, def); err == nil {
-				if sc.pps < 1 || !(sc.jitter >= 0 && sc.jitter <= 1) || sc.seed != wantSeed {
-					t.Fatalf("parseShape(%q) = %+v, want pps >= 1, jitter in [0,1], seed %d", in, sc, wantSeed)
-				}
-			}
-			if fc, err := parseFaults(in, def); err == nil {
-				for _, p := range []float64{fc.Loss, fc.Dupe, fc.Delay} {
-					if !(p >= 0 && p <= 1) {
-						t.Fatalf("parseFaults(%q) = %+v, want probabilities in [0,1]", in, fc)
-					}
-				}
-				if fc.Seed != wantSeed {
-					t.Fatalf("parseFaults(%q) seed = %d, want %d", in, fc.Seed, wantSeed)
-				}
-			}
-		}
-		typed := s + ",seed=" + strconv.FormatUint(seed, 10)
-		check(typed, seed)
-		if kv, err := parseWireKV("fuzz", s, "pps", "jitter", "loss", "dup", "delay", "seed"); err == nil && !kv.hasSeed {
-			check(s, def)
-		}
-	})
+// TestCmdScanClusterChain: `scan -cluster host:port` takes -wire-* flags,
+// and the chain reaches the remote worker in the job frame — the worker,
+// started bare, drops and counts probes under the coordinator's faults.
+func TestCmdScanClusterChain(t *testing.T) {
+	w := world.New(world.Config{Seed: 42, NumASes: 50})
+	w.SetEpoch(world.ScanEpoch)
+	reg := telemetry.NewRegistry()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go cluster.Serve(ctx, ln, cluster.ServeConfig{Link: w.Link(), Telemetry: reg})
+
+	args := append([]string{"-source", "Umbrella", "-cluster", ln.Addr().String(),
+		"-wire-taps", "-wire-faults", "loss=0.3,dup=0.05"}, smallEnv...)
+	if err := cmdScan(args); err != nil {
+		t.Fatal(err)
+	}
+	c := reg.Snapshot().Counters
+	if c["wire.tap.probes"] == 0 || c["wire.faults.dropped"] == 0 || c["wire.faults.duplicated"] == 0 {
+		t.Fatalf("worker chain counters %v: the coordinator's chain did not reach it", c)
+	}
 }

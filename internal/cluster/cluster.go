@@ -27,18 +27,20 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/proto"
 	"seedscan/internal/scanner"
+	"seedscan/internal/wire"
 )
 
 // Job carries the scan parameters every shard of one run shares. Remote
 // workers build their scanner from it; the coordinator derives it from its
 // Config so worker scanners replicate the reference single scanner (same
-// secret, retries, and rate — the world's replies depend on cookie-derived
-// fields, so a mismatched secret would change outcomes).
+// secret, retries, rate and wire chain — the world's replies depend on
+// cookie-derived fields, so a mismatched secret would change outcomes).
 type Job struct {
 	Proto   proto.Protocol
 	Secret  uint64
@@ -47,6 +49,20 @@ type Job struct {
 	// HeartbeatEvery is how often a worker must beat while holding a
 	// lease; the coordinator sets it well below the lease timeout.
 	HeartbeatEvery time.Duration
+	// Chain is the wire chain every probe crosses, as the canonical text
+	// of a wire.ChainConfig (a string, so Job stays comparable).
+	Chain string
+}
+
+// jobScanner builds a worker scanner over link (the job's chain already
+// composed onto it) that replicates the job's reference scanner: opts
+// first, then the job's secret, retries and rate, so no option can break
+// the identity.
+func jobScanner(link wire.Link, job Job, opts []scanner.Option) *scanner.Scanner {
+	return scanner.New(link, append(slices.Clone(opts),
+		scanner.WithSecret(job.Secret),
+		scanner.WithRetries(job.Retries),
+		scanner.WithRatePPS(job.RatePPS))...)
 }
 
 // Shard is one leased unit of work: a window of the canonical target

@@ -85,13 +85,12 @@ func identityInput(t testing.TB, w *world.World) ([]ipaddr.Addr, *ipaddr.Trie) {
 }
 
 // testChain is the benchmark's scan_sharded chain, a tap outside seeded
-// loss and duplication — or, when not chained, no chain and an idle tap.
-func testChain(chained bool) (*wire.Tap, []wire.Middleware) {
-	tap := wire.NewTap(nil)
+// loss and duplication — or, when not chained, the bare link.
+func testChain(chained bool) wire.ChainConfig {
 	if !chained {
-		return tap, nil
+		return wire.ChainConfig{}
 	}
-	return tap, []wire.Middleware{tap, wire.NewFaults(wire.FaultsConfig{Seed: 11, Loss: .05, Dupe: .01})}
+	return wire.ChainConfig{Taps: true, Faults: wire.FaultsConfig{Seed: 11, Loss: .05, Dupe: .01}}
 }
 
 // TestClusterMatchesSingleScanner is the core identity property, as one
@@ -99,7 +98,9 @@ func testChain(chained bool) (*wire.Tap, []wire.Middleware) {
 // count, any shard size, TCP workers and a worker dying mid-run, the
 // merged Results (element-wise, in order) and Stats equal the single
 // scanner's, every target is accounted for under exactly one status, and
-// the tap saw exactly the packets the stats claim.
+// the tap saw exactly the packets the stats claim. Every row gets its
+// chain only from the coordinator's Config.Wire: local pools build it
+// over their link, TCP workers from the job frame.
 func TestClusterMatchesSingleScanner(t *testing.T) {
 	w := clusterWorld(t)
 	targets, blocklist := identityInput(t, w)
@@ -109,7 +110,7 @@ func TestClusterMatchesSingleScanner(t *testing.T) {
 
 	type row struct {
 		name string
-		run  func(p proto.Protocol, chain []wire.Middleware) (*RunResult, error)
+		run  func(p proto.Protocol, cfg Config) (*RunResult, error)
 		// wasted: failed leases put probes on the wire that no recorded
 		// shard's stats count.
 		wasted bool
@@ -118,27 +119,30 @@ func TestClusterMatchesSingleScanner(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		for _, size := range []int{1, 7, 2048, len(targets) + 1} {
 			rows = append(rows, row{fmt.Sprintf("local%d/shard%d", workers, size),
-				func(p proto.Protocol, chain []wire.Middleware) (*RunResult, error) {
-					pool := NewLocalPool(workers, w.Link(), Config{Secret: testSecret, ShardSize: size, Chain: chain}, opts...)
-					return pool.Run(ctx, targets, p)
+				func(p proto.Protocol, cfg Config) (*RunResult, error) {
+					cfg.ShardSize = size
+					return NewLocalPool(workers, w.Link(), cfg, opts...).Run(ctx, targets, p)
 				}, false})
 		}
 	}
-	rows = append(rows, row{"tcp2/shard200", func(p proto.Protocol, chain []wire.Middleware) (*RunResult, error) {
-		link := wire.Chain(w.Link(), chain...)
+	rows = append(rows, row{"tcp2/shard200", func(p proto.Protocol, cfg Config) (*RunResult, error) {
 		var workers []Worker
 		for i := 0; i < 2; i++ {
-			rw, err := DialWorker(startWorker(t, ctx, link, "tw"+strconv.Itoa(i), opts...))
+			rw, err := DialWorker(startWorker(t, ctx, ServeConfig{
+				WorkerID: "tw" + strconv.Itoa(i), Link: w.Link(), Options: opts, Telemetry: cfg.Telemetry,
+			}))
 			if err != nil {
 				return nil, err
 			}
 			defer rw.Close()
 			workers = append(workers, rw)
 		}
-		return NewCoordinator(Config{Secret: testSecret, ShardSize: 200}).Run(ctx, workers, targets, p)
+		cfg.ShardSize, cfg.Telemetry = 200, nil
+		return NewCoordinator(cfg).Run(ctx, workers, targets, p)
 	}, false})
-	rows = append(rows, row{"local3/shard128/kill", func(p proto.Protocol, chain []wire.Middleware) (*RunResult, error) {
-		pool := NewLocalPool(3, w.Link(), Config{Secret: testSecret, ShardSize: 128, Chain: chain, WorkerFailureLimit: 2}, opts...)
+	rows = append(rows, row{"local3/shard128/kill", func(p proto.Protocol, cfg Config) (*RunResult, error) {
+		cfg.ShardSize, cfg.WorkerFailureLimit = 128, 2
+		pool := NewLocalPool(3, w.Link(), cfg, opts...)
 		crashMidShard(pool.workers[1].(*LocalWorker))
 		got, err := pool.Run(ctx, targets, p)
 		if err == nil && got.Reassigned == 0 {
@@ -149,12 +153,12 @@ func TestClusterMatchesSingleScanner(t *testing.T) {
 
 	for _, p := range proto.All {
 		for _, chained := range []bool{false, true} {
-			_, chain := testChain(chained)
-			wantRes, wantStats := baseline(wire.Chain(w.Link(), chain...), targets, p, opts...)
+			chain := testChain(chained)
+			wantRes, wantStats := baseline(chain.Build(w.Link(), nil), targets, p, opts...)
 			for _, r := range rows {
 				name := fmt.Sprintf("%v/chained=%v/%s", p, chained, r.name)
-				tap, chain := testChain(chained)
-				got, err := r.run(p, chain)
+				reg := telemetry.NewRegistry()
+				got, err := r.run(p, Config{Secret: testSecret, Wire: chain, Telemetry: reg})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -172,8 +176,9 @@ func TestClusterMatchesSingleScanner(t *testing.T) {
 				if byStatus[scanner.StatusBlocked] != 40 {
 					t.Fatalf("%s: %d blocked results, want the 40 blocklisted targets", name, byStatus[scanner.StatusBlocked])
 				}
-				if sent := st.PacketsSent.Load(); chained && (tap.Probes() < sent || tap.Probes() > sent && !r.wasted) {
-					t.Fatalf("%s: tap saw %d probes, stats claim %d sent", name, tap.Probes(), sent)
+				tap := reg.Counter("wire.tap.probes").Load()
+				if sent := st.PacketsSent.Load(); chained && (tap < sent || tap > sent && !r.wasted) {
+					t.Fatalf("%s: tap saw %d probes, stats claim %d sent", name, tap, sent)
 				}
 			}
 		}

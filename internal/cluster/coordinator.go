@@ -40,12 +40,14 @@ type Config struct {
 	// WorkerFailureLimit retires a worker after this many consecutive
 	// failed or expired leases (default 3); a completed shard resets it.
 	WorkerFailureLimit int
-	// Chain holds wire middlewares composed onto the link of every
-	// worker NewLocalPool builds (outermost first, as wire.Chain). The
-	// one shared chain instance sees the pool's aggregate traffic, so
-	// taps and fault injectors behave identically under sharding.
-	// Remote workers ignore it — their chains are configured where
-	// their scanners are built (see ServeConfig.NewScanner).
+	// Wire is the chain every worker probes through: NewLocalPool builds
+	// it once over its link, shared by all its workers, and the Job
+	// carries it to remote workers, which build it over theirs. Its
+	// middlewares are pure functions of seed and packet bytes, so sharding
+	// changes nothing about what they do in aggregate.
+	Wire wire.ChainConfig
+	// Chain holds extra middlewares for NewLocalPool only (outermost
+	// first, outside Wire's); they cannot reach remote workers.
 	Chain []wire.Middleware
 	// Telemetry receives the cluster.* metrics (nil: telemetry off).
 	Telemetry *telemetry.Registry
@@ -75,6 +77,18 @@ func (c *Config) fillDefaults(workers int) {
 	}
 	if c.WorkerFailureLimit == 0 {
 		c.WorkerFailureLimit = 3
+	}
+}
+
+// job is the Job of a run on p under the (defaulted) config.
+func (c *Config) job(p proto.Protocol) Job {
+	return Job{
+		Proto:          p,
+		Secret:         c.Secret,
+		Retries:        c.Retries,
+		RatePPS:        c.RatePPS,
+		HeartbeatEvery: c.LeaseTimeout / 4,
+		Chain:          c.Wire.String(),
 	}
 }
 
@@ -145,18 +159,11 @@ func (c *Coordinator) Run(ctx context.Context, workers []Worker, targets []ipadd
 
 	canonical := scanner.PlanOrder(cfg.Secret, true, targets, p)
 	shards := (len(canonical) + cfg.ShardSize - 1) / cfg.ShardSize
-	job := Job{
-		Proto:          p,
-		Secret:         cfg.Secret,
-		Retries:        cfg.Retries,
-		RatePPS:        cfg.RatePPS,
-		HeartbeatEvery: cfg.LeaseTimeout / 4,
-	}
 
 	run := &runState{
 		cfg:       cfg,
 		workers:   workers,
-		job:       job,
+		job:       cfg.job(p),
 		canonical: canonical,
 		start:     time.Now(),
 		attempts:  make([]int, shards),

@@ -12,6 +12,7 @@ import (
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/proto"
 	"seedscan/internal/scanner"
+	"seedscan/internal/wire"
 )
 
 // Both targets replay the seed corpus under testdata/fuzz/ in every plain
@@ -95,14 +96,16 @@ func FuzzFramerRead(f *testing.F) {
 // FuzzDecode hands a payload to the decoder its frame type selects, as
 // serveConn and RemoteWorker.RunShard do. No decoder may panic or
 // allocate beyond a small multiple of the payload; what a decoder accepts
-// must survive encode → decode unchanged (and, the layouts being
-// fixed-width, re-encode to the very bytes it came from); a hello is
-// accepted only with this protocol's magic and version; and a decoded
-// result is merged only if checkResult finds it in order and in range.
+// must survive encode → decode unchanged (and re-encode to the very bytes
+// it came from: the layouts are fixed-width, and a job's chain text is
+// canonical); a hello is accepted only with this protocol's magic and
+// version; and a decoded result is merged only if checkResult finds it in
+// order and in range.
 func FuzzDecode(f *testing.F) {
 	a, b := ipaddr.MustParse("2001:db8::1"), ipaddr.MustParse("fe80::dead:beef")
 	f.Add(msgHello, encodeHello("probe-host-7"))
-	f.Add(msgJob, encodeJob(Job{Proto: proto.UDP53, Secret: 0xdeadbeefcafe, Retries: 2, RatePPS: 10000, HeartbeatEvery: 250 * time.Millisecond}))
+	f.Add(msgJob, encodeJob(Job{Proto: proto.UDP53, Secret: 0xdeadbeefcafe, Retries: 2, RatePPS: 10000, HeartbeatEvery: 250 * time.Millisecond,
+		Chain: "taps; shape pps=50000,jitter=0.1,seed=3; rotate seed=5,2001:db8::1; faults loss=0.05,dup=0.01,delay=0,seed=11"}))
 	f.Add(msgShard, encodeShard(Shard{ID: 42, Targets: []ipaddr.Addr{a, b}}))
 	f.Add(msgBeat, encodeBeat(42, 512))
 	f.Add(msgResult, encodeResult(&ShardResult{
@@ -135,6 +138,9 @@ func FuzzDecode(f *testing.F) {
 			}
 			if again, err := decodeJob(encodeJob(j)); err != nil || again != j || !bytes.Equal(encodeJob(j), payload) {
 				t.Fatalf("job %+v round-trips to %+v, %v", j, again, err)
+			}
+			if c, err := wire.ParseChainConfig(j.Chain, 0); err != nil || c.String() != j.Chain {
+				t.Fatalf("accepted job chain %q reads as %q, %v", j.Chain, c.String(), err)
 			}
 		case msgShard:
 			sh, err := decodeShard(payload)

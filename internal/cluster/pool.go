@@ -7,7 +7,6 @@ import (
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/proto"
 	"seedscan/internal/scanner"
-	"seedscan/internal/telemetry"
 	"seedscan/internal/wire"
 )
 
@@ -29,35 +28,28 @@ func NewPool(cfg Config, workers ...Worker) *Pool {
 // NewLocalPool builds an n-worker in-process pool whose worker scanners
 // all replicate the coordinator's reference configuration over link:
 // merged cluster scans are byte-identical to one such scanner scanning
-// alone. cfg.Chain middlewares are composed onto link once and shared by
+// alone. cfg.Chain and cfg.Wire are composed onto link once and shared by
 // every worker, exactly as a single scanner shares its chain across its
 // own probe workers — middlewares are concurrency-safe, so sharding
 // changes nothing about what a tap or fault injector observes in
-// aggregate. Extra scanner options (telemetry, rate, retries...) apply to
-// every worker; options that diverge from cfg's Secret/Retries/RatePPS
-// break the identity, so cfg is applied after opts.
+// aggregate. Extra scanner options (telemetry...) apply to every worker;
+// cfg's Secret/Retries/RatePPS are applied after them.
 func NewLocalPool(n int, link wire.Link, cfg Config, opts ...scanner.Option) *Pool {
 	if n < 1 {
 		n = 1
 	}
 	cfg.fillDefaults(n)
-	link = wire.Chain(link, cfg.Chain...)
+	job := cfg.job(0) // for its secret, retries and rate; Run names the protocol
+	link = wire.Chain(cfg.Wire.Build(link, cfg.Telemetry), cfg.Chain...)
 	workers := make([]Worker, n)
 	for i := range workers {
-		s := scanner.New(link, append(append([]scanner.Option(nil), opts...),
-			scanner.WithSecret(cfg.Secret),
-			scanner.WithRetries(cfg.Retries),
-			scanner.WithRatePPS(cfg.RatePPS))...)
-		workers[i] = NewLocalWorker(workerName(i), s)
+		workers[i] = NewLocalWorker(workerName(i), jobScanner(link, job, opts))
 	}
 	return NewPool(cfg, workers...)
 }
 
 // workerName labels in-process workers w0, w1, ...
 func workerName(i int) string { return "w" + strconv.Itoa(i) }
-
-// Workers returns the pool's worker set (for direct Coordinator runs).
-func (p *Pool) Workers() []Worker { return p.workers }
 
 // Run executes one coordinated scan and returns the full merged result.
 func (p *Pool) Run(ctx context.Context, targets []ipaddr.Addr, pr proto.Protocol) (*RunResult, error) {
@@ -108,6 +100,3 @@ func (p *Pool) Stats() *scanner.Stats {
 	snap.Add(p.stats)
 	return snap
 }
-
-// Telemetry returns the coordinator's registry (nil when none).
-func (p *Pool) Telemetry() *telemetry.Registry { return p.coord.cfg.Telemetry }

@@ -110,10 +110,16 @@ func (w *RemoteWorker) RunShard(ctx context.Context, job Job, shard Shard, beat 
 
 	// A cancelled lease pokes the blocked read via the deadline. The
 	// watcher holds its own reference to the conn so the deferred Close
-	// above can never nil it out from under the poke.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
+	// above can never nil it out from under the poke, and RunShard waits
+	// for it: the coordinator cancels every lease once done, and a late
+	// poke would fail the next shard's read on this connection.
+	watchDone, watched := make(chan struct{}), make(chan struct{})
+	defer func() {
+		close(watchDone)
+		<-watched
+	}()
 	go func(conn net.Conn) {
+		defer close(watched)
 		select {
 		case <-ctx.Done():
 			conn.SetReadDeadline(time.Now())

@@ -10,6 +10,7 @@ import (
 
 	"seedscan/internal/scanner"
 	"seedscan/internal/telemetry"
+	"seedscan/internal/wire"
 )
 
 // ServeConfig parameterizes a worker-side protocol server — the process
@@ -17,11 +18,15 @@ import (
 type ServeConfig struct {
 	// WorkerID names this worker in handshakes and telemetry.
 	WorkerID string
-	// NewScanner builds the scanner for one job. It is called once per
-	// job frame, so the worker replicates whatever secret/retries/rate
-	// the coordinator announces.
-	NewScanner func(Job) (*scanner.Scanner, error)
-	// Telemetry counts served shards (nil: off).
+	// Link is this worker's wire. Each job frame gets a scanner over the
+	// job's chain composed onto Link, so the worker replicates whatever
+	// secret, retries, rate and chain the coordinator announces.
+	Link wire.Link
+	// Options apply to every job's scanner (telemetry...), before the
+	// job's own settings.
+	Options []scanner.Option
+	// Telemetry counts served shards and the job chains' wire.* counters
+	// (nil: off).
 	Telemetry *telemetry.Registry
 	// Logf reports per-connection errors (nil: silent).
 	Logf func(format string, args ...any)
@@ -31,8 +36,8 @@ type ServeConfig struct {
 // handling each connection on its own goroutine. It always returns a
 // non-nil reason; after cancellation that reason is ctx.Err().
 func Serve(ctx context.Context, ln net.Listener, cfg ServeConfig) error {
-	if cfg.NewScanner == nil {
-		return errors.New("cluster: ServeConfig.NewScanner is required")
+	if cfg.Link == nil {
+		return errors.New("cluster: ServeConfig.Link is required")
 	}
 	if cfg.WorkerID == "" {
 		cfg.WorkerID = "worker"
@@ -94,14 +99,9 @@ func serveConn(ctx context.Context, conn net.Conn, cfg ServeConfig) error {
 			if job, err = decodeJob(payload); err != nil {
 				return err
 			}
-			s, err := cfg.NewScanner(job)
-			if err != nil {
-				if werr := fr.write(msgError, encodeError(err)); werr != nil {
-					return werr
-				}
-				continue
-			}
-			worker = NewLocalWorker(cfg.WorkerID, s)
+			chain, _ := wire.ParseChainConfig(job.Chain, 0) // decodeJob checked it
+			link := chain.Build(cfg.Link, cfg.Telemetry)
+			worker = NewLocalWorker(cfg.WorkerID, jobScanner(link, job, cfg.Options))
 		case msgShard:
 			if worker == nil {
 				if err := fr.write(msgError, encodeError(errors.New("shard before job"))); err != nil {

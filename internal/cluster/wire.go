@@ -27,15 +27,17 @@ import (
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/proto"
 	"seedscan/internal/scanner"
+	"seedscan/internal/wire"
 )
 
 // wireMagic and wireVersion gate the handshake. Bump the version on any
 // incompatible change to the frame layout or to what a frame promises:
-// version 2 made "results arrive in shard-target order" protocol, so a
-// version 1 worker, which re-planned each shard, is refused at the hello.
+// version 2 made "results arrive in shard-target order" protocol (a
+// version 1 worker re-planned each shard), and version 3 made the job
+// frame carry the wire chain (a version 2 worker would probe bare).
 var wireMagic = [4]byte{'S', 'S', 'C', 'W'}
 
-const wireVersion = 2
+const wireVersion = 3
 
 // Frame types.
 const (
@@ -122,27 +124,39 @@ func decodeHello(b []byte) (workerID string, err error) {
 
 // --- job ---
 
+// jobFixed is the job frame's fixed-width head; the chain's canonical
+// text fills the rest of the frame.
+const jobFixed = 19
+
 func encodeJob(j Job) []byte {
-	b := make([]byte, 0, 23)
+	b := make([]byte, 0, jobFixed+len(j.Chain))
 	b = append(b, byte(j.Proto))
 	b = binary.BigEndian.AppendUint64(b, j.Secret)
 	b = binary.BigEndian.AppendUint16(b, uint16(j.Retries))
 	b = binary.BigEndian.AppendUint32(b, uint32(j.RatePPS))
 	b = binary.BigEndian.AppendUint32(b, uint32(j.HeartbeatEvery/time.Millisecond))
-	return b
+	return append(b, j.Chain...)
 }
 
 func decodeJob(b []byte) (Job, error) {
-	if len(b) != 19 {
-		return Job{}, fmt.Errorf("cluster: job frame is %d bytes, want 19", len(b))
+	if len(b) < jobFixed {
+		return Job{}, fmt.Errorf("cluster: job frame is %d bytes, want at least %d", len(b), jobFixed)
 	}
-	return Job{
+	j := Job{
 		Proto:          proto.Protocol(b[0]),
 		Secret:         binary.BigEndian.Uint64(b[1:9]),
 		Retries:        int(binary.BigEndian.Uint16(b[9:11])),
 		RatePPS:        int(binary.BigEndian.Uint32(b[11:15])),
 		HeartbeatEvery: time.Duration(binary.BigEndian.Uint32(b[15:19])) * time.Millisecond,
-	}, nil
+		Chain:          string(b[jobFixed:]),
+	}
+	// Only canonical text: both ends then provably build the same chain.
+	if c, err := wire.ParseChainConfig(j.Chain, 0); err != nil {
+		return Job{}, fmt.Errorf("cluster: job: %w", err)
+	} else if c.String() != j.Chain {
+		return Job{}, fmt.Errorf("cluster: job chain %q is not canonical (%q)", j.Chain, c.String())
+	}
+	return j, nil
 }
 
 // --- shard ---

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"net"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,11 +11,11 @@ import (
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/proto"
 	"seedscan/internal/scanner"
-	"seedscan/internal/wire"
 )
 
 func TestWireCodecRoundTrips(t *testing.T) {
-	job := Job{Proto: proto.UDP53, Secret: 0xdeadbeefcafe, Retries: 2, RatePPS: 10000, HeartbeatEvery: 250 * time.Millisecond}
+	job := Job{Proto: proto.UDP53, Secret: 0xdeadbeefcafe, Retries: 2, RatePPS: 10000, HeartbeatEvery: 250 * time.Millisecond,
+		Chain: "taps; faults loss=0.05,dup=0.01,delay=0,seed=11"}
 	got, err := decodeJob(encodeJob(job))
 	if err != nil {
 		t.Fatal(err)
@@ -75,8 +74,9 @@ func TestWireCodecRoundTrips(t *testing.T) {
 }
 
 func TestWireRejectsVersionMismatch(t *testing.T) {
-	// Version 1 workers re-planned their shards; 3 does not exist yet.
-	for _, v := range []uint16{1, wireVersion + 1} {
+	// Version 1 workers re-planned their shards, version 2 workers probe
+	// without the job's chain, and version 4 does not exist yet.
+	for _, v := range []uint16{1, 2, 4} {
 		b := encodeHello("x")
 		binary.BigEndian.PutUint16(b[4:6], v)
 		if _, err := decodeHello(b); err == nil || !strings.Contains(err.Error(), "version") {
@@ -90,25 +90,69 @@ func TestWireRejectsVersionMismatch(t *testing.T) {
 	}
 }
 
-// startWorker serves the wire protocol on a loopback listener backed by
-// link, exactly as `seedscan worker` does.
-func startWorker(t *testing.T, ctx context.Context, link wire.Link, id string, opts ...scanner.Option) string {
+// TestJobRejectsNonCanonicalChain: a job frame carries its chain as the
+// canonical text of a wire.ChainConfig and nothing else, so both ends
+// provably build the same chain.
+func TestJobRejectsNonCanonicalChain(t *testing.T) {
+	for _, chain := range []string{
+		"faults loss=0.05",                            // seed and zero keys left out
+		"taps;faults loss=0.05,dup=0,delay=0,seed=1",  // spacing
+		"faults loss=0.05,dup=0,delay=0,seed=1; taps", // order
+		"faults loss=2,dup=0,delay=0,seed=1",          // out of range
+		"telescope",
+	} {
+		if _, err := decodeJob(encodeJob(Job{Chain: chain})); err == nil {
+			t.Errorf("job chain %q accepted", chain)
+		}
+	}
+}
+
+// startWorker serves the wire protocol on a loopback listener, exactly as
+// `seedscan worker` does.
+func startWorker(t *testing.T, ctx context.Context, cfg ServeConfig) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ServeConfig{
-		WorkerID: id,
-		NewScanner: func(job Job) (*scanner.Scanner, error) {
-			return scanner.New(link, append(slices.Clone(opts),
-				scanner.WithSecret(job.Secret),
-				scanner.WithRetries(job.Retries),
-				scanner.WithRatePPS(job.RatePPS))...), nil
-		},
-	}
 	go Serve(ctx, ln, cfg)
 	return ln.Addr().String()
+}
+
+// slowDone is a lease context slow to hand out its Done channel, so the
+// lease watcher reaches its select late, as on a busy scheduler.
+type slowDone struct{ context.Context }
+
+func (c slowDone) Done() <-chan struct{} {
+	time.Sleep(time.Millisecond)
+	return c.Context.Done()
+}
+
+// TestLeaseCancelSparesNextShard drives one remote worker the way the
+// coordinator does — every lease is cancelled once its shard is done —
+// and every next shard on the connection must still succeed. A lease
+// watcher outliving its RunShard would poke the next shard's read.
+func TestLeaseCancelSparesNextShard(t *testing.T) {
+	w := clusterWorld(t)
+	targets := ipaddr.Dedup(testTargets(t, w))[:8]
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rw, err := DialWorker(startWorker(t, ctx, ServeConfig{Link: w.Link()}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rw.Close()
+	cfg := Config{Secret: testSecret}
+	cfg.fillDefaults(1)
+	job := cfg.job(proto.ICMP)
+	for i := 0; i < 100; i++ {
+		lctx, lcancel := context.WithCancel(ctx)
+		_, err := rw.RunShard(slowDone{lctx}, job, Shard{ID: i, Targets: targets}, func(int) {})
+		lcancel()
+		if err != nil {
+			t.Fatalf("shard %d after %d cancelled leases: %v", i, i, err)
+		}
+	}
 }
 
 // TestTCPClusterMatchesSingleScanner runs the full wire protocol over
@@ -124,7 +168,7 @@ func TestTCPClusterMatchesSingleScanner(t *testing.T) {
 	defer cancel()
 	var workers []Worker
 	for i := 0; i < 2; i++ {
-		addr := startWorker(t, ctx, w.Link(), "tw"+string(rune('0'+i)))
+		addr := startWorker(t, ctx, ServeConfig{WorkerID: "tw" + string(rune('0'+i)), Link: w.Link()})
 		rw, err := DialWorker(addr)
 		if err != nil {
 			t.Fatal(err)
@@ -160,8 +204,8 @@ func TestTCPWorkerCrashRecovers(t *testing.T) {
 	defer cancel()
 	// The doomed worker gets its own server context we can kill.
 	dctx, die := context.WithCancel(ctx)
-	doomedAddr := startWorker(t, dctx, w.Link(), "doomed")
-	survivorAddr := startWorker(t, ctx, w.Link(), "survivor")
+	doomedAddr := startWorker(t, dctx, ServeConfig{WorkerID: "doomed", Link: w.Link()})
+	survivorAddr := startWorker(t, ctx, ServeConfig{WorkerID: "survivor", Link: w.Link()})
 
 	doomed, err := DialWorker(doomedAddr)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"seedscan/internal/alias"
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/proto"
+	"seedscan/internal/wire"
 )
 
 // The whole pipeline must be reproducible: two environments with the same
@@ -75,5 +76,43 @@ func TestTreatmentOrderDeterministic(t *testing.T) {
 	}
 	if g1, g2 := e1.ScanAgreement(a1, proto.ICMP), e2.ScanAgreement(a2, proto.ICMP); g1 != g2 {
 		t.Fatalf("ScanAgreement differs between identical environments: %v vs %v", g1, g2)
+	}
+}
+
+// TestFingerprintReadsOnlyFaults pins the env fingerprint against the
+// wire chain: without faults it is the same string it was before chains
+// entered it (so existing checkpoint stores and goldens still resume),
+// taps, shaping, rotation and all-zero faults leave it unchanged, and
+// each fault knob moves it — as does rotation once faults are set, since
+// faults draw from the rotated packets.
+func TestFingerprintReadsOnlyFaults(t *testing.T) {
+	const bare = "w42-a40-l0.01-c7-s0.2-o0.6-k5eed5ca9-d84cf7c7810904635"
+	fp := func(chain string) string {
+		c, err := wire.ParseChainConfig(chain, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewEnv(EnvConfig{NumASes: 40, CollectScale: 0.2, Wire: c}).Fingerprint()
+	}
+	for _, chain := range []string{"", "taps", "shape pps=1000,jitter=0.5", "rotate 2001:db8::1,2001:db8::2", "taps; shape pps=10; rotate ::1", "faults loss=0,seed=5"} {
+		if got := fp(chain); got != bare {
+			t.Errorf("chain %q: fingerprint %q, want %q", chain, got, bare)
+		}
+	}
+	seen := map[string]string{}
+	for _, chain := range []string{
+		"faults loss=0.3",
+		"faults loss=0.3,seed=7",
+		"faults loss=0.3,dup=0.1",
+		"faults loss=0.3,delay=0.1",
+		"faults loss=0.2",
+		"faults loss=0.3; rotate 2001:db8::1,2001:db8::2",
+		"faults loss=0.3; rotate 2001:db8::3",
+	} {
+		got := fp(chain)
+		if prev, dup := seen[got]; got == bare || dup {
+			t.Errorf("chain %q: fingerprint %q is the bare one or that of %q", chain, got, prev)
+		}
+		seen[got] = chain
 	}
 }

@@ -64,13 +64,10 @@ type EnvConfig struct {
 	// scanner's, so experiment outcomes do not change — only the scanning
 	// topology does. 0 or 1 keeps the plain single scanner.
 	ClusterWorkers int
-	// Chain composes wire middlewares onto the world link before any
-	// scanner (or cluster worker) is built over it: Chain[0] is outermost.
-	// Taps and shapers are observation-only; fault injectors change scan
-	// outcomes, and Chain is deliberately NOT part of Fingerprint — runs
-	// whose chain alters results must use a fresh GridStore, or stale
-	// checkpoints from an unfaulted run will be replayed as-is.
-	Chain []wire.Middleware
+	// Wire is the chain composed onto the world link before any scanner
+	// (or cluster worker) is built over it. Its faults change outcomes and
+	// so enter Fingerprint.
+	Wire wire.ChainConfig
 	// Workers overrides how many grid cells run at once (default:
 	// GOMAXPROCS, capped at 8). Deterministic outcomes do not depend on it.
 	Workers int
@@ -179,7 +176,7 @@ func NewEnv(cfg EnvConfig) *Env {
 	listed := append([]ipaddr.Prefix(nil), truth[:keep]...)
 
 	w.SetEpoch(world.ScanEpoch)
-	link := wire.Chain(w.Link(), cfg.Chain...)
+	link := cfg.Wire.Build(w.Link(), tr.Registry())
 	e := &Env{
 		Cfg:   cfg,
 		World: w,
@@ -214,12 +211,17 @@ func NewEnv(cfg EnvConfig) *Env {
 // environment. ClusterWorkers and Workers are deliberately absent: the
 // scanning topology and fan-out width change wall-clock, not results, so
 // a store written by a cluster-backed run resumes a single-scanner run
-// and vice versa.
+// and vice versa. A chain's faults are appended, and only they: a chain
+// without faults leaves the fingerprint as it was before chains had one.
 func (e *Env) Fingerprint() string {
 	c := e.Cfg
-	return fmt.Sprintf("w%d-a%d-l%g-c%d-s%g-o%g-k%x-d%016x",
+	fp := fmt.Sprintf("w%d-a%d-l%g-c%d-s%g-o%g-k%x-d%016x",
 		c.WorldSeed, c.NumASes, c.LossRate, c.CollectSeed, c.CollectScale,
 		c.OfflineCoverage, c.ScanSecret, ipaddr.Digest(e.Full.SortedSlice()))
+	if w := c.Wire.Fingerprint(); w != "" {
+		fp += "|" + w
+	}
+	return fp
 }
 
 // Grid returns the environment's cell engine, shared by every sweep so

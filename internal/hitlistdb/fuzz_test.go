@@ -182,3 +182,24 @@ func FuzzFromBytes(f *testing.F) {
 		}
 	})
 }
+
+// FuzzManifest hands parseManifest a manifest another process wrote — a
+// watched store reads whatever sits in the directory. It must not panic,
+// and a manifest it accepts has the current schema and names a plain file
+// inside the store directory. The seed corpus is under testdata/fuzz/.
+func FuzzManifest(f *testing.F) {
+	f.Add([]byte(`{"schema":"seedscan-hitlistdb/v1","generation":3,"file":"gen-00000003.hldb","epoch":2,"addrs":10}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := parseManifest(data)
+		if err != nil {
+			return
+		}
+		if m.Schema != manifestSchema {
+			t.Fatalf("accepted schema %q", m.Schema)
+		}
+		dir := filepath.Join("var", "store")
+		if p := filepath.Join(dir, m.File); filepath.Dir(p) != dir || filepath.Base(p) != m.File {
+			t.Fatalf("accepted file %q resolves to %s, not a plain file in %s", m.File, p, dir)
+		}
+	})
+}

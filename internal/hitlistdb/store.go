@@ -204,6 +204,13 @@ func (s *Store) readManifest() (manifest, error) {
 	if err != nil {
 		return manifest{}, err
 	}
+	return parseManifest(b)
+}
+
+// parseManifest decodes a manifest another process may have written,
+// accepting only the current schema naming a plain file in the store
+// directory.
+func parseManifest(b []byte) (manifest, error) {
 	var m manifest
 	if err := json.Unmarshal(b, &m); err != nil {
 		return manifest{}, fmt.Errorf("hitlistdb: corrupt manifest: %w", err)
@@ -211,7 +218,7 @@ func (s *Store) readManifest() (manifest, error) {
 	if m.Schema != manifestSchema {
 		return manifest{}, fmt.Errorf("hitlistdb: manifest schema %q, want %q", m.Schema, manifestSchema)
 	}
-	if strings.Contains(m.File, "/") || strings.Contains(m.File, "..") {
+	if m.File == "" || m.File == "." || strings.Contains(m.File, "/") || strings.Contains(m.File, "..") {
 		return manifest{}, fmt.Errorf("hitlistdb: manifest names suspicious file %q", m.File)
 	}
 	return m, nil

@@ -200,6 +200,8 @@ func TestStoreRejectsCorruptManifest(t *testing.T) {
 		"not json":       "{",
 		"wrong schema":   `{"schema":"other/v9","generation":1,"file":"gen-00000001.hldb"}`,
 		"path traversal": `{"schema":"seedscan-hitlistdb/v1","generation":1,"file":"../evil.hldb"}`,
+		"no file":        `{"schema":"seedscan-hitlistdb/v1","generation":1,"file":""}`,
+		"the store dir":  `{"schema":"seedscan-hitlistdb/v1","generation":1,"file":"."}`,
 	} {
 		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(body), 0o644); err != nil {
 			t.Fatal(err)

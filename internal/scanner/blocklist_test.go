@@ -1,6 +1,7 @@
 package scanner
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -39,7 +40,8 @@ fe80::/10
 }
 
 func TestLoadBlocklistErrors(t *testing.T) {
-	for _, in := range []string{"not-an-address\n", "2001:db8::/200\n", "1.2.3.0/24\n"} {
+	long := "2001:db8::/32 # " + strings.Repeat("x", 70000) + "\n" // past bufio's line limit
+	for _, in := range []string{"not-an-address\n", "2001:db8::/200\n", "1.2.3.0/24\n", long} {
 		if _, err := LoadBlocklist(strings.NewReader(in)); err == nil {
 			t.Errorf("accepted %q", in)
 		}
@@ -82,4 +84,36 @@ func TestBlocklistIntegratesWithScan(t *testing.T) {
 	if s.Stats().PacketsSent.Load() != 0 {
 		t.Fatal("packets escaped the blocklist")
 	}
+}
+
+// FuzzLoadBlocklist feeds LoadBlocklist a file an operator wrote. It must
+// not panic, and a list it accepts must block every entry end to end: a
+// prefix from its first address to its last, a bare address as its /128.
+// The seed corpus is under testdata/fuzz/.
+func FuzzLoadBlocklist(f *testing.F) {
+	f.Add([]byte("# opt-out ranges\n2001:db8::/32 # research\n2600:9000::1\n\nfe80::/10"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bl, err := LoadBlocklist(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			line, _, _ = strings.Cut(line, "#")
+			if line = strings.TrimSpace(line); line == "" {
+				continue
+			}
+			p, err := ipaddr.ParsePrefix(line)
+			if !strings.Contains(line, "/") {
+				var a ipaddr.Addr
+				a, err = ipaddr.Parse(line)
+				p = ipaddr.PrefixFrom(a, 128)
+			}
+			if err != nil {
+				t.Fatalf("accepted list holds entry %q: %v", line, err)
+			}
+			if !bl.Contains(p.Addr()) || !bl.Contains(p.Last()) {
+				t.Fatalf("entry %q: %v is not blocked end to end", line, p)
+			}
+		}
+	})
 }

@@ -42,7 +42,6 @@ type Faults struct {
 
 	dropped    atomic.Int64
 	duplicated atomic.Int64
-	delayed    atomic.Int64
 
 	cDropped    *telemetry.Counter
 	cDuplicated *telemetry.Counter
@@ -77,9 +76,6 @@ func (f *Faults) Dropped() int64 { return f.dropped.Load() }
 
 // Duplicated returns how many probes were sent twice.
 func (f *Faults) Duplicated() int64 { return f.duplicated.Load() }
-
-// Delayed returns how many replies were discarded as late.
-func (f *Faults) Delayed() int64 { return f.delayed.Load() }
 
 // Wrap implements Middleware. Faults is a filtering middleware: it
 // forwards the surviving packet subset through its own scratch ReplyBuf,
@@ -137,7 +133,6 @@ func (f *Faults) Wrap(next Link) Link {
 
 		f.dropped.Add(nDrop)
 		f.duplicated.Add(nDupe)
-		f.delayed.Add(nDelay)
 		f.cDropped.Add(nDrop)
 		f.cDuplicated.Add(nDupe)
 		f.cDelayed.Add(nDelay)

@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"errors"
 	"sync"
-	"sync/atomic"
 
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/probe"
@@ -22,15 +20,14 @@ import (
 // validation and classification behave as if the rotation never happened —
 // a rotated chain's scan results are byte-identical to an unrotated one.
 // Checksums are recomputed on both rewrites; see probe.RewriteSrc.
+// ChainConfig.Rotate builds one.
 //
 // Telemetry: wire.rotator.rewrites.
 type SourceRotator struct {
-	pool []ipaddr.Addr
+	pool []ipaddr.Addr // not empty
 	seed uint64
 
-	scratch  sync.Pool // *rotatorScratch
-	rewrites atomic.Int64
-
+	scratch   sync.Pool // *rotatorScratch
 	cRewrites *telemetry.Counter
 }
 
@@ -43,15 +40,6 @@ type rotatorScratch struct {
 	orig  []ipaddr.Addr
 }
 
-// NewSourceRotator rotates sources across pool, keyed by seed. The pool
-// must not be empty.
-func NewSourceRotator(seed uint64, pool ...ipaddr.Addr) (*SourceRotator, error) {
-	if len(pool) == 0 {
-		return nil, errors.New("wire: source rotator needs a non-empty pool")
-	}
-	return &SourceRotator{pool: append([]ipaddr.Addr(nil), pool...), seed: seed}, nil
-}
-
 // SetTelemetry mirrors the rotator's counters into reg under wire.rotator.*.
 func (r *SourceRotator) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
@@ -59,9 +47,6 @@ func (r *SourceRotator) SetTelemetry(reg *telemetry.Registry) {
 	}
 	r.cRewrites = reg.Counter("wire.rotator.rewrites")
 }
-
-// Rewrites returns how many probes have had their source rotated.
-func (r *SourceRotator) Rewrites() int64 { return r.rewrites.Load() }
 
 // pick selects the pool vantage for a probe to dst.
 func (r *SourceRotator) pick(dst ipaddr.Addr) ipaddr.Addr {
@@ -98,7 +83,6 @@ func (r *SourceRotator) Wrap(next Link) Link {
 				copy(db[:], cp[24:40])
 				orig, dst = ipaddr.AddrFrom16(sb), ipaddr.AddrFrom16(db)
 				if err := probe.RewriteSrc(cp, r.pick(dst)); err == nil {
-					r.rewrites.Add(1)
 					r.cRewrites.Inc()
 				}
 			}

@@ -12,25 +12,26 @@ import (
 // accounting idiom as the scanner's own RateLimiter: instead of sleeping
 // it advances simulated time by one inter-packet gap per probe, plus
 // optional seeded jitter, so shaped experiments still run at full speed
-// while VirtualElapsed reports what the shaped scan would cost on real
-// hardware. Layer one under a scanner whose own limiter models the ethical
-// aggregate cap to ask "what if the wire itself were slower or burstier?".
+// while wire.shaper.virtual_ns reports what the shaped scan would cost on
+// real hardware. Layer one under a scanner whose own limiter models the
+// ethical aggregate cap to ask "what if the wire itself were slower or
+// burstier?".
 //
 // Jitter draws one deterministic extra delay per exchange batch — a
 // fraction of the gap in [0, jitter·gap) keyed by (seed, batch ordinal) —
 // mimicking per-burst scheduling noise without breaking reproducibility.
 //
-// Telemetry: wire.shaper.packets.
+// Telemetry: wire.shaper.packets, and wire.shaper.virtual_ns, the virtual
+// egress time in nanoseconds (both summed over every shaper on the
+// registry).
 type Shaper struct {
-	gap    float64
-	jitter float64
-	seed   uint64
+	gap     float64
+	jitter  float64
+	seed    uint64
+	batches atomic.Int64 // exchange batches seen (the jitter key)
 
-	n       atomic.Int64  // packets accounted
-	batches atomic.Int64  // exchange batches seen (the jitter key)
-	jbits   atomic.Uint64 // accumulated jitter seconds (float64 bits)
-
-	cPackets *telemetry.Counter
+	cPackets   *telemetry.Counter
+	cVirtualNs *telemetry.Counter
 }
 
 // NewShaper shapes to pps packets per second with jitter in [0, 1] as the
@@ -46,32 +47,14 @@ func NewShaper(pps int, jitter float64, seed uint64) *Shaper {
 	return &Shaper{gap: 1 / float64(pps), jitter: jitter, seed: seed}
 }
 
-// SetTelemetry mirrors the shaper's counters into reg under wire.shaper.*.
+// SetTelemetry mirrors the shaper's counters into reg under wire.shaper.*;
+// they are its only output.
 func (s *Shaper) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
 	s.cPackets = reg.Counter("wire.shaper.packets")
-}
-
-// Packets returns how many packets the shaper has accounted.
-func (s *Shaper) Packets() int64 { return s.n.Load() }
-
-// VirtualElapsed returns the virtual seconds the shaped wire has consumed:
-// packets times the gap plus all jitter drawn so far.
-func (s *Shaper) VirtualElapsed() float64 {
-	return float64(s.n.Load())*s.gap + math.Float64frombits(s.jbits.Load())
-}
-
-// addJitter accumulates j seconds into the jitter total, lock-free.
-func (s *Shaper) addJitter(j float64) {
-	for {
-		old := s.jbits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + j)
-		if s.jbits.CompareAndSwap(old, next) {
-			return
-		}
-	}
+	s.cVirtualNs = reg.Counter("wire.shaper.virtual_ns")
 }
 
 // Wrap implements Middleware. The shaper only accounts time; packets and
@@ -79,14 +62,13 @@ func (s *Shaper) addJitter(j float64) {
 // an unshaped one.
 func (s *Shaper) Wrap(next Link) Link {
 	return LinkFunc(func(pkts [][]byte, rb *probe.ReplyBuf) {
-		n := int64(len(pkts))
-		s.n.Add(n)
-		s.cPackets.Add(n)
+		elapsed := float64(len(pkts)) * s.gap
 		if s.jitter > 0 {
 			batch := uint64(s.batches.Add(1) - 1)
-			frac := float64(wiremix(s.seed, batch)>>11) / (1 << 53)
-			s.addJitter(frac * s.jitter * s.gap)
+			elapsed += float64(wiremix(s.seed, batch)>>11) / (1 << 53) * s.jitter * s.gap
 		}
+		s.cPackets.Add(int64(len(pkts)))
+		s.cVirtualNs.Add(int64(math.Round(elapsed * 1e9)))
 		next.ExchangeBatchInto(pkts, rb)
 	})
 }

@@ -22,9 +22,8 @@ type TapFunc func(pkt, reply []byte)
 //
 // Telemetry: wire.tap.probes, wire.tap.replies.
 type Tap struct {
-	fn      TapFunc
-	probes  atomic.Int64
-	replies atomic.Int64
+	fn     TapFunc
+	probes atomic.Int64
 
 	cProbes  *telemetry.Counter
 	cReplies *telemetry.Counter
@@ -45,9 +44,6 @@ func (t *Tap) SetTelemetry(reg *telemetry.Registry) {
 // Probes returns how many probes have crossed the tap.
 func (t *Tap) Probes() int64 { return t.probes.Load() }
 
-// Replies returns how many of them drew a reply.
-func (t *Tap) Replies() int64 { return t.replies.Load() }
-
 // Wrap implements Middleware.
 func (t *Tap) Wrap(next Link) Link {
 	return LinkFunc(func(pkts [][]byte, rb *probe.ReplyBuf) {
@@ -64,7 +60,6 @@ func (t *Tap) Wrap(next Link) Link {
 			}
 		}
 		t.probes.Add(n)
-		t.replies.Add(answered)
 		t.cProbes.Add(n)
 		t.cReplies.Add(answered)
 	})

@@ -18,10 +18,13 @@
 // and Faults (deterministic seeded loss / duplication / reply delay).
 // All are safe for concurrent use by many scanner workers.
 //
+// ChainConfig describes a chain of the four as a value with a canonical
+// text form, which CLI flags, cluster job frames and fingerprints share.
+//
 // Telemetry: middlewares wired to a registry expose counters under the
 // wire.* namespace — wire.tap.probes, wire.tap.replies,
-// wire.shaper.packets, wire.rotator.rewrites, wire.faults.dropped,
-// wire.faults.duplicated, wire.faults.delayed.
+// wire.shaper.packets, wire.shaper.virtual_ns, wire.rotator.rewrites,
+// wire.faults.dropped, wire.faults.duplicated, wire.faults.delayed.
 package wire
 
 import "seedscan/internal/probe"

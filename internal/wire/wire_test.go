@@ -116,9 +116,6 @@ func TestTapTransparencyAndCounts(t *testing.T) {
 	if tap.Probes() != sent {
 		t.Fatalf("tap probes = %d, scanners sent %d", tap.Probes(), sent)
 	}
-	if tap.Replies() != recv {
-		t.Fatalf("tap replies = %d, scanners received %d", tap.Replies(), recv)
-	}
 	mu.Lock()
 	if int64(perPkt) != sent {
 		t.Fatalf("tap fn fired %d times, want one per probe (%d)", perPkt, sent)
@@ -141,22 +138,23 @@ func TestTapTransparencyAndCounts(t *testing.T) {
 // yields different ones, and the loss knob actually loses probes.
 func TestFaultsDeterministic(t *testing.T) {
 	w, targets := testWorld(t)
-	run := func(seed uint64) ([]scanner.Result, [7]int64, *wire.Faults) {
+	run := func(seed uint64) ([]scanner.Result, [7]int64, map[string]int64) {
 		f := wire.NewFaults(wire.FaultsConfig{Seed: seed, Loss: 0.3, Dupe: 0.1, Delay: 0.05})
+		reg := telemetry.NewRegistry()
+		f.SetTelemetry(reg)
 		res, stats := scanThrough(wire.Chain(w.Link(), f), targets, proto.ICMP)
-		return res, stats, f
+		return res, stats, reg.Snapshot().Counters
 	}
-	resA, statsA, fA := run(1)
-	resB, statsB, fB := run(1)
+	resA, statsA, cA := run(1)
+	resB, statsB, cB := run(1)
 	if !reflect.DeepEqual(resA, resB) || statsA != statsB {
 		t.Fatal("same-seed faulted scans diverge")
 	}
-	if fA.Dropped() != fB.Dropped() || fA.Duplicated() != fB.Duplicated() || fA.Delayed() != fB.Delayed() {
-		t.Fatalf("same-seed fault counters diverge: %d/%d/%d vs %d/%d/%d",
-			fA.Dropped(), fA.Duplicated(), fA.Delayed(), fB.Dropped(), fB.Duplicated(), fB.Delayed())
+	if !reflect.DeepEqual(cA, cB) {
+		t.Fatalf("same-seed fault counters diverge: %v vs %v", cA, cB)
 	}
-	if fA.Dropped() == 0 || fA.Duplicated() == 0 {
-		t.Fatalf("faults injected nothing: dropped=%d duplicated=%d", fA.Dropped(), fA.Duplicated())
+	if cA["wire.faults.dropped"] == 0 || cA["wire.faults.duplicated"] == 0 || cA["wire.faults.delayed"] == 0 {
+		t.Fatalf("faults injected nothing of some kind: %v", cA)
 	}
 	resC, _, _ := run(2)
 	if reflect.DeepEqual(resA, resC) {
@@ -211,10 +209,8 @@ func TestSourceRotatorTransparent(t *testing.T) {
 	for _, a := range pool {
 		inPool[a] = true
 	}
-	rot, err := wire.NewSourceRotator(77, pool...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := telemetry.NewRegistry()
+	rot := wire.ChainConfig{Rotate: wire.RotateConfig{Seed: 77, Pool: pool}}
 	seen := map[ipaddr.Addr]int{}
 	var mu sync.Mutex
 	inner := wire.NewTap(func(pkt, _ []byte) {
@@ -233,7 +229,7 @@ func TestSourceRotatorTransparent(t *testing.T) {
 
 	for _, p := range proto.All {
 		want, wantStats := scanThrough(w.Link(), targets, p)
-		got, gotStats := scanThrough(wire.Chain(w.Link(), rot, inner), targets, p)
+		got, gotStats := scanThrough(rot.Build(wire.Chain(w.Link(), inner), reg), targets, p)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s: rotation changed scan results", p)
 		}
@@ -244,7 +240,7 @@ func TestSourceRotatorTransparent(t *testing.T) {
 	if len(seen) != len(pool) {
 		t.Fatalf("rotation used %d of %d pool addresses", len(seen), len(pool))
 	}
-	if rot.Rewrites() == 0 {
+	if reg.Snapshot().Counters["wire.rotator.rewrites"] == 0 {
 		t.Fatal("rotator counted no rewrites")
 	}
 }
@@ -256,16 +252,19 @@ func TestShaperAccounting(t *testing.T) {
 	w, targets := testWorld(t)
 	const pps = 100_000
 	sh := wire.NewShaper(pps, 0.5, 3)
+	reg := telemetry.NewRegistry()
+	sh.SetTelemetry(reg)
 	want, _ := scanThrough(w.Link(), targets, proto.ICMP)
 	got, stats := scanThrough(wire.Chain(w.Link(), sh), targets, proto.ICMP)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("shaper changed scan results")
 	}
-	if sh.Packets() != stats[0] {
-		t.Fatalf("shaper packets = %d, scanner sent %d", sh.Packets(), stats[0])
+	c := reg.Snapshot().Counters
+	if c["wire.shaper.packets"] != stats[0] {
+		t.Fatalf("shaper packets = %d, scanner sent %d", c["wire.shaper.packets"], stats[0])
 	}
-	base := float64(sh.Packets()) / pps
-	if el := sh.VirtualElapsed(); el < base || el > base*1.5+1 {
+	base := float64(stats[0]) / pps
+	if el := float64(c["wire.shaper.virtual_ns"]) / 1e9; el < base || el > base*1.5+1 {
 		t.Fatalf("virtual elapsed %.4fs outside [%.4f, %.4f]", el, base, base*1.5+1)
 	}
 }
@@ -302,39 +301,31 @@ func TestLocalClusterSharesChain(t *testing.T) {
 	}
 }
 
-// TestTCPWorkerChain serves a chained link over the real TCP wire
-// protocol, as `seedscan worker -wire-taps` does: the coordinator's
-// merged results match the unchained baseline (taps are transparent) and
-// the worker-side tap saw every packet.
+// TestTCPWorkerChain runs a tapped chain over the real TCP wire protocol,
+// as `seedscan scan -cluster ... -wire-taps` does: the coordinator's
+// config carries the chain to the worker in the job frame, its merged
+// results match the unchained baseline (taps are transparent), and the
+// worker-side tap saw every packet.
 func TestTCPWorkerChain(t *testing.T) {
 	w, targets := testWorld(t)
 	want, wantStats := scanThrough(w.Link(), targets, proto.ICMP)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	tap := wire.NewTap(nil)
-	link := wire.Chain(w.Link(), tap)
+	reg := telemetry.NewRegistry()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go cluster.Serve(ctx, ln, cluster.ServeConfig{
-		WorkerID: "tapped",
-		NewScanner: func(job cluster.Job) (*scanner.Scanner, error) {
-			return scanner.New(link,
-				scanner.WithSecret(job.Secret),
-				scanner.WithRetries(job.Retries),
-				scanner.WithRatePPS(job.RatePPS)), nil
-		},
-	})
+	go cluster.Serve(ctx, ln, cluster.ServeConfig{WorkerID: "tapped", Link: w.Link(), Telemetry: reg})
 	rw, err := cluster.DialWorker(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rw.Close()
 
-	run, err := cluster.NewCoordinator(cluster.Config{Secret: testSecret, ShardSize: 256}).
-		Run(ctx, []cluster.Worker{rw}, targets, proto.ICMP)
+	cfg := cluster.Config{Secret: testSecret, ShardSize: 256, Wire: wire.ChainConfig{Taps: true}}
+	run, err := cluster.NewCoordinator(cfg).Run(ctx, []cluster.Worker{rw}, targets, proto.ICMP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +335,7 @@ func TestTCPWorkerChain(t *testing.T) {
 	if got := run.Stats.Values(); got != wantStats {
 		t.Fatalf("TCP chained stats %v, want %v", got, wantStats)
 	}
-	if tap.Probes() != wantStats[0] {
-		t.Fatalf("worker tap probes = %d, want %d", tap.Probes(), wantStats[0])
+	if got := reg.Snapshot().Counters["wire.tap.probes"]; got != wantStats[0] {
+		t.Fatalf("worker tap probes = %d, want %d", got, wantStats[0])
 	}
 }
