@@ -1,7 +1,8 @@
 // Benchmark harness: BenchmarkSection regenerates every table and figure
 // of the paper's evaluation section (experiment.Sections, the table
-// cmd/experiments runs) on a scaled-down environment; the rest cover
-// Table 8 and the design decisions DESIGN.md calls out. Run with:
+// cmd/experiments runs) on a scaled-down environment, the ablation
+// section's batch-size sweep included; the rest cover the design
+// decisions DESIGN.md calls out. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -72,16 +73,6 @@ func BenchmarkSection(b *testing.B) {
 	}
 }
 
-func BenchmarkTable8_DomainVolumes(b *testing.B) {
-	e := benchEnv()
-	for i := 0; i < b.N; i++ {
-		rows := e.DomainVolumes()
-		if len(rows) != 8 {
-			b.Fatal("wrong row count")
-		}
-	}
-}
-
 // --- Ablation benchmarks: the design decisions DESIGN.md calls out ---
 
 // BenchmarkAblation_PacketPathVsOracle compares the full packet path
@@ -112,22 +103,6 @@ func BenchmarkAblation_PacketPathVsOracle(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblation_OnlineBatchSize measures how DET's yield depends on
-// feedback frequency (smaller batches = more adaptation rounds).
-func BenchmarkAblation_OnlineBatchSize(b *testing.B) {
-	e := benchEnv()
-	for i := 0; i < b.N; i++ {
-		hits, err := e.BatchSizeAblation(context.Background(), "DET", proto.ICMP, benchBudget, []int{512, 4096})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(hits[512]), "hits-batch512")
-			b.ReportMetric(float64(hits[4096]), "hits-batch4096")
-		}
-	}
 }
 
 // BenchmarkAblation_DealiasProbeCost measures the probe budget the online

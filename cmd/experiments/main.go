@@ -5,11 +5,13 @@
 // Usage:
 //
 //	experiments [-budget N] [-ases N] [-scale F] [-seed N] [-run LIST]
-//	            [-resume DIR] [-list-cells] [-gens SET]
+//	            [-resume DIR] [-list-cells] [-gens SET] [-protos SET]
 //
 // -gens picks the generator sweep: "paper" (default, the eight studied
 // TGAs), "extended" (adds AddrMiner and 6Prob), or an explicit
-// comma-separated list.
+// comma-separated list. -protos lists protocols (or "all"); every section
+// prints them in ICMP, TCP80, TCP443, UDP53 order whatever the list's. A
+// -protos or -gens entry named twice is a usage error.
 //
 // LIST is "all" or a comma-separated subset of experiment.Sections' names:
 // table1,table3,table7,fig1,fig2,fig3,table4,fig4,fig5,table5,table6,raw,
@@ -104,10 +106,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *protosFlag == "all" {
 		params.Protos = proto.All[:]
 	} else {
+		// Every section walks the protocols in proto.All order, whatever
+		// the list's.
+		var named [proto.Count]bool
 		for _, s := range strings.Split(*protosFlag, ",") {
-			p, perr := proto.Parse(strings.TrimSpace(s))
-			err = errors.Join(err, perr)
-			params.Protos = append(params.Protos, p)
+			switch p, perr := proto.Parse(strings.TrimSpace(s)); {
+			case perr != nil:
+				err = errors.Join(err, perr)
+			case named[p]:
+				err = errors.Join(err, fmt.Errorf("-protos names %s twice", p))
+			default:
+				named[p] = true
+			}
+		}
+		for _, p := range proto.All {
+			if named[p] {
+				params.Protos = append(params.Protos, p)
+			}
 		}
 	}
 	switch *gensFlag {
@@ -119,6 +134,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, s := range strings.Split(*gensFlag, ",") {
 			name := strings.TrimSpace(s)
 			_, gerr := all.New(name)
+			if gerr == nil && slices.Contains(params.Gens, name) {
+				gerr = fmt.Errorf("-gens names %s twice", name)
+			}
 			err = errors.Join(err, gerr)
 			params.Gens = append(params.Gens, name)
 		}

@@ -149,6 +149,60 @@ func TestUnknownSectionIsAUsageError(t *testing.T) {
 	}
 }
 
+// TestRepeatedAxisIsAUsageError: a -protos or -gens entry named twice
+// would print a section's rows twice (or, where a fold keys by name,
+// silently once), so it exits 2 naming the entry, before any header or
+// scan — with or without -list-cells.
+func TestRepeatedAxisIsAUsageError(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		name string
+	}{
+		{[]string{"-protos", "icmp,icmp", "-run", "fig3"}, "ICMP"},
+		{[]string{"-protos", "udp53, icmp,UDP53", "-run", "fig3"}, "UDP53"},
+		{[]string{"-gens", "6Tree,6Tree", "-run", "table4,fig6"}, "6Tree"},
+	} {
+		for _, extra := range [][]string{nil, {"-list-cells"}} {
+			var stdout, stderr bytes.Buffer
+			args := append(append(slices.Clone(smallWorld), tc.args...), extra...)
+			if code := run(args, &stdout, &stderr); code != 2 {
+				t.Fatalf("experiments %v: exit %d, want 2", args, code)
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("experiments %v printed %q before refusing", args, stdout.String())
+			}
+			if msg := stderr.String(); !strings.Contains(msg, tc.name+" twice") {
+				t.Fatalf("experiments %v: error does not name %s: %s", args, tc.name, msg)
+			}
+		}
+	}
+}
+
+// TestProtocolOrderIsCanonical: every section prints the protocols in
+// proto.All order, so the order -protos lists them in changes neither the
+// tables nor the cell plan.
+func TestProtocolOrderIsCanonical(t *testing.T) {
+	const sections = "fig3,table6,raw,fig6"
+	strip := func(out string) string {
+		out, _, _ = strings.Cut(out, "\ndone in ")
+		return out
+	}
+	for _, extra := range [][]string{nil, {"-list-cells"}} {
+		args := append([]string{"-run", sections}, extra...)
+		icmpFirst := runCmd(t, append([]string{"-protos", "icmp,udp53"}, args...)...)
+		udpFirst := runCmd(t, append([]string{"-protos", "udp53,icmp"}, args...)...)
+		a, b := strings.Split(strip(icmpFirst), "\n"), strings.Split(strip(udpFirst), "\n")
+		for i := range min(len(a), len(b)) {
+			if a[i] != b[i] {
+				t.Fatalf("experiments %v: line %d is %q under -protos icmp,udp53 but %q under udp53,icmp", args, i+1, a[i], b[i])
+			}
+		}
+		if len(a) != len(b) {
+			t.Fatalf("experiments %v: %d lines under -protos icmp,udp53, %d under udp53,icmp", args, len(a), len(b))
+		}
+	}
+}
+
 // TestSelectSections: table order whatever the list's, opt-in sections
 // only by name.
 func TestSelectSections(t *testing.T) {

@@ -35,12 +35,13 @@ func main() {
 		fmt.Printf("  %-8s %10d %8d\n", g, o.Hits, o.ASes)
 	}
 
+	hitOrder, asOrder := res.Cover(0) // the first (only) protocol, ICMP
 	fmt.Println("\ncumulative unique hit contributions (greedy order):")
-	for i, c := range res.HitOrder[proto.ICMP] {
+	for i, c := range hitOrder {
 		fmt.Printf("  %d. %-8s +%d -> %d total\n", i+1, c.Name, c.New, c.Total)
 	}
 	fmt.Println("\ncumulative unique AS contributions (greedy order):")
-	for i, c := range res.ASOrder[proto.ICMP] {
+	for i, c := range asOrder {
 		fmt.Printf("  %d. %-8s +%d -> %d total\n", i+1, c.Name, c.New, c.Total)
 	}
 }

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -65,8 +64,10 @@ func (e *Env) ScanAgreement(targets []ipaddr.Addr, p proto.Protocol) float64 {
 }
 
 // batchAblation declares the feedback batch-size ablation: one generator
-// on All Active at several batch sizes, one row per size. The
-// experiment-default size dedups against the regular RQ cells.
+// on All Active at several batch sizes, one row per size, read as raw
+// (unfiltered) hits per size — how much online adaptation depends on
+// feedback frequency (DESIGN.md decision 3). The experiment-default size
+// dedups against the regular RQ cells.
 func (e *Env) batchAblation(gen string, p proto.Protocol, budget int, sizes []int) Sweep {
 	rows := make([]Row, len(sizes))
 	for i, bs := range sizes {
@@ -74,22 +75,6 @@ func (e *Env) batchAblation(gen string, p proto.Protocol, budget int, sizes []in
 		rows[i].Batch = bs
 	}
 	return e.sweep(Sweep{Name: "Batch ablation", Rows: rows}, []proto.Protocol{p}, []string{gen}, budget)
-}
-
-// BatchSizeAblation runs one online generator at several feedback batch
-// sizes and reports raw (unfiltered) hits per size — quantifying how much
-// online adaptation depends on feedback frequency (DESIGN.md decision 3).
-func (e *Env) BatchSizeAblation(ctx context.Context, gen string, p proto.Protocol, budget int, sizes []int) (map[int]int, error) {
-	return run(ctx, e, e.batchAblation(gen, p, budget, sizes), batchHits)
-}
-
-// batchHits folds the ablation sweep into hits per batch size.
-func batchHits(rs *SweepResult) map[int]int {
-	out := make(map[int]int, len(rs.Rows))
-	for i, row := range rs.Rows {
-		out[row.Batch] = len(rs.At(i, 0, 0).Hits)
-	}
-	return out
 }
 
 // renderAblation prints the two ablations of `-run ablation`: packet-path
@@ -111,7 +96,7 @@ func (e *Env) renderAblation(rs *SweepResult) string {
 		len(targets), 100*e.ScanAgreement(targets, rs.Protos[0]))
 	fmt.Fprintf(&sb, "Ablation: %s hits by feedback batch size:\n", rs.Gens[0])
 	for i, row := range rs.Rows {
-		fmt.Fprintf(&sb, "  batch %5d -> %d hits\n", row.Batch, len(rs.At(i, 0, 0).Hits))
+		fmt.Fprintf(&sb, "  batch %5d -> %d hits\n", row.Batch, metricRawHits(rs.At(i, 0, 0)))
 	}
 	return sb.String()
 }

@@ -46,9 +46,13 @@ func TestOracleProberShape(t *testing.T) {
 
 func TestBatchSizeAblation(t *testing.T) {
 	e := testEnv(t)
-	hits, err := e.BatchSizeAblation(context.Background(), "DET", proto.ICMP, 3000, []int{512, 3000})
+	rs, err := e.runSweep(context.Background(), e.batchAblation("DET", proto.ICMP, 3000, []int{512, 3000}))
 	if err != nil {
 		t.Fatal(err)
+	}
+	hits := make(map[int]int, len(rs.Rows))
+	for i, row := range rs.Rows {
+		hits[row.Batch] = metricRawHits(rs.At(i, 0, 0))
 	}
 	if len(hits) != 2 {
 		t.Fatalf("sizes = %d", len(hits))

@@ -91,24 +91,16 @@ func (s *DatasetSummary) Render() string {
 // SourceOverlaps reproduces Figure 1 (responsive=false) and Figure 2
 // (responsive=true): pairwise overlap of the seed sources by IP and by AS.
 func (e *Env) SourceOverlaps(responsive bool) (ips, ases metrics.OverlapMatrix) {
-	names := make([]string, 0, len(seeds.AllSources))
-	ipSets := make(map[string]map[ipaddr.Addr]struct{})
-	asSets := make(map[string]map[int]struct{})
-	var filter *ipaddr.Set
-	if responsive {
-		filter = e.AllActiveSeeds().Addrs
-	}
-	db := e.World.ASDB()
-	for _, src := range seeds.AllSources {
+	names := make([]string, len(seeds.AllSources))
+	addrs := make([][]ipaddr.Addr, len(seeds.AllSources))
+	for i, src := range seeds.AllSources {
 		ds := e.Sources[src]
-		if filter != nil {
-			ds = ds.Restrict("", filter)
+		if responsive {
+			ds = ds.Restrict("", e.AllActiveSeeds().Addrs)
 		}
-		names = append(names, src.String())
-		addrs := ds.Slice()
-		ipSets[src.String()] = metrics.AddrSet(addrs)
-		asSets[src.String()] = db.ASSet(addrs)
+		names[i], addrs[i] = src.String(), ds.Slice()
 	}
+	ipSets, asSets := metrics.NamedSets(names, addrs, e.World.ASDB())
 	return metrics.Overlaps(names, ipSets), metrics.Overlaps(names, asSets)
 }
 
@@ -124,26 +116,6 @@ func renderOverlap(title string, m metrics.OverlapMatrix) string {
 		t.AddRow(cells...)
 	}
 	return t.String()
-}
-
-// DomainVolumeRow is one row of Table 8 (the reproducible column: unique
-// IPv6 addresses contributed by each domain-derived source).
-type DomainVolumeRow struct {
-	Source string
-	Unique int
-}
-
-// DomainVolumes reproduces Table 8's unique-IP column for the domain
-// sources.
-func (e *Env) DomainVolumes() []DomainVolumeRow {
-	var out []DomainVolumeRow
-	for _, src := range seeds.AllSources {
-		if src.Category() != "D" {
-			continue
-		}
-		out = append(out, DomainVolumeRow{Source: src.String(), Unique: e.Sources[src].Len()})
-	}
-	return out
 }
 
 // renderTable7 prints the paper's collection dates (Table 7) — facts of

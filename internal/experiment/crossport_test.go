@@ -21,7 +21,9 @@ func TestCrossPortMatrix(t *testing.T) {
 	for i, row := range rs.Rows {
 		labels[i] = row.Label
 		for pi, p := range rs.Protos {
-			hits[i][p] = crossPortHits(rs, i, pi)
+			for _, c := range rs.along(i, pi, every) {
+				hits[i][p] += metricHits(c)
+			}
 		}
 	}
 	if len(labels) != proto.Count+1 || labels[proto.UDP53] != "UDP53" || labels[proto.Count] != "All Active" {

@@ -341,12 +341,17 @@ func (e *Env) runTGA(ctx context.Context, name string, seedSet []ipaddr.Addr, p 
 	if err != nil {
 		return TGAResult{}, err
 	}
-	exclude := 0
-	if p == proto.ICMP {
-		exclude = world.PathologicalASN
-	}
-	out := metrics.Measure(run.Hits, run.AliasedHits, e.World.ASDB(), exclude)
+	out := metrics.Measure(run.Hits, run.AliasedHits, e.World.ASDB(), excludedASN(p))
 	return TGAResult{Run: run, Outcome: out}, nil
+}
+
+// excludedASN is the AS whose hits §4.1 leaves out of p's evaluation: the
+// pathological AS12322 analogue on ICMP, none (0) elsewhere.
+func excludedASN(p proto.Protocol) int {
+	if p == proto.ICMP {
+		return world.PathologicalASN
+	}
+	return 0
 }
 
 // RunCell executes one grid cell: resolve the treatment to its seed list,

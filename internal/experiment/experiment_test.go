@@ -106,6 +106,20 @@ func TestDatasetSummaryShape(t *testing.T) {
 	if !strings.Contains(sum.Render(), "Scamper") {
 		t.Fatal("render missing rows")
 	}
+	// Table 8's volumes are the domain sources' Unique column.
+	domains := 0
+	for _, r := range sum.Rows[:len(seeds.AllSources)] {
+		if r.Category != "D" {
+			continue
+		}
+		domains++
+		if r.Unique == 0 {
+			t.Fatalf("%s empty", r.Source)
+		}
+	}
+	if domains != 8 {
+		t.Fatalf("domain sources = %d", domains)
+	}
 }
 
 func TestSourceOverlapsShape(t *testing.T) {
@@ -138,18 +152,17 @@ func TestRQ1aShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := res.Ratios[proto.ICMP]
-	if len(rows) != len(gens) {
-		t.Fatalf("rows = %d", len(rows))
+	if len(res.Gens) != len(gens) {
+		t.Fatalf("rows = %d", len(res.Gens))
 	}
-	for _, r := range rows {
+	for gi, g := range res.Gens {
 		// Dealiasing must slash generated aliases...
-		if r.Aliases > -0.5 {
-			t.Errorf("%s: aliases ratio %.2f, want deep negative", r.Generator, r.Aliases)
+		if r := res.ratio(metricAliases, 0, gi); r > -0.5 {
+			t.Errorf("%s: aliases ratio %.2f, want deep negative", g, r)
 		}
 		// ...and must not hurt hits.
-		if r.Hits < -0.2 {
-			t.Errorf("%s: hits ratio %.2f, dealiasing should help", r.Generator, r.Hits)
+		if r := res.ratio(metricHits, 0, gi); r < -0.2 {
+			t.Errorf("%s: hits ratio %.2f, dealiasing should help", g, r)
 		}
 	}
 	if !strings.Contains(res.Render(), "ICMP") {
@@ -166,7 +179,10 @@ func TestTable4Shape(t *testing.T) {
 	}
 	totalRaw := 0
 	for gi, g := range gens {
-		row := res.Aliases(gi)
+		row := make([]int, len(res.Rows))
+		for ri := range res.Rows {
+			row[ri] = metricAliases(res.At(ri, 0, gi))
+		}
 		totalRaw += row[0]
 		// Aliases drop as dealiasing gets stricter: none >> joint.
 		if row[0] > 0 && row[3] > row[0]/5 {
@@ -188,7 +204,7 @@ func TestRQ4GreedyOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits := res.HitOrder[proto.ICMP]
+	hits, _ := res.Cover(0)
 	if len(hits) != len(gens) {
 		t.Fatalf("order entries = %d", len(hits))
 	}
@@ -233,22 +249,24 @@ func TestRQ3AndDerivedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t5 := e.table5(rq3, big)
-	if len(t5.Rows) != 1 {
-		t.Fatalf("table5 rows = %d", len(t5.Rows))
+	t5 := renderTable5(rq3, big)
+	if _, rows, _ := strings.Cut(t5, "-\n"); strings.Count(rows, "\n") != 1 || !strings.HasPrefix(rows, "6Tree") {
+		t.Fatalf("table5 rows:\n%s", t5)
 	}
-	r := t5.Rows[0]
-	if r.BigHits == 0 || r.CombinedHits == 0 {
-		t.Fatalf("table5 zeros: %+v", r)
+	bigHits, combinedHits := metricHits(big.At(0, 0, 0)), len(rq3.union(every, 0, 0))
+	if bigHits == 0 || combinedHits == 0 {
+		t.Fatalf("table5 zeros: big %d, combined %d", bigHits, combinedHits)
 	}
-	cell := e.table6Cell(rq3, 0, 0, 3)
-	if cell.Total == 0 || len(cell.Top) == 0 {
-		t.Fatalf("table6 cell empty: %+v", cell)
+	// Table 6's cell for the hitlist row: its generators' combined hits.
+	combined := rq3.union(0, 0, every)
+	top, total := rq3.db.TopASes(combined), rq3.db.CountASes(combined)
+	if total == 0 || len(top) == 0 {
+		t.Fatalf("table6 cell empty: %d ASes, top %v", total, top)
 	}
-	if cell.Top[0].Share <= 0 || cell.Top[0].Share > 1 {
-		t.Fatalf("share out of range: %v", cell.Top[0].Share)
+	if top[0].Share <= 0 || top[0].Share > 1 {
+		t.Fatalf("share out of range: %v", top[0].Share)
 	}
-	if !strings.Contains(e.renderTable6(rq3), "Total") || !strings.Contains(t5.Render(), "Generator") {
+	if !strings.Contains(renderTable6(rq3), "Total") || !strings.Contains(t5, "Generator") {
 		t.Fatal("renders wrong")
 	}
 	if raw := rq3.renderRaw("Hits (%s)", "ASes (%s)"); len(raw) != 1 || !strings.Contains(raw[0], "6Tree") {
@@ -298,18 +316,5 @@ func TestRenderHelpers(t *testing.T) {
 	s := tb.String()
 	if !strings.Contains(s, "T\n") || !strings.Contains(s, "bb") {
 		t.Fatalf("table render: %q", s)
-	}
-}
-
-func TestDomainVolumes(t *testing.T) {
-	e := testEnv(t)
-	rows := e.DomainVolumes()
-	if len(rows) != 8 {
-		t.Fatalf("domain sources = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Unique == 0 {
-			t.Fatalf("%s empty", r.Source)
-		}
 	}
 }

@@ -3,9 +3,9 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
-	"seedscan/internal/metrics"
 	"seedscan/internal/proto"
 )
 
@@ -42,28 +42,27 @@ func (r *ComparisonResult) RenderFigure() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s: %s vs. %s (Performance Ratio; bar full scale ±%.0f)\n",
 		r.Name, r.Rows[1].Label, r.Rows[0].Label, barScale)
-	for _, p := range proto.All {
-		rows, ok := r.Ratios[p]
-		if !ok {
-			continue
-		}
+	for pi, p := range r.Protos {
 		fmt.Fprintf(&sb, "\n[%s]%*s-%s 0 +%s\n", p, 10, "",
 			strings.Repeat(" ", barWidth-4), strings.Repeat(" ", barWidth-4))
-		for _, row := range rows {
-			fmt.Fprintf(&sb, "%-8s hits %s %+6.2f\n", row.Generator, ratioBar(row.Hits), row.Hits)
-			fmt.Fprintf(&sb, "%-8s ases %s %+6.2f\n", "", ratioBar(row.ASes), row.ASes)
+		for gi, g := range r.Gens {
+			hits, ases := r.ratio(metricHits, pi, gi), r.ratio(metricASes, pi, gi)
+			fmt.Fprintf(&sb, "%-8s hits %s %+6.2f\n", g, ratioBar(hits), hits)
+			fmt.Fprintf(&sb, "%-8s ases %s %+6.2f\n", "", ratioBar(ases), ases)
 		}
 	}
 	return sb.String()
 }
 
 // RenderCumulativeFigure draws Figure 6's cumulative curves as text bars:
-// each generator's share of the combined total.
+// each generator's share of the combined total. It is empty for a
+// protocol the sweep did not scan.
 func (r *RQ4Result) RenderCumulativeFigure(p proto.Protocol) string {
-	order, ok := r.HitOrder[p]
-	if !ok || len(order) == 0 {
+	pi := slices.Index(r.Protos, p)
+	if pi < 0 || len(r.Gens) == 0 {
 		return ""
 	}
+	order, _ := r.Cover(pi)
 	total := order[len(order)-1].Total
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Figure 6 (%s): cumulative unique hits, combined total %s\n", p, FmtInt(total))
@@ -77,20 +76,4 @@ func (r *RQ4Result) RenderCumulativeFigure(p proto.Protocol) string {
 			strings.Repeat("#", n)+strings.Repeat(".", 48-n), 100*frac, FmtInt(c.New))
 	}
 	return sb.String()
-}
-
-// meanRatios reduces a set of ratio rows to their mean — the headline
-// numbers ("dealiasing buys +1.7 PR on average").
-func meanRatios(rows []metrics.RatioRow) (mean metrics.RatioRow) {
-	if len(rows) == 0 {
-		return mean
-	}
-	for _, r := range rows {
-		mean.Hits += r.Hits
-		mean.ASes += r.ASes
-		mean.Aliases += r.Aliases
-	}
-	n := float64(len(rows))
-	mean.Hits, mean.ASes, mean.Aliases = mean.Hits/n, mean.ASes/n, mean.Aliases/n
-	return mean
 }

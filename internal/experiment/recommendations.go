@@ -31,37 +31,36 @@ func (e *Env) recommendationSweeps(gens []string, budget int) []Sweep {
 }
 
 // recommendations evaluates the evidence behind each of the paper's §10
-// recommendations on this environment, from recommendationSweeps' results.
+// recommendations on this environment, from recommendationSweeps' results:
+// each is single-protocol, so every metric is read at protocol index 0.
 func (e *Env) recommendations(rs []*SweepResult) []Recommendation {
 	var out []Recommendation
 	gens := rs[0].Gens
 
 	// 1. Dealiasing.
-	rq1a := meanRatios(foldComparison(rs[0]).Ratios[proto.ICMP])
 	out = append(out, Recommendation{
 		Title: "Dealiasing",
 		Guidance: "Dealias seed datasets with BOTH the published offline list and " +
 			"the online /96 test before generation.",
 		Evidence: fmt.Sprintf("joint-dealiased seeds changed ICMP hits by %+.2f PR on average "+
-			"and cut generated aliases by %+.2f PR across %d generators", rq1a.Hits, rq1a.Aliases, len(gens)),
+			"and cut generated aliases by %+.2f PR across %d generators",
+			rs[0].meanRatio(metricHits, 0), rs[0].meanRatio(metricAliases, 0), len(gens)),
 	})
 
 	// 2. Unresponsive addresses.
-	rq1b := meanRatios(foldComparison(rs[1]).Ratios[proto.ICMP])
 	out = append(out, Recommendation{
 		Title:    "Unresponsive Addresses",
 		Guidance: "Pre-scan seeds and drop addresses that no longer respond on any protocol.",
-		Evidence: fmt.Sprintf("responsive-only seeds changed ICMP hits by %+.2f PR on average", rq1b.Hits),
+		Evidence: fmt.Sprintf("responsive-only seeds changed ICMP hits by %+.2f PR on average", rs[1].meanRatio(metricHits, 0)),
 	})
 
 	// 3. Port-specific seeds.
-	rq2 := meanRatios(foldComparison(rs[2]).Ratios[proto.TCP443])
 	out = append(out, Recommendation{
 		Title: "Port-Specific Seeds",
 		Guidance: "Restrict seeds to the scanned port for more application-layer hits, " +
 			"but blend ICMP-active seeds back in when network coverage matters.",
 		Evidence: fmt.Sprintf("TCP443-specific seeds: hits %+.2f PR but ASes %+.2f PR on average "+
-			"— the hits-vs-diversity tradeoff", rq2.Hits, rq2.ASes),
+			"— the hits-vs-diversity tradeoff", rs[2].meanRatio(metricHits, 0), rs[2].meanRatio(metricASes, 0)),
 	})
 
 	// 4. Multiple ports.
@@ -74,9 +73,7 @@ func (e *Env) recommendations(rs []*SweepResult) []Recommendation {
 	})
 
 	// 5-6. Generator choice and combination.
-	rq4 := e.foldRQ4(rs[3])
-	hitOrder := rq4.HitOrder[proto.ICMP]
-	asOrder := rq4.ASOrder[proto.ICMP]
+	hitOrder, asOrder := newRQ4(rs[3]).Cover(0)
 	topShare := 0.0
 	if total := hitOrder[len(hitOrder)-1].Total; total > 0 {
 		topShare = float64(hitOrder[0].New) / float64(total)

@@ -151,7 +151,7 @@ func overlaps(responsive bool, fig, what string) renderFunc {
 // comparison renders a two-row sweep's ratio table, then its bar figure.
 func comparison(figure bool) renderFunc {
 	return func(_ context.Context, _ *Env, rs []*SweepResult) ([]string, error) {
-		res := foldComparison(rs[0])
+		res := newComparison(rs[0])
 		if !figure {
 			return []string{res.Render()}, nil
 		}
@@ -193,12 +193,12 @@ var Sections = []Section{
 			rq3 := perSource(e, p)[0]
 			return []Sweep{rq3, e.table5Big(rq3)}
 		},
-		render: func(_ context.Context, e *Env, rs []*SweepResult) ([]string, error) {
-			return []string{e.table5(rs[0], rs[1]).Render()}, nil
+		render: func(_ context.Context, _ *Env, rs []*SweepResult) ([]string, error) {
+			return []string{renderTable5(rs[0], rs[1])}, nil
 		}},
 	{Name: "table6", sweeps: perSource,
-		render: func(_ context.Context, e *Env, rs []*SweepResult) ([]string, error) {
-			return []string{e.renderTable6(rs[0])}, nil
+		render: func(_ context.Context, _ *Env, rs []*SweepResult) ([]string, error) {
+			return []string{renderTable6(rs[0])}, nil
 		}},
 	{Name: "raw", sweeps: perSource,
 		render: func(_ context.Context, _ *Env, rs []*SweepResult) ([]string, error) {
@@ -206,8 +206,8 @@ var Sections = []Section{
 		}},
 	{Name: "fig6",
 		sweeps: func(e *Env, p Params) []Sweep { return []Sweep{e.sweep(rq4, p.Protos, p.Gens, p.Budget)} },
-		render: func(_ context.Context, e *Env, rs []*SweepResult) ([]string, error) {
-			res := e.foldRQ4(rs[0])
+		render: func(_ context.Context, _ *Env, rs []*SweepResult) ([]string, error) {
+			res := newRQ4(rs[0])
 			blocks := []string{res.Render()}
 			for _, p := range res.Protos {
 				blocks = append(blocks, res.RenderCumulativeFigure(p))

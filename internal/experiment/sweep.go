@@ -4,7 +4,10 @@ import (
 	"context"
 	"fmt"
 
+	"seedscan/internal/asdb"
 	"seedscan/internal/experiment/grid"
+	"seedscan/internal/ipaddr"
+	"seedscan/internal/metrics"
 	"seedscan/internal/proto"
 )
 
@@ -90,16 +93,99 @@ func (s Sweep) Spec() grid.Spec {
 	return spec
 }
 
-// SweepResult is a sweep that has run: its declaration and one result per
-// cell, in Spec order.
+// SweepResult is a sweep that has run: its declaration, one result per
+// cell in Spec order, and the AS registry the cells' hits were measured
+// against.
 type SweepResult struct {
 	Sweep
 	cells []grid.CellResult
+	db    *asdb.DB
 }
 
 // At returns the result of row `row` for the pi-th protocol and gi-th
 // generator of the sweep.
 func (r *SweepResult) At(row, pi, gi int) grid.CellResult { return r.cells[r.index(row, pi, gi)] }
+
+// metric is one number a table reads off a cell.
+type metric func(grid.CellResult) int
+
+// The metrics the tables print: §4.1's hits, ASes and generated aliases,
+// and the ablation's hit count before the ICMP AS filter.
+func metricHits(c grid.CellResult) int    { return c.Outcome.Hits }
+func metricASes(c grid.CellResult) int    { return c.Outcome.ASes }
+func metricAliases(c grid.CellResult) int { return c.Outcome.Aliases }
+func metricRawHits(c grid.CellResult) int { return len(c.Hits) }
+
+// ratio is m's Performance Ratio of row 1 (the changed treatment) over
+// row 0 (the original) for the pi-th protocol and gi-th generator.
+func (r *SweepResult) ratio(m metric, pi, gi int) float64 {
+	return metrics.PerformanceRatio(float64(m(r.At(1, pi, gi))), float64(m(r.At(0, pi, gi))))
+}
+
+// meanRatio averages ratio over the generators: the headline numbers
+// ("dealiasing buys +1.7 PR on average").
+func (r *SweepResult) meanRatio(m metric, pi int) float64 {
+	if len(r.Gens) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for gi := range r.Gens {
+		sum += r.ratio(m, pi, gi)
+	}
+	return sum / float64(len(r.Gens))
+}
+
+// every stands for a whole axis in along and union.
+const every = -1
+
+// along lists the pi-th protocol's results along one axis, in the
+// sweep's order: with row == every, generator gi under each row; with
+// gi == every, each generator's cell of row `row`.
+func (r *SweepResult) along(row, pi, gi int) []grid.CellResult {
+	var out []grid.CellResult
+	for ri := range r.Rows {
+		for g := range r.Gens {
+			if (row == every || ri == row) && (gi == every || g == gi) {
+				out = append(out, r.At(ri, pi, g))
+			}
+		}
+	}
+	return out
+}
+
+// union joins the hits of the cells along selects and drops those §4.1
+// leaves out of the protocol's evaluation, through the filter runTGA
+// measures each cell with.
+func (r *SweepResult) union(row, pi, gi int) []ipaddr.Addr {
+	u := ipaddr.NewSet()
+	for _, c := range r.along(row, pi, gi) {
+		u.AddAll(c.Hits)
+	}
+	return metrics.ExcludeAS(u.Slice(), r.db, excludedASN(r.Protos[pi]))
+}
+
+// labels lists the rows' labels.
+func (s *Sweep) labels() []string {
+	out := make([]string, len(s.Rows))
+	for i, row := range s.Rows {
+		out[i] = row.Label
+	}
+	return out
+}
+
+// matrix lays values out as a table under title: one line per rows label,
+// one column per cols label, the corner header naming the row axis.
+func matrix(title, corner string, rows, cols []string, value func(i, j int) int) string {
+	t := &Table{Title: title, Header: append([]string{corner}, cols...)}
+	for i, label := range rows {
+		cells := []string{label}
+		for j := range cols {
+			cells = append(cells, FmtInt(value(i, j)))
+		}
+		t.AddRow(cells...)
+	}
+	return t.String()
+}
 
 // runSweep executes the sweep's cells through the shared grid engine.
 // Cells another sweep already ran, or a resume store holds, are not re-run.
@@ -109,7 +195,7 @@ func (e *Env) runSweep(ctx context.Context, s Sweep) (*SweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &SweepResult{Sweep: s, cells: make([]grid.CellResult, len(spec.Cells))}
+	res := &SweepResult{Sweep: s, cells: make([]grid.CellResult, len(spec.Cells)), db: e.World.ASDB()}
 	for i, c := range spec.Cells {
 		res.cells[i] = rs.Of(c)
 	}
@@ -138,22 +224,12 @@ func (e *Env) SpecOneCell(gen string, t grid.Treatment, p proto.Protocol, budget
 // Hits table then an ASes table, rows as declared and generators as
 // columns, under the two given titles (formats taking the protocol).
 func (r *SweepResult) renderRaw(hitsTitle, asesTitle string) []string {
-	header := append([]string{"Dataset"}, r.Gens...)
 	var blocks []string
 	for pi, p := range r.Protos {
-		hits := &Table{Title: fmt.Sprintf(hitsTitle, p), Header: header}
-		ases := &Table{Title: fmt.Sprintf(asesTitle, p), Header: header}
-		for ri, row := range r.Rows {
-			hr, ar := []string{row.Label}, []string{row.Label}
-			for gi := range r.Gens {
-				o := r.At(ri, pi, gi).Outcome
-				hr = append(hr, FmtInt(o.Hits))
-				ar = append(ar, FmtInt(o.ASes))
-			}
-			hits.AddRow(hr...)
-			ases.AddRow(ar...)
+		table := func(title string, m metric) string {
+			return matrix(fmt.Sprintf(title, p), "Dataset", r.labels(), r.Gens, func(ri, gi int) int { return m(r.At(ri, pi, gi)) })
 		}
-		blocks = append(blocks, hits.String()+"\n"+ases.String())
+		blocks = append(blocks, table(hitsTitle, metricHits)+"\n"+table(asesTitle, metricASes))
 	}
 	return blocks
 }

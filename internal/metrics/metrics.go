@@ -21,23 +21,29 @@ type Outcome struct {
 // excludeASN drops hits originated by that AS before counting — the
 // paper's AS12322 filter for ICMP evaluation (pass 0 to keep everything).
 func Measure(hits, aliased []ipaddr.Addr, db *asdb.DB, excludeASN int) Outcome {
-	var kept []ipaddr.Addr
-	if excludeASN == 0 {
-		kept = hits
-	} else {
-		kept = make([]ipaddr.Addr, 0, len(hits))
-		for _, a := range hits {
-			if asn, ok := db.Lookup(a); ok && asn == excludeASN {
-				continue
-			}
-			kept = append(kept, a)
-		}
-	}
+	kept := ExcludeAS(hits, db, excludeASN)
 	return Outcome{
 		Hits:    len(kept),
 		ASes:    db.CountASes(kept),
 		Aliases: len(aliased),
 	}
+}
+
+// ExcludeAS returns addrs without those originated by asn, in order; an
+// asn of 0 returns addrs itself. It is Measure's filter, for tables that
+// count a union of runs' hits rather than one run's.
+func ExcludeAS(addrs []ipaddr.Addr, db *asdb.DB, asn int) []ipaddr.Addr {
+	if asn == 0 {
+		return addrs
+	}
+	kept := make([]ipaddr.Addr, 0, len(addrs))
+	for _, a := range addrs {
+		if got, ok := db.Lookup(a); ok && got == asn {
+			continue
+		}
+		kept = append(kept, a)
+	}
+	return kept
 }
 
 // PerformanceRatio is §4.1's comparison metric between a changed and an
@@ -53,15 +59,6 @@ func PerformanceRatio(changed, original float64) float64 {
 		return changed // saturating: interpret as "changed× from nothing"
 	}
 	return (changed - original) / original
-}
-
-// RatioRow holds the three Performance Ratios Figures 3-5 plot per
-// generator and protocol.
-type RatioRow struct {
-	Generator string
-	Hits      float64
-	ASes      float64
-	Aliases   float64
 }
 
 // Contribution is one step of the greedy coverage ordering: the named set
@@ -105,18 +102,21 @@ func GreedyCover[K comparable](sets map[string]map[K]struct{}) []Contribution {
 	return out
 }
 
-// AddrSet converts an address slice to the set form GreedyCover expects.
-func AddrSet(addrs []ipaddr.Addr) map[ipaddr.Addr]struct{} {
-	s := make(map[ipaddr.Addr]struct{}, len(addrs))
-	for _, a := range addrs {
-		s[a] = struct{}{}
+// NamedSets builds the two families of named sets GreedyCover and
+// Overlaps take from named address lists: names[i]'s addresses, and the
+// ASes originating them.
+func NamedSets(names []string, addrs [][]ipaddr.Addr, db *asdb.DB) (ips map[string]map[ipaddr.Addr]struct{}, ases map[string]map[int]struct{}) {
+	ips = make(map[string]map[ipaddr.Addr]struct{}, len(names))
+	ases = make(map[string]map[int]struct{}, len(names))
+	for i, n := range names {
+		set := make(map[ipaddr.Addr]struct{}, len(addrs[i]))
+		for _, a := range addrs[i] {
+			set[a] = struct{}{}
+		}
+		ips[n] = set
+		ases[n] = db.ASSet(addrs[i])
 	}
-	return s
-}
-
-// ASSetOf converts an address slice to its AS-number set.
-func ASSetOf(addrs []ipaddr.Addr, db *asdb.DB) map[int]struct{} {
-	return db.ASSet(addrs)
+	return ips, ases
 }
 
 // OverlapMatrix holds Figures 1-2's pairwise overlap percentages:

@@ -45,6 +45,12 @@ func TestMeasureExcludesPathologicalAS(t *testing.T) {
 	if unfiltered.Hits != 3 || unfiltered.ASes != 2 {
 		t.Fatalf("unfiltered outcome = %+v", unfiltered)
 	}
+	if kept := ExcludeAS(hits, db, 12322); len(kept) != 1 || kept[0] != hits[0] {
+		t.Fatalf("ExcludeAS kept %v", kept)
+	}
+	if kept := ExcludeAS(hits, db, 0); len(kept) != len(hits) {
+		t.Fatalf("ExcludeAS with no AS kept %d of %d", len(kept), len(hits))
+	}
 }
 
 func TestPerformanceRatio(t *testing.T) {
@@ -122,13 +128,24 @@ func TestOverlapsEmptySet(t *testing.T) {
 	}
 }
 
-func TestAddrSetAndASSetOf(t *testing.T) {
+func TestNamedSets(t *testing.T) {
 	db := testDB()
-	addrs := []ipaddr.Addr{ipaddr.MustParse("2001:db8::1"), ipaddr.MustParse("2600::1")}
-	if got := len(AddrSet(addrs)); got != 2 {
-		t.Fatalf("AddrSet = %d", got)
+	names := []string{"a", "b"}
+	addrs := [][]ipaddr.Addr{
+		{ipaddr.MustParse("2001:db8::1"), ipaddr.MustParse("2600::1")},
+		{ipaddr.MustParse("2001:db8::1"), ipaddr.MustParse("2001:db8::2"), ipaddr.MustParse("2001:db8::2")},
 	}
-	if got := len(ASSetOf(addrs, db)); got != 2 {
-		t.Fatalf("ASSetOf = %d", got)
+	ips, ases := NamedSets(names, addrs, db)
+	if len(ips) != 2 || len(ases) != 2 {
+		t.Fatalf("families: %d IP sets, %d AS sets", len(ips), len(ases))
+	}
+	if got := len(ips["a"]); got != 2 {
+		t.Fatalf("IP set a = %d", got)
+	}
+	if got := len(ases["a"]); got != 2 {
+		t.Fatalf("AS set a = %d", got)
+	}
+	if len(ips["b"]) != 2 || len(ases["b"]) != 1 {
+		t.Fatalf("set b: %d IPs, %d ASes, want 2 and 1", len(ips["b"]), len(ases["b"]))
 	}
 }
