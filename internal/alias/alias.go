@@ -118,10 +118,11 @@ type Dealiaser struct {
 
 	mu      sync.Mutex
 	verdict map[ipaddr.Prefix]bool // online /96 verdict cache
-	// inflight holds a done-channel per /96 currently being online-tested,
-	// closed when its verdict lands. Claiming a prefix here under mu is
-	// what guarantees each /96 is tested exactly once even when concurrent
-	// Split calls observe it as unknown simultaneously.
+	// inflight maps each /96 being online-tested to the done-channel of
+	// the call testing it, one channel per claiming call, closed when its
+	// verdicts land. Claiming a prefix here under mu is what guarantees
+	// each /96 is tested exactly once even when concurrent Split calls
+	// observe it as unknown simultaneously.
 	inflight map[ipaddr.Prefix]chan struct{}
 	probes   int
 	tested   int
@@ -212,7 +213,7 @@ func (d *Dealiaser) Split(addrs []ipaddr.Addr) (clean, aliased []ipaddr.Addr) {
 	clean = make([]ipaddr.Addr, 0, len(addrs))
 	pending := addrs
 	if d.mode == ModeOffline || d.mode == ModeJoint {
-		pending = pending[:0:0]
+		pending = make([]ipaddr.Addr, 0, len(addrs))
 		for _, a := range addrs {
 			if d.offline != nil && d.offline.Contains(a) {
 				aliased = append(aliased, a)
@@ -225,25 +226,14 @@ func (d *Dealiaser) Split(addrs []ipaddr.Addr) (clean, aliased []ipaddr.Addr) {
 		}
 	}
 
-	// Online: gather unknown /96s. claimUnknown reserves the prefixes this
-	// call will test (singleflight per prefix); prefixes another Split is
-	// already testing come back as wait channels instead, so each /96 is
-	// online-tested exactly once across concurrent calls.
-	byPrefix := make(map[ipaddr.Prefix][]ipaddr.Addr)
-	for _, a := range pending {
-		p := ipaddr.PrefixFrom(a, AliasPrefixBits)
-		byPrefix[p] = append(byPrefix[p], a)
+	// Online: test the /96s no verdict covers yet, then classify by
+	// walking pending, so both partitions keep the input order.
+	prefixes := make([]ipaddr.Prefix, len(pending))
+	for i, a := range pending {
+		prefixes[i] = ipaddr.PrefixFrom(a, AliasPrefixBits)
 	}
-	claimed, waits := d.claimUnknown(byPrefix)
-	if len(claimed) > 0 {
-		d.testPrefixes(claimed)
-	}
-	for _, ch := range waits {
-		<-ch
-	}
+	d.confirm(distinctPrefixes(prefixes))
 
-	// Classify by walking pending, not byPrefix: map iteration order would
-	// make the output order differ run to run.
 	d.mu.Lock()
 	for _, a := range pending {
 		if d.verdict[ipaddr.PrefixFrom(a, AliasPrefixBits)] {
@@ -263,41 +253,68 @@ func (d *Dealiaser) IsAliased(a ipaddr.Addr) bool {
 	return len(aliased) == 1
 }
 
-// claimUnknown partitions byPrefix's prefixes under the mutex: prefixes
-// with no verdict and no in-flight test are claimed for this caller (and
-// marked in-flight); prefixes another call is already testing come back as
-// channels to wait on. Cached or in-flight-elsewhere prefixes count as
-// cache hits — only a claim is a miss.
-func (d *Dealiaser) claimUnknown(byPrefix map[ipaddr.Prefix][]ipaddr.Addr) (claimed []ipaddr.Prefix, waits []chan struct{}) {
+// confirm online-tests the prefixes (canonically ordered, distinct)
+// that have no verdict yet and returns the ones this call tested. A
+// prefix another call is already testing is waited for instead, so each
+// /96 is tested exactly once across concurrent calls; every verdict is
+// cached when confirm returns.
+func (d *Dealiaser) confirm(prefixes []ipaddr.Prefix) (claimed []ipaddr.Prefix) {
+	claimed, done, waits := d.claimUnknown(prefixes)
+	if len(claimed) > 0 {
+		d.testPrefixes(claimed, done)
+	}
+	for _, ch := range waits {
+		<-ch
+	}
+	return claimed
+}
+
+// claimUnknown partitions prefixes under the mutex: those with no
+// verdict and no in-flight test are claimed for this caller, in order and
+// in prefixes' own storage, and marked in flight under one done-channel;
+// those another call is already testing come back as its channels to
+// wait on. Cached or in-flight-elsewhere prefixes count as cache hits —
+// only a claim is a miss.
+func (d *Dealiaser) claimUnknown(prefixes []ipaddr.Prefix) (claimed []ipaddr.Prefix, done chan struct{}, waits []chan struct{}) {
+	n := len(prefixes)
+	claimed = prefixes[:0]
 	d.mu.Lock()
-	for p := range byPrefix {
+	for _, p := range prefixes {
 		if _, ok := d.verdict[p]; ok {
 			continue
 		}
 		if ch, ok := d.inflight[p]; ok {
-			waits = append(waits, ch)
+			if len(waits) == 0 || waits[len(waits)-1] != ch {
+				waits = append(waits, ch)
+			}
 			continue
 		}
-		d.inflight[p] = make(chan struct{})
+		if done == nil {
+			done = make(chan struct{})
+		}
+		d.inflight[p] = done
 		claimed = append(claimed, p)
 	}
 	hit, miss := d.cCacheHit, d.cCacheMiss
 	d.mu.Unlock()
 	miss.Add(int64(len(claimed)))
-	hit.Add(int64(len(byPrefix) - len(claimed)))
-	sortPrefixes(claimed) // deterministic probe generation order
-	return claimed, waits
+	hit.Add(int64(n - len(claimed)))
+	return claimed, done, waits
 }
 
-// sortPrefixes orders prefixes canonically (address, then length) so
+// comparePrefixes orders prefixes canonically (address, then length) so
 // probe generation is reproducible.
-func sortPrefixes(ps []ipaddr.Prefix) {
-	slices.SortFunc(ps, func(a, b ipaddr.Prefix) int {
-		if c := a.Addr().Compare(b.Addr()); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Bits(), b.Bits())
-	})
+func comparePrefixes(a, b ipaddr.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Bits(), b.Bits())
+}
+
+// distinctPrefixes sorts ps canonically and drops repeats, in place.
+func distinctPrefixes(ps []ipaddr.Prefix) []ipaddr.Prefix {
+	slices.SortFunc(ps, comparePrefixes)
+	return slices.Compact(ps)
 }
 
 // probeHostBits derives the deterministic "random" host bits for probe k
@@ -307,44 +324,49 @@ var probeHostBits = func(seed uint64, p ipaddr.Prefix, salt uint64) uint64 {
 }
 
 // testPrefixes probes ProbesPerPrefix random addresses in each claimed
-// prefix and records verdicts, releasing the in-flight claims. Every
-// prefix gets exactly ProbesPerPrefix distinct probe addresses: when a
-// generated address collides with an earlier one the salt is re-rolled
+// prefix (canonically ordered, distinct), records the verdicts and
+// releases the claims by closing done. Every prefix gets exactly
+// ProbesPerPrefix distinct probe addresses: when a generated address
+// collides with one of the prefix's earlier probes the salt is re-rolled
 // until unique, so no prefix is silently judged on fewer probes than the
-// AliasThreshold assumes.
-func (d *Dealiaser) testPrefixes(prefixes []ipaddr.Prefix) {
+// AliasThreshold assumes. Probes of different /96s cannot collide.
+func (d *Dealiaser) testPrefixes(prefixes []ipaddr.Prefix, done chan struct{}) {
 	targets := make([]ipaddr.Addr, 0, len(prefixes)*ProbesPerPrefix)
-	owner := make(map[ipaddr.Addr]ipaddr.Prefix, cap(targets))
 	for _, p := range prefixes {
+		own := len(targets)
 		for k := 0; k < ProbesPerPrefix; k++ {
 			salt := uint64(k)
 			a := p.Overlay(ipaddr.AddrFrom64s(0, probeHostBits(d.rngSeed, p, salt)))
-			for _, dup := owner[a]; dup; _, dup = owner[a] {
+			for slices.Contains(targets[own:], a) {
 				salt += ProbesPerPrefix
 				a = p.Overlay(ipaddr.AddrFrom64s(0, probeHostBits(d.rngSeed, p, salt)))
 			}
-			owner[a] = p
 			targets = append(targets, a)
 		}
 	}
 
-	activeCount := make(map[ipaddr.Prefix]int, len(prefixes))
+	// A reply counts for a prefix only if it is one of the prefix's own
+	// targets, which sit at targets[i*ProbesPerPrefix:][:ProbesPerPrefix].
+	// Counting stops at AliasThreshold, so a prober that repeats replies
+	// cannot wrap the uint8.
+	active := make([]uint8, len(prefixes))
 	if d.prober != nil {
 		for _, a := range d.prober.ScanActive(targets, d.proto) {
-			activeCount[owner[a]]++
+			i, ok := slices.BinarySearchFunc(prefixes, ipaddr.PrefixFrom(a, AliasPrefixBits), comparePrefixes)
+			if ok && active[i] < AliasThreshold && slices.Contains(targets[i*ProbesPerPrefix:][:ProbesPerPrefix], a) {
+				active[i]++
+			}
 		}
 	}
 
 	d.mu.Lock()
 	d.probes += len(targets)
 	d.tested += len(prefixes)
-	for _, p := range prefixes {
-		d.verdict[p] = activeCount[p] >= AliasThreshold
-		if ch, ok := d.inflight[p]; ok {
-			close(ch)
-			delete(d.inflight, p)
-		}
+	for i, p := range prefixes {
+		d.verdict[p] = active[i] >= AliasThreshold
+		delete(d.inflight, p)
 	}
+	close(done)
 	probesSent, tested := d.cProbesSent, d.cTested
 	d.mu.Unlock()
 	probesSent.Add(int64(len(targets)))

@@ -47,50 +47,25 @@ func (d *Dealiaser) splitCooldown(addrs []ipaddr.Addr) (clean, aliased []ipaddr.
 	clean = make([]ipaddr.Addr, 0, len(addrs))
 
 	// Phase 1 (under mu): bump per-/64 densities for the whole batch,
-	// then claim the unknown /96s of addresses in hot aggregates or
-	// candidate-listed prefixes. Claiming reuses the inflight
-	// singleflight map, so concurrent Splits confirm each /96 once.
+	// then collect the /96s of addresses in hot aggregates or
+	// candidate-listed prefixes.
 	d.mu.Lock()
 	for _, a := range addrs {
 		d.density[ipaddr.PrefixFrom(a, CooldownAggrBits)]++
 	}
-	var (
-		claimed []ipaddr.Prefix
-		waits   []chan struct{}
-		taken   = make(map[ipaddr.Prefix]bool)
-	)
+	var hot []ipaddr.Prefix
 	for _, a := range addrs {
-		hot := d.density[ipaddr.PrefixFrom(a, CooldownAggrBits)] >= d.trigger ||
-			(d.candidates != nil && d.candidates.Contains(a))
-		if !hot {
-			continue
+		if d.density[ipaddr.PrefixFrom(a, CooldownAggrBits)] >= d.trigger ||
+			(d.candidates != nil && d.candidates.Contains(a)) {
+			hot = append(hot, ipaddr.PrefixFrom(a, AliasPrefixBits))
 		}
-		p := ipaddr.PrefixFrom(a, AliasPrefixBits)
-		if taken[p] {
-			continue
-		}
-		taken[p] = true
-		if _, ok := d.verdict[p]; ok {
-			continue
-		}
-		if ch, ok := d.inflight[p]; ok {
-			waits = append(waits, ch)
-			continue
-		}
-		d.inflight[p] = make(chan struct{})
-		claimed = append(claimed, p)
 	}
 	d.mu.Unlock()
 
 	// Phase 2: the standard ProbesPerPrefix confirmation, shared with the
-	// online mode (verdict cache, deterministic probe addresses).
-	sortPrefixes(claimed)
-	if len(claimed) > 0 {
-		d.testPrefixes(claimed)
-	}
-	for _, ch := range waits {
-		<-ch
-	}
+	// online mode (singleflight claims, verdict cache, deterministic probe
+	// addresses), so concurrent Splits confirm each /96 once.
+	claimed := d.confirm(distinctPrefixes(hot))
 
 	// Phase 3: classify at /96. Untested prefixes have no verdict and
 	// default clean; confirmed-aliased ones are cooled down.

@@ -6,6 +6,7 @@ import (
 
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/proto"
+	"seedscan/internal/telemetry"
 )
 
 // denseInput returns addrs dense enough per /64 to cross CooldownTrigger:
@@ -91,6 +92,36 @@ func TestCooldownDeterministic(t *testing.T) {
 		if a1[i] != a2[i] {
 			t.Fatalf("aliased[%d] differs: %v vs %v", i, a1[i], a2[i])
 		}
+	}
+}
+
+// TestCooldownCountsVerdictCache: cool-down confirmations claim through
+// the same verdict cache as the online test, so its hit and miss counters
+// move too — a first sight of a hot /96 is a miss, a second a hit.
+func TestCooldownCountsVerdictCache(t *testing.T) {
+	addrs := denseInput("2001:db8:ffff", 2, CooldownTrigger)
+	prober := &countingProber{activeFn: func(ipaddr.Addr) bool { return false }}
+	d := New(ModeCooldown, nil, prober, proto.ICMP, 7)
+	reg := telemetry.NewRegistry()
+	d.SetTelemetry(reg)
+
+	want := int64(len(addrs)) // one hot /96 per address
+	d.Split(addrs)
+	snap := reg.Snapshot()
+	if got := snap.Counters["alias.verdict_cache.misses"]; got != want {
+		t.Fatalf("misses = %d, want %d", got, want)
+	}
+	if got := snap.Counters["alias.verdict_cache.hits"]; got != 0 {
+		t.Fatalf("hits = %d, want 0", got)
+	}
+
+	d.Split(addrs)
+	snap = reg.Snapshot()
+	if got := snap.Counters["alias.verdict_cache.hits"]; got != want {
+		t.Fatalf("hits after resplit = %d, want %d", got, want)
+	}
+	if got := snap.Counters["alias.verdict_cache.misses"]; got != want {
+		t.Fatalf("misses after resplit = %d, want %d", got, want)
 	}
 }
 

@@ -263,3 +263,37 @@ func TestTestPrefixesRerollsDuplicateProbes(t *testing.T) {
 		t.Fatalf("%d distinct targets probed, want %d", len(seen), ProbesPerPrefix)
 	}
 }
+
+// strayProber answers like countingProber and also reports addresses it
+// was never asked about.
+type strayProber struct {
+	countingProber
+	stray []ipaddr.Addr
+}
+
+func (p *strayProber) ScanActive(targets []ipaddr.Addr, pr proto.Protocol) []ipaddr.Addr {
+	return append(p.countingProber.ScanActive(targets, pr), p.stray...)
+}
+
+// TestTestPrefixesCountsOnlyItsTargets: a reply counts toward a prefix's
+// verdict only if it is one of that prefix's own probe targets. An
+// unasked address inside the /96 must not tip a prefix that answered 1 of
+// ProbesPerPrefix over AliasThreshold.
+func TestTestPrefixesCountsOnlyItsTargets(t *testing.T) {
+	orig := probeHostBits
+	defer func() { probeHostBits = orig }()
+	probeHostBits = func(seed uint64, p ipaddr.Prefix, salt uint64) uint64 { return 0x100 + salt }
+
+	p := ipaddr.MustParsePrefix("2001:db8:eeee::/96")
+	prober := &strayProber{
+		countingProber: countingProber{activeFn: func(a ipaddr.Addr) bool { return a.Lo()&0xffffffff == 0x100 }},
+		stray:          []ipaddr.Addr{p.Addr().AddLo(0x999)},
+	}
+	d := New(ModeOnline, nil, prober, proto.ICMP, 5)
+	if d.IsAliased(p.Addr().AddLo(1)) {
+		t.Fatal("an unasked reply tipped a 1-of-3 prefix to aliased")
+	}
+	if got := d.ProbesSent(); got != ProbesPerPrefix {
+		t.Fatalf("ProbesSent = %d, want %d", got, ProbesPerPrefix)
+	}
+}

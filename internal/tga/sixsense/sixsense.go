@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"seedscan/internal/ipaddr"
@@ -40,11 +41,14 @@ type arm struct {
 }
 
 // markov is a position-conditioned first-order Markov model of the
-// nybbles from modelStart on. Tallies are int32, half the bytes a run
-// copies when it sharpens an arm; totals are summed in int.
+// nybbles from modelStart on. Most (position, previous nybble) contexts
+// are never seen, so only the seen ones hold a transition row. Tallies
+// are int32; totals are summed in int.
 type markov struct {
-	// counts[pos-modelStart][prev][next] is the transition tally.
-	counts [ipaddr.NybbleCount - modelStart][16][16]int32
+	// row[pos-modelStart][prev] is 1 + the index into rows of that
+	// context's transition tallies, or 0 if it has none yet.
+	row  [ipaddr.NybbleCount - modelStart][16]uint16
+	rows [][16]int32
 	// marginal[pos-modelStart][v] backs off when a context is unseen.
 	marginal [ipaddr.NybbleCount - modelStart][16]int32
 }
@@ -53,10 +57,24 @@ func (m *markov) observe(addr ipaddr.Addr, weight int32) {
 	prev := addr.Nybble(modelStart - 1)
 	for pos := modelStart; pos < ipaddr.NybbleCount; pos++ {
 		v := addr.Nybble(pos)
-		m.counts[pos-modelStart][prev][v] += weight
+		r := &m.row[pos-modelStart][prev]
+		if *r == 0 {
+			m.rows = append(m.rows, [16]int32{})
+			*r = uint16(len(m.rows))
+		}
+		m.rows[*r-1][v] += weight
 		m.marginal[pos-modelStart][v] += weight
 		prev = v
 	}
+}
+
+// transitions returns the tallies of the context (pos, prev), nil if the
+// context is unseen.
+func (m *markov) transitions(pos int, prev byte) *[16]int32 {
+	if r := m.row[pos-modelStart][prev]; r != 0 {
+		return &m.rows[r-1]
+	}
+	return nil
 }
 
 // armRun is a run's view of one arm. The Markov model is the mined arm's
@@ -69,10 +87,12 @@ type armRun struct {
 	hits   int
 }
 
-// observe sharpens the run's model of the arm, copying the mined one first.
+// observe sharpens the run's model of the arm, copying the mined one first:
+// the row index and marginals by value, the rows into a fresh slice.
 func (a *armRun) observe(addr ipaddr.Addr, weight int32) {
 	if a.m == &a.arm.markov {
 		own := *a.m
+		own.rows = slices.Clone(own.rows)
 		a.m = &own
 	}
 	a.m.observe(addr, weight)
@@ -86,7 +106,7 @@ func (a *armRun) sample(rng *rand.Rand) ipaddr.Addr {
 	}
 	prev := a.fixed[prefixNybbles-1]
 	for pos := modelStart; pos < ipaddr.NybbleCount; pos++ {
-		row := &a.m.counts[pos-modelStart][prev]
+		row := a.m.transitions(pos, prev)
 		total := sum(row)
 		if total == 0 {
 			// Back off to the positional marginal.
@@ -103,7 +123,11 @@ func (a *armRun) sample(rng *rand.Rand) ipaddr.Addr {
 	return out
 }
 
+// sum totals a row of tallies; a nil row sums to 0.
 func sum(counts *[16]int32) int {
+	if counts == nil {
+		return 0
+	}
 	total := 0
 	for _, c := range counts {
 		total += int(c)

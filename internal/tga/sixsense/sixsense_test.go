@@ -1,6 +1,8 @@
 package sixsense
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"seedscan/internal/ipaddr"
@@ -142,5 +144,105 @@ func TestHitsSharpenModel(t *testing.T) {
 	// Exploit share (75%) should lean to the rewarded arm.
 	if frac := float64(in) / float64(len(batch)); frac < 0.55 {
 		t.Fatalf("rewarded arm got only %.2f of the batch", frac)
+	}
+}
+
+// denseMarkov is the full transition table the sparse rows replaced,
+// kept as the reference they must match draw for draw.
+type denseMarkov struct {
+	counts   [ipaddr.NybbleCount - modelStart][16][16]int32
+	marginal [ipaddr.NybbleCount - modelStart][16]int32
+}
+
+func (m *denseMarkov) observe(addr ipaddr.Addr, weight int32) {
+	prev := addr.Nybble(modelStart - 1)
+	for pos := modelStart; pos < ipaddr.NybbleCount; pos++ {
+		v := addr.Nybble(pos)
+		m.counts[pos-modelStart][prev][v] += weight
+		m.marginal[pos-modelStart][v] += weight
+		prev = v
+	}
+}
+
+func (m *denseMarkov) sample(fixed [prefixNybbles]byte, rng *rand.Rand) ipaddr.Addr {
+	var out ipaddr.Addr
+	for i, v := range fixed {
+		out = out.WithNybble(i, v)
+	}
+	prev := fixed[prefixNybbles-1]
+	for pos := modelStart; pos < ipaddr.NybbleCount; pos++ {
+		row := &m.counts[pos-modelStart][prev]
+		total := sum(row)
+		if total == 0 {
+			row = &m.marginal[pos-modelStart]
+			total = sum(row)
+		}
+		var v byte
+		if total > 0 {
+			v = weightedPick(row, total, rng)
+		}
+		out = out.WithNybble(pos, v)
+		prev = v
+	}
+	return out
+}
+
+// TestSparseMarkovMatchesDense: an arm's sparse rows and the dense table,
+// trained on the same seeds and sharpened with the same addresses in
+// between draws, give the same 10^5 draws from equally seeded rngs; and
+// sharpening a run's arm leaves the mined one as it was.
+func TestSparseMarkovMatchesDense(t *testing.T) {
+	gen := rand.New(rand.NewSource(3))
+	base := ipaddr.MustParse("2001:db8::")
+	seeds := make([]ipaddr.Addr, 300)
+	for i := range seeds {
+		// Low-entropy interface IDs, as most seeds have, plus a few random
+		// ones that open contexts of their own.
+		lo := uint64(gen.Intn(64)) | uint64(gen.Intn(4))<<48
+		if i%10 == 0 {
+			lo = gen.Uint64()
+		}
+		seeds[i] = ipaddr.AddrFrom64s(base.Hi()|uint64(gen.Intn(16)), lo)
+	}
+	build := func() *Model {
+		m, err := New().BuildModel(seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.(*Model)
+	}
+	mined, twin := build(), build()
+	if len(mined.arms) != 1 {
+		t.Fatalf("arms = %d, want 1", len(mined.arms))
+	}
+	var dense denseMarkov
+	for _, s := range seeds {
+		dense.observe(s, 1)
+	}
+	run := &armRun{arm: &mined.arms[0], m: &mined.arms[0].markov}
+
+	sparseRng, denseRng := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	for i := 0; i < 100_000; i++ {
+		got, want := run.sample(sparseRng), dense.sample(run.fixed, denseRng)
+		if got != want {
+			t.Fatalf("draw %d: sparse %v, dense %v", i, got, want)
+		}
+		// Sharpen both: with the draw itself, and now and then with a
+		// random address of the arm that may open an unseen context.
+		if i%97 == 0 {
+			run.observe(got, 2)
+			dense.observe(got, 2)
+		}
+		if i%1009 == 0 {
+			a := ipaddr.AddrFrom64s(base.Hi()|gen.Uint64()&0xffff_ffff, gen.Uint64())
+			run.observe(a, 2)
+			dense.observe(a, 2)
+		}
+	}
+	if run.m == &mined.arms[0].markov {
+		t.Fatal("sharpening did not give the run its own model")
+	}
+	if !reflect.DeepEqual(mined, twin) {
+		t.Fatal("sharpening a run's arm changed the mined model")
 	}
 }
