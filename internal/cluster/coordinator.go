@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -23,7 +24,8 @@ type Config struct {
 	Secret uint64
 	// Retries / RatePPS are shipped to workers in the Job so remote
 	// scanners replicate the coordinator's reference configuration
-	// (defaults 2 and 10000, the scanner's own defaults).
+	// (defaults 2 and 10000, the scanner's own defaults). Retries clamps
+	// to 0..254 after its default, as scanner.WithRetries does.
 	Retries int
 	RatePPS int
 	// ShardSize is the target count per shard (default 2048).
@@ -60,6 +62,9 @@ func (c *Config) fillDefaults(workers int) {
 	if c.Retries == 0 {
 		c.Retries = 2
 	}
+	// The range scanner.WithRetries clamps to, applied here so the Job a
+	// remote worker decodes carries the retries the local scanners use.
+	c.Retries = min(max(c.Retries, 0), math.MaxUint8-1)
 	if c.RatePPS == 0 {
 		c.RatePPS = 10000
 	}

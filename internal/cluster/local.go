@@ -43,8 +43,9 @@ func NewLocalWorker(id string, s *scanner.Scanner) *LocalWorker {
 func (w *LocalWorker) ID() string { return w.id }
 
 // RunShard implements Worker: it probes the shard's targets as given, in
-// heartbeat-sized batches, and returns one result per target in target
-// order with the shard's exact stats delta.
+// heartbeat-sized batches each appended in place into one presized shard
+// slice, and returns one result per target in target order with the
+// shard's exact stats delta.
 func (w *LocalWorker) RunShard(ctx context.Context, job Job, shard Shard, beat func(done int)) (*ShardResult, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -58,11 +59,11 @@ func (w *LocalWorker) RunShard(ctx context.Context, job Job, shard Shard, beat f
 			}
 		}
 		end := min(off+w.batch, len(shard.Targets))
-		rs, err := w.s.ScanPlanned(ctx, shard.Targets[off:end], job.Proto)
+		var err error
+		results, err = w.s.ScanPlanned(ctx, results, shard.Targets[off:end], job.Proto)
 		if err != nil {
 			return nil, err
 		}
-		results = append(results, rs...)
 		beat(len(results))
 	}
 	delta := w.s.Stats()

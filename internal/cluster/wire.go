@@ -215,7 +215,7 @@ func encodeResult(r *ShardResult) []byte {
 	for _, res := range r.Results {
 		a16 := res.Addr.As16()
 		b = append(b, a16[:]...)
-		b = append(b, byte(res.Status), byte(res.Attempts))
+		b = append(b, byte(res.Status), res.Attempts)
 	}
 	for _, v := range r.Stats.Values() {
 		b = binary.BigEndian.AppendUint64(b, uint64(v))
@@ -242,7 +242,7 @@ func decodeResult(b []byte, p proto.Protocol) (*ShardResult, error) {
 			Addr:     ipaddr.AddrFrom16([16]byte(b[off : off+16])),
 			Proto:    p,
 			Status:   scanner.Status(b[off+16]),
-			Attempts: int(b[off+17]),
+			Attempts: b[off+17],
 		}
 		off += perResult
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -235,4 +236,35 @@ func TestTCPWorkerCrashRecovers(t *testing.T) {
 		t.Fatalf("TCP cluster run with crashed worker: %v", err)
 	}
 	assertIdentical(t, p, got, wantRes, wantStats)
+}
+
+// TestRemoteWorkerMatchesAtRetryBounds scans silent targets, which use
+// every retry, with retry counts outside what a scanner makes: a TCP
+// worker and a local pool must both match the single scanner. The Job
+// carries the clamped count, and Attempts fits the result frame's byte.
+func TestRemoteWorkerMatchesAtRetryBounds(t *testing.T) {
+	w := clusterWorld(t)
+	base := ipaddr.MustParse("2001:db8:dead::")
+	targets := []ipaddr.Addr{base, base.AddLo(1), base.AddLo(2)}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, r := range []int{-1, 300} {
+		wantRes, wantStats := baseline(w.Link(), targets, proto.ICMP, scanner.WithRetries(r))
+		rw, err := DialWorker(startWorker(t, ctx, ServeConfig{Link: w.Link()}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rw.Close()
+		cfg := Config{Secret: testSecret, Retries: r}
+		got, err := NewCoordinator(cfg).Run(ctx, []Worker{rw}, targets, proto.ICMP)
+		if err != nil {
+			t.Fatalf("retries %d: TCP run: %v", r, err)
+		}
+		assertIdentical(t, fmt.Sprintf("retries %d/tcp", r), got, wantRes, wantStats)
+		got, err = NewLocalPool(2, w.Link(), cfg).Run(ctx, targets, proto.ICMP)
+		if err != nil {
+			t.Fatalf("retries %d: local run: %v", r, err)
+		}
+		assertIdentical(t, fmt.Sprintf("retries %d/local", r), got, wantRes, wantStats)
+	}
 }

@@ -1,6 +1,8 @@
 package scanner
 
 import (
+	"math"
+
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/telemetry"
 )
@@ -47,15 +49,11 @@ func WithSourceAddr(a ipaddr.Addr) Option {
 }
 
 // WithRetries sets the number of additional attempts after the first probe
-// goes unanswered. Zero means probe exactly once. Negative values clamp
-// to zero.
+// goes unanswered. Zero means probe exactly once. Values clamp to
+// 0..254, so the attempt count (at most 255) fits Result.Attempts, the
+// byte the cluster wire carries.
 func WithRetries(n int) Option {
-	return func(s *settings) {
-		if n < 0 {
-			n = 0
-		}
-		s.retries = n
-	}
+	return func(s *settings) { s.retries = min(max(n, 0), math.MaxUint8-1) }
 }
 
 // WithWorkers sets the number of concurrent probe workers (minimum 1).

@@ -28,6 +28,7 @@ import (
 	"context"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -78,20 +79,32 @@ func (s Status) String() string {
 	return "unknown"
 }
 
-// Result is the outcome for a single target.
+// Result is the outcome for a single target: 24 bytes, with no padding
+// between its fields. Attempts is the byte the cluster wire carries;
+// WithRetries caps retries so it always fits.
 type Result struct {
 	Addr     ipaddr.Addr
 	Proto    proto.Protocol
 	Status   Status
-	Attempts int
+	Attempts uint8
 }
 
 // Active reports whether the result is a hit.
 func (r Result) Active() bool { return r.Status == StatusActive }
 
-// ActiveAddrs returns the addresses of the hits in results, in result order.
+// ActiveAddrs returns the addresses of the hits in results, in result
+// order, in a slice of exactly that size (nil when there are none).
 func ActiveAddrs(results []Result) []ipaddr.Addr {
-	var out []ipaddr.Addr
+	n := 0
+	for _, r := range results {
+		if r.Active() {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]ipaddr.Addr, 0, n)
 	for _, r := range results {
 		if r.Active() {
 			out = append(out, r.Addr)
@@ -342,26 +355,32 @@ func (s *Scanner) putWorkerState(st *workerState) { s.wsPool.Put(st) }
 // by PlanOrder, then probed by ScanPlanned. The caller's slice is never
 // mutated; dedup and shuffle operate on a private copy.
 func (s *Scanner) ScanContext(ctx context.Context, targets []ipaddr.Addr, p proto.Protocol) ([]Result, error) {
-	return s.ScanPlanned(ctx, PlanOrder(s.set.secret, s.set.shuffle, targets, p), p)
+	return s.ScanPlanned(ctx, nil, PlanOrder(s.set.secret, s.set.shuffle, targets, p), p)
 }
 
 // ScanPlanned probes planned exactly as given — no dedup, no shuffle —
-// with blocklist filtering and retries; result i is planned[i]. It is the
-// second half of ScanContext, exported so a cluster worker can probe a
-// window of the coordinator's PlanOrder without planning it again.
+// with blocklist filtering and retries, and appends one result per
+// target to dst, returning the extended slice: result len(dst)+i is
+// planned[i]. Like Go's Append functions it grows dst at most once, so a
+// caller that presizes dst (a cluster worker filling one shard slice
+// batch by batch) gets its results written in place. It is the second
+// half of ScanContext, exported so a cluster worker can probe a window of
+// the coordinator's PlanOrder without planning it again.
 //
 // Workers claim contiguous chunks of the target list and probe each chunk
 // through one arena-batched exchange per attempt round. Results are
 // independent of the chunk size — per-target classification depends only
 // on the target, its cookie, and the link's replies.
 //
-// Cancelling ctx stops the scan between chunks: already-probed results
-// are returned (a prefix of planned) together with ctx.Err().
-func (s *Scanner) ScanPlanned(ctx context.Context, planned []ipaddr.Addr, p proto.Protocol) ([]Result, error) {
+// Cancelling ctx stops the scan between chunks: dst plus the results of
+// the probed prefix of planned is returned together with ctx.Err().
+func (s *Scanner) ScanPlanned(ctx context.Context, dst []Result, planned []ipaddr.Addr, p proto.Protocol) ([]Result, error) {
 	reg := s.set.tele
 	wall := reg.StartTimer("scanner.scan.wall_seconds")
 
-	results := make([]Result, len(planned))
+	base := len(dst)
+	dst = slices.Grow(dst, len(planned))
+	results := dst[base : base+len(planned)]
 	// next is the chunk claim cursor; sent counts only this scan's packets
 	// so virtual-time attribution stays correct under concurrent scans.
 	var next, sent atomic.Int64
@@ -407,9 +426,9 @@ func (s *Scanner) ScanPlanned(ctx context.Context, planned []ipaddr.Addr, p prot
 		if probed > len(planned) {
 			probed = len(planned)
 		}
-		return results[:probed], err
+		return dst[:base+probed], err
 	}
-	return results, nil
+	return dst[:base+len(planned)], nil
 }
 
 // PlanOrder computes the exact probe order a scanner configured with
@@ -507,7 +526,7 @@ func (s *Scanner) probeChunk(w *workerState, targets []ipaddr.Addr, p proto.Prot
 		keep := w.pending[:0]
 		for j, pd := range w.pending {
 			res := &results[pd.idx]
-			res.Attempts = attempt + 1
+			res.Attempts = uint8(attempt + 1)
 			answered := false
 			if raw := w.rb.Reply(j); raw != nil {
 				st, ok := s.consumeReply(w, raw, res.Addr, p, pd.cookie, attempt)

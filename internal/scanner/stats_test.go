@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/probe"
@@ -117,7 +118,7 @@ func TestScanContextIsScanPlannedOverPlanOrder(t *testing.T) {
 		plan := PlanOrder(99, true, targets, p)
 		asPlanned := slices.Clone(plan)
 		halves := New(w.Link(), WithSecret(99))
-		got, err := halves.ScanPlanned(context.Background(), plan, p)
+		got, err := halves.ScanPlanned(context.Background(), nil, plan, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +135,7 @@ func TestScanContextIsScanPlannedOverPlanOrder(t *testing.T) {
 
 	// As given means as given: no dedup, no shuffle.
 	twice := []ipaddr.Addr{targets[0], targets[1], targets[0]}
-	res, _ := New(w.Link(), WithSecret(99)).ScanPlanned(context.Background(), twice, proto.ICMP)
+	res, _ := New(w.Link(), WithSecret(99)).ScanPlanned(context.Background(), nil, twice, proto.ICMP)
 	if len(res) != 3 || res[0].Addr != twice[0] || res[1].Addr != twice[1] || res[2] != res[0] {
 		t.Fatalf("ScanPlanned re-planned its input: %+v", res)
 	}
@@ -148,7 +149,7 @@ func TestScanContextIsScanPlannedOverPlanOrder(t *testing.T) {
 	var cut []Result
 	var err error
 	go func() {
-		cut, err = s.ScanPlanned(ctx, plan, proto.ICMP)
+		cut, err = s.ScanPlanned(ctx, nil, plan, proto.ICMP)
 		close(done)
 	}()
 	<-started
@@ -165,5 +166,94 @@ func TestScanContextIsScanPlannedOverPlanOrder(t *testing.T) {
 		if r.Addr != plan[i] || r.Attempts == 0 {
 			t.Fatalf("result %d is not the probed plan[%d]: %+v, want %v", i, i, r, plan[i])
 		}
+	}
+}
+
+// TestScanPlannedAppendsToDst pins ScanPlanned's append contract: a
+// non-empty dst keeps its prefix and gains exactly the results a nil dst
+// would get, written in place when dst has room; a cancelled scan
+// returns the prefix plus the probed part of planned.
+func TestScanPlannedAppendsToDst(t *testing.T) {
+	w := testWorld(t)
+	w.SetEpoch(world.ScanEpoch)
+	plan := PlanOrder(99, true, append(w.NewSampler(9).Hosts(300), addrRange(100)...), proto.ICMP)
+	prefix := New(w.Link(), WithSecret(99)).Scan(addrRange(5), proto.TCP80)
+	want, err := New(w.Link(), WithSecret(99)).ScanPlanned(context.Background(), nil, plan, proto.ICMP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(slices.Clone(prefix), want...)
+
+	for _, room := range []int{0, len(plan)} {
+		dst := append(make([]Result, 0, len(prefix)+room), prefix...)
+		got, err := New(w.Link(), WithSecret(99)).ScanPlanned(context.Background(), dst, plan, proto.ICMP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("room %d: ScanPlanned(dst) != append(prefix, ScanPlanned(nil)...)", room)
+		}
+		if room > 0 && &got[0] != &dst[0] {
+			t.Fatalf("room %d: ScanPlanned reallocated a dst with room for its results", room)
+		}
+	}
+
+	link, started, release := gatedLink(w.Link())
+	s := New(link, WithSecret(99), WithWorkers(2))
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	var cut []Result
+	go func() {
+		cut, err = s.ScanPlanned(ctx, slices.Clone(prefix), plan, proto.ICMP)
+		close(done)
+	}()
+	<-started
+	cancel()
+	close(release)
+	<-done
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	n := len(cut) - len(prefix)
+	if n <= 0 || n >= len(plan) || !slices.Equal(cut[:len(prefix)], prefix) {
+		t.Fatalf("cancelled scan returned %d results on a %d-result prefix of %d planned", len(cut), len(prefix), len(plan))
+	}
+	if !slices.Equal(cut[len(prefix):], want[len(prefix):len(cut)]) {
+		t.Fatalf("cancelled scan's results are not the probed prefix of planned")
+	}
+}
+
+// TestResultIs24Bytes keeps Result free of padding: Attempts is the one
+// byte the cluster wire carries, not an int.
+func TestResultIs24Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Result{}); n != 24 {
+		t.Fatalf("Result is %d bytes, want 24", n)
+	}
+}
+
+// TestActiveAddrsExactSize pins ActiveAddrs to one slice of exactly the
+// hit count, holding the hits in result order.
+func TestActiveAddrsExactSize(t *testing.T) {
+	w := testWorld(t)
+	w.SetEpoch(world.ScanEpoch)
+	res := New(w.Link(), WithSecret(99)).Scan(append(w.NewSampler(9).ActiveHosts(200, proto.ICMP), addrRange(300)...), proto.ICMP)
+	var want []ipaddr.Addr
+	for _, r := range res {
+		if r.Active() {
+			want = append(want, r.Addr)
+		}
+	}
+	if len(want) == 0 || len(want) == len(res) {
+		t.Fatalf("%d hits of %d results: the test needs both", len(want), len(res))
+	}
+	got := ActiveAddrs(res)
+	if !slices.Equal(got, want) || cap(got) != len(got) {
+		t.Fatalf("ActiveAddrs: len %d cap %d, want the %d hits in result order", len(got), cap(got), len(want))
+	}
+	if allocs := testing.AllocsPerRun(20, func() { ActiveAddrs(res) }); allocs > 1 {
+		t.Fatalf("ActiveAddrs made %v allocations, want at most 1", allocs)
+	}
+	if ActiveAddrs(res[:0]) != nil {
+		t.Fatal("ActiveAddrs of no results is not nil")
 	}
 }
