@@ -6,7 +6,8 @@
 // and the derived sets iterate in the order addresses were first added, so
 // set algebra over deterministically built inputs is itself deterministic.
 // Its slots are int32 (at most 2^30 addresses) and its hash is unkeyed: no
-// network-facing handler builds a Set. Dedup is the same table, bare.
+// network-facing handler builds a Set. Dedup and Deduper are the same
+// table, bare.
 //
 // Target Generation Algorithms operate on the 32 hexadecimal digits
 // ("nybbles") of an IPv6 address, so nybble indexing is a first-class

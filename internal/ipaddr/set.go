@@ -157,14 +157,47 @@ func (s *Set) Diff(o *Set) *Set {
 	return s.Filter(func(a Addr) bool { return !o.Contains(a) })
 }
 
-// Dedup returns the unique addresses of addrs, preserving first-seen order.
-// The scanner dedups every target list on its hot path: this is a Set sized
-// for the input whose backing slice is handed back, two allocations in all.
-func Dedup(addrs []Addr) []Addr {
-	var s Set
-	s.reserve(len(addrs))
-	s.AddAll(addrs)
-	return s.addrs
+// Dedup returns the unique addresses of addrs, preserving first-seen order,
+// in a fresh slice: a fresh Deduper's Append, two allocations in all.
+func Dedup(addrs []Addr) []Addr { return new(Deduper).Append(nil, addrs) }
+
+// Deduper is Dedup with a table that outlives the call: a Set whose slots
+// are kept, and cleared, from one Append to the next, so a caller that
+// dedups list after list (the scanner plans every scan) allocates the
+// table once. The zero value is ready to use. A Deduper is not safe for
+// concurrent use.
+type Deduper struct{ set Set }
+
+// Append appends the unique addresses of addrs to dst in first-seen order
+// and returns the extended slice. Like Go's Append functions it grows dst
+// at most once, so a dst with room for len(addrs) more is written in
+// place; the Deduper keeps no reference to dst or addrs.
+func (d *Deduper) Append(dst, addrs []Addr) []Addr {
+	base := len(dst)
+	if cap(dst)-base < len(addrs) {
+		dst = append(make([]Addr, 0, base+len(addrs)), dst...)
+	}
+	// The set's backing slice is dst's free tail, with room for every
+	// address, and its table holds them all at load ≤ ½: Add never grows
+	// either, so the unique addresses land in dst as they are added.
+	d.set.addrs = dst[base:base]
+	if len(d.set.table) < 2*len(addrs) {
+		d.set.reserve(len(addrs))
+	}
+	d.set.AddAll(addrs)
+	added := d.set.addrs
+	if 8*len(added) < len(d.set.table) {
+		// A short list in a table a longer one grew: unset just its
+		// slots, newest first, so each lookup sees the table as it was
+		// right after that address went in.
+		for i := len(added) - 1; i >= 0; i-- {
+			d.set.table[d.set.slot(added[i])] = 0
+		}
+	} else {
+		clear(d.set.table)
+	}
+	d.set.addrs = nil
+	return dst[:base+len(added)]
 }
 
 // DedupSorted returns addrs with adjacent duplicates removed. On sorted

@@ -3,6 +3,7 @@ package ipaddr
 import (
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -367,6 +368,62 @@ func TestDedupAllocsAndOrder(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if n := testing.AllocsPerRun(3, func() { Dedup(in) }); n > 2 {
 		t.Fatalf("Dedup allocates %v times per call, want at most 2", n)
+	}
+}
+
+// TestDeduperMatchesDedup runs one Deduper over lists that grow, shrink
+// and grow again: every call must equal Dedup, after any dst prefix, so a
+// slot left set by an earlier list shows up as a missing address, and
+// every call must leave the table clear. A short list whose addresses
+// share one slot of the big table checks the clearing of a probe chain.
+// Once the table is warm and dst has room, Append allocates nothing.
+func TestDeduperMatchesDedup(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	list := func(n int) []Addr {
+		base := MustParse("2001:db8:d0::")
+		out := make([]Addr, n)
+		for i := range out {
+			// About a third of the entries repeat an earlier address.
+			out[i] = base.AddLo(uint64(rng.Intn(2*n/3 + 1)))
+		}
+		return out
+	}
+	// colliding returns n distinct addresses in the slot a table of size
+	// slots puts ::1, and ::1 again.
+	colliding := func(slots, n int) []Addr {
+		out := []Addr{MustParse("::1")}
+		mask := uint64(slots - 1)
+		for i := uint64(2); len(out) < n; i++ {
+			if a := MustParse("::").AddLo(i); dedupHash(a)&mask == dedupHash(out[0])&mask {
+				out = append(out, a)
+			}
+		}
+		return append(out, out[0])
+	}
+	prefix := addrsFrom("::1", "::2")
+	var d Deduper
+	for _, n := range []int{1, 10000, 3, 10000, -4, 0, 64} {
+		var in []Addr
+		if n >= 0 {
+			in = list(n)
+		} else {
+			in = colliding(len(d.set.table), -n)
+		}
+		want := Dedup(in)
+		sameAddrs(t, "Append(nil)", d.Append(nil, in), want)
+		got := d.Append(slices.Clone(prefix), in)
+		sameAddrs(t, "Append(prefix) prefix", got[:len(prefix)], prefix)
+		sameAddrs(t, "Append(prefix) tail", got[len(prefix):], want)
+		if i := slices.IndexFunc(d.set.table, func(v int32) bool { return v != 0 }); i >= 0 {
+			t.Fatalf("after a %d-address list, table slot %d is still set", len(in), i)
+		}
+	}
+
+	in := list(10000)
+	dst := make([]Addr, 0, len(in))
+	d.Append(dst, in)
+	if n := testing.AllocsPerRun(10, func() { d.Append(dst, in) }); n != 0 {
+		t.Fatalf("warm Append allocates %v times per call, want 0", n)
 	}
 }
 

@@ -30,6 +30,11 @@ type settings struct {
 // lands promptly and tail chunks stay balanced.
 const defaultChunk = 64
 
+// maxWorkers caps WithWorkers: each worker slot holds a 128-byte counter
+// shard for the scanner's lifetime, so the cap bounds that table at
+// 128 KiB.
+const maxWorkers = 1024
+
 // defaultSettings mirrors §4.2 of the paper: 2 retries (3 packets total),
 // 8 workers, the 10k pps ethical rate cap, shuffled scan order.
 func defaultSettings() settings {
@@ -56,14 +61,11 @@ func WithRetries(n int) Option {
 	return func(s *settings) { s.retries = min(max(n, 0), math.MaxUint8-1) }
 }
 
-// WithWorkers sets the number of concurrent probe workers (minimum 1).
+// WithWorkers sets the number of concurrent probe workers. Values clamp
+// to 1..1024 (maxWorkers); a scan starts no more workers than it has
+// chunks of targets to claim.
 func WithWorkers(n int) Option {
-	return func(s *settings) {
-		if n < 1 {
-			n = 1
-		}
-		s.workers = n
-	}
+	return func(s *settings) { s.workers = min(max(n, 1), maxWorkers) }
 }
 
 // WithRatePPS caps the aggregate probe rate on the virtual clock

@@ -216,6 +216,7 @@ type Scanner struct {
 	shards   []statShard // len is a power of two
 	shardSeq atomic.Int64
 	wsPool   sync.Pool // recycled *workerState scratch across scans
+	scratch  sync.Pool // recycled *scanScratch across calls
 
 	dnsName []byte // pre-encoded wire form of dnsQueryName
 
@@ -350,12 +351,36 @@ func (s *Scanner) newWorkerState() *workerState {
 // putWorkerState releases a worker's scratch for reuse by later scans.
 func (s *Scanner) putWorkerState(st *workerState) { s.wsPool.Put(st) }
 
+// scanScratch is one call's private memory that outlives the call: the
+// dedup table, the planned order and, for ScanActive, the results. Only
+// what the caller keeps is allocated per call.
+type scanScratch struct {
+	dedup   ipaddr.Deduper
+	planned []ipaddr.Addr
+	results []Result
+}
+
+// plan puts the call's PlanOrder of targets in sc.planned: pooled scratch
+// when a previous call released one, fresh otherwise. Release it with
+// s.scratch.Put once nothing reads it.
+func (s *Scanner) plan(targets []ipaddr.Addr, p proto.Protocol) *scanScratch {
+	sc, ok := s.scratch.Get().(*scanScratch)
+	if !ok {
+		sc = new(scanScratch)
+	}
+	sc.planned = planOrder(&sc.dedup, sc.planned, s.set.secret, s.set.shuffle, targets, p)
+	return sc
+}
+
 // ScanContext probes every target on p and returns one Result per unique
-// target. Targets are deduplicated and shuffled (unless WithoutShuffle)
-// by PlanOrder, then probed by ScanPlanned. The caller's slice is never
-// mutated; dedup and shuffle operate on a private copy.
+// target, in a fresh slice. Targets are deduplicated and shuffled (unless
+// WithoutShuffle) into the order PlanOrder computes, then probed by
+// ScanPlanned. The caller's slice is never mutated; dedup and shuffle
+// operate on a private copy.
 func (s *Scanner) ScanContext(ctx context.Context, targets []ipaddr.Addr, p proto.Protocol) ([]Result, error) {
-	return s.ScanPlanned(ctx, nil, PlanOrder(s.set.secret, s.set.shuffle, targets, p), p)
+	sc := s.plan(targets, p)
+	defer s.scratch.Put(sc)
+	return s.ScanPlanned(ctx, nil, sc.planned, p)
 }
 
 // ScanPlanned probes planned exactly as given — no dedup, no shuffle —
@@ -385,11 +410,10 @@ func (s *Scanner) ScanPlanned(ctx context.Context, dst []Result, planned []ipadd
 	// so virtual-time attribution stays correct under concurrent scans.
 	var next, sent atomic.Int64
 	var wg sync.WaitGroup
-	workers := s.set.workers
-	if workers > len(planned) {
-		workers = len(planned)
-	}
-	chunk := s.set.chunk
+	// No chunk outgrows the list and no worker starts without a chunk to
+	// claim, so the cursor stays below 4×len(planned) whatever the options.
+	chunk := max(min(s.set.chunk, len(planned)), 1)
+	workers := min(s.set.workers, (len(planned)+chunk-1)/chunk)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -434,19 +458,26 @@ func (s *Scanner) ScanPlanned(ctx context.Context, dst []Result, planned []ipadd
 // PlanOrder computes the exact probe order a scanner configured with
 // (secret, shuffle) uses for one ScanContext call: targets deduplicated
 // into a fresh slice and, when shuffle is set, permuted by the
-// secret-keyed shuffle. Dedup always copies, so the caller's (routinely
+// secret-keyed shuffle. The dedup always copies, so the caller's (routinely
 // shared) seed/candidate list is never reordered.
 //
 // It is exported so a cluster coordinator can compute the canonical order
 // of the equivalent single-scanner run once and hand windows of it to
 // workers, which probe them as given through ScanPlanned.
 func PlanOrder(secret uint64, shuffle bool, targets []ipaddr.Addr, p proto.Protocol) []ipaddr.Addr {
-	targets = ipaddr.Dedup(targets)
+	return planOrder(new(ipaddr.Deduper), nil, secret, shuffle, targets, p)
+}
+
+// planOrder is PlanOrder deduplicating through d into buf's memory, whose
+// contents it discards: the one planning path, shared by PlanOrder and the
+// scanner's own calls.
+func planOrder(d *ipaddr.Deduper, buf []ipaddr.Addr, secret uint64, shuffle bool, targets []ipaddr.Addr, p proto.Protocol) []ipaddr.Addr {
+	plan := d.Append(buf[:0], targets)
 	if shuffle {
-		rng := rand.New(rand.NewSource(int64(ipaddr.Mix64(secret, uint64(p), uint64(len(targets))))))
-		rng.Shuffle(len(targets), func(i, j int) { targets[i], targets[j] = targets[j], targets[i] })
+		rng := rand.New(rand.NewSource(int64(ipaddr.Mix64(secret, uint64(p), uint64(len(plan))))))
+		rng.Shuffle(len(plan), func(i, j int) { plan[i], plan[j] = plan[j], plan[i] })
 	}
-	return targets
+	return plan
 }
 
 // ScanActive is a convenience wrapper returning only hit addresses.
@@ -456,13 +487,17 @@ func (s *Scanner) ScanActive(targets []ipaddr.Addr, p proto.Protocol) []ipaddr.A
 }
 
 // ScanActiveContext is the cancellable variant of ScanActive: it scans
-// through ScanContext and returns only hit addresses, or ctx's error.
+// like ScanContext and returns only hit addresses, or ctx's error. The
+// results stay in the call's recycled scratch; only the hits are fresh.
 func (s *Scanner) ScanActiveContext(ctx context.Context, targets []ipaddr.Addr, p proto.Protocol) ([]ipaddr.Addr, error) {
-	results, err := s.ScanContext(ctx, targets, p)
+	sc := s.plan(targets, p)
+	defer s.scratch.Put(sc)
+	var err error
+	sc.results, err = s.ScanPlanned(ctx, sc.results[:0], sc.planned, p)
 	if err != nil {
 		return nil, err
 	}
-	return ActiveAddrs(results), nil
+	return ActiveAddrs(sc.results), nil
 }
 
 // prepareChunk initializes a claimed chunk: zeroed results, blocklist
