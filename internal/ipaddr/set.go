@@ -244,7 +244,13 @@ func Digest(addrs []Addr) uint64 {
 // splitmix64 round per value — the seeded, stateless decision hash shared
 // by the world, the scanner, the dealiaser and the seed collectors.
 func Mix64(vals ...uint64) uint64 {
-	h := uint64(0x2545f4914f6cdd1d)
+	return MixOn(0x2545f4914f6cdd1d, vals...)
+}
+
+// MixOn continues a Mix64 fold from h, a value Mix64 returned:
+// Mix64(a, b, c) == MixOn(Mix64(a, b), c). A caller that folds the same
+// leading values into many hashes computes their prefix once.
+func MixOn(h uint64, vals ...uint64) uint64 {
 	for _, v := range vals {
 		h = (h ^ v) + 0x9e3779b97f4a7c15
 		h = (h ^ h>>30) * 0xbf58476d1ce4e5b9

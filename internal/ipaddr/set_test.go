@@ -461,3 +461,26 @@ func TestMix64(t *testing.T) {
 		t.Fatalf("Mix64(1, 2) = %#x, want %#x", got, want)
 	}
 }
+
+// TestMixOnContinuesMix64 pins the prefix identity callers rely on when
+// they store Mix64 of their leading values: continuing from it with
+// MixOn folds exactly what one Mix64 call over every value folds, at any
+// split point, and MixOn with nothing to add is the prefix itself.
+func TestMixOnContinuesMix64(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 200; trial++ {
+		vals := make([]uint64, rng.Intn(7))
+		for i := range vals {
+			vals[i] = rng.Uint64()
+		}
+		want := Mix64(vals...)
+		for k := 0; k <= len(vals); k++ {
+			if got := MixOn(Mix64(vals[:k]...), vals[k:]...); got != want {
+				t.Fatalf("MixOn(Mix64(%x), %x) = %#x, want Mix64 of all = %#x", vals[:k], vals[k:], got, want)
+			}
+		}
+	}
+	if got, want := MixOn(0x2545f4914f6cdd1d, 1, 2), Mix64(1, 2); got != want {
+		t.Fatalf("MixOn from Mix64's constant = %#x, want Mix64(1, 2) = %#x", got, want)
+	}
+}

@@ -92,19 +92,19 @@ func AppendDNSResponse(buf []byte, src, dst ipaddr.Addr, dstPort, txid uint16, q
 	return buf
 }
 
-func parseUDP(p Packet, l4 []byte) (Packet, error) {
+func parseUDP(p *Packet, l4 []byte) error {
 	if len(l4) < udpHeaderLen {
-		return Packet{}, ErrTruncated
+		return ErrTruncated
 	}
 	if !verifyChecksum(p.Header.Src, p.Header.Dst, ProtoUDP, l4, 6) {
-		return Packet{}, ErrBadChecksum
+		return ErrBadChecksum
 	}
 	p.SrcPort = binary.BigEndian.Uint16(l4[0:2])
 	p.DstPort = binary.BigEndian.Uint16(l4[2:4])
 	msg := l4[udpHeaderLen:]
 	if len(msg) < dnsHeaderLen {
 		p.Kind = KindUnknown
-		return p, nil
+		return nil
 	}
 	p.DNSID = binary.BigEndian.Uint16(msg[0:2])
 	if msg[2]&0x80 != 0 {
@@ -113,7 +113,7 @@ func parseUDP(p Packet, l4 []byte) (Packet, error) {
 		p.Kind = KindDNSQuery
 	}
 	p.Payload = msg[dnsHeaderLen:] // question section onward
-	return p, nil
+	return nil
 }
 
 // encodeName converts "a.example.com" to DNS wire format labels.

@@ -90,12 +90,12 @@ func AppendUnreachable(buf []byte, src, dst ipaddr.Addr, code uint8, invoking []
 	return buf
 }
 
-func parseICMP(p Packet, l4 []byte) (Packet, error) {
+func parseICMP(p *Packet, l4 []byte) error {
 	if len(l4) < 8 {
-		return Packet{}, ErrTruncated
+		return ErrTruncated
 	}
 	if !verifyChecksum(p.Header.Src, p.Header.Dst, ProtoICMPv6, l4, 2) {
-		return Packet{}, ErrBadChecksum
+		return ErrBadChecksum
 	}
 	switch l4[0] {
 	case icmpTypeEchoRequest:
@@ -106,13 +106,13 @@ func parseICMP(p Packet, l4 []byte) (Packet, error) {
 		p.Kind = KindUnreachable
 		p.UnreachCode = l4[1]
 		p.Payload = l4[8:]
-		return p, nil
+		return nil
 	default:
 		p.Kind = KindUnknown
-		return p, nil
+		return nil
 	}
 	p.EchoID = binary.BigEndian.Uint16(l4[4:6])
 	p.EchoSeq = binary.BigEndian.Uint16(l4[6:8])
 	p.Payload = l4[8:]
-	return p, nil
+	return nil
 }

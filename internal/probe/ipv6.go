@@ -80,28 +80,24 @@ func putIPv6Header(b []byte, src, dst ipaddr.Addr, next uint8, payloadLen int) {
 	binary.BigEndian.PutUint64(b[32:40], dst.Lo())
 }
 
-// parseIPv6Header decodes the fixed header and returns it with the payload.
-func parseIPv6Header(pkt []byte) (Header, []byte, error) {
+// parseIPv6Header decodes the fixed header into h and returns the payload.
+func parseIPv6Header(h *Header, pkt []byte) ([]byte, error) {
 	if len(pkt) < IPv6HeaderLen {
-		return Header{}, nil, ErrTruncated
+		return nil, ErrTruncated
 	}
 	if pkt[0]>>4 != 6 {
-		return Header{}, nil, ErrBadVersion
+		return nil, ErrBadVersion
 	}
-	var h Header
 	h.PayloadLen = binary.BigEndian.Uint16(pkt[4:6])
 	h.NextHeader = pkt[6]
 	h.HopLimit = pkt[7]
-	var s, d [16]byte
-	copy(s[:], pkt[8:24])
-	copy(d[:], pkt[24:40])
-	h.Src = ipaddr.AddrFrom16(s)
-	h.Dst = ipaddr.AddrFrom16(d)
+	h.Src = ipaddr.AddrFrom64s(binary.BigEndian.Uint64(pkt[8:16]), binary.BigEndian.Uint64(pkt[16:24]))
+	h.Dst = ipaddr.AddrFrom64s(binary.BigEndian.Uint64(pkt[24:32]), binary.BigEndian.Uint64(pkt[32:40]))
 	payload := pkt[IPv6HeaderLen:]
 	if len(payload) < int(h.PayloadLen) {
-		return Header{}, nil, ErrTruncated
+		return nil, ErrTruncated
 	}
-	return h, payload[:h.PayloadLen], nil
+	return payload[:h.PayloadLen], nil
 }
 
 // checksum computes the Internet checksum over the IPv6 pseudo-header plus
@@ -250,21 +246,25 @@ type Packet struct {
 }
 
 // Parse decodes an IPv6 packet into a Packet, verifying transport
-// checksums.
+// checksums. The decoders fill one Packet in place, so a probe is copied
+// once, into the result, however many layers it passes.
 func Parse(pkt []byte) (Packet, error) {
-	h, payload, err := parseIPv6Header(pkt)
+	var p Packet
+	payload, err := parseIPv6Header(&p.Header, pkt)
+	if err == nil {
+		switch p.Header.NextHeader {
+		case ProtoICMPv6:
+			err = parseICMP(&p, payload)
+		case ProtoTCP:
+			err = parseTCP(&p, payload)
+		case ProtoUDP:
+			err = parseUDP(&p, payload)
+		default:
+			err = fmt.Errorf("probe: unsupported next header %d", p.Header.NextHeader)
+		}
+	}
 	if err != nil {
 		return Packet{}, err
 	}
-	p := Packet{Header: h}
-	switch h.NextHeader {
-	case ProtoICMPv6:
-		return parseICMP(p, payload)
-	case ProtoTCP:
-		return parseTCP(p, payload)
-	case ProtoUDP:
-		return parseUDP(p, payload)
-	default:
-		return Packet{}, fmt.Errorf("probe: unsupported next header %d", h.NextHeader)
-	}
+	return p, nil
 }

@@ -74,12 +74,12 @@ func appendTCP(buf []byte, src, dst ipaddr.Addr, srcPort, dstPort uint16, seq, a
 	return buf
 }
 
-func parseTCP(p Packet, l4 []byte) (Packet, error) {
+func parseTCP(p *Packet, l4 []byte) error {
 	if len(l4) < tcpHeaderLen {
-		return Packet{}, ErrTruncated
+		return ErrTruncated
 	}
 	if !verifyChecksum(p.Header.Src, p.Header.Dst, ProtoTCP, l4, 16) {
-		return Packet{}, ErrBadChecksum
+		return ErrBadChecksum
 	}
 	p.SrcPort = binary.BigEndian.Uint16(l4[0:2])
 	p.DstPort = binary.BigEndian.Uint16(l4[2:4])
@@ -96,5 +96,5 @@ func parseTCP(p Packet, l4 []byte) (Packet, error) {
 	default:
 		p.Kind = KindUnknown
 	}
-	return p, nil
+	return nil
 }

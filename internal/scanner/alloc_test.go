@@ -43,3 +43,34 @@ func TestScanActiveReusesItsPlan(t *testing.T) {
 	}
 	t.Logf("warm ScanActive of %d targets: %d bytes allocated, %d of them hits", len(targets), least, hitBytes)
 }
+
+// TestScanActiveReusesItsPlanAfterGC pins that released scratch survives
+// garbage collection, as a sync.Pool's does not: after two collections
+// (which empty any pool), a back-to-back ScanActive still plans and scans
+// 20k targets in the recycled scratch, on its first try. What it may
+// allocate besides its hits is the workers' state, which a collection
+// does drop, and small change; the plan, results and dedup table it
+// reuses are 20k × (16 + 24) bytes and a table at least as large.
+func TestScanActiveReusesItsPlanAfterGC(t *testing.T) {
+	w := testWorld(t)
+	w.SetEpoch(world.ScanEpoch)
+	targets := append(w.NewSampler(6).ActiveHosts(2000, proto.ICMP), addrRange(18000)...)
+	s := New(w.Link(), WithSecret(17))
+	s.ScanActive(targets, proto.ICMP)
+
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	hits := s.ScanActive(targets, proto.ICMP)
+	runtime.ReadMemStats(&after)
+	hitBytes := uint64(len(hits)) * 16
+	if hitBytes == 0 {
+		t.Fatal("no hits: the test needs some")
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	if limit := hitBytes + 256<<10; got >= limit {
+		t.Fatalf("ScanActive of %d targets after two GCs allocated %d bytes, want under %d (hits %d + 256 KiB)", len(targets), got, limit, hitBytes)
+	}
+	t.Logf("ScanActive of %d targets after two GCs: %d bytes allocated, %d of them hits", len(targets), got, hitBytes)
+}

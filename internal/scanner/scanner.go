@@ -215,8 +215,8 @@ type Scanner struct {
 
 	shards   []statShard // len is a power of two
 	shardSeq atomic.Int64
-	wsPool   sync.Pool // recycled *workerState scratch across scans
-	scratch  sync.Pool // recycled *scanScratch across calls
+	wsPool   sync.Pool         // recycled *workerState scratch across scans
+	scratch  chan *scanScratch // free list of released call scratch
 
 	dnsName []byte // pre-encoded wire form of dnsQueryName
 
@@ -245,6 +245,7 @@ func New(link wire.Link, opts ...Option) *Scanner {
 		set:     set,
 		rl:      NewRateLimiter(set.ratePPS),
 		shards:  make([]statShard, nextPow2(set.workers)),
+		scratch: make(chan *scanScratch, keptScratch),
 		dnsName: name,
 	}
 	if reg := set.tele; reg != nil {
@@ -352,24 +353,53 @@ func (s *Scanner) newWorkerState() *workerState {
 func (s *Scanner) putWorkerState(st *workerState) { s.wsPool.Put(st) }
 
 // scanScratch is one call's private memory that outlives the call: the
-// dedup table, the planned order and, for ScanActive, the results. Only
-// what the caller keeps is allocated per call.
+// dedup table, the shuffle's source, the planned order and, for
+// ScanActive, the results. Only what the caller keeps is allocated per
+// call.
 type scanScratch struct {
 	dedup   ipaddr.Deduper
+	rng     *rand.Rand
 	planned []ipaddr.Addr
 	results []Result
 }
 
-// plan puts the call's PlanOrder of targets in sc.planned: pooled scratch
-// when a previous call released one, fresh otherwise. Release it with
-// s.scratch.Put once nothing reads it.
+// The scanner keeps released scratch on a free list of keptScratch
+// entries: one per concurrent caller of a shared scanner, of which the
+// experiment grid runs at most eight (one per cell). Unlike a
+// sync.Pool's, a free list's entries survive garbage collection, so a
+// warm scanner stays warm. Scratch planned for more than
+// maxKeptScratchTargets targets (about 48 B per target across the plan,
+// the results and the dedup table) is not kept, so one huge scan does
+// not pin its memory for the scanner's life.
+const (
+	keptScratch           = 8
+	maxKeptScratchTargets = 1 << 20
+)
+
+// plan puts the call's PlanOrder of targets in sc.planned: recycled
+// scratch when a previous call released one, fresh otherwise. Release it
+// with putScratch once nothing reads it.
 func (s *Scanner) plan(targets []ipaddr.Addr, p proto.Protocol) *scanScratch {
-	sc, ok := s.scratch.Get().(*scanScratch)
-	if !ok {
+	var sc *scanScratch
+	select {
+	case sc = <-s.scratch:
+	default:
 		sc = new(scanScratch)
 	}
-	sc.planned = planOrder(&sc.dedup, sc.planned, s.set.secret, s.set.shuffle, targets, p)
+	sc.plan(s.set.secret, s.set.shuffle, targets, p)
 	return sc
+}
+
+// putScratch returns sc to the free list unless the list is full or sc
+// outgrew the cap.
+func (s *Scanner) putScratch(sc *scanScratch) {
+	if cap(sc.planned) > maxKeptScratchTargets || cap(sc.results) > maxKeptScratchTargets {
+		return
+	}
+	select {
+	case s.scratch <- sc:
+	default:
+	}
 }
 
 // ScanContext probes every target on p and returns one Result per unique
@@ -379,7 +409,7 @@ func (s *Scanner) plan(targets []ipaddr.Addr, p proto.Protocol) *scanScratch {
 // operate on a private copy.
 func (s *Scanner) ScanContext(ctx context.Context, targets []ipaddr.Addr, p proto.Protocol) ([]Result, error) {
 	sc := s.plan(targets, p)
-	defer s.scratch.Put(sc)
+	defer s.putScratch(sc)
 	return s.ScanPlanned(ctx, nil, sc.planned, p)
 }
 
@@ -465,19 +495,27 @@ func (s *Scanner) ScanPlanned(ctx context.Context, dst []Result, planned []ipadd
 // of the equivalent single-scanner run once and hand windows of it to
 // workers, which probe them as given through ScanPlanned.
 func PlanOrder(secret uint64, shuffle bool, targets []ipaddr.Addr, p proto.Protocol) []ipaddr.Addr {
-	return planOrder(new(ipaddr.Deduper), nil, secret, shuffle, targets, p)
+	sc := new(scanScratch)
+	sc.plan(secret, shuffle, targets, p)
+	return sc.planned
 }
 
-// planOrder is PlanOrder deduplicating through d into buf's memory, whose
-// contents it discards: the one planning path, shared by PlanOrder and the
-// scanner's own calls.
-func planOrder(d *ipaddr.Deduper, buf []ipaddr.Addr, secret uint64, shuffle bool, targets []ipaddr.Addr, p proto.Protocol) []ipaddr.Addr {
-	plan := d.Append(buf[:0], targets)
+// plan is PlanOrder into sc: the planned order replaces sc.planned in its
+// memory, and the shuffle re-seeds sc's source rather than building one,
+// which permutes exactly as a fresh source of the same seed would. It is
+// the one planning path, shared by PlanOrder and the scanner's own calls.
+func (sc *scanScratch) plan(secret uint64, shuffle bool, targets []ipaddr.Addr, p proto.Protocol) {
+	plan := sc.dedup.Append(sc.planned[:0], targets)
 	if shuffle {
-		rng := rand.New(rand.NewSource(int64(ipaddr.Mix64(secret, uint64(p), uint64(len(plan))))))
-		rng.Shuffle(len(plan), func(i, j int) { plan[i], plan[j] = plan[j], plan[i] })
+		seed := int64(ipaddr.Mix64(secret, uint64(p), uint64(len(plan))))
+		if sc.rng == nil {
+			sc.rng = rand.New(rand.NewSource(seed))
+		} else {
+			sc.rng.Seed(seed)
+		}
+		sc.rng.Shuffle(len(plan), func(i, j int) { plan[i], plan[j] = plan[j], plan[i] })
 	}
-	return plan
+	sc.planned = plan
 }
 
 // ScanActive is a convenience wrapper returning only hit addresses.
@@ -491,7 +529,7 @@ func (s *Scanner) ScanActive(targets []ipaddr.Addr, p proto.Protocol) []ipaddr.A
 // results stay in the call's recycled scratch; only the hits are fresh.
 func (s *Scanner) ScanActiveContext(ctx context.Context, targets []ipaddr.Addr, p proto.Protocol) ([]ipaddr.Addr, error) {
 	sc := s.plan(targets, p)
-	defer s.scratch.Put(sc)
+	defer s.putScratch(sc)
 	var err error
 	sc.results, err = s.ScanPlanned(ctx, sc.results[:0], sc.planned, p)
 	if err != nil {

@@ -62,19 +62,20 @@ func (s *JSONLSink) Close() error {
 }
 
 // ReadEvents parses a JSONL trace back into events — the read half of the
-// round-trip, used by tests and trace tooling.
+// round-trip, used by tests and trace tooling. Blank lines are skipped; an
+// error names the line it is on, counting from 1, blank lines included.
 func ReadEvents(r io.Reader) ([]Event, error) {
 	var out []Event
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
+	for n := 1; sc.Scan(); n++ {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
 		}
 		var ev Event
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			return out, fmt.Errorf("telemetry: bad trace line %d: %w", len(out)+1, err)
+			return out, fmt.Errorf("telemetry: bad trace line %d: %w", n, err)
 		}
 		out = append(out, ev)
 	}

@@ -93,12 +93,16 @@ var styleWordsChoices = [][]byte{
 // worlds regardless of which parts were touched first or concurrently.
 func New(cfg Config) *World {
 	cfg.fillDefaults()
-	return &World{
+	w := &World{
 		seed:     cfg.Seed,
 		cfg:      cfg,
 		lossRate: cfg.LossRate,
 		groups:   make([]atomic.Pointer[regionGroup], cfg.NumASes+1),
 	}
+	for tag := range w.tagged {
+		w.tagged[tag] = ipaddr.Mix64(w.seed, uint64(tag))
+	}
+	return w
 }
 
 // asHeader is the cheap, region-free identity of one AS: what the registry
@@ -112,7 +116,7 @@ type asHeader struct {
 
 // asRNG returns the deterministic per-AS generator RNG for slot i.
 func (w *World) asRNG(i int) *rand.Rand {
-	return rand.New(rand.NewSource(int64(ipaddr.Mix64(w.seed, tagASSeed, uint64(i)))))
+	return rand.New(rand.NewSource(int64(w.hash(tagASSeed, uint64(i)))))
 }
 
 // headerOf derives slot i's header, reusing a materialized group's copy
@@ -162,8 +166,8 @@ func pathologicalHeader(cfg Config) asHeader {
 // region prefix of an AS lives under its /28 block.
 const asSkipBits = 28
 
-// buildGroup materializes slot i: regions, death tables, and the flat LPM
-// routing table over them.
+// buildGroup materializes slot i: regions, their compiled templates and
+// death tables, and the flat LPM routing table over them.
 func (w *World) buildGroup(i int) *regionGroup {
 	b := &builder{w: w, cfg: w.cfg, rng: w.asRNG(i)}
 	var hdr asHeader
@@ -175,6 +179,7 @@ func (w *World) buildGroup(i int) *regionGroup {
 	}
 	tr := ipaddr.NewTrie()
 	for idx, r := range b.regions {
+		r.match = r.Template.compile()
 		r.buildDeathTable()
 		tr.Insert(r.Prefix, idx)
 	}

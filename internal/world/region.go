@@ -88,6 +88,10 @@ type Region struct {
 	// router.
 	SendsUnreach float64
 
+	// match is Template compiled for existsAt, built once with the death
+	// table when the region materializes.
+	match templateMatch
+
 	// death memoizes the cumulative death probability by host age:
 	// death[k] is the chance a host has died within k epoch transitions
 	// under geometric survival at rate Churn. Built once per region so the

@@ -61,11 +61,11 @@ func (w *World) handleInto(pkt []byte, rb *probe.ReplyBuf, i int) bool {
 
 	switch p.Kind {
 	case probe.KindEchoRequest:
-		return w.answerEcho(p, r, dst, epoch, pkt, rb, i)
+		return w.answerEcho(&p, r, dst, epoch, pkt, rb, i)
 	case probe.KindTCPSyn:
-		return w.answerSyn(p, r, dst, epoch, pkt, rb, i)
+		return w.answerSyn(&p, r, dst, epoch, pkt, rb, i)
 	case probe.KindDNSQuery:
-		return w.answerDNS(p, r, dst, epoch, pkt, rb, i)
+		return w.answerDNS(&p, r, dst, epoch, pkt, rb, i)
 	}
 	return false
 }
@@ -73,33 +73,36 @@ func (w *World) handleInto(pkt []byte, rb *probe.ReplyBuf, i int) bool {
 // delivered applies transit loss and the region's response rate. The vary
 // value must change across retries (the scanner varies its cookie field).
 func (w *World) delivered(r *Region, dst ipaddr.Addr, pr proto.Protocol, vary uint64) bool {
-	if unit(ipaddr.Mix64(w.seed, tagLoss, dst.Hi(), dst.Lo(), uint64(pr), vary)) < w.lossRate {
+	if unit(w.hash(tagLoss, dst.Hi(), dst.Lo(), uint64(pr), vary)) < w.lossRate {
 		return false
 	}
 	if r.RespRate < 1 &&
-		unit(ipaddr.Mix64(w.seed, tagRate, dst.Hi(), dst.Lo(), uint64(pr), vary)) >= r.RespRate {
+		unit(w.hash(tagRate, dst.Hi(), dst.Lo(), uint64(pr), vary)) >= r.RespRate {
 		return false
 	}
 	return true
 }
 
-func (w *World) answerEcho(p probe.Packet, r *Region, dst ipaddr.Addr, epoch int, raw []byte, rb *probe.ReplyBuf, i int) bool {
+// The answer functions draw the destination's existence at most once per
+// probe, after delivery, and hand it to every decision that needs it.
+
+func (w *World) answerEcho(p *probe.Packet, r *Region, dst ipaddr.Addr, epoch int, raw []byte, rb *probe.ReplyBuf, i int) bool {
 	if !w.delivered(r, dst, proto.ICMP, uint64(p.EchoSeq)) {
 		return false
 	}
-	if w.activeOn(dst, r, proto.ICMP, epoch) {
+	exists := w.existsAt(dst, r, epoch)
+	if w.listens(dst, r, proto.ICMP, exists) {
 		rb.PutEchoReply(i, dst, p.Header.Src, p.EchoID, p.EchoSeq, p.Payload)
 		return true
 	}
-	if !w.existsAt(dst, r, epoch) &&
-		unit(ipaddr.Mix64(w.seed, tagUnreach, dst.Hi(), dst.Lo())) < r.SendsUnreach {
+	if !exists && unit(w.hash(tagUnreach, dst.Hi(), dst.Lo())) < r.SendsUnreach {
 		rb.PutUnreachable(i, r.RouterAddr(), p.Header.Src, probe.UnreachAddr, raw)
 		return true
 	}
 	return false
 }
 
-func (w *World) answerSyn(p probe.Packet, r *Region, dst ipaddr.Addr, epoch int, raw []byte, rb *probe.ReplyBuf, i int) bool {
+func (w *World) answerSyn(p *probe.Packet, r *Region, dst ipaddr.Addr, epoch int, raw []byte, rb *probe.ReplyBuf, i int) bool {
 	var pr proto.Protocol
 	switch p.DstPort {
 	case 80:
@@ -109,7 +112,7 @@ func (w *World) answerSyn(p probe.Packet, r *Region, dst ipaddr.Addr, epoch int,
 	default:
 		// Port outside the study: a live host may RST, otherwise silence.
 		if w.existsAt(dst, r, epoch) &&
-			unit(ipaddr.Mix64(w.seed, tagRST, dst.Hi(), dst.Lo(), uint64(p.DstPort))) < r.SendsRST {
+			unit(w.hash(tagRST, dst.Hi(), dst.Lo(), uint64(p.DstPort))) < r.SendsRST {
 			rb.PutTCPRst(i, dst, p.Header.Src, p.DstPort, p.SrcPort, 0, p.TCPSeq+1)
 			return true
 		}
@@ -118,39 +121,40 @@ func (w *World) answerSyn(p probe.Packet, r *Region, dst ipaddr.Addr, epoch int,
 	if !w.delivered(r, dst, pr, uint64(p.TCPSeq)) {
 		return false
 	}
-	if w.activeOn(dst, r, pr, epoch) {
-		seq := uint32(ipaddr.Mix64(w.seed, tagTCPSeq, dst.Hi(), dst.Lo(), uint64(p.TCPSeq)))
+	exists := w.existsAt(dst, r, epoch)
+	if w.listens(dst, r, pr, exists) {
+		seq := uint32(w.hash(tagTCPSeq, dst.Hi(), dst.Lo(), uint64(p.TCPSeq)))
 		rb.PutTCPSynAck(i, dst, p.Header.Src, p.DstPort, p.SrcPort, seq, p.TCPSeq+1)
 		return true
 	}
-	if w.existsAt(dst, r, epoch) {
+	if exists {
 		// Live host, closed port: RST per the region's firewalling habits.
-		if unit(ipaddr.Mix64(w.seed, tagRST, dst.Hi(), dst.Lo(), uint64(p.DstPort))) < r.SendsRST {
+		if unit(w.hash(tagRST, dst.Hi(), dst.Lo(), uint64(p.DstPort))) < r.SendsRST {
 			rb.PutTCPRst(i, dst, p.Header.Src, p.DstPort, p.SrcPort, 0, p.TCPSeq+1)
 			return true
 		}
 		return false
 	}
-	if unit(ipaddr.Mix64(w.seed, tagUnreach, dst.Hi(), dst.Lo())) < r.SendsUnreach {
+	if unit(w.hash(tagUnreach, dst.Hi(), dst.Lo())) < r.SendsUnreach {
 		rb.PutUnreachable(i, r.RouterAddr(), p.Header.Src, probe.UnreachAddr, raw)
 		return true
 	}
 	return false
 }
 
-func (w *World) answerDNS(p probe.Packet, r *Region, dst ipaddr.Addr, epoch int, raw []byte, rb *probe.ReplyBuf, i int) bool {
+func (w *World) answerDNS(p *probe.Packet, r *Region, dst ipaddr.Addr, epoch int, raw []byte, rb *probe.ReplyBuf, i int) bool {
 	if p.DstPort != 53 {
 		return false
 	}
 	if !w.delivered(r, dst, proto.UDP53, uint64(p.DNSID)) {
 		return false
 	}
-	if w.activeOn(dst, r, proto.UDP53, epoch) {
+	exists := w.existsAt(dst, r, epoch)
+	if w.listens(dst, r, proto.UDP53, exists) {
 		rb.PutDNSResponse(i, dst, p.Header.Src, p.SrcPort, p.DNSID, p.Payload)
 		return true
 	}
-	if w.existsAt(dst, r, epoch) &&
-		unit(ipaddr.Mix64(w.seed, tagUnreach, dst.Hi(), dst.Lo(), uint64(p.DstPort))) < r.SendsUnreach {
+	if exists && unit(w.hash(tagUnreach, dst.Hi(), dst.Lo(), uint64(p.DstPort))) < r.SendsUnreach {
 		// Live host without a resolver: ICMP port unreachable from the host.
 		rb.PutUnreachable(i, dst, p.Header.Src, probe.UnreachPort, raw)
 		return true

@@ -86,7 +86,7 @@ func (s *Sampler) Hosts(n int) []ipaddr.Addr {
 // epoch.
 func (s *Sampler) ActiveHosts(n int, p proto.Protocol) []ipaddr.Addr {
 	return s.distinct(n, func(a ipaddr.Addr, r *Region) bool {
-		return s.w.activeOn(a, r, p, CollectEpoch)
+		return s.w.listens(a, r, p, s.w.existsAt(a, r, CollectEpoch))
 	})
 }
 

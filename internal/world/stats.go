@@ -101,7 +101,7 @@ func (w *World) RegionsByASN(asn int) []*Region {
 }
 
 // EstimateActiveFraction empirically samples n in-template addresses from
-// region r and reports the fraction active on p at the given epoch — a
+// region r, one of w's regions, and reports the fraction active on p at the given epoch — a
 // Monte-Carlo check that the deterministic activity hash realizes the
 // region's configured density and response rates.
 func (w *World) EstimateActiveFraction(r *Region, p proto.Protocol, epoch, n int, seed uint64) float64 {
@@ -112,7 +112,7 @@ func (w *World) EstimateActiveFraction(r *Region, p proto.Protocol, epoch, n int
 	active := 0
 	for i := 0; i < n; i++ {
 		a := r.Template.Random(rng)
-		if w.activeOn(a, r, p, epoch) {
+		if w.listens(a, r, p, w.existsAt(a, r, epoch)) {
 			active++
 		}
 	}

@@ -92,6 +92,66 @@ func (t *Template) Matches(a ipaddr.Addr) bool {
 	return true
 }
 
+// templateMatch is a Template compiled for the per-probe membership test.
+// Fixed nybbles (and restrictions to a single value) fold into one masked
+// compare per address half; restricted nybbles become a short list tested
+// one by one; fully variable nybbles cost nothing. It accepts exactly the
+// addresses Template.Matches accepts.
+type templateMatch struct {
+	mask, want [2]uint64 // per half: a fixed nybble's bits, and their value
+	restricted []nybbleSet
+}
+
+// nybbleSet is one restricted position: the nybble at bit offset shift of
+// the high (lo false) or low half must be a value set in allowed.
+type nybbleSet struct {
+	shift   uint8
+	lo      bool
+	allowed uint16
+}
+
+// compile folds t into its templateMatch.
+func (t *Template) compile() templateMatch {
+	var m templateMatch
+	for i := 0; i < ipaddr.NybbleCount; i++ {
+		half, shift := i/16, uint8(60-4*(i%16))
+		v, allowed := t.Fixed[i], t.VarMask[i]
+		switch {
+		case allowed == 0xffff:
+			continue
+		case bits.OnesCount16(allowed) == 1:
+			v = byte(bits.TrailingZeros16(allowed))
+		case allowed == 0 && v <= 0xf:
+		default:
+			// Restricted; or fixed to a value beyond a nybble, which
+			// matches nothing, as its empty allowed set says.
+			m.restricted = append(m.restricted, nybbleSet{shift: shift, lo: half == 1, allowed: allowed})
+			continue
+		}
+		m.mask[half] |= 0xf << shift
+		m.want[half] |= uint64(v) << shift
+	}
+	return m
+}
+
+// matches reports whether a conforms to the compiled template.
+func (m *templateMatch) matches(a ipaddr.Addr) bool {
+	hi, lo := a.Hi(), a.Lo()
+	if hi&m.mask[0] != m.want[0] || lo&m.mask[1] != m.want[1] {
+		return false
+	}
+	for _, n := range m.restricted {
+		h := hi
+		if n.lo {
+			h = lo
+		}
+		if n.allowed>>(h>>n.shift&0xf)&1 == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Random samples a uniformly random in-template address.
 func (t *Template) Random(rng *rand.Rand) ipaddr.Addr {
 	var a ipaddr.Addr

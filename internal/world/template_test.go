@@ -1,6 +1,7 @@
 package world
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -127,4 +128,59 @@ func TestTemplateVariablePositionsAndString(t *testing.T) {
 	if s[:8] != "20010db8" {
 		t.Fatalf("String prefix wrong: %q", s)
 	}
+}
+
+// FuzzTemplateMatch ties the compiled matcher existsAt uses to its
+// definition, Template.Matches. A template starts from TemplateFromPrefix
+// (partial nybbles included) and shape rewrites its positions: byte b
+// makes one fixed (to b>>4, or to b itself when b&4 is set — a value no
+// nybble has), fully variable, restricted to a random mask (empty,
+// single-valued and full masks included), or leaves it as the prefix set
+// it. Checked against it: in-template addresses from Random, each of
+// their 480 one-nybble neighbours, and uniformly random addresses.
+func FuzzTemplateMatch(f *testing.F) {
+	f.Add(int64(1), uint8(32), []byte{})
+	f.Add(int64(2), uint8(34), []byte{3, 3, 3, 3, 3, 3, 3, 3, 3, 0x70, 1, 2, 2, 6, 0xf4})
+	f.Add(int64(3), uint8(0), []byte{0, 1, 2, 4, 0x10, 0x21, 0x32, 0xff})
+	f.Add(int64(4), uint8(128), []byte{2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2})
+	f.Add(int64(5), uint8(61), bytes.Repeat([]byte{1}, 32))
+	f.Add(int64(6), uint8(0), []byte{0xf4, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 0x54})
+	f.Fuzz(func(t *testing.T, seed int64, bits uint8, shape []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		base := ipaddr.AddrFrom64s(rng.Uint64(), rng.Uint64())
+		tpl := TemplateFromPrefix(ipaddr.PrefixFrom(base, int(bits)%129))
+		for i := 0; i < len(shape) && i < ipaddr.NybbleCount; i++ {
+			switch b := shape[i]; b & 3 {
+			case 0:
+				tpl.VarMask[i], tpl.Fixed[i] = 0, b>>4
+				if b&4 != 0 {
+					tpl.Fixed[i] = b
+				}
+			case 1:
+				tpl.VarMask[i] = 0xffff
+			case 2:
+				tpl.VarMask[i] = uint16(rng.Uint32())
+				tpl.Fixed[i] = byte(rng.Intn(16))
+			}
+		}
+		m := tpl.compile()
+		check := func(a ipaddr.Addr) {
+			if got, want := m.matches(a), tpl.Matches(a); got != want {
+				t.Fatalf("template with fixed %x, masks %x: compiled matcher says %v for %s, Matches says %v",
+					tpl.Fixed, tpl.VarMask, got, a, want)
+			}
+		}
+		for k := 0; k < 4; k++ {
+			a := tpl.Random(rng)
+			check(a)
+			for i := 0; i < ipaddr.NybbleCount; i++ {
+				for v := byte(0); v < 16; v++ {
+					if v != a.Nybble(i) {
+						check(a.WithNybble(i, v))
+					}
+				}
+			}
+			check(ipaddr.AddrFrom64s(rng.Uint64(), rng.Uint64()))
+		}
+	})
 }

@@ -57,6 +57,9 @@ type World struct {
 	cfg      Config // defaults filled
 	lossRate float64
 	epoch    atomic.Int32
+	// tagged holds Mix64(seed, tag) per tag, the prefix every decision
+	// hash continues from (see hash).
+	tagged [tagCount]uint64
 
 	// groups holds one lazily-built region group per AS: slots 0..NumASes-1
 	// are the normal ASes, slot NumASes is the pathological AS12322
@@ -201,10 +204,10 @@ func (w *World) existsAt(a ipaddr.Addr, r *Region, epoch int) bool {
 	if r.Aliased {
 		return true
 	}
-	if !r.Template.Matches(a) {
+	if !r.match.matches(a) {
 		return false
 	}
-	u := unit(ipaddr.Mix64(w.seed, tagExists, a.Hi(), a.Lo()))
+	u := unit(w.hash(tagExists, a.Hi(), a.Lo()))
 	if epoch <= CollectEpoch {
 		return u < r.Density
 	}
@@ -224,7 +227,7 @@ func (w *World) existsAt(a ipaddr.Addr, r *Region, epoch int) bool {
 		return false
 	}
 	if epoch >= 2 && r.Churn > 0 &&
-		unit(ipaddr.Mix64(w.seed, tagFlap, a.Hi(), a.Lo(), uint64(epoch))) < r.Churn*flapFraction {
+		unit(w.hash(tagFlap, a.Hi(), a.Lo(), uint64(epoch))) < r.Churn*flapFraction {
 		return false
 	}
 	return true
@@ -235,7 +238,7 @@ func (w *World) existsAt(a ipaddr.Addr, r *Region, epoch int) bool {
 // churn hash, so the first transition stays byte-identical to the
 // two-epoch experiments.
 func (w *World) churnHash(a ipaddr.Addr) uint64 {
-	return ipaddr.Mix64(w.seed, tagChurn, a.Hi(), a.Lo())
+	return w.hash(tagChurn, a.Hi(), a.Lo())
 }
 
 // ExistsAt reports whether a is an existing host at the given epoch.
@@ -254,17 +257,17 @@ func (w *World) ActiveOn(a ipaddr.Addr, p proto.Protocol, epoch int) bool {
 	if !ok {
 		return false
 	}
-	return w.activeOn(a, r, p, epoch)
+	return w.listens(a, r, p, w.existsAt(a, r, epoch))
 }
 
-func (w *World) activeOn(a ipaddr.Addr, r *Region, p proto.Protocol, epoch int) bool {
+// listens reports whether a inside r answers on p, given exists, what
+// existsAt said of a at the epoch in question. Callers that need both
+// facts draw the existence hash once.
+func (w *World) listens(a ipaddr.Addr, r *Region, p proto.Protocol, exists bool) bool {
 	if r.Aliased {
 		return r.Resp[p] > 0.5
 	}
-	if !w.existsAt(a, r, epoch) {
-		return false
-	}
-	return unit(ipaddr.Mix64(w.seed, tagProto, a.Hi(), a.Lo(), uint64(p))) < r.Resp[p]
+	return exists && unit(w.hash(tagProto, a.Hi(), a.Lo(), uint64(p))) < r.Resp[p]
 }
 
 // ActiveOnAny reports whether a answers on at least one studied protocol.
@@ -280,7 +283,7 @@ func (w *World) ActiveOnAny(a ipaddr.Addr, epoch int) bool {
 		return false
 	}
 	for _, p := range proto.All {
-		if unit(ipaddr.Mix64(w.seed, tagProto, a.Hi(), a.Lo(), uint64(p))) < r.Resp[p] {
+		if unit(w.hash(tagProto, a.Hi(), a.Lo(), uint64(p))) < r.Resp[p] {
 			return true
 		}
 	}
