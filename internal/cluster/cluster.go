@@ -66,10 +66,15 @@ func jobScanner(link wire.Link, job Job, opts []scanner.Option) *scanner.Scanner
 }
 
 // Shard is one leased unit of work: a window of the canonical target
-// order, to be probed exactly as given (scanner.ScanPlanned).
+// order, to be probed exactly as given (scanner.ScanPlanned). Both slices
+// are the coordinator's, lent to the worker until RunShard returns.
 type Shard struct {
 	ID      int
 	Targets []ipaddr.Addr
+	// Dst is the lease's result buffer, with room for every target: a
+	// worker appends its results to Dst[:0], so they are written in
+	// place. It never travels on the wire; nil means none.
+	Dst []scanner.Result
 }
 
 // ShardResult is a completed shard: one scanner result per shard target,

@@ -97,14 +97,64 @@ func (c *Config) job(p proto.Protocol) Job {
 	}
 }
 
-// Coordinator shards scans across a worker pool. It is stateless between
-// Run calls; one Coordinator may serve many concurrent Runs.
+// Coordinator shards scans across a worker pool. One Coordinator may
+// serve many concurrent Runs. What it keeps between them is scratch: the
+// canonical plans and lease buffers of Runs that ended with no runner
+// outstanding, on a free list each Run takes its own entry from.
 type Coordinator struct {
-	cfg Config
+	cfg     Config
+	scratch chan *runScratch
 }
 
 // NewCoordinator returns a coordinator with the given configuration.
-func NewCoordinator(cfg Config) *Coordinator { return &Coordinator{cfg: cfg} }
+func NewCoordinator(cfg Config) *Coordinator {
+	return &Coordinator{cfg: cfg, scratch: make(chan *runScratch, keptRuns)}
+}
+
+// runScratch is one Run's memory that outlives it: the canonical plan and
+// the free lease result buffers, so a Run allocates only its RunResult
+// and small change.
+type runScratch struct {
+	plan []ipaddr.Addr
+	bufs [][]scanner.Result
+}
+
+// The coordinator keeps the scratch of at most keptRuns Runs, one per
+// concurrent caller (the experiment grid runs up to eight cells through
+// one pool), and none holding more than maxKeptRunTargets targets of
+// plan or of lease buffers, so one huge Run does not pin its memory for
+// the coordinator's life. These mirror the scanner's own free list.
+const (
+	keptRuns          = 8
+	maxKeptRunTargets = 1 << 20
+)
+
+// getScratch takes a free entry, or makes one if none is free.
+func (c *Coordinator) getScratch() *runScratch {
+	select {
+	case sc := <-c.scratch:
+		return sc
+	default:
+		return new(runScratch)
+	}
+}
+
+// putScratch returns sc to the free list unless the list is full or sc
+// outgrew the cap. Only a Run with no runner outstanding may: a straggler
+// on an expired lease may still read its window and write its buffer.
+func (c *Coordinator) putScratch(sc *runScratch) {
+	held := 0
+	for _, b := range sc.bufs {
+		held += cap(b)
+	}
+	if cap(sc.plan) > maxKeptRunTargets || held > maxKeptRunTargets {
+		return
+	}
+	select {
+	case c.scratch <- sc:
+	default:
+	}
+}
 
 // WorkerReport is one worker's contribution to a run.
 type WorkerReport struct {
@@ -134,12 +184,15 @@ type RunResult struct {
 
 // lease is one shard assignment. beatNs is the run clock (runState.clock)
 // at the last sign of life: stored by the worker's heartbeat callback on
-// its runner goroutine, read by the coordinator's expiry sweep.
+// its runner goroutine, read by the coordinator's expiry sweep. dst is the
+// result buffer lent to the worker as Shard.Dst, free again once its
+// runner has reported.
 type lease struct {
 	shard  int
 	worker int
 	cancel context.CancelFunc
 	beatNs atomic.Int64
+	dst    []scanner.Result
 }
 
 // doneEvent is a runner goroutine's terminal report.
@@ -162,14 +215,23 @@ func (c *Coordinator) Run(ctx context.Context, workers []Worker, targets []ipadd
 	cfg := c.cfg
 	cfg.fillDefaults(len(workers))
 
-	canonical := scanner.PlanOrder(cfg.Secret, true, targets, p)
-	shards := (len(canonical) + cfg.ShardSize - 1) / cfg.ShardSize
+	sc := c.getScratch()
+	canonical := scanner.PlanOrder(sc.plan[:0], cfg.Secret, true, targets, p)
+	sc.plan = canonical
+	// Not (n + ShardSize - 1) / ShardSize, which overflows for a
+	// ShardSize near math.MaxInt.
+	shards := 0
+	if n := len(canonical); n > 0 {
+		shards = (n-1)/cfg.ShardSize + 1
+	}
 
 	run := &runState{
 		cfg:       cfg,
 		workers:   workers,
 		job:       cfg.job(p),
 		canonical: canonical,
+		bufs:      sc.bufs,
+		bufCap:    min(cfg.ShardSize, len(canonical)),
 		start:     time.Now(),
 		attempts:  make([]int, shards),
 		leases:    make(map[int]*lease),
@@ -192,7 +254,12 @@ func (c *Coordinator) Run(ctx context.Context, workers []Worker, targets []ipadd
 	rctx, rcancel := context.WithCancel(ctx)
 	defer rcancel()
 
-	if err := run.loop(rctx); err != nil {
+	err := run.loop(rctx)
+	if run.running == 0 {
+		sc.bufs = run.bufs
+		c.putScratch(sc)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return &RunResult{
@@ -211,8 +278,10 @@ type runState struct {
 	cfg       Config
 	workers   []Worker
 	job       Job
-	canonical []ipaddr.Addr // the one plan; shard i is its i-th window
-	start     time.Time     // zero of the lease clock
+	canonical []ipaddr.Addr      // the one plan; shard i is its i-th window
+	bufs      [][]scanner.Result // free lease buffers
+	bufCap    int                // a lease buffer's capacity: the widest window
+	start     time.Time          // zero of the lease clock
 
 	pending  []int // shard ids awaiting a lease (LIFO)
 	attempts []int
@@ -237,8 +306,20 @@ type runState struct {
 // next window.
 func (r *runState) shard(sid int) Shard {
 	lo := sid * r.cfg.ShardSize
-	hi := min(lo+r.cfg.ShardSize, len(r.canonical))
+	hi := lo + min(r.cfg.ShardSize, len(r.canonical)-lo)
 	return Shard{ID: sid, Targets: r.canonical[lo:hi:hi]}
+}
+
+// buffer takes a free lease buffer with room for any window, or makes one.
+func (r *runState) buffer() []scanner.Result {
+	for len(r.bufs) > 0 {
+		b := r.bufs[len(r.bufs)-1]
+		r.bufs = r.bufs[:len(r.bufs)-1]
+		if cap(b) >= r.bufCap {
+			return b[:0]
+		}
+	}
+	return make([]scanner.Result, 0, r.bufCap)
 }
 
 // clock is the monotonic time since the run started, in nanoseconds.
@@ -287,7 +368,7 @@ func (r *runState) assign(ctx context.Context) error {
 		r.attempts[sid]++
 
 		lctx, cancel := context.WithCancel(ctx)
-		le := &lease{shard: sid, worker: wi, cancel: cancel}
+		le := &lease{shard: sid, worker: wi, cancel: cancel, dst: r.buffer()}
 		le.beatNs.Store(r.clock())
 		r.leases[sid] = le
 		r.busy[wi] = true
@@ -296,10 +377,12 @@ func (r *runState) assign(ctx context.Context) error {
 		r.reg.Counter("cluster.shards.leased").Inc()
 		r.reg.Counter("cluster.worker." + r.workers[wi].ID() + ".shards_leased").Inc()
 
+		sh := r.shard(sid)
+		sh.Dst = le.dst
 		go func(w Worker, le *lease, sh Shard, job Job) {
 			res, err := w.RunShard(lctx, job, sh, func(int) { le.beatNs.Store(r.clock()) })
 			r.events <- doneEvent{le: le, res: res, err: err}
-		}(r.workers[wi], le, r.shard(sid), r.job)
+		}(r.workers[wi], le, sh, r.job)
 	}
 	return nil
 }
@@ -341,11 +424,14 @@ func (r *runState) requeue(sid int) {
 	r.reg.Counter("cluster.shards.reassigned").Inc()
 }
 
-// handleDone processes one runner goroutine's terminal report.
+// handleDone processes one runner goroutine's terminal report. The
+// runner has returned, so nothing writes its lease's buffer any more: it
+// is free once the results in it are merged, or dropped.
 func (r *runState) handleDone(ev doneEvent) {
 	wi, sid := ev.le.worker, ev.le.shard
 	r.busy[wi] = false
 	r.running--
+	defer func() { r.bufs = append(r.bufs, ev.le.dst) }()
 	current := r.leases[sid] == ev.le
 	if current {
 		delete(r.leases, sid)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"slices"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -99,8 +100,9 @@ func FuzzFramerRead(f *testing.F) {
 // must survive encode → decode unchanged (and re-encode to the very bytes
 // it came from: the layouts are fixed-width, and a job's chain text is
 // canonical); a hello is accepted only with this protocol's magic and
-// version; and a decoded result is merged only if checkResult finds it in
-// order and in range.
+// version; a result decodes the same into a reused buffer as into nil;
+// and a decoded result is merged only if checkResult finds it in order
+// and in range.
 func FuzzDecode(f *testing.F) {
 	a, b := ipaddr.MustParse("2001:db8::1"), ipaddr.MustParse("fe80::dead:beef")
 	f.Add(msgHello, encodeHello("probe-host-7"))
@@ -118,6 +120,9 @@ func FuzzDecode(f *testing.F) {
 		WallSeconds: 1.25,
 	}))
 
+	// reused is a result buffer that earlier inputs decoded into, as a
+	// lease buffer is, so it starts each input holding stale results.
+	reused := []scanner.Result{{Addr: b, Proto: proto.ICMP, Status: 9, Attempts: 7}}
 	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
 		switch typ {
 		case msgHello:
@@ -159,9 +164,18 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("beat (%d, %d) does not re-encode to % x", id, done, payload)
 			}
 		case msgResult:
-			res, err := decodeResult(payload, proto.TCP80)
+			res, err := decodeResult(payload, proto.TCP80, nil)
+			into, ierr := decodeResult(payload, proto.TCP80, reused)
+			if (err == nil) != (ierr == nil) {
+				t.Fatalf("decoding into nil: %v; into a reused buffer: %v", err, ierr)
+			}
 			if err != nil {
 				return
+			}
+			reused = into.Results[:cap(into.Results)]
+			if into.Shard != res.Shard || !slices.Equal(into.Results, res.Results) || into.Stats.Values() != res.Stats.Values() ||
+				math.Float64bits(into.WallSeconds) != math.Float64bits(res.WallSeconds) {
+				t.Fatal("a result decoded into a reused buffer differs from one decoded into nil")
 			}
 			if 8+perResult*len(res.Results)+7*8+8 != len(payload) {
 				t.Fatalf("%d results from %d bytes", len(res.Results), len(payload))

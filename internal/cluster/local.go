@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -43,15 +44,16 @@ func NewLocalWorker(id string, s *scanner.Scanner) *LocalWorker {
 func (w *LocalWorker) ID() string { return w.id }
 
 // RunShard implements Worker: it probes the shard's targets as given, in
-// heartbeat-sized batches each appended in place into one presized shard
-// slice, and returns one result per target in target order with the
-// shard's exact stats delta.
+// heartbeat-sized batches each appended in place into one shard slice —
+// shard.Dst when it has room, else one sized for the shard — and returns
+// one result per target in target order with the shard's exact stats
+// delta.
 func (w *LocalWorker) RunShard(ctx context.Context, job Job, shard Shard, beat func(done int)) (*ShardResult, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	start := time.Now()
 	before := w.s.Stats()
-	results := make([]scanner.Result, 0, len(shard.Targets))
+	results := slices.Grow(shard.Dst[:0], len(shard.Targets))
 	for off := 0; off < len(shard.Targets); off += w.batch {
 		if w.failHook != nil {
 			if err := w.failHook(len(results)); err != nil {

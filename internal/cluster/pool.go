@@ -20,8 +20,8 @@ type Pool struct {
 	stats   *scanner.Stats
 }
 
-// NewPool binds cfg's coordinator to workers.
-func NewPool(cfg Config, workers ...Worker) *Pool {
+// newPool binds cfg's coordinator to workers.
+func newPool(cfg Config, workers ...Worker) *Pool {
 	return &Pool{coord: NewCoordinator(cfg), workers: workers, stats: &scanner.Stats{}}
 }
 
@@ -45,7 +45,7 @@ func NewLocalPool(n int, link wire.Link, cfg Config, opts ...scanner.Option) *Po
 	for i := range workers {
 		workers[i] = NewLocalWorker(workerName(i), jobScanner(link, job, opts))
 	}
-	return NewPool(cfg, workers...)
+	return newPool(cfg, workers...)
 }
 
 // workerName labels in-process workers w0, w1, ...

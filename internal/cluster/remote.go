@@ -10,7 +10,7 @@ import (
 // RemoteWorker drives one `seedscan worker` process over the wire
 // protocol. It implements Worker: each RunShard ships the shard's targets,
 // relays the worker's heartbeats into the coordinator's lease clock, and
-// decodes the result frame.
+// decodes the result frame into the shard's Dst.
 //
 // The connection is re-established lazily after any failure, so a worker
 // process that restarts keeps serving later shards — the coordinator's
@@ -162,7 +162,7 @@ func (w *RemoteWorker) RunShard(ctx context.Context, job Job, shard Shard, beat 
 			beat(done)
 		case msgResult:
 			w.conn.SetReadDeadline(time.Time{})
-			return decodeResult(payload, job.Proto)
+			return decodeResult(payload, job.Proto, shard.Dst)
 		case msgError:
 			return nil, decodeError(payload)
 		default:

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -223,7 +224,9 @@ func encodeResult(r *ShardResult) []byte {
 	return binary.BigEndian.AppendUint64(b, math.Float64bits(r.WallSeconds))
 }
 
-func decodeResult(b []byte, p proto.Protocol) (*ShardResult, error) {
+// decodeResult decodes a result frame, its results appended to dst[:0]:
+// in dst's memory when it has room, in a fresh slice otherwise.
+func decodeResult(b []byte, p proto.Protocol, dst []scanner.Result) (*ShardResult, error) {
 	if len(b) < 8 {
 		return nil, fmt.Errorf("cluster: short result frame")
 	}
@@ -234,7 +237,7 @@ func decodeResult(b []byte, p proto.Protocol) (*ShardResult, error) {
 	}
 	r := &ShardResult{
 		Shard:   int(binary.BigEndian.Uint32(b[:4])),
-		Results: make([]scanner.Result, n),
+		Results: slices.Grow(dst[:0], n)[:n],
 	}
 	off := 8
 	for i := 0; i < n; i++ {

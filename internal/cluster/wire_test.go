@@ -52,7 +52,7 @@ func TestWireCodecRoundTrips(t *testing.T) {
 		Stats:       stats,
 		WallSeconds: 1.25,
 	}
-	gres, err := decodeResult(encodeResult(res), proto.UDP53)
+	gres, err := decodeResult(encodeResult(res), proto.UDP53, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

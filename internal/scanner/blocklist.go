@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"seedscan/internal/ipaddr"
@@ -50,14 +49,4 @@ func LoadBlocklist(r io.Reader) (*ipaddr.Trie, error) {
 		return nil, fmt.Errorf("scanner: blocklist: %w", err)
 	}
 	return t, nil
-}
-
-// LoadBlocklistFile loads a blocklist from a file path.
-func LoadBlocklistFile(path string) (*ipaddr.Trie, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("scanner: blocklist %s: %w", path, err)
-	}
-	defer f.Close()
-	return LoadBlocklist(f)
 }

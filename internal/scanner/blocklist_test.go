@@ -2,8 +2,6 @@ package scanner
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -45,24 +43,6 @@ func TestLoadBlocklistErrors(t *testing.T) {
 		if _, err := LoadBlocklist(strings.NewReader(in)); err == nil {
 			t.Errorf("accepted %q", in)
 		}
-	}
-}
-
-func TestLoadBlocklistFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "blocklist.conf")
-	if err := os.WriteFile(path, []byte("2001:db8::/32\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	bl, err := LoadBlocklistFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bl.Contains(ipaddr.MustParse("2001:db8::5")) {
-		t.Fatal("loaded blocklist not effective")
-	}
-	if _, err := LoadBlocklistFile(filepath.Join(dir, "missing")); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }
 

@@ -380,12 +380,8 @@ const (
 // scratch when a previous call released one, fresh otherwise. Release it
 // with putScratch once nothing reads it.
 func (s *Scanner) plan(targets []ipaddr.Addr, p proto.Protocol) *scanScratch {
-	var sc *scanScratch
-	select {
-	case sc = <-s.scratch:
-	default:
-		sc = new(scanScratch)
-	}
+	sc := getScratch(s.scratch)
+	sc.planned = sc.planned[:0]
 	sc.plan(s.set.secret, s.set.shuffle, targets, p)
 	return sc
 }
@@ -396,8 +392,23 @@ func (s *Scanner) putScratch(sc *scanScratch) {
 	if cap(sc.planned) > maxKeptScratchTargets || cap(sc.results) > maxKeptScratchTargets {
 		return
 	}
+	putScratch(s.scratch, sc)
+}
+
+// getScratch takes an entry off a free list, or makes one if it is empty.
+func getScratch(free chan *scanScratch) *scanScratch {
 	select {
-	case s.scratch <- sc:
+	case sc := <-free:
+		return sc
+	default:
+		return new(scanScratch)
+	}
+}
+
+// putScratch puts sc on a free list unless the list is full.
+func putScratch(free chan *scanScratch, sc *scanScratch) {
+	select {
+	case free <- sc:
 	default:
 	}
 }
@@ -485,27 +496,43 @@ func (s *Scanner) ScanPlanned(ctx context.Context, dst []Result, planned []ipadd
 	return dst[:base+len(planned)], nil
 }
 
-// PlanOrder computes the exact probe order a scanner configured with
-// (secret, shuffle) uses for one ScanContext call: targets deduplicated
-// into a fresh slice and, when shuffle is set, permuted by the
-// secret-keyed shuffle. The dedup always copies, so the caller's (routinely
-// shared) seed/candidate list is never reordered.
+// PlanOrder appends to dst the exact probe order a scanner configured
+// with (secret, shuffle) uses for one ScanContext call: targets
+// deduplicated and, when shuffle is set, permuted by the secret-keyed
+// shuffle. Like Go's Append functions it grows dst at most once, so a dst
+// with room for len(targets) more is written in place. The caller's
+// (routinely shared) seed/candidate list is never reordered.
 //
 // It is exported so a cluster coordinator can compute the canonical order
-// of the equivalent single-scanner run once and hand windows of it to
-// workers, which probe them as given through ScanPlanned.
-func PlanOrder(secret uint64, shuffle bool, targets []ipaddr.Addr, p proto.Protocol) []ipaddr.Addr {
-	sc := new(scanScratch)
+// of the equivalent single-scanner run once, into a plan it recycles, and
+// hand windows of it to workers, which probe them as given through
+// ScanPlanned. The dedup table and shuffle source come from planScratch.
+func PlanOrder(dst []ipaddr.Addr, secret uint64, shuffle bool, targets []ipaddr.Addr, p proto.Protocol) []ipaddr.Addr {
+	sc := getScratch(planScratch)
+	sc.planned = dst
 	sc.plan(secret, shuffle, targets, p)
-	return sc.planned
+	dst, sc.planned = sc.planned, nil
+	if len(targets) <= maxKeptScratchTargets {
+		putScratch(planScratch, sc)
+	}
+	return dst
 }
 
-// plan is PlanOrder into sc: the planned order replaces sc.planned in its
-// memory, and the shuffle re-seeds sc's source rather than building one,
-// which permutes exactly as a fresh source of the same seed would. It is
-// the one planning path, shared by PlanOrder and the scanner's own calls.
+// planScratch is PlanOrder's free list, in the shape of a Scanner's but
+// package-level, as PlanOrder has no Scanner to hang it on; like a
+// sync.Pool it is safe for concurrent use. Its entries hold only a dedup
+// table and a shuffle source, and one sized for more than
+// maxKeptScratchTargets targets is not kept.
+var planScratch = make(chan *scanScratch, keptScratch)
+
+// plan appends PlanOrder's order to sc.planned, in its memory, and the
+// shuffle re-seeds sc's source rather than building one, which permutes
+// exactly as a fresh source of the same seed would. It is the one
+// planning path, shared by PlanOrder and the scanner's own calls.
 func (sc *scanScratch) plan(secret uint64, shuffle bool, targets []ipaddr.Addr, p proto.Protocol) {
-	plan := sc.dedup.Append(sc.planned[:0], targets)
+	base := len(sc.planned)
+	sc.planned = sc.dedup.Append(sc.planned, targets)
+	plan := sc.planned[base:]
 	if shuffle {
 		seed := int64(ipaddr.Mix64(secret, uint64(p), uint64(len(plan))))
 		if sc.rng == nil {
@@ -515,7 +542,6 @@ func (sc *scanScratch) plan(secret uint64, shuffle bool, targets []ipaddr.Addr, 
 		}
 		sc.rng.Shuffle(len(plan), func(i, j int) { plan[i], plan[j] = plan[j], plan[i] })
 	}
-	sc.planned = plan
 }
 
 // ScanActive is a convenience wrapper returning only hit addresses.

@@ -87,7 +87,7 @@ func TestPlanOrderMatchesScanOrder(t *testing.T) {
 
 	s := New(quietLink{}, WithSecret(99))
 	res := s.Scan(targets, proto.TCP80)
-	plan := PlanOrder(99, true, targets, proto.TCP80)
+	plan := PlanOrder(nil, 99, true, targets, proto.TCP80)
 	if len(res) != len(plan) {
 		t.Fatalf("plan has %d targets, scan returned %d results", len(plan), len(res))
 	}
@@ -95,6 +95,29 @@ func TestPlanOrderMatchesScanOrder(t *testing.T) {
 		if res[i].Addr != plan[i] {
 			t.Fatalf("order diverges at %d: plan %v, scan %v", i, plan[i], res[i].Addr)
 		}
+	}
+}
+
+// TestPlanOrderAppendsToDst pins PlanOrder's dst: the plan is appended
+// after what dst holds, in dst's memory when it has room, and equals the
+// plan into nil whatever a recycled dst held before.
+func TestPlanOrderAppendsToDst(t *testing.T) {
+	targets := addrRange(300)
+	targets = append(targets, targets[:30]...)
+	want := PlanOrder(nil, 99, true, targets, proto.UDP53)
+
+	head := ipaddr.MustParse("2001:db8:ffff::1")
+	dst := make([]ipaddr.Addr, 1, 1+len(targets))
+	dst[0] = head
+	got := PlanOrder(dst, 99, true, targets, proto.UDP53)
+	if got[0] != head || !slices.Equal(got[1:], want) {
+		t.Fatal("PlanOrder into a non-empty dst is not dst followed by the plan")
+	}
+	if &got[0] != &dst[0] {
+		t.Fatal("PlanOrder grew a dst that had room for every target")
+	}
+	if again := PlanOrder(got[:0], 99, true, targets, proto.UDP53); !slices.Equal(again, want) {
+		t.Fatal("PlanOrder into a recycled dst differs from PlanOrder into nil")
 	}
 }
 
@@ -115,7 +138,7 @@ func TestScanContextIsScanPlannedOverPlanOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := PlanOrder(99, true, targets, p)
+		plan := PlanOrder(nil, 99, true, targets, p)
 		asPlanned := slices.Clone(plan)
 		halves := New(w.Link(), WithSecret(99))
 		got, err := halves.ScanPlanned(context.Background(), nil, plan, p)
@@ -141,7 +164,7 @@ func TestScanContextIsScanPlannedOverPlanOrder(t *testing.T) {
 	}
 
 	// A cancelled scan returns the probed prefix of the planned order.
-	plan := PlanOrder(99, true, targets, proto.ICMP)
+	plan := PlanOrder(nil, 99, true, targets, proto.ICMP)
 	link, started, release := gatedLink(w.Link())
 	s := New(link, WithSecret(99), WithWorkers(2))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -176,7 +199,7 @@ func TestScanContextIsScanPlannedOverPlanOrder(t *testing.T) {
 func TestScanPlannedAppendsToDst(t *testing.T) {
 	w := testWorld(t)
 	w.SetEpoch(world.ScanEpoch)
-	plan := PlanOrder(99, true, append(w.NewSampler(9).Hosts(300), addrRange(100)...), proto.ICMP)
+	plan := PlanOrder(nil, 99, true, append(w.NewSampler(9).Hosts(300), addrRange(100)...), proto.ICMP)
 	prefix := New(w.Link(), WithSecret(99)).Scan(addrRange(5), proto.TCP80)
 	want, err := New(w.Link(), WithSecret(99)).ScanPlanned(context.Background(), nil, plan, proto.ICMP)
 	if err != nil {
