@@ -17,9 +17,10 @@
 package hitlist
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"seedscan/internal/alias"
@@ -160,12 +161,11 @@ func (s *Service) BuildContext(ctx context.Context, sources ...*seeds.Dataset) (
 // SortPrefixes sorts prefixes by (base address, bits) — the canonical
 // published order of the aliased-prefix artifact.
 func SortPrefixes(prefixes []ipaddr.Prefix) {
-	sort.Slice(prefixes, func(i, j int) bool {
-		a, b := prefixes[i], prefixes[j]
-		if a.Addr() != b.Addr() {
-			return a.Addr().Less(b.Addr())
+	slices.SortFunc(prefixes, func(a, b ipaddr.Prefix) int {
+		if c := a.Addr().Compare(b.Addr()); c != 0 {
+			return c
 		}
-		return a.Bits() < b.Bits()
+		return cmp.Compare(a.Bits(), b.Bits())
 	})
 }
 

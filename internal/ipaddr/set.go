@@ -1,6 +1,6 @@
 package ipaddr
 
-import "sort"
+import "slices"
 
 // Set is a collection of unique addresses kept in insertion order. Slice,
 // Each and every derived set (Clone, Filter, Diff, Intersect) keep the
@@ -125,7 +125,7 @@ func (s *Set) Slice() []Addr {
 // Sorted returns the addresses in ascending numeric order.
 func (s *Set) Sorted() []Addr {
 	out := s.Slice()
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, Addr.Compare)
 	return out
 }
 

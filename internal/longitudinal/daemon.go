@@ -3,6 +3,7 @@ package longitudinal
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"seedscan/internal/alias"
@@ -116,8 +117,9 @@ type Daemon struct {
 	engine  *grid.Engine
 	offline *alias.OfflineList
 
-	universe  []ipaddr.Addr // corpus ∪ cohorts, sorted unique
-	corpusSet *ipaddr.Set
+	universe []ipaddr.Addr // corpus ∪ cohorts, sorted unique
+	// inCorpus marks the universe positions that hold a corpus address.
+	inCorpus []bool
 
 	// pending carries the current epoch's targets to the cell executor
 	// (cells embed only the target digest; the daemon runs one cell at a
@@ -145,23 +147,25 @@ func New(cfg Config) (*Daemon, error) {
 	if tr == nil {
 		tr = telemetry.NewTracer(nil)
 	}
-	d := &Daemon{
-		cfg:     cfg,
-		tr:      tr,
-		tracker: NewTracker(cfg.Alpha, cfg.StaleAfter),
-		sched: NewScheduler(SchedulerConfig{
-			Budget:          cfg.Budget,
-			StableEvery:     cfg.StableEvery,
-			VolatilityFloor: cfg.VolatilityFloor,
-		}),
-		offline:   alias.NewOfflineList(cfg.AliasedPrefixes),
-		corpusSet: ipaddr.NewSet(cfg.Corpus...),
-	}
 	universe := append([]ipaddr.Addr(nil), cfg.Corpus...)
 	for _, c := range cfg.Cohorts {
 		universe = append(universe, c.Addrs...)
 	}
-	d.universe = ipaddr.DedupSorted(universe)
+	slices.SortFunc(universe, ipaddr.Addr.Compare)
+	universe = slices.Compact(universe)
+	d := &Daemon{
+		cfg:     cfg,
+		tr:      tr,
+		tracker: newTracker(universe, cfg.Alpha, cfg.StaleAfter),
+		sched: newScheduler(SchedulerConfig{
+			Budget:          cfg.Budget,
+			StableEvery:     cfg.StableEvery,
+			VolatilityFloor: cfg.VolatilityFloor,
+		}),
+		offline:  alias.NewOfflineList(cfg.AliasedPrefixes),
+		universe: universe,
+		inCorpus: corpusFlags(universe, cfg.Corpus),
+	}
 	d.engine = grid.NewEngine(grid.Config{
 		Fingerprint: cfg.Fingerprint,
 		Store:       cfg.Store,
@@ -172,7 +176,20 @@ func New(cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-// Universe returns the daemon's full target universe (sorted).
+// corpusFlags marks the positions of corpus's addresses in universe, a
+// sorted, unique superset of corpus.
+func corpusFlags(universe, corpus []ipaddr.Addr) []bool {
+	flags := make([]bool, len(universe))
+	for _, a := range corpus {
+		if i, ok := slices.BinarySearchFunc(universe, a, ipaddr.Addr.Compare); ok {
+			flags[i] = true
+		}
+	}
+	return flags
+}
+
+// Universe returns the daemon's full target universe: corpus ∪ cohorts,
+// sorted and unique. The tracker keeps its state by position in it.
 func (d *Daemon) Universe() []ipaddr.Addr { return d.universe }
 
 // Tracker exposes the longitudinal state (read-only use).
@@ -186,9 +203,9 @@ func (d *Daemon) Reports() []EpochReport { return d.reports }
 // does not waste model mass on seeds the daemon has confirmed dead.
 func (d *Daemon) LiveSeeds() []ipaddr.Addr {
 	var out []ipaddr.Addr
-	for _, a := range d.corpusSet.Sorted() {
-		if st := d.tracker.State(a); st == nil || !st.Stale {
-			out = append(out, a)
+	for i, seed := range d.inCorpus {
+		if seed && !d.tracker.states[i].Stale {
+			out = append(out, d.universe[i])
 		}
 	}
 	return out
@@ -255,7 +272,7 @@ func (d *Daemon) runEpoch(ctx context.Context, epoch int) (EpochReport, error) {
 	start := time.Now()
 	span := d.tr.StartSpan("longitudinal.epoch", telemetry.Attrs{"epoch": epoch})
 
-	sel := d.sched.Select(epoch, d.universe, d.tracker)
+	sel := d.sched.Select(epoch, d.tracker)
 	d.cfg.World.SetEpoch(epoch)
 
 	var hits []ipaddr.Addr
@@ -270,8 +287,7 @@ func (d *Daemon) runEpoch(ctx context.Context, epoch int) (EpochReport, error) {
 		}
 		hits = res.Of(cell).Hits
 	}
-	hitSet := ipaddr.NewSet(hits...)
-	obs := d.tracker.Observe(epoch, sel.Targets, hitSet)
+	obs := d.tracker.Observe(epoch, sel.Targets, hits)
 
 	rep := EpochReport{
 		Epoch:          epoch,
@@ -291,24 +307,24 @@ func (d *Daemon) runEpoch(ctx context.Context, epoch int) (EpochReport, error) {
 
 	alive := d.tracker.Alive()
 	rep.Alive = alive.Len()
-	alive.Each(func(a ipaddr.Addr) {
-		if d.corpusSet.Contains(a) {
+	for i, seed := range d.inCorpus {
+		if seed && believedAlive(&d.tracker.states[i]) {
 			rep.AliveSeeds++
 		}
-	})
+	}
 
 	// Alias hits: this epoch's responsive addresses inside the known
-	// aliased-prefix list, folded to /96s.
-	aliasSet := make(map[ipaddr.Prefix]struct{})
-	for _, a := range hits {
-		if d.offline.Contains(a) {
-			aliasSet[ipaddr.PrefixFrom(a, alias.AliasPrefixBits)] = struct{}{}
+	// aliased-prefix list, folded to /96s. Read in universe order, the
+	// /96s come out sorted, so dropping adjacent repeats dedups them.
+	for i, hit := range d.tracker.hit {
+		if !hit || !d.offline.Contains(d.universe[i]) {
+			continue
+		}
+		p := ipaddr.PrefixFrom(d.universe[i], alias.AliasPrefixBits)
+		if n := len(rep.AliasPrefixes); n == 0 || rep.AliasPrefixes[n-1] != p {
+			rep.AliasPrefixes = append(rep.AliasPrefixes, p)
 		}
 	}
-	for p := range aliasSet {
-		rep.AliasPrefixes = append(rep.AliasPrefixes, p)
-	}
-	hitlist.SortPrefixes(rep.AliasPrefixes)
 
 	for _, c := range d.cfg.Cohorts {
 		cs := CohortStat{Name: c.Name, Total: len(c.Addrs)}

@@ -298,3 +298,54 @@ func TestDaemonStaleRecall(t *testing.T) {
 		t.Fatalf("prioritized recall %.3f; confirmed-stale tracking is broken", rPrio)
 	}
 }
+
+// TestUniverseWithOverlappingCohorts pins the universe to corpus ∪
+// cohorts, sorted and unique, when cohorts repeat corpus members: each
+// address is probed once an epoch, so a dead host listed three times
+// reads one miss after one epoch, not a stale confirmation.
+func TestUniverseWithOverlappingCohorts(t *testing.T) {
+	w, corpus := testCorpus(t, 42)
+	var dead ipaddr.Addr
+	found := false
+	for _, a := range corpus {
+		if !w.ActiveOn(a, proto.ICMP, 1) {
+			dead, found = a, true
+			break
+		}
+	}
+	if !found {
+		t.Fatal("no corpus address is down at epoch 1")
+	}
+	n := len(corpus)
+	d, err := New(Config{
+		World: w, Prober: oracleProber{w}, Corpus: corpus, Proto: proto.ICMP,
+		Cohorts: []Cohort{
+			{Name: "a", Addrs: []ipaddr.Addr{corpus[n-1], dead, corpus[n/2]}},
+			{Name: "b", Addrs: []ipaddr.Addr{corpus[n/2], dead}},
+		},
+		StartEpoch: 1, Epochs: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := d.Universe()
+	for i := 1; i < len(u); i++ {
+		if !u[i-1].Less(u[i]) {
+			t.Fatalf("universe not sorted and unique at %d: %v, %v", i, u[i-1], u[i])
+		}
+	}
+	if len(u) != n {
+		t.Fatalf("universe holds %d addresses, want |corpus ∪ cohorts| = %d", len(u), n)
+	}
+	reps, err := d.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reps[0].Probed != n {
+		t.Fatalf("epoch 1 probed %d, want %d", reps[0].Probed, n)
+	}
+	st := d.Tracker().State(dead)
+	if st == nil || st.Observed != 1 || st.ConsecDown != 1 || st.Stale {
+		t.Fatalf("triple-listed dead member after one epoch: %+v, want one miss, not stale", st)
+	}
+}

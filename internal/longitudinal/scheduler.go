@@ -1,7 +1,8 @@
 package longitudinal
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"seedscan/internal/ipaddr"
 )
@@ -42,10 +43,10 @@ func (c *SchedulerConfig) fillDefaults() {
 	}
 }
 
-// Selection is one epoch's probe plan. Targets is sorted; the class
-// counters report how the budget was spent and Saved how many eligible
-// (non-stale) universe addresses were skipped — the probes a full
-// re-scan would have spent.
+// Selection is one epoch's probe plan. Targets is sorted and sized
+// exactly; the class counters report how the budget was spent and Saved
+// how many eligible (non-stale) universe addresses were skipped — the
+// probes a full re-scan would have spent.
 type Selection struct {
 	Targets []ipaddr.Addr
 	// New counts never-probed candidates; PendingStale addresses mid
@@ -57,14 +58,41 @@ type Selection struct {
 }
 
 // Scheduler turns tracker state into a budgeted, volatility-prioritized
-// probe plan. Selection is deterministic: identical tracker state and
-// universe produce identical plans, which the daemon's resume depends on.
+// probe plan. Selection is deterministic: identical tracker state produces
+// identical plans, which the daemon's resume depends on. Its scratch
+// (per-position classes, the volatile class) is kept across epochs, so a
+// warm Select allocates only its Targets; it is not safe for concurrent
+// use.
 type Scheduler struct {
-	cfg SchedulerConfig
+	cfg      SchedulerConfig
+	class    []class
+	volatile []volPos
 }
 
-// NewScheduler builds a scheduler.
-func NewScheduler(cfg SchedulerConfig) *Scheduler {
+// class is a universe position's scheduling class in one Select.
+type class uint8
+
+const (
+	classStale class = iota // confirmed stale: not probed
+	classNew
+	classPending
+	classVolatile
+	classRotation // stable, on this epoch's rotation phase
+	// classIdle is eligible but not probed this epoch: stable off the
+	// rotation phase, or volatile and cut by the budget.
+	classIdle
+	numClasses
+)
+
+// volPos is a volatile-class member: its universe position and predicted
+// volatility.
+type volPos struct {
+	i int32
+	v float64
+}
+
+// newScheduler builds a scheduler.
+func newScheduler(cfg SchedulerConfig) *Scheduler {
 	cfg.fillDefaults()
 	return &Scheduler{cfg: cfg}
 }
@@ -80,8 +108,8 @@ func rotHash(seed uint64, a ipaddr.Addr) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Select plans one epoch's probes over the universe (sorted, deduplicated
-// addresses). Priority order under the budget cap:
+// Select plans one epoch's probes over the tracker's universe. Priority
+// order under the budget cap:
 //
 //  1. never-probed candidates (every address deserves one observation),
 //  2. addresses pending stale confirmation (down, not yet confirmed —
@@ -91,111 +119,113 @@ func rotHash(seed uint64, a ipaddr.Addr) uint64 {
 //     raises suspicion on its whole prefix),
 //  4. the stable rotation slice for this epoch.
 //
-// Confirmed-stale addresses are not probed at all — they re-enter only
-// through the universe changing (or a later resurrection policy).
-func (s *Scheduler) Select(epoch int, universe []ipaddr.Addr, tr *Tracker) Selection {
-	// Pass 1: per-/64 mean volatility over the observed universe.
-	type agg struct {
-		sum float64
-		n   int
-	}
-	vol64 := make(map[uint64]*agg)
-	for _, a := range universe {
-		if st := tr.State(a); st != nil {
-			g, ok := vol64[a.Hi()]
-			if !ok {
-				g = &agg{}
-				vol64[a.Hi()] = g
+// Within a class a truncating budget keeps the lowest addresses (for the
+// volatile class, ties in volatility). Confirmed-stale addresses are not
+// probed at all — they re-enter only through the universe changing (or a
+// later resurrection policy).
+//
+// The universe is sorted, so each /64 is a contiguous run: one pass takes
+// each run's mean volatility and classifies its members, and a second
+// emits the chosen positions in universe order, so Targets comes out
+// sorted and sized exactly.
+func (s *Scheduler) Select(epoch int, tr *Tracker) Selection {
+	u, states := tr.universe, tr.states
+	s.class = slices.Grow(s.class[:0], len(u))[:len(u)]
+	s.volatile = s.volatile[:0]
+	every := uint64(s.cfg.StableEvery)
+	phase := uint64(epoch) % every
+
+	var count [numClasses]int
+	for lo := 0; lo < len(u); {
+		hi := lo + 1
+		for hi < len(u) && u[hi].Hi() == u[lo].Hi() {
+			hi++
+		}
+		// The /64's mean volatility over its observed members.
+		var sum float64
+		n := 0
+		for i := lo; i < hi; i++ {
+			if states[i].Observed > 0 {
+				sum += states[i].Volatility
+				n++
 			}
-			g.sum += st.Volatility
-			g.n++
 		}
-	}
-	mean64 := func(a ipaddr.Addr) float64 {
-		if g, ok := vol64[a.Hi()]; ok && g.n > 0 {
-			return g.sum / float64(g.n)
+		half := 0.0
+		if n > 0 {
+			half = sum / float64(n) / 2
 		}
-		return 0
+		for i := lo; i < hi; i++ {
+			st := &states[i]
+			c := classStale
+			switch {
+			case st.Observed == 0:
+				c = classNew
+			case st.Stale:
+			case st.ConsecDown >= 1:
+				c = classPending
+			default:
+				v := max(st.Volatility, half)
+				switch {
+				case v >= s.cfg.VolatilityFloor:
+					c = classVolatile
+					s.volatile = append(s.volatile, volPos{int32(i), v})
+				case rotHash(s.cfg.Seed, u[i])%every == phase:
+					c = classRotation
+				default:
+					c = classIdle
+				}
+			}
+			s.class[i] = c
+			count[c]++
+		}
+		lo = hi
 	}
 
-	// Pass 2: classify.
-	type volAddr struct {
-		a ipaddr.Addr
-		v float64
-	}
-	var (
-		sel      Selection
-		news     []ipaddr.Addr
-		pending  []ipaddr.Addr
-		volatile []volAddr
-		stable   []ipaddr.Addr
-	)
-	for _, a := range universe {
-		st := tr.State(a)
-		switch {
-		case st == nil:
-			news = append(news, a)
-		case st.Stale:
-			continue // dropped from probing entirely
-		case st.ConsecDown >= 1:
-			pending = append(pending, a)
-		default:
-			v := st.Volatility
-			if m := mean64(a) / 2; m > v {
-				v = m
-			}
-			if v >= s.cfg.VolatilityFloor {
-				volatile = append(volatile, volAddr{a, v})
-			} else {
-				stable = append(stable, a)
-			}
-		}
-		sel.Eligible++
-	}
-	sort.SliceStable(volatile, func(i, j int) bool {
-		if volatile[i].v != volatile[j].v {
-			return volatile[i].v > volatile[j].v
-		}
-		return volatile[i].a.Less(volatile[j].a)
-	})
+	sel := Selection{Eligible: len(u) - count[classStale]}
 
 	budget := s.cfg.Budget
 	if budget <= 0 {
 		budget = sel.Eligible
 	}
+	room := budget
 	take := func(n int) int {
-		if room := budget - len(sel.Targets); n > room {
-			n = room
-		}
+		n = min(n, room)
+		room -= n
 		return n
 	}
-
-	n := take(len(news))
-	sel.Targets = append(sel.Targets, news[:n]...)
-	sel.New = n
-
-	n = take(len(pending))
-	sel.Targets = append(sel.Targets, pending[:n]...)
-	sel.PendingStale = n
-
-	n = take(len(volatile))
-	for _, va := range volatile[:n] {
-		sel.Targets = append(sel.Targets, va.a)
+	sel.New = take(count[classNew])
+	sel.PendingStale = take(count[classPending])
+	sel.Volatile = take(count[classVolatile])
+	sel.StableRefresh = take(count[classRotation])
+	if sel.Volatile < len(s.volatile) {
+		slices.SortFunc(s.volatile, func(a, b volPos) int {
+			if a.v != b.v {
+				return cmp.Compare(b.v, a.v)
+			}
+			return cmp.Compare(a.i, b.i)
+		})
+		for _, vp := range s.volatile[sel.Volatile:] {
+			s.class[vp.i] = classIdle
+		}
 	}
-	sel.Volatile = n
 
-	phase := uint64(epoch) % uint64(s.cfg.StableEvery)
-	for _, a := range stable {
-		if len(sel.Targets) >= budget {
+	// Emit in universe order; each class keeps its first members.
+	left := [numClasses]int{
+		classNew:      sel.New,
+		classPending:  sel.PendingStale,
+		classVolatile: sel.Volatile,
+		classRotation: sel.StableRefresh,
+	}
+	sel.Targets = make([]ipaddr.Addr, 0, budget-room)
+	for i, c := range s.class {
+		if len(sel.Targets) == cap(sel.Targets) {
 			break
 		}
-		if rotHash(s.cfg.Seed, a)%uint64(s.cfg.StableEvery) == phase {
-			sel.Targets = append(sel.Targets, a)
-			sel.StableRefresh++
+		if left[c] > 0 {
+			left[c]--
+			sel.Targets = append(sel.Targets, u[i])
 		}
 	}
-
 	sel.Saved = sel.Eligible - len(sel.Targets)
-	sort.Slice(sel.Targets, func(i, j int) bool { return sel.Targets[i].Less(sel.Targets[j]) })
 	return sel
 }

@@ -1,9 +1,9 @@
 // Package longitudinal runs scanning as an ongoing service rather than a
 // one-shot experiment: an epoch-driven daemon re-scans a budgeted target
-// set as the world's epoch clock advances, tracks per-address and per-/64
-// lifetime, stability, and volatility, confirms stale seeds instead of
-// trusting a single miss, and publishes each epoch's believed-alive view
-// as a new hitlistdb generation.
+// set as the world's epoch clock advances, tracks per-address lifetime,
+// stability, and volatility (averaged per /64 when scheduling), confirms
+// stale seeds instead of trusting a single miss, and publishes each
+// epoch's believed-alive view as a new hitlistdb generation.
 //
 // This is the paper's §6.2 staleness critique turned into machinery: the
 // published hitlist decays between builds, and a scanner that re-scans
@@ -19,7 +19,7 @@
 package longitudinal
 
 import (
-	"sort"
+	"slices"
 
 	"seedscan/internal/ipaddr"
 )
@@ -89,44 +89,93 @@ type ObserveStats struct {
 // responsive) sequence reproduces identical state, which is what lets a
 // killed daemon rebuild itself from checkpointed cell results.
 //
+// State is kept by position: states[i] belongs to universe[i], the
+// daemon's sorted, unique target universe, and Observed == 0 marks an
+// address never probed. Every per-epoch step is a linear pass in universe
+// order, so the tracker's outputs (Alive, ConfirmedStale) come out sorted
+// without sorting.
+//
 // Not safe for concurrent use; the daemon observes one epoch at a time.
 type Tracker struct {
 	alpha      float64
 	staleAfter int
-	states     map[ipaddr.Addr]*AddrState
+	universe   []ipaddr.Addr
+	states     []AddrState
+	// hit marks the positions that answered the latest Observe.
+	hit []bool
+	// tracked, stale and alive count the observed, confirmed-stale and
+	// believed-alive positions.
+	tracked, stale, alive int
 }
 
-// NewTracker builds a tracker. Non-positive parameters get the defaults.
-func NewTracker(alpha float64, staleAfter int) *Tracker {
+// newTracker builds a tracker over universe, which must be sorted and
+// unique; the tracker keeps it. Non-positive parameters get the defaults.
+func newTracker(universe []ipaddr.Addr, alpha float64, staleAfter int) *Tracker {
 	if alpha <= 0 || alpha > 1 {
 		alpha = DefaultAlpha
 	}
 	if staleAfter <= 0 {
 		staleAfter = DefaultStaleAfter
 	}
-	return &Tracker{alpha: alpha, staleAfter: staleAfter, states: make(map[ipaddr.Addr]*AddrState)}
+	return &Tracker{
+		alpha:      alpha,
+		staleAfter: staleAfter,
+		universe:   universe,
+		states:     make([]AddrState, len(universe)),
+		hit:        make([]bool, len(universe)),
+	}
 }
 
 // StaleAfter returns the confirmation threshold.
 func (t *Tracker) StaleAfter() int { return t.staleAfter }
 
 // Len reports how many addresses have been observed at least once.
-func (t *Tracker) Len() int { return len(t.states) }
+func (t *Tracker) Len() int { return t.tracked }
+
+// pos returns a's universe position, or -1 if a is not in the universe.
+func (t *Tracker) pos(a ipaddr.Addr) int {
+	i, ok := slices.BinarySearchFunc(t.universe, a, ipaddr.Addr.Compare)
+	if !ok {
+		return -1
+	}
+	return i
+}
 
 // State returns the tracked state of a, or nil if a was never probed.
 // The returned pointer is live; callers must not mutate it.
-func (t *Tracker) State(a ipaddr.Addr) *AddrState { return t.states[a] }
+func (t *Tracker) State(a ipaddr.Addr) *AddrState {
+	if i := t.pos(a); i >= 0 && t.states[i].Observed > 0 {
+		return &t.states[i]
+	}
+	return nil
+}
 
 // Observe folds one epoch's scan into the tracker: every address in
-// probed was sent a probe, and responded iff it is in responsive.
-func (t *Tracker) Observe(epoch int, probed []ipaddr.Addr, responsive *ipaddr.Set) ObserveStats {
+// targets (sorted, as a Selection's are) was sent a probe, and responded
+// iff it is in hits (any order). Targets outside the universe, and
+// repeats, are ignored.
+func (t *Tracker) Observe(epoch int, targets, hits []ipaddr.Addr) ObserveStats {
+	clear(t.hit)
+	for _, a := range hits {
+		if i := t.pos(a); i >= 0 {
+			t.hit[i] = true
+		}
+	}
 	var stats ObserveStats
-	for _, a := range probed {
-		up := responsive != nil && responsive.Contains(a)
-		st, ok := t.states[a]
-		if !ok {
-			st = &AddrState{}
-			t.states[a] = st
+	i := 0
+	for _, a := range targets {
+		for i < len(t.universe) && t.universe[i].Less(a) {
+			i++
+		}
+		if i == len(t.universe) || t.universe[i] != a {
+			continue
+		}
+		st, up := &t.states[i], t.hit[i]
+		i++
+		if st.Observed == 0 {
+			t.tracked++
+		} else if believedAlive(st) {
+			t.alive--
 		}
 		changed := st.Observed > 0 && st.Up != up
 		st.LastProbed = epoch
@@ -151,13 +200,16 @@ func (t *Tracker) Observe(epoch int, probed []ipaddr.Addr, responsive *ipaddr.Se
 			st.LastSeen = epoch
 			if st.Stale {
 				st.Stale = false
+				t.stale--
 				stats.Resurrected++
 			}
+			t.alive++
 		} else {
 			st.ConsecDown++
 			st.ConsecUp = 0
 			if !st.Stale && st.ConsecDown >= t.staleAfter {
 				st.Stale = true
+				t.stale++
 				stats.NewlyStale++
 			}
 		}
@@ -165,13 +217,17 @@ func (t *Tracker) Observe(epoch int, probed []ipaddr.Addr, responsive *ipaddr.Se
 	return stats
 }
 
+// believedAlive reports whether a state counts toward Alive.
+func believedAlive(st *AddrState) bool { return st.Up && !st.Stale }
+
 // Alive returns the believed-alive set: every address whose most recent
-// observation was a response and which is not confirmed stale.
+// observation was a response and which is not confirmed stale, added in
+// universe (ascending) order.
 func (t *Tracker) Alive() *ipaddr.Set {
-	out := ipaddr.NewSet()
-	for a, st := range t.states {
-		if st.Up && !st.Stale {
-			out.Add(a)
+	out := ipaddr.NewSetCap(t.alive)
+	for i := range t.states {
+		if believedAlive(&t.states[i]) {
+			out.Add(t.universe[i])
 		}
 	}
 	return out
@@ -180,61 +236,14 @@ func (t *Tracker) Alive() *ipaddr.Set {
 // ConfirmedStale returns the confirmed-stale addresses, sorted — the
 // seeds a treatment construction should drop.
 func (t *Tracker) ConfirmedStale() []ipaddr.Addr {
-	var out []ipaddr.Addr
-	for a, st := range t.states {
-		if st.Stale {
-			out = append(out, a)
+	out := make([]ipaddr.Addr, 0, t.stale)
+	for i := range t.states {
+		if t.states[i].Stale {
+			out = append(out, t.universe[i])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
 
 // StaleCount reports how many addresses are currently confirmed stale.
-func (t *Tracker) StaleCount() int {
-	n := 0
-	for _, st := range t.states {
-		if st.Stale {
-			n++
-		}
-	}
-	return n
-}
-
-// Prefix64 aggregates tracked state over one /64 — the granularity the
-// paper's TGAs target and the natural unit of routing-level churn.
-type Prefix64 struct {
-	Prefix  ipaddr.Prefix
-	Members int
-	Flaps   int
-	// Volatility is the mean member volatility.
-	Volatility float64
-	// Alive counts believed-alive members.
-	Alive int
-}
-
-// Prefixes64 returns the per-/64 aggregation, sorted by prefix.
-func (t *Tracker) Prefixes64() []Prefix64 {
-	agg := make(map[uint64]*Prefix64)
-	for a, st := range t.states {
-		hi := a.Hi()
-		p, ok := agg[hi]
-		if !ok {
-			p = &Prefix64{Prefix: ipaddr.PrefixFrom(a, 64)}
-			agg[hi] = p
-		}
-		p.Members++
-		p.Flaps += st.Flaps
-		p.Volatility += st.Volatility
-		if st.Up && !st.Stale {
-			p.Alive++
-		}
-	}
-	out := make([]Prefix64, 0, len(agg))
-	for _, p := range agg {
-		p.Volatility /= float64(p.Members)
-		out = append(out, *p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Prefix.Addr().Less(out[j].Prefix.Addr()) })
-	return out
-}
+func (t *Tracker) StaleCount() int { return t.stale }

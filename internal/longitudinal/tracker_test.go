@@ -2,6 +2,7 @@ package longitudinal
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"seedscan/internal/ipaddr"
@@ -13,13 +14,15 @@ func addr(lo uint64) ipaddr.Addr {
 
 // observe runs one epoch over a fixed probe list with the given subset up.
 func observe(t *Tracker, epoch int, probed []ipaddr.Addr, up ...ipaddr.Addr) ObserveStats {
-	return t.Observe(epoch, probed, ipaddr.NewSet(up...))
+	probed = slices.Clone(probed)
+	slices.SortFunc(probed, ipaddr.Addr.Compare)
+	return t.Observe(epoch, probed, up)
 }
 
 func TestTrackerLifetimeAndFlaps(t *testing.T) {
-	tr := NewTracker(0.5, 3)
 	a := addr(1)
 	probed := []ipaddr.Addr{a}
+	tr := newTracker(probed, 0.5, 3)
 
 	observe(tr, 1, probed, a) // up
 	observe(tr, 2, probed, a) // up
@@ -50,9 +53,9 @@ func TestTrackerLifetimeAndFlaps(t *testing.T) {
 }
 
 func TestTrackerStaleConfirmationAndResurrection(t *testing.T) {
-	tr := NewTracker(0.5, 3)
 	a := addr(7)
 	probed := []ipaddr.Addr{a}
+	tr := newTracker(probed, 0.5, 3)
 
 	observe(tr, 1, probed, a)
 	for e := 2; e <= 4; e++ {
@@ -80,35 +83,7 @@ func TestTrackerStaleConfirmationAndResurrection(t *testing.T) {
 	}
 }
 
-func TestTrackerPrefix64Aggregation(t *testing.T) {
-	tr := NewTracker(0.5, 3)
-	// Two /64s: one with a flappy member, one all-stable.
-	p1a, p1b := addr(1), addr(2)
-	p2 := ipaddr.MustParse("2001:db8:0:1::").AddLo(1)
-	probed := []ipaddr.Addr{p1a, p1b, p2}
-
-	observe(tr, 1, probed, p1a, p1b, p2)
-	observe(tr, 2, probed, p1b, p2) // p1a flaps down
-	observe(tr, 3, probed, p1a, p1b, p2)
-
-	prefixes := tr.Prefixes64()
-	if len(prefixes) != 2 {
-		t.Fatalf("got %d /64s", len(prefixes))
-	}
-	flappy, stable := prefixes[0], prefixes[1]
-	if flappy.Members != 2 || flappy.Flaps != 2 || flappy.Alive != 2 {
-		t.Fatalf("flappy /64: %+v", flappy)
-	}
-	if flappy.Volatility <= stable.Volatility {
-		t.Fatalf("flappy /64 volatility %v not above stable %v", flappy.Volatility, stable.Volatility)
-	}
-	if stable.Flaps != 0 || stable.Volatility != 0 {
-		t.Fatalf("stable /64: %+v", stable)
-	}
-}
-
 func TestSchedulerPriorityAndBudget(t *testing.T) {
-	tr := NewTracker(0.5, 3)
 	fresh := addr(100)  // never probed
 	down := addr(101)   // pending stale confirmation
 	flappy := addr(102) // volatile
@@ -118,6 +93,8 @@ func TestSchedulerPriorityAndBudget(t *testing.T) {
 		stables = append(stables, ipaddr.MustParse("2001:db8:1::").AddLo(i))
 	}
 
+	universe := ipaddr.DedupSorted(append([]ipaddr.Addr{fresh, down, flappy, stale}, stables...))
+	tr := newTracker(universe, 0.5, 3)
 	warm := append([]ipaddr.Addr{down, flappy, stale}, stables...)
 	observe(tr, 1, warm, append([]ipaddr.Addr{down, flappy}, stables...)...)
 	observe(tr, 2, warm, append([]ipaddr.Addr{down}, stables...)...) // flappy down, stale down 1
@@ -128,9 +105,8 @@ func TestSchedulerPriorityAndBudget(t *testing.T) {
 		t.Fatal("setup: stale not confirmed")
 	}
 
-	universe := ipaddr.DedupSorted(append([]ipaddr.Addr{fresh, down, flappy, stale}, stables...))
-	s := NewScheduler(SchedulerConfig{StableEvery: 4, VolatilityFloor: 0.05})
-	sel := s.Select(5, universe, tr)
+	s := newScheduler(SchedulerConfig{StableEvery: 4, VolatilityFloor: 0.05})
+	sel := s.Select(5, tr)
 
 	if sel.Eligible != len(universe)-1 {
 		t.Fatalf("eligible = %d, want %d (stale excluded)", sel.Eligible, len(universe)-1)
@@ -164,8 +140,8 @@ func TestSchedulerPriorityAndBudget(t *testing.T) {
 
 	// A hard budget truncates in priority order: the fresh candidate and
 	// the pending-stale confirmation survive a budget of 2.
-	tight := NewScheduler(SchedulerConfig{Budget: 2, StableEvery: 4})
-	tsel := tight.Select(5, universe, tr)
+	tight := newScheduler(SchedulerConfig{Budget: 2, StableEvery: 4})
+	tsel := tight.Select(5, tr)
 	if len(tsel.Targets) != 2 || tsel.New != 1 || tsel.PendingStale != 1 || tsel.Volatile != 0 {
 		t.Fatalf("budget truncation: %+v", tsel)
 	}
@@ -175,19 +151,19 @@ func TestSchedulerPriorityAndBudget(t *testing.T) {
 // probed at least once within any StableEvery consecutive epochs — the
 // staleness-detection lag bound.
 func TestSchedulerRotationCoversStableMass(t *testing.T) {
-	tr := NewTracker(0.5, 3)
 	var universe []ipaddr.Addr
 	for i := uint64(0); i < 500; i++ {
 		universe = append(universe, ipaddr.MustParse("2001:db8:2::").AddLo(i*7))
 	}
 	universe = ipaddr.DedupSorted(universe)
+	tr := newTracker(universe, 0.5, 3)
 	observe(tr, 1, universe, universe...) // all stable and up
 
 	const stableEvery = 4
-	s := NewScheduler(SchedulerConfig{StableEvery: stableEvery})
+	s := newScheduler(SchedulerConfig{StableEvery: stableEvery})
 	probed := ipaddr.NewSet()
 	for e := 2; e < 2+stableEvery; e++ {
-		sel := s.Select(e, universe, tr)
+		sel := s.Select(e, tr)
 		probed.AddAll(sel.Targets)
 		// Each slice is roughly a quarter of the mass, never all of it.
 		if len(sel.Targets) == len(universe) {
@@ -199,8 +175,8 @@ func TestSchedulerRotationCoversStableMass(t *testing.T) {
 	}
 
 	// Determinism: the same epoch plans the same targets.
-	a := s.Select(9, universe, tr)
-	b := s.Select(9, universe, tr)
+	a := s.Select(9, tr)
+	b := s.Select(9, tr)
 	if len(a.Targets) != len(b.Targets) {
 		t.Fatal("selection not deterministic")
 	}
