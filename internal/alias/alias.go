@@ -85,17 +85,13 @@ func ParseMode(name string) (Mode, error) {
 
 // OfflineList is a static set of known aliased prefixes.
 type OfflineList struct {
-	trie     *ipaddr.Trie
+	table    *ipaddr.LPMTable
 	prefixes []ipaddr.Prefix
 }
 
 // NewOfflineList builds a list from known aliased prefixes.
 func NewOfflineList(prefixes []ipaddr.Prefix) *OfflineList {
-	t := ipaddr.NewTrie()
-	for _, p := range prefixes {
-		t.Insert(p, true)
-	}
-	return &OfflineList{trie: t, prefixes: append([]ipaddr.Prefix(nil), prefixes...)}
+	return &OfflineList{table: ipaddr.BuildLPM(prefixes, nil, 0), prefixes: slices.Clone(prefixes)}
 }
 
 // Len returns the number of listed prefixes.
@@ -106,7 +102,10 @@ func (l *OfflineList) Len() int { return len(l.prefixes) }
 func (l *OfflineList) Prefixes() []ipaddr.Prefix { return l.prefixes }
 
 // Contains reports whether a falls in a listed aliased prefix.
-func (l *OfflineList) Contains(a ipaddr.Addr) bool { return l.trie.Contains(a) }
+func (l *OfflineList) Contains(a ipaddr.Addr) bool {
+	_, ok := l.table.Lookup(a)
+	return ok
+}
 
 // Dealiaser splits address lists into clean and aliased parts under a
 // given mode. The zero value is unusable; construct with New.
@@ -134,7 +133,7 @@ type Dealiaser struct {
 	// confirmed on first sight. See cooldown.go.
 	density    map[ipaddr.Prefix]int
 	trigger    int
-	candidates *ipaddr.Trie
+	candidates *OfflineList
 
 	// Telemetry counters; all nil-safe, so an unwired Dealiaser pays only
 	// a no-op method call. Guarded by mu: SetTelemetry may race with
@@ -162,7 +161,7 @@ func New(mode Mode, offline *OfflineList, prober scanner.Prober, p proto.Protoco
 	if mode == ModeCooldown {
 		d.density = make(map[ipaddr.Prefix]int)
 		d.trigger = CooldownTrigger
-		d.candidates = candidateTrie(offline)
+		d.candidates = candidateList(offline)
 	}
 	return d
 }

@@ -37,7 +37,7 @@ const CooldownAggrBits = 64
 const CooldownTrigger = 4
 
 // MaxCandidatePrefixes caps structural candidate generation so a
-// pathological known-alias list cannot blow up the suspicion trie.
+// pathological known-alias list cannot blow up the suspicion list.
 const MaxCandidatePrefixes = 4096
 
 // splitCooldown is Split under ModeCooldown. Three phases: account
@@ -89,21 +89,15 @@ func (d *Dealiaser) splitCooldown(addrs []ipaddr.Addr) (clean, aliased []ipaddr.
 	return clean, aliased
 }
 
-// candidateTrie builds the suspicion trie: the known-alias list itself
-// plus the structural candidates derived from it. Nil when there is no
-// list to learn from.
-func candidateTrie(offline *OfflineList) *ipaddr.Trie {
+// candidateList builds the suspicion list: the structural candidates
+// derived from the known-alias list, plus that list itself. Nil when
+// there is no list to learn from.
+func candidateList(offline *OfflineList) *OfflineList {
 	if offline == nil || offline.Len() == 0 {
 		return nil
 	}
-	t := ipaddr.NewTrie()
-	for _, p := range offline.Prefixes() {
-		t.Insert(p, true)
-	}
-	for _, p := range GenerateCandidatePrefixes(offline.Prefixes(), MaxCandidatePrefixes) {
-		t.Insert(p, true)
-	}
-	return t
+	known := offline.Prefixes()
+	return NewOfflineList(append(GenerateCandidatePrefixes(known, MaxCandidatePrefixes), known...))
 }
 
 // GenerateCandidatePrefixes derives candidate alias prefixes from the

@@ -7,6 +7,7 @@ package asdb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"seedscan/internal/ipaddr"
@@ -65,94 +66,82 @@ type AS struct {
 }
 
 // DB is the registry of ASes with prefix-based lookup. Construct with New;
-// a DB is safe for concurrent reads after registration completes.
+// a DB is immutable and safe for concurrent reads.
 type DB struct {
-	trie  *ipaddr.Trie
-	byNum map[int]*AS
+	// table maps each announced prefix to its AS's position in ases.
+	table *ipaddr.LPMTable
+	ases  []*AS // sorted by Number
 }
 
-// New returns an empty registry.
-func New() *DB {
-	return &DB{trie: ipaddr.NewTrie(), byNum: make(map[int]*AS)}
-}
-
-// Register adds an AS and routes all its prefixes to it. Registering the
-// same AS number twice merges prefix lists.
-func (db *DB) Register(as *AS) {
-	if existing, ok := db.byNum[as.Number]; ok {
-		existing.Prefixes = append(existing.Prefixes, as.Prefixes...)
-		for _, p := range as.Prefixes {
-			db.trie.Insert(p, existing.Number)
+// New builds a registry routing every listed AS's prefixes to it. Records
+// sharing an AS number merge into one, their prefix lists concatenated.
+// When two records announce the same prefix, the later one owns it.
+func New(ases ...*AS) *DB {
+	db := &DB{}
+	byNum := make(map[int]*AS, len(ases))
+	for _, as := range ases {
+		if existing, ok := byNum[as.Number]; ok {
+			existing.Prefixes = append(existing.Prefixes, as.Prefixes...)
+			continue
 		}
-		return
+		cp := *as
+		cp.Prefixes = slices.Clone(as.Prefixes)
+		byNum[as.Number] = &cp
+		db.ases = append(db.ases, &cp)
 	}
-	cp := *as
-	db.byNum[as.Number] = &cp
-	for _, p := range cp.Prefixes {
-		db.trie.Insert(p, cp.Number)
+	sort.Slice(db.ases, func(i, j int) bool { return db.ases[i].Number < db.ases[j].Number })
+	var prefixes []ipaddr.Prefix
+	var values []uint32
+	for _, as := range ases {
+		i, _ := db.index(as.Number)
+		for _, p := range as.Prefixes {
+			prefixes = append(prefixes, p)
+			values = append(values, uint32(i))
+		}
 	}
-}
-
-// Announce adds one more prefix to an already-registered AS.
-func (db *DB) Announce(asn int, p ipaddr.Prefix) error {
-	as, ok := db.byNum[asn]
-	if !ok {
-		return fmt.Errorf("asdb: announce %v: AS%d not registered", p, asn)
-	}
-	as.Prefixes = append(as.Prefixes, p)
-	db.trie.Insert(p, asn)
-	return nil
+	db.table = ipaddr.BuildLPM(prefixes, values, 0)
+	return db
 }
 
 // Lookup returns the AS number originating address a, using longest-prefix
 // matching, or (0, false) when a is unrouted.
 func (db *DB) Lookup(a ipaddr.Addr) (int, bool) {
-	v, ok := db.trie.Lookup(a)
+	as, ok := db.ASOf(a)
 	if !ok {
 		return 0, false
 	}
-	return v.(int), true
+	return as.Number, true
 }
 
 // ASOf returns the full AS record originating a.
 func (db *DB) ASOf(a ipaddr.Addr) (*AS, bool) {
-	asn, ok := db.Lookup(a)
+	i, ok := db.table.Lookup(a)
 	if !ok {
 		return nil, false
 	}
-	return db.byNum[asn], true
+	return db.ases[i], true
 }
 
 // Get returns the AS with the given number.
 func (db *DB) Get(asn int) (*AS, bool) {
-	as, ok := db.byNum[asn]
-	return as, ok
+	i, ok := db.index(asn)
+	if !ok {
+		return nil, false
+	}
+	return db.ases[i], true
+}
+
+// index returns asn's position in ases.
+func (db *DB) index(asn int) (int, bool) {
+	i := sort.Search(len(db.ases), func(i int) bool { return db.ases[i].Number >= asn })
+	return i, i < len(db.ases) && db.ases[i].Number == asn
 }
 
 // Len returns the number of registered ASes.
-func (db *DB) Len() int { return len(db.byNum) }
+func (db *DB) Len() int { return len(db.ases) }
 
 // All returns every registered AS sorted by AS number.
-func (db *DB) All() []*AS {
-	out := make([]*AS, 0, len(db.byNum))
-	for _, as := range db.byNum {
-		out = append(out, as)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Number < out[j].Number })
-	return out
-}
-
-// CountASes returns the number of distinct ASes originating the addresses.
-// Unrouted addresses are ignored.
-func (db *DB) CountASes(addrs []ipaddr.Addr) int {
-	seen := make(map[int]struct{})
-	for _, a := range addrs {
-		if asn, ok := db.Lookup(a); ok {
-			seen[asn] = struct{}{}
-		}
-	}
-	return len(seen)
-}
+func (db *DB) All() []*AS { return slices.Clone(db.ases) }
 
 // ASSet returns the set of distinct AS numbers originating the addresses.
 func (db *DB) ASSet(addrs []ipaddr.Addr) map[int]struct{} {
@@ -168,17 +157,16 @@ func (db *DB) ASSet(addrs []ipaddr.Addr) map[int]struct{} {
 // TopASes tallies addrs by AS and returns the counts sorted descending,
 // breaking ties by AS number. Table 6's "top 3 ASes per dataset" uses this.
 func (db *DB) TopASes(addrs []ipaddr.Addr) []ASCount {
-	counts := make(map[int]int)
+	counts := make(map[*AS]int)
 	routed := 0
 	for _, a := range addrs {
-		if asn, ok := db.Lookup(a); ok {
-			counts[asn]++
+		if as, ok := db.ASOf(a); ok {
+			counts[as]++
 			routed++
 		}
 	}
 	out := make([]ASCount, 0, len(counts))
-	for asn, n := range counts {
-		as := db.byNum[asn]
+	for as, n := range counts {
 		share := 0.0
 		if routed > 0 {
 			share = float64(n) / float64(routed)

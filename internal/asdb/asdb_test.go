@@ -8,15 +8,19 @@ import (
 
 func testDB(t *testing.T) *DB {
 	t.Helper()
-	db := New()
-	db.Register(&AS{Number: 100, Name: "ExampleNet", Type: OrgISP,
-		Prefixes: []ipaddr.Prefix{ipaddr.MustParsePrefix("2001:db8::/32")}})
-	db.Register(&AS{Number: 200, Name: "CDNCo", Type: OrgCloudCDN,
-		Prefixes: []ipaddr.Prefix{ipaddr.MustParsePrefix("2600:9000::/28")}})
-	// More-specific announced by a different AS (customer cone).
-	db.Register(&AS{Number: 300, Name: "SubHost", Type: OrgHosting,
-		Prefixes: []ipaddr.Prefix{ipaddr.MustParsePrefix("2001:db8:ff::/48")}})
-	return db
+	return New(testASes()...)
+}
+
+func testASes() []*AS {
+	return []*AS{
+		{Number: 100, Name: "ExampleNet", Type: OrgISP,
+			Prefixes: []ipaddr.Prefix{ipaddr.MustParsePrefix("2001:db8::/32")}},
+		{Number: 200, Name: "CDNCo", Type: OrgCloudCDN,
+			Prefixes: []ipaddr.Prefix{ipaddr.MustParsePrefix("2600:9000::/28")}},
+		// More-specific announced by a different AS (customer cone).
+		{Number: 300, Name: "SubHost", Type: OrgHosting,
+			Prefixes: []ipaddr.Prefix{ipaddr.MustParsePrefix("2001:db8:ff::/48")}},
+	}
 }
 
 func TestLookupLongestMatch(t *testing.T) {
@@ -43,9 +47,8 @@ func TestASOfAndGet(t *testing.T) {
 	}
 }
 
-func TestRegisterMergesPrefixes(t *testing.T) {
-	db := testDB(t)
-	db.Register(&AS{Number: 100, Prefixes: []ipaddr.Prefix{ipaddr.MustParsePrefix("2a00::/24")}})
+func TestNewMergesDuplicateAS(t *testing.T) {
+	db := New(append(testASes(), &AS{Number: 100, Prefixes: []ipaddr.Prefix{ipaddr.MustParsePrefix("2a00::/24")}})...)
 	if db.Len() != 3 {
 		t.Fatalf("Len = %d after merge", db.Len())
 	}
@@ -58,16 +61,29 @@ func TestRegisterMergesPrefixes(t *testing.T) {
 	}
 }
 
-func TestAnnounce(t *testing.T) {
+// TestLargeASN routes a 32-bit AS number past 2^31: table values are
+// record positions, not AS numbers.
+func TestLargeASN(t *testing.T) {
+	const asn = 4200000000
+	db := New(append(testASes(), &AS{Number: asn, Name: "Private32",
+		Prefixes: []ipaddr.Prefix{ipaddr.MustParsePrefix("2a0e::/16")}})...)
+	a := ipaddr.MustParse("2a0e:1::1")
+	if got, ok := db.Lookup(a); !ok || got != asn {
+		t.Fatalf("Lookup = %d, %v", got, ok)
+	}
+	if as, ok := db.ASOf(a); !ok || as.Name != "Private32" {
+		t.Fatalf("ASOf = %+v, %v", as, ok)
+	}
+	if got, _ := db.Lookup(ipaddr.MustParse("2001:db8:ff::1")); got != 300 {
+		t.Fatalf("neighbouring AS lookup = %d", got)
+	}
+}
+
+func TestLookupDoesNotAllocate(t *testing.T) {
 	db := testDB(t)
-	if err := db.Announce(200, ipaddr.MustParsePrefix("2606::/32")); err != nil {
-		t.Fatal(err)
-	}
-	if asn, _ := db.Lookup(ipaddr.MustParse("2606::5")); asn != 200 {
-		t.Fatal("announced prefix not routed")
-	}
-	if err := db.Announce(999, ipaddr.MustParsePrefix("2607::/32")); err == nil {
-		t.Fatal("Announce to unknown AS should error")
+	a := ipaddr.MustParse("2001:db8:ff::1")
+	if n := testing.AllocsPerRun(1000, func() { db.Lookup(a) }); n != 0 {
+		t.Fatalf("Lookup allocates %v times per call", n)
 	}
 }
 
@@ -79,15 +95,12 @@ func TestCountASes(t *testing.T) {
 		ipaddr.MustParse("2600:9000::1"),
 		ipaddr.MustParse("fe80::1"), // unrouted
 	}
-	if got := db.CountASes(addrs); got != 2 {
-		t.Fatalf("CountASes = %d", got)
-	}
 	set := db.ASSet(addrs)
+	if len(set) != 2 {
+		t.Fatalf("%d ASes, want 2", len(set))
+	}
 	if _, ok := set[100]; !ok {
 		t.Fatal("ASSet missing AS100")
-	}
-	if len(set) != 2 {
-		t.Fatalf("ASSet size = %d", len(set))
 	}
 }
 
@@ -134,5 +147,12 @@ func TestOrgTypeStrings(t *testing.T) {
 	}
 	if OrgType(200).String() != "OrgType(200)" {
 		t.Fatal("fallback string wrong")
+	}
+}
+
+func TestNewLaterRecordOwnsRepeatedPrefix(t *testing.T) {
+	db := New(append(testASes(), &AS{Number: 50, Prefixes: []ipaddr.Prefix{ipaddr.MustParsePrefix("2600:9000::/28")}})...)
+	if asn, _ := db.Lookup(ipaddr.MustParse("2600:9000::1")); asn != 50 {
+		t.Fatalf("repeated prefix routes to AS%d, want the later AS50", asn)
 	}
 }

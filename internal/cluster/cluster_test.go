@@ -72,16 +72,14 @@ func assertIdentical(t *testing.T, label any, got *RunResult, wantRes []scanner.
 
 // identityInput is testTargets (duplicates included) plus a /48 the
 // returned blocklist covers, so every result status occurs.
-func identityInput(t testing.TB, w *world.World) ([]ipaddr.Addr, *ipaddr.Trie) {
+func identityInput(t testing.TB, w *world.World) ([]ipaddr.Addr, []ipaddr.Prefix) {
 	t.Helper()
 	blocked := ipaddr.MustParsePrefix("2001:db8:b10c::/48")
 	targets := testTargets(t, w)
 	for i := 0; i < 40; i++ {
 		targets = append(targets, blocked.Addr().AddLo(uint64(i)))
 	}
-	trie := ipaddr.NewTrie()
-	trie.Insert(blocked, true)
-	return targets, trie
+	return targets, []ipaddr.Prefix{blocked}
 }
 
 // testChain is the benchmark's scan_sharded chain, a tap outside seeded

@@ -259,7 +259,7 @@ func TestRQ3AndDerivedTables(t *testing.T) {
 	}
 	// Table 6's cell for the hitlist row: its generators' combined hits.
 	combined := rq3.union(0, 0, every)
-	top, total := rq3.db.TopASes(combined), rq3.db.CountASes(combined)
+	top, total := rq3.db.TopASes(combined), len(rq3.db.ASSet(combined))
 	if total == 0 || len(top) == 0 {
 		t.Fatalf("table6 cell empty: %d ASes, top %v", total, top)
 	}

@@ -29,7 +29,7 @@ func renderTable5(rq3, big *SweepResult) string {
 		}
 		b := big.At(0, 0, gi)
 		t.AddRow(g, FmtInt(len(combined)), FmtInt(metricHits(b)),
-			FmtInt(rq3.db.CountASes(combined)), FmtInt(metricASes(b)))
+			FmtInt(len(rq3.db.ASSet(combined))), FmtInt(metricASes(b)))
 	}
 	return t.String()
 }
@@ -47,7 +47,7 @@ func renderTable6(rq3 *SweepResult) string {
 		for ri, row := range rq3.Rows {
 			addrs := rq3.union(ri, pi, every)
 			top := rq3.db.TopASes(addrs)
-			cols := []string{row.Label, "-", "-", "-", FmtInt(rq3.db.CountASes(addrs))}
+			cols := []string{row.Label, "-", "-", "-", FmtInt(len(rq3.db.ASSet(addrs)))}
 			for i := 0; i < 3 && i < len(top); i++ {
 				cols[1+i] = fmtPct(top[i].Share) + " " + top[i].AS.Type.String()
 			}

@@ -33,18 +33,23 @@ func ExamplePrefix_Contains() {
 	// false
 }
 
-func ExampleTrie_Lookup() {
-	t := ipaddr.NewTrie()
-	t.Insert(ipaddr.MustParsePrefix("2001:db8::/32"), "lab")
-	t.Insert(ipaddr.MustParsePrefix("2001:db8:1::/48"), "lab-subnet")
+func ExampleLPMTable_Lookup() {
+	names := []string{"lab", "lab-subnet"}
+	t := ipaddr.BuildLPM([]ipaddr.Prefix{
+		ipaddr.MustParsePrefix("2001:db8::/32"),
+		ipaddr.MustParsePrefix("2001:db8:1::/48"),
+	}, []uint32{0, 1}, 0)
 
 	v, _ := t.Lookup(ipaddr.MustParse("2001:db8:1::9"))
-	fmt.Println(v) // longest match wins
+	fmt.Println(names[v]) // longest match wins
 	v, _ = t.Lookup(ipaddr.MustParse("2001:db8:2::9"))
-	fmt.Println(v)
+	fmt.Println(names[v])
+	_, ok := t.Lookup(ipaddr.MustParse("2600::1"))
+	fmt.Println(ok)
 	// Output:
 	// lab-subnet
 	// lab
+	// false
 }
 
 func ExampleSet() {

@@ -8,57 +8,55 @@ const lpmLeaf = 1 << 31
 
 // LPMTable is a flat, array-backed longest-prefix-match table: a stride-4
 // multibit trie whose nodes are 16 consecutive uint32 entries in one slice.
-// Compared to Trie it trades insert flexibility for the lookup shape packet
-// paths want — no pointer chasing, no interface boxing, one bounded loop of
-// array indexing per lookup, and the whole table lives in a single cache-
-// friendly allocation.
+// A lookup is one bounded loop of array indexing — no pointer chasing, no
+// interface boxing — and the whole table lives in a single allocation.
 //
 // An entry is either 0 (no route), a terminal (lpmLeaf | value), or the id
 // of a child node (node ids are indexes into the node array; the root is
 // node 0, so a nonzero entry below lpmLeaf is unambiguous).
 //
-// Build one from a Trie with BuildLPM; the table is immutable afterwards
-// and safe for concurrent lookups.
+// Build one from a prefix list with BuildLPM; the table is immutable
+// afterwards and safe for concurrent lookups.
 type LPMTable struct {
 	nodes   []uint32
 	skipNyb int
 }
 
-// BuildLPM flattens t into an LPMTable. Every stored prefix is mapped
-// through value to a table value, which must fit in 31 bits. skipBits (a
-// multiple of 4) declares leading bits shared by all stored prefixes and
-// all future lookups — a per-AS table over a /28 passes 28 and the table
-// starts matching at nybble 7, keeping it shallow. Prefixes shorter than
-// skipBits act as the table default.
-//
-// Lookup(a) returns exactly what t.Lookup(a) would for any a sharing the
-// skipped bits, as long as every value is distinct per prefix.
-func BuildLPM(t *Trie, skipBits int, value func(Prefix, any) uint32) *LPMTable {
+// BuildLPM builds a table mapping prefixes[i] to values[i]; a nil values
+// maps every prefix to 0, for callers that only ask whether some prefix
+// matches. Values must fit in 31 bits. When a prefix is listed twice, the
+// later value wins. skipBits (a multiple of 4) declares leading bits
+// shared by all listed prefixes and all future lookups — a per-AS table
+// over a /28 passes 28 and the table starts matching at nybble 7, keeping
+// it shallow. Prefixes shorter than skipBits act as the table default.
+func BuildLPM(prefixes []Prefix, values []uint32, skipBits int) *LPMTable {
 	if skipBits%4 != 0 || skipBits < 0 || skipBits > 128 {
 		panic("ipaddr: BuildLPM skipBits must be a multiple of 4 in [0, 128]")
 	}
-	type entry struct {
-		p Prefix
-		v uint32
+	if values != nil && len(values) != len(prefixes) {
+		panic("ipaddr: BuildLPM needs one value per prefix")
 	}
-	var entries []entry
-	t.Walk(func(p Prefix, val any) bool {
-		v := value(p, val)
+	// Insert shortest-first: a prefix's span then only ever overwrites empty
+	// entries or terminals of shorter or equal prefixes, never child nodes
+	// (children are created solely by longer prefixes, which have not been
+	// inserted yet). That keeps insertion a plain span write plus
+	// leaf-pushing on the descent, and the stable sort lets a repeated
+	// prefix's later value overwrite its earlier one.
+	order := make([]int, len(prefixes))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return prefixes[order[i]].Bits() < prefixes[order[j]].Bits() })
+	lt := &LPMTable{nodes: make([]uint32, 16, 16*(len(prefixes)+1)), skipNyb: skipBits / 4}
+	for _, i := range order {
+		var v uint32
+		if values != nil {
+			v = values[i]
+		}
 		if v&lpmLeaf != 0 {
 			panic("ipaddr: BuildLPM value exceeds 31 bits")
 		}
-		entries = append(entries, entry{p: p, v: v})
-		return true
-	})
-	// Insert shortest-first: a prefix's span then only ever overwrites empty
-	// entries or terminals of shorter prefixes, never child nodes (children
-	// are created solely by longer prefixes, which have not been inserted
-	// yet). That keeps insertion a plain span write plus leaf-pushing on the
-	// descent. Walk order is deterministic, so the stable sort is too.
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].p.Bits() < entries[j].p.Bits() })
-	lt := &LPMTable{nodes: make([]uint32, 16, 16*(len(entries)+1)), skipNyb: skipBits / 4}
-	for _, e := range entries {
-		lt.insert(e.p, e.v)
+		lt.insert(prefixes[i], v)
 	}
 	return lt
 }
@@ -132,7 +130,3 @@ func (t *LPMTable) Lookup(a Addr) (uint32, bool) {
 	}
 	return 0, false
 }
-
-// NumNodes reports how many 16-entry nodes the table holds — a size gauge
-// for tests and telemetry.
-func (t *LPMTable) NumNodes() int { return len(t.nodes) / 16 }

@@ -24,7 +24,7 @@ func Measure(hits, aliased []ipaddr.Addr, db *asdb.DB, excludeASN int) Outcome {
 	kept := ExcludeAS(hits, db, excludeASN)
 	return Outcome{
 		Hits:    len(kept),
-		ASes:    db.CountASes(kept),
+		ASes:    len(db.ASSet(kept)),
 		Aliases: len(aliased),
 	}
 }

@@ -9,11 +9,11 @@ import (
 )
 
 func testDB() *asdb.DB {
-	db := asdb.New()
-	db.Register(&asdb.AS{Number: 100, Prefixes: []ipaddr.Prefix{ipaddr.MustParsePrefix("2001:db8::/32")}})
-	db.Register(&asdb.AS{Number: 200, Prefixes: []ipaddr.Prefix{ipaddr.MustParsePrefix("2600::/16")}})
-	db.Register(&asdb.AS{Number: 12322, Prefixes: []ipaddr.Prefix{ipaddr.MustParsePrefix("2a01::/16")}})
-	return db
+	return asdb.New(
+		&asdb.AS{Number: 100, Prefixes: []ipaddr.Prefix{ipaddr.MustParsePrefix("2001:db8::/32")}},
+		&asdb.AS{Number: 200, Prefixes: []ipaddr.Prefix{ipaddr.MustParsePrefix("2600::/16")}},
+		&asdb.AS{Number: 12322, Prefixes: []ipaddr.Prefix{ipaddr.MustParsePrefix("2a01::/16")}},
+	)
 }
 
 func TestMeasure(t *testing.T) {

@@ -20,6 +20,7 @@ fe80::/10
 	if err != nil {
 		t.Fatal(err)
 	}
+	set := blocklistSettings(bl)
 	cases := []struct {
 		addr string
 		want bool
@@ -31,10 +32,17 @@ fe80::/10
 		{"2607::1", false},
 	}
 	for _, c := range cases {
-		if got := bl.Contains(ipaddr.MustParse(c.addr)); got != c.want {
-			t.Errorf("Contains(%s) = %v, want %v", c.addr, got, c.want)
+		if got := set.blocked(ipaddr.MustParse(c.addr)); got != c.want {
+			t.Errorf("blocked(%s) = %v, want %v", c.addr, got, c.want)
 		}
 	}
+}
+
+// blocklistSettings resolves WithBlocklist(prefixes) as a Scanner would.
+func blocklistSettings(prefixes []ipaddr.Prefix) *settings {
+	s := defaultSettings()
+	WithBlocklist(prefixes)(&s)
+	return &s
 }
 
 func TestLoadBlocklistErrors(t *testing.T) {
@@ -68,8 +76,9 @@ func TestBlocklistIntegratesWithScan(t *testing.T) {
 
 // FuzzLoadBlocklist feeds LoadBlocklist a file an operator wrote. It must
 // not panic, and a list it accepts must block every entry end to end: a
-// prefix from its first address to its last, a bare address as its /128.
-// The seed corpus is under testdata/fuzz/.
+// prefix from its first address to its last, a bare address as its /128,
+// checked through the table WithBlocklist builds. The seed corpus is under
+// testdata/fuzz/.
 func FuzzLoadBlocklist(f *testing.F) {
 	f.Add([]byte("# opt-out ranges\n2001:db8::/32 # research\n2600:9000::1\n\nfe80::/10"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -77,6 +86,7 @@ func FuzzLoadBlocklist(f *testing.F) {
 		if err != nil {
 			return
 		}
+		set := blocklistSettings(bl)
 		for _, line := range strings.Split(string(data), "\n") {
 			line, _, _ = strings.Cut(line, "#")
 			if line = strings.TrimSpace(line); line == "" {
@@ -91,7 +101,7 @@ func FuzzLoadBlocklist(f *testing.F) {
 			if err != nil {
 				t.Fatalf("accepted list holds entry %q: %v", line, err)
 			}
-			if !bl.Contains(p.Addr()) || !bl.Contains(p.Last()) {
+			if !set.blocked(p.Addr()) || !set.blocked(p.Last()) {
 				t.Fatalf("entry %q: %v is not blocked end to end", line, p)
 			}
 		}

@@ -18,7 +18,7 @@ type settings struct {
 	workers   int
 	ratePPS   int
 	chunk     int
-	blocklist *ipaddr.Trie
+	blocklist *ipaddr.LPMTable // nil without WithBlocklist
 	secret    uint64
 	shuffle   bool
 	tele      *telemetry.Registry
@@ -93,8 +93,17 @@ func WithProbeChunk(n int) Option {
 }
 
 // WithBlocklist installs prefixes that must never be probed.
-func WithBlocklist(t *ipaddr.Trie) Option {
-	return func(s *settings) { s.blocklist = t }
+func WithBlocklist(prefixes []ipaddr.Prefix) Option {
+	return func(s *settings) { s.blocklist = ipaddr.BuildLPM(prefixes, nil, 0) }
+}
+
+// blocked reports whether a falls in a blocklisted prefix.
+func (s *settings) blocked(a ipaddr.Addr) bool {
+	if s.blocklist == nil {
+		return false
+	}
+	_, ok := s.blocklist.Lookup(a)
+	return ok
 }
 
 // WithSecret keys the validation cookies and the scan-order shuffle.

@@ -570,7 +570,7 @@ func (s *Scanner) prepareChunk(w *workerState, targets []ipaddr.Addr, p proto.Pr
 	w.pending = w.pending[:0]
 	for i, dst := range targets {
 		results[i] = Result{Addr: dst, Proto: p}
-		if s.set.blocklist != nil && s.set.blocklist.Contains(dst) {
+		if s.set.blocked(dst) {
 			results[i].Status = StatusBlocked
 			w.shard.blocked.Add(1)
 			s.cBlocked.Inc()

@@ -146,9 +146,7 @@ func TestBlocklistHonoured(t *testing.T) {
 		t.Fatal("no actives")
 	}
 
-	bl := ipaddr.NewTrie()
-	bl.Insert(ipaddr.PrefixFrom(active[0], 128), nil)
-	s := New(w.Link(), WithSecret(3), WithBlocklist(bl))
+	s := New(w.Link(), WithSecret(3), WithBlocklist([]ipaddr.Prefix{ipaddr.PrefixFrom(active[0], 128)}))
 	res := s.Scan(active[:1], proto.ICMP)
 	if res[0].Status != StatusBlocked {
 		t.Fatalf("status = %v, want blocked", res[0].Status)

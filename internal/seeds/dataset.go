@@ -71,5 +71,5 @@ func (d *Dataset) Restrict(name string, allowed *ipaddr.Set) *Dataset {
 
 // ASCount returns the number of distinct ASes covered.
 func (d *Dataset) ASCount(db *asdb.DB) int {
-	return db.CountASes(d.Addrs.Slice())
+	return len(db.ASSet(d.Addrs.Slice()))
 }

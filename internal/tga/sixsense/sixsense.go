@@ -162,8 +162,9 @@ type Generator struct {
 	arms    []*armRun
 	pending map[ipaddr.Addr]*armRun
 	emitted *ipaddr.Set
-	// aliasBlacklist holds /96s flagged by the integrated dealiaser.
-	aliasBlacklist *ipaddr.Trie
+	// aliasBlacklist holds the base addresses of the /96s flagged by the
+	// integrated dealiaser.
+	aliasBlacklist *ipaddr.Set
 	dry            int
 }
 
@@ -234,7 +235,7 @@ func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
 	g.arms = make([]*armRun, len(mm.arms))
 	g.pending = make(map[ipaddr.Addr]*armRun)
 	g.emitted = ipaddr.NewSet()
-	g.aliasBlacklist = ipaddr.NewTrie()
+	g.aliasBlacklist = ipaddr.NewSet()
 	g.dry = 0
 	for i := range mm.arms {
 		a := &mm.arms[i]
@@ -246,6 +247,12 @@ func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
 
 // Init groups seeds into arms and trains the per-arm models.
 func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, seeds) }
+
+// skip reports whether candidate c was already emitted or falls in a
+// blacklisted /96.
+func (g *Generator) skip(c ipaddr.Addr) bool {
+	return g.emitted.Contains(c) || g.aliasBlacklist.Contains(ipaddr.PrefixFrom(c, aliasBits).Addr())
+}
 
 // NextBatch splits the batch between reward-ranked arms and the
 // diversity share, sampling candidates from each arm's Markov model and
@@ -259,14 +266,14 @@ func (g *Generator) NextBatch(n int) []ipaddr.Addr {
 		got := 0
 		for misses := 0; got < k && misses < 8*k+16; {
 			c := a.sample(g.rng)
-			if g.emitted.Contains(c) || g.aliasBlacklist.Contains(c) {
+			if g.skip(c) {
 				// The model path is saturated: explore its immediate
 				// neighbourhood instead of resampling from scratch. The real
 				// 6Sense's neural generator has full support over the nybble
 				// alphabet; single-position perturbation restores that without
 				// abandoning the learned pattern.
 				c = c.WithNybble(modelStart+g.rng.Intn(ipaddr.NybbleCount-modelStart), byte(g.rng.Intn(16)))
-				if g.emitted.Contains(c) || g.aliasBlacklist.Contains(c) {
+				if g.skip(c) {
 					misses++
 					continue
 				}
@@ -313,7 +320,7 @@ func (g *Generator) Feedback(results []tga.ProbeResult) {
 		}
 		delete(g.pending, r.Addr)
 		if r.Aliased {
-			g.aliasBlacklist.Insert(ipaddr.PrefixFrom(r.Addr, aliasBits), true)
+			g.aliasBlacklist.Add(ipaddr.PrefixFrom(r.Addr, aliasBits).Addr())
 			continue
 		}
 		if r.Active {

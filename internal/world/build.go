@@ -177,13 +177,14 @@ func (w *World) buildGroup(i int) *regionGroup {
 	} else {
 		hdr = b.buildAS(i)
 	}
-	tr := ipaddr.NewTrie()
+	prefixes := make([]ipaddr.Prefix, len(b.regions))
+	indices := make([]uint32, len(b.regions))
 	for idx, r := range b.regions {
 		r.match = r.Template.compile()
 		r.buildDeathTable()
-		tr.Insert(r.Prefix, idx)
+		prefixes[idx], indices[idx] = r.Prefix, uint32(idx)
 	}
-	lpm := ipaddr.BuildLPM(tr, asSkipBits, func(_ ipaddr.Prefix, v any) uint32 { return uint32(v.(int)) })
+	lpm := ipaddr.BuildLPM(prefixes, indices, asSkipBits)
 	return &regionGroup{header: hdr, regions: b.regions, lpm: lpm}
 }
 

@@ -88,12 +88,12 @@ type regionGroup struct {
 // per-AS headers (no region materialization).
 func (w *World) ASDB() *asdb.DB {
 	w.asdbOnce.Do(func() {
-		db := asdb.New()
+		ases := make([]*asdb.AS, 0, w.cfg.NumASes+1)
 		for i := 0; i <= w.cfg.NumASes; i++ {
 			h := w.headerOf(i)
-			db.Register(&asdb.AS{Number: h.asn, Name: h.name, Type: h.org, Prefixes: h.prefixes})
+			ases = append(ases, &asdb.AS{Number: h.asn, Name: h.name, Type: h.org, Prefixes: h.prefixes})
 		}
-		w.asdbVal = db
+		w.asdbVal = asdb.New(ases...)
 	})
 	return w.asdbVal
 }
