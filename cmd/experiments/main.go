@@ -6,6 +6,7 @@
 //
 //	experiments [-budget N] [-ases N] [-scale F] [-seed N] [-run LIST]
 //	            [-resume DIR] [-list-cells] [-gens SET] [-protos SET]
+//	            [-cpuprofile FILE] [-memprofile FILE]
 //
 // -gens picks the generator sweep: "paper" (default, the eight studied
 // TGAs), "extended" (adds AddrMiner and 6Prob), or an explicit
@@ -22,6 +23,8 @@
 // alias-set drift. -resume DIR checkpoints every completed grid cell to
 // DIR/cells.jsonl and resumes from it on restart; -list-cells prints the
 // deduplicated cell plan for the selection and exits without scanning.
+// -cpuprofile and -memprofile write pprof profiles of the whole run (the
+// latter of every allocation, taken on exit) for `go tool pprof`.
 package main
 
 import (
@@ -33,6 +36,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"time"
@@ -79,7 +84,7 @@ func selectSections(list string) ([]experiment.Section, error) {
 
 // run is main without the process: it parses args, runs the selection and
 // returns the exit code (2 for a flag the command cannot act on).
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	budget := fs.Int("budget", 20000, "per-TGA generation budget")
@@ -94,6 +99,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	clusterWorkers := fs.Int("cluster-workers", 0, "fan scanning out across N in-process cluster workers (results unchanged)")
 	resumeDir := fs.String("resume", "", "checkpoint completed grid cells under this directory and resume from them")
 	listCells := fs.Bool("list-cells", false, "print the deduplicated cell plan for the selection and exit")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -150,6 +157,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "experiments:", err)
 		return 1
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return fail(err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil && code == 0 {
+			code = fail(err)
+		}
+	}()
 	start := time.Now()
 	fmt.Fprintf(stdout, "# seedscan experiments — budget=%d ases=%d scale=%g seed=%d gens=%s\n\n",
 		*budget, *ases, *scale, *seed, *gensFlag)
@@ -209,6 +225,48 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, tr.Registry().Snapshot().Render())
 	}
 	return 0
+}
+
+// startProfiles starts a CPU profile into cpuPath, if named, and returns
+// the function that ends it and then writes the allocation profile into
+// memPath, if named.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		var err error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			err = cpu.Close()
+		}
+		if memPath != "" {
+			err = errors.Join(err, writeAllocProfile(memPath))
+		}
+		return err
+	}, nil
+}
+
+// writeAllocProfile writes the allocation profile, up to date as of a
+// collection run just before, into path.
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // printCellPlan renders the deduplicated worklist the selection would

@@ -3,9 +3,11 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"go/parser"
 	"go/token"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -247,5 +249,26 @@ func TestUsageListsEverySection(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), strings.Join(sectionNames(), ", ")) {
 		t.Fatalf("-h does not list the sections:\n%s", stderr.String())
+	}
+}
+
+// TestProfilesAreWritten: -cpuprofile and -memprofile each leave a
+// non-empty gzip-compressed pprof profile behind.
+func TestProfilesAreWritten(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	runCmd(t, "-run", "table1", "-cpuprofile", cpu, "-memprofile", mem)
+	for _, path := range []string{cpu, mem} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("%s: %d bytes, not gzip: %v", filepath.Base(path), len(b), err)
+		}
+		if raw, err := io.ReadAll(zr); err != nil || len(raw) == 0 {
+			t.Errorf("%s: %d bytes unzipped (%v), want a profile", filepath.Base(path), len(raw), err)
+		}
 	}
 }

@@ -7,7 +7,9 @@
 //
 // The generation core reuses DET (entropy-split space tree with online
 // reward allocation); this package adds the memory store with optional
-// file persistence in the standard hitlist format.
+// file persistence in the standard hitlist format. A run that starts with
+// an empty memory mines exactly DET's tree, so it adopts DET's model from
+// a cross-run cache; a run with a memory mines its own.
 package addrminer
 
 import (
@@ -100,15 +102,31 @@ func (g *Generator) Online() bool { return true }
 // Init unions the run's seeds with the long-term memory before handing
 // them to the DET core — the accumulated knowledge is what lets AddrMiner
 // keep improving across measurement campaigns.
-//
-// AddrMiner deliberately does NOT implement tga.ModelBuilder: its
-// effective seed set depends on the Store's current contents, which grow
-// with every run, so a model keyed only on (seeds, params) would go stale
-// the moment memory changes, so every Init mines the DET tree afresh.
 func (g *Generator) Init(seedAddrs []ipaddr.Addr) error {
 	pool := ipaddr.NewSet(seedAddrs...)
 	pool.AddAll(g.Memory.Snapshot())
 	return g.inner.Init(pool.Slice())
+}
+
+// ModelParams implements tga.ModelBuilder: AddrMiner mines what its DET
+// core does, the min-entropy space tree.
+func (g *Generator) ModelParams() string { return g.inner.ModelParams() }
+
+// BuildModel implements tga.ModelBuilder with the DET core's miner: the
+// tree over the run's seeds alone.
+func (g *Generator) BuildModel(seedAddrs []ipaddr.Addr) (tga.Model, error) {
+	return g.inner.BuildModel(seedAddrs)
+}
+
+// InitFromModel implements tga.ModelBuilder. While the memory is empty the
+// pool Init mines is the seeds themselves, so the DET core adopts m, which
+// is that tree; once the memory holds addresses, m is not the pool's tree,
+// and Init mines seeds ∪ memory afresh.
+func (g *Generator) InitFromModel(m tga.Model, seedAddrs []ipaddr.Addr) error {
+	if g.Memory.Len() == 0 {
+		return g.inner.InitFromModel(m, seedAddrs)
+	}
+	return g.Init(seedAddrs)
 }
 
 // NextBatch delegates to the DET core.

@@ -25,10 +25,11 @@ import (
 // Names lists the eight TGAs in the paper's canonical order.
 var Names = []string{"6Sense", "DET", "6Tree", "6Scan", "6Graph", "6Gen", "6Hit", "EIP"}
 
-// All eight studied TGAs plus 6Prob support the model/run-state split,
-// which is what lets the model cache reuse their mined seed models across
-// protocols. AddrMiner is deliberately absent: its model depends on the
-// mutable long-term Store (see the addrminer package).
+// Every registered generator supports the model/run-state split, which is
+// what lets the model cache reuse their mined seed models across
+// protocols. AddrMiner names DET's min-entropy tree and adopts it while its
+// long-term Store is empty, as it is for every generator New makes; a run
+// with a memory mines seeds ∪ memory itself (see the addrminer package).
 var (
 	_ tga.ModelBuilder = (*sixsense.Generator)(nil)
 	_ tga.ModelBuilder = (*det.Generator)(nil)
@@ -38,6 +39,7 @@ var (
 	_ tga.ModelBuilder = (*sixgen.Generator)(nil)
 	_ tga.ModelBuilder = (*sixhit.Generator)(nil)
 	_ tga.ModelBuilder = (*entropyip.Generator)(nil)
+	_ tga.ModelBuilder = (*addrminer.Generator)(nil)
 	_ tga.ModelBuilder = (*sixprob.Generator)(nil)
 )
 

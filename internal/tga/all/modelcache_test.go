@@ -12,6 +12,7 @@ import (
 	"seedscan/internal/scanner"
 	"seedscan/internal/telemetry"
 	"seedscan/internal/tga"
+	"seedscan/internal/tga/addrminer"
 	"seedscan/internal/tga/all"
 	"seedscan/internal/tga/modelcache"
 )
@@ -252,8 +253,8 @@ func (f fixedModel) GetOrBuild(context.Context, tga.ModelBuilder, []ipaddr.Addr)
 func TestRunsLeaveTheirModelUnchanged(t *testing.T) {
 	seeds := ipaddr.DedupSorted(syntheticSeeds(64))
 	names, _ := builders()
-	if len(names) != 9 {
-		t.Fatalf("%d model builders, want 9", len(names))
+	if len(names) != 10 {
+		t.Fatalf("%d model builders, want 10", len(names))
 	}
 	for _, name := range names {
 		mb := all.MustNew(name).(tga.ModelBuilder)
@@ -290,6 +291,67 @@ func TestRunsLeaveTheirModelUnchanged(t *testing.T) {
 		}
 		if !reflect.DeepEqual(m, twin) {
 			t.Errorf("%s: running from a model changed it", name)
+		}
+	}
+}
+
+// TestAddrMinerSharesDETModel: AddrMiner's core mines DET's min-entropy
+// tree, so once DET has run on a seed set through a cache, AddrMiner's run
+// on the same seeds adopts that tree instead of mining it again.
+func TestAddrMinerSharesDETModel(t *testing.T) {
+	seeds := syntheticSeeds(64)
+	cache := modelcache.New()
+	reg := telemetry.NewRegistry()
+	cache.SetTelemetry(reg)
+	cfg := tga.RunConfig{Budget: 2000, BatchSize: 512, Proto: proto.ICMP, Prober: hashProber{}, ExcludeSeeds: true, Models: cache}
+	for _, name := range []string{"DET", "AddrMiner"} {
+		if _, err := tga.Run(all.MustNew(name), seeds, cfg); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if misses := reg.Counter("tga.modelcache.misses").Load(); misses != 1 {
+		t.Errorf("misses = %d, want 1 (one tree for DET and AddrMiner)", misses)
+	}
+	if hits := reg.Counter("tga.modelcache.hits").Load(); hits != 1 {
+		t.Errorf("hits = %d, want 1", hits)
+	}
+}
+
+// TestAddrMinerCachedMatchesUncached: a run through the cache proposes and
+// finds exactly what a run without it does, whether the memory starts
+// empty (the run adopts the cached tree) or holds what an earlier run
+// found (the run mines seeds ∪ memory, as without a cache).
+func TestAddrMinerCachedMatchesUncached(t *testing.T) {
+	seeds := syntheticSeeds(64)
+	cfg := tga.RunConfig{
+		Budget: 4000, BatchSize: 512, Proto: proto.ICMP, Prober: hashProber{},
+		ExcludeSeeds: true, CollectCandidates: true,
+	}
+	earlier := addrminer.NewStore()
+	if _, err := tga.Run(addrminer.New(earlier), seeds, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if earlier.Len() == 0 {
+		t.Fatal("the earlier run left nothing in memory")
+	}
+	cached := cfg
+	cached.Models = modelcache.New()
+	for _, memory := range []struct {
+		name  string
+		addrs []ipaddr.Addr
+	}{{"empty memory", nil}, {"memory of an earlier run", earlier.Snapshot()}} {
+		var res [2]*tga.RunResult
+		for i, c := range []tga.RunConfig{cfg, cached} {
+			store := addrminer.NewStore()
+			store.Remember(memory.addrs)
+			var err error
+			if res[i], err = tga.Run(addrminer.New(store), seeds, c); err != nil {
+				t.Fatalf("%s: %v", memory.name, err)
+			}
+		}
+		runResultsEqual(t, memory.name, res[0], res[1])
+		if !slices.Equal(res[1].Candidates, res[0].Candidates) {
+			t.Errorf("%s: cached run proposed %d candidates, uncached %d, or in another order", memory.name, len(res[1].Candidates), len(res[0].Candidates))
 		}
 	}
 }

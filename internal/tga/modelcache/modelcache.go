@@ -13,8 +13,9 @@
 // duplicated seed neither splits the cache nor reaches BuildModel twice.
 // What is not: anything fed by scan results (online rebuilds,
 // reward state) is per-run state that ModelBuilder.InitFromModel creates
-// fresh, and generators whose effective seed set includes mutable state
-// (AddrMiner's long-term memory) don't implement ModelBuilder at all.
+// fresh, and so is mutable state that widens a generator's seed set:
+// AddrMiner names DET's tree, mined from the seeds alone, and adopts it
+// only while its long-term memory is empty.
 package modelcache
 
 import (

@@ -54,7 +54,7 @@ func (e *Expander) Add(masks *[ipaddr.NybbleCount]ValueMask, weight float64, chu
 	e.regions = append(e.regions, region{masks: masks, weight: weight, chunk: max(minChunk, chunk)})
 	if weight > 0 {
 		e.heap = append(e.heap, int32(len(e.regions)-1))
-		HeapUp(e.heap, len(e.heap)-1, e.before)
+		heapUp(e.heap, len(e.heap)-1, e.before)
 	}
 }
 
@@ -85,9 +85,9 @@ func (e *Expander) NextBatch(n, maxChunk int) []ipaddr.Addr {
 		}
 		r.produced += got
 		if r.gen == nil {
-			e.heap = HeapPop(e.heap, e.before)
+			e.heap = heapPop(e.heap, e.before)
 		} else {
-			HeapDown(e.heap, 0, e.before)
+			heapDown(e.heap, 0, e.before)
 		}
 	}
 	return out
@@ -104,12 +104,12 @@ func (e *Expander) before(i, j int32) bool {
 	return i < j
 }
 
-// HeapUp, HeapDown and HeapPop keep h a binary heap of indices under
+// heapUp, heapDown and heapPop keep h a binary heap of indices under
 // before: h[0] is the index no other ranks before, and what the indices
-// name lives with the caller. HeapUp restores the heap after h[k] rose in
-// the order or was appended, HeapDown after it fell, and HeapPop removes
+// name lives with the caller. heapUp restores the heap after h[k] rose in
+// the order or was appended, heapDown after it fell, and heapPop removes
 // the root and returns the shortened heap.
-func HeapUp(h []int32, k int, before func(a, b int32) bool) {
+func heapUp(h []int32, k int, before func(a, b int32) bool) {
 	for k > 0 {
 		p := (k - 1) / 2
 		if !before(h[k], h[p]) {
@@ -120,7 +120,7 @@ func HeapUp(h []int32, k int, before func(a, b int32) bool) {
 	}
 }
 
-func HeapDown(h []int32, k int, before func(a, b int32) bool) {
+func heapDown(h []int32, k int, before func(a, b int32) bool) {
 	for {
 		kid := 2*k + 1
 		if kid >= len(h) {
@@ -137,11 +137,11 @@ func HeapDown(h []int32, k int, before func(a, b int32) bool) {
 	}
 }
 
-func HeapPop(h []int32, before func(a, b int32) bool) []int32 {
+func heapPop(h []int32, before func(a, b int32) bool) []int32 {
 	last := len(h) - 1
 	h[0] = h[last]
 	h = h[:last]
-	HeapDown(h, 0, before)
+	heapDown(h, 0, before)
 	return h
 }
 

@@ -1,0 +1,84 @@
+//go:build !race
+
+package sixprob
+
+import (
+	"runtime"
+	"runtime/debug"
+	"testing"
+)
+
+// The race detector's instrumentation allocates, so the pins on what a
+// model and a run's frontier cost only hold without it.
+
+// allocated reports what f allocates per call, in bytes and in heap
+// objects, averaged over runs calls after one warm-up call. Collection is
+// off while it counts: a collection can add a stray runtime allocation.
+func allocated(runs int, f func()) (bytes, objects float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs),
+		float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// TestBuildModelAllocations pins the trie to one flat allocation: at most
+// 32 B per seed beside a small fixed cost (the frequency tables and their
+// sorts), in a number of allocations that does not grow with the seeds. A
+// trie of pointer nodes with byte tails costs over 100 B and three
+// allocations per seed.
+func TestBuildModelAllocations(t *testing.T) {
+	var objects [2]float64
+	for i, n := range []int{1000, 40000} {
+		seeds := testSeeds(n)
+		bytes, objs := allocated(5, func() {
+			if _, err := New().BuildModel(seeds); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := 32*float64(n) + 16<<10; bytes > limit {
+			t.Errorf("BuildModel over %d seeds allocates %.0f B (%.1f B per seed), want at most %.0f", n, bytes, bytes/float64(n), limit)
+		}
+		objects[i] = objs
+	}
+	if objects[0] != objects[1] || objects[1] > 100 {
+		t.Errorf("BuildModel allocates %v times over 1000 seeds and %v over 40000, want the same and at most 100", objects[0], objects[1])
+	}
+}
+
+// TestRunFrontierAllocations pins a run's frontier — slab, heap and free
+// list, allocated once at InitFromModel — under 64 B per entry of the
+// default beam. The allowance is for what 12,288 draws keep beside it, the
+// emitted set and the returned batches (about 1 MB), less part of the 4 B
+// per entry by which the frontier comes in under 64 B: a frontier of 64 B
+// per entry, as an index heap over full candidates costs, does not fit.
+func TestRunFrontierAllocations(t *testing.T) {
+	seeds := testSeeds(40000)
+	m, err := New().BuildModel(seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const draws = 12288
+	bytes, _ := allocated(3, func() {
+		g := New()
+		if err := g.InitFromModel(m, seeds); err != nil {
+			t.Fatal(err)
+		}
+		for drawn := 0; drawn < draws; {
+			got := g.NextBatch(4096)
+			if len(got) == 0 {
+				t.Fatalf("exhausted after %d draws", drawn)
+			}
+			drawn += len(got)
+		}
+	})
+	if limit := 64*float64(DefaultBeam+1) + 896<<10; bytes > limit {
+		t.Errorf("InitFromModel and %d draws allocate %.0f B, want at most %.0f", draws, bytes, limit)
+	}
+}

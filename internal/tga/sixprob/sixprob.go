@@ -25,6 +25,7 @@ package sixprob
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"seedscan/internal/ipaddr"
@@ -41,24 +42,30 @@ const (
 	DefaultBeam         = 1 << 16
 )
 
-// Model is the immutable mined artifact: the counted generation trie plus
-// the global per-position value frequencies used to weight mutations.
+// Model is the immutable mined artifact: the counted generation trie,
+// the canonical seeds it was mined from, and the global per-position
+// value frequencies used to weight mutations. It holds no pointers past
+// its two slices.
 type Model struct {
-	root  *node
+	nodes []node        // nodes[0] is the root
+	seeds []ipaddr.Addr // canonical; single-seed nodes read their tails here
 	freq  [ipaddr.NybbleCount][16]int
 	byFrq [ipaddr.NybbleCount][16]byte // values at each position, most frequent first
 	total int
 }
 
-// node is one trie node. A node reached by the value at position d-1
-// describes positions d and below: kids[v] is the subtree of seeds with
-// value v at position d, count the number of seeds underneath. Subtrees
-// holding a single seed are compressed: kids is nil and tail lists the
-// seed's remaining nybbles.
+// node is one trie node, named by its index in Model.nodes. A node reached
+// by the value at position d-1 describes positions d and below: count
+// seeds pass through it, and bit v of edges is set when some of them have
+// value v at position d. A node's children lie contiguously from first in
+// ascending value order, so the child for v is first plus the number of
+// edges below v. A node without edges holds a single seed (or, at depth
+// 32, a seed listed more than once): first is the seed's index, and its
+// remaining nybbles, the path-compressed tail, are read from that seed.
 type node struct {
-	count int
-	kids  *[16]*node
-	tail  []byte
+	count int32
+	first int32
+	edges uint16
 }
 
 // Generator implements tga.Generator and tga.ModelBuilder.
@@ -124,7 +131,9 @@ func (g *Generator) ModelParams() string { return "6prob/v=1" }
 // BuildModel implements tga.ModelBuilder: it mines the counted trie and
 // the global value frequencies. Input is canonicalized first — the trie's
 // linear grouping sweep requires sorted seeds, and unsorted input would
-// silently drop every non-contiguous value run.
+// silently drop every non-contiguous value run. The model keeps sorted
+// input without a copy, so those seeds must not change while it is in
+// use.
 func (g *Generator) BuildModel(seedAddrs []ipaddr.Addr) (tga.Model, error) {
 	if len(seedAddrs) == 0 {
 		return nil, fmt.Errorf("sixprob: no seeds")
@@ -142,37 +151,59 @@ func (g *Generator) BuildModel(seedAddrs []ipaddr.Addr) (tga.Model, error) {
 			return f[order[i]] > f[order[j]]
 		})
 	}
-	m.root = buildTrie(seedAddrs, 0)
+	m.seeds = seedAddrs
+	m.nodes = growTrie(make([]node, 1, trieSize(seedAddrs)), seedAddrs, 0, 0, len(seedAddrs), 0)
 	return m, nil
 }
 
-// buildTrie recurses over a sorted, contiguous seed range. Sorted input
-// means every value at the current position is a contiguous run, so
-// grouping is a linear sweep.
-func buildTrie(seedAddrs []ipaddr.Addr, depth int) *node {
-	n := &node{count: len(seedAddrs)}
-	if len(seedAddrs) == 0 || depth == ipaddr.NybbleCount {
-		return n
-	}
-	if len(seedAddrs) == 1 {
-		tail := make([]byte, ipaddr.NybbleCount-depth)
-		for i := range tail {
-			tail[i] = seedAddrs[0].Nybble(depth + i)
+// trieSize counts the nodes growTrie makes from sorted seeds, so the trie
+// is allocated once. Past the root, each seed's path adds the nodes below
+// the prefix it shares with the previous seed — every earlier seed shares
+// less — down to one past the longest prefix it shares with either
+// neighbour, where it is alone (or down to depth 32).
+func trieSize(seeds []ipaddr.Addr) int {
+	size := 1
+	prev := -1 // nybbles the seed shares with the previous one
+	for i := range seeds {
+		next := -1
+		if i+1 < len(seeds) {
+			next = seeds[i].CommonPrefixLen(seeds[i+1]) / 4
 		}
-		n.tail = tail
-		return n
+		size += min(max(prev, next)+1, ipaddr.NybbleCount) - max(prev, 0)
+		prev = next
 	}
-	n.kids = new([16]*node)
-	for lo := 0; lo < len(seedAddrs); {
-		v := seedAddrs[lo].Nybble(depth)
-		hi := lo + 1
-		for hi < len(seedAddrs) && seedAddrs[hi].Nybble(depth) == v {
-			hi++
+	return size
+}
+
+// growTrie fills in node i over the sorted seed range [lo,hi), whose seeds
+// share their first depth nybbles, and grows its subtree: the children are
+// appended to nodes side by side, one per value run at position depth —
+// sorted input makes every run contiguous — and then grown in turn.
+func growTrie(nodes []node, seeds []ipaddr.Addr, i int32, lo, hi, depth int) []node {
+	nodes[i] = node{count: int32(hi - lo), first: int32(lo)}
+	if hi-lo == 1 || depth == ipaddr.NybbleCount {
+		return nodes
+	}
+	first := int32(len(nodes))
+	var edges uint16
+	for j := lo; j < hi; j++ {
+		if v := seeds[j].Nybble(depth); edges&(1<<v) == 0 {
+			edges |= 1 << v
+			nodes = append(nodes, node{})
 		}
-		n.kids[v] = buildTrie(seedAddrs[lo:hi], depth+1)
-		lo = hi
 	}
-	return n
+	nodes[i].first, nodes[i].edges = first, edges
+	kid := first
+	for j := lo; j < hi; kid++ {
+		v := seeds[j].Nybble(depth)
+		end := j + 1
+		for end < hi && seeds[end].Nybble(depth) == v {
+			end++
+		}
+		nodes = growTrie(nodes, seeds, kid, j, end, depth+1)
+		j = end
+	}
+	return nodes
 }
 
 // Init implements tga.Generator: BuildModel + InitFromModel.
@@ -206,24 +237,22 @@ func (g *Generator) InitFromModel(m tga.Model, _ []ipaddr.Addr) error {
 		}
 	}
 	if mm.total > 0 {
-		g.push(cand{n: mm.root})
+		g.push(cand{}, 0) // the root, node 0
 	}
 	return nil
 }
 
-// cand is a partial address: positions [0,depth) are fixed in addr and n
-// continues it. A node with kids is consulted at position depth; a node
-// with a compressed tail continues along tail[off:]. lp is the
-// accumulated log-probability.
+// cand is a partial address: positions [0,depth) are fixed in addr and
+// node continues it. A node with edges is consulted at position depth; a
+// single-seed node continues along its seed's nybbles from depth on. Its
+// log-probability and tie-break hash, the draw key, sit beside it in the
+// frontier's heap; tick, its push order, settles what they leave tied.
 type cand struct {
-	lp    float64
 	addr  ipaddr.Addr
-	n     *node
-	tie   uint64
 	tick  uint64
+	node  int32
 	depth uint8
 	muts  uint8
-	off   uint8
 }
 
 // NextBatch implements tga.Generator: it pops complete addresses in
@@ -234,7 +263,7 @@ func (g *Generator) NextBatch(nwant int) []ipaddr.Addr {
 	}
 	out := make([]ipaddr.Addr, 0, nwant)
 	for len(out) < nwant && g.frontier.Len() > 0 {
-		c := g.frontier.pop()
+		c, lp := g.frontier.pop()
 		if c.depth == ipaddr.NybbleCount {
 			// Complete. Pure-trie completions are the seeds themselves;
 			// only mutated addresses are candidates.
@@ -246,93 +275,90 @@ func (g *Generator) NextBatch(nwant int) []ipaddr.Addr {
 			}
 			continue
 		}
-		g.expand(c)
+		g.expand(c, lp)
 	}
 	return out
 }
 
-// expand pushes every extension of c: the trie's own edges discounted by
-// 1-Eps, plus up to TopMutations mutated values per position weighted by
-// Eps times their smoothed global frequency. Compressed tails expand in
-// bulk — one pop pushes the pure completion plus the mutations at every
-// remaining position, with the same log-probabilities the one-position
-// walk would accumulate, so the heap never carries the long chain of
-// intermediate pure-path candidates.
-func (g *Generator) expand(c cand) {
-	if c.n.tail != nil {
-		g.expandTail(c)
+// expand pushes every extension of c, whose log-probability is lp: the
+// trie's own edges discounted by 1-Eps, plus up to TopMutations mutated
+// values per position weighted by Eps times their smoothed global
+// frequency. Single-seed tails expand in bulk — one pop pushes the pure
+// completion plus the mutations at every remaining position, with the same
+// log-probabilities the one-position walk would accumulate, so the heap
+// never carries the long chain of intermediate pure-path candidates.
+func (g *Generator) expand(c cand, lp float64) {
+	n := g.model.nodes[c.node]
+	if n.edges == 0 {
+		g.expandTail(c, lp, g.model.seeds[n.first])
 		return
 	}
 	pos := int(c.depth)
-	total := float64(c.n.count)
-	var heaviest *node
-	var edges uint16
-	for v := 0; v < 16; v++ {
-		child := c.n.kids[v]
-		if child == nil {
-			continue
-		}
-		edges |= 1 << v
-		if heaviest == nil || child.count > heaviest.count {
-			heaviest = child
+	total := float64(n.count)
+	heaviest, most := int32(-1), int32(0)
+	kid := n.first // children are contiguous, in ascending value order
+	for e := n.edges; e != 0; e &= e - 1 {
+		v := bits.TrailingZeros16(e)
+		count := g.model.nodes[kid].count
+		if count > most {
+			heaviest, most = kid, count
 		}
 		g.push(cand{
-			lp:    c.lp + math.Log(float64(child.count)/total) + g.lnKeep,
 			addr:  c.addr.WithNybble(pos, byte(v)),
 			depth: c.depth + 1,
 			muts:  c.muts,
-			n:     child,
-		})
+			node:  kid,
+		}, lp+math.Log(float64(count)/total)+g.lnKeep)
+		kid++
 	}
-	if int(c.muts) < g.MaxMutations && heaviest != nil {
+	if int(c.muts) < g.MaxMutations {
 		// Mutations to values without an edge borrow the heaviest
 		// sibling's subtree to complete the low half of the address.
-		g.pushMutationsAt(c.addr, pos, c.lp, c.muts, edges, heaviest, 0)
+		g.pushMutationsAt(c.addr, pos, lp, c.muts, n.edges, heaviest)
 	}
 }
 
-// expandTail bulk-expands a path-compressed continuation: the pure
+// expandTail bulk-expands c along the single seed its node holds: the pure
 // completion (skipped at zero mutations — those are the seeds), then the
-// mutation candidates at each tail position, each priced as if the walk
-// had followed the tail one position at a time.
-func (g *Generator) expandTail(c cand) {
+// mutation candidates at each remaining position, each priced as if the
+// walk had followed the seed one position at a time.
+func (g *Generator) expandTail(c cand, lp float64, seed ipaddr.Addr) {
 	pos := int(c.depth)
-	tail := c.n.tail[c.off:]
 	if c.muts > 0 {
 		addr := c.addr
-		for i, v := range tail {
-			addr = addr.WithNybble(pos+i, v)
+		for p := pos; p < ipaddr.NybbleCount; p++ {
+			addr = addr.WithNybble(p, seed.Nybble(p))
 		}
 		g.push(cand{
-			lp:    c.lp + float64(len(tail))*g.lnKeep,
 			addr:  addr,
 			depth: ipaddr.NybbleCount,
 			muts:  c.muts,
-		})
+		}, lp+float64(ipaddr.NybbleCount-pos)*g.lnKeep)
 	}
 	if int(c.muts) >= g.MaxMutations {
 		return
 	}
 	prefix := c.addr
-	for i, v := range tail {
+	for p := pos; p < ipaddr.NybbleCount; p++ {
 		// Skip positions where even the best mutation lands under the
 		// floor; the floor only rises while we push, so the snapshot
 		// taken here is conservative.
-		lp := c.lp + float64(i)*g.lnKeep
-		if floor, ok := g.activeFloor(); !ok || lp+g.maxMutLP[pos+i] >= floor {
-			g.pushMutationsAt(prefix, pos+i, lp, c.muts, 1<<v, c.n, c.off+uint8(i)+1)
+		v := seed.Nybble(p)
+		plp := lp + float64(p-pos)*g.lnKeep
+		if floor, ok := g.activeFloor(); !ok || plp+g.maxMutLP[p] >= floor {
+			g.pushMutationsAt(prefix, p, plp, c.muts, 1<<v, c.node)
 		}
-		prefix = prefix.WithNybble(pos+i, v)
+		prefix = prefix.WithNybble(p, v)
 	}
 }
 
 // pushMutationsAt pushes the top globally-frequent mutation values at one
 // position, skipping the values set in skip (those the trie already
-// covers there), each continued by n from tail offset off. byFrq order
-// means mutLP is non-increasing along the walk, so the first value under
-// the floor ends the position.
+// covers there), each continued from the next position by node. byFrq
+// order means mutLP is non-increasing along the walk, so the first value
+// under the floor ends the position.
 func (g *Generator) pushMutationsAt(prefix ipaddr.Addr, pos int, lp float64, muts uint8,
-	skip uint16, n *node, off uint8) {
+	skip uint16, node int32) {
 	floor, gated := g.activeFloor()
 	pushed := 0
 	for _, v := range g.model.byFrq[pos] {
@@ -343,13 +369,11 @@ func (g *Generator) pushMutationsAt(prefix ipaddr.Addr, pos int, lp float64, mut
 			continue
 		}
 		g.push(cand{
-			lp:    lp + g.mutLP[pos][v],
 			addr:  prefix.WithNybble(pos, v),
 			depth: uint8(pos + 1),
 			muts:  muts + 1,
-			n:     n,
-			off:   off,
-		})
+			node:  node,
+		}, lp+g.mutLP[pos][v])
 		if pushed++; pushed == g.TopMutations {
 			return
 		}
@@ -372,19 +396,18 @@ func (g *Generator) activeFloor() (float64, bool) {
 	return 0, false
 }
 
-// push stamps the candidate's deterministic tie-break key and inserts it,
+// push stamps the candidate's push order and inserts it with its draw key,
 // pruning the frontier to the keep() best entries when it outgrows Beam.
 // Candidates scoring strictly below the active floor are dropped up
 // front — the next prune would discard them anyway, and the O(1) drop is
 // what keeps mutation fan-out from forcing a prune every Beam/2 pushes.
-func (g *Generator) push(c cand) {
-	if floor, ok := g.activeFloor(); ok && c.lp < floor {
+func (g *Generator) push(c cand, lp float64) {
+	if floor, ok := g.activeFloor(); ok && lp < floor {
 		return
 	}
-	c.tie = mix64(g.Seed, c.addr.Hi(), c.addr.Lo(), uint64(c.depth))
 	c.tick = g.tick
 	g.tick++
-	g.frontier.push(c)
+	g.frontier.push(c, key{lp: lp, tie: mix64(g.Seed, c.addr.Hi(), c.addr.Lo(), uint64(c.depth))})
 	if g.Beam > 0 && g.frontier.Len() > g.Beam {
 		g.floor = g.frontier.prune(g.keep())
 		g.hasFloor = true
@@ -394,25 +417,25 @@ func (g *Generator) push(c cand) {
 // Feedback implements tga.Generator; 6Prob is offline and ignores it.
 func (g *Generator) Feedback([]tga.ProbeResult) {}
 
-// before is the draw order: higher probability first, then the seeded
-// tie-break hash, then insertion order.
-func (c *cand) before(o *cand) bool {
-	if c.lp != o.lp {
-		return c.lp > o.lp
-	}
-	if c.tie != o.tie {
-		return c.tie < o.tie
-	}
-	return c.tick < o.tick
+// key is a frontier heap entry: a candidate's draw key — higher
+// log-probability first, then the seeded tie-break hash — and the slab
+// slot holding the candidate.
+type key struct {
+	lp   float64
+	tie  uint64
+	slot int32
 }
 
-// candHeap is an index max-heap (tga.HeapUp et al.): the heap order lives
-// in idx, so sifts and prunes move 4-byte indices instead of the 56-byte
-// cand structs, which sit in a reusable slab addressed through a free list.
+// candHeap is the frontier: a max-heap of keys in draw order over a
+// reusable slab of candidates addressed through a free list. Sifts and
+// prunes compare the keys where they lie and read the slab only when two
+// keys tie in full, for the push order that settles it; the order is
+// total, so the pops, prunes and floors are those of any correct heap.
+// Slab, heap and free list cost 60 bytes per entry and hold no pointers.
 type candHeap struct {
+	heap []key
 	slab []cand
 	free []int32
-	idx  []int32
 }
 
 // newCandHeap sizes a frontier for a beam once: it holds beam+1 entries
@@ -424,38 +447,84 @@ func newCandHeap(beam int) candHeap {
 		size = min(beam, DefaultBeam)
 	}
 	return candHeap{
+		heap: make([]key, 0, size+1),
 		slab: make([]cand, 0, size+1),
 		free: make([]int32, 0, size+1),
-		idx:  make([]int32, 0, size+1),
 	}
 }
 
-func (h *candHeap) Len() int { return len(h.idx) }
+func (h *candHeap) Len() int { return len(h.heap) }
 
-// before orders slab slots by their candidates' draw order.
-func (h *candHeap) before(a, b int32) bool { return h.slab[a].before(&h.slab[b]) }
+// before is the draw order.
+func (h *candHeap) before(a, b *key) bool {
+	if a.lp != b.lp {
+		return a.lp > b.lp
+	}
+	if a.tie != b.tie {
+		return a.tie < b.tie
+	}
+	return h.slab[a.slot].tick < h.slab[b.slot].tick
+}
 
-func (h *candHeap) push(c cand) {
-	var slot int32
+func (h *candHeap) push(c cand, k key) {
 	if n := len(h.free); n > 0 {
-		slot = h.free[n-1]
+		k.slot = h.free[n-1]
 		h.free = h.free[:n-1]
-		h.slab[slot] = c
+		h.slab[k.slot] = c
 	} else {
-		slot = int32(len(h.slab))
+		k.slot = int32(len(h.slab))
 		h.slab = append(h.slab, c)
 	}
-	h.idx = append(h.idx, slot)
-	tga.HeapUp(h.idx, len(h.idx)-1, h.before)
+	h.heap = append(h.heap, k)
+	h.up(len(h.heap) - 1)
 }
 
-func (h *candHeap) pop() cand {
-	top := h.idx[0]
-	h.idx = tga.HeapPop(h.idx, h.before)
-	c := h.slab[top]
-	h.slab[top] = cand{} // release the node pointer for GC
-	h.free = append(h.free, top)
-	return c
+// pop removes the first candidate in draw order and returns it with its
+// log-probability.
+func (h *candHeap) pop() (cand, float64) {
+	top := h.heap[0]
+	last := len(h.heap) - 1
+	h.heap[0] = h.heap[last]
+	h.heap = h.heap[:last]
+	if last > 0 {
+		h.down(0)
+	}
+	h.free = append(h.free, top.slot)
+	return h.slab[top.slot], top.lp
+}
+
+// up sifts heap[i] toward the root, down toward the leaves; both move the
+// entry once, to the hole its path ends at.
+func (h *candHeap) up(i int) {
+	k := h.heap[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.before(&k, &h.heap[p]) {
+			break
+		}
+		h.heap[i] = h.heap[p]
+		i = p
+	}
+	h.heap[i] = k
+}
+
+func (h *candHeap) down(i int) {
+	k := h.heap[i]
+	for {
+		kid := 2*i + 1
+		if kid >= len(h.heap) {
+			break
+		}
+		if r := kid + 1; r < len(h.heap) && h.before(&h.heap[r], &h.heap[kid]) {
+			kid = r
+		}
+		if !h.before(&h.heap[kid], &k) {
+			break
+		}
+		h.heap[i] = h.heap[kid]
+		i = kid
+	}
+	h.heap[i] = k
 }
 
 // prune keeps the best `keep` candidates, frees the rest, and returns the
@@ -464,53 +533,52 @@ func (h *candHeap) pop() cand {
 // and the re-heapified survivors pop in the same order.
 func (h *candHeap) prune(keep int) float64 {
 	h.selectBest(keep)
-	floor := h.slab[h.idx[keep-1]].lp
-	for _, slot := range h.idx[keep:] {
-		h.slab[slot] = cand{}
-		h.free = append(h.free, slot)
+	floor := h.heap[keep-1].lp
+	for _, k := range h.heap[keep:] {
+		h.free = append(h.free, k.slot)
 	}
-	h.idx = h.idx[:keep]
+	h.heap = h.heap[:keep]
 	for i := keep/2 - 1; i >= 0; i-- {
-		tga.HeapDown(h.idx, i, h.before)
+		h.down(i)
 	}
 	return floor
 }
 
-// selectBest reorders idx so that its first k entries are the k best in
-// draw order and idx[k-1] is the k-th best: a quickselect with a
+// selectBest reorders heap so that its first k entries are the k best in
+// draw order and heap[k-1] is the k-th best: a quickselect with a
 // median-of-three pivot and Hoare partitioning.
 func (h *candHeap) selectBest(k int) {
-	idx := h.idx
-	lo, hi := 0, len(idx)-1
+	a := h.heap
+	lo, hi := 0, len(a)-1
 	for lo < hi {
 		// Order lo, mid, hi so the pivot at mid is their median; the two
 		// ends then bound the partition scans.
 		mid := int(uint(lo+hi) >> 1)
-		if h.before(idx[mid], idx[lo]) {
-			idx[mid], idx[lo] = idx[lo], idx[mid]
+		if h.before(&a[mid], &a[lo]) {
+			a[mid], a[lo] = a[lo], a[mid]
 		}
-		if h.before(idx[hi], idx[mid]) {
-			idx[hi], idx[mid] = idx[mid], idx[hi]
-			if h.before(idx[mid], idx[lo]) {
-				idx[mid], idx[lo] = idx[lo], idx[mid]
+		if h.before(&a[hi], &a[mid]) {
+			a[hi], a[mid] = a[mid], a[hi]
+			if h.before(&a[mid], &a[lo]) {
+				a[mid], a[lo] = a[lo], a[mid]
 			}
 		}
-		pivot := idx[mid]
+		pivot := a[mid]
 		i, j := lo, hi
 		for i <= j {
-			for h.before(idx[i], pivot) {
+			for h.before(&a[i], &pivot) {
 				i++
 			}
-			for h.before(pivot, idx[j]) {
+			for h.before(&pivot, &a[j]) {
 				j--
 			}
 			if i <= j {
-				idx[i], idx[j] = idx[j], idx[i]
+				a[i], a[j] = a[j], a[i]
 				i++
 				j--
 			}
 		}
-		// Now idx[lo..j] come no later than the pivot, idx[i..hi] no
+		// Now a[lo..j] come no later than the pivot, a[i..hi] no
 		// earlier, and anything between is the pivot itself.
 		switch {
 		case k-1 <= j:

@@ -169,43 +169,43 @@ func TestSelectBestMatchesSort(t *testing.T) {
 		var h candHeap
 		ticks := rng.Perm(n)
 		for i := 0; i < n; i++ {
-			h.slab = append(h.slab, cand{
+			h.slab = append(h.slab, cand{tick: uint64(ticks[i])})
+			h.heap = append(h.heap, key{
 				lp:   -float64(rng.Intn(1 + trial%4)),
 				tie:  uint64(rng.Intn(1 + trial%3)),
-				tick: uint64(ticks[i]),
+				slot: int32(i),
 			})
-			h.idx = append(h.idx, int32(i))
 		}
-		sorted := slices.Clone(h.idx)
-		sort.Slice(sorted, func(i, j int) bool { return h.before(sorted[i], sorted[j]) })
+		sorted := slices.Clone(h.heap)
+		sort.Slice(sorted, func(i, j int) bool { return h.before(&sorted[i], &sorted[j]) })
 		switch trial % 3 {
 		case 0:
-			rng.Shuffle(n, func(i, j int) { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] })
+			rng.Shuffle(n, func(i, j int) { h.heap[i], h.heap[j] = h.heap[j], h.heap[i] })
 		case 1:
-			copy(h.idx, sorted)
+			copy(h.heap, sorted)
 		case 2:
-			for i, s := range sorted {
-				h.idx[n-1-i] = s
+			for i, k := range sorted {
+				h.heap[n-1-i] = k
 			}
 		}
-		want := make([]cand, keep)
-		for i, s := range sorted[:keep] {
-			want[i] = h.slab[s]
-		}
+		want := sorted[:keep]
 
 		floor := h.prune(keep)
 		if floor != want[keep-1].lp {
 			t.Fatalf("trial %d (n=%d keep=%d): floor %v, want %v", trial, n, keep, floor, want[keep-1].lp)
 		}
-		freed, dropped := slices.Clone(h.free), slices.Clone(sorted[keep:])
+		freed, dropped := slices.Clone(h.free), []int32{}
+		for _, k := range sorted[keep:] {
+			dropped = append(dropped, k.slot)
+		}
 		slices.Sort(freed)
 		slices.Sort(dropped)
 		if !slices.Equal(freed, dropped) {
 			t.Fatalf("trial %d (n=%d keep=%d): freed slots differ from the sort's tail", trial, n, keep)
 		}
-		for i := range want {
-			if c := h.pop(); c.tick != want[i].tick {
-				t.Fatalf("trial %d (n=%d keep=%d): pop %d is tick %d, want %d", trial, n, keep, i, c.tick, want[i].tick)
+		for i, k := range want {
+			if c, lp := h.pop(); c.tick != h.slab[k.slot].tick || lp != k.lp {
+				t.Fatalf("trial %d (n=%d keep=%d): pop %d is tick %d, want %d", trial, n, keep, i, c.tick, h.slab[k.slot].tick)
 			}
 		}
 		if h.Len() != 0 {
