@@ -36,9 +36,9 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# A small end-to-end smoke run: the quickstart with a JSONL trace.
+# A small end-to-end smoke run: one TGA run with a JSONL trace.
 smoke:
-	$(GO) run ./examples/quickstart -trace /tmp/seedscan-trace.jsonl
+	$(GO) run ./cmd/seedscan run -budget 2000 -trace /tmp/seedscan-trace.jsonl
 	@head -3 /tmp/seedscan-trace.jsonl
 
 experiments:

@@ -544,20 +544,7 @@ func cmdHitlist(args []string) error {
 	outAliases := fs.String("aliases", "", "write the aliased-prefix list to this file")
 	fs.Parse(args)
 
-	env := buildEnv(*seed, *ases, *scale, nil, wire.ChainConfig{})
-	svc, err := hitlist.New(
-		hitlist.WithProber(env.Scanner),
-		hitlist.WithKnownAliases(env.Offline),
-		hitlist.WithSeed(*seed),
-	)
-	if err != nil {
-		return err
-	}
-	inputs := make([]*seeds.Dataset, 0, len(env.Sources))
-	for _, src := range seeds.AllSources {
-		inputs = append(inputs, env.Sources[src])
-	}
-	snap, err := svc.Build(inputs...)
+	snap, err := buildHitlist(*seed, *ases, *scale)
 	if err != nil {
 		return err
 	}
@@ -573,13 +560,35 @@ func cmdHitlist(args []string) error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
 		if err := seeds.WritePrefixes(f, snap.AliasedPrefixes); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %d aliased prefixes to %s\n", len(snap.AliasedPrefixes), *outAliases)
 	}
 	return nil
+}
+
+// buildHitlist runs the hitlist service over every seed source of the
+// environment the flags describe.
+func buildHitlist(seed uint64, ases int, scale float64) (*hitlist.Snapshot, error) {
+	env := buildEnv(seed, ases, scale, nil, wire.ChainConfig{})
+	svc, err := hitlist.New(
+		hitlist.WithProber(env.Scanner),
+		hitlist.WithKnownAliases(env.Offline),
+		hitlist.WithSeed(seed),
+	)
+	if err != nil {
+		return nil, err
+	}
+	inputs := make([]*seeds.Dataset, 0, len(env.Sources))
+	for _, src := range seeds.AllSources {
+		inputs = append(inputs, env.Sources[src])
+	}
+	return svc.Build(inputs...)
 }
 
 func cmdResolve(args []string) error {

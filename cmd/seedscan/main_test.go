@@ -1,8 +1,12 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"seedscan/internal/seeds"
 )
 
 // The command functions run end to end against small environments; these
@@ -76,12 +80,37 @@ func TestCmdDealias(t *testing.T) {
 
 func TestCmdHitlist(t *testing.T) {
 	dir := t.TempDir()
-	args := append([]string{
-		"-o", filepath.Join(dir, "responsive.txt"),
-		"-aliases", filepath.Join(dir, "aliases.txt"),
-	}, smallEnv...)
+	addrsPath, aliasesPath := filepath.Join(dir, "responsive.txt"), filepath.Join(dir, "aliases.txt")
+	args := append([]string{"-o", addrsPath, "-aliases", aliasesPath}, smallEnv...)
 	if err := cmdHitlist(args); err != nil {
 		t.Fatal(err)
+	}
+
+	// Both files read back as exactly what the command built: smallEnv
+	// with envFlags' default seed.
+	snap, err := buildHitlist(42, 50, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotAddrs, err := seeds.ReadFile(addrsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := snap.ResponsiveDataset()
+	if gotAddrs.Len() == 0 || !slices.Equal(gotAddrs.SortedSlice(), want.SortedSlice()) {
+		t.Fatalf("responsive list read back %d addresses, built %d", gotAddrs.Len(), want.Len())
+	}
+	f, err := os.Open(aliasesPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	gotAliases, err := seeds.ReadPrefixes(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gotAliases) == 0 || !slices.Equal(gotAliases, snap.AliasedPrefixes) {
+		t.Fatalf("alias list read back %d prefixes, built %d", len(gotAliases), len(snap.AliasedPrefixes))
 	}
 }
 

@@ -8,11 +8,13 @@
 // deterministic simulated IPv6 Internet instead of live scans. See
 // internal/tga/all for the paper-set versus extended-set distinction.
 //
-// The root package carries the module documentation and one benchmark per
-// experiments section (bench_test.go); the implementation lives under
-// internal/, the runnable entry points under cmd/ and examples/, and the
-// repository's performance benchmark — five workloads, end-to-end and
-// per-layer metrics, declared in BENCHMARK.json — under benchmark/ (go run
-// ./benchmark). See README.md for a tour, DESIGN.md for the system
-// inventory, and EXPERIMENTS.md for paper-versus-measured results.
+// The root package carries the module documentation, the minimal pipeline
+// as a checked Example (example_test.go), the pin of internal/'s exported
+// surface (api_test.go, api.txt) and one benchmark per experiments section
+// (bench_test.go); the implementation lives under internal/, the runnable
+// entry points under cmd/, and the repository's performance benchmark —
+// five workloads, end-to-end and per-layer metrics, declared in
+// BENCHMARK.json — under benchmark/ (go run ./benchmark). See README.md
+// for a tour, DESIGN.md for the system inventory, and EXPERIMENTS.md for
+// paper-versus-measured results.
 package seedscan

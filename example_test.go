@@ -1,19 +1,8 @@
-// Quickstart: the minimal end-to-end seedscan pipeline.
-//
-// It builds a small simulated IPv6 Internet, collects the IPv6 Hitlist
-// seed source, preprocesses it (joint dealiasing + responsive-only, the
-// paper's recommended treatment), runs the 6Tree TGA for 10k candidates,
-// scans them on ICMPv6, and reports hits and AS diversity.
-//
-//	go run ./examples/quickstart
-//	go run ./examples/quickstart -trace out.jsonl   # JSONL span/metric log
-package main
+package seedscan_test
 
 import (
 	"context"
-	"flag"
 	"fmt"
-	"log"
 
 	"seedscan/internal/alias"
 	"seedscan/internal/metrics"
@@ -26,21 +15,17 @@ import (
 	"seedscan/internal/world"
 )
 
-func main() {
-	trace := flag.String("trace", "", "write a JSONL telemetry event log to this file")
-	flag.Parse()
-
-	// 0. Optional telemetry: a tracer feeding a JSONL event log. Every
-	//    layer below accepts it; without -trace the tracer is silent.
-	var sinks []telemetry.Sink
-	if *trace != "" {
-		s, err := telemetry.CreateJSONLFile(*trace)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sinks = append(sinks, s)
-	}
-	tr := telemetry.NewTracer(nil, sinks...)
+// Example is the minimal end-to-end pipeline. It builds a small simulated
+// IPv6 Internet, collects the IPv6 Hitlist seed source, preprocesses it
+// (joint dealiasing + responsive-only, the paper's recommended treatment),
+// runs the 6Tree TGA for 10k candidates, scans them on ICMPv6, and reports
+// hits and AS diversity.
+func Example() {
+	// 0. Telemetry: every layer below reports to a tracer. This one has
+	//    no sink, so it is silent; `seedscan run -trace` gives it a JSONL
+	//    file.
+	tr := telemetry.NewTracer(nil)
+	defer tr.Close()
 	ctx := telemetry.NewContext(context.Background(), tr)
 
 	// 1. A simulated IPv6 Internet: ASes, prefixes, addressing patterns,
@@ -79,7 +64,8 @@ func main() {
 		ExcludeSeeds: true,
 	})
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 
 	// 6. Measure with the paper's metrics (filtering the pathological AS).
@@ -88,11 +74,9 @@ func main() {
 		res.Generated, out.Hits, out.ASes, out.Aliases)
 	fmt.Printf("scan cost: %d packets, %.1fs of virtual scan time at 10k pps\n",
 		sc.Stats().PacketsSent.Load(), sc.VirtualElapsed())
-
-	// 7. Close the tracer: flushes the JSONL log, appending a final event
-	//    with every counter, gauge, and histogram.
-	tr.Close()
-	if *trace != "" {
-		fmt.Printf("wrote telemetry trace to %s\n", *trace)
-	}
+	// Output:
+	// collected 20599 seeds from IPv6 Hitlist
+	// preprocessing: 189 aliased removed, 13080 of 20410 clean seeds responsive
+	// 6Tree: 10000 candidates -> 3515 hits across 90 ASes (0 aliased discarded)
+	// scan cost: 159772 packets, 16.0s of virtual scan time at 10k pps
 }

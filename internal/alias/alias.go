@@ -36,8 +36,8 @@ const AliasPrefixBits = 96
 // Online-test parameters from §4.2: 3 random addresses, aliased when 2+
 // answer.
 const (
-	ProbesPerPrefix = 3
-	AliasThreshold  = 2
+	probesPerPrefix = 3
+	aliasThreshold  = 2
 )
 
 // Mode selects a dealiasing treatment; the RQ1.a experiment sweeps all
@@ -160,14 +160,11 @@ func New(mode Mode, offline *OfflineList, prober scanner.Prober, p proto.Protoco
 	}
 	if mode == ModeCooldown {
 		d.density = make(map[ipaddr.Prefix]int)
-		d.trigger = CooldownTrigger
+		d.trigger = cooldownTrigger
 		d.candidates = candidateList(offline)
 	}
 	return d
 }
-
-// Mode returns the configured mode.
-func (d *Dealiaser) Mode() Mode { return d.mode }
 
 // SetTelemetry wires the dealiaser's alias.* counters (verdict-cache
 // hits/misses, prefixes tested, probes sent, prefixes cooled down) into
@@ -245,13 +242,6 @@ func (d *Dealiaser) Split(addrs []ipaddr.Addr) (clean, aliased []ipaddr.Addr) {
 	return clean, aliased
 }
 
-// IsAliased runs the configured test for a single address (probing its /96
-// if needed).
-func (d *Dealiaser) IsAliased(a ipaddr.Addr) bool {
-	_, aliased := d.Split([]ipaddr.Addr{a})
-	return len(aliased) == 1
-}
-
 // confirm online-tests the prefixes (canonically ordered, distinct)
 // that have no verdict yet and returns the ones this call tested. A
 // prefix another call is already testing is waited for instead, so each
@@ -322,22 +312,22 @@ var probeHostBits = func(seed uint64, p ipaddr.Prefix, salt uint64) uint64 {
 	return ipaddr.Mix64(seed, p.Addr().Hi(), p.Addr().Lo(), salt)
 }
 
-// testPrefixes probes ProbesPerPrefix random addresses in each claimed
+// testPrefixes probes probesPerPrefix random addresses in each claimed
 // prefix (canonically ordered, distinct), records the verdicts and
 // releases the claims by closing done. Every prefix gets exactly
-// ProbesPerPrefix distinct probe addresses: when a generated address
+// probesPerPrefix distinct probe addresses: when a generated address
 // collides with one of the prefix's earlier probes the salt is re-rolled
 // until unique, so no prefix is silently judged on fewer probes than the
-// AliasThreshold assumes. Probes of different /96s cannot collide.
+// aliasThreshold assumes. Probes of different /96s cannot collide.
 func (d *Dealiaser) testPrefixes(prefixes []ipaddr.Prefix, done chan struct{}) {
-	targets := make([]ipaddr.Addr, 0, len(prefixes)*ProbesPerPrefix)
+	targets := make([]ipaddr.Addr, 0, len(prefixes)*probesPerPrefix)
 	for _, p := range prefixes {
 		own := len(targets)
-		for k := 0; k < ProbesPerPrefix; k++ {
+		for k := 0; k < probesPerPrefix; k++ {
 			salt := uint64(k)
 			a := p.Overlay(ipaddr.AddrFrom64s(0, probeHostBits(d.rngSeed, p, salt)))
 			for slices.Contains(targets[own:], a) {
-				salt += ProbesPerPrefix
+				salt += probesPerPrefix
 				a = p.Overlay(ipaddr.AddrFrom64s(0, probeHostBits(d.rngSeed, p, salt)))
 			}
 			targets = append(targets, a)
@@ -345,14 +335,14 @@ func (d *Dealiaser) testPrefixes(prefixes []ipaddr.Prefix, done chan struct{}) {
 	}
 
 	// A reply counts for a prefix only if it is one of the prefix's own
-	// targets, which sit at targets[i*ProbesPerPrefix:][:ProbesPerPrefix].
-	// Counting stops at AliasThreshold, so a prober that repeats replies
+	// targets, which sit at targets[i*probesPerPrefix:][:probesPerPrefix].
+	// Counting stops at aliasThreshold, so a prober that repeats replies
 	// cannot wrap the uint8.
 	active := make([]uint8, len(prefixes))
 	if d.prober != nil {
 		for _, a := range d.prober.ScanActive(targets, d.proto) {
 			i, ok := slices.BinarySearchFunc(prefixes, ipaddr.PrefixFrom(a, AliasPrefixBits), comparePrefixes)
-			if ok && active[i] < AliasThreshold && slices.Contains(targets[i*ProbesPerPrefix:][:ProbesPerPrefix], a) {
+			if ok && active[i] < aliasThreshold && slices.Contains(targets[i*probesPerPrefix:][:probesPerPrefix], a) {
 				active[i]++
 			}
 		}
@@ -362,7 +352,7 @@ func (d *Dealiaser) testPrefixes(prefixes []ipaddr.Prefix, done chan struct{}) {
 	d.probes += len(targets)
 	d.tested += len(prefixes)
 	for i, p := range prefixes {
-		d.verdict[p] = active[i] >= AliasThreshold
+		d.verdict[p] = active[i] >= aliasThreshold
 		delete(d.inflight, p)
 	}
 	close(done)

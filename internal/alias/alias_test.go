@@ -193,7 +193,7 @@ func TestModeNonePassesThrough(t *testing.T) {
 	if len(clean) != 2 || len(aliased) != 0 {
 		t.Fatal("ModeNone must pass everything through")
 	}
-	if d.IsAliased(in[0]) {
+	if d.isAliased(in[0]) {
 		t.Fatal("ModeNone IsAliased must be false")
 	}
 }
@@ -253,7 +253,7 @@ func TestSplitPartitionProperty(t *testing.T) {
 	samp := w.NewSampler(99)
 	aliasSamp := w.NewSampler(100)
 	input := append(samp.Hosts(300), aliasSamp.Aliased(200)...)
-	input = ipaddr.Dedup(input)
+	input = new(ipaddr.Deduper).Append(nil, input)
 
 	for _, mode := range Modes {
 		d := New(mode, list, sc, proto.ICMP, 123)
@@ -280,4 +280,11 @@ func TestSplitVerdictConsistentAcrossCalls(t *testing.T) {
 	if len(a1) != len(a2) {
 		t.Fatalf("verdicts changed across calls: %d vs %d", len(a1), len(a2))
 	}
+}
+
+// isAliased runs the configured test for a single address (probing its /96
+// if needed).
+func (d *Dealiaser) isAliased(a ipaddr.Addr) bool {
+	_, aliased := d.Split([]ipaddr.Addr{a})
+	return len(aliased) == 1
 }

@@ -1,10 +1,10 @@
 // Cool-down dealiasing (ModeCooldown): a non-saturating alternative to
 // the online 6Gen test. The online mode 3-probes every new /96 up front,
-// which is exhaustive but spends ProbesPerPrefix probes on every prefix a
+// which is exhaustive but spends probesPerPrefix probes on every prefix a
 // scan touches. The cool-down detector instead watches response density
 // while results stream through Split: observations are accumulated per
 // aggregation prefix (/64), and only when a prefix's density crosses
-// CooldownTrigger — it is answering suspiciously often — are its /96s put
+// cooldownTrigger — it is answering suspiciously often — are its /96s put
 // through the standard probe confirmation. A confirmed-aliased /96 is
 // "cooled down": every address in it, past and future, is discarded. A
 // confirmed-clean /96 is whitelisted forever in the shared verdict cache.
@@ -24,21 +24,21 @@ import (
 	"seedscan/internal/ipaddr"
 )
 
-// CooldownAggrBits is the aggregation grain for density tracking. Aliased
+// cooldownAggrBits is the aggregation grain for density tracking. Aliased
 // regions usually span many /96s, so counting per /96 would never
 // accumulate; /64 — the conventional end-site boundary — is where a
 // pattern of "everything answers" becomes visible.
-const CooldownAggrBits = 64
+const cooldownAggrBits = 64
 
-// CooldownTrigger is the per-/64 observation count at which the detector
+// cooldownTrigger is the per-/64 observation count at which the detector
 // confirms the aggregate's /96s. Below it prefixes stay untested (and
 // their addresses kept), which is what makes the detector cheap on the
 // sparse, genuinely-clean bulk of a scan.
-const CooldownTrigger = 4
+const cooldownTrigger = 4
 
-// MaxCandidatePrefixes caps structural candidate generation so a
+// maxCandidatePrefixes caps structural candidate generation so a
 // pathological known-alias list cannot blow up the suspicion list.
-const MaxCandidatePrefixes = 4096
+const maxCandidatePrefixes = 4096
 
 // splitCooldown is Split under ModeCooldown. Three phases: account
 // densities, confirm the suspicious /96s with the shared probe test, then
@@ -51,18 +51,18 @@ func (d *Dealiaser) splitCooldown(addrs []ipaddr.Addr) (clean, aliased []ipaddr.
 	// candidate-listed prefixes.
 	d.mu.Lock()
 	for _, a := range addrs {
-		d.density[ipaddr.PrefixFrom(a, CooldownAggrBits)]++
+		d.density[ipaddr.PrefixFrom(a, cooldownAggrBits)]++
 	}
 	var hot []ipaddr.Prefix
 	for _, a := range addrs {
-		if d.density[ipaddr.PrefixFrom(a, CooldownAggrBits)] >= d.trigger ||
+		if d.density[ipaddr.PrefixFrom(a, cooldownAggrBits)] >= d.trigger ||
 			(d.candidates != nil && d.candidates.Contains(a)) {
 			hot = append(hot, ipaddr.PrefixFrom(a, AliasPrefixBits))
 		}
 	}
 	d.mu.Unlock()
 
-	// Phase 2: the standard ProbesPerPrefix confirmation, shared with the
+	// Phase 2: the standard probesPerPrefix confirmation, shared with the
 	// online mode (singleflight claims, verdict cache, deterministic probe
 	// addresses), so concurrent Splits confirm each /96 once.
 	claimed := d.confirm(distinctPrefixes(hot))
@@ -97,16 +97,16 @@ func candidateList(offline *OfflineList) *OfflineList {
 		return nil
 	}
 	known := offline.Prefixes()
-	return NewOfflineList(append(GenerateCandidatePrefixes(known, MaxCandidatePrefixes), known...))
+	return NewOfflineList(append(generateCandidatePrefixes(known, maxCandidatePrefixes), known...))
 }
 
-// GenerateCandidatePrefixes derives candidate alias prefixes from the
+// generateCandidatePrefixes derives candidate alias prefixes from the
 // structure of known ones. Operators allocate aliased prefixes in runs:
 // when a known-alias list names two or more siblings of a nybble group
 // (prefixes identical except in their final nybble), the unnamed sibling
 // values are likely aliased too, just never observed. Those siblings are
 // returned, deterministically ordered by the list, capped at max.
-func GenerateCandidatePrefixes(known []ipaddr.Prefix, max int) []ipaddr.Prefix {
+func generateCandidatePrefixes(known []ipaddr.Prefix, max int) []ipaddr.Prefix {
 	type group struct {
 		parent ipaddr.Prefix
 		seen   uint16 // bitmask of final-nybble values named by the list

@@ -9,7 +9,7 @@ import (
 	"seedscan/internal/telemetry"
 )
 
-// denseInput returns addrs dense enough per /64 to cross CooldownTrigger:
+// denseInput returns addrs dense enough per /64 to cross cooldownTrigger:
 // aggs /64s with per addresses each, all in distinct /96s.
 func denseInput(prefix string, aggs, per int) []ipaddr.Addr {
 	var out []ipaddr.Addr
@@ -30,7 +30,7 @@ func TestCooldownDetectsDenseAlias(t *testing.T) {
 	r := fullRateAlias(t, w)
 
 	// Many addresses inside one /64 of the aliased region (distinct /96s).
-	base := ipaddr.PrefixFrom(r.Prefix.Addr(), CooldownAggrBits).Addr()
+	base := ipaddr.PrefixFrom(r.Prefix.Addr(), cooldownAggrBits).Addr()
 	var addrs []ipaddr.Addr
 	for k := 0; k < 12; k++ {
 		addrs = append(addrs, base.AddLo(uint64(k+1)<<32))
@@ -49,7 +49,7 @@ func TestCooldownDetectsDenseAlias(t *testing.T) {
 // probes are spent and everything is kept — the detector's whole point.
 func TestCooldownSparsePrefixesStayUntested(t *testing.T) {
 	var addrs []ipaddr.Addr
-	for i := 0; i < CooldownTrigger-1; i++ {
+	for i := 0; i < cooldownTrigger-1; i++ {
 		addrs = append(addrs, ipaddr.MustParse(fmt.Sprintf("2001:db8:1:%x::1", i)))
 	}
 	prober := &countingProber{activeFn: func(ipaddr.Addr) bool { return true }}
@@ -71,7 +71,7 @@ func TestCooldownDeterministic(t *testing.T) {
 	samp := w.NewSampler(55)
 	aliasSamp := w.NewSampler(56)
 	input := append(samp.Hosts(200), aliasSamp.Aliased(100)...)
-	input = ipaddr.Dedup(input)
+	input = new(ipaddr.Deduper).Append(nil, input)
 
 	run := func() (c, a []ipaddr.Addr) {
 		_, sc := testWorld(t)
@@ -99,7 +99,7 @@ func TestCooldownDeterministic(t *testing.T) {
 // the same verdict cache as the online test, so its hit and miss counters
 // move too — a first sight of a hot /96 is a miss, a second a hit.
 func TestCooldownCountsVerdictCache(t *testing.T) {
-	addrs := denseInput("2001:db8:ffff", 2, CooldownTrigger)
+	addrs := denseInput("2001:db8:ffff", 2, cooldownTrigger)
 	prober := &countingProber{activeFn: func(ipaddr.Addr) bool { return false }}
 	d := New(ModeCooldown, nil, prober, proto.ICMP, 7)
 	reg := telemetry.NewRegistry()
@@ -199,7 +199,7 @@ func TestGenerateCandidatePrefixes(t *testing.T) {
 		// A loner: no pattern, no candidates.
 		ipaddr.MustParsePrefix("2001:db8:beef::/48"),
 	}
-	got := GenerateCandidatePrefixes(known, 1000)
+	got := generateCandidatePrefixes(known, 1000)
 	if len(got) != 13 {
 		t.Fatalf("candidates = %d, want 13: %v", len(got), got)
 	}
@@ -220,7 +220,7 @@ func TestGenerateCandidatePrefixes(t *testing.T) {
 	}
 
 	// The cap truncates deterministically.
-	if capped := GenerateCandidatePrefixes(known, 5); len(capped) != 5 {
+	if capped := generateCandidatePrefixes(known, 5); len(capped) != 5 {
 		t.Fatalf("capped candidates = %d, want 5", len(capped))
 	}
 

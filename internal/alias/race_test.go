@@ -96,21 +96,21 @@ func TestConcurrentSplitTestsEachPrefixOnce(t *testing.T) {
 	if got := d.PrefixesTested(); got != prefixes {
 		t.Errorf("PrefixesTested = %d, want %d (each /96 exactly once)", got, prefixes)
 	}
-	if got := d.ProbesSent(); got != prefixes*ProbesPerPrefix {
-		t.Errorf("ProbesSent = %d, want %d", got, prefixes*ProbesPerPrefix)
+	if got := d.ProbesSent(); got != prefixes*probesPerPrefix {
+		t.Errorf("ProbesSent = %d, want %d", got, prefixes*probesPerPrefix)
 	}
 	prober.mu.Lock()
 	probed := len(prober.targets)
 	prober.mu.Unlock()
-	if probed != prefixes*ProbesPerPrefix {
-		t.Errorf("prober saw %d targets, want %d", probed, prefixes*ProbesPerPrefix)
+	if probed != prefixes*probesPerPrefix {
+		t.Errorf("prober saw %d targets, want %d", probed, prefixes*probesPerPrefix)
 	}
 	snap := reg.Snapshot()
 	if got := snap.Counters["alias.prefixes_tested"]; got != prefixes {
 		t.Errorf("alias.prefixes_tested = %d, want %d", got, prefixes)
 	}
-	if got := snap.Counters["alias.probes_sent"]; got != int64(prefixes*ProbesPerPrefix) {
-		t.Errorf("alias.probes_sent = %d, want %d", got, prefixes*ProbesPerPrefix)
+	if got := snap.Counters["alias.probes_sent"]; got != int64(prefixes*probesPerPrefix) {
+		t.Errorf("alias.probes_sent = %d, want %d", got, prefixes*probesPerPrefix)
 	}
 	hits := snap.Counters["alias.verdict_cache.hits"]
 	misses := snap.Counters["alias.verdict_cache.misses"]
@@ -176,7 +176,7 @@ func TestSetTelemetryDuringSplits(t *testing.T) {
 // (the cool-down path shares the singleflight claims), and each call's
 // partition must stay lossless. Run under -race.
 func TestConcurrentCooldownSplits(t *testing.T) {
-	// 8 addresses per /64 so every aggregate crosses CooldownTrigger, in
+	// 8 addresses per /64 so every aggregate crosses cooldownTrigger, in
 	// distinct /96s so each needs its own confirmation.
 	var addrs []ipaddr.Addr
 	const aggs, per = 8, 8
@@ -210,8 +210,8 @@ func TestConcurrentCooldownSplits(t *testing.T) {
 	if got := d.PrefixesTested(); got != want {
 		t.Errorf("PrefixesTested = %d, want %d (each /96 exactly once)", got, want)
 	}
-	if got := d.ProbesSent(); got != want*ProbesPerPrefix {
-		t.Errorf("ProbesSent = %d, want %d", got, want*ProbesPerPrefix)
+	if got := d.ProbesSent(); got != want*probesPerPrefix {
+		t.Errorf("ProbesSent = %d, want %d", got, want*probesPerPrefix)
 	}
 	snap := reg.Snapshot()
 	if got := snap.Counters["alias.cooldown.cooled"]; got != int64(want) {
@@ -222,21 +222,21 @@ func TestConcurrentCooldownSplits(t *testing.T) {
 // TestTestPrefixesRerollsDuplicateProbes is the regression test for the
 // silent under-probing bug: when two generated probe addresses collided,
 // the old code skipped the duplicate and judged the /96 on fewer than
-// ProbesPerPrefix probes against an unchanged AliasThreshold. The salt
+// probesPerPrefix probes against an unchanged aliasThreshold. The salt
 // must be re-rolled until the address is unique.
 func TestTestPrefixesRerollsDuplicateProbes(t *testing.T) {
 	orig := probeHostBits
 	defer func() { probeHostBits = orig }()
-	// Force the first ProbesPerPrefix salts to collide on the same host
-	// bits; re-rolled salts (k + ProbesPerPrefix, ...) produce unique ones.
+	// Force the first probesPerPrefix salts to collide on the same host
+	// bits; re-rolled salts (k + probesPerPrefix, ...) produce unique ones.
 	probeHostBits = func(seed uint64, p ipaddr.Prefix, salt uint64) uint64 {
-		if salt < ProbesPerPrefix {
+		if salt < probesPerPrefix {
 			return 0x1234
 		}
 		return 0x1_0000 + salt
 	}
 
-	// The prefix answers exactly AliasThreshold of its distinct probes
+	// The prefix answers exactly aliasThreshold of its distinct probes
 	// (the colliding address plus the first re-rolled one, salt 1+3=4):
 	// only full probing can reach the threshold.
 	answered := map[uint64]bool{0x1234: true, 0x1_0004: true}
@@ -244,11 +244,11 @@ func TestTestPrefixesRerollsDuplicateProbes(t *testing.T) {
 	d := New(ModeOnline, nil, prober, proto.ICMP, 5)
 
 	addr := ipaddr.MustParse("2001:db8:bbbb::1")
-	if !d.IsAliased(addr) {
+	if !d.isAliased(addr) {
 		t.Fatal("prefix meeting AliasThreshold not flagged aliased (under-probed?)")
 	}
-	if got := d.ProbesSent(); got != ProbesPerPrefix {
-		t.Fatalf("ProbesSent = %d, want %d distinct probes", got, ProbesPerPrefix)
+	if got := d.ProbesSent(); got != probesPerPrefix {
+		t.Fatalf("ProbesSent = %d, want %d distinct probes", got, probesPerPrefix)
 	}
 	prober.mu.Lock()
 	defer prober.mu.Unlock()
@@ -259,8 +259,8 @@ func TestTestPrefixesRerollsDuplicateProbes(t *testing.T) {
 		}
 		seen[a] = true
 	}
-	if len(seen) != ProbesPerPrefix {
-		t.Fatalf("%d distinct targets probed, want %d", len(seen), ProbesPerPrefix)
+	if len(seen) != probesPerPrefix {
+		t.Fatalf("%d distinct targets probed, want %d", len(seen), probesPerPrefix)
 	}
 }
 
@@ -278,7 +278,7 @@ func (p *strayProber) ScanActive(targets []ipaddr.Addr, pr proto.Protocol) []ipa
 // TestTestPrefixesCountsOnlyItsTargets: a reply counts toward a prefix's
 // verdict only if it is one of that prefix's own probe targets. An
 // unasked address inside the /96 must not tip a prefix that answered 1 of
-// ProbesPerPrefix over AliasThreshold.
+// probesPerPrefix over aliasThreshold.
 func TestTestPrefixesCountsOnlyItsTargets(t *testing.T) {
 	orig := probeHostBits
 	defer func() { probeHostBits = orig }()
@@ -290,10 +290,10 @@ func TestTestPrefixesCountsOnlyItsTargets(t *testing.T) {
 		stray:          []ipaddr.Addr{p.Addr().AddLo(0x999)},
 	}
 	d := New(ModeOnline, nil, prober, proto.ICMP, 5)
-	if d.IsAliased(p.Addr().AddLo(1)) {
+	if d.isAliased(p.Addr().AddLo(1)) {
 		t.Fatal("an unasked reply tipped a 1-of-3 prefix to aliased")
 	}
-	if got := d.ProbesSent(); got != ProbesPerPrefix {
-		t.Fatalf("ProbesSent = %d, want %d", got, ProbesPerPrefix)
+	if got := d.ProbesSent(); got != probesPerPrefix {
+		t.Fatalf("ProbesSent = %d, want %d", got, probesPerPrefix)
 	}
 }

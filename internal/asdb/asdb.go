@@ -106,15 +106,15 @@ func New(ases ...*AS) *DB {
 // Lookup returns the AS number originating address a, using longest-prefix
 // matching, or (0, false) when a is unrouted.
 func (db *DB) Lookup(a ipaddr.Addr) (int, bool) {
-	as, ok := db.ASOf(a)
+	as, ok := db.asOf(a)
 	if !ok {
 		return 0, false
 	}
 	return as.Number, true
 }
 
-// ASOf returns the full AS record originating a.
-func (db *DB) ASOf(a ipaddr.Addr) (*AS, bool) {
+// asOf returns the full AS record originating a.
+func (db *DB) asOf(a ipaddr.Addr) (*AS, bool) {
 	i, ok := db.table.Lookup(a)
 	if !ok {
 		return nil, false
@@ -160,7 +160,7 @@ func (db *DB) TopASes(addrs []ipaddr.Addr) []ASCount {
 	counts := make(map[*AS]int)
 	routed := 0
 	for _, a := range addrs {
-		if as, ok := db.ASOf(a); ok {
+		if as, ok := db.asOf(a); ok {
 			counts[as]++
 			routed++
 		}
@@ -171,11 +171,11 @@ func (db *DB) TopASes(addrs []ipaddr.Addr) []ASCount {
 		if routed > 0 {
 			share = float64(n) / float64(routed)
 		}
-		out = append(out, ASCount{AS: as, Count: n, Share: share})
+		out = append(out, ASCount{AS: as, count: n, Share: share})
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+		if out[i].count != out[j].count {
+			return out[i].count > out[j].count
 		}
 		return out[i].AS.Number < out[j].AS.Number
 	})
@@ -185,6 +185,6 @@ func (db *DB) TopASes(addrs []ipaddr.Addr) []ASCount {
 // ASCount is one row of a TopASes tally.
 type ASCount struct {
 	AS    *AS
-	Count int
+	count int
 	Share float64 // fraction of routed addresses in this AS
 }

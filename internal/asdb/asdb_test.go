@@ -38,7 +38,7 @@ func TestLookupLongestMatch(t *testing.T) {
 
 func TestASOfAndGet(t *testing.T) {
 	db := testDB(t)
-	as, ok := db.ASOf(ipaddr.MustParse("2600:9000::1"))
+	as, ok := db.asOf(ipaddr.MustParse("2600:9000::1"))
 	if !ok || as.Name != "CDNCo" || as.Type != OrgCloudCDN {
 		t.Fatalf("ASOf = %+v, %v", as, ok)
 	}
@@ -71,7 +71,7 @@ func TestLargeASN(t *testing.T) {
 	if got, ok := db.Lookup(a); !ok || got != asn {
 		t.Fatalf("Lookup = %d, %v", got, ok)
 	}
-	if as, ok := db.ASOf(a); !ok || as.Name != "Private32" {
+	if as, ok := db.asOf(a); !ok || as.Name != "Private32" {
 		t.Fatalf("ASOf = %+v, %v", as, ok)
 	}
 	if got, _ := db.Lookup(ipaddr.MustParse("2001:db8:ff::1")); got != 300 {
@@ -118,8 +118,8 @@ func TestTopASes(t *testing.T) {
 	if len(top) != 2 {
 		t.Fatalf("TopASes len = %d", len(top))
 	}
-	if top[0].AS.Number != 200 || top[0].Count != 6 {
-		t.Fatalf("top AS = %d count %d", top[0].AS.Number, top[0].Count)
+	if top[0].AS.Number != 200 || top[0].count != 6 {
+		t.Fatalf("top AS = %d count %d", top[0].AS.Number, top[0].count)
 	}
 	if got := top[0].Share; got < 0.66 || got > 0.67 {
 		t.Fatalf("share = %v", got)

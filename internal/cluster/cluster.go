@@ -13,7 +13,7 @@
 // parallelism and fault tolerance.
 //
 // Workers come in two flavours behind the same Worker interface:
-// LocalWorker runs a scanner in-process (deterministic tests,
+// localWorker runs a scanner in-process (deterministic tests,
 // cmd/experiments fan-out), and RemoteWorker speaks a length-prefixed
 // binary protocol over TCP to a `seedscan worker` process (see wire.go).
 //
@@ -42,16 +42,16 @@ import (
 // secret, retries, rate and wire chain — the world's replies depend on
 // cookie-derived fields, so a mismatched secret would change outcomes).
 type Job struct {
-	Proto   proto.Protocol
-	Secret  uint64
-	Retries int
-	RatePPS int
-	// HeartbeatEvery is how often a worker must beat while holding a
+	proto   proto.Protocol
+	secret  uint64
+	retries int
+	ratePPS int
+	// heartbeatEvery is how often a worker must beat while holding a
 	// lease; the coordinator sets it well below the lease timeout.
-	HeartbeatEvery time.Duration
-	// Chain is the wire chain every probe crosses, as the canonical text
+	heartbeatEvery time.Duration
+	// chain is the wire chain every probe crosses, as the canonical text
 	// of a wire.ChainConfig (a string, so Job stays comparable).
-	Chain string
+	chain string
 }
 
 // jobScanner builds a worker scanner over link (the job's chain already
@@ -60,42 +60,42 @@ type Job struct {
 // the identity.
 func jobScanner(link wire.Link, job Job, opts []scanner.Option) *scanner.Scanner {
 	return scanner.New(link, append(slices.Clone(opts),
-		scanner.WithSecret(job.Secret),
-		scanner.WithRetries(job.Retries),
-		scanner.WithRatePPS(job.RatePPS))...)
+		scanner.WithSecret(job.secret),
+		scanner.WithRetries(job.retries),
+		scanner.WithRatePPS(job.ratePPS))...)
 }
 
 // Shard is one leased unit of work: a window of the canonical target
 // order, to be probed exactly as given (scanner.ScanPlanned). Both slices
 // are the coordinator's, lent to the worker until RunShard returns.
 type Shard struct {
-	ID      int
-	Targets []ipaddr.Addr
-	// Dst is the lease's result buffer, with room for every target: a
+	id      int
+	targets []ipaddr.Addr
+	// dst is the lease's result buffer, with room for every target: a
 	// worker appends its results to Dst[:0], so they are written in
 	// place. It never travels on the wire; nil means none.
-	Dst []scanner.Result
+	dst []scanner.Result
 }
 
 // ShardResult is a completed shard: one scanner result per shard target,
-// in shard-target order (Results[j].Addr == Shard.Targets[j] — the
+// in shard-target order (Results[j].Addr == Shard.targets[j] — the
 // coordinator verifies the echo and merges by position), plus the stats
 // delta this shard alone contributed.
 type ShardResult struct {
-	Shard   int
-	Results []scanner.Result
-	// Stats is the shard's own counter contribution (snapshot delta on
+	shard   int
+	results []scanner.Result
+	// stats is the shard's own counter contribution (snapshot delta on
 	// the worker's scanner).
-	Stats *scanner.Stats
-	// WallSeconds is the worker-side wall-clock cost of the shard, the
+	stats *scanner.Stats
+	// wallSeconds is the worker-side wall-clock cost of the shard, the
 	// denominator of the per-worker pps gauge.
-	WallSeconds float64
+	wallSeconds float64
 }
 
 // Worker executes shard scans for a coordinator. Implementations return
 // one result per shard target, in shard-target order, and must call
 // beat (with the number of targets finished so far) at least once per
-// Job.HeartbeatEvery while making progress, or the coordinator will expire
+// Job.heartbeatEvery while making progress, or the coordinator will expire
 // the lease and reassign the shard. RunShard must honour ctx cancellation:
 // once the lease is revoked the coordinator has stopped waiting.
 type Worker interface {

@@ -50,9 +50,9 @@ func baseline(link wire.Link, targets []ipaddr.Addr, p proto.Protocol, opts ...s
 	return res, s.Stats().Values()
 }
 
-// localWorker is an in-process worker replicating baseline's scanner.
-func localWorker(w *world.World, id string) *LocalWorker {
-	return NewLocalWorker(id, scanner.New(w.Link(), scanner.WithSecret(testSecret)))
+// testWorker is an in-process worker replicating baseline's scanner.
+func testWorker(w *world.World, id string) *localWorker {
+	return newLocalWorker(id, scanner.New(w.Link(), scanner.WithSecret(testSecret)))
 }
 
 func assertIdentical(t *testing.T, label any, got *RunResult, wantRes []scanner.Result, wantStats [7]int64) {
@@ -139,9 +139,9 @@ func TestClusterMatchesSingleScanner(t *testing.T) {
 		return NewCoordinator(cfg).Run(ctx, workers, targets, p)
 	}, false})
 	rows = append(rows, row{"local3/shard128/kill", func(p proto.Protocol, cfg Config) (*RunResult, error) {
-		cfg.ShardSize, cfg.WorkerFailureLimit = 128, 2
+		cfg.ShardSize, cfg.workerFailureLimit = 128, 2
 		pool := NewLocalPool(3, w.Link(), cfg, opts...)
-		crashMidShard(pool.workers[1].(*LocalWorker))
+		crashMidShard(pool.workers[1].(*localWorker))
 		got, err := pool.Run(ctx, targets, p)
 		if err == nil && got.Reassigned == 0 {
 			err = errors.New("crashed worker's shards were never reassigned")
@@ -187,7 +187,7 @@ func TestClusterMatchesSingleScanner(t *testing.T) {
 // of every shard it is ever leased, until the coordinator retires it. Its
 // batch is shrunk below the shard size so the crash lands mid-shard, with
 // real probes already sent for the doomed lease. It returns the kill count.
-func crashMidShard(w *LocalWorker) *atomic.Int64 {
+func crashMidShard(w *localWorker) *atomic.Int64 {
 	kills := new(atomic.Int64)
 	w.batch = 64
 	w.failHook = func(done int) error {
@@ -229,10 +229,10 @@ func TestKillWorkerMidShard(t *testing.T) {
 	pool := NewLocalPool(3, w.Link(), Config{
 		Secret:             testSecret,
 		ShardSize:          128,
-		LeaseTimeout:       2 * time.Second,
-		WorkerFailureLimit: 2,
+		leaseTimeout:       2 * time.Second,
+		workerFailureLimit: 2,
 	})
-	kills := crashMidShard(pool.workers[1].(*LocalWorker))
+	kills := crashMidShard(pool.workers[1].(*localWorker))
 
 	got, err := pool.Run(context.Background(), targets, p)
 	if err != nil {
@@ -251,7 +251,7 @@ func TestKillWorkerMidShard(t *testing.T) {
 // behaves like a normal local worker — the "hung, not crashed" failure
 // mode lease deadlines exist for.
 type hangWorker struct {
-	inner *LocalWorker
+	inner *localWorker
 	hung  atomic.Bool
 }
 
@@ -274,11 +274,11 @@ func TestHungWorkerLeaseExpires(t *testing.T) {
 	p := proto.ICMP
 	wantRes, wantStats := baseline(w.Link(), targets, p)
 
-	workers := []Worker{localWorker(w, "w0"), &hangWorker{inner: localWorker(w, "w1")}, localWorker(w, "w2")}
+	workers := []Worker{testWorker(w, "w0"), &hangWorker{inner: testWorker(w, "w1")}, testWorker(w, "w2")}
 	coord := NewCoordinator(Config{
 		Secret:       testSecret,
 		ShardSize:    128,
-		LeaseTimeout: 150 * time.Millisecond,
+		leaseTimeout: 150 * time.Millisecond,
 	})
 	got, err := coord.Run(context.Background(), workers, targets, p)
 	if err != nil {
@@ -292,7 +292,7 @@ func TestHungWorkerLeaseExpires(t *testing.T) {
 
 // gateWorker counts concurrent RunShard calls across the pool.
 type gateWorker struct {
-	inner   *LocalWorker
+	inner   *localWorker
 	cur     *atomic.Int64
 	maxSeen *atomic.Int64
 }
@@ -322,12 +322,12 @@ func TestMaxInflightBoundsLeases(t *testing.T) {
 	workers := make([]Worker, 4)
 	for i := range workers {
 		workers[i] = &gateWorker{
-			inner:   localWorker(w, workerName(i)),
+			inner:   testWorker(w, workerName(i)),
 			cur:     &cur,
 			maxSeen: &maxSeen,
 		}
 	}
-	coord := NewCoordinator(Config{Secret: testSecret, ShardSize: 64, MaxInflight: 2})
+	coord := NewCoordinator(Config{Secret: testSecret, ShardSize: 64, maxInflight: 2})
 	if _, err := coord.Run(context.Background(), workers, targets, proto.ICMP); err != nil {
 		t.Fatal(err)
 	}
@@ -341,9 +341,9 @@ func TestMaxInflightBoundsLeases(t *testing.T) {
 func TestAllWorkersFailingErrors(t *testing.T) {
 	w := clusterWorld(t)
 	targets := testTargets(t, w)
-	pool := NewLocalPool(2, w.Link(), Config{Secret: testSecret, WorkerFailureLimit: 2})
+	pool := NewLocalPool(2, w.Link(), Config{Secret: testSecret, workerFailureLimit: 2})
 	for _, wk := range pool.workers {
-		wk.(*LocalWorker).failHook = func(int) error { return errors.New("dead on arrival") }
+		wk.(*localWorker).failHook = func(int) error { return errors.New("dead on arrival") }
 	}
 	if _, err := pool.Run(context.Background(), targets, proto.ICMP); err == nil {
 		t.Fatal("run with all workers failing returned nil error")
@@ -364,12 +364,12 @@ func TestRunContextCancellation(t *testing.T) {
 
 // liar is a worker that scans honestly and then corrupts its answer.
 type liar struct {
-	*LocalWorker
+	*localWorker
 	lie func(*ShardResult)
 }
 
 func (l liar) RunShard(ctx context.Context, job Job, shard Shard, beat func(int)) (*ShardResult, error) {
-	res, err := l.LocalWorker.RunShard(ctx, job, shard, beat)
+	res, err := l.localWorker.RunShard(ctx, job, shard, beat)
 	if err == nil {
 		l.lie(res)
 	}
@@ -379,11 +379,11 @@ func (l liar) RunShard(ctx context.Context, job Job, shard Shard, beat func(int)
 // lies are the ways a shard result can disagree with its lease. Every
 // shard of the tests below has at least two targets.
 var lies = map[string]func(*ShardResult){
-	"wrong id":  func(r *ShardResult) { r.Shard++ },
-	"one short": func(r *ShardResult) { r.Results = r.Results[:len(r.Results)-1] },
-	"swapped":   func(r *ShardResult) { r.Results[0], r.Results[1] = r.Results[1], r.Results[0] },
-	"status 9":  func(r *ShardResult) { r.Results[len(r.Results)-1].Status = 9 },
-	"no stats":  func(r *ShardResult) { r.Stats = nil },
+	"wrong id":  func(r *ShardResult) { r.shard++ },
+	"one short": func(r *ShardResult) { r.results = r.results[:len(r.results)-1] },
+	"swapped":   func(r *ShardResult) { r.results[0], r.results[1] = r.results[1], r.results[0] },
+	"status 9":  func(r *ShardResult) { r.results[len(r.results)-1].Status = 9 },
+	"no stats":  func(r *ShardResult) { r.stats = nil },
 }
 
 // TestLyingWorkerIsAFailedLease: an answer that is not the leased shard,
@@ -391,7 +391,7 @@ var lies = map[string]func(*ShardResult){
 // and named — and the run still converges on the single scanner's bytes.
 func TestLyingWorkerIsAFailedLease(t *testing.T) {
 	w := clusterWorld(t)
-	targets := ipaddr.Dedup(testTargets(t, w))[:1000] // 15 shards of 64 and one of 40
+	targets := new(ipaddr.Deduper).Append(nil, testTargets(t, w))[:1000] // 15 shards of 64 and one of 40
 	p := proto.TCP80
 	wantRes, wantStats := baseline(w.Link(), targets, p)
 	for name, lie := range lies {
@@ -399,7 +399,7 @@ func TestLyingWorkerIsAFailedLease(t *testing.T) {
 		coord := NewCoordinator(Config{Secret: testSecret, ShardSize: 64, Logf: func(f string, a ...any) {
 			logged = append(logged, fmt.Sprintf(f, a...))
 		}})
-		got, err := coord.Run(context.Background(), []Worker{liar{localWorker(w, "liar"), lie}, localWorker(w, "honest")}, targets, p)
+		got, err := coord.Run(context.Background(), []Worker{liar{testWorker(w, "liar"), lie}, testWorker(w, "honest")}, targets, p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -420,15 +420,15 @@ func TestLyingWorkerIsAFailedLease(t *testing.T) {
 // workers retired, or a shard out of attempts — never in a merged result.
 func TestOnlyLyingWorkersError(t *testing.T) {
 	w := clusterWorld(t)
-	targets := ipaddr.Dedup(testTargets(t, w))[:1000]
+	targets := new(ipaddr.Deduper).Append(nil, testTargets(t, w))[:1000]
 	for name, lie := range lies {
 		for _, cfg := range []Config{
-			{WorkerFailureLimit: 2},
-			{WorkerFailureLimit: 1000, MaxShardAttempts: 2},
+			{workerFailureLimit: 2},
+			{workerFailureLimit: 1000, maxShardAttempts: 2},
 		} {
 			cfg.Secret, cfg.ShardSize = testSecret, 64
 			got, err := NewCoordinator(cfg).Run(context.Background(),
-				[]Worker{liar{localWorker(w, "l0"), lie}, liar{localWorker(w, "l1"), lie}}, targets, proto.ICMP)
+				[]Worker{liar{testWorker(w, "l0"), lie}, liar{testWorker(w, "l1"), lie}}, targets, proto.ICMP)
 			if err == nil || got != nil {
 				t.Fatalf("%s: liars alone produced a result (err %v)", name, err)
 			}

@@ -22,26 +22,26 @@ import (
 type Config struct {
 	// Secret keys validation cookies and the canonical shuffle.
 	Secret uint64
-	// Retries / RatePPS are shipped to workers in the Job so remote
+	// retries / RatePPS are shipped to workers in the Job so remote
 	// scanners replicate the coordinator's reference configuration
 	// (defaults 2 and 10000, the scanner's own defaults). Retries clamps
 	// to 0..254 after its default, as scanner.WithRetries does.
-	Retries int
-	RatePPS int
+	retries int
+	ratePPS int
 	// ShardSize is the target count per shard (default 2048).
 	ShardSize int
-	// MaxInflight bounds how many shards may be leased at once — the
+	// maxInflight bounds how many shards may be leased at once — the
 	// backpressure knob. Default: one per worker.
-	MaxInflight int
-	// LeaseTimeout expires a lease whose worker has neither completed
+	maxInflight int
+	// leaseTimeout expires a lease whose worker has neither completed
 	// nor heartbeat within it (default 30s).
-	LeaseTimeout time.Duration
-	// MaxShardAttempts fails the run when one shard keeps dying
+	leaseTimeout time.Duration
+	// maxShardAttempts fails the run when one shard keeps dying
 	// (default 5 lease attempts).
-	MaxShardAttempts int
-	// WorkerFailureLimit retires a worker after this many consecutive
+	maxShardAttempts int
+	// workerFailureLimit retires a worker after this many consecutive
 	// failed or expired leases (default 3); a completed shard resets it.
-	WorkerFailureLimit int
+	workerFailureLimit int
 	// Wire is the chain every worker probes through: NewLocalPool builds
 	// it once over its link, shared by all its workers, and the Job
 	// carries it to remote workers, which build it over theirs. Its
@@ -59,41 +59,41 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults(workers int) {
-	if c.Retries == 0 {
-		c.Retries = 2
+	if c.retries == 0 {
+		c.retries = 2
 	}
 	// The range scanner.WithRetries clamps to, applied here so the Job a
 	// remote worker decodes carries the retries the local scanners use.
-	c.Retries = min(max(c.Retries, 0), math.MaxUint8-1)
-	if c.RatePPS == 0 {
-		c.RatePPS = 10000
+	c.retries = min(max(c.retries, 0), math.MaxUint8-1)
+	if c.ratePPS == 0 {
+		c.ratePPS = 10000
 	}
 	if c.ShardSize <= 0 {
 		c.ShardSize = 2048
 	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = workers
+	if c.maxInflight <= 0 {
+		c.maxInflight = workers
 	}
-	if c.LeaseTimeout == 0 {
-		c.LeaseTimeout = 30 * time.Second
+	if c.leaseTimeout == 0 {
+		c.leaseTimeout = 30 * time.Second
 	}
-	if c.MaxShardAttempts == 0 {
-		c.MaxShardAttempts = 5
+	if c.maxShardAttempts == 0 {
+		c.maxShardAttempts = 5
 	}
-	if c.WorkerFailureLimit == 0 {
-		c.WorkerFailureLimit = 3
+	if c.workerFailureLimit == 0 {
+		c.workerFailureLimit = 3
 	}
 }
 
 // job is the Job of a run on p under the (defaulted) config.
 func (c *Config) job(p proto.Protocol) Job {
 	return Job{
-		Proto:          p,
-		Secret:         c.Secret,
-		Retries:        c.Retries,
-		RatePPS:        c.RatePPS,
-		HeartbeatEvery: c.LeaseTimeout / 4,
-		Chain:          c.Wire.String(),
+		proto:          p,
+		secret:         c.Secret,
+		retries:        c.retries,
+		ratePPS:        c.ratePPS,
+		heartbeatEvery: c.leaseTimeout / 4,
+		chain:          c.Wire.String(),
 	}
 }
 
@@ -160,15 +160,15 @@ func (c *Coordinator) putScratch(sc *runScratch) {
 type WorkerReport struct {
 	ShardsCompleted int
 	PacketsSent     int64
-	WallSeconds     float64
+	wallSeconds     float64
 }
 
 // PPS is the worker's average probing rate over its completed shards.
 func (r WorkerReport) PPS() float64 {
-	if r.WallSeconds <= 0 {
+	if r.wallSeconds <= 0 {
 		return 0
 	}
-	return float64(r.PacketsSent) / r.WallSeconds
+	return float64(r.PacketsSent) / r.wallSeconds
 }
 
 // RunResult is a merged cluster scan: Results in the canonical order (and
@@ -185,7 +185,7 @@ type RunResult struct {
 // lease is one shard assignment. beatNs is the run clock (runState.clock)
 // at the last sign of life: stored by the worker's heartbeat callback on
 // its runner goroutine, read by the coordinator's expiry sweep. dst is the
-// result buffer lent to the worker as Shard.Dst, free again once its
+// result buffer lent to the worker as Shard.dst, free again once its
 // runner has reported.
 type lease struct {
 	shard  int
@@ -206,7 +206,7 @@ type doneEvent struct {
 // Results and Stats are byte-identical to one scanner (configured with the
 // coordinator's Secret/Retries/RatePPS over the same link) scanning
 // targets directly, provided every worker's scanner replicates that
-// reference configuration — LocalWorker pools built by NewLocalPool and
+// reference configuration — localWorker pools built by NewLocalPool and
 // `seedscan worker` processes both do.
 func (c *Coordinator) Run(ctx context.Context, workers []Worker, targets []ipaddr.Addr, p proto.Protocol) (*RunResult, error) {
 	if len(workers) == 0 {
@@ -307,7 +307,7 @@ type runState struct {
 func (r *runState) shard(sid int) Shard {
 	lo := sid * r.cfg.ShardSize
 	hi := lo + min(r.cfg.ShardSize, len(r.canonical)-lo)
-	return Shard{ID: sid, Targets: r.canonical[lo:hi:hi]}
+	return Shard{id: sid, targets: r.canonical[lo:hi:hi]}
 }
 
 // buffer takes a free lease buffer with room for any window, or makes one.
@@ -327,7 +327,7 @@ func (r *runState) clock() int64 { return int64(time.Since(r.start)) }
 
 // loop drives leases until every shard is recorded or the run fails.
 func (r *runState) loop(ctx context.Context) error {
-	ticker := time.NewTicker(max(r.cfg.LeaseTimeout/4, time.Millisecond))
+	ticker := time.NewTicker(max(r.cfg.leaseTimeout/4, time.Millisecond))
 	defer ticker.Stop()
 
 	for r.recorded < len(r.done) {
@@ -355,13 +355,13 @@ func (r *runState) loop(ctx context.Context) error {
 // assign leases pending shards to idle live workers, bounded by
 // MaxInflight.
 func (r *runState) assign(ctx context.Context) error {
-	for len(r.pending) > 0 && len(r.leases) < r.cfg.MaxInflight {
+	for len(r.pending) > 0 && len(r.leases) < r.cfg.maxInflight {
 		wi := r.idleWorker()
 		if wi < 0 {
 			return nil
 		}
 		sid := r.pending[len(r.pending)-1]
-		if r.attempts[sid] >= r.cfg.MaxShardAttempts {
+		if r.attempts[sid] >= r.cfg.maxShardAttempts {
 			return fmt.Errorf("cluster: shard %d failed %d lease attempts", sid, r.attempts[sid])
 		}
 		r.pending = r.pending[:len(r.pending)-1]
@@ -378,7 +378,7 @@ func (r *runState) assign(ctx context.Context) error {
 		r.reg.Counter("cluster.worker." + r.workers[wi].ID() + ".shards_leased").Inc()
 
 		sh := r.shard(sid)
-		sh.Dst = le.dst
+		sh.dst = le.dst
 		go func(w Worker, le *lease, sh Shard, job Job) {
 			res, err := w.RunShard(lctx, job, sh, func(int) { le.beatNs.Store(r.clock()) })
 			r.events <- doneEvent{le: le, res: res, err: err}
@@ -402,7 +402,7 @@ func (r *runState) idleWorker() int {
 func (r *runState) expire() {
 	now := r.clock()
 	for sid, le := range r.leases {
-		if now-le.beatNs.Load() <= int64(r.cfg.LeaseTimeout) {
+		if now-le.beatNs.Load() <= int64(r.cfg.leaseTimeout) {
 			continue
 		}
 		le.cancel()
@@ -410,7 +410,7 @@ func (r *runState) expire() {
 		r.requeue(sid)
 		r.gaugeInflight()
 		r.logf("cluster: lease on shard %d expired after %v of silence from worker %s",
-			sid, r.cfg.LeaseTimeout, r.workers[le.worker].ID())
+			sid, r.cfg.leaseTimeout, r.workers[le.worker].ID())
 		r.workerFailed(le.worker)
 		// busy[worker] stays set until its runner goroutine reports: a hung
 		// worker must not be leased another shard.
@@ -481,17 +481,17 @@ func (r *runState) handleDone(ev doneEvent) {
 // target's address in target order with a status a scanner can produce.
 // The positional merge relies on exactly this.
 func checkResult(sh Shard, res *ShardResult) error {
-	if res == nil || res.Stats == nil {
+	if res == nil || res.stats == nil {
 		return errors.New("no result, or one without stats")
 	}
-	if res.Shard != sh.ID || len(res.Results) != len(sh.Targets) {
+	if res.shard != sh.id || len(res.results) != len(sh.targets) {
 		return fmt.Errorf("answer is shard %d with %d results, leased %d targets",
-			res.Shard, len(res.Results), len(sh.Targets))
+			res.shard, len(res.results), len(sh.targets))
 	}
-	for j, got := range res.Results {
-		if got.Addr != sh.Targets[j] || got.Status > scanner.StatusBlocked {
+	for j, got := range res.results {
+		if got.Addr != sh.targets[j] || got.Status > scanner.StatusBlocked {
 			return fmt.Errorf("result %d is %v with status %d, target %d is %v",
-				j, got.Addr, got.Status, j, sh.Targets[j])
+				j, got.Addr, got.Status, j, sh.targets[j])
 		}
 	}
 	return nil
@@ -501,7 +501,7 @@ func checkResult(sh Shard, res *ShardResult) error {
 func (r *runState) workerFailed(wi int) {
 	r.fails[wi]++
 	r.reg.Counter("cluster.worker." + r.workers[wi].ID() + ".failures").Inc()
-	if r.fails[wi] >= r.cfg.WorkerFailureLimit && !r.dead[wi] {
+	if r.fails[wi] >= r.cfg.workerFailureLimit && !r.dead[wi] {
 		r.dead[wi] = true
 		r.logf("cluster: retiring worker %s after %d consecutive failures",
 			r.workers[wi].ID(), r.fails[wi])
@@ -518,16 +518,16 @@ func (r *runState) logf(format string, args ...any) {
 // record merges a verified shard — results into its window of out, stats
 // into the run's sum — and updates per-worker accounting.
 func (r *runState) record(wi int, sh Shard, res *ShardResult) {
-	copy(r.out[sh.ID*r.cfg.ShardSize:], res.Results)
-	r.stats.Add(res.Stats)
-	r.done[sh.ID] = true
+	copy(r.out[sh.id*r.cfg.ShardSize:], res.results)
+	r.stats.Add(res.stats)
+	r.done[sh.id] = true
 	r.recorded++
 	r.fails[wi] = 0
 	id := r.workers[wi].ID()
 	rep := r.reports[id]
 	rep.ShardsCompleted++
-	rep.WallSeconds += res.WallSeconds
-	sent := res.Stats.PacketsSent.Load()
+	rep.wallSeconds += res.wallSeconds
+	sent := res.stats.PacketsSent.Load()
 	rep.PacketsSent += sent
 	r.reports[id] = rep
 	r.reg.Counter("cluster.shards.completed").Inc()

@@ -106,18 +106,18 @@ func FuzzFramerRead(f *testing.F) {
 func FuzzDecode(f *testing.F) {
 	a, b := ipaddr.MustParse("2001:db8::1"), ipaddr.MustParse("fe80::dead:beef")
 	f.Add(msgHello, encodeHello("probe-host-7"))
-	f.Add(msgJob, encodeJob(Job{Proto: proto.UDP53, Secret: 0xdeadbeefcafe, Retries: 2, RatePPS: 10000, HeartbeatEvery: 250 * time.Millisecond,
-		Chain: "taps; shape pps=50000,jitter=0.1,seed=3; rotate seed=5,2001:db8::1; faults loss=0.05,dup=0.01,delay=0,seed=11"}))
-	f.Add(msgShard, encodeShard(Shard{ID: 42, Targets: []ipaddr.Addr{a, b}}))
+	f.Add(msgJob, encodeJob(Job{proto: proto.UDP53, secret: 0xdeadbeefcafe, retries: 2, ratePPS: 10000, heartbeatEvery: 250 * time.Millisecond,
+		chain: "taps; shape pps=50000,jitter=0.1,seed=3; rotate seed=5,2001:db8::1; faults loss=0.05,dup=0.01,delay=0,seed=11"}))
+	f.Add(msgShard, encodeShard(Shard{id: 42, targets: []ipaddr.Addr{a, b}}))
 	f.Add(msgBeat, encodeBeat(42, 512))
 	f.Add(msgResult, encodeResult(&ShardResult{
-		Shard: 42,
-		Results: []scanner.Result{
+		shard: 42,
+		results: []scanner.Result{
 			{Addr: a, Proto: proto.UDP53, Status: scanner.StatusActive, Attempts: 1},
 			{Addr: b, Proto: proto.UDP53, Status: scanner.StatusSilent, Attempts: 3},
 		},
-		Stats:       scanner.StatsFromValues([7]int64{10, 9, 8, 7, 6, 5, 4}),
-		WallSeconds: 1.25,
+		stats:       scanner.StatsFromValues([7]int64{10, 9, 8, 7, 6, 5, 4}),
+		wallSeconds: 1.25,
 	}))
 
 	// reused is a result buffer that earlier inputs decoded into, as a
@@ -144,16 +144,16 @@ func FuzzDecode(f *testing.F) {
 			if again, err := decodeJob(encodeJob(j)); err != nil || again != j || !bytes.Equal(encodeJob(j), payload) {
 				t.Fatalf("job %+v round-trips to %+v, %v", j, again, err)
 			}
-			if c, err := wire.ParseChainConfig(j.Chain, 0); err != nil || c.String() != j.Chain {
-				t.Fatalf("accepted job chain %q reads as %q, %v", j.Chain, c.String(), err)
+			if c, err := wire.ParseChainConfig(j.chain, 0); err != nil || c.String() != j.chain {
+				t.Fatalf("accepted job chain %q reads as %q, %v", j.chain, c.String(), err)
 			}
 		case msgShard:
 			sh, err := decodeShard(payload)
 			if err != nil {
 				return
 			}
-			if 8+16*len(sh.Targets) != len(payload) || !bytes.Equal(encodeShard(sh), payload) {
-				t.Fatalf("shard of %d targets from %d bytes does not re-encode to them", len(sh.Targets), len(payload))
+			if 8+16*len(sh.targets) != len(payload) || !bytes.Equal(encodeShard(sh), payload) {
+				t.Fatalf("shard of %d targets from %d bytes does not re-encode to them", len(sh.targets), len(payload))
 			}
 		case msgBeat:
 			id, done, err := decodeBeat(payload)
@@ -172,27 +172,27 @@ func FuzzDecode(f *testing.F) {
 			if err != nil {
 				return
 			}
-			reused = into.Results[:cap(into.Results)]
-			if into.Shard != res.Shard || !slices.Equal(into.Results, res.Results) || into.Stats.Values() != res.Stats.Values() ||
-				math.Float64bits(into.WallSeconds) != math.Float64bits(res.WallSeconds) {
+			reused = into.results[:cap(into.results)]
+			if into.shard != res.shard || !slices.Equal(into.results, res.results) || into.stats.Values() != res.stats.Values() ||
+				math.Float64bits(into.wallSeconds) != math.Float64bits(res.wallSeconds) {
 				t.Fatal("a result decoded into a reused buffer differs from one decoded into nil")
 			}
-			if 8+perResult*len(res.Results)+7*8+8 != len(payload) {
-				t.Fatalf("%d results from %d bytes", len(res.Results), len(payload))
+			if 8+perResult*len(res.results)+7*8+8 != len(payload) {
+				t.Fatalf("%d results from %d bytes", len(res.results), len(payload))
 			}
-			if !math.IsNaN(res.WallSeconds) && !bytes.Equal(encodeResult(res), payload) {
+			if !math.IsNaN(res.wallSeconds) && !bytes.Equal(encodeResult(res), payload) {
 				t.Fatal("result does not re-encode to its bytes")
 			}
-			sh := Shard{ID: res.Shard}
+			sh := Shard{id: res.shard}
 			inRange := true
-			for _, r := range res.Results {
-				sh.Targets = append(sh.Targets, r.Addr)
+			for _, r := range res.results {
+				sh.targets = append(sh.targets, r.Addr)
 				inRange = inRange && r.Status <= scanner.StatusBlocked
 			}
 			if err := checkResult(sh, res); (err == nil) != inRange {
 				t.Fatalf("checkResult = %v for a result whose statuses are in range: %v", err, inRange)
 			}
-			sh.Targets = append(sh.Targets, ipaddr.Addr{})
+			sh.targets = append(sh.targets, ipaddr.Addr{})
 			if checkResult(sh, res) == nil {
 				t.Fatal("checkResult accepted a result one short of its shard")
 			}

@@ -9,21 +9,21 @@ import (
 	"seedscan/internal/scanner"
 )
 
-// localBatch is how many shard targets a LocalWorker scans between
+// localBatch is how many shard targets a localWorker scans between
 // heartbeats. Small enough that lease revocation and kill-switch tests
 // land promptly, large enough that the scanner's batched hot path stays
 // amortized.
 const localBatch = 512
 
-// LocalWorker runs shards on an in-process scanner — the worker flavour
+// localWorker runs shards on an in-process scanner — the worker flavour
 // deterministic tests and cmd/experiments fan-out use. The scanner must
 // replicate the coordinator's reference configuration (same secret, link,
 // retries, rate) for byte-identical merges; NewLocalPool guarantees that.
 //
-// A LocalWorker models one probing host: it owns one scanner and executes
+// A localWorker models one probing host: it owns one scanner and executes
 // one shard at a time (the mutex), which is also what makes its
 // snapshot-delta stats exact.
-type LocalWorker struct {
+type localWorker struct {
 	id    string
 	s     *scanner.Scanner
 	batch int
@@ -35,34 +35,34 @@ type LocalWorker struct {
 	failHook func(done int) error
 }
 
-// NewLocalWorker wraps s as a cluster worker.
-func NewLocalWorker(id string, s *scanner.Scanner) *LocalWorker {
-	return &LocalWorker{id: id, s: s, batch: localBatch}
+// newLocalWorker wraps s as a cluster worker.
+func newLocalWorker(id string, s *scanner.Scanner) *localWorker {
+	return &localWorker{id: id, s: s, batch: localBatch}
 }
 
 // ID implements Worker.
-func (w *LocalWorker) ID() string { return w.id }
+func (w *localWorker) ID() string { return w.id }
 
 // RunShard implements Worker: it probes the shard's targets as given, in
 // heartbeat-sized batches each appended in place into one shard slice —
-// shard.Dst when it has room, else one sized for the shard — and returns
+// shard.dst when it has room, else one sized for the shard — and returns
 // one result per target in target order with the shard's exact stats
 // delta.
-func (w *LocalWorker) RunShard(ctx context.Context, job Job, shard Shard, beat func(done int)) (*ShardResult, error) {
+func (w *localWorker) RunShard(ctx context.Context, job Job, shard Shard, beat func(done int)) (*ShardResult, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	start := time.Now()
 	before := w.s.Stats()
-	results := slices.Grow(shard.Dst[:0], len(shard.Targets))
-	for off := 0; off < len(shard.Targets); off += w.batch {
+	results := slices.Grow(shard.dst[:0], len(shard.targets))
+	for off := 0; off < len(shard.targets); off += w.batch {
 		if w.failHook != nil {
 			if err := w.failHook(len(results)); err != nil {
 				return nil, err
 			}
 		}
-		end := min(off+w.batch, len(shard.Targets))
+		end := min(off+w.batch, len(shard.targets))
 		var err error
-		results, err = w.s.ScanPlanned(ctx, results, shard.Targets[off:end], job.Proto)
+		results, err = w.s.ScanPlanned(ctx, results, shard.targets[off:end], job.proto)
 		if err != nil {
 			return nil, err
 		}
@@ -71,9 +71,9 @@ func (w *LocalWorker) RunShard(ctx context.Context, job Job, shard Shard, beat f
 	delta := w.s.Stats()
 	delta.Sub(before)
 	return &ShardResult{
-		Shard:       shard.ID,
-		Results:     results,
-		Stats:       delta,
-		WallSeconds: time.Since(start).Seconds(),
+		shard:       shard.id,
+		results:     results,
+		stats:       delta,
+		wallSeconds: time.Since(start).Seconds(),
 	}, nil
 }

@@ -43,7 +43,7 @@ func NewLocalPool(n int, link wire.Link, cfg Config, opts ...scanner.Option) *Po
 	link = wire.Chain(cfg.Wire.Build(link, cfg.Telemetry), cfg.Chain...)
 	workers := make([]Worker, n)
 	for i := range workers {
-		workers[i] = NewLocalWorker(workerName(i), jobScanner(link, job, opts))
+		workers[i] = newLocalWorker(workerName(i), jobScanner(link, job, opts))
 	}
 	return newPool(cfg, workers...)
 }

@@ -42,9 +42,6 @@ func DialWorker(addr string) (*RemoteWorker, error) {
 // ID implements Worker.
 func (w *RemoteWorker) ID() string { return w.id }
 
-// Addr returns the worker's dial address.
-func (w *RemoteWorker) Addr() string { return w.addr }
-
 // Close tears down the connection.
 func (w *RemoteWorker) Close() error {
 	if w.conn == nil {
@@ -138,9 +135,9 @@ func (w *RemoteWorker) RunShard(ctx context.Context, job Job, shard Shard, beat 
 		return nil, err
 	}
 
-	// The worker beats every job.HeartbeatEvery; three missed beats in a
+	// The worker beats every job.heartbeatEvery; three missed beats in a
 	// row means the far side is gone regardless of the lease clock.
-	patience := 3 * job.HeartbeatEvery
+	patience := 3 * job.heartbeatEvery
 	if patience <= 0 {
 		patience = 30 * time.Second
 	}
@@ -162,7 +159,7 @@ func (w *RemoteWorker) RunShard(ctx context.Context, job Job, shard Shard, beat 
 			beat(done)
 		case msgResult:
 			w.conn.SetReadDeadline(time.Time{})
-			return decodeResult(payload, job.Proto, shard.Dst)
+			return decodeResult(payload, job.proto, shard.dst)
 		case msgError:
 			return nil, decodeError(payload)
 		default:

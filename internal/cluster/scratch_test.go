@@ -44,7 +44,7 @@ func TestExtremeShardSizeMatchesSingleScanner(t *testing.T) {
 // leased and scans it into the lease's buffer, as a late worker would,
 // and reports the check on checked. Later leases it runs normally.
 type straggler struct {
-	*LocalWorker
+	*localWorker
 	first   atomic.Bool
 	held    chan struct{}
 	release chan struct{}
@@ -53,16 +53,16 @@ type straggler struct {
 
 func (s *straggler) RunShard(ctx context.Context, job Job, shard Shard, beat func(int)) (*ShardResult, error) {
 	if !s.first.CompareAndSwap(false, true) {
-		return s.LocalWorker.RunShard(ctx, job, shard, beat)
+		return s.localWorker.RunShard(ctx, job, shard, beat)
 	}
-	window := slices.Clone(shard.Targets)
+	window := slices.Clone(shard.targets)
 	close(s.held)
 	<-s.release
 	var err error
-	if !slices.Equal(shard.Targets, window) {
-		err = fmt.Errorf("shard %d's window changed under the straggler holding it", shard.ID)
+	if !slices.Equal(shard.targets, window) {
+		err = fmt.Errorf("shard %d's window changed under the straggler holding it", shard.id)
 	}
-	res, scanErr := s.LocalWorker.RunShard(context.Background(), job, shard, beat)
+	res, scanErr := s.localWorker.RunShard(context.Background(), job, shard, beat)
 	s.checked <- errors.Join(err, scanErr)
 	return res, scanErr
 }
@@ -77,13 +77,13 @@ func TestStragglerNeverSharesScratch(t *testing.T) {
 	w := clusterWorld(t)
 	targets := testTargets(t, w)
 	s := &straggler{
-		LocalWorker: localWorker(w, "late"),
+		localWorker: testWorker(w, "late"),
 		held:        make(chan struct{}),
 		release:     make(chan struct{}),
 		checked:     make(chan error, 1),
 	}
-	coord := NewCoordinator(Config{Secret: testSecret, ShardSize: 128, LeaseTimeout: 50 * time.Millisecond})
-	workers := []Worker{s, localWorker(w, "w1"), localWorker(w, "w2")}
+	coord := NewCoordinator(Config{Secret: testSecret, ShardSize: 128, leaseTimeout: 50 * time.Millisecond})
+	workers := []Worker{s, testWorker(w, "w1"), testWorker(w, "w2")}
 
 	for i, p := range []proto.Protocol{proto.ICMP, proto.UDP53} {
 		wantRes, wantStats := baseline(w.Link(), targets, p)
@@ -109,30 +109,30 @@ func TestStragglerNeverSharesScratch(t *testing.T) {
 	}
 }
 
-// TestLocalWorkerWritesDstInPlace: a LocalWorker appends a shard's
-// results to Shard.Dst[:0], batch after batch in the lease buffer's own
+// TestLocalWorkerWritesDstInPlace: a localWorker appends a shard's
+// results to Shard.dst[:0], batch after batch in the lease buffer's own
 // memory when it has room, with the results of a worker given none.
 func TestLocalWorkerWritesDstInPlace(t *testing.T) {
 	w := clusterWorld(t)
 	plan := scanner.PlanOrder(nil, testSecret, true, testTargets(t, w), proto.TCP80)[:700]
-	job := Job{Proto: proto.TCP80}
-	want, err := localWorker(w, "fresh").RunShard(context.Background(), job, Shard{ID: 5, Targets: plan}, func(int) {})
+	job := Job{proto: proto.TCP80}
+	want, err := testWorker(w, "fresh").RunShard(context.Background(), job, Shard{id: 5, targets: plan}, func(int) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	dst := make([]scanner.Result, 3, len(plan)) // stale entries from an earlier lease
-	got, err := localWorker(w, "lent").RunShard(context.Background(), job, Shard{ID: 5, Targets: plan, Dst: dst}, func(int) {})
+	got, err := testWorker(w, "lent").RunShard(context.Background(), job, Shard{id: 5, targets: plan, dst: dst}, func(int) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plan) <= localBatch {
 		t.Fatalf("the shard fits one batch of %d; the test needs several", localBatch)
 	}
-	if &got.Results[0] != &dst[0] {
+	if &got.results[0] != &dst[0] {
 		t.Fatal("the worker did not write into a Dst with room for the shard")
 	}
-	if !slices.Equal(got.Results, want.Results) || got.Stats.Values() != want.Stats.Values() {
+	if !slices.Equal(got.results, want.results) || got.stats.Values() != want.stats.Values() {
 		t.Fatal("results written into Dst differ from results the worker allocated")
 	}
 }

@@ -81,7 +81,7 @@ func serveConn(ctx context.Context, conn net.Conn, cfg ServeConfig) error {
 		return err
 	}
 
-	var worker *LocalWorker
+	var worker *localWorker
 	var job Job
 	for {
 		if ctx.Err() != nil {
@@ -99,9 +99,9 @@ func serveConn(ctx context.Context, conn net.Conn, cfg ServeConfig) error {
 			if job, err = decodeJob(payload); err != nil {
 				return err
 			}
-			chain, _ := wire.ParseChainConfig(job.Chain, 0) // decodeJob checked it
+			chain, _ := wire.ParseChainConfig(job.chain, 0) // decodeJob checked it
 			link := chain.Build(cfg.Link, cfg.Telemetry)
-			worker = NewLocalWorker(cfg.WorkerID, jobScanner(link, job, cfg.Options))
+			worker = newLocalWorker(cfg.WorkerID, jobScanner(link, job, cfg.Options))
 		case msgShard:
 			if worker == nil {
 				if err := fr.write(msgError, encodeError(errors.New("shard before job"))); err != nil {
@@ -119,7 +119,7 @@ func serveConn(ctx context.Context, conn net.Conn, cfg ServeConfig) error {
 }
 
 // serveShard scans one shard, streaming heartbeats while the scan runs.
-func serveShard(ctx context.Context, fr *framer, worker *LocalWorker, job Job, payload []byte, reg *telemetry.Registry) error {
+func serveShard(ctx context.Context, fr *framer, worker *localWorker, job Job, payload []byte, reg *telemetry.Registry) error {
 	sh, err := decodeShard(payload)
 	if err != nil {
 		return err
@@ -131,7 +131,7 @@ func serveShard(ctx context.Context, fr *framer, worker *LocalWorker, job Job, p
 	var progress atomic.Int64
 	hbCtx, hbStop := context.WithCancel(ctx)
 	hbDone := make(chan struct{})
-	every := job.HeartbeatEvery
+	every := job.heartbeatEvery
 	if every <= 0 {
 		every = time.Second
 	}
@@ -144,7 +144,7 @@ func serveShard(ctx context.Context, fr *framer, worker *LocalWorker, job Job, p
 			case <-hbCtx.Done():
 				return
 			case <-t.C:
-				if fr.write(msgBeat, encodeBeat(sh.ID, int(progress.Load()))) != nil {
+				if fr.write(msgBeat, encodeBeat(sh.id, int(progress.Load()))) != nil {
 					return
 				}
 			}
@@ -158,6 +158,6 @@ func serveShard(ctx context.Context, fr *framer, worker *LocalWorker, job Job, p
 		reg.Counter("cluster.serve.shard_errors").Inc()
 		return fr.write(msgError, encodeError(err))
 	}
-	reg.Counter("cluster.serve.packets_sent").Add(res.Stats.PacketsSent.Load())
+	reg.Counter("cluster.serve.packets_sent").Add(res.stats.PacketsSent.Load())
 	return fr.write(msgResult, encodeResult(res))
 }

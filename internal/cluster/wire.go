@@ -130,13 +130,13 @@ func decodeHello(b []byte) (workerID string, err error) {
 const jobFixed = 19
 
 func encodeJob(j Job) []byte {
-	b := make([]byte, 0, jobFixed+len(j.Chain))
-	b = append(b, byte(j.Proto))
-	b = binary.BigEndian.AppendUint64(b, j.Secret)
-	b = binary.BigEndian.AppendUint16(b, uint16(j.Retries))
-	b = binary.BigEndian.AppendUint32(b, uint32(j.RatePPS))
-	b = binary.BigEndian.AppendUint32(b, uint32(j.HeartbeatEvery/time.Millisecond))
-	return append(b, j.Chain...)
+	b := make([]byte, 0, jobFixed+len(j.chain))
+	b = append(b, byte(j.proto))
+	b = binary.BigEndian.AppendUint64(b, j.secret)
+	b = binary.BigEndian.AppendUint16(b, uint16(j.retries))
+	b = binary.BigEndian.AppendUint32(b, uint32(j.ratePPS))
+	b = binary.BigEndian.AppendUint32(b, uint32(j.heartbeatEvery/time.Millisecond))
+	return append(b, j.chain...)
 }
 
 func decodeJob(b []byte) (Job, error) {
@@ -144,18 +144,18 @@ func decodeJob(b []byte) (Job, error) {
 		return Job{}, fmt.Errorf("cluster: job frame is %d bytes, want at least %d", len(b), jobFixed)
 	}
 	j := Job{
-		Proto:          proto.Protocol(b[0]),
-		Secret:         binary.BigEndian.Uint64(b[1:9]),
-		Retries:        int(binary.BigEndian.Uint16(b[9:11])),
-		RatePPS:        int(binary.BigEndian.Uint32(b[11:15])),
-		HeartbeatEvery: time.Duration(binary.BigEndian.Uint32(b[15:19])) * time.Millisecond,
-		Chain:          string(b[jobFixed:]),
+		proto:          proto.Protocol(b[0]),
+		secret:         binary.BigEndian.Uint64(b[1:9]),
+		retries:        int(binary.BigEndian.Uint16(b[9:11])),
+		ratePPS:        int(binary.BigEndian.Uint32(b[11:15])),
+		heartbeatEvery: time.Duration(binary.BigEndian.Uint32(b[15:19])) * time.Millisecond,
+		chain:          string(b[jobFixed:]),
 	}
 	// Only canonical text: both ends then provably build the same chain.
-	if c, err := wire.ParseChainConfig(j.Chain, 0); err != nil {
+	if c, err := wire.ParseChainConfig(j.chain, 0); err != nil {
 		return Job{}, fmt.Errorf("cluster: job: %w", err)
-	} else if c.String() != j.Chain {
-		return Job{}, fmt.Errorf("cluster: job chain %q is not canonical (%q)", j.Chain, c.String())
+	} else if c.String() != j.chain {
+		return Job{}, fmt.Errorf("cluster: job chain %q is not canonical (%q)", j.chain, c.String())
 	}
 	return j, nil
 }
@@ -163,10 +163,10 @@ func decodeJob(b []byte) (Job, error) {
 // --- shard ---
 
 func encodeShard(s Shard) []byte {
-	b := make([]byte, 0, 8+16*len(s.Targets))
-	b = binary.BigEndian.AppendUint32(b, uint32(s.ID))
-	b = binary.BigEndian.AppendUint32(b, uint32(len(s.Targets)))
-	for _, a := range s.Targets {
+	b := make([]byte, 0, 8+16*len(s.targets))
+	b = binary.BigEndian.AppendUint32(b, uint32(s.id))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s.targets)))
+	for _, a := range s.targets {
 		a16 := a.As16()
 		b = append(b, a16[:]...)
 	}
@@ -181,9 +181,9 @@ func decodeShard(b []byte) (Shard, error) {
 	if len(b) != 8+16*n {
 		return Shard{}, fmt.Errorf("cluster: shard frame is %d bytes, want %d for %d targets", len(b), 8+16*n, n)
 	}
-	s := Shard{ID: int(binary.BigEndian.Uint32(b[:4])), Targets: make([]ipaddr.Addr, n)}
+	s := Shard{id: int(binary.BigEndian.Uint32(b[:4])), targets: make([]ipaddr.Addr, n)}
 	for i := 0; i < n; i++ {
-		s.Targets[i] = ipaddr.AddrFrom16([16]byte(b[8+16*i : 24+16*i]))
+		s.targets[i] = ipaddr.AddrFrom16([16]byte(b[8+16*i : 24+16*i]))
 	}
 	return s, nil
 }
@@ -210,18 +210,18 @@ func decodeBeat(b []byte) (shardID, done int, err error) {
 const perResult = 18
 
 func encodeResult(r *ShardResult) []byte {
-	b := make([]byte, 0, 8+perResult*len(r.Results)+7*8+8)
-	b = binary.BigEndian.AppendUint32(b, uint32(r.Shard))
-	b = binary.BigEndian.AppendUint32(b, uint32(len(r.Results)))
-	for _, res := range r.Results {
+	b := make([]byte, 0, 8+perResult*len(r.results)+7*8+8)
+	b = binary.BigEndian.AppendUint32(b, uint32(r.shard))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(r.results)))
+	for _, res := range r.results {
 		a16 := res.Addr.As16()
 		b = append(b, a16[:]...)
 		b = append(b, byte(res.Status), res.Attempts)
 	}
-	for _, v := range r.Stats.Values() {
+	for _, v := range r.stats.Values() {
 		b = binary.BigEndian.AppendUint64(b, uint64(v))
 	}
-	return binary.BigEndian.AppendUint64(b, math.Float64bits(r.WallSeconds))
+	return binary.BigEndian.AppendUint64(b, math.Float64bits(r.wallSeconds))
 }
 
 // decodeResult decodes a result frame, its results appended to dst[:0]:
@@ -236,12 +236,12 @@ func decodeResult(b []byte, p proto.Protocol, dst []scanner.Result) (*ShardResul
 		return nil, fmt.Errorf("cluster: result frame is %d bytes, want %d for %d results", len(b), want, n)
 	}
 	r := &ShardResult{
-		Shard:   int(binary.BigEndian.Uint32(b[:4])),
-		Results: slices.Grow(dst[:0], n)[:n],
+		shard:   int(binary.BigEndian.Uint32(b[:4])),
+		results: slices.Grow(dst[:0], n)[:n],
 	}
 	off := 8
 	for i := 0; i < n; i++ {
-		r.Results[i] = scanner.Result{
+		r.results[i] = scanner.Result{
 			Addr:     ipaddr.AddrFrom16([16]byte(b[off : off+16])),
 			Proto:    p,
 			Status:   scanner.Status(b[off+16]),
@@ -254,8 +254,8 @@ func decodeResult(b []byte, p proto.Protocol, dst []scanner.Result) (*ShardResul
 		vals[i] = int64(binary.BigEndian.Uint64(b[off : off+8]))
 		off += 8
 	}
-	r.Stats = scanner.StatsFromValues(vals)
-	r.WallSeconds = math.Float64frombits(binary.BigEndian.Uint64(b[off : off+8]))
+	r.stats = scanner.StatsFromValues(vals)
+	r.wallSeconds = math.Float64frombits(binary.BigEndian.Uint64(b[off : off+8]))
 	return r, nil
 }
 

@@ -15,8 +15,8 @@ import (
 )
 
 func TestWireCodecRoundTrips(t *testing.T) {
-	job := Job{Proto: proto.UDP53, Secret: 0xdeadbeefcafe, Retries: 2, RatePPS: 10000, HeartbeatEvery: 250 * time.Millisecond,
-		Chain: "taps; faults loss=0.05,dup=0.01,delay=0,seed=11"}
+	job := Job{proto: proto.UDP53, secret: 0xdeadbeefcafe, retries: 2, ratePPS: 10000, heartbeatEvery: 250 * time.Millisecond,
+		chain: "taps; faults loss=0.05,dup=0.01,delay=0,seed=11"}
 	got, err := decodeJob(encodeJob(job))
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +25,7 @@ func TestWireCodecRoundTrips(t *testing.T) {
 		t.Fatalf("job round-trip: %+v != %+v", got, job)
 	}
 
-	sh := Shard{ID: 42, Targets: []ipaddr.Addr{
+	sh := Shard{id: 42, targets: []ipaddr.Addr{
 		ipaddr.MustParse("2001:db8::1"),
 		ipaddr.MustParse("fe80::dead:beef"),
 	}}
@@ -33,39 +33,39 @@ func TestWireCodecRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gsh.ID != sh.ID || len(gsh.Targets) != len(sh.Targets) {
+	if gsh.id != sh.id || len(gsh.targets) != len(sh.targets) {
 		t.Fatalf("shard round-trip: %+v != %+v", gsh, sh)
 	}
-	for i := range sh.Targets {
-		if gsh.Targets[i] != sh.Targets[i] {
-			t.Fatalf("shard target %d: %v != %v", i, gsh.Targets[i], sh.Targets[i])
+	for i := range sh.targets {
+		if gsh.targets[i] != sh.targets[i] {
+			t.Fatalf("shard target %d: %v != %v", i, gsh.targets[i], sh.targets[i])
 		}
 	}
 
 	stats := scanner.StatsFromValues([7]int64{10, 9, 8, 7, 6, 5, 4})
 	res := &ShardResult{
-		Shard: 42,
-		Results: []scanner.Result{
-			{Addr: sh.Targets[0], Proto: proto.UDP53, Status: scanner.StatusActive, Attempts: 1},
-			{Addr: sh.Targets[1], Proto: proto.UDP53, Status: scanner.StatusSilent, Attempts: 3},
+		shard: 42,
+		results: []scanner.Result{
+			{Addr: sh.targets[0], Proto: proto.UDP53, Status: scanner.StatusActive, Attempts: 1},
+			{Addr: sh.targets[1], Proto: proto.UDP53, Status: scanner.StatusSilent, Attempts: 3},
 		},
-		Stats:       stats,
-		WallSeconds: 1.25,
+		stats:       stats,
+		wallSeconds: 1.25,
 	}
 	gres, err := decodeResult(encodeResult(res), proto.UDP53, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gres.Shard != res.Shard || gres.WallSeconds != res.WallSeconds {
+	if gres.shard != res.shard || gres.wallSeconds != res.wallSeconds {
 		t.Fatalf("result round-trip header: %+v", gres)
 	}
-	for i := range res.Results {
-		if gres.Results[i] != res.Results[i] {
-			t.Fatalf("result %d: %+v != %+v", i, gres.Results[i], res.Results[i])
+	for i := range res.results {
+		if gres.results[i] != res.results[i] {
+			t.Fatalf("result %d: %+v != %+v", i, gres.results[i], res.results[i])
 		}
 	}
-	if gres.Stats.Values() != stats.Values() {
-		t.Fatalf("stats round-trip: %v != %v", gres.Stats.Values(), stats.Values())
+	if gres.stats.Values() != stats.Values() {
+		t.Fatalf("stats round-trip: %v != %v", gres.stats.Values(), stats.Values())
 	}
 
 	id, err := decodeHello(encodeHello("probe-host-7"))
@@ -102,7 +102,7 @@ func TestJobRejectsNonCanonicalChain(t *testing.T) {
 		"faults loss=2,dup=0,delay=0,seed=1",          // out of range
 		"telescope",
 	} {
-		if _, err := decodeJob(encodeJob(Job{Chain: chain})); err == nil {
+		if _, err := decodeJob(encodeJob(Job{chain: chain})); err == nil {
 			t.Errorf("job chain %q accepted", chain)
 		}
 	}
@@ -135,7 +135,7 @@ func (c slowDone) Done() <-chan struct{} {
 // watcher outliving its RunShard would poke the next shard's read.
 func TestLeaseCancelSparesNextShard(t *testing.T) {
 	w := clusterWorld(t)
-	targets := ipaddr.Dedup(testTargets(t, w))[:8]
+	targets := new(ipaddr.Deduper).Append(nil, testTargets(t, w))[:8]
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rw, err := DialWorker(startWorker(t, ctx, ServeConfig{Link: w.Link()}))
@@ -148,7 +148,7 @@ func TestLeaseCancelSparesNextShard(t *testing.T) {
 	job := cfg.job(proto.ICMP)
 	for i := 0; i < 100; i++ {
 		lctx, lcancel := context.WithCancel(ctx)
-		_, err := rw.RunShard(slowDone{lctx}, job, Shard{ID: i, Targets: targets}, func(int) {})
+		_, err := rw.RunShard(slowDone{lctx}, job, Shard{id: i, targets: targets}, func(int) {})
 		lcancel()
 		if err != nil {
 			t.Fatalf("shard %d after %d cancelled leases: %v", i, i, err)
@@ -228,8 +228,8 @@ func TestTCPWorkerCrashRecovers(t *testing.T) {
 	coord := NewCoordinator(Config{
 		Secret:             testSecret,
 		ShardSize:          64,
-		LeaseTimeout:       time.Second,
-		WorkerFailureLimit: 2,
+		leaseTimeout:       time.Second,
+		workerFailureLimit: 2,
 	})
 	got, err := coord.Run(ctx, []Worker{doomed, survivor}, targets, p)
 	if err != nil {
@@ -255,7 +255,7 @@ func TestRemoteWorkerMatchesAtRetryBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer rw.Close()
-		cfg := Config{Secret: testSecret, Retries: r}
+		cfg := Config{Secret: testSecret, retries: r}
 		got, err := NewCoordinator(cfg).Run(ctx, []Worker{rw}, targets, proto.ICMP)
 		if err != nil {
 			t.Fatalf("retries %d: TCP run: %v", r, err)

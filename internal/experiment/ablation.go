@@ -68,18 +68,18 @@ func (e *Env) ScanAgreement(targets []ipaddr.Addr, p proto.Protocol) float64 {
 // (unfiltered) hits per size — how much online adaptation depends on
 // feedback frequency (DESIGN.md decision 3). The experiment-default size
 // dedups against the regular RQ cells.
-func (e *Env) batchAblation(gen string, p proto.Protocol, budget int, sizes []int) Sweep {
-	rows := make([]Row, len(sizes))
+func (e *Env) batchAblation(gen string, p proto.Protocol, budget int, sizes []int) sweep {
+	rows := make([]row, len(sizes))
 	for i, bs := range sizes {
 		rows[i] = rowAllActive
 		rows[i].Batch = bs
 	}
-	return e.sweep(Sweep{Name: "Batch ablation", Rows: rows}, []proto.Protocol{p}, []string{gen}, budget)
+	return e.sweep(sweep{Name: "Batch ablation", Rows: rows}, []proto.Protocol{p}, []string{gen}, budget)
 }
 
 // renderAblation prints the two ablations of `-run ablation`: packet-path
 // vs. oracle agreement, and the run batch-size sweep's hits per size.
-func (e *Env) renderAblation(rs *SweepResult) string {
+func (e *Env) renderAblation(rs *sweepResult) string {
 	// Every k-th All Active seed, not the first 5000: the set is ordered
 	// by the protocol that first found each address, so its head holds
 	// only addresses the packet path has already seen answer ICMP, which

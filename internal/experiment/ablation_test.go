@@ -67,8 +67,8 @@ func TestBatchSizeAblation(t *testing.T) {
 func TestRawGridShape(t *testing.T) {
 	e := testEnv(t)
 	sw := e.sweep(rawGrid, icmpOnly, []string{"6Tree"}, 2000)
-	all, active := slices.Index(sw.Rows, Row{Label: "All", Treatment: TreatmentFull}), slices.Index(sw.Rows, rowAllActive)
-	sw.Rows = []Row{sw.Rows[all], sw.Rows[active]}
+	all, active := slices.Index(sw.Rows, row{Label: "All", Treatment: TreatmentFull}), slices.Index(sw.Rows, rowAllActive)
+	sw.Rows = []row{sw.Rows[all], sw.Rows[active]}
 	rs, err := e.runSweep(context.Background(), sw)
 	if err != nil {
 		t.Fatal(err)

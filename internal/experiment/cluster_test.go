@@ -40,11 +40,11 @@ func TestClusterEnvMatchesSingleScanner(t *testing.T) {
 	}
 
 	for _, gen := range []string{"6Tree", "EIP"} {
-		rs, err := single.RunTGACtx(context.Background(), gen, seedsSingle, proto.ICMP, 1500)
+		rs, err := single.runTGACtx(context.Background(), gen, seedsSingle, proto.ICMP, 1500)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc, err := clustered.RunTGACtx(context.Background(), gen, seedsClustered, proto.ICMP, 1500)
+		rc, err := clustered.runTGACtx(context.Background(), gen, seedsClustered, proto.ICMP, 1500)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,8 +8,8 @@ import (
 	"seedscan/internal/seeds"
 )
 
-// DatasetSummaryRow is one row of Table 3.
-type DatasetSummaryRow struct {
+// datasetSummaryRow is one row of Table 3.
+type datasetSummaryRow struct {
 	Source     string
 	Category   string
 	Unique     int
@@ -20,21 +20,21 @@ type DatasetSummaryRow struct {
 	ActiveASes int
 }
 
-// DatasetSummary reproduces Table 3: per-source population, AS coverage,
+// datasetSummary reproduces Table 3: per-source population, AS coverage,
 // dealiased volume, and per-protocol responsiveness, plus the aggregate
 // rows (All Domains / All Routers / All Hitlists / All Sources).
-type DatasetSummary struct {
-	Rows []DatasetSummaryRow
+type datasetSummary struct {
+	Rows []datasetSummaryRow
 }
 
-// DatasetSummary computes Table 3 for the environment.
-func (e *Env) DatasetSummary() *DatasetSummary {
-	dealiased := e.DealiasedSeeds(alias.ModeJoint)
+// datasetSummary computes Table 3 for the environment.
+func (e *Env) datasetSummary() *datasetSummary {
+	dealiased := e.dealiasedSeeds(alias.ModeJoint)
 	allActive := e.AllActiveSeeds()
 	db := e.World.ASDB()
 
-	row := func(name, cat string, ds *seeds.Dataset) DatasetSummaryRow {
-		r := DatasetSummaryRow{Source: name, Category: cat}
+	row := func(name, cat string, ds *seeds.Dataset) datasetSummaryRow {
+		r := datasetSummaryRow{Source: name, Category: cat}
 		r.Unique = ds.Len()
 		r.ASes = ds.ASCount(db)
 		r.Dealiased = ds.Intersect(seeds.FromSet("", dealiased.Addrs), "").Len()
@@ -47,7 +47,7 @@ func (e *Env) DatasetSummary() *DatasetSummary {
 		return r
 	}
 
-	var out DatasetSummary
+	var out datasetSummary
 	domains := seeds.NewDataset("All Domains")
 	routers := seeds.NewDataset("All Routers")
 	hitlists := seeds.NewDataset("All Hitlists")
@@ -73,8 +73,8 @@ func (e *Env) DatasetSummary() *DatasetSummary {
 }
 
 // Render prints the summary in Table 3's layout.
-func (s *DatasetSummary) Render() string {
-	t := &Table{
+func (s *datasetSummary) Render() string {
+	t := &table{
 		Title: "Table 3: Full summary of all seed data sources",
 		Header: []string{"Source", "Pop.", "Unique", "ASes", "Dealiased",
 			"ICMP", "TCP80", "TCP443", "UDP53", "Active", "ActiveASes"},
@@ -88,9 +88,9 @@ func (s *DatasetSummary) Render() string {
 	return t.String()
 }
 
-// SourceOverlaps reproduces Figure 1 (responsive=false) and Figure 2
+// sourceOverlaps reproduces Figure 1 (responsive=false) and Figure 2
 // (responsive=true): pairwise overlap of the seed sources by IP and by AS.
-func (e *Env) SourceOverlaps(responsive bool) (ips, ases metrics.OverlapMatrix) {
+func (e *Env) sourceOverlaps(responsive bool) (ips, ases metrics.OverlapMatrix) {
 	names := make([]string, len(seeds.AllSources))
 	addrs := make([][]ipaddr.Addr, len(seeds.AllSources))
 	for i, src := range seeds.AllSources {
@@ -106,7 +106,7 @@ func (e *Env) SourceOverlaps(responsive bool) (ips, ases metrics.OverlapMatrix) 
 
 // renderOverlap prints an overlap matrix in Figure 1/2's layout.
 func renderOverlap(title string, m metrics.OverlapMatrix) string {
-	t := &Table{Title: title, Header: append(append([]string{""}, m.Names...), "Overlap")}
+	t := &table{Title: title, Header: append(append([]string{""}, m.Names...), "Overlap")}
 	for i, n := range m.Names {
 		cells := []string{n}
 		for j := range m.Names {
@@ -121,7 +121,7 @@ func renderOverlap(title string, m metrics.OverlapMatrix) string {
 // renderTable7 prints the paper's collection dates (Table 7) — facts of
 // the authors' campaign, documented rather than simulated.
 func renderTable7() string {
-	t := &Table{
+	t := &table{
 		Title:  "Table 7: Date of dataset collection (paper's campaign)",
 		Header: []string{"Source", "Collected", "Description"},
 	}
@@ -136,8 +136,8 @@ func renderTable7() string {
 // the fraction of each source that survives dealiasing and the fraction
 // responsive, side by side with the paper's. Shape comparisons live here;
 // absolute counts differ by the simulation's scale.
-func (s *DatasetSummary) RenderWithPaper() string {
-	t := &Table{
+func (s *datasetSummary) RenderWithPaper() string {
+	t := &table{
 		Title:  "Table 3 (shape comparison): dealiased%% and active%% vs. the paper",
 		Header: []string{"Source", "Unique", "Dealiased%", "Paper", "Active%", "Paper"},
 	}
@@ -148,7 +148,7 @@ func (s *DatasetSummary) RenderWithPaper() string {
 		return fmtPct(float64(n) / float64(d))
 	}
 	for _, src := range seeds.AllSources {
-		var row *DatasetSummaryRow
+		var row *datasetSummaryRow
 		for i := range s.Rows {
 			if s.Rows[i].Source == src.String() {
 				row = &s.Rows[i]

@@ -43,7 +43,7 @@ func TestGridCancellationMidRun(t *testing.T) {
 		started++
 		mu.Unlock()
 		cancel()
-		_, err := e.RunTGACtx(ctx, gens[i], e.Full.Slice(), proto.ICMP, 500)
+		_, err := e.runTGACtx(ctx, gens[i], e.Full.Slice(), proto.ICMP, 500)
 		return err
 	})
 	if err != context.Canceled {

@@ -17,7 +17,7 @@ func TestEndToEndDeterminism(t *testing.T) {
 	cfg := EnvConfig{NumASes: 70, CollectScale: 0.2, Budget: 2000}
 	build := func() (string, string, string) {
 		e := NewEnv(cfg)
-		sum := e.DatasetSummary().Render()
+		sum := e.datasetSummary().Render()
 		rq1a, err := e.RunRQ1aCtx(context.Background(), []proto.Protocol{proto.ICMP}, []string{"6Tree", "6Sense", "DET"}, 2000)
 		if err != nil {
 			t.Fatal(err)
@@ -44,7 +44,7 @@ func TestEndToEndDeterminism(t *testing.T) {
 func TestDifferentSeedsDiffer(t *testing.T) {
 	e1 := NewEnv(EnvConfig{WorldSeed: 5, NumASes: 70, CollectScale: 0.2})
 	e2 := NewEnv(EnvConfig{WorldSeed: 6, NumASes: 70, CollectScale: 0.2})
-	if e1.DatasetSummary().Render() == e2.DatasetSummary().Render() {
+	if e1.datasetSummary().Render() == e2.datasetSummary().Render() {
 		t.Fatal("different world seeds produced identical summaries")
 	}
 }
@@ -68,7 +68,7 @@ func TestTreatmentOrderDeterministic(t *testing.T) {
 		}
 	}
 	sameOrder("Full", e1.Full.Slice(), e2.Full.Slice())
-	sameOrder("Dealiased/joint", e1.DealiasedSeeds(alias.ModeJoint).Slice(), e2.DealiasedSeeds(alias.ModeJoint).Slice())
+	sameOrder("Dealiased/joint", e1.dealiasedSeeds(alias.ModeJoint).Slice(), e2.dealiasedSeeds(alias.ModeJoint).Slice())
 	a1, a2 := e1.AllActiveSeeds().Slice(), e2.AllActiveSeeds().Slice()
 	sameOrder("All Active", a1, a2)
 	if len(a1) > 2000 {

@@ -41,22 +41,26 @@ import (
 // thousands of rounds).
 const experimentBatchSize = 1024
 
+const (
+	// lossRate is the simulated Internet's random packet loss.
+	lossRate = 0.01
+	// offlineCoverage is the fraction of ground-truth aliased prefixes on
+	// the published offline list (the list is incomplete, as the paper
+	// stresses).
+	offlineCoverage = 0.6
+)
+
 // EnvConfig sizes an experimental environment. Zero values get defaults.
 type EnvConfig struct {
-	// WorldSeed / NumASes / LossRate configure the simulated Internet.
+	// WorldSeed / NumASes configure the simulated Internet.
 	WorldSeed uint64
 	NumASes   int
-	LossRate  float64
 	// CollectSeed / CollectScale configure seed collection.
 	CollectSeed  uint64
 	CollectScale float64
 	// Budget is the per-TGA generation budget (the paper's 50M, scaled;
 	// default 20000).
 	Budget int
-	// OfflineCoverage is the fraction of ground-truth aliased prefixes on
-	// the published offline list (default 0.6 — the list is incomplete,
-	// as the paper stresses).
-	OfflineCoverage float64
 	// ScanSecret keys probe cookies.
 	ScanSecret uint64
 	// ClusterWorkers > 1 fans all scanning out across that many in-process
@@ -68,9 +72,9 @@ type EnvConfig struct {
 	// (or cluster worker) is built over it. Its faults change outcomes and
 	// so enter Fingerprint.
 	Wire wire.ChainConfig
-	// Workers overrides how many grid cells run at once (default:
+	// workers overrides how many grid cells run at once (default:
 	// GOMAXPROCS, capped at 8). Deterministic outcomes do not depend on it.
-	Workers int
+	workers int
 	// GridStore checkpoints completed grid cells, letting an interrupted
 	// run resume with byte-identical results. Nil keeps checkpoints
 	// in-process only (cells are still deduplicated across specs).
@@ -88,9 +92,6 @@ func (c *EnvConfig) fillDefaults() {
 	if c.NumASes == 0 {
 		c.NumASes = 300
 	}
-	if c.LossRate == 0 {
-		c.LossRate = 0.01
-	}
 	if c.CollectSeed == 0 {
 		c.CollectSeed = 7
 	}
@@ -99,9 +100,6 @@ func (c *EnvConfig) fillDefaults() {
 	}
 	if c.Budget == 0 {
 		c.Budget = 20000
-	}
-	if c.OfflineCoverage == 0 {
-		c.OfflineCoverage = 0.6
 	}
 	if c.ScanSecret == 0 {
 		c.ScanSecret = 0x5eed5ca9
@@ -129,9 +127,9 @@ type Env struct {
 	Sources map[seeds.Source]*seeds.Dataset
 	Full    *seeds.Dataset
 	Offline *alias.OfflineList
-	// Tele is the environment's tracer (never nil; a silent tracer when
+	// tele is the environment's tracer (never nil; a silent tracer when
 	// EnvConfig.Telemetry was not set).
-	Tele *telemetry.Tracer
+	tele *telemetry.Tracer
 
 	// Lazily computed treatment caches, each per-key singleflight: grid
 	// cells resolve treatments concurrently and cold, and the first
@@ -160,7 +158,7 @@ func NewEnv(cfg EnvConfig) *Env {
 	if tr == nil {
 		tr = telemetry.NewTracer(nil)
 	}
-	w := world.New(world.Config{Seed: cfg.WorldSeed, NumASes: cfg.NumASes, LossRate: cfg.LossRate})
+	w := world.New(world.Config{Seed: cfg.WorldSeed, NumASes: cfg.NumASes, LossRate: lossRate})
 	w.SetTelemetry(tr.Registry())
 	w.SetEpoch(world.CollectEpoch)
 	srcs := seeds.CollectAll(w, seeds.CollectConfig{Seed: cfg.CollectSeed, Scale: cfg.CollectScale})
@@ -172,7 +170,7 @@ func NewEnv(cfg EnvConfig) *Env {
 	sort.Slice(truth, func(i, j int) bool { return truth[i].Addr().Less(truth[j].Addr()) })
 	rng := rand.New(rand.NewSource(int64(cfg.WorldSeed) + 0xa11a5))
 	rng.Shuffle(len(truth), func(i, j int) { truth[i], truth[j] = truth[j], truth[i] })
-	keep := int(float64(len(truth)) * cfg.OfflineCoverage)
+	keep := int(float64(len(truth)) * offlineCoverage)
 	listed := append([]ipaddr.Prefix(nil), truth[:keep]...)
 
 	w.SetEpoch(world.ScanEpoch)
@@ -183,7 +181,7 @@ func NewEnv(cfg EnvConfig) *Env {
 		Scanner: scanner.New(link,
 			scanner.WithSecret(cfg.ScanSecret),
 			scanner.WithTelemetry(tr.Registry())),
-		Tele:    tr,
+		tele:    tr,
 		Sources: srcs,
 		Full:    full,
 		Offline: alias.NewOfflineList(listed),
@@ -216,8 +214,8 @@ func NewEnv(cfg EnvConfig) *Env {
 func (e *Env) Fingerprint() string {
 	c := e.Cfg
 	fp := fmt.Sprintf("w%d-a%d-l%g-c%d-s%g-o%g-k%x-d%016x",
-		c.WorldSeed, c.NumASes, c.LossRate, c.CollectSeed, c.CollectScale,
-		c.OfflineCoverage, c.ScanSecret, ipaddr.Digest(e.Full.SortedSlice()))
+		c.WorldSeed, c.NumASes, lossRate, c.CollectSeed, c.CollectScale,
+		offlineCoverage, c.ScanSecret, ipaddr.Digest(e.Full.SortedSlice()))
 	if w := c.Wire.Fingerprint(); w != "" {
 		fp += "|" + w
 	}
@@ -234,9 +232,9 @@ func (e *Env) Grid() *grid.Engine {
 		e.gridEngine = grid.NewEngine(grid.Config{
 			Fingerprint: e.Fingerprint(),
 			Store:       e.Cfg.GridStore,
-			Workers:     e.Cfg.Workers,
-			Telemetry:   e.Tele,
-			Exec:        e.RunCell,
+			Workers:     e.Cfg.workers,
+			Telemetry:   e.tele,
+			Exec:        e.runCell,
 		})
 	})
 	return e.gridEngine
@@ -248,18 +246,18 @@ func (e *Env) Grid() *grid.Engine {
 func (e *Env) OutputDealiaser(p proto.Protocol) *alias.Dealiaser {
 	return e.outDealiase.get(p, func() *alias.Dealiaser {
 		d := alias.New(alias.ModeJoint, e.Offline, e.Prober, p, e.Cfg.ScanSecret^uint64(p))
-		d.SetTelemetry(e.Tele.Registry())
+		d.SetTelemetry(e.tele.Registry())
 		return d
 	})
 }
 
-// DealiasedSeeds returns the full dataset under one of Table 2's
+// dealiasedSeeds returns the full dataset under one of Table 2's
 // dealiasing treatments. Results are cached; concurrent cold calls for
 // the same mode dealias once.
-func (e *Env) DealiasedSeeds(mode alias.Mode) *seeds.Dataset {
+func (e *Env) dealiasedSeeds(mode alias.Mode) *seeds.Dataset {
 	return e.dealiased.get(mode, func() *seeds.Dataset {
 		d := alias.New(mode, e.Offline, e.Prober, proto.ICMP, e.Cfg.ScanSecret^0xa11a5)
-		d.SetTelemetry(e.Tele.Registry())
+		d.SetTelemetry(e.tele.Registry())
 		clean, _ := d.Split(e.Full.Slice())
 		return seeds.FromAddrs("Full/"+mode.String(), clean)
 	})
@@ -269,7 +267,7 @@ func (e *Env) DealiasedSeeds(mode alias.Mode) *seeds.Dataset {
 // responsive subset; concurrent cold calls scan once.
 func (e *Env) seedActive(p proto.Protocol) *ipaddr.Set {
 	return e.activeByP.get(p, func() *ipaddr.Set {
-		base := e.DealiasedSeeds(alias.ModeJoint)
+		base := e.dealiasedSeeds(alias.ModeJoint)
 		return ipaddr.NewSet(e.Prober.ScanActive(base.Slice(), p)...)
 	})
 }
@@ -292,42 +290,31 @@ func (e *Env) PortActiveSeeds(p proto.Protocol) *seeds.Dataset {
 	return seeds.FromSet("Active/"+p.String(), e.seedActive(p).Clone())
 }
 
-// SourceActiveSeeds returns RQ3's per-source dataset: the source's
+// sourceActiveSeeds returns RQ3's per-source dataset: the source's
 // addresses that are in the All Active set.
-func (e *Env) SourceActiveSeeds(src seeds.Source) *seeds.Dataset {
+func (e *Env) sourceActiveSeeds(src seeds.Source) *seeds.Dataset {
 	return e.Sources[src].Restrict(src.String()+"/active", e.AllActiveSeeds().Addrs)
 }
 
-// TGAResult couples a run's raw output with its measured outcome.
-type TGAResult struct {
+// tgaResult couples a run's raw output with its measured outcome.
+type tgaResult struct {
 	Run     *tga.RunResult
 	Outcome metrics.Outcome
 }
 
-// RunTGACtx generates budget addresses with the named TGA from seedSet,
-// scans them on p, dealiases the output with the shared joint dealiaser,
-// and measures hits/ASes/aliases. ICMP outcomes exclude the pathological
-// AS12322 analogue, as §4.1 prescribes. Cancellation stops the run between
-// batches (and mid-scan), and the environment's tracer is attached to ctx
-// so the TGA driver's span hierarchy lands in Env telemetry unless the
-// caller brought a tracer of its own.
-func (e *Env) RunTGACtx(ctx context.Context, name string, seedSet []ipaddr.Addr, p proto.Protocol, budget int) (TGAResult, error) {
-	return e.runTGA(ctx, name, seedSet, p, budget, 0)
-}
-
-// runTGA is the common TGA runner behind RunTGACtx and grid cell
+// runTGA is the common TGA runner behind runTGACtx and grid cell
 // execution; batchSize <= 0 selects the experiment default.
-func (e *Env) runTGA(ctx context.Context, name string, seedSet []ipaddr.Addr, p proto.Protocol, budget, batchSize int) (TGAResult, error) {
+func (e *Env) runTGA(ctx context.Context, name string, seedSet []ipaddr.Addr, p proto.Protocol, budget, batchSize int) (tgaResult, error) {
 	if budget <= 0 {
 		budget = e.Cfg.Budget
 	}
 	if batchSize <= 0 {
 		batchSize = experimentBatchSize
 	}
-	ctx = telemetry.EnsureContext(ctx, e.Tele)
+	ctx = telemetry.EnsureContext(ctx, e.tele)
 	g, err := all.New(name)
 	if err != nil {
-		return TGAResult{}, err
+		return tgaResult{}, err
 	}
 	run, err := tga.RunContext(ctx, g, seedSet, tga.RunConfig{
 		Budget:       budget,
@@ -339,10 +326,10 @@ func (e *Env) runTGA(ctx context.Context, name string, seedSet []ipaddr.Addr, p 
 		Models:       e.models,
 	})
 	if err != nil {
-		return TGAResult{}, err
+		return tgaResult{}, err
 	}
 	out := metrics.Measure(run.Hits, run.AliasedHits, e.World.ASDB(), excludedASN(p))
-	return TGAResult{Run: run, Outcome: out}, nil
+	return tgaResult{Run: run, Outcome: out}, nil
 }
 
 // excludedASN is the AS whose hits §4.1 leaves out of p's evaluation: the
@@ -354,13 +341,13 @@ func excludedASN(p proto.Protocol) int {
 	return 0
 }
 
-// RunCell executes one grid cell: resolve the treatment to its seed list,
+// runCell executes one grid cell: resolve the treatment to its seed list,
 // run the generator, and measure. An empty treatment (a seed source with
 // no responsive addresses) yields the zero result without running — the
 // same skip the bespoke per-RQ drivers applied. RunCell is the Env's
 // grid executor; callers normally go through Grid().Run, which adds
 // dedup, checkpointing, and resume.
-func (e *Env) RunCell(ctx context.Context, c grid.Cell) (grid.CellResult, error) {
+func (e *Env) runCell(ctx context.Context, c grid.Cell) (grid.CellResult, error) {
 	seedSet, err := e.TreatmentSeeds(c.Treatment)
 	if err != nil {
 		return grid.CellResult{}, err

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"seedscan/internal/alias"
+	"seedscan/internal/ipaddr"
 	"seedscan/internal/proto"
 	"seedscan/internal/seeds"
 )
@@ -37,8 +38,8 @@ func TestEnvConstruction(t *testing.T) {
 func TestDealiasingTreatmentsShrinkMonotonically(t *testing.T) {
 	e := testEnv(t)
 	full := e.Full.Len()
-	off := e.DealiasedSeeds(alias.ModeOffline).Len()
-	joint := e.DealiasedSeeds(alias.ModeJoint).Len()
+	off := e.dealiasedSeeds(alias.ModeOffline).Len()
+	joint := e.dealiasedSeeds(alias.ModeJoint).Len()
 	if !(joint <= off && off < full) {
 		t.Fatalf("sizes: full=%d offline=%d joint=%d", full, off, joint)
 	}
@@ -52,7 +53,7 @@ func TestDealiasingTreatmentsShrinkMonotonically(t *testing.T) {
 func TestActiveSubsets(t *testing.T) {
 	e := testEnv(t)
 	allActive := e.AllActiveSeeds()
-	joint := e.DealiasedSeeds(alias.ModeJoint)
+	joint := e.dealiasedSeeds(alias.ModeJoint)
 	if allActive.Len() == 0 || allActive.Len() >= joint.Len() {
 		t.Fatalf("allActive=%d joint=%d", allActive.Len(), joint.Len())
 	}
@@ -74,11 +75,11 @@ func TestActiveSubsets(t *testing.T) {
 
 func TestDatasetSummaryShape(t *testing.T) {
 	e := testEnv(t)
-	sum := e.DatasetSummary()
+	sum := e.datasetSummary()
 	if len(sum.Rows) != len(seeds.AllSources)+4 {
 		t.Fatalf("rows = %d", len(sum.Rows))
 	}
-	byName := map[string]DatasetSummaryRow{}
+	byName := map[string]datasetSummaryRow{}
 	for _, r := range sum.Rows {
 		byName[r.Source] = r
 		if r.ActiveAny > r.Dealiased || r.Dealiased > r.Unique {
@@ -124,7 +125,7 @@ func TestDatasetSummaryShape(t *testing.T) {
 
 func TestSourceOverlapsShape(t *testing.T) {
 	e := testEnv(t)
-	ips, ases := e.SourceOverlaps(false)
+	ips, ases := e.sourceOverlaps(false)
 	if len(ips.Names) != len(seeds.AllSources) || len(ases.Names) != len(ips.Names) {
 		t.Fatal("matrix dimensions wrong")
 	}
@@ -139,7 +140,7 @@ func TestSourceOverlapsShape(t *testing.T) {
 			ips.Frac[u][tr], ips.Frac[u][ca])
 	}
 	// Responsive variant computes too.
-	rips, _ := e.SourceOverlaps(true)
+	rips, _ := e.sourceOverlaps(true)
 	if len(rips.Names) != len(ips.Names) {
 		t.Fatal("responsive matrix wrong")
 	}
@@ -204,7 +205,7 @@ func TestRQ4GreedyOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, _ := res.Cover(0)
+	hits, _ := res.cover(0)
 	if len(hits) != len(gens) {
 		t.Fatalf("order entries = %d", len(hits))
 	}
@@ -230,7 +231,7 @@ func TestRQ3AndDerivedTables(t *testing.T) {
 		t.Fatalf("rq3 rows = %d, want every source", len(sw.Rows))
 	}
 	// Two sources keep the test small; row 0 is the hitlist.
-	sw.Rows = []Row{sw.Rows[seeds.SourceHitlist], sw.Rows[seeds.SourceScamper]}
+	sw.Rows = []row{sw.Rows[seeds.SourceHitlist], sw.Rows[seeds.SourceScamper]}
 	if sw.Rows[0].Label != seeds.SourceHitlist.String() {
 		t.Fatalf("row 0 = %q", sw.Rows[0].Label)
 	}
@@ -275,7 +276,7 @@ func TestRQ3AndDerivedTables(t *testing.T) {
 }
 
 func TestPriorWorkMatrix(t *testing.T) {
-	rows := PriorWorkMatrix()
+	rows := priorWorkMatrix()
 	if len(rows) != 7 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -311,10 +312,21 @@ func TestRenderHelpers(t *testing.T) {
 	if got := fmtPct(0.123); got != "12.3%" {
 		t.Fatalf("fmtPct = %q", got)
 	}
-	tb := &Table{Title: "T", Header: []string{"a", "bb"}}
+	tb := &table{Title: "T", Header: []string{"a", "bb"}}
 	tb.AddRow("1", "2")
 	s := tb.String()
 	if !strings.Contains(s, "T\n") || !strings.Contains(s, "bb") {
 		t.Fatalf("table render: %q", s)
 	}
+}
+
+// runTGACtx generates budget addresses with the named TGA from seedSet,
+// scans them on p, dealiases the output with the shared joint dealiaser,
+// and measures hits/ASes/aliases. ICMP outcomes exclude the pathological
+// AS12322 analogue, as §4.1 prescribes. Cancellation stops the run between
+// batches (and mid-scan), and the environment's tracer is attached to ctx
+// so the TGA driver's span hierarchy lands in Env telemetry unless the
+// caller brought a tracer of its own.
+func (e *Env) runTGACtx(ctx context.Context, name string, seedSet []ipaddr.Addr, p proto.Protocol, budget int) (tgaResult, error) {
+	return e.runTGA(ctx, name, seedSet, p, budget, 0)
 }

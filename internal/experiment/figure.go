@@ -62,7 +62,7 @@ func (r *RQ4Result) RenderCumulativeFigure(p proto.Protocol) string {
 	if pi < 0 || len(r.Gens) == 0 {
 		return ""
 	}
-	order, _ := r.Cover(pi)
+	order, _ := r.cover(pi)
 	total := order[len(order)-1].Total
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Figure 6 (%s): cumulative unique hits, combined total %s\n", p, FmtInt(total))

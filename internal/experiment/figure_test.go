@@ -33,7 +33,7 @@ func TestRatioBarShapes(t *testing.T) {
 // comparisonOf builds a run comparison over ICMP from per-generator
 // (original, changed) outcomes.
 func comparisonOf(gens []string, outcomes ...[2]metrics.Outcome) *ComparisonResult {
-	rs := &SweepResult{Sweep: Sweep{Name: "RQ-test", Rows: []Row{{Label: "A"}, {Label: "B"}}, Protos: icmpOnly, Gens: gens}}
+	rs := &sweepResult{sweep: sweep{Name: "RQ-test", Rows: []row{{Label: "A"}, {Label: "B"}}, Protos: icmpOnly, Gens: gens}}
 	for _, pair := range outcomes {
 		for _, o := range pair {
 			rs.cells = append(rs.cells, grid.CellResult{Outcome: o})
@@ -61,8 +61,8 @@ func TestRenderCumulativeFigure(t *testing.T) {
 		}
 		return out
 	}
-	rs := &SweepResult{
-		Sweep: Sweep{Rows: []Row{rowAllActive}, Protos: icmpOnly, Gens: []string{"6Tree", "6Sense"}},
+	rs := &sweepResult{
+		sweep: sweep{Rows: []row{rowAllActive}, Protos: icmpOnly, Gens: []string{"6Tree", "6Sense"}},
 		cells: []grid.CellResult{{Hits: addrs(40, 40)}, {Hits: addrs(0, 60)}},
 		db:    asdb.New(),
 	}

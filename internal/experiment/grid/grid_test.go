@@ -84,8 +84,8 @@ func TestMemStoreRoundTrip(t *testing.T) {
 	if !ok || got.Outcome.Hits != 7 || len(got.Hits) != 1 || got.Hits[0] != addr(1) {
 		t.Fatalf("round trip: ok=%v got=%+v", ok, got)
 	}
-	if s.Len() != 1 {
-		t.Fatalf("len = %d", s.Len())
+	if s.len() != 1 {
+		t.Fatalf("len = %d", s.len())
 	}
 }
 
@@ -239,8 +239,8 @@ func TestEngineResumesFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total1.Load() != 2 || store.Len() != 2 {
-		t.Fatalf("first run: %d execs, %d stored", total1.Load(), store.Len())
+	if total1.Load() != 2 || store.len() != 2 {
+		t.Fatalf("first run: %d execs, %d stored", total1.Load(), store.len())
 	}
 
 	// A fresh engine (new process) with the same store executes nothing.

@@ -23,10 +23,6 @@ type Store interface {
 	Get(key string) (CellResult, bool)
 	// Put checkpoints one completed cell under its key.
 	Put(key string, c Cell, r CellResult) error
-	// Len reports the number of checkpointed cells.
-	Len() int
-	// Close flushes and releases the store.
-	Close() error
 }
 
 // MemStore is an in-process Store: checkpoints survive across specs and
@@ -55,15 +51,12 @@ func (s *MemStore) Put(key string, _ Cell, r CellResult) error {
 	return nil
 }
 
-// Len implements Store.
-func (s *MemStore) Len() int {
+// len reports the number of checkpointed cells.
+func (s *MemStore) len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.m)
 }
-
-// Close implements Store.
-func (s *MemStore) Close() error { return nil }
 
 // record is the JSONL on-disk schema: one completed cell per line. The
 // cell parameters ride along for debuggability (the key alone already
@@ -151,9 +144,6 @@ func openJSONL(path string, maxRecord int) (*JSONLStore, error) {
 	return s, nil
 }
 
-// Path returns the backing file path.
-func (s *JSONLStore) Path() string { return s.path }
-
 // Get implements Store.
 func (s *JSONLStore) Get(key string) (CellResult, bool) {
 	s.mu.Lock()
@@ -195,14 +185,14 @@ func (s *JSONLStore) Put(key string, c Cell, r CellResult) error {
 	return nil
 }
 
-// Len implements Store.
+// Len reports the number of checkpointed cells.
 func (s *JSONLStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.m)
 }
 
-// Close implements Store.
+// Close flushes and releases the store file.
 func (s *JSONLStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

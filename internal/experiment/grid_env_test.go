@@ -31,7 +31,7 @@ func TestTreatmentCachesColdConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			p := proto.All[i%len(proto.All)]
-			deal[i] = e.DealiasedSeeds(alias.ModeJoint)
+			deal[i] = e.dealiasedSeeds(alias.ModeJoint)
 			outd[i] = e.OutputDealiaser(p)
 			port[i] = e.PortActiveSeeds(p).Len()
 			allA[i] = e.AllActiveSeeds()
@@ -113,7 +113,7 @@ func TestCrossSpecDedupRunsEachCellOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, c := range spec.Cells {
-			want, err := direct.RunCell(context.Background(), c)
+			want, err := direct.runCell(context.Background(), c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +137,7 @@ func TestGridWidthDoesNotChangeResults(t *testing.T) {
 	var specs [2]grid.Spec
 	var results [2]grid.Results
 	for i, workers := range []int{1, 4} {
-		e := NewEnv(EnvConfig{NumASes: 80, CollectScale: 0.25, Budget: budget, Workers: workers})
+		e := NewEnv(EnvConfig{NumASes: 80, CollectScale: 0.25, Budget: budget, workers: workers})
 		specs[i] = grid.Spec{Name: "width"}
 		for _, s := range []grid.Spec{
 			e.SpecRQ1a(protos, gens, budget), e.SpecTable4(gens, budget), e.SpecRQ4(protos[:1], gens, budget),
@@ -194,7 +194,7 @@ func (s *cancelAfterStore) Put(key string, c grid.Cell, r grid.CellResult) error
 // cancelled mid-flight, resumed from its checkpoint store in a fresh
 // environment, renders byte-identically to an uninterrupted run.
 func TestResumeEquivalence(t *testing.T) {
-	cfg := EnvConfig{NumASes: 80, CollectScale: 0.25, Budget: 800, Workers: 1}
+	cfg := EnvConfig{NumASes: 80, CollectScale: 0.25, Budget: 800, workers: 1}
 	gens := []string{"6Tree", "EIP"}
 	protos := []proto.Protocol{proto.ICMP}
 

@@ -7,7 +7,7 @@ import "sync"
 // dealiasers). Many grid cells resolve the same treatment concurrently
 // and cold; the first caller builds, everyone else blocks until the value
 // is ready. Builders are infallible and must not re-enter the same key
-// (cross-key recursion — seedActive building on DealiasedSeeds — is fine:
+// (cross-key recursion — seedActive building on dealiasedSeeds — is fine:
 // no lock is held while building).
 type lazyCache[K comparable, V any] struct {
 	mu sync.Mutex

@@ -5,19 +5,19 @@ package experiment
 // knowledge, reproduced here so the experiments binary prints the full
 // evaluation section.
 
-// PriorWorkRow is one preprocessing dimension of Table 1.
-type PriorWorkRow struct {
+// priorWorkRow is one preprocessing dimension of Table 1.
+type priorWorkRow struct {
 	Included string
 	// Applies maps generator name → whether the row applies (✓ in the
 	// paper's table).
 	Applies map[string]bool
 }
 
-// PriorWorkColumns is Table 1's generator order.
-var PriorWorkColumns = []string{"6Sense", "DET", "6Scan", "6Hit", "6Graph", "6Tree", "6Gen", "EIP"}
+// priorWorkColumns is Table 1's generator order.
+var priorWorkColumns = []string{"6Sense", "DET", "6Scan", "6Hit", "6Graph", "6Tree", "6Gen", "EIP"}
 
-// PriorWorkMatrix reproduces Table 1 verbatim.
-func PriorWorkMatrix() []PriorWorkRow {
+// priorWorkMatrix reproduces Table 1 verbatim.
+func priorWorkMatrix() []priorWorkRow {
 	mk := func(names ...string) map[string]bool {
 		m := make(map[string]bool, len(names))
 		for _, n := range names {
@@ -25,7 +25,7 @@ func PriorWorkMatrix() []PriorWorkRow {
 		}
 		return m
 	}
-	return []PriorWorkRow{
+	return []priorWorkRow{
 		{Included: "All", Applies: mk("6Gen", "EIP")},
 		{Included: "No Dealiasing", Applies: mk("6Gen", "EIP")},
 		{Included: "Offline Dealiasing", Applies: mk("6Sense", "DET", "6Scan", "6Hit", "6Graph", "6Tree")},
@@ -38,13 +38,13 @@ func PriorWorkMatrix() []PriorWorkRow {
 
 // renderPriorWork prints Table 1.
 func renderPriorWork() string {
-	t := &Table{
+	t := &table{
 		Title:  "Table 1: Dataset construction and preprocessing methods by TGA",
-		Header: append([]string{"Included"}, PriorWorkColumns...),
+		Header: append([]string{"Included"}, priorWorkColumns...),
 	}
-	for _, row := range PriorWorkMatrix() {
+	for _, row := range priorWorkMatrix() {
 		cells := []string{row.Included}
-		for _, g := range PriorWorkColumns {
+		for _, g := range priorWorkColumns {
 			if row.Applies[g] {
 				cells = append(cells, "yes")
 			} else {

@@ -12,8 +12,8 @@ import (
 // measurements on the current environment, so the printed guidance always
 // carries the evidence that produced it.
 
-// Recommendation is one best-practice item with its supporting numbers.
-type Recommendation struct {
+// recommendation is one best-practice item with its supporting numbers.
+type recommendation struct {
 	Title    string
 	Guidance string
 	Evidence string
@@ -21,8 +21,8 @@ type Recommendation struct {
 
 // recommendationSweeps declares §10's measurement runs: single-protocol
 // RQ1.a, RQ1.b, RQ2 and RQ4, in the order recommendations takes them.
-func (e *Env) recommendationSweeps(gens []string, budget int) []Sweep {
-	return []Sweep{
+func (e *Env) recommendationSweeps(gens []string, budget int) []sweep {
+	return []sweep{
 		e.sweep(rq1a, icmpOnly, gens, budget),
 		e.sweep(rq1b, icmpOnly, gens, budget),
 		e.sweep(rq2, []proto.Protocol{proto.TCP443}, gens, budget),
@@ -33,12 +33,12 @@ func (e *Env) recommendationSweeps(gens []string, budget int) []Sweep {
 // recommendations evaluates the evidence behind each of the paper's §10
 // recommendations on this environment, from recommendationSweeps' results:
 // each is single-protocol, so every metric is read at protocol index 0.
-func (e *Env) recommendations(rs []*SweepResult) []Recommendation {
-	var out []Recommendation
+func (e *Env) recommendations(rs []*sweepResult) []recommendation {
+	var out []recommendation
 	gens := rs[0].Gens
 
 	// 1. Dealiasing.
-	out = append(out, Recommendation{
+	out = append(out, recommendation{
 		Title: "Dealiasing",
 		Guidance: "Dealias seed datasets with BOTH the published offline list and " +
 			"the online /96 test before generation.",
@@ -48,14 +48,14 @@ func (e *Env) recommendations(rs []*SweepResult) []Recommendation {
 	})
 
 	// 2. Unresponsive addresses.
-	out = append(out, Recommendation{
+	out = append(out, recommendation{
 		Title:    "Unresponsive Addresses",
 		Guidance: "Pre-scan seeds and drop addresses that no longer respond on any protocol.",
 		Evidence: fmt.Sprintf("responsive-only seeds changed ICMP hits by %+.2f PR on average", rs[1].meanRatio(metricHits, 0)),
 	})
 
 	// 3. Port-specific seeds.
-	out = append(out, Recommendation{
+	out = append(out, recommendation{
 		Title: "Port-Specific Seeds",
 		Guidance: "Restrict seeds to the scanned port for more application-layer hits, " +
 			"but blend ICMP-active seeds back in when network coverage matters.",
@@ -64,7 +64,7 @@ func (e *Env) recommendations(rs []*SweepResult) []Recommendation {
 	})
 
 	// 4. Multiple ports.
-	out = append(out, Recommendation{
+	out = append(out, recommendation{
 		Title:    "Ports",
 		Guidance: "Evaluate TGAs on multiple ports/protocols; per-port topology differs.",
 		Evidence: fmt.Sprintf("seed responsiveness in this environment: ICMP %d, TCP80 %d, TCP443 %d, UDP53 %d",
@@ -73,18 +73,18 @@ func (e *Env) recommendations(rs []*SweepResult) []Recommendation {
 	})
 
 	// 5-6. Generator choice and combination.
-	hitOrder, asOrder := newRQ4(rs[3]).Cover(0)
+	hitOrder, asOrder := newRQ4(rs[3]).cover(0)
 	topShare := 0.0
 	if total := hitOrder[len(hitOrder)-1].Total; total > 0 {
 		topShare = float64(hitOrder[0].New) / float64(total)
 	}
-	out = append(out, Recommendation{
+	out = append(out, recommendation{
 		Title: "Generators",
 		Guidance: "No single TGA wins both metrics; pick per metric " +
 			"(hits vs network diversity) or run several.",
 		Evidence: fmt.Sprintf("best on hits: %s; best on ASes: %s", hitOrder[0].Name, asOrder[0].Name),
 	})
-	out = append(out, Recommendation{
+	out = append(out, recommendation{
 		Title:    "Combining Generators",
 		Guidance: "Run multiple TGAs and union their output for representative coverage.",
 		Evidence: fmt.Sprintf("the top generator alone covers %.0f%% of combined hits (%s of %s); "+
@@ -95,7 +95,7 @@ func (e *Env) recommendations(rs []*SweepResult) []Recommendation {
 }
 
 // renderRecommendations prints §10's list with evidence.
-func renderRecommendations(recs []Recommendation) string {
+func renderRecommendations(recs []recommendation) string {
 	var sb strings.Builder
 	sb.WriteString("RQ5 (§10): Recommendations and best practices, with measured evidence\n")
 	sb.WriteString(strings.Repeat("-", 70))

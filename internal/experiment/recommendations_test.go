@@ -8,7 +8,7 @@ import (
 
 func TestRecommendationsEvidence(t *testing.T) {
 	e := testEnv(t)
-	var rs []*SweepResult
+	var rs []*sweepResult
 	for _, sw := range e.recommendationSweeps([]string{"6Tree", "6Gen"}, 2500) {
 		r, err := e.runSweep(context.Background(), sw)
 		if err != nil {

@@ -5,18 +5,18 @@ import (
 	"strings"
 )
 
-// Table is a minimal text table for rendering paper-style results.
-type Table struct {
+// table is a minimal text table for rendering paper-style results.
+type table struct {
 	Title  string
 	Header []string
 	Rows   [][]string
 }
 
 // AddRow appends one row.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
+func (t *table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
 // String renders the table with aligned columns.
-func (t *Table) String() string {
+func (t *table) String() string {
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
 		widths[i] = len(h)

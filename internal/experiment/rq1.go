@@ -10,9 +10,9 @@ import (
 // ComparisonResult holds one "changed vs. original" experiment: the run
 // sweep, whose Rows[0] is the original treatment and Rows[1] the changed
 // one. Figures 3-5 plot the Performance Ratios of its cells.
-type ComparisonResult struct{ *SweepResult }
+type ComparisonResult struct{ *sweepResult }
 
-func newComparison(rs *SweepResult) *ComparisonResult { return &ComparisonResult{rs} }
+func newComparison(rs *sweepResult) *ComparisonResult { return &ComparisonResult{rs} }
 
 // SpecRQ1a enumerates RQ1.a / Figure 3: full vs. joint-dealiased seeds.
 func (e *Env) SpecRQ1a(protos []proto.Protocol, gens []string, budget int) grid.Spec {
@@ -41,7 +41,7 @@ func (e *Env) RunRQ1bCtx(ctx context.Context, protos []proto.Protocol, gens []st
 // Table4Result holds Table 4: aliased addresses discovered by each TGA on
 // an ICMP run, under every seed dealiasing treatment (the sweep's rows: the
 // paper's four plus the cool-down extension).
-type Table4Result struct{ *SweepResult }
+type Table4Result struct{ *sweepResult }
 
 // SpecTable4 enumerates Table 4: every generator on every seed-dealiasing
 // treatment, ICMP.
@@ -51,7 +51,7 @@ func (e *Env) SpecTable4(gens []string, budget int) grid.Spec {
 
 // RunTable4Ctx reproduces Table 4.
 func (e *Env) RunTable4Ctx(ctx context.Context, gens []string, budget int) (*Table4Result, error) {
-	return run(ctx, e, e.sweep(table4, icmpOnly, gens, budget), func(rs *SweepResult) *Table4Result { return &Table4Result{rs} })
+	return run(ctx, e, e.sweep(table4, icmpOnly, gens, budget), func(rs *sweepResult) *Table4Result { return &Table4Result{rs} })
 }
 
 // Render prints Table 4: a line per generator, a column per treatment.
@@ -64,7 +64,7 @@ func (r *Table4Result) Render() string {
 func (r *ComparisonResult) Render() string {
 	out := ""
 	for pi, p := range r.Protos {
-		t := &Table{
+		t := &table{
 			Title:  r.Name + " (" + p.String() + "): " + r.Rows[1].Label + " vs. " + r.Rows[0].Label,
 			Header: []string{"Generator", "Hits PR", "ASes PR", "Aliases PR", "Hits(orig)", "Hits(chg)", "ASes(orig)", "ASes(chg)"},
 		}

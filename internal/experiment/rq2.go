@@ -21,7 +21,7 @@ func (e *Env) RunRQ2Ctx(ctx context.Context, protos []proto.Protocol, gens []str
 
 // renderCrossPort prints Figure 7: hits per input dataset × scanned
 // protocol, summed over generators.
-func renderCrossPort(rs *SweepResult) string {
+func renderCrossPort(rs *sweepResult) string {
 	scans := make([]string, len(rs.Protos))
 	for pi, p := range rs.Protos {
 		scans[pi] = p.String()

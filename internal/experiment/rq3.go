@@ -9,15 +9,15 @@ import (
 
 // table5Big declares Table 5's big-budget side: one All Active ICMP run
 // per generator at the per-source budget times the number of sources.
-func (e *Env) table5Big(perSource Sweep) Sweep {
-	return e.sweep(Sweep{Name: "Table 5", Rows: []Row{rowAllActive}}, icmpOnly, perSource.Gens, perSource.Budget*len(perSource.Rows))
+func (e *Env) table5Big(perSource sweep) sweep {
+	return e.sweep(sweep{Name: "Table 5", Rows: []row{rowAllActive}}, icmpOnly, perSource.Gens, perSource.Budget*len(perSource.Rows))
 }
 
 // renderTable5 prints Table 5: the union of each generator's per-source
 // ICMP runs versus one run with a 12× budget on All Active. Without ICMP
 // among rq3's protocols the combined side is empty.
-func renderTable5(rq3, big *SweepResult) string {
-	t := &Table{
+func renderTable5(rq3, big *sweepResult) string {
+	t := &table{
 		Title:  "Table 5: Combined per-source ICMP output vs. one big-budget All Active run",
 		Header: []string{"Generator", "Hits(Combined)", "Hits(Big)", "ASes(Combined)", "ASes(Big)"},
 	}
@@ -37,10 +37,10 @@ func renderTable5(rq3, big *SweepResult) string {
 // renderTable6 prints Table 6 from RQ3's runs: per (source, protocol), the
 // top three ASes among all generators' combined hits, with organization
 // types, and the total AS count.
-func renderTable6(rq3 *SweepResult) string {
+func renderTable6(rq3 *sweepResult) string {
 	out := ""
 	for pi, p := range rq3.Protos {
-		t := &Table{
+		t := &table{
 			Title:  "Table 6 (" + p.String() + "): top ASes and total ASes per source",
 			Header: []string{"Source", "1st", "2nd", "3rd", "Total"},
 		}

@@ -13,14 +13,14 @@ import (
 // dataset per protocol (the sweep's one row), and each protocol's greedy
 // coverage orderings, folded once.
 type RQ4Result struct {
-	*SweepResult
+	*sweepResult
 	hitOrder, asOrder [][]metrics.Contribution // by protocol index
 }
 
 // newRQ4 orders each protocol's generators by greedy marginal coverage,
 // of hits and of ASes: Figure 6's cumulative contributions.
-func newRQ4(rs *SweepResult) *RQ4Result {
-	res := &RQ4Result{SweepResult: rs}
+func newRQ4(rs *sweepResult) *RQ4Result {
+	res := &RQ4Result{sweepResult: rs}
 	for pi := range rs.Protos {
 		addrs := make([][]ipaddr.Addr, len(rs.Gens))
 		for gi := range rs.Gens {
@@ -33,9 +33,9 @@ func newRQ4(rs *SweepResult) *RQ4Result {
 	return res
 }
 
-// Cover returns the pi-th protocol's generators in greedy marginal
+// cover returns the pi-th protocol's generators in greedy marginal
 // coverage order, by hits and by ASes.
-func (r *RQ4Result) Cover(pi int) (hits, ases []metrics.Contribution) {
+func (r *RQ4Result) cover(pi int) (hits, ases []metrics.Contribution) {
 	return r.hitOrder[pi], r.asOrder[pi]
 }
 
@@ -54,11 +54,11 @@ func (e *Env) RunRQ4Ctx(ctx context.Context, protos []proto.Protocol, gens []str
 func (r *RQ4Result) Render() string {
 	out := ""
 	for pi, p := range r.Protos {
-		t := &Table{
+		t := &table{
 			Title:  "Figure 6 (" + p.String() + "): cumulative unique contributions",
 			Header: []string{"Order", "Generator", "New Hits", "Cum Hits", "Generator", "New ASes", "Cum ASes"},
 		}
-		hits, ases := r.Cover(pi)
+		hits, ases := r.cover(pi)
 		for i := range hits {
 			ag := "-"
 			an, at := "-", "-"

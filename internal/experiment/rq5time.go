@@ -11,10 +11,10 @@ import (
 	"seedscan/internal/world"
 )
 
-// DefaultRQ5Epochs is how many consecutive epochs the RQ5 daemon runs.
-const DefaultRQ5Epochs = 6
+// defaultRQ5Epochs is how many consecutive epochs the RQ5 daemon runs.
+const defaultRQ5Epochs = 6
 
-// RQ5TimeResult holds "RQ5: metrics over time" — what happens to a
+// rq5TimeResult holds "RQ5: metrics over time" — what happens to a
 // published hitlist's quality metrics as the Internet churns under it.
 // The paper's snapshot tables measure one scan epoch; this table runs the
 // longitudinal daemon over several and reports seed decay, TGA hit
@@ -23,7 +23,7 @@ const DefaultRQ5Epochs = 6
 // Every field is a pure function of the environment configuration: the
 // reports are normalized (no wall-clock durations, no store generation
 // numbers), so a run resumed from checkpoints renders byte-identically.
-type RQ5TimeResult struct {
+type rq5TimeResult struct {
 	Gens       []string
 	CorpusSize int
 	Epochs     []longitudinal.EpochReport
@@ -35,15 +35,15 @@ type RQ5TimeResult struct {
 
 // rq5Time reproduces the RQ5 metrics-over-time table from the run cohort
 // sweep: it drives a longitudinal daemon over its own copy of the world
-// for several epochs (zero means DefaultRQ5Epochs). The daemon scans a
+// for several epochs (zero means defaultRQ5Epochs). The daemon scans a
 // private world+scanner pair built from the same EnvConfig —
 // byte-identical addresses and truth, but advancing its epoch clock never
 // perturbs the shared Env other sections scan through. Daemon epoch cells
 // checkpoint into the same grid store under a "|rq5time"-suffixed
 // fingerprint, so -resume covers this table too.
-func (e *Env) rq5Time(ctx context.Context, cohortRuns *SweepResult, epochs int) (*RQ5TimeResult, error) {
+func (e *Env) rq5Time(ctx context.Context, cohortRuns *sweepResult, epochs int) (*rq5TimeResult, error) {
 	if epochs <= 0 {
-		epochs = DefaultRQ5Epochs
+		epochs = defaultRQ5Epochs
 	}
 	gens := cohortRuns.Gens
 	cohorts := make([]longitudinal.Cohort, 0, len(gens))
@@ -52,8 +52,8 @@ func (e *Env) rq5Time(ctx context.Context, cohortRuns *SweepResult, epochs int) 
 	}
 
 	c := e.Cfg
-	w := world.New(world.Config{Seed: c.WorldSeed, NumASes: c.NumASes, LossRate: c.LossRate})
-	sc := scanner.New(w.Link(), scanner.WithSecret(c.ScanSecret), scanner.WithTelemetry(e.Tele.Registry()))
+	w := world.New(world.Config{Seed: c.WorldSeed, NumASes: c.NumASes, LossRate: lossRate})
+	sc := scanner.New(w.Link(), scanner.WithSecret(c.ScanSecret), scanner.WithTelemetry(e.tele.Registry()))
 	d, err := longitudinal.New(longitudinal.Config{
 		World:           w,
 		Prober:          sc,
@@ -64,7 +64,7 @@ func (e *Env) rq5Time(ctx context.Context, cohortRuns *SweepResult, epochs int) 
 		Fingerprint:     e.Fingerprint() + "|rq5time",
 		Store:           e.Cfg.GridStore,
 		AliasedPrefixes: e.Offline.Prefixes(),
-		Telemetry:       e.Tele,
+		Telemetry:       e.tele,
 	})
 	if err != nil {
 		return nil, err
@@ -74,7 +74,7 @@ func (e *Env) rq5Time(ctx context.Context, cohortRuns *SweepResult, epochs int) 
 		return nil, err
 	}
 
-	res := &RQ5TimeResult{Gens: gens, CorpusSize: e.Full.Len(), Epochs: reps}
+	res := &rq5TimeResult{Gens: gens, CorpusSize: e.Full.Len(), Epochs: reps}
 	for i := range res.Epochs {
 		res.Epochs[i].Duration = 0
 		res.Epochs[i].Generation = 0
@@ -104,8 +104,8 @@ func (e *Env) rq5Time(ctx context.Context, cohortRuns *SweepResult, epochs int) 
 
 // Render prints the two RQ5 tables: the per-epoch decay/drift summary and
 // the per-generator hit persistence matrix.
-func (r *RQ5TimeResult) Render() string {
-	t := &Table{
+func (r *rq5TimeResult) Render() string {
+	t := &table{
 		Title: "RQ5 (metrics over time): seed decay, staleness, alias drift — ICMP",
 		Header: []string{"Epoch", "Probed", "Saved", "Hits", "Alive",
 			"Seeds Alive", "Seeds %", "Stale", "Alias /96s", "+Drift", "-Drift"},
@@ -120,7 +120,7 @@ func (r *RQ5TimeResult) Render() string {
 	}
 	out := t.String() + "\n"
 
-	p := &Table{
+	p := &table{
 		Title:  "RQ5: TGA hit persistence (cohort members believed alive)",
 		Header: append([]string{"Epoch"}, r.Gens...),
 	}

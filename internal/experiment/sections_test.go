@@ -16,8 +16,8 @@ import (
 // index addresses exactly the cell Spec put there, scanned-port
 // placeholder and batch default resolved.
 func TestSweepCellOrder(t *testing.T) {
-	s := Sweep{
-		Rows:   []Row{rowAllActive, rowPortSpecific, {Label: "b", Treatment: TreatmentFull, Batch: 256}},
+	s := sweep{
+		Rows:   []row{rowAllActive, rowPortSpecific, {Label: "b", Treatment: TreatmentFull, Batch: 256}},
 		Protos: []proto.Protocol{proto.ICMP, proto.UDP53},
 		Gens:   []string{"g0", "g1"},
 		Budget: 100,

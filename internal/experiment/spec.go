@@ -34,8 +34,8 @@ func TreatmentPortActive(p proto.Protocol) grid.Treatment {
 	return grid.Treatment("port-active:" + p.String())
 }
 
-// TreatmentSourceActive names RQ3's per-source active dataset.
-func TreatmentSourceActive(src seeds.Source) grid.Treatment {
+// treatmentSourceActive names RQ3's per-source active dataset.
+func treatmentSourceActive(src seeds.Source) grid.Treatment {
 	return grid.Treatment("source-active:" + src.String())
 }
 
@@ -54,7 +54,7 @@ func (e *Env) TreatmentSeeds(t grid.Treatment) ([]ipaddr.Addr, error) {
 		rest := strings.TrimPrefix(s, "dealiased:")
 		for _, m := range alias.Modes {
 			if m.String() == rest {
-				return e.DealiasedSeeds(m).SortedSlice(), nil
+				return e.dealiasedSeeds(m).SortedSlice(), nil
 			}
 		}
 	case strings.HasPrefix(s, "port-active:"):
@@ -68,7 +68,7 @@ func (e *Env) TreatmentSeeds(t grid.Treatment) ([]ipaddr.Addr, error) {
 		rest := strings.TrimPrefix(s, "source-active:")
 		for _, src := range seeds.AllSources {
 			if src.String() == rest {
-				return e.SourceActiveSeeds(src).SortedSlice(), nil
+				return e.sourceActiveSeeds(src).SortedSlice(), nil
 			}
 		}
 	}

@@ -11,10 +11,10 @@ import (
 	"seedscan/internal/proto"
 )
 
-// Row is one labelled seed treatment of a sweep: the name a table prints
+// row is one labelled seed treatment of a sweep: the name a table prints
 // beside the treatment its cells are seeded with. Batch is the feedback
 // batch size, the ablation's axis; zero means the experiment default.
-type Row struct {
+type row struct {
 	Label     string
 	Treatment grid.Treatment
 	Batch     int
@@ -35,14 +35,14 @@ const (
 	protoRowGen                  // the appendix layout: Tables 9-12
 )
 
-// Sweep declares the cells of one table or figure, once: every row ×
+// sweep declares the cells of one table or figure, once: every row ×
 // protocol × generator at one budget. Spec enumerates them for the engine
-// and for -list-cells; SweepResult.At reads results back by the same
+// and for -list-cells; sweepResult.At reads results back by the same
 // positions, so what is planned and what is folded cannot disagree.
 // sections.go declares the evaluation's sweeps; Env.sweep closes their axes.
-type Sweep struct {
+type sweep struct {
 	Name   string
-	Rows   []Row
+	Rows   []row
 	Protos []proto.Protocol
 	Gens   []string
 	Budget int
@@ -51,7 +51,7 @@ type Sweep struct {
 
 // sweep closes a declared sweep's axes, resolving a zero budget to the
 // environment's here so equal work always has equal cell identity.
-func (e *Env) sweep(s Sweep, protos []proto.Protocol, gens []string, budget int) Sweep {
+func (e *Env) sweep(s sweep, protos []proto.Protocol, gens []string, budget int) sweep {
 	if budget <= 0 {
 		budget = e.Cfg.Budget
 	}
@@ -60,7 +60,7 @@ func (e *Env) sweep(s Sweep, protos []proto.Protocol, gens []string, budget int)
 }
 
 // index is the position of (row, protocol, generator) in the cell list.
-func (s *Sweep) index(row, pi, gi int) int {
+func (s *sweep) index(row, pi, gi int) int {
 	switch s.order {
 	case rowProtoGen:
 		return (row*len(s.Protos)+pi)*len(s.Gens) + gi
@@ -73,7 +73,7 @@ func (s *Sweep) index(row, pi, gi int) int {
 
 // Spec enumerates the sweep's cells, fully normalized (no zero-means-
 // default field survives into a cell).
-func (s Sweep) Spec() grid.Spec {
+func (s sweep) Spec() grid.Spec {
 	spec := grid.Spec{Name: s.Name, Cells: make([]grid.Cell, len(s.Rows)*len(s.Protos)*len(s.Gens))}
 	for r, row := range s.Rows {
 		batch := row.Batch
@@ -93,18 +93,18 @@ func (s Sweep) Spec() grid.Spec {
 	return spec
 }
 
-// SweepResult is a sweep that has run: its declaration, one result per
+// sweepResult is a sweep that has run: its declaration, one result per
 // cell in Spec order, and the AS registry the cells' hits were measured
 // against.
-type SweepResult struct {
-	Sweep
+type sweepResult struct {
+	sweep
 	cells []grid.CellResult
 	db    *asdb.DB
 }
 
 // At returns the result of row `row` for the pi-th protocol and gi-th
 // generator of the sweep.
-func (r *SweepResult) At(row, pi, gi int) grid.CellResult { return r.cells[r.index(row, pi, gi)] }
+func (r *sweepResult) At(row, pi, gi int) grid.CellResult { return r.cells[r.index(row, pi, gi)] }
 
 // metric is one number a table reads off a cell.
 type metric func(grid.CellResult) int
@@ -118,13 +118,13 @@ func metricRawHits(c grid.CellResult) int { return len(c.Hits) }
 
 // ratio is m's Performance Ratio of row 1 (the changed treatment) over
 // row 0 (the original) for the pi-th protocol and gi-th generator.
-func (r *SweepResult) ratio(m metric, pi, gi int) float64 {
+func (r *sweepResult) ratio(m metric, pi, gi int) float64 {
 	return metrics.PerformanceRatio(float64(m(r.At(1, pi, gi))), float64(m(r.At(0, pi, gi))))
 }
 
 // meanRatio averages ratio over the generators: the headline numbers
 // ("dealiasing buys +1.7 PR on average").
-func (r *SweepResult) meanRatio(m metric, pi int) float64 {
+func (r *sweepResult) meanRatio(m metric, pi int) float64 {
 	if len(r.Gens) == 0 {
 		return 0
 	}
@@ -141,7 +141,7 @@ const every = -1
 // along lists the pi-th protocol's results along one axis, in the
 // sweep's order: with row == every, generator gi under each row; with
 // gi == every, each generator's cell of row `row`.
-func (r *SweepResult) along(row, pi, gi int) []grid.CellResult {
+func (r *sweepResult) along(row, pi, gi int) []grid.CellResult {
 	var out []grid.CellResult
 	for ri := range r.Rows {
 		for g := range r.Gens {
@@ -156,7 +156,7 @@ func (r *SweepResult) along(row, pi, gi int) []grid.CellResult {
 // union joins the hits of the cells along selects and drops those §4.1
 // leaves out of the protocol's evaluation, through the filter runTGA
 // measures each cell with.
-func (r *SweepResult) union(row, pi, gi int) []ipaddr.Addr {
+func (r *sweepResult) union(row, pi, gi int) []ipaddr.Addr {
 	u := ipaddr.NewSet()
 	for _, c := range r.along(row, pi, gi) {
 		u.AddAll(c.Hits)
@@ -165,7 +165,7 @@ func (r *SweepResult) union(row, pi, gi int) []ipaddr.Addr {
 }
 
 // labels lists the rows' labels.
-func (s *Sweep) labels() []string {
+func (s *sweep) labels() []string {
 	out := make([]string, len(s.Rows))
 	for i, row := range s.Rows {
 		out[i] = row.Label
@@ -176,7 +176,7 @@ func (s *Sweep) labels() []string {
 // matrix lays values out as a table under title: one line per rows label,
 // one column per cols label, the corner header naming the row axis.
 func matrix(title, corner string, rows, cols []string, value func(i, j int) int) string {
-	t := &Table{Title: title, Header: append([]string{corner}, cols...)}
+	t := &table{Title: title, Header: append([]string{corner}, cols...)}
 	for i, label := range rows {
 		cells := []string{label}
 		for j := range cols {
@@ -189,13 +189,13 @@ func matrix(title, corner string, rows, cols []string, value func(i, j int) int)
 
 // runSweep executes the sweep's cells through the shared grid engine.
 // Cells another sweep already ran, or a resume store holds, are not re-run.
-func (e *Env) runSweep(ctx context.Context, s Sweep) (*SweepResult, error) {
+func (e *Env) runSweep(ctx context.Context, s sweep) (*sweepResult, error) {
 	spec := s.Spec()
 	rs, err := e.Grid().Run(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	res := &SweepResult{Sweep: s, cells: make([]grid.CellResult, len(spec.Cells)), db: e.World.ASDB()}
+	res := &sweepResult{sweep: s, cells: make([]grid.CellResult, len(spec.Cells)), db: e.World.ASDB()}
 	for i, c := range spec.Cells {
 		res.cells[i] = rs.Of(c)
 	}
@@ -204,7 +204,7 @@ func (e *Env) runSweep(ctx context.Context, s Sweep) (*SweepResult, error) {
 
 // run executes one sweep and folds its results; the exported Run*Ctx
 // harnesses are this with a sweep and a fold named.
-func run[T any](ctx context.Context, e *Env, s Sweep, fold func(*SweepResult) T) (T, error) {
+func run[T any](ctx context.Context, e *Env, s sweep, fold func(*sweepResult) T) (T, error) {
 	rs, err := e.runSweep(ctx, s)
 	if err != nil {
 		var zero T
@@ -217,13 +217,13 @@ func run[T any](ctx context.Context, e *Env, s Sweep, fold func(*SweepResult) T)
 // CLI runs (`seedscan run`) share the engine's dedup, checkpointing, and
 // resume.
 func (e *Env) SpecOneCell(gen string, t grid.Treatment, p proto.Protocol, budget int) grid.Spec {
-	return e.sweep(Sweep{Name: gen + " on " + string(t), Rows: []Row{{Treatment: t}}}, []proto.Protocol{p}, []string{gen}, budget).Spec()
+	return e.sweep(sweep{Name: gen + " on " + string(t), Rows: []row{{Treatment: t}}}, []proto.Protocol{p}, []string{gen}, budget).Spec()
 }
 
 // renderRaw prints the sweep's raw matrices, one block per protocol: a
 // Hits table then an ASes table, rows as declared and generators as
 // columns, under the two given titles (formats taking the protocol).
-func (r *SweepResult) renderRaw(hitsTitle, asesTitle string) []string {
+func (r *sweepResult) renderRaw(hitsTitle, asesTitle string) []string {
 	var blocks []string
 	for pi, p := range r.Protos {
 		table := func(title string, m metric) string {

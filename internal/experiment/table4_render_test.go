@@ -26,7 +26,7 @@ func TestTable4RenderExtendedModes(t *testing.T) {
 
 	sw := table4
 	sw.Protos, sw.Gens, sw.Budget = icmpOnly, []string{"6Tree"}, 1000
-	res := &Table4Result{&SweepResult{Sweep: sw}}
+	res := &Table4Result{&sweepResult{sweep: sw}}
 	for _, aliases := range []int{500, 400, 30, 2, 7} {
 		res.cells = append(res.cells, grid.CellResult{Outcome: metrics.Outcome{Aliases: aliases}})
 	}

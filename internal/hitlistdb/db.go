@@ -46,15 +46,15 @@ type Record struct {
 	flags byte
 }
 
-// On reports whether the address was responsive on protocol p.
-func (r Record) On(p proto.Protocol) bool { return r.flags&(1<<uint(p)) != 0 }
+// on reports whether the address was responsive on protocol p.
+func (r Record) on(p proto.Protocol) bool { return r.flags&(1<<uint(p)) != 0 }
 
 // Protocols lists the protocols the address answered on, in canonical
 // order.
 func (r Record) Protocols() []proto.Protocol {
 	var out []proto.Protocol
 	for _, p := range proto.All {
-		if r.On(p) {
+		if r.on(p) {
 			out = append(out, p)
 		}
 	}
@@ -181,13 +181,6 @@ func (db *DB) AddrCount() int { return db.hdr.addrCount }
 // PrefixCount returns the number of published alias prefixes.
 func (db *DB) PrefixCount() int { return db.hdr.prefixCount }
 
-// InputCount returns the build's unique-input count.
-func (db *DB) InputCount() int { return db.hdr.input }
-
-// AliasedAddrCount returns how many input addresses the build discarded as
-// aliased.
-func (db *DB) AliasedAddrCount() int { return db.hdr.aliasedAddrs }
-
 // Bytes returns the raw snapshot image (for dataset download). Callers
 // must not modify it.
 func (db *DB) Bytes() []byte { return db.data }
@@ -257,8 +250,8 @@ func (db *DB) WalkPrefix(p ipaddr.Prefix, fn func(Record) bool) int {
 	return visited
 }
 
-// AliasedPrefixes returns the published alias list exactly as stored.
-func (db *DB) AliasedPrefixes() []ipaddr.Prefix {
+// aliasedPrefixes returns the published alias list exactly as stored.
+func (db *DB) aliasedPrefixes() []ipaddr.Prefix {
 	out := make([]ipaddr.Prefix, 0, db.hdr.prefixCount)
 	for i := 0; i < db.hdr.prefixCount; i++ {
 		p, _ := db.prefixAt(i) // validated at Open
@@ -277,7 +270,7 @@ func (db *DB) Snapshot() *hitlist.Snapshot {
 		Input:           db.hdr.input,
 		AliasedAddrs:    db.hdr.aliasedAddrs,
 		Responsive:      ipaddr.NewSetCap(db.hdr.addrCount),
-		AliasedPrefixes: db.AliasedPrefixes(),
+		AliasedPrefixes: db.aliasedPrefixes(),
 	}
 	for _, p := range proto.All {
 		snap.PerProtocol[p] = ipaddr.NewSet()

@@ -41,7 +41,7 @@ func buildSnapshot(t testing.TB) *hitlist.Snapshot {
 func openSnapshot(t testing.TB, snap *hitlist.Snapshot, gen uint64) *DB {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "snap.hldb")
-	if err := WriteFile(path, snap, gen); err != nil {
+	if err := writeFile(path, snap, gen); err != nil {
 		t.Fatal(err)
 	}
 	db, err := Open(path)
@@ -65,9 +65,9 @@ func TestRoundTrip(t *testing.T) {
 	if db.Epoch() != 5 {
 		t.Fatalf("epoch = %d, want 5", db.Epoch())
 	}
-	if db.InputCount() != snap.Input || db.AliasedAddrCount() != snap.AliasedAddrs {
+	if db.inputCount() != snap.Input || db.aliasedAddrCount() != snap.AliasedAddrs {
 		t.Fatalf("counts diverge: %d/%d vs %d/%d",
-			db.InputCount(), db.AliasedAddrCount(), snap.Input, snap.AliasedAddrs)
+			db.inputCount(), db.aliasedAddrCount(), snap.Input, snap.AliasedAddrs)
 	}
 	if got := db.BuiltAt(); !got.Equal(snap.BuiltAt.Truncate(time.Nanosecond)) {
 		t.Fatalf("BuiltAt = %v, want %v", got, snap.BuiltAt)
@@ -116,7 +116,7 @@ func TestLookup(t *testing.T) {
 			t.Fatalf("responsive %v not found", a)
 		}
 		for _, p := range proto.All {
-			if rec.On(p) != snap.PerProtocol[p].Contains(a) {
+			if rec.on(p) != snap.PerProtocol[p].Contains(a) {
 				t.Fatalf("%v bit for %v wrong", p, a)
 			}
 		}
@@ -130,7 +130,7 @@ func TestLookup(t *testing.T) {
 	rec, _ := db.Lookup(a)
 	want := 0
 	for _, p := range proto.All {
-		if rec.On(p) {
+		if rec.on(p) {
 			want++
 		}
 	}
@@ -176,7 +176,7 @@ func TestAliasContainingCoarse(t *testing.T) {
 	}
 	db := openSnapshot(t, snap, 1)
 
-	if got := db.AliasedPrefixes(); len(got) != 4 {
+	if got := db.aliasedPrefixes(); len(got) != 4 {
 		t.Fatalf("stored prefix list = %v, want all 4 verbatim", got)
 	}
 	for _, a := range []ipaddr.Addr{
@@ -288,7 +288,7 @@ func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.hldb")
 	snap := buildSnapshot(t)
-	if err := WriteFile(path, snap, 1); err != nil {
+	if err := writeFile(path, snap, 1); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -299,3 +299,10 @@ func TestWriteFileAtomic(t *testing.T) {
 		t.Fatalf("directory holds %v, want only snap.hldb", entries)
 	}
 }
+
+// inputCount returns the build's unique-input count.
+func (db *DB) inputCount() int { return db.hdr.input }
+
+// aliasedAddrCount returns how many input addresses the build discarded as
+// aliased.
+func (db *DB) aliasedAddrCount() int { return db.hdr.aliasedAddrs }

@@ -158,11 +158,11 @@ func dedupPrefixes(prefixes []ipaddr.Prefix) []ipaddr.Prefix {
 	return out[:j]
 }
 
-// WriteFile atomically writes the marshaled snapshot to path: the image
+// writeFile atomically writes the marshaled snapshot to path: the image
 // goes to a temporary file in the same directory, is fsynced, and then
 // renamed over path, so a crash never leaves a half-written database where
 // a reader could open it.
-func WriteFile(path string, snap *hitlist.Snapshot, generation uint64) error {
+func writeFile(path string, snap *hitlist.Snapshot, generation uint64) error {
 	data := Marshal(snap, generation)
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".hitlistdb-*")

@@ -177,7 +177,7 @@ func FuzzFromBytes(f *testing.F) {
 		if visited != n {
 			t.Fatalf("walk of ::/0 visited %d of %d records", visited, n)
 		}
-		if got := len(db.AliasedPrefixes()); got != db.PrefixCount() {
+		if got := len(db.aliasedPrefixes()); got != db.PrefixCount() {
 			t.Fatalf("%d alias prefixes decoded, header says %d", got, db.PrefixCount())
 		}
 	})

@@ -99,9 +99,6 @@ func OpenStore(dir string, opts ...StoreOption) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Current returns the current generation's database, or nil when nothing
 // has been published yet. The returned DB is immutable; callers may keep
 // using it across any number of later publishes.
@@ -136,7 +133,7 @@ func (s *Store) Publish(snap *hitlist.Snapshot) (*DB, error) {
 	gen++
 
 	path := filepath.Join(s.dir, genFile(gen))
-	if err := WriteFile(path, snap, gen); err != nil {
+	if err := writeFile(path, snap, gen); err != nil {
 		s.set.tele.Counter("hitlistdb.store.publish_errors").Inc()
 		return nil, err
 	}

@@ -85,11 +85,11 @@ func (a Addr) As16() [16]byte {
 	return b
 }
 
-// NetIP converts to a net/netip address, mainly for formatting.
-func (a Addr) NetIP() netip.Addr { return netip.AddrFrom16(a.As16()) }
+// netIP converts to a net/netip address, mainly for formatting.
+func (a Addr) netIP() netip.Addr { return netip.AddrFrom16(a.As16()) }
 
 // String renders the address in canonical RFC 5952 form.
-func (a Addr) String() string { return a.NetIP().String() }
+func (a Addr) String() string { return a.netIP().String() }
 
 // FullHex renders the address as 32 hex digits without separators, the
 // representation TGAs mine patterns from.
@@ -131,16 +131,8 @@ func (a Addr) WithNybble(i int, v byte) Addr {
 	return a
 }
 
-// Bit returns bit i of the address (0 = most significant, 127 = least).
-func (a Addr) Bit(i int) byte {
-	if i < 64 {
-		return byte(a.hi >> uint(63-i) & 1)
-	}
-	return byte(a.lo >> uint(127-i) & 1)
-}
-
-// WithBit returns a copy of a with bit i set to the low bit of v.
-func (a Addr) WithBit(i int, v byte) Addr {
+// withBit returns a copy of a with bit i set to the low bit of v.
+func (a Addr) withBit(i int, v byte) Addr {
 	x := uint64(v & 1)
 	if i < 64 {
 		sh := uint(63 - i)
@@ -188,9 +180,6 @@ func (a Addr) AddLo(delta uint64) Addr {
 	a.lo = lo
 	return a
 }
-
-// Xor returns the bitwise exclusive-or of two addresses.
-func (a Addr) Xor(b Addr) Addr { return Addr{hi: a.hi ^ b.hi, lo: a.lo ^ b.lo} }
 
 // CommonPrefixLen returns the number of leading bits a and b share (0..128).
 func (a Addr) CommonPrefixLen(b Addr) int {

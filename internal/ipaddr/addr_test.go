@@ -82,12 +82,12 @@ func TestBitRoundTrip(t *testing.T) {
 		a := AddrFrom64s(hi, lo)
 		i := int(idx) % 128
 		v := val & 1
-		b := a.WithBit(i, v)
-		if b.Bit(i) != v {
+		b := a.withBit(i, v)
+		if b.bit(i) != v {
 			return false
 		}
 		for j := 0; j < 128; j++ {
-			if j != i && a.Bit(j) != b.Bit(j) {
+			if j != i && a.bit(j) != b.bit(j) {
 				return false
 			}
 		}
@@ -134,7 +134,7 @@ func TestCommonPrefixLenMatchesBits(t *testing.T) {
 	f := func(hi, lo uint64, flipIdx uint8) bool {
 		a := AddrFrom64s(hi, lo)
 		i := int(flipIdx) % 128
-		b := a.WithBit(i, a.Bit(i)^1)
+		b := a.withBit(i, a.bit(i)^1)
 		return a.CommonPrefixLen(b) <= i
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -199,7 +199,7 @@ func TestNybbleDistanceMatchesPerPosition(t *testing.T) {
 func TestXorZeroIdentity(t *testing.T) {
 	f := func(hi, lo uint64) bool {
 		a := AddrFrom64s(hi, lo)
-		return a.Xor(a).IsZero() && a.Xor(Addr{}) == a
+		return a.xor(a).IsZero() && a.xor(Addr{}) == a
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -226,3 +226,14 @@ func BenchmarkFullHex(b *testing.B) {
 		_ = addrs[i&1023].FullHex()
 	}
 }
+
+// bit returns bit i of the address (0 = most significant, 127 = least).
+func (a Addr) bit(i int) byte {
+	if i < 64 {
+		return byte(a.hi >> uint(63-i) & 1)
+	}
+	return byte(a.lo >> uint(127-i) & 1)
+}
+
+// xor returns the bitwise exclusive-or of two addresses.
+func (a Addr) xor(b Addr) Addr { return Addr{hi: a.hi ^ b.hi, lo: a.lo ^ b.lo} }

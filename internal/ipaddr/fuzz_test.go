@@ -54,7 +54,7 @@ func FuzzLPM(f *testing.F) {
 			if int(k) < skipBits || k >= 128 {
 				return a
 			}
-			return a.WithBit(int(k), a.Bit(int(k))^1)
+			return a.withBit(int(k), a.bit(int(k))^1)
 		}
 		var prefixes []Prefix
 		probes := []Addr{anchor}

@@ -83,11 +83,6 @@ func (p Prefix) ContainsPrefix(q Prefix) bool {
 	return q.bits >= p.bits && p.Contains(q.addr)
 }
 
-// Overlaps reports whether p and q share any address.
-func (p Prefix) Overlaps(q Prefix) bool {
-	return p.ContainsPrefix(q) || q.ContainsPrefix(p)
-}
-
 // Last returns the numerically highest address in p.
 func (p Prefix) Last() Addr {
 	bits := int(p.bits)
@@ -128,35 +123,4 @@ func (p Prefix) Overlay(a Addr) Addr {
 		m := ^uint64(0) >> uint(bits-64)
 		return Addr{hi: p.addr.hi, lo: p.addr.lo | a.lo&m}
 	}
-}
-
-// Parent returns the prefix one bit shorter. Parent of /0 is /0.
-func (p Prefix) Parent() Prefix {
-	if p.bits == 0 {
-		return p
-	}
-	return PrefixFrom(p.addr, int(p.bits)-1)
-}
-
-// Child returns the left (bit==0) or right (bit==1) half of p. It panics if
-// p is already /128.
-func (p Prefix) Child(bit byte) Prefix {
-	if int(p.bits) >= 128 {
-		panic("ipaddr: Child of /128")
-	}
-	a := p.addr
-	if bit&1 == 1 {
-		a = a.WithBit(int(p.bits), 1)
-	}
-	return Prefix{addr: a, bits: p.bits + 1}
-}
-
-// NumAddrsCapped returns the number of addresses in p, capped at 2^63-1 so
-// it fits an int64 (a /65 or shorter saturates).
-func (p Prefix) NumAddrsCapped() int64 {
-	host := 128 - int(p.bits)
-	if host >= 63 {
-		return 1<<63 - 1
-	}
-	return 1 << uint(host)
 }

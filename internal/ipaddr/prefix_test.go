@@ -57,7 +57,7 @@ func TestPrefixContainsPrefixAndOverlaps(t *testing.T) {
 	if !a.ContainsPrefix(b) || b.ContainsPrefix(a) {
 		t.Error("ContainsPrefix wrong")
 	}
-	if !a.Overlaps(b) || !b.Overlaps(a) || a.Overlaps(c) {
+	if !a.overlaps(b) || !b.overlaps(a) || a.overlaps(c) {
 		t.Error("Overlaps wrong")
 	}
 }
@@ -103,32 +103,32 @@ func TestOverlayProperty(t *testing.T) {
 
 func TestParentChild(t *testing.T) {
 	p := MustParsePrefix("2001:db8::/32")
-	l, r := p.Child(0), p.Child(1)
+	l, r := p.child(0), p.child(1)
 	if l.Bits() != 33 || r.Bits() != 33 {
 		t.Fatal("child bits wrong")
 	}
 	if l == r {
 		t.Fatal("children identical")
 	}
-	if l.Parent() != p || r.Parent() != p {
+	if l.parent() != p || r.parent() != p {
 		t.Fatal("Parent(Child) != self")
 	}
 	if !p.ContainsPrefix(l) || !p.ContainsPrefix(r) {
 		t.Fatal("children not contained")
 	}
-	if MustParsePrefix("::/0").Parent() != MustParsePrefix("::/0") {
+	if MustParsePrefix("::/0").parent() != MustParsePrefix("::/0") {
 		t.Fatal("Parent of /0 should be /0")
 	}
 }
 
 func TestNumAddrsCapped(t *testing.T) {
-	if got := MustParsePrefix("2001:db8::/120").NumAddrsCapped(); got != 256 {
+	if got := MustParsePrefix("2001:db8::/120").numAddrsCapped(); got != 256 {
 		t.Fatalf("/120 = %d", got)
 	}
-	if got := MustParsePrefix("2001:db8::/64").NumAddrsCapped(); got != 1<<63-1 {
+	if got := MustParsePrefix("2001:db8::/64").numAddrsCapped(); got != 1<<63-1 {
 		t.Fatalf("/64 should saturate, got %d", got)
 	}
-	if got := PrefixFrom(Addr{}, 128).NumAddrsCapped(); got != 1 {
+	if got := PrefixFrom(Addr{}, 128).numAddrsCapped(); got != 1 {
 		t.Fatalf("/128 = %d", got)
 	}
 }
@@ -139,11 +139,47 @@ func TestChildPartitionProperty(t *testing.T) {
 		b := int(bits) % 128 // < 128 so Child is legal
 		p := PrefixFrom(AddrFrom64s(phi, plo), b)
 		a := p.Overlay(AddrFrom64s(ahi, alo))
-		in0 := p.Child(0).Contains(a)
-		in1 := p.Child(1).Contains(a)
+		in0 := p.child(0).Contains(a)
+		in1 := p.child(1).Contains(a)
 		return in0 != in1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// overlaps reports whether p and q share any address.
+func (p Prefix) overlaps(q Prefix) bool {
+	return p.ContainsPrefix(q) || q.ContainsPrefix(p)
+}
+
+// parent returns the prefix one bit shorter. Parent of /0 is /0.
+func (p Prefix) parent() Prefix {
+	if p.bits == 0 {
+		return p
+	}
+	return PrefixFrom(p.addr, int(p.bits)-1)
+}
+
+// child returns the left (bit==0) or right (bit==1) half of p. It panics if
+// p is already /128.
+func (p Prefix) child(bit byte) Prefix {
+	if int(p.bits) >= 128 {
+		panic("ipaddr: Child of /128")
+	}
+	a := p.addr
+	if bit&1 == 1 {
+		a = a.withBit(int(p.bits), 1)
+	}
+	return Prefix{addr: a, bits: p.bits + 1}
+}
+
+// numAddrsCapped returns the number of addresses in p, capped at 2^63-1 so
+// it fits an int64 (a /65 or shorter saturates).
+func (p Prefix) numAddrsCapped() int64 {
+	host := 128 - int(p.bits)
+	if host >= 63 {
+		return 1<<63 - 1
+	}
+	return 1 << uint(host)
 }

@@ -137,9 +137,9 @@ func (s *Set) Clone() *Set {
 	}
 }
 
-// Filter returns a new set with the addresses of s for which keep returns
+// filter returns a new set with the addresses of s for which keep returns
 // true.
-func (s *Set) Filter(keep func(Addr) bool) *Set {
+func (s *Set) filter(keep func(Addr) bool) *Set {
 	out := NewSetCap(s.Len())
 	for _, a := range s.addrs {
 		if keep(a) {
@@ -150,21 +150,18 @@ func (s *Set) Filter(keep func(Addr) bool) *Set {
 }
 
 // Intersect returns a new set with the addresses of s that are also in o.
-func (s *Set) Intersect(o *Set) *Set { return s.Filter(o.Contains) }
+func (s *Set) Intersect(o *Set) *Set { return s.filter(o.Contains) }
 
 // Diff returns a new set with the addresses of s that are not in o.
 func (s *Set) Diff(o *Set) *Set {
-	return s.Filter(func(a Addr) bool { return !o.Contains(a) })
+	return s.filter(func(a Addr) bool { return !o.Contains(a) })
 }
 
-// Dedup returns the unique addresses of addrs, preserving first-seen order,
-// in a fresh slice: a fresh Deduper's Append, two allocations in all.
-func Dedup(addrs []Addr) []Addr { return new(Deduper).Append(nil, addrs) }
-
-// Deduper is Dedup with a table that outlives the call: a Set whose slots
-// are kept, and cleared, from one Append to the next, so a caller that
-// dedups list after list (the scanner plans every scan) allocates the
-// table once. The zero value is ready to use. A Deduper is not safe for
+// Deduper appends the unique addresses of a list, preserving first-seen
+// order; a fresh one's Append(nil, addrs) allocates twice in all. Its
+// table outlives the call: a Set whose slots are kept, and cleared, from
+// one Append to the next, so a caller that dedups list after list (the
+// scanner plans every scan) allocates the table once. The zero value is ready to use. A Deduper is not safe for
 // concurrent use.
 type Deduper struct{ set Set }
 

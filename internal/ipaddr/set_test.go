@@ -202,7 +202,7 @@ func TestSetMatchesModel(t *testing.T) {
 			}
 		case 5:
 			keep := func(a Addr) bool { return a.Lo()%3 != 0 }
-			checkAgainstModel(t, "Filter", s.Filter(keep), m.filter(keep), probes)
+			checkAgainstModel(t, "Filter", s.filter(keep), m.filter(keep), probes)
 		case 6:
 			checkAgainstModel(t, "Diff", s.Diff(other), m.filter(func(a Addr) bool { return !otherM.has(a) }), probes)
 			checkAgainstModel(t, "Diff(nil)", s.Diff(nil), m, probes)
@@ -306,7 +306,7 @@ func TestSetSortedOrder(t *testing.T) {
 
 func TestSetFilter(t *testing.T) {
 	s := NewSet(addrsFrom("::1", "::2", "::3", "::4")...)
-	even := s.Filter(func(a Addr) bool { return a.Lo()%2 == 0 })
+	even := s.filter(func(a Addr) bool { return a.Lo()%2 == 0 })
 	if even.Len() != 2 {
 		t.Fatalf("Filter len = %d", even.Len())
 	}
@@ -347,7 +347,7 @@ func TestSetAlgebraProperties(t *testing.T) {
 
 func TestDedup(t *testing.T) {
 	in := addrsFrom("::1", "::2", "::1", "::3", "::2")
-	sameAddrs(t, "Dedup", Dedup(in), addrsFrom("::1", "::2", "::3"))
+	sameAddrs(t, "Dedup", new(Deduper).Append(nil, in), addrsFrom("::1", "::2", "::3"))
 }
 
 // The scanner dedups every target list per scan: one table and one output
@@ -362,17 +362,17 @@ func TestDedupAllocsAndOrder(t *testing.T) {
 			want = append(want, in[i])
 		}
 	}
-	sameAddrs(t, "Dedup", Dedup(in), want)
+	sameAddrs(t, "Dedup", new(Deduper).Append(nil, in), want)
 	// A collection started by these multi-megabyte allocations is itself
 	// counted by AllocsPerRun, so hold the collector off while measuring.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if n := testing.AllocsPerRun(3, func() { Dedup(in) }); n > 2 {
-		t.Fatalf("Dedup allocates %v times per call, want at most 2", n)
+	if n := testing.AllocsPerRun(3, func() { new(Deduper).Append(nil, in) }); n > 2 {
+		t.Fatalf("a fresh Deduper allocates %v times per call, want at most 2", n)
 	}
 }
 
 // TestDeduperMatchesDedup runs one Deduper over lists that grow, shrink
-// and grow again: every call must equal Dedup, after any dst prefix, so a
+// and grow again: every call must equal a fresh Deduper's, after any dst prefix, so a
 // slot left set by an earlier list shows up as a missing address, and
 // every call must leave the table clear. A short list whose addresses
 // share one slot of the big table checks the clearing of a probe chain.
@@ -409,7 +409,7 @@ func TestDeduperMatchesDedup(t *testing.T) {
 		} else {
 			in = colliding(len(d.set.table), -n)
 		}
-		want := Dedup(in)
+		want := new(Deduper).Append(nil, in)
 		sameAddrs(t, "Append(nil)", d.Append(nil, in), want)
 		got := d.Append(slices.Clone(prefix), in)
 		sameAddrs(t, "Append(prefix) prefix", got[:len(prefix)], prefix)

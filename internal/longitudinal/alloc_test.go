@@ -26,7 +26,7 @@ func TestWarmSelectAllocatesItsTargets(t *testing.T) {
 	}
 	universe := runsUniverse(rng, sizes...)
 	tr := newTracker(universe, 0.5, 3)
-	s := newScheduler(SchedulerConfig{Budget: len(universe) / 4})
+	s := newScheduler(schedulerConfig{Budget: len(universe) / 4})
 	for e := 1; e <= 6; e++ {
 		targets := s.Select(e, tr).Targets
 		var hits []ipaddr.Addr
@@ -35,7 +35,7 @@ func TestWarmSelectAllocatesItsTargets(t *testing.T) {
 				hits = append(hits, a)
 			}
 		}
-		tr.Observe(e, targets, hits)
+		tr.observe(e, targets, hits)
 	}
 
 	least, n := uint64(1<<63), 0

@@ -38,20 +38,17 @@ type Config struct {
 	Cohorts []Cohort
 	// Proto is the probing protocol.
 	Proto proto.Protocol
-	// StartEpoch is the first scan epoch (default world.ScanEpoch);
+	// startEpoch is the first scan epoch (default world.ScanEpoch);
 	// Epochs how many consecutive epochs to run (required).
-	StartEpoch int
+	startEpoch int
 	Epochs     int
-	// Budget caps probes per epoch (0 = unlimited); BatchSize is recorded
-	// on the grid cells (default 1024).
-	Budget    int
-	BatchSize int
-	// StaleAfter / StableEvery / VolatilityFloor / Alpha tune the tracker
-	// and scheduler (zero values get the package defaults).
-	StaleAfter      int
-	StableEvery     int
-	VolatilityFloor float64
-	Alpha           float64
+	// Budget caps probes per epoch (0 = unlimited).
+	Budget int
+	// StaleAfter / StableEvery / Alpha tune the tracker and scheduler
+	// (zero values get the package defaults).
+	StaleAfter  int
+	StableEvery int
+	Alpha       float64
 	// Fingerprint is the environment content address for cell keys; Store
 	// checkpoints per-epoch cells so a killed daemon resumes
 	// byte-identically. Nil Store still runs (no persistence).
@@ -73,7 +70,7 @@ type CohortStat struct {
 	Name string
 	// Alive members responded at their most recent probe; Seen members
 	// have been probed at least once; Total is the cohort size.
-	Alive, Seen, Total int
+	Alive, seen, Total int
 }
 
 // EpochReport is one epoch's outcome. Everything except Duration and
@@ -88,7 +85,7 @@ type EpochReport struct {
 	Eligible, Saved                            int
 	// Flaps / NewlyStale / Resurrected are this epoch's observations;
 	// ConfirmedStale is the cumulative confirmed-stale count after it.
-	Flaps, NewlyStale, Resurrected int
+	Flaps, newlyStale, resurrected int
 	ConfirmedStale                 int
 	// Alive is the believed-alive universe size after the epoch;
 	// AliveSeeds restricts that to the original corpus (the seed decay
@@ -113,7 +110,7 @@ type Daemon struct {
 	cfg     Config
 	tr      *telemetry.Tracer
 	tracker *Tracker
-	sched   *Scheduler
+	sched   *scheduler
 	engine  *grid.Engine
 	offline *alias.OfflineList
 
@@ -125,8 +122,6 @@ type Daemon struct {
 	// (cells embed only the target digest; the daemon runs one cell at a
 	// time, so a single slot suffices).
 	pending []ipaddr.Addr
-
-	reports []EpochReport
 }
 
 // New assembles a daemon.
@@ -137,11 +132,8 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.Epochs <= 0 {
 		return nil, fmt.Errorf("longitudinal: Epochs must be positive, got %d", cfg.Epochs)
 	}
-	if cfg.StartEpoch <= 0 {
-		cfg.StartEpoch = world.ScanEpoch
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 1024
+	if cfg.startEpoch <= 0 {
+		cfg.startEpoch = world.ScanEpoch
 	}
 	tr := cfg.Telemetry
 	if tr == nil {
@@ -157,10 +149,9 @@ func New(cfg Config) (*Daemon, error) {
 		cfg:     cfg,
 		tr:      tr,
 		tracker: newTracker(universe, cfg.Alpha, cfg.StaleAfter),
-		sched: newScheduler(SchedulerConfig{
-			Budget:          cfg.Budget,
-			StableEvery:     cfg.StableEvery,
-			VolatilityFloor: cfg.VolatilityFloor,
+		sched: newScheduler(schedulerConfig{
+			Budget:      cfg.Budget,
+			StableEvery: cfg.StableEvery,
 		}),
 		offline:  alias.NewOfflineList(cfg.AliasedPrefixes),
 		universe: universe,
@@ -195,9 +186,6 @@ func (d *Daemon) Universe() []ipaddr.Addr { return d.universe }
 // Tracker exposes the longitudinal state (read-only use).
 func (d *Daemon) Tracker() *Tracker { return d.tracker }
 
-// Reports returns the per-epoch reports accumulated so far.
-func (d *Daemon) Reports() []EpochReport { return d.reports }
-
 // LiveSeeds returns the corpus minus confirmed-stale addresses, sorted —
 // the treatment-construction feedback loop: a TGA seeded from this list
 // does not waste model mass on seeds the daemon has confirmed dead.
@@ -211,6 +199,9 @@ func (d *Daemon) LiveSeeds() []ipaddr.Addr {
 	return out
 }
 
+// cellBatchSize is the batch size recorded on each epoch's grid cell.
+const cellBatchSize = 1024
+
 // epochCell is the content address of one epoch's scan: the epoch and
 // the digest of the exact target set, so a resumed daemon only reuses a
 // checkpoint when its replayed scheduling chose the same targets.
@@ -220,7 +211,7 @@ func (d *Daemon) epochCell(epoch int, targets []ipaddr.Addr) grid.Cell {
 		Treatment: grid.Treatment(fmt.Sprintf("epoch:%d|targets:%016x", epoch, ipaddr.Digest(targets))),
 		Proto:     d.cfg.Proto,
 		Budget:    len(targets),
-		BatchSize: d.cfg.BatchSize,
+		BatchSize: cellBatchSize,
 	}
 }
 
@@ -246,16 +237,16 @@ func (d *Daemon) Run(ctx context.Context) ([]EpochReport, error) {
 	defer d.cfg.World.SetEpoch(prevEpoch)
 	reg := d.tr.Registry()
 
-	first := len(d.reports)
-	for e := d.cfg.StartEpoch; e < d.cfg.StartEpoch+d.cfg.Epochs; e++ {
+	var reports []EpochReport
+	for e := d.cfg.startEpoch; e < d.cfg.startEpoch+d.cfg.Epochs; e++ {
 		if err := ctx.Err(); err != nil {
-			return d.reports[first:], err
+			return reports, err
 		}
 		rep, err := d.runEpoch(ctx, e)
 		if err != nil {
-			return d.reports[first:], err
+			return reports, err
 		}
-		d.reports = append(d.reports, rep)
+		reports = append(reports, rep)
 		reg.Counter("longitudinal.epochs").Inc()
 		reg.Histogram("longitudinal.epoch.seconds").Observe(rep.Duration.Seconds())
 		reg.Counter("longitudinal.probes.sent").Add(int64(rep.Probed))
@@ -264,7 +255,7 @@ func (d *Daemon) Run(ctx context.Context) ([]EpochReport, error) {
 		reg.Gauge("longitudinal.alive").Set(float64(rep.Alive))
 		reg.Gauge("longitudinal.epoch").Set(float64(e))
 	}
-	return d.reports[first:], nil
+	return reports, nil
 }
 
 // runEpoch runs one epoch: select, scan (checkpointed), observe, publish.
@@ -287,7 +278,7 @@ func (d *Daemon) runEpoch(ctx context.Context, epoch int) (EpochReport, error) {
 		}
 		hits = res.Of(cell).Hits
 	}
-	obs := d.tracker.Observe(epoch, sel.Targets, hits)
+	obs := d.tracker.observe(epoch, sel.Targets, hits)
 
 	rep := EpochReport{
 		Epoch:          epoch,
@@ -300,12 +291,12 @@ func (d *Daemon) runEpoch(ctx context.Context, epoch int) (EpochReport, error) {
 		Eligible:       sel.Eligible,
 		Saved:          sel.Saved,
 		Flaps:          obs.Flaps,
-		NewlyStale:     obs.NewlyStale,
-		Resurrected:    obs.Resurrected,
-		ConfirmedStale: d.tracker.StaleCount(),
+		newlyStale:     obs.NewlyStale,
+		resurrected:    obs.Resurrected,
+		ConfirmedStale: d.tracker.staleCount(),
 	}
 
-	alive := d.tracker.Alive()
+	alive := d.tracker.aliveSet()
 	rep.Alive = alive.Len()
 	for i, seed := range d.inCorpus {
 		if seed && believedAlive(&d.tracker.states[i]) {
@@ -329,8 +320,8 @@ func (d *Daemon) runEpoch(ctx context.Context, epoch int) (EpochReport, error) {
 	for _, c := range d.cfg.Cohorts {
 		cs := CohortStat{Name: c.Name, Total: len(c.Addrs)}
 		for _, a := range c.Addrs {
-			if st := d.tracker.State(a); st != nil {
-				cs.Seen++
+			if st := d.tracker.state(a); st != nil {
+				cs.seen++
 				if st.Up && !st.Stale {
 					cs.Alive++
 				}

@@ -114,7 +114,7 @@ func TestDaemonResumeEquivalence(t *testing.T) {
 	cfg := func(w *world.World, corpus []ipaddr.Addr, p scanner.Prober, st grid.Store, pub *hitlistdb.Store) Config {
 		return Config{
 			World: w, Prober: p, Corpus: corpus, Proto: proto.ICMP,
-			StartEpoch: 1, Epochs: epochs, StaleAfter: 2, StableEvery: 3,
+			startEpoch: 1, Epochs: epochs, StaleAfter: 2, StableEvery: 3,
 			Fingerprint: "test-env", Store: st, Publish: pub,
 		}
 	}
@@ -228,7 +228,7 @@ func TestDaemonStaleRecall(t *testing.T) {
 		w, corpus := testCorpus(t, 5)
 		d, err := New(Config{
 			World: w, Prober: oracleProber{w}, Corpus: corpus, Proto: proto.ICMP,
-			StartEpoch: startEpoch, Epochs: epochs,
+			startEpoch: startEpoch, Epochs: epochs,
 			StaleAfter: staleAfter, StableEvery: stableEveryCfg,
 		})
 		if err != nil {
@@ -323,7 +323,7 @@ func TestUniverseWithOverlappingCohorts(t *testing.T) {
 			{Name: "a", Addrs: []ipaddr.Addr{corpus[n-1], dead, corpus[n/2]}},
 			{Name: "b", Addrs: []ipaddr.Addr{corpus[n/2], dead}},
 		},
-		StartEpoch: 1, Epochs: 1,
+		startEpoch: 1, Epochs: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +344,7 @@ func TestUniverseWithOverlappingCohorts(t *testing.T) {
 	if reps[0].Probed != n {
 		t.Fatalf("epoch 1 probed %d, want %d", reps[0].Probed, n)
 	}
-	st := d.Tracker().State(dead)
+	st := d.Tracker().state(dead)
 	if st == nil || st.Observed != 1 || st.ConsecDown != 1 || st.Stale {
 		t.Fatalf("triple-listed dead member after one epoch: %+v, want one miss, not stale", st)
 	}

@@ -16,20 +16,20 @@ import (
 type refTracker struct {
 	alpha      float64
 	staleAfter int
-	states     map[ipaddr.Addr]*AddrState
+	states     map[ipaddr.Addr]*addrState
 }
 
 func newRefTracker(alpha float64, staleAfter int) *refTracker {
-	return &refTracker{alpha: alpha, staleAfter: staleAfter, states: make(map[ipaddr.Addr]*AddrState)}
+	return &refTracker{alpha: alpha, staleAfter: staleAfter, states: make(map[ipaddr.Addr]*addrState)}
 }
 
-func (t *refTracker) Observe(epoch int, probed []ipaddr.Addr, responsive *ipaddr.Set) ObserveStats {
-	var stats ObserveStats
+func (t *refTracker) Observe(epoch int, probed []ipaddr.Addr, responsive *ipaddr.Set) observeStats {
+	var stats observeStats
 	for _, a := range probed {
 		up := responsive != nil && responsive.Contains(a)
 		st, ok := t.states[a]
 		if !ok {
-			st = &AddrState{}
+			st = &addrState{}
 			t.states[a] = st
 		}
 		changed := st.Observed > 0 && st.Up != up
@@ -96,7 +96,7 @@ func (t *refTracker) StaleCount() int { return len(t.ConfirmedStale()) }
 // refSelect is the map-based Select the one-pass version replaced: a
 // per-/64 volatility map, class lists, a stable sort of the volatile
 // class, and a final sort of the targets.
-func refSelect(cfg SchedulerConfig, epoch int, universe []ipaddr.Addr, tr *refTracker) Selection {
+func refSelect(cfg schedulerConfig, epoch int, universe []ipaddr.Addr, tr *refTracker) selection {
 	cfg.fillDefaults()
 	type agg struct {
 		sum float64
@@ -126,7 +126,7 @@ func refSelect(cfg SchedulerConfig, epoch int, universe []ipaddr.Addr, tr *refTr
 		v float64
 	}
 	var (
-		sel      Selection
+		sel      selection
 		news     []ipaddr.Addr
 		pending  []ipaddr.Addr
 		volatile []volAddr
@@ -234,14 +234,14 @@ func TestSelectMatchesReference(t *testing.T) {
 	for _, budget := range []int{0, 1, 2, n / 3, n} {
 		for _, every := range []int{1, 3, 4} {
 			for _, floor := range []float64{0.05, 0.3} {
-				cfg := SchedulerConfig{Budget: budget, StableEvery: every, VolatilityFloor: floor, Seed: uint64(budget)}
+				cfg := schedulerConfig{Budget: budget, StableEvery: every, VolatilityFloor: floor, Seed: uint64(budget)}
 				checkAgainstReference(t, rng, universe, corpus, cfg)
 			}
 		}
 	}
 }
 
-func checkAgainstReference(t *testing.T, rng *rand.Rand, universe, corpus []ipaddr.Addr, cfg SchedulerConfig) {
+func checkAgainstReference(t *testing.T, rng *rand.Rand, universe, corpus []ipaddr.Addr, cfg schedulerConfig) {
 	t.Helper()
 	const epochs = 14
 	staleAfter := 2 + rng.Intn(2)
@@ -284,28 +284,28 @@ func checkAgainstReference(t *testing.T, rng *rand.Rand, universe, corpus []ipad
 			}
 		}
 		rng.Shuffle(len(hits), func(i, j int) { hits[i], hits[j] = hits[j], hits[i] })
-		got, wantObs := tr.Observe(e, targets, hits), ref.Observe(e, targets, ipaddr.NewSet(hits...))
+		got, wantObs := tr.observe(e, targets, hits), ref.Observe(e, targets, ipaddr.NewSet(hits...))
 		if got != wantObs {
 			t.Fatalf("%+v epoch %d: observe %+v, want %+v", cfg, e, got, wantObs)
 		}
 
 		for _, a := range universe {
-			if st, rst := tr.State(a), ref.states[a]; (st == nil) != (rst == nil) || st != nil && *st != *rst {
+			if st, rst := tr.state(a), ref.states[a]; (st == nil) != (rst == nil) || st != nil && *st != *rst {
 				t.Fatalf("%+v epoch %d: state of %v = %+v, want %+v", cfg, e, a, st, rst)
 			}
 		}
-		if tr.Len() != len(ref.states) {
-			t.Fatalf("%+v epoch %d: Len %d, want %d", cfg, e, tr.Len(), len(ref.states))
+		if tr.len() != len(ref.states) {
+			t.Fatalf("%+v epoch %d: Len %d, want %d", cfg, e, tr.len(), len(ref.states))
 		}
-		alive := tr.Alive()
+		alive := tr.aliveSet()
 		if !slices.Equal(alive.Slice(), ref.Alive()) || !slices.Equal(alive.Sorted(), ref.Alive()) {
 			t.Fatalf("%+v epoch %d: Alive %v, want %v in order", cfg, e, alive.Slice(), ref.Alive())
 		}
 		if got, want := tr.ConfirmedStale(), ref.ConfirmedStale(); !slices.Equal(got, want) {
 			t.Fatalf("%+v epoch %d: ConfirmedStale %v, want %v", cfg, e, got, want)
 		}
-		if tr.StaleCount() != ref.StaleCount() {
-			t.Fatalf("%+v epoch %d: StaleCount %d, want %d", cfg, e, tr.StaleCount(), ref.StaleCount())
+		if tr.staleCount() != ref.StaleCount() {
+			t.Fatalf("%+v epoch %d: StaleCount %d, want %d", cfg, e, tr.staleCount(), ref.StaleCount())
 		}
 		var live []ipaddr.Addr
 		for _, a := range corpus {

@@ -14,15 +14,15 @@ const (
 	// a rotation determined by its address hash — the bound on how long a
 	// quiet death can go unnoticed.
 	DefaultStableEvery = 4
-	// DefaultVolatilityFloor separates "probe every epoch" from "rotate":
+	// defaultVolatilityFloor separates "probe every epoch" from "rotate":
 	// addresses whose predicted volatility is below it join the stable
 	// rotation instead of the per-epoch volatile class.
-	DefaultVolatilityFloor = 0.05
+	defaultVolatilityFloor = 0.05
 )
 
-// SchedulerConfig sizes a Scheduler. Zero values get defaults; Budget 0
+// schedulerConfig sizes a Scheduler. Zero values get defaults; Budget 0
 // means unlimited.
-type SchedulerConfig struct {
+type schedulerConfig struct {
 	// Budget caps how many targets one epoch may probe.
 	Budget int
 	// StableEvery is the stable-host refresh period.
@@ -34,20 +34,20 @@ type SchedulerConfig struct {
 	Seed uint64
 }
 
-func (c *SchedulerConfig) fillDefaults() {
+func (c *schedulerConfig) fillDefaults() {
 	if c.StableEvery <= 0 {
 		c.StableEvery = DefaultStableEvery
 	}
 	if c.VolatilityFloor <= 0 {
-		c.VolatilityFloor = DefaultVolatilityFloor
+		c.VolatilityFloor = defaultVolatilityFloor
 	}
 }
 
-// Selection is one epoch's probe plan. Targets is sorted and sized
+// selection is one epoch's probe plan. Targets is sorted and sized
 // exactly; the class counters report how the budget was spent and Saved
 // how many eligible (non-stale) universe addresses were skipped — the
 // probes a full re-scan would have spent.
-type Selection struct {
+type selection struct {
 	Targets []ipaddr.Addr
 	// New counts never-probed candidates; PendingStale addresses mid
 	// stale confirmation; Volatile the predicted-volatile class;
@@ -57,14 +57,14 @@ type Selection struct {
 	Eligible, Saved int
 }
 
-// Scheduler turns tracker state into a budgeted, volatility-prioritized
+// scheduler turns tracker state into a budgeted, volatility-prioritized
 // probe plan. Selection is deterministic: identical tracker state produces
 // identical plans, which the daemon's resume depends on. Its scratch
 // (per-position classes, the volatile class) is kept across epochs, so a
 // warm Select allocates only its Targets; it is not safe for concurrent
 // use.
-type Scheduler struct {
-	cfg      SchedulerConfig
+type scheduler struct {
+	cfg      schedulerConfig
 	class    []class
 	volatile []volPos
 }
@@ -92,9 +92,9 @@ type volPos struct {
 }
 
 // newScheduler builds a scheduler.
-func newScheduler(cfg SchedulerConfig) *Scheduler {
+func newScheduler(cfg schedulerConfig) *scheduler {
 	cfg.fillDefaults()
-	return &Scheduler{cfg: cfg}
+	return &scheduler{cfg: cfg}
 }
 
 // rotHash is a splitmix64-style mix placing an address on the stable
@@ -128,7 +128,7 @@ func rotHash(seed uint64, a ipaddr.Addr) uint64 {
 // each run's mean volatility and classifies its members, and a second
 // emits the chosen positions in universe order, so Targets comes out
 // sorted and sized exactly.
-func (s *Scheduler) Select(epoch int, tr *Tracker) Selection {
+func (s *scheduler) Select(epoch int, tr *Tracker) selection {
 	u, states := tr.universe, tr.states
 	s.class = slices.Grow(s.class[:0], len(u))[:len(u)]
 	s.volatile = s.volatile[:0]
@@ -181,7 +181,7 @@ func (s *Scheduler) Select(epoch int, tr *Tracker) Selection {
 		lo = hi
 	}
 
-	sel := Selection{Eligible: len(u) - count[classStale]}
+	sel := selection{Eligible: len(u) - count[classStale]}
 
 	budget := s.cfg.Budget
 	if budget <= 0 {

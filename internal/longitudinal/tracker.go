@@ -34,10 +34,10 @@ const (
 	DefaultAlpha = 0.5
 )
 
-// AddrState is the tracked longitudinal state of one address. Epoch
+// addrState is the tracked longitudinal state of one address. Epoch
 // numbers are world epochs; counters cover probed epochs only (an epoch
 // the scheduler skipped an address leaves its state untouched).
-type AddrState struct {
+type addrState struct {
 	// FirstSeen / LastSeen are the first and most recent epochs the
 	// address answered. Zero values are meaningless until UpCount > 0.
 	FirstSeen int
@@ -64,17 +64,8 @@ type AddrState struct {
 	Stale bool
 }
 
-// Lifetime is the observed alive span in epochs (inclusive); zero before
-// the first response.
-func (s *AddrState) Lifetime() int {
-	if s.UpCount == 0 {
-		return 0
-	}
-	return s.LastSeen - s.FirstSeen + 1
-}
-
-// ObserveStats summarizes one Observe call.
-type ObserveStats struct {
+// observeStats summarizes one Observe call.
+type observeStats struct {
 	// Probed / Up are the observation counts of this epoch.
 	Probed, Up int
 	// Flaps counts state changes observed this epoch.
@@ -100,7 +91,7 @@ type Tracker struct {
 	alpha      float64
 	staleAfter int
 	universe   []ipaddr.Addr
-	states     []AddrState
+	states     []addrState
 	// hit marks the positions that answered the latest Observe.
 	hit []bool
 	// tracked, stale and alive count the observed, confirmed-stale and
@@ -121,16 +112,10 @@ func newTracker(universe []ipaddr.Addr, alpha float64, staleAfter int) *Tracker 
 		alpha:      alpha,
 		staleAfter: staleAfter,
 		universe:   universe,
-		states:     make([]AddrState, len(universe)),
+		states:     make([]addrState, len(universe)),
 		hit:        make([]bool, len(universe)),
 	}
 }
-
-// StaleAfter returns the confirmation threshold.
-func (t *Tracker) StaleAfter() int { return t.staleAfter }
-
-// Len reports how many addresses have been observed at least once.
-func (t *Tracker) Len() int { return t.tracked }
 
 // pos returns a's universe position, or -1 if a is not in the universe.
 func (t *Tracker) pos(a ipaddr.Addr) int {
@@ -141,27 +126,27 @@ func (t *Tracker) pos(a ipaddr.Addr) int {
 	return i
 }
 
-// State returns the tracked state of a, or nil if a was never probed.
+// state returns the tracked state of a, or nil if a was never probed.
 // The returned pointer is live; callers must not mutate it.
-func (t *Tracker) State(a ipaddr.Addr) *AddrState {
+func (t *Tracker) state(a ipaddr.Addr) *addrState {
 	if i := t.pos(a); i >= 0 && t.states[i].Observed > 0 {
 		return &t.states[i]
 	}
 	return nil
 }
 
-// Observe folds one epoch's scan into the tracker: every address in
+// observe folds one epoch's scan into the tracker: every address in
 // targets (sorted, as a Selection's are) was sent a probe, and responded
 // iff it is in hits (any order). Targets outside the universe, and
 // repeats, are ignored.
-func (t *Tracker) Observe(epoch int, targets, hits []ipaddr.Addr) ObserveStats {
+func (t *Tracker) observe(epoch int, targets, hits []ipaddr.Addr) observeStats {
 	clear(t.hit)
 	for _, a := range hits {
 		if i := t.pos(a); i >= 0 {
 			t.hit[i] = true
 		}
 	}
-	var stats ObserveStats
+	var stats observeStats
 	i := 0
 	for _, a := range targets {
 		for i < len(t.universe) && t.universe[i].Less(a) {
@@ -218,12 +203,12 @@ func (t *Tracker) Observe(epoch int, targets, hits []ipaddr.Addr) ObserveStats {
 }
 
 // believedAlive reports whether a state counts toward Alive.
-func believedAlive(st *AddrState) bool { return st.Up && !st.Stale }
+func believedAlive(st *addrState) bool { return st.Up && !st.Stale }
 
-// Alive returns the believed-alive set: every address whose most recent
+// aliveSet returns the believed-alive set: every address whose most recent
 // observation was a response and which is not confirmed stale, added in
 // universe (ascending) order.
-func (t *Tracker) Alive() *ipaddr.Set {
+func (t *Tracker) aliveSet() *ipaddr.Set {
 	out := ipaddr.NewSetCap(t.alive)
 	for i := range t.states {
 		if believedAlive(&t.states[i]) {
@@ -245,5 +230,5 @@ func (t *Tracker) ConfirmedStale() []ipaddr.Addr {
 	return out
 }
 
-// StaleCount reports how many addresses are currently confirmed stale.
-func (t *Tracker) StaleCount() int { return t.stale }
+// staleCount reports how many addresses are currently confirmed stale.
+func (t *Tracker) staleCount() int { return t.stale }

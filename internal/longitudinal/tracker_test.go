@@ -13,10 +13,10 @@ func addr(lo uint64) ipaddr.Addr {
 }
 
 // observe runs one epoch over a fixed probe list with the given subset up.
-func observe(t *Tracker, epoch int, probed []ipaddr.Addr, up ...ipaddr.Addr) ObserveStats {
+func observe(t *Tracker, epoch int, probed []ipaddr.Addr, up ...ipaddr.Addr) observeStats {
 	probed = slices.Clone(probed)
 	slices.SortFunc(probed, ipaddr.Addr.Compare)
-	return t.Observe(epoch, probed, up)
+	return t.observe(epoch, probed, up)
 }
 
 func TestTrackerLifetimeAndFlaps(t *testing.T) {
@@ -28,7 +28,7 @@ func TestTrackerLifetimeAndFlaps(t *testing.T) {
 	observe(tr, 2, probed, a) // up
 	observe(tr, 3, probed)    // down  (flap 1)
 	observe(tr, 4, probed, a) // up    (flap 2)
-	st := tr.State(a)
+	st := tr.state(a)
 	if st == nil {
 		t.Fatal("no state")
 	}
@@ -65,20 +65,20 @@ func TestTrackerStaleConfirmationAndResurrection(t *testing.T) {
 			t.Fatalf("epoch %d: newly stale = %v", e, stats.NewlyStale)
 		}
 	}
-	st := tr.State(a)
+	st := tr.state(a)
 	if !st.Stale || st.ConsecDown != 3 {
 		t.Fatalf("not confirmed stale: %+v", st)
 	}
 	if got := tr.ConfirmedStale(); len(got) != 1 || got[0] != a {
 		t.Fatalf("ConfirmedStale = %v", got)
 	}
-	if tr.Alive().Contains(a) {
+	if tr.aliveSet().Contains(a) {
 		t.Fatal("stale address reported alive")
 	}
 
 	// A response resurrects it.
 	stats := observe(tr, 5, probed, a)
-	if stats.Resurrected != 1 || st.Stale || tr.StaleCount() != 0 {
+	if stats.Resurrected != 1 || st.Stale || tr.staleCount() != 0 {
 		t.Fatalf("resurrection failed: stats=%+v state=%+v", stats, st)
 	}
 }
@@ -101,11 +101,11 @@ func TestSchedulerPriorityAndBudget(t *testing.T) {
 	observe(tr, 3, warm, append([]ipaddr.Addr{flappy}, stables...)...)
 	observe(tr, 4, warm, append([]ipaddr.Addr{flappy}, stables...)...) // stale: down 3 → confirmed
 
-	if tr.State(stale).Stale != true {
+	if tr.state(stale).Stale != true {
 		t.Fatal("setup: stale not confirmed")
 	}
 
-	s := newScheduler(SchedulerConfig{StableEvery: 4, VolatilityFloor: 0.05})
+	s := newScheduler(schedulerConfig{StableEvery: 4, VolatilityFloor: 0.05})
 	sel := s.Select(5, tr)
 
 	if sel.Eligible != len(universe)-1 {
@@ -140,7 +140,7 @@ func TestSchedulerPriorityAndBudget(t *testing.T) {
 
 	// A hard budget truncates in priority order: the fresh candidate and
 	// the pending-stale confirmation survive a budget of 2.
-	tight := newScheduler(SchedulerConfig{Budget: 2, StableEvery: 4})
+	tight := newScheduler(schedulerConfig{Budget: 2, StableEvery: 4})
 	tsel := tight.Select(5, tr)
 	if len(tsel.Targets) != 2 || tsel.New != 1 || tsel.PendingStale != 1 || tsel.Volatile != 0 {
 		t.Fatalf("budget truncation: %+v", tsel)
@@ -160,7 +160,7 @@ func TestSchedulerRotationCoversStableMass(t *testing.T) {
 	observe(tr, 1, universe, universe...) // all stable and up
 
 	const stableEvery = 4
-	s := newScheduler(SchedulerConfig{StableEvery: stableEvery})
+	s := newScheduler(schedulerConfig{StableEvery: stableEvery})
 	probed := ipaddr.NewSet()
 	for e := 2; e < 2+stableEvery; e++ {
 		sel := s.Select(e, tr)
@@ -186,3 +186,15 @@ func TestSchedulerRotationCoversStableMass(t *testing.T) {
 		}
 	}
 }
+
+// Lifetime is the observed alive span in epochs (inclusive); zero before
+// the first response.
+func (s *addrState) Lifetime() int {
+	if s.UpCount == 0 {
+		return 0
+	}
+	return s.LastSeen - s.FirstSeen + 1
+}
+
+// len reports how many addresses have been observed at least once.
+func (t *Tracker) len() int { return t.tracked }

@@ -7,10 +7,10 @@ import (
 	"seedscan/internal/probe"
 )
 
-func ExampleBuildEchoRequest() {
+func ExampleAppendEchoRequest() {
 	src := ipaddr.MustParse("2001:db8::100")
 	dst := ipaddr.MustParse("2600:9000::1")
-	pkt := probe.BuildEchoRequest(src, dst, 0x1234, 1, []byte("cookie"))
+	pkt := probe.AppendEchoRequest(nil, src, dst, 0x1234, 1, []byte("cookie"))
 
 	p, err := probe.Parse(pkt)
 	if err != nil {
@@ -23,9 +23,9 @@ func ExampleBuildEchoRequest() {
 func ExampleParse_synAck() {
 	src := ipaddr.MustParse("2001:db8::100")
 	dst := ipaddr.MustParse("2600:9000::1")
-	syn := probe.BuildTCPSyn(src, dst, 54321, 443, 99)
+	syn := probe.AppendTCPSyn(nil, src, dst, 54321, 443, 99)
 	// The listening host answers; ack must be seq+1.
-	reply := probe.BuildTCPSynAck(dst, src, 443, 54321, 7, 100)
+	reply := probe.AppendTCPSynAck(nil, dst, src, 443, 54321, 7, 100)
 
 	q, _ := probe.Parse(syn)
 	r, _ := probe.Parse(reply)

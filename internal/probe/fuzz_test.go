@@ -13,19 +13,18 @@ import (
 func FuzzParse(f *testing.F) {
 	src := ipaddr.MustParse("2001:db8::1")
 	dst := ipaddr.MustParse("2001:db8::2")
-	echo := BuildEchoRequest(src, dst, 0x1234, 7, []byte("cookie78"))
+	echo := AppendEchoRequest(nil, src, dst, 0x1234, 7, []byte("cookie78"))
 	seeds := [][]byte{
 		echo,
-		BuildEchoReply(dst, src, 0x1234, 7, []byte("cookie78")),
-		BuildTCPSyn(src, dst, 0xc123, 443, 0xdeadbeef),
-		BuildTCPSynAck(dst, src, 443, 0xc123, 0x22334455, 0xdeadbec0),
-		BuildTCPRst(dst, src, 443, 0xc123, 0, 0xdeadbec0),
-		BuildUnreachable(dst, src, UnreachAddr, echo),
+		AppendEchoReply(nil, dst, src, 0x1234, 7, []byte("cookie78")),
+		AppendTCPSyn(nil, src, dst, 0xc123, 443, 0xdeadbeef),
+		AppendTCPSynAck(nil, dst, src, 443, 0xc123, 0x22334455, 0xdeadbec0),
+		appendTCPRst(nil, dst, src, 443, 0xc123, 0, 0xdeadbec0),
+		appendUnreachable(nil, dst, src, UnreachAddr, echo),
 	}
-	if q, err := BuildDNSQuery(src, dst, 0xc123, 0x4242, "liveness.seedscan.example"); err == nil {
-		seeds = append(seeds, q)
-		name, _ := EncodeName("liveness.seedscan.example")
-		seeds = append(seeds, BuildDNSResponse(dst, src, 0xc123, 0x4242, name))
+	if name, err := EncodeName("liveness.seedscan.example"); err == nil {
+		seeds = append(seeds, AppendDNSQueryWire(nil, src, dst, 0xc123, 0x4242, name))
+		seeds = append(seeds, appendDNSResponse(nil, dst, src, 0xc123, 0x4242, name))
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -47,11 +46,11 @@ func FuzzParse(f *testing.F) {
 		if len(pkt) < IPv6HeaderLen || pkt[0]>>4 != 6 {
 			t.Fatalf("accepted invalid framing: len=%d %x", len(pkt), pkt)
 		}
-		if int(p.Header.PayloadLen) > len(pkt)-IPv6HeaderLen {
-			t.Fatalf("payload length %d exceeds packet body %d", p.Header.PayloadLen, len(pkt)-IPv6HeaderLen)
+		if int(p.Header.payloadLen) > len(pkt)-IPv6HeaderLen {
+			t.Fatalf("payload length %d exceeds packet body %d", p.Header.payloadLen, len(pkt)-IPv6HeaderLen)
 		}
-		if len(p.Payload) > int(p.Header.PayloadLen) {
-			t.Fatalf("parsed payload %d exceeds declared %d", len(p.Payload), p.Header.PayloadLen)
+		if len(p.Payload) > int(p.Header.payloadLen) {
+			t.Fatalf("parsed payload %d exceeds declared %d", len(p.Payload), p.Header.payloadLen)
 		}
 	})
 }

@@ -23,30 +23,30 @@ const IPv6HeaderLen = 40
 
 // Next-header protocol numbers.
 const (
-	ProtoTCP    = 6
-	ProtoUDP    = 17
-	ProtoICMPv6 = 58
+	protoTCP    = 6
+	protoUDP    = 17
+	protoICMPv6 = 58
 )
 
-// DefaultHopLimit is the hop limit stamped on generated packets.
-const DefaultHopLimit = 64
+// defaultHopLimit is the hop limit stamped on generated packets.
+const defaultHopLimit = 64
 
 // Header is a decoded IPv6 fixed header.
 type Header struct {
-	PayloadLen uint16
-	NextHeader uint8
-	HopLimit   uint8
+	payloadLen uint16
+	nextHeader uint8
+	hopLimit   uint8
 	Src, Dst   ipaddr.Addr
 }
 
 // ErrTruncated reports a packet shorter than its headers claim.
 var ErrTruncated = errors.New("probe: truncated packet")
 
-// ErrBadVersion reports a non-IPv6 version field.
-var ErrBadVersion = errors.New("probe: not an IPv6 packet")
+// errBadVersion reports a non-IPv6 version field.
+var errBadVersion = errors.New("probe: not an IPv6 packet")
 
-// ErrBadChecksum reports a failed transport checksum verification.
-var ErrBadChecksum = errors.New("probe: bad checksum")
+// errBadChecksum reports a failed transport checksum verification.
+var errBadChecksum = errors.New("probe: bad checksum")
 
 // grow extends buf by n bytes and returns the grown slice together with
 // the new region. It is the allocation seam shared by the Append*
@@ -73,7 +73,7 @@ func grow(buf []byte, n int) (full, pkt []byte) {
 func putIPv6Header(b []byte, src, dst ipaddr.Addr, next uint8, payloadLen int) {
 	_ = b[39]
 	binary.BigEndian.PutUint64(b[0:8],
-		6<<60|uint64(uint16(payloadLen))<<16|uint64(next)<<8|DefaultHopLimit)
+		6<<60|uint64(uint16(payloadLen))<<16|uint64(next)<<8|defaultHopLimit)
 	binary.BigEndian.PutUint64(b[8:16], src.Hi())
 	binary.BigEndian.PutUint64(b[16:24], src.Lo())
 	binary.BigEndian.PutUint64(b[24:32], dst.Hi())
@@ -86,18 +86,18 @@ func parseIPv6Header(h *Header, pkt []byte) ([]byte, error) {
 		return nil, ErrTruncated
 	}
 	if pkt[0]>>4 != 6 {
-		return nil, ErrBadVersion
+		return nil, errBadVersion
 	}
-	h.PayloadLen = binary.BigEndian.Uint16(pkt[4:6])
-	h.NextHeader = pkt[6]
-	h.HopLimit = pkt[7]
+	h.payloadLen = binary.BigEndian.Uint16(pkt[4:6])
+	h.nextHeader = pkt[6]
+	h.hopLimit = pkt[7]
 	h.Src = ipaddr.AddrFrom64s(binary.BigEndian.Uint64(pkt[8:16]), binary.BigEndian.Uint64(pkt[16:24]))
 	h.Dst = ipaddr.AddrFrom64s(binary.BigEndian.Uint64(pkt[24:32]), binary.BigEndian.Uint64(pkt[32:40]))
 	payload := pkt[IPv6HeaderLen:]
-	if len(payload) < int(h.PayloadLen) {
+	if len(payload) < int(h.payloadLen) {
 		return nil, ErrTruncated
 	}
-	return payload[:h.PayloadLen], nil
+	return payload[:h.payloadLen], nil
 }
 
 // checksum computes the Internet checksum over the IPv6 pseudo-header plus
@@ -235,7 +235,7 @@ type Packet struct {
 	Payload         []byte // echo payload or DNS question name bytes
 
 	// Unreachable: code per RFC 4443 §3.1.
-	UnreachCode uint8
+	unreachCode uint8
 
 	// TCP fields.
 	SrcPort, DstPort uint16
@@ -252,15 +252,15 @@ func Parse(pkt []byte) (Packet, error) {
 	var p Packet
 	payload, err := parseIPv6Header(&p.Header, pkt)
 	if err == nil {
-		switch p.Header.NextHeader {
-		case ProtoICMPv6:
+		switch p.Header.nextHeader {
+		case protoICMPv6:
 			err = parseICMP(&p, payload)
-		case ProtoTCP:
+		case protoTCP:
 			err = parseTCP(&p, payload)
-		case ProtoUDP:
+		case protoUDP:
 			err = parseUDP(&p, payload)
 		default:
-			err = fmt.Errorf("probe: unsupported next header %d", p.Header.NextHeader)
+			err = fmt.Errorf("probe: unsupported next header %d", p.Header.nextHeader)
 		}
 	}
 	if err != nil {

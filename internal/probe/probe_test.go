@@ -2,6 +2,7 @@ package probe
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -15,7 +16,7 @@ var (
 
 func TestEchoRequestRoundTrip(t *testing.T) {
 	payload := []byte("cookie-0123456789")
-	pkt := BuildEchoRequest(srcA, dstA, 0x1234, 7, payload)
+	pkt := AppendEchoRequest(nil, srcA, dstA, 0x1234, 7, payload)
 	p, err := Parse(pkt)
 	if err != nil {
 		t.Fatal(err)
@@ -32,18 +33,18 @@ func TestEchoRequestRoundTrip(t *testing.T) {
 	if !bytes.Equal(p.Payload, payload) {
 		t.Fatalf("payload = %q", p.Payload)
 	}
-	if p.Header.HopLimit != DefaultHopLimit {
-		t.Fatalf("hop limit = %d", p.Header.HopLimit)
+	if p.Header.hopLimit != defaultHopLimit {
+		t.Fatalf("hop limit = %d", p.Header.hopLimit)
 	}
 }
 
 func TestEchoReplyMatchesRequest(t *testing.T) {
-	req := BuildEchoRequest(srcA, dstA, 42, 1, []byte("xyz"))
+	req := AppendEchoRequest(nil, srcA, dstA, 42, 1, []byte("xyz"))
 	rp, err := Parse(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply := BuildEchoReply(dstA, srcA, rp.EchoID, rp.EchoSeq, rp.Payload)
+	reply := AppendEchoReply(nil, dstA, srcA, rp.EchoID, rp.EchoSeq, rp.Payload)
 	p, err := Parse(reply)
 	if err != nil {
 		t.Fatal(err)
@@ -54,14 +55,14 @@ func TestEchoReplyMatchesRequest(t *testing.T) {
 }
 
 func TestUnreachableQuotesInvokingPacket(t *testing.T) {
-	req := BuildEchoRequest(srcA, dstA, 1, 1, []byte("pad-pad-pad-pad-pad"))
-	un := BuildUnreachable(dstA, srcA, UnreachAddr, req)
+	req := AppendEchoRequest(nil, srcA, dstA, 1, 1, []byte("pad-pad-pad-pad-pad"))
+	un := appendUnreachable(nil, dstA, srcA, UnreachAddr, req)
 	p, err := Parse(un)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Kind != KindUnreachable || p.UnreachCode != UnreachAddr {
-		t.Fatalf("kind/code = %v/%d", p.Kind, p.UnreachCode)
+	if p.Kind != KindUnreachable || p.unreachCode != UnreachAddr {
+		t.Fatalf("kind/code = %v/%d", p.Kind, p.unreachCode)
 	}
 	if len(p.Payload) != IPv6HeaderLen+8 {
 		t.Fatalf("quote length = %d", len(p.Payload))
@@ -72,7 +73,7 @@ func TestUnreachableQuotesInvokingPacket(t *testing.T) {
 }
 
 func TestTCPSynSynAckRst(t *testing.T) {
-	syn := BuildTCPSyn(srcA, dstA, 50000, 443, 0xdeadbeef)
+	syn := AppendTCPSyn(nil, srcA, dstA, 50000, 443, 0xdeadbeef)
 	p, err := Parse(syn)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +82,7 @@ func TestTCPSynSynAckRst(t *testing.T) {
 		t.Fatalf("syn = %+v", p)
 	}
 
-	synack := BuildTCPSynAck(dstA, srcA, 443, 50000, 99, p.TCPSeq+1)
+	synack := AppendTCPSynAck(nil, dstA, srcA, 443, 50000, 99, p.TCPSeq+1)
 	q, err := Parse(synack)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +91,7 @@ func TestTCPSynSynAckRst(t *testing.T) {
 		t.Fatalf("synack = %+v", q)
 	}
 
-	rst := BuildTCPRst(dstA, srcA, 443, 50000, 0, p.TCPSeq+1)
+	rst := appendTCPRst(nil, dstA, srcA, 443, 50000, 0, p.TCPSeq+1)
 	r, err := Parse(rst)
 	if err != nil {
 		t.Fatal(err)
@@ -101,10 +102,11 @@ func TestTCPSynSynAckRst(t *testing.T) {
 }
 
 func TestDNSQueryResponseRoundTrip(t *testing.T) {
-	q, err := BuildDNSQuery(srcA, dstA, 55555, 0xbeef, "probe.seedscan.example")
+	qname, err := EncodeName("probe.seedscan.example")
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := AppendDNSQueryWire(nil, srcA, dstA, 55555, 0xbeef, qname)
 	p, err := Parse(q)
 	if err != nil {
 		t.Fatal(err)
@@ -112,12 +114,12 @@ func TestDNSQueryResponseRoundTrip(t *testing.T) {
 	if p.Kind != KindDNSQuery || p.DNSID != 0xbeef || p.SrcPort != 55555 || p.DstPort != 53 {
 		t.Fatalf("query = %+v", p)
 	}
-	name, _, err := DecodeName(p.Payload)
+	name, _, err := decodeName(p.Payload)
 	if err != nil || name != "probe.seedscan.example" {
 		t.Fatalf("name = %q, %v", name, err)
 	}
 
-	resp := BuildDNSResponse(dstA, srcA, p.SrcPort, p.DNSID, p.Payload)
+	resp := appendDNSResponse(nil, dstA, srcA, p.SrcPort, p.DNSID, p.Payload)
 	r, err := Parse(resp)
 	if err != nil {
 		t.Fatal(err)
@@ -133,14 +135,14 @@ func TestBadDNSNames(t *testing.T) {
 		long[i] = 'a'
 	}
 	for _, n := range []string{"", string(long), "a..b"} {
-		if _, err := BuildDNSQuery(srcA, dstA, 1, 1, n); err == nil {
-			t.Errorf("BuildDNSQuery(%q) succeeded", n)
+		if _, err := EncodeName(n); err == nil {
+			t.Errorf("EncodeName(%q) succeeded", n)
 		}
 	}
 }
 
 func TestParseRejectsCorruption(t *testing.T) {
-	pkt := BuildEchoRequest(srcA, dstA, 1, 1, []byte("payload"))
+	pkt := AppendEchoRequest(nil, srcA, dstA, 1, 1, []byte("payload"))
 
 	// Truncated.
 	if _, err := Parse(pkt[:20]); err == nil {
@@ -155,7 +157,7 @@ func TestParseRejectsCorruption(t *testing.T) {
 	// Flipped payload byte breaks checksum.
 	bad = append([]byte(nil), pkt...)
 	bad[len(bad)-1] ^= 0xff
-	if _, err := Parse(bad); err != ErrBadChecksum {
+	if _, err := Parse(bad); err != errBadChecksum {
 		t.Errorf("corrupted packet: err = %v, want ErrBadChecksum", err)
 	}
 	// Unknown next header.
@@ -170,11 +172,11 @@ func TestChecksumBitFlipDetection(t *testing.T) {
 	// The Internet checksum detects all single-bit errors in the L4 bytes.
 	if err := quick.Check(func(hi, lo uint64, bitIdx uint16) bool {
 		dst := ipaddr.AddrFrom64s(hi|1, lo) // avoid ::
-		pkt := BuildTCPSyn(srcA, dst, 1234, 80, 0xabcdef01)
+		pkt := AppendTCPSyn(nil, srcA, dst, 1234, 80, 0xabcdef01)
 		i := IPv6HeaderLen + int(bitIdx)%(len(pkt)-IPv6HeaderLen)
 		pkt[i] ^= 1 << (bitIdx % 8)
 		_, err := Parse(pkt)
-		return err == ErrBadChecksum
+		return err == errBadChecksum
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +190,7 @@ func TestDecodeNameErrors(t *testing.T) {
 		{1, 'a'}, // missing terminator
 	}
 	for _, c := range cases {
-		if _, _, err := DecodeName(c); err == nil {
+		if _, _, err := decodeName(c); err == nil {
 			t.Errorf("DecodeName(%v) succeeded", c)
 		}
 	}
@@ -200,7 +202,7 @@ func TestParseBuildFuzzRoundTrip(t *testing.T) {
 			payload = payload[:1000]
 		}
 		dst := ipaddr.AddrFrom64s(hi, lo)
-		pkt := BuildEchoRequest(srcA, dst, id, seq, payload)
+		pkt := AppendEchoRequest(nil, srcA, dst, id, seq, payload)
 		p, err := Parse(pkt)
 		if err != nil {
 			return false
@@ -213,20 +215,44 @@ func TestParseBuildFuzzRoundTrip(t *testing.T) {
 	}
 }
 
-func BenchmarkBuildEchoRequest(b *testing.B) {
+func BenchmarkAppendEchoRequest(b *testing.B) {
 	payload := make([]byte, 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		BuildEchoRequest(srcA, dstA, uint16(i), uint16(i>>16), payload)
+		AppendEchoRequest(nil, srcA, dstA, uint16(i), uint16(i>>16), payload)
 	}
 }
 
 func BenchmarkParseTCP(b *testing.B) {
-	pkt := BuildTCPSynAck(dstA, srcA, 443, 50000, 1, 2)
+	pkt := AppendTCPSynAck(nil, dstA, srcA, 443, 50000, 1, 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Parse(pkt); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// decodeName converts wire-format labels back to dotted form, returning the
+// name and the number of bytes consumed. Compression pointers are not
+// supported (our messages never use them).
+func decodeName(b []byte) (string, int, error) {
+	var parts []string
+	i := 0
+	for {
+		if i >= len(b) {
+			return "", 0, errBadName
+		}
+		l := int(b[i])
+		if l == 0 {
+			i++
+			break
+		}
+		if l > 63 || i+1+l > len(b) {
+			return "", 0, errBadName
+		}
+		parts = append(parts, string(b[i+1:i+1+l]))
+		i += 1 + l
+	}
+	return strings.Join(parts, "."), i, nil
 }

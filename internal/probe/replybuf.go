@@ -67,14 +67,14 @@ func (rb *ReplyBuf) PutTCPSynAck(i int, src, dst ipaddr.Addr, srcPort, dstPort u
 // PutTCPRst stores a TCP RST as packet i's reply.
 func (rb *ReplyBuf) PutTCPRst(i int, src, dst ipaddr.Addr, srcPort, dstPort uint16, seq, ack uint32) {
 	off := len(rb.arena)
-	rb.arena = AppendTCPRst(rb.arena, src, dst, srcPort, dstPort, seq, ack)
+	rb.arena = appendTCPRst(rb.arena, src, dst, srcPort, dstPort, seq, ack)
 	rb.record(i, off)
 }
 
 // PutDNSResponse stores a DNS response as packet i's reply.
 func (rb *ReplyBuf) PutDNSResponse(i int, src, dst ipaddr.Addr, dstPort, txid uint16, question []byte) {
 	off := len(rb.arena)
-	rb.arena = AppendDNSResponse(rb.arena, src, dst, dstPort, txid, question)
+	rb.arena = appendDNSResponse(rb.arena, src, dst, dstPort, txid, question)
 	rb.record(i, off)
 }
 
@@ -94,6 +94,6 @@ func (rb *ReplyBuf) PutRaw(i int, raw []byte) {
 // (probes live in the sender's buffers, so in practice it never does).
 func (rb *ReplyBuf) PutUnreachable(i int, src, dst ipaddr.Addr, code uint8, invoking []byte) {
 	off := len(rb.arena)
-	rb.arena = AppendUnreachable(rb.arena, src, dst, code, invoking)
+	rb.arena = appendUnreachable(rb.arena, src, dst, code, invoking)
 	rb.record(i, off)
 }

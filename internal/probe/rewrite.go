@@ -28,7 +28,7 @@ func rewriteAddr(pkt []byte, a ipaddr.Addr, off int) error {
 		return ErrTruncated
 	}
 	if pkt[0]>>4 != 6 {
-		return ErrBadVersion
+		return errBadVersion
 	}
 	b := a.As16()
 	copy(pkt[off:off+16], b[:])
@@ -36,11 +36,11 @@ func rewriteAddr(pkt []byte, a ipaddr.Addr, off int) error {
 	next := pkt[6]
 	var at int
 	switch next {
-	case ProtoICMPv6:
+	case protoICMPv6:
 		at = 2
-	case ProtoTCP:
+	case protoTCP:
 		at = 16
-	case ProtoUDP:
+	case protoUDP:
 		at = 6
 	default:
 		// Unknown transport: the address is rewritten but no checksum

@@ -13,13 +13,14 @@ func rewriteCases(t *testing.T) map[string][]byte {
 	t.Helper()
 	src := ipaddr.MustParse("2001:db8::1")
 	dst := ipaddr.MustParse("2001:db8:ffff::2")
-	dns, err := BuildDNSQuery(src, dst, 4444, 99, "example.com")
+	qname, err := EncodeName("example.com")
 	if err != nil {
 		t.Fatal(err)
 	}
+	dns := AppendDNSQueryWire(nil, src, dst, 4444, 99, qname)
 	return map[string][]byte{
-		"icmp-echo": BuildEchoRequest(src, dst, 7, 1, []byte("ping")),
-		"tcp-syn":   BuildTCPSyn(src, dst, 5555, 443, 0xdeadbeef),
+		"icmp-echo": AppendEchoRequest(nil, src, dst, 7, 1, []byte("ping")),
+		"tcp-syn":   AppendTCPSyn(nil, src, dst, 5555, 443, 0xdeadbeef),
 		"udp-dns":   dns,
 	}
 }
@@ -88,7 +89,7 @@ func TestRewriteRejectsMalformed(t *testing.T) {
 	}
 	v4 := make([]byte, 40)
 	v4[0] = 4 << 4
-	if err := RewriteSrc(v4, a); err != ErrBadVersion {
+	if err := RewriteSrc(v4, a); err != errBadVersion {
 		t.Fatalf("v4 packet: err = %v, want ErrBadVersion", err)
 	}
 }

@@ -16,23 +16,11 @@ const (
 
 const tcpHeaderLen = 20
 
-// BuildTCPSyn constructs a TCP SYN probe. seq carries the scanner's
-// validation cookie (SYN cookies in reverse: the responder must ack seq+1).
-func BuildTCPSyn(src, dst ipaddr.Addr, srcPort, dstPort uint16, seq uint32) []byte {
-	return buildTCP(src, dst, srcPort, dstPort, seq, 0, tcpFlagSyn)
-}
-
 // AppendTCPSyn appends a TCP SYN probe to buf and returns the extended
 // slice. Passing a reused scratch buffer builds the packet without
 // allocating.
 func AppendTCPSyn(buf []byte, src, dst ipaddr.Addr, srcPort, dstPort uint16, seq uint32) []byte {
 	return appendTCP(buf, src, dst, srcPort, dstPort, seq, 0, tcpFlagSyn)
-}
-
-// BuildTCPSynAck constructs the SYN-ACK a listening port answers with:
-// ack must be the probe's seq+1.
-func BuildTCPSynAck(src, dst ipaddr.Addr, srcPort, dstPort uint16, seq, ack uint32) []byte {
-	return buildTCP(src, dst, srcPort, dstPort, seq, ack, tcpFlagSyn|tcpFlagAck)
 }
 
 // AppendTCPSynAck appends a SYN-ACK to buf and returns the extended slice —
@@ -41,25 +29,15 @@ func AppendTCPSynAck(buf []byte, src, dst ipaddr.Addr, srcPort, dstPort uint16, 
 	return appendTCP(buf, src, dst, srcPort, dstPort, seq, ack, tcpFlagSyn|tcpFlagAck)
 }
 
-// BuildTCPRst constructs the RST a live host with a closed port answers
-// with. Per the paper's methodology (§4.1), RSTs are not counted as hits.
-func BuildTCPRst(src, dst ipaddr.Addr, srcPort, dstPort uint16, seq, ack uint32) []byte {
-	return buildTCP(src, dst, srcPort, dstPort, seq, ack, tcpFlagRst|tcpFlagAck)
-}
-
-// AppendTCPRst appends a RST to buf and returns the extended slice — the
+// appendTCPRst appends a RST to buf and returns the extended slice — the
 // allocation-free form responders use.
-func AppendTCPRst(buf []byte, src, dst ipaddr.Addr, srcPort, dstPort uint16, seq, ack uint32) []byte {
+func appendTCPRst(buf []byte, src, dst ipaddr.Addr, srcPort, dstPort uint16, seq, ack uint32) []byte {
 	return appendTCP(buf, src, dst, srcPort, dstPort, seq, ack, tcpFlagRst|tcpFlagAck)
-}
-
-func buildTCP(src, dst ipaddr.Addr, srcPort, dstPort uint16, seq, ack uint32, flags uint8) []byte {
-	return appendTCP(nil, src, dst, srcPort, dstPort, seq, ack, flags)
 }
 
 func appendTCP(buf []byte, src, dst ipaddr.Addr, srcPort, dstPort uint16, seq, ack uint32, flags uint8) []byte {
 	buf, pkt := grow(buf, IPv6HeaderLen+tcpHeaderLen)
-	putIPv6Header(pkt, src, dst, ProtoTCP, tcpHeaderLen)
+	putIPv6Header(pkt, src, dst, protoTCP, tcpHeaderLen)
 	l4 := pkt[IPv6HeaderLen:]
 	binary.BigEndian.PutUint16(l4[0:2], srcPort)
 	binary.BigEndian.PutUint16(l4[2:4], dstPort)
@@ -70,7 +48,7 @@ func appendTCP(buf []byte, src, dst ipaddr.Addr, srcPort, dstPort uint16, seq, a
 	binary.BigEndian.PutUint16(l4[14:16], 65535) // window
 	l4[16], l4[17] = 0, 0                        // checksum below
 	l4[18], l4[19] = 0, 0                        // urgent pointer (grow does not zero)
-	binary.BigEndian.PutUint16(l4[16:18], checksum(src, dst, ProtoTCP, l4))
+	binary.BigEndian.PutUint16(l4[16:18], checksum(src, dst, protoTCP, l4))
 	return buf
 }
 
@@ -78,8 +56,8 @@ func parseTCP(p *Packet, l4 []byte) error {
 	if len(l4) < tcpHeaderLen {
 		return ErrTruncated
 	}
-	if !verifyChecksum(p.Header.Src, p.Header.Dst, ProtoTCP, l4, 16) {
-		return ErrBadChecksum
+	if !verifyChecksum(p.Header.Src, p.Header.Dst, protoTCP, l4, 16) {
+		return errBadChecksum
 	}
 	p.SrcPort = binary.BigEndian.Uint16(l4[0:2])
 	p.DstPort = binary.BigEndian.Uint16(l4[2:4])

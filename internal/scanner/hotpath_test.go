@@ -19,7 +19,7 @@ func statsEqual(t *testing.T, got, want *Stats) {
 		got, want int64
 	}{
 		{"PacketsSent", got.PacketsSent.Load(), want.PacketsSent.Load()},
-		{"PacketsRecv", got.PacketsRecv.Load(), want.PacketsRecv.Load()},
+		{"PacketsRecv", got.packetsRecv.Load(), want.packetsRecv.Load()},
 		{"Hits", got.Hits.Load(), want.Hits.Load()},
 		{"RSTs", got.RSTs.Load(), want.RSTs.Load()},
 		{"Unreachables", got.Unreachables.Load(), want.Unreachables.Load()},
@@ -44,10 +44,10 @@ func TestChunkSizeDoesNotChangeResults(t *testing.T) {
 	targets := samp.Hosts(130)
 
 	for _, p := range proto.All {
-		ref := New(w.Link(), WithSecret(8), WithProbeChunk(1))
+		ref := New(w.Link(), WithSecret(8), withProbeChunk(1))
 		want := ref.Scan(targets, p)
 		for _, chunk := range []int{2, 7, 64, 129, 130, 1000} {
-			s := New(w.Link(), WithSecret(8), WithProbeChunk(chunk))
+			s := New(w.Link(), WithSecret(8), withProbeChunk(chunk))
 			got := s.Scan(targets, p)
 			if len(got) != len(want) {
 				t.Fatalf("%v chunk %d: %d results, want %d", p, chunk, len(got), len(want))
@@ -133,9 +133,9 @@ func TestBatchedCancelReturnsProbedPrefix(t *testing.T) {
 		targets = append(targets, base.AddLo(uint64(i)))
 	}
 	link, started, release := gatedLink(w.Link())
-	// WithoutShuffle so scan order == deduped input order and the prefix
+	// withoutShuffle so scan order == deduped input order and the prefix
 	// can be checked against the caller's slice.
-	s := New(link, WithSecret(5), WithWorkers(2), WithoutShuffle())
+	s := New(link, WithSecret(5), WithWorkers(2), withoutShuffle())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -212,7 +212,7 @@ func TestVirtualSecondsPerScanAttribution(t *testing.T) {
 // TestRateLimiterTakeN pins the amortized limiter: TakeN(n) must advance
 // the clock exactly as n sequential Takes do and return the first slot.
 func TestRateLimiterTakeN(t *testing.T) {
-	rl := NewRateLimiter(100)
+	rl := newRateLimiter(100)
 	if got := rl.TakeN(5); got != 0 {
 		t.Fatalf("first TakeN start = %v, want 0", got)
 	}
@@ -231,7 +231,7 @@ func TestRateLimiterTakeN(t *testing.T) {
 // goroutines under -race: the final clock must account every packet
 // exactly once.
 func TestRateLimiterConcurrentTake(t *testing.T) {
-	rl := NewRateLimiter(1000)
+	rl := newRateLimiter(1000)
 	const goroutines, per = 8, 1000
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

@@ -13,7 +13,6 @@ type Option func(*settings)
 
 // settings is the resolved configuration an option set produces.
 type settings struct {
-	source    ipaddr.Addr
 	retries   int
 	workers   int
 	ratePPS   int
@@ -23,6 +22,9 @@ type settings struct {
 	shuffle   bool
 	tele      *telemetry.Registry
 }
+
+// sourceAddr is the address every probe is sent from.
+var sourceAddr = ipaddr.MustParse("2001:db8:5ca0::1")
 
 // defaultChunk is the number of targets a worker claims, and probes per
 // exchange, per loop iteration. Large enough to amortize
@@ -39,18 +41,12 @@ const maxWorkers = 1024
 // 8 workers, the 10k pps ethical rate cap, shuffled scan order.
 func defaultSettings() settings {
 	return settings{
-		source:  ipaddr.MustParse("2001:db8:5ca0::1"),
 		retries: 2,
 		workers: 8,
 		ratePPS: 10000,
 		chunk:   defaultChunk,
 		shuffle: true,
 	}
-}
-
-// WithSourceAddr sets the scanner's own address, stamped on probes.
-func WithSourceAddr(a ipaddr.Addr) Option {
-	return func(s *settings) { s.source = a }
 }
 
 // WithRetries sets the number of additional attempts after the first probe
@@ -79,19 +75,6 @@ func WithRatePPS(pps int) Option {
 	}
 }
 
-// WithProbeChunk sets how many targets a worker claims per loop iteration
-// — the batch size handed to the wire per exchange (minimum 1). Scan
-// results are identical for any chunk size; only dispatch amortization
-// changes.
-func WithProbeChunk(n int) Option {
-	return func(s *settings) {
-		if n < 1 {
-			n = 1
-		}
-		s.chunk = n
-	}
-}
-
 // WithBlocklist installs prefixes that must never be probed.
 func WithBlocklist(prefixes []ipaddr.Prefix) Option {
 	return func(s *settings) { s.blocklist = ipaddr.BuildLPM(prefixes, nil, 0) }
@@ -109,12 +92,6 @@ func (s *settings) blocked(a ipaddr.Addr) bool {
 // WithSecret keys the validation cookies and the scan-order shuffle.
 func WithSecret(secret uint64) Option {
 	return func(s *settings) { s.secret = secret }
-}
-
-// WithoutShuffle disables the ethical scan-order randomization — useful
-// for deterministic unit tests.
-func WithoutShuffle() Option {
-	return func(s *settings) { s.shuffle = false }
 }
 
 // WithTelemetry wires a metrics registry into the scanner: per-protocol

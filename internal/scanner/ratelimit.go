@@ -2,7 +2,7 @@ package scanner
 
 import "sync/atomic"
 
-// RateLimiter implements the paper's ethical probe-rate cap (10k pps) on a
+// rateLimiter implements the paper's ethical probe-rate cap (10k pps) on a
 // virtual clock: instead of sleeping, it advances simulated time by one
 // inter-packet gap per Take. Experiments therefore run at full speed while
 // VirtualElapsed reports how long the scan would take on real hardware —
@@ -13,38 +13,29 @@ import "sync/atomic"
 // so Take and TakeN are lock-free: eight workers taking concurrently never
 // serialize on a mutex, they only contend on one cache line for the
 // duration of an atomic add.
-type RateLimiter struct {
+type rateLimiter struct {
 	gap float64      // seconds per packet
 	n   atomic.Int64 // packets accounted so far
 }
 
-// NewRateLimiter caps at pps packets per second.
-func NewRateLimiter(pps int) *RateLimiter {
+// newRateLimiter caps at pps packets per second.
+func newRateLimiter(pps int) *rateLimiter {
 	if pps <= 0 {
 		pps = 1
 	}
-	return &RateLimiter{gap: 1 / float64(pps)}
-}
-
-// Take accounts for one packet and returns the virtual send time in
-// seconds since the limiter was created.
-func (r *RateLimiter) Take() float64 {
-	return float64(r.n.Add(1)-1) * r.gap
+	return &rateLimiter{gap: 1 / float64(pps)}
 }
 
 // TakeN accounts for n packets at once — the batched hot path's amortized
 // Take — and returns the virtual send time of the first of them.
-func (r *RateLimiter) TakeN(n int) float64 {
+func (r *rateLimiter) TakeN(n int) float64 {
 	return float64(r.n.Add(int64(n))-int64(n)) * r.gap
 }
 
 // Gap returns the inter-packet gap in seconds (1/pps).
-func (r *RateLimiter) Gap() float64 { return r.gap }
-
-// Packets returns how many packets have been accounted so far.
-func (r *RateLimiter) Packets() int64 { return r.n.Load() }
+func (r *rateLimiter) Gap() float64 { return r.gap }
 
 // VirtualElapsed returns the total virtual seconds consumed so far.
-func (r *RateLimiter) VirtualElapsed() float64 {
+func (r *rateLimiter) VirtualElapsed() float64 {
 	return float64(r.n.Load()) * r.gap
 }

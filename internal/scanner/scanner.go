@@ -117,7 +117,7 @@ func ActiveAddrs(results []Result) []ipaddr.Addr {
 // across the per-worker shards by Scanner.Stats.
 type Stats struct {
 	PacketsSent   atomic.Int64
-	PacketsRecv   atomic.Int64
+	packetsRecv   atomic.Int64
 	Hits          atomic.Int64
 	RSTs          atomic.Int64
 	Unreachables  atomic.Int64
@@ -133,7 +133,7 @@ func (s *Stats) Add(o *Stats) {
 		return
 	}
 	s.PacketsSent.Add(o.PacketsSent.Load())
-	s.PacketsRecv.Add(o.PacketsRecv.Load())
+	s.packetsRecv.Add(o.packetsRecv.Load())
 	s.Hits.Add(o.Hits.Load())
 	s.RSTs.Add(o.RSTs.Load())
 	s.Unreachables.Add(o.Unreachables.Load())
@@ -148,7 +148,7 @@ func (s *Stats) Sub(o *Stats) {
 		return
 	}
 	s.PacketsSent.Add(-o.PacketsSent.Load())
-	s.PacketsRecv.Add(-o.PacketsRecv.Load())
+	s.packetsRecv.Add(-o.packetsRecv.Load())
 	s.Hits.Add(-o.Hits.Load())
 	s.RSTs.Add(-o.RSTs.Load())
 	s.Unreachables.Add(-o.Unreachables.Load())
@@ -162,7 +162,7 @@ func (s *Stats) Sub(o *Stats) {
 func (s *Stats) Values() [7]int64 {
 	return [7]int64{
 		s.PacketsSent.Load(),
-		s.PacketsRecv.Load(),
+		s.packetsRecv.Load(),
 		s.Hits.Load(),
 		s.RSTs.Load(),
 		s.Unreachables.Load(),
@@ -175,7 +175,7 @@ func (s *Stats) Values() [7]int64 {
 func StatsFromValues(v [7]int64) *Stats {
 	s := &Stats{}
 	s.PacketsSent.Store(v[0])
-	s.PacketsRecv.Store(v[1])
+	s.packetsRecv.Store(v[1])
 	s.Hits.Store(v[2])
 	s.RSTs.Store(v[3])
 	s.Unreachables.Store(v[4])
@@ -211,7 +211,7 @@ type protoCounters struct {
 type Scanner struct {
 	link wire.Link
 	set  settings
-	rl   *RateLimiter
+	rl   *rateLimiter
 
 	shards   []statShard // len is a power of two
 	shardSeq atomic.Int64
@@ -243,7 +243,7 @@ func New(link wire.Link, opts ...Option) *Scanner {
 	s := &Scanner{
 		link:    link,
 		set:     set,
-		rl:      NewRateLimiter(set.ratePPS),
+		rl:      newRateLimiter(set.ratePPS),
 		shards:  make([]statShard, nextPow2(set.workers)),
 		scratch: make(chan *scanScratch, keptScratch),
 		dnsName: name,
@@ -290,7 +290,7 @@ func (s *Scanner) Stats() *Stats {
 	}
 	out := &Stats{}
 	out.PacketsSent.Store(sent)
-	out.PacketsRecv.Store(recv)
+	out.packetsRecv.Store(recv)
 	out.Hits.Store(hits)
 	out.RSTs.Store(rsts)
 	out.Unreachables.Store(unreach)
@@ -298,9 +298,6 @@ func (s *Scanner) Stats() *Stats {
 	out.InvalidCookie.Store(badCookie)
 	return out
 }
-
-// Telemetry returns the wired metrics registry (nil when none).
-func (s *Scanner) Telemetry() *telemetry.Registry { return s.set.tele }
 
 // VirtualElapsed reports how long all packets sent so far would have taken
 // at the configured packet rate.
@@ -415,7 +412,7 @@ func putScratch(free chan *scanScratch, sc *scanScratch) {
 
 // ScanContext probes every target on p and returns one Result per unique
 // target, in a fresh slice. Targets are deduplicated and shuffled (unless
-// WithoutShuffle) into the order PlanOrder computes, then probed by
+// withoutShuffle) into the order PlanOrder computes, then probed by
 // ScanPlanned. The caller's slice is never mutated; dedup and shuffle
 // operate on a private copy.
 func (s *Scanner) ScanContext(ctx context.Context, targets []ipaddr.Addr, p proto.Protocol) ([]Result, error) {
@@ -678,13 +675,13 @@ func (s *Scanner) appendProbe(buf []byte, dst ipaddr.Addr, p proto.Protocol, coo
 	case proto.ICMP:
 		var payload [8]byte
 		putUint64(payload[:], cookie)
-		return probe.AppendEchoRequest(buf, s.set.source, dst,
+		return probe.AppendEchoRequest(buf, sourceAddr, dst,
 			uint16(cookie>>48), uint16(attempt), payload[:])
 	case proto.TCP80, proto.TCP443:
-		return probe.AppendTCPSyn(buf, s.set.source, dst,
+		return probe.AppendTCPSyn(buf, sourceAddr, dst,
 			srcPortFor(cookie), p.Port(), uint32(cookie)+uint32(attempt))
 	case proto.UDP53:
-		return probe.AppendDNSQueryWire(buf, s.set.source, dst,
+		return probe.AppendDNSQueryWire(buf, sourceAddr, dst,
 			srcPortFor(cookie), uint16(cookie)^uint16(attempt*7+1), s.dnsName)
 	}
 	panic("scanner: unknown protocol")
@@ -697,7 +694,7 @@ func (s *Scanner) classify(raw []byte, dst ipaddr.Addr, p proto.Protocol, cookie
 	if err != nil {
 		return StatusSilent, false
 	}
-	if pk.Header.Dst != s.set.source {
+	if pk.Header.Dst != sourceAddr {
 		return StatusSilent, false
 	}
 	switch pk.Kind {

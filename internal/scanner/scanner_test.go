@@ -106,18 +106,12 @@ func TestUnreachableClassified(t *testing.T) {
 
 	// Dead in-template addresses inside regions that send unreachables.
 	var targets []ipaddr.Addr
-	for _, r := range w.Regions() {
-		if r.Aliased || r.SendsUnreach < 0.3 {
+	for _, a := range w.NewSampler(7).TemplateNoise(20000) {
+		r, ok := w.RegionOf(a)
+		if !ok || r.Aliased || r.SendsUnreach < 0.3 || w.ExistsAt(a, world.CollectEpoch) {
 			continue
 		}
-		for _, a := range r.Template.Enumerate(500) {
-			if !w.ExistsAt(a, world.CollectEpoch) {
-				targets = append(targets, a)
-			}
-			if len(targets) >= 300 {
-				break
-			}
-		}
+		targets = append(targets, a)
 		if len(targets) >= 300 {
 			break
 		}
@@ -201,14 +195,14 @@ func TestCookieValidationRejectsForgery(t *testing.T) {
 	// A reply with the wrong cookie payload must not classify as active.
 	var forged [8]byte
 	putUint64(forged[:], c^1)
-	reply := buildForgedEchoReply(s.set.source, dst, uint16(c>>48), 0, forged[:])
+	reply := buildForgedEchoReply(sourceAddr, dst, uint16(c>>48), 0, forged[:])
 	if st, ok := s.classify(reply, dst, proto.ICMP, c, 0); ok && st == StatusActive {
 		t.Fatal("forged cookie accepted")
 	}
 	// The genuine cookie is accepted.
 	var good [8]byte
 	putUint64(good[:], c)
-	reply = buildForgedEchoReply(s.set.source, dst, uint16(c>>48), 0, good[:])
+	reply = buildForgedEchoReply(sourceAddr, dst, uint16(c>>48), 0, good[:])
 	if st, ok := s.classify(reply, dst, proto.ICMP, c, 0); !ok || st != StatusActive {
 		t.Fatal("genuine cookie rejected")
 	}
@@ -231,7 +225,7 @@ func TestVirtualRateAccounting(t *testing.T) {
 }
 
 func TestRateLimiterMonotonic(t *testing.T) {
-	rl := NewRateLimiter(100)
+	rl := newRateLimiter(100)
 	last := -1.0
 	for i := 0; i < 50; i++ {
 		ts := rl.Take()
@@ -268,5 +262,33 @@ func TestStatsCounters(t *testing.T) {
 
 // buildForgedEchoReply lets the test synthesize replies without the world.
 func buildForgedEchoReply(scanAddr, from ipaddr.Addr, id, seq uint16, payload []byte) []byte {
-	return probe.BuildEchoReply(from, scanAddr, id, seq, payload)
+	return probe.AppendEchoReply(nil, from, scanAddr, id, seq, payload)
 }
+
+// withProbeChunk sets how many targets a worker claims per loop iteration
+// — the batch size handed to the wire per exchange (minimum 1). Scan
+// results are identical for any chunk size; only dispatch amortization
+// changes.
+func withProbeChunk(n int) Option {
+	return func(s *settings) {
+		if n < 1 {
+			n = 1
+		}
+		s.chunk = n
+	}
+}
+
+// withoutShuffle disables the ethical scan-order randomization — useful
+// for deterministic unit tests.
+func withoutShuffle() Option {
+	return func(s *settings) { s.shuffle = false }
+}
+
+// Take accounts for one packet and returns the virtual send time in
+// seconds since the limiter was created.
+func (r *rateLimiter) Take() float64 {
+	return float64(r.n.Add(1)-1) * r.gap
+}
+
+// Packets returns how many packets have been accounted so far.
+func (r *rateLimiter) Packets() int64 { return r.n.Load() }

@@ -127,8 +127,8 @@ func TestExtremeOptionsScanLikeDefaults(t *testing.T) {
 		name string
 		opt  Option
 	}{
-		{"chunk=MaxInt>>1", WithProbeChunk(math.MaxInt >> 1)},
-		{"chunk=MaxInt", WithProbeChunk(math.MaxInt)},
+		{"chunk=MaxInt>>1", withProbeChunk(math.MaxInt >> 1)},
+		{"chunk=MaxInt", withProbeChunk(math.MaxInt)},
 		{"workers=1<<40", WithWorkers(1 << 40)},
 		{"workers=MaxInt", WithWorkers(math.MaxInt)},
 	} {

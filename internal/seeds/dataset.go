@@ -54,11 +54,6 @@ func (d *Dataset) SortedSlice() []ipaddr.Addr {
 	return d.sortedView
 }
 
-// Clone deep-copies the dataset under a new name.
-func (d *Dataset) Clone(name string) *Dataset {
-	return &Dataset{Name: name, Addrs: d.Addrs.Clone()}
-}
-
 // Intersect returns a new dataset with the common addresses.
 func (d *Dataset) Intersect(o *Dataset, name string) *Dataset {
 	return &Dataset{Name: name, Addrs: d.Addrs.Intersect(o.Addrs)}

@@ -21,7 +21,7 @@ func FuzzReadFrom(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if _, err := d.WriteTo(&buf); err != nil {
+		if _, err := d.writeTo(&buf); err != nil {
 			t.Fatal(err)
 		}
 		back, err := ReadFrom(name, &buf)

@@ -16,10 +16,10 @@ import (
 // hitlists (the IPv6 Hitlist service, AddrMiner dumps) ship, so datasets
 // produced here interoperate with external tooling and vice versa.
 
-// WriteTo writes the dataset one address per line in sorted order,
+// writeTo writes the dataset one address per line in sorted order,
 // preceded by a comment header. The name is quoted in the header, so no
 // name can break it across lines.
-func (d *Dataset) WriteTo(w io.Writer) (int64, error) {
+func (d *Dataset) writeTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
 	k, err := fmt.Fprintf(bw, "# seedscan dataset: %q (%d addresses)\n", d.Name, d.Len())
@@ -50,7 +50,7 @@ func (d *Dataset) WriteFile(path string) error {
 		gz = gzip.NewWriter(f)
 		w = gz
 	}
-	if _, err := d.WriteTo(w); err != nil {
+	if _, err := d.writeTo(w); err != nil {
 		return fmt.Errorf("seeds: write %s: %w", path, err)
 	}
 	if gz != nil {

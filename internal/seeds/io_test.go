@@ -12,7 +12,7 @@ import (
 func TestDatasetWriteReadRoundTrip(t *testing.T) {
 	d := FromAddrs("round-trip", addrsOf("2001:db8::1", "2001:db8::2", "fe80::1"))
 	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
+	if _, err := d.writeTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFrom("in", &buf)
@@ -102,7 +102,7 @@ func TestReadPrefixesRejectsGarbage(t *testing.T) {
 func TestWrittenFileIsSortedWithHeader(t *testing.T) {
 	d := FromAddrs("sorted", addrsOf("2001:db8::9", "2001:db8::1"))
 	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
+	if _, err := d.writeTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -117,7 +117,7 @@ func TestWrittenFileIsSortedWithHeader(t *testing.T) {
 func TestWriteToQuotesName(t *testing.T) {
 	d := FromAddrs("a\nb", addrsOf("2001:db8::1"))
 	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
+	if _, err := d.writeTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadFrom("in", &buf)

@@ -92,8 +92,3 @@ var Meta = map[Source]SourceMeta{
 		PaperUnique: 74_348_374, PaperDealiased: 10_378_135, PaperActive: 4_659_058, PaperASes: 20_610,
 	},
 }
-
-// PaperTotals is Table 3's "All Sources" row.
-var PaperTotals = SourceMeta{
-	PaperUnique: 118_729_345, PaperDealiased: 27_179_296, PaperActive: 10_999_613, PaperASes: 31_389,
-}

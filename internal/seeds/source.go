@@ -78,12 +78,3 @@ func (s Source) Category() string {
 	}
 	return "Both"
 }
-
-// IsToplist reports whether s is a domain toplist.
-func (s Source) IsToplist() bool {
-	switch s {
-	case SourceUmbrella, SourceMajestic, SourceTranco, SourceSecRank, SourceRadar:
-		return true
-	}
-	return false
-}

@@ -151,8 +151,8 @@ func (s *Server) current(w http.ResponseWriter) (*hitlistdb.DB, bool) {
 	return db, true
 }
 
-// LookupResult is the per-address answer shared by /v1/lookup and /v1/bulk.
-type LookupResult struct {
+// lookupResult is the per-address answer shared by /v1/lookup and /v1/bulk.
+type lookupResult struct {
 	Addr       string   `json:"addr"`
 	Found      bool     `json:"found"`
 	Responsive bool     `json:"responsive,omitempty"`
@@ -163,8 +163,8 @@ type LookupResult struct {
 }
 
 // lookupOne answers one address against one generation.
-func lookupOne(db *hitlistdb.DB, a ipaddr.Addr) LookupResult {
-	res := LookupResult{Addr: a.String()}
+func lookupOne(db *hitlistdb.DB, a ipaddr.Addr) lookupResult {
+	res := lookupResult{Addr: a.String()}
 	if rec, ok := db.Lookup(a); ok {
 		res.Found = true
 		res.Responsive = rec.Responsive
@@ -181,7 +181,7 @@ func lookupOne(db *hitlistdb.DB, a ipaddr.Addr) LookupResult {
 // lookupResponse wraps one point lookup.
 type lookupResponse struct {
 	Generation uint64 `json:"generation"`
-	LookupResult
+	lookupResult
 }
 
 func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) int {
@@ -198,7 +198,7 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) int {
 	}
 	return writeJSON(w, http.StatusOK, db.Generation(), lookupResponse{
 		Generation:   db.Generation(),
-		LookupResult: lookupOne(db, a),
+		lookupResult: lookupOne(db, a),
 	})
 }
 
@@ -232,7 +232,7 @@ func decodeBulk(body io.Reader) (bulkRequest, error) {
 // bulkResponse answers every requested address from one generation.
 type bulkResponse struct {
 	Generation uint64         `json:"generation"`
-	Results    []LookupResult `json:"results"`
+	Results    []lookupResult `json:"results"`
 }
 
 func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) int {
@@ -256,7 +256,7 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusRequestEntityTooLarge, db.Generation(),
 			"%d addrs exceeds limit %d", len(req.Addrs), s.set.maxBulk)
 	}
-	resp := bulkResponse{Generation: db.Generation(), Results: make([]LookupResult, 0, len(req.Addrs))}
+	resp := bulkResponse{Generation: db.Generation(), Results: make([]lookupResult, 0, len(req.Addrs))}
 	for _, raw := range req.Addrs {
 		a, err := ipaddr.Parse(raw)
 		if err != nil {
@@ -271,7 +271,7 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) int {
 type walkResponse struct {
 	Generation uint64         `json:"generation"`
 	Prefix     string         `json:"prefix"`
-	Results    []LookupResult `json:"results"`
+	Results    []lookupResult `json:"results"`
 	// Truncated is set when the walk stopped at the server's record cap;
 	// the client should narrow the prefix.
 	Truncated bool `json:"truncated,omitempty"`
@@ -305,7 +305,7 @@ func (s *Server) handleWalk(w http.ResponseWriter, r *http.Request) int {
 			resp.Truncated = true
 			return false
 		}
-		res := LookupResult{Addr: rec.Addr.String(), Found: true, Responsive: rec.Responsive}
+		res := lookupResult{Addr: rec.Addr.String(), Found: true, Responsive: rec.Responsive}
 		for _, pr := range rec.Protocols() {
 			res.Protocols = append(res.Protocols, pr.String())
 		}

@@ -36,7 +36,7 @@ func raceSnapshot(g int) *hitlist.Snapshot {
 // checkConsistent asserts one response is internally single-generation:
 // address i must be found iff i < generation, and the header generation
 // must match the body generation.
-func checkConsistent(gen uint64, headerGen string, results []LookupResult, probes []int) error {
+func checkConsistent(gen uint64, headerGen string, results []lookupResult, probes []int) error {
 	if headerGen != strconv.FormatUint(gen, 10) {
 		return fmt.Errorf("header generation %s != body generation %d", headerGen, gen)
 	}
@@ -117,7 +117,7 @@ func TestServeUnderSwap(t *testing.T) {
 					return
 				}
 				if err := checkConsistent(got.Generation, hdr,
-					[]LookupResult{got.LookupResult}, probes[idx%len(probes):idx%len(probes)+1]); err != nil {
+					[]lookupResult{got.lookupResult}, probes[idx%len(probes):idx%len(probes)+1]); err != nil {
 					report(err)
 					return
 				}

@@ -33,16 +33,16 @@ func FromContext(ctx context.Context) *Tracer {
 	return t
 }
 
-// ContextWithSpan returns ctx carrying s as the current span.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
+// contextWithSpan returns ctx carrying s as the current span.
+func contextWithSpan(ctx context.Context, s *Span) context.Context {
 	if s == nil {
 		return ctx
 	}
 	return context.WithValue(ctx, spanKey, s)
 }
 
-// SpanFromContext returns the current span carried by ctx, or nil.
-func SpanFromContext(ctx context.Context) *Span {
+// spanFromContext returns the current span carried by ctx, or nil.
+func spanFromContext(ctx context.Context) *Span {
 	s, _ := ctx.Value(spanKey).(*Span)
 	return s
 }
@@ -52,13 +52,13 @@ func SpanFromContext(ctx context.Context) *Span {
 // context carrying it. When ctx has no telemetry, the returned span is nil
 // — still safe to use — and ctx is returned unchanged.
 func StartSpan(ctx context.Context, name string, attrs Attrs) (context.Context, *Span) {
-	if parent := SpanFromContext(ctx); parent != nil {
+	if parent := spanFromContext(ctx); parent != nil {
 		s := parent.Child(name, attrs)
-		return ContextWithSpan(ctx, s), s
+		return contextWithSpan(ctx, s), s
 	}
 	if t := FromContext(ctx); t != nil {
 		s := t.StartSpan(name, attrs)
-		return ContextWithSpan(ctx, s), s
+		return contextWithSpan(ctx, s), s
 	}
 	return ctx, nil
 }

@@ -58,8 +58,8 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Load returns the current value (0 for a nil receiver).
-func (g *Gauge) Load() float64 {
+// load returns the current value (0 for a nil receiver).
+func (g *Gauge) load() float64 {
 	if g == nil {
 		return 0
 	}
@@ -138,8 +138,8 @@ type HistogramStats struct {
 	P95   float64 `json:"p95"`
 }
 
-// Mean returns Sum/Count (0 when empty).
-func (s HistogramStats) Mean() float64 {
+// mean returns Sum/Count (0 when empty).
+func (s HistogramStats) mean() float64 {
 	if s.Count == 0 {
 		return 0
 	}
@@ -328,7 +328,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Counters[k] = v.Load()
 	}
 	for k, v := range gauges {
-		s.Gauges[k] = v.Load()
+		s.Gauges[k] = v.load()
 	}
 	for k, v := range hists {
 		s.Histograms[k] = v.Stats()
@@ -351,7 +351,7 @@ func (s Snapshot) Render() string {
 	for _, k := range sortedKeys(s.Histograms) {
 		h := s.Histograms[k]
 		fmt.Fprintf(&sb, "  %-44s n=%d mean=%.4gs p50=%.4gs p95=%.4gs max=%.4gs\n",
-			k, h.Count, h.Mean(), h.P50, h.P95, h.Max)
+			k, h.Count, h.mean(), h.P50, h.P95, h.Max)
 	}
 	return sb.String()
 }

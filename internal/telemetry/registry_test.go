@@ -20,7 +20,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("g")
 	g.Set(2.5)
-	if got := g.Load(); got != 2.5 {
+	if got := g.load(); got != 2.5 {
 		t.Fatalf("gauge = %v", got)
 	}
 }
@@ -43,7 +43,7 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	var tr *Tracer
 	sp := tr.StartSpan("x", nil)
 	sp.Child("y", nil).EndWith(Attrs{"k": 1})
-	sp.Annotate("z", nil)
+	sp.annotate("z", nil)
 	sp.End()
 	tr.Progress("p", 1, 2)
 	if err := tr.Close(); err != nil {
@@ -102,7 +102,7 @@ func TestHistogramStats(t *testing.T) {
 	if s.Min != 1 || s.Max != 16 {
 		t.Fatalf("min/max = %v/%v", s.Min, s.Max)
 	}
-	if got := s.Mean(); got != 6.2 {
+	if got := s.mean(); got != 6.2 {
 		t.Fatalf("mean = %v", got)
 	}
 	// Log-bucket quantiles are exact for powers of two.

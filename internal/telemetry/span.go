@@ -128,28 +128,6 @@ func (s *Span) Child(name string, attrs Attrs) *Span {
 	return s.t.startSpan(name, s.id, attrs)
 }
 
-// ID returns the span's identifier (0 for nil).
-func (s *Span) ID() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
-// Annotate emits a point event inside the span.
-func (s *Span) Annotate(name string, attrs Attrs) {
-	if s == nil {
-		return
-	}
-	s.t.emit(Event{
-		Type:         "event",
-		TimeUnixNano: time.Now().UnixNano(),
-		Span:         s.id,
-		Name:         name,
-		Attrs:        attrs,
-	})
-}
-
 // End closes the span. Idempotent; later calls are ignored.
 func (s *Span) End() { s.EndWith(nil) }
 
@@ -169,14 +147,6 @@ func (s *Span) EndWith(attrs Attrs) {
 		DurationMS:   float64(now.Sub(s.start)) / float64(time.Millisecond),
 		Attrs:        attrs,
 	})
-}
-
-// Event emits a free-standing point event (no span).
-func (t *Tracer) Event(name string, attrs Attrs) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{Type: "event", TimeUnixNano: time.Now().UnixNano(), Name: name, Attrs: attrs})
 }
 
 // Progress reports done-of-total completion for a long-running unit (an

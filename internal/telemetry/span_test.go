@@ -5,6 +5,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 )
 
 // memSink records events for assertions.
@@ -208,7 +209,7 @@ func TestContextPropagation(t *testing.T) {
 
 	ctx1, root := StartSpan(ctx, "outer", nil)
 	ctx2, child := StartSpan(ctx1, "inner", nil)
-	if SpanFromContext(ctx2) != child {
+	if spanFromContext(ctx2) != child {
 		t.Fatal("inner span not current")
 	}
 	child.End()
@@ -220,9 +221,23 @@ func TestContextPropagation(t *testing.T) {
 
 	// A telemetry-free context yields nil spans that are safe to use.
 	ctx3, sp := StartSpan(context.Background(), "nope", nil)
-	if sp != nil || SpanFromContext(ctx3) != nil {
+	if sp != nil || spanFromContext(ctx3) != nil {
 		t.Fatal("expected nil span without tracer")
 	}
 	sp.Child("x", nil).End()
 	sp.End()
+}
+
+// annotate emits a point event inside the span.
+func (s *Span) annotate(name string, attrs Attrs) {
+	if s == nil {
+		return
+	}
+	s.t.emit(Event{
+		Type:         "event",
+		TimeUnixNano: time.Now().UnixNano(),
+		Span:         s.id,
+		Name:         name,
+		Attrs:        attrs,
+	})
 }

@@ -78,8 +78,8 @@ func (s *Store) Save(path string) error {
 
 // Generator is the AddrMiner TGA: DET plus long-term memory.
 type Generator struct {
-	// Memory persists across runs; nil gets a fresh private store.
-	Memory *Store
+	// memory persists across runs; nil gets a fresh private store.
+	memory *Store
 
 	inner *det.Generator
 }
@@ -90,7 +90,7 @@ func New(store *Store) *Generator {
 	if store == nil {
 		store = NewStore()
 	}
-	return &Generator{Memory: store, inner: det.New()}
+	return &Generator{memory: store, inner: det.New()}
 }
 
 // Name implements tga.Generator.
@@ -104,7 +104,7 @@ func (g *Generator) Online() bool { return true }
 // keep improving across measurement campaigns.
 func (g *Generator) Init(seedAddrs []ipaddr.Addr) error {
 	pool := ipaddr.NewSet(seedAddrs...)
-	pool.AddAll(g.Memory.Snapshot())
+	pool.AddAll(g.memory.Snapshot())
 	return g.inner.Init(pool.Slice())
 }
 
@@ -123,7 +123,7 @@ func (g *Generator) BuildModel(seedAddrs []ipaddr.Addr) (tga.Model, error) {
 // is that tree; once the memory holds addresses, m is not the pool's tree,
 // and Init mines seeds ∪ memory afresh.
 func (g *Generator) InitFromModel(m tga.Model, seedAddrs []ipaddr.Addr) error {
-	if g.Memory.Len() == 0 {
+	if g.memory.Len() == 0 {
 		return g.inner.InitFromModel(m, seedAddrs)
 	}
 	return g.Init(seedAddrs)
@@ -142,6 +142,6 @@ func (g *Generator) Feedback(results []tga.ProbeResult) {
 		}
 	}
 	if len(hits) > 0 {
-		g.Memory.Remember(hits)
+		g.memory.Remember(hits)
 	}
 }

@@ -17,8 +17,8 @@ func TestLeafGenAllocations(t *testing.T) {
 	for i := 24; i < ipaddr.NybbleCount; i++ {
 		masks[i] = 0x0f0f // 8 values at 8 positions: a job of 16M addresses
 	}
-	var g *LeafGen
-	if n := testing.AllocsPerRun(100, func() { g = NewLeafGen(masks, nil) }); n > 1 {
+	var g *leafGen
+	if n := testing.AllocsPerRun(100, func() { g = newLeafGen(masks, nil) }); n > 1 {
 		t.Fatalf("NewLeafGen allocates %v times, want at most 1", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { g.Next() }); n != 0 {

@@ -6,9 +6,9 @@
 // into aliased regions (the RQ1.a failure mode).
 //
 // Policy over tga.LeafSearch: leaves rank by smoothed hit rate, then seed
-// count; 1-Explore of the batch goes down that ranking in geometric shares
+// count; 1-explore of the batch goes down that ranking in geometric shares
 // and the rest round-robin from its top; a probe counts when proposed, and
-// every RebuildEvery feedback rounds the tree regrows around the hits.
+// every rebuildEvery feedback rounds the tree regrows around the hits.
 package det
 
 import (
@@ -18,25 +18,26 @@ import (
 	"seedscan/internal/tga"
 )
 
+// explore is the budget share spent uniformly across leaves regardless of
+// reward.
+const explore = 0.35
+
 // Generator is the DET TGA. Construct with New.
 type Generator struct {
-	// RebuildEvery rebuilds the tree after this many feedback rounds
+	// rebuildEvery rebuilds the tree after this many feedback rounds
 	// (default 16).
-	RebuildEvery int
-	// Explore is the budget share spent uniformly across leaves regardless
-	// of reward (default 0.35).
-	Explore float64
+	rebuildEvery int
 
 	seeds    []ipaddr.Addr
 	search   *tga.LeafSearch
 	hits     []ipaddr.Addr
 	rounds   int
-	rebuilds int
+	rebuilds int // trees built so far, the initial one included
 }
 
 // New returns a DET generator with default parameters.
 func New() *Generator {
-	return &Generator{RebuildEvery: 16, Explore: 0.35}
+	return &Generator{rebuildEvery: 16}
 }
 
 // Name implements tga.Generator.
@@ -46,7 +47,7 @@ func (g *Generator) Name() string { return "DET" }
 func (g *Generator) Online() bool { return true }
 
 // ModelParams implements tga.ModelBuilder: the min-entropy space tree with
-// the fixed tga.MinLeaf. RebuildEvery and Explore steer the online search.
+// the fixed tga.MinLeaf. rebuildEvery and explore steer the online search.
 func (g *Generator) ModelParams() string { return tga.MinEntropyTree }
 
 // BuildModel implements tga.ModelBuilder: the initial min-entropy space
@@ -62,11 +63,8 @@ func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
 	if !ok {
 		return fmt.Errorf("det: model type %T", m)
 	}
-	if g.RebuildEvery <= 0 {
-		g.RebuildEvery = 16
-	}
-	if g.Explore <= 0 {
-		g.Explore = 0.35
+	if g.rebuildEvery <= 0 {
+		g.rebuildEvery = 16
 	}
 	g.seeds = seeds
 	g.search = tga.NewLeafSearch(tm.Leaves(), ranksAbove, func(l *tga.TreeNode, got int) { l.Probes += got })
@@ -90,11 +88,11 @@ func ranksAbove(a, b *tga.TreeNode) bool {
 // Init builds the initial entropy-split tree.
 func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, seeds) }
 
-// NextBatch allocates (1-Explore) of the batch to leaves by descending
+// NextBatch allocates (1-explore) of the batch to leaves by descending
 // reward and the rest uniformly.
 func (g *Generator) NextBatch(n int) []ipaddr.Addr {
 	next := 0 // explore: round-robin from the top of the ranking
-	return g.search.NextBatch(n, int(float64(n)*(1-g.Explore)), 4, func(int) int {
+	return g.search.NextBatch(n, int(float64(n)*(1-explore)), 4, func(int) int {
 		next++
 		return next - 1
 	})
@@ -110,12 +108,8 @@ func (g *Generator) Feedback(results []tga.ProbeResult) {
 		}
 	})
 	g.rounds++
-	if g.rounds%g.RebuildEvery == 0 {
+	if g.rounds%g.rebuildEvery == 0 {
 		g.search.Rebuild(g.seeds, g.hits, tga.MinLeaf, tga.SplitMinEntropy)
 		g.rebuilds++
 	}
 }
-
-// Rebuilds reports how many trees the run has built, the initial one
-// included (diagnostics).
-func (g *Generator) Rebuilds() int { return g.rebuilds }

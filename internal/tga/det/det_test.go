@@ -69,7 +69,7 @@ func TestFeedbackSteersAllocation(t *testing.T) {
 
 func TestRebuildFoldsHitsIn(t *testing.T) {
 	g := New()
-	g.RebuildEvery = 2
+	g.rebuildEvery = 2
 	if err := g.Init(denseSeeds()); err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +81,8 @@ func TestRebuildFoldsHitsIn(t *testing.T) {
 		}
 		g.Feedback(fb)
 	}
-	if g.Rebuilds() < 2 {
-		t.Fatalf("rebuilds = %d", g.Rebuilds())
+	if g.rebuilds < 2 {
+		t.Fatalf("rebuilds = %d", g.rebuilds)
 	}
 	// After rebuilds, generation continues without duplicates.
 	seen := ipaddr.NewSet()
@@ -97,7 +97,7 @@ func TestRebuildFoldsHitsIn(t *testing.T) {
 
 func TestNoDuplicateEmissionsEver(t *testing.T) {
 	g := New()
-	g.RebuildEvery = 1 // stress: rebuild after every feedback
+	g.rebuildEvery = 1 // stress: rebuild after every feedback
 	if err := g.Init(seedsFrom("2001:db8::1", "2001:db8::2", "2001:db8::3", "2001:db8::9")); err != nil {
 		t.Fatal(err)
 	}

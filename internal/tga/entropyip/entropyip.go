@@ -35,16 +35,18 @@ type segValue struct {
 	count   int
 }
 
+const (
+	// entropyThreshold splits segments: positions at or above it are
+	// "variable" (bits).
+	entropyThreshold = 0.5
+	// maxSegmentValues caps the mined values per segment.
+	maxSegmentValues = 64
+	// samplingSeed drives sampling.
+	samplingSeed = 1
+)
+
 // Generator is the Entropy/IP TGA. Construct with New.
 type Generator struct {
-	// EntropyThreshold splits segments: positions at or above it are
-	// "variable" (default 0.5 bits).
-	EntropyThreshold float64
-	// MaxSegmentValues caps the mined values per segment (default 64).
-	MaxSegmentValues int
-	// Seed drives sampling (default 1).
-	Seed int64
-
 	rng      *rand.Rand
 	segments []segment
 	emitted  *ipaddr.Set
@@ -53,7 +55,7 @@ type Generator struct {
 
 // New returns an Entropy/IP generator with default parameters.
 func New() *Generator {
-	return &Generator{EntropyThreshold: 0.5, MaxSegmentValues: 64, Seed: 1}
+	return &Generator{}
 }
 
 // Name implements tga.Generator.
@@ -62,34 +64,17 @@ func (g *Generator) Name() string { return "EIP" }
 // Online implements tga.Generator. Entropy/IP is offline.
 func (g *Generator) Online() bool { return false }
 
-// Model is Entropy/IP's cacheable mined model: the entropy segmentation
+// model is Entropy/IP's cacheable mined model: the entropy segmentation
 // with per-segment value tables and cumulative probabilities. Sampling
 // only reads it, so runs share one Model freely.
-type Model struct {
+type model struct {
 	segments []segment
 }
 
-// SegmentCount reports the number of mined segments.
-func (m *Model) SegmentCount() int { return len(m.segments) }
-
-func (g *Generator) threshold() float64 {
-	if g.EntropyThreshold <= 0 {
-		return 0.5
-	}
-	return g.EntropyThreshold
-}
-
-func (g *Generator) maxValues() int {
-	if g.MaxSegmentValues <= 0 {
-		return 64
-	}
-	return g.MaxSegmentValues
-}
-
-// ModelParams implements tga.ModelBuilder. Seed only drives sampling and
-// is excluded.
+// ModelParams implements tga.ModelBuilder. The sampling seed only drives
+// sampling and is excluded.
 func (g *Generator) ModelParams() string {
-	return fmt.Sprintf("eip/threshold=%g,maxvalues=%d", g.threshold(), g.maxValues())
+	return fmt.Sprintf("eip/threshold=%g,maxvalues=%d", entropyThreshold, maxSegmentValues)
 }
 
 // BuildModel implements tga.ModelBuilder: it computes the per-position
@@ -98,8 +83,6 @@ func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("entropyip: empty seed set")
 	}
-	threshold, maxValues := g.threshold(), g.maxValues()
-
 	h := tga.PositionEntropy(seeds)
 	// Build segments: contiguous runs of same classification. Variable
 	// runs are capped to 2 nybbles: shorter variable segments are what
@@ -107,7 +90,7 @@ func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 	// segment would only ever replay observed value strings.
 	var segments []segment
 	start := 0
-	classify := func(i int) bool { return h[i] >= threshold }
+	classify := func(i int) bool { return h[i] >= entropyThreshold }
 	for i := 1; i <= ipaddr.NybbleCount; i++ {
 		split := i == ipaddr.NybbleCount ||
 			classify(i) != classify(start) ||
@@ -138,8 +121,8 @@ func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 			}
 			return string(s.values[i].nybbles) < string(s.values[j].nybbles)
 		})
-		if len(s.values) > maxValues {
-			s.values = s.values[:maxValues]
+		if len(s.values) > maxSegmentValues {
+			s.values = s.values[:maxSegmentValues]
 		}
 		total := 0
 		for _, v := range s.values {
@@ -152,18 +135,16 @@ func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 			s.cum[i] = run
 		}
 	}
-	return &Model{segments: segments}, nil
+	return &model{segments: segments}, nil
 }
 
 // InitFromModel implements tga.ModelBuilder.
 func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
-	mm, ok := m.(*Model)
+	mm, ok := m.(*model)
 	if !ok {
 		return fmt.Errorf("entropyip: model type %T", m)
 	}
-	g.EntropyThreshold = g.threshold()
-	g.MaxSegmentValues = g.maxValues()
-	g.rng = rand.New(rand.NewSource(g.Seed))
+	g.rng = rand.New(rand.NewSource(samplingSeed))
 	g.emitted = ipaddr.NewSet()
 	g.dry = 0
 	g.segments = mm.segments // read-only after mining
@@ -216,6 +197,3 @@ func (g *Generator) NextBatch(n int) []ipaddr.Addr {
 
 // Feedback implements tga.Generator; Entropy/IP ignores scan results.
 func (g *Generator) Feedback([]tga.ProbeResult) {}
-
-// SegmentCount reports the number of mined segments (diagnostics).
-func (g *Generator) SegmentCount() int { return len(g.segments) }

@@ -32,8 +32,8 @@ func TestSegmentation(t *testing.T) {
 	if err := g.Init(structuredSeeds()); err != nil {
 		t.Fatal(err)
 	}
-	if g.SegmentCount() < 2 {
-		t.Fatalf("segments = %d, want entropy-based split", g.SegmentCount())
+	if g.segmentCount() < 2 {
+		t.Fatalf("segments = %d, want entropy-based split", g.segmentCount())
 	}
 }
 
@@ -134,3 +134,6 @@ func TestFeedbackIgnored(t *testing.T) {
 		t.Fatal("generation stopped after feedback")
 	}
 }
+
+// segmentCount reports the number of mined segments (diagnostics).
+func (g *Generator) segmentCount() int { return len(g.segments) }

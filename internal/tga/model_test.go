@@ -63,7 +63,7 @@ func (b *refBuild) split(n *refNode, off, depth int) bool {
 	varying := varyingPositions(n.seeds)
 	prefix := varying & (1<<prefixPositions - 1)
 	if prefix == 0 && (len(n.seeds) <= b.minLeaf || depth >= ipaddr.NybbleCount) {
-		n.masks = ObservedMasks(n.seeds)
+		n.masks = observedMasks(n.seeds)
 		return false
 	}
 	candidates := varying
@@ -72,7 +72,7 @@ func (b *refBuild) split(n *refNode, off, depth int) bool {
 	}
 	pos := b.h(n.seeds, candidates)
 	if pos < 0 || varying&(1<<pos) == 0 {
-		n.masks = ObservedMasks(n.seeds)
+		n.masks = observedMasks(n.seeds)
 		return false
 	}
 	var count, next [16]int
@@ -175,7 +175,7 @@ func TestMineTreeLeavesPartitionInput(t *testing.T) {
 							t.Fatalf("leaf %d seeds out of input order at %d", i, j)
 						}
 					}
-					if l.Masks != ObservedMasks(l.Seeds) {
+					if l.Masks != observedMasks(l.Seeds) {
 						t.Fatalf("leaf %d masks are not its seeds' observed values", i)
 					}
 					union.AddAll(l.Seeds)
@@ -216,13 +216,13 @@ func TestTreeModelLeavesIndependent(t *testing.T) {
 	// one run's LeafGen, or its counters, must not leak into another run
 	// over the model.
 	a[0].Probes = 99
-	a[0].Gen = NewLeafGen(a[0].Masks, nil)
-	a[0].Gen.Next()
-	a[1].Dry = true
+	a[0].gen = newLeafGen(a[0].Masks, nil)
+	a[0].gen.Next()
+	a[1].dry = true
 	if b[0].Probes != 0 {
 		t.Fatal("online counters shared between materializations")
 	}
-	if b[0].Gen != nil || b[1].Dry {
+	if b[0].gen != nil || b[1].dry {
 		t.Fatal("leaf generator state shared between materializations")
 	}
 }

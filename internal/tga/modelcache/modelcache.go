@@ -64,13 +64,6 @@ func (c *Cache) SetTelemetry(reg *telemetry.Registry) {
 	c.mu.Unlock()
 }
 
-// Len reports the number of completed or in-flight models.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // GetOrBuild implements tga.ModelSource: it returns the cached model for
 // (g.ModelParams(), seeds), mining it with g on the first request.
 // Concurrent requests for the same key mine once — later requesters block

@@ -64,8 +64,8 @@ func TestGetOrBuildCachesByKey(t *testing.T) {
 	if got := b.builds.Load(); got != 1 {
 		t.Fatalf("builds = %d, want 1", got)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("cache len = %d", c.Len())
+	if c.len() != 1 {
+		t.Fatalf("cache len = %d", c.len())
 	}
 	if reg.Counter("tga.modelcache.hits").Load() != 1 ||
 		reg.Counter("tga.modelcache.misses").Load() != 1 {
@@ -94,8 +94,8 @@ func TestKeySensitivity(t *testing.T) {
 	if got := b.builds.Load() + b2.builds.Load(); got != 3 {
 		t.Fatalf("builds = %d, want 3", got)
 	}
-	if c.Len() != 3 {
-		t.Fatalf("cache len = %d", c.Len())
+	if c.len() != 3 {
+		t.Fatalf("cache len = %d", c.len())
 	}
 }
 
@@ -135,8 +135,8 @@ func TestFailedBuildNotCached(t *testing.T) {
 	if _, err := c.GetOrBuild(context.Background(), b, seeds); err == nil {
 		t.Fatal("expected error")
 	}
-	if c.Len() != 0 {
-		t.Fatalf("failed build cached, len = %d", c.Len())
+	if c.len() != 0 {
+		t.Fatalf("failed build cached, len = %d", c.len())
 	}
 	b.fail = false
 	if _, err := c.GetOrBuild(context.Background(), b, seeds); err != nil {
@@ -145,4 +145,11 @@ func TestFailedBuildNotCached(t *testing.T) {
 	if got := b.builds.Load(); got != 2 {
 		t.Fatalf("builds = %d, want 2", got)
 	}
+}
+
+// len reports the number of completed or in-flight models.
+func (c *Cache) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }

@@ -11,9 +11,9 @@ import (
 // nybble position.
 type ValueMask = uint16
 
-// ObservedMasks returns, per nybble position, the set of values seen in
+// observedMasks returns, per nybble position, the set of values seen in
 // the seeds — the raw material of every pattern miner.
-func ObservedMasks(seeds []ipaddr.Addr) [ipaddr.NybbleCount]ValueMask {
+func observedMasks(seeds []ipaddr.Addr) [ipaddr.NybbleCount]ValueMask {
 	var m [ipaddr.NybbleCount]ValueMask
 	for _, a := range seeds {
 		for i := 0; i < ipaddr.NybbleCount; i++ {
@@ -110,12 +110,12 @@ func (e *maskEnum) next() (ipaddr.Addr, bool) {
 	return ipaddr.Addr{}, false
 }
 
-// LeafGen generates addresses for one pattern region: first the cartesian
+// leafGen generates addresses for one pattern region: first the cartesian
 // product of observed values, then progressive widening — adding one
 // adjacent value at a time to the most promising positions, enumerating
 // exactly the new combinations each widening unlocks. It never emits the
 // same address twice.
-type LeafGen struct {
+type leafGen struct {
 	masks [ipaddr.NybbleCount]ValueMask // current allowed values
 	job   maskEnum                      // the enumeration under way
 	// widen state
@@ -123,12 +123,12 @@ type LeafGen struct {
 	nextW    int
 }
 
-// NewLeafGen builds a generator from per-position observed masks.
+// newLeafGen builds a generator from per-position observed masks.
 // widenOrder lists the positions allowed to widen, most preferred first;
 // nil allows IID positions 31..16 that were variable, then fixed IID
 // positions, a sensible default for tree leaves.
-func NewLeafGen(masks [ipaddr.NybbleCount]ValueMask, widenOrder []int) *LeafGen {
-	return &LeafGen{masks: masks, job: maskEnum{masks: masks}, widenPos: widenOrder}
+func newLeafGen(masks [ipaddr.NybbleCount]ValueMask, widenOrder []int) *leafGen {
+	return &leafGen{masks: masks, job: maskEnum{masks: masks}, widenPos: widenOrder}
 }
 
 // defaultWidenOrder lists the variable IID positions (least significant
@@ -150,7 +150,7 @@ func defaultWidenOrder(masks *[ipaddr.NybbleCount]ValueMask) []int {
 
 // Next returns the next fresh candidate, or false when the region cannot
 // produce more (fully widened and enumerated).
-func (g *LeafGen) Next() (ipaddr.Addr, bool) {
+func (g *leafGen) Next() (ipaddr.Addr, bool) {
 	for {
 		if a, ok := g.job.next(); ok {
 			return a, true
@@ -164,7 +164,7 @@ func (g *LeafGen) Next() (ipaddr.Addr, bool) {
 // widen adds one new value to one position and starts the job enumerating
 // the newly unlocked combinations. It is only reached once the job under
 // way is exhausted. Returns false when nothing is left to widen.
-func (g *LeafGen) widen() bool {
+func (g *leafGen) widen() bool {
 	if g.widenPos == nil {
 		// Nothing has widened yet, so the masks are still the observed ones
 		// the default order is defined on.

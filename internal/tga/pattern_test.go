@@ -86,7 +86,7 @@ func TestLeafGenFirstJobIsAscendingProduct(t *testing.T) {
 	// exactly MaskSize of them — in strictly ascending address order.
 	f := func(seed int64) bool {
 		masks, size := randomMasks(rand.New(rand.NewSource(seed)))
-		g := NewLeafGen(masks, nil)
+		g := newLeafGen(masks, nil)
 		var prev ipaddr.Addr
 		for i := 0; i < size; i++ {
 			a, ok := g.Next()
@@ -110,7 +110,7 @@ func TestLeafGenStreamAcrossWidenings(t *testing.T) {
 	// returned.
 	f := func(seed int64) bool {
 		masks, size := randomMasks(rand.New(rand.NewSource(seed)))
-		g := NewLeafGen(masks, nil)
+		g := newLeafGen(masks, nil)
 		seen := ipaddr.NewSet()
 		allowed := masks
 		for i := 0; i < size+3000; i++ {
@@ -138,7 +138,7 @@ func TestLeafGenStreamAcrossWidenings(t *testing.T) {
 
 func TestLeafGenHonoursWidenOrder(t *testing.T) {
 	// Only the listed positions widen, most preferred first, round robin.
-	g := NewLeafGen(pinnedMasks(3), []int{20, 25})
+	g := newLeafGen(pinnedMasks(3), []int{20, 25})
 	first, _ := g.Next()
 	differs := func(a ipaddr.Addr) (pos []int) {
 		for i := 0; i < ipaddr.NybbleCount; i++ {
@@ -173,7 +173,7 @@ func TestLeafGenHonoursWidenOrder(t *testing.T) {
 		t.Fatalf("two positions fully widened give 256 addresses, got %d", n)
 	}
 	// An empty order, unlike nil, allows no widening at all.
-	g = NewLeafGen(pinnedMasks(3), []int{})
+	g = newLeafGen(pinnedMasks(3), []int{})
 	if _, ok := g.Next(); !ok {
 		t.Fatal("the observed pattern itself was not generated")
 	}
@@ -185,7 +185,7 @@ func TestLeafGenHonoursWidenOrder(t *testing.T) {
 func TestLeafGenEmptyPositionYieldsNothing(t *testing.T) {
 	masks := pinnedMasks(1)
 	masks[7] = 0
-	if a, ok := NewLeafGen(masks, nil).Next(); ok {
+	if a, ok := newLeafGen(masks, nil).Next(); ok {
 		t.Fatalf("generated %v from a pattern with an impossible position", a)
 	}
 }
@@ -210,8 +210,8 @@ func TestLeafGenMatchesWidenedMasks(t *testing.T) {
 	// Every generated address must conform to the leaf's current masks
 	// (which only ever widen), and its fixed prefix must never change.
 	seeds := seedsFrom("2001:db8::1", "2001:db8::2", "2001:db8::11")
-	masks := ObservedMasks(seeds)
-	g := NewLeafGen(masks, nil)
+	masks := observedMasks(seeds)
+	g := newLeafGen(masks, nil)
 	prefix := ipaddr.MustParsePrefix("2001:db8::/64")
 	for i := 0; i < 2000; i++ {
 		a, ok := g.Next()

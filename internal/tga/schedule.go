@@ -30,7 +30,7 @@ type Expander struct {
 // those masks, and is dropped when it runs dry.
 type region struct {
 	masks    *[ipaddr.NybbleCount]ValueMask
-	gen      *LeafGen
+	gen      *leafGen
 	weight   float64
 	chunk    int
 	produced int
@@ -68,7 +68,7 @@ func (e *Expander) NextBatch(n, maxChunk int) []ipaddr.Addr {
 	for len(out) < n && len(e.heap) > 0 {
 		r := &e.regions[e.heap[0]]
 		if r.gen == nil {
-			r.gen = NewLeafGen(*r.masks, nil)
+			r.gen = newLeafGen(*r.masks, nil)
 		}
 		chunk := min(r.chunk, maxChunk)
 		got := 0
@@ -244,7 +244,7 @@ func (s *LeafSearch) rank() {
 	moved := s.moved[:0]
 	for _, i := range s.moved {
 		s.mark[i] &^= inMoved
-		if !s.leaves[i].Dry {
+		if !s.leaves[i].dry {
 			moved = append(moved, i)
 		}
 	}
@@ -277,14 +277,14 @@ func (s *LeafSearch) order(i, j int32) int {
 // first draw; a leaf that runs dry is marked so.
 func (s *LeafSearch) take(i int32, k int) int {
 	l := s.leaves[i]
-	if l.Gen == nil {
-		l.Gen = NewLeafGen(l.Masks, nil)
+	if l.gen == nil {
+		l.gen = newLeafGen(l.Masks, nil)
 	}
 	got := 0
 	for got < k {
-		a, ok := l.Gen.Next()
+		a, ok := l.gen.Next()
 		if !ok {
-			l.Gen, l.Dry = nil, true
+			l.gen, l.dry = nil, true
 			break
 		}
 		if s.emitted.Add(a) {
@@ -312,7 +312,7 @@ func (s *LeafSearch) NextBatch(n, exploit, picksPerLeaf int, pick func(live int)
 	s.out = make([]ipaddr.Addr, 0, n)
 	GeometricShares(s.ranked, exploit, s.take)
 	for tries := picksPerLeaf * live; len(s.out) < n && tries > 0; tries-- {
-		if i := s.ranked[pick(live)%live]; !s.leaves[i].Dry {
+		if i := s.ranked[pick(live)%live]; !s.leaves[i].dry {
 			s.take(i, 1)
 		}
 	}

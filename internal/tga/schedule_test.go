@@ -17,7 +17,7 @@ func addRegion(e *Expander, v byte, width int, weight float64) {
 	masks := pinnedMasks(v)
 	masks[ipaddr.NybbleCount-1] = 1<<width - 1
 	e.Add(&masks, weight, 0)                                     // chunk floored to minChunk
-	e.regions[len(e.regions)-1].gen = NewLeafGen(masks, []int{}) // never widen: the region can run dry
+	e.regions[len(e.regions)-1].gen = newLeafGen(masks, []int{}) // never widen: the region can run dry
 }
 
 // produced lists what each of e's regions has produced, in Add order.
@@ -179,7 +179,7 @@ func TestLeafSearchExploreCountsPicksNotAddresses(t *testing.T) {
 	s := newSearch(t)
 	live := len(s.leaves)
 	for i, l := range s.leaves[1:] {
-		l.Gen = NewLeafGen(pinnedMasks(byte(i)), []int{}) // one address, then dry
+		l.gen = newLeafGen(pinnedMasks(byte(i)), []int{}) // one address, then dry
 	}
 	picks := 0
 	batch := s.NextBatch(100, 0, 2, func(n int) int {
@@ -196,8 +196,8 @@ func TestLeafSearchExploreCountsPicksNotAddresses(t *testing.T) {
 		t.Fatalf("%d picks gave %d addresses (%d from leaf 0), want %d, %d and 2", picks, len(batch), s.leaves[0].Probes, 2*live, want)
 	}
 	for i, l := range s.leaves {
-		if l.Dry != (i > 0) || l.Dry && l.Gen != nil {
-			t.Fatalf("leaf %d: dry %v with generator %v, want dry for every leaf but 0, and no generator kept", i, l.Dry, l.Gen != nil)
+		if l.dry != (i > 0) || l.dry && l.gen != nil {
+			t.Fatalf("leaf %d: dry %v with generator %v, want dry for every leaf but 0, and no generator kept", i, l.dry, l.gen != nil)
 		}
 	}
 	if got := NewLeafSearch(nil, nil, nil).NextBatch(100, 60, 1, nil); got != nil {
@@ -221,7 +221,7 @@ func TestLeafSearchStartsOnlyDrawnLeaves(t *testing.T) {
 	}
 	started := 0
 	for _, l := range s.leaves {
-		if l.Gen != nil || l.Dry {
+		if l.gen != nil || l.dry {
 			started++
 		}
 	}
@@ -284,7 +284,7 @@ type argmaxExpander struct {
 	weight   []float64
 	chunk    []int
 	produced []int
-	gens     []*LeafGen
+	gens     []*leafGen
 	emitted  *ipaddr.Set
 }
 
@@ -338,9 +338,9 @@ func TestExpanderHeapMatchesLinearArgmax(t *testing.T) {
 			ref.weight = append(ref.weight, weight)
 			ref.chunk = append(ref.chunk, max(minChunk, chunk))
 			ref.produced = append(ref.produced, 0)
-			ref.gens = append(ref.gens, NewLeafGen(masks, nil))
+			ref.gens = append(ref.gens, newLeafGen(masks, nil))
 			if rng.Intn(3) > 0 {
-				e.regions[r].gen, ref.gens[r].widenPos = NewLeafGen(masks, []int{}), []int{}
+				e.regions[r].gen, ref.gens[r].widenPos = newLeafGen(masks, []int{}), []int{}
 			}
 		}
 		for batch := 0; batch < 30; batch++ {
@@ -432,7 +432,7 @@ func TestLeafSearchRankingMatchesStableSort(t *testing.T) {
 	neverWiden := func(s *LeafSearch) {
 		for i, l := range s.leaves {
 			if i%3 != 0 {
-				l.Gen = NewLeafGen(l.Masks, []int{})
+				l.gen = newLeafGen(l.Masks, []int{})
 			}
 		}
 	}
@@ -447,7 +447,7 @@ func TestLeafSearchRankingMatchesStableSort(t *testing.T) {
 			for step := 0; step < 120; step++ {
 				var want []*TreeNode
 				for _, l := range s.leaves {
-					if !l.Dry {
+					if !l.dry {
 						want = append(want, l)
 					}
 				}

@@ -23,14 +23,15 @@ import (
 	"seedscan/internal/tga"
 )
 
+// clusterRadius is the nybble distance within which seeds join an
+// existing cluster.
+const clusterRadius = 4
+
 // Generator is the 6Gen TGA. Construct with New.
 type Generator struct {
-	// MaxClusterRadius is the nybble distance within which seeds join an
-	// existing cluster (default 4).
-	MaxClusterRadius int
-	// MaxClusters caps the number of tracked clusters; further seeds join
+	// clusterCap caps the number of tracked clusters; further seeds join
 	// their /64's first cluster regardless of radius (default 4096).
-	MaxClusters int
+	clusterCap int
 
 	clusters *tga.Expander
 }
@@ -50,21 +51,21 @@ func (c *cluster) absorb(a ipaddr.Addr) {
 	c.size++
 }
 
-// Model is 6Gen's cacheable mined model: the clusters in density order,
+// model is 6Gen's cacheable mined model: the clusters in density order,
 // without per-run enumerator state.
-type Model struct {
-	Clusters []ClusterModel
+type model struct {
+	Clusters []clusterModel
 }
 
-// ClusterModel is one mined cluster.
-type ClusterModel struct {
+// clusterModel is one mined cluster.
+type clusterModel struct {
 	Rep   ipaddr.Addr
 	Masks [ipaddr.NybbleCount]tga.ValueMask
 	Size  int
 }
 
 // New returns a 6Gen generator with default parameters.
-func New() *Generator { return &Generator{MaxClusterRadius: 4, MaxClusters: 4096} }
+func New() *Generator { return &Generator{clusterCap: 4096} }
 
 // Name implements tga.Generator.
 func (g *Generator) Name() string { return "6Gen" }
@@ -72,27 +73,20 @@ func (g *Generator) Name() string { return "6Gen" }
 // Online implements tga.Generator. 6Gen generation is offline.
 func (g *Generator) Online() bool { return false }
 
-func (g *Generator) radius() int {
-	if g.MaxClusterRadius <= 0 {
-		return 4
-	}
-	return g.MaxClusterRadius
-}
-
 func (g *Generator) maxClusters() int {
-	if g.MaxClusters <= 0 {
+	if g.clusterCap <= 0 {
 		return 4096
 	}
-	return g.MaxClusters
+	return g.clusterCap
 }
 
 // ModelParams implements tga.ModelBuilder.
 func (g *Generator) ModelParams() string {
-	return fmt.Sprintf("6gen/radius=%d,maxclusters=%d", g.radius(), g.maxClusters())
+	return fmt.Sprintf("6gen/radius=%d,maxclusters=%d", clusterRadius, g.maxClusters())
 }
 
 // mineClusters is the greedy clustering in seed order, with the global
-// MaxClusters cap: once the cap is reached, seeds join their prefix's
+// cluster cap: once the cap is reached, seeds join their prefix's
 // first cluster regardless of radius.
 func mineClusters(seeds []ipaddr.Addr, radius, maxClusters int) []*cluster {
 	// Greedy clustering with a prefix index: seeds sharing their top 16
@@ -128,7 +122,7 @@ func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("sixgen: empty seed set")
 	}
-	clusters := mineClusters(seeds, g.radius(), g.maxClusters())
+	clusters := mineClusters(seeds, clusterRadius, g.maxClusters())
 	// Density order: seeds per range combination, descending.
 	sort.SliceStable(clusters, func(i, j int) bool {
 		di := float64(clusters[i].size) / tga.MaskSize(clusters[i].masks)
@@ -138,9 +132,9 @@ func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 		}
 		return clusters[i].size > clusters[j].size
 	})
-	m := &Model{Clusters: make([]ClusterModel, len(clusters))}
+	m := &model{Clusters: make([]clusterModel, len(clusters))}
 	for i, c := range clusters {
-		m.Clusters[i] = ClusterModel{Rep: c.rep, Masks: c.masks, Size: c.size}
+		m.Clusters[i] = clusterModel{Rep: c.rep, Masks: c.masks, Size: c.size}
 	}
 	return m, nil
 }
@@ -148,7 +142,7 @@ func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 // InitFromModel implements tga.ModelBuilder: it materializes fresh
 // per-run enumerators over the mined clusters.
 func (g *Generator) InitFromModel(m tga.Model, _ []ipaddr.Addr) error {
-	mm, ok := m.(*Model)
+	mm, ok := m.(*model)
 	if !ok {
 		return fmt.Errorf("sixgen: model type %T", m)
 	}
@@ -168,6 +162,3 @@ func (g *Generator) NextBatch(n int) []ipaddr.Addr { return g.clusters.NextBatch
 
 // Feedback implements tga.Generator; 6Gen ignores scan results.
 func (g *Generator) Feedback([]tga.ProbeResult) {}
-
-// ClusterCount reports the number of clusters built (diagnostics).
-func (g *Generator) ClusterCount() int { return g.clusters.Len() }

@@ -30,8 +30,8 @@ func TestClusteringGroupsNearbySeeds(t *testing.T) {
 	}
 	// The nybble-distance radius keeps the two groups apart: their subnet
 	// nybble and IID nybbles differ beyond radius 4 in combination.
-	if g.ClusterCount() < 2 {
-		t.Fatalf("clusters = %d", g.ClusterCount())
+	if g.clusterCount() < 2 {
+		t.Fatalf("clusters = %d", g.clusterCount())
 	}
 }
 
@@ -44,8 +44,8 @@ func TestSeparatePrefixesNeverCluster(t *testing.T) {
 	if err := g.Init(seeds); err != nil {
 		t.Fatal(err)
 	}
-	if g.ClusterCount() != 2 {
-		t.Fatalf("clusters = %d, want 2", g.ClusterCount())
+	if g.clusterCount() != 2 {
+		t.Fatalf("clusters = %d, want 2", g.clusterCount())
 	}
 }
 
@@ -98,7 +98,7 @@ func TestNoDuplicates(t *testing.T) {
 
 func TestMaxClustersCap(t *testing.T) {
 	g := New()
-	g.MaxClusters = 4
+	g.clusterCap = 4
 	var seeds []ipaddr.Addr
 	// Many far-apart seeds within one /32 (distinct at >radius distance).
 	base := ipaddr.MustParse("2001:db8::")
@@ -112,7 +112,10 @@ func TestMaxClustersCap(t *testing.T) {
 	if err := g.Init(seeds); err != nil {
 		t.Fatal(err)
 	}
-	if g.ClusterCount() > 4 {
-		t.Fatalf("clusters = %d, cap ignored", g.ClusterCount())
+	if g.clusterCount() > 4 {
+		t.Fatalf("clusters = %d, cap ignored", g.clusterCount())
 	}
 }
+
+// clusterCount reports the number of clusters built (diagnostics).
+func (g *Generator) clusterCount() int { return g.clusters.Len() }

@@ -24,11 +24,11 @@ import (
 
 // Generator is the 6Graph TGA. Construct with New.
 type Generator struct {
-	// MergeDistance joins two leaf patterns when their masks differ in at
+	// mergeDist joins two leaf patterns when their masks differ in at
 	// most this many positions (default 2).
-	MergeDistance int
+	mergeDist int
 
-	model    *Model // read-only; kept for the diagnostics
+	model    *model // read-only; kept for the diagnostics
 	clusters *tga.Expander
 }
 
@@ -38,7 +38,7 @@ type Generator struct {
 const bucketPositions = 8
 
 // New returns a 6Graph generator with default parameters.
-func New() *Generator { return &Generator{MergeDistance: 2} }
+func New() *Generator { return &Generator{mergeDist: 2} }
 
 // Name implements tga.Generator.
 func (g *Generator) Name() string { return "6Graph" }
@@ -46,23 +46,23 @@ func (g *Generator) Name() string { return "6Graph" }
 // Online implements tga.Generator. 6Graph is offline.
 func (g *Generator) Online() bool { return false }
 
-// Model is 6Graph's cacheable mined model: the merged patterns in
+// model is 6Graph's cacheable mined model: the merged patterns in
 // biggest-first order, without per-run enumerator state.
-type Model struct {
-	Clusters []ClusterModel
+type model struct {
+	Clusters []clusterModel
 }
 
-// ClusterModel is one merged pattern.
-type ClusterModel struct {
+// clusterModel is one merged pattern.
+type clusterModel struct {
 	Masks [ipaddr.NybbleCount]tga.ValueMask
 	Seeds int
 }
 
 func (g *Generator) mergeDistance() int {
-	if g.MergeDistance <= 0 {
+	if g.mergeDist <= 0 {
 		return 2
 	}
-	return g.MergeDistance
+	return g.mergeDist
 }
 
 // ModelParams implements tga.ModelBuilder.
@@ -81,7 +81,7 @@ func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 	leaves := tm.(*tga.TreeModel).LeafModels
 	mergeDist := g.mergeDistance()
 
-	// Pattern graph: union-find over leaves within MergeDistance.
+	// Pattern graph: union-find over leaves within the merge distance.
 	parent := make([]int, len(leaves))
 	for i := range parent {
 		parent[i] = i
@@ -124,13 +124,13 @@ func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 	}
 
 	// Merge components in deterministic (leaf index) order.
-	comp := make(map[int]*ClusterModel)
-	var clusters []*ClusterModel
+	comp := make(map[int]*clusterModel)
+	var clusters []*clusterModel
 	for i, l := range leaves {
 		r := find(i)
 		c, ok := comp[r]
 		if !ok {
-			c = &ClusterModel{}
+			c = &clusterModel{}
 			comp[r] = c
 			clusters = append(clusters, c)
 		}
@@ -141,7 +141,7 @@ func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 	}
 	// Deterministic order: biggest clusters first.
 	sort.SliceStable(clusters, func(i, j int) bool { return clusters[i].Seeds > clusters[j].Seeds })
-	m := &Model{Clusters: make([]ClusterModel, len(clusters))}
+	m := &model{Clusters: make([]clusterModel, len(clusters))}
 	for i, c := range clusters {
 		m.Clusters[i] = *c
 	}
@@ -151,7 +151,7 @@ func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 // InitFromModel implements tga.ModelBuilder: it materializes fresh
 // per-run enumerators over the merged patterns.
 func (g *Generator) InitFromModel(m tga.Model, _ []ipaddr.Addr) error {
-	mm, ok := m.(*Model)
+	mm, ok := m.(*model)
 	if !ok {
 		return fmt.Errorf("sixgraph: model type %T", m)
 	}
@@ -210,20 +210,3 @@ func (g *Generator) NextBatch(n int) []ipaddr.Addr { return g.clusters.NextBatch
 
 // Feedback implements tga.Generator; 6Graph ignores scan results.
 func (g *Generator) Feedback([]tga.ProbeResult) {}
-
-// ClusterCount reports the number of merged patterns (diagnostics).
-func (g *Generator) ClusterCount() int { return g.clusters.Len() }
-
-// ClusterWidth reports the total variable positions across clusters — a
-// measure of how much merging widened the patterns (diagnostics).
-func (g *Generator) ClusterWidth() int {
-	total := 0
-	for _, c := range g.model.Clusters {
-		for _, m := range c.Masks {
-			if bits.OnesCount16(m) > 1 {
-				total++
-			}
-		}
-	}
-	return total
-}

@@ -2,6 +2,7 @@ package sixgraph
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -33,15 +34,15 @@ func TestPatternMergingWidensMasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	unmerged := New()
-	unmerged.MergeDistance = -1 // sentinel: fixed below
-	unmerged.MergeDistance = 1  // too tight to merge across two positions? distance is 1 here
+	unmerged.mergeDist = -1 // sentinel: fixed below
+	unmerged.mergeDist = 1  // too tight to merge across two positions? distance is 1 here
 	_ = unmerged
 
-	if merged.ClusterCount() >= 2 {
+	if merged.clusterCount() >= 2 {
 		// Groups at distance 1 (only nybble 15 differs) must merge.
-		t.Fatalf("clusters = %d, expected the two patterns to merge", merged.ClusterCount())
+		t.Fatalf("clusters = %d, expected the two patterns to merge", merged.clusterCount())
 	}
-	if merged.ClusterWidth() == 0 {
+	if merged.clusterWidth() == 0 {
 		t.Fatal("merged pattern has no variable positions")
 	}
 	// The merged pattern generates cross-products spanning both groups.
@@ -76,7 +77,7 @@ func TestDistantPatternsStaySeparate(t *testing.T) {
 	if err := g.Init(seeds); err != nil {
 		t.Fatal(err)
 	}
-	if g.ClusterCount() < 2 {
+	if g.clusterCount() < 2 {
 		t.Fatal("cross-prefix patterns merged")
 	}
 }
@@ -187,4 +188,21 @@ func TestFeedbackIgnored(t *testing.T) {
 	if len(g.NextBatch(5)) == 0 {
 		t.Fatal("generation stopped after feedback")
 	}
+}
+
+// clusterCount reports the number of merged patterns (diagnostics).
+func (g *Generator) clusterCount() int { return g.clusters.Len() }
+
+// clusterWidth reports the total variable positions across clusters — a
+// measure of how much merging widened the patterns (diagnostics).
+func (g *Generator) clusterWidth() int {
+	total := 0
+	for _, c := range g.model.Clusters {
+		for _, m := range c.Masks {
+			if bits.OnesCount16(m) > 1 {
+				total++
+			}
+		}
+	}
+	return total
 }

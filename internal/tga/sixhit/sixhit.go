@@ -9,7 +9,7 @@
 // down that ranking in geometric shares and the rest to uniformly random
 // live leaves; a probe counts when its result arrives, and Q moves toward
 // each round's per-leaf hit rate over what was proposed that round. Every
-// RebuildEvery rounds the tree regrows around the hits and Q starts over.
+// rebuildEvery rounds the tree regrows around the hits and Q starts over.
 package sixhit
 
 import (
@@ -20,17 +20,18 @@ import (
 	"seedscan/internal/tga"
 )
 
+// alpha is the Q-value learning rate.
+const alpha = 0.3
+
 // Generator is the 6Hit TGA. Construct with New.
 type Generator struct {
-	// Epsilon is the random-exploration share (default 0.1).
-	Epsilon float64
-	// Alpha is the Q-value learning rate (default 0.3).
-	Alpha float64
-	// RebuildEvery recreates the tree after this many feedback rounds
+	// epsilon is the random-exploration share (default 0.1).
+	epsilon float64
+	// rebuildEvery recreates the tree after this many feedback rounds
 	// (default 16).
-	RebuildEvery int
-	// Seed drives exploration randomness (default 1).
-	Seed int64
+	rebuildEvery int
+	// seed drives exploration randomness (default 1).
+	seed int64
 
 	rng    *rand.Rand
 	seeds  []ipaddr.Addr
@@ -47,7 +48,7 @@ const initialQ = 0.5
 
 // New returns a 6Hit generator with default parameters.
 func New() *Generator {
-	return &Generator{Epsilon: 0.1, Alpha: 0.3, RebuildEvery: 16, Seed: 1}
+	return &Generator{epsilon: 0.1, rebuildEvery: 16, seed: 1}
 }
 
 // Name implements tga.Generator.
@@ -57,7 +58,7 @@ func (g *Generator) Name() string { return "6Hit" }
 func (g *Generator) Online() bool { return true }
 
 // ModelParams implements tga.ModelBuilder: 6Tree's space tree. The bandit
-// knobs (Epsilon, Alpha, RebuildEvery, Seed) steer the online search.
+// knobs (epsilon, alpha, rebuildEvery, seed) steer the online search.
 func (g *Generator) ModelParams() string { return tga.LeftmostTree }
 
 // BuildModel implements tga.ModelBuilder: the initial 6Tree-style space
@@ -73,16 +74,13 @@ func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
 	if !ok {
 		return fmt.Errorf("sixhit: model type %T", m)
 	}
-	if g.Epsilon <= 0 {
-		g.Epsilon = 0.1
+	if g.epsilon <= 0 {
+		g.epsilon = 0.1
 	}
-	if g.Alpha <= 0 {
-		g.Alpha = 0.3
+	if g.rebuildEvery <= 0 {
+		g.rebuildEvery = 16
 	}
-	if g.RebuildEvery <= 0 {
-		g.RebuildEvery = 16
-	}
-	g.rng = rand.New(rand.NewSource(g.Seed))
+	g.rng = rand.New(rand.NewSource(g.seed))
 	g.seeds = seeds
 	g.search = tga.NewLeafSearch(tm.Leaves(), func(a, b *tga.TreeNode) bool { return g.qOf(a) > g.qOf(b) },
 		func(l *tga.TreeNode, got int) { g.batchN[l] += got })
@@ -105,7 +103,7 @@ func (g *Generator) qOf(l *tga.TreeNode) float64 {
 // NextBatch spends (1-ε) of the batch on the highest-Q leaves and ε on
 // uniformly random leaves.
 func (g *Generator) NextBatch(n int) []ipaddr.Addr {
-	return g.search.NextBatch(n, n-int(float64(n)*g.Epsilon), 8, g.rng.Intn)
+	return g.search.NextBatch(n, n-int(float64(n)*g.epsilon), 8, g.rng.Intn)
 }
 
 // Feedback updates Q-values from the round's hit rates and periodically
@@ -124,13 +122,13 @@ func (g *Generator) Feedback(results []tga.ProbeResult) {
 			continue
 		}
 		reward := float64(g.batchH[l]) / float64(n)
-		g.q[l] = (1-g.Alpha)*g.qOf(l) + g.Alpha*reward
+		g.q[l] = (1-alpha)*g.qOf(l) + alpha*reward
 	}
 	clear(g.batchN)
 	clear(g.batchH)
 
 	g.rounds++
-	if g.rounds%g.RebuildEvery == 0 {
+	if g.rounds%g.rebuildEvery == 0 {
 		g.search.Rebuild(g.seeds, g.hits, tga.MinLeaf, tga.SplitLeftmost)
 		clear(g.q) // the new leaves start over at initialQ
 	}

@@ -58,7 +58,7 @@ func TestQValuesSteerTowardRewardedRegion(t *testing.T) {
 
 func TestEpsilonExplorationPersists(t *testing.T) {
 	g := New()
-	g.Epsilon = 0.3
+	g.epsilon = 0.3
 	if err := g.Init(denseSeeds()); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestEpsilonExplorationPersists(t *testing.T) {
 
 func TestPeriodicRebuild(t *testing.T) {
 	g := New()
-	g.RebuildEvery = 2
+	g.rebuildEvery = 2
 	if err := g.Init(denseSeeds()); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestPeriodicRebuild(t *testing.T) {
 func TestDeterministicWithFixedSeed(t *testing.T) {
 	run := func() []ipaddr.Addr {
 		g := New()
-		g.Seed = 99
+		g.seed = 99
 		if err := g.Init(denseSeeds()); err != nil {
 			t.Fatal(err)
 		}

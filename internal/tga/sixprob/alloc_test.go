@@ -78,7 +78,7 @@ func TestRunFrontierAllocations(t *testing.T) {
 			drawn += len(got)
 		}
 	})
-	if limit := 64*float64(DefaultBeam+1) + 896<<10; bytes > limit {
+	if limit := 64*float64(defaultBeam+1) + 896<<10; bytes > limit {
 		t.Errorf("InitFromModel and %d draws allocate %.0f B, want at most %.0f", draws, bytes, limit)
 	}
 }

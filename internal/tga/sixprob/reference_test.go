@@ -57,7 +57,7 @@ type refCand struct {
 }
 
 func newRef(g *Generator) *refGenerator {
-	return &refGenerator{Eps: g.Eps, MaxMutations: g.MaxMutations, TopMutations: g.TopMutations, Beam: g.Beam, Seed: g.Seed}
+	return &refGenerator{Eps: eps, MaxMutations: g.maxMutations, TopMutations: g.topMutations, Beam: g.Beam, Seed: g.seed}
 }
 
 func (g *refGenerator) init(seedAddrs []ipaddr.Addr) {
@@ -364,14 +364,14 @@ func randomSeeds(rng *rand.Rand, shape int) []ipaddr.Addr {
 func TestMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	trial := 0
-	for _, beam := range []int{0, 1, 2, 3, 64, 1024, DefaultBeam} {
+	for _, beam := range []int{0, 1, 2, 3, 64, 1024, defaultBeam} {
 		for _, maxMuts := range []int{1, 3} {
 			for _, top := range []int{1, 6} {
 				for shape := 0; shape < 3; shape++ {
 					trial++
 					seeds := randomSeeds(rng, shape)
 					g := New()
-					g.Beam, g.MaxMutations, g.TopMutations, g.Seed = beam, maxMuts, top, uint64(trial)
+					g.Beam, g.maxMutations, g.topMutations, g.seed = beam, maxMuts, top, uint64(trial)
 					name := fmt.Sprintf("trial %d (%d seeds, beam %d, max %d, top %d)", trial, len(seeds), beam, maxMuts, top)
 					m, err := g.BuildModel(seeds)
 					if err != nil {
@@ -384,7 +384,7 @@ func TestMatchesReference(t *testing.T) {
 					ref.init(seeds)
 					// The flat trie has the pointer trie's nodes, in one
 					// allocation of exactly that many.
-					if nodes, want := m.(*Model).nodes, refCount(ref.root); len(nodes) != want || cap(nodes) != want {
+					if nodes, want := m.(*model).nodes, refCount(ref.root); len(nodes) != want || cap(nodes) != want {
 						t.Fatalf("%s: %d nodes in a slice of %d, the pointer trie has %d", name, len(nodes), cap(nodes), want)
 					}
 					for drawn, batch := 0, 0; drawn < 3000; batch++ {

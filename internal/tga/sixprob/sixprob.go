@@ -11,12 +11,12 @@
 // Generation is a deterministic best-first walk: a max-heap of partial
 // addresses ordered by accumulated log-probability. Expanding a partial
 // address either follows an existing trie edge (probability proportional
-// to its visit count, discounted by 1-Eps) or mutates the position to a
-// value the trie has not seen there (probability Eps times the value's
+// to its visit count, discounted by 1-eps) or mutates the position to a
+// value the trie has not seen there (probability eps times the value's
 // smoothed global frequency at that position), after which the walk
 // borrows the heaviest sibling subtree to complete the address. At least
 // one mutation is required — zero-mutation completions are the seeds
-// themselves — and at most MaxMutations, which bounds the candidate
+// themselves — and at most maxMutations, which bounds the candidate
 // space. Candidates therefore pop in highest-probability-first order,
 // reproducibly: ties are broken by a hash keyed on the run seed, so a
 // run is deterministic under its seed.
@@ -32,21 +32,23 @@ import (
 	"seedscan/internal/tga"
 )
 
-// Defaults for the generation knobs. Eps, MaxMutations, TopMutations and
-// Beam shape candidate drawing only, not the mined model, so they stay
-// out of ModelParams.
+// The generation knobs and their defaults. eps, maxMutations,
+// topMutations and Beam shape candidate drawing only, not the mined model,
+// so they stay out of ModelParams.
 const (
-	DefaultEps          = 0.05
-	DefaultMaxMutations = 3
-	DefaultTopMutations = 6
-	DefaultBeam         = 1 << 16
+	// eps is the probability mass reserved for mutating a position to a
+	// value unseen there, split across candidates by global frequency.
+	eps                 = 0.05
+	defaultMaxMutations = 3
+	defaultTopMutations = 6
+	defaultBeam         = 1 << 16
 )
 
-// Model is the immutable mined artifact: the counted generation trie,
+// model is the immutable mined artifact: the counted generation trie,
 // the canonical seeds it was mined from, and the global per-position
 // value frequencies used to weight mutations. It holds no pointers past
 // its two slices.
-type Model struct {
+type model struct {
 	nodes []node        // nodes[0] is the root
 	seeds []ipaddr.Addr // canonical; single-seed nodes read their tails here
 	freq  [ipaddr.NybbleCount][16]int
@@ -70,21 +72,18 @@ type node struct {
 
 // Generator implements tga.Generator and tga.ModelBuilder.
 type Generator struct {
-	// Eps is the probability mass reserved for mutating a position to a
-	// value unseen there, split across candidates by global frequency.
-	Eps float64
-	// MaxMutations caps mutated positions per candidate.
-	MaxMutations int
-	// TopMutations caps how many mutation values are tried per position
-	// (most globally frequent first).
-	TopMutations int
 	// Beam caps the search heap; on overflow the worst half is dropped
 	// deterministically. Bounds memory on large budgets.
 	Beam int
-	// Seed breaks log-probability ties; same seed, same draw order.
-	Seed uint64
+	// maxMutations caps mutated positions per candidate.
+	maxMutations int
+	// topMutations caps how many mutation values are tried per position
+	// (most globally frequent first).
+	topMutations int
+	// seed breaks log-probability ties; same seed, same draw order.
+	seed uint64
 
-	model    *Model
+	model    *model
 	frontier candHeap
 	emitted  *ipaddr.Set
 	tick     uint64
@@ -109,11 +108,10 @@ type Generator struct {
 // New returns a 6Prob generator with default knobs.
 func New() *Generator {
 	return &Generator{
-		Eps:          DefaultEps,
-		MaxMutations: DefaultMaxMutations,
-		TopMutations: DefaultTopMutations,
-		Beam:         DefaultBeam,
-		Seed:         1,
+		Beam:         defaultBeam,
+		maxMutations: defaultMaxMutations,
+		topMutations: defaultTopMutations,
+		seed:         1,
 	}
 }
 
@@ -139,7 +137,7 @@ func (g *Generator) BuildModel(seedAddrs []ipaddr.Addr) (tga.Model, error) {
 		return nil, fmt.Errorf("sixprob: no seeds")
 	}
 	seedAddrs = tga.CanonicalSeeds(seedAddrs)
-	m := &Model{total: len(seedAddrs)}
+	m := &model{total: len(seedAddrs)}
 	m.freq = tga.ValueCounts(seedAddrs)
 	for pos := 0; pos < ipaddr.NybbleCount; pos++ {
 		for v := 0; v < 16; v++ {
@@ -211,11 +209,11 @@ func (g *Generator) Init(seedAddrs []ipaddr.Addr) error { return tga.InitByModel
 
 // InitFromModel implements tga.ModelBuilder: it adopts a mined model
 // (possibly from the cross-run cache) and builds fresh run state. The
-// model is never written through. Generation knobs (Eps, TopMutations,
+// model is never written through. Generation knobs (Beam, topMutations,
 // ...) must be set before this call — the log-probability tables are
 // derived here.
 func (g *Generator) InitFromModel(m tga.Model, _ []ipaddr.Addr) error {
-	mm, ok := m.(*Model)
+	mm, ok := m.(*model)
 	if !ok {
 		return fmt.Errorf("sixprob: model type %T", m)
 	}
@@ -224,8 +222,8 @@ func (g *Generator) InitFromModel(m tga.Model, _ []ipaddr.Addr) error {
 	g.frontier = newCandHeap(g.Beam)
 	g.tick = 0
 	g.hasFloor = false
-	g.lnKeep = math.Log(1 - g.Eps)
-	g.lnEps = math.Log(g.Eps)
+	g.lnKeep = math.Log(1 - eps)
+	g.lnEps = math.Log(eps)
 	denom := float64(mm.total + 16)
 	for pos := 0; pos < ipaddr.NybbleCount; pos++ {
 		g.maxMutLP[pos] = math.Inf(-1)
@@ -281,8 +279,8 @@ func (g *Generator) NextBatch(nwant int) []ipaddr.Addr {
 }
 
 // expand pushes every extension of c, whose log-probability is lp: the
-// trie's own edges discounted by 1-Eps, plus up to TopMutations mutated
-// values per position weighted by Eps times their smoothed global
+// trie's own edges discounted by 1-eps, plus up to topMutations mutated
+// values per position weighted by eps times their smoothed global
 // frequency. Single-seed tails expand in bulk — one pop pushes the pure
 // completion plus the mutations at every remaining position, with the same
 // log-probabilities the one-position walk would accumulate, so the heap
@@ -311,7 +309,7 @@ func (g *Generator) expand(c cand, lp float64) {
 		}, lp+math.Log(float64(count)/total)+g.lnKeep)
 		kid++
 	}
-	if int(c.muts) < g.MaxMutations {
+	if int(c.muts) < g.maxMutations {
 		// Mutations to values without an edge borrow the heaviest
 		// sibling's subtree to complete the low half of the address.
 		g.pushMutationsAt(c.addr, pos, lp, c.muts, n.edges, heaviest)
@@ -335,7 +333,7 @@ func (g *Generator) expandTail(c cand, lp float64, seed ipaddr.Addr) {
 			muts:  c.muts,
 		}, lp+float64(ipaddr.NybbleCount-pos)*g.lnKeep)
 	}
-	if int(c.muts) >= g.MaxMutations {
+	if int(c.muts) >= g.maxMutations {
 		return
 	}
 	prefix := c.addr
@@ -374,7 +372,7 @@ func (g *Generator) pushMutationsAt(prefix ipaddr.Addr, pos int, lp float64, mut
 			muts:  muts + 1,
 			node:  node,
 		}, lp+g.mutLP[pos][v])
-		if pushed++; pushed == g.TopMutations {
+		if pushed++; pushed == g.topMutations {
 			return
 		}
 	}
@@ -407,7 +405,7 @@ func (g *Generator) push(c cand, lp float64) {
 	}
 	c.tick = g.tick
 	g.tick++
-	g.frontier.push(c, key{lp: lp, tie: mix64(g.Seed, c.addr.Hi(), c.addr.Lo(), uint64(c.depth))})
+	g.frontier.push(c, key{lp: lp, tie: mix64(g.seed, c.addr.Hi(), c.addr.Lo(), uint64(c.depth))})
 	if g.Beam > 0 && g.frontier.Len() > g.Beam {
 		g.floor = g.frontier.prune(g.keep())
 		g.hasFloor = true
@@ -439,12 +437,12 @@ type candHeap struct {
 }
 
 // newCandHeap sizes a frontier for a beam once: it holds beam+1 entries
-// just before each prune (DefaultBeam+1 for an unbounded beam, which grows
+// just before each prune (defaultBeam+1 for an unbounded beam, which grows
 // past that by append).
 func newCandHeap(beam int) candHeap {
-	size := DefaultBeam
+	size := defaultBeam
 	if beam > 0 {
-		size = min(beam, DefaultBeam)
+		size = min(beam, defaultBeam)
 	}
 	return candHeap{
 		heap: make([]key, 0, size+1),

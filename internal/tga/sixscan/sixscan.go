@@ -10,7 +10,7 @@
 // almost nothing when the two run together.
 //
 // Policy over tga.LeafSearch: regions rank by hit count, then seed count;
-// TopShare of the batch goes down that ranking in geometric shares and the
+// topShare of the batch goes down that ranking in geometric shares and the
 // cold rest round-robin, the cursor carrying over from batch to batch; a
 // probe counts when proposed, and the tree is never rebuilt.
 package sixscan
@@ -24,16 +24,16 @@ import (
 
 // Generator is the 6Scan TGA. Construct with New.
 type Generator struct {
-	// TopShare is the batch share given to the currently hottest regions
+	// topShare is the batch share given to the currently hottest regions
 	// (default 0.7).
-	TopShare float64
+	topShare float64
 
 	search *tga.LeafSearch
 	rr     int // round-robin cursor for the cold share
 }
 
 // New returns a 6Scan generator with default parameters.
-func New() *Generator { return &Generator{TopShare: 0.7} }
+func New() *Generator { return &Generator{topShare: 0.7} }
 
 // Name implements tga.Generator.
 func (g *Generator) Name() string { return "6Scan" }
@@ -41,7 +41,7 @@ func (g *Generator) Name() string { return "6Scan" }
 // Online implements tga.Generator.
 func (g *Generator) Online() bool { return true }
 
-// ModelParams implements tga.ModelBuilder: 6Tree's space tree. TopShare
+// ModelParams implements tga.ModelBuilder: 6Tree's space tree. topShare
 // only steers the online allocation.
 func (g *Generator) ModelParams() string { return tga.LeftmostTree }
 
@@ -57,8 +57,8 @@ func (g *Generator) InitFromModel(m tga.Model, _ []ipaddr.Addr) error {
 	if !ok {
 		return fmt.Errorf("sixscan: model type %T", m)
 	}
-	if g.TopShare <= 0 || g.TopShare >= 1 {
-		g.TopShare = 0.7
+	if g.topShare <= 0 || g.topShare >= 1 {
+		g.topShare = 0.7
 	}
 	g.search = tga.NewLeafSearch(tm.Leaves(), ranksAbove, func(l *tga.TreeNode, got int) { l.Probes += got })
 	return nil
@@ -75,11 +75,11 @@ func ranksAbove(a, b *tga.TreeNode) bool {
 // Init builds the space tree with 6Tree's splitting order.
 func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, seeds) }
 
-// NextBatch spends TopShare of the batch on regions sorted by region
+// NextBatch spends topShare of the batch on regions sorted by region
 // encoding feedback (hit count, then seed count) and the rest round-robin
 // across all live regions.
 func (g *Generator) NextBatch(n int) []ipaddr.Addr {
-	return g.search.NextBatch(n, int(float64(n)*g.TopShare), 4, func(int) int {
+	return g.search.NextBatch(n, int(float64(n)*g.topShare), 4, func(int) int {
 		g.rr++
 		return g.rr - 1
 	})

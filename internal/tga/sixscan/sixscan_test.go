@@ -58,7 +58,7 @@ func TestRegionFeedbackReprioritizes(t *testing.T) {
 
 func TestColdShareKeepsRoundRobin(t *testing.T) {
 	g := New()
-	g.TopShare = 0.5
+	g.topShare = 0.5
 	if err := g.Init(denseSeeds()); err != nil {
 		t.Fatal(err)
 	}

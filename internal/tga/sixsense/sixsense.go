@@ -150,14 +150,16 @@ func (a *armRun) reward() float64 {
 	return (float64(a.hits) + 1) / (float64(a.probes) + 2)
 }
 
+const (
+	// asShare is the budget fraction dedicated to network diversity —
+	// probing the least-explored arms.
+	asShare = 0.25
+	// samplingSeed drives sampling.
+	samplingSeed = 1
+)
+
 // Generator is the 6Sense TGA. Construct with New.
 type Generator struct {
-	// ASShare is the budget fraction dedicated to network diversity —
-	// probing the least-explored arms (default 0.25).
-	ASShare float64
-	// Seed drives sampling (default 1).
-	Seed int64
-
 	rng     *rand.Rand
 	arms    []*armRun
 	pending map[ipaddr.Addr]*armRun
@@ -169,7 +171,7 @@ type Generator struct {
 }
 
 // New returns a 6Sense generator with default parameters.
-func New() *Generator { return &Generator{ASShare: 0.25, Seed: 1} }
+func New() *Generator { return &Generator{} }
 
 // Name implements tga.Generator.
 func (g *Generator) Name() string { return "6Sense" }
@@ -177,16 +179,16 @@ func (g *Generator) Name() string { return "6Sense" }
 // Online implements tga.Generator.
 func (g *Generator) Online() bool { return true }
 
-// Model is 6Sense's cacheable mined model: the seed-trained /32 arms.
+// model is 6Sense's cacheable mined model: the seed-trained /32 arms.
 // Runs sharpen their arms online (observe with weight 2 on hits), each on
 // its own copy of an arm's Markov model, made at the arm's first hit — the
 // cached Model itself is never written after mining.
-type Model struct {
+type model struct {
 	arms []arm
 }
 
 // ModelParams implements tga.ModelBuilder. The arm granularity and Markov
-// structure are fixed; ASShare and Seed only steer the online search and
+// structure are fixed; asShare and samplingSeed only steer the online search and
 // sampling, so the model is named by the generator alone.
 func (g *Generator) ModelParams() string { return "6sense" }
 
@@ -218,19 +220,16 @@ func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 		a.observe(s, 1)
 		a.seeds++
 	}
-	return &Model{arms: arms}, nil
+	return &model{arms: arms}, nil
 }
 
 // InitFromModel implements tga.ModelBuilder.
 func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
-	mm, ok := m.(*Model)
+	mm, ok := m.(*model)
 	if !ok {
 		return fmt.Errorf("sixsense: model type %T", m)
 	}
-	if g.ASShare <= 0 || g.ASShare >= 1 {
-		g.ASShare = 0.25
-	}
-	g.rng = rand.New(rand.NewSource(g.Seed))
+	g.rng = rand.New(rand.NewSource(samplingSeed))
 	runs := make([]armRun, len(mm.arms))
 	g.arms = make([]*armRun, len(mm.arms))
 	g.pending = make(map[ipaddr.Addr]*armRun)
@@ -287,7 +286,7 @@ func (g *Generator) NextBatch(n int) []ipaddr.Addr {
 		return got
 	}
 
-	exploit := n - int(float64(n)*g.ASShare)
+	exploit := n - int(float64(n)*asShare)
 	byReward := append([]*armRun(nil), g.arms...)
 	sort.SliceStable(byReward, func(i, j int) bool { return byReward[i].reward() > byReward[j].reward() })
 	tga.GeometricShares(byReward, exploit, sampleFrom)
@@ -330,9 +329,6 @@ func (g *Generator) Feedback(results []tga.ProbeResult) {
 		}
 	}
 }
-
-// ArmCount reports the number of /32 arms (diagnostics).
-func (g *Generator) ArmCount() int { return len(g.arms) }
 
 // BlacklistedPrefixes reports how many /96s the integrated dealiaser has
 // blacklisted (diagnostics).

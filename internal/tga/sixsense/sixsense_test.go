@@ -34,8 +34,8 @@ func TestArmsPerPrefix(t *testing.T) {
 	if err := g.Init(denseSeeds()); err != nil {
 		t.Fatal(err)
 	}
-	if g.ArmCount() != 2 {
-		t.Fatalf("arms = %d, want one per /32", g.ArmCount())
+	if g.armCount() != 2 {
+		t.Fatalf("arms = %d, want one per /32", g.armCount())
 	}
 }
 
@@ -204,12 +204,12 @@ func TestSparseMarkovMatchesDense(t *testing.T) {
 		}
 		seeds[i] = ipaddr.AddrFrom64s(base.Hi()|uint64(gen.Intn(16)), lo)
 	}
-	build := func() *Model {
+	build := func() *model {
 		m, err := New().BuildModel(seeds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m.(*Model)
+		return m.(*model)
 	}
 	mined, twin := build(), build()
 	if len(mined.arms) != 1 {
@@ -246,3 +246,6 @@ func TestSparseMarkovMatchesDense(t *testing.T) {
 		t.Fatal("sharpening a run's arm changed the mined model")
 	}
 }
+
+// armCount reports the number of /32 arms (diagnostics).
+func (g *Generator) armCount() int { return len(g.arms) }

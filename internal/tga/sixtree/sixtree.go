@@ -65,6 +65,3 @@ func (g *Generator) NextBatch(n int) []ipaddr.Addr { return g.leaves.NextBatch(n
 
 // Feedback implements tga.Generator; 6Tree ignores scan results.
 func (g *Generator) Feedback([]tga.ProbeResult) {}
-
-// LeafCount reports the number of tree leaves (for diagnostics and tests).
-func (g *Generator) LeafCount() int { return g.leaves.Len() }

@@ -37,8 +37,8 @@ func TestTreeSplitsPerPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.LeafCount() < 2 {
-		t.Fatalf("leaves = %d, want per-prefix separation", g.LeafCount())
+	if g.leafCount() < 2 {
+		t.Fatalf("leaves = %d, want per-prefix separation", g.leafCount())
 	}
 }
 
@@ -94,3 +94,6 @@ func TestFeedbackIsNoOp(t *testing.T) {
 		t.Fatal("generation stopped after feedback")
 	}
 }
+
+// leafCount reports the number of tree leaves (for diagnostics and tests).
+func (g *Generator) leafCount() int { return g.leaves.Len() }

@@ -102,8 +102,8 @@ type RunConfig struct {
 
 // RunResult aggregates a run's outcome.
 type RunResult struct {
-	Generator string
-	Proto     proto.Protocol
+	generator string
+	proto     proto.Protocol
 	// Generated is the number of unique candidates produced.
 	Generated int
 	// Hits are dealiased active addresses — the paper's headline metric.
@@ -161,7 +161,7 @@ func RunContext(ctx context.Context, g Generator, seeds []ipaddr.Addr, cfg RunCo
 		cfg:     cfg,
 		reg:     telemetry.FromContext(ctx).Registry(),
 		runSpan: runSpan,
-		res:     &RunResult{Generator: g.Name(), Proto: cfg.Proto},
+		res:     &RunResult{generator: g.Name(), proto: cfg.Proto},
 	}
 
 	if err := d.init(ctx, seeds); err != nil {

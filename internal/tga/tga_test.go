@@ -18,7 +18,7 @@ func seedsFrom(ss ...string) []ipaddr.Addr {
 
 func TestObservedMasks(t *testing.T) {
 	seeds := seedsFrom("2001:db8::1", "2001:db8::2")
-	m := ObservedMasks(seeds)
+	m := observedMasks(seeds)
 	if m[31] != 1<<1|1<<2 {
 		t.Fatalf("mask[31] = %x", m[31])
 	}
@@ -70,8 +70,8 @@ func TestMaskEnumOdometer(t *testing.T) {
 
 func TestLeafGenNoDuplicatesAndWidens(t *testing.T) {
 	seeds := seedsFrom("2001:db8::11", "2001:db8::12", "2001:db8::21")
-	masks := ObservedMasks(seeds)
-	g := NewLeafGen(masks, nil)
+	masks := observedMasks(seeds)
+	g := newLeafGen(masks, nil)
 	seen := ipaddr.NewSet()
 	n := 0
 	for n < 500 {
@@ -97,7 +97,7 @@ func TestLeafGenExhaustsFullyWidenedSpace(t *testing.T) {
 		masks[i] = 1 << 0
 	}
 	masks[31] = 1 << 5
-	g := NewLeafGen(masks, []int{31})
+	g := newLeafGen(masks, []int{31})
 	count := 0
 	for {
 		_, ok := g.Next()
@@ -126,7 +126,7 @@ func TestMineTreeShape(t *testing.T) {
 	total := 0
 	for _, l := range leaves {
 		total += len(l.Seeds)
-		if l.Gen != nil || l.Dry || l.Probes != 0 || l.Hits != 0 {
+		if l.gen != nil || l.dry || l.Probes != 0 || l.Hits != 0 {
 			t.Fatal("leaf has run state before its first draw")
 		}
 	}

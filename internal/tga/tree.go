@@ -53,11 +53,11 @@ func SplitMinEntropy(seeds []ipaddr.Addr, candidates uint32) int {
 type TreeNode struct {
 	*TreeLeafModel
 
-	// Gen is nil until a run first draws from the leaf: a generator
+	// gen is nil until a run first draws from the leaf: a generator
 	// starting over Masks then yields what one started earlier would have.
 	// Dry is set once the generator has run out, and Gen is dropped with it.
-	Gen *LeafGen
-	Dry bool
+	gen *leafGen
+	dry bool
 
 	// Online statistics, updated by adaptive generators.
 	Probes int
@@ -86,7 +86,7 @@ func mineTree(seeds []ipaddr.Addr, minLeaf int, h SplitHeuristic) *TreeModel {
 		if w.part >= 0 {
 			leaf = b.part[w.part][start:w.end:w.end]
 		}
-		m.LeafModels[i] = TreeLeafModel{Masks: ObservedMasks(leaf), Seeds: leaf}
+		m.LeafModels[i] = TreeLeafModel{Masks: observedMasks(leaf), Seeds: leaf}
 		start = int(w.end)
 	}
 	return m

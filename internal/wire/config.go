@@ -16,13 +16,13 @@ import (
 // ChainConfig is a middleware chain as a value: the one description that
 // CLI flags parse into, cluster job frames carry as text, and experiment
 // fingerprints read. Build composes it in a fixed order: Tap outermost
-// (it sees what the scanner sees), then Shaper, then SourceRotator, and
+// (it sees what the scanner sees), then Shaper, then sourceRotator, and
 // Faults innermost (so the tap still counts the probes faults drop). The
 // zero value is the bare link.
 type ChainConfig struct {
 	Taps   bool         // a count-only Tap
 	Shape  ShapeConfig  // PPS 0 leaves the Shaper out
-	Rotate RotateConfig // an empty Pool leaves the SourceRotator out
+	Rotate RotateConfig // an empty Pool leaves the sourceRotator out
 	Faults FaultsConfig // no probability above zero leaves Faults out
 }
 
@@ -33,7 +33,7 @@ type ShapeConfig struct {
 	Seed   uint64
 }
 
-// RotateConfig configures a SourceRotator: Seed keys which Pool address
+// RotateConfig configures a sourceRotator: Seed keys which Pool address
 // the probes to each destination leave from.
 type RotateConfig struct {
 	Seed uint64
@@ -62,7 +62,7 @@ func (c ChainConfig) middlewares(reg *telemetry.Registry) []Middleware {
 		add(NewShaper(c.Shape.PPS, c.Shape.Jitter, c.Shape.Seed))
 	}
 	if len(c.Rotate.Pool) > 0 {
-		add(&SourceRotator{pool: slices.Clone(c.Rotate.Pool), seed: c.Rotate.Seed})
+		add(&sourceRotator{pool: slices.Clone(c.Rotate.Pool), seed: c.Rotate.Seed})
 	}
 	if c.Faults.injects() {
 		add(NewFaults(c.Faults))

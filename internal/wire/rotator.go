@@ -8,7 +8,7 @@ import (
 	"seedscan/internal/telemetry"
 )
 
-// SourceRotator rewrites each outgoing probe's source address across a
+// sourceRotator rewrites each outgoing probe's source address across a
 // fixed pool — modelling a scanner that originates from many addresses of
 // its own prefix, a standard operational setup for large measurement
 // campaigns. The vantage for a probe is a deterministic function of
@@ -23,7 +23,7 @@ import (
 // ChainConfig.Rotate builds one.
 //
 // Telemetry: wire.rotator.rewrites.
-type SourceRotator struct {
+type sourceRotator struct {
 	pool []ipaddr.Addr // not empty
 	seed uint64
 
@@ -41,7 +41,7 @@ type rotatorScratch struct {
 }
 
 // SetTelemetry mirrors the rotator's counters into reg under wire.rotator.*.
-func (r *SourceRotator) SetTelemetry(reg *telemetry.Registry) {
+func (r *sourceRotator) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
@@ -49,12 +49,12 @@ func (r *SourceRotator) SetTelemetry(reg *telemetry.Registry) {
 }
 
 // pick selects the pool vantage for a probe to dst.
-func (r *SourceRotator) pick(dst ipaddr.Addr) ipaddr.Addr {
+func (r *sourceRotator) pick(dst ipaddr.Addr) ipaddr.Addr {
 	return r.pool[wiremix(r.seed, dst.Hi(), dst.Lo())%uint64(len(r.pool))]
 }
 
 // Wrap implements Middleware.
-func (r *SourceRotator) Wrap(next Link) Link {
+func (r *sourceRotator) Wrap(next Link) Link {
 	return LinkFunc(func(pkts [][]byte, rb *probe.ReplyBuf) {
 		st, _ := r.scratch.Get().(*rotatorScratch)
 		if st == nil {

@@ -9,7 +9,7 @@ import (
 )
 
 // Shaper shapes the probe departure schedule on a virtual clock, the same
-// accounting idiom as the scanner's own RateLimiter: instead of sleeping
+// accounting idiom as the scanner's own rateLimiter: instead of sleeping
 // it advances simulated time by one inter-packet gap per probe, plus
 // optional seeded jitter, so shaped experiments still run at full speed
 // while wire.shaper.virtual_ns reports what the shaped scan would cost on

@@ -14,7 +14,7 @@
 // an observe-side hook (they see every reply before the scanner does).
 // The package ships four: Tap (record probe/reply pairs untouched — the
 // telescope building block), Shaper (virtual-clock rate shaping and
-// jitter), SourceRotator (rotate probe sources across an address pool),
+// jitter), sourceRotator (rotate probe sources across an address pool),
 // and Faults (deterministic seeded loss / duplication / reply delay).
 // All are safe for concurrent use by many scanner workers.
 //

@@ -43,19 +43,19 @@ func batchTestPackets(t *testing.T, w *World) [][]byte {
 	for i, dst := range targets {
 		switch i % 5 {
 		case 0:
-			pkts = append(pkts, probe.BuildEchoRequest(src, dst, uint16(i), uint16(i*3), []byte("batch-equiv")))
+			pkts = append(pkts, probe.AppendEchoRequest(nil, src, dst, uint16(i), uint16(i*3), []byte("batch-equiv")))
 		case 1:
-			pkts = append(pkts, probe.BuildTCPSyn(src, dst, 0xc123, 80, uint32(i)*7919))
+			pkts = append(pkts, probe.AppendTCPSyn(nil, src, dst, 0xc123, 80, uint32(i)*7919))
 		case 2:
-			pkts = append(pkts, probe.BuildTCPSyn(src, dst, 0xc124, 443, uint32(i)*104729))
+			pkts = append(pkts, probe.AppendTCPSyn(nil, src, dst, 0xc124, 443, uint32(i)*104729))
 		case 3:
-			pkts = append(pkts, probe.BuildTCPSyn(src, dst, 0xc125, 8080, uint32(i))) // off-study port
+			pkts = append(pkts, probe.AppendTCPSyn(nil, src, dst, 0xc125, 8080, uint32(i))) // off-study port
 		default:
-			q, err := probe.BuildDNSQuery(src, dst, 0xc321, uint16(i), "equiv.example")
+			qname, err := probe.EncodeName("equiv.example")
 			if err != nil {
-				t.Fatalf("BuildDNSQuery: %v", err)
+				t.Fatalf("EncodeName: %v", err)
 			}
-			pkts = append(pkts, q)
+			pkts = append(pkts, probe.AppendDNSQueryWire(nil, src, dst, 0xc321, uint16(i), qname))
 		}
 	}
 	// Malformed packets the Internet silently drops.
@@ -78,7 +78,7 @@ func TestBatchAnswersAsBatchesOfOne(t *testing.T) {
 	for _, epoch := range []int{0, 1, 2, 5} {
 		w.SetEpoch(epoch)
 		cold.SetEpoch(epoch)
-		cold.HandleBatch(pkts, &rb)
+		cold.handleBatch(pkts, &rb)
 		if rb.Len() != len(pkts) {
 			t.Fatalf("epoch %d: ReplyBuf holds %d slots for %d packets", epoch, rb.Len(), len(pkts))
 		}
@@ -106,7 +106,7 @@ func TestBatchAnswersAsBatchesOfOne(t *testing.T) {
 	}
 }
 
-// replyDigest is the SHA-256 of HandleBatch's replies to
+// replyDigest is the SHA-256 of handleBatch's replies to
 // batchTestPackets, plus echo requests to 3,000 more in-template
 // addresses, on a Seed 1234, 60-AS world at epochs 0 through 4: per
 // slot, its length (0 for silence) and its bytes.
@@ -123,14 +123,14 @@ func TestReplyDigestPinned(t *testing.T) {
 	pkts := batchTestPackets(t, w)
 	src := ipaddr.MustParse("2001:db8::ffff")
 	for i, dst := range w.NewSampler(2).TemplateNoise(3000) {
-		pkts = append(pkts, probe.BuildEchoRequest(src, dst, uint16(i), uint16(i*7), []byte("digest")))
+		pkts = append(pkts, probe.AppendEchoRequest(nil, src, dst, uint16(i), uint16(i*7), []byte("digest")))
 	}
 	h := sha256.New()
 	var rb probe.ReplyBuf
 	var n [4]byte
 	for epoch := 0; epoch <= 4; epoch++ {
 		w.SetEpoch(epoch)
-		w.HandleBatch(pkts, &rb)
+		w.handleBatch(pkts, &rb)
 		for i := range pkts {
 			r := rb.Reply(i)
 			binary.BigEndian.PutUint32(n[:], uint32(len(r)))
@@ -151,7 +151,7 @@ func TestHandleBatchTelemetry(t *testing.T) {
 	w.SetTelemetry(reg)
 	pkts := batchTestPackets(t, w)
 	var rb probe.ReplyBuf
-	w.HandleBatch(pkts, &rb)
+	w.handleBatch(pkts, &rb)
 	if got := reg.Counter("world.batches").Load(); got != 1 {
 		t.Fatalf("world.batches = %d, want 1", got)
 	}
@@ -171,7 +171,7 @@ func TestHandleBatchTelemetry(t *testing.T) {
 		t.Fatal("world.groups_materialized never moved despite routed traffic")
 	}
 	w.SetTelemetry(nil) // unwire must not panic the next batch
-	w.HandleBatch(pkts, &rb)
+	w.handleBatch(pkts, &rb)
 }
 
 // TestHandleBatchConcurrentWithSetEpoch runs batched handling from many
@@ -203,7 +203,7 @@ func TestHandleBatchConcurrentWithSetEpoch(t *testing.T) {
 			defer workers.Done()
 			var rb probe.ReplyBuf
 			for round := 0; round < 50; round++ {
-				w.HandleBatch(pkts, &rb)
+				w.handleBatch(pkts, &rb)
 				for i := range pkts {
 					if r := rb.Reply(i); r != nil && len(r) < probe.IPv6HeaderLen {
 						t.Errorf("round %d pkt %d: truncated reply (%d bytes)", round, i, len(r))
@@ -237,7 +237,7 @@ func TestLazyMaterializationConcurrent(t *testing.T) {
 			switch g % 3 {
 			case 0:
 				var rb probe.ReplyBuf
-				w.HandleBatch(pkts, &rb)
+				w.handleBatch(pkts, &rb)
 			case 1:
 				if n := w.ASDB().Len(); n != cfg.NumASes+1 {
 					t.Errorf("ASDB has %d entries, want %d", n, cfg.NumASes+1)
@@ -281,14 +281,14 @@ func TestRegionsReturnsCopy(t *testing.T) {
 // must stay byte-identical to a lone reference scanner.
 func TestWorldAtScale(t *testing.T) {
 	start := time.Now()
-	w := New(Config{Seed: 9, SizeScale: 100, LossRate: 0.001}) // default 500 ASes
+	w := New(Config{Seed: 9, sizeScale: 100, LossRate: 0.001}) // default 500 ASes
 	st := w.Stats()                                            // forces full materialization
 	buildTime := time.Since(start)
 	if buildTime > 2*time.Second {
 		t.Fatalf("scaled world took %v to fully materialize (budget 2s)", buildTime)
 	}
-	if st.ExpectedHosts < 1e8 {
-		t.Fatalf("SizeScale=100 world holds only %.3g expected hosts, want >= 1e8", st.ExpectedHosts)
+	if st.expectedHosts < 1e8 {
+		t.Fatalf("SizeScale=100 world holds only %.3g expected hosts, want >= 1e8", st.expectedHosts)
 	}
 
 	s := w.NewSampler(2)
@@ -298,9 +298,9 @@ func TestWorldAtScale(t *testing.T) {
 		t.Fatalf("only %d scan targets sampled", len(targets))
 	}
 
-	// Retries/RatePPS are pinned explicitly so the reference scanner below
-	// provably replicates what NewLocalPool's fillDefaults hands workers.
-	ccfg := cluster.Config{Secret: 0xfeed, Retries: 2, RatePPS: 10000}
+	// The reference scanner below replicates what NewLocalPool's
+	// fillDefaults hands workers: two retries at 10000 pps.
+	ccfg := cluster.Config{Secret: 0xfeed}
 	pool := cluster.NewLocalPool(4, w.Link(), ccfg)
 	got, err := pool.ScanContext(context.Background(), targets, proto.ICMP)
 	if err != nil {
@@ -308,8 +308,8 @@ func TestWorldAtScale(t *testing.T) {
 	}
 	ref := scanner.New(w.Link(),
 		scanner.WithSecret(ccfg.Secret),
-		scanner.WithRetries(ccfg.Retries),
-		scanner.WithRatePPS(ccfg.RatePPS))
+		scanner.WithRetries(2),
+		scanner.WithRatePPS(10000))
 	want := ref.Scan(targets, proto.ICMP)
 	if len(got) != len(want) {
 		t.Fatalf("cluster returned %d results, reference %d", len(got), len(want))

@@ -28,11 +28,11 @@ type Config struct {
 	// LossRate is the probability a probe or reply is dropped in transit
 	// (default 0.01).
 	LossRate float64
-	// SizeScale multiplies per-region host-count targets (default 1).
+	// sizeScale multiplies per-region host-count targets (default 1).
 	// Combined with lazy materialization it grows the expected host
 	// population arbitrarily — 100x a default world passes 10^8 hosts —
 	// without changing the build cost.
-	SizeScale float64
+	sizeScale float64
 }
 
 func (c *Config) fillDefaults() {
@@ -42,8 +42,8 @@ func (c *Config) fillDefaults() {
 	if c.LossRate == 0 {
 		c.LossRate = 0.01
 	}
-	if c.SizeScale == 0 {
-		c.SizeScale = 1
+	if c.sizeScale == 0 {
+		c.sizeScale = 1
 	}
 }
 
@@ -333,10 +333,10 @@ func (b *builder) logUniform(lo, hi float64) float64 {
 // baseTemplate pins every post-prefix position to zero so regions opt in to
 // variability position by position.
 func baseTemplate(p ipaddr.Prefix) Template {
-	t := TemplateFromPrefix(p)
+	t := templateFromPrefix(p)
 	for i := p.Bits() / 4; i < ipaddr.NybbleCount; i++ {
-		if t.VarMask[i] == 0xffff {
-			t.Pin(i, 0)
+		if t.varMask[i] == 0xffff {
+			t.pin(i, 0)
 		}
 	}
 	return t
@@ -368,7 +368,7 @@ func (b *builder) shape(t *Template, positions []int, combos float64) {
 		for v := start; v < start+size; v++ {
 			m |= 1 << v
 		}
-		t.AllowMask(pos, m)
+		t.allowMask(pos, m)
 		remaining /= float64(size)
 	}
 }
@@ -381,22 +381,22 @@ func (b *builder) iidPositions(ctx *asContext, t *Template) []int {
 		return []int{31, 30, 29, 28}
 	case styleWords:
 		for i, v := range ctx.word {
-			t.Pin(20+i, v)
+			t.pin(20+i, v)
 		}
 		return []int{31, 30, 29, 28, 27}
 	case styleService:
 		for i, v := range ctx.service {
-			t.Pin(24+i, v)
+			t.pin(24+i, v)
 		}
 		return []int{31, 30, 29, 28}
 	case styleEUI:
 		// OUI-derived IIDs: dd:dd:dd:ff:fe:xx:xx:xx with a fixed vendor OUI.
-		t.Pin(22, 0xf)
-		t.Pin(23, 0xf)
-		t.Pin(24, 0xf)
-		t.Pin(25, 0xe)
+		t.pin(22, 0xf)
+		t.pin(23, 0xf)
+		t.pin(24, 0xf)
+		t.pin(25, 0xe)
 		for i := 16; i < 22; i++ {
-			t.Pin(i, byte(b.rng.Intn(16)))
+			t.pin(i, byte(b.rng.Intn(16)))
 		}
 		return []int{31, 30, 29, 28, 27, 26}
 	}
@@ -406,26 +406,26 @@ func (b *builder) iidPositions(ctx *asContext, t *Template) []int {
 func (b *builder) addRouterRegion(ctx *asContext) {
 	p := b.regionPrefix(ctx)
 	t := baseTemplate(p)
-	target := b.logUniform(100, 1500) * b.cfg.SizeScale
+	target := b.logUniform(100, 1500) * b.cfg.sizeScale
 	density := 0.35 + b.rng.Float64()*0.4
 	// Routers: low IIDs under a spread of infrastructure subnets.
 	b.shape(&t, []int{31, 30, 12, 11, 13}, target/density)
 	b.regions = append(b.regions, &Region{
 		Prefix:   p,
-		ASN:      ctx.asn,
+		asn:      ctx.asn,
 		Class:    ClassRouter,
 		Template: t,
-		Density:  density,
-		Resp: [proto.Count]float64{
+		density:  density,
+		resp: [proto.Count]float64{
 			proto.ICMP:   0.8 + b.rng.Float64()*0.15,
 			proto.TCP80:  0.02,
 			proto.TCP443: 0.01,
 			proto.UDP53:  0.05 + b.rng.Float64()*0.1,
 		},
-		Churn:        0.08 + b.rng.Float64()*0.12,
-		Birth:        0.05,
+		churn:        0.08 + b.rng.Float64()*0.12,
+		birth:        0.05,
 		RespRate:     1,
-		SendsRST:     0.3,
+		sendsRST:     0.3,
 		SendsUnreach: 0.35,
 	})
 }
@@ -433,14 +433,14 @@ func (b *builder) addRouterRegion(ctx *asContext) {
 func (b *builder) addCustomerRegion(ctx *asContext, k int) {
 	p := b.regionPrefix(ctx)
 	t := baseTemplate(p)
-	target := b.logUniform(1500, 40000) * b.cfg.SizeScale
+	target := b.logUniform(1500, 40000) * b.cfg.sizeScale
 	density := 0.25 + b.rng.Float64()*0.5
 	// Customer CPE: one host per delegated subnet; the subnet nybbles vary,
 	// the IID is the AS's convention (often just ::1).
 	subnetPositions := []int{12, 13, 14, 15, 11}
 	var iid []int
 	if ctx.style == styleLow {
-		t.Pin(31, 1) // the classic ::1 CPE address
+		t.pin(31, 1) // the classic ::1 CPE address
 	} else {
 		iid = b.iidPositions(ctx, &t)
 		if len(iid) > 2 {
@@ -450,20 +450,20 @@ func (b *builder) addCustomerRegion(ctx *asContext, k int) {
 	b.shape(&t, append(subnetPositions, iid...), target/density)
 	b.regions = append(b.regions, &Region{
 		Prefix:   p,
-		ASN:      ctx.asn,
+		asn:      ctx.asn,
 		Class:    ClassISPCustomer,
 		Template: t,
-		Density:  density,
-		Resp: [proto.Count]float64{
+		density:  density,
+		resp: [proto.Count]float64{
 			proto.ICMP:   0.65 + b.rng.Float64()*0.25,
 			proto.TCP80:  0.02 + b.rng.Float64()*0.04,
 			proto.TCP443: 0.02 + b.rng.Float64()*0.05,
 			proto.UDP53:  0.01 + b.rng.Float64()*0.03,
 		},
-		Churn:        0.15 + b.rng.Float64()*0.2,
-		Birth:        0.1,
+		churn:        0.15 + b.rng.Float64()*0.2,
+		birth:        0.1,
 		RespRate:     1,
-		SendsRST:     0.1,
+		sendsRST:     0.1,
 		SendsUnreach: 0.2,
 	})
 }
@@ -475,26 +475,26 @@ func (b *builder) addWebRegion(ctx *asContext, k int, small bool) {
 	if small {
 		lo, hi = 200, 3000
 	}
-	target := b.logUniform(lo, hi) * b.cfg.SizeScale
+	target := b.logUniform(lo, hi) * b.cfg.sizeScale
 	density := 0.3 + b.rng.Float64()*0.5
 	iid := b.iidPositions(ctx, &t)
 	b.shape(&t, append(iid, 13, 12), target/density)
 	b.regions = append(b.regions, &Region{
 		Prefix:   p,
-		ASN:      ctx.asn,
+		asn:      ctx.asn,
 		Class:    ClassWebServer,
 		Template: t,
-		Density:  density,
-		Resp: [proto.Count]float64{
+		density:  density,
+		resp: [proto.Count]float64{
 			proto.ICMP:   0.7 + b.rng.Float64()*0.25,
 			proto.TCP80:  0.2 + b.rng.Float64()*0.25,
 			proto.TCP443: 0.3 + b.rng.Float64()*0.3,
 			proto.UDP53:  0.03,
 		},
-		Churn:        0.05 + b.rng.Float64()*0.1,
-		Birth:        0.08,
+		churn:        0.05 + b.rng.Float64()*0.1,
+		birth:        0.08,
 		RespRate:     1,
-		SendsRST:     0.6,
+		sendsRST:     0.6,
 		SendsUnreach: 0.25,
 	})
 }
@@ -502,7 +502,7 @@ func (b *builder) addWebRegion(ctx *asContext, k int, small bool) {
 func (b *builder) addCDNRegion(ctx *asContext, k int) {
 	p := b.regionPrefix(ctx)
 	t := baseTemplate(p)
-	target := b.logUniform(4000, 80000) * b.cfg.SizeScale
+	target := b.logUniform(4000, 80000) * b.cfg.sizeScale
 	density := 0.3 + b.rng.Float64()*0.55
 	iid := b.iidPositions(ctx, &t)
 	b.shape(&t, append(iid, 12, 13, 14), target/density)
@@ -512,20 +512,20 @@ func (b *builder) addCDNRegion(ctx *asContext, k int) {
 	}
 	b.regions = append(b.regions, &Region{
 		Prefix:   p,
-		ASN:      ctx.asn,
+		asn:      ctx.asn,
 		Class:    ClassCDNNode,
 		Template: t,
-		Density:  density,
-		Resp: [proto.Count]float64{
+		density:  density,
+		resp: [proto.Count]float64{
 			proto.ICMP:   0.8 + b.rng.Float64()*0.15,
 			proto.TCP80:  0.35 + b.rng.Float64()*0.3,
 			proto.TCP443: 0.45 + b.rng.Float64()*0.3,
 			proto.UDP53:  0.05 + b.rng.Float64()*0.1,
 		},
-		Churn:        0.03 + b.rng.Float64()*0.05,
-		Birth:        0.05,
+		churn:        0.03 + b.rng.Float64()*0.05,
+		birth:        0.05,
 		RespRate:     respRate,
-		SendsRST:     0.7,
+		sendsRST:     0.7,
 		SendsUnreach: 0.15,
 	})
 }
@@ -533,28 +533,28 @@ func (b *builder) addCDNRegion(ctx *asContext, k int) {
 func (b *builder) addDNSRegion(ctx *asContext) {
 	p := b.regionPrefix(ctx)
 	t := baseTemplate(p)
-	target := b.logUniform(150, 2500) * b.cfg.SizeScale
+	target := b.logUniform(150, 2500) * b.cfg.sizeScale
 	density := 0.4 + b.rng.Float64()*0.4
 	// Resolver farms: ::53-style IIDs.
-	t.Pin(30, 5)
-	t.Pin(31, 3)
+	t.pin(30, 5)
+	t.pin(31, 3)
 	b.shape(&t, []int{29, 28, 13, 12}, target/density)
 	b.regions = append(b.regions, &Region{
 		Prefix:   p,
-		ASN:      ctx.asn,
+		asn:      ctx.asn,
 		Class:    ClassDNSServer,
 		Template: t,
-		Density:  density,
-		Resp: [proto.Count]float64{
+		density:  density,
+		resp: [proto.Count]float64{
 			proto.ICMP:   0.7 + b.rng.Float64()*0.2,
 			proto.TCP80:  0.08,
 			proto.TCP443: 0.1,
 			proto.UDP53:  0.85 + b.rng.Float64()*0.12,
 		},
-		Churn:        0.05 + b.rng.Float64()*0.08,
-		Birth:        0.05,
+		churn:        0.05 + b.rng.Float64()*0.08,
+		birth:        0.05,
 		RespRate:     1,
-		SendsRST:     0.4,
+		sendsRST:     0.4,
 		SendsUnreach: 0.2,
 	})
 }
@@ -565,46 +565,46 @@ func (b *builder) addDNSRegion(ctx *asContext) {
 func (b *builder) addDarkRegion(ctx *asContext) {
 	p := b.regionPrefix(ctx)
 	t := baseTemplate(p)
-	target := b.logUniform(1000, 25000) * b.cfg.SizeScale
+	target := b.logUniform(1000, 25000) * b.cfg.sizeScale
 	density := 0.25 + b.rng.Float64()*0.5
 	iid := b.iidPositions(ctx, &t)
 	b.shape(&t, append([]int{12, 13, 14, 15}, iid...), target/density)
 	b.regions = append(b.regions, &Region{
 		Prefix:   p,
-		ASN:      ctx.asn,
+		asn:      ctx.asn,
 		Class:    ClassDark,
 		Template: t,
-		Density:  density,
-		Resp: [proto.Count]float64{
+		density:  density,
+		resp: [proto.Count]float64{
 			proto.ICMP:   0.02,
 			proto.TCP80:  0.003,
 			proto.TCP443: 0.003,
 			proto.UDP53:  0.002,
 		},
-		Churn:        0.3,
-		Birth:        0.02,
+		churn:        0.3,
+		birth:        0.02,
 		RespRate:     1,
-		SendsRST:     0.05,
+		sendsRST:     0.05,
 		SendsUnreach: 0.1,
 	})
 }
 
 func (b *builder) addEndhostRegion(ctx *asContext) {
 	p := b.regionPrefix(ctx)
-	t := TemplateFromPrefix(p) // fully random IIDs: privacy addresses
+	t := templateFromPrefix(p) // fully random IIDs: privacy addresses
 	b.regions = append(b.regions, &Region{
 		Prefix:   p,
-		ASN:      ctx.asn,
+		asn:      ctx.asn,
 		Class:    ClassEndhost,
 		Template: t,
-		Density:  1e-15, // effectively undiscoverable by generation
-		Resp: [proto.Count]float64{
+		density:  1e-15, // effectively undiscoverable by generation
+		resp: [proto.Count]float64{
 			proto.ICMP: 0.5, proto.TCP80: 0.01, proto.TCP443: 0.02, proto.UDP53: 0.01,
 		},
-		Churn:        0.5,
-		Birth:        0.5,
+		churn:        0.5,
+		birth:        0.5,
 		RespRate:     1,
-		SendsRST:     0.05,
+		sendsRST:     0.05,
 		SendsUnreach: 0.1,
 	})
 }
@@ -627,15 +627,15 @@ func (b *builder) addAliasedRegion(ctx *asContext, k int, rateLimited bool) {
 	}
 	b.regions = append(b.regions, &Region{
 		Prefix:   p,
-		ASN:      ctx.asn,
+		asn:      ctx.asn,
 		Class:    ClassCDNNode,
-		Template: TemplateFromPrefix(p),
+		Template: templateFromPrefix(p),
 		Aliased:  true,
-		Resp: [proto.Count]float64{
+		resp: [proto.Count]float64{
 			proto.ICMP: 1, proto.TCP80: 1, proto.TCP443: 1, proto.UDP53: udp,
 		},
 		RespRate:     respRate,
-		SendsRST:     1,
+		sendsRST:     1,
 		SendsUnreach: 0,
 	})
 }
@@ -650,22 +650,22 @@ func (b *builder) buildPathologicalAS() {
 	// subnets, hundreds of thousands of hosts discoverable from the pattern
 	// alone.
 	for _, pos := range []int{9, 10, 11, 12, 13} {
-		t.AllowMask(pos, 0xffff)
+		t.allowMask(pos, 0xffff)
 	}
-	t.Pin(31, 1)
+	t.pin(31, 1)
 	b.regions = append(b.regions, &Region{
 		Prefix:   p,
-		ASN:      PathologicalASN,
+		asn:      PathologicalASN,
 		Class:    ClassISPCustomer,
 		Template: t,
-		Density:  0.35,
-		Resp: [proto.Count]float64{
+		density:  0.35,
+		resp: [proto.Count]float64{
 			proto.ICMP: 1, proto.TCP80: 0.01, proto.TCP443: 0.01, proto.UDP53: 0.01,
 		},
-		Churn:        0.04,
-		Birth:        0.02,
+		churn:        0.04,
+		birth:        0.02,
 		RespRate:     1,
-		SendsRST:     0.1,
+		sendsRST:     0.1,
 		SendsUnreach: 0.1,
 	})
 }

@@ -19,7 +19,7 @@ func epochTestAddrs(w *World, perRegion int) []ipaddr.Addr {
 		}
 		rng := rand.New(rand.NewSource(int64(r.Prefix.Addr().Hi() ^ r.Prefix.Addr().Lo())))
 		for i := 0; i < perRegion; i++ {
-			out = append(out, r.Template.Random(rng))
+			out = append(out, r.Template.random(rng))
 		}
 	}
 	return ipaddr.DedupSorted(out)
@@ -46,16 +46,16 @@ func TestEpochZeroOneUnchanged(t *testing.T) {
 	}
 	for _, a := range addrs {
 		r, ok := w.RegionOf(a)
-		if !ok || r.Aliased || !r.Template.Matches(a) {
+		if !ok || r.Aliased || !r.Template.matches(a) {
 			continue
 		}
 		u := unit(ipaddr.Mix64(w.seed, tagExists, a.Hi(), a.Lo()))
-		legacy0 := u < r.Density
+		legacy0 := u < r.density
 		var legacy1 bool
 		if legacy0 {
-			legacy1 = unit(ipaddr.Mix64(w.seed, tagChurn, a.Hi(), a.Lo())) >= r.Churn
+			legacy1 = unit(ipaddr.Mix64(w.seed, tagChurn, a.Hi(), a.Lo())) >= r.churn
 		} else {
-			legacy1 = u < r.Density*(1+r.Birth)
+			legacy1 = u < r.density*(1+r.birth)
 		}
 		if got := w.ExistsAt(a, CollectEpoch); got != legacy0 {
 			t.Fatalf("epoch 0 diverged from legacy model at %v: got %v", a, got)
@@ -153,14 +153,14 @@ func TestEpochCohortsAndChurn(t *testing.T) {
 	recoveries := 0
 	for i, a := range addrs {
 		r, ok := w.RegionOf(a)
-		if !ok || r.Aliased || !r.Template.Matches(a) {
+		if !ok || r.Aliased || !r.Template.matches(a) {
 			continue
 		}
 		for e := 2; e < maxEpoch; e++ {
 			if !alive[e][i] && alive[e+1][i] && alive[e-1][i] {
 				// Alive on both sides of a one-epoch gap: that can only be a
 				// flap, and the flap hash must say so.
-				flapped := unit(ipaddr.Mix64(w.seed, tagFlap, a.Hi(), a.Lo(), uint64(e))) < r.Churn*flapFraction
+				flapped := unit(ipaddr.Mix64(w.seed, tagFlap, a.Hi(), a.Lo(), uint64(e))) < r.churn*flapFraction
 				if !flapped {
 					t.Fatalf("%v down at epoch %d without a flap roll", a, e)
 				}
@@ -184,11 +184,11 @@ func TestFlapDowntimeIsTransient(t *testing.T) {
 	checked := 0
 	for _, a := range addrs {
 		r, ok := w.RegionOf(a)
-		if !ok || r.Aliased || !r.Template.Matches(a) || r.Churn <= 0 {
+		if !ok || r.Aliased || !r.Template.matches(a) || r.churn <= 0 {
 			continue
 		}
 		u := unit(ipaddr.Mix64(w.seed, tagExists, a.Hi(), a.Lo()))
-		if u >= r.Density {
+		if u >= r.density {
 			continue // only cohort 0 here
 		}
 		// Geometric survival: one draw against the cumulative death
@@ -199,7 +199,7 @@ func TestFlapDowntimeIsTransient(t *testing.T) {
 		}
 		checked++
 		for e := 2; e <= maxEpoch; e++ {
-			flapped := unit(ipaddr.Mix64(w.seed, tagFlap, a.Hi(), a.Lo(), uint64(e))) < r.Churn*flapFraction
+			flapped := unit(ipaddr.Mix64(w.seed, tagFlap, a.Hi(), a.Lo(), uint64(e))) < r.churn*flapFraction
 			if got := w.ExistsAt(a, e); got != !flapped {
 				t.Fatalf("epoch %d: %v exists=%v, flap=%v", e, a, got, flapped)
 			}

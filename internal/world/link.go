@@ -17,5 +17,5 @@ func (w *World) Link() *WireLink { return &WireLink{w: w} }
 // the caller-owned rb with no per-packet allocation. Replies alias rb's
 // arena and are valid until its next Reset.
 func (l *WireLink) ExchangeBatchInto(pkts [][]byte, rb *probe.ReplyBuf) {
-	l.w.HandleBatch(pkts, rb)
+	l.w.handleBatch(pkts, rb)
 }

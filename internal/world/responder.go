@@ -8,7 +8,7 @@ import (
 	"seedscan/internal/proto"
 )
 
-// HandleBatch is the world's batched network interface: it receives a batch
+// handleBatch is the world's batched network interface: it receives a batch
 // of raw IPv6 probes and records at most one raw reply per probe into the
 // caller-owned rb, exactly as the live Internet would answer Scanv6 probes.
 // Replies include Echo Replies, SYN-ACKs, RSTs (closed ports on live
@@ -20,9 +20,9 @@ import (
 // destination and its varying cookie field, so retries genuinely re-roll,
 // and a batch of N answers exactly as N batches of one. rb is reset to the
 // batch size; replies alias its arena and stay valid until its next Reset.
-// HandleBatch is safe for concurrent use as long as each concurrent caller
+// handleBatch is safe for concurrent use as long as each concurrent caller
 // owns its rb.
-func (w *World) HandleBatch(pkts [][]byte, rb *probe.ReplyBuf) {
+func (w *World) handleBatch(pkts [][]byte, rb *probe.ReplyBuf) {
 	rb.Reset(len(pkts))
 	replies := 0
 	for i, pkt := range pkts {
@@ -96,7 +96,7 @@ func (w *World) answerEcho(p *probe.Packet, r *Region, dst ipaddr.Addr, epoch in
 		return true
 	}
 	if !exists && unit(w.hash(tagUnreach, dst.Hi(), dst.Lo())) < r.SendsUnreach {
-		rb.PutUnreachable(i, r.RouterAddr(), p.Header.Src, probe.UnreachAddr, raw)
+		rb.PutUnreachable(i, r.routerAddr(), p.Header.Src, probe.UnreachAddr, raw)
 		return true
 	}
 	return false
@@ -112,7 +112,7 @@ func (w *World) answerSyn(p *probe.Packet, r *Region, dst ipaddr.Addr, epoch int
 	default:
 		// Port outside the study: a live host may RST, otherwise silence.
 		if w.existsAt(dst, r, epoch) &&
-			unit(w.hash(tagRST, dst.Hi(), dst.Lo(), uint64(p.DstPort))) < r.SendsRST {
+			unit(w.hash(tagRST, dst.Hi(), dst.Lo(), uint64(p.DstPort))) < r.sendsRST {
 			rb.PutTCPRst(i, dst, p.Header.Src, p.DstPort, p.SrcPort, 0, p.TCPSeq+1)
 			return true
 		}
@@ -129,14 +129,14 @@ func (w *World) answerSyn(p *probe.Packet, r *Region, dst ipaddr.Addr, epoch int
 	}
 	if exists {
 		// Live host, closed port: RST per the region's firewalling habits.
-		if unit(w.hash(tagRST, dst.Hi(), dst.Lo(), uint64(p.DstPort))) < r.SendsRST {
+		if unit(w.hash(tagRST, dst.Hi(), dst.Lo(), uint64(p.DstPort))) < r.sendsRST {
 			rb.PutTCPRst(i, dst, p.Header.Src, p.DstPort, p.SrcPort, 0, p.TCPSeq+1)
 			return true
 		}
 		return false
 	}
 	if unit(w.hash(tagUnreach, dst.Hi(), dst.Lo())) < r.SendsUnreach {
-		rb.PutUnreachable(i, r.RouterAddr(), p.Header.Src, probe.UnreachAddr, raw)
+		rb.PutUnreachable(i, r.routerAddr(), p.Header.Src, probe.UnreachAddr, raw)
 		return true
 	}
 	return false

@@ -18,7 +18,7 @@ var scannerAddr = ipaddr.MustParse("2001:4860:4860::8888")
 // silent, else the single reply.
 func handleOne(w *World, pkt []byte) [][]byte {
 	var rb probe.ReplyBuf
-	w.HandleBatch([][]byte{pkt}, &rb)
+	w.handleBatch([][]byte{pkt}, &rb)
 	if r := rb.Reply(0); r != nil {
 		return [][]byte{r}
 	}
@@ -46,7 +46,7 @@ func TestEchoReplyFromActiveHost(t *testing.T) {
 	w := smallWorld(t)
 	dst := findActive(t, w, proto.ICMP)
 	payload := []byte("cookie-abcdef")
-	pkt := probe.BuildEchoRequest(scannerAddr, dst, 77, 3, payload)
+	pkt := probe.AppendEchoRequest(nil, scannerAddr, dst, 77, 3, payload)
 	replies := handleOne(w, pkt)
 	if len(replies) != 1 {
 		t.Fatalf("replies = %d", len(replies))
@@ -69,7 +69,7 @@ func TestEchoReplyFromActiveHost(t *testing.T) {
 func TestSilenceForDeadAddress(t *testing.T) {
 	w := smallWorld(t)
 	// Unrouted address: always silence.
-	pkt := probe.BuildEchoRequest(scannerAddr, ipaddr.MustParse("3fff::1"), 1, 1, nil)
+	pkt := probe.AppendEchoRequest(nil, scannerAddr, ipaddr.MustParse("3fff::1"), 1, 1, nil)
 	if got := handleOne(w, pkt); got != nil {
 		t.Fatalf("unrouted address replied: %d packets", len(got))
 	}
@@ -79,7 +79,7 @@ func TestSynAckFromOpenPort(t *testing.T) {
 	w := smallWorld(t)
 	dst := findActive(t, w, proto.TCP443)
 	cookie := uint32(0xfeedface)
-	pkt := probe.BuildTCPSyn(scannerAddr, dst, 54321, 443, cookie)
+	pkt := probe.AppendTCPSyn(nil, scannerAddr, dst, 54321, 443, cookie)
 	replies := handleOne(w, pkt)
 	if len(replies) != 1 {
 		t.Fatalf("replies = %d", len(replies))
@@ -112,7 +112,7 @@ func TestClosedPortMayRST(t *testing.T) {
 		if !w.ExistsAt(a, CollectEpoch) {
 			continue
 		}
-		pkt := probe.BuildTCPSyn(scannerAddr, a, 54321, 80, 1)
+		pkt := probe.AppendTCPSyn(nil, scannerAddr, a, 54321, 80, 1)
 		replies := handleOne(w, pkt)
 		if len(replies) == 1 {
 			p, err := probe.Parse(replies[0])
@@ -136,10 +136,11 @@ func TestClosedPortMayRST(t *testing.T) {
 func TestDNSResponseFromResolver(t *testing.T) {
 	w := smallWorld(t)
 	dst := findActive(t, w, proto.UDP53)
-	q, err := probe.BuildDNSQuery(scannerAddr, dst, 40000, 0xaa55, "x.seedscan.invalid")
+	qname, err := probe.EncodeName("x.seedscan.invalid")
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := probe.AppendDNSQueryWire(nil, scannerAddr, dst, 40000, 0xaa55, qname)
 	replies := handleOne(w, q)
 	if len(replies) != 1 {
 		t.Fatalf("replies = %d", len(replies))
@@ -164,11 +165,11 @@ func TestUnreachableFromRouter(t *testing.T) {
 			continue
 		}
 		for i := 0; i < 200 && !got; i++ {
-			a := r.Template.Random(rng)
+			a := r.Template.random(rng)
 			if w.ExistsAt(a, CollectEpoch) {
 				continue
 			}
-			pkt := probe.BuildEchoRequest(scannerAddr, a, 9, 9, nil)
+			pkt := probe.AppendEchoRequest(nil, scannerAddr, a, 9, 9, nil)
 			replies := handleOne(w, pkt)
 			if len(replies) == 1 {
 				p, err := probe.Parse(replies[0])
@@ -178,8 +179,8 @@ func TestUnreachableFromRouter(t *testing.T) {
 				if p.Kind != probe.KindUnreachable {
 					t.Fatalf("dead addr answered %v", p.Kind)
 				}
-				if p.Header.Src != r.RouterAddr() {
-					t.Fatalf("unreachable from %v, want router %v", p.Header.Src, r.RouterAddr())
+				if p.Header.Src != r.routerAddr() {
+					t.Fatalf("unreachable from %v, want router %v", p.Header.Src, r.routerAddr())
 				}
 				got = true
 			}
@@ -208,7 +209,7 @@ func TestAliasedSlabAnswersRandomAddresses(t *testing.T) {
 	rng := newTestRand(17)
 	for i := 0; i < 20; i++ {
 		a := aliased.Prefix.RandomWithin(rng)
-		pkt := probe.BuildEchoRequest(scannerAddr, a, 5, uint16(i), nil)
+		pkt := probe.AppendEchoRequest(nil, scannerAddr, a, 5, uint16(i), nil)
 		if len(handleOne(w, pkt)) != 1 {
 			t.Fatalf("aliased %v did not answer", a)
 		}
@@ -232,7 +233,7 @@ func TestRateLimitedRegionDropsMostProbes(t *testing.T) {
 	const n = 400
 	for i := 0; i < n; i++ {
 		a := rl.Prefix.RandomWithin(rng)
-		pkt := probe.BuildEchoRequest(scannerAddr, a, 1, uint16(i), nil)
+		pkt := probe.AppendEchoRequest(nil, scannerAddr, a, 1, uint16(i), nil)
 		answered += len(handleOne(w, pkt))
 	}
 	frac := float64(answered) / n
@@ -248,7 +249,7 @@ func TestRetriesRerollLoss(t *testing.T) {
 	// With 50% loss, some seq values must be answered and some dropped.
 	var ok, drop int
 	for seq := 0; seq < 64; seq++ {
-		pkt := probe.BuildEchoRequest(scannerAddr, dst, 1, uint16(seq), nil)
+		pkt := probe.AppendEchoRequest(nil, scannerAddr, dst, 1, uint16(seq), nil)
 		if len(handleOne(w, pkt)) == 1 {
 			ok++
 		} else {
@@ -259,7 +260,7 @@ func TestRetriesRerollLoss(t *testing.T) {
 		t.Fatalf("loss not rerolled across retries: ok=%d drop=%d", ok, drop)
 	}
 	// Same seq is deterministic.
-	pkt := probe.BuildEchoRequest(scannerAddr, dst, 1, 7, nil)
+	pkt := probe.AppendEchoRequest(nil, scannerAddr, dst, 1, 7, nil)
 	first := len(handleOne(w, pkt))
 	for i := 0; i < 5; i++ {
 		if len(handleOne(w, pkt)) != first {
@@ -273,7 +274,7 @@ func TestMalformedPacketsSilentlyDropped(t *testing.T) {
 	if handleOne(w, []byte{1, 2, 3}) != nil {
 		t.Fatal("garbage packet answered")
 	}
-	pkt := probe.BuildEchoRequest(scannerAddr, findActive(t, w, proto.ICMP), 1, 1, nil)
+	pkt := probe.AppendEchoRequest(nil, scannerAddr, findActive(t, w, proto.ICMP), 1, 1, nil)
 	pkt[len(pkt)-1] ^= 0xff // break checksum
 	if handleOne(w, pkt) != nil {
 		t.Fatal("corrupt packet answered")
@@ -291,12 +292,12 @@ func BenchmarkHandleBatchEcho(b *testing.B) {
 	}
 	pkts := make([][]byte, len(addrs))
 	for i, a := range addrs {
-		pkts[i] = probe.BuildEchoRequest(scannerAddr, a, uint16(i), 0, []byte("cookiecookie"))
+		pkts[i] = probe.AppendEchoRequest(nil, scannerAddr, a, uint16(i), 0, []byte("cookiecookie"))
 	}
 	var rb probe.ReplyBuf
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.HandleBatch(pkts, &rb)
+		w.handleBatch(pkts, &rb)
 	}
 }

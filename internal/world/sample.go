@@ -51,7 +51,7 @@ func (w *World) NewSampler(seed uint64, classes ...HostClass) *Sampler {
 			s.aliased = append(s.aliased, r)
 			continue
 		}
-		if r.Density < minSampleDensity {
+		if r.density < minSampleDensity {
 			continue
 		}
 		total += r.ExpectedHosts()
@@ -100,7 +100,7 @@ func (s *Sampler) distinct(n int, ok func(ipaddr.Addr, *Region) bool) []ipaddr.A
 		if r == nil {
 			break
 		}
-		if a := r.Template.Random(s.rng); !ok(a, r) || !out.Add(a) {
+		if a := r.Template.random(s.rng); !ok(a, r) || !out.Add(a) {
 			misses++
 		}
 	}
@@ -117,7 +117,7 @@ func (s *Sampler) TemplateNoise(n int) []ipaddr.Addr {
 		if r == nil {
 			break
 		}
-		out = append(out, r.Template.Random(s.rng))
+		out = append(out, r.Template.random(s.rng))
 	}
 	return out
 }
@@ -135,7 +135,3 @@ func (s *Sampler) Aliased(n int) []ipaddr.Addr {
 	}
 	return out
 }
-
-// RegionCount reports how many non-aliased regions the sampler can draw
-// from.
-func (s *Sampler) RegionCount() int { return len(s.regions) }

@@ -83,7 +83,7 @@ func TestSamplerTemplateNoise(t *testing.T) {
 		if !ok {
 			t.Fatalf("%v unrouted", a)
 		}
-		if !r.Aliased && !r.Template.Matches(a) {
+		if !r.Aliased && !r.Template.matches(a) {
 			t.Fatalf("%v escapes template", a)
 		}
 		if !w.ExistsAt(a, CollectEpoch) {
@@ -126,7 +126,7 @@ func TestSamplerEmptyFilter(t *testing.T) {
 	// combining — Endhost regions exist but are below the sampling density
 	// floor, so a sampler over them alone has nothing to draw.
 	s := w.NewSampler(80, ClassEndhost)
-	if s.RegionCount() != 0 {
+	if s.regionCount() != 0 {
 		t.Skip("endhost regions unexpectedly dense")
 	}
 	if got := s.Hosts(10); len(got) != 0 {
@@ -136,3 +136,7 @@ func TestSamplerEmptyFilter(t *testing.T) {
 		t.Fatalf("noise %d from empty sampler", len(got))
 	}
 }
+
+// regionCount reports how many non-aliased regions the sampler can draw
+// from.
+func (s *Sampler) regionCount() int { return len(s.regions) }

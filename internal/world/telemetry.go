@@ -13,13 +13,13 @@ type worldTele struct {
 
 // SetTelemetry wires reg into the world's reply path. Counters:
 //
-//	world.batches              HandleBatch calls served
+//	world.batches              handleBatch calls served
 //	world.batch.packets        probes received across batches
 //	world.batch.replies        replies emitted across batches
 //	world.groups_materialized  AS region groups built on demand
 //
 // Passing nil unwires telemetry. Safe to call concurrently with in-flight
-// HandleBatch calls (the handle set swaps atomically).
+// handleBatch calls (the handle set swaps atomically).
 func (w *World) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		w.tele.Store(nil)

@@ -16,23 +16,23 @@ import (
 // generating other in-template addresses yields hits at the region's
 // density.
 type Template struct {
-	// Fixed holds the value for positions whose VarMask entry is zero.
-	Fixed [ipaddr.NybbleCount]byte
-	// VarMask holds the allowed-value bitmask per position; bit v set means
+	// fixed holds the value for positions whose VarMask entry is zero.
+	fixed [ipaddr.NybbleCount]byte
+	// varMask holds the allowed-value bitmask per position; bit v set means
 	// hex value v is permitted. Zero marks the position fixed.
-	VarMask [ipaddr.NybbleCount]uint16
+	varMask [ipaddr.NybbleCount]uint16
 }
 
-// TemplateFromPrefix starts a template whose prefix nybbles are pinned to p
+// templateFromPrefix starts a template whose prefix nybbles are pinned to p
 // and whose remaining positions are fully variable.
-func TemplateFromPrefix(p ipaddr.Prefix) Template {
+func templateFromPrefix(p ipaddr.Prefix) Template {
 	var t Template
 	a := p.Addr()
 	fixedNybbles := p.Bits() / 4
 	for i := 0; i < ipaddr.NybbleCount; i++ {
 		switch {
 		case i < fixedNybbles:
-			t.Fixed[i] = a.Nybble(i)
+			t.fixed[i] = a.Nybble(i)
 		case i == fixedNybbles && p.Bits()%4 != 0:
 			// Partial nybble: allow values consistent with the prefix bits.
 			rem := p.Bits() % 4
@@ -41,62 +41,34 @@ func TemplateFromPrefix(p ipaddr.Prefix) Template {
 			for v := base; v < base+1<<(4-rem); v++ {
 				m |= 1 << v
 			}
-			t.VarMask[i] = m
+			t.varMask[i] = m
 		default:
-			t.VarMask[i] = 0xffff
+			t.varMask[i] = 0xffff
 		}
 	}
 	return t
 }
 
-// Pin fixes position i to value v.
-func (t *Template) Pin(i int, v byte) {
-	t.Fixed[i] = v & 0xf
-	t.VarMask[i] = 0
+// pin fixes position i to value v.
+func (t *Template) pin(i int, v byte) {
+	t.fixed[i] = v & 0xf
+	t.varMask[i] = 0
 }
 
-// Allow restricts position i to the values in vals.
-func (t *Template) Allow(i int, vals ...byte) {
-	var m uint16
-	for _, v := range vals {
-		m |= 1 << (v & 0xf)
-	}
-	if bits.OnesCount16(m) == 1 {
-		t.Pin(i, byte(bits.TrailingZeros16(m)))
-		return
-	}
-	t.VarMask[i] = m
-}
-
-// AllowMask restricts position i to the values set in mask.
-func (t *Template) AllowMask(i int, mask uint16) {
+// allowMask restricts position i to the values set in mask.
+func (t *Template) allowMask(i int, mask uint16) {
 	if bits.OnesCount16(mask) == 1 {
-		t.Pin(i, byte(bits.TrailingZeros16(mask)))
+		t.pin(i, byte(bits.TrailingZeros16(mask)))
 		return
 	}
-	t.VarMask[i] = mask
-}
-
-// Matches reports whether a conforms to the template.
-func (t *Template) Matches(a ipaddr.Addr) bool {
-	for i := 0; i < ipaddr.NybbleCount; i++ {
-		v := a.Nybble(i)
-		if m := t.VarMask[i]; m != 0 {
-			if m&(1<<v) == 0 {
-				return false
-			}
-		} else if v != t.Fixed[i] {
-			return false
-		}
-	}
-	return true
+	t.varMask[i] = mask
 }
 
 // templateMatch is a Template compiled for the per-probe membership test.
 // Fixed nybbles (and restrictions to a single value) fold into one masked
 // compare per address half; restricted nybbles become a short list tested
 // one by one; fully variable nybbles cost nothing. It accepts exactly the
-// addresses Template.Matches accepts.
+// addresses Template.matches accepts.
 type templateMatch struct {
 	mask, want [2]uint64 // per half: a fixed nybble's bits, and their value
 	restricted []nybbleSet
@@ -115,7 +87,7 @@ func (t *Template) compile() templateMatch {
 	var m templateMatch
 	for i := 0; i < ipaddr.NybbleCount; i++ {
 		half, shift := i/16, uint8(60-4*(i%16))
-		v, allowed := t.Fixed[i], t.VarMask[i]
+		v, allowed := t.fixed[i], t.varMask[i]
 		switch {
 		case allowed == 0xffff:
 			continue
@@ -152,16 +124,16 @@ func (m *templateMatch) matches(a ipaddr.Addr) bool {
 	return true
 }
 
-// Random samples a uniformly random in-template address.
-func (t *Template) Random(rng *rand.Rand) ipaddr.Addr {
+// random samples a uniformly random in-template address.
+func (t *Template) random(rng *rand.Rand) ipaddr.Addr {
 	var a ipaddr.Addr
 	for i := 0; i < ipaddr.NybbleCount; i++ {
-		if m := t.VarMask[i]; m != 0 {
+		if m := t.varMask[i]; m != 0 {
 			n := bits.OnesCount16(m)
 			k := rng.Intn(n)
 			a = a.WithNybble(i, nthSetBit(m, k))
 		} else {
-			a = a.WithNybble(i, t.Fixed[i])
+			a = a.WithNybble(i, t.fixed[i])
 		}
 	}
 	return a
@@ -180,31 +152,20 @@ func nthSetBit(m uint16, k int) byte {
 	return 0
 }
 
-// Log2Size returns log2 of the number of in-template addresses.
-func (t *Template) Log2Size() float64 {
+// log2Size returns log2 of the number of in-template addresses.
+func (t *Template) log2Size() float64 {
 	s := 0.0
 	for i := 0; i < ipaddr.NybbleCount; i++ {
-		if m := t.VarMask[i]; m != 0 {
+		if m := t.varMask[i]; m != 0 {
 			s += math.Log2(float64(bits.OnesCount16(m)))
 		}
 	}
 	return s
 }
 
-// Size returns the number of in-template addresses, saturating at MaxFloat.
-func (t *Template) Size() float64 {
-	return math.Exp2(t.Log2Size())
-}
-
-// VariablePositions returns the indices of non-fixed positions.
-func (t *Template) VariablePositions() []int {
-	var out []int
-	for i, m := range t.VarMask {
-		if m != 0 {
-			out = append(out, i)
-		}
-	}
-	return out
+// size returns the number of in-template addresses, saturating at MaxFloat.
+func (t *Template) size() float64 {
+	return math.Exp2(t.log2Size())
 }
 
 // String renders the template with fixed hex digits and '*' (full) or '?'
@@ -212,10 +173,10 @@ func (t *Template) VariablePositions() []int {
 func (t *Template) String() string {
 	var sb strings.Builder
 	for i := 0; i < ipaddr.NybbleCount; i++ {
-		switch m := t.VarMask[i]; {
+		switch m := t.varMask[i]; {
 		case m == 0:
 			const hex = "0123456789abcdef"
-			sb.WriteByte(hex[t.Fixed[i]])
+			sb.WriteByte(hex[t.fixed[i]])
 		case m == 0xffff:
 			sb.WriteByte('*')
 		default:
@@ -223,42 +184,4 @@ func (t *Template) String() string {
 		}
 	}
 	return sb.String()
-}
-
-// Enumerate lists up to max in-template addresses in lexicographic order.
-// It is intended for small templates; generation stops once max addresses
-// have been produced.
-func (t *Template) Enumerate(max int) []ipaddr.Addr {
-	out := make([]ipaddr.Addr, 0, min(max, 1024))
-	var rec func(i int, a ipaddr.Addr) bool
-	rec = func(i int, a ipaddr.Addr) bool {
-		if len(out) >= max {
-			return false
-		}
-		if i == ipaddr.NybbleCount {
-			out = append(out, a)
-			return len(out) < max
-		}
-		if m := t.VarMask[i]; m != 0 {
-			for v := 0; v < 16; v++ {
-				if m&(1<<v) == 0 {
-					continue
-				}
-				if !rec(i+1, a.WithNybble(i, byte(v))) {
-					return false
-				}
-			}
-			return true
-		}
-		return rec(i+1, a.WithNybble(i, t.Fixed[i]))
-	}
-	rec(0, ipaddr.Addr{})
-	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -17,7 +17,7 @@
 //
 // The world is also lazy: New allocates nothing but a slot table, and each
 // AS's regions materialize on first contact from a per-AS deterministic
-// seed. That keeps the build cost flat while Config.SizeScale and
+// seed. That keeps the build cost flat while Config.sizeScale and
 // Config.NumASes grow the expected host population to 10^8 and beyond.
 package world
 
@@ -209,16 +209,16 @@ func (w *World) existsAt(a ipaddr.Addr, r *Region, epoch int) bool {
 	}
 	u := unit(w.hash(tagExists, a.Hi(), a.Lo()))
 	if epoch <= CollectEpoch {
-		return u < r.Density
+		return u < r.density
 	}
 	born := 0
-	if u >= r.Density {
+	if u >= r.density {
 		// Not in cohort 0: find the birth cohort, if it is born by now.
-		if r.Density <= 0 || r.Birth <= 0 ||
-			u >= r.Density*(1+float64(epoch)*r.Birth) {
+		if r.density <= 0 || r.birth <= 0 ||
+			u >= r.density*(1+float64(epoch)*r.birth) {
 			return false
 		}
-		born = 1 + int((u-r.Density)/(r.Density*r.Birth))
+		born = 1 + int((u-r.density)/(r.density*r.birth))
 		if born > epoch {
 			born = epoch // float-edge guard; the band check above bounds it
 		}
@@ -226,8 +226,8 @@ func (w *World) existsAt(a ipaddr.Addr, r *Region, epoch int) bool {
 	if epoch > born && unit(w.churnHash(a)) < r.deathBy(epoch-born) {
 		return false
 	}
-	if epoch >= 2 && r.Churn > 0 &&
-		unit(w.hash(tagFlap, a.Hi(), a.Lo(), uint64(epoch))) < r.Churn*flapFraction {
+	if epoch >= 2 && r.churn > 0 &&
+		unit(w.hash(tagFlap, a.Hi(), a.Lo(), uint64(epoch))) < r.churn*flapFraction {
 		return false
 	}
 	return true
@@ -265,9 +265,9 @@ func (w *World) ActiveOn(a ipaddr.Addr, p proto.Protocol, epoch int) bool {
 // facts draw the existence hash once.
 func (w *World) listens(a ipaddr.Addr, r *Region, p proto.Protocol, exists bool) bool {
 	if r.Aliased {
-		return r.Resp[p] > 0.5
+		return r.resp[p] > 0.5
 	}
-	return exists && unit(w.hash(tagProto, a.Hi(), a.Lo(), uint64(p))) < r.Resp[p]
+	return exists && unit(w.hash(tagProto, a.Hi(), a.Lo(), uint64(p))) < r.resp[p]
 }
 
 // ActiveOnAny reports whether a answers on at least one studied protocol.
@@ -283,7 +283,7 @@ func (w *World) ActiveOnAny(a ipaddr.Addr, epoch int) bool {
 		return false
 	}
 	for _, p := range proto.All {
-		if unit(w.hash(tagProto, a.Hi(), a.Lo(), uint64(p))) < r.Resp[p] {
+		if unit(w.hash(tagProto, a.Hi(), a.Lo(), uint64(p))) < r.resp[p] {
 			return true
 		}
 	}

@@ -21,7 +21,7 @@ func TestBuildDeterminism(t *testing.T) {
 	}
 	for i := range w1.Regions() {
 		a, b := w1.Regions()[i], w2.Regions()[i]
-		if a.Prefix != b.Prefix || a.ASN != b.ASN || a.Class != b.Class || a.Density != b.Density {
+		if a.Prefix != b.Prefix || a.asn != b.asn || a.Class != b.Class || a.density != b.density {
 			t.Fatalf("region %d differs: %v vs %v", i, a, b)
 		}
 	}
@@ -64,7 +64,7 @@ func TestWorldShape(t *testing.T) {
 		if !ok {
 			t.Fatalf("region %v unrouted", r)
 		}
-		if asn != r.ASN {
+		if asn != r.asn {
 			t.Fatalf("region %v routes to AS%d", r, asn)
 		}
 	}
@@ -85,7 +85,7 @@ func TestActivityInvariants(t *testing.T) {
 		if !ok {
 			t.Fatalf("host %v has no region", a)
 		}
-		if !r.Aliased && !r.Template.Matches(a) {
+		if !r.Aliased && !r.Template.matches(a) {
 			t.Fatalf("host %v does not match its region template", a)
 		}
 		// ActiveOn implies ExistsAt for non-aliased regions.
@@ -135,11 +135,11 @@ func TestChurnShrinksAndBirthAdds(t *testing.T) {
 	// Birth: some addresses exist at scan epoch that did not at collection.
 	born := 0
 	for _, r := range w.Regions() {
-		if r.Aliased || r.Birth == 0 || r.Density < minSampleDensity {
+		if r.Aliased || r.birth == 0 || r.density < minSampleDensity {
 			continue
 		}
 		tpl := r.Template
-		for i, a := range tpl.Enumerate(2000) {
+		for i, a := range tpl.enumerate(2000) {
 			_ = i
 			if !w.ExistsAt(a, CollectEpoch) && w.ExistsAt(a, ScanEpoch) {
 				born++
@@ -187,7 +187,7 @@ func TestPathologicalPattern(t *testing.T) {
 	w := smallWorld(t)
 	var path *Region
 	for _, r := range w.Regions() {
-		if r.ASN == PathologicalASN {
+		if r.asn == PathologicalASN {
 			path = r
 			break
 		}
@@ -200,14 +200,14 @@ func TestPathologicalPattern(t *testing.T) {
 	active := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
-		a := path.Template.Random(rng)
+		a := path.Template.random(rng)
 		if w.ActiveOn(a, proto.ICMP, CollectEpoch) {
 			active++
 		}
 	}
 	frac := float64(active) / n
-	if frac < path.Density-0.08 || frac > path.Density+0.08 {
-		t.Fatalf("pathological active fraction %.3f, want ~%.2f", frac, path.Density)
+	if frac < path.density-0.08 || frac > path.density+0.08 {
+		t.Fatalf("pathological active fraction %.3f, want ~%.2f", frac, path.density)
 	}
 }
 

@@ -39,39 +39,36 @@ type ZoneConfig struct {
 	// AAAARate is the share of names with AAAA records (Table 8: ~4.7%
 	// for CT-log domains, ~23-28% for toplists).
 	AAAARate float64
-	// AliasShare is the share of resolving names pointing into aliased
-	// slabs (default 0.4, the wildcard-CDN effect).
-	AliasShare float64
-	// PoolSize bounds the host population backing the zone (default 4000).
-	PoolSize int
 }
+
+const (
+	// zoneAliasShare is the share of resolving names pointing into aliased
+	// slabs (the wildcard-CDN effect).
+	zoneAliasShare = 0.4
+	// zonePoolSize bounds the host population backing a zone.
+	zonePoolSize = 4000
+)
 
 // NewZone builds a zone over the world's domain-visible hosts.
 func NewZone(w *world.World, cfg ZoneConfig) (*Zone, error) {
 	if cfg.AAAARate <= 0 || cfg.AAAARate > 1 {
 		return nil, fmt.Errorf("zdns: AAAARate %v out of range", cfg.AAAARate)
 	}
-	if cfg.AliasShare == 0 {
-		cfg.AliasShare = 0.4
-	}
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = 4000
-	}
 	samp := w.NewSampler(mix(cfg.Seed, 0xd15), world.ClassWebServer, world.ClassCDNNode, world.ClassDNSServer)
-	pool := samp.Hosts(cfg.PoolSize)
+	pool := samp.Hosts(zonePoolSize)
 	if len(pool) == 0 {
 		return nil, fmt.Errorf("zdns: world has no domain-visible hosts")
 	}
 	aliasSamp := w.NewSampler(mix(cfg.Seed, 0xd16))
 	return &Zone{
 		w: w, seed: cfg.Seed, aaaaRate: cfg.AAAARate,
-		hostPool: pool, aliased: aliasSamp.Aliased(cfg.PoolSize / 2),
-		aliasShare: cfg.AliasShare,
+		hostPool: pool, aliased: aliasSamp.Aliased(zonePoolSize / 2),
+		aliasShare: zoneAliasShare,
 	}, nil
 }
 
-// Lookup returns the AAAA records for name (nil when it has none).
-func (z *Zone) Lookup(name string) []ipaddr.Addr {
+// lookup returns the AAAA records for name (nil when it has none).
+func (z *Zone) lookup(name string) []ipaddr.Addr {
 	name = strings.ToLower(strings.TrimSuffix(name, "."))
 	h := mix(z.seed, hashString(name))
 	if unit(h) >= z.aaaaRate {
@@ -116,13 +113,13 @@ type Stats struct {
 // Resolver performs concurrent AAAA lookups against a zone.
 type Resolver struct {
 	Zone    *Zone
-	Workers int // default 8
+	workers int // default 8
 }
 
 // ResolveAll looks up every name and returns the unique addresses plus
 // campaign statistics.
 func (r *Resolver) ResolveAll(names []string) (*ipaddr.Set, Stats) {
-	workers := r.Workers
+	workers := r.workers
 	if workers <= 0 {
 		workers = 8
 	}
@@ -149,7 +146,7 @@ func (r *Resolver) ResolveAll(names []string) (*ipaddr.Set, Stats) {
 				name := names[next]
 				next++
 				mu.Unlock()
-				records := r.Zone.Lookup(name)
+				records := r.Zone.lookup(name)
 				if len(records) == 0 {
 					continue
 				}

@@ -27,8 +27,8 @@ func TestZoneConfigValidation(t *testing.T) {
 
 func TestLookupDeterministicAndNormalized(t *testing.T) {
 	z := testZone(t, 0.5)
-	a := z.Lookup("WWW.Example.COM.")
-	b := z.Lookup("www.example.com")
+	a := z.lookup("WWW.Example.COM.")
+	b := z.lookup("www.example.com")
 	if len(a) != len(b) {
 		t.Fatal("case/trailing-dot normalization failed")
 	}
@@ -44,7 +44,7 @@ func TestAAAARateRealized(t *testing.T) {
 	names := GenerateNames(3, 4000)
 	hit := 0
 	for _, n := range names {
-		if len(z.Lookup(n)) > 0 {
+		if len(z.lookup(n)) > 0 {
 			hit++
 		}
 	}
@@ -62,7 +62,7 @@ func TestRecordsPointAtDomainVisibleSpace(t *testing.T) {
 	}
 	aliased, clean := 0, 0
 	for _, n := range GenerateNames(4, 2000) {
-		for _, a := range z.Lookup(n) {
+		for _, a := range z.lookup(n) {
 			r, ok := w.RegionOf(a)
 			if !ok {
 				t.Fatalf("record %v unrouted", a)
@@ -88,7 +88,7 @@ func TestRecordsPointAtDomainVisibleSpace(t *testing.T) {
 func TestResolveAllStats(t *testing.T) {
 	z := testZone(t, 0.3)
 	names := GenerateNames(5, 3000)
-	set, stats := (&Resolver{Zone: z, Workers: 4}).ResolveAll(names)
+	set, stats := (&Resolver{Zone: z, workers: 4}).ResolveAll(names)
 	if stats.Domains != len(names) {
 		t.Fatalf("domains = %d", stats.Domains)
 	}
@@ -107,8 +107,8 @@ func TestResolveAllStats(t *testing.T) {
 func TestResolveAllDeterministic(t *testing.T) {
 	z := testZone(t, 0.3)
 	names := GenerateNames(6, 1500)
-	s1, st1 := (&Resolver{Zone: z, Workers: 7}).ResolveAll(names)
-	s2, st2 := (&Resolver{Zone: z, Workers: 2}).ResolveAll(names)
+	s1, st1 := (&Resolver{Zone: z, workers: 7}).ResolveAll(names)
+	s2, st2 := (&Resolver{Zone: z, workers: 2}).ResolveAll(names)
 	if st1 != st2 {
 		t.Fatalf("stats differ across worker counts: %+v vs %+v", st1, st2)
 	}
