@@ -112,7 +112,7 @@ func BenchmarkAblation_DealiasProbeCost(b *testing.B) {
 	e := benchEnv()
 	addrs := e.Sources[seeds.SourceAddrMiner].Slice()
 	for i := 0; i < b.N; i++ {
-		d := alias.New(alias.ModeOnline, nil, e.Scanner, proto.ICMP, uint64(i)+77)
+		d := alias.New(alias.ModeOnline, nil, e.Scanner, proto.ICMP, uint64(i)+77, nil)
 		clean, aliased := d.Split(append([]ipaddr.Addr(nil), addrs...))
 		if i == 0 {
 			b.ReportMetric(float64(d.ProbesSent()), "probes")

@@ -474,8 +474,7 @@ func cmdWorker(args []string) error {
 	// The worker rebuilds the same deterministic world as the coordinator's
 	// environment; the job frame carries the secret, retries, rate and wire
 	// chain needed for its shards to merge byte-identically.
-	w := world.New(world.Config{Seed: *seed, NumASes: *ases})
-	w.SetTelemetry(tr.Registry())
+	w := world.New(world.Config{Seed: *seed, NumASes: *ases, Telemetry: tr.Registry()})
 	w.SetEpoch(world.ScanEpoch)
 
 	ln, err := net.Listen("tcp", *listen)
@@ -529,8 +528,7 @@ func cmdDealias(args []string) error {
 	defer finish()
 	env := buildEnv(*seed, *ases, *scale, tr, wire.ChainConfig{})
 	ds := env.Sources[s]
-	d := alias.New(mode, env.Offline, env.Scanner, proto.ICMP, *seed)
-	d.SetTelemetry(tr.Registry())
+	d := alias.New(mode, env.Offline, env.Scanner, proto.ICMP, *seed, tr.Registry())
 	clean, aliased := d.Split(ds.Slice())
 	fmt.Printf("%s under %s dealiasing: %d clean, %d aliased (%d /96s tested, %d probes)\n",
 		ds.Name, mode, len(clean), len(aliased), d.PrefixesTested(), d.ProbesSent())

@@ -46,8 +46,7 @@ func Example() {
 	// 4. Preprocess: joint (offline+online) dealiasing, then keep only
 	//    seeds responsive on ICMP — the paper's RQ1 recommendations.
 	offline := alias.NewOfflineList(w.AliasedPrefixes()[:len(w.AliasedPrefixes())/2])
-	dealiaser := alias.New(alias.ModeJoint, offline, sc, proto.ICMP, 4)
-	dealiaser.SetTelemetry(tr.Registry())
+	dealiaser := alias.New(alias.ModeJoint, offline, sc, proto.ICMP, 4, tr.Registry())
 	clean, aliased := dealiaser.Split(hitlist.Slice())
 	active := sc.ScanActive(clean, proto.ICMP)
 	fmt.Printf("preprocessing: %d aliased removed, %d of %d clean seeds responsive\n",

@@ -135,10 +135,8 @@ type Dealiaser struct {
 	trigger    int
 	candidates *OfflineList
 
-	// Telemetry counters; all nil-safe, so an unwired Dealiaser pays only
-	// a no-op method call. Guarded by mu: SetTelemetry may race with
-	// in-flight Splits, so writers and readers synchronize on the same
-	// lock (the counters themselves are atomic once read).
+	// Telemetry counters, set by New and never written again; all
+	// nil-safe, so an unwired Dealiaser pays only a no-op method call.
 	cCacheHit   *telemetry.Counter
 	cCacheMiss  *telemetry.Counter
 	cTested     *telemetry.Counter
@@ -147,16 +145,22 @@ type Dealiaser struct {
 }
 
 // New builds a Dealiaser. offline may be nil for ModeNone/ModeOnline;
-// prober may be nil for ModeNone/ModeOffline.
-func New(mode Mode, offline *OfflineList, prober scanner.Prober, p proto.Protocol, seed uint64) *Dealiaser {
+// prober may be nil for ModeNone/ModeOffline. reg receives the alias.*
+// counters (nil: off).
+func New(mode Mode, offline *OfflineList, prober scanner.Prober, p proto.Protocol, seed uint64, reg *telemetry.Registry) *Dealiaser {
 	d := &Dealiaser{
-		mode:     mode,
-		offline:  offline,
-		prober:   prober,
-		proto:    p,
-		verdict:  make(map[ipaddr.Prefix]bool),
-		inflight: make(map[ipaddr.Prefix]chan struct{}),
-		rngSeed:  seed,
+		mode:        mode,
+		offline:     offline,
+		prober:      prober,
+		proto:       p,
+		verdict:     make(map[ipaddr.Prefix]bool),
+		inflight:    make(map[ipaddr.Prefix]chan struct{}),
+		rngSeed:     seed,
+		cCacheHit:   reg.Counter("alias.verdict_cache.hits"),
+		cCacheMiss:  reg.Counter("alias.verdict_cache.misses"),
+		cTested:     reg.Counter("alias.prefixes_tested"),
+		cProbesSent: reg.Counter("alias.probes_sent"),
+		cCooled:     reg.Counter("alias.cooldown.cooled"),
 	}
 	if mode == ModeCooldown {
 		d.density = make(map[ipaddr.Prefix]int)
@@ -164,20 +168,6 @@ func New(mode Mode, offline *OfflineList, prober scanner.Prober, p proto.Protoco
 		d.candidates = candidateList(offline)
 	}
 	return d
-}
-
-// SetTelemetry wires the dealiaser's alias.* counters (verdict-cache
-// hits/misses, prefixes tested, probes sent, prefixes cooled down) into
-// reg. A nil registry detaches them. Safe to call while Splits are in
-// flight: the counter fields are guarded by the dealiaser's mutex.
-func (d *Dealiaser) SetTelemetry(reg *telemetry.Registry) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.cCacheHit = reg.Counter("alias.verdict_cache.hits")
-	d.cCacheMiss = reg.Counter("alias.verdict_cache.misses")
-	d.cTested = reg.Counter("alias.prefixes_tested")
-	d.cProbesSent = reg.Counter("alias.probes_sent")
-	d.cCooled = reg.Counter("alias.cooldown.cooled")
 }
 
 // ProbesSent reports how many dealiasing probe targets have been issued.
@@ -284,10 +274,9 @@ func (d *Dealiaser) claimUnknown(prefixes []ipaddr.Prefix) (claimed []ipaddr.Pre
 		d.inflight[p] = done
 		claimed = append(claimed, p)
 	}
-	hit, miss := d.cCacheHit, d.cCacheMiss
 	d.mu.Unlock()
-	miss.Add(int64(len(claimed)))
-	hit.Add(int64(n - len(claimed)))
+	d.cCacheMiss.Add(int64(len(claimed)))
+	d.cCacheHit.Add(int64(n - len(claimed)))
 	return claimed, done, waits
 }
 
@@ -356,8 +345,7 @@ func (d *Dealiaser) testPrefixes(prefixes []ipaddr.Prefix, done chan struct{}) {
 		delete(d.inflight, p)
 	}
 	close(done)
-	probesSent, tested := d.cProbesSent, d.cTested
 	d.mu.Unlock()
-	probesSent.Add(int64(len(targets)))
-	tested.Add(int64(len(prefixes)))
+	d.cProbesSent.Add(int64(len(targets)))
+	d.cTested.Add(int64(len(prefixes)))
 }

@@ -48,7 +48,7 @@ func TestOfflineListFiltering(t *testing.T) {
 		t.Fatal("clean address matched")
 	}
 
-	d := New(ModeOffline, list, nil, proto.ICMP, 9)
+	d := New(ModeOffline, list, nil, proto.ICMP, 9, nil)
 	clean, aliased := d.Split([]ipaddr.Addr{inAlias, ipaddr.MustParse("3fff::1")})
 	if len(clean) != 1 || len(aliased) != 1 {
 		t.Fatalf("split = %d clean, %d aliased", len(clean), len(aliased))
@@ -78,7 +78,7 @@ func TestOnlineDetectsUnlistedAlias(t *testing.T) {
 		t.Fatal("no clean active host")
 	}
 
-	d := New(ModeOnline, nil, sc, proto.ICMP, 5)
+	d := New(ModeOnline, nil, sc, proto.ICMP, 5, nil)
 	clean, aliased := d.Split(append(addrs, cleanWant...))
 	if len(aliased) != len(addrs) {
 		t.Fatalf("aliased = %d, want %d", len(aliased), len(addrs))
@@ -99,7 +99,7 @@ func TestOnlineVerdictCache(t *testing.T) {
 	// Two addresses in the same /96.
 	b := ipaddr.PrefixFrom(a, AliasPrefixBits).Overlay(ipaddr.AddrFrom64s(0, 12345))
 
-	d := New(ModeOnline, nil, sc, proto.ICMP, 5)
+	d := New(ModeOnline, nil, sc, proto.ICMP, 5, nil)
 	d.Split([]ipaddr.Addr{a})
 	probesAfterFirst := d.ProbesSent()
 	d.Split([]ipaddr.Addr{b})
@@ -142,7 +142,7 @@ func TestJointCombinesBoth(t *testing.T) {
 		unknown = append(unknown, unlisted.RandomWithin(rng))
 	}
 
-	d := New(ModeJoint, list, sc, proto.ICMP, 7)
+	d := New(ModeJoint, list, sc, proto.ICMP, 7, nil)
 	clean, aliased := d.Split(append(known, unknown...))
 	if len(aliased) != 20 {
 		t.Fatalf("aliased = %d, want 20 (clean=%d)", len(aliased), len(clean))
@@ -177,7 +177,7 @@ func TestRateLimitedAliasEvadesOnline(t *testing.T) {
 		// Spread over many /96s so we test many prefixes.
 		addrs = append(addrs, rl.Prefix.RandomWithin(rng))
 	}
-	d := New(ModeOnline, nil, sc, proto.ICMP, 11)
+	d := New(ModeOnline, nil, sc, proto.ICMP, 11, nil)
 	clean, _ := d.Split(addrs)
 	// With RespRate ~0.12 most prefixes evade the 2-of-3 test: the paper's
 	// EIP/Amazon effect.
@@ -187,7 +187,7 @@ func TestRateLimitedAliasEvadesOnline(t *testing.T) {
 }
 
 func TestModeNonePassesThrough(t *testing.T) {
-	d := New(ModeNone, nil, nil, proto.ICMP, 1)
+	d := New(ModeNone, nil, nil, proto.ICMP, 1, nil)
 	in := []ipaddr.Addr{ipaddr.MustParse("::1"), ipaddr.MustParse("::2")}
 	clean, aliased := d.Split(in)
 	if len(clean) != 2 || len(aliased) != 0 {
@@ -233,7 +233,7 @@ func TestOnlineCleanRegionNotAliased(t *testing.T) {
 	if len(clean) < 50 {
 		t.Fatal("not enough clean actives")
 	}
-	d := New(ModeOnline, nil, sc, proto.ICMP, 13)
+	d := New(ModeOnline, nil, sc, proto.ICMP, 13, nil)
 	got, aliased := d.Split(clean)
 	// Sparse regions should essentially never have 2-of-3 random /96
 	// neighbours active.
@@ -256,7 +256,7 @@ func TestSplitPartitionProperty(t *testing.T) {
 	input = new(ipaddr.Deduper).Append(nil, input)
 
 	for _, mode := range Modes {
-		d := New(mode, list, sc, proto.ICMP, 123)
+		d := New(mode, list, sc, proto.ICMP, 123, nil)
 		clean, aliased := d.Split(append([]ipaddr.Addr(nil), input...))
 		if len(clean)+len(aliased) != len(input) {
 			t.Fatalf("%v: %d + %d != %d", mode, len(clean), len(aliased), len(input))
@@ -274,7 +274,7 @@ func TestSplitVerdictConsistentAcrossCalls(t *testing.T) {
 	w, sc := testWorld(t)
 	aliasSamp := w.NewSampler(101)
 	addrs := aliasSamp.Aliased(50)
-	d := New(ModeOnline, nil, sc, proto.ICMP, 5)
+	d := New(ModeOnline, nil, sc, proto.ICMP, 5, nil)
 	_, a1 := d.Split(append([]ipaddr.Addr(nil), addrs...))
 	_, a2 := d.Split(append([]ipaddr.Addr(nil), addrs...))
 	if len(a1) != len(a2) {

@@ -83,9 +83,8 @@ func (d *Dealiaser) splitCooldown(addrs []ipaddr.Addr) (clean, aliased []ipaddr.
 			clean = append(clean, a)
 		}
 	}
-	cooled := d.cCooled
 	d.mu.Unlock()
-	cooled.Add(int64(newlyCooled))
+	d.cCooled.Add(int64(newlyCooled))
 	return clean, aliased
 }
 

@@ -35,7 +35,7 @@ func TestCooldownDetectsDenseAlias(t *testing.T) {
 	for k := 0; k < 12; k++ {
 		addrs = append(addrs, base.AddLo(uint64(k+1)<<32))
 	}
-	d := New(ModeCooldown, nil, sc, proto.ICMP, 31)
+	d := New(ModeCooldown, nil, sc, proto.ICMP, 31, nil)
 	clean, aliased := d.Split(addrs)
 	if len(aliased) != len(addrs) {
 		t.Fatalf("aliased = %d, want %d (clean=%d)", len(aliased), len(addrs), len(clean))
@@ -53,7 +53,7 @@ func TestCooldownSparsePrefixesStayUntested(t *testing.T) {
 		addrs = append(addrs, ipaddr.MustParse(fmt.Sprintf("2001:db8:1:%x::1", i)))
 	}
 	prober := &countingProber{activeFn: func(ipaddr.Addr) bool { return true }}
-	d := New(ModeCooldown, nil, prober, proto.ICMP, 7)
+	d := New(ModeCooldown, nil, prober, proto.ICMP, 7, nil)
 	clean, aliased := d.Split(addrs)
 	if len(aliased) != 0 || len(clean) != len(addrs) {
 		t.Fatalf("sparse input split %d/%d", len(clean), len(aliased))
@@ -75,7 +75,7 @@ func TestCooldownDeterministic(t *testing.T) {
 
 	run := func() (c, a []ipaddr.Addr) {
 		_, sc := testWorld(t)
-		d := New(ModeCooldown, list, sc, proto.ICMP, 77)
+		d := New(ModeCooldown, list, sc, proto.ICMP, 77, nil)
 		return d.Split(append([]ipaddr.Addr(nil), input...))
 	}
 	c1, a1 := run()
@@ -101,9 +101,8 @@ func TestCooldownDeterministic(t *testing.T) {
 func TestCooldownCountsVerdictCache(t *testing.T) {
 	addrs := denseInput("2001:db8:ffff", 2, cooldownTrigger)
 	prober := &countingProber{activeFn: func(ipaddr.Addr) bool { return false }}
-	d := New(ModeCooldown, nil, prober, proto.ICMP, 7)
 	reg := telemetry.NewRegistry()
-	d.SetTelemetry(reg)
+	d := New(ModeCooldown, nil, prober, proto.ICMP, 7, reg)
 
 	want := int64(len(addrs)) // one hot /96 per address
 	d.Split(addrs)
@@ -144,11 +143,11 @@ func TestCooldownEquivalentToOnlineOnCleanInput(t *testing.T) {
 	}
 
 	_, sc1 := testWorld(t)
-	on := New(ModeOnline, nil, sc1, proto.ICMP, 99)
+	on := New(ModeOnline, nil, sc1, proto.ICMP, 99, nil)
 	onClean, onAliased := on.Split(append([]ipaddr.Addr(nil), input...))
 
 	_, sc2 := testWorld(t)
-	cd := New(ModeCooldown, nil, sc2, proto.ICMP, 99)
+	cd := New(ModeCooldown, nil, sc2, proto.ICMP, 99, nil)
 	cdClean, cdAliased := cd.Split(append([]ipaddr.Addr(nil), input...))
 
 	// The world's clean regions can in principle trip the 2-of-3 test;
@@ -178,7 +177,7 @@ func TestCooldownCandidateListShortcut(t *testing.T) {
 	known := []ipaddr.Prefix{ipaddr.MustParsePrefix("2001:db8:f00d::/48")}
 	list := NewOfflineList(known)
 	prober := &countingProber{activeFn: func(ipaddr.Addr) bool { return true }}
-	d := New(ModeCooldown, list, prober, proto.ICMP, 3)
+	d := New(ModeCooldown, list, prober, proto.ICMP, 3, nil)
 
 	one := []ipaddr.Addr{ipaddr.MustParse("2001:db8:f00d::1")}
 	clean, aliased := d.Split(one)
@@ -228,7 +227,7 @@ func TestGenerateCandidatePrefixes(t *testing.T) {
 	// prefixes: an address in a never-listed sibling is confirmed at once.
 	list := NewOfflineList(known)
 	prober := &countingProber{activeFn: func(ipaddr.Addr) bool { return true }}
-	d := New(ModeCooldown, list, prober, proto.ICMP, 3)
+	d := New(ModeCooldown, list, prober, proto.ICMP, 3, nil)
 	sib := []ipaddr.Addr{ipaddr.MustParse("2001:db8:7::1")}
 	_, aliased := d.Split(sib)
 	if len(aliased) != 1 {

@@ -67,9 +67,8 @@ func TestConcurrentSplitTestsEachPrefixOnce(t *testing.T) {
 
 	// Every /96 answers all probes: all prefixes come back aliased.
 	prober := &countingProber{activeFn: func(ipaddr.Addr) bool { return true }}
-	d := New(ModeOnline, nil, prober, proto.ICMP, 9)
 	reg := telemetry.NewRegistry()
-	d.SetTelemetry(reg)
+	d := New(ModeOnline, nil, prober, proto.ICMP, 9, reg)
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -122,55 +121,6 @@ func TestConcurrentSplitTestsEachPrefixOnce(t *testing.T) {
 	}
 }
 
-// TestSetTelemetryDuringSplits is the regression test for the
-// SetTelemetry data race: it used to write the counter fields without
-// holding d.mu while concurrent Splits read them in claimUnknown and
-// testPrefixes. Now both sides synchronize on the mutex. Run under -race;
-// the assertion here is only that nothing is lost or crashed.
-func TestSetTelemetryDuringSplits(t *testing.T) {
-	base := ipaddr.MustParse("2001:db8:cccc::")
-	var addrs []ipaddr.Addr
-	for i := 0; i < 64; i++ {
-		addrs = append(addrs, base.AddLo(uint64(i)<<32))
-	}
-	prober := &countingProber{activeFn: func(ipaddr.Addr) bool { return false }}
-
-	for _, mode := range []Mode{ModeOnline, ModeCooldown} {
-		d := New(mode, nil, prober, proto.ICMP, 17)
-		stop := make(chan struct{})
-		var setter sync.WaitGroup
-		setter.Add(1)
-		go func() {
-			defer setter.Done()
-			regs := []*telemetry.Registry{telemetry.NewRegistry(), nil}
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-					d.SetTelemetry(regs[i%len(regs)])
-				}
-			}
-		}()
-		var splits sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			splits.Add(1)
-			go func(g int) {
-				defer splits.Done()
-				lo := g * len(addrs) / 4
-				hi := (g + 1) * len(addrs) / 4
-				clean, aliased := d.Split(addrs[lo:hi])
-				if len(clean)+len(aliased) != hi-lo {
-					t.Errorf("%v: partition lost addresses", mode)
-				}
-			}(g)
-		}
-		splits.Wait()
-		close(stop)
-		setter.Wait()
-	}
-}
-
 // TestConcurrentCooldownSplits races concurrent cool-down Splits over a
 // shared dealiaser: every suspicious /96 must be confirmed exactly once
 // (the cool-down path shares the singleflight claims), and each call's
@@ -188,9 +138,8 @@ func TestConcurrentCooldownSplits(t *testing.T) {
 	}
 
 	prober := &countingProber{activeFn: func(ipaddr.Addr) bool { return true }}
-	d := New(ModeCooldown, nil, prober, proto.ICMP, 23)
 	reg := telemetry.NewRegistry()
-	d.SetTelemetry(reg)
+	d := New(ModeCooldown, nil, prober, proto.ICMP, 23, reg)
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -241,7 +190,7 @@ func TestTestPrefixesRerollsDuplicateProbes(t *testing.T) {
 	// only full probing can reach the threshold.
 	answered := map[uint64]bool{0x1234: true, 0x1_0004: true}
 	prober := &countingProber{activeFn: func(a ipaddr.Addr) bool { return answered[a.Lo()&0xffffffff] }}
-	d := New(ModeOnline, nil, prober, proto.ICMP, 5)
+	d := New(ModeOnline, nil, prober, proto.ICMP, 5, nil)
 
 	addr := ipaddr.MustParse("2001:db8:bbbb::1")
 	if !d.isAliased(addr) {
@@ -289,7 +238,7 @@ func TestTestPrefixesCountsOnlyItsTargets(t *testing.T) {
 		countingProber: countingProber{activeFn: func(a ipaddr.Addr) bool { return a.Lo()&0xffffffff == 0x100 }},
 		stray:          []ipaddr.Addr{p.Addr().AddLo(0x999)},
 	}
-	d := New(ModeOnline, nil, prober, proto.ICMP, 5)
+	d := New(ModeOnline, nil, prober, proto.ICMP, 5, nil)
 	if d.isAliased(p.Addr().AddLo(1)) {
 		t.Fatal("an unasked reply tipped a 1-of-3 prefix to aliased")
 	}

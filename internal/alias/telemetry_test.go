@@ -26,8 +26,7 @@ func (silentProber) Scan(ts []ipaddr.Addr, p proto.Protocol) []scanner.Result {
 
 func TestDealiaserTelemetryCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	d := New(ModeOnline, nil, silentProber{}, proto.ICMP, 7)
-	d.SetTelemetry(reg)
+	d := New(ModeOnline, nil, silentProber{}, proto.ICMP, 7, reg)
 
 	addrs := []ipaddr.Addr{
 		ipaddr.MustParse("2001:db8:1::1"),
@@ -63,7 +62,7 @@ func TestDealiaserTelemetryCounters(t *testing.T) {
 
 // TestDealiaserWithoutTelemetry pins the nil-safety of an unwired Dealiaser.
 func TestDealiaserWithoutTelemetry(t *testing.T) {
-	d := New(ModeOnline, nil, silentProber{}, proto.ICMP, 7)
+	d := New(ModeOnline, nil, silentProber{}, proto.ICMP, 7, nil)
 	clean, aliased := d.Split([]ipaddr.Addr{ipaddr.MustParse("2001:db8::1")})
 	if len(clean) != 1 || len(aliased) != 0 {
 		t.Fatalf("split = %d/%d", len(clean), len(aliased))

@@ -158,8 +158,7 @@ func NewEnv(cfg EnvConfig) *Env {
 	if tr == nil {
 		tr = telemetry.NewTracer(nil)
 	}
-	w := world.New(world.Config{Seed: cfg.WorldSeed, NumASes: cfg.NumASes, LossRate: lossRate})
-	w.SetTelemetry(tr.Registry())
+	w := world.New(world.Config{Seed: cfg.WorldSeed, NumASes: cfg.NumASes, LossRate: lossRate, Telemetry: tr.Registry()})
 	w.SetEpoch(world.CollectEpoch)
 	srcs := seeds.CollectAll(w, seeds.CollectConfig{Seed: cfg.CollectSeed, Scale: cfg.CollectScale})
 	full := seeds.CombineAll(srcs)
@@ -187,7 +186,6 @@ func NewEnv(cfg EnvConfig) *Env {
 		Offline: alias.NewOfflineList(listed),
 		models:  modelcache.New(),
 	}
-	e.models.SetTelemetry(tr.Registry())
 	e.Prober = e.Scanner
 	if cfg.ClusterWorkers > 1 {
 		// The pool's worker scanners replicate the reference scanner's
@@ -245,9 +243,7 @@ func (e *Env) Grid() *grid.Engine {
 // cold calls.
 func (e *Env) OutputDealiaser(p proto.Protocol) *alias.Dealiaser {
 	return e.outDealiase.get(p, func() *alias.Dealiaser {
-		d := alias.New(alias.ModeJoint, e.Offline, e.Prober, p, e.Cfg.ScanSecret^uint64(p))
-		d.SetTelemetry(e.tele.Registry())
-		return d
+		return alias.New(alias.ModeJoint, e.Offline, e.Prober, p, e.Cfg.ScanSecret^uint64(p), e.tele.Registry())
 	})
 }
 
@@ -256,8 +252,7 @@ func (e *Env) OutputDealiaser(p proto.Protocol) *alias.Dealiaser {
 // the same mode dealias once.
 func (e *Env) dealiasedSeeds(mode alias.Mode) *seeds.Dataset {
 	return e.dealiased.get(mode, func() *seeds.Dataset {
-		d := alias.New(mode, e.Offline, e.Prober, proto.ICMP, e.Cfg.ScanSecret^0xa11a5)
-		d.SetTelemetry(e.tele.Registry())
+		d := alias.New(mode, e.Offline, e.Prober, proto.ICMP, e.Cfg.ScanSecret^0xa11a5, e.tele.Registry())
 		clean, _ := d.Split(e.Full.Slice())
 		return seeds.FromAddrs("Full/"+mode.String(), clean)
 	})

@@ -70,25 +70,6 @@ func TestPlanDedupsAcrossSpecs(t *testing.T) {
 	}
 }
 
-func TestMemStoreRoundTrip(t *testing.T) {
-	s := NewMemStore()
-	c := cell("6Tree", "full", proto.ICMP, 100)
-	r := CellResult{Outcome: metrics.Outcome{Hits: 7, ASes: 3}, Hits: []ipaddr.Addr{addr(1)}}
-	if _, ok := s.Get("k"); ok {
-		t.Fatal("empty store hit")
-	}
-	if err := s.Put("k", c, r); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.Get("k")
-	if !ok || got.Outcome.Hits != 7 || len(got.Hits) != 1 || got.Hits[0] != addr(1) {
-		t.Fatalf("round trip: ok=%v got=%+v", ok, got)
-	}
-	if s.len() != 1 {
-		t.Fatalf("len = %d", s.len())
-	}
-}
-
 func TestJSONLStoreRoundTripAndTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cells.jsonl")
 	s, err := OpenJSONL(path)
@@ -227,7 +208,11 @@ func TestEngineDedupsWithinAndAcrossSpecs(t *testing.T) {
 }
 
 func TestEngineResumesFromStore(t *testing.T) {
-	store := NewMemStore()
+	store, err := OpenJSONL(filepath.Join(t.TempDir(), "cells.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
 	spec := Spec{Name: "A", Cells: []Cell{
 		cell("6Tree", "full", proto.ICMP, 10),
 		cell("DET", "full", proto.ICMP, 20),
@@ -239,8 +224,8 @@ func TestEngineResumesFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total1.Load() != 2 || store.len() != 2 {
-		t.Fatalf("first run: %d execs, %d stored", total1.Load(), store.len())
+	if total1.Load() != 2 || store.Len() != 2 {
+		t.Fatalf("first run: %d execs, %d stored", total1.Load(), store.Len())
 	}
 
 	// A fresh engine (new process) with the same store executes nothing.

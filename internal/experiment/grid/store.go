@@ -25,39 +25,6 @@ type Store interface {
 	Put(key string, c Cell, r CellResult) error
 }
 
-// MemStore is an in-process Store: checkpoints survive across specs and
-// engines within one process, not across processes.
-type MemStore struct {
-	mu sync.Mutex
-	m  map[string]CellResult
-}
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore { return &MemStore{m: make(map[string]CellResult)} }
-
-// Get implements Store.
-func (s *MemStore) Get(key string) (CellResult, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.m[key]
-	return r, ok
-}
-
-// Put implements Store.
-func (s *MemStore) Put(key string, _ Cell, r CellResult) error {
-	s.mu.Lock()
-	s.m[key] = r
-	s.mu.Unlock()
-	return nil
-}
-
-// len reports the number of checkpointed cells.
-func (s *MemStore) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
-}
-
 // record is the JSONL on-disk schema: one completed cell per line. The
 // cell parameters ride along for debuggability (the key alone already
 // identifies the cell); hits are 32-hex-digit addresses so the stored

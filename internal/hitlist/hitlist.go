@@ -109,8 +109,7 @@ func (s *Service) BuildContext(ctx context.Context, sources ...*seeds.Dataset) (
 
 	// 2. Two-tier dealiasing over the whole input.
 	dspan := span.Child("hitlist.dealias", nil)
-	d := alias.New(alias.ModeJoint, s.set.known, s.set.prober, proto.ICMP, s.set.seed)
-	d.SetTelemetry(s.set.tele)
+	d := alias.New(alias.ModeJoint, s.set.known, s.set.prober, proto.ICMP, s.set.seed, s.set.tele)
 	clean, aliased := d.Split(input.Slice())
 	dspan.EndWith(telemetry.Attrs{"clean": len(clean), "aliased": len(aliased)})
 	if err := ctx.Err(); err != nil {

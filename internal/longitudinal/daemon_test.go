@@ -125,7 +125,12 @@ func TestDaemonResumeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dA, err := New(cfg(wA, corpus, oracleProber{wA}, grid.NewMemStore(), pubA))
+	stA, err := grid.OpenJSONL(filepath.Join(t.TempDir(), "cells.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stA.Close()
+	dA, err := New(cfg(wA, corpus, oracleProber{wA}, stA, pubA))
 	if err != nil {
 		t.Fatal(err)
 	}

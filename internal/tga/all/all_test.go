@@ -13,7 +13,6 @@ import (
 	"seedscan/internal/scanner"
 	"seedscan/internal/tga"
 	"seedscan/internal/tga/all"
-	"seedscan/internal/tga/sixsense"
 	"seedscan/internal/world"
 )
 
@@ -184,7 +183,7 @@ func TestSixSenseAvoidsAliases(t *testing.T) {
 	aliasSamp := w.NewSampler(2001)
 	seeds := append(samp.Hosts(800), aliasSamp.Aliased(800)...)
 
-	dealiaser := alias.New(alias.ModeOnline, nil, sc, proto.ICMP, 77)
+	dealiaser := alias.New(alias.ModeOnline, nil, sc, proto.ICMP, 77, nil)
 	budget := 4000
 
 	runOne := func(name string) (aliased, hits int) {
@@ -203,25 +202,6 @@ func TestSixSenseAvoidsAliases(t *testing.T) {
 	detAliased, _ := runOne("DET")
 	if sensAliased >= detAliased && detAliased > 50 {
 		t.Errorf("6Sense aliased output (%d) should undercut DET's (%d)", sensAliased, detAliased)
-	}
-}
-
-func TestSixSenseBlacklistGrows(t *testing.T) {
-	w, sc, _ := setup(t)
-	aliasSamp := w.NewSampler(3000)
-	samp := w.NewSampler(3001)
-	seeds := append(samp.Hosts(500), aliasSamp.Aliased(500)...)
-	g := sixsense.New()
-	dealiaser := alias.New(alias.ModeOnline, nil, sc, proto.ICMP, 78)
-	_, err := tga.Run(g, seeds, tga.RunConfig{
-		Budget: 3000, BatchSize: 512, Proto: proto.ICMP,
-		Prober: sc, Dealiaser: dealiaser, ExcludeSeeds: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.BlacklistedPrefixes() == 0 {
-		t.Fatal("integrated dealiaser never blacklisted a /96")
 	}
 }
 

@@ -68,7 +68,7 @@ func TestModelCacheMatchesUncached(t *testing.T) {
 	const budget = 2000
 	cache := modelcache.New()
 	reg := telemetry.NewRegistry()
-	cache.SetTelemetry(reg)
+	ctx := telemetry.NewContext(context.Background(), telemetry.NewTracer(reg))
 	names, byParams := builders()
 	for _, name := range names {
 		cfg := tga.RunConfig{
@@ -81,7 +81,7 @@ func TestModelCacheMatchesUncached(t *testing.T) {
 		}
 		cfg.Models = cache
 		for run := 0; run < 2; run++ {
-			res, err := tga.Run(all.MustNew(name), seeds, cfg)
+			res, err := tga.RunContext(ctx, all.MustNew(name), seeds, cfg)
 			if err != nil {
 				t.Fatalf("%s cached run %d: %v", name, run, err)
 			}
@@ -189,7 +189,7 @@ func TestModelCacheSharedTreeConcurrent(t *testing.T) {
 	}
 	cache := modelcache.New()
 	reg := telemetry.NewRegistry()
-	cache.SetTelemetry(reg)
+	ctx := telemetry.NewContext(context.Background(), telemetry.NewTracer(reg))
 	cfg.Models = cache
 	got := make([]*tga.RunResult, len(names))
 	errs := make([]error, len(names))
@@ -198,7 +198,7 @@ func TestModelCacheSharedTreeConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i], errs[i] = tga.Run(all.MustNew(name), seeds, cfg)
+			got[i], errs[i] = tga.RunContext(ctx, all.MustNew(name), seeds, cfg)
 		}()
 	}
 	wg.Wait()
@@ -220,13 +220,13 @@ func TestModelCacheSharedAcrossProtocols(t *testing.T) {
 	_, sc, seeds := setup(t)
 	cache := modelcache.New()
 	reg := telemetry.NewRegistry()
-	cache.SetTelemetry(reg)
+	ctx := telemetry.NewContext(context.Background(), telemetry.NewTracer(reg))
 	for _, p := range proto.All {
 		cfg := tga.RunConfig{
 			Budget: 1000, BatchSize: 512, Proto: p,
 			Prober: sc, ExcludeSeeds: true, Models: cache,
 		}
-		if _, err := tga.Run(all.MustNew("6Tree"), seeds, cfg); err != nil {
+		if _, err := tga.RunContext(ctx, all.MustNew("6Tree"), seeds, cfg); err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
 	}
@@ -302,10 +302,10 @@ func TestAddrMinerSharesDETModel(t *testing.T) {
 	seeds := syntheticSeeds(64)
 	cache := modelcache.New()
 	reg := telemetry.NewRegistry()
-	cache.SetTelemetry(reg)
+	ctx := telemetry.NewContext(context.Background(), telemetry.NewTracer(reg))
 	cfg := tga.RunConfig{Budget: 2000, BatchSize: 512, Proto: proto.ICMP, Prober: hashProber{}, ExcludeSeeds: true, Models: cache}
 	for _, name := range []string{"DET", "AddrMiner"} {
-		if _, err := tga.Run(all.MustNew(name), seeds, cfg); err != nil {
+		if _, err := tga.RunContext(ctx, all.MustNew(name), seeds, cfg); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}

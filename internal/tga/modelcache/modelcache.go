@@ -48,20 +48,11 @@ type entry struct {
 type Cache struct {
 	mu      sync.Mutex
 	entries map[key]*entry
-	reg     *telemetry.Registry
 }
 
 // New returns an empty cache.
 func New() *Cache {
 	return &Cache{entries: map[key]*entry{}}
-}
-
-// SetTelemetry routes tga.modelcache.* counters and the build-time
-// histogram to reg (nil disables, the default).
-func (c *Cache) SetTelemetry(reg *telemetry.Registry) {
-	c.mu.Lock()
-	c.reg = reg
-	c.mu.Unlock()
 }
 
 // GetOrBuild implements tga.ModelSource: it returns the cached model for
@@ -72,7 +63,8 @@ func (c *Cache) SetTelemetry(reg *telemetry.Registry) {
 // order-sensitive by design, so a non-canonical order would fragment the
 // cache, not corrupt it. A failed build is not cached:
 // errors propagate to every waiter of that flight, then the slot is
-// cleared so a later request may retry.
+// cleared so a later request may retry. When ctx carries a tracer, the
+// tga.modelcache.* counters and build-time histogram land in its registry.
 func (c *Cache) GetOrBuild(ctx context.Context, g tga.ModelBuilder, seeds []ipaddr.Addr) (tga.Model, error) {
 	seeds = ipaddr.DedupSorted(seeds)
 	k := key{
@@ -80,8 +72,8 @@ func (c *Cache) GetOrBuild(ctx context.Context, g tga.ModelBuilder, seeds []ipad
 		count:  len(seeds),
 		digest: ipaddr.Digest(seeds),
 	}
+	reg := telemetry.FromContext(ctx).Registry()
 	c.mu.Lock()
-	reg := c.reg
 	if e, ok := c.entries[k]; ok {
 		c.mu.Unlock()
 		reg.Counter("tga.modelcache.hits").Inc()

@@ -46,15 +46,15 @@ func someSeeds(n int) []ipaddr.Addr {
 func TestGetOrBuildCachesByKey(t *testing.T) {
 	c := New()
 	reg := telemetry.NewRegistry()
-	c.SetTelemetry(reg)
+	ctx := telemetry.NewContext(context.Background(), telemetry.NewTracer(reg))
 	b := &countingBuilder{Generator: sixtree.New()}
 	seeds := someSeeds(100)
 
-	m1, err := c.GetOrBuild(context.Background(), b, seeds)
+	m1, err := c.GetOrBuild(ctx, b, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := c.GetOrBuild(context.Background(), b, seeds)
+	m2, err := c.GetOrBuild(ctx, b, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,6 +72,39 @@ func TestGetOrBuildCachesByKey(t *testing.T) {
 		t.Fatalf("counters hits=%d misses=%d",
 			reg.Counter("tga.modelcache.hits").Load(),
 			reg.Counter("tga.modelcache.misses").Load())
+	}
+}
+
+// TestCountsFollowContextTracer pins where the counters land: in the
+// registry of the tracer each request's ctx carries, so one cache shared by
+// differently traced runs splits its hits and misses between them, and a
+// request without a tracer counts nothing.
+func TestCountsFollowContextTracer(t *testing.T) {
+	c := New()
+	b := &countingBuilder{Generator: sixtree.New()}
+	seeds := someSeeds(100)
+	regA, regB := telemetry.NewRegistry(), telemetry.NewRegistry()
+	for _, ctx := range []context.Context{
+		telemetry.NewContext(context.Background(), telemetry.NewTracer(regA)),
+		telemetry.NewContext(context.Background(), telemetry.NewTracer(regB)),
+		context.Background(),
+	} {
+		if _, err := c.GetOrBuild(ctx, b, seeds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, bs := regA.Snapshot(), regB.Snapshot()
+	if a.Counters["tga.modelcache.misses"] != 1 || a.Counters["tga.modelcache.hits"] != 0 {
+		t.Errorf("first tracer: counters %v, want one miss", a.Counters)
+	}
+	if a.Histograms["tga.modelcache.build_seconds"].Count != 1 {
+		t.Errorf("first tracer: build_seconds %+v, want one observation", a.Histograms["tga.modelcache.build_seconds"])
+	}
+	if bs.Counters["tga.modelcache.hits"] != 1 || bs.Counters["tga.modelcache.misses"] != 0 {
+		t.Errorf("second tracer: counters %v, want one hit", bs.Counters)
+	}
+	if got := b.builds.Load(); got != 1 {
+		t.Fatalf("builds = %d, want 1", got)
 	}
 }
 

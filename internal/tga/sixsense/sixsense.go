@@ -329,7 +329,3 @@ func (g *Generator) Feedback(results []tga.ProbeResult) {
 		}
 	}
 }
-
-// BlacklistedPrefixes reports how many /96s the integrated dealiaser has
-// blacklisted (diagnostics).
-func (g *Generator) BlacklistedPrefixes() int { return g.aliasBlacklist.Len() }

@@ -5,8 +5,12 @@ import (
 	"reflect"
 	"testing"
 
+	"seedscan/internal/alias"
 	"seedscan/internal/ipaddr"
+	"seedscan/internal/proto"
+	"seedscan/internal/scanner"
 	"seedscan/internal/tga"
+	"seedscan/internal/world"
 )
 
 func denseSeeds() []ipaddr.Addr {
@@ -72,7 +76,7 @@ func TestIntegratedDealiasingBlacklists(t *testing.T) {
 		fb[i] = tga.ProbeResult{Addr: a, Active: true, Aliased: i < 8}
 	}
 	g.Feedback(fb)
-	if g.BlacklistedPrefixes() == 0 {
+	if g.blacklistedPrefixes() == 0 {
 		t.Fatal("aliased feedback did not blacklist")
 	}
 	// Future candidates avoid blacklisted /96s.
@@ -83,6 +87,30 @@ func TestIntegratedDealiasingBlacklists(t *testing.T) {
 				t.Fatalf("candidate %v inside blacklisted /96", a)
 			}
 		}
+	}
+}
+
+// TestSixSenseBlacklistGrows runs 6Sense against the simulated world with
+// half its seeds in aliased regions: the online dealiaser's verdicts must
+// reach the generator's own /96 blacklist.
+func TestSixSenseBlacklistGrows(t *testing.T) {
+	w := world.New(world.Config{Seed: 42, NumASes: 60, LossRate: 0})
+	sc := scanner.New(w.Link(), scanner.WithSecret(5))
+	w.SetEpoch(world.ScanEpoch)
+	aliasSamp := w.NewSampler(3000)
+	samp := w.NewSampler(3001)
+	seeds := append(samp.Hosts(500), aliasSamp.Aliased(500)...)
+	g := New()
+	dealiaser := alias.New(alias.ModeOnline, nil, sc, proto.ICMP, 78, nil)
+	_, err := tga.Run(g, seeds, tga.RunConfig{
+		Budget: 3000, BatchSize: 512, Proto: proto.ICMP,
+		Prober: sc, Dealiaser: dealiaser, ExcludeSeeds: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.blacklistedPrefixes() == 0 {
+		t.Fatal("integrated dealiaser never blacklisted a /96")
 	}
 }
 
@@ -249,3 +277,7 @@ func TestSparseMarkovMatchesDense(t *testing.T) {
 
 // armCount reports the number of /32 arms (diagnostics).
 func (g *Generator) armCount() int { return len(g.arms) }
+
+// blacklistedPrefixes reports how many /96s the integrated dealiaser has
+// blacklisted (diagnostics).
+func (g *Generator) blacklistedPrefixes() int { return g.aliasBlacklist.Len() }

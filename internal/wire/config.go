@@ -26,7 +26,9 @@ type ChainConfig struct {
 	Faults FaultsConfig // no probability above zero leaves Faults out
 }
 
-// ShapeConfig configures a Shaper (see NewShaper).
+// ShapeConfig configures a Shaper: PPS packets per second, and Jitter in
+// [0, 1] as the maximum per-batch extra delay in units of one inter-packet
+// gap, drawn from Seed.
 type ShapeConfig struct {
 	PPS    int
 	Jitter float64
@@ -44,35 +46,23 @@ type RotateConfig struct {
 // Otherwise the seed decides nothing and the chain leaves Faults out.
 func (f FaultsConfig) injects() bool { return f.Loss > 0 || f.Dupe > 0 || f.Delay > 0 }
 
-// middlewares builds the chain's middlewares, outermost first, each
-// mirroring its counters into reg (nil: off).
-func (c ChainConfig) middlewares(reg *telemetry.Registry) []Middleware {
+// Build composes the chain onto link, each middleware mirroring its
+// counters into reg (nil: off). The zero config returns link itself.
+func (c ChainConfig) Build(link Link, reg *telemetry.Registry) Link {
 	var mws []Middleware
-	add := func(m interface {
-		Middleware
-		SetTelemetry(*telemetry.Registry)
-	}) {
-		m.SetTelemetry(reg)
-		mws = append(mws, m)
-	}
 	if c.Taps {
-		add(NewTap(nil))
+		mws = append(mws, newTap(nil, reg))
 	}
 	if c.Shape.PPS > 0 {
-		add(NewShaper(c.Shape.PPS, c.Shape.Jitter, c.Shape.Seed))
+		mws = append(mws, newShaper(c.Shape, reg))
 	}
 	if len(c.Rotate.Pool) > 0 {
-		add(&sourceRotator{pool: slices.Clone(c.Rotate.Pool), seed: c.Rotate.Seed})
+		mws = append(mws, newSourceRotator(c.Rotate, reg))
 	}
 	if c.Faults.injects() {
-		add(NewFaults(c.Faults))
+		mws = append(mws, newFaults(c.Faults, reg))
 	}
-	return mws
-}
-
-// Build composes the chain onto link. The zero config returns link itself.
-func (c ChainConfig) Build(link Link, reg *telemetry.Registry) Link {
-	return Chain(link, c.middlewares(reg)...)
+	return Chain(link, mws...)
 }
 
 // Fingerprint is the part of the chain that changes scan outcomes, for

@@ -59,16 +59,17 @@ type faultScratch struct {
 }
 
 // NewFaults builds a fault injector.
-func NewFaults(cfg FaultsConfig) *Faults { return &Faults{cfg: cfg} }
+func NewFaults(cfg FaultsConfig) *Faults { return newFaults(cfg, nil) }
 
-// SetTelemetry mirrors the injector's counters into reg under wire.faults.*.
-func (f *Faults) SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
+// newFaults builds a fault injector mirroring its counters into reg (nil:
+// off).
+func newFaults(cfg FaultsConfig, reg *telemetry.Registry) *Faults {
+	return &Faults{
+		cfg:         cfg,
+		cDropped:    reg.Counter("wire.faults.dropped"),
+		cDuplicated: reg.Counter("wire.faults.duplicated"),
+		cDelayed:    reg.Counter("wire.faults.delayed"),
 	}
-	f.cDropped = reg.Counter("wire.faults.dropped")
-	f.cDuplicated = reg.Counter("wire.faults.duplicated")
-	f.cDelayed = reg.Counter("wire.faults.delayed")
 }
 
 // Dropped returns how many probes were lost.

@@ -2,17 +2,8 @@ package wire
 
 import "encoding/binary"
 
-// wiremix is the package's copy of the split-mix fold used across the repo
-// for deterministic seeded decisions (kept local so wire depends only on
-// probe, ipaddr, and telemetry).
-func wiremix(vals ...uint64) uint64 {
-	h := uint64(0x2545f4914f6cdd1d)
-	for _, v := range vals {
-		h = wiresmix(h ^ v)
-	}
-	return h
-}
-
+// wiresmix is one split-mix round: the mixer behind hashBytes and the
+// per-packet fault draws.
 func wiresmix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"slices"
 	"sync"
 
 	"seedscan/internal/ipaddr"
@@ -40,17 +41,15 @@ type rotatorScratch struct {
 	orig  []ipaddr.Addr
 }
 
-// SetTelemetry mirrors the rotator's counters into reg under wire.rotator.*.
-func (r *sourceRotator) SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	r.cRewrites = reg.Counter("wire.rotator.rewrites")
+// newSourceRotator builds the rotator c describes, mirroring its counter
+// into reg (nil: off).
+func newSourceRotator(c RotateConfig, reg *telemetry.Registry) *sourceRotator {
+	return &sourceRotator{pool: slices.Clone(c.Pool), seed: c.Seed, cRewrites: reg.Counter("wire.rotator.rewrites")}
 }
 
 // pick selects the pool vantage for a probe to dst.
 func (r *sourceRotator) pick(dst ipaddr.Addr) ipaddr.Addr {
-	return r.pool[wiremix(r.seed, dst.Hi(), dst.Lo())%uint64(len(r.pool))]
+	return r.pool[ipaddr.Mix64(r.seed, dst.Hi(), dst.Lo())%uint64(len(r.pool))]
 }
 
 // Wrap implements Middleware.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"seedscan/internal/ipaddr"
 	"seedscan/internal/probe"
 	"seedscan/internal/telemetry"
 )
@@ -34,27 +35,16 @@ type Shaper struct {
 	cVirtualNs *telemetry.Counter
 }
 
-// NewShaper shapes to pps packets per second with jitter in [0, 1] as the
-// maximum per-batch extra delay in units of one inter-packet gap. seed
-// keys the jitter draws.
-func NewShaper(pps int, jitter float64, seed uint64) *Shaper {
-	if pps <= 0 {
-		pps = 1
+// newShaper builds the shaper c describes, mirroring its counters — its
+// only output — into reg (nil: off).
+func newShaper(c ShapeConfig, reg *telemetry.Registry) *Shaper {
+	return &Shaper{
+		gap:        1 / float64(max(c.PPS, 1)),
+		jitter:     max(c.Jitter, 0),
+		seed:       c.Seed,
+		cPackets:   reg.Counter("wire.shaper.packets"),
+		cVirtualNs: reg.Counter("wire.shaper.virtual_ns"),
 	}
-	if jitter < 0 {
-		jitter = 0
-	}
-	return &Shaper{gap: 1 / float64(pps), jitter: jitter, seed: seed}
-}
-
-// SetTelemetry mirrors the shaper's counters into reg under wire.shaper.*;
-// they are its only output.
-func (s *Shaper) SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	s.cPackets = reg.Counter("wire.shaper.packets")
-	s.cVirtualNs = reg.Counter("wire.shaper.virtual_ns")
 }
 
 // Wrap implements Middleware. The shaper only accounts time; packets and
@@ -65,7 +55,7 @@ func (s *Shaper) Wrap(next Link) Link {
 		elapsed := float64(len(pkts)) * s.gap
 		if s.jitter > 0 {
 			batch := uint64(s.batches.Add(1) - 1)
-			elapsed += float64(wiremix(s.seed, batch)>>11) / (1 << 53) * s.jitter * s.gap
+			elapsed += float64(ipaddr.Mix64(s.seed, batch)>>11) / (1 << 53) * s.jitter * s.gap
 		}
 		s.cPackets.Add(int64(len(pkts)))
 		s.cVirtualNs.Add(int64(math.Round(elapsed * 1e9)))

@@ -30,15 +30,11 @@ type Tap struct {
 }
 
 // NewTap builds a tap. fn may be nil for a count-only tap.
-func NewTap(fn TapFunc) *Tap { return &Tap{fn: fn} }
+func NewTap(fn TapFunc) *Tap { return newTap(fn, nil) }
 
-// SetTelemetry mirrors the tap's counters into reg under wire.tap.*.
-func (t *Tap) SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	t.cProbes = reg.Counter("wire.tap.probes")
-	t.cReplies = reg.Counter("wire.tap.replies")
+// newTap builds a tap mirroring its counters into reg (nil: off).
+func newTap(fn TapFunc, reg *telemetry.Registry) *Tap {
+	return &Tap{fn: fn, cProbes: reg.Counter("wire.tap.probes"), cReplies: reg.Counter("wire.tap.replies")}
 }
 
 // Probes returns how many probes have crossed the tap.

@@ -21,8 +21,8 @@
 // ChainConfig describes a chain of the four as a value with a canonical
 // text form, which CLI flags, cluster job frames and fingerprints share.
 //
-// Telemetry: middlewares wired to a registry expose counters under the
-// wire.* namespace — wire.tap.probes, wire.tap.replies,
+// Telemetry: the middlewares ChainConfig.Build makes count into its
+// registry under the wire.* namespace — wire.tap.probes, wire.tap.replies,
 // wire.shaper.packets, wire.shaper.virtual_ns, wire.rotator.rewrites,
 // wire.faults.dropped, wire.faults.duplicated, wire.faults.delayed.
 package wire

@@ -89,9 +89,10 @@ func TestTapTransparencyAndCounts(t *testing.T) {
 			t.Error("tap saw a runt probe")
 		}
 	})
+	// A count-only tap built with the registry wraps the callback tap,
+	// so both see every pair.
 	reg := telemetry.NewRegistry()
-	tap.SetTelemetry(reg)
-	link := wire.Chain(w.Link(), tap)
+	link := wire.ChainConfig{Taps: true}.Build(wire.Chain(w.Link(), tap), reg)
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -139,10 +140,9 @@ func TestTapTransparencyAndCounts(t *testing.T) {
 func TestFaultsDeterministic(t *testing.T) {
 	w, targets := testWorld(t)
 	run := func(seed uint64) ([]scanner.Result, [7]int64, map[string]int64) {
-		f := wire.NewFaults(wire.FaultsConfig{Seed: seed, Loss: 0.3, Dupe: 0.1, Delay: 0.05})
+		f := wire.ChainConfig{Faults: wire.FaultsConfig{Seed: seed, Loss: 0.3, Dupe: 0.1, Delay: 0.05}}
 		reg := telemetry.NewRegistry()
-		f.SetTelemetry(reg)
-		res, stats := scanThrough(wire.Chain(w.Link(), f), targets, proto.ICMP)
+		res, stats := scanThrough(f.Build(w.Link(), reg), targets, proto.ICMP)
 		return res, stats, reg.Snapshot().Counters
 	}
 	resA, statsA, cA := run(1)
@@ -251,11 +251,10 @@ func TestSourceRotatorTransparent(t *testing.T) {
 func TestShaperAccounting(t *testing.T) {
 	w, targets := testWorld(t)
 	const pps = 100_000
-	sh := wire.NewShaper(pps, 0.5, 3)
+	sh := wire.ChainConfig{Shape: wire.ShapeConfig{PPS: pps, Jitter: 0.5, Seed: 3}}
 	reg := telemetry.NewRegistry()
-	sh.SetTelemetry(reg)
 	want, _ := scanThrough(w.Link(), targets, proto.ICMP)
-	got, stats := scanThrough(wire.Chain(w.Link(), sh), targets, proto.ICMP)
+	got, stats := scanThrough(sh.Build(w.Link(), reg), targets, proto.ICMP)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("shaper changed scan results")
 	}

@@ -143,12 +143,11 @@ func TestReplyDigestPinned(t *testing.T) {
 	}
 }
 
-// TestHandleBatchTelemetry checks the world.* counters documented on
-// SetTelemetry move with the batch path.
+// TestHandleBatchTelemetry checks the world.* counters wired through
+// Config.Telemetry move with the batch path.
 func TestHandleBatchTelemetry(t *testing.T) {
-	w := New(Config{Seed: 5, NumASes: 20})
 	reg := telemetry.NewRegistry()
-	w.SetTelemetry(reg)
+	w := New(Config{Seed: 5, NumASes: 20, Telemetry: reg})
 	pkts := batchTestPackets(t, w)
 	var rb probe.ReplyBuf
 	w.handleBatch(pkts, &rb)
@@ -170,8 +169,6 @@ func TestHandleBatchTelemetry(t *testing.T) {
 	if got := reg.Counter("world.groups_materialized").Load(); got == 0 {
 		t.Fatal("world.groups_materialized never moved despite routed traffic")
 	}
-	w.SetTelemetry(nil) // unwire must not panic the next batch
-	w.handleBatch(pkts, &rb)
 }
 
 // TestHandleBatchConcurrentWithSetEpoch runs batched handling from many

@@ -9,6 +9,7 @@ import (
 	"seedscan/internal/asdb"
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/proto"
+	"seedscan/internal/telemetry"
 )
 
 // PathologicalASN is the AS number of the built-in analogue of AS12322: a
@@ -33,6 +34,8 @@ type Config struct {
 	// population arbitrarily — 100x a default world passes 10^8 hosts —
 	// without changing the build cost.
 	sizeScale float64
+	// Telemetry receives the reply path's world.* counters (nil: off).
+	Telemetry *telemetry.Registry
 }
 
 func (c *Config) fillDefaults() {
@@ -98,6 +101,14 @@ func New(cfg Config) *World {
 		cfg:      cfg,
 		lossRate: cfg.LossRate,
 		groups:   make([]atomic.Pointer[regionGroup], cfg.NumASes+1),
+	}
+	if reg := cfg.Telemetry; reg != nil {
+		w.tele = &worldTele{
+			batches:      reg.Counter("world.batches"),
+			batchPackets: reg.Counter("world.batch.packets"),
+			batchReplies: reg.Counter("world.batch.replies"),
+			groupsMat:    reg.Counter("world.groups_materialized"),
+		}
 	}
 	for tag := range w.tagged {
 		w.tagged[tag] = ipaddr.Mix64(w.seed, uint64(tag))

@@ -30,7 +30,7 @@ func (w *World) handleBatch(pkts [][]byte, rb *probe.ReplyBuf) {
 			replies++
 		}
 	}
-	if t := w.tele.Load(); t != nil {
+	if t := w.tele; t != nil {
 		t.batches.Inc()
 		t.batchPackets.Add(int64(len(pkts)))
 		t.batchReplies.Add(int64(replies))

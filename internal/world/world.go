@@ -72,7 +72,7 @@ type World struct {
 	allOnce sync.Once
 	allVal  []*Region
 
-	tele atomic.Pointer[worldTele]
+	tele *worldTele // nil without Config.Telemetry
 }
 
 // regionGroup is one AS's materialized slice of the world: its registry
@@ -159,7 +159,7 @@ func (w *World) group(i int) *regionGroup {
 	}
 	g := w.buildGroup(i)
 	if w.groups[i].CompareAndSwap(nil, g) {
-		if t := w.tele.Load(); t != nil {
+		if t := w.tele; t != nil {
 			t.groupsMat.Inc()
 		}
 		return g
