@@ -36,12 +36,11 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"slices"
 	"strings"
 	"time"
 
+	"seedscan/cmd/internal/profile"
 	"seedscan/internal/experiment"
 	"seedscan/internal/experiment/grid"
 	"seedscan/internal/proto"
@@ -99,8 +98,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	clusterWorkers := fs.Int("cluster-workers", 0, "fan scanning out across N in-process cluster workers (results unchanged)")
 	resumeDir := fs.String("resume", "", "checkpoint completed grid cells under this directory and resume from them")
 	listCells := fs.Bool("list-cells", false, "print the deduplicated cell plan for the selection and exit")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
+	cpuProfile, memProfile := profile.Flags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -157,7 +155,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "experiments:", err)
 		return 1
 	}
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		return fail(err)
 	}
@@ -225,48 +223,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprint(stdout, tr.Registry().Snapshot().Render())
 	}
 	return 0
-}
-
-// startProfiles starts a CPU profile into cpuPath, if named, and returns
-// the function that ends it and then writes the allocation profile into
-// memPath, if named.
-func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
-	var cpu *os.File
-	if cpuPath != "" {
-		if cpu, err = os.Create(cpuPath); err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpu); err != nil {
-			cpu.Close()
-			return nil, err
-		}
-	}
-	return func() error {
-		var err error
-		if cpu != nil {
-			pprof.StopCPUProfile()
-			err = cpu.Close()
-		}
-		if memPath != "" {
-			err = errors.Join(err, writeAllocProfile(memPath))
-		}
-		return err
-	}, nil
-}
-
-// writeAllocProfile writes the allocation profile, up to date as of a
-// collection run just before, into path.
-func writeAllocProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	runtime.GC()
-	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // printCellPlan renders the deduplicated worklist the selection would

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"time"
 
+	"seedscan/cmd/internal/profile"
 	"seedscan/internal/experiment/grid"
 	"seedscan/internal/hitlistdb"
 	"seedscan/internal/longitudinal"
@@ -24,7 +26,7 @@ import (
 // daemon re-run with the same flags replays completed epochs byte-identically
 // and resumes scanning where it died, without re-publishing generations the
 // store already has.
-func cmdDaemon(args []string) error {
+func cmdDaemon(args []string) (err error) {
 	fs := flag.NewFlagSet("daemon", flag.ExitOnError)
 	seed, ases, scale := envFlags(fs)
 	trace, metrics := teleFlags(fs)
@@ -38,6 +40,7 @@ func cmdDaemon(args []string) error {
 	publish := fs.String("publish", "hitlistdb", "hitlistdb store directory to publish each epoch into (empty disables publishing)")
 	keep := fs.Int("keep", 3, "published generation files to retain on disk")
 	wireFlags := wire.ChainFlags(fs)
+	cpuProfile, memProfile := profile.Flags(fs)
 	fs.Parse(args)
 
 	p, err := proto.Parse(*protoName)
@@ -51,6 +54,11 @@ func cmdDaemon(args []string) error {
 	if err != nil {
 		return err
 	}
+	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 	tr, finish, err := newTracer(*trace, *metrics)
 	if err != nil {
 		return err

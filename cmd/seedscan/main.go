@@ -24,6 +24,9 @@
 // output is byte-identical to the single-scanner scan.
 //
 // Every subcommand accepts -seed/-ases/-scale to shape the environment.
+// scan, serve, daemon and worker also take -cpuprofile FILE and
+// -memprofile FILE: pprof profiles of the command, written when it returns
+// (for serve and worker, after Ctrl-C shuts them down).
 package main
 
 import (
@@ -37,6 +40,7 @@ import (
 	"sort"
 	"strings"
 
+	"seedscan/cmd/internal/profile"
 	"seedscan/internal/alias"
 	"seedscan/internal/cluster"
 	"seedscan/internal/experiment"
@@ -345,7 +349,7 @@ func cmdRun(args []string) error {
 	return nil
 }
 
-func cmdScan(args []string) error {
+func cmdScan(args []string) (err error) {
 	fs := flag.NewFlagSet("scan", flag.ExitOnError)
 	seed, ases, scale := envFlags(fs)
 	src := fs.String("source", "IPv6 Hitlist", "seed source to scan")
@@ -354,6 +358,7 @@ func cmdScan(args []string) error {
 	clusterN := fs.Int("cluster-workers", 0, "coordinate over this many in-process workers")
 	wireFlags := wire.ChainFlags(fs)
 	trace, metrics := teleFlags(fs)
+	cpuProfile, memProfile := profile.Flags(fs)
 	fs.Parse(args)
 
 	p, err := proto.Parse(*protoName)
@@ -368,6 +373,11 @@ func cmdScan(args []string) error {
 	if err != nil {
 		return err
 	}
+	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 	tr, finish, err := newTracer(*trace, *metrics)
 	if err != nil {
 		return err
@@ -457,14 +467,20 @@ func printClusterRun(run *cluster.RunResult) {
 	}
 }
 
-func cmdWorker(args []string) error {
+func cmdWorker(args []string) (err error) {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	seed, ases, _ := envFlags(fs)
 	listen := fs.String("listen", "127.0.0.1:9653", "address to serve the cluster wire protocol on")
 	id := fs.String("id", "", "worker id announced to coordinators (default: the listen address)")
 	trace, metrics := teleFlags(fs)
+	cpuProfile, memProfile := profile.Flags(fs)
 	fs.Parse(args)
 
+	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 	tr, finish, err := newTracer(*trace, *metrics)
 	if err != nil {
 		return err

@@ -9,6 +9,7 @@ import (
 	"os"
 	"time"
 
+	"seedscan/cmd/internal/profile"
 	"seedscan/internal/hitlist"
 	"seedscan/internal/hitlistdb"
 	"seedscan/internal/seeds"
@@ -76,7 +77,7 @@ func cmdBuildDB(args []string) error {
 // by build-db. With -watch it polls the manifest and atomically swaps in
 // new generations while continuing to serve; in-flight requests finish on
 // the generation they started on.
-func cmdServe(args []string) error {
+func cmdServe(args []string) (err error) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	trace, metrics := teleFlags(fs)
 	dir := fs.String("dir", "hitlistdb", "store directory to serve")
@@ -85,10 +86,16 @@ func cmdServe(args []string) error {
 	watchInterval := fs.Duration("watch-interval", 2*time.Second, "poll interval for -watch")
 	maxBulk := fs.Int("max-bulk", 4096, "maximum addresses per /v1/bulk request")
 	maxWalk := fs.Int("max-walk", 65536, "maximum records per /v1/prefix-walk response")
+	cpuProfile, memProfile := profile.Flags(fs)
 	fs.Parse(args)
 	if *watchInterval <= 0 {
 		return fmt.Errorf("serve: -watch-interval must be positive, got %v", *watchInterval)
 	}
+	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 
 	tr, finish, err := newTracer(*trace, *metrics)
 	if err != nil {

@@ -132,6 +132,10 @@ func (g *Generator) InitFromModel(m tga.Model, seedAddrs []ipaddr.Addr) error {
 // NextBatch delegates to the DET core.
 func (g *Generator) NextBatch(n int) []ipaddr.Addr { return g.inner.NextBatch(n) }
 
+// ShareCandidates implements the driver's shared candidate set (see
+// tga.RunContext).
+func (g *Generator) ShareCandidates(set *ipaddr.Set) { g.inner.ShareCandidates(set) }
+
 // Feedback forwards results to DET and commits genuine hits to memory.
 func (g *Generator) Feedback(results []tga.ProbeResult) {
 	g.inner.Feedback(results)

@@ -88,6 +88,10 @@ func ranksAbove(a, b *tga.TreeNode) bool {
 // Init builds the initial entropy-split tree.
 func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, seeds) }
 
+// ShareCandidates implements the driver's shared candidate set (see
+// tga.RunContext).
+func (g *Generator) ShareCandidates(set *ipaddr.Set) { g.search.ShareCandidates(set) }
+
 // NextBatch allocates (1-explore) of the batch to leaves by descending
 // reward and the rest uniformly.
 func (g *Generator) NextBatch(n int) []ipaddr.Addr {

@@ -15,6 +15,8 @@ const minChunk = 8
 // regions: each visit goes to the region with the highest weight per
 // address already produced, takes a chunk from its enumerator, and drops
 // what another region already proposed (regions widen into each other).
+// It records what it proposed in a set of its own, or in the run's
+// candidate set once ShareCandidates hands it one.
 type Expander struct {
 	regions []region
 	// heap holds the regions still in the running as a max-heap in visit
@@ -60,6 +62,11 @@ func (e *Expander) Add(masks *[ipaddr.NybbleCount]ValueMask, weight float64, chu
 
 // Len reports the number of regions added.
 func (e *Expander) Len() int { return len(e.regions) }
+
+// ShareCandidates makes the expander check and record its proposals in
+// set, the run's candidate set, from the next batch on. It must come
+// before the first batch.
+func (e *Expander) ShareCandidates(set *ipaddr.Set) { e.emitted = set }
 
 // NextBatch returns up to n fresh addresses, no visit taking more than
 // maxChunk. Fewer than n means every region is exhausted.
@@ -165,7 +172,8 @@ func GeometricShares[T any](ranked []T, budget int, take func(x T, k int) int) {
 // LeafSearch is the online search over a space tree's leaves. It owns what
 // DET, 6Hit and 6Scan have in common: the ranking of the live leaves, which
 // leaf proposed each candidate still awaiting its probe result, the set of
-// everything ever proposed (so nothing is proposed twice, across leaves or
+// everything ever proposed (its own, or the run's candidate set once
+// ShareCandidates hands it one; nothing is proposed twice, across leaves or
 // across rebuilds), the exploit-then-explore batch, and the rebuild around
 // discovered hits.
 //
@@ -204,6 +212,11 @@ func NewLeafSearch(leaves []*TreeNode, before func(a, b *TreeNode) bool, took fu
 	s.reset(leaves)
 	return s
 }
+
+// ShareCandidates makes the search check and record its proposals in set,
+// the run's candidate set, instead of its own, from the next batch on. It
+// must come before the first batch.
+func (s *LeafSearch) ShareCandidates(set *ipaddr.Set) { s.emitted = set }
 
 // reset searches leaves from now on, every one of them still to be ranked.
 func (s *LeafSearch) reset(leaves []*TreeNode) {
@@ -249,7 +262,7 @@ func (s *LeafSearch) rank() {
 		}
 	}
 	slices.SortFunc(moved, s.order)
-	next := s.spare[:0]
+	next := slices.Grow(s.spare[:0], len(rest)+len(moved))
 	for _, i := range moved {
 		k, _ := slices.BinarySearchFunc(rest, i, s.order)
 		next = append(append(next, rest[:k]...), i)

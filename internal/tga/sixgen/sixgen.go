@@ -160,5 +160,9 @@ func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, 
 // NextBatch enumerates ranges weighted by cluster size, densest-first.
 func (g *Generator) NextBatch(n int) []ipaddr.Addr { return g.clusters.NextBatch(n, n/4+1) }
 
+// ShareCandidates implements the driver's shared candidate set (see
+// tga.RunContext).
+func (g *Generator) ShareCandidates(set *ipaddr.Set) { g.clusters.ShareCandidates(set) }
+
 // Feedback implements tga.Generator; 6Gen ignores scan results.
 func (g *Generator) Feedback([]tga.ProbeResult) {}

@@ -208,5 +208,9 @@ func withinDistance(a, b *packedMasks, d int) bool {
 // NextBatch allocates across the merged patterns by weight.
 func (g *Generator) NextBatch(n int) []ipaddr.Addr { return g.clusters.NextBatch(n, n/4+1) }
 
+// ShareCandidates implements the driver's shared candidate set (see
+// tga.RunContext).
+func (g *Generator) ShareCandidates(set *ipaddr.Set) { g.clusters.ShareCandidates(set) }
+
 // Feedback implements tga.Generator; 6Graph ignores scan results.
 func (g *Generator) Feedback([]tga.ProbeResult) {}

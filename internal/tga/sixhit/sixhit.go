@@ -100,6 +100,10 @@ func (g *Generator) qOf(l *tga.TreeNode) float64 {
 	return initialQ
 }
 
+// ShareCandidates implements the driver's shared candidate set (see
+// tga.RunContext).
+func (g *Generator) ShareCandidates(set *ipaddr.Set) { g.search.ShareCandidates(set) }
+
 // NextBatch spends (1-ε) of the batch on the highest-Q leaves and ε on
 // uniformly random leaves.
 func (g *Generator) NextBatch(n int) []ipaddr.Addr {

@@ -253,6 +253,11 @@ type cand struct {
 	muts  uint8
 }
 
+// ShareCandidates implements the driver's shared candidate set (see
+// tga.RunContext): set replaces the generator's own record of what it
+// proposed.
+func (g *Generator) ShareCandidates(set *ipaddr.Set) { g.emitted = set }
+
 // NextBatch implements tga.Generator: it pops complete addresses in
 // highest-probability-first order, expanding partial ones as it goes.
 func (g *Generator) NextBatch(nwant int) []ipaddr.Addr {

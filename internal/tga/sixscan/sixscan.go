@@ -75,6 +75,10 @@ func ranksAbove(a, b *tga.TreeNode) bool {
 // Init builds the space tree with 6Tree's splitting order.
 func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, seeds) }
 
+// ShareCandidates implements the driver's shared candidate set (see
+// tga.RunContext).
+func (g *Generator) ShareCandidates(set *ipaddr.Set) { g.search.ShareCandidates(set) }
+
 // NextBatch spends topShare of the batch on regions sorted by region
 // encoding feedback (hit count, then seed count) and the rest round-robin
 // across all live regions.

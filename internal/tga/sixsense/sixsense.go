@@ -253,6 +253,11 @@ func (g *Generator) skip(c ipaddr.Addr) bool {
 	return g.emitted.Contains(c) || g.aliasBlacklist.Contains(ipaddr.PrefixFrom(c, aliasBits).Addr())
 }
 
+// ShareCandidates implements the driver's shared candidate set (see
+// tga.RunContext): set replaces the generator's own record of what it
+// proposed.
+func (g *Generator) ShareCandidates(set *ipaddr.Set) { g.emitted = set }
+
 // NextBatch splits the batch between reward-ranked arms and the
 // diversity share, sampling candidates from each arm's Markov model and
 // discarding blacklisted-alias candidates before they cost probes.

@@ -63,5 +63,9 @@ func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, 
 // weight.
 func (g *Generator) NextBatch(n int) []ipaddr.Addr { return g.leaves.NextBatch(n, n) }
 
+// ShareCandidates implements the driver's shared candidate set (see
+// tga.RunContext).
+func (g *Generator) ShareCandidates(set *ipaddr.Set) { g.leaves.ShareCandidates(set) }
+
 // Feedback implements tga.Generator; 6Tree ignores scan results.
 func (g *Generator) Feedback([]tga.ProbeResult) {}

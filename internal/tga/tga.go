@@ -18,7 +18,9 @@
 // The driver runs every generator, online or offline, through one loop on
 // the caller's goroutine: each batch is generated, deduplicated, scanned,
 // dealiased and (for online generators) fed back before the next batch is
-// generated.
+// generated. A run keeps one candidate set, presized to the budget; a
+// generator that takes it (ShareCandidates) dedups its proposals there, so
+// no address is recorded twice.
 package tga
 
 import (
@@ -59,7 +61,8 @@ type Generator interface {
 	// order is what makes runs reproducible and mined models cacheable.
 	Init(seeds []ipaddr.Addr) error
 	// NextBatch proposes up to n candidate addresses. An empty result
-	// means the generator is exhausted.
+	// means the generator is exhausted. The returned slice belongs to the
+	// caller, who may overwrite it; the generator must not read it again.
 	NextBatch(n int) []ipaddr.Addr
 	// Feedback reports scan outcomes for previously proposed candidates.
 	// Offline generators ignore it.
@@ -139,6 +142,15 @@ func Run(g Generator, seeds []ipaddr.Addr, cfg RunConfig) (*RunResult, error) {
 // emits a span hierarchy — run → batch → generate/scan/dealias/feedback —
 // with per-batch budget consumption, and accumulates tga.* counters in the
 // tracer's registry. A batch span ends before the next one starts.
+//
+// The run's candidate set is presized to the budget. When g has a method
+// ShareCandidates(*ipaddr.Set), the driver calls it once, after init and
+// before the first batch, with that set: from then on g checks its
+// proposals against the set and records every one there — seeds and
+// addresses past the budget included — and the driver no longer adds to
+// it, only filtering seeds and overflow out of each batch. A generator
+// without the method keeps its own dedup, and the driver records the fresh
+// candidates in the set itself.
 func RunContext(ctx context.Context, g Generator, seeds []ipaddr.Addr, cfg RunConfig) (*RunResult, error) {
 	if cfg.Budget <= 0 {
 		return nil, fmt.Errorf("tga: budget must be positive, got %d", cfg.Budget)
@@ -171,13 +183,14 @@ func RunContext(ctx context.Context, g Generator, seeds []ipaddr.Addr, cfg RunCo
 	if cfg.ExcludeSeeds {
 		d.excluded = seeds
 	}
-	d.generated = ipaddr.NewSetCap(cfg.Budget)
+	d.seen = ipaddr.NewSetCap(cfg.Budget)
+	if s, ok := g.(interface{ ShareCandidates(*ipaddr.Set) }); ok {
+		s.ShareCandidates(d.seen)
+		d.shared = true
+	}
 
 	err := d.runLockstep(ctx)
-	d.res.Generated = d.generated.Len()
-	if d.cfg.CollectCandidates {
-		d.res.Candidates = d.generated.Slice()
-	}
+	d.res.Generated = d.generated
 	d.endRun(err)
 	return d.res, err
 }
@@ -191,7 +204,9 @@ type driver struct {
 	res     *RunResult
 
 	excluded  []ipaddr.Addr // the canonical seeds when ExcludeSeeds, else nil
-	generated *ipaddr.Set
+	seen      *ipaddr.Set   // the run's candidate set
+	shared    bool          // the generator writes seen, the driver does not
+	generated int           // fresh candidates so far
 	idle      int
 	batchIdx  int
 }
@@ -227,9 +242,10 @@ func (d *driver) endRun(err error) {
 	})
 }
 
-// produce asks the generator for one full batch and filters it against the
-// seed set and previously generated addresses, capped at rem. It returns
-// the fresh candidates and whether the driver should keep going: false
+// produce asks the generator for one full batch and filters it in place
+// against the seed set and, unless the generator dedups against the shared
+// set, previously generated addresses, capped at the budget left. It
+// returns the fresh candidates and whether the driver should keep going: false
 // means the generator is exhausted (res.Exhausted is set) — either it
 // proposed nothing or it spent maxIdleRounds batches proposing only
 // duplicates. The caller owns the parent span for the generate stage.
@@ -241,8 +257,8 @@ func (d *driver) endRun(err error) {
 func (d *driver) produce(parent *telemetry.Span) (fresh []ipaddr.Addr, cont bool) {
 	genSpan := parent.Child("generate", nil)
 	batch := d.g.NextBatch(d.cfg.BatchSize)
-	rem := d.cfg.Budget - d.generated.Len()
-	fresh = make([]ipaddr.Addr, 0, min(len(batch), rem))
+	rem := d.cfg.Budget - d.generated
+	fresh = batch[:0]
 	for _, a := range batch {
 		if len(fresh) >= rem {
 			break
@@ -250,9 +266,13 @@ func (d *driver) produce(parent *telemetry.Span) (fresh []ipaddr.Addr, cont bool
 		if _, seed := slices.BinarySearchFunc(d.excluded, a, ipaddr.Addr.Compare); seed {
 			continue
 		}
-		if d.generated.Add(a) {
+		if d.shared || d.seen.Add(a) {
 			fresh = append(fresh, a)
 		}
+	}
+	d.generated += len(fresh)
+	if d.cfg.CollectCandidates {
+		d.res.Candidates = append(d.res.Candidates, fresh...)
 	}
 	genSpan.EndWith(telemetry.Attrs{"proposed": len(batch), "fresh": len(fresh)})
 	d.reg.Counter("tga.generated").Add(int64(len(fresh)))
@@ -316,7 +336,7 @@ func (d *driver) consume(ctx context.Context, batchSpan *telemetry.Span, fresh [
 // dealiases, and feeds back before the next batch generates, so online
 // generators see every earlier result and batch spans never overlap.
 func (d *driver) runLockstep(ctx context.Context) error {
-	for d.generated.Len() < d.cfg.Budget {
+	for d.generated < d.cfg.Budget {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -326,24 +346,24 @@ func (d *driver) runLockstep(ctx context.Context) error {
 
 		fresh, cont := d.produce(batchSpan)
 		if !cont {
-			batchSpan.EndWith(telemetry.Attrs{"budget_used": d.generated.Len(), "exhausted": true})
+			batchSpan.EndWith(telemetry.Attrs{"budget_used": d.generated, "exhausted": true})
 			break
 		}
 		if len(fresh) == 0 {
-			batchSpan.EndWith(telemetry.Attrs{"budget_used": d.generated.Len(), "idle": true})
+			batchSpan.EndWith(telemetry.Attrs{"budget_used": d.generated, "idle": true})
 			continue
 		}
 		if d.cfg.Prober == nil {
-			batchSpan.EndWith(telemetry.Attrs{"budget_used": d.generated.Len()})
+			batchSpan.EndWith(telemetry.Attrs{"budget_used": d.generated})
 			continue
 		}
 		hits, aliased, err := d.consume(ctx, batchSpan, fresh)
 		if err != nil {
-			batchSpan.EndWith(telemetry.Attrs{"budget_used": d.generated.Len(), "cancelled": true})
+			batchSpan.EndWith(telemetry.Attrs{"budget_used": d.generated, "cancelled": true})
 			return err
 		}
 		batchSpan.EndWith(telemetry.Attrs{
-			"budget_used": d.generated.Len(),
+			"budget_used": d.generated,
 			"hits":        hits,
 			"aliased":     aliased,
 		})

@@ -1,6 +1,7 @@
 package tga
 
 import (
+	"slices"
 	"testing"
 
 	"seedscan/internal/ipaddr"
@@ -242,7 +243,8 @@ func TestRunRejectsBadBudget(t *testing.T) {
 // dupPrefixGen is a stateless generator that always returns the first n
 // candidates of a fixed enumeration whose head contains duplicates — the
 // shape that starves tiny NextBatch requests (a 1-seed leaf's first
-// enumeration is the seed itself).
+// enumeration is the seed itself). Each batch is a copy: the caller owns
+// it.
 type dupPrefixGen struct{ seq []ipaddr.Addr }
 
 func (g *dupPrefixGen) Name() string                   { return "dupprefix" }
@@ -253,7 +255,7 @@ func (g *dupPrefixGen) NextBatch(n int) []ipaddr.Addr {
 	if n > len(g.seq) {
 		n = len(g.seq)
 	}
-	return g.seq[:n]
+	return slices.Clone(g.seq[:n])
 }
 
 // TestGenerateFullBatchAvoidsStarvation is the regression test for

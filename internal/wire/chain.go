@@ -5,7 +5,7 @@ package wire
 //
 // The contract a Wrap result must honour:
 //
-//   - Pass-through middlewares (Tap, Shaper, sourceRotator) forward the
+//   - Pass-through middlewares (Tap, shaper, sourceRotator) forward the
 //     caller's pkts and rb to the inner link and must NOT Reset rb — the
 //     innermost link resets it, exactly as the scanner expects from a bare
 //     link. They may rewrite probe bytes before forwarding (into their own

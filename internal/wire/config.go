@@ -16,17 +16,17 @@ import (
 // ChainConfig is a middleware chain as a value: the one description that
 // CLI flags parse into, cluster job frames carry as text, and experiment
 // fingerprints read. Build composes it in a fixed order: Tap outermost
-// (it sees what the scanner sees), then Shaper, then sourceRotator, and
+// (it sees what the scanner sees), then shaper, then sourceRotator, and
 // Faults innermost (so the tap still counts the probes faults drop). The
 // zero value is the bare link.
 type ChainConfig struct {
 	Taps   bool         // a count-only Tap
-	Shape  ShapeConfig  // PPS 0 leaves the Shaper out
+	Shape  ShapeConfig  // PPS 0 leaves the shaper out
 	Rotate RotateConfig // an empty Pool leaves the sourceRotator out
 	Faults FaultsConfig // no probability above zero leaves Faults out
 }
 
-// ShapeConfig configures a Shaper: PPS packets per second, and Jitter in
+// ShapeConfig configures a shaper: PPS packets per second, and Jitter in
 // [0, 1] as the maximum per-batch extra delay in units of one inter-packet
 // gap, drawn from Seed.
 type ShapeConfig struct {

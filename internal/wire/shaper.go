@@ -9,7 +9,7 @@ import (
 	"seedscan/internal/telemetry"
 )
 
-// Shaper shapes the probe departure schedule on a virtual clock, the same
+// shaper shapes the probe departure schedule on a virtual clock, the same
 // accounting idiom as the scanner's own rateLimiter: instead of sleeping
 // it advances simulated time by one inter-packet gap per probe, plus
 // optional seeded jitter, so shaped experiments still run at full speed
@@ -25,7 +25,7 @@ import (
 // Telemetry: wire.shaper.packets, and wire.shaper.virtual_ns, the virtual
 // egress time in nanoseconds (both summed over every shaper on the
 // registry).
-type Shaper struct {
+type shaper struct {
 	gap     float64
 	jitter  float64
 	seed    uint64
@@ -37,8 +37,8 @@ type Shaper struct {
 
 // newShaper builds the shaper c describes, mirroring its counters — its
 // only output — into reg (nil: off).
-func newShaper(c ShapeConfig, reg *telemetry.Registry) *Shaper {
-	return &Shaper{
+func newShaper(c ShapeConfig, reg *telemetry.Registry) *shaper {
+	return &shaper{
 		gap:        1 / float64(max(c.PPS, 1)),
 		jitter:     max(c.Jitter, 0),
 		seed:       c.Seed,
@@ -50,7 +50,7 @@ func newShaper(c ShapeConfig, reg *telemetry.Registry) *Shaper {
 // Wrap implements Middleware. The shaper only accounts time; packets and
 // replies pass through untouched, so a shaped chain is byte-identical to
 // an unshaped one.
-func (s *Shaper) Wrap(next Link) Link {
+func (s *shaper) Wrap(next Link) Link {
 	return LinkFunc(func(pkts [][]byte, rb *probe.ReplyBuf) {
 		elapsed := float64(len(pkts)) * s.gap
 		if s.jitter > 0 {

@@ -13,7 +13,7 @@
 // rewrite, reorder, or drop — every probe before the inner link does) and
 // an observe-side hook (they see every reply before the scanner does).
 // The package ships four: Tap (record probe/reply pairs untouched — the
-// telescope building block), Shaper (virtual-clock rate shaping and
+// telescope building block), shaper (virtual-clock rate shaping and
 // jitter), sourceRotator (rotate probe sources across an address pool),
 // and Faults (deterministic seeded loss / duplication / reply delay).
 // All are safe for concurrent use by many scanner workers.
