@@ -23,7 +23,10 @@
 // frames carry the -wire-* chain to every worker. Either way the merged
 // output is byte-identical to the single-scanner scan.
 //
-// Every subcommand accepts -seed/-ases/-scale to shape the environment.
+// world, resolve and worker take -seed and -ases, which shape the
+// simulated Internet; collect, run, scan, dealias, hitlist, build-db and
+// daemon take them and -scale, the seed collection scale; serve takes
+// none of them.
 // scan, serve, daemon and worker also take -cpuprofile FILE and
 // -memprofile FILE: pprof profiles of the command, written when it returns
 // (for serve and worker, after Ctrl-C shuts them down).
@@ -119,10 +122,17 @@ commands:
 run 'seedscan <command> -h' for per-command flags`)
 }
 
-// envFlags wires the shared environment flags into fs.
-func envFlags(fs *flag.FlagSet) (seed *uint64, ases *int, scale *float64) {
+// worldFlags wires the flags that shape the simulated Internet into fs.
+func worldFlags(fs *flag.FlagSet) (seed *uint64, ases *int) {
 	seed = fs.Uint64("seed", 42, "world seed")
 	ases = fs.Int("ases", 200, "number of ASes")
+	return
+}
+
+// envFlags wires worldFlags and the seed collection scale into fs, for
+// the commands that collect seeds.
+func envFlags(fs *flag.FlagSet) (seed *uint64, ases *int, scale *float64) {
+	seed, ases = worldFlags(fs)
 	scale = fs.Float64("scale", 0.5, "seed collection scale")
 	return
 }
@@ -190,7 +200,7 @@ func signalContext() (context.Context, context.CancelFunc) {
 
 func cmdWorld(args []string) error {
 	fs := flag.NewFlagSet("world", flag.ExitOnError)
-	seed, ases, _ := envFlags(fs)
+	seed, ases := worldFlags(fs)
 	fs.Parse(args)
 
 	w := world.New(world.Config{Seed: *seed, NumASes: *ases})
@@ -469,7 +479,7 @@ func printClusterRun(run *cluster.RunResult) {
 
 func cmdWorker(args []string) (err error) {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
-	seed, ases, _ := envFlags(fs)
+	seed, ases := worldFlags(fs)
 	listen := fs.String("listen", "127.0.0.1:9653", "address to serve the cluster wire protocol on")
 	id := fs.String("id", "", "worker id announced to coordinators (default: the listen address)")
 	trace, metrics := teleFlags(fs)
@@ -607,7 +617,7 @@ func buildHitlist(seed uint64, ases int, scale float64) (*hitlist.Snapshot, erro
 
 func cmdResolve(args []string) error {
 	fs := flag.NewFlagSet("resolve", flag.ExitOnError)
-	seed, ases, _ := envFlags(fs)
+	seed, ases := worldFlags(fs)
 	n := fs.Int("n", 20000, "number of synthetic domains to resolve")
 	rate := fs.Float64("rate", 0.047, "AAAA response rate (CT-log default; toplists ~0.25)")
 	out := fs.String("o", "", "write resolved addresses to this file")

@@ -3,7 +3,7 @@
 //
 // A Coordinator plans the scan once — the deduplicated, secret-shuffled
 // canonical order scanner.PlanOrder computes — cuts that order into
-// consecutive ShardSize-wide windows, leases the windows to workers, and
+// consecutive shardSize-wide windows, leases the windows to workers, and
 // writes each shard's results and stats back by position into one
 // scanner.Result slice and one Stats snapshot that are byte-identical to
 // probing everything through one scanner. Identity holds because

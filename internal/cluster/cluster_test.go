@@ -118,7 +118,7 @@ func TestClusterMatchesSingleScanner(t *testing.T) {
 		for _, size := range []int{1, 7, 2048, len(targets) + 1} {
 			rows = append(rows, row{fmt.Sprintf("local%d/shard%d", workers, size),
 				func(p proto.Protocol, cfg Config) (*RunResult, error) {
-					cfg.ShardSize = size
+					cfg.shardSize = size
 					return NewLocalPool(workers, w.Link(), cfg, opts...).Run(ctx, targets, p)
 				}, false})
 		}
@@ -135,11 +135,11 @@ func TestClusterMatchesSingleScanner(t *testing.T) {
 			defer rw.Close()
 			workers = append(workers, rw)
 		}
-		cfg.ShardSize, cfg.Telemetry = 200, nil
+		cfg.shardSize, cfg.Telemetry = 200, nil
 		return NewCoordinator(cfg).Run(ctx, workers, targets, p)
 	}, false})
 	rows = append(rows, row{"local3/shard128/kill", func(p proto.Protocol, cfg Config) (*RunResult, error) {
-		cfg.ShardSize, cfg.workerFailureLimit = 128, 2
+		cfg.shardSize, cfg.workerFailureLimit = 128, 2
 		pool := NewLocalPool(3, w.Link(), cfg, opts...)
 		crashMidShard(pool.workers[1].(*localWorker))
 		got, err := pool.Run(ctx, targets, p)
@@ -208,7 +208,7 @@ func TestPoolScanDoesNotMutateCallerSlice(t *testing.T) {
 	w := clusterWorld(t)
 	targets := testTargets(t, w)
 	before := append([]ipaddr.Addr(nil), targets...)
-	pool := NewLocalPool(3, w.Link(), Config{Secret: testSecret, ShardSize: 128})
+	pool := NewLocalPool(3, w.Link(), Config{Secret: testSecret, shardSize: 128})
 	if _, err := pool.ScanContext(context.Background(), targets, proto.ICMP); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestKillWorkerMidShard(t *testing.T) {
 
 	pool := NewLocalPool(3, w.Link(), Config{
 		Secret:             testSecret,
-		ShardSize:          128,
+		shardSize:          128,
 		leaseTimeout:       2 * time.Second,
 		workerFailureLimit: 2,
 	})
@@ -277,7 +277,7 @@ func TestHungWorkerLeaseExpires(t *testing.T) {
 	workers := []Worker{testWorker(w, "w0"), &hangWorker{inner: testWorker(w, "w1")}, testWorker(w, "w2")}
 	coord := NewCoordinator(Config{
 		Secret:       testSecret,
-		ShardSize:    128,
+		shardSize:    128,
 		leaseTimeout: 150 * time.Millisecond,
 	})
 	got, err := coord.Run(context.Background(), workers, targets, p)
@@ -327,7 +327,7 @@ func TestMaxInflightBoundsLeases(t *testing.T) {
 			maxSeen: &maxSeen,
 		}
 	}
-	coord := NewCoordinator(Config{Secret: testSecret, ShardSize: 64, maxInflight: 2})
+	coord := NewCoordinator(Config{Secret: testSecret, shardSize: 64, maxInflight: 2})
 	if _, err := coord.Run(context.Background(), workers, targets, proto.ICMP); err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestLyingWorkerIsAFailedLease(t *testing.T) {
 	wantRes, wantStats := baseline(w.Link(), targets, p)
 	for name, lie := range lies {
 		var logged []string
-		coord := NewCoordinator(Config{Secret: testSecret, ShardSize: 64, Logf: func(f string, a ...any) {
+		coord := NewCoordinator(Config{Secret: testSecret, shardSize: 64, Logf: func(f string, a ...any) {
 			logged = append(logged, fmt.Sprintf(f, a...))
 		}})
 		got, err := coord.Run(context.Background(), []Worker{liar{testWorker(w, "liar"), lie}, testWorker(w, "honest")}, targets, p)
@@ -426,7 +426,7 @@ func TestOnlyLyingWorkersError(t *testing.T) {
 			{workerFailureLimit: 2},
 			{workerFailureLimit: 1000, maxShardAttempts: 2},
 		} {
-			cfg.Secret, cfg.ShardSize = testSecret, 64
+			cfg.Secret, cfg.shardSize = testSecret, 64
 			got, err := NewCoordinator(cfg).Run(context.Background(),
 				[]Worker{liar{testWorker(w, "l0"), lie}, liar{testWorker(w, "l1"), lie}}, targets, proto.ICMP)
 			if err == nil || got != nil {
@@ -441,7 +441,7 @@ func TestOnlyLyingWorkersError(t *testing.T) {
 func TestPoolTelemetry(t *testing.T) {
 	w := clusterWorld(t)
 	reg := telemetry.NewRegistry()
-	pool := NewLocalPool(2, w.Link(), Config{Secret: testSecret, ShardSize: 128, Telemetry: reg})
+	pool := NewLocalPool(2, w.Link(), Config{Secret: testSecret, shardSize: 128, Telemetry: reg})
 	if _, err := pool.Run(context.Background(), testTargets(t, w), proto.ICMP); err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func TestPoolTelemetry(t *testing.T) {
 func TestConcurrentPoolRuns(t *testing.T) {
 	w := clusterWorld(t)
 	targets := testTargets(t, w)
-	pool := NewLocalPool(3, w.Link(), Config{Secret: testSecret, ShardSize: 128})
+	pool := NewLocalPool(3, w.Link(), Config{Secret: testSecret, shardSize: 128})
 	want := make(map[proto.Protocol][]scanner.Result)
 	for _, p := range proto.All {
 		want[p], _ = baseline(w.Link(), targets, p)
@@ -496,5 +496,38 @@ func TestConcurrentPoolRuns(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestLocalClusterSharesChain fans a chained link across a 4-worker
+// in-process pool: merged results stay byte-identical to the
+// single-scanner scan over the same chain, and the shared tap accounts
+// for every packet all workers sent. Run under -race this also hammers
+// middleware concurrency-safety.
+func TestLocalClusterSharesChain(t *testing.T) {
+	w := clusterWorld(t)
+	targets := testTargets(t, w)
+	tap := wire.NewTap(nil)
+	want, _ := baseline(wire.Chain(w.Link(), tap), targets, proto.ICMP)
+	soloProbes := tap.Probes()
+
+	tap2 := wire.NewTap(nil)
+	pool := NewLocalPool(4, w.Link(), Config{
+		Secret:    testSecret,
+		shardSize: 128,
+		Chain:     []wire.Middleware{tap2},
+	})
+	run, err := pool.Run(context.Background(), targets, proto.ICMP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(want, run.Results) {
+		t.Fatal("clustered chained scan diverges from single scanner")
+	}
+	if tap2.Probes() != run.Stats.PacketsSent.Load() {
+		t.Fatalf("cluster tap probes = %d, merged stats sent %d", tap2.Probes(), run.Stats.PacketsSent.Load())
+	}
+	if tap2.Probes() != soloProbes {
+		t.Fatalf("cluster sent %d probes, solo sent %d", tap2.Probes(), soloProbes)
 	}
 }

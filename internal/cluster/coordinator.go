@@ -28,8 +28,8 @@ type Config struct {
 	// to 0..254 after its default, as scanner.WithRetries does.
 	retries int
 	ratePPS int
-	// ShardSize is the target count per shard (default 2048).
-	ShardSize int
+	// shardSize is the target count per shard (default 2048).
+	shardSize int
 	// maxInflight bounds how many shards may be leased at once — the
 	// backpressure knob. Default: one per worker.
 	maxInflight int
@@ -68,8 +68,8 @@ func (c *Config) fillDefaults(workers int) {
 	if c.ratePPS == 0 {
 		c.ratePPS = 10000
 	}
-	if c.ShardSize <= 0 {
-		c.ShardSize = 2048
+	if c.shardSize <= 0 {
+		c.shardSize = 2048
 	}
 	if c.maxInflight <= 0 {
 		c.maxInflight = workers
@@ -218,11 +218,11 @@ func (c *Coordinator) Run(ctx context.Context, workers []Worker, targets []ipadd
 	sc := c.getScratch()
 	canonical := scanner.PlanOrder(sc.plan[:0], cfg.Secret, true, targets, p)
 	sc.plan = canonical
-	// Not (n + ShardSize - 1) / ShardSize, which overflows for a
-	// ShardSize near math.MaxInt.
+	// Not (n + shardSize - 1) / shardSize, which overflows for a
+	// shardSize near math.MaxInt.
 	shards := 0
 	if n := len(canonical); n > 0 {
-		shards = (n-1)/cfg.ShardSize + 1
+		shards = (n-1)/cfg.shardSize + 1
 	}
 
 	run := &runState{
@@ -231,7 +231,7 @@ func (c *Coordinator) Run(ctx context.Context, workers []Worker, targets []ipadd
 		job:       cfg.job(p),
 		canonical: canonical,
 		bufs:      sc.bufs,
-		bufCap:    min(cfg.ShardSize, len(canonical)),
+		bufCap:    min(cfg.shardSize, len(canonical)),
 		start:     time.Now(),
 		attempts:  make([]int, shards),
 		leases:    make(map[int]*lease),
@@ -301,12 +301,12 @@ type runState struct {
 	reg        *telemetry.Registry
 }
 
-// shard returns shard sid: the sid-th ShardSize-wide window of the
+// shard returns shard sid: the sid-th shardSize-wide window of the
 // canonical order, capacity clipped so a worker cannot append into the
 // next window.
 func (r *runState) shard(sid int) Shard {
-	lo := sid * r.cfg.ShardSize
-	hi := lo + min(r.cfg.ShardSize, len(r.canonical)-lo)
+	lo := sid * r.cfg.shardSize
+	hi := lo + min(r.cfg.shardSize, len(r.canonical)-lo)
 	return Shard{id: sid, targets: r.canonical[lo:hi:hi]}
 }
 
@@ -518,7 +518,7 @@ func (r *runState) logf(format string, args ...any) {
 // record merges a verified shard — results into its window of out, stats
 // into the run's sum — and updates per-worker accounting.
 func (r *runState) record(wi int, sh Shard, res *ShardResult) {
-	copy(r.out[sh.id*r.cfg.ShardSize:], res.results)
+	copy(r.out[sh.id*r.cfg.shardSize:], res.results)
 	r.stats.Add(res.stats)
 	r.done[sh.id] = true
 	r.recorded++

@@ -14,7 +14,7 @@ import (
 	"seedscan/internal/scanner"
 )
 
-// TestExtremeShardSizeMatchesSingleScanner: a ShardSize near math.MaxInt
+// TestExtremeShardSizeMatchesSingleScanner: a shardSize near math.MaxInt
 // is one shard of every target, not an overflowed shard count (no shards,
 // or a negative one) or a lease buffer sized by it. Each pool runs twice,
 // the second time in its first run's recycled scratch.
@@ -24,9 +24,9 @@ func TestExtremeShardSizeMatchesSingleScanner(t *testing.T) {
 	p := proto.TCP443
 	wantRes, wantStats := baseline(w.Link(), targets, p)
 	for _, size := range []int{math.MaxInt, math.MaxInt - 5, 1 << 62} {
-		pool := NewLocalPool(2, w.Link(), Config{Secret: testSecret, ShardSize: size})
+		pool := NewLocalPool(2, w.Link(), Config{Secret: testSecret, shardSize: size})
 		for run := 0; run < 2; run++ {
-			label := fmt.Sprintf("ShardSize %d, run %d", size, run)
+			label := fmt.Sprintf("shardSize %d, run %d", size, run)
 			got, err := pool.Run(context.Background(), targets, p)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -82,7 +82,7 @@ func TestStragglerNeverSharesScratch(t *testing.T) {
 		release:     make(chan struct{}),
 		checked:     make(chan error, 1),
 	}
-	coord := NewCoordinator(Config{Secret: testSecret, ShardSize: 128, leaseTimeout: 50 * time.Millisecond})
+	coord := NewCoordinator(Config{Secret: testSecret, shardSize: 128, leaseTimeout: 50 * time.Millisecond})
 	workers := []Worker{s, testWorker(w, "w1"), testWorker(w, "w2")}
 
 	for i, p := range []proto.Protocol{proto.ICMP, proto.UDP53} {

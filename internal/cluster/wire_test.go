@@ -12,6 +12,8 @@ import (
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/proto"
 	"seedscan/internal/scanner"
+	"seedscan/internal/telemetry"
+	"seedscan/internal/wire"
 )
 
 func TestWireCodecRoundTrips(t *testing.T) {
@@ -178,7 +180,7 @@ func TestTCPClusterMatchesSingleScanner(t *testing.T) {
 		workers = append(workers, rw)
 	}
 
-	coord := NewCoordinator(Config{Secret: testSecret, ShardSize: 200})
+	coord := NewCoordinator(Config{Secret: testSecret, shardSize: 200})
 	got, err := coord.Run(ctx, workers, targets, p)
 	if err != nil {
 		t.Fatalf("TCP cluster run: %v", err)
@@ -227,7 +229,7 @@ func TestTCPWorkerCrashRecovers(t *testing.T) {
 
 	coord := NewCoordinator(Config{
 		Secret:             testSecret,
-		ShardSize:          64,
+		shardSize:          64,
 		leaseTimeout:       time.Second,
 		workerFailureLimit: 2,
 	})
@@ -266,5 +268,35 @@ func TestRemoteWorkerMatchesAtRetryBounds(t *testing.T) {
 			t.Fatalf("retries %d: local run: %v", r, err)
 		}
 		assertIdentical(t, fmt.Sprintf("retries %d/local", r), got, wantRes, wantStats)
+	}
+}
+
+// TestTCPWorkerChain runs a tapped chain over the real TCP wire protocol,
+// as `seedscan scan -cluster ... -wire-taps` does: the coordinator's
+// config carries the chain to the worker in the job frame, its merged
+// results match the unchained baseline (taps are transparent), and the
+// worker-side tap saw every packet.
+func TestTCPWorkerChain(t *testing.T) {
+	w := clusterWorld(t)
+	targets := testTargets(t, w)
+	want, wantStats := baseline(w.Link(), targets, proto.ICMP)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	reg := telemetry.NewRegistry()
+	rw, err := DialWorker(startWorker(t, ctx, ServeConfig{WorkerID: "tapped", Link: w.Link(), Telemetry: reg}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rw.Close()
+
+	cfg := Config{Secret: testSecret, shardSize: 256, Wire: wire.ChainConfig{Taps: true}}
+	run, err := NewCoordinator(cfg).Run(ctx, []Worker{rw}, targets, proto.ICMP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, "TCP chained", run, want, wantStats)
+	if got := reg.Snapshot().Counters["wire.tap.probes"]; got != wantStats[0] {
+		t.Fatalf("worker tap probes = %d, want %d", got, wantStats[0])
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"seedscan/internal/cluster"
 	"seedscan/internal/experiment/grid"
 	"seedscan/internal/ipaddr"
+	"seedscan/internal/memo"
 	"seedscan/internal/metrics"
 	"seedscan/internal/proto"
 	"seedscan/internal/scanner"
@@ -131,13 +132,15 @@ type Env struct {
 	// EnvConfig.Telemetry was not set).
 	tele *telemetry.Tracer
 
-	// Lazily computed treatment caches, each per-key singleflight: grid
-	// cells resolve treatments concurrently and cold, and the first
-	// resolver builds while the rest wait (no caller-side pre-warming).
-	dealiased   lazyCache[alias.Mode, *seeds.Dataset]
-	activeByP   lazyCache[proto.Protocol, *ipaddr.Set]
-	allActive   lazyCache[struct{}, *seeds.Dataset]
-	outDealiase lazyCache[proto.Protocol, *alias.Dealiaser]
+	// Lazily computed treatment caches: grid cells resolve treatments
+	// concurrently and cold, and the first resolver builds while the rest
+	// wait (no caller-side pre-warming). Their builds never fail, so their
+	// callers wait without a deadline; cross-key builds (seedActive on
+	// dealiasedSeeds) are fine, as memo.Map holds no lock while building.
+	dealiased   memo.Map[alias.Mode, *seeds.Dataset]
+	activeByP   memo.Map[proto.Protocol, *ipaddr.Set]
+	allActive   memo.Map[struct{}, *seeds.Dataset]
+	outDealiase memo.Map[proto.Protocol, *alias.Dealiaser]
 	// models caches mined TGA seed models across runs: grid cells that fix
 	// the seed treatment and vary only the protocol (the paper's own
 	// methodology) reuse the model instead of re-mining it per cell.
@@ -242,41 +245,45 @@ func (e *Env) Grid() *grid.Engine {
 // to classify TGA output on protocol p, per §4.2. Safe for concurrent
 // cold calls.
 func (e *Env) OutputDealiaser(p proto.Protocol) *alias.Dealiaser {
-	return e.outDealiase.get(p, func() *alias.Dealiaser {
-		return alias.New(alias.ModeJoint, e.Offline, e.Prober, p, e.Cfg.ScanSecret^uint64(p), e.tele.Registry())
+	d, _, _ := e.outDealiase.Do(context.Background(), p, func() (*alias.Dealiaser, error) {
+		return alias.New(alias.ModeJoint, e.Offline, e.Prober, p, e.Cfg.ScanSecret^uint64(p), e.tele.Registry()), nil
 	})
+	return d
 }
 
 // dealiasedSeeds returns the full dataset under one of Table 2's
 // dealiasing treatments. Results are cached; concurrent cold calls for
 // the same mode dealias once.
 func (e *Env) dealiasedSeeds(mode alias.Mode) *seeds.Dataset {
-	return e.dealiased.get(mode, func() *seeds.Dataset {
+	ds, _, _ := e.dealiased.Do(context.Background(), mode, func() (*seeds.Dataset, error) {
 		d := alias.New(mode, e.Offline, e.Prober, proto.ICMP, e.Cfg.ScanSecret^0xa11a5, e.tele.Registry())
 		clean, _ := d.Split(e.Full.Slice())
-		return seeds.FromAddrs("Full/"+mode.String(), clean)
+		return seeds.FromAddrs("Full/"+mode.String(), clean), nil
 	})
+	return ds
 }
 
 // seedActive scans the joint-dealiased seeds on p and caches the
 // responsive subset; concurrent cold calls scan once.
 func (e *Env) seedActive(p proto.Protocol) *ipaddr.Set {
-	return e.activeByP.get(p, func() *ipaddr.Set {
+	set, _, _ := e.activeByP.Do(context.Background(), p, func() (*ipaddr.Set, error) {
 		base := e.dealiasedSeeds(alias.ModeJoint)
-		return ipaddr.NewSet(e.Prober.ScanActive(base.Slice(), p)...)
+		return ipaddr.NewSet(e.Prober.ScanActive(base.Slice(), p)...), nil
 	})
+	return set
 }
 
 // AllActiveSeeds returns RQ1.b's "All Active" dataset: joint-dealiased
 // seeds responsive on at least one studied protocol at scan time.
 func (e *Env) AllActiveSeeds() *seeds.Dataset {
-	return e.allActive.get(struct{}{}, func() *seeds.Dataset {
+	ds, _, _ := e.allActive.Do(context.Background(), struct{}{}, func() (*seeds.Dataset, error) {
 		u := ipaddr.NewSet()
 		for _, p := range proto.All {
 			u.AddSet(e.seedActive(p))
 		}
-		return seeds.FromSet("All Active", u)
+		return seeds.FromSet("All Active", u), nil
 	})
+	return ds
 }
 
 // PortActiveSeeds returns RQ2's port-specific dataset: seeds responsive on

@@ -3,7 +3,7 @@
 // protocol × budget) cells rendered into different tables and figures —
 // and each RQ/table/figure compiles into a Spec: a named list of Cells.
 // The Engine runs specs through a single scheduler that deduplicates
-// identical cells across concurrently requested specs (singleflight, so a
+// identical cells across concurrently requested specs (a memo.Map, so a
 // cell shared by Figure 3, Table 4, and the raw grid executes exactly
 // once) and checkpoints every completed cell into a pluggable Store, so
 // an interrupted run resumes where it stopped with byte-identical

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"seedscan/internal/memo"
 	"seedscan/internal/telemetry"
 )
 
@@ -30,24 +31,14 @@ type Config struct {
 	Exec func(ctx context.Context, c Cell) (CellResult, error)
 }
 
-// flight is a singleflight slot for one cell: the first requester
-// executes, everyone else waits on ready. Successful flights stay in the
-// engine as the in-process memo; failed (or cancelled) flights are
-// removed so a later request retries.
-type flight struct {
-	ready chan struct{}
-	res   CellResult
-	err   error
-}
-
 // Engine schedules cells: one merged worklist across every requested
 // spec, deduplicated by cell identity, checkpointed through the Store.
 type Engine struct {
 	cfg Config
 	tr  *telemetry.Tracer
-
-	mu      sync.Mutex
-	flights map[string]*flight
+	// cells is the in-process memo of completed cells, keyed by Cell.ID:
+	// it is what deduplicates cells across specs and concurrent Runs.
+	cells memo.Map[string, CellResult]
 }
 
 // NewEngine builds an engine. Config.Exec is required.
@@ -62,7 +53,7 @@ func NewEngine(cfg Config) *Engine {
 	if tr == nil {
 		tr = telemetry.NewTracer(nil)
 	}
-	return &Engine{cfg: cfg, tr: tr, flights: make(map[string]*flight)}
+	return &Engine{cfg: cfg, tr: tr}
 }
 
 // Results holds one Run's cell results, addressed by cell identity.
@@ -123,67 +114,39 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (Results, error) {
 	return Results{cells: results}, nil
 }
 
-// do resolves one cell: join an in-flight execution, load a checkpoint,
-// or execute and checkpoint. If the flight owner fails (error or
-// cancellation), waiters whose own context is still live retry the cell
-// themselves.
+// do resolves one cell: join an in-flight or completed execution, load
+// a checkpoint, or execute and checkpoint. A failed or cancelled cell is
+// not kept, so a waiter whose own ctx is still live retries it (see
+// memo.Map.Do).
 func (e *Engine) do(ctx context.Context, c Cell) (CellResult, error) {
-	id := c.ID()
-	key := c.Key(e.cfg.Fingerprint)
 	reg := e.tr.Registry()
-	for {
-		e.mu.Lock()
-		if f, ok := e.flights[id]; ok {
-			e.mu.Unlock()
-			reg.Counter("grid.cells.deduped").Inc()
-			select {
-			case <-f.ready:
-				if f.err == nil {
-					return f.res, nil
-				}
-				if err := ctx.Err(); err != nil {
-					return CellResult{}, err
-				}
-				continue // owner failed and cleared the slot; retry
-			case <-ctx.Done():
-				return CellResult{}, ctx.Err()
-			}
-		}
-		f := &flight{ready: make(chan struct{})}
-		e.flights[id] = f
-		e.mu.Unlock()
-
-		if st := e.cfg.Store; st != nil {
+	res, shared, err := e.cells.Do(ctx, c.ID(), func() (CellResult, error) {
+		key := c.Key(e.cfg.Fingerprint)
+		st := e.cfg.Store
+		if st != nil {
 			if r, ok := st.Get(key); ok {
-				f.res = r
 				reg.Counter("grid.cells.resumed").Inc()
-				close(f.ready)
 				return r, nil
 			}
 		}
 		res, err := e.cfg.Exec(ctx, c)
 		if err != nil {
-			f.err = err
-			e.mu.Lock()
-			if e.flights[id] == f {
-				delete(e.flights, id)
-			}
-			e.mu.Unlock()
-			close(f.ready)
 			return CellResult{}, err
 		}
-		f.res = res
 		reg.Counter("grid.cells.run").Inc()
-		if st := e.cfg.Store; st != nil {
+		if st != nil {
 			if perr := st.Put(key, c, res); perr != nil {
 				// The run itself succeeded; losing one checkpoint only
 				// costs a re-run on resume.
 				reg.Counter("grid.store.put_errors").Inc()
 			}
 		}
-		close(f.ready)
 		return res, nil
+	})
+	if shared {
+		reg.Counter("grid.cells.deduped").Inc()
 	}
+	return res, err
 }
 
 // RunParallel executes fn(0..n-1) on up to `workers` goroutines and

@@ -41,8 +41,8 @@ func treatmentSourceActive(src seeds.Source) grid.Treatment {
 
 // TreatmentSeeds resolves a treatment to its canonical (sorted) seed
 // list, building and caching the underlying dataset on first use. Safe
-// for concurrent cold calls — every cache on the resolution path is
-// per-key singleflight.
+// for concurrent cold calls — every cache on the resolution path is a
+// memo.Map.
 func (e *Env) TreatmentSeeds(t grid.Treatment) ([]ipaddr.Addr, error) {
 	s := string(t)
 	switch {

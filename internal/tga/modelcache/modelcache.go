@@ -20,10 +20,10 @@ package modelcache
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"seedscan/internal/ipaddr"
+	"seedscan/internal/memo"
 	"seedscan/internal/telemetry"
 	"seedscan/internal/tga"
 )
@@ -35,24 +35,15 @@ type key struct {
 	digest uint64 // order-sensitive digest of the canonical seed list
 }
 
-// entry is a singleflight slot: the first requester builds, everyone else
-// waits on ready.
-type entry struct {
-	ready chan struct{}
-	model tga.Model
-	err   error
-}
-
 // Cache is a concurrency-safe model cache implementing tga.ModelSource.
-// The zero value is not usable; construct with New.
+// The zero value is an empty cache, as is New's.
 type Cache struct {
-	mu      sync.Mutex
-	entries map[key]*entry
+	models memo.Map[key, tga.Model]
 }
 
 // New returns an empty cache.
 func New() *Cache {
-	return &Cache{entries: map[key]*entry{}}
+	return &Cache{}
 }
 
 // GetOrBuild implements tga.ModelSource: it returns the cached model for
@@ -61,9 +52,9 @@ func New() *Cache {
 // until the first build finishes (or ctx is done). Seeds must be in
 // canonical sorted order and are deduplicated here; the digest is
 // order-sensitive by design, so a non-canonical order would fragment the
-// cache, not corrupt it. A failed build is not cached:
-// errors propagate to every waiter of that flight, then the slot is
-// cleared so a later request may retry. When ctx carries a tracer, the
+// cache, not corrupt it. A failed build is not cached: its error goes to
+// the requester that mined, and a waiter whose ctx is still live mines
+// again itself (see memo.Map.Do). When ctx carries a tracer, the
 // tga.modelcache.* counters and build-time histogram land in its registry.
 func (c *Cache) GetOrBuild(ctx context.Context, g tga.ModelBuilder, seeds []ipaddr.Addr) (tga.Model, error) {
 	seeds = ipaddr.DedupSorted(seeds)
@@ -73,32 +64,15 @@ func (c *Cache) GetOrBuild(ctx context.Context, g tga.ModelBuilder, seeds []ipad
 		digest: ipaddr.Digest(seeds),
 	}
 	reg := telemetry.FromContext(ctx).Registry()
-	c.mu.Lock()
-	if e, ok := c.entries[k]; ok {
-		c.mu.Unlock()
+	m, shared, err := c.models.Do(ctx, k, func() (tga.Model, error) {
+		reg.Counter("tga.modelcache.misses").Inc()
+		start := time.Now()
+		m, err := g.BuildModel(seeds)
+		reg.ObserveDuration("tga.modelcache.build_seconds", time.Since(start).Seconds())
+		return m, err
+	})
+	if shared {
 		reg.Counter("tga.modelcache.hits").Inc()
-		select {
-		case <-e.ready:
-			return e.model, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
 	}
-	e := &entry{ready: make(chan struct{})}
-	c.entries[k] = e
-	c.mu.Unlock()
-
-	reg.Counter("tga.modelcache.misses").Inc()
-	start := time.Now()
-	e.model, e.err = g.BuildModel(seeds)
-	reg.ObserveDuration("tga.modelcache.build_seconds", time.Since(start).Seconds())
-	close(e.ready)
-	if e.err != nil {
-		c.mu.Lock()
-		if c.entries[k] == e {
-			delete(c.entries, k)
-		}
-		c.mu.Unlock()
-	}
-	return e.model, e.err
+	return m, err
 }

@@ -181,8 +181,4 @@ func TestFailedBuildNotCached(t *testing.T) {
 }
 
 // len reports the number of completed or in-flight models.
-func (c *Cache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *Cache) len() int { return c.models.Len() }

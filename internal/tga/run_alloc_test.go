@@ -51,9 +51,9 @@ func allocSeeds() []ipaddr.Addr {
 // for one Expander generator (6Tree) and one LeafSearch generator (DET),
 // with the model mined beforehand: the run's one candidate set, presized
 // to the budget, plus a slack for the generator's run state (enumerators,
-// DET's pending-proposal map, which a run without a prober never drains)
-// and the twelve batches it returns. That costs 720 KiB for 6Tree and
-// 1,538 KiB for DET; each slack adds less than a driver-side copy of every
+// DET's pending-proposal map, which holds one batch at most) and the
+// twelve batches it returns. That costs 720 KiB for 6Tree and 791 KiB for
+// DET; each slack adds less than a driver-side copy of every
 // batch (188 KiB) or a second dedup set (320 KiB presized, more grown by
 // doubling), so either fails the pin. The budget is a whole number of
 // batches and no seed is excluded, so the run's set holds exactly the
@@ -68,7 +68,7 @@ func TestRunCandidateBookkeepingIsOneSet(t *testing.T) {
 		slack uint64
 	}{
 		{sixtree.New(), 896 * kib},
-		{det.New(), 1664 * kib},
+		{det.New(), 896 * kib},
 	} {
 		m, err := c.g.BuildModel(seeds)
 		if err != nil {

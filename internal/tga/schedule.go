@@ -315,8 +315,12 @@ func (s *LeafSearch) take(i int32, k int) int {
 // them: the first `exploit` in geometric shares from the top of the
 // ranking, then one at a time from the leaf at rank pick(live) % live
 // until the batch is full or picksPerLeaf·live picks are made; a leaf
-// exhausted since the ranking costs a pick but no address.
+// exhausted since the ranking costs a pick but no address. Proposals of
+// the previous batch still pending are forgotten: the driver runs in
+// lockstep, so whatever its Resolve did not report (seeds, budget
+// overflow, a run without a prober) never will be.
 func (s *LeafSearch) NextBatch(n, exploit, picksPerLeaf int, pick func(live int) int) []ipaddr.Addr {
+	clear(s.pending)
 	s.rank()
 	live := len(s.ranked)
 	if live == 0 {
@@ -335,8 +339,8 @@ func (s *LeafSearch) NextBatch(n, exploit, picksPerLeaf int, pick func(live int)
 }
 
 // Resolve hands each probe result to report together with the leaf that
-// proposed its address, once: results for addresses the search did not
-// propose, or already resolved, are skipped.
+// proposed its address, once. Only the latest batch resolves: results for
+// addresses it did not propose, or already resolved, are skipped.
 func (s *LeafSearch) Resolve(results []ProbeResult, report func(l *TreeNode, r ProbeResult)) {
 	// The caller may re-key what it drew since the last Resolve once this
 	// returns (6Hit's per-round Q update).

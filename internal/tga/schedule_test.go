@@ -277,6 +277,30 @@ func TestLeafSearchResolveAndRebuild(t *testing.T) {
 	}
 }
 
+// TestLeafSearchPendingHoldsOneBatch: proposals no Resolve reports (a
+// run without a prober, seeds and overflow the driver drops) are forgotten
+// at the next batch, so however many batches are drawn, at most one
+// batch's proposals are pending, and only the latest batch resolves.
+func TestLeafSearchPendingHoldsOneBatch(t *testing.T) {
+	s := newSearch(t)
+	var results []ProbeResult
+	var batch []ipaddr.Addr
+	for round := 0; round < 10; round++ {
+		batch = propose(s, 100)
+		if len(s.pending) > len(batch) {
+			t.Fatalf("round %d: %d pending after a batch of %d", round, len(s.pending), len(batch))
+		}
+		for _, a := range batch {
+			results = append(results, ProbeResult{Addr: a})
+		}
+	}
+	reported := 0
+	s.Resolve(results, func(*TreeNode, ProbeResult) { reported++ })
+	if reported != len(batch) {
+		t.Fatalf("%d of %d proposals reported, want the last batch's %d", reported, len(results), len(batch))
+	}
+}
+
 // argmaxExpander is the Expander as it was before it kept a heap: every
 // visit scans all regions for the highest weight/(produced+1), strict >,
 // and a region's weight is zeroed when its enumerator runs dry.

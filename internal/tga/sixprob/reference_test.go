@@ -225,7 +225,7 @@ func (g *refGenerator) push(c refCand) {
 	if floor, ok := g.activeFloor(); ok && c.lp < floor {
 		return
 	}
-	c.tie = mix64(g.Seed, c.addr.Hi(), c.addr.Lo(), uint64(c.depth))
+	c.tie = ipaddr.MixOn(0x9e3779b97f4a7c15, g.Seed, c.addr.Hi(), c.addr.Lo(), uint64(c.depth))
 	c.tick = g.tick
 	g.tick++
 	g.frontier.push(c)

@@ -410,7 +410,7 @@ func (g *Generator) push(c cand, lp float64) {
 	}
 	c.tick = g.tick
 	g.tick++
-	g.frontier.push(c, key{lp: lp, tie: mix64(g.seed, c.addr.Hi(), c.addr.Lo(), uint64(c.depth))})
+	g.frontier.push(c, key{lp: lp, tie: ipaddr.MixOn(0x9e3779b97f4a7c15, g.seed, c.addr.Hi(), c.addr.Lo(), uint64(c.depth))})
 	if g.Beam > 0 && g.frontier.Len() > g.Beam {
 		g.floor = g.frontier.prune(g.keep())
 		g.hasFloor = true
@@ -592,17 +592,4 @@ func (h *candHeap) selectBest(k int) {
 			return
 		}
 	}
-}
-
-// mix64 folds values into a well-mixed 64-bit hash (splitmix64 chain).
-func mix64(vals ...uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, v := range vals {
-		h ^= v
-		h += 0x9e3779b97f4a7c15
-		h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
-		h = (h ^ h>>27) * 0x94d049bb133111eb
-		h ^= h >> 31
-	}
-	return h
 }

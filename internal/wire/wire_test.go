@@ -1,18 +1,14 @@
 // Package wire_test pins the wire layer's behavioral contracts end to
 // end: an empty chain is byte-identical to the bare link, middlewares are
-// transparent or deterministically faulty exactly as documented, and the
-// same chain composes unchanged under a local scanner, a sharded
-// in-process cluster, and TCP workers.
+// transparent or deterministically faulty exactly as documented. The same
+// chain under a sharded cluster is pinned in internal/cluster.
 package wire_test
 
 import (
-	"context"
-	"net"
 	"reflect"
 	"sync"
 	"testing"
 
-	"seedscan/internal/cluster"
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/probe"
 	"seedscan/internal/proto"
@@ -265,76 +261,5 @@ func TestShaperAccounting(t *testing.T) {
 	base := float64(stats[0]) / pps
 	if el := float64(c["wire.shaper.virtual_ns"]) / 1e9; el < base || el > base*1.5+1 {
 		t.Fatalf("virtual elapsed %.4fs outside [%.4f, %.4f]", el, base, base*1.5+1)
-	}
-}
-
-// TestLocalClusterSharesChain fans a chained link across a 4-worker
-// in-process pool: merged results stay byte-identical to the
-// single-scanner scan over the same chain, and the shared tap accounts
-// for every packet all workers sent. Run under -race this also hammers
-// middleware concurrency-safety.
-func TestLocalClusterSharesChain(t *testing.T) {
-	w, targets := testWorld(t)
-	tap := wire.NewTap(nil)
-	want, _ := scanThrough(wire.Chain(w.Link(), tap), targets, proto.ICMP)
-	soloProbes := tap.Probes()
-
-	tap2 := wire.NewTap(nil)
-	pool := cluster.NewLocalPool(4, w.Link(), cluster.Config{
-		Secret:    testSecret,
-		ShardSize: 128,
-		Chain:     []wire.Middleware{tap2},
-	})
-	run, err := pool.Run(context.Background(), targets, proto.ICMP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, run.Results) {
-		t.Fatal("clustered chained scan diverges from single scanner")
-	}
-	if tap2.Probes() != run.Stats.PacketsSent.Load() {
-		t.Fatalf("cluster tap probes = %d, merged stats sent %d", tap2.Probes(), run.Stats.PacketsSent.Load())
-	}
-	if tap2.Probes() != soloProbes {
-		t.Fatalf("cluster sent %d probes, solo sent %d", tap2.Probes(), soloProbes)
-	}
-}
-
-// TestTCPWorkerChain runs a tapped chain over the real TCP wire protocol,
-// as `seedscan scan -cluster ... -wire-taps` does: the coordinator's
-// config carries the chain to the worker in the job frame, its merged
-// results match the unchained baseline (taps are transparent), and the
-// worker-side tap saw every packet.
-func TestTCPWorkerChain(t *testing.T) {
-	w, targets := testWorld(t)
-	want, wantStats := scanThrough(w.Link(), targets, proto.ICMP)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	reg := telemetry.NewRegistry()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go cluster.Serve(ctx, ln, cluster.ServeConfig{WorkerID: "tapped", Link: w.Link(), Telemetry: reg})
-	rw, err := cluster.DialWorker(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rw.Close()
-
-	cfg := cluster.Config{Secret: testSecret, ShardSize: 256, Wire: wire.ChainConfig{Taps: true}}
-	run, err := cluster.NewCoordinator(cfg).Run(ctx, []cluster.Worker{rw}, targets, proto.ICMP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, run.Results) {
-		t.Fatal("TCP chained scan diverges from bare baseline")
-	}
-	if got := run.Stats.Values(); got != wantStats {
-		t.Fatalf("TCP chained stats %v, want %v", got, wantStats)
-	}
-	if got := reg.Snapshot().Counters["wire.tap.probes"]; got != wantStats[0] {
-		t.Fatalf("worker tap probes = %d, want %d", got, wantStats[0])
 	}
 }
