@@ -2,29 +2,12 @@
 // figure, rendered as text. Individual experiments are selectable; sizes
 // are scaled-down defaults that preserve the paper's shape.
 //
-// Usage:
-//
-//	experiments [-budget N] [-ases N] [-scale F] [-seed N] [-run LIST]
-//	            [-resume DIR] [-list-cells] [-gens SET] [-protos SET]
-//	            [-cpuprofile FILE] [-memprofile FILE]
-//
-// -gens picks the generator sweep: "paper" (default, the eight studied
-// TGAs), "extended" (adds AddrMiner and 6Prob), or an explicit
-// comma-separated list. -protos lists protocols (or "all"); every section
-// prints them in ICMP, TCP80, TCP443, UDP53 order whatever the list's. A
-// -protos or -gens entry named twice is a usage error.
-//
-// LIST is "all" or a comma-separated subset of experiment.Sections' names:
+// cli.txt in this directory lists every flag with its type, default and
+// usage; TestCLI keeps it exact. -run takes "all" or a comma-separated
+// subset of experiment.Sections' names, run in table order:
 // table1,table3,table7,fig1,fig2,fig3,table4,fig4,fig5,table5,table6,raw,
-// fig6,fig7,rq5,rq5time,raw912,ablation (default: all, which leaves out
-// raw912 and ablation — they run only when named). An unknown name is a
-// usage error. rq5time is the longitudinal metrics-over-time table: a
-// multi-epoch daemon run reporting seed decay, TGA hit persistence, and
-// alias-set drift. -resume DIR checkpoints every completed grid cell to
-// DIR/cells.jsonl and resumes from it on restart; -list-cells prints the
-// deduplicated cell plan for the selection and exits without scanning.
-// -cpuprofile and -memprofile write pprof profiles of the whole run (the
-// latter of every allocation, taken on exit) for `go tool pprof`.
+// fig6,fig7,rq5,rq5time,raw912,ablation ("all" leaves out raw912 and
+// ablation, which run only when named).
 package main
 
 import (
@@ -34,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -44,7 +26,6 @@ import (
 	"seedscan/internal/experiment"
 	"seedscan/internal/experiment/grid"
 	"seedscan/internal/proto"
-	"seedscan/internal/telemetry"
 	"seedscan/internal/tga/all"
 )
 
@@ -81,24 +62,38 @@ func selectSections(list string) ([]experiment.Section, error) {
 	return selected, nil
 }
 
+// config is the parsed command line.
+type config struct {
+	budget, ases, clusterWorkers  int
+	scale                         float64
+	seed                          uint64
+	runList, protos, gens, resume string
+	listCells                     bool
+	life                          *profile.Flags
+}
+
+// flags registers the command's flags on fs.
+func flags(fs *flag.FlagSet) *config {
+	c := &config{life: profile.Register(fs, profile.All)}
+	fs.IntVar(&c.budget, "budget", 20000, "per-TGA generation budget")
+	fs.IntVar(&c.ases, "ases", 300, "number of ASes in the simulated Internet")
+	fs.Float64Var(&c.scale, "scale", 1, "seed collection scale factor")
+	fs.Uint64Var(&c.seed, "seed", 42, "world seed")
+	fs.StringVar(&c.runList, "run", "all", "comma-separated sections to run: all, "+strings.Join(sectionNames(), ", "))
+	fs.StringVar(&c.protos, "protos", "icmp", "protocols for the TGA sweeps (comma-separated, or 'all')")
+	fs.StringVar(&c.gens, "gens", "paper", "generators to sweep: 'paper' (the study set), 'extended' (adds AddrMiner and 6Prob), or a comma-separated list")
+	fs.IntVar(&c.clusterWorkers, "cluster-workers", 0, "fan scanning out across N in-process cluster workers (results unchanged)")
+	fs.StringVar(&c.resume, "resume", "", "checkpoint completed grid cells under this directory and resume from them")
+	fs.BoolVar(&c.listCells, "list-cells", false, "print the deduplicated cell plan for the selection and exit")
+	return c
+}
+
 // run is main without the process: it parses args, runs the selection and
 // returns the exit code (2 for a flag the command cannot act on).
 func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	budget := fs.Int("budget", 20000, "per-TGA generation budget")
-	ases := fs.Int("ases", 300, "number of ASes in the simulated Internet")
-	scale := fs.Float64("scale", 1, "seed collection scale factor")
-	seed := fs.Uint64("seed", 42, "world seed")
-	runList := fs.String("run", "all", "comma-separated sections to run: all, "+strings.Join(sectionNames(), ", "))
-	protosFlag := fs.String("protos", "icmp", "protocols for the TGA sweeps (comma-separated, or 'all')")
-	gensFlag := fs.String("gens", "paper", "generators to sweep: 'paper' (the study set), 'extended' (adds AddrMiner and 6Prob), or a comma-separated list")
-	trace := fs.String("trace", "", "write a JSONL telemetry event log to this file")
-	metrics := fs.Bool("metrics", false, "print final metric values on exit")
-	clusterWorkers := fs.Int("cluster-workers", 0, "fan scanning out across N in-process cluster workers (results unchanged)")
-	resumeDir := fs.String("resume", "", "checkpoint completed grid cells under this directory and resume from them")
-	listCells := fs.Bool("list-cells", false, "print the deduplicated cell plan for the selection and exit")
-	cpuProfile, memProfile := profile.Flags(fs)
+	c := flags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -106,15 +101,15 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 
-	selected, err := selectSections(*runList)
-	params := experiment.Params{Budget: *budget, Gens: all.Names}
-	if *protosFlag == "all" {
+	selected, err := selectSections(c.runList)
+	params := experiment.Params{Budget: c.budget, Gens: all.Names}
+	if c.protos == "all" {
 		params.Protos = proto.All[:]
 	} else {
 		// Every section walks the protocols in proto.All order, whatever
 		// the list's.
 		var named [proto.Count]bool
-		for _, s := range strings.Split(*protosFlag, ",") {
+		for _, s := range strings.Split(c.protos, ",") {
 			switch p, perr := proto.Parse(strings.TrimSpace(s)); {
 			case perr != nil:
 				err = errors.Join(err, perr)
@@ -130,13 +125,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			}
 		}
 	}
-	switch *gensFlag {
+	switch c.gens {
 	case "paper":
 	case "extended":
 		params.Gens = all.ExtendedNames
 	default:
 		params.Gens = nil
-		for _, s := range strings.Split(*gensFlag, ",") {
+		for _, s := range strings.Split(c.gens, ",") {
 			name := strings.TrimSpace(s)
 			_, gerr := all.New(name)
 			if gerr == nil && slices.Contains(params.Gens, name) {
@@ -155,38 +150,25 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "experiments:", err)
 		return 1
 	}
-	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
+	ctx, tr, finish, err := c.life.Start(context.Background(), stdout)
 	if err != nil {
 		return fail(err)
 	}
 	defer func() {
-		if err := stopProfiles(); err != nil && code == 0 {
+		if err := finish(); err != nil && code == 0 {
 			code = fail(err)
 		}
 	}()
 	start := time.Now()
 	fmt.Fprintf(stdout, "# seedscan experiments — budget=%d ases=%d scale=%g seed=%d gens=%s\n\n",
-		*budget, *ases, *scale, *seed, *gensFlag)
-
-	var sinks []telemetry.Sink
-	if *trace != "" {
-		s, err := telemetry.CreateJSONLFile(*trace)
-		if err != nil {
-			return fail(err)
-		}
-		sinks = append(sinks, s)
-	}
-	tr := telemetry.NewTracer(nil, sinks...)
-	defer tr.Close()
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+		c.budget, c.ases, c.scale, c.seed, c.gens)
 
 	var store grid.Store
-	if *resumeDir != "" {
-		if err := os.MkdirAll(*resumeDir, 0o755); err != nil {
+	if c.resume != "" {
+		if err := os.MkdirAll(c.resume, 0o755); err != nil {
 			return fail(err)
 		}
-		js, err := grid.OpenJSONL(filepath.Join(*resumeDir, "cells.jsonl"))
+		js, err := grid.OpenJSONL(filepath.Join(c.resume, "cells.jsonl"))
 		if err != nil {
 			return fail(err)
 		}
@@ -195,11 +177,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	env := experiment.NewEnv(experiment.EnvConfig{
-		WorldSeed: *seed, NumASes: *ases, CollectScale: *scale, Budget: *budget,
-		Telemetry: tr, ClusterWorkers: *clusterWorkers, GridStore: store,
+		WorldSeed: c.seed, NumASes: c.ases, CollectScale: c.scale, Budget: c.budget,
+		Telemetry: tr, ClusterWorkers: c.clusterWorkers, GridStore: store,
 	})
 
-	if *listCells {
+	if c.listCells {
 		printCellPlan(stdout, env, selected, params, store)
 		return 0
 	}
@@ -219,9 +201,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		time.Since(start).Round(time.Millisecond),
 		experiment.FmtInt(int(env.Scanner.Stats().PacketsSent.Load())),
 		env.Scanner.VirtualElapsed())
-	if *metrics {
-		fmt.Fprint(stdout, tr.Registry().Snapshot().Render())
-	}
 	return 0
 }
 

@@ -1,0 +1,309 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"net"
+	"net/http"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+	"time"
+
+	"seedscan/cmd/internal/profile"
+	"seedscan/internal/hitlistdb"
+	"seedscan/internal/seeds"
+	"seedscan/internal/telemetry"
+)
+
+// TestCLI pins every command's flags, as the table builds them, to
+// cli.txt: a flag added, removed, retyped, re-defaulted or re-worded fails
+// here with the lines to change; edit cli.txt to match, so the change
+// shows in review as a diff of that file.
+func TestCLI(t *testing.T) {
+	var lines []string
+	for _, c := range commands {
+		fs, _, _ := c.flagSet()
+		lines = append(lines, profile.CLILines(c.name, fs)...)
+	}
+	if err := profile.DiffCLI("cli.txt", lines); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestExitStatus: a command line that cannot run exits 2, help exits 0
+// and a run that fails exits 1.
+func TestExitStatus(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want int
+	}{
+		{nil, 2},
+		{[]string{"nosuch"}, 2},
+		{[]string{"world", "-nosuch"}, 2},
+		{[]string{"world", "-ases", "many"}, 2},
+		{[]string{"help"}, 0},
+		{[]string{"world", "-h"}, 0},
+		{append([]string{"collect", "-source", "NotASource"}, smallEnv...), 1},
+		{[]string{"dealias", "-trace", filepath.Join(t.TempDir(), "no", "such", "dir")}, 1},
+	} {
+		if got := run(c.args); got != c.want {
+			t.Errorf("seedscan %q: exit %d, want %d", c.args, got, c.want)
+		}
+	}
+}
+
+// TestExclusiveFlags sets both flags of every pair a command declares
+// exclusive: each is a usage error naming both, before the command runs
+// (scan's -cluster would otherwise dial a closed port).
+func TestExclusiveFlags(t *testing.T) {
+	value := map[string]string{"cluster": "127.0.0.1:1", "cluster-workers": "2"}
+	pairs := 0
+	for _, c := range commands {
+		for _, pair := range c.exclusive {
+			pairs++
+			args := append([]string{"-" + pair[0], value[pair[0]], "-" + pair[1], value[pair[1]]}, smallEnv...)
+			err := execute(context.Background(), c.name, args...)
+			if !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), "-"+pair[0]+" ") || !strings.Contains(err.Error(), "-"+pair[1]+" ") {
+				t.Errorf("%s %q: %v, want a usage error naming both flags", c.name, args, err)
+			}
+		}
+	}
+	if pairs == 0 {
+		t.Fatal("no command declares an exclusive pair")
+	}
+}
+
+// traceMetrics reads the JSONL trace at path and returns the snapshot its
+// last event, the final metrics event, carries.
+func traceMetrics(t *testing.T, path string) telemetry.Snapshot {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	evs, err := telemetry.ReadEvents(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) == 0 || evs[len(evs)-1].Metrics == nil {
+		t.Fatalf("%s: %d events, the last not a metrics event", path, len(evs))
+	}
+	return *evs[len(evs)-1].Metrics
+}
+
+// TestMetricsFlag: -metrics prints the final metric values to stdout
+// after the command's own output.
+func TestMetricsFlag(t *testing.T) {
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	err = execute(context.Background(), "dealias", append([]string{"-metrics"}, smallEnv...)...)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, metrics, ok := strings.Cut(string(b), "dealiasing:"); !ok || !regexp.MustCompile(`(?m)^telemetry metrics$[\s\S]*^\s+alias\.probes_sent\s+[1-9]`).MatchString(metrics) {
+		t.Fatalf("no alias.probes_sent count after the dealias summary:\n%s", b)
+	}
+}
+
+// TestCollectSeedFlag: -seed picks the world, so another seed collects
+// another dataset.
+func TestCollectSeedFlag(t *testing.T) {
+	dir := t.TempDir()
+	collect := func(name string, extra ...string) *seeds.Dataset {
+		path := filepath.Join(dir, name)
+		args := append([]string{"-source", "Scamper", "-o", path}, append(extra, smallEnv...)...)
+		if err := execute(context.Background(), "collect", args...); err != nil {
+			t.Fatal(err)
+		}
+		ds, err := seeds.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	a, b := collect("default.txt"), collect("seed7.txt", "-seed", "7")
+	if a.Len() == 0 || b.Len() == 0 || a.Intersect(b, "").Len() == a.Len() {
+		t.Fatalf("seed 42 collected %d addresses and seed 7 %d, %d shared", a.Len(), b.Len(), a.Intersect(b, "").Len())
+	}
+}
+
+// TestScanClusterWorkers: -cluster-workers fans the scan out over an
+// in-process pool, whose shard counters the -trace file's final metrics
+// show; a plain scan has none.
+func TestScanClusterWorkers(t *testing.T) {
+	dir := t.TempDir()
+	shards := func(extra ...string) int64 {
+		trace := filepath.Join(dir, "scan.jsonl")
+		args := append(append([]string{"-source", "Umbrella", "-trace", trace}, extra...), smallEnv...)
+		if err := execute(context.Background(), "scan", args...); err != nil {
+			t.Fatal(err)
+		}
+		return traceMetrics(t, trace).Counters["cluster.shards.completed"]
+	}
+	if plain, pooled := shards(), shards("-cluster-workers", "2"); plain != 0 || pooled == 0 {
+		t.Fatalf("%d shards completed without -cluster-workers and %d with it, want none and some", plain, pooled)
+	}
+}
+
+// TestRunCheckpoint: with -checkpoint the run is a grid cell in the store,
+// so a rerun loads it instead of running it.
+func TestRunCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	store := filepath.Join(dir, "cells.jsonl")
+	for i, want := range []struct{ run, resumed int64 }{{1, 0}, {0, 1}} {
+		trace := filepath.Join(dir, "run.jsonl")
+		args := append([]string{"-budget", "1500", "-checkpoint", store, "-trace", trace}, smallEnv...)
+		if err := execute(context.Background(), "run", args...); err != nil {
+			t.Fatal(err)
+		}
+		c := traceMetrics(t, trace).Counters
+		if c["grid.cells.run"] != want.run || c["grid.cells.resumed"] != want.resumed {
+			t.Fatalf("run %d: %d cells run and %d resumed, want %d and %d",
+				i+1, c["grid.cells.run"], c["grid.cells.resumed"], want.run, want.resumed)
+		}
+	}
+}
+
+// freeAddr returns a loopback address nothing listens on.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// TestWorkerListenAndID: a worker serves on its -listen address, and a
+// coordinator that dials it counts its shards under the -id it announces.
+func TestWorkerListenAndID(t *testing.T) {
+	addr := freeAddr(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- execute(ctx, "worker", "-ases", "50", "-listen", addr, "-id", "w-test") }()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if c, err := net.Dial("tcp", addr); err == nil {
+			c.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("worker never listened on %s", addr)
+		}
+	}
+
+	trace := filepath.Join(t.TempDir(), "scan.jsonl")
+	args := append([]string{"-source", "Umbrella", "-cluster", addr, "-trace", trace}, smallEnv...)
+	if err := execute(context.Background(), "scan", args...); err != nil {
+		t.Fatal(err)
+	}
+	// The coordinator names a remote worker by its announced id at the
+	// address it dialled.
+	if n := traceMetrics(t, trace).Counters["cluster.worker.w-test@"+addr+".shards_completed"]; n == 0 {
+		t.Fatalf("no shard completed by worker w-test@%s", addr)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("worker exited with %v", err)
+	}
+}
+
+// TestServeFlags: serve answers on -addr, swaps in a new generation within
+// -watch, and holds /v1/bulk to -max-bulk addresses and /v1/prefix-walk to
+// -max-walk records.
+func TestServeFlags(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := execute(context.Background(), "build-db", append([]string{"-dir", dir}, smallEnv...)...); err != nil {
+		t.Fatal(err)
+	}
+	addr := freeAddr(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- execute(ctx, "serve", "-dir", dir, "-addr", addr, "-watch", "20ms", "-max-bulk", "2", "-max-walk", "1")
+	}()
+	base := "http://" + addr
+	waitGeneration(t, base, 1)
+
+	writer, err := hitlistdb.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := writer.Publish(writer.Current().Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	waitGeneration(t, base, 2)
+
+	for n, want := range map[int]int{2: http.StatusOK, 3: http.StatusRequestEntityTooLarge} {
+		body := `{"addrs":["2001:db8::1"` + strings.Repeat(`,"2001:db8::1"`, n-1) + `]}`
+		resp, err := http.Post(base+"/v1/bulk", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("bulk of %d addresses under -max-bulk 2: status %d, want %d", n, resp.StatusCode, want)
+		}
+	}
+	resp, err := http.Get(base + "/v1/prefix-walk?prefix=::/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walk bytes.Buffer
+	walk.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if got := strings.Count(walk.String(), `"addr"`); got != 1 || !strings.Contains(walk.String(), `"truncated":true`) {
+		t.Errorf("walk of ::/0 under -max-walk 1 returned %d records: %s", got, walk.String())
+	}
+
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("serve exited with %v", err)
+	}
+	if err := execute(context.Background(), "serve", "-dir", dir, "-watch", "-1s"); err == nil {
+		t.Fatal("serve accepted a negative -watch")
+	}
+}
+
+// TestDaemonTuning: each tuning flag moves the daemon's final metrics
+// away from a default run's — -stale-after 1 confirms more addresses
+// stale, -stable-every 1 re-scans everything every epoch, and a small
+// -alpha keeps flapping addresses out of the probe-every-epoch class.
+func TestDaemonTuning(t *testing.T) {
+	dir := t.TempDir()
+	daemon := func(name string, extra ...string) telemetry.Snapshot {
+		trace := filepath.Join(dir, name+".jsonl")
+		args := daemonArgs(filepath.Join(dir, name), "", append(extra, "-trace", trace)...)
+		if err := execute(context.Background(), "daemon", args...); err != nil {
+			t.Fatal(err)
+		}
+		return traceMetrics(t, trace)
+	}
+	base := daemon("default")
+	if got := daemon("stale-after", "-stale-after", "1").Gauges["longitudinal.stale.confirmed"]; got <= base.Gauges["longitudinal.stale.confirmed"] {
+		t.Errorf("-stale-after 1 confirmed %v stale, the default %v", got, base.Gauges["longitudinal.stale.confirmed"])
+	}
+	if got := daemon("stable-every", "-stable-every", "1").Counters["longitudinal.probes.saved"]; got != 0 || base.Counters["longitudinal.probes.saved"] == 0 {
+		t.Errorf("-stable-every 1 saved %d probes, the default %d; want none and some", got, base.Counters["longitudinal.probes.saved"])
+	}
+	if got := daemon("alpha", "-alpha", "0.01").Counters["longitudinal.probes.sent"]; got >= base.Counters["longitudinal.probes.sent"] {
+		t.Errorf("-alpha 0.01 sent %d probes, the default %d", got, base.Counters["longitudinal.probes.sent"])
+	}
+}

@@ -1,18 +1,18 @@
 package main
 
 import (
-	"errors"
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"time"
 
-	"seedscan/cmd/internal/profile"
 	"seedscan/internal/experiment/grid"
 	"seedscan/internal/hitlistdb"
 	"seedscan/internal/longitudinal"
 	"seedscan/internal/proto"
+	"seedscan/internal/telemetry"
 	"seedscan/internal/wire"
 )
 
@@ -26,10 +26,8 @@ import (
 // daemon re-run with the same flags replays completed epochs byte-identically
 // and resumes scanning where it died, without re-publishing generations the
 // store already has.
-func cmdDaemon(args []string) (err error) {
-	fs := flag.NewFlagSet("daemon", flag.ExitOnError)
+func cmdDaemon(fs *flag.FlagSet) body {
 	seed, ases, scale := envFlags(fs)
-	trace, metrics := teleFlags(fs)
 	protoName := fs.String("proto", "icmp", "probing protocol: icmp, tcp80, tcp443, udp53")
 	epochs := fs.Int("epochs", 5, "consecutive epochs to run")
 	budget := fs.Int("budget", 0, "probe budget per epoch (0 = unlimited)")
@@ -40,97 +38,83 @@ func cmdDaemon(args []string) (err error) {
 	publish := fs.String("publish", "hitlistdb", "hitlistdb store directory to publish each epoch into (empty disables publishing)")
 	keep := fs.Int("keep", 3, "published generation files to retain on disk")
 	wireFlags := wire.ChainFlags(fs)
-	cpuProfile, memProfile := profile.Flags(fs)
-	fs.Parse(args)
-
-	p, err := proto.Parse(*protoName)
-	if err != nil {
-		return err
-	}
-	if *epochs <= 0 {
-		return fmt.Errorf("daemon: -epochs must be positive, got %d", *epochs)
-	}
-	chain, err := wireFlags(*seed)
-	if err != nil {
-		return err
-	}
-	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		return err
-	}
-	defer func() { err = errors.Join(err, stopProfiles()) }()
-	tr, finish, err := newTracer(*trace, *metrics)
-	if err != nil {
-		return err
-	}
-	defer finish()
-	ctx, stop := signalContext()
-	defer stop()
-
-	// The chain's faults enter env.Fingerprint, so -state checkpoints
-	// written under other faults, or none, are never replayed.
-	env := buildEnv(*seed, *ases, *scale, tr, chain)
-
-	if err := os.MkdirAll(*state, 0o755); err != nil {
-		return err
-	}
-	store, err := grid.OpenJSONL(filepath.Join(*state, "cells.jsonl"))
-	if err != nil {
-		return err
-	}
-	defer store.Close()
-
-	var pub *hitlistdb.Store
-	if *publish != "" {
-		pub, err = hitlistdb.OpenStore(*publish,
-			hitlistdb.KeepGenerations(*keep),
-			hitlistdb.StoreTelemetry(tr.Registry()))
+	return func(ctx context.Context, tr *telemetry.Tracer) error {
+		p, err := proto.Parse(*protoName)
 		if err != nil {
 			return err
 		}
-	}
-
-	d, err := longitudinal.New(longitudinal.Config{
-		World:           env.World,
-		Prober:          env.Prober,
-		Corpus:          env.Full.SortedSlice(),
-		Proto:           p,
-		Epochs:          *epochs,
-		Budget:          *budget,
-		StaleAfter:      *staleAfter,
-		StableEvery:     *stableEvery,
-		Alpha:           *alpha,
-		Fingerprint:     env.Fingerprint(),
-		Store:           store,
-		Publish:         pub,
-		AliasedPrefixes: env.Offline.Prefixes(),
-		Telemetry:       tr,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("daemon: %d-address universe, %d epochs, %s, stale-after %d, stable-every %d (resumed %d cells from %s)\n",
-		len(d.Universe()), *epochs, p, *staleAfter, *stableEvery, store.Len(), *state)
-
-	reps, runErr := d.Run(ctx)
-	totalProbed, totalSaved := 0, 0
-	for _, r := range reps {
-		totalProbed += r.Probed
-		totalSaved += r.Saved
-		fmt.Printf("epoch %d: probed %d (new %d, pending %d, volatile %d, refresh %d; saved %d) hits %d flaps %d stale %d alive %d",
-			r.Epoch, r.Probed, r.New, r.PendingStale, r.Volatile, r.StableRefresh, r.Saved,
-			r.Hits, r.Flaps, r.ConfirmedStale, r.Alive)
-		if r.Generation > 0 {
-			fmt.Printf(" gen %d", r.Generation)
+		if *epochs <= 0 {
+			return fmt.Errorf("daemon: -epochs must be positive, got %d", *epochs)
 		}
-		fmt.Printf(" [%s]\n", r.Duration.Round(time.Millisecond))
+		chain, err := wireFlags(*seed)
+		if err != nil {
+			return err
+		}
+		// The chain's faults enter env.Fingerprint, so -state checkpoints
+		// written under other faults, or none, are never replayed.
+		env := buildEnv(*seed, *ases, *scale, tr, chain)
+
+		if err := os.MkdirAll(*state, 0o755); err != nil {
+			return err
+		}
+		store, err := grid.OpenJSONL(filepath.Join(*state, "cells.jsonl"))
+		if err != nil {
+			return err
+		}
+		defer store.Close()
+
+		var pub *hitlistdb.Store
+		if *publish != "" {
+			pub, err = hitlistdb.OpenStore(*publish,
+				hitlistdb.KeepGenerations(*keep),
+				hitlistdb.StoreTelemetry(tr.Registry()))
+			if err != nil {
+				return err
+			}
+		}
+
+		d, err := longitudinal.New(longitudinal.Config{
+			World:           env.World,
+			Prober:          env.Prober,
+			Corpus:          env.Full.SortedSlice(),
+			Proto:           p,
+			Epochs:          *epochs,
+			Budget:          *budget,
+			StaleAfter:      *staleAfter,
+			StableEvery:     *stableEvery,
+			Alpha:           *alpha,
+			Fingerprint:     env.Fingerprint(),
+			Store:           store,
+			Publish:         pub,
+			AliasedPrefixes: env.Offline.Prefixes(),
+			Telemetry:       tr,
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Printf("daemon: %d-address universe, %d epochs, %s, stale-after %d, stable-every %d (resumed %d cells from %s)\n",
+			len(d.Universe()), *epochs, p, *staleAfter, *stableEvery, store.Len(), *state)
+
+		reps, runErr := d.Run(ctx)
+		totalProbed, totalSaved := 0, 0
+		for _, r := range reps {
+			totalProbed += r.Probed
+			totalSaved += r.Saved
+			fmt.Printf("epoch %d: probed %d (new %d, pending %d, volatile %d, refresh %d; saved %d) hits %d flaps %d stale %d alive %d",
+				r.Epoch, r.Probed, r.New, r.PendingStale, r.Volatile, r.StableRefresh, r.Saved,
+				r.Hits, r.Flaps, r.ConfirmedStale, r.Alive)
+			if r.Generation > 0 {
+				fmt.Printf(" gen %d", r.Generation)
+			}
+			fmt.Printf(" [%s]\n", r.Duration.Round(time.Millisecond))
+		}
+		if runErr != nil {
+			return fmt.Errorf("daemon: %w (completed %d epochs; re-run to resume)", runErr, len(reps))
+		}
+		live := d.LiveSeeds()
+		fmt.Printf("done: %d probes sent, %d saved vs full re-scan; %d seeds live, %d confirmed stale\n",
+			totalProbed, totalSaved, len(live), len(d.Tracker().ConfirmedStale()))
+		wireSummary(tr.Registry())
+		return nil
 	}
-	if runErr != nil {
-		return fmt.Errorf("daemon: %w (completed %d epochs; re-run to resume)", runErr, len(reps))
-	}
-	live := d.LiveSeeds()
-	fmt.Printf("done: %d probes sent, %d saved vs full re-scan; %d seeds live, %d confirmed stale\n",
-		totalProbed, totalSaved, len(live), len(d.Tracker().ConfirmedStale()))
-	wireSummary(tr.Registry())
-	return nil
 }

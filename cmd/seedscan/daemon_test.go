@@ -25,7 +25,7 @@ func daemonArgs(state, publish string, extra ...string) []string {
 // TestCmdDaemonServeEndToEnd is the full producer/consumer loop from the
 // issue's acceptance bar: the daemon runs five epochs, publishing one
 // generation per epoch, while a concurrent serve loop with a short
-// -watch-interval swaps each one in live.
+// -watch interval swaps each one in live.
 func TestCmdDaemonServeEndToEnd(t *testing.T) {
 	tmp := t.TempDir()
 	state := filepath.Join(tmp, "state")
@@ -52,7 +52,7 @@ func TestCmdDaemonServeEndToEnd(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- runServe(ctx, addr, srv, st, 20*time.Millisecond) }()
 
-	if err := cmdDaemon(daemonArgs(state, publish)); err != nil {
+	if err := execute(context.Background(), "daemon", daemonArgs(state, publish)...); err != nil {
 		t.Fatal(err)
 	}
 
@@ -112,7 +112,7 @@ func TestCmdDaemonResume(t *testing.T) {
 	state := filepath.Join(tmp, "state")
 	publish := filepath.Join(tmp, "store")
 
-	if err := cmdDaemon(daemonArgs(state, publish)); err != nil {
+	if err := execute(context.Background(), "daemon", daemonArgs(state, publish)...); err != nil {
 		t.Fatal(err)
 	}
 	st, err := hitlistdb.OpenStore(publish)
@@ -123,7 +123,7 @@ func TestCmdDaemonResume(t *testing.T) {
 		t.Fatalf("first run published generation %d, want 5", st.Generation())
 	}
 
-	if err := cmdDaemon(daemonArgs(state, publish)); err != nil {
+	if err := execute(context.Background(), "daemon", daemonArgs(state, publish)...); err != nil {
 		t.Fatal(err)
 	}
 	if _, swapped, err := st.Refresh(); err != nil {
@@ -138,10 +138,10 @@ func TestCmdDaemonResume(t *testing.T) {
 
 func TestCmdDaemonBadFlags(t *testing.T) {
 	tmp := t.TempDir()
-	if err := cmdDaemon(daemonArgs(tmp, "", "-proto", "gopher")); err == nil {
+	if err := execute(context.Background(), "daemon", daemonArgs(tmp, "", "-proto", "gopher")...); err == nil {
 		t.Fatal("daemon accepted an unknown protocol")
 	}
-	if err := cmdDaemon(daemonArgs(tmp, "", "-epochs", "0")); err == nil {
+	if err := execute(context.Background(), "daemon", daemonArgs(tmp, "", "-epochs", "0")...); err == nil {
 		t.Fatal("daemon accepted zero epochs")
 	}
 }
@@ -159,21 +159,21 @@ func TestCmdDaemonFaultsScanAfresh(t *testing.T) {
 		}
 		return b
 	}
-	if err := cmdDaemon(daemonArgs(state, "")); err != nil {
+	if err := execute(context.Background(), "daemon", daemonArgs(state, "")...); err != nil {
 		t.Fatal(err)
 	}
 	if n := bytes.Count(cells(), []byte("\n")); n != 5 {
 		t.Fatalf("unfaulted run stored %d cells, want one per epoch", n)
 	}
 	faulted := daemonArgs(state, "", "-wire-faults", "loss=0.3")
-	if err := cmdDaemon(faulted); err != nil {
+	if err := execute(context.Background(), "daemon", faulted...); err != nil {
 		t.Fatal(err)
 	}
 	after := cells()
 	if n := bytes.Count(after, []byte("\n")); n != 10 {
 		t.Fatalf("faulted run left %d cells, want 5 unfaulted + 5 faulted: it replayed unfaulted epochs", n)
 	}
-	if err := cmdDaemon(faulted); err != nil {
+	if err := execute(context.Background(), "daemon", faulted...); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(cells(), after) {
@@ -181,7 +181,7 @@ func TestCmdDaemonFaultsScanAfresh(t *testing.T) {
 	}
 	// Faults draw from the rotated packets, so rotation under faults is a
 	// different method too.
-	if err := cmdDaemon(append(faulted, "-wire-rotate", "2001:db8::1,2001:db8::2")); err != nil {
+	if err := execute(context.Background(), "daemon", append(faulted, "-wire-rotate", "2001:db8::1,2001:db8::2")...); err != nil {
 		t.Fatal(err)
 	}
 	if n := bytes.Count(cells(), []byte("\n")); n != 15 {

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
 	"seedscan/internal/seeds"
+	"seedscan/internal/wire"
 )
 
 // The command functions run end to end against small environments; these
@@ -16,20 +18,20 @@ import (
 var smallEnv = []string{"-ases", "50", "-scale", "0.15"}
 
 func TestCmdWorld(t *testing.T) {
-	if err := cmdWorld([]string{"-ases", "40"}); err != nil {
+	if err := execute(context.Background(), "world", "-ases", "40"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCmdCollect(t *testing.T) {
 	args := append([]string{"-source", "Scamper", "-show", "1"}, smallEnv...)
-	if err := cmdCollect(args); err != nil {
+	if err := execute(context.Background(), "collect", args...); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCmdCollectUnknownSource(t *testing.T) {
-	if err := cmdCollect(append([]string{"-source", "NotASource"}, smallEnv...)); err == nil {
+	if err := execute(context.Background(), "collect", append([]string{"-source", "NotASource"}, smallEnv...)...); err == nil {
 		t.Fatal("unknown source accepted")
 	}
 }
@@ -37,43 +39,43 @@ func TestCmdCollectUnknownSource(t *testing.T) {
 func TestCmdCollectExport(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "ds.txt")
 	args := append([]string{"-source", "Umbrella", "-o", out}, smallEnv...)
-	if err := cmdCollect(args); err != nil {
+	if err := execute(context.Background(), "collect", args...); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCmdRun(t *testing.T) {
-	args := append([]string{"-tga", "6Tree", "-proto", "icmp", "-budget", "1500", "-seeds", "allactive"}, smallEnv...)
-	if err := cmdRun(args); err != nil {
+	args := append([]string{"-tga", "6Tree", "-proto", "icmp", "-budget", "1500", "-seeds", "all-active"}, smallEnv...)
+	if err := execute(context.Background(), "run", args...); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCmdRunBadArgs(t *testing.T) {
-	if err := cmdRun(append([]string{"-proto", "gopher"}, smallEnv...)); err == nil {
+	if err := execute(context.Background(), "run", append([]string{"-proto", "gopher"}, smallEnv...)...); err == nil {
 		t.Fatal("bad protocol accepted")
 	}
-	if err := cmdRun(append([]string{"-seeds", "everything"}, smallEnv...)); err == nil {
+	if err := execute(context.Background(), "run", append([]string{"-seeds", "everything"}, smallEnv...)...); err == nil {
 		t.Fatal("bad treatment accepted")
 	}
-	if err := cmdRun(append([]string{"-tga", "9Tree", "-budget", "100"}, smallEnv...)); err == nil {
+	if err := execute(context.Background(), "run", append([]string{"-tga", "9Tree", "-budget", "100"}, smallEnv...)...); err == nil {
 		t.Fatal("bad generator accepted")
 	}
 }
 
 func TestCmdScan(t *testing.T) {
 	args := append([]string{"-source", "Umbrella", "-proto", "tcp443"}, smallEnv...)
-	if err := cmdScan(args); err != nil {
+	if err := execute(context.Background(), "scan", args...); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCmdDealias(t *testing.T) {
 	args := append([]string{"-source", "AddrMiner", "-mode", "joint"}, smallEnv...)
-	if err := cmdDealias(args); err != nil {
+	if err := execute(context.Background(), "dealias", args...); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdDealias(append([]string{"-mode", "sideways"}, smallEnv...)); err == nil {
+	if err := execute(context.Background(), "dealias", append([]string{"-mode", "sideways"}, smallEnv...)...); err == nil {
 		t.Fatal("bad mode accepted")
 	}
 }
@@ -82,13 +84,13 @@ func TestCmdHitlist(t *testing.T) {
 	dir := t.TempDir()
 	addrsPath, aliasesPath := filepath.Join(dir, "responsive.txt"), filepath.Join(dir, "aliases.txt")
 	args := append([]string{"-o", addrsPath, "-aliases", aliasesPath}, smallEnv...)
-	if err := cmdHitlist(args); err != nil {
+	if err := execute(context.Background(), "hitlist", args...); err != nil {
 		t.Fatal(err)
 	}
 
 	// Both files read back as exactly what the command built: smallEnv
 	// with envFlags' default seed.
-	snap, err := buildHitlist(42, 50, 0.15)
+	snap, err := buildHitlist(context.Background(), buildEnv(42, 50, 0.15, nil, wire.ChainConfig{}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +127,10 @@ func TestParseSource(t *testing.T) {
 
 func TestCmdResolve(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "resolved.txt")
-	if err := cmdResolve([]string{"-ases", "40", "-n", "2000", "-rate", "0.2", "-o", out}); err != nil {
+	if err := execute(context.Background(), "resolve", "-ases", "40", "-n", "2000", "-rate", "0.2", "-o", out); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdResolve([]string{"-ases", "40", "-rate", "0"}); err == nil {
+	if err := execute(context.Background(), "resolve", "-ases", "40", "-rate", "0"); err == nil {
 		t.Fatal("zero rate accepted")
 	}
 }

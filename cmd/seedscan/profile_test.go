@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -18,11 +19,11 @@ func TestProfilesAreWritten(t *testing.T) {
 		run  func(dir string, profiles ...string) error
 	}{
 		{"scan", func(_ string, profiles ...string) error {
-			return cmdScan(append(append([]string{"-source", "Umbrella"}, smallEnv...), profiles...))
+			return execute(context.Background(), "scan", append(append([]string{"-source", "Umbrella"}, smallEnv...), profiles...)...)
 		}},
 		{"daemon", func(dir string, profiles ...string) error {
 			args := daemonArgs(filepath.Join(dir, "state"), filepath.Join(dir, "store"), "-epochs", "1")
-			return cmdDaemon(append(args, profiles...))
+			return execute(context.Background(), "daemon", append(args, profiles...)...)
 		}},
 	} {
 		dir := t.TempDir()

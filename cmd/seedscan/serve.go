@@ -9,11 +9,9 @@ import (
 	"os"
 	"time"
 
-	"seedscan/cmd/internal/profile"
-	"seedscan/internal/hitlist"
 	"seedscan/internal/hitlistdb"
-	"seedscan/internal/seeds"
 	"seedscan/internal/serve"
+	"seedscan/internal/telemetry"
 	"seedscan/internal/wire"
 )
 
@@ -22,111 +20,65 @@ import (
 // producer half of the hitlist service. Re-running it against the same
 // directory publishes a new generation; a concurrent `seedscan serve -watch`
 // daemon picks it up without restarting.
-func cmdBuildDB(args []string) error {
-	fs := flag.NewFlagSet("build-db", flag.ExitOnError)
+func cmdBuildDB(fs *flag.FlagSet) body {
 	seed, ases, scale := envFlags(fs)
-	trace, metrics := teleFlags(fs)
 	dir := fs.String("dir", "hitlistdb", "store directory to publish into")
 	keep := fs.Int("keep", 3, "generation files to retain on disk")
-	fs.Parse(args)
+	return func(ctx context.Context, tr *telemetry.Tracer) error {
+		snap, err := buildHitlist(ctx, buildEnv(*seed, *ases, *scale, tr, wire.ChainConfig{}), tr.Registry())
+		if err != nil {
+			return err
+		}
+		fmt.Print(snap.Summary())
 
-	tr, finish, err := newTracer(*trace, *metrics)
-	if err != nil {
-		return err
+		st, err := hitlistdb.OpenStore(*dir,
+			hitlistdb.KeepGenerations(*keep),
+			hitlistdb.StoreTelemetry(tr.Registry()))
+		if err != nil {
+			return err
+		}
+		db, err := st.Publish(snap)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("published generation %d to %s (%d records, %d aliased prefixes, %d bytes)\n",
+			db.Generation(), *dir, db.AddrCount(), db.PrefixCount(), len(db.Bytes()))
+		return nil
 	}
-	defer finish()
-	ctx, stop := signalContext()
-	defer stop()
-
-	env := buildEnv(*seed, *ases, *scale, tr, wire.ChainConfig{})
-	svc, err := hitlist.New(
-		hitlist.WithProber(env.Scanner),
-		hitlist.WithKnownAliases(env.Offline),
-		hitlist.WithSeed(*seed),
-		hitlist.WithTelemetry(tr.Registry()),
-	)
-	if err != nil {
-		return err
-	}
-	inputs := make([]*seeds.Dataset, 0, len(env.Sources))
-	for _, src := range seeds.AllSources {
-		inputs = append(inputs, env.Sources[src])
-	}
-	snap, err := svc.BuildContext(ctx, inputs...)
-	if err != nil {
-		return err
-	}
-	fmt.Print(snap.Summary())
-
-	st, err := hitlistdb.OpenStore(*dir,
-		hitlistdb.KeepGenerations(*keep),
-		hitlistdb.StoreTelemetry(tr.Registry()))
-	if err != nil {
-		return err
-	}
-	db, err := st.Publish(snap)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("published generation %d to %s (%d records, %d aliased prefixes, %d bytes)\n",
-		db.Generation(), *dir, db.AddrCount(), db.PrefixCount(), len(db.Bytes()))
-	return nil
 }
 
 // cmdServe runs the hitlist query daemon over a store directory published
 // by build-db. With -watch it polls the manifest and atomically swaps in
 // new generations while continuing to serve; in-flight requests finish on
 // the generation they started on.
-func cmdServe(args []string) (err error) {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	trace, metrics := teleFlags(fs)
+func cmdServe(fs *flag.FlagSet) body {
 	dir := fs.String("dir", "hitlistdb", "store directory to serve")
 	addr := fs.String("addr", "127.0.0.1:8674", "listen address")
-	watch := fs.Bool("watch", false, "poll the store for new generations and swap them in live")
-	watchInterval := fs.Duration("watch-interval", 2*time.Second, "poll interval for -watch")
+	watch := fs.Duration("watch", 0, "poll the store for new generations at this interval and swap them in live (0 = off)")
 	maxBulk := fs.Int("max-bulk", 4096, "maximum addresses per /v1/bulk request")
 	maxWalk := fs.Int("max-walk", 65536, "maximum records per /v1/prefix-walk response")
-	cpuProfile, memProfile := profile.Flags(fs)
-	fs.Parse(args)
-	if *watchInterval <= 0 {
-		return fmt.Errorf("serve: -watch-interval must be positive, got %v", *watchInterval)
+	return func(ctx context.Context, tr *telemetry.Tracer) error {
+		if *watch < 0 {
+			return fmt.Errorf("serve: -watch must not be negative, got %v", *watch)
+		}
+		st, err := hitlistdb.OpenStore(*dir, hitlistdb.StoreTelemetry(tr.Registry()))
+		if err != nil {
+			return err
+		}
+		srv, err := serve.New(st,
+			serve.WithTelemetry(tr.Registry()),
+			serve.WithMaxBulk(*maxBulk),
+			serve.WithMaxWalk(*maxWalk))
+		if err != nil {
+			return err
+		}
+		if gen := st.Generation(); gen > 0 {
+			fmt.Printf("serving generation %d from %s on %s\n", gen, *dir, *addr)
+		} else {
+			fmt.Printf("store %s is empty; serving 503s on %s until a build is published\n", *dir, *addr)
+		}
+		return runServe(ctx, *addr, srv, st, *watch)
 	}
-	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		return err
-	}
-	defer func() { err = errors.Join(err, stopProfiles()) }()
-
-	tr, finish, err := newTracer(*trace, *metrics)
-	if err != nil {
-		return err
-	}
-	defer finish()
-
-	st, err := hitlistdb.OpenStore(*dir, hitlistdb.StoreTelemetry(tr.Registry()))
-	if err != nil {
-		return err
-	}
-	srv, err := serve.New(st,
-		serve.WithTelemetry(tr.Registry()),
-		serve.WithMaxBulk(*maxBulk),
-		serve.WithMaxWalk(*maxWalk))
-	if err != nil {
-		return err
-	}
-	if gen := st.Generation(); gen > 0 {
-		fmt.Printf("serving generation %d from %s on %s\n", gen, *dir, *addr)
-	} else {
-		fmt.Printf("store %s is empty; serving 503s on %s until a build is published\n", *dir, *addr)
-	}
-
-	ctx, stop := signalContext()
-	defer stop()
-	interval := time.Duration(0)
-	if *watch {
-		interval = *watchInterval
-	}
-	return runServe(ctx, *addr, srv, st, interval)
 }
 
 // Bounds on what one client connection can hold of the daemon. There is

@@ -19,7 +19,7 @@ import (
 func TestCmdBuildDB(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	args := append([]string{"-dir", dir}, smallEnv...)
-	if err := cmdBuildDB(args); err != nil {
+	if err := execute(context.Background(), "build-db", args...); err != nil {
 		t.Fatal(err)
 	}
 	st, err := hitlistdb.OpenStore(dir)
@@ -32,7 +32,7 @@ func TestCmdBuildDB(t *testing.T) {
 	}
 
 	// A second build publishes generation 2.
-	if err := cmdBuildDB(args); err != nil {
+	if err := execute(context.Background(), "build-db", args...); err != nil {
 		t.Fatal(err)
 	}
 	if _, swapped, err := st.Refresh(); err != nil || !swapped {
@@ -48,7 +48,7 @@ func TestCmdBuildDB(t *testing.T) {
 // publish, and context cancellation shuts the daemon down cleanly.
 func TestRunServeEndToEnd(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
-	if err := cmdBuildDB(append([]string{"-dir", dir}, smallEnv...)); err != nil {
+	if err := execute(context.Background(), "build-db", append([]string{"-dir", dir}, smallEnv...)...); err != nil {
 		t.Fatal(err)
 	}
 
@@ -125,7 +125,7 @@ func waitGeneration(t *testing.T, base string, want uint64) {
 // refresh counter is the watcher's observable heartbeat. Run under -race.
 func TestRunServeListenFailureStopsWatcher(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
-	if err := cmdBuildDB(append([]string{"-dir", dir}, smallEnv...)); err != nil {
+	if err := execute(context.Background(), "build-db", append([]string{"-dir", dir}, smallEnv...)...); err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
@@ -239,7 +239,7 @@ func TestCmdServeBadDir(t *testing.T) {
 	if err := os.WriteFile(f, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdServe([]string{"-dir", f}); err == nil {
+	if err := execute(context.Background(), "serve", "-dir", f); err == nil {
 		t.Fatal("serve accepted a non-directory store")
 	}
 }

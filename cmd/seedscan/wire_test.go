@@ -100,7 +100,7 @@ func TestCmdScanClusterChain(t *testing.T) {
 
 	args := append([]string{"-source", "Umbrella", "-cluster", ln.Addr().String(),
 		"-wire-taps", "-wire-faults", "loss=0.3,dup=0.05"}, smallEnv...)
-	if err := cmdScan(args); err != nil {
+	if err := execute(context.Background(), "scan", args...); err != nil {
 		t.Fatal(err)
 	}
 	c := reg.Snapshot().Counters

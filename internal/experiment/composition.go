@@ -147,18 +147,9 @@ func (s *datasetSummary) RenderWithPaper() string {
 		}
 		return fmtPct(float64(n) / float64(d))
 	}
-	for _, src := range seeds.AllSources {
-		var row *datasetSummaryRow
-		for i := range s.Rows {
-			if s.Rows[i].Source == src.String() {
-				row = &s.Rows[i]
-				break
-			}
-		}
-		if row == nil {
-			continue
-		}
-		m := seeds.Meta[src]
+	// The first len(seeds.AllSources) rows are the sources, in that order.
+	for i, src := range seeds.AllSources {
+		row, m := s.Rows[i], seeds.Meta[src]
 		t.AddRow(row.Source, FmtInt(row.Unique),
 			pct(row.Dealiased, row.Unique), pct(m.PaperDealiased, m.PaperUnique),
 			pct(row.ActiveAny, row.Unique), pct(m.PaperActive, m.PaperUnique))
