@@ -99,6 +99,21 @@ func traceMetrics(t *testing.T, path string) telemetry.Snapshot {
 // TestMetricsFlag: -metrics prints the final metric values to stdout
 // after the command's own output.
 func TestMetricsFlag(t *testing.T) {
+	var err error
+	b := stdoutOf(t, func() {
+		err = execute(context.Background(), "dealias", append([]string{"-metrics"}, smallEnv...)...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, metrics, ok := strings.Cut(string(b), "dealiasing:"); !ok || !regexp.MustCompile(`(?m)^telemetry metrics$[\s\S]*^\s+alias\.probes_sent\s+[1-9]`).MatchString(metrics) {
+		t.Fatalf("no alias.probes_sent count after the dealias summary:\n%s", b)
+	}
+}
+
+// stdoutOf returns what f writes to os.Stdout.
+func stdoutOf(t *testing.T, f func()) string {
+	t.Helper()
 	out, err := os.CreateTemp(t.TempDir(), "stdout")
 	if err != nil {
 		t.Fatal(err)
@@ -106,17 +121,32 @@ func TestMetricsFlag(t *testing.T) {
 	defer out.Close()
 	stdout := os.Stdout
 	os.Stdout = out
-	err = execute(context.Background(), "dealias", append([]string{"-metrics"}, smallEnv...)...)
+	f()
 	os.Stdout = stdout
-	if err != nil {
-		t.Fatal(err)
-	}
 	b, err := os.ReadFile(out.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, metrics, ok := strings.Cut(string(b), "dealiasing:"); !ok || !regexp.MustCompile(`(?m)^telemetry metrics$[\s\S]*^\s+alias\.probes_sent\s+[1-9]`).MatchString(metrics) {
-		t.Fatalf("no alias.probes_sent count after the dealias summary:\n%s", b)
+	return string(b)
+}
+
+// TestRunSeedsName: run takes -seeds through experiment.ParseTreatment,
+// so a protocol spelled as -proto spells it runs the canonical treatment,
+// and an unknown name exits 2 before the environment is built or the
+// running line printed.
+func TestRunSeedsName(t *testing.T) {
+	var code int
+	out := stdoutOf(t, func() {
+		code = run(append([]string{"run", "-seeds", "port-active:tcp443", "-budget", "300"}, smallEnv...))
+	})
+	if code != 0 || !strings.Contains(out, `seed treatment "port-active:TCP443"`) {
+		t.Fatalf("-seeds port-active:tcp443: exit %d, output:\n%s", code, out)
+	}
+	out = stdoutOf(t, func() {
+		code = run(append([]string{"run", "-seeds", "port-active:gopher"}, smallEnv...))
+	})
+	if code != 2 || out != "" {
+		t.Fatalf("-seeds port-active:gopher: exit %d, want 2 with no output; output:\n%s", code, out)
 	}
 }
 

@@ -117,10 +117,7 @@ func execute(parent context.Context, name string, args ...string) (err error) {
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	for _, pair := range c.exclusive {
 		if set[pair[0]] && set[pair[1]] {
-			err := fmt.Errorf("-%s and -%s cannot be used together", pair[0], pair[1])
-			fmt.Fprintln(fs.Output(), err)
-			fs.Usage()
-			return usageError{err}
+			return usageErr(fs, fmt.Errorf("-%s and -%s cannot be used together", pair[0], pair[1]))
 		}
 	}
 	ctx, tr, finish, err := life.Start(parent, os.Stdout)
@@ -129,6 +126,14 @@ func execute(parent context.Context, name string, args ...string) (err error) {
 	}
 	defer func() { err = errors.Join(err, finish()) }()
 	return do(ctx, tr)
+}
+
+// usageErr reports err, and fs's usage text, on fs's output, and returns
+// it as a usageError.
+func usageErr(fs *flag.FlagSet, err error) error {
+	fmt.Fprintln(fs.Output(), err)
+	fs.Usage()
+	return usageError{err}
 }
 
 // flagSet builds c's flag set: its lifecycle flags and its own.
@@ -286,6 +291,10 @@ func cmdRun(fs *flag.FlagSet) body {
 		"seed treatment, as experiments -list-cells names it: full, all-active, dealiased:MODE, port-active:PROTO or source-active:SOURCE")
 	checkpoint := fs.String("checkpoint", "", "checkpoint the run as a grid cell in this JSONL store (reruns load instead of scanning)")
 	return func(ctx context.Context, tr *telemetry.Tracer) error {
+		t, err := experiment.ParseTreatment(*treatment)
+		if err != nil {
+			return usageErr(fs, fmt.Errorf("-seeds: %w", err))
+		}
 		p, err := proto.Parse(*protoName)
 		if err != nil {
 			return err
@@ -303,9 +312,6 @@ func cmdRun(fs *flag.FlagSet) body {
 			cfg.GridStore = store
 		}
 		env := experiment.NewEnv(cfg)
-		t := grid.Treatment(*treatment)
-		// The cell resolves t through env.TreatmentSeeds, which refuses a
-		// name the grid does not have.
 		spec := env.SpecOneCell(*gen, t, p, *budget)
 		fmt.Printf("running %s on seed treatment %q, %s, budget %d\n", *gen, t, p, *budget)
 		rs, err := env.Grid().Run(ctx, spec)

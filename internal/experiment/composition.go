@@ -39,7 +39,7 @@ func (e *Env) datasetSummary() *datasetSummary {
 		r.ASes = ds.ASCount(db)
 		r.Dealiased = ds.Intersect(seeds.FromSet("", dealiased.Addrs), "").Len()
 		for _, p := range proto.All {
-			r.Active[p] = ds.Restrict("", e.seedActive(p)).Len()
+			r.Active[p] = ds.Restrict("", e.PortActiveSeeds(p).Addrs).Len()
 		}
 		act := ds.Restrict("", allActive.Addrs)
 		r.ActiveAny = act.Len()

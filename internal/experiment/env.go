@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -135,16 +136,24 @@ type Env struct {
 	// Lazily computed treatment caches: grid cells resolve treatments
 	// concurrently and cold, and the first resolver builds while the rest
 	// wait (no caller-side pre-warming). Their builds never fail, so their
-	// callers wait without a deadline; cross-key builds (seedActive on
+	// callers wait without a deadline; cross-key builds (PortActiveSeeds on
 	// dealiasedSeeds) are fine, as memo.Map holds no lock while building.
-	dealiased   memo.Map[alias.Mode, *seeds.Dataset]
-	activeByP   memo.Map[proto.Protocol, *ipaddr.Set]
-	allActive   memo.Map[struct{}, *seeds.Dataset]
-	outDealiase memo.Map[proto.Protocol, *alias.Dealiaser]
+	// Every dataset they hold is shared and read-only.
+	dealiased    memo.Map[alias.Mode, *seeds.Dataset]
+	activeByP    memo.Map[proto.Protocol, *seeds.Dataset]
+	allActive    memo.Map[struct{}, *seeds.Dataset]
+	sourceActive memo.Map[seeds.Source, *seeds.Dataset]
+	outDealiase  memo.Map[proto.Protocol, *alias.Dealiaser]
 	// models caches mined TGA seed models across runs: grid cells that fix
 	// the seed treatment and vary only the protocol (the paper's own
 	// methodology) reuse the model instead of re-mining it per cell.
 	models *modelcache.Cache
+	// runs memoises cell execution by seed content: cells whose treatments
+	// resolve to the same addresses (dealiased:none is always full) share
+	// one TGA run and its CellResult.
+	runs memo.Map[runKey, seedRun]
+	// sharedRuns counts the cells whose result came from another cell's run.
+	sharedRuns *telemetry.Counter
 
 	// gridEngine schedules every spec's cells (lazily built: the
 	// fingerprint digests the collected corpus).
@@ -188,6 +197,8 @@ func NewEnv(cfg EnvConfig) *Env {
 		Full:    full,
 		Offline: alias.NewOfflineList(listed),
 		models:  modelcache.New(),
+
+		sharedRuns: tr.Registry().Counter("experiment.cells.shared_seeds"),
 	}
 	e.Prober = e.Scanner
 	if cfg.ClusterWorkers > 1 {
@@ -216,7 +227,7 @@ func (e *Env) Fingerprint() string {
 	c := e.Cfg
 	fp := fmt.Sprintf("w%d-a%d-l%g-c%d-s%g-o%g-k%x-d%016x",
 		c.WorldSeed, c.NumASes, lossRate, c.CollectSeed, c.CollectScale,
-		offlineCoverage, c.ScanSecret, ipaddr.Digest(e.Full.SortedSlice()))
+		offlineCoverage, c.ScanSecret, e.Full.Digest())
 	if w := c.Wire.Fingerprint(); w != "" {
 		fp += "|" + w
 	}
@@ -263,39 +274,37 @@ func (e *Env) dealiasedSeeds(mode alias.Mode) *seeds.Dataset {
 	return ds
 }
 
-// seedActive scans the joint-dealiased seeds on p and caches the
-// responsive subset; concurrent cold calls scan once.
-func (e *Env) seedActive(p proto.Protocol) *ipaddr.Set {
-	set, _, _ := e.activeByP.Do(context.Background(), p, func() (*ipaddr.Set, error) {
-		base := e.dealiasedSeeds(alias.ModeJoint)
-		return ipaddr.NewSet(e.Prober.ScanActive(base.Slice(), p)...), nil
-	})
-	return set
-}
-
 // AllActiveSeeds returns RQ1.b's "All Active" dataset: joint-dealiased
 // seeds responsive on at least one studied protocol at scan time.
 func (e *Env) AllActiveSeeds() *seeds.Dataset {
 	ds, _, _ := e.allActive.Do(context.Background(), struct{}{}, func() (*seeds.Dataset, error) {
 		u := ipaddr.NewSet()
 		for _, p := range proto.All {
-			u.AddSet(e.seedActive(p))
+			u.AddSet(e.PortActiveSeeds(p).Addrs)
 		}
 		return seeds.FromSet("All Active", u), nil
 	})
 	return ds
 }
 
-// PortActiveSeeds returns RQ2's port-specific dataset: seeds responsive on
-// exactly the probed protocol.
+// PortActiveSeeds returns RQ2's port-specific dataset: the joint-dealiased
+// seeds responsive on exactly the probed protocol. It is scanned once and
+// cached; concurrent cold calls scan once, and the dataset is shared.
 func (e *Env) PortActiveSeeds(p proto.Protocol) *seeds.Dataset {
-	return seeds.FromSet("Active/"+p.String(), e.seedActive(p).Clone())
+	ds, _, _ := e.activeByP.Do(context.Background(), p, func() (*seeds.Dataset, error) {
+		base := e.dealiasedSeeds(alias.ModeJoint)
+		return seeds.FromAddrs("Active/"+p.String(), e.Prober.ScanActive(base.Slice(), p)), nil
+	})
+	return ds
 }
 
 // sourceActiveSeeds returns RQ3's per-source dataset: the source's
-// addresses that are in the All Active set.
+// addresses that are in the All Active set. Results are cached.
 func (e *Env) sourceActiveSeeds(src seeds.Source) *seeds.Dataset {
-	return e.Sources[src].Restrict(src.String()+"/active", e.AllActiveSeeds().Addrs)
+	ds, _, _ := e.sourceActive.Do(context.Background(), src, func() (*seeds.Dataset, error) {
+		return e.Sources[src].Restrict(src.String()+"/active", e.AllActiveSeeds().Addrs), nil
+	})
+	return ds
 }
 
 // tgaResult couples a run's raw output with its measured outcome.
@@ -343,23 +352,59 @@ func excludedASN(p proto.Protocol) int {
 	return 0
 }
 
+// runKey is a cell's computation: the cell's parameters with the
+// treatment replaced by the content of the seeds it resolves to.
+type runKey struct {
+	gen           string
+	n             int
+	digest        uint64
+	proto         proto.Protocol
+	budget, batch int
+}
+
+// seedRun is one memoised TGA run and the seeds it ran on, against which
+// a later cell confirms that its digest match is an equal seed list.
+type seedRun struct {
+	seeds []ipaddr.Addr
+	res   grid.CellResult
+}
+
 // runCell executes one grid cell: resolve the treatment to its seed list,
 // run the generator, and measure. An empty treatment (a seed source with
 // no responsive addresses) yields the zero result without running — the
-// same skip the bespoke per-RQ drivers applied. RunCell is the Env's
-// grid executor; callers normally go through Grid().Run, which adds
-// dedup, checkpointing, and resume.
+// same skip the bespoke per-RQ drivers applied. Cells whose treatments
+// resolve to equal seed lists run once and share the result
+// (experiment.cells.shared_seeds counts the sharers). runCell is the
+// Env's grid executor; callers normally go through Grid().Run, which adds
+// dedup by cell identity, checkpointing, and resume.
 func (e *Env) runCell(ctx context.Context, c grid.Cell) (grid.CellResult, error) {
-	seedSet, err := e.TreatmentSeeds(c.Treatment)
+	ds, err := e.treatment(c.Treatment)
 	if err != nil {
 		return grid.CellResult{}, err
 	}
+	seedSet := ds.SortedSlice()
 	if len(seedSet) == 0 {
 		return grid.CellResult{}, nil
 	}
-	r, err := e.runTGA(ctx, c.Gen, seedSet, c.Proto, c.Budget, c.BatchSize)
-	if err != nil {
-		return grid.CellResult{}, err
+	run := func() (grid.CellResult, error) {
+		r, err := e.runTGA(ctx, c.Gen, seedSet, c.Proto, c.Budget, c.BatchSize)
+		if err != nil {
+			return grid.CellResult{}, err
+		}
+		return grid.CellResult{Outcome: r.Outcome, Hits: r.Run.Hits}, nil
 	}
-	return grid.CellResult{Outcome: r.Outcome, Hits: r.Run.Hits}, nil
+	k := runKey{c.Gen, len(seedSet), ds.Digest(), c.Proto, c.Budget, c.BatchSize}
+	sr, shared, err := e.runs.Do(ctx, k, func() (seedRun, error) {
+		res, err := run()
+		return seedRun{seeds: seedSet, res: res}, err
+	})
+	if err != nil || !shared {
+		return sr.res, err
+	}
+	if !slices.Equal(sr.seeds, seedSet) {
+		// Two seed lists with one digest: run this one on its own.
+		return run()
+	}
+	e.sharedRuns.Inc()
+	return sr.res, nil
 }

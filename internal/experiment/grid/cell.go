@@ -9,13 +9,17 @@
 // an interrupted run resumes where it stopped with byte-identical
 // results.
 //
-// Cells are content-addressed: a cell's key is a pure function of the
-// environment fingerprint (the EnvConfig knobs that determine outcomes,
-// plus an ipaddr.Digest of the collected seed corpus) and the cell's own
-// parameters. Two processes with the same configuration derive the same
-// keys, which is what makes an on-disk Store shareable across runs — and
-// what makes a stale store harmless under a different configuration: the
-// fingerprints differ, so no key matches.
+// Cells are addressed by name, not by content: the engine dedups them by
+// Cell.ID, and the store keys them by the environment fingerprint (the
+// EnvConfig knobs that determine outcomes, plus an ipaddr.Digest of the
+// collected seed corpus) and Cell.ID. Two processes with the same
+// configuration derive the same keys, which is what makes an on-disk
+// Store shareable across runs — and what makes a stale store harmless
+// under a different configuration: the fingerprints differ, so no key
+// matches. Two cells whose treatments name the same seed list keep two
+// IDs; it is the executor, which resolves treatments, that can memoise
+// execution by seed content (experiment.Env does), so planning stays
+// free of scanning.
 package grid
 
 import (
@@ -64,7 +68,9 @@ func (c Cell) Key(fingerprint string) string {
 // outcome plus the raw dealiased hit list, which the combined analyses
 // (Tables 5-6, Figure 6's greedy cover) union across cells. Hits are
 // stored unfiltered; protocol-specific AS exclusions happen inside the
-// Outcome, exactly as in the bespoke drivers this engine replaced.
+// Outcome, exactly as in the bespoke drivers this engine replaced. A
+// result may be shared — by every spec that names the cell, and by cells
+// an executor finds to be the same computation — so Hits is read-only.
 type CellResult struct {
 	Outcome metrics.Outcome
 	Hits    []ipaddr.Addr

@@ -4,11 +4,13 @@ import (
 	"context"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"seedscan/internal/alias"
 	"seedscan/internal/experiment/grid"
+	"seedscan/internal/metrics"
 	"seedscan/internal/proto"
 	"seedscan/internal/seeds"
 	"seedscan/internal/telemetry"
@@ -25,7 +27,7 @@ func TestTreatmentCachesColdConcurrent(t *testing.T) {
 	deal := make([]*seeds.Dataset, n)
 	allA := make([]*seeds.Dataset, n)
 	outd := make([]*alias.Dealiaser, n)
-	port := make([]int, n)
+	port := make([]*seeds.Dataset, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -33,7 +35,7 @@ func TestTreatmentCachesColdConcurrent(t *testing.T) {
 			p := proto.All[i%len(proto.All)]
 			deal[i] = e.dealiasedSeeds(alias.ModeJoint)
 			outd[i] = e.OutputDealiaser(p)
-			port[i] = e.PortActiveSeeds(p).Len()
+			port[i] = e.PortActiveSeeds(p)
 			allA[i] = e.AllActiveSeeds()
 		}(i)
 	}
@@ -50,7 +52,7 @@ func TestTreatmentCachesColdConcurrent(t *testing.T) {
 				t.Fatalf("OutputDealiaser(%s) built more than once", proto.All[i%len(proto.All)])
 			}
 			if port[i] != port[j] {
-				t.Fatalf("PortActiveSeeds(%s) disagrees across goroutines", proto.All[i%len(proto.All)])
+				t.Fatalf("PortActiveSeeds(%s) built more than once", proto.All[i%len(proto.All)])
 			}
 		}
 	}
@@ -250,5 +252,169 @@ func TestResumeEquivalence(t *testing.T) {
 	}
 	if got := snap.Counters["grid.cells.run"]; got != 2 {
 		t.Fatalf("grid.cells.run = %d, want 2", got)
+	}
+}
+
+// TestEqualSeedsRunOnce: cells whose treatments resolve to equal seed
+// lists share one TGA run. On this world dealiased:none is full and
+// dealiased:cooldown is dealiased:online, so one spec of the four for two
+// generators runs 2 × 2 generators, not 2 × 4, even at two grid workers
+// where equal-seed cells run at once (run with -race). Every cell must
+// still read what running it alone, with no memo, gives.
+func TestEqualSeedsRunOnce(t *testing.T) {
+	sink := &memSink{}
+	tr := telemetry.NewTracer(nil, sink)
+	const budget = 500
+	e := NewEnv(EnvConfig{NumASes: 80, CollectScale: 0.25, Budget: budget, workers: 2, Telemetry: tr})
+	pairs := [][2]grid.Treatment{
+		{TreatmentFull, TreatmentDealiased(alias.ModeNone)},
+		{TreatmentDealiased(alias.ModeOnline), TreatmentDealiased(alias.ModeCooldown)},
+	}
+	spec := grid.Spec{Name: "equal seeds"}
+	for _, gen := range []string{"6Tree", "EIP"} {
+		for _, pair := range pairs {
+			for _, tm := range pair {
+				spec.Cells = append(spec.Cells, grid.Cell{Gen: gen, Treatment: tm, Proto: proto.ICMP, Budget: budget, BatchSize: experimentBatchSize})
+			}
+		}
+	}
+	rs, err := e.Grid().Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range pairs {
+		a, err := e.TreatmentSeeds(pair[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := e.TreatmentSeeds(pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(a, b) {
+			t.Fatalf("%s and %s resolve to different seeds on this world: nothing to share", pair[0], pair[1])
+		}
+	}
+
+	runs := 0
+	for _, ev := range sink.events {
+		if ev.Type == "span_start" && ev.Name == "run" {
+			runs++
+		}
+	}
+	snap := tr.Registry().Snapshot()
+	if runs != 4 || snap.Counters["experiment.cells.shared_seeds"] != 4 || snap.Counters["grid.cells.run"] != 8 {
+		t.Fatalf("%d TGA runs, %d cells shared, %d executed; want 4, 4 and 8",
+			runs, snap.Counters["experiment.cells.shared_seeds"], snap.Counters["grid.cells.run"])
+	}
+
+	direct := NewEnv(EnvConfig{NumASes: 80, CollectScale: 0.25, Budget: budget})
+	hits := 0
+	for _, c := range spec.Cells {
+		seedSet, err := direct.TreatmentSeeds(c.Treatment)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := direct.runTGA(context.Background(), c.Gen, seedSet, c.Proto, c.Budget, c.BatchSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := grid.CellResult{Outcome: r.Outcome, Hits: r.Run.Hits}
+		if got := rs.Of(c); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cell %s: %+v, %d hits; run alone: %+v, %d hits", c.ID(), got.Outcome, len(got.Hits), want.Outcome, len(want.Hits))
+		}
+		hits += len(want.Hits)
+	}
+	if hits == 0 {
+		t.Fatal("no cell found a hit: nothing was compared")
+	}
+}
+
+// TestDigestCollisionRunsUncached: a run memoised under a cell's key but
+// made on other seeds, as a digest collision would leave it, is not
+// handed to the cell; the cell runs on its own seeds, uncached.
+func TestDigestCollisionRunsUncached(t *testing.T) {
+	const budget = 300
+	e := NewEnv(EnvConfig{NumASes: 80, CollectScale: 0.25, Budget: budget})
+	ctx := context.Background()
+	c := grid.Cell{Gen: "6Tree", Treatment: TreatmentFull, Proto: proto.ICMP, Budget: budget, BatchSize: experimentBatchSize}
+	seedSet := e.Full.SortedSlice()
+	other := slices.Clone(seedSet)
+	other[0] = other[len(other)-1]
+	k := runKey{c.Gen, len(seedSet), e.Full.Digest(), c.Proto, c.Budget, c.BatchSize}
+	if _, _, err := e.runs.Do(ctx, k, func() (seedRun, error) {
+		return seedRun{seeds: other, res: grid.CellResult{Outcome: metrics.Outcome{Hits: -1}}}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.runCell(ctx, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := e.runTGA(ctx, c.Gen, seedSet, c.Proto, c.Budget, c.BatchSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (grid.CellResult{Outcome: r.Outcome, Hits: r.Run.Hits}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cell read %+v, want its own run's %+v", got.Outcome, want.Outcome)
+	}
+}
+
+// TestWarmTreatmentSeedsAllocatesNothing: once a treatment is resolved,
+// every kind of it comes back from its cache — no clone, no re-restrict,
+// no re-sort — and so does the digest a cell's run key reads.
+func TestWarmTreatmentSeedsAllocatesNothing(t *testing.T) {
+	e := testEnv(t)
+	ts := []grid.Treatment{TreatmentFull, TreatmentAllActive}
+	for _, m := range alias.Modes {
+		ts = append(ts, TreatmentDealiased(m))
+	}
+	for _, p := range proto.All {
+		ts = append(ts, TreatmentPortActive(p))
+	}
+	for _, src := range seeds.AllSources {
+		ts = append(ts, treatmentSourceActive(src))
+	}
+	for _, tm := range ts {
+		first, err := e.TreatmentSeeds(tm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(20, func() {
+			// Both calls succeeded cold; a warm one reads the same caches.
+			got, _ := e.TreatmentSeeds(tm)
+			if len(got) != len(first) || (len(got) > 0 && &got[0] != &first[0]) {
+				t.Fatalf("%s: a warm call returned another slice", tm)
+			}
+			ds, _ := e.treatment(tm)
+			ds.Digest()
+		})
+		if n != 0 {
+			t.Errorf("warm TreatmentSeeds(%s) allocates %v times, want 0", tm, n)
+		}
+	}
+}
+
+// TestParseTreatment: every treatment the grid names parses to itself, a
+// protocol spelled as the -proto flags spell it is canonicalised, and
+// anything else is refused.
+func TestParseTreatment(t *testing.T) {
+	for name := range treatments {
+		if got, err := ParseTreatment(string(name)); err != nil || got != name {
+			t.Errorf("ParseTreatment(%q) = %q, %v", name, got, err)
+		}
+	}
+	for name, want := range map[string]grid.Treatment{
+		"port-active:tcp443": "port-active:TCP443",
+		"port-active:icmp":   "port-active:ICMP",
+	} {
+		if got, err := ParseTreatment(name); err != nil || got != want {
+			t.Errorf("ParseTreatment(%q) = %q, %v; want %q", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "everything", "dealiased:", "dealiased:Joint", "port-active:gopher", string(treatmentScannedPort), "source-active:Nowhere", "full:"} {
+		if got, err := ParseTreatment(bad); err == nil {
+			t.Errorf("ParseTreatment(%q) = %q, want an error", bad, got)
+		}
 	}
 }

@@ -39,38 +39,61 @@ func treatmentSourceActive(src seeds.Source) grid.Treatment {
 	return grid.Treatment("source-active:" + src.String())
 }
 
-// TreatmentSeeds resolves a treatment to its canonical (sorted) seed
-// list, building and caching the underlying dataset on first use. Safe
-// for concurrent cold calls — every cache on the resolution path is a
-// memo.Map.
-func (e *Env) TreatmentSeeds(t grid.Treatment) ([]ipaddr.Addr, error) {
-	s := string(t)
-	switch {
-	case t == TreatmentFull:
-		return e.Full.SortedSlice(), nil
-	case t == TreatmentAllActive:
-		return e.AllActiveSeeds().SortedSlice(), nil
-	case strings.HasPrefix(s, "dealiased:"):
-		rest := strings.TrimPrefix(s, "dealiased:")
-		for _, m := range alias.Modes {
-			if m.String() == rest {
-				return e.dealiasedSeeds(m).SortedSlice(), nil
-			}
-		}
-	case strings.HasPrefix(s, "port-active:"):
-		rest := strings.TrimPrefix(s, "port-active:")
-		for _, p := range proto.All {
-			if p.String() == rest {
-				return e.PortActiveSeeds(p).SortedSlice(), nil
-			}
-		}
-	case strings.HasPrefix(s, "source-active:"):
-		rest := strings.TrimPrefix(s, "source-active:")
-		for _, src := range seeds.AllSources {
-			if src.String() == rest {
-				return e.sourceActiveSeeds(src).SortedSlice(), nil
-			}
+// treatments maps every canonical treatment name to the Env cache that
+// resolves it.
+var treatments = func() map[grid.Treatment]func(*Env) *seeds.Dataset {
+	m := map[grid.Treatment]func(*Env) *seeds.Dataset{
+		TreatmentFull:      func(e *Env) *seeds.Dataset { return e.Full },
+		TreatmentAllActive: (*Env).AllActiveSeeds,
+	}
+	for _, mode := range alias.Modes {
+		m[TreatmentDealiased(mode)] = func(e *Env) *seeds.Dataset { return e.dealiasedSeeds(mode) }
+	}
+	for _, p := range proto.All {
+		m[TreatmentPortActive(p)] = func(e *Env) *seeds.Dataset { return e.PortActiveSeeds(p) }
+	}
+	for _, src := range seeds.AllSources {
+		m[treatmentSourceActive(src)] = func(e *Env) *seeds.Dataset { return e.sourceActiveSeeds(src) }
+	}
+	return m
+}()
+
+// ParseTreatment checks a treatment name and returns its canonical
+// spelling, the one grid cells are keyed by: full, all-active,
+// dealiased:MODE, port-active:PROTO or source-active:SOURCE. PROTO may be
+// given as the -proto flags spell it (port-active:tcp443 is
+// port-active:TCP443); any other name is an error.
+func ParseTreatment(name string) (grid.Treatment, error) {
+	t := grid.Treatment(name)
+	if _, ok := treatments[t]; ok {
+		return t, nil
+	}
+	if arg, ok := strings.CutPrefix(name, "port-active:"); ok {
+		if p, err := proto.Parse(arg); err == nil {
+			return TreatmentPortActive(p), nil
 		}
 	}
-	return nil, fmt.Errorf("experiment: unknown treatment %q", t)
+	return "", fmt.Errorf("experiment: unknown treatment %q", name)
+}
+
+// TreatmentSeeds resolves a treatment to its canonical (sorted) seed
+// list, building and caching the underlying dataset on first use; later
+// calls return the cached slice, which callers must not modify. Safe for
+// concurrent cold calls — every cache on the resolution path is a
+// memo.Map.
+func (e *Env) TreatmentSeeds(t grid.Treatment) ([]ipaddr.Addr, error) {
+	ds, err := e.treatment(t)
+	if err != nil {
+		return nil, err
+	}
+	return ds.SortedSlice(), nil
+}
+
+// treatment resolves t to its cached dataset.
+func (e *Env) treatment(t grid.Treatment) (*seeds.Dataset, error) {
+	t, err := ParseTreatment(string(t))
+	if err != nil {
+		return nil, err
+	}
+	return treatments[t](e), nil
 }

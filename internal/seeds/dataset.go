@@ -15,6 +15,8 @@ type Dataset struct {
 
 	sortOnce   sync.Once
 	sortedView []ipaddr.Addr
+	digestOnce sync.Once
+	digest     uint64
 }
 
 // NewDataset builds an empty dataset.
@@ -52,6 +54,14 @@ func (d *Dataset) SortedSlice() []ipaddr.Addr {
 		d.sortedView = s
 	})
 	return d.sortedView
+}
+
+// Digest is ipaddr.Digest of SortedSlice, computed once and cached
+// beside it: a content key under which datasets holding the same
+// addresses are equal, whatever their names or insertion orders.
+func (d *Dataset) Digest() uint64 {
+	d.digestOnce.Do(func() { d.digest = ipaddr.Digest(d.SortedSlice()) })
+	return d.digest
 }
 
 // Intersect returns a new dataset with the common addresses.

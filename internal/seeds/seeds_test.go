@@ -147,6 +147,12 @@ func TestDatasetAlgebra(t *testing.T) {
 	if r.Len() != 1 || !r.Addrs.Contains(ipaddr.MustParse("::2")) {
 		t.Fatal("Restrict wrong")
 	}
+	// Digest keys content: the same addresses in another order under
+	// another name digest alike, other addresses do not.
+	ba := FromAddrs("ba", []ipaddr.Addr{ipaddr.MustParse("::2"), ipaddr.MustParse("::1")})
+	if a.Digest() != ba.Digest() || a.Digest() == b.Digest() || a.Digest() == r.Digest() {
+		t.Fatalf("digests a %x, ba %x, b %x, r %x", a.Digest(), ba.Digest(), b.Digest(), r.Digest())
+	}
 }
 
 func TestFullDatasetComposition(t *testing.T) {

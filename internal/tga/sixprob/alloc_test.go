@@ -3,6 +3,7 @@
 package sixprob
 
 import (
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -12,20 +13,26 @@ import (
 // model and a run's frontier cost only hold without it.
 
 // allocated reports what f allocates per call, in bytes and in heap
-// objects, averaged over runs calls after one warm-up call. Collection is
-// off while it counts: a collection can add a stray runtime allocation.
+// objects: the least of runs calls, each measured on its own, after one
+// warm-up call. MemStats counts the whole process, so an allocation by
+// another goroutine lands in whichever call it overlaps; such a stray
+// only ever adds, while what f itself allocates shows in every call.
+// Collection is off while it counts: a collection can add a stray
+// runtime allocation.
 func allocated(runs int, f func()) (bytes, objects float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	f()
+	bytes, objects = math.Inf(1), math.Inf(1)
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
+		runtime.ReadMemStats(&before)
 		f()
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc))
+		objects = min(objects, float64(after.Mallocs-before.Mallocs))
 	}
-	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs),
-		float64(after.Mallocs-before.Mallocs) / float64(runs)
+	return bytes, objects
 }
 
 // TestBuildModelAllocations pins the trie to one flat allocation: at most
