@@ -26,21 +26,47 @@ func TestCLI(t *testing.T) {
 	}
 }
 
-// TestExitStatus: a flag that does not parse exits 2, -h exits 0 and a
-// run that fails exits 1.
+// TestExitStatus: a command line refused before anything starts exits 2
+// with the usage text on stderr, nothing on stdout and an existing -trace
+// file as it was; -h exits 0 and a run that fails exits 1.
 func TestExitStatus(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "t.jsonl")
+	old := []byte(`{"an":"earlier run"}` + "\n")
+	if err := os.WriteFile(trace, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		args []string
 		want int
 	}{
 		{[]string{"-nosuch"}, 2},
 		{[]string{"-budget", "many"}, 2},
+		// An unknown name for each flag that names something.
+		{[]string{"-protos", "gopher"}, 2},
+		{[]string{"-protos", ""}, 2},
+		{[]string{"-gens", "9Tree"}, 2},
+		{[]string{"-run", "nosuch"}, 2},
+		// One past each range edge.
+		{[]string{"-ases", "0"}, 2},
+		{[]string{"-ases", "-3"}, 2},
+		{[]string{"-scale", "0"}, 2},
+		{[]string{"-scale", "-1"}, 2},
+		{[]string{"-scale", "NaN"}, 2},
+		{[]string{"-budget", "0"}, 2},
+		{[]string{"-cluster-workers", "-2"}, 2},
 		{[]string{"-h"}, 0},
 		{append(slices.Clone(smallWorld), "-run", "table1", "-trace", filepath.Join(t.TempDir(), "no", "such", "dir")), 1},
 	} {
 		var stdout, stderr bytes.Buffer
-		if got := run(c.args, &stdout, &stderr); got != c.want {
-			t.Errorf("experiments %q: exit %d, want %d\n%s", c.args, got, c.want, stderr.String())
+		args := c.args
+		if c.want == 2 {
+			args = append([]string{"-trace", trace, "-list-cells"}, args...)
+		}
+		got := run(args, &stdout, &stderr)
+		if got != c.want {
+			t.Errorf("experiments %q: exit %d, want %d\n%s", args, got, c.want, stderr.String())
+		} else if b, _ := os.ReadFile(trace); got == 2 && (stdout.Len() != 0 || !strings.Contains(stderr.String(), "Usage of experiments") || !bytes.Equal(b, old)) {
+			t.Errorf("experiments %q: exit 2 with stdout %q, trace %q and stderr:\n%s", args, stdout.String(), b, stderr.String())
 		}
 	}
 }

@@ -3,7 +3,9 @@
 // are scaled-down defaults that preserve the paper's shape.
 //
 // cli.txt in this directory lists every flag with its type, default and
-// usage; TestCLI keeps it exact. -run takes "all" or a comma-separated
+// usage; TestCLI keeps it exact. fs.Parse parses and range-checks every
+// value, so exit status 2 means the command line was refused before
+// anything started or was written. -run takes "all" or a comma-separated
 // subset of experiment.Sections' names, run in table order:
 // table1,table3,table7,fig1,fig2,fig3,table4,fig4,fig5,table5,table6,raw,
 // fig6,fig7,rq5,rq5time,raw912,ablation ("all" leaves out raw912 and
@@ -16,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -26,6 +29,7 @@ import (
 	"seedscan/internal/experiment"
 	"seedscan/internal/experiment/grid"
 	"seedscan/internal/proto"
+	"seedscan/internal/telemetry"
 	"seedscan/internal/tga/all"
 )
 
@@ -62,145 +66,120 @@ func selectSections(list string) ([]experiment.Section, error) {
 	return selected, nil
 }
 
-// config is the parsed command line.
-type config struct {
-	budget, ases, clusterWorkers  int
-	scale                         float64
-	seed                          uint64
-	runList, protos, gens, resume string
-	listCells                     bool
-	life                          *profile.Flags
+// flags registers the command's flags on fs and returns the lifecycle
+// flags and the run they configure, for after fs.Parse accepts them: it
+// runs the selection under ctx with its telemetry going to tr.
+func flags(fs *flag.FlagSet) (*profile.Flags, func(ctx context.Context, tr *telemetry.Tracer, stdout io.Writer) error) {
+	life := profile.Register(fs, profile.All)
+	budget := profile.AtLeast(fs, "budget", 20000, 1, "per-TGA generation budget")
+	ases := profile.AtLeast(fs, "ases", 300, 1, "number of ASes in the simulated Internet")
+	scale := profile.Positive(fs, "scale", 1, math.MaxFloat64, "seed collection scale factor")
+	seed := fs.Uint64("seed", 42, "world seed")
+	sections := profile.Var(fs, "run", "all", "comma-separated sections to run: all, "+strings.Join(sectionNames(), ", "), selectSections)
+	protos := profile.Var(fs, "protos", "icmp", "protocols for the TGA sweeps (comma-separated, or 'all')", func(list string) ([]proto.Protocol, error) {
+		if list == "all" {
+			return proto.All[:], nil
+		}
+		ps, err := distinct("-protos", list, proto.Parse)
+		slices.Sort(ps) // proto.All order (the constants'), whatever the list's: every section walks them in it
+		return ps, err
+	})
+	gens := profile.Var(fs, "gens", "paper", "generators to sweep: 'paper' (the study set), 'extended' (adds AddrMiner and 6Prob), or a comma-separated list", func(list string) ([]string, error) {
+		if named, ok := map[string][]string{"paper": all.Names, "extended": all.ExtendedNames}[list]; ok {
+			return named, nil
+		}
+		return distinct("-gens", list, func(name string) (string, error) {
+			_, err := all.New(name)
+			return name, err
+		})
+	})
+	clusterWorkers := profile.AtLeast(fs, "cluster-workers", 0, 0, "fan scanning out across N in-process cluster workers (results unchanged)")
+	resume := fs.String("resume", "", "checkpoint completed grid cells under this directory and resume from them")
+	listCells := fs.Bool("list-cells", false, "print the deduplicated cell plan for the selection and exit")
+	return life, func(ctx context.Context, tr *telemetry.Tracer, stdout io.Writer) error {
+		params := experiment.Params{Budget: *budget, Protos: *protos, Gens: *gens}
+		start := time.Now()
+		fmt.Fprintf(stdout, "# seedscan experiments — budget=%d ases=%d scale=%g seed=%d gens=%s\n\n",
+			*budget, *ases, *scale, *seed, fs.Lookup("gens").Value)
+
+		var store grid.Store
+		if *resume != "" {
+			if err := os.MkdirAll(*resume, 0o755); err != nil {
+				return err
+			}
+			js, err := grid.OpenJSONL(filepath.Join(*resume, "cells.jsonl"))
+			if err != nil {
+				return err
+			}
+			defer js.Close()
+			store = js
+		}
+
+		env := experiment.NewEnv(experiment.EnvConfig{
+			WorldSeed: *seed, NumASes: *ases, CollectScale: *scale, Budget: *budget,
+			Telemetry: tr, ClusterWorkers: *clusterWorkers, GridStore: store,
+		})
+
+		if *listCells {
+			printCellPlan(stdout, env, *sections, params, store)
+			return nil
+		}
+		fmt.Fprintf(stdout, "world: %d regions, %d ASes, %d ground-truth aliased prefixes (%d listed offline)\n",
+			len(env.World.Regions()), env.World.ASDB().Len(),
+			len(env.World.AliasedPrefixes()), env.Offline.Len())
+		fmt.Fprintf(stdout, "seeds: %s unique across %d sources\n\n",
+			experiment.FmtInt(env.Full.Len()), len(env.Sources))
+
+		for _, s := range *sections {
+			if err := s.Run(ctx, env, params, stdout); err != nil {
+				return err
+			}
+		}
+
+		fmt.Fprintf(stdout, "done in %v; %s probe packets sent (virtual scan time %.1fs at 10k pps)\n",
+			time.Since(start).Round(time.Millisecond),
+			experiment.FmtInt(int(env.Scanner.Stats().PacketsSent.Load())),
+			env.Scanner.VirtualElapsed())
+		return nil
+	}
 }
 
-// flags registers the command's flags on fs.
-func flags(fs *flag.FlagSet) *config {
-	c := &config{life: profile.Register(fs, profile.All)}
-	fs.IntVar(&c.budget, "budget", 20000, "per-TGA generation budget")
-	fs.IntVar(&c.ases, "ases", 300, "number of ASes in the simulated Internet")
-	fs.Float64Var(&c.scale, "scale", 1, "seed collection scale factor")
-	fs.Uint64Var(&c.seed, "seed", 42, "world seed")
-	fs.StringVar(&c.runList, "run", "all", "comma-separated sections to run: all, "+strings.Join(sectionNames(), ", "))
-	fs.StringVar(&c.protos, "protos", "icmp", "protocols for the TGA sweeps (comma-separated, or 'all')")
-	fs.StringVar(&c.gens, "gens", "paper", "generators to sweep: 'paper' (the study set), 'extended' (adds AddrMiner and 6Prob), or a comma-separated list")
-	fs.IntVar(&c.clusterWorkers, "cluster-workers", 0, "fan scanning out across N in-process cluster workers (results unchanged)")
-	fs.StringVar(&c.resume, "resume", "", "checkpoint completed grid cells under this directory and resume from them")
-	fs.BoolVar(&c.listCells, "list-cells", false, "print the deduplicated cell plan for the selection and exit")
-	return c
+// distinct parses each entry of flag's comma-separated list, refusing an
+// entry named twice: it would print a section's rows twice.
+func distinct[T comparable](flag, list string, parse func(string) (T, error)) ([]T, error) {
+	var vs []T
+	for _, s := range strings.Split(list, ",") {
+		v, err := parse(strings.TrimSpace(s))
+		if err == nil && slices.Contains(vs, v) {
+			err = fmt.Errorf("%s names %v twice", flag, v)
+		}
+		if err != nil {
+			return nil, err
+		}
+		vs = append(vs, v)
+	}
+	return vs, nil
 }
 
 // run is main without the process: it parses args, runs the selection and
-// returns the exit code (2 for a flag the command cannot act on).
-func run(args []string, stdout, stderr io.Writer) (code int) {
+// returns the exit status: 2 for a command line refused before anything
+// started or was written, 1 for a run that failed.
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	c := flags(fs)
+	life, do := flags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return 2
 	}
-
-	selected, err := selectSections(c.runList)
-	params := experiment.Params{Budget: c.budget, Gens: all.Names}
-	if c.protos == "all" {
-		params.Protos = proto.All[:]
-	} else {
-		// Every section walks the protocols in proto.All order, whatever
-		// the list's.
-		var named [proto.Count]bool
-		for _, s := range strings.Split(c.protos, ",") {
-			switch p, perr := proto.Parse(strings.TrimSpace(s)); {
-			case perr != nil:
-				err = errors.Join(err, perr)
-			case named[p]:
-				err = errors.Join(err, fmt.Errorf("-protos names %s twice", p))
-			default:
-				named[p] = true
-			}
-		}
-		for _, p := range proto.All {
-			if named[p] {
-				params.Protos = append(params.Protos, p)
-			}
-		}
-	}
-	switch c.gens {
-	case "paper":
-	case "extended":
-		params.Gens = all.ExtendedNames
-	default:
-		params.Gens = nil
-		for _, s := range strings.Split(c.gens, ",") {
-			name := strings.TrimSpace(s)
-			_, gerr := all.New(name)
-			if gerr == nil && slices.Contains(params.Gens, name) {
-				gerr = fmt.Errorf("-gens names %s twice", name)
-			}
-			err = errors.Join(err, gerr)
-			params.Gens = append(params.Gens, name)
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-
-	fail := func(err error) int {
+	if err := life.Run(context.Background(), stdout, func(ctx context.Context, tr *telemetry.Tracer) error {
+		return do(ctx, tr, stdout)
+	}); err != nil {
 		fmt.Fprintln(stderr, "experiments:", err)
 		return 1
 	}
-	ctx, tr, finish, err := c.life.Start(context.Background(), stdout)
-	if err != nil {
-		return fail(err)
-	}
-	defer func() {
-		if err := finish(); err != nil && code == 0 {
-			code = fail(err)
-		}
-	}()
-	start := time.Now()
-	fmt.Fprintf(stdout, "# seedscan experiments — budget=%d ases=%d scale=%g seed=%d gens=%s\n\n",
-		c.budget, c.ases, c.scale, c.seed, c.gens)
-
-	var store grid.Store
-	if c.resume != "" {
-		if err := os.MkdirAll(c.resume, 0o755); err != nil {
-			return fail(err)
-		}
-		js, err := grid.OpenJSONL(filepath.Join(c.resume, "cells.jsonl"))
-		if err != nil {
-			return fail(err)
-		}
-		defer js.Close()
-		store = js
-	}
-
-	env := experiment.NewEnv(experiment.EnvConfig{
-		WorldSeed: c.seed, NumASes: c.ases, CollectScale: c.scale, Budget: c.budget,
-		Telemetry: tr, ClusterWorkers: c.clusterWorkers, GridStore: store,
-	})
-
-	if c.listCells {
-		printCellPlan(stdout, env, selected, params, store)
-		return 0
-	}
-	fmt.Fprintf(stdout, "world: %d regions, %d ASes, %d ground-truth aliased prefixes (%d listed offline)\n",
-		len(env.World.Regions()), env.World.ASDB().Len(),
-		len(env.World.AliasedPrefixes()), env.Offline.Len())
-	fmt.Fprintf(stdout, "seeds: %s unique across %d sources\n\n",
-		experiment.FmtInt(env.Full.Len()), len(env.Sources))
-
-	for _, s := range selected {
-		if err := s.Run(ctx, env, params, stdout); err != nil {
-			return fail(err)
-		}
-	}
-
-	fmt.Fprintf(stdout, "done in %v; %s probe packets sent (virtual scan time %.1fs at 10k pps)\n",
-		time.Since(start).Round(time.Millisecond),
-		experiment.FmtInt(int(env.Scanner.Stats().PacketsSent.Load())),
-		env.Scanner.VirtualElapsed())
 	return 0
 }
 

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -34,8 +37,9 @@ func TestCLI(t *testing.T) {
 	}
 }
 
-// TestExitStatus: a command line that cannot run exits 2, help exits 0
-// and a run that fails exits 1.
+// TestExitStatus: a command line refused before anything starts exits 2
+// with the usage text on stderr and nothing on stdout, help exits 0 and a
+// run that fails exits 1.
 func TestExitStatus(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -45,13 +49,99 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"nosuch"}, 2},
 		{[]string{"world", "-nosuch"}, 2},
 		{[]string{"world", "-ases", "many"}, 2},
+		// An unknown name for each flag that names something.
+		{append([]string{"collect", "-source", "NotASource"}, smallEnv...), 2},
+		{[]string{"run", "-proto", "gopher"}, 2},
+		{[]string{"run", "-tga", "9Tree"}, 2},
+		{[]string{"run", "-seeds", "everything"}, 2},
+		{[]string{"dealias", "-mode", "sideways"}, 2},
+		// One past each range edge.
+		{[]string{"world", "-ases", "0"}, 2},
+		{[]string{"world", "-ases", "-3"}, 2},
+		{[]string{"collect", "-scale", "0"}, 2},
+		{[]string{"collect", "-scale", "NaN"}, 2},
+		{[]string{"collect", "-scale", "Inf"}, 2},
+		{[]string{"collect", "-show", "-1"}, 2},
+		{[]string{"run", "-budget", "0"}, 2},
+		{[]string{"scan", "-cluster-workers", "-2"}, 2},
+		{[]string{"build-db", "-keep", "0"}, 2},
+		{[]string{"serve", "-max-bulk", "0"}, 2},
+		{[]string{"serve", "-max-walk", "0"}, 2},
+		{[]string{"serve", "-watch", "-1s"}, 2},
+		{[]string{"daemon", "-epochs", "0"}, 2},
+		{[]string{"daemon", "-budget", "-1"}, 2},
+		{[]string{"daemon", "-keep", "0"}, 2},
+		{[]string{"daemon", "-stale-after", "0"}, 2},
+		{[]string{"daemon", "-stable-every", "0"}, 2},
+		{[]string{"daemon", "-alpha", "0"}, 2},
+		{[]string{"daemon", "-alpha", "7"}, 2},
+		{[]string{"resolve", "-n", "0"}, 2},
+		{[]string{"resolve", "-n", "-5"}, 2},
+		{[]string{"resolve", "-rate", "0"}, 2},
+		{[]string{"resolve", "-rate", "1.5"}, 2},
+		// A wire section or cluster list that does not parse.
+		{[]string{"scan", "-wire-faults", "loss=2"}, 2},
+		{[]string{"daemon", "-wire-shape", "jitter=0.1"}, 2},
+		{[]string{"scan", "-cluster", ","}, 2},
+		{[]string{"scan", "-cluster", "nohost"}, 2},
+		{[]string{"scan", "-cluster", "127.0.0.1:1", "-cluster-workers", "2"}, 2},
 		{[]string{"help"}, 0},
 		{[]string{"world", "-h"}, 0},
-		{append([]string{"collect", "-source", "NotASource"}, smallEnv...), 1},
 		{[]string{"dealias", "-trace", filepath.Join(t.TempDir(), "no", "such", "dir")}, 1},
 	} {
-		if got := run(c.args); got != c.want {
-			t.Errorf("seedscan %q: exit %d, want %d", c.args, got, c.want)
+		var got int
+		stdout, stderr := outputOf(t, func() { got = run(c.args) })
+		if got != c.want {
+			t.Errorf("seedscan %q: exit %d, want %d\n%s", c.args, got, c.want, stderr)
+		} else if got == 2 && (stdout != "" || !strings.Contains(strings.ToLower(stderr), "usage")) {
+			t.Errorf("seedscan %q: exit 2 with stdout %q and no usage text on stderr:\n%s", c.args, stdout, stderr)
+		}
+	}
+}
+
+// TestRefusedRunKeepsTrace: a refused command line exits 2 before the
+// lifecycle starts, so an existing -trace file keeps its bytes.
+func TestRefusedRunKeepsTrace(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "t.jsonl")
+	old := []byte(`{"an":"earlier run"}` + "\n")
+	if err := os.WriteFile(trace, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"run", "-seeds", "bogus", "-trace", trace},
+		{"run", "-trace", trace, "-proto", "gopher"},
+		{"scan", "-trace", trace, "-wire-faults", "loss=2"},
+		{"daemon", "-trace", trace, "-epochs", "0"},
+	} {
+		var code int
+		outputOf(t, func() { code = run(args) })
+		if b, err := os.ReadFile(trace); code != 2 || err != nil || !bytes.Equal(b, old) {
+			t.Fatalf("seedscan %q: exit %d, trace now %q (%v)", args, code, b, err)
+		}
+	}
+}
+
+// parseFlags parses args as command name's flags and runs nothing.
+func parseFlags(name string, args ...string) (*flag.FlagSet, error) {
+	fs, _, _ := commands[slices.IndexFunc(commands, func(c command) bool { return c.name == name })].flagSet()
+	fs.SetOutput(io.Discard)
+	return fs, fs.Parse(args)
+}
+
+// TestRangeEdgesParse: the value at each range edge parses; one past it
+// is refused (TestExitStatus).
+func TestRangeEdgesParse(t *testing.T) {
+	for _, args := range [][]string{
+		{"world", "-ases", "1"},
+		{"collect", "-show", "0", "-scale", "1e-9"},
+		{"run", "-budget", "1"},
+		{"scan", "-cluster-workers", "0", "-cluster", " 127.0.0.1:1, [::1]:2 ,"},
+		{"serve", "-max-bulk", "1", "-max-walk", "1", "-watch", "0"},
+		{"daemon", "-epochs", "1", "-budget", "0", "-keep", "1", "-stale-after", "1", "-stable-every", "1", "-alpha", "1", "-wire-faults", "loss=0"},
+		{"resolve", "-n", "1", "-rate", "1"},
+	} {
+		if _, err := parseFlags(args[0], args[1:]...); err != nil {
+			t.Errorf("seedscan %q: %v", args, err)
 		}
 	}
 }
@@ -100,7 +190,7 @@ func traceMetrics(t *testing.T, path string) telemetry.Snapshot {
 // after the command's own output.
 func TestMetricsFlag(t *testing.T) {
 	var err error
-	b := stdoutOf(t, func() {
+	b, _ := outputOf(t, func() {
 		err = execute(context.Background(), "dealias", append([]string{"-metrics"}, smallEnv...)...)
 	})
 	if err != nil {
@@ -111,23 +201,32 @@ func TestMetricsFlag(t *testing.T) {
 	}
 }
 
-// stdoutOf returns what f writes to os.Stdout.
-func stdoutOf(t *testing.T, f func()) string {
+// outputOf returns what f writes to os.Stdout and os.Stderr.
+func outputOf(t *testing.T, f func()) (stdout, stderr string) {
 	t.Helper()
-	out, err := os.CreateTemp(t.TempDir(), "stdout")
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	var files [2]*os.File
+	for i := range files {
+		out, err := os.CreateTemp(dir, "out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer out.Close()
+		files[i] = out
 	}
-	defer out.Close()
-	stdout := os.Stdout
-	os.Stdout = out
+	stdoutWas, stderrWas := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = files[0], files[1]
 	f()
-	os.Stdout = stdout
-	b, err := os.ReadFile(out.Name())
-	if err != nil {
-		t.Fatal(err)
+	os.Stdout, os.Stderr = stdoutWas, stderrWas
+	var got [2]string
+	for i, out := range files {
+		b, err := os.ReadFile(out.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = string(b)
 	}
-	return string(b)
+	return got[0], got[1]
 }
 
 // TestRunSeedsName: run takes -seeds through experiment.ParseTreatment,
@@ -136,13 +235,13 @@ func stdoutOf(t *testing.T, f func()) string {
 // running line printed.
 func TestRunSeedsName(t *testing.T) {
 	var code int
-	out := stdoutOf(t, func() {
+	out, _ := outputOf(t, func() {
 		code = run(append([]string{"run", "-seeds", "port-active:tcp443", "-budget", "300"}, smallEnv...))
 	})
 	if code != 0 || !strings.Contains(out, `seed treatment "port-active:TCP443"`) {
 		t.Fatalf("-seeds port-active:tcp443: exit %d, output:\n%s", code, out)
 	}
-	out = stdoutOf(t, func() {
+	out, _ = outputOf(t, func() {
 		code = run(append([]string{"run", "-seeds", "port-active:gopher"}, smallEnv...))
 	})
 	if code != 2 || out != "" {

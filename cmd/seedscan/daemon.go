@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"seedscan/cmd/internal/profile"
 	"seedscan/internal/experiment/grid"
 	"seedscan/internal/hitlistdb"
 	"seedscan/internal/longitudinal"
@@ -28,31 +29,20 @@ import (
 // store already has.
 func cmdDaemon(fs *flag.FlagSet) body {
 	seed, ases, scale := envFlags(fs)
-	protoName := fs.String("proto", "icmp", "probing protocol: icmp, tcp80, tcp443, udp53")
-	epochs := fs.Int("epochs", 5, "consecutive epochs to run")
-	budget := fs.Int("budget", 0, "probe budget per epoch (0 = unlimited)")
-	staleAfter := fs.Int("stale-after", longitudinal.DefaultStaleAfter, "consecutive down observations confirming an address stale")
-	stableEvery := fs.Int("stable-every", longitudinal.DefaultStableEvery, "stable-host refresh period in epochs (1 = full re-scan)")
-	alpha := fs.Float64("alpha", longitudinal.DefaultAlpha, "volatility EWMA weight of the newest observation")
+	p := profile.Var(fs, "proto", "icmp", "probing protocol: icmp, tcp80, tcp443, udp53", proto.Parse)
+	epochs := profile.AtLeast(fs, "epochs", 5, 1, "consecutive epochs to run")
+	budget := profile.AtLeast(fs, "budget", 0, 0, "probe budget per epoch (0 = unlimited)")
+	staleAfter := profile.AtLeast(fs, "stale-after", longitudinal.DefaultStaleAfter, 1, "consecutive down observations confirming an address stale")
+	stableEvery := profile.AtLeast(fs, "stable-every", longitudinal.DefaultStableEvery, 1, "stable-host refresh period in epochs (1 = full re-scan)")
+	alpha := profile.Positive(fs, "alpha", longitudinal.DefaultAlpha, 1, "volatility EWMA weight of the newest observation")
 	state := fs.String("state", "daemon-state", "checkpoint directory; re-running resumes from it")
 	publish := fs.String("publish", "hitlistdb", "hitlistdb store directory to publish each epoch into (empty disables publishing)")
-	keep := fs.Int("keep", 3, "published generation files to retain on disk")
+	keep := profile.AtLeast(fs, "keep", 3, 1, "published generation files to retain on disk")
 	wireFlags := wire.ChainFlags(fs)
 	return func(ctx context.Context, tr *telemetry.Tracer) error {
-		p, err := proto.Parse(*protoName)
-		if err != nil {
-			return err
-		}
-		if *epochs <= 0 {
-			return fmt.Errorf("daemon: -epochs must be positive, got %d", *epochs)
-		}
-		chain, err := wireFlags(*seed)
-		if err != nil {
-			return err
-		}
 		// The chain's faults enter env.Fingerprint, so -state checkpoints
 		// written under other faults, or none, are never replayed.
-		env := buildEnv(*seed, *ases, *scale, tr, chain)
+		env := buildEnv(*seed, *ases, *scale, tr, wireFlags(*seed))
 
 		if err := os.MkdirAll(*state, 0o755); err != nil {
 			return err
@@ -77,7 +67,7 @@ func cmdDaemon(fs *flag.FlagSet) body {
 			World:           env.World,
 			Prober:          env.Prober,
 			Corpus:          env.Full.SortedSlice(),
-			Proto:           p,
+			Proto:           *p,
 			Epochs:          *epochs,
 			Budget:          *budget,
 			StaleAfter:      *staleAfter,
@@ -93,7 +83,7 @@ func cmdDaemon(fs *flag.FlagSet) body {
 			return err
 		}
 		fmt.Printf("daemon: %d-address universe, %d epochs, %s, stale-after %d, stable-every %d (resumed %d cells from %s)\n",
-			len(d.Universe()), *epochs, p, *staleAfter, *stableEvery, store.Len(), *state)
+			len(d.Universe()), *epochs, *p, *staleAfter, *stableEvery, store.Len(), *state)
 
 		reps, runErr := d.Run(ctx)
 		totalProbed, totalSaved := 0, 0

@@ -6,6 +6,10 @@
 // `seedscan help` lists the subcommands and `seedscan <command> -h` one
 // command's flags. cli.txt in this directory lists every command's flags
 // with their types, defaults and usage; TestCLI keeps it exact.
+//
+// Exit status 2 means the command line was refused before anything
+// started or was written: fs.Parse parses and range-checks every flag
+// value. 1 means a run that failed.
 package main
 
 import (
@@ -13,11 +17,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"slices"
 	"sort"
 	"strings"
+	"unicode"
 
 	"seedscan/cmd/internal/profile"
 	"seedscan/internal/alias"
@@ -69,8 +75,8 @@ var commands = []command{
 func main() { os.Exit(run(os.Args[1:])) }
 
 // run is main without the process: it runs the command args[0] names on
-// the rest and returns the exit status, 2 for a command line that cannot
-// run.
+// the rest and returns the exit status: 2 for a command line refused
+// before anything started or was written, 1 for a run that failed.
 func run(args []string) int {
 	if len(args) == 0 {
 		usage()
@@ -95,10 +101,11 @@ func run(args []string) int {
 // stderr with the usage text.
 type usageError struct{ error }
 
-// execute runs the command name on args, under parent. A flag that does
-// not parse, an exclusive pair set together or an unknown command comes
-// back as a usageError, -h as flag.ErrHelp.
-func execute(parent context.Context, name string, args ...string) (err error) {
+// execute runs the command name on args, under parent. A flag value that
+// does not parse or is out of range, an exclusive pair set together or an
+// unknown command comes back as a usageError, before the lifecycle
+// starts; -h comes back as flag.ErrHelp.
+func execute(parent context.Context, name string, args ...string) error {
 	i := slices.IndexFunc(commands, func(c command) bool { return c.name == name })
 	if i < 0 {
 		fmt.Fprintf(os.Stderr, "seedscan: unknown command %q\n", name)
@@ -117,23 +124,13 @@ func execute(parent context.Context, name string, args ...string) (err error) {
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	for _, pair := range c.exclusive {
 		if set[pair[0]] && set[pair[1]] {
-			return usageErr(fs, fmt.Errorf("-%s and -%s cannot be used together", pair[0], pair[1]))
+			err := fmt.Errorf("-%s and -%s cannot be used together", pair[0], pair[1])
+			fmt.Fprintln(fs.Output(), err)
+			fs.Usage()
+			return usageError{err}
 		}
 	}
-	ctx, tr, finish, err := life.Start(parent, os.Stdout)
-	if err != nil {
-		return err
-	}
-	defer func() { err = errors.Join(err, finish()) }()
-	return do(ctx, tr)
-}
-
-// usageErr reports err, and fs's usage text, on fs's output, and returns
-// it as a usageError.
-func usageErr(fs *flag.FlagSet, err error) error {
-	fmt.Fprintln(fs.Output(), err)
-	fs.Usage()
-	return usageError{err}
+	return life.Run(parent, os.Stdout, do)
 }
 
 // flagSet builds c's flag set: its lifecycle flags and its own.
@@ -152,17 +149,26 @@ func usage() {
 
 // worldFlags wires the flags that shape the simulated Internet into fs.
 func worldFlags(fs *flag.FlagSet) (seed *uint64, ases *int) {
-	seed = fs.Uint64("seed", 42, "world seed")
-	ases = fs.Int("ases", 200, "number of ASes")
-	return
+	return fs.Uint64("seed", 42, "world seed"), profile.AtLeast(fs, "ases", 200, 1, "number of ASes")
 }
 
 // envFlags wires worldFlags and the seed collection scale into fs, for
 // the commands that collect seeds.
 func envFlags(fs *flag.FlagSet) (seed *uint64, ases *int, scale *float64) {
 	seed, ases = worldFlags(fs)
-	scale = fs.Float64("scale", 0.5, "seed collection scale")
-	return
+	return seed, ases, profile.Positive(fs, "scale", 0.5, math.MaxFloat64, "seed collection scale")
+}
+
+// sourceFlag defines -source: a seeds.AllSources name, in any case.
+func sourceFlag(fs *flag.FlagSet, def, usage string) *seeds.Source {
+	return profile.Var(fs, "source", def, usage, func(name string) (seeds.Source, error) {
+		for _, s := range seeds.AllSources {
+			if strings.EqualFold(s.String(), name) {
+				return s, nil
+			}
+		}
+		return 0, fmt.Errorf("unknown source %q (one of: %v)", name, seeds.AllSources)
+	})
 }
 
 // buildEnv assembles the environment every subcommand works in; chain is
@@ -173,6 +179,9 @@ func buildEnv(seed uint64, ases int, scale float64, tr *telemetry.Tracer, chain 
 		WorldSeed: seed, NumASes: ases, CollectScale: scale, Telemetry: tr, Wire: chain,
 	})
 }
+
+// logf logs a cluster's progress to stderr.
+func logf(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
 
 // wireSummary prints what the run's wire chain did, one line per piece
 // that moved, from the wire.* metrics in reg.
@@ -208,51 +217,28 @@ func cmdWorld(fs *flag.FlagSet) body {
 		}
 		fmt.Printf("world seed=%d: %d ASes, %d regions (%d aliased), ~%.0f hosts\n",
 			*seed, w.ASDB().Len(), len(w.Regions()), aliased, hosts)
-		classes := make([]string, 0, len(byClass))
-		for c := range byClass {
-			classes = append(classes, c)
-		}
-		sort.Strings(classes)
-		for _, c := range classes {
+		for _, c := range sortedKeys(byClass) {
 			fmt.Printf("  %-12s %d regions\n", c, byClass[c])
 		}
 		byOrg := map[string]int{}
 		for _, as := range w.ASDB().All() {
 			byOrg[as.Type.String()]++
 		}
-		orgs := make([]string, 0, len(byOrg))
-		for o := range byOrg {
-			orgs = append(orgs, o)
-		}
-		sort.Strings(orgs)
-		for _, o := range orgs {
+		for _, o := range sortedKeys(byOrg) {
 			fmt.Printf("  %-12s %d ASes\n", o, byOrg[o])
 		}
 		return nil
 	}
 }
 
-func parseSource(name string) (seeds.Source, error) {
-	for _, s := range seeds.AllSources {
-		if strings.EqualFold(s.String(), name) {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown source %q (one of: %v)", name, seeds.AllSources)
-}
-
 func cmdCollect(fs *flag.FlagSet) body {
 	seed, ases, scale := envFlags(fs)
-	src := fs.String("source", "IPv6 Hitlist", "seed source name")
-	show := fs.Int("show", 5, "sample addresses to print")
+	src := sourceFlag(fs, "IPv6 Hitlist", "seed source name")
+	show := profile.AtLeast(fs, "show", 5, 0, "sample addresses to print")
 	out := fs.String("o", "", "write the dataset to this file (.gz for gzip)")
 	return func(_ context.Context, tr *telemetry.Tracer) error {
-		s, err := parseSource(*src)
-		if err != nil {
-			return err
-		}
 		env := buildEnv(*seed, *ases, *scale, tr, wire.ChainConfig{})
-		ds := env.Sources[s]
+		ds := env.Sources[*src]
 		fmt.Printf("%s: %d unique addresses, %d ASes\n", ds.Name, ds.Len(), ds.ASCount(env.World.ASDB()))
 		aliasedN, activeN := 0, 0
 		ds.Addrs.Each(func(a ipaddr.Addr) {
@@ -284,21 +270,17 @@ func cmdCollect(fs *flag.FlagSet) body {
 
 func cmdRun(fs *flag.FlagSet) body {
 	seed, ases, scale := envFlags(fs)
-	gen := fs.String("tga", "6Tree", "generator: "+strings.Join(all.ExtendedNames, ", "))
-	protoName := fs.String("proto", "icmp", "protocol: icmp, tcp80, tcp443, udp53")
-	budget := fs.Int("budget", 20000, "generation budget")
-	treatment := fs.String("seeds", string(experiment.TreatmentAllActive),
-		"seed treatment, as experiments -list-cells names it: full, all-active, dealiased:MODE, port-active:PROTO or source-active:SOURCE")
+	gen := profile.Var(fs, "tga", "6Tree", "generator: "+strings.Join(all.ExtendedNames, ", "), func(name string) (string, error) {
+		_, err := all.New(name)
+		return name, err
+	})
+	p := profile.Var(fs, "proto", "icmp", "protocol: icmp, tcp80, tcp443, udp53", proto.Parse)
+	budget := profile.AtLeast(fs, "budget", 20000, 1, "generation budget")
+	t := profile.Var(fs, "seeds", string(experiment.TreatmentAllActive),
+		"seed treatment, as experiments -list-cells names it: full, all-active, dealiased:MODE, port-active:PROTO or source-active:SOURCE",
+		experiment.ParseTreatment)
 	checkpoint := fs.String("checkpoint", "", "checkpoint the run as a grid cell in this JSONL store (reruns load instead of scanning)")
 	return func(ctx context.Context, tr *telemetry.Tracer) error {
-		t, err := experiment.ParseTreatment(*treatment)
-		if err != nil {
-			return usageErr(fs, fmt.Errorf("-seeds: %w", err))
-		}
-		p, err := proto.Parse(*protoName)
-		if err != nil {
-			return err
-		}
 		cfg := experiment.EnvConfig{
 			WorldSeed: *seed, NumASes: *ases, CollectScale: *scale, Budget: *budget,
 			Telemetry: tr,
@@ -312,8 +294,8 @@ func cmdRun(fs *flag.FlagSet) body {
 			cfg.GridStore = store
 		}
 		env := experiment.NewEnv(cfg)
-		spec := env.SpecOneCell(*gen, t, p, *budget)
-		fmt.Printf("running %s on seed treatment %q, %s, budget %d\n", *gen, t, p, *budget)
+		spec := env.SpecOneCell(*gen, *t, *p, *budget)
+		fmt.Printf("running %s on seed treatment %q, %s, budget %d\n", *gen, *t, *p, *budget)
 		rs, err := env.Grid().Run(ctx, spec)
 		if err != nil {
 			return err
@@ -329,46 +311,42 @@ func cmdRun(fs *flag.FlagSet) body {
 
 func cmdScan(fs *flag.FlagSet) body {
 	seed, ases, scale := envFlags(fs)
-	src := fs.String("source", "IPv6 Hitlist", "seed source to scan")
-	protoName := fs.String("proto", "icmp", "protocol")
-	clusterAddrs := fs.String("cluster", "", "coordinate over remote workers at these comma-separated host:port addresses")
-	clusterN := fs.Int("cluster-workers", 0, "coordinate over this many in-process workers")
+	src := sourceFlag(fs, "IPv6 Hitlist", "seed source to scan")
+	p := profile.Var(fs, "proto", "icmp", "protocol", proto.Parse)
+	clusterAddrs := profile.Var(fs, "cluster", "", "coordinate over remote workers at these comma-separated host:port addresses", func(list string) ([]string, error) {
+		addrs := strings.FieldsFunc(list, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
+		for _, addr := range addrs {
+			if _, _, err := net.SplitHostPort(addr); err != nil {
+				return nil, err
+			}
+		}
+		if list != "" && len(addrs) == 0 {
+			return nil, errors.New("lists no worker address")
+		}
+		return addrs, nil
+	})
+	clusterN := profile.AtLeast(fs, "cluster-workers", 0, 0, "coordinate over this many in-process workers")
 	wireFlags := wire.ChainFlags(fs)
 	return func(ctx context.Context, tr *telemetry.Tracer) error {
-		p, err := proto.Parse(*protoName)
-		if err != nil {
-			return err
-		}
-		s, err := parseSource(*src)
-		if err != nil {
-			return err
-		}
-		chain, err := wireFlags(*seed)
-		if err != nil {
-			return err
-		}
 		// Every probe crosses the chain: the environment's scanner, the
 		// in-process pool and each remote worker all build it from one value.
+		chain := wireFlags(*seed)
 		env := buildEnv(*seed, *ases, *scale, tr, chain)
-		ds := env.Sources[s]
+		ds := env.Sources[*src]
 		ccfg := cluster.Config{
 			Secret:    env.Cfg.ScanSecret,
 			Telemetry: tr.Registry(),
 			Wire:      chain,
-			Logf: func(format string, a ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", a...)
-			},
+			Logf:      logf,
 		}
 
 		var results []scanner.Result
+		var run *cluster.RunResult
+		var err error
 		switch {
-		case *clusterAddrs != "":
+		case len(*clusterAddrs) > 0:
 			var workers []cluster.Worker
-			for _, addr := range strings.Split(*clusterAddrs, ",") {
-				addr = strings.TrimSpace(addr)
-				if addr == "" {
-					continue
-				}
+			for _, addr := range *clusterAddrs {
 				rw, err := cluster.DialWorker(addr)
 				if err != nil {
 					return err
@@ -376,33 +354,24 @@ func cmdScan(fs *flag.FlagSet) body {
 				defer rw.Close()
 				workers = append(workers, rw)
 			}
-			if len(workers) == 0 {
-				return errors.New("scan: -cluster lists no worker addresses")
-			}
-			run, err := cluster.NewCoordinator(ccfg).Run(ctx, workers, ds.Slice(), p)
-			if err != nil {
-				return err
-			}
-			printClusterRun(run)
-			results = run.Results
+			run, err = cluster.NewCoordinator(ccfg).Run(ctx, workers, ds.Slice(), *p)
 		case *clusterN > 0:
-			run, err := cluster.NewLocalPool(*clusterN, env.World.Link(), ccfg).Run(ctx, ds.Slice(), p)
-			if err != nil {
-				return err
-			}
+			run, err = cluster.NewLocalPool(*clusterN, env.World.Link(), ccfg).Run(ctx, ds.Slice(), *p)
+		default:
+			results, err = env.Scanner.ScanContext(ctx, ds.Slice(), *p)
+		}
+		if err != nil {
+			return err
+		}
+		if run != nil {
 			printClusterRun(run)
 			results = run.Results
-		default:
-			results, err = env.Scanner.ScanContext(ctx, ds.Slice(), p)
-			if err != nil {
-				return err
-			}
 		}
 		counts := map[string]int{}
 		for _, r := range results {
 			counts[r.Status.String()]++
 		}
-		fmt.Printf("scanned %s on %s: %d targets\n", ds.Name, p, len(results))
+		fmt.Printf("scanned %s on %s: %d targets\n", ds.Name, *p, len(results))
 		for _, k := range []string{"active", "silent", "rst", "unreachable", "blocked"} {
 			if counts[k] > 0 {
 				fmt.Printf("  %-12s %d\n", k, counts[k])
@@ -413,17 +382,22 @@ func cmdScan(fs *flag.FlagSet) body {
 	}
 }
 
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // printClusterRun summarizes a coordinated scan: shard accounting first,
 // then the per-worker contributions in worker-ID order.
 func printClusterRun(run *cluster.RunResult) {
 	fmt.Printf("cluster: %d shards across %d workers (%d reassigned)\n",
 		run.Shards, len(run.Workers), run.Reassigned)
-	ids := make([]string, 0, len(run.Workers))
-	for id := range run.Workers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range sortedKeys(run.Workers) {
 		r := run.Workers[id]
 		fmt.Printf("  %-20s %3d shards, %8d packets, %8.0f pps\n",
 			id, r.ShardsCompleted, r.PacketsSent, r.PPS())
@@ -457,9 +431,7 @@ func cmdWorker(fs *flag.FlagSet) body {
 			Link:      w.Link(),
 			Options:   []scanner.Option{scanner.WithTelemetry(tr.Registry())},
 			Telemetry: tr.Registry(),
-			Logf: func(format string, a ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", a...)
-			},
+			Logf:      logf,
 		})
 		wireSummary(tr.Registry())
 		if errors.Is(err, context.Canceled) {
@@ -471,23 +443,15 @@ func cmdWorker(fs *flag.FlagSet) body {
 
 func cmdDealias(fs *flag.FlagSet) body {
 	seed, ases, scale := envFlags(fs)
-	src := fs.String("source", "AddrMiner", "seed source to dealias")
-	modeName := fs.String("mode", "joint", "mode: none, offline, online, joint, cooldown")
+	src := sourceFlag(fs, "AddrMiner", "seed source to dealias")
+	mode := profile.Var(fs, "mode", "joint", "mode: none, offline, online, joint, cooldown", alias.ParseMode)
 	return func(_ context.Context, tr *telemetry.Tracer) error {
-		mode, err := alias.ParseMode(*modeName)
-		if err != nil {
-			return err
-		}
-		s, err := parseSource(*src)
-		if err != nil {
-			return err
-		}
 		env := buildEnv(*seed, *ases, *scale, tr, wire.ChainConfig{})
-		ds := env.Sources[s]
-		d := alias.New(mode, env.Offline, env.Scanner, proto.ICMP, *seed, tr.Registry())
+		ds := env.Sources[*src]
+		d := alias.New(*mode, env.Offline, env.Scanner, proto.ICMP, *seed, tr.Registry())
 		clean, aliased := d.Split(ds.Slice())
 		fmt.Printf("%s under %s dealiasing: %d clean, %d aliased (%d /96s tested, %d probes)\n",
-			ds.Name, mode, len(clean), len(aliased), d.PrefixesTested(), d.ProbesSent())
+			ds.Name, *mode, len(clean), len(aliased), d.PrefixesTested(), d.ProbesSent())
 		return nil
 	}
 }
@@ -547,8 +511,8 @@ func buildHitlist(ctx context.Context, env *experiment.Env, reg *telemetry.Regis
 
 func cmdResolve(fs *flag.FlagSet) body {
 	seed, ases := worldFlags(fs)
-	n := fs.Int("n", 20000, "number of synthetic domains to resolve")
-	rate := fs.Float64("rate", 0.047, "AAAA response rate (CT-log default; toplists ~0.25)")
+	n := profile.AtLeast(fs, "n", 20000, 1, "number of synthetic domains to resolve")
+	rate := profile.Positive(fs, "rate", 0.047, 1, "AAAA response rate (CT-log default; toplists ~0.25)")
 	out := fs.String("o", "", "write resolved addresses to this file")
 	return func(context.Context, *telemetry.Tracer) error {
 		w := world.New(world.Config{Seed: *seed, NumASes: *ases})

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"os"
 	"path/filepath"
 	"slices"
@@ -116,11 +117,14 @@ func TestCmdHitlist(t *testing.T) {
 	}
 }
 
+// TestParseSource: -source takes a seeds.AllSources name in any case, and
+// fs.Parse refuses any other.
 func TestParseSource(t *testing.T) {
-	if _, err := parseSource("ipv6 hitlist"); err != nil {
-		t.Fatal("case-insensitive match failed")
+	fs, err := parseFlags("collect", "-source", "ipv6 hitlist")
+	if err != nil || fs.Lookup("source").Value.(flag.Getter).Get() != seeds.SourceHitlist {
+		t.Fatalf("-source \"ipv6 hitlist\": %v", err)
 	}
-	if _, err := parseSource(""); err == nil {
+	if _, err := parseFlags("collect", "-source", ""); err == nil {
 		t.Fatal("empty source accepted")
 	}
 }

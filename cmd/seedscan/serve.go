@@ -9,6 +9,7 @@ import (
 	"os"
 	"time"
 
+	"seedscan/cmd/internal/profile"
 	"seedscan/internal/hitlistdb"
 	"seedscan/internal/serve"
 	"seedscan/internal/telemetry"
@@ -23,7 +24,7 @@ import (
 func cmdBuildDB(fs *flag.FlagSet) body {
 	seed, ases, scale := envFlags(fs)
 	dir := fs.String("dir", "hitlistdb", "store directory to publish into")
-	keep := fs.Int("keep", 3, "generation files to retain on disk")
+	keep := profile.AtLeast(fs, "keep", 3, 1, "generation files to retain on disk")
 	return func(ctx context.Context, tr *telemetry.Tracer) error {
 		snap, err := buildHitlist(ctx, buildEnv(*seed, *ases, *scale, tr, wire.ChainConfig{}), tr.Registry())
 		if err != nil {
@@ -54,13 +55,10 @@ func cmdBuildDB(fs *flag.FlagSet) body {
 func cmdServe(fs *flag.FlagSet) body {
 	dir := fs.String("dir", "hitlistdb", "store directory to serve")
 	addr := fs.String("addr", "127.0.0.1:8674", "listen address")
-	watch := fs.Duration("watch", 0, "poll the store for new generations at this interval and swap them in live (0 = off)")
-	maxBulk := fs.Int("max-bulk", 4096, "maximum addresses per /v1/bulk request")
-	maxWalk := fs.Int("max-walk", 65536, "maximum records per /v1/prefix-walk response")
+	watch := profile.AtLeast(fs, "watch", time.Duration(0), 0, "poll the store for new generations at this interval and swap them in live (0 = off)")
+	maxBulk := profile.AtLeast(fs, "max-bulk", 4096, 1, "maximum addresses per /v1/bulk request")
+	maxWalk := profile.AtLeast(fs, "max-walk", 65536, 1, "maximum records per /v1/prefix-walk response")
 	return func(ctx context.Context, tr *telemetry.Tracer) error {
-		if *watch < 0 {
-			return fmt.Errorf("serve: -watch must not be negative, got %v", *watch)
-		}
 		st, err := hitlistdb.OpenStore(*dir, hitlistdb.StoreTelemetry(tr.Registry()))
 		if err != nil {
 			return err

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"flag"
+	"io"
 	"net"
 	"strconv"
 	"testing"
@@ -14,15 +15,17 @@ import (
 	"seedscan/internal/world"
 )
 
-// buildWire parses args as the -wire-* flags into a chain.
+// buildWire parses args as the -wire-* flags into a chain; a section
+// that does not parse fails fs.Parse.
 func buildWire(t *testing.T, args ...string) (wire.ChainConfig, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("wire", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
 	chain := wire.ChainFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		t.Fatal(err)
+		return wire.ChainConfig{}, err
 	}
-	return chain(42)
+	return chain(42), nil
 }
 
 func TestWireFlagsRejectOutOfRange(t *testing.T) {

@@ -123,26 +123,36 @@ func ParseChainConfig(s string, seed uint64) (ChainConfig, error) {
 }
 
 // ChainFlags defines the -wire-taps, -wire-shape, -wire-rotate and
-// -wire-faults flags on fs, one per section. The returned func, called
-// after fs.Parse, reads them as a ChainConfig; seed fills every seed= the
-// flags leave out, so a run is reproducible from one seed.
-func ChainFlags(fs *flag.FlagSet) func(seed uint64) (ChainConfig, error) {
+// -wire-faults flags on fs, one per section, each parsed by fs.Parse. The
+// returned func, called after fs.Parse, reads them as a ChainConfig; seed
+// fills every seed= they leave out, so a run is reproducible from one seed.
+func ChainFlags(fs *flag.FlagSet) func(seed uint64) ChainConfig {
 	taps := fs.Bool("wire-taps", false, "attach a counting wire tap and print probe/reply totals on exit")
-	shape := fs.String("wire-shape", "", "virtual egress pacing, e.g. pps=100000,jitter=0.2[,seed=N]")
-	rotate := fs.String("wire-rotate", "", "rotate probe source addresses across this comma-separated pool[,seed=N]")
-	faults := fs.String("wire-faults", "", "deterministic fault injection, e.g. loss=0.05,dup=0.01,delay=0.02[,seed=N]")
-	return func(seed uint64) (ChainConfig, error) {
+	secs := []*sectionFlag{{name: "shape"}, {name: "rotate"}, {name: "faults"}}
+	fs.Var(secs[0], "wire-shape", "virtual egress pacing, e.g. pps=100000,jitter=0.2[,seed=N]")
+	fs.Var(secs[1], "wire-rotate", "rotate probe source addresses across this comma-separated pool[,seed=N]")
+	fs.Var(secs[2], "wire-faults", "deterministic fault injection, e.g. loss=0.05,dup=0.01,delay=0.02[,seed=N]")
+	return func(seed uint64) ChainConfig {
 		c := ChainConfig{Taps: *taps}
-		for _, sec := range [][2]string{{"shape", *shape}, {"rotate", *rotate}, {"faults", *faults}} {
-			if sec[1] == "" {
-				continue
-			}
-			if err := c.set(sec[0], sec[1], seed); err != nil {
-				return ChainConfig{}, fmt.Errorf("-wire-%w", err)
+		for _, sec := range secs {
+			if sec.text != "" {
+				c.set(sec.name, sec.text, seed) // Set parsed it already
 			}
 		}
-		return c, nil
+		return c
 	}
+}
+
+// A sectionFlag is one -wire-* section's text, which Set parses.
+type sectionFlag struct{ name, text string }
+
+func (f *sectionFlag) String() string { return f.text }
+func (f *sectionFlag) Get() any       { return f.text }
+func (f *sectionFlag) Set(v string) error {
+	if f.text = v; v == "" {
+		return nil
+	}
+	return new(ChainConfig).set(f.name, v, 0)
 }
 
 // sectionKeys lists each section's payload keys; rotate also takes bare

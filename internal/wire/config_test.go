@@ -1,6 +1,8 @@
 package wire_test
 
 import (
+	"flag"
+	"io"
 	"math"
 	"reflect"
 	"strconv"
@@ -83,6 +85,25 @@ func TestChainConfigFingerprint(t *testing.T) {
 		if c, err := wire.ParseChainConfig(s, 1); err != nil || !reflect.DeepEqual(c, wire.ChainConfig{}) {
 			t.Errorf("%q parses to %+v (%v), want the zero chain", s, c, err)
 		}
+	}
+}
+
+// TestChainFlags: fs.Parse refuses a -wire-* section that does not parse,
+// and the seed the returned func is given fills every seed= the flags
+// leave out, whatever the flag order; an explicit seed= stays.
+func TestChainFlags(t *testing.T) {
+	fs := flag.NewFlagSet("wire", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	chain := wire.ChainFlags(fs)
+	if err := fs.Parse([]string{"-wire-faults", "loss=2"}); err == nil {
+		t.Fatal("-wire-faults loss=2 parsed")
+	}
+	if err := fs.Parse([]string{"-wire-faults", "loss=0.1", "-wire-shape", "pps=100,seed=9", "-wire-taps"}); err != nil {
+		t.Fatal(err)
+	}
+	want := wire.ChainConfig{Taps: true, Shape: wire.ShapeConfig{PPS: 100, Seed: 9}, Faults: wire.FaultsConfig{Loss: 0.1, Seed: 7}}
+	if c := chain(7); !reflect.DeepEqual(c, want) {
+		t.Fatalf("chain(7) = %+v, want %+v", c, want)
 	}
 }
 
