@@ -2,8 +2,9 @@
 // -metrics, -cpuprofile and -memprofile flags, and Run, which runs a
 // command's body under the CPU profile, tracer and Ctrl-C context they ask
 // for and ends them. It also declares flags whose values fs.Parse parses
-// and range-checks (Var, AtLeast, Positive), and renders a flag set as the
-// lines of a command's cli.txt.
+// and range-checks (Var, AtLeast, Positive), prints a flag set's -h text
+// with each flag's type, and renders a flag set as the lines of a
+// command's cli.txt.
 package profile
 
 import (
@@ -43,8 +44,10 @@ type Flags struct {
 	metrics                 bool
 }
 
-// Register registers set's flags on fs.
+// Register registers set's flags on fs, and makes fs's usage text (-h,
+// or a refused command line) name every flag of fs by its type.
 func Register(fs *flag.FlagSet, set Set) *Flags {
+	fs.Usage = func() { usage(fs) }
 	f := &Flags{}
 	if set >= Telemetry {
 		fs.StringVar(&f.trace, "trace", "", "write a JSONL telemetry event log to this file")
@@ -171,6 +174,45 @@ func Positive(fs *flag.FlagSet, name string, def, max float64, usage string) *fl
 		}
 		return v, err
 	})
+}
+
+// usage prints fs's flags as the flag package's default usage does, but
+// names each by the type its Get returns, as cli.txt does: "-ases int",
+// not the "-ases value" the flag package prints for a Var.
+func usage(fs *flag.FlagSet) {
+	w := fs.Output()
+	fmt.Fprintf(w, "Usage of %s:\n", fs.Name())
+	fs.VisitAll(func(f *flag.Flag) {
+		v := f.Value.(flag.Getter).Get()
+		line := "  -" + f.Name
+		if _, isBool := v.(bool); !isBool {
+			line += fmt.Sprintf(" %T", v)
+		}
+		line += "\n    \t" + f.Usage
+		switch _, isString := v.(string); {
+		case f.DefValue == zeroText(v):
+		case isString:
+			line += fmt.Sprintf(" (default %q)", f.DefValue)
+		default:
+			line += " (default " + f.DefValue + ")"
+		}
+		fmt.Fprintln(w, line)
+	})
+}
+
+// zeroText is the default text the flag package leaves out of the usage
+// of a flag of v's type: the zero value's text for its own types, "" for
+// any other.
+func zeroText(v any) string {
+	switch v.(type) {
+	case bool:
+		return "false"
+	case int, int64, uint, uint64, float64:
+		return "0"
+	case time.Duration:
+		return "0s"
+	}
+	return ""
 }
 
 // CLILines renders the flags of fs, which command cmd parses, as cli.txt

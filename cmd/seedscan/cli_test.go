@@ -99,6 +99,26 @@ func TestExitStatus(t *testing.T) {
 	}
 }
 
+// TestHelpNamesTypes: -h names each flag by its type, as cli.txt does,
+// also for flags whose values fs.Parse checks, and leaves out a zero
+// default as the flag package does for its own types.
+func TestHelpNamesTypes(t *testing.T) {
+	help := func(name string) string {
+		var code int
+		_, stderr := outputOf(t, func() { code = run([]string{name, "-h"}) })
+		if code != 0 {
+			t.Fatalf("seedscan %s -h: exit %d", name, code)
+		}
+		return stderr
+	}
+	if h := help("run"); !strings.Contains(h, "  -ases int\n") || !strings.Contains(h, "  -proto proto.Protocol\n") {
+		t.Errorf("seedscan run -h does not name -ases int and -proto proto.Protocol:\n%s", h)
+	}
+	if h := help("scan"); strings.Contains(h, "(default 0)") || !strings.Contains(h, "  -cluster-workers int\n") {
+		t.Errorf("seedscan scan -h prints a zero default or lacks -cluster-workers int:\n%s", h)
+	}
+}
+
 // TestRefusedRunKeepsTrace: a refused command line exits 2 before the
 // lifecycle starts, so an existing -trace file keeps its bytes.
 func TestRefusedRunKeepsTrace(t *testing.T) {

@@ -249,9 +249,13 @@ func cmdCollect(fs *flag.FlagSet) body {
 				activeN++
 			}
 		})
-		fmt.Printf("  aliased: %d (%.1f%%), responsive at scan time: %d (%.1f%%)\n",
-			aliasedN, 100*float64(aliasedN)/float64(ds.Len()),
-			activeN, 100*float64(activeN)/float64(ds.Len()))
+		if ds.Len() == 0 { // no share of nothing to print
+			fmt.Printf("  aliased: 0, responsive at scan time: 0\n")
+		} else {
+			fmt.Printf("  aliased: %d (%.1f%%), responsive at scan time: %d (%.1f%%)\n",
+				aliasedN, 100*float64(aliasedN)/float64(ds.Len()),
+				activeN, 100*float64(activeN)/float64(ds.Len()))
+		}
 		for i, a := range ds.Addrs.Sorted() {
 			if i >= *show {
 				break

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"seedscan/internal/seeds"
@@ -28,6 +29,21 @@ func TestCmdCollect(t *testing.T) {
 	args := append([]string{"-source", "Scamper", "-show", "1"}, smallEnv...)
 	if err := execute(context.Background(), "collect", args...); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCmdCollectEmpty: a scale that collects no address prints the
+// counts without a share of nothing.
+func TestCmdCollectEmpty(t *testing.T) {
+	var err error
+	stdout, _ := outputOf(t, func() {
+		err = execute(context.Background(), "collect", "-scale", "1e-9", "-ases", "50", "-source", "Scamper")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stdout, " 0 unique addresses") || strings.Contains(stdout, "NaN") {
+		t.Fatalf("collect of an empty dataset printed:\n%s", stdout)
 	}
 }
 

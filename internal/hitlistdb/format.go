@@ -40,6 +40,7 @@ import (
 	"hash/crc64"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"seedscan/internal/hitlist"
@@ -76,22 +77,29 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // The record set is the union of the snapshot's responsive and
 // per-protocol sets; the alias-prefix list is written verbatim (sorted,
 // deduplicated), so Unmarshal→Snapshot is lossless.
+//
+// The union is never built as a set. The snapshot's distinct sets (a set
+// held in several slots counts once, with the OR of their flag bits) are
+// ranked by size; the largest is the base, whose sorted members are the
+// records, with the other sets' members that the base lacks merged in.
+// A base record takes the base's bits without a lookup; only the other
+// distinct sets are probed per record. The daemon publishes one set in
+// two slots, so its records cost one sort and no lookup.
 func Marshal(snap *hitlist.Snapshot, generation uint64) []byte {
-	// Union the sets: an address can in principle appear in a per-protocol
-	// set only, and the flags byte preserves exactly which sets it was in.
-	union := ipaddr.NewSetCap(snap.Responsive.Len())
-	union.AddSet(snap.Responsive)
-	for _, p := range proto.All {
-		if snap.PerProtocol[p] != nil {
-			union.AddSet(snap.PerProtocol[p])
-		}
+	var base flaggedSet
+	var addrs, extra []ipaddr.Addr
+	others := distinctSets(snap)
+	if len(others) > 0 {
+		base, others = others[0], others[1:]
+		addrs = base.set.Sorted()
+		extra = outside(base.set, others)
 	}
-	addrs := union.Sorted()
+	count := len(addrs) + len(extra)
 
 	prefixes := dedupPrefixes(snap.AliasedPrefixes)
 
-	nIndex := (len(addrs) + defaultIndexStride - 1) / defaultIndexStride
-	size := headerSize + recordSize*len(addrs) + prefixSize*len(prefixes) + 16*nIndex + crcSize
+	nIndex := (count + defaultIndexStride - 1) / defaultIndexStride
+	size := headerSize + recordSize*count + prefixSize*len(prefixes) + 16*nIndex + crcSize
 	b := make([]byte, 0, size)
 
 	// Header.
@@ -102,26 +110,32 @@ func Marshal(snap *hitlist.Snapshot, generation uint64) []byte {
 	b = binary.BigEndian.AppendUint64(b, uint64(snap.BuiltAt.UnixNano()))
 	b = binary.BigEndian.AppendUint64(b, uint64(snap.Input))
 	b = binary.BigEndian.AppendUint64(b, uint64(snap.AliasedAddrs))
-	b = binary.BigEndian.AppendUint64(b, uint64(len(addrs)))
+	b = binary.BigEndian.AppendUint64(b, uint64(count))
 	b = binary.BigEndian.AppendUint64(b, uint64(len(prefixes)))
 	b = binary.BigEndian.AppendUint32(b, uint32(snap.Epoch))
 	for len(b) < headerSize {
 		b = append(b, 0)
 	}
 
-	// Address records.
-	for _, a := range addrs {
-		a16 := a.As16()
-		b = append(b, a16[:]...)
+	// Address records: the base's and the extra members, merged in
+	// ascending order (the two lists are disjoint).
+	for i, j := 0, 0; i < len(addrs) || j < len(extra); {
+		var a ipaddr.Addr
 		var flags byte
-		if snap.Responsive.Contains(a) {
-			flags |= flagResponsive
+		if j == len(extra) || i < len(addrs) && addrs[i].Less(extra[j]) {
+			a, flags = addrs[i], base.flags
+			i++
+		} else {
+			a = extra[j]
+			j++
 		}
-		for _, p := range proto.All {
-			if snap.PerProtocol[p].Contains(a) {
-				flags |= 1 << uint(p)
+		for _, o := range others {
+			if o.set.Contains(a) {
+				flags |= o.flags
 			}
 		}
+		a16 := a.As16()
+		b = append(b, a16[:]...)
 		b = append(b, flags)
 	}
 
@@ -132,13 +146,59 @@ func Marshal(snap *hitlist.Snapshot, generation uint64) []byte {
 		b = append(b, byte(p.Bits()))
 	}
 
-	// Fixed-stride index.
-	for i := 0; i < len(addrs); i += defaultIndexStride {
-		a16 := addrs[i].As16()
-		b = append(b, a16[:]...)
+	// Fixed-stride index: the address of every stride-th record, read
+	// back from the records just written.
+	for i := 0; i < count; i += defaultIndexStride {
+		off := headerSize + i*recordSize
+		b = append(b, b[off:off+16]...)
 	}
 
 	return binary.BigEndian.AppendUint64(b, crc64.Checksum(b, crcTable))
+}
+
+// A flaggedSet is one distinct set of a snapshot and the flag bits of
+// every slot that holds it.
+type flaggedSet struct {
+	set   *ipaddr.Set
+	flags byte
+}
+
+// distinctSets returns the snapshot's non-empty sets, each once however
+// many slots hold it, largest first (the earlier slot on a tie).
+func distinctSets(snap *hitlist.Snapshot) []flaggedSet {
+	sets := make([]flaggedSet, 0, 1+proto.Count)
+	add := func(s *ipaddr.Set, flag byte) {
+		if s.Len() == 0 {
+			return
+		}
+		for k := range sets {
+			if sets[k].set == s {
+				sets[k].flags |= flag
+				return
+			}
+		}
+		sets = append(sets, flaggedSet{s, flag})
+	}
+	add(snap.Responsive, flagResponsive)
+	for _, p := range proto.All {
+		add(snap.PerProtocol[p], 1<<uint(p))
+	}
+	slices.SortStableFunc(sets, func(x, y flaggedSet) int { return y.set.Len() - x.set.Len() })
+	return sets
+}
+
+// outside returns the members of sets that base lacks, sorted and unique.
+func outside(base *ipaddr.Set, sets []flaggedSet) []ipaddr.Addr {
+	var out []ipaddr.Addr
+	for _, s := range sets {
+		s.set.Each(func(a ipaddr.Addr) {
+			if !base.Contains(a) {
+				out = append(out, a)
+			}
+		})
+	}
+	slices.SortFunc(out, ipaddr.Addr.Compare)
+	return slices.Compact(out)
 }
 
 // dedupPrefixes returns the canonical published prefix list: sorted by

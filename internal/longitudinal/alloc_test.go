@@ -55,3 +55,28 @@ func TestWarmSelectAllocatesItsTargets(t *testing.T) {
 	}
 	t.Logf("warm Select of %d targets over %d addresses: %d bytes allocated", n, len(universe), least)
 }
+
+// TestWarmObserveAllocatesNothing pins a warm observe to no allocation:
+// the hits are sorted in the tracker's scratch copy, which an earlier
+// epoch with as many hits already sized.
+func TestWarmObserveAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	universe := runsUniverse(rng, 100, 300, 50, 200)
+	tr := newTracker(universe, 0.5, 3)
+	var hits []ipaddr.Addr
+	for _, a := range universe {
+		if rng.Intn(3) > 0 {
+			hits = append(hits, a)
+		}
+	}
+	rng.Shuffle(len(hits), func(i, j int) { hits[i], hits[j] = hits[j], hits[i] })
+	tr.observe(1, universe, hits)
+
+	e := 1
+	if allocs := testing.AllocsPerRun(5, func() {
+		e++
+		tr.observe(e, universe, hits[:len(hits)-e])
+	}); allocs != 0 {
+		t.Fatalf("warm observe of %d hits over %d addresses: %v allocations, want 0", len(hits), len(universe), allocs)
+	}
+}

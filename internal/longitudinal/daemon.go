@@ -122,6 +122,13 @@ type Daemon struct {
 	// (cells embed only the target digest; the daemon runs one cell at a
 	// time, so a single slot suffices).
 	pending []ipaddr.Addr
+	// aliasScratch collects an epoch's alias /96s before the report takes
+	// an exact-size copy.
+	aliasScratch []ipaddr.Prefix
+	// snapshot is the publish template: Input, the sorted aliased-prefix
+	// list and the per-protocol sets other than the probed one never
+	// change, so each epoch fills in only its time, epoch and alive set.
+	snapshot hitlist.Snapshot
 }
 
 // New assembles a daemon.
@@ -156,6 +163,14 @@ func New(cfg Config) (*Daemon, error) {
 		offline:  alias.NewOfflineList(cfg.AliasedPrefixes),
 		universe: universe,
 		inCorpus: corpusFlags(universe, cfg.Corpus),
+		snapshot: hitlist.Snapshot{
+			Input:           len(universe),
+			AliasedPrefixes: slices.Clone(cfg.AliasedPrefixes),
+		},
+	}
+	hitlist.SortPrefixes(d.snapshot.AliasedPrefixes)
+	for _, p := range proto.All {
+		d.snapshot.PerProtocol[p] = ipaddr.NewSet()
 	}
 	d.engine = grid.NewEngine(grid.Config{
 		Fingerprint: cfg.Fingerprint,
@@ -296,8 +311,7 @@ func (d *Daemon) runEpoch(ctx context.Context, epoch int) (EpochReport, error) {
 		ConfirmedStale: d.tracker.staleCount(),
 	}
 
-	alive := d.tracker.aliveSet()
-	rep.Alive = alive.Len()
+	rep.Alive = d.tracker.alive
 	for i, seed := range d.inCorpus {
 		if seed && believedAlive(&d.tracker.states[i]) {
 			rep.AliveSeeds++
@@ -307,14 +321,19 @@ func (d *Daemon) runEpoch(ctx context.Context, epoch int) (EpochReport, error) {
 	// Alias hits: this epoch's responsive addresses inside the known
 	// aliased-prefix list, folded to /96s. Read in universe order, the
 	// /96s come out sorted, so dropping adjacent repeats dedups them.
+	prefixes := d.aliasScratch[:0]
 	for i, hit := range d.tracker.hit {
 		if !hit || !d.offline.Contains(d.universe[i]) {
 			continue
 		}
 		p := ipaddr.PrefixFrom(d.universe[i], alias.AliasPrefixBits)
-		if n := len(rep.AliasPrefixes); n == 0 || rep.AliasPrefixes[n-1] != p {
-			rep.AliasPrefixes = append(rep.AliasPrefixes, p)
+		if n := len(prefixes); n == 0 || prefixes[n-1] != p {
+			prefixes = append(prefixes, p)
 		}
+	}
+	d.aliasScratch = prefixes
+	if len(prefixes) > 0 {
+		rep.AliasPrefixes = slices.Clone(prefixes)
 	}
 
 	for _, c := range d.cfg.Cohorts {
@@ -331,7 +350,7 @@ func (d *Daemon) runEpoch(ctx context.Context, epoch int) (EpochReport, error) {
 	}
 
 	if d.cfg.Publish != nil {
-		gen, err := d.publish(epoch, alive)
+		gen, err := d.publish(epoch)
 		if err != nil {
 			span.EndWith(telemetry.Attrs{"error": err.Error()})
 			return EpochReport{}, err
@@ -348,27 +367,20 @@ func (d *Daemon) runEpoch(ctx context.Context, epoch int) (EpochReport, error) {
 }
 
 // publish writes the epoch's believed-alive view as the next hitlistdb
-// generation. A resumed daemon replaying already-published epochs skips
-// them: the store's current epoch is authoritative, so a kill+restart
-// produces no spurious generations.
-func (d *Daemon) publish(epoch int, alive *ipaddr.Set) (uint64, error) {
+// generation; the alive set is the one set it builds. A resumed daemon
+// replaying already-published epochs skips them: the store's current
+// epoch is authoritative, so a kill+restart produces no spurious
+// generations.
+func (d *Daemon) publish(epoch int) (uint64, error) {
 	if cur := d.cfg.Publish.Current(); cur != nil && cur.Epoch() >= epoch {
 		d.tr.Registry().Counter("longitudinal.publish.skipped").Inc()
 		return cur.Generation(), nil
 	}
-	snap := &hitlist.Snapshot{
-		BuiltAt:         time.Now(),
-		Epoch:           epoch,
-		Input:           len(d.universe),
-		Responsive:      alive,
-		AliasedPrefixes: append([]ipaddr.Prefix(nil), d.cfg.AliasedPrefixes...),
-	}
-	hitlist.SortPrefixes(snap.AliasedPrefixes)
-	for _, p := range proto.All {
-		snap.PerProtocol[p] = ipaddr.NewSet()
-	}
+	alive := d.tracker.aliveSet()
+	snap := d.snapshot
+	snap.BuiltAt, snap.Epoch, snap.Responsive = time.Now(), epoch, alive
 	snap.PerProtocol[d.cfg.Proto] = alive
-	db, err := d.cfg.Publish.Publish(snap)
+	db, err := d.cfg.Publish.Publish(&snap)
 	if err != nil {
 		return 0, fmt.Errorf("longitudinal: publish epoch %d: %w", epoch, err)
 	}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
+	"seedscan/internal/alias"
 	"seedscan/internal/experiment/grid"
 	"seedscan/internal/hitlistdb"
 	"seedscan/internal/ipaddr"
@@ -352,5 +354,71 @@ func TestUniverseWithOverlappingCohorts(t *testing.T) {
 	st := d.Tracker().state(dead)
 	if st == nil || st.Observed != 1 || st.ConsecDown != 1 || st.Stale {
 		t.Fatalf("triple-listed dead member after one epoch: %+v, want one miss, not stale", st)
+	}
+}
+
+// TestEpochReportsStandAlone: each report keeps what its epoch saw. A run
+// of several epochs reports epoch k as a run that stops at k does, so no
+// later epoch writes into a list an earlier report holds; Alive counts
+// the addresses the epoch published; and an epoch with no alias hit
+// reports nil alias /96s, also after an epoch that had some.
+func TestEpochReportsStandAlone(t *testing.T) {
+	const epochs = 4
+	run := func(n int, aliased []ipaddr.Prefix) ([]EpochReport, *hitlistdb.Store) {
+		w, corpus := testCorpus(t, 42)
+		pub, err := hitlistdb.OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := New(Config{
+			World: w, Prober: oracleProber{w}, Corpus: corpus, Proto: proto.ICMP,
+			startEpoch: 1, Epochs: n, StableEvery: 2, Publish: pub, AliasedPrefixes: aliased,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps, err := d.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reps, pub
+	}
+
+	w, corpus := testCorpus(t, 42)
+	all, _ := run(epochs, w.AliasedPrefixes())
+	var distinct [][]ipaddr.Prefix
+	for k := 1; k <= epochs; k++ {
+		reps, pub := run(k, w.AliasedPrefixes())
+		if got, want := normalize(all[k-1:k]), normalize(reps[k-1:]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("epoch %d of a %d-epoch run:\n%+v\nwant, as a %d-epoch run reports it:\n%+v", k, epochs, got, k, want)
+		}
+		if got, want := reps[k-1].Alive, pub.Current().AddrCount(); got != want {
+			t.Fatalf("epoch %d: Alive %d, published %d addresses", k, got, want)
+		}
+		if p := reps[k-1].AliasPrefixes; !slices.ContainsFunc(distinct, func(q []ipaddr.Prefix) bool { return slices.Equal(p, q) }) {
+			distinct = append(distinct, p)
+		}
+	}
+	if len(distinct) < 2 {
+		t.Fatalf("every epoch reports the same alias /96s %v; the test cannot tell a report that shares its list", distinct)
+	}
+
+	// The known list is the /96 of one host that answers at epoch 1, where
+	// no corpus host answers at epoch 2.
+	var gone []ipaddr.Prefix
+	for _, a := range corpus {
+		p := ipaddr.PrefixFrom(a, alias.AliasPrefixBits)
+		if w.ActiveOn(a, proto.ICMP, 1) && !w.ActiveOn(a, proto.ICMP, 2) &&
+			!slices.ContainsFunc(corpus, func(b ipaddr.Addr) bool { return p.Contains(b) && w.ActiveOn(b, proto.ICMP, 2) }) {
+			gone = []ipaddr.Prefix{p}
+			break
+		}
+	}
+	if gone == nil {
+		t.Fatal("no corpus /96 answers at epoch 1 and is silent at epoch 2")
+	}
+	reps, _ := run(2, gone)
+	if len(reps[0].AliasPrefixes) == 0 || reps[1].AliasPrefixes != nil {
+		t.Fatalf("alias /96s %#v then %#v, want %v then nil", reps[0].AliasPrefixes, reps[1].AliasPrefixes, gone)
 	}
 }

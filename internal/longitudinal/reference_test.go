@@ -283,6 +283,15 @@ func checkAgainstReference(t *testing.T, rng *rand.Rand, universe, corpus []ipad
 				hits = append(hits, a)
 			}
 		}
+		// A hit may repeat, and may lie outside the universe (before its
+		// first /64 run, between two, or past the last); observe must read
+		// hits as the set of them.
+		for range rng.Intn(4) {
+			if len(hits) > 0 {
+				hits = append(hits, hits[rng.Intn(len(hits))])
+			}
+			hits = append(hits, ipaddr.AddrFrom64s(uint64(0x20010db8_00000001+3*(rng.Intn(9)-1)), rng.Uint64()))
+		}
 		rng.Shuffle(len(hits), func(i, j int) { hits[i], hits[j] = hits[j], hits[i] })
 		got, wantObs := tr.observe(e, targets, hits), ref.Observe(e, targets, ipaddr.NewSet(hits...))
 		if got != wantObs {

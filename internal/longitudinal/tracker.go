@@ -94,6 +94,8 @@ type Tracker struct {
 	states     []addrState
 	// hit marks the positions that answered the latest Observe.
 	hit []bool
+	// sorted is observe's scratch copy of the hits, kept between epochs.
+	sorted []ipaddr.Addr
 	// tracked, stale and alive count the observed, confirmed-stale and
 	// believed-alive positions.
 	tracked, stale, alive int
@@ -138,16 +140,24 @@ func (t *Tracker) state(a ipaddr.Addr) *addrState {
 // observe folds one epoch's scan into the tracker: every address in
 // targets (sorted, as a Selection's are) was sent a probe, and responded
 // iff it is in hits (any order). Targets outside the universe, and
-// repeats, are ignored.
+// repeats, are ignored. The hits are sorted into a scratch copy and
+// marked in one merge walk against the universe, so a warm tracker
+// allocates nothing.
 func (t *Tracker) observe(epoch int, targets, hits []ipaddr.Addr) observeStats {
 	clear(t.hit)
-	for _, a := range hits {
-		if i := t.pos(a); i >= 0 {
+	t.sorted = append(t.sorted[:0], hits...)
+	slices.SortFunc(t.sorted, ipaddr.Addr.Compare)
+	i := 0
+	for _, a := range t.sorted {
+		for i < len(t.universe) && t.universe[i].Less(a) {
+			i++
+		}
+		if i < len(t.universe) && t.universe[i] == a {
 			t.hit[i] = true
 		}
 	}
 	var stats observeStats
-	i := 0
+	i = 0
 	for _, a := range targets {
 		for i < len(t.universe) && t.universe[i].Less(a) {
 			i++
