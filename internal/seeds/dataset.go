@@ -24,11 +24,11 @@ func NewDataset(name string) *Dataset {
 	return &Dataset{Name: name, Addrs: ipaddr.NewSet()}
 }
 
-// FromAddrs builds a dataset from a slice (deduplicating).
+// FromAddrs builds a dataset from a slice (deduplicating). The set is
+// sized for len(addrs) addresses up front, which is exact for a list
+// without duplicates.
 func FromAddrs(name string, addrs []ipaddr.Addr) *Dataset {
-	d := NewDataset(name)
-	d.Addrs.AddAll(addrs)
-	return d
+	return FromSet(name, ipaddr.NewSet(addrs...))
 }
 
 // FromSet wraps an existing set (not copied).

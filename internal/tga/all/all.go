@@ -30,6 +30,8 @@ var Names = []string{"6Sense", "DET", "6Tree", "6Scan", "6Graph", "6Gen", "6Hit"
 // protocols. AddrMiner names DET's min-entropy tree and adopts it while its
 // long-term Store is empty, as it is for every generator New makes; a run
 // with a memory mines seeds ∪ memory itself (see the addrminer package).
+// 6Graph derives its patterns from that tree, which the cache mines once
+// for all three.
 var (
 	_ tga.ModelBuilder = (*sixsense.Generator)(nil)
 	_ tga.ModelBuilder = (*det.Generator)(nil)
@@ -41,6 +43,7 @@ var (
 	_ tga.ModelBuilder = (*entropyip.Generator)(nil)
 	_ tga.ModelBuilder = (*addrminer.Generator)(nil)
 	_ tga.ModelBuilder = (*sixprob.Generator)(nil)
+	_ tga.ModelDeriver = (*sixgraph.Generator)(nil)
 )
 
 // ExtendedNames adds the generators implemented beyond the paper's study

@@ -60,9 +60,10 @@ func runResultsEqual(t *testing.T, name string, want, got *tga.RunResult) {
 // TestModelCacheMatchesUncached runs each model builder without the
 // cross-run model cache, then twice with it through one cache: a model is
 // mined by the first run that asks for it and adopted by every later one —
-// the second run of the same generator, and the runs of other generators
+// the second run of the same generator, the runs of other generators
 // whose ModelParams name the same model (6Scan and 6Hit adopt the tree
-// 6Tree mined) — and every cached run matches its uncached run exactly.
+// 6Tree mined), and a ModelDeriver's base (6Graph derives from the tree
+// DET mined) — and every cached run matches its uncached run exactly.
 func TestModelCacheMatchesUncached(t *testing.T) {
 	_, sc, seeds := setup(t)
 	const budget = 2000
@@ -88,22 +89,44 @@ func TestModelCacheMatchesUncached(t *testing.T) {
 			runResultsEqual(t, name, uncached, res)
 		}
 	}
-	models := len(byParams)
+	// Every base is some builder's model, so deriving mines nothing more:
+	// each deriver's first run asks once more, and hits.
+	models, derivers := len(byParams), 0
+	for _, name := range names {
+		if d, ok := all.MustNew(name).(tga.ModelDeriver); ok {
+			if _, ok := byParams[d.Base().ModelParams()]; !ok {
+				t.Fatalf("%s derives from %q, which no builder names", name, d.Base().ModelParams())
+			}
+			derivers++
+		}
+	}
+	if derivers == 0 {
+		t.Fatal("no builder derives its model")
+	}
 	if misses := reg.Counter("tga.modelcache.misses").Load(); misses != int64(models) {
 		t.Errorf("misses = %d, want %d (one mine per distinct ModelParams)", misses, models)
 	}
-	if hits := reg.Counter("tga.modelcache.hits").Load(); hits != int64(2*len(names)-models) {
-		t.Errorf("hits = %d, want %d (every other run reuses)", hits, 2*len(names)-models)
+	if want := int64(2*len(names) - models + derivers); reg.Counter("tga.modelcache.hits").Load() != want {
+		t.Errorf("hits = %d, want %d (every other run reuses, and each deriver's base is reused)", reg.Counter("tga.modelcache.hits").Load(), want)
 	}
 }
 
 // TestModelParamsNameTheModel holds every builder to the ModelParams
 // contract the cache keys on: builders that return the same value build
-// deep-equal models from the same canonical seeds.
+// deep-equal models from the same canonical seeds. It holds 6Graph to the
+// ModelDeriver contract too: its base builds DET's tree, and deriving
+// from that tree builds 6Graph's model and leaves the tree as it was.
 func TestModelParamsNameTheModel(t *testing.T) {
 	_, byParams := builders()
 	if got := byParams[tga.LeftmostTree]; !slices.Equal(got, []string{"6Tree", "6Scan", "6Hit"}) {
 		t.Errorf("%s is mined by %v, want 6Tree, 6Scan and 6Hit", tga.LeftmostTree, got)
+	}
+	sixGraph := all.MustNew("6Graph").(interface {
+		tga.ModelBuilder
+		tga.ModelDeriver
+	})
+	if got := sixGraph.Base().ModelParams(); got != tga.MinEntropyTree {
+		t.Errorf("6Graph derives from %q, want %q", got, tga.MinEntropyTree)
 	}
 	for si, seeds := range [2][]ipaddr.Addr{syntheticSeeds(12), syntheticSeeds(64)} {
 		// BuildModel's input as the driver and the cache hand it over.
@@ -124,6 +147,74 @@ func TestModelParamsNameTheModel(t *testing.T) {
 					t.Errorf("set %d: %s and %s both claim ModelParams %q but build different models", si, names[0], name, params)
 				}
 			}
+		}
+
+		tree, err := all.MustNew("DET").(tga.ModelBuilder).BuildModel(seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := sixGraph.Base().BuildModel(seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(base, tree) {
+			t.Errorf("set %d: 6Graph's base and DET build different trees", si)
+		}
+		derived, err := sixGraph.Derive(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, err := sixGraph.BuildModel(seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(derived, built) {
+			t.Errorf("set %d: 6Graph's Derive of DET's tree differs from its BuildModel", si)
+		}
+		if !reflect.DeepEqual(base, tree) {
+			t.Errorf("set %d: Derive changed the tree it read", si)
+		}
+	}
+}
+
+// TestSixGraphSharesDETTree: DET and 6Graph, run through one cache in
+// either order, mine one min-entropy tree between them, and 6Graph's
+// cached run matches its uncached one.
+func TestSixGraphSharesDETTree(t *testing.T) {
+	seeds := syntheticSeeds(64)
+	cfg := tga.RunConfig{Budget: 2000, BatchSize: 512, Proto: proto.ICMP, Prober: hashProber{}, ExcludeSeeds: true}
+	uncached, err := tga.Run(all.MustNew("6Graph"), seeds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, order := range [][]string{{"DET", "6Graph"}, {"6Graph", "DET"}} {
+		cache := modelcache.New()
+		reg := telemetry.NewRegistry()
+		ctx := telemetry.NewContext(context.Background(), telemetry.NewTracer(reg))
+		cached := cfg
+		cached.Models = cache
+		for _, name := range order {
+			res, err := tga.RunContext(ctx, all.MustNew(name), seeds, cached)
+			if err != nil {
+				t.Fatalf("%v, %s: %v", order, name, err)
+			}
+			if name == "6Graph" {
+				runResultsEqual(t, name, uncached, res)
+			}
+		}
+		// Two models are mined, the tree and 6Graph's patterns, and the
+		// second request for the tree is a hit, whichever run made it.
+		misses, hits := reg.Counter("tga.modelcache.misses").Load(), reg.Counter("tga.modelcache.hits").Load()
+		if misses != 2 || hits != 1 {
+			t.Errorf("%v: %d misses and %d hits, want 2 and 1 (one tree for both)", order, misses, hits)
+		}
+		// The tree is in the cache under DET's key: asking again mines
+		// nothing.
+		if _, err := cache.GetOrBuild(ctx, all.MustNew("DET").(tga.ModelBuilder), tga.CanonicalSeeds(seeds)); err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Counter("tga.modelcache.misses").Load(); got != 2 {
+			t.Errorf("%v: asking for the tree again mined it (%d misses)", order, got)
 		}
 	}
 }

@@ -16,10 +16,9 @@ import (
 type Model any
 
 // ModelBuilder is the optional generator surface that splits model
-// construction out of Init. All eight studied TGAs implement it; the
-// driver and the cross-run model cache (internal/tga/modelcache) use it to
-// mine a seed model once and reuse it for every run over the same
-// treatment.
+// construction out of Init. All ten generators implement it; the driver
+// and the cross-run model cache (internal/tga/modelcache) use it to mine
+// a seed model once and reuse it for every run over the same treatment.
 //
 // The contract: BuildModel is deterministic given canonical seeds, touches
 // no run state, and returns an immutable Model. InitFromModel replaces
@@ -46,9 +45,24 @@ type ModelBuilder interface {
 	InitFromModel(m Model, seeds []ipaddr.Addr) error
 }
 
+// ModelDeriver is the optional ModelBuilder surface of a model computed
+// from another builder's model over the same seeds: 6Graph merges the
+// leaves of DET's min-entropy tree. A model cache resolves Base through
+// itself, so the base is mined once for every builder that names it, and
+// builds the derived model as Derive of it.
+//
+// The contract: on canonical seeds, BuildModel(seeds) equals
+// Derive(Base().BuildModel(seeds)), and Derive only reads base.
+type ModelDeriver interface {
+	// Base returns the builder of the model Derive starts from.
+	Base() ModelBuilder
+	// Derive computes the model from base, Base's model of the seeds.
+	Derive(base Model) (Model, error)
+}
+
 // The ModelParams of the two space trees the tree TGAs share: MineTree
 // with MinLeaf and SplitLeftmost (6Tree, 6Scan, 6Hit) or SplitMinEntropy
-// (DET).
+// (DET, AddrMiner, and 6Graph as its ModelDeriver base).
 const (
 	LeftmostTree   = "tree/leftmost"
 	MinEntropyTree = "tree/minentropy"
@@ -81,7 +95,7 @@ type TreeLeafModel struct {
 // in DHC (depth-first, value-sorted) order, decoupled from the mutable
 // TreeNode run state (LeafGen cursors, online probe/hit counters). It is
 // the shared Model type of the four tree TGAs (6Tree, DET, 6Hit, 6Scan)
-// and the input to 6Graph's pattern merging.
+// and AddrMiner, and the base 6Graph derives its merged patterns from.
 type TreeModel struct {
 	LeafModels []TreeLeafModel
 }

@@ -180,5 +180,66 @@ func TestFailedBuildNotCached(t *testing.T) {
 	}
 }
 
+// derivingBuilder is a tga.ModelDeriver over base: its model wraps the
+// base model Derive is given. Its own BuildModel (countingBuilder's) is
+// what a cache must not call.
+type derivingBuilder struct {
+	*countingBuilder
+	base    *countingBuilder
+	derives atomic.Int64
+}
+
+// derivedModel is what derivingBuilder derives.
+type derivedModel struct{ from tga.Model }
+
+func (d *derivingBuilder) ModelParams() string    { return "derived" }
+func (d *derivingBuilder) Base() tga.ModelBuilder { return d.base }
+func (d *derivingBuilder) Derive(base tga.Model) (tga.Model, error) {
+	d.derives.Add(1)
+	return &derivedModel{from: base}, nil
+}
+
+// TestDerivedModelReadsCachedBase: a ModelDeriver's model is Derive of the
+// base model the cache holds for the same seeds — mined once, and not
+// mined again when the base's own builder asks — and a failed base build
+// caches neither model.
+func TestDerivedModelReadsCachedBase(t *testing.T) {
+	c := New()
+	reg := telemetry.NewRegistry()
+	ctx := telemetry.NewContext(context.Background(), telemetry.NewTracer(reg))
+	base := &countingBuilder{Generator: sixtree.New(), fail: true}
+	d := &derivingBuilder{countingBuilder: &countingBuilder{Generator: sixtree.New()}, base: base}
+	seeds := someSeeds(100)
+
+	if _, err := c.GetOrBuild(ctx, d, seeds); err == nil {
+		t.Fatal("a failed base build derived a model")
+	}
+	if c.len() != 0 {
+		t.Fatalf("failed base build cached, len = %d", c.len())
+	}
+	base.fail = false
+	m, err := c.GetOrBuild(ctx, d, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := c.GetOrBuild(ctx, d, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := c.GetOrBuild(ctx, base, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != m || m.(*derivedModel).from != tree {
+		t.Fatal("the derived model is not Derive of the cached base model")
+	}
+	if b, n, own := base.builds.Load(), d.derives.Load(), d.builds.Load(); b != 2 || n != 1 || own != 0 {
+		t.Fatalf("base built %d times (one failed), derived %d, own BuildModel %d: want 2, 1, 0", b, n, own)
+	}
+	if hits, misses := reg.Counter("tga.modelcache.hits").Load(), reg.Counter("tga.modelcache.misses").Load(); hits != 2 || misses != 3 {
+		t.Fatalf("hits=%d misses=%d, want 2 and 3", hits, misses)
+	}
+}
+
 // len reports the number of completed or in-flight models.
 func (c *Cache) len() int { return c.models.Len() }

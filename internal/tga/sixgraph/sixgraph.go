@@ -13,13 +13,15 @@
 package sixgraph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/tga"
+	"seedscan/internal/tga/det"
 )
 
 // Generator is the 6Graph TGA. Construct with New.
@@ -70,82 +72,100 @@ func (g *Generator) ModelParams() string {
 	return fmt.Sprintf("6graph/mergedist=%d", g.mergeDistance())
 }
 
-// BuildModel implements tga.ModelBuilder: the entropy tree with similar
-// leaves merged into patterns.
+// BuildModel implements tga.ModelBuilder: Derive of the min-entropy tree
+// over the seeds, which on canonical seeds is Base's model.
 func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
-	// Only the leaves' patterns and seed counts are merged.
 	tm, err := tga.MineTree(seeds, tga.MinLeaf, tga.SplitMinEntropy)
 	if err != nil {
 		return nil, err
 	}
-	leaves := tm.(*tga.TreeModel).LeafModels
+	return g.Derive(tm)
+}
+
+// Base implements tga.ModelDeriver: DET, whose tga.MinEntropyTree a model
+// cache shares between DET, AddrMiner and 6Graph.
+func (g *Generator) Base() tga.ModelBuilder { return det.New() }
+
+// Derive implements tga.ModelDeriver: the tree's leaves with similar
+// patterns merged. Only the leaves' masks and seed counts are read.
+func (g *Generator) Derive(base tga.Model) (tga.Model, error) {
+	tm, ok := base.(*tga.TreeModel)
+	if !ok {
+		return nil, fmt.Errorf("sixgraph: base model type %T", base)
+	}
+	leaves := tm.LeafModels
 	mergeDist := g.mergeDistance()
 
 	// Pattern graph: union-find over leaves within the merge distance.
-	parent := make([]int, len(leaves))
+	parent := make([]int32, len(leaves))
 	for i := range parent {
-		parent[i] = i
+		parent[i] = int32(i)
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
 
 	// Bucket leaves by their leading-position masks: leaves from different
 	// top-level allocations differ in many prefix positions and can never
 	// merge, so only same-bucket pairs are compared. This keeps the pass
 	// near-linear on Internet-scale seed sets. The leading masks are the
-	// first bucketWords packed words, which the join then skips.
-	packed := make([]packedMasks, len(leaves))
-	buckets := make(map[[bucketWords]uint64][]int)
+	// first bucketWords packed words, which the join then skips. Sorting
+	// the packed rows by that key lays each bucket out side by side.
+	rows := make([]packedRow, len(leaves))
 	for i := range leaves {
-		packed[i] = pack(&leaves[i].Masks)
-		key := [bucketWords]uint64(packed[i][:bucketWords])
-		buckets[key] = append(buckets[key], i)
+		rows[i] = packedRow{pack(&leaves[i].Masks), int32(i)}
 	}
-	var rows []packedMasks
-	for _, idx := range buckets {
-		rows = rows[:0]
-		for _, i := range idx {
-			rows = append(rows, packed[i])
+	slices.SortFunc(rows, func(a, b packedRow) int {
+		if c := cmp.Compare(a.masks[0], b.masks[0]); c != 0 {
+			return c
 		}
-		for x := range rows {
-			for y := x + 1; y < len(rows); y++ {
-				if withinDistance(&rows[x], &rows[y], mergeDist) {
-					union(idx[x], idx[y])
+		return cmp.Compare(a.masks[1], b.masks[1])
+	})
+	for lo := 0; lo < len(rows); {
+		hi := lo + 1
+		for hi < len(rows) && [bucketWords]uint64(rows[hi].masks[:bucketWords]) == [bucketWords]uint64(rows[lo].masks[:bucketWords]) {
+			hi++
+		}
+		for x := lo; x < hi; x++ {
+			for y := x + 1; y < hi; y++ {
+				if withinDistance(&rows[x].masks, &rows[y].masks, mergeDist) {
+					parent[find(rows[x].leaf)] = find(rows[y].leaf)
 				}
 			}
 		}
+		lo = hi
 	}
 
-	// Merge components in deterministic (leaf index) order.
-	comp := make(map[int]*clusterModel)
-	var clusters []*clusterModel
-	for i, l := range leaves {
-		r := find(i)
-		c, ok := comp[r]
-		if !ok {
-			c = &clusterModel{}
-			comp[r] = c
-			clusters = append(clusters, c)
+	// Merge components in deterministic (first leaf index) order, into
+	// one slice of the final length: slot[root] is 1 + the component's
+	// index, 0 until its first leaf is met.
+	n := 0
+	for i := range parent {
+		if find(int32(i)) == int32(i) {
+			n++
 		}
-		for p := 0; p < ipaddr.NybbleCount; p++ {
-			c.Masks[p] |= l.Masks[p]
+	}
+	clusters := make([]clusterModel, 0, n)
+	slot := make([]int32, len(leaves))
+	for i := range leaves {
+		r := find(int32(i))
+		if slot[r] == 0 {
+			clusters = append(clusters, clusterModel{})
+			slot[r] = int32(len(clusters))
 		}
-		c.Seeds += len(l.Seeds)
+		c := &clusters[slot[r]-1]
+		for p, m := range leaves[i].Masks {
+			c.Masks[p] |= m
+		}
+		c.Seeds += len(leaves[i].Seeds)
 	}
 	// Deterministic order: biggest clusters first.
-	sort.SliceStable(clusters, func(i, j int) bool { return clusters[i].Seeds > clusters[j].Seeds })
-	m := &model{Clusters: make([]clusterModel, len(clusters))}
-	for i, c := range clusters {
-		m.Clusters[i] = *c
-	}
-	return m, nil
+	slices.SortStableFunc(clusters, func(a, b clusterModel) int { return cmp.Compare(b.Seeds, a.Seeds) })
+	return &model{Clusters: clusters}, nil
 }
 
 // InitFromModel implements tga.ModelBuilder: it materializes fresh
@@ -170,6 +190,12 @@ func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, 
 // packedMasks is a leaf's value masks four to a word: position p is the
 // 16-bit lane p%4 of word p/4.
 type packedMasks [ipaddr.NybbleCount / 4]uint64
+
+// packedRow is one leaf of the join: its packed masks and its index.
+type packedRow struct {
+	masks packedMasks
+	leaf  int32
+}
 
 // bucketWords is how many leading packed words the bucket key fixes.
 const bucketWords = bucketPositions / 4

@@ -18,6 +18,7 @@ package sixsense
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -199,16 +200,34 @@ func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("sixsense: empty seed set")
 	}
-	// Number the arms first: an arm is large, so the slice is allocated
-	// once at its final length.
+	// Number the arms first and mark the (position, previous nybble)
+	// contexts each one's seeds reach, so the arms and every arm's rows
+	// are allocated once, at their final length.
 	keyIdx := make(map[uint64]int)
+	var contexts [][ipaddr.NybbleCount - modelStart]uint16
 	for _, s := range seeds {
 		k := s.Hi() >> 32
-		if _, ok := keyIdx[k]; !ok {
-			keyIdx[k] = len(keyIdx)
+		i, ok := keyIdx[k]
+		if !ok {
+			i = len(contexts)
+			keyIdx[k] = i
+			contexts = append(contexts, [ipaddr.NybbleCount - modelStart]uint16{})
+		}
+		seen := &contexts[i]
+		prev := s.Nybble(modelStart - 1)
+		for pos := modelStart; pos < ipaddr.NybbleCount; pos++ {
+			seen[pos-modelStart] |= 1 << prev
+			prev = s.Nybble(pos)
 		}
 	}
-	arms := make([]arm, len(keyIdx))
+	arms := make([]arm, len(contexts))
+	for i, seen := range contexts {
+		n := 0
+		for _, m := range seen {
+			n += bits.OnesCount16(m)
+		}
+		arms[i].rows = make([][16]int32, 0, n)
+	}
 	for _, s := range seeds {
 		k := s.Hi() >> 32
 		a := &arms[keyIdx[k]]
