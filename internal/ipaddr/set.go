@@ -32,6 +32,21 @@ func NewSetCap(n int) *Set {
 	return s
 }
 
+// Reset empties s and makes room for n addresses, keeping its storage:
+// afterwards s answers as NewSetCap(n) would, and it allocates only when
+// its table or backing slice is too small for n.
+func (s *Set) Reset(n int) {
+	s.addrs = s.addrs[:0]
+	if len(s.table) < max(2*n, 16) {
+		s.reserve(n)
+		return
+	}
+	clear(s.table)
+	if cap(s.addrs) < n {
+		s.addrs = make([]Addr, 0, n)
+	}
+}
+
 // reserve rebuilds the table with room for n addresses in total.
 func (s *Set) reserve(n int) {
 	if n > 1<<30 {

@@ -2,6 +2,7 @@ package ipaddr
 
 import (
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"sort"
@@ -233,6 +234,83 @@ func TestSetZeroAndNil(t *testing.T) {
 	zero.AddSet(null)
 	if zero.Len() != 1 || zero.Intersect(null).Len() != 0 || zero.Diff(null).Len() != 1 {
 		t.Fatal("nil argument not treated as empty")
+	}
+}
+
+// mallocs reports how many heap objects one call of fn allocates, with
+// collection off so that a collection adds none of its own.
+func mallocs(fn func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestSetReset resets sets of several shapes for n addresses: each must
+// forget its old members and then, after the same adds, answer Contains,
+// Len and Slice as NewSetCap(n) does. Reset allocates nothing when the
+// set's storage fits n; when it does not, Reset reserves, so the n adds
+// that follow allocate nothing.
+func TestSetReset(t *testing.T) {
+	base := MustParse("2001:db8::")
+	span := func(from, n int) []Addr {
+		out := make([]Addr, n)
+		for i := range out {
+			out[i] = base.AddLo(uint64(from + i))
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name      string
+		old       func() *Set
+		n         int
+		allocates bool
+	}{
+		{"grown set, fewer", func() *Set { return NewSet(span(0, 1000)...) }, 100, false},
+		{"grown set, as many", func() *Set { return NewSet(span(0, 1000)...) }, 1000, false},
+		{"presized, unused", func() *Set { return NewSetCap(5000) }, 5000, false},
+		{"small set, more", func() *Set { return NewSet(span(0, 10)...) }, 5000, true},
+		{"zero value", func() *Set { return new(Set) }, 0, true},
+		{"table fits, backing slice does not", func() *Set { return NewSetCap(0) }, 8, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			old := span(0, 1000)
+			s := c.old()
+			if got := mallocs(func() { s.Reset(c.n) }); (got > 0) != c.allocates {
+				t.Errorf("Reset(%d) allocates %d objects, want allocation %v", c.n, got, c.allocates)
+			}
+			if s.Len() != 0 || s.Contains(old[0]) || len(s.Slice()) != 0 {
+				t.Fatalf("after Reset: Len %d, old member present %v", s.Len(), s.Contains(old[0]))
+			}
+			// The adds overlap the old members, which must read as new.
+			adds := span(c.n/2, c.n)
+			fresh := 0
+			if got := mallocs(func() {
+				for _, a := range adds {
+					if s.Add(a) {
+						fresh++
+					}
+				}
+			}); got != 0 {
+				t.Errorf("%d adds after Reset(%d) allocate %d objects, want none", c.n, c.n, got)
+			}
+			if fresh != c.n {
+				t.Errorf("%d of %d adds after Reset were new", fresh, c.n)
+			}
+			want := NewSetCap(c.n)
+			want.AddAll(adds)
+			if s.Len() != want.Len() {
+				t.Fatalf("Len %d, want %d", s.Len(), want.Len())
+			}
+			sameAddrs(t, "Slice", s.Slice(), want.Slice())
+			for _, a := range append(old, span(2000, 100)...) {
+				if s.Contains(a) != want.Contains(a) {
+					t.Fatalf("Contains(%v) = %v, want %v", a, s.Contains(a), want.Contains(a))
+				}
+			}
+		})
 	}
 }
 

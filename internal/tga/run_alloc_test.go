@@ -88,3 +88,49 @@ func TestRunCandidateBookkeepingIsOneSet(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmRunAllocatesNoCandidateSet runs 6Tree and DET as
+// TestRunCandidateBookkeepingIsOneSet does, but warm: once runs at the
+// budget have sized every set on the driver's free list, and after two
+// collections, a run stays under the generator's slack alone, without the
+// candidate set's bytes — it takes its set off the free list. A sync.Pool
+// would lose its entries to them and fail the pin.
+func TestWarmRunAllocatesNoCandidateSet(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const budget, kib = 12000, 1 << 10
+	seeds := allocSeeds()
+	for _, c := range []struct {
+		newGen func() tga.ModelBuilder
+		slack  uint64
+	}{
+		{func() tga.ModelBuilder { return sixtree.New() }, 896 * kib},
+		{func() tga.ModelBuilder { return det.New() }, 896 * kib},
+	} {
+		g := c.newGen()
+		m, err := g.BuildModel(seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := tga.RunConfig{Budget: budget, BatchSize: 1000, Models: minedModels{g.ModelParams(): m}}
+		run := func(g tga.ModelBuilder) {
+			res, err := tga.RunContext(context.Background(), g, seeds, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Generated != budget {
+				t.Fatalf("%s generated %d of %d", g.Name(), res.Generated, budget)
+			}
+		}
+		// Each run takes the oldest set off the list and puts it back last,
+		// so one run per entry sizes them all.
+		for i := 0; i <= tga.KeptSets; i++ {
+			run(c.newGen())
+		}
+		runtime.GC() // twice: a sync.Pool's entries outlive one collection
+		runtime.GC()
+		g = c.newGen()
+		if got := bytesOf(func() { run(g) }); got > c.slack {
+			t.Errorf("%s: a warm run allocates %d bytes, want at most %d, with no candidate set", g.Name(), got, c.slack)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package tga
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -213,6 +214,70 @@ func TestRunContextEmitsNestedStageSpans(t *testing.T) {
 			}
 			if tr.Registry().Counter("tga.batches").Load() < 2 {
 				t.Fatal("tga.batches not counted")
+			}
+		})
+	}
+}
+
+// sharingGen is staticGen taking the run's candidate set: it records
+// every ShareCandidates call, and Init fails when initErr is set.
+type sharingGen struct {
+	*staticGen
+	initErr error
+	shares  []*ipaddr.Set
+}
+
+func (g *sharingGen) Init([]ipaddr.Addr) error        { return g.initErr }
+func (g *sharingGen) ShareCandidates(set *ipaddr.Set) { g.shares = append(g.shares, set) }
+
+// TestRunTakesTheSetBack checks the lend and the take-back on every way
+// out of a run: the generator is lent a set once, after init, and the
+// driver takes it back with ShareCandidates(nil) whether the budget was
+// reached, the generator proposed nothing, it went idle proposing seeds
+// alone, or ctx was cancelled mid-scan. A run whose init fails lends
+// nothing.
+func TestRunTakesTheSetBack(t *testing.T) {
+	seeds := manyAddrs(200)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, c := range []struct {
+		name    string
+		g       *sharingGen
+		seeds   []ipaddr.Addr
+		prober  scanner.Prober
+		wantErr bool
+		// exhausted: the run ends exhausted; left: with proposals left.
+		exhausted, left bool
+	}{
+		{name: "budget", g: &sharingGen{staticGen: &staticGen{addrs: manyAddrs(1000)}}, left: true},
+		{name: "empty batch", g: &sharingGen{staticGen: &staticGen{addrs: manyAddrs(10)}}, exhausted: true},
+		{name: "idle", g: &sharingGen{staticGen: &staticGen{addrs: seeds}}, seeds: seeds, exhausted: true, left: true},
+		{name: "cancelled", g: &sharingGen{staticGen: &staticGen{addrs: manyAddrs(1000)}},
+			prober: &cancellingProber{cancel: cancel, after: 2}, wantErr: true, left: true},
+		{name: "init fails", g: &sharingGen{staticGen: &staticGen{}, initErr: errors.New("no model")}, wantErr: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.prober == nil {
+				c.prober = &nullProber{}
+			}
+			res, err := RunContext(ctx, c.g, c.seeds, RunConfig{
+				Budget: 100, BatchSize: 1, Prober: c.prober, ExcludeSeeds: true,
+			})
+			if (err != nil) != c.wantErr {
+				t.Fatalf("err = %v, want error %v", err, c.wantErr)
+			}
+			if res != nil && (res.Exhausted != c.exhausted || (c.g.i < len(c.g.addrs)) != c.left) {
+				t.Fatalf("exhausted = %v with %d of %d proposed, want exhausted %v, proposals left %v",
+					res.Exhausted, c.g.i, len(c.g.addrs), c.exhausted, c.left)
+			}
+			if c.g.initErr != nil {
+				if len(c.g.shares) != 0 {
+					t.Fatalf("a run whose init failed shared %d times", len(c.g.shares))
+				}
+				return
+			}
+			if len(c.g.shares) != 2 || c.g.shares[0] == nil || c.g.shares[1] != nil {
+				t.Fatalf("ShareCandidates calls %v, want the run's set, then nil", c.g.shares)
 			}
 		})
 	}

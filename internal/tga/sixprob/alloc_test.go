@@ -3,10 +3,15 @@
 package sixprob
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"unsafe"
+
+	"seedscan/internal/ipaddr"
+	"seedscan/internal/tga"
 )
 
 // The race detector's instrumentation allocates, so the pins on what a
@@ -87,5 +92,45 @@ func TestRunFrontierAllocations(t *testing.T) {
 	})
 	if limit := 64*float64(defaultBeam+1) + 896<<10; bytes > limit {
 		t.Errorf("InitFromModel and %d draws allocate %.0f B, want at most %.0f", draws, bytes, limit)
+	}
+}
+
+// minedModel hands every run the same mined model.
+type minedModel struct{ m tga.Model }
+
+func (s minedModel) GetOrBuild(context.Context, tga.ModelBuilder, []ipaddr.Addr) (tga.Model, error) {
+	return s.m, nil
+}
+
+// TestWarmDriverRunReusesFrontier pins a 6Prob run through the driver,
+// after a warm-up run and two collections, under the bytes of one default
+// frontier (3.9 MB): the driver takes its set back at the end of a run, the
+// generator returns its frontier to the free list then, and the next run's
+// InitFromModel takes it from there. A frontier allocated per run, or a
+// free list a collection empties, does not fit: the run's other state
+// (about 200 KB) puts it over. 64 B per entry of the default beam would
+// let it in.
+func TestWarmDriverRunReusesFrontier(t *testing.T) {
+	seeds := testSeeds(40000)
+	m, err := New().BuildModel(seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 12288
+	cfg := tga.RunConfig{Budget: budget, BatchSize: 4096, Models: minedModel{m}}
+	bytes, _ := allocated(3, func() {
+		runtime.GC() // twice: a sync.Pool's entries outlive one collection
+		runtime.GC()
+		res, err := tga.RunContext(context.Background(), New(), seeds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Generated != budget {
+			t.Fatalf("generated %d of %d", res.Generated, budget)
+		}
+	})
+	perEntry := unsafe.Sizeof(key{}) + unsafe.Sizeof(cand{}) + unsafe.Sizeof(int32(0))
+	if limit := float64(perEntry * (defaultBeam + 1)); bytes >= limit {
+		t.Errorf("a warm driver run allocates %.0f B, want under one frontier, %.0f", bytes, limit)
 	}
 }

@@ -255,8 +255,16 @@ type cand struct {
 
 // ShareCandidates implements the driver's shared candidate set (see
 // tga.RunContext): set replaces the generator's own record of what it
-// proposed.
-func (g *Generator) ShareCandidates(set *ipaddr.Set) { g.emitted = set }
+// proposed. A nil set is the driver taking its set back at the end of the
+// run: the generator then also returns its frontier to the free list and
+// is exhausted until the next InitFromModel.
+func (g *Generator) ShareCandidates(set *ipaddr.Set) {
+	g.emitted = set
+	if set == nil {
+		g.frontier.release()
+		g.model = nil
+	}
+}
 
 // NextBatch implements tga.Generator: it pops complete addresses in
 // highest-probability-first order, expanding partial ones as it goes.
@@ -443,17 +451,48 @@ type candHeap struct {
 
 // newCandHeap sizes a frontier for a beam once: it holds beam+1 entries
 // just before each prune (defaultBeam+1 for an unbounded beam, which grows
-// past that by append).
+// past that by append). A default-size frontier comes off the free list
+// when it has one.
 func newCandHeap(beam int) candHeap {
 	size := defaultBeam
 	if beam > 0 {
 		size = min(beam, defaultBeam)
+	}
+	if size == defaultBeam {
+		select {
+		case h := <-frontiers:
+			return h
+		default:
+		}
 	}
 	return candHeap{
 		heap: make([]key, 0, size+1),
 		slab: make([]cand, 0, size+1),
 		free: make([]int32, 0, size+1),
 	}
+}
+
+// frontiers is the free list of emptied frontiers (about 3.9 MB each), at
+// most keptFrontiers of them: one per concurrent run of the experiment
+// grid, which runs at most eight. Unlike a sync.Pool's, its entries survive
+// garbage collection. It keeps only frontiers of the default size, so a
+// run never takes one that must grow by append.
+const keptFrontiers = 8
+
+var frontiers = make(chan candHeap, keptFrontiers)
+
+// release empties h onto the free list when it is of the default size and
+// the list has room, and leaves h the zero frontier, which a second
+// release does not keep.
+func (h *candHeap) release() {
+	const size = defaultBeam + 1
+	if cap(h.heap) == size && cap(h.slab) == size && cap(h.free) == size {
+		select {
+		case frontiers <- candHeap{heap: h.heap[:0], slab: h.slab[:0], free: h.free[:0]}:
+		default:
+		}
+	}
+	*h = candHeap{}
 }
 
 func (h *candHeap) Len() int { return len(h.heap) }

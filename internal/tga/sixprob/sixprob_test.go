@@ -259,3 +259,71 @@ func TestBeamPruneKeepsDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestTakeBackRecyclesTheFrontier takes the driver's set back from 6Prob
+// runs of two beams: the generator then proposes nothing, only a
+// default-size frontier goes on the free list, a second take-back puts
+// nothing there, the next default run takes the kept frontier and draws
+// what a fresh one does, and the list never holds more than keptFrontiers.
+func TestTakeBackRecyclesTheFrontier(t *testing.T) {
+	empty := func() {
+		for len(frontiers) > 0 {
+			<-frontiers
+		}
+	}
+	empty()
+	t.Cleanup(empty)
+	seeds := testSeeds(300)
+	want := drain(t, New(), seeds, 500)
+	for _, c := range []struct {
+		beam int
+		kept int // frontiers on the free list after the take-back
+	}{
+		{defaultBeam, 1},
+		{64, 1},
+	} {
+		g := New()
+		g.Beam = c.beam
+		if err := g.Init(seeds); err != nil {
+			t.Fatal(err)
+		}
+		g.ShareCandidates(ipaddr.NewSet())
+		if len(g.NextBatch(100)) == 0 {
+			t.Fatalf("beam %d: no candidates", c.beam)
+		}
+		g.ShareCandidates(nil)
+		if got := g.NextBatch(100); len(got) != 0 {
+			t.Fatalf("beam %d: %d candidates after the set was taken back", c.beam, len(got))
+		}
+		if len(frontiers) != c.kept {
+			t.Fatalf("beam %d: %d frontiers kept, want %d", c.beam, len(frontiers), c.kept)
+		}
+		g.ShareCandidates(nil)
+		if len(frontiers) != c.kept {
+			t.Fatalf("beam %d: a second take-back kept a frontier", c.beam)
+		}
+	}
+	if got := drain(t, New(), seeds, 500); !slices.Equal(got, want) {
+		t.Fatal("a recycled frontier draws differently from a fresh one")
+	}
+	if len(frontiers) != 0 {
+		t.Fatalf("%d frontiers kept after a default run took one, want 0", len(frontiers))
+	}
+
+	grown := newCandHeap(0)
+	grown.heap = append(grown.heap, make([]key, defaultBeam+2)...)
+	grown.release()
+	if len(frontiers) != 0 {
+		t.Fatal("a frontier grown past the default size was kept")
+	}
+	heaps := make([]candHeap, 2*keptFrontiers)
+	for i := range heaps {
+		heaps[i] = newCandHeap(defaultBeam)
+	}
+	for _, h := range heaps {
+		h.release()
+	}
+	if len(frontiers) != keptFrontiers {
+		t.Fatalf("%d frontiers kept, want at most %d", len(frontiers), keptFrontiers)
+	}
+}

@@ -18,9 +18,10 @@
 // The driver runs every generator, online or offline, through one loop on
 // the caller's goroutine: each batch is generated, deduplicated, scanned,
 // dealiased and (for online generators) fed back before the next batch is
-// generated. A run keeps one candidate set, presized to the budget; a
+// generated. A run keeps one candidate set, sized for the budget and
+// taken from a bounded free list, so a warm run allocates none; a
 // generator that takes it (ShareCandidates) dedups its proposals there, so
-// no address is recorded twice.
+// no address is recorded twice, and hands it back when the run ends.
 package tga
 
 import (
@@ -65,12 +66,15 @@ type Generator interface {
 	// caller, who may overwrite it; the generator must not read it again.
 	NextBatch(n int) []ipaddr.Addr
 	// Feedback reports scan outcomes for previously proposed candidates.
-	// Offline generators ignore it.
+	// Offline generators ignore it. results is valid only during the
+	// call: the driver reuses its storage for the next batch.
 	Feedback(results []ProbeResult)
 }
 
 // Dealiaser abstracts output dealiasing for the driver.
 type Dealiaser interface {
+	// Split partitions addrs, which the driver reuses for the next batch:
+	// clean and aliased may share its storage, but Split must not keep it.
 	Split(addrs []ipaddr.Addr) (clean, aliased []ipaddr.Addr)
 }
 
@@ -143,14 +147,19 @@ func Run(g Generator, seeds []ipaddr.Addr, cfg RunConfig) (*RunResult, error) {
 // with per-batch budget consumption, and accumulates tga.* counters in the
 // tracer's registry. A batch span ends before the next one starts.
 //
-// The run's candidate set is presized to the budget. When g has a method
-// ShareCandidates(*ipaddr.Set), the driver calls it once, after init and
-// before the first batch, with that set: from then on g checks its
-// proposals against the set and records every one there — seeds and
-// addresses past the budget included — and the driver no longer adds to
-// it, only filtering seeds and overflow out of each batch. A generator
-// without the method keeps its own dedup, and the driver records the fresh
-// candidates in the set itself.
+// The run's candidate set comes from a free list the package keeps, and
+// is emptied and sized for the budget. When g has a method
+// ShareCandidates(*ipaddr.Set), the driver lends g the set: it calls the
+// method once, after init and before the first batch, with that set, and
+// from then on g checks its proposals against the set and records every
+// one there — seeds and addresses past the budget included — and the
+// driver no longer adds to it, only filtering seeds and overflow out of
+// each batch. On every way out of the run after init (budget reached,
+// generator exhausted, ctx cancelled) the driver takes the set back with
+// ShareCandidates(nil) before the free list gets it, so a spent generator
+// fails loudly rather than writing into a set another run holds. A
+// generator without the method keeps its own dedup, and the driver
+// records the fresh candidates in the set itself.
 func RunContext(ctx context.Context, g Generator, seeds []ipaddr.Addr, cfg RunConfig) (*RunResult, error) {
 	if cfg.Budget <= 0 {
 		return nil, fmt.Errorf("tga: budget must be positive, got %d", cfg.Budget)
@@ -183,16 +192,57 @@ func RunContext(ctx context.Context, g Generator, seeds []ipaddr.Addr, cfg RunCo
 	if cfg.ExcludeSeeds {
 		d.excluded = seeds
 	}
-	d.seen = ipaddr.NewSetCap(cfg.Budget)
-	if s, ok := g.(interface{ ShareCandidates(*ipaddr.Set) }); ok {
-		s.ShareCandidates(d.seen)
-		d.shared = true
+	sharer, _ := g.(interface{ ShareCandidates(*ipaddr.Set) })
+	d.seen, d.shared = getSet(cfg.Budget), sharer != nil
+	if d.shared {
+		sharer.ShareCandidates(d.seen)
 	}
 
 	err := d.runLockstep(ctx)
+	if d.shared {
+		sharer.ShareCandidates(nil)
+	}
+	putSet(d.seen)
 	d.res.Generated = d.generated
 	d.endRun(err)
 	return d.res, err
+}
+
+// The driver keeps finished runs' candidate sets on a free list of
+// keptSets entries, one per concurrent run of the experiment grid, which
+// runs at most eight. Unlike a sync.Pool's, its entries survive garbage
+// collection, so a warm process stays warm. A set holding more than
+// maxKeptSetAddrs addresses is not kept, so one huge run does not pin its
+// memory for the process's life.
+const (
+	keptSets        = 8
+	maxKeptSetAddrs = 1 << 20
+)
+
+var candidateSets = make(chan *ipaddr.Set, keptSets)
+
+// getSet returns an empty set with room for n addresses: a recycled one
+// when the free list has one, fresh otherwise.
+func getSet(n int) *ipaddr.Set {
+	select {
+	case s := <-candidateSets:
+		s.Reset(n)
+		return s
+	default:
+		return ipaddr.NewSetCap(n)
+	}
+}
+
+// putSet puts s on the free list unless it is too large or the list is
+// full. Nothing may read or write s afterwards.
+func putSet(s *ipaddr.Set) {
+	if s.Len() > maxKeptSetAddrs {
+		return
+	}
+	select {
+	case candidateSets <- s:
+	default:
+	}
 }
 
 // driver carries one run's state.
@@ -209,6 +259,12 @@ type driver struct {
 	generated int           // fresh candidates so far
 	idle      int
 	batchIdx  int
+
+	// consume's scratch, kept from batch to batch: the batch's active
+	// addresses, its feedback, and its aliased hits as a set.
+	active  []ipaddr.Addr
+	fb      []ProbeResult
+	aliases ipaddr.Set
 }
 
 // init resolves the generator's model — through the configured
@@ -298,7 +354,13 @@ func (d *driver) produce(parent *telemetry.Span) (fresh []ipaddr.Addr, cont bool
 func (d *driver) consume(ctx context.Context, batchSpan *telemetry.Span, fresh []ipaddr.Addr) (hits, aliased int, err error) {
 	scanSpan := batchSpan.Child("scan", nil)
 	results, err := scanner.AsContextProber(d.cfg.Prober).ScanContext(ctx, fresh, d.cfg.Proto)
-	active := scanner.ActiveAddrs(results)
+	active := d.active[:0]
+	for _, r := range results {
+		if r.Active() {
+			active = append(active, r.Addr)
+		}
+	}
+	d.active = active
 	scanSpan.EndWith(telemetry.Attrs{"targets": len(fresh), "active": len(active)})
 	if err != nil {
 		return 0, 0, err
@@ -317,15 +379,19 @@ func (d *driver) consume(ctx context.Context, batchSpan *telemetry.Span, fresh [
 
 	if d.g.Online() {
 		fbSpan := batchSpan.Child("feedback", nil)
-		aliasSet := ipaddr.NewSet(aliasedAddrs...)
-		fb := make([]ProbeResult, len(results))
-		for i, r := range results {
-			fb[i] = ProbeResult{
+		if len(aliasedAddrs) > 0 {
+			d.aliases.Reset(len(aliasedAddrs))
+			d.aliases.AddAll(aliasedAddrs)
+		}
+		fb := slices.Grow(d.fb[:0], len(results))
+		for _, r := range results {
+			fb = append(fb, ProbeResult{
 				Addr:    r.Addr,
 				Active:  r.Active(),
-				Aliased: aliasSet.Contains(r.Addr),
-			}
+				Aliased: len(aliasedAddrs) > 0 && d.aliases.Contains(r.Addr),
+			})
 		}
+		d.fb = fb
 		d.g.Feedback(fb)
 		fbSpan.EndWith(telemetry.Attrs{"results": len(fb)})
 	}
