@@ -453,6 +453,8 @@ func cmdDealias(fs *flag.FlagSet) body {
 		env := buildEnv(*seed, *ases, *scale, tr, wire.ChainConfig{})
 		ds := env.Sources[*src]
 		d := alias.New(*mode, env.Offline, env.Scanner, proto.ICMP, *seed, tr.Registry())
+		// Split partitions in place: ds.Slice() is a copy, the dataset is
+		// left alone.
 		clean, aliased := d.Split(ds.Slice())
 		fmt.Printf("%s under %s dealiasing: %d clean, %d aliased (%d /96s tested, %d probes)\n",
 			ds.Name, *mode, len(clean), len(aliased), d.PrefixesTested(), d.ProbesSent())

@@ -115,17 +115,17 @@ type Dealiaser struct {
 	prober  scanner.Prober
 	proto   proto.Protocol
 
-	mu      sync.Mutex
-	verdict map[ipaddr.Prefix]bool // online /96 verdict cache
-	// inflight maps each /96 being online-tested to the done-channel of
-	// the call testing it, one channel per claiming call, closed when its
-	// verdicts land. Claiming a prefix here under mu is what guarantees
-	// each /96 is tested exactly once even when concurrent Split calls
-	// observe it as unknown simultaneously.
-	inflight map[ipaddr.Prefix]chan struct{}
-	probes   int
-	tested   int
-	rngSeed  uint64
+	mu sync.Mutex
+	// claims is the online test's table of /96s: a tested one maps to
+	// isClean or isAliased, one being tested to the done-channel of the
+	// call testing it (one channel per claiming call, closed when its
+	// verdicts land), an unseen one to nothing. Claiming a prefix here
+	// under mu is what guarantees each /96 is tested exactly once even
+	// when concurrent Split calls observe it as unknown simultaneously.
+	claims  map[ipaddr.Prefix]chan struct{}
+	probes  int
+	tested  int
+	rngSeed uint64
 
 	// Cool-down state (ModeCooldown only): per-/96 observation counts,
 	// the density at which a prefix is confirmed, and the candidate
@@ -153,8 +153,6 @@ func New(mode Mode, offline *OfflineList, prober scanner.Prober, p proto.Protoco
 		offline:     offline,
 		prober:      prober,
 		proto:       p,
-		verdict:     make(map[ipaddr.Prefix]bool),
-		inflight:    make(map[ipaddr.Prefix]chan struct{}),
 		rngSeed:     seed,
 		cCacheHit:   reg.Counter("alias.verdict_cache.hits"),
 		cCacheMiss:  reg.Counter("alias.verdict_cache.misses"),
@@ -184,10 +182,24 @@ func (d *Dealiaser) PrefixesTested() int {
 	return d.tested
 }
 
+// isClean and isAliased are the claim table's verdicts: channels no
+// call closes or waits on.
+var isClean, isAliased = make(chan struct{}), make(chan struct{})
+
+// smallSplit is how many /96s an online Split lists on its stack, so
+// that a batch whose verdicts are all cached allocates nothing. It is the
+// experiments' TGA batch size, which bounds the active addresses the
+// driver splits: every driver call of a repro_icmp pass fits, where 256
+// entries fit 49 % of them and 512 fit 89 %. A longer input, such as a
+// seed set, lists its /96s in a fresh slice.
+const smallSplit = 1024
+
 // Split separates addrs into clean (kept) and aliased (discarded)
-// according to the mode. Online testing batches all unknown /96s into one
-// scan. Both partitions preserve the input order (offline-listed aliases
-// first under ModeJoint), so a run's hit list is reproducible.
+// according to the mode, partitioning in place: clean is written over the
+// front of addrs, so the input is overwritten, and aliased is allocated
+// only when it is non-empty. Online testing batches all unknown /96s into
+// one scan. Both partitions preserve the input order (offline-listed
+// aliases first under ModeJoint), so a run's hit list is reproducible.
 func (d *Dealiaser) Split(addrs []ipaddr.Addr) (clean, aliased []ipaddr.Addr) {
 	if d.mode == ModeNone || len(addrs) == 0 {
 		return addrs, nil
@@ -196,39 +208,51 @@ func (d *Dealiaser) Split(addrs []ipaddr.Addr) (clean, aliased []ipaddr.Addr) {
 		return d.splitCooldown(addrs)
 	}
 
-	clean = make([]ipaddr.Addr, 0, len(addrs))
-	pending := addrs
 	if d.mode == ModeOffline || d.mode == ModeJoint {
-		pending = make([]ipaddr.Addr, 0, len(addrs))
+		clean = addrs[:0]
 		for _, a := range addrs {
 			if d.offline != nil && d.offline.Contains(a) {
 				aliased = append(aliased, a)
 			} else {
-				pending = append(pending, a)
+				clean = append(clean, a)
 			}
 		}
 		if d.mode == ModeOffline {
-			return append(clean, pending...), aliased
+			return clean, aliased
 		}
+		addrs = clean
 	}
 
 	// Online: test the /96s no verdict covers yet, then classify by
-	// walking pending, so both partitions keep the input order.
-	prefixes := make([]ipaddr.Prefix, len(pending))
-	for i, a := range pending {
-		prefixes[i] = ipaddr.PrefixFrom(a, AliasPrefixBits)
+	// walking what is left, so both partitions keep the input order.
+	var stack [smallSplit]ipaddr.Prefix
+	prefixes := stack[:0]
+	if len(addrs) > len(stack) {
+		prefixes = make([]ipaddr.Prefix, 0, len(addrs))
+	}
+	for _, a := range addrs {
+		prefixes = append(prefixes, ipaddr.PrefixFrom(a, AliasPrefixBits))
 	}
 	d.confirm(distinctPrefixes(prefixes))
 
 	d.mu.Lock()
-	for _, a := range pending {
-		if d.verdict[ipaddr.PrefixFrom(a, AliasPrefixBits)] {
+	clean, aliased = d.classify(addrs, aliased)
+	d.mu.Unlock()
+	return clean, aliased
+}
+
+// classify moves the addresses of addrs whose /96 tested aliased to the
+// end of aliased and the rest, clean or untested, to the front of addrs,
+// both in input order. The caller holds mu.
+func (d *Dealiaser) classify(addrs, aliased []ipaddr.Addr) ([]ipaddr.Addr, []ipaddr.Addr) {
+	clean := addrs[:0]
+	for _, a := range addrs {
+		if d.claims[ipaddr.PrefixFrom(a, AliasPrefixBits)] == isAliased {
 			aliased = append(aliased, a)
 		} else {
 			clean = append(clean, a)
 		}
 	}
-	d.mu.Unlock()
 	return clean, aliased
 }
 
@@ -253,17 +277,17 @@ func (d *Dealiaser) confirm(prefixes []ipaddr.Prefix) (claimed []ipaddr.Prefix) 
 // in prefixes' own storage, and marked in flight under one done-channel;
 // those another call is already testing come back as its channels to
 // wait on. Cached or in-flight-elsewhere prefixes count as cache hits —
-// only a claim is a miss.
+// only a claim is a miss. An empty table is sized for the claim.
 func (d *Dealiaser) claimUnknown(prefixes []ipaddr.Prefix) (claimed []ipaddr.Prefix, done chan struct{}, waits []chan struct{}) {
 	n := len(prefixes)
 	claimed = prefixes[:0]
 	d.mu.Lock()
+	if len(d.claims) == 0 && n > 0 {
+		d.claims = make(map[ipaddr.Prefix]chan struct{}, n)
+	}
 	for _, p := range prefixes {
-		if _, ok := d.verdict[p]; ok {
-			continue
-		}
-		if ch, ok := d.inflight[p]; ok {
-			if len(waits) == 0 || waits[len(waits)-1] != ch {
+		if ch, ok := d.claims[p]; ok {
+			if ch != isClean && ch != isAliased && (len(waits) == 0 || waits[len(waits)-1] != ch) {
 				waits = append(waits, ch)
 			}
 			continue
@@ -271,7 +295,7 @@ func (d *Dealiaser) claimUnknown(prefixes []ipaddr.Prefix) (claimed []ipaddr.Pre
 		if done == nil {
 			done = make(chan struct{})
 		}
-		d.inflight[p] = done
+		d.claims[p] = done
 		claimed = append(claimed, p)
 	}
 	d.mu.Unlock()
@@ -341,8 +365,10 @@ func (d *Dealiaser) testPrefixes(prefixes []ipaddr.Prefix, done chan struct{}) {
 	d.probes += len(targets)
 	d.tested += len(prefixes)
 	for i, p := range prefixes {
-		d.verdict[p] = active[i] >= aliasThreshold
-		delete(d.inflight, p)
+		d.claims[p] = isClean
+		if active[i] >= aliasThreshold {
+			d.claims[p] = isAliased
+		}
 	}
 	close(done)
 	d.mu.Unlock()

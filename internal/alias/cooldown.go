@@ -42,10 +42,8 @@ const maxCandidatePrefixes = 4096
 
 // splitCooldown is Split under ModeCooldown. Three phases: account
 // densities, confirm the suspicious /96s with the shared probe test, then
-// classify by the /96 verdict cache exactly like the online walk.
+// classify in place by the /96 claim table exactly like the online walk.
 func (d *Dealiaser) splitCooldown(addrs []ipaddr.Addr) (clean, aliased []ipaddr.Addr) {
-	clean = make([]ipaddr.Addr, 0, len(addrs))
-
 	// Phase 1 (under mu): bump per-/64 densities for the whole batch,
 	// then collect the /96s of addresses in hot aggregates or
 	// candidate-listed prefixes.
@@ -72,17 +70,11 @@ func (d *Dealiaser) splitCooldown(addrs []ipaddr.Addr) (clean, aliased []ipaddr.
 	d.mu.Lock()
 	newlyCooled := 0
 	for _, p := range claimed {
-		if d.verdict[p] {
+		if d.claims[p] == isAliased {
 			newlyCooled++
 		}
 	}
-	for _, a := range addrs {
-		if d.verdict[ipaddr.PrefixFrom(a, AliasPrefixBits)] {
-			aliased = append(aliased, a)
-		} else {
-			clean = append(clean, a)
-		}
-	}
+	clean, aliased = d.classify(addrs, nil)
 	d.mu.Unlock()
 	d.cCooled.Add(int64(newlyCooled))
 	return clean, aliased

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"seedscan/internal/ipaddr"
+	"seedscan/internal/memo"
 	"seedscan/internal/proto"
 	"seedscan/internal/scanner"
 	"seedscan/internal/telemetry"
@@ -103,12 +104,12 @@ func (c *Config) job(p proto.Protocol) Job {
 // outstanding, on a free list each Run takes its own entry from.
 type Coordinator struct {
 	cfg     Config
-	scratch chan *runScratch
+	scratch memo.FreeList[*runScratch]
 }
 
 // NewCoordinator returns a coordinator with the given configuration.
 func NewCoordinator(cfg Config) *Coordinator {
-	return &Coordinator{cfg: cfg, scratch: make(chan *runScratch, keptRuns)}
+	return &Coordinator{cfg: cfg, scratch: make(memo.FreeList[*runScratch], keptRuns)}
 }
 
 // runScratch is one Run's memory that outlives it: the canonical plan and
@@ -131,12 +132,10 @@ const (
 
 // getScratch takes a free entry, or makes one if none is free.
 func (c *Coordinator) getScratch() *runScratch {
-	select {
-	case sc := <-c.scratch:
+	if sc, ok := c.scratch.Get(); ok {
 		return sc
-	default:
-		return new(runScratch)
 	}
+	return new(runScratch)
 }
 
 // putScratch returns sc to the free list unless the list is full or sc
@@ -147,12 +146,8 @@ func (c *Coordinator) putScratch(sc *runScratch) {
 	for _, b := range sc.bufs {
 		held += cap(b)
 	}
-	if cap(sc.plan) > maxKeptRunTargets || held > maxKeptRunTargets {
-		return
-	}
-	select {
-	case c.scratch <- sc:
-	default:
+	if cap(sc.plan) <= maxKeptRunTargets && held <= maxKeptRunTargets {
+		c.scratch.Put(sc)
 	}
 }
 

@@ -268,7 +268,7 @@ func (e *Env) OutputDealiaser(p proto.Protocol) *alias.Dealiaser {
 func (e *Env) dealiasedSeeds(mode alias.Mode) *seeds.Dataset {
 	ds, _, _ := e.dealiased.Do(context.Background(), mode, func() (*seeds.Dataset, error) {
 		d := alias.New(mode, e.Offline, e.Prober, proto.ICMP, e.Cfg.ScanSecret^0xa11a5, e.tele.Registry())
-		clean, _ := d.Split(e.Full.Slice())
+		clean, _ := d.Split(e.Full.Slice()) // in place, over a copy
 		return seeds.FromAddrs("Full/"+mode.String(), clean), nil
 	})
 	return ds

@@ -107,7 +107,8 @@ func (s *Service) BuildContext(ctx context.Context, sources ...*seeds.Dataset) (
 		return nil, err
 	}
 
-	// 2. Two-tier dealiasing over the whole input.
+	// 2. Two-tier dealiasing over the whole input. Split partitions in
+	// place, so it gets a copy of the input set's addresses.
 	dspan := span.Child("hitlist.dealias", nil)
 	d := alias.New(alias.ModeJoint, s.set.known, s.set.prober, proto.ICMP, s.set.seed, s.set.tele)
 	clean, aliased := d.Split(input.Slice())

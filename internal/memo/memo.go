@@ -1,6 +1,7 @@
-// Package memo is the one per-key singleflight memo: treatment caches,
+// Package memo is the one per-key singleflight memo — treatment caches,
 // mined TGA models and grid cells are each computed once per key however
-// many callers ask for them at the same moment.
+// many callers ask for them at the same moment — and the one bounded free
+// list of recycled scratch.
 package memo
 
 import (
@@ -75,4 +76,28 @@ func (m *Map[K, V]) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.m)
+}
+
+// FreeList holds at most n recycled values, each lent to one caller at a
+// time: make(FreeList[T], n) makes one, safe for concurrent use. Unlike a
+// sync.Pool's, its entries survive garbage collection.
+type FreeList[T any] chan T
+
+// Get takes a value off the list; ok is false when the list is empty.
+func (l FreeList[T]) Get() (v T, ok bool) {
+	select {
+	case v = <-l:
+		return v, true
+	default:
+		return v, false
+	}
+}
+
+// Put puts v on the list, or drops it when the list is full. Nothing may
+// use v afterwards.
+func (l FreeList[T]) Put(v T) {
+	select {
+	case l <- v:
+	default:
+	}
 }

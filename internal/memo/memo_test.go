@@ -134,3 +134,26 @@ func TestDeadWaiterDoesNotRebuild(t *testing.T) {
 		t.Fatalf("Len = %d, want 0", m.Len())
 	}
 }
+
+// TestFreeListBounded: Get takes what Put kept, a full list drops what
+// is put on it, and an empty one reports so.
+func TestFreeListBounded(t *testing.T) {
+	l := make(FreeList[int], 2)
+	if _, ok := l.Get(); ok {
+		t.Fatal("an empty list returned a value")
+	}
+	for v := 1; v <= 3; v++ {
+		l.Put(v)
+	}
+	if len(l) != 2 {
+		t.Fatalf("list holds %d values, want its capacity 2", len(l))
+	}
+	for _, want := range []int{1, 2} {
+		if v, ok := l.Get(); !ok || v != want {
+			t.Fatalf("Get = %d, %v, want %d, true", v, ok, want)
+		}
+	}
+	if _, ok := l.Get(); ok {
+		t.Fatal("a drained list returned a value")
+	}
+}

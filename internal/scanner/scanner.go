@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 
 	"seedscan/internal/ipaddr"
+	"seedscan/internal/memo"
 	"seedscan/internal/probe"
 	"seedscan/internal/proto"
 	"seedscan/internal/telemetry"
@@ -215,8 +216,8 @@ type Scanner struct {
 
 	shards   []statShard // len is a power of two
 	shardSeq atomic.Int64
-	wsPool   sync.Pool         // recycled *workerState scratch across scans
-	scratch  chan *scanScratch // free list of released call scratch
+	wsPool   sync.Pool                   // recycled *workerState scratch across scans
+	scratch  memo.FreeList[*scanScratch] // released call scratch
 
 	dnsName []byte // pre-encoded wire form of dnsQueryName
 
@@ -245,7 +246,7 @@ func New(link wire.Link, opts ...Option) *Scanner {
 		set:     set,
 		rl:      newRateLimiter(set.ratePPS),
 		shards:  make([]statShard, nextPow2(set.workers)),
-		scratch: make(chan *scanScratch, keptScratch),
+		scratch: make(memo.FreeList[*scanScratch], keptScratch),
 		dnsName: name,
 	}
 	if reg := set.tele; reg != nil {
@@ -362,12 +363,10 @@ type scanScratch struct {
 
 // The scanner keeps released scratch on a free list of keptScratch
 // entries: one per concurrent caller of a shared scanner, of which the
-// experiment grid runs at most eight (one per cell). Unlike a
-// sync.Pool's, a free list's entries survive garbage collection, so a
-// warm scanner stays warm. Scratch planned for more than
-// maxKeptScratchTargets targets (about 48 B per target across the plan,
-// the results and the dedup table) is not kept, so one huge scan does
-// not pin its memory for the scanner's life.
+// experiment grid runs at most eight (one per cell). Scratch planned for
+// more than maxKeptScratchTargets targets (about 48 B per target across
+// the plan, the results and the dedup table) is not kept, so one huge
+// scan does not pin its memory for the scanner's life.
 const (
 	keptScratch           = 8
 	maxKeptScratchTargets = 1 << 20
@@ -377,7 +376,10 @@ const (
 // scratch when a previous call released one, fresh otherwise. Release it
 // with putScratch once nothing reads it.
 func (s *Scanner) plan(targets []ipaddr.Addr, p proto.Protocol) *scanScratch {
-	sc := getScratch(s.scratch)
+	sc, ok := s.scratch.Get()
+	if !ok {
+		sc = new(scanScratch)
+	}
 	sc.planned = sc.planned[:0]
 	sc.plan(s.set.secret, s.set.shuffle, targets, p)
 	return sc
@@ -386,39 +388,30 @@ func (s *Scanner) plan(targets []ipaddr.Addr, p proto.Protocol) *scanScratch {
 // putScratch returns sc to the free list unless the list is full or sc
 // outgrew the cap.
 func (s *Scanner) putScratch(sc *scanScratch) {
-	if cap(sc.planned) > maxKeptScratchTargets || cap(sc.results) > maxKeptScratchTargets {
-		return
-	}
-	putScratch(s.scratch, sc)
-}
-
-// getScratch takes an entry off a free list, or makes one if it is empty.
-func getScratch(free chan *scanScratch) *scanScratch {
-	select {
-	case sc := <-free:
-		return sc
-	default:
-		return new(scanScratch)
-	}
-}
-
-// putScratch puts sc on a free list unless the list is full.
-func putScratch(free chan *scanScratch, sc *scanScratch) {
-	select {
-	case free <- sc:
-	default:
+	if cap(sc.planned) <= maxKeptScratchTargets && cap(sc.results) <= maxKeptScratchTargets {
+		s.scratch.Put(sc)
 	}
 }
 
 // ScanContext probes every target on p and returns one Result per unique
-// target, in a fresh slice. Targets are deduplicated and shuffled (unless
+// target, in a fresh slice. It is AppendScan(ctx, nil, targets, p).
+func (s *Scanner) ScanContext(ctx context.Context, targets []ipaddr.Addr, p proto.Protocol) ([]Result, error) {
+	return s.AppendScan(ctx, nil, targets, p)
+}
+
+// AppendScan probes every target on p and appends one Result per unique
+// target to dst, returning the extended slice; like Go's Append functions
+// it grows dst at most once, so a caller that scans batch after batch
+// into one buffer (the TGA driver) allocates no results once the buffer
+// has grown. Targets are deduplicated and shuffled (unless
 // withoutShuffle) into the order PlanOrder computes, then probed by
 // ScanPlanned. The caller's slice is never mutated; dedup and shuffle
-// operate on a private copy.
-func (s *Scanner) ScanContext(ctx context.Context, targets []ipaddr.Addr, p proto.Protocol) ([]Result, error) {
+// operate on a private copy. On cancellation dst plus the results probed
+// so far come back with ctx.Err(), as from ScanPlanned.
+func (s *Scanner) AppendScan(ctx context.Context, dst []Result, targets []ipaddr.Addr, p proto.Protocol) ([]Result, error) {
 	sc := s.plan(targets, p)
 	defer s.putScratch(sc)
-	return s.ScanPlanned(ctx, nil, sc.planned, p)
+	return s.ScanPlanned(ctx, dst, sc.planned, p)
 }
 
 // ScanPlanned probes planned exactly as given — no dedup, no shuffle —
@@ -505,22 +498,24 @@ func (s *Scanner) ScanPlanned(ctx context.Context, dst []Result, planned []ipadd
 // hand windows of it to workers, which probe them as given through
 // ScanPlanned. The dedup table and shuffle source come from planScratch.
 func PlanOrder(dst []ipaddr.Addr, secret uint64, shuffle bool, targets []ipaddr.Addr, p proto.Protocol) []ipaddr.Addr {
-	sc := getScratch(planScratch)
+	sc, ok := planScratch.Get()
+	if !ok {
+		sc = new(scanScratch)
+	}
 	sc.planned = dst
 	sc.plan(secret, shuffle, targets, p)
 	dst, sc.planned = sc.planned, nil
 	if len(targets) <= maxKeptScratchTargets {
-		putScratch(planScratch, sc)
+		planScratch.Put(sc)
 	}
 	return dst
 }
 
-// planScratch is PlanOrder's free list, in the shape of a Scanner's but
-// package-level, as PlanOrder has no Scanner to hang it on; like a
-// sync.Pool it is safe for concurrent use. Its entries hold only a dedup
-// table and a shuffle source, and one sized for more than
-// maxKeptScratchTargets targets is not kept.
-var planScratch = make(chan *scanScratch, keptScratch)
+// planScratch is PlanOrder's free list, like a Scanner's but
+// package-level, as PlanOrder has no Scanner to hang it on. Its entries
+// hold only a dedup table and a shuffle source, and one sized for more
+// than maxKeptScratchTargets targets is not kept.
+var planScratch = make(memo.FreeList[*scanScratch], keptScratch)
 
 // plan appends PlanOrder's order to sc.planned, in its memory, and the
 // shuffle re-seeds sc's source rather than building one, which permutes

@@ -146,3 +146,30 @@ func TestExtremeOptionsScanLikeDefaults(t *testing.T) {
 		})
 	}
 }
+
+// TestAppendScanAppendsWhatScanContextReturns: AppendScan leaves dst's
+// results as they were and appends exactly ScanContext's results, in
+// dst's own storage when it has room, and ScanContext is AppendScan into
+// nil.
+func TestAppendScanAppendsWhatScanContextReturns(t *testing.T) {
+	w := testWorld(t)
+	w.SetEpoch(world.ScanEpoch)
+	targets := withDups(append(w.NewSampler(7).ActiveHosts(150, proto.ICMP), addrRange(400)...), 30)
+	s := New(w.Link(), WithSecret(23))
+	want, err := s.ScanContext(context.Background(), targets, proto.ICMP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := []Result{{Addr: ipaddr.MustParse("2001:db8::feed"), Status: StatusActive}}
+	dst := append(make([]Result, 0, len(head)+len(want)), head...)
+	got, err := s.AppendScan(context.Background(), dst, targets, proto.ICMP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got[:len(head)], head) || !slices.Equal(got[len(head):], want) {
+		t.Fatal("AppendScan did not append ScanContext's results after dst's own")
+	}
+	if &got[0] != &dst[0] {
+		t.Fatal("AppendScan grew a dst that had room")
+	}
+}

@@ -1,4 +1,4 @@
 package tga
 
-// KeptSets is how many candidate sets the driver's free list keeps.
-const KeptSets = keptSets
+// KeptSets is how many runs' scratch the driver's free list keeps.
+const KeptSets = keptRuns

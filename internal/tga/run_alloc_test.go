@@ -8,10 +8,14 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"seedscan/internal/alias"
 	"seedscan/internal/ipaddr"
+	"seedscan/internal/proto"
+	"seedscan/internal/scanner"
 	"seedscan/internal/tga"
 	"seedscan/internal/tga/det"
 	"seedscan/internal/tga/sixtree"
+	"seedscan/internal/world"
 )
 
 // minedModels hands every run a model mined before the count starts, so
@@ -133,4 +137,58 @@ func TestWarmRunAllocatesNoCandidateSet(t *testing.T) {
 			t.Errorf("%s: a warm run allocates %d bytes, want at most %d, with no candidate set", g.Name(), got, c.slack)
 		}
 	}
+}
+
+// TestWarmScannedRunAllocatesNoBatchBuffers runs 6Tree warm, as
+// TestWarmRunAllocatesNoCandidateSet does, but through a real scanner and
+// an online dealiaser whose verdicts the earlier runs cached: the run's
+// twelve batches append their results into the run's recycled scratch
+// and are dealiased in place there. A run allocates 6Tree's own state
+// and batches, what a scan costs besides its results (its goroutines)
+// and the exact-size hit list: 419 KiB with 43 KiB of hits. It allocates no per-batch result, clean or hit-growth buffer;
+// those cost 295 KiB of results (twelve batches of 1000 24-byte results)
+// plus the clean copies and the hit list's doublings, and with them a run
+// allocated 949 KiB.
+func TestWarmScannedRunAllocatesNoBatchBuffers(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const budget, kib = 12000, 1 << 10
+	w := world.New(world.Config{Seed: 42, NumASes: 60, LossRate: 0})
+	w.SetEpoch(world.ScanEpoch)
+	sc := scanner.New(w.Link(), scanner.WithSecret(17))
+	seeds := tga.CanonicalSeeds(w.NewSampler(5).ActiveHosts(400, proto.ICMP))
+	m, err := sixtree.New().BuildModel(seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tga.RunConfig{
+		Budget:    budget,
+		BatchSize: 1000,
+		Proto:     proto.ICMP,
+		Prober:    sc,
+		Dealiaser: alias.New(alias.ModeOnline, nil, sc, proto.ICMP, 5, nil),
+		Models:    minedModels{sixtree.New().ModelParams(): m},
+	}
+	var res *tga.RunResult
+	run := func() {
+		if res, err = tga.RunContext(context.Background(), sixtree.New(), seeds, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if res.Generated != budget {
+			t.Fatalf("generated %d of %d", res.Generated, budget)
+		}
+	}
+	for i := 0; i <= tga.KeptSets; i++ {
+		run()
+	}
+	runtime.GC()
+	runtime.GC()
+	got := bytesOf(run)
+	hitBytes := uint64(len(res.Hits)+len(res.AliasedHits)) * 16
+	if len(res.Hits) == 0 {
+		t.Fatal("no hits: the test needs some")
+	}
+	if limit := hitBytes + 512*kib; got > limit {
+		t.Errorf("a warm scanned run allocates %d bytes, want at most %d (hits %d + 512 KiB)", got, limit, hitBytes)
+	}
+	t.Logf("a warm scanned run allocates %d bytes, %d of them hits", got, hitBytes)
 }

@@ -29,6 +29,7 @@ import (
 	"sort"
 
 	"seedscan/internal/ipaddr"
+	"seedscan/internal/memo"
 	"seedscan/internal/tga"
 )
 
@@ -459,10 +460,8 @@ func newCandHeap(beam int) candHeap {
 		size = min(beam, defaultBeam)
 	}
 	if size == defaultBeam {
-		select {
-		case h := <-frontiers:
+		if h, ok := frontiers.Get(); ok {
 			return h
-		default:
 		}
 	}
 	return candHeap{
@@ -474,12 +473,11 @@ func newCandHeap(beam int) candHeap {
 
 // frontiers is the free list of emptied frontiers (about 3.9 MB each), at
 // most keptFrontiers of them: one per concurrent run of the experiment
-// grid, which runs at most eight. Unlike a sync.Pool's, its entries survive
-// garbage collection. It keeps only frontiers of the default size, so a
-// run never takes one that must grow by append.
+// grid, which runs at most eight. It keeps only frontiers of the default
+// size, so a run never takes one that must grow by append.
 const keptFrontiers = 8
 
-var frontiers = make(chan candHeap, keptFrontiers)
+var frontiers = make(memo.FreeList[candHeap], keptFrontiers)
 
 // release empties h onto the free list when it is of the default size and
 // the list has room, and leaves h the zero frontier, which a second
@@ -487,10 +485,7 @@ var frontiers = make(chan candHeap, keptFrontiers)
 func (h *candHeap) release() {
 	const size = defaultBeam + 1
 	if cap(h.heap) == size && cap(h.slab) == size && cap(h.free) == size {
-		select {
-		case frontiers <- candHeap{heap: h.heap[:0], slab: h.slab[:0], free: h.free[:0]}:
-		default:
-		}
+		frontiers.Put(candHeap{heap: h.heap[:0], slab: h.slab[:0], free: h.free[:0]})
 	}
 	*h = candHeap{}
 }

@@ -18,10 +18,11 @@
 // The driver runs every generator, online or offline, through one loop on
 // the caller's goroutine: each batch is generated, deduplicated, scanned,
 // dealiased and (for online generators) fed back before the next batch is
-// generated. A run keeps one candidate set, sized for the budget and
-// taken from a bounded free list, so a warm run allocates none; a
-// generator that takes it (ShareCandidates) dedups its proposals there, so
-// no address is recorded twice, and hands it back when the run ends.
+// generated. A run's working memory — its candidate set, sized for the
+// budget, its batch buffers and its hit lists — comes off a bounded free
+// list, so a warm run allocates none of it; a generator that takes the
+// set (ShareCandidates) dedups its proposals there, so no address is
+// recorded twice, and hands it back when the run ends.
 package tga
 
 import (
@@ -32,6 +33,7 @@ import (
 	"time"
 
 	"seedscan/internal/ipaddr"
+	"seedscan/internal/memo"
 	"seedscan/internal/proto"
 	"seedscan/internal/scanner"
 	"seedscan/internal/telemetry"
@@ -74,7 +76,8 @@ type Generator interface {
 // Dealiaser abstracts output dealiasing for the driver.
 type Dealiaser interface {
 	// Split partitions addrs, which the driver reuses for the next batch:
-	// clean and aliased may share its storage, but Split must not keep it.
+	// clean and aliased may share its storage, and Split may overwrite
+	// it, but must not keep it.
 	Split(addrs []ipaddr.Addr) (clean, aliased []ipaddr.Addr)
 }
 
@@ -147,8 +150,14 @@ func Run(g Generator, seeds []ipaddr.Addr, cfg RunConfig) (*RunResult, error) {
 // with per-batch budget consumption, and accumulates tga.* counters in the
 // tracer's registry. A batch span ends before the next one starts.
 //
-// The run's candidate set comes from a free list the package keeps, and
-// is emptied and sized for the budget. When g has a method
+// The run's scratch comes from a free list the package keeps: the
+// candidate set, emptied and sized for the budget, the batch buffers the
+// scans append into and the dealiaser partitions in place, and the hit
+// lists, of which the result gets exact-size copies on every way out of
+// the run, cancellation included (nil when empty). When the prober has a
+// method AppendScan(ctx, dst []scanner.Result, targets, p), as
+// *scanner.Scanner does, each batch's results are appended into the
+// scratch; any other prober's ScanContext returns them. When g has a method
 // ShareCandidates(*ipaddr.Set), the driver lends g the set: it calls the
 // method once, after init and before the first batch, with that set, and
 // from then on g checks its proposals against the set and records every
@@ -193,56 +202,79 @@ func RunContext(ctx context.Context, g Generator, seeds []ipaddr.Addr, cfg RunCo
 		d.excluded = seeds
 	}
 	sharer, _ := g.(interface{ ShareCandidates(*ipaddr.Set) })
-	d.seen, d.shared = getSet(cfg.Budget), sharer != nil
+	d.sc, d.shared = getScratch(cfg.Budget), sharer != nil
 	if d.shared {
-		sharer.ShareCandidates(d.seen)
+		sharer.ShareCandidates(d.sc.seen)
 	}
 
 	err := d.runLockstep(ctx)
 	if d.shared {
 		sharer.ShareCandidates(nil)
 	}
-	putSet(d.seen)
+	d.res.Hits, d.res.AliasedHits = exactCopy(d.sc.hits), exactCopy(d.sc.aliasedHits)
+	putScratch(d.sc)
 	d.res.Generated = d.generated
 	d.endRun(err)
 	return d.res, err
 }
 
-// The driver keeps finished runs' candidate sets on a free list of
-// keptSets entries, one per concurrent run of the experiment grid, which
-// runs at most eight. Unlike a sync.Pool's, its entries survive garbage
-// collection, so a warm process stays warm. A set holding more than
-// maxKeptSetAddrs addresses is not kept, so one huge run does not pin its
+// runScratch is one run's memory that outlives it: the candidate set, the
+// batch loop's buffers (the scan's results, the active addresses the
+// dealiaser partitions in place, the feedback, the aliased hits as a set)
+// and the hit lists the batches append to.
+type runScratch struct {
+	seen              *ipaddr.Set
+	results           []scanner.Result
+	active            []ipaddr.Addr
+	fb                []ProbeResult
+	aliases           ipaddr.Set
+	hits, aliasedHits []ipaddr.Addr
+	// most is the most addresses a set was sized or filled for in this
+	// run, a lower bound on the storage Reset leaves them holding.
+	most int
+}
+
+// The driver keeps finished runs' scratch on a free list of keptRuns
+// entries, one per concurrent run of the experiment grid, which runs at
+// most eight. Scratch with a set or buffer holding more than
+// maxKeptEntries entries is not kept, so one huge run does not pin its
 // memory for the process's life.
 const (
-	keptSets        = 8
-	maxKeptSetAddrs = 1 << 20
+	keptRuns       = 8
+	maxKeptEntries = 1 << 20
 )
 
-var candidateSets = make(chan *ipaddr.Set, keptSets)
+var runScratches = make(memo.FreeList[*runScratch], keptRuns)
 
-// getSet returns an empty set with room for n addresses: a recycled one
-// when the free list has one, fresh otherwise.
-func getSet(n int) *ipaddr.Set {
-	select {
-	case s := <-candidateSets:
-		s.Reset(n)
-		return s
-	default:
-		return ipaddr.NewSetCap(n)
+// getScratch returns scratch whose set is empty with room for budget
+// addresses and whose buffers are empty: recycled when the free list has
+// some, fresh otherwise.
+func getScratch(budget int) *runScratch {
+	sc, ok := runScratches.Get()
+	if !ok {
+		return &runScratch{seen: ipaddr.NewSetCap(budget), most: budget}
+	}
+	sc.seen.Reset(budget)
+	sc.hits, sc.aliasedHits = sc.hits[:0], sc.aliasedHits[:0]
+	sc.most = budget
+	return sc
+}
+
+// putScratch puts sc on the free list unless it is too large or the list
+// is full. Nothing may read or write sc afterwards.
+func putScratch(sc *runScratch) {
+	if max(sc.most, sc.seen.Len(), cap(sc.results), cap(sc.active),
+		cap(sc.fb), cap(sc.hits), cap(sc.aliasedHits)) <= maxKeptEntries {
+		runScratches.Put(sc)
 	}
 }
 
-// putSet puts s on the free list unless it is too large or the list is
-// full. Nothing may read or write s afterwards.
-func putSet(s *ipaddr.Set) {
-	if s.Len() > maxKeptSetAddrs {
-		return
+// exactCopy returns a copy of s at its length, or nil when s is empty.
+func exactCopy(s []ipaddr.Addr) []ipaddr.Addr {
+	if len(s) == 0 {
+		return nil
 	}
-	select {
-	case candidateSets <- s:
-	default:
-	}
+	return append(make([]ipaddr.Addr, 0, len(s)), s...)
 }
 
 // driver carries one run's state.
@@ -254,17 +286,11 @@ type driver struct {
 	res     *RunResult
 
 	excluded  []ipaddr.Addr // the canonical seeds when ExcludeSeeds, else nil
-	seen      *ipaddr.Set   // the run's candidate set
-	shared    bool          // the generator writes seen, the driver does not
+	sc        *runScratch   // the run's candidate set and buffers
+	shared    bool          // the generator writes sc.seen, the driver does not
 	generated int           // fresh candidates so far
 	idle      int
 	batchIdx  int
-
-	// consume's scratch, kept from batch to batch: the batch's active
-	// addresses, its feedback, and its aliased hits as a set.
-	active  []ipaddr.Addr
-	fb      []ProbeResult
-	aliases ipaddr.Set
 }
 
 // init resolves the generator's model — through the configured
@@ -322,7 +348,7 @@ func (d *driver) produce(parent *telemetry.Span) (fresh []ipaddr.Addr, cont bool
 		if _, seed := slices.BinarySearchFunc(d.excluded, a, ipaddr.Addr.Compare); seed {
 			continue
 		}
-		if d.shared || d.seen.Add(a) {
+		if d.shared || d.sc.seen.Add(a) {
 			fresh = append(fresh, a)
 		}
 	}
@@ -353,14 +379,22 @@ func (d *driver) produce(parent *telemetry.Span) (fresh []ipaddr.Addr, cont bool
 // stage spans; the caller ends it.
 func (d *driver) consume(ctx context.Context, batchSpan *telemetry.Span, fresh []ipaddr.Addr) (hits, aliased int, err error) {
 	scanSpan := batchSpan.Child("scan", nil)
-	results, err := scanner.AsContextProber(d.cfg.Prober).ScanContext(ctx, fresh, d.cfg.Proto)
-	active := d.active[:0]
+	var results []scanner.Result
+	if as, ok := d.cfg.Prober.(interface {
+		AppendScan(context.Context, []scanner.Result, []ipaddr.Addr, proto.Protocol) ([]scanner.Result, error)
+	}); ok {
+		d.sc.results, err = as.AppendScan(ctx, d.sc.results[:0], fresh, d.cfg.Proto)
+		results = d.sc.results
+	} else {
+		results, err = scanner.AsContextProber(d.cfg.Prober).ScanContext(ctx, fresh, d.cfg.Proto)
+	}
+	active := d.sc.active[:0]
 	for _, r := range results {
 		if r.Active() {
 			active = append(active, r.Addr)
 		}
 	}
-	d.active = active
+	d.sc.active = active
 	scanSpan.EndWith(telemetry.Attrs{"targets": len(fresh), "active": len(active)})
 	if err != nil {
 		return 0, 0, err
@@ -372,26 +406,28 @@ func (d *driver) consume(ctx context.Context, batchSpan *telemetry.Span, fresh [
 		clean, aliasedAddrs = d.cfg.Dealiaser.Split(active)
 		dealiasSpan.EndWith(telemetry.Attrs{"clean": len(clean), "aliased": len(aliasedAddrs)})
 	}
-	d.res.Hits = append(d.res.Hits, clean...)
-	d.res.AliasedHits = append(d.res.AliasedHits, aliasedAddrs...)
+	d.sc.hits = append(d.sc.hits, clean...)
+	d.sc.aliasedHits = append(d.sc.aliasedHits, aliasedAddrs...)
 	d.reg.Counter("tga.hits").Add(int64(len(clean)))
 	d.reg.Counter("tga.aliased_hits").Add(int64(len(aliasedAddrs)))
 
 	if d.g.Online() {
 		fbSpan := batchSpan.Child("feedback", nil)
+		aliases := &d.sc.aliases
 		if len(aliasedAddrs) > 0 {
-			d.aliases.Reset(len(aliasedAddrs))
-			d.aliases.AddAll(aliasedAddrs)
+			aliases.Reset(len(aliasedAddrs))
+			aliases.AddAll(aliasedAddrs)
+			d.sc.most = max(d.sc.most, len(aliasedAddrs))
 		}
-		fb := slices.Grow(d.fb[:0], len(results))
+		fb := slices.Grow(d.sc.fb[:0], len(results))
 		for _, r := range results {
 			fb = append(fb, ProbeResult{
 				Addr:    r.Addr,
 				Active:  r.Active(),
-				Aliased: len(aliasedAddrs) > 0 && d.aliases.Contains(r.Addr),
+				Aliased: len(aliasedAddrs) > 0 && aliases.Contains(r.Addr),
 			})
 		}
-		d.fb = fb
+		d.sc.fb = fb
 		d.g.Feedback(fb)
 		fbSpan.EndWith(telemetry.Attrs{"results": len(fb)})
 	}
