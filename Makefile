@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race bench bench-compare cover smoke experiments golden-check clean
+.PHONY: all build vet fmt-check test race alloc-pins bench bench-compare cover smoke experiments golden-check clean
 
 all: vet fmt-check build test
 
@@ -21,6 +21,18 @@ test:
 # exercised concurrently; the race detector is the tier-1 gate for them.
 race:
 	$(GO) test -race ./...
+
+# Allocation pins live in //go:build !race test files (the race detector
+# allocates), and a recycling bug may show in only some runs: every Test of
+# every such file runs twenty times, a new pin file included, and so does
+# the one recycling test outside such a file.
+alloc-pins:
+	@set -e; for dir in $$(grep -rl --include='*_test.go' '^//go:build !race' . | xargs dirname | sort -u); do \
+	  tests=$$(grep -l '^//go:build !race' $$dir/*_test.go | xargs sed -n 's/^func \(Test[A-Za-z0-9_]*\)(.*/\1/p' | paste -sd'|'); \
+	  echo "$(GO) test -count=20 -run '^($$tests)$$' $$dir/"; \
+	  $(GO) test -count=20 -run "^($$tests)$$" $$dir/; \
+	done; \
+	$(GO) test -count=20 -run '^TestRecycledScratchLeavesResultsAlone$$' ./internal/tga/
 
 # The repository's one benchmark (benchmark/README.md): five workloads,
 # three untraced runs each plus one traced, written to

@@ -250,3 +250,72 @@ func baseName(e ast.Expr) string {
 		}
 	}
 }
+
+// TestREADMEListsEveryPackage pins README's Architecture block to the
+// packages under internal/, the list `go list ./internal/...` prints: a
+// package added or deleted fails here with the lines to change in the
+// block, so the table cannot drift from the tree.
+func TestREADMEListsEveryPackage(t *testing.T) {
+	b, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := packageDirs("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	added, removed := lineDiff(readmePackages(string(b)), got)
+	for _, p := range added {
+		t.Errorf("README.md's Architecture block does not list internal/%s", p)
+	}
+	for _, p := range removed {
+		t.Errorf("README.md's Architecture block lists internal/%s, which is not a package", p)
+	}
+}
+
+// readmePackages returns the packages the internal/ list of README's
+// Architecture block names: the first word of each line indented by two
+// spaces, with tga/{a,b} standing for tga/a and tga/b.
+func readmePackages(readme string) []string {
+	_, arch, _ := strings.Cut(readme, "\n## Architecture\n")
+	_, block, _ := strings.Cut(arch, "\ninternal/\n")
+	block, _, _ = strings.Cut(block, "```")
+	var pkgs []string
+	for _, l := range strings.Split(block, "\n") {
+		if !strings.HasPrefix(l, "  ") || strings.HasPrefix(l, "   ") {
+			continue // a continuation line
+		}
+		name := strings.Fields(l)[0]
+		head, alts, ok := strings.Cut(strings.TrimSuffix(name, "}"), "{")
+		if !ok {
+			pkgs = append(pkgs, name)
+			continue
+		}
+		for _, a := range strings.Split(alts, ",") {
+			pkgs = append(pkgs, head+a)
+		}
+	}
+	return pkgs
+}
+
+// packageDirs lists the directories under root, relative to it, that
+// hold a non-test Go file.
+func packageDirs(root string) ([]string, error) {
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && d.Name() == "testdata":
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		dir, _ := filepath.Rel(root, filepath.Dir(path))
+		if dir = filepath.ToSlash(dir); !slices.Contains(dirs, dir) {
+			dirs = append(dirs, dir)
+		}
+		return nil
+	})
+	return dirs, err
+}

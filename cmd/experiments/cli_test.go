@@ -53,6 +53,7 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"-scale", "-1"}, 2},
 		{[]string{"-scale", "NaN"}, 2},
 		{[]string{"-budget", "0"}, 2},
+		{[]string{"-budget", "1073741825"}, 2}, // ipaddr.MaxSetLen + 1
 		{[]string{"-cluster-workers", "-2"}, 2},
 		{[]string{"-h"}, 0},
 		{append(slices.Clone(smallWorld), "-run", "table1", "-trace", filepath.Join(t.TempDir(), "no", "such", "dir")), 1},

@@ -28,6 +28,7 @@ import (
 	"seedscan/cmd/internal/profile"
 	"seedscan/internal/experiment"
 	"seedscan/internal/experiment/grid"
+	"seedscan/internal/ipaddr"
 	"seedscan/internal/proto"
 	"seedscan/internal/telemetry"
 	"seedscan/internal/tga/all"
@@ -71,7 +72,8 @@ func selectSections(list string) ([]experiment.Section, error) {
 // runs the selection under ctx with its telemetry going to tr.
 func flags(fs *flag.FlagSet) (*profile.Flags, func(ctx context.Context, tr *telemetry.Tracer, stdout io.Writer) error) {
 	life := profile.Register(fs, profile.All)
-	budget := profile.AtLeast(fs, "budget", 20000, 1, "per-TGA generation budget")
+	// A TGA run's candidate set holds its budget: no more than ipaddr.MaxSetLen.
+	budget := profile.Between(fs, "budget", 20000, 1, ipaddr.MaxSetLen, "per-TGA generation budget")
 	ases := profile.AtLeast(fs, "ases", 300, 1, "number of ASes in the simulated Internet")
 	scale := profile.Positive(fs, "scale", 1, math.MaxFloat64, "seed collection scale factor")
 	seed := fs.Uint64("seed", 42, "world seed")

@@ -150,20 +150,33 @@ func Var[T any](fs *flag.FlagSet, name, def, usage string, parse func(string) (T
 
 // AtLeast defines an int or duration flag that fs.Parse refuses below min.
 func AtLeast[T int | time.Duration](fs *flag.FlagSet, name string, def, min T, usage string) *T {
-	return Var(fs, name, fmt.Sprint(def), usage, func(s string) (v T, err error) {
-		switch p := any(&v).(type) {
-		case *int: // as the flag package reads an int: 0x10 and 1_000 too
-			var n int64
-			n, err = strconv.ParseInt(s, 0, strconv.IntSize)
-			*p = int(n)
-		case *time.Duration:
-			*p, err = time.ParseDuration(s)
-		}
-		if err == nil && v < min {
-			err = fmt.Errorf("want at least %v", min)
+	return Var(fs, name, fmt.Sprint(def), usage, func(s string) (T, error) { return parseAtLeast(s, min) })
+}
+
+// Between defines an int flag that fs.Parse refuses outside [min, max].
+func Between(fs *flag.FlagSet, name string, def, min, max int, usage string) *int {
+	return Var(fs, name, fmt.Sprint(def), usage, func(s string) (v int, err error) {
+		if v, err = parseAtLeast(s, min); err == nil && v > max {
+			err = fmt.Errorf("want at most %v", max)
 		}
 		return v, err
 	})
+}
+
+// parseAtLeast parses s as a T and refuses it below min.
+func parseAtLeast[T int | time.Duration](s string, min T) (v T, err error) {
+	switch p := any(&v).(type) {
+	case *int: // as the flag package reads an int: 0x10 and 1_000 too
+		var n int64
+		n, err = strconv.ParseInt(s, 0, strconv.IntSize)
+		*p = int(n)
+	case *time.Duration:
+		*p, err = time.ParseDuration(s)
+	}
+	if err == nil && v < min {
+		err = fmt.Errorf("want at least %v", min)
+	}
+	return v, err
 }
 
 // Positive defines a float64 flag that fs.Parse refuses outside (0, max].

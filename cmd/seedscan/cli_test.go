@@ -63,6 +63,7 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"collect", "-scale", "Inf"}, 2},
 		{[]string{"collect", "-show", "-1"}, 2},
 		{[]string{"run", "-budget", "0"}, 2},
+		{[]string{"run", "-budget", "1073741825"}, 2}, // ipaddr.MaxSetLen + 1
 		{[]string{"scan", "-cluster-workers", "-2"}, 2},
 		{[]string{"build-db", "-keep", "0"}, 2},
 		{[]string{"serve", "-max-bulk", "0"}, 2},
@@ -75,10 +76,6 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"daemon", "-stable-every", "0"}, 2},
 		{[]string{"daemon", "-alpha", "0"}, 2},
 		{[]string{"daemon", "-alpha", "7"}, 2},
-		{[]string{"resolve", "-n", "0"}, 2},
-		{[]string{"resolve", "-n", "-5"}, 2},
-		{[]string{"resolve", "-rate", "0"}, 2},
-		{[]string{"resolve", "-rate", "1.5"}, 2},
 		// A wire section or cluster list that does not parse.
 		{[]string{"scan", "-wire-faults", "loss=2"}, 2},
 		{[]string{"daemon", "-wire-shape", "jitter=0.1"}, 2},
@@ -155,10 +152,10 @@ func TestRangeEdgesParse(t *testing.T) {
 		{"world", "-ases", "1"},
 		{"collect", "-show", "0", "-scale", "1e-9"},
 		{"run", "-budget", "1"},
+		{"run", "-budget", "1073741824"},
 		{"scan", "-cluster-workers", "0", "-cluster", " 127.0.0.1:1, [::1]:2 ,"},
 		{"serve", "-max-bulk", "1", "-max-walk", "1", "-watch", "0"},
 		{"daemon", "-epochs", "1", "-budget", "0", "-keep", "1", "-stale-after", "1", "-stable-every", "1", "-alpha", "1", "-wire-faults", "loss=0"},
-		{"resolve", "-n", "1", "-rate", "1"},
 	} {
 		if _, err := parseFlags(args[0], args[1:]...); err != nil {
 			t.Errorf("seedscan %q: %v", args, err)

@@ -39,7 +39,6 @@ import (
 	"seedscan/internal/tga/all"
 	"seedscan/internal/wire"
 	"seedscan/internal/world"
-	"seedscan/internal/zdns"
 )
 
 // A command is one subcommand. flags registers the command's own flags on
@@ -68,7 +67,6 @@ var commands = []command{
 	{"build-db", "build a hitlist and publish it into a hitlistdb store directory", profile.Telemetry, nil, cmdBuildDB},
 	{"serve", "answer hitlist queries over HTTP from a hitlistdb store", profile.All, nil, cmdServe},
 	{"daemon", "run the longitudinal epoch-driven scanning service", profile.All, nil, cmdDaemon},
-	{"resolve", "simulate a ZDNS AAAA-resolution campaign over synthetic domains", profile.None, nil, cmdResolve},
 	{"worker", "serve shards to a cluster coordinator over TCP", profile.All, nil, cmdWorker},
 }
 
@@ -279,7 +277,8 @@ func cmdRun(fs *flag.FlagSet) body {
 		return name, err
 	})
 	p := profile.Var(fs, "proto", "icmp", "protocol: icmp, tcp80, tcp443, udp53", proto.Parse)
-	budget := profile.AtLeast(fs, "budget", 20000, 1, "generation budget")
+	// A TGA run's candidate set holds its budget: no more than ipaddr.MaxSetLen.
+	budget := profile.Between(fs, "budget", 20000, 1, ipaddr.MaxSetLen, "generation budget")
 	t := profile.Var(fs, "seeds", string(experiment.TreatmentAllActive),
 		"seed treatment, as experiments -list-cells names it: full, all-active, dealiased:MODE, port-active:PROTO or source-active:SOURCE",
 		experiment.ParseTreatment)
@@ -513,31 +512,4 @@ func buildHitlist(ctx context.Context, env *experiment.Env, reg *telemetry.Regis
 		inputs = append(inputs, env.Sources[src])
 	}
 	return svc.BuildContext(ctx, inputs...)
-}
-
-func cmdResolve(fs *flag.FlagSet) body {
-	seed, ases := worldFlags(fs)
-	n := profile.AtLeast(fs, "n", 20000, 1, "number of synthetic domains to resolve")
-	rate := profile.Positive(fs, "rate", 0.047, 1, "AAAA response rate (CT-log default; toplists ~0.25)")
-	out := fs.String("o", "", "write resolved addresses to this file")
-	return func(context.Context, *telemetry.Tracer) error {
-		w := world.New(world.Config{Seed: *seed, NumASes: *ases})
-		w.SetEpoch(world.CollectEpoch)
-		zone, err := zdns.NewZone(w, zdns.ZoneConfig{Seed: *seed + 1, AAAARate: *rate})
-		if err != nil {
-			return err
-		}
-		names := zdns.GenerateNames(*seed+2, *n)
-		set, stats := (&zdns.Resolver{Zone: zone}).ResolveAll(names)
-		fmt.Printf("resolved %d domains: %d AAAA responses, %d records, %d unique IPv6 addresses\n",
-			stats.Domains, stats.AAAAs, stats.Records, stats.UniqueIPs)
-		if *out != "" {
-			ds := seeds.FromSet("resolved", set)
-			if err := ds.WriteFile(*out); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %d addresses to %s\n", ds.Len(), *out)
-		}
-		return nil
-	}
 }

@@ -144,13 +144,3 @@ func TestParseSource(t *testing.T) {
 		t.Fatal("empty source accepted")
 	}
 }
-
-func TestCmdResolve(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "resolved.txt")
-	if err := execute(context.Background(), "resolve", "-ases", "40", "-n", "2000", "-rate", "0.2", "-o", out); err != nil {
-		t.Fatal(err)
-	}
-	if err := execute(context.Background(), "resolve", "-ases", "40", "-rate", "0"); err == nil {
-		t.Fatal("zero rate accepted")
-	}
-}

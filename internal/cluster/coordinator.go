@@ -109,7 +109,7 @@ type Coordinator struct {
 
 // NewCoordinator returns a coordinator with the given configuration.
 func NewCoordinator(cfg Config) *Coordinator {
-	return &Coordinator{cfg: cfg, scratch: make(memo.FreeList[*runScratch], keptRuns)}
+	return &Coordinator{cfg: cfg, scratch: make(memo.FreeList[*runScratch], memo.FreeListLen)}
 }
 
 // runScratch is one Run's memory that outlives it: the canonical plan and
@@ -120,16 +120,6 @@ type runScratch struct {
 	bufs [][]scanner.Result
 }
 
-// The coordinator keeps the scratch of at most keptRuns Runs, one per
-// concurrent caller (the experiment grid runs up to eight cells through
-// one pool), and none holding more than maxKeptRunTargets targets of
-// plan or of lease buffers, so one huge Run does not pin its memory for
-// the coordinator's life. These mirror the scanner's own free list.
-const (
-	keptRuns          = 8
-	maxKeptRunTargets = 1 << 20
-)
-
 // getScratch takes a free entry, or makes one if none is free.
 func (c *Coordinator) getScratch() *runScratch {
 	if sc, ok := c.scratch.Get(); ok {
@@ -138,17 +128,18 @@ func (c *Coordinator) getScratch() *runScratch {
 	return new(runScratch)
 }
 
-// putScratch returns sc to the free list unless the list is full or sc
-// outgrew the cap. Only a Run with no runner outstanding may: a straggler
-// on an expired lease may still read its window and write its buffer.
+// putScratch returns sc to the free list, which keeps one Run's scratch
+// per concurrent caller (the experiment grid runs its cells through one
+// pool), unless the list is full or sc holds more targets of plan or of
+// lease buffers than memo's policy keeps. Only a Run with no runner
+// outstanding may: a straggler on an expired lease may still read its
+// window and write its buffer.
 func (c *Coordinator) putScratch(sc *runScratch) {
 	held := 0
 	for _, b := range sc.bufs {
 		held += cap(b)
 	}
-	if cap(sc.plan) <= maxKeptRunTargets && held <= maxKeptRunTargets {
-		c.scratch.Put(sc)
-	}
+	c.scratch.Recycle(sc, max(cap(sc.plan), held))
 }
 
 // WorkerReport is one worker's contribution to a run.

@@ -18,7 +18,8 @@ type Config struct {
 	// engine still memoizes completed cells in-process, which is what
 	// deduplicates cells across specs).
 	Store Store
-	// Workers bounds the cell fan-out (default: GOMAXPROCS, capped at 8).
+	// Workers bounds the cell fan-out (default: GOMAXPROCS, capped at
+	// memo.FreeListLen, 8, so each concurrent cell finds recycled scratch).
 	// Cells are the unit of parallelism: model mining inside a cell is
 	// serial, so the default gives every core a cell.
 	Workers int
@@ -47,7 +48,7 @@ func NewEngine(cfg Config) *Engine {
 		panic("grid: NewEngine requires Config.Exec")
 	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = min(runtime.GOMAXPROCS(0), 8)
+		cfg.Workers = min(runtime.GOMAXPROCS(0), memo.FreeListLen)
 	}
 	tr := cfg.Telemetry
 	if tr == nil {

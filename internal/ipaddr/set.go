@@ -18,6 +18,10 @@ type Set struct {
 	addrs []Addr
 }
 
+// MaxSetLen is the most addresses a Set holds: its table indexes addrs
+// with int32s at load at most 1/2. Growing a set past it panics.
+const MaxSetLen = 1 << 30
+
 // NewSet returns a set holding the unique addresses of addrs, in order.
 func NewSet(addrs ...Addr) *Set {
 	s := NewSetCap(len(addrs))
@@ -49,8 +53,8 @@ func (s *Set) Reset(n int) {
 
 // reserve rebuilds the table with room for n addresses in total.
 func (s *Set) reserve(n int) {
-	if n > 1<<30 {
-		panic("ipaddr: Set larger than 2^30 addresses")
+	if n > MaxSetLen {
+		panic("ipaddr: Set larger than MaxSetLen addresses")
 	}
 	size := 16
 	for size < 2*n {

@@ -83,6 +83,17 @@ func (m *Map[K, V]) Len() int {
 // sync.Pool's, its entries survive garbage collection.
 type FreeList[T any] chan T
 
+// The recycling policy every free list in the program follows.
+const (
+	// FreeListLen is each free list's length: one entry per concurrent
+	// caller, of which the experiment grid, running at most FreeListLen
+	// cells at once, has the most.
+	FreeListLen = 8
+	// MaxKeptEntries bounds what a recycled value may hold (Recycle), so
+	// one huge run does not pin its memory for the process's life.
+	MaxKeptEntries = 1 << 20
+)
+
 // Get takes a value off the list; ok is false when the list is empty.
 func (l FreeList[T]) Get() (v T, ok bool) {
 	select {
@@ -99,5 +110,14 @@ func (l FreeList[T]) Put(v T) {
 	select {
 	case l <- v:
 	default:
+	}
+}
+
+// Recycle puts v on the list, as Put does, when it holds at most
+// MaxKeptEntries entries, and drops it otherwise. What an entry is (an
+// address, a scan result, a buffered target) is the caller's to count.
+func (l FreeList[T]) Recycle(v T, entries int) {
+	if entries <= MaxKeptEntries {
+		l.Put(v)
 	}
 }

@@ -157,3 +157,14 @@ func TestFreeListBounded(t *testing.T) {
 		t.Fatal("a drained list returned a value")
 	}
 }
+
+// TestRecycleKeepsUpToTheBound: Recycle keeps a value holding
+// MaxKeptEntries entries and drops one holding more.
+func TestRecycleKeepsUpToTheBound(t *testing.T) {
+	l := make(FreeList[int], FreeListLen)
+	l.Recycle(1, MaxKeptEntries+1)
+	l.Recycle(2, MaxKeptEntries)
+	if v, ok := l.Get(); !ok || v != 2 || len(l) != 0 {
+		t.Fatalf("Get = %d, %v with %d left, want only the value at the bound", v, ok, len(l))
+	}
+}

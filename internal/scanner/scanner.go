@@ -246,7 +246,7 @@ func New(link wire.Link, opts ...Option) *Scanner {
 		set:     set,
 		rl:      newRateLimiter(set.ratePPS),
 		shards:  make([]statShard, nextPow2(set.workers)),
-		scratch: make(memo.FreeList[*scanScratch], keptScratch),
+		scratch: make(memo.FreeList[*scanScratch], memo.FreeListLen),
 		dnsName: name,
 	}
 	if reg := set.tele; reg != nil {
@@ -361,17 +361,6 @@ type scanScratch struct {
 	results []Result
 }
 
-// The scanner keeps released scratch on a free list of keptScratch
-// entries: one per concurrent caller of a shared scanner, of which the
-// experiment grid runs at most eight (one per cell). Scratch planned for
-// more than maxKeptScratchTargets targets (about 48 B per target across
-// the plan, the results and the dedup table) is not kept, so one huge
-// scan does not pin its memory for the scanner's life.
-const (
-	keptScratch           = 8
-	maxKeptScratchTargets = 1 << 20
-)
-
 // plan puts the call's PlanOrder of targets in sc.planned: recycled
 // scratch when a previous call released one, fresh otherwise. Release it
 // with putScratch once nothing reads it.
@@ -385,12 +374,12 @@ func (s *Scanner) plan(targets []ipaddr.Addr, p proto.Protocol) *scanScratch {
 	return sc
 }
 
-// putScratch returns sc to the free list unless the list is full or sc
-// outgrew the cap.
+// putScratch returns sc to the free list, one entry per concurrent caller
+// of a shared scanner, unless the list is full or sc was planned for more
+// targets than memo's policy keeps (a target costs about 48 B across the
+// plan, the results and the dedup table, so about 48 MB).
 func (s *Scanner) putScratch(sc *scanScratch) {
-	if cap(sc.planned) <= maxKeptScratchTargets && cap(sc.results) <= maxKeptScratchTargets {
-		s.scratch.Put(sc)
-	}
+	s.scratch.Recycle(sc, max(cap(sc.planned), cap(sc.results)))
 }
 
 // ScanContext probes every target on p and returns one Result per unique
@@ -505,17 +494,15 @@ func PlanOrder(dst []ipaddr.Addr, secret uint64, shuffle bool, targets []ipaddr.
 	sc.planned = dst
 	sc.plan(secret, shuffle, targets, p)
 	dst, sc.planned = sc.planned, nil
-	if len(targets) <= maxKeptScratchTargets {
-		planScratch.Put(sc)
-	}
+	planScratch.Recycle(sc, len(targets))
 	return dst
 }
 
 // planScratch is PlanOrder's free list, like a Scanner's but
 // package-level, as PlanOrder has no Scanner to hang it on. Its entries
-// hold only a dedup table and a shuffle source, and one sized for more
-// than maxKeptScratchTargets targets is not kept.
-var planScratch = make(memo.FreeList[*scanScratch], keptScratch)
+// hold only a dedup table and a shuffle source, and the policy's bound
+// counts the targets they were sized for.
+var planScratch = make(memo.FreeList[*scanScratch], memo.FreeListLen)
 
 // plan appends PlanOrder's order to sc.planned, in its memory, and the
 // shuffle re-seeds sc's source rather than building one, which permutes

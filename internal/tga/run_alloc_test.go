@@ -10,6 +10,7 @@ import (
 
 	"seedscan/internal/alias"
 	"seedscan/internal/ipaddr"
+	"seedscan/internal/memo"
 	"seedscan/internal/proto"
 	"seedscan/internal/scanner"
 	"seedscan/internal/tga"
@@ -127,7 +128,7 @@ func TestWarmRunAllocatesNoCandidateSet(t *testing.T) {
 		}
 		// Each run takes the oldest set off the list and puts it back last,
 		// so one run per entry sizes them all.
-		for i := 0; i <= tga.KeptSets; i++ {
+		for i := 0; i <= memo.FreeListLen; i++ {
 			run(c.newGen())
 		}
 		runtime.GC() // twice: a sync.Pool's entries outlive one collection
@@ -177,7 +178,7 @@ func TestWarmScannedRunAllocatesNoBatchBuffers(t *testing.T) {
 			t.Fatalf("generated %d of %d", res.Generated, budget)
 		}
 	}
-	for i := 0; i <= tga.KeptSets; i++ {
+	for i := 0; i <= memo.FreeListLen; i++ {
 		run()
 	}
 	runtime.GC()

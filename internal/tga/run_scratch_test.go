@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"seedscan/internal/ipaddr"
+	"seedscan/internal/memo"
 	"seedscan/internal/proto"
 	"seedscan/internal/scanner"
 )
@@ -136,7 +137,7 @@ func TestRecycledScratchLeavesResultsAlone(t *testing.T) {
 
 // TestOversizedScratchIsNotKept pins the keep rule on the sets' storage,
 // which Reset keeps and Len does not show: scratch whose candidate set
-// was sized, or whose aliased-hit set was filled, past maxKeptEntries in
+// was sized, or whose aliased-hit set was filled, past memo.MaxKeptEntries in
 // its run is dropped however few entries the sets hold at its end.
 func TestOversizedScratchIsNotKept(t *testing.T) {
 	empty := func() {
@@ -148,12 +149,12 @@ func TestOversizedScratchIsNotKept(t *testing.T) {
 	}
 	empty()
 	t.Cleanup(empty)
-	putScratch(&runScratch{seen: ipaddr.NewSet(), most: maxKeptEntries + 1})
+	putScratch(&runScratch{seen: ipaddr.NewSet(), most: memo.MaxKeptEntries + 1})
 	if len(runScratches) != 0 {
-		t.Fatal("scratch sized past maxKeptEntries was kept")
+		t.Fatal("scratch sized past memo.MaxKeptEntries was kept")
 	}
-	putScratch(&runScratch{seen: ipaddr.NewSet(), most: maxKeptEntries})
+	putScratch(&runScratch{seen: ipaddr.NewSet(), most: memo.MaxKeptEntries})
 	if len(runScratches) != 1 {
-		t.Fatal("scratch sized at maxKeptEntries was not kept")
+		t.Fatal("scratch sized at memo.MaxKeptEntries was not kept")
 	}
 }

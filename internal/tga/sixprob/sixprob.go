@@ -471,13 +471,10 @@ func newCandHeap(beam int) candHeap {
 	}
 }
 
-// frontiers is the free list of emptied frontiers (about 3.9 MB each), at
-// most keptFrontiers of them: one per concurrent run of the experiment
-// grid, which runs at most eight. It keeps only frontiers of the default
-// size, so a run never takes one that must grow by append.
-const keptFrontiers = 8
-
-var frontiers = make(memo.FreeList[candHeap], keptFrontiers)
+// frontiers is the free list of emptied frontiers (about 3.9 MB each), one
+// per concurrent run of the experiment grid. It keeps only frontiers of
+// the default size, so a run never takes one that must grow by append.
+var frontiers = make(memo.FreeList[candHeap], memo.FreeListLen)
 
 // release empties h onto the free list when it is of the default size and
 // the list has room, and leaves h the zero frontier, which a second

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"seedscan/internal/ipaddr"
+	"seedscan/internal/memo"
 	"seedscan/internal/tga"
 )
 
@@ -264,7 +265,7 @@ func TestBeamPruneKeepsDeterminism(t *testing.T) {
 // runs of two beams: the generator then proposes nothing, only a
 // default-size frontier goes on the free list, a second take-back puts
 // nothing there, the next default run takes the kept frontier and draws
-// what a fresh one does, and the list never holds more than keptFrontiers.
+// what a fresh one does, and the list never holds more than memo.FreeListLen.
 func TestTakeBackRecyclesTheFrontier(t *testing.T) {
 	empty := func() {
 		for len(frontiers) > 0 {
@@ -316,14 +317,14 @@ func TestTakeBackRecyclesTheFrontier(t *testing.T) {
 	if len(frontiers) != 0 {
 		t.Fatal("a frontier grown past the default size was kept")
 	}
-	heaps := make([]candHeap, 2*keptFrontiers)
+	heaps := make([]candHeap, 2*memo.FreeListLen)
 	for i := range heaps {
 		heaps[i] = newCandHeap(defaultBeam)
 	}
 	for _, h := range heaps {
 		h.release()
 	}
-	if len(frontiers) != keptFrontiers {
-		t.Fatalf("%d frontiers kept, want at most %d", len(frontiers), keptFrontiers)
+	if len(frontiers) != memo.FreeListLen {
+		t.Fatalf("%d frontiers kept, want at most %d", len(frontiers), memo.FreeListLen)
 	}
 }

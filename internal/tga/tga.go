@@ -84,7 +84,8 @@ type Dealiaser interface {
 // RunConfig parameterizes a generation-and-scan run.
 type RunConfig struct {
 	// Budget is the number of unique candidate addresses to generate
-	// (the paper's 50M, scaled down).
+	// (the paper's 50M, scaled down): at least 1 and at most
+	// ipaddr.MaxSetLen, which the run's candidate set holds.
 	Budget int
 	// BatchSize is the generate→scan→feedback granularity (default 4096).
 	BatchSize int
@@ -170,8 +171,8 @@ func Run(g Generator, seeds []ipaddr.Addr, cfg RunConfig) (*RunResult, error) {
 // generator without the method keeps its own dedup, and the driver
 // records the fresh candidates in the set itself.
 func RunContext(ctx context.Context, g Generator, seeds []ipaddr.Addr, cfg RunConfig) (*RunResult, error) {
-	if cfg.Budget <= 0 {
-		return nil, fmt.Errorf("tga: budget must be positive, got %d", cfg.Budget)
+	if cfg.Budget <= 0 || cfg.Budget > ipaddr.MaxSetLen {
+		return nil, fmt.Errorf("tga: budget must be in [1, %d], got %d", ipaddr.MaxSetLen, cfg.Budget)
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 4096
@@ -234,17 +235,10 @@ type runScratch struct {
 	most int
 }
 
-// The driver keeps finished runs' scratch on a free list of keptRuns
-// entries, one per concurrent run of the experiment grid, which runs at
-// most eight. Scratch with a set or buffer holding more than
-// maxKeptEntries entries is not kept, so one huge run does not pin its
-// memory for the process's life.
-const (
-	keptRuns       = 8
-	maxKeptEntries = 1 << 20
-)
-
-var runScratches = make(memo.FreeList[*runScratch], keptRuns)
+// runScratches keeps finished runs' scratch, one per concurrent run of
+// the experiment grid; scratch with a set or buffer holding more entries
+// than the policy keeps is dropped.
+var runScratches = make(memo.FreeList[*runScratch], memo.FreeListLen)
 
 // getScratch returns scratch whose set is empty with room for budget
 // addresses and whose buffers are empty: recycled when the free list has
@@ -263,10 +257,8 @@ func getScratch(budget int) *runScratch {
 // putScratch puts sc on the free list unless it is too large or the list
 // is full. Nothing may read or write sc afterwards.
 func putScratch(sc *runScratch) {
-	if max(sc.most, sc.seen.Len(), cap(sc.results), cap(sc.active),
-		cap(sc.fb), cap(sc.hits), cap(sc.aliasedHits)) <= maxKeptEntries {
-		runScratches.Put(sc)
-	}
+	runScratches.Recycle(sc, max(sc.most, sc.seen.Len(), cap(sc.results), cap(sc.active),
+		cap(sc.fb), cap(sc.hits), cap(sc.aliasedHits)))
 }
 
 // exactCopy returns a copy of s at its length, or nil when s is empty.

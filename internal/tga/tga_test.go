@@ -234,9 +234,13 @@ func TestRunExcludesSeeds(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadBudget: a budget outside [1, ipaddr.MaxSetLen] is an
+// error before anything is built, not a panic sizing the candidate set.
 func TestRunRejectsBadBudget(t *testing.T) {
-	if _, err := Run(&staticGen{}, nil, RunConfig{}); err == nil {
-		t.Fatal("zero budget accepted")
+	for _, budget := range []int{0, -1, ipaddr.MaxSetLen + 1} {
+		if _, err := Run(&staticGen{}, nil, RunConfig{Budget: budget}); err == nil {
+			t.Fatalf("budget %d accepted", budget)
+		}
 	}
 }
 
