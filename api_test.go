@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -318,4 +319,45 @@ func packageDirs(root string) ([]string, error) {
 		return nil
 	})
 	return dirs, err
+}
+
+// TestDocsNameRealTests keeps the documents' test citations honest: every
+// Test, Fuzz, Benchmark or Example name that DESIGN.md, README.md or
+// EXPERIMENTS.md cites is a function in some _test.go file of the
+// repository. A cited name ending in _ (BenchmarkAblation_) stands for the
+// functions it prefixes.
+func TestDocsNameRealTests(t *testing.T) {
+	funcs := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark|Example)\w*)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(b, -1) {
+			funcs[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark|Example)[A-Z0-9_]\w*`)
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range cited.FindAllString(string(b), -1) {
+			found := funcs[name]
+			if prefix, ok := strings.CutSuffix(name, "_"); ok {
+				for f := range funcs {
+					found = found || strings.HasPrefix(f, prefix+"_")
+				}
+			}
+			if !found {
+				t.Errorf("%s cites %s, which no _test.go file declares", doc, name)
+			}
+		}
+	}
 }

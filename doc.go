@@ -15,6 +15,6 @@
 // entry points under cmd/, and the repository's performance benchmark —
 // five workloads, end-to-end and per-layer metrics, declared in
 // BENCHMARK.json — under benchmark/ (go run ./benchmark). See README.md
-// for a tour, DESIGN.md for the system inventory, and EXPERIMENTS.md for
-// paper-versus-measured results.
+// for a tour and, in its Architecture block, the package list; DESIGN.md
+// for the design; and EXPERIMENTS.md for paper-versus-measured results.
 package seedscan

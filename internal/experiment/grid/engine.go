@@ -150,29 +150,16 @@ func (e *Engine) do(ctx context.Context, c Cell) (CellResult, error) {
 	return res, err
 }
 
-// RunParallel executes fn(0..n-1) on up to `workers` goroutines and
-// returns the first error. Every fn receives a grid context derived from
-// ctx that is cancelled as soon as any sibling fails, so long-running
-// siblings stop promptly instead of finishing doomed work; no further
-// indices are dispatched after cancellation either. The parent's
-// ctx.Err() is returned if it cut the grid short.
+// RunParallel executes fn(0..n-1) on up to `workers` goroutines (at
+// least one) and returns the first error. Every fn receives a grid
+// context derived from ctx that is cancelled as soon as any sibling fails,
+// so long-running siblings stop promptly instead of finishing doomed work;
+// no further indices are dispatched after cancellation either. The
+// parent's ctx.Err() is returned if it cut the grid short.
 func RunParallel(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := gctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(gctx, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	workers = min(max(workers, 1), n)
 	var (
 		wg   sync.WaitGroup
 		mu   sync.Mutex

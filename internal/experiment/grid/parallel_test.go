@@ -38,8 +38,8 @@ func TestRunParallelErrorCancelsSiblings(t *testing.T) {
 	}
 }
 
-// TestRunParallelSerialPathUsesGridContext covers the workers<=1 path:
-// the fn context must be cancellable like the concurrent one.
+// TestRunParallelSerialPathUsesGridContext covers one worker: a failure
+// stops the indices after it, as it does with several.
 func TestRunParallelSerialPathUsesGridContext(t *testing.T) {
 	boom := errors.New("boom")
 	var ran int

@@ -188,10 +188,6 @@ func CombineAll(bySource map[Source]*Dataset) *Dataset {
 	return all
 }
 
-func unitHash(vals ...uint64) float64 {
-	return float64(ipaddr.Mix64(vals...)>>11) / float64(1<<53)
-}
-
 // newPoolRand builds the deterministic RNG a toplist uses to draw from the
 // popular pools.
 func newPoolRand(seed uint64) *rand.Rand {

@@ -416,7 +416,7 @@ func TestAddrMinerCachedMatchesUncached(t *testing.T) {
 	seeds := syntheticSeeds(64)
 	cfg := tga.RunConfig{
 		Budget: 4000, BatchSize: 512, Proto: proto.ICMP, Prober: hashProber{},
-		ExcludeSeeds: true, CollectCandidates: true,
+		ExcludeSeeds: true,
 	}
 	earlier := addrminer.NewStore()
 	if _, err := tga.Run(addrminer.New(earlier), seeds, cfg); err != nil {
@@ -432,17 +432,21 @@ func TestAddrMinerCachedMatchesUncached(t *testing.T) {
 		addrs []ipaddr.Addr
 	}{{"empty memory", nil}, {"memory of an earlier run", earlier.Snapshot()}} {
 		var res [2]*tga.RunResult
+		var cands [2][]ipaddr.Addr
 		for i, c := range []tga.RunConfig{cfg, cached} {
 			store := addrminer.NewStore()
 			store.Remember(memory.addrs)
+			rec := &recordingProber{Prober: c.Prober}
+			c.Prober = rec
 			var err error
 			if res[i], err = tga.Run(addrminer.New(store), seeds, c); err != nil {
 				t.Fatalf("%s: %v", memory.name, err)
 			}
+			cands[i] = rec.targets
 		}
 		runResultsEqual(t, memory.name, res[0], res[1])
-		if !slices.Equal(res[1].Candidates, res[0].Candidates) {
-			t.Errorf("%s: cached run proposed %d candidates, uncached %d, or in another order", memory.name, len(res[1].Candidates), len(res[0].Candidates))
+		if !slices.Equal(cands[1], cands[0]) {
+			t.Errorf("%s: cached run proposed %d candidates, uncached %d, or in another order", memory.name, len(cands[1]), len(cands[0]))
 		}
 	}
 }

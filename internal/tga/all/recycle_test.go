@@ -29,21 +29,20 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 			jobs = append(jobs, job{name, syntheticSeeds(perKind)})
 		}
 	}
-	cfg := tga.RunConfig{
-		Budget:            3000, // not a multiple of BatchSize
-		BatchSize:         512,
-		Prober:            oracleProber{},
-		Dealiaser:         regionDealiaser{},
-		ExcludeSeeds:      true,
-		CollectCandidates: true,
-	}
 	digest := func(j job) (string, error) {
-		res, err := tga.RunContext(context.Background(), all.MustNew(j.name), j.seeds, cfg)
+		rec := &recordingProber{Prober: oracleProber{}}
+		res, err := tga.RunContext(context.Background(), all.MustNew(j.name), j.seeds, tga.RunConfig{
+			Budget:       3000, // not a multiple of BatchSize
+			BatchSize:    512,
+			Prober:       rec,
+			Dealiaser:    regionDealiaser{},
+			ExcludeSeeds: true,
+		})
 		if err != nil {
 			return "", err
 		}
 		return fmt.Sprintf("generated %d, candidates %#x, hits %#x, aliased %#x", res.Generated,
-			ipaddr.Digest(res.Candidates), ipaddr.Digest(res.Hits), ipaddr.Digest(res.AliasedHits)), nil
+			ipaddr.Digest(rec.targets), ipaddr.Digest(res.Hits), ipaddr.Digest(res.AliasedHits)), nil
 	}
 	want := make([]string, len(jobs))
 	for i, j := range jobs {

@@ -30,6 +30,19 @@ func (o oracleProber) ScanActive(targets []ipaddr.Addr, p proto.Protocol) []ipad
 	return scanner.ActiveAddrs(o.Scan(targets, p))
 }
 
+// recordingProber scans through its Prober and records every target, in
+// order. The driver scans exactly each batch's fresh candidates, in
+// generation order, so one run's record is its candidate list.
+type recordingProber struct {
+	scanner.Prober
+	targets []ipaddr.Addr
+}
+
+func (r *recordingProber) Scan(targets []ipaddr.Addr, p proto.Protocol) []scanner.Result {
+	r.targets = append(r.targets, targets...)
+	return r.Prober.Scan(targets, p)
+}
+
 // regionDealiaser flags what falls in aliasedRegion.
 type regionDealiaser struct{}
 
@@ -73,27 +86,26 @@ func TestSharedCandidateSetMatchesPrivate(t *testing.T) {
 	seeds := syntheticSeeds(12)
 	for _, name := range all.ExtendedNames {
 		for _, exclude := range []bool{false, true} {
-			cfg := tga.RunConfig{
-				Budget:            5000, // not a multiple of BatchSize
-				BatchSize:         512,
-				Prober:            oracleProber{},
-				Dealiaser:         regionDealiaser{},
-				ExcludeSeeds:      exclude,
-				CollectCandidates: true,
+			run := func(g tga.Generator) (*tga.RunResult, []ipaddr.Addr) {
+				rec := &recordingProber{Prober: oracleProber{}}
+				res, err := tga.RunContext(context.Background(), g, seeds, tga.RunConfig{
+					Budget:       5000, // not a multiple of BatchSize
+					BatchSize:    512,
+					Prober:       rec,
+					Dealiaser:    regionDealiaser{},
+					ExcludeSeeds: exclude,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, rec.targets
 			}
 			g := all.MustNew(name)
 			if _, ok := g.(interface{ ShareCandidates(*ipaddr.Set) }); !ok {
 				t.Fatalf("%s does not take the run's candidate set", name)
 			}
-			shared, err := tga.RunContext(context.Background(), g, seeds, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wrapped := &privateGen{Generator: all.MustNew(name), t: t, proposed: ipaddr.NewSet()}
-			private, err := tga.RunContext(context.Background(), wrapped, seeds, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			shared, sharedCands := run(g)
+			private, privateCands := run(&privateGen{Generator: all.MustNew(name), t: t, proposed: ipaddr.NewSet()})
 
 			if shared.Generated != private.Generated || shared.Exhausted != private.Exhausted {
 				t.Errorf("%s exclude=%v: shared generated %d (exhausted %v), private %d (exhausted %v)",
@@ -103,7 +115,7 @@ func TestSharedCandidateSetMatchesPrivate(t *testing.T) {
 				what            string
 				shared, private []ipaddr.Addr
 			}{
-				{"candidates", shared.Candidates, private.Candidates},
+				{"candidates", sharedCands, privateCands},
 				{"hits", shared.Hits, private.Hits},
 				{"aliased hits", shared.AliasedHits, private.AliasedHits},
 			} {
@@ -112,8 +124,8 @@ func TestSharedCandidateSetMatchesPrivate(t *testing.T) {
 						name, exclude, c.what, len(c.shared), ipaddr.Digest(c.shared), len(c.private), ipaddr.Digest(c.private))
 				}
 			}
-			if len(shared.Candidates) != shared.Generated {
-				t.Errorf("%s exclude=%v: %d candidates collected, %d generated", name, exclude, len(shared.Candidates), shared.Generated)
+			if len(sharedCands) != shared.Generated {
+				t.Errorf("%s exclude=%v: %d candidates collected, %d generated", name, exclude, len(sharedCands), shared.Generated)
 			}
 		}
 	}

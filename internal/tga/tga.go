@@ -91,7 +91,8 @@ type RunConfig struct {
 	BatchSize int
 	// Proto selects the probe type.
 	Proto proto.Protocol
-	// Prober runs the scans (nil: generation-only run, no feedback).
+	// Prober runs the scans (nil: generation-only run, no feedback, and
+	// RunResult.Candidates holds what was generated).
 	Prober scanner.Prober
 	// Dealiaser classifies active outputs (nil: nothing flagged aliased).
 	Dealiaser Dealiaser
@@ -105,10 +106,6 @@ type RunConfig struct {
 	// sharing a seed treatment reuse the model across protocols. Nil:
 	// the generator's own Init mines the model.
 	Models ModelSource
-	// CollectCandidates records every unique candidate in
-	// RunResult.Candidates, in generation order. Generate uses it;
-	// scan-oriented callers leave it off to avoid the copy.
-	CollectCandidates bool
 }
 
 // RunResult aggregates a run's outcome.
@@ -124,7 +121,7 @@ type RunResult struct {
 	// Exhausted reports whether the generator ran dry before the budget.
 	Exhausted bool
 	// Candidates holds every unique generated address in generation
-	// order, only when RunConfig.CollectCandidates is set.
+	// order, only in a run without a RunConfig.Prober.
 	Candidates []ipaddr.Addr
 }
 
@@ -345,9 +342,6 @@ func (d *driver) produce(parent *telemetry.Span) (fresh []ipaddr.Addr, cont bool
 		}
 	}
 	d.generated += len(fresh)
-	if d.cfg.CollectCandidates {
-		d.res.Candidates = append(d.res.Candidates, fresh...)
-	}
 	genSpan.EndWith(telemetry.Attrs{"proposed": len(batch), "fresh": len(fresh)})
 	d.reg.Counter("tga.generated").Add(int64(len(fresh)))
 	if len(batch) == 0 {
@@ -448,6 +442,7 @@ func (d *driver) runLockstep(ctx context.Context) error {
 			continue
 		}
 		if d.cfg.Prober == nil {
+			d.res.Candidates = append(d.res.Candidates, fresh...)
 			batchSpan.EndWith(telemetry.Attrs{"budget_used": d.generated})
 			continue
 		}
@@ -483,7 +478,7 @@ func CanonicalSeeds(seeds []ipaddr.Addr) []ipaddr.Addr {
 // It is Run with no prober, so it shares the driver's full-batch requests,
 // dedup and idle-round exhaustion.
 func Generate(g Generator, seeds []ipaddr.Addr, budget int) ([]ipaddr.Addr, error) {
-	res, err := RunContext(context.Background(), g, seeds, RunConfig{Budget: budget, CollectCandidates: true})
+	res, err := RunContext(context.Background(), g, seeds, RunConfig{Budget: budget})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package tga
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -301,5 +302,34 @@ func TestGenerateStopsAtBudget(t *testing.T) {
 	}
 	if len(got) != 123 {
 		t.Fatalf("generated %d, want exactly the 123 budget", len(got))
+	}
+}
+
+// TestProberlessRunReturnsCandidates: a run without a prober has nothing
+// to report but what it generated, so its result lists the candidates —
+// exactly Generate's list — while a scanned run's does not.
+func TestProberlessRunReturnsCandidates(t *testing.T) {
+	var seq []ipaddr.Addr
+	base := ipaddr.MustParse("2001:db8::")
+	for i := 0; i < 300; i++ {
+		seq = append(seq, base.AddLo(uint64(i%200))) // 200 unique, repeated
+	}
+	want, err := Generate(&dupPrefixGen{seq: seq}, nil, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunContext(context.Background(), &dupPrefixGen{seq: seq}, nil, RunConfig{Budget: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 150 || !slices.Equal(res.Candidates, want) {
+		t.Fatalf("prober-less run listed %d candidates, Generate %d, or in another order", len(res.Candidates), len(want))
+	}
+	scanned, err := Run(&dupPrefixGen{seq: seq}, nil, RunConfig{Budget: 150, Prober: &nullProber{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scanned.Candidates != nil {
+		t.Fatalf("scanned run listed %d candidates", len(scanned.Candidates))
 	}
 }
