@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"errors"
 	"flag"
 	"io"
 	"net"
@@ -14,7 +13,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"seedscan/cmd/internal/profile"
 	"seedscan/internal/hitlistdb"
@@ -76,12 +74,9 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"daemon", "-stable-every", "0"}, 2},
 		{[]string{"daemon", "-alpha", "0"}, 2},
 		{[]string{"daemon", "-alpha", "7"}, 2},
-		// A wire section or cluster list that does not parse.
+		// A wire section that does not parse.
 		{[]string{"scan", "-wire-faults", "loss=2"}, 2},
 		{[]string{"daemon", "-wire-shape", "jitter=0.1"}, 2},
-		{[]string{"scan", "-cluster", ","}, 2},
-		{[]string{"scan", "-cluster", "nohost"}, 2},
-		{[]string{"scan", "-cluster", "127.0.0.1:1", "-cluster-workers", "2"}, 2},
 		{[]string{"help"}, 0},
 		{[]string{"world", "-h"}, 0},
 		{[]string{"dealias", "-trace", filepath.Join(t.TempDir(), "no", "such", "dir")}, 1},
@@ -153,34 +148,13 @@ func TestRangeEdgesParse(t *testing.T) {
 		{"collect", "-show", "0", "-scale", "1e-9"},
 		{"run", "-budget", "1"},
 		{"run", "-budget", "1073741824"},
-		{"scan", "-cluster-workers", "0", "-cluster", " 127.0.0.1:1, [::1]:2 ,"},
+		{"scan", "-cluster-workers", "0"},
 		{"serve", "-max-bulk", "1", "-max-walk", "1", "-watch", "0"},
 		{"daemon", "-epochs", "1", "-budget", "0", "-keep", "1", "-stale-after", "1", "-stable-every", "1", "-alpha", "1", "-wire-faults", "loss=0"},
 	} {
 		if _, err := parseFlags(args[0], args[1:]...); err != nil {
 			t.Errorf("seedscan %q: %v", args, err)
 		}
-	}
-}
-
-// TestExclusiveFlags sets both flags of every pair a command declares
-// exclusive: each is a usage error naming both, before the command runs
-// (scan's -cluster would otherwise dial a closed port).
-func TestExclusiveFlags(t *testing.T) {
-	value := map[string]string{"cluster": "127.0.0.1:1", "cluster-workers": "2"}
-	pairs := 0
-	for _, c := range commands {
-		for _, pair := range c.exclusive {
-			pairs++
-			args := append([]string{"-" + pair[0], value[pair[0]], "-" + pair[1], value[pair[1]]}, smallEnv...)
-			err := execute(context.Background(), c.name, args...)
-			if !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), "-"+pair[0]+" ") || !strings.Contains(err.Error(), "-"+pair[1]+" ") {
-				t.Errorf("%s %q: %v, want a usage error naming both flags", c.name, args, err)
-			}
-		}
-	}
-	if pairs == 0 {
-		t.Fatal("no command declares an exclusive pair")
 	}
 }
 
@@ -290,19 +264,27 @@ func TestCollectSeedFlag(t *testing.T) {
 
 // TestScanClusterWorkers: -cluster-workers fans the scan out over an
 // in-process pool, whose shard counters the -trace file's final metrics
-// show; a plain scan has none.
+// show; a plain scan has none. The -wire-* chain reaches the pool's
+// workers: its tap and seeded faults count what the plain scan's do.
 func TestScanClusterWorkers(t *testing.T) {
 	dir := t.TempDir()
-	shards := func(extra ...string) int64 {
+	counters := func(extra ...string) map[string]int64 {
 		trace := filepath.Join(dir, "scan.jsonl")
-		args := append(append([]string{"-source", "Umbrella", "-trace", trace}, extra...), smallEnv...)
+		args := append(append([]string{"-source", "Umbrella", "-trace", trace,
+			"-wire-taps", "-wire-faults", "loss=0.3,dup=0.05"}, extra...), smallEnv...)
 		if err := execute(context.Background(), "scan", args...); err != nil {
 			t.Fatal(err)
 		}
-		return traceMetrics(t, trace).Counters["cluster.shards.completed"]
+		return traceMetrics(t, trace).Counters
 	}
-	if plain, pooled := shards(), shards("-cluster-workers", "2"); plain != 0 || pooled == 0 {
-		t.Fatalf("%d shards completed without -cluster-workers and %d with it, want none and some", plain, pooled)
+	plain, pooled := counters(), counters("-cluster-workers", "2")
+	if s, ps := plain["cluster.shards.completed"], pooled["cluster.shards.completed"]; s != 0 || ps == 0 {
+		t.Fatalf("%d shards completed without -cluster-workers and %d with it, want none and some", s, ps)
+	}
+	for _, name := range []string{"wire.tap.probes", "wire.faults.dropped", "wire.faults.duplicated"} {
+		if pooled[name] == 0 || pooled[name] != plain[name] {
+			t.Errorf("%s: %d with -cluster-workers, %d without; want equal and non-zero", name, pooled[name], plain[name])
+		}
 	}
 }
 
@@ -334,40 +316,6 @@ func freeAddr(t *testing.T) string {
 	}
 	defer ln.Close()
 	return ln.Addr().String()
-}
-
-// TestWorkerListenAndID: a worker serves on its -listen address, and a
-// coordinator that dials it counts its shards under the -id it announces.
-func TestWorkerListenAndID(t *testing.T) {
-	addr := freeAddr(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- execute(ctx, "worker", "-ases", "50", "-listen", addr, "-id", "w-test") }()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		if c, err := net.Dial("tcp", addr); err == nil {
-			c.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("worker never listened on %s", addr)
-		}
-	}
-
-	trace := filepath.Join(t.TempDir(), "scan.jsonl")
-	args := append([]string{"-source", "Umbrella", "-cluster", addr, "-trace", trace}, smallEnv...)
-	if err := execute(context.Background(), "scan", args...); err != nil {
-		t.Fatal(err)
-	}
-	// The coordinator names a remote worker by its announced id at the
-	// address it dialled.
-	if n := traceMetrics(t, trace).Counters["cluster.worker.w-test@"+addr+".shards_completed"]; n == 0 {
-		t.Fatalf("no shard completed by worker w-test@%s", addr)
-	}
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatalf("worker exited with %v", err)
-	}
 }
 
 // TestServeFlags: serve answers on -addr, swaps in a new generation within

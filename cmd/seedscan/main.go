@@ -18,12 +18,10 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"net"
 	"os"
 	"slices"
 	"sort"
 	"strings"
-	"unicode"
 
 	"seedscan/cmd/internal/profile"
 	"seedscan/internal/alias"
@@ -43,12 +41,10 @@ import (
 
 // A command is one subcommand. flags registers the command's own flags on
 // fs and returns the body that runs once they parse; life picks the
-// lifecycle flags it takes besides, and exclusive lists the pairs of its
-// flags that cannot be set together.
+// lifecycle flags it takes besides.
 type command struct {
 	name, summary string
 	life          profile.Set
-	exclusive     [][2]string
 	flags         func(fs *flag.FlagSet) body
 }
 
@@ -58,16 +54,15 @@ type body func(ctx context.Context, tr *telemetry.Tracer) error
 
 // commands is the CLI, in the order `seedscan help` lists it.
 var commands = []command{
-	{"world", "print the simulated Internet's composition", profile.None, nil, cmdWorld},
-	{"collect", "collect one seed source and print its statistics", profile.None, nil, cmdCollect},
-	{"run", "run one TGA end-to-end (generate, scan, dealias, measure)", profile.Telemetry, nil, cmdRun},
-	{"scan", "scan a dataset's addresses on one protocol", profile.All, [][2]string{{"cluster", "cluster-workers"}}, cmdScan},
-	{"dealias", "split a dataset into clean and aliased addresses", profile.Telemetry, nil, cmdDealias},
-	{"hitlist", "run the full hitlist-service pipeline and publish artifacts", profile.None, nil, cmdHitlist},
-	{"build-db", "build a hitlist and publish it into a hitlistdb store directory", profile.Telemetry, nil, cmdBuildDB},
-	{"serve", "answer hitlist queries over HTTP from a hitlistdb store", profile.All, nil, cmdServe},
-	{"daemon", "run the longitudinal epoch-driven scanning service", profile.All, nil, cmdDaemon},
-	{"worker", "serve shards to a cluster coordinator over TCP", profile.All, nil, cmdWorker},
+	{"world", "print the simulated Internet's composition", profile.None, cmdWorld},
+	{"collect", "collect one seed source and print its statistics", profile.None, cmdCollect},
+	{"run", "run one TGA end-to-end (generate, scan, dealias, measure)", profile.Telemetry, cmdRun},
+	{"scan", "scan a dataset's addresses on one protocol", profile.All, cmdScan},
+	{"dealias", "split a dataset into clean and aliased addresses", profile.Telemetry, cmdDealias},
+	{"hitlist", "run the full hitlist-service pipeline and publish artifacts", profile.None, cmdHitlist},
+	{"build-db", "build a hitlist and publish it into a hitlistdb store directory", profile.Telemetry, cmdBuildDB},
+	{"serve", "answer hitlist queries over HTTP from a hitlistdb store", profile.All, cmdServe},
+	{"daemon", "run the longitudinal epoch-driven scanning service", profile.All, cmdDaemon},
 }
 
 func main() { os.Exit(run(os.Args[1:])) }
@@ -100,9 +95,8 @@ func run(args []string) int {
 type usageError struct{ error }
 
 // execute runs the command name on args, under parent. A flag value that
-// does not parse or is out of range, an exclusive pair set together or an
-// unknown command comes back as a usageError, before the lifecycle
-// starts; -h comes back as flag.ErrHelp.
+// does not parse or is out of range or an unknown command comes back as a
+// usageError, before the lifecycle starts; -h comes back as flag.ErrHelp.
 func execute(parent context.Context, name string, args ...string) error {
 	i := slices.IndexFunc(commands, func(c command) bool { return c.name == name })
 	if i < 0 {
@@ -110,23 +104,12 @@ func execute(parent context.Context, name string, args ...string) error {
 		usage()
 		return usageError{fmt.Errorf("unknown command %q", name)}
 	}
-	c := commands[i]
-	fs, life, do := c.flagSet()
+	fs, life, do := commands[i].flagSet()
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
 		}
 		return usageError{err}
-	}
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	for _, pair := range c.exclusive {
-		if set[pair[0]] && set[pair[1]] {
-			err := fmt.Errorf("-%s and -%s cannot be used together", pair[0], pair[1])
-			fmt.Fprintln(fs.Output(), err)
-			fs.Usage()
-			return usageError{err}
-		}
 	}
 	return life.Run(parent, os.Stdout, do)
 }
@@ -316,59 +299,34 @@ func cmdScan(fs *flag.FlagSet) body {
 	seed, ases, scale := envFlags(fs)
 	src := sourceFlag(fs, "IPv6 Hitlist", "seed source to scan")
 	p := profile.Var(fs, "proto", "icmp", "protocol", proto.Parse)
-	clusterAddrs := profile.Var(fs, "cluster", "", "coordinate over remote workers at these comma-separated host:port addresses", func(list string) ([]string, error) {
-		addrs := strings.FieldsFunc(list, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
-		for _, addr := range addrs {
-			if _, _, err := net.SplitHostPort(addr); err != nil {
-				return nil, err
-			}
-		}
-		if list != "" && len(addrs) == 0 {
-			return nil, errors.New("lists no worker address")
-		}
-		return addrs, nil
-	})
 	clusterN := profile.AtLeast(fs, "cluster-workers", 0, 0, "coordinate over this many in-process workers")
 	wireFlags := wire.ChainFlags(fs)
 	return func(ctx context.Context, tr *telemetry.Tracer) error {
-		// Every probe crosses the chain: the environment's scanner, the
-		// in-process pool and each remote worker all build it from one value.
+		// Every probe crosses the chain: the environment's scanner and the
+		// in-process pool both build it from one value.
 		chain := wireFlags(*seed)
 		env := buildEnv(*seed, *ases, *scale, tr, chain)
 		ds := env.Sources[*src]
-		ccfg := cluster.Config{
-			Secret:    env.Cfg.ScanSecret,
-			Telemetry: tr.Registry(),
-			Wire:      chain,
-			Logf:      logf,
-		}
 
 		var results []scanner.Result
-		var run *cluster.RunResult
-		var err error
-		switch {
-		case len(*clusterAddrs) > 0:
-			var workers []cluster.Worker
-			for _, addr := range *clusterAddrs {
-				rw, err := cluster.DialWorker(addr)
-				if err != nil {
-					return err
-				}
-				defer rw.Close()
-				workers = append(workers, rw)
+		if *clusterN > 0 {
+			pool := cluster.NewLocalPool(*clusterN, env.World.Link(), cluster.Config{
+				Secret:    env.Cfg.ScanSecret,
+				Telemetry: tr.Registry(),
+				Wire:      chain,
+				Logf:      logf,
+			})
+			run, err := pool.Run(ctx, ds.Slice(), *p)
+			if err != nil {
+				return err
 			}
-			run, err = cluster.NewCoordinator(ccfg).Run(ctx, workers, ds.Slice(), *p)
-		case *clusterN > 0:
-			run, err = cluster.NewLocalPool(*clusterN, env.World.Link(), ccfg).Run(ctx, ds.Slice(), *p)
-		default:
-			results, err = env.Scanner.ScanContext(ctx, ds.Slice(), *p)
-		}
-		if err != nil {
-			return err
-		}
-		if run != nil {
 			printClusterRun(run)
 			results = run.Results
+		} else {
+			var err error
+			if results, err = env.Scanner.ScanContext(ctx, ds.Slice(), *p); err != nil {
+				return err
+			}
 		}
 		counts := map[string]int{}
 		for _, r := range results {
@@ -404,43 +362,6 @@ func printClusterRun(run *cluster.RunResult) {
 		r := run.Workers[id]
 		fmt.Printf("  %-20s %3d shards, %8d packets, %8.0f pps\n",
 			id, r.ShardsCompleted, r.PacketsSent, r.PPS())
-	}
-}
-
-func cmdWorker(fs *flag.FlagSet) body {
-	seed, ases := worldFlags(fs)
-	listen := fs.String("listen", "127.0.0.1:9653", "address to serve the cluster wire protocol on")
-	id := fs.String("id", "", "worker id announced to coordinators (default: the listen address)")
-	return func(ctx context.Context, tr *telemetry.Tracer) error {
-		// The worker rebuilds the same deterministic world as the
-		// coordinator's environment; the job frame carries the secret,
-		// retries, rate and wire chain needed for its shards to merge
-		// byte-identically.
-		w := world.New(world.Config{Seed: *seed, NumASes: *ases, Telemetry: tr.Registry()})
-		w.SetEpoch(world.ScanEpoch)
-
-		ln, err := net.Listen("tcp", *listen)
-		if err != nil {
-			return err
-		}
-		if *id == "" {
-			*id = ln.Addr().String()
-		}
-		fmt.Printf("seedscan worker %q: serving on %s (world seed=%d, %d ASes)\n",
-			*id, ln.Addr(), *seed, *ases)
-
-		err = cluster.Serve(ctx, ln, cluster.ServeConfig{
-			WorkerID:  *id,
-			Link:      w.Link(),
-			Options:   []scanner.Option{scanner.WithTelemetry(tr.Registry())},
-			Telemetry: tr.Registry(),
-			Logf:      logf,
-		})
-		wireSummary(tr.Registry())
-		if errors.Is(err, context.Canceled) {
-			return nil
-		}
-		return err
 	}
 }
 

@@ -1,18 +1,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"io"
-	"net"
 	"strconv"
 	"testing"
 
-	"seedscan/internal/cluster"
 	"seedscan/internal/probe"
-	"seedscan/internal/telemetry"
 	"seedscan/internal/wire"
-	"seedscan/internal/world"
 )
 
 // buildWire parses args as the -wire-* flags into a chain; a section
@@ -83,31 +78,5 @@ func TestWireFaultsSeedIsExact(t *testing.T) {
 	a, b := forwarded(1<<53), forwarded(1<<53+1)
 	if string(a) == string(b) {
 		t.Fatalf("seeds 2^53 and 2^53+1 forward the same %d of %d probes", len(a), len(pkts))
-	}
-}
-
-// TestCmdScanClusterChain: `scan -cluster host:port` takes -wire-* flags,
-// and the chain reaches the remote worker in the job frame — the worker,
-// started bare, drops and counts probes under the coordinator's faults.
-func TestCmdScanClusterChain(t *testing.T) {
-	w := world.New(world.Config{Seed: 42, NumASes: 50})
-	w.SetEpoch(world.ScanEpoch)
-	reg := telemetry.NewRegistry()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go cluster.Serve(ctx, ln, cluster.ServeConfig{Link: w.Link(), Telemetry: reg})
-
-	args := append([]string{"-source", "Umbrella", "-cluster", ln.Addr().String(),
-		"-wire-taps", "-wire-faults", "loss=0.3,dup=0.05"}, smallEnv...)
-	if err := execute(context.Background(), "scan", args...); err != nil {
-		t.Fatal(err)
-	}
-	c := reg.Snapshot().Counters
-	if c["wire.tap.probes"] == 0 || c["wire.faults.dropped"] == 0 || c["wire.faults.duplicated"] == 0 {
-		t.Fatalf("worker chain counters %v: the coordinator's chain did not reach it", c)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -93,12 +92,11 @@ func testChain(chained bool) wire.ChainConfig {
 
 // TestClusterMatchesSingleScanner is the core identity property, as one
 // table: over every protocol, a bare and a faulty tapped link, any worker
-// count, any shard size, TCP workers and a worker dying mid-run, the
-// merged Results (element-wise, in order) and Stats equal the single
-// scanner's, every target is accounted for under exactly one status, and
-// the tap saw exactly the packets the stats claim. Every row gets its
-// chain only from the coordinator's Config.Wire: local pools build it
-// over their link, TCP workers from the job frame.
+// count, any shard size and a worker dying mid-run, the merged Results
+// (element-wise, in order) and Stats equal the single scanner's, every
+// target is accounted for under exactly one status, and the tap saw
+// exactly the packets the stats claim. Every row gets its chain only from
+// Config.Wire, which the pool builds over its link.
 func TestClusterMatchesSingleScanner(t *testing.T) {
 	w := clusterWorld(t)
 	targets, blocklist := identityInput(t, w)
@@ -123,21 +121,6 @@ func TestClusterMatchesSingleScanner(t *testing.T) {
 				}, false})
 		}
 	}
-	rows = append(rows, row{"tcp2/shard200", func(p proto.Protocol, cfg Config) (*RunResult, error) {
-		var workers []Worker
-		for i := 0; i < 2; i++ {
-			rw, err := DialWorker(startWorker(t, ctx, ServeConfig{
-				WorkerID: "tw" + strconv.Itoa(i), Link: w.Link(), Options: opts, Telemetry: cfg.Telemetry,
-			}))
-			if err != nil {
-				return nil, err
-			}
-			defer rw.Close()
-			workers = append(workers, rw)
-		}
-		cfg.shardSize, cfg.Telemetry = 200, nil
-		return NewCoordinator(cfg).Run(ctx, workers, targets, p)
-	}, false})
 	rows = append(rows, row{"local3/shard128/kill", func(p proto.Protocol, cfg Config) (*RunResult, error) {
 		cfg.shardSize, cfg.workerFailureLimit = 128, 2
 		pool := NewLocalPool(3, w.Link(), cfg, opts...)
@@ -257,12 +240,12 @@ type hangWorker struct {
 
 func (h *hangWorker) ID() string { return h.inner.ID() }
 
-func (h *hangWorker) RunShard(ctx context.Context, job Job, shard Shard, beat func(int)) (*ShardResult, error) {
+func (h *hangWorker) RunShard(ctx context.Context, p proto.Protocol, sh shard, beat func(int)) (*shardResult, error) {
 	if h.hung.CompareAndSwap(false, true) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	return h.inner.RunShard(ctx, job, shard, beat)
+	return h.inner.RunShard(ctx, p, sh, beat)
 }
 
 // TestHungWorkerLeaseExpires checks that a worker that stops heartbeating
@@ -274,13 +257,13 @@ func TestHungWorkerLeaseExpires(t *testing.T) {
 	p := proto.ICMP
 	wantRes, wantStats := baseline(w.Link(), targets, p)
 
-	workers := []Worker{testWorker(w, "w0"), &hangWorker{inner: testWorker(w, "w1")}, testWorker(w, "w2")}
-	coord := NewCoordinator(Config{
+	workers := []worker{testWorker(w, "w0"), &hangWorker{inner: testWorker(w, "w1")}, testWorker(w, "w2")}
+	coord := newCoordinator(Config{
 		Secret:       testSecret,
 		shardSize:    128,
 		leaseTimeout: 150 * time.Millisecond,
 	})
-	got, err := coord.Run(context.Background(), workers, targets, p)
+	got, err := coord.run(context.Background(), workers, targets, p)
 	if err != nil {
 		t.Fatalf("cluster run with hung worker: %v", err)
 	}
@@ -299,7 +282,7 @@ type gateWorker struct {
 
 func (g *gateWorker) ID() string { return g.inner.ID() }
 
-func (g *gateWorker) RunShard(ctx context.Context, job Job, shard Shard, beat func(int)) (*ShardResult, error) {
+func (g *gateWorker) RunShard(ctx context.Context, p proto.Protocol, sh shard, beat func(int)) (*shardResult, error) {
 	n := g.cur.Add(1)
 	for {
 		m := g.maxSeen.Load()
@@ -309,7 +292,7 @@ func (g *gateWorker) RunShard(ctx context.Context, job Job, shard Shard, beat fu
 	}
 	defer g.cur.Add(-1)
 	time.Sleep(time.Millisecond)
-	return g.inner.RunShard(ctx, job, shard, beat)
+	return g.inner.RunShard(ctx, p, sh, beat)
 }
 
 // TestMaxInflightBoundsLeases checks the backpressure bound: with
@@ -319,7 +302,7 @@ func TestMaxInflightBoundsLeases(t *testing.T) {
 	w := clusterWorld(t)
 	targets := testTargets(t, w)
 	var cur, maxSeen atomic.Int64
-	workers := make([]Worker, 4)
+	workers := make([]worker, 4)
 	for i := range workers {
 		workers[i] = &gateWorker{
 			inner:   testWorker(w, workerName(i)),
@@ -327,8 +310,8 @@ func TestMaxInflightBoundsLeases(t *testing.T) {
 			maxSeen: &maxSeen,
 		}
 	}
-	coord := NewCoordinator(Config{Secret: testSecret, shardSize: 64, maxInflight: 2})
-	if _, err := coord.Run(context.Background(), workers, targets, proto.ICMP); err != nil {
+	coord := newCoordinator(Config{Secret: testSecret, shardSize: 64, maxInflight: 2})
+	if _, err := coord.run(context.Background(), workers, targets, proto.ICMP); err != nil {
 		t.Fatal(err)
 	}
 	if m := maxSeen.Load(); m > 2 {
@@ -365,11 +348,11 @@ func TestRunContextCancellation(t *testing.T) {
 // liar is a worker that scans honestly and then corrupts its answer.
 type liar struct {
 	*localWorker
-	lie func(*ShardResult)
+	lie func(*shardResult)
 }
 
-func (l liar) RunShard(ctx context.Context, job Job, shard Shard, beat func(int)) (*ShardResult, error) {
-	res, err := l.localWorker.RunShard(ctx, job, shard, beat)
+func (l liar) RunShard(ctx context.Context, p proto.Protocol, sh shard, beat func(int)) (*shardResult, error) {
+	res, err := l.localWorker.RunShard(ctx, p, sh, beat)
 	if err == nil {
 		l.lie(res)
 	}
@@ -378,12 +361,12 @@ func (l liar) RunShard(ctx context.Context, job Job, shard Shard, beat func(int)
 
 // lies are the ways a shard result can disagree with its lease. Every
 // shard of the tests below has at least two targets.
-var lies = map[string]func(*ShardResult){
-	"wrong id":  func(r *ShardResult) { r.shard++ },
-	"one short": func(r *ShardResult) { r.results = r.results[:len(r.results)-1] },
-	"swapped":   func(r *ShardResult) { r.results[0], r.results[1] = r.results[1], r.results[0] },
-	"status 9":  func(r *ShardResult) { r.results[len(r.results)-1].Status = 9 },
-	"no stats":  func(r *ShardResult) { r.stats = nil },
+var lies = map[string]func(*shardResult){
+	"wrong id":  func(r *shardResult) { r.shard++ },
+	"one short": func(r *shardResult) { r.results = r.results[:len(r.results)-1] },
+	"swapped":   func(r *shardResult) { r.results[0], r.results[1] = r.results[1], r.results[0] },
+	"status 9":  func(r *shardResult) { r.results[len(r.results)-1].Status = 9 },
+	"no stats":  func(r *shardResult) { r.stats = nil },
 }
 
 // TestLyingWorkerIsAFailedLease: an answer that is not the leased shard,
@@ -396,10 +379,10 @@ func TestLyingWorkerIsAFailedLease(t *testing.T) {
 	wantRes, wantStats := baseline(w.Link(), targets, p)
 	for name, lie := range lies {
 		var logged []string
-		coord := NewCoordinator(Config{Secret: testSecret, shardSize: 64, Logf: func(f string, a ...any) {
+		coord := newCoordinator(Config{Secret: testSecret, shardSize: 64, Logf: func(f string, a ...any) {
 			logged = append(logged, fmt.Sprintf(f, a...))
 		}})
-		got, err := coord.Run(context.Background(), []Worker{liar{testWorker(w, "liar"), lie}, testWorker(w, "honest")}, targets, p)
+		got, err := coord.run(context.Background(), []worker{liar{testWorker(w, "liar"), lie}, testWorker(w, "honest")}, targets, p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -427,8 +410,8 @@ func TestOnlyLyingWorkersError(t *testing.T) {
 			{workerFailureLimit: 1000, maxShardAttempts: 2},
 		} {
 			cfg.Secret, cfg.shardSize = testSecret, 64
-			got, err := NewCoordinator(cfg).Run(context.Background(),
-				[]Worker{liar{testWorker(w, "l0"), lie}, liar{testWorker(w, "l1"), lie}}, targets, proto.ICMP)
+			got, err := newCoordinator(cfg).run(context.Background(),
+				[]worker{liar{testWorker(w, "l0"), lie}, liar{testWorker(w, "l1"), lie}}, targets, proto.ICMP)
 			if err == nil || got != nil {
 				t.Fatalf("%s: liars alone produced a result (err %v)", name, err)
 			}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -16,19 +15,12 @@ import (
 	"seedscan/internal/wire"
 )
 
-// Config parameterizes a Coordinator. Zero values get defaults from
-// fillDefaults; Secret/Retries/RatePPS must mirror the reference single
-// scanner for byte-identical results (the zero values mirror the
-// scanner's own defaults).
+// Config parameterizes a pool's coordinator. Zero values get defaults
+// from fillDefaults; Secret must be the reference single scanner's for
+// byte-identical results.
 type Config struct {
 	// Secret keys validation cookies and the canonical shuffle.
 	Secret uint64
-	// retries / RatePPS are shipped to workers in the Job so remote
-	// scanners replicate the coordinator's reference configuration
-	// (defaults 2 and 10000, the scanner's own defaults). Retries clamps
-	// to 0..254 after its default, as scanner.WithRetries does.
-	retries int
-	ratePPS int
 	// shardSize is the target count per shard (default 2048).
 	shardSize int
 	// maxInflight bounds how many shards may be leased at once — the
@@ -44,13 +36,12 @@ type Config struct {
 	// failed or expired leases (default 3); a completed shard resets it.
 	workerFailureLimit int
 	// Wire is the chain every worker probes through: NewLocalPool builds
-	// it once over its link, shared by all its workers, and the Job
-	// carries it to remote workers, which build it over theirs. Its
-	// middlewares are pure functions of seed and packet bytes, so sharding
-	// changes nothing about what they do in aggregate.
+	// it once over its link, shared by all its workers. Its middlewares
+	// are pure functions of seed and packet bytes, so sharding changes
+	// nothing about what they do in aggregate.
 	Wire wire.ChainConfig
-	// Chain holds extra middlewares for NewLocalPool only (outermost
-	// first, outside Wire's); they cannot reach remote workers.
+	// Chain holds extra middlewares NewLocalPool composes outside Wire's
+	// (outermost first).
 	Chain []wire.Middleware
 	// Telemetry receives the cluster.* metrics (nil: telemetry off).
 	Telemetry *telemetry.Registry
@@ -60,15 +51,6 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults(workers int) {
-	if c.retries == 0 {
-		c.retries = 2
-	}
-	// The range scanner.WithRetries clamps to, applied here so the Job a
-	// remote worker decodes carries the retries the local scanners use.
-	c.retries = min(max(c.retries, 0), math.MaxUint8-1)
-	if c.ratePPS == 0 {
-		c.ratePPS = 10000
-	}
 	if c.shardSize <= 0 {
 		c.shardSize = 2048
 	}
@@ -86,34 +68,22 @@ func (c *Config) fillDefaults(workers int) {
 	}
 }
 
-// job is the Job of a run on p under the (defaulted) config.
-func (c *Config) job(p proto.Protocol) Job {
-	return Job{
-		proto:          p,
-		secret:         c.Secret,
-		retries:        c.retries,
-		ratePPS:        c.ratePPS,
-		heartbeatEvery: c.leaseTimeout / 4,
-		chain:          c.Wire.String(),
-	}
-}
-
-// Coordinator shards scans across a worker pool. One Coordinator may
-// serve many concurrent Runs. What it keeps between them is scratch: the
-// canonical plans and lease buffers of Runs that ended with no runner
-// outstanding, on a free list each Run takes its own entry from.
-type Coordinator struct {
+// coordinator shards scans across a worker pool. One coordinator may
+// serve many concurrent runs. What it keeps between them is scratch: the
+// canonical plans and lease buffers of runs that ended with no runner
+// outstanding, on a free list each run takes its own entry from.
+type coordinator struct {
 	cfg     Config
 	scratch memo.FreeList[*runScratch]
 }
 
-// NewCoordinator returns a coordinator with the given configuration.
-func NewCoordinator(cfg Config) *Coordinator {
-	return &Coordinator{cfg: cfg, scratch: make(memo.FreeList[*runScratch], memo.FreeListLen)}
+// newCoordinator returns a coordinator with the given configuration.
+func newCoordinator(cfg Config) *coordinator {
+	return &coordinator{cfg: cfg, scratch: make(memo.FreeList[*runScratch], memo.FreeListLen)}
 }
 
-// runScratch is one Run's memory that outlives it: the canonical plan and
-// the free lease result buffers, so a Run allocates only its RunResult
+// runScratch is one run's memory that outlives it: the canonical plan and
+// the free lease result buffers, so a run allocates only its RunResult
 // and small change.
 type runScratch struct {
 	plan []ipaddr.Addr
@@ -121,20 +91,20 @@ type runScratch struct {
 }
 
 // getScratch takes a free entry, or makes one if none is free.
-func (c *Coordinator) getScratch() *runScratch {
+func (c *coordinator) getScratch() *runScratch {
 	if sc, ok := c.scratch.Get(); ok {
 		return sc
 	}
 	return new(runScratch)
 }
 
-// putScratch returns sc to the free list, which keeps one Run's scratch
+// putScratch returns sc to the free list, which keeps one run's scratch
 // per concurrent caller (the experiment grid runs its cells through one
 // pool), unless the list is full or sc holds more targets of plan or of
-// lease buffers than memo's policy keeps. Only a Run with no runner
+// lease buffers than memo's policy keeps. Only a run with no runner
 // outstanding may: a straggler on an expired lease may still read its
 // window and write its buffer.
-func (c *Coordinator) putScratch(sc *runScratch) {
+func (c *coordinator) putScratch(sc *runScratch) {
 	held := 0
 	for _, b := range sc.bufs {
 		held += cap(b)
@@ -171,7 +141,7 @@ type RunResult struct {
 // lease is one shard assignment. beatNs is the run clock (runState.clock)
 // at the last sign of life: stored by the worker's heartbeat callback on
 // its runner goroutine, read by the coordinator's expiry sweep. dst is the
-// result buffer lent to the worker as Shard.dst, free again once its
+// result buffer lent to the worker as shard.dst, free again once its
 // runner has reported.
 type lease struct {
 	shard  int
@@ -184,17 +154,16 @@ type lease struct {
 // doneEvent is a runner goroutine's terminal report.
 type doneEvent struct {
 	le  *lease
-	res *ShardResult
+	res *shardResult
 	err error
 }
 
-// Run scans targets on p across workers and merges the shards. The merged
+// run scans targets on p across workers and merges the shards. The merged
 // Results and Stats are byte-identical to one scanner (configured with the
-// coordinator's Secret/Retries/RatePPS over the same link) scanning
-// targets directly, provided every worker's scanner replicates that
-// reference configuration — localWorker pools built by NewLocalPool and
-// `seedscan worker` processes both do.
-func (c *Coordinator) Run(ctx context.Context, workers []Worker, targets []ipaddr.Addr, p proto.Protocol) (*RunResult, error) {
+// coordinator's Secret over the same link) scanning targets directly,
+// provided every worker's scanner replicates that reference configuration
+// — localWorker pools built by NewLocalPool do.
+func (c *coordinator) run(ctx context.Context, workers []worker, targets []ipaddr.Addr, p proto.Protocol) (*RunResult, error) {
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("cluster: no workers")
 	}
@@ -214,7 +183,7 @@ func (c *Coordinator) Run(ctx context.Context, workers []Worker, targets []ipadd
 	run := &runState{
 		cfg:       cfg,
 		workers:   workers,
-		job:       cfg.job(p),
+		proto:     p,
 		canonical: canonical,
 		bufs:      sc.bufs,
 		bufCap:    min(cfg.shardSize, len(canonical)),
@@ -228,7 +197,7 @@ func (c *Coordinator) Run(ctx context.Context, workers []Worker, targets []ipadd
 		dead:      make([]bool, len(workers)),
 		fails:     make([]int, len(workers)),
 		// Buffered so a runner goroutine can always deliver its terminal
-		// event even after Run has returned (stale workers never block).
+		// event even after run has returned (stale workers never block).
 		events:  make(chan doneEvent, len(workers)),
 		reports: make(map[string]WorkerReport, len(workers)),
 		reg:     cfg.Telemetry,
@@ -257,13 +226,13 @@ func (c *Coordinator) Run(ctx context.Context, workers []Worker, targets []ipadd
 	}, nil
 }
 
-// runState is the mutable state of one Run, owned by the event loop
+// runState is the mutable state of one run, owned by the event loop
 // goroutine; runner goroutines communicate only through events and their
 // lease's beatNs.
 type runState struct {
 	cfg       Config
-	workers   []Worker
-	job       Job
+	workers   []worker
+	proto     proto.Protocol
 	canonical []ipaddr.Addr      // the one plan; shard i is its i-th window
 	bufs      [][]scanner.Result // free lease buffers
 	bufCap    int                // a lease buffer's capacity: the widest window
@@ -290,10 +259,10 @@ type runState struct {
 // shard returns shard sid: the sid-th shardSize-wide window of the
 // canonical order, capacity clipped so a worker cannot append into the
 // next window.
-func (r *runState) shard(sid int) Shard {
+func (r *runState) shard(sid int) shard {
 	lo := sid * r.cfg.shardSize
 	hi := lo + min(r.cfg.shardSize, len(r.canonical)-lo)
-	return Shard{id: sid, targets: r.canonical[lo:hi:hi]}
+	return shard{id: sid, targets: r.canonical[lo:hi:hi]}
 }
 
 // buffer takes a free lease buffer with room for any window, or makes one.
@@ -365,10 +334,10 @@ func (r *runState) assign(ctx context.Context) error {
 
 		sh := r.shard(sid)
 		sh.dst = le.dst
-		go func(w Worker, le *lease, sh Shard, job Job) {
-			res, err := w.RunShard(lctx, job, sh, func(int) { le.beatNs.Store(r.clock()) })
+		go func(w worker, le *lease, sh shard) {
+			res, err := w.RunShard(lctx, r.proto, sh, func(int) { le.beatNs.Store(r.clock()) })
 			r.events <- doneEvent{le: le, res: res, err: err}
-		}(r.workers[wi], le, sh, r.job)
+		}(r.workers[wi], le, sh)
 	}
 	return nil
 }
@@ -466,7 +435,7 @@ func (r *runState) handleDone(ev doneEvent) {
 // the lease's shard id, stats, one result per target, each echoing its
 // target's address in target order with a status a scanner can produce.
 // The positional merge relies on exactly this.
-func checkResult(sh Shard, res *ShardResult) error {
+func checkResult(sh shard, res *shardResult) error {
 	if res == nil || res.stats == nil {
 		return errors.New("no result, or one without stats")
 	}
@@ -503,7 +472,7 @@ func (r *runState) logf(format string, args ...any) {
 
 // record merges a verified shard — results into its window of out, stats
 // into the run's sum — and updates per-worker accounting.
-func (r *runState) record(wi int, sh Shard, res *ShardResult) {
+func (r *runState) record(wi int, sh shard, res *shardResult) {
 	copy(r.out[sh.id*r.cfg.shardSize:], res.results)
 	r.stats.Add(res.stats)
 	r.done[sh.id] = true

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"seedscan/internal/proto"
 	"seedscan/internal/scanner"
 )
 
@@ -15,10 +16,9 @@ import (
 // amortized.
 const localBatch = 512
 
-// localWorker runs shards on an in-process scanner — the worker flavour
-// deterministic tests and cmd/experiments fan-out use. The scanner must
-// replicate the coordinator's reference configuration (same secret, link,
-// retries, rate) for byte-identical merges; NewLocalPool guarantees that.
+// localWorker runs shards on an in-process scanner. The scanner must
+// replicate the coordinator's reference configuration (same secret and
+// link) for byte-identical merges; NewLocalPool guarantees that.
 //
 // A localWorker models one probing host: it owns one scanner and executes
 // one shard at a time (the mutex), which is also what makes its
@@ -40,29 +40,28 @@ func newLocalWorker(id string, s *scanner.Scanner) *localWorker {
 	return &localWorker{id: id, s: s, batch: localBatch}
 }
 
-// ID implements Worker.
+// ID implements worker.
 func (w *localWorker) ID() string { return w.id }
 
-// RunShard implements Worker: it probes the shard's targets as given, in
+// RunShard implements worker: it probes the shard's targets as given, in
 // heartbeat-sized batches each appended in place into one shard slice —
-// shard.dst when it has room, else one sized for the shard — and returns
-// one result per target in target order with the shard's exact stats
-// delta.
-func (w *localWorker) RunShard(ctx context.Context, job Job, shard Shard, beat func(done int)) (*ShardResult, error) {
+// sh.dst when it has room, else one sized for the shard — and returns one
+// result per target in target order with the shard's exact stats delta.
+func (w *localWorker) RunShard(ctx context.Context, p proto.Protocol, sh shard, beat func(done int)) (*shardResult, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	start := time.Now()
 	before := w.s.Stats()
-	results := slices.Grow(shard.dst[:0], len(shard.targets))
-	for off := 0; off < len(shard.targets); off += w.batch {
+	results := slices.Grow(sh.dst[:0], len(sh.targets))
+	for off := 0; off < len(sh.targets); off += w.batch {
 		if w.failHook != nil {
 			if err := w.failHook(len(results)); err != nil {
 				return nil, err
 			}
 		}
-		end := min(off+w.batch, len(shard.targets))
+		end := min(off+w.batch, len(sh.targets))
 		var err error
-		results, err = w.s.ScanPlanned(ctx, results, shard.targets[off:end], job.proto)
+		results, err = w.s.ScanPlanned(ctx, results, sh.targets[off:end], p)
 		if err != nil {
 			return nil, err
 		}
@@ -70,8 +69,8 @@ func (w *localWorker) RunShard(ctx context.Context, job Job, shard Shard, beat f
 	}
 	delta := w.s.Stats()
 	delta.Sub(before)
-	return &ShardResult{
-		shard:       shard.id,
+	return &shardResult{
+		shard:       sh.id,
 		results:     results,
 		stats:       delta,
 		wallSeconds: time.Since(start).Seconds(),

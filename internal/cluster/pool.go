@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"strconv"
 
 	"seedscan/internal/ipaddr"
@@ -10,19 +11,14 @@ import (
 	"seedscan/internal/wire"
 )
 
-// Pool binds a Coordinator to a fixed worker set and exposes the
+// Pool binds a coordinator to a fixed worker set and exposes the
 // scanner-shaped prober surface (Scan / ScanContext / ScanActive), so
 // anything that probes through a *scanner.Scanner — the TGA driver, the
 // dealiasers, experiment.Env — can fan out across a cluster unchanged.
 type Pool struct {
-	coord   *Coordinator
-	workers []Worker
+	coord   *coordinator
+	workers []worker
 	stats   *scanner.Stats
-}
-
-// newPool binds cfg's coordinator to workers.
-func newPool(cfg Config, workers ...Worker) *Pool {
-	return &Pool{coord: NewCoordinator(cfg), workers: workers, stats: &scanner.Stats{}}
 }
 
 // NewLocalPool builds an n-worker in-process pool whose worker scanners
@@ -33,19 +29,18 @@ func newPool(cfg Config, workers ...Worker) *Pool {
 // own probe workers — middlewares are concurrency-safe, so sharding
 // changes nothing about what a tap or fault injector observes in
 // aggregate. Extra scanner options (telemetry...) apply to every worker;
-// cfg's Secret/Retries/RatePPS are applied after them.
+// cfg's Secret is applied after them.
 func NewLocalPool(n int, link wire.Link, cfg Config, opts ...scanner.Option) *Pool {
 	if n < 1 {
 		n = 1
 	}
-	cfg.fillDefaults(n)
-	job := cfg.job(0) // for its secret, retries and rate; Run names the protocol
 	link = wire.Chain(cfg.Wire.Build(link, cfg.Telemetry), cfg.Chain...)
-	workers := make([]Worker, n)
+	opts = append(slices.Clip(opts), scanner.WithSecret(cfg.Secret))
+	workers := make([]worker, n)
 	for i := range workers {
-		workers[i] = newLocalWorker(workerName(i), jobScanner(link, job, opts))
+		workers[i] = newLocalWorker(workerName(i), scanner.New(link, opts...))
 	}
-	return newPool(cfg, workers...)
+	return &Pool{coord: newCoordinator(cfg), workers: workers, stats: &scanner.Stats{}}
 }
 
 // workerName labels in-process workers w0, w1, ...
@@ -53,7 +48,7 @@ func workerName(i int) string { return "w" + strconv.Itoa(i) }
 
 // Run executes one coordinated scan and returns the full merged result.
 func (p *Pool) Run(ctx context.Context, targets []ipaddr.Addr, pr proto.Protocol) (*RunResult, error) {
-	res, err := p.coord.Run(ctx, p.workers, targets, pr)
+	res, err := p.coord.run(ctx, p.workers, targets, pr)
 	if err != nil {
 		return nil, err
 	}

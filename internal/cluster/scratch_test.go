@@ -51,26 +51,26 @@ type straggler struct {
 	checked chan error
 }
 
-func (s *straggler) RunShard(ctx context.Context, job Job, shard Shard, beat func(int)) (*ShardResult, error) {
+func (s *straggler) RunShard(ctx context.Context, p proto.Protocol, sh shard, beat func(int)) (*shardResult, error) {
 	if !s.first.CompareAndSwap(false, true) {
-		return s.localWorker.RunShard(ctx, job, shard, beat)
+		return s.localWorker.RunShard(ctx, p, sh, beat)
 	}
-	window := slices.Clone(shard.targets)
+	window := slices.Clone(sh.targets)
 	close(s.held)
 	<-s.release
 	var err error
-	if !slices.Equal(shard.targets, window) {
-		err = fmt.Errorf("shard %d's window changed under the straggler holding it", shard.id)
+	if !slices.Equal(sh.targets, window) {
+		err = fmt.Errorf("shard %d's window changed under the straggler holding it", sh.id)
 	}
-	res, scanErr := s.localWorker.RunShard(context.Background(), job, shard, beat)
+	res, scanErr := s.localWorker.RunShard(context.Background(), p, sh, beat)
 	s.checked <- errors.Join(err, scanErr)
 	return res, scanErr
 }
 
-// TestStragglerNeverSharesScratch pins when a Coordinator recycles a
+// TestStragglerNeverSharesScratch pins when a coordinator recycles a
 // Run's plan and lease buffers: never while a straggler on an expired
 // lease is still out. The first Run ends with the straggler holding a
-// lease; a second Run on the same Coordinator plans a different order
+// lease; a second Run on the same coordinator plans a different order
 // and must not plan it into the straggler's window, which still reads as
 // leased once the straggler is released.
 func TestStragglerNeverSharesScratch(t *testing.T) {
@@ -82,12 +82,12 @@ func TestStragglerNeverSharesScratch(t *testing.T) {
 		release:     make(chan struct{}),
 		checked:     make(chan error, 1),
 	}
-	coord := NewCoordinator(Config{Secret: testSecret, shardSize: 128, leaseTimeout: 50 * time.Millisecond})
-	workers := []Worker{s, testWorker(w, "w1"), testWorker(w, "w2")}
+	coord := newCoordinator(Config{Secret: testSecret, shardSize: 128, leaseTimeout: 50 * time.Millisecond})
+	workers := []worker{s, testWorker(w, "w1"), testWorker(w, "w2")}
 
 	for i, p := range []proto.Protocol{proto.ICMP, proto.UDP53} {
 		wantRes, wantStats := baseline(w.Link(), targets, p)
-		got, err := coord.Run(context.Background(), workers, targets, p)
+		got, err := coord.run(context.Background(), workers, targets, p)
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -110,19 +110,18 @@ func TestStragglerNeverSharesScratch(t *testing.T) {
 }
 
 // TestLocalWorkerWritesDstInPlace: a localWorker appends a shard's
-// results to Shard.dst[:0], batch after batch in the lease buffer's own
+// results to shard.dst[:0], batch after batch in the lease buffer's own
 // memory when it has room, with the results of a worker given none.
 func TestLocalWorkerWritesDstInPlace(t *testing.T) {
 	w := clusterWorld(t)
 	plan := scanner.PlanOrder(nil, testSecret, true, testTargets(t, w), proto.TCP80)[:700]
-	job := Job{proto: proto.TCP80}
-	want, err := testWorker(w, "fresh").RunShard(context.Background(), job, Shard{id: 5, targets: plan}, func(int) {})
+	want, err := testWorker(w, "fresh").RunShard(context.Background(), proto.TCP80, shard{id: 5, targets: plan}, func(int) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	dst := make([]scanner.Result, 3, len(plan)) // stale entries from an earlier lease
-	got, err := testWorker(w, "lent").RunShard(context.Background(), job, Shard{id: 5, targets: plan, dst: dst}, func(int) {})
+	got, err := testWorker(w, "lent").RunShard(context.Background(), proto.TCP80, shard{id: 5, targets: plan, dst: dst}, func(int) {})
 	if err != nil {
 		t.Fatal(err)
 	}

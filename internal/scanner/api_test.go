@@ -2,6 +2,7 @@ package scanner
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -39,7 +40,8 @@ func TestScanDoesNotMutateCallerSlice(t *testing.T) {
 }
 
 // TestWithRetriesZeroProbesOnce: zero retries means one packet per silent
-// target.
+// target. Counts outside 0..254 clamp to the nearer edge: -1 scans like 0,
+// and 300 like 254, whose 255 attempts still fit Result.Attempts.
 func TestWithRetriesZeroProbesOnce(t *testing.T) {
 	w := testWorld(t)
 	w.SetEpoch(world.CollectEpoch)
@@ -48,15 +50,25 @@ func TestWithRetriesZeroProbesOnce(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		targets = append(targets, base.AddLo(uint64(i)))
 	}
-	s := New(w.Link(), WithSecret(5), WithRetries(0))
-	res := s.Scan(targets, proto.ICMP)
-	for _, r := range res {
-		if r.Attempts != 1 {
-			t.Fatalf("attempts = %d, want 1", r.Attempts)
-		}
+	scan := func(retries int) ([]Result, *Stats) {
+		s := New(w.Link(), WithSecret(5), WithRetries(retries))
+		return s.Scan(targets, proto.ICMP), s.Stats()
 	}
-	if got := s.Stats().PacketsSent.Load(); got != int64(len(targets)) {
-		t.Fatalf("packets = %d, want %d", got, len(targets))
+	for _, c := range []struct{ retries, like, attempts int }{
+		{0, 0, 1}, {-1, 0, 1}, {254, 254, 255}, {300, 254, 255},
+	} {
+		res, stats := scan(c.retries)
+		for _, r := range res {
+			if int(r.Attempts) != c.attempts {
+				t.Fatalf("retries %d: attempts = %d, want %d", c.retries, r.Attempts, c.attempts)
+			}
+		}
+		if got, want := stats.PacketsSent.Load(), int64(c.attempts*len(targets)); got != want {
+			t.Fatalf("retries %d: packets = %d, want %d", c.retries, got, want)
+		}
+		if likeRes, likeStats := scan(c.like); !slices.Equal(res, likeRes) || stats.Values() != likeStats.Values() {
+			t.Fatalf("retries %d scans unlike retries %d", c.retries, c.like)
+		}
 	}
 }
 

@@ -52,7 +52,7 @@ func defaultSettings() settings {
 // WithRetries sets the number of additional attempts after the first probe
 // goes unanswered. Zero means probe exactly once. Values clamp to
 // 0..254, so the attempt count (at most 255) fits Result.Attempts, the
-// byte the cluster wire carries.
+// one byte that keeps Result at 24 bytes with no padding between fields.
 func WithRetries(n int) Option {
 	return func(s *settings) { s.retries = min(max(n, 0), math.MaxUint8-1) }
 }

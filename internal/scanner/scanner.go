@@ -81,8 +81,8 @@ func (s Status) String() string {
 }
 
 // Result is the outcome for a single target: 24 bytes, with no padding
-// between its fields. Attempts is the byte the cluster wire carries;
-// WithRetries caps retries so it always fits.
+// between its fields. Attempts is one byte to keep it so; WithRetries
+// caps retries so the count always fits.
 type Result struct {
 	Addr     ipaddr.Addr
 	Proto    proto.Protocol

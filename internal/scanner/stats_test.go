@@ -246,8 +246,8 @@ func TestScanPlannedAppendsToDst(t *testing.T) {
 	}
 }
 
-// TestResultIs24Bytes keeps Result free of padding: Attempts is the one
-// byte the cluster wire carries, not an int.
+// TestResultIs24Bytes keeps Result free of padding between its fields:
+// Attempts is one byte, not an int, which would make it 32 bytes.
 func TestResultIs24Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(Result{}); n != 24 {
 		t.Fatalf("Result is %d bytes, want 24", n)

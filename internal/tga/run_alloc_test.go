@@ -36,21 +36,10 @@ func bytesOf(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// listSink keeps candidateListBytes' list on the heap.
-var listSink []ipaddr.Addr
-
 // candidateListBytes is what a run without a prober spends on its output,
-// RunResult.Candidates: budget addresses appended a batch at a time, as
-// the driver lists them.
-func candidateListBytes(budget, batch int) uint64 {
-	b := make([]ipaddr.Addr, batch)
-	return bytesOf(func() {
-		listSink = nil
-		for n := 0; n < budget; n += batch {
-			listSink = append(listSink, b...)
-		}
-	})
-}
+// RunResult.Candidates: one list with room for the budget, 16 bytes an
+// address.
+func candidateListBytes(budget int) uint64 { return 16 * uint64(budget) }
 
 // allocSeeds is a fixed seed set: low-byte, structured and hashed IIDs in
 // 64 /64s, in canonical order.
@@ -84,7 +73,7 @@ func TestRunCandidateBookkeepingIsOneSet(t *testing.T) {
 	const budget, kib = 12000, 1 << 10
 	seeds := allocSeeds()
 	set := bytesOf(func() { ipaddr.NewSetCap(budget) })
-	list := candidateListBytes(budget, 1000)
+	list := candidateListBytes(budget)
 	for _, c := range []struct {
 		g     tga.ModelBuilder
 		slack uint64
@@ -121,7 +110,7 @@ func TestWarmRunAllocatesNoCandidateSet(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const budget, kib = 12000, 1 << 10
 	seeds := allocSeeds()
-	list := candidateListBytes(budget, 1000)
+	list := candidateListBytes(budget)
 	for _, c := range []struct {
 		newGen func() tga.ModelBuilder
 		slack  uint64

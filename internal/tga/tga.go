@@ -204,6 +204,10 @@ func RunContext(ctx context.Context, g Generator, seeds []ipaddr.Addr, cfg RunCo
 	if d.shared {
 		sharer.ShareCandidates(d.sc.seen)
 	}
+	if cfg.Prober == nil {
+		// The run lists its candidates, at most its budget of them.
+		d.res.Candidates = make([]ipaddr.Addr, 0, cfg.Budget)
+	}
 
 	err := d.runLockstep(ctx)
 	if d.shared {

@@ -14,11 +14,10 @@ import (
 )
 
 // ChainConfig is a middleware chain as a value: the one description that
-// CLI flags parse into, cluster job frames carry as text, and experiment
-// fingerprints read. Build composes it in a fixed order: Tap outermost
-// (it sees what the scanner sees), then shaper, then sourceRotator, and
-// Faults innermost (so the tap still counts the probes faults drop). The
-// zero value is the bare link.
+// CLI flags parse into and experiment fingerprints read. Build composes
+// it in a fixed order: Tap outermost (it sees what the scanner sees),
+// then shaper, then sourceRotator, and Faults innermost (so the tap still
+// counts the probes faults drop). The zero value is the bare link.
 type ChainConfig struct {
 	Taps   bool         // a count-only Tap
 	Shape  ShapeConfig  // PPS 0 leaves the shaper out

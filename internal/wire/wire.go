@@ -19,7 +19,7 @@
 // All are safe for concurrent use by many scanner workers.
 //
 // ChainConfig describes a chain of the four as a value with a canonical
-// text form, which CLI flags, cluster job frames and fingerprints share.
+// text form, which CLI flags and fingerprints share.
 //
 // Telemetry: the middlewares ChainConfig.Build makes count into its
 // registry under the wire.* namespace — wire.tap.probes, wire.tap.replies,
