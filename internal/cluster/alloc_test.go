@@ -1,4 +1,4 @@
-//go:build !race
+//go:build !race && !poison
 
 // The race detector makes sync.Pool drop a quarter of what is put back,
 // so what a warm pool allocates is measured without it.

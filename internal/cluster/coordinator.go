@@ -79,7 +79,24 @@ type coordinator struct {
 
 // newCoordinator returns a coordinator with the given configuration.
 func newCoordinator(cfg Config) *coordinator {
-	return &coordinator{cfg: cfg, scratch: make(memo.FreeList[*runScratch], memo.FreeListLen)}
+	return &coordinator{cfg: cfg, scratch: memo.NewFreeList(scribbleScratch)}
+}
+
+// scribbleScratch is the free list's poison (memo.NewFreeList): junk
+// targets out to the plan's capacity and active junk results out to every
+// lease buffer's.
+func scribbleScratch(sc *runScratch) {
+	junk := ipaddr.AddrFrom64s(0x3fff_0bad_0000_0000, 0xc1)
+	sc.plan = sc.plan[:cap(sc.plan)]
+	for i := range sc.plan {
+		sc.plan[i] = junk
+	}
+	for _, b := range sc.bufs {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = scanner.Result{Addr: junk, Status: scanner.StatusActive}
+		}
+	}
 }
 
 // runScratch is one run's memory that outlives it: the canonical plan and

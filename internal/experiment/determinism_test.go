@@ -87,32 +87,43 @@ func TestTreatmentOrderDeterministic(t *testing.T) {
 // faults draw from the rotated packets.
 func TestFingerprintReadsOnlyFaults(t *testing.T) {
 	const bare = "w42-a40-l0.01-c7-s0.2-o0.6-k5eed5ca9-d84cf7c7810904635"
-	fp := func(chain string) string {
-		c, err := wire.ParseChainConfig(chain, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
+	fp := func(c wire.ChainConfig) string {
 		return NewEnv(EnvConfig{NumASes: 40, CollectScale: 0.2, Wire: c}).Fingerprint()
 	}
-	for _, chain := range []string{"", "taps", "shape pps=1000,jitter=0.5", "rotate 2001:db8::1,2001:db8::2", "taps; shape pps=10; rotate ::1", "faults loss=0,seed=5"} {
-		if got := fp(chain); got != bare {
-			t.Errorf("chain %q: fingerprint %q, want %q", chain, got, bare)
+	pool := func(addrs ...string) []ipaddr.Addr {
+		out := make([]ipaddr.Addr, len(addrs))
+		for i, a := range addrs {
+			out[i] = ipaddr.MustParse(a)
+		}
+		return out
+	}
+	loss := func(p float64, seed uint64) wire.FaultsConfig { return wire.FaultsConfig{Loss: p, Seed: seed} }
+	for _, c := range []wire.ChainConfig{
+		{},
+		{Taps: true},
+		{Shape: wire.ShapeConfig{PPS: 1000, Jitter: 0.5, Seed: 42}},
+		{Rotate: wire.RotateConfig{Seed: 42, Pool: pool("2001:db8::1", "2001:db8::2")}},
+		{Taps: true, Shape: wire.ShapeConfig{PPS: 10, Seed: 42}, Rotate: wire.RotateConfig{Seed: 42, Pool: pool("::1")}},
+		{Faults: loss(0, 5)},
+	} {
+		if got := fp(c); got != bare {
+			t.Errorf("chain %q: fingerprint %q, want %q", c, got, bare)
 		}
 	}
 	seen := map[string]string{}
-	for _, chain := range []string{
-		"faults loss=0.3",
-		"faults loss=0.3,seed=7",
-		"faults loss=0.3,dup=0.1",
-		"faults loss=0.3,delay=0.1",
-		"faults loss=0.2",
-		"faults loss=0.3; rotate 2001:db8::1,2001:db8::2",
-		"faults loss=0.3; rotate 2001:db8::3",
+	for _, c := range []wire.ChainConfig{
+		{Faults: loss(0.3, 42)},
+		{Faults: loss(0.3, 7)},
+		{Faults: wire.FaultsConfig{Loss: 0.3, Dupe: 0.1, Seed: 42}},
+		{Faults: wire.FaultsConfig{Loss: 0.3, Delay: 0.1, Seed: 42}},
+		{Faults: loss(0.2, 42)},
+		{Faults: loss(0.3, 42), Rotate: wire.RotateConfig{Seed: 42, Pool: pool("2001:db8::1", "2001:db8::2")}},
+		{Faults: loss(0.3, 42), Rotate: wire.RotateConfig{Seed: 42, Pool: pool("2001:db8::3")}},
 	} {
-		got := fp(chain)
+		got := fp(c)
 		if prev, dup := seen[got]; got == bare || dup {
-			t.Errorf("chain %q: fingerprint %q is the bare one or that of %q", chain, got, prev)
+			t.Errorf("chain %q: fingerprint %q is the bare one or that of %q", c, got, prev)
 		}
-		seen[got] = chain
+		seen[got] = c.String()
 	}
 }

@@ -3,6 +3,7 @@ package grid
 import (
 	"context"
 	"runtime"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 
@@ -97,8 +98,13 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (Results, error) {
 	results := make(map[string]CellResult, len(unique))
 	var resMu sync.Mutex
 	var done atomic.Int64
+	// Cell work carries the profiler label layer=grid.cell (runtime/pprof):
+	// each worker switches to it before a cell, and a TGA run inside
+	// relabels its own layers and switches back.
+	ctx = pprof.WithLabels(ctx, pprof.Labels("layer", "grid.cell"))
 	err := RunParallel(ctx, e.cfg.Workers, len(unique), func(ctx context.Context, i int) error {
 		c := unique[i]
+		pprof.SetGoroutineLabels(ctx)
 		r, err := e.do(ctx, c)
 		if err != nil {
 			return err

@@ -1,4 +1,4 @@
-//go:build !race
+//go:build !race && !poison
 
 // What Marshal allocates is measured without the race detector, like the
 // scanner, cluster and longitudinal allocation pins.

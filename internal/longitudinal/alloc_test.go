@@ -1,4 +1,4 @@
-//go:build !race
+//go:build !race && !poison
 
 // What a warm Select allocates is measured without the race detector,
 // like the scanner and cluster allocation pins.

@@ -6,6 +6,7 @@ package memo
 
 import (
 	"context"
+	"math/rand/v2"
 	"sync"
 )
 
@@ -78,10 +79,29 @@ func (m *Map[K, V]) Len() int {
 	return len(m.m)
 }
 
-// FreeList holds at most n recycled values, each lent to one caller at a
-// time: make(FreeList[T], n) makes one, safe for concurrent use. Unlike a
-// sync.Pool's, its entries survive garbage collection.
-type FreeList[T any] chan T
+// FreeList holds recycled values, each lent to one caller at a time, and
+// is safe for concurrent use. Unlike a sync.Pool's, its entries survive
+// garbage collection.
+//
+// Built with the poison tag, a free list guards its owner against reading
+// what an earlier user left behind: Put scribbles each value before it
+// stores it and Get scribbles it again before it lends it, each with the
+// owner's scribble; under the race detector Put also drops one value in
+// four, as a sync.Pool may, so no code relies on getting back what it put;
+// and SEEDSCAN_RECYCLE=off in the environment turns recycling off, every
+// Get missing. Other builds never scribble, drop or miss.
+type FreeList[T any] struct {
+	ch       chan T
+	scribble func(T)
+}
+
+// NewFreeList returns a free list of at most FreeListLen values.
+// scribble, which may be nil, overwrites a value with junk that its owner
+// must reset before reading: it fills slices out to their capacity and
+// adds addresses to sets.
+func NewFreeList[T any](scribble func(T)) FreeList[T] {
+	return FreeList[T]{ch: make(chan T, FreeListLen), scribble: scribble}
+}
 
 // The recycling policy every free list in the program follows.
 const (
@@ -96,8 +116,14 @@ const (
 
 // Get takes a value off the list; ok is false when the list is empty.
 func (l FreeList[T]) Get() (v T, ok bool) {
+	if !recycling {
+		return v, false
+	}
 	select {
-	case v = <-l:
+	case v = <-l.ch:
+		if poisoning && l.scribble != nil {
+			l.scribble(v)
+		}
 		return v, true
 	default:
 		return v, false
@@ -107,8 +133,16 @@ func (l FreeList[T]) Get() (v T, ok bool) {
 // Put puts v on the list, or drops it when the list is full. Nothing may
 // use v afterwards.
 func (l FreeList[T]) Put(v T) {
+	if poisoning {
+		if l.scribble != nil {
+			l.scribble(v)
+		}
+		if dropOneIn > 0 && rand.IntN(dropOneIn) == 0 {
+			return
+		}
+	}
 	select {
-	case l <- v:
+	case l.ch <- v:
 	default:
 	}
 }

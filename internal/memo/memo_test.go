@@ -138,17 +138,18 @@ func TestDeadWaiterDoesNotRebuild(t *testing.T) {
 // TestFreeListBounded: Get takes what Put kept, a full list drops what
 // is put on it, and an empty one reports so.
 func TestFreeListBounded(t *testing.T) {
-	l := make(FreeList[int], 2)
+	skipUnlessRecycling(t)
+	l := NewFreeList[int](nil)
 	if _, ok := l.Get(); ok {
 		t.Fatal("an empty list returned a value")
 	}
-	for v := 1; v <= 3; v++ {
+	for v := 1; v <= FreeListLen+1; v++ {
 		l.Put(v)
 	}
-	if len(l) != 2 {
-		t.Fatalf("list holds %d values, want its capacity 2", len(l))
+	if len(l.ch) != FreeListLen {
+		t.Fatalf("list holds %d values, want its capacity %d", len(l.ch), FreeListLen)
 	}
-	for _, want := range []int{1, 2} {
+	for want := 1; want <= FreeListLen; want++ {
 		if v, ok := l.Get(); !ok || v != want {
 			t.Fatalf("Get = %d, %v, want %d, true", v, ok, want)
 		}
@@ -161,10 +162,43 @@ func TestFreeListBounded(t *testing.T) {
 // TestRecycleKeepsUpToTheBound: Recycle keeps a value holding
 // MaxKeptEntries entries and drops one holding more.
 func TestRecycleKeepsUpToTheBound(t *testing.T) {
-	l := make(FreeList[int], FreeListLen)
+	skipUnlessRecycling(t)
+	l := NewFreeList[int](nil)
 	l.Recycle(1, MaxKeptEntries+1)
 	l.Recycle(2, MaxKeptEntries)
-	if v, ok := l.Get(); !ok || v != 2 || len(l) != 0 {
-		t.Fatalf("Get = %d, %v with %d left, want only the value at the bound", v, ok, len(l))
+	if v, ok := l.Get(); !ok || v != 2 || len(l.ch) != 0 {
+		t.Fatalf("Get = %d, %v with %d left, want only the value at the bound", v, ok, len(l.ch))
+	}
+}
+
+// skipUnlessRecycling skips a test of what a free list keeps in a poisoned
+// build that drops values or has recycling turned off, which break it on
+// purpose.
+func skipUnlessRecycling(t *testing.T) {
+	if dropOneIn > 0 || !recycling {
+		t.Skip("this build drops recycled values or turns recycling off")
+	}
+}
+
+// TestPoisonScribblesBothWays: a poisoned build scribbles a value when it
+// is put and again when it is lent; any other build never does.
+func TestPoisonScribblesBothWays(t *testing.T) {
+	scribbled := 0
+	l := NewFreeList(func(v *[]int) { scribbled++ })
+	v := []int{1}
+	l.Put(&v)
+	got, ok := l.Get()
+	want := 0
+	if poisoning {
+		want = 1 // the Put's
+		if ok {
+			want = 2
+		}
+	}
+	if scribbled != want {
+		t.Fatalf("scribbled %d times, want %d", scribbled, want)
+	}
+	if !poisoning && (!ok || got != &v) {
+		t.Fatal("an unpoisoned list did not lend back what was put")
 	}
 }

@@ -172,19 +172,6 @@ func (s *Stats) Values() [7]int64 {
 	}
 }
 
-// StatsFromValues rebuilds a snapshot from Values order.
-func StatsFromValues(v [7]int64) *Stats {
-	s := &Stats{}
-	s.PacketsSent.Store(v[0])
-	s.packetsRecv.Store(v[1])
-	s.Hits.Store(v[2])
-	s.RSTs.Store(v[3])
-	s.Unreachables.Store(v[4])
-	s.Blocked.Store(v[5])
-	s.InvalidCookie.Store(v[6])
-	return s
-}
-
 // statShard is one worker's slice of the scanner counters. Each shard is
 // padded out to its own cache lines so eight workers incrementing seven
 // counters stop bouncing the same lines between cores; Scanner.Stats sums
@@ -246,7 +233,7 @@ func New(link wire.Link, opts ...Option) *Scanner {
 		set:     set,
 		rl:      newRateLimiter(set.ratePPS),
 		shards:  make([]statShard, nextPow2(set.workers)),
-		scratch: make(memo.FreeList[*scanScratch], memo.FreeListLen),
+		scratch: memo.NewFreeList(scribbleScratch),
 		dnsName: name,
 	}
 	if reg := set.tele; reg != nil {
@@ -502,7 +489,25 @@ func PlanOrder(dst []ipaddr.Addr, secret uint64, shuffle bool, targets []ipaddr.
 // package-level, as PlanOrder has no Scanner to hang it on. Its entries
 // hold only a dedup table and a shuffle source, and the policy's bound
 // counts the targets they were sized for.
-var planScratch = make(memo.FreeList[*scanScratch], memo.FreeListLen)
+var planScratch = memo.NewFreeList(scribbleScratch)
+
+// scribbleScratch is the poison of both lists (memo.NewFreeList): junk
+// targets and active results out to every buffer's capacity, and a
+// shuffle source moved off its seed.
+func scribbleScratch(sc *scanScratch) {
+	junk := ipaddr.AddrFrom64s(0x3fff_0bad_0000_0000, 0xbad)
+	sc.planned = sc.planned[:cap(sc.planned)]
+	for i := range sc.planned {
+		sc.planned[i] = junk
+	}
+	sc.results = sc.results[:cap(sc.results)]
+	for i := range sc.results {
+		sc.results[i] = Result{Addr: junk, Status: StatusActive}
+	}
+	if sc.rng != nil {
+		sc.rng.Int63()
+	}
+}
 
 // plan appends PlanOrder's order to sc.planned, in its memory, and the
 // shuffle re-seeds sc's source rather than building one, which permutes

@@ -13,8 +13,8 @@ func testWorld(t testing.TB) *world.World {
 }
 
 func TestSourceMetadata(t *testing.T) {
-	if len(AllSources) != int(SourceCount) {
-		t.Fatalf("AllSources lists %d, want %d", len(AllSources), SourceCount)
+	if len(AllSources) != int(sourceCount) {
+		t.Fatalf("AllSources lists %d, want %d", len(AllSources), sourceCount)
 	}
 	seen := map[string]bool{}
 	for _, s := range AllSources {

@@ -25,7 +25,7 @@ const (
 	SourceHitlist
 	SourceAddrMiner
 
-	SourceCount
+	sourceCount
 )
 
 // AllSources lists every source in Table 3 order.

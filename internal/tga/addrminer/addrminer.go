@@ -76,12 +76,15 @@ func (s *Store) Save(path string) error {
 	return ds.WriteFile(path)
 }
 
-// Generator is the AddrMiner TGA: DET plus long-term memory.
+// Generator is the AddrMiner TGA: DET plus long-term memory. It is its
+// DET core: it mines, proposes and takes the driver's scratch as DET does
+// (ModelParams, BuildModel, NextBatch, AppendBatch, Lend), and differs in
+// its seeds, which include the memory, and its feedback, which fills it.
 type Generator struct {
+	*det.Generator
+
 	// memory persists across runs; nil gets a fresh private store.
 	memory *Store
-
-	inner *det.Generator
 }
 
 // New returns an AddrMiner generator over the given store (nil for a
@@ -90,14 +93,11 @@ func New(store *Store) *Generator {
 	if store == nil {
 		store = NewStore()
 	}
-	return &Generator{memory: store, inner: det.New()}
+	return &Generator{Generator: det.New(), memory: store}
 }
 
 // Name implements tga.Generator.
 func (g *Generator) Name() string { return "AddrMiner" }
-
-// Online implements tga.Generator.
-func (g *Generator) Online() bool { return true }
 
 // Init unions the run's seeds with the long-term memory before handing
 // them to the DET core — the accumulated knowledge is what lets AddrMiner
@@ -105,40 +105,24 @@ func (g *Generator) Online() bool { return true }
 func (g *Generator) Init(seedAddrs []ipaddr.Addr) error {
 	pool := ipaddr.NewSet(seedAddrs...)
 	pool.AddAll(g.memory.Snapshot())
-	return g.inner.Init(pool.Slice())
+	return g.Generator.Init(pool.Slice())
 }
 
-// ModelParams implements tga.ModelBuilder: AddrMiner mines what its DET
-// core does, the min-entropy space tree.
-func (g *Generator) ModelParams() string { return g.inner.ModelParams() }
-
-// BuildModel implements tga.ModelBuilder with the DET core's miner: the
-// tree over the run's seeds alone.
-func (g *Generator) BuildModel(seedAddrs []ipaddr.Addr) (tga.Model, error) {
-	return g.inner.BuildModel(seedAddrs)
-}
-
-// InitFromModel implements tga.ModelBuilder. While the memory is empty the
-// pool Init mines is the seeds themselves, so the DET core adopts m, which
-// is that tree; once the memory holds addresses, m is not the pool's tree,
+// InitFromModel implements tga.ModelBuilder. The model is the DET core's,
+// mined over the run's seeds alone. While the memory is empty the pool
+// Init mines is the seeds themselves, so the DET core adopts m, which is
+// that tree; once the memory holds addresses, m is not the pool's tree,
 // and Init mines seeds ∪ memory afresh.
 func (g *Generator) InitFromModel(m tga.Model, seedAddrs []ipaddr.Addr) error {
 	if g.memory.Len() == 0 {
-		return g.inner.InitFromModel(m, seedAddrs)
+		return g.Generator.InitFromModel(m, seedAddrs)
 	}
 	return g.Init(seedAddrs)
 }
 
-// NextBatch delegates to the DET core.
-func (g *Generator) NextBatch(n int) []ipaddr.Addr { return g.inner.NextBatch(n) }
-
-// ShareCandidates implements the driver's shared candidate set (see
-// tga.RunContext).
-func (g *Generator) ShareCandidates(set *ipaddr.Set) { g.inner.ShareCandidates(set) }
-
 // Feedback forwards results to DET and commits genuine hits to memory.
 func (g *Generator) Feedback(results []tga.ProbeResult) {
-	g.inner.Feedback(results)
+	g.Generator.Feedback(results)
 	var hits []ipaddr.Addr
 	for _, r := range results {
 		if r.Active && !r.Aliased {

@@ -57,9 +57,9 @@ func (regionDealiaser) Split(addrs []ipaddr.Addr) (clean, aliased []ipaddr.Addr)
 	return clean, aliased
 }
 
-// privateGen forwards the Generator surface alone, hiding ShareCandidates
-// the way any wrapper does, so the generator keeps its own set and the
-// driver dedups. It fails the test if a batch repeats an address the
+// privateGen forwards the Generator surface alone, hiding Lend and
+// AppendBatch the way any wrapper does, so the generator keeps its own set
+// and run state, and the driver dedups. It fails the test if a batch repeats an address the
 // generator proposed before.
 type privateGen struct {
 	tga.Generator
@@ -101,8 +101,8 @@ func TestSharedCandidateSetMatchesPrivate(t *testing.T) {
 				return res, rec.targets
 			}
 			g := all.MustNew(name)
-			if _, ok := g.(interface{ ShareCandidates(*ipaddr.Set) }); !ok {
-				t.Fatalf("%s does not take the run's candidate set", name)
+			if _, ok := g.(interface{ Lend(*tga.Scratch) }); !ok {
+				t.Fatalf("%s does not take the run's scratch", name)
 			}
 			shared, sharedCands := run(g)
 			private, privateCands := run(&privateGen{Generator: all.MustNew(name), t: t, proposed: ipaddr.NewSet()})

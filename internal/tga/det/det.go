@@ -30,7 +30,6 @@ type Generator struct {
 
 	seeds    []ipaddr.Addr
 	search   *tga.LeafSearch
-	hits     []ipaddr.Addr
 	rounds   int
 	rebuilds int // trees built so far, the initial one included
 }
@@ -67,7 +66,7 @@ func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
 		g.rebuildEvery = 16
 	}
 	g.seeds = seeds
-	g.search = tga.NewLeafSearch(tm.Leaves(), ranksAbove, func(l *tga.TreeNode, got int) { l.Probes += got })
+	g.search = tga.NewLeafSearch(tm, ranksAbove, func(c *tga.Cursor, got int) { c.Probes += got })
 	g.rebuilds++
 	return nil
 }
@@ -76,27 +75,31 @@ func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
 // pessimistic prior, so probed productive leaves outrank untouched ones;
 // ties (notably all-untouched leaves early on) break by seed density, which
 // is what the entropy tree encodes about where hits live.
-func ranksAbove(a, b *tga.TreeNode) bool {
+func ranksAbove(a, b *tga.Cursor) bool {
 	sa := (float64(a.Hits) + 1) / (float64(a.Probes) + 8)
 	sb := (float64(b.Hits) + 1) / (float64(b.Probes) + 8)
 	if sa != sb {
 		return sa > sb
 	}
-	return len(a.Seeds) > len(b.Seeds)
+	return a.Seeds > b.Seeds
 }
 
 // Init builds the initial entropy-split tree.
 func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, seeds) }
 
-// ShareCandidates implements the driver's shared candidate set (see
-// tga.RunContext).
-func (g *Generator) ShareCandidates(set *ipaddr.Set) { g.search.ShareCandidates(set) }
+// Lend implements the driver's run scratch (see tga.RunContext).
+func (g *Generator) Lend(sc *tga.Scratch) { g.search.Lend(sc) }
 
 // NextBatch allocates (1-explore) of the batch to leaves by descending
 // reward and the rest uniformly.
 func (g *Generator) NextBatch(n int) []ipaddr.Addr {
+	return g.AppendBatch(make([]ipaddr.Addr, 0, n), n)
+}
+
+// AppendBatch is NextBatch appending to dst (see tga.RunContext).
+func (g *Generator) AppendBatch(dst []ipaddr.Addr, n int) []ipaddr.Addr {
 	next := 0 // explore: round-robin from the top of the ranking
-	return g.search.NextBatch(n, int(float64(n)*(1-explore)), 4, func(int) int {
+	return g.search.AppendBatch(dst, n, int(float64(n)*(1-explore)), 4, func(int) int {
 		next++
 		return next - 1
 	})
@@ -105,15 +108,14 @@ func (g *Generator) NextBatch(n int) []ipaddr.Addr {
 // Feedback updates leaf rewards and folds hits into the seed pool;
 // periodically the tree is rebuilt around them.
 func (g *Generator) Feedback(results []tga.ProbeResult) {
-	g.search.Resolve(results, func(l *tga.TreeNode, r tga.ProbeResult) {
+	g.search.Resolve(results, func(c *tga.Cursor, r tga.ProbeResult) {
 		if r.Active {
-			l.Hits++
-			g.hits = append(g.hits, r.Addr)
+			c.Hits++
 		}
 	})
 	g.rounds++
 	if g.rounds%g.rebuildEvery == 0 {
-		g.search.Rebuild(g.seeds, g.hits, tga.MinLeaf, tga.SplitMinEntropy)
+		g.search.Rebuild(g.seeds, tga.MinLeaf, tga.SplitMinEntropy)
 		g.rebuilds++
 	}
 }

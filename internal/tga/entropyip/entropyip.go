@@ -197,10 +197,9 @@ func (g *Generator) sampleSegment(s *segment) []byte {
 	return s.values[i].nybbles
 }
 
-// ShareCandidates implements the driver's shared candidate set (see
-// tga.RunContext): set replaces the generator's own record of what it
-// proposed.
-func (g *Generator) ShareCandidates(set *ipaddr.Set) { g.emitted = set }
+// Lend implements the driver's run scratch (see tga.RunContext): its
+// candidate set replaces the generator's own record of what it proposed.
+func (g *Generator) Lend(sc *tga.Scratch) { g.emitted = sc.Candidates() }
 
 // NextBatch samples candidates from the segment model. It may return fewer
 // than n when the model keeps producing repeats (small models saturate).

@@ -92,10 +92,11 @@ type TreeLeafModel struct {
 }
 
 // TreeModel is the reusable product of space-tree construction: the leaves
-// in DHC (depth-first, value-sorted) order, decoupled from the mutable
-// TreeNode run state (LeafGen cursors, online probe/hit counters). It is
-// the shared Model type of the four tree TGAs (6Tree, DET, 6Hit, 6Scan)
-// and AddrMiner, and the base 6Graph derives its merged patterns from.
+// in DHC (depth-first, value-sorted) order, decoupled from a run's state
+// (the Cursor per leaf a scheduler keeps: enumerator, online probe/hit
+// counters). It is the shared Model type of the four tree TGAs (6Tree,
+// DET, 6Hit, 6Scan) and AddrMiner, and the base 6Graph derives its merged
+// patterns from.
 type TreeModel struct {
 	LeafModels []TreeLeafModel
 }
@@ -107,20 +108,4 @@ func MineTree(seeds []ipaddr.Addr, minLeaf int, h SplitHeuristic) (Model, error)
 		return nil, errors.New("tga: empty seed set")
 	}
 	return mineTree(seeds, minLeaf, h), nil
-}
-
-// Leaves materializes fresh leaf nodes — zeroed online counters, no
-// generator until the first draw — each pointing at its read-only leaf of
-// the model. Each call returns independent nodes, so many runs can adopt
-// one model. The nodes are one slab: adopting a model costs two
-// allocations however many leaves it has, and a run pays for the
-// generators of only the leaves it draws from.
-func (m *TreeModel) Leaves() []*TreeNode {
-	nodes := make([]TreeNode, len(m.LeafModels))
-	out := make([]*TreeNode, len(m.LeafModels))
-	for i := range m.LeafModels {
-		nodes[i].TreeLeafModel = &m.LeafModels[i]
-		out[i] = &nodes[i]
-	}
-	return out
 }

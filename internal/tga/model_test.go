@@ -203,26 +203,48 @@ func TestSplitClipsChildSeedCapacity(t *testing.T) {
 	}
 }
 
-func TestTreeModelLeavesIndependent(t *testing.T) {
+// TestCursorSlabIndependent: cursors read the model in place, and are
+// otherwise one run's state: starting, advancing or drying one run's
+// enumerators, or its counters, leaks neither into another run over the
+// model nor into the next run lent the same scratch.
+func TestCursorSlabIndependent(t *testing.T) {
 	m := mustMine(t, synthSeeds(t, 1000), 4, SplitLeftmost)
-	a, b := m.Leaves(), m.Leaves()
-	// Materialized leaves read the model in place...
-	for i := range a {
-		if a[i].TreeLeafModel != &m.LeafModels[i] || b[i].TreeLeafModel != &m.LeafModels[i] {
-			t.Fatalf("leaf %d does not point at the model's leaf %d", i, i)
+	newRun := func(sc *Scratch) *LeafSearch {
+		s := NewLeafSearch(m, func(a, b *Cursor) bool { return false }, func(c *Cursor, got int) { c.Probes += got })
+		s.Lend(sc)
+		return s
+	}
+	pick := func(int) int { return 0 }
+	scA, scB := new(Scratch), new(Scratch)
+	a, b := newRun(scA), newRun(scB)
+	a.AppendBatch(nil, 100, 50, 1, pick)
+	a.st.cursors[0].Hits = 99
+	a.st.cursors[1].dry = true
+	b.AppendBatch(nil, 0, 0, 0, pick) // starts b without drawing
+	for i := range b.st.cursors {
+		c := &b.st.cursors[i]
+		if c.masks != &m.LeafModels[i].Masks || c.Seeds != len(m.LeafModels[i].Seeds) {
+			t.Fatalf("cursor %d does not read the model's leaf %d", i, i)
+		}
+		if c.Probes != 0 || c.Hits != 0 || c.gen != 0 || c.dry {
+			t.Fatalf("cursor %d of a second run has run state: %+v", i, *c)
 		}
 	}
-	// ...and are otherwise mutable run state: starting, advancing or drying
-	// one run's LeafGen, or its counters, must not leak into another run
-	// over the model.
-	a[0].Probes = 99
-	a[0].gen = newLeafGen(a[0].Masks, nil)
-	a[0].gen.Next()
-	a[1].dry = true
-	if b[0].Probes != 0 {
-		t.Fatal("online counters shared between materializations")
+	if len(a.st.gens) == 0 || len(b.st.gens) != 0 {
+		t.Fatalf("enumerator slabs of %d and %d, want the first run's only", len(a.st.gens), len(b.st.gens))
 	}
-	if b[0].gen != nil || b[1].dry {
-		t.Fatal("leaf generator state shared between materializations")
+
+	// The scratch taken back and lent to the next run comes back fresh.
+	a.Lend(nil)
+	scA.seen.Reset(0)
+	next := newRun(scA)
+	next.AppendBatch(nil, 0, 0, 0, pick)
+	for i, c := range next.st.cursors {
+		if c.Probes != 0 || c.Hits != 0 || c.gen != 0 || c.dry {
+			t.Fatalf("cursor %d of the next run over recycled scratch has run state: %+v", i, c)
+		}
+	}
+	if len(next.st.gens) != 0 || len(next.st.pending) != 0 || len(next.st.hits) != 0 {
+		t.Fatal("the next run over recycled scratch inherited enumerators, proposals or hits")
 	}
 }

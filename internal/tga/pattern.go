@@ -114,38 +114,43 @@ func (e *maskEnum) next() (ipaddr.Addr, bool) {
 // product of observed values, then progressive widening — adding one
 // adjacent value at a time to the most promising positions, enumerating
 // exactly the new combinations each widening unlocks. It never emits the
-// same address twice.
+// same address twice. It is a value with no pointers, so a run keeps its
+// enumerators in one slab (the scheduler's run state).
 type leafGen struct {
 	masks [ipaddr.NybbleCount]ValueMask // current allowed values
 	job   maskEnum                      // the enumeration under way
-	// widen state
-	widenPos []int // positions in widening preference order; nil means the default, derived at the first widen
-	nextW    int
+	// order lists the positions allowed to widen, most preferred first, in
+	// its first nOrder entries; nOrder is -1 until the first widening
+	// derives the default order.
+	order  [ipaddr.NybbleCount - 16]int8
+	nOrder int8
+	nextW  int32
 }
 
-// newLeafGen builds a generator from per-position observed masks.
-// widenOrder lists the positions allowed to widen, most preferred first;
-// nil allows IID positions 31..16 that were variable, then fixed IID
-// positions, a sensible default for tree leaves.
-func newLeafGen(masks [ipaddr.NybbleCount]ValueMask, widenOrder []int) *leafGen {
-	return &leafGen{masks: masks, job: maskEnum{masks: masks}, widenPos: widenOrder}
+// start makes g a fresh generator over per-position observed masks,
+// widening the default order: IID positions 31..16 that were variable,
+// then fixed IID positions, a sensible default for tree leaves.
+func (g *leafGen) start(masks *[ipaddr.NybbleCount]ValueMask) {
+	*g = leafGen{masks: *masks, job: maskEnum{masks: *masks}, nOrder: -1}
 }
 
 // defaultWidenOrder lists the variable IID positions (least significant
-// first), then the fixed IID positions. The result is never nil.
-func defaultWidenOrder(masks *[ipaddr.NybbleCount]ValueMask) []int {
-	order := make([]int, 0, ipaddr.NybbleCount-16)
+// first), then the fixed IID positions, into order and returns how many.
+func defaultWidenOrder(masks *[ipaddr.NybbleCount]ValueMask, order *[ipaddr.NybbleCount - 16]int8) int8 {
+	n := int8(0)
 	for i := ipaddr.NybbleCount - 1; i >= 16; i-- {
 		if bits.OnesCount16(masks[i]) > 1 {
-			order = append(order, i)
+			order[n] = int8(i)
+			n++
 		}
 	}
 	for i := ipaddr.NybbleCount - 1; i >= 16; i-- {
 		if bits.OnesCount16(masks[i]) == 1 {
-			order = append(order, i)
+			order[n] = int8(i)
+			n++
 		}
 	}
-	return order
+	return n
 }
 
 // Next returns the next fresh candidate, or false when the region cannot
@@ -165,16 +170,17 @@ func (g *leafGen) Next() (ipaddr.Addr, bool) {
 // the newly unlocked combinations. It is only reached once the job under
 // way is exhausted. Returns false when nothing is left to widen.
 func (g *leafGen) widen() bool {
-	if g.widenPos == nil {
+	if g.nOrder < 0 {
 		// Nothing has widened yet, so the masks are still the observed ones
 		// the default order is defined on.
-		g.widenPos = defaultWidenOrder(&g.masks)
+		g.nOrder = defaultWidenOrder(&g.masks, &g.order)
 	}
-	for tries := 0; tries < len(g.widenPos)*16+1; tries++ {
-		if len(g.widenPos) == 0 {
+	n := int32(g.nOrder)
+	for tries := int32(0); tries < n*16+1; tries++ {
+		if n == 0 {
 			return false
 		}
-		pos := g.widenPos[g.nextW%len(g.widenPos)]
+		pos := g.order[g.nextW%n]
 		g.nextW++
 		v, ok := nearestUnset(g.masks[pos])
 		if !ok {

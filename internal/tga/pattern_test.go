@@ -9,6 +9,21 @@ import (
 	"seedscan/internal/ipaddr"
 )
 
+// newLeafGen starts a generator over masks. A non-nil widenOrder replaces
+// the default widening order: the positions allowed to widen, most
+// preferred first; empty allows none.
+func newLeafGen(masks [ipaddr.NybbleCount]ValueMask, widenOrder []int) *leafGen {
+	g := new(leafGen)
+	g.start(&masks)
+	if widenOrder != nil {
+		for i, p := range widenOrder {
+			g.order[i] = int8(p)
+		}
+		g.nOrder = int8(len(widenOrder))
+	}
+	return g
+}
+
 // pinnedMasks allows exactly value v at every position.
 func pinnedMasks(v byte) [ipaddr.NybbleCount]ValueMask {
 	var masks [ipaddr.NybbleCount]ValueMask

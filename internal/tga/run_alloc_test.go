@@ -1,4 +1,4 @@
-//go:build !race
+//go:build !race && !poison
 
 package tga_test
 
@@ -61,9 +61,11 @@ func allocSeeds() []ipaddr.Addr {
 // for one Expander generator (6Tree) and one LeafSearch generator (DET),
 // with the model mined beforehand: the run's one candidate set, presized
 // to the budget, and the candidate list that is its output, plus a slack
-// for the generator's run state (enumerators, DET's pending-proposal map,
-// which holds one batch at most) and the twelve batches it returns. That costs 720 KiB for 6Tree and 791 KiB for
-// DET; each slack adds less than a driver-side copy of every
+// for the generator's run state (cursor and enumerator slabs, DET's
+// pending-proposal map, which holds one batch at most) and the batch
+// buffer. That costs 950 KiB for 6Tree, whose run grows the scratch, and
+// 343 KiB for DET, which takes the scratch 6Tree's run gave back; each
+// slack adds less than a driver-side copy of every
 // batch (188 KiB) or a second dedup set (320 KiB presized, more grown by
 // doubling), so either fails the pin. The budget is a whole number of
 // batches and no seed is excluded, so the run's set holds exactly the
@@ -151,12 +153,13 @@ func TestWarmRunAllocatesNoCandidateSet(t *testing.T) {
 // TestWarmRunAllocatesNoCandidateSet does, but through a real scanner and
 // an online dealiaser whose verdicts the earlier runs cached: the run's
 // twelve batches append their results into the run's recycled scratch
-// and are dealiased in place there. A run allocates 6Tree's own state
-// and batches, what a scan costs besides its results (its goroutines)
-// and the exact-size hit list: 419 KiB with 43 KiB of hits. It allocates no per-batch result, clean or hit-growth buffer;
-// those cost 295 KiB of results (twelve batches of 1000 24-byte results)
-// plus the clean copies and the hit list's doublings, and with them a run
-// allocated 949 KiB.
+// and are dealiased in place there, and 6Tree appends its batches into
+// the scratch from its lent cursor slab. A run allocates what a scan
+// costs besides its results (its goroutines), small change and the
+// exact-size hit list: about 142 KiB with 43 KiB of hits. It allocates no
+// per-batch result, clean, proposal or hit-growth buffer and no scheduler
+// state; per-batch results alone cost 295 KiB (twelve batches of 1000
+// 24-byte results), and with those buffers a run allocated 949 KiB.
 func TestWarmScannedRunAllocatesNoBatchBuffers(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const budget, kib = 12000, 1 << 10
@@ -195,8 +198,54 @@ func TestWarmScannedRunAllocatesNoBatchBuffers(t *testing.T) {
 	if len(res.Hits) == 0 {
 		t.Fatal("no hits: the test needs some")
 	}
-	if limit := hitBytes + 512*kib; got > limit {
-		t.Errorf("a warm scanned run allocates %d bytes, want at most %d (hits %d + 512 KiB)", got, limit, hitBytes)
+	if limit := hitBytes + 192*kib; got > limit {
+		t.Errorf("a warm scanned run allocates %d bytes, want at most %d (hits %d + 192 KiB)", got, limit, hitBytes)
 	}
 	t.Logf("a warm scanned run allocates %d bytes, %d of them hits", got, hitBytes)
+}
+
+// TestWarmRunAllocatesNoSchedulerState runs DET (LeafSearch) and 6Tree
+// (Expander) warm, as TestWarmRunAllocatesNoCandidateSet does: the
+// driver's scratch lends each its cursor slab, enumerators, rankings or
+// heap, pending proposals and batch buffer, so a run allocates its
+// candidate list and small change beside it: about 19 KiB of generator
+// and scheduler structs, the twelve batches' span attributes and the
+// run's profiler labels. Scheduler state grown afresh costs far more than
+// the slack: DET's cursor and enumerator slabs over its 1,287 leaves alone
+// are 301 KiB, 6Tree's over 1,453 regions 340 KiB, and a batch buffer per
+// batch 188 KiB.
+func TestWarmRunAllocatesNoSchedulerState(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const budget, slack = 12000, 32 << 10
+	seeds := allocSeeds()
+	list := candidateListBytes(budget)
+	for _, newGen := range []func() tga.ModelBuilder{
+		func() tga.ModelBuilder { return det.New() },
+		func() tga.ModelBuilder { return sixtree.New() },
+	} {
+		g := newGen()
+		m, err := g.BuildModel(seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := tga.RunConfig{Budget: budget, BatchSize: 1000, Models: minedModels{g.ModelParams(): m}}
+		run := func(g tga.ModelBuilder) {
+			res, err := tga.RunContext(context.Background(), g, seeds, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Generated != budget {
+				t.Fatalf("%s generated %d of %d", g.Name(), res.Generated, budget)
+			}
+		}
+		for i := 0; i <= memo.FreeListLen; i++ {
+			run(newGen())
+		}
+		g = newGen()
+		got := bytesOf(func() { run(g) })
+		if got > list+slack {
+			t.Errorf("%s: a warm run allocates %d bytes, want at most its %d-byte candidate list and %d", g.Name(), got, list, slack)
+		}
+		t.Logf("%s: a warm run allocates %d bytes beside its candidate list", g.Name(), got-list)
+	}
 }

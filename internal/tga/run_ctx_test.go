@@ -219,20 +219,20 @@ func TestRunContextEmitsNestedStageSpans(t *testing.T) {
 	}
 }
 
-// sharingGen is staticGen taking the run's candidate set: it records
-// every ShareCandidates call, and Init fails when initErr is set.
+// sharingGen is staticGen taking the run's scratch: it records every Lend
+// call, and Init fails when initErr is set.
 type sharingGen struct {
 	*staticGen
 	initErr error
-	shares  []*ipaddr.Set
+	shares  []*Scratch
 }
 
-func (g *sharingGen) Init([]ipaddr.Addr) error        { return g.initErr }
-func (g *sharingGen) ShareCandidates(set *ipaddr.Set) { g.shares = append(g.shares, set) }
+func (g *sharingGen) Init([]ipaddr.Addr) error { return g.initErr }
+func (g *sharingGen) Lend(sc *Scratch)         { g.shares = append(g.shares, sc) }
 
 // TestRunTakesTheSetBack checks the lend and the take-back on every way
-// out of a run: the generator is lent a set once, after init, and the
-// driver takes it back with ShareCandidates(nil) whether the budget was
+// out of a run: the generator is lent the scratch once, after init, and
+// the driver takes it back with Lend(nil) whether the budget was
 // reached, the generator proposed nothing, it went idle proposing seeds
 // alone, or ctx was cancelled mid-scan. A run whose init fails lends
 // nothing.
@@ -277,7 +277,7 @@ func TestRunTakesTheSetBack(t *testing.T) {
 				return
 			}
 			if len(c.g.shares) != 2 || c.g.shares[0] == nil || c.g.shares[1] != nil {
-				t.Fatalf("ShareCandidates calls %v, want the run's set, then nil", c.g.shares)
+				t.Fatalf("Lend calls %v, want the run's scratch, then nil", c.g.shares)
 			}
 		})
 	}

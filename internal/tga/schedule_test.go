@@ -11,20 +11,52 @@ import (
 	"seedscan/internal/ipaddr"
 )
 
-// addRegion gives e a region of `width` addresses that differ in the last
-// nybble; every other nybble is v, which tells regions apart.
-func addRegion(e *Expander, v byte, width int, weight float64) {
-	masks := pinnedMasks(v)
-	masks[ipaddr.NybbleCount-1] = 1<<width - 1
-	e.Add(&masks, weight, 0)                                     // chunk floored to minChunk
-	e.regions[len(e.regions)-1].gen = newLeafGen(masks, []int{}) // never widen: the region can run dry
+// region is one Expander region a test builds: a pattern, its weight and
+// chunk, and whether its enumerator may widen.
+type region struct {
+	masks    [ipaddr.NybbleCount]ValueMask
+	weight   float64
+	chunk    int
+	noWiden  bool
+	produced int
 }
 
-// produced lists what each of e's regions has produced, in Add order.
+// widthRegion is a region of `width` addresses that differ in the last
+// nybble and never widen, so it can run dry; every other nybble is v,
+// which tells regions apart. Its chunk is floored to minChunk.
+func widthRegion(v byte, width int, weight float64) region {
+	masks := pinnedMasks(v)
+	masks[ipaddr.NybbleCount-1] = 1<<width - 1
+	return region{masks: masks, weight: weight, noWiden: true}
+}
+
+// newTestExpander starts an expander over regions, with its own state.
+func newTestExpander(regions []region) *Expander {
+	e := NewExpander(len(regions), func(i int) (*[ipaddr.NybbleCount]ValueMask, float64, int) {
+		return &regions[i].masks, regions[i].weight, regions[i].chunk
+	})
+	e.own()
+	e.start()
+	for i, r := range regions {
+		if r.noWiden {
+			setGen(e.st, i, newLeafGen(r.masks, []int{}))
+		}
+	}
+	return e
+}
+
+// setGen makes g the enumerator of leaf or region i ahead of its first
+// draw.
+func setGen(st *schedState, i int, g *leafGen) {
+	st.gens = append(st.gens, *g)
+	st.cursors[i].gen = int32(len(st.gens))
+}
+
+// produced lists what each of e's regions has produced, in index order.
 func produced(e *Expander) []int {
-	out := make([]int, len(e.regions))
-	for i, r := range e.regions {
-		out[i] = r.produced
+	out := make([]int, len(e.st.cursors))
+	for i, c := range e.st.cursors {
+		out[i] = c.produced
 	}
 	return out
 }
@@ -39,38 +71,36 @@ func visits(batch []ipaddr.Addr) string {
 }
 
 func TestExpanderTieGoesToLowestIndex(t *testing.T) {
-	e := NewExpander(3)
-	for v := byte(1); v <= 3; v++ {
-		addRegion(e, v, 16, 2)
-	}
+	e := newTestExpander([]region{widthRegion(1, 16, 2), widthRegion(2, 16, 2), widthRegion(3, 16, 2)})
 	// Equal scores: region 1 first. Then it has produced the most, and the
 	// tie between the other two again goes to the lower index.
 	for round, want := range []string{"1", "2", "3", "1"} {
-		if got := visits(e.NextBatch(minChunk, minChunk)); got != strings.Repeat(want, minChunk) {
+		if got := visits(e.AppendBatch(nil, minChunk, minChunk)); got != strings.Repeat(want, minChunk) {
 			t.Fatalf("round %d visited %s, want region %s", round, got, want)
 		}
 	}
 }
 
 func TestExpanderSkipsExhaustedRegionsForGood(t *testing.T) {
-	e := NewExpander(3)
-	addRegion(e, 1, 2, 1000) // two addresses, far the best score
-	addRegion(e, 2, 16, 2)
-	addRegion(e, 2, 16, 0.001) // the same 16 addresses, visited last: nothing fresh to give
+	e := newTestExpander([]region{
+		widthRegion(1, 2, 1000), // two addresses, far the best score
+		widthRegion(2, 16, 2),
+		widthRegion(2, 16, 0.001), // the same 16 addresses, visited last: nothing fresh to give
+	})
 	for i, want := range []string{"11" + "22222222", "22222222", ""} {
-		if got := visits(e.NextBatch(10, 10)); got != want {
+		if got := visits(e.AppendBatch(nil, 10, 10)); got != want {
 			t.Fatalf("batch %d visited %q, want %q", i, got, want)
 		}
-		if slices.Contains(e.heap, 0) {
+		if slices.Contains(e.st.order, 0) {
 			t.Fatalf("batch %d: exhausted region still in the running", i)
 		}
 	}
 	if want := []int{2, 16, 0}; !reflect.DeepEqual(produced(e), want) {
 		t.Fatalf("produced %v, want %v (duplicates do not count)", produced(e), want)
 	}
-	for i, r := range e.regions {
-		if r.gen != nil {
-			t.Fatalf("region %d kept its generator after running dry", i)
+	for i, c := range e.st.cursors {
+		if !c.dry || len(e.st.order) != 0 {
+			t.Fatalf("region %d still in the running after it ran dry", i)
 		}
 	}
 }
@@ -78,20 +108,23 @@ func TestExpanderSkipsExhaustedRegionsForGood(t *testing.T) {
 func TestExpanderStartsOnlyVisitedRegions(t *testing.T) {
 	// A thousand disjoint regions of sixteen addresses each, in falling
 	// weight: a batch of 256 taken 16 at a time visits the first sixteen.
-	masks := make([][ipaddr.NybbleCount]ValueMask, 1000)
-	e := NewExpander(len(masks))
-	for i := range masks {
-		masks[i] = pinnedMasks(2)
-		masks[i][28], masks[i][29], masks[i][30], masks[i][31] = 1<<(i/100), 1<<(i/10%10), 1<<(i%10), 0xffff
-		e.Add(&masks[i], float64(len(masks)-i), 16)
+	regions := make([]region, 1000)
+	for i := range regions {
+		masks := pinnedMasks(2)
+		masks[28], masks[29], masks[30], masks[31] = 1<<(i/100), 1<<(i/10%10), 1<<(i%10), 0xffff
+		regions[i] = region{masks: masks, weight: float64(len(regions) - i), chunk: 16}
 	}
-	if batch := e.NextBatch(256, 16); len(batch) != 256 {
+	e := newTestExpander(regions)
+	if batch := e.AppendBatch(nil, 256, 16); len(batch) != 256 {
 		t.Fatalf("batch of %d", len(batch))
 	}
-	for i, r := range e.regions {
-		if visited := i < 16; (r.gen != nil) != visited || (r.produced > 0) != visited {
-			t.Fatalf("region %d: generator started %v, produced %d; want both only for the first 16", i, r.gen != nil, r.produced)
+	for i, c := range e.st.cursors {
+		if visited := i < 16; (c.gen != 0) != visited || (c.produced > 0) != visited {
+			t.Fatalf("region %d: generator started %v, produced %d; want both only for the first 16", i, c.gen != 0, c.produced)
 		}
+	}
+	if len(e.st.gens) != 16 {
+		t.Fatalf("%d enumerators in the slab, want the 16 visited regions'", len(e.st.gens))
 	}
 }
 
@@ -136,22 +169,30 @@ var searchSeeds = seedsFrom(
 
 // newSearch searches the min-entropy tree of searchSeeds, counting probes
 // at take time, with two leaves enumerating the same space so that only
-// the emitted set keeps them apart.
+// the emitted set keeps them apart. It is started, with its own state.
 func newSearch(t *testing.T) *LeafSearch {
 	m := mustMine(t, searchSeeds, 2, SplitMinEntropy)
 	if len(m.LeafModels) < 3 {
 		t.Fatalf("only %d leaves", len(m.LeafModels))
 	}
 	m.LeafModels[1].Masks = m.LeafModels[0].Masks
-	return NewLeafSearch(m.Leaves(), func(a, b *TreeNode) bool { return a.Hits > b.Hits },
-		func(l *TreeNode, got int) { l.Probes += got })
+	return startedSearch(NewLeafSearch(m, func(a, b *Cursor) bool { return a.Hits > b.Hits },
+		func(c *Cursor, got int) { c.Probes += got }))
+}
+
+// startedSearch starts s with its own state, so a test can set cursors up
+// before the first batch.
+func startedSearch(s *LeafSearch) *LeafSearch {
+	s.own()
+	s.start()
+	return s
 }
 
 // propose asks s for a batch of n the way DET does: 60% down the ranking,
 // the rest round-robin from its top.
 func propose(s *LeafSearch, n int) []ipaddr.Addr {
 	i := 0
-	return s.NextBatch(n, n*6/10, n, func(int) int { i++; return i - 1 })
+	return s.AppendBatch(nil, n, n*6/10, n, func(int) int { i++; return i - 1 })
 }
 
 func TestLeafSearchNeverProposesTwice(t *testing.T) {
@@ -161,7 +202,7 @@ func TestLeafSearchNeverProposesTwice(t *testing.T) {
 		if round == 5 {
 			// The same leaves with fresh enumerators, which start over from
 			// addresses already proposed.
-			s.Rebuild(searchSeeds, nil, 2, SplitMinEntropy)
+			s.Rebuild(searchSeeds, 2, SplitMinEntropy)
 		}
 		batch := propose(s, 200)
 		if len(batch) != 200 {
@@ -177,12 +218,12 @@ func TestLeafSearchNeverProposesTwice(t *testing.T) {
 
 func TestLeafSearchExploreCountsPicksNotAddresses(t *testing.T) {
 	s := newSearch(t)
-	live := len(s.leaves)
-	for i, l := range s.leaves[1:] {
-		l.gen = newLeafGen(pinnedMasks(byte(i)), []int{}) // one address, then dry
+	live := len(s.st.cursors)
+	for i := 1; i < live; i++ {
+		setGen(s.st, i, newLeafGen(pinnedMasks(byte(i-1)), []int{})) // one address, then dry
 	}
 	picks := 0
-	batch := s.NextBatch(100, 0, 2, func(n int) int {
+	batch := s.AppendBatch(nil, 100, 0, 2, func(n int) int {
 		if n != live {
 			t.Fatalf("pick told of %d live leaves, want %d", n, live)
 		}
@@ -192,15 +233,15 @@ func TestLeafSearchExploreCountsPicksNotAddresses(t *testing.T) {
 	// Leaf 0 ranks first (no hits anywhere, so leaf order) and is picked
 	// every live-th time; each other leaf answers its first pick and runs
 	// dry at its second, which still costs the pick.
-	if want := 2 + (live - 1); picks != 2*live || len(batch) != want || s.leaves[0].Probes != 2 {
-		t.Fatalf("%d picks gave %d addresses (%d from leaf 0), want %d, %d and 2", picks, len(batch), s.leaves[0].Probes, 2*live, want)
+	if want := 2 + (live - 1); picks != 2*live || len(batch) != want || s.st.cursors[0].Probes != 2 {
+		t.Fatalf("%d picks gave %d addresses (%d from leaf 0), want %d, %d and 2", picks, len(batch), s.st.cursors[0].Probes, 2*live, want)
 	}
-	for i, l := range s.leaves {
-		if l.dry != (i > 0) || l.dry && l.gen != nil {
-			t.Fatalf("leaf %d: dry %v with generator %v, want dry for every leaf but 0, and no generator kept", i, l.dry, l.gen != nil)
+	for i, c := range s.st.cursors {
+		if c.dry != (i > 0) {
+			t.Fatalf("leaf %d: dry %v, want dry for every leaf but 0", i, c.dry)
 		}
 	}
-	if got := NewLeafSearch(nil, nil, nil).NextBatch(100, 60, 1, nil); got != nil {
+	if got := NewLeafSearch(&TreeModel{}, nil, nil).AppendBatch(nil, 100, 60, 1, nil); got != nil {
 		t.Fatalf("no live leaves, got %v", got)
 	}
 }
@@ -213,20 +254,20 @@ func TestLeafSearchStartsOnlyDrawnLeaves(t *testing.T) {
 		masks[28], masks[29], masks[30], masks[31] = 1<<(i/100), 1<<(i/10%10), 1<<(i%10), 0xffff
 		m.LeafModels[i].Masks = masks
 	}
-	drawn := map[*TreeNode]bool{}
-	s := NewLeafSearch(m.Leaves(), func(a, b *TreeNode) bool { return false },
-		func(l *TreeNode, _ int) { drawn[l] = true })
+	drawn := map[*Cursor]bool{}
+	s := NewLeafSearch(m, func(a, b *Cursor) bool { return false },
+		func(c *Cursor, _ int) { drawn[c] = true })
 	if batch := propose(s, 256); len(batch) != 256 {
 		t.Fatalf("batch of %d", len(batch))
 	}
 	started := 0
-	for _, l := range s.leaves {
-		if l.gen != nil || l.dry {
+	for _, c := range s.st.cursors {
+		if c.gen != 0 || c.dry {
 			started++
 		}
 	}
-	if started > len(drawn) || len(drawn) >= len(s.leaves) {
-		t.Fatalf("%d of %d leaves started a generator, %d drawn from", started, len(s.leaves), len(drawn))
+	if started > len(drawn) || len(drawn) >= len(s.st.cursors) || len(s.st.gens) != started {
+		t.Fatalf("%d of %d leaves started a generator (%d in the slab), %d drawn from", started, len(s.st.cursors), len(s.st.gens), len(drawn))
 	}
 }
 
@@ -235,43 +276,44 @@ func TestLeafSearchResolveAndRebuild(t *testing.T) {
 	batch := propose(s, 50)
 	stranger := ipaddr.MustParse("2001:db8:ffff::1") // never proposed
 	results := []ProbeResult{{Addr: stranger}}
-	for _, a := range batch[:25] {
-		results = append(results, ProbeResult{Addr: a})
+	for i, a := range batch[:25] {
+		results = append(results, ProbeResult{Addr: a, Active: i%2 == 0})
 	}
 	reported := ipaddr.NewSet()
-	s.Resolve(results, func(l *TreeNode, r ProbeResult) {
+	s.Resolve(results, func(c *Cursor, r ProbeResult) {
 		if !reported.Add(r.Addr) {
 			t.Fatalf("%v reported twice", r.Addr)
 		}
-		l.Hits++
+		c.Hits++
 	})
 	if reported.Len() != 25 || reported.Contains(stranger) {
 		t.Fatalf("%d reports for 25 proposals", reported.Len())
 	}
-	s.Resolve(results, func(*TreeNode, ProbeResult) { t.Fatal("a second report for one proposal") })
+	s.Resolve(results, func(*Cursor, ProbeResult) { t.Fatal("a second report for one proposal") })
 	hits, probes := 0, 0
-	for _, l := range s.leaves {
-		hits, probes = hits+l.Hits, probes+l.Probes
+	for _, c := range s.st.cursors {
+		hits, probes = hits+c.Hits, probes+c.Probes
 	}
-	if hits != 25 || probes != 50 || len(s.pending) != 25 {
-		t.Fatalf("%d hits, %d probes, %d pending, want 25, 50, 25", hits, probes, len(s.pending))
+	if hits != 25 || probes != 50 || len(s.st.pending) != 25 || len(s.st.hits) != 13 {
+		t.Fatalf("%d hits, %d probes, %d pending, %d active, want 25, 50, 25, 13", hits, probes, len(s.st.pending), len(s.st.hits))
 	}
 
-	// A rebuild folds hits in beside the seeds, once each, forgets the 25
-	// proposals still out, and keeps all 50 emitted.
-	hit := ipaddr.MustParse("2001:db8:3::1")
-	s.Rebuild(searchSeeds, []ipaddr.Addr{hit, searchSeeds[0]}, 2, SplitMinEntropy)
+	// A rebuild folds the active results in beside the seeds, once each,
+	// forgets the 25 proposals still out, and keeps all 50 emitted.
+	pool := ipaddr.NewSet(searchSeeds...)
+	pool.AddAll(s.st.hits)
+	s.Rebuild(searchSeeds, 2, SplitMinEntropy)
 	total := 0
-	for _, l := range s.leaves {
-		total += len(l.Seeds)
+	for _, c := range s.st.cursors {
+		total += c.Seeds
 	}
-	if total != len(searchSeeds)+1 {
-		t.Fatalf("rebuilt over %d addresses, want %d", total, len(searchSeeds)+1)
+	if total != pool.Len() || total <= len(searchSeeds) {
+		t.Fatalf("rebuilt over %d addresses, want %d", total, pool.Len())
 	}
 	for _, a := range batch {
 		results = append(results, ProbeResult{Addr: a})
 	}
-	s.Resolve(results, func(*TreeNode, ProbeResult) { t.Fatal("a proposal outlived the rebuild") })
+	s.Resolve(results, func(*Cursor, ProbeResult) { t.Fatal("a proposal outlived the rebuild") })
 	if s.emitted.Len() != 50 || !s.emitted.Contains(batch[0]) || !s.emitted.Contains(batch[49]) {
 		t.Fatalf("emitted holds %d after the rebuild, want the 50 proposed", s.emitted.Len())
 	}
@@ -287,15 +329,15 @@ func TestLeafSearchPendingHoldsOneBatch(t *testing.T) {
 	var batch []ipaddr.Addr
 	for round := 0; round < 10; round++ {
 		batch = propose(s, 100)
-		if len(s.pending) > len(batch) {
-			t.Fatalf("round %d: %d pending after a batch of %d", round, len(s.pending), len(batch))
+		if len(s.st.pending) > len(batch) {
+			t.Fatalf("round %d: %d pending after a batch of %d", round, len(s.st.pending), len(batch))
 		}
 		for _, a := range batch {
 			results = append(results, ProbeResult{Addr: a})
 		}
 	}
 	reported := 0
-	s.Resolve(results, func(*TreeNode, ProbeResult) { reported++ })
+	s.Resolve(results, func(*Cursor, ProbeResult) { reported++ })
 	if reported != len(batch) {
 		t.Fatalf("%d of %d proposals reported, want the last batch's %d", reported, len(results), len(batch))
 	}
@@ -345,10 +387,9 @@ func (e *argmaxExpander) nextBatch(n, maxChunk int) []ipaddr.Addr {
 func TestExpanderHeapMatchesLinearArgmax(t *testing.T) {
 	for trial := int64(0); trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(trial))
-		e := NewExpander(0)
 		ref := &argmaxExpander{emitted: ipaddr.NewSet()}
-		regions := 1 + rng.Intn(60)
-		for r := 0; r < regions; r++ {
+		var regions []region
+		for r := 1 + rng.Intn(60); r > 0; r-- {
 			// Few distinct weights and chunks, so scores tie often; regions
 			// overlap (a shared prefix digit), and some never widen, so
 			// they run dry.
@@ -358,18 +399,20 @@ func TestExpanderHeapMatchesLinearArgmax(t *testing.T) {
 			}
 			weight := []float64{0.5, 1, 2, 3, 1.5}[rng.Intn(5)]
 			chunk := rng.Intn(20)
-			e.Add(&masks, weight, chunk)
+			noWiden := rng.Intn(3) > 0
+			regions = append(regions, region{masks: masks, weight: weight, chunk: chunk, noWiden: noWiden})
 			ref.weight = append(ref.weight, weight)
 			ref.chunk = append(ref.chunk, max(minChunk, chunk))
 			ref.produced = append(ref.produced, 0)
 			ref.gens = append(ref.gens, newLeafGen(masks, nil))
-			if rng.Intn(3) > 0 {
-				e.regions[r].gen, ref.gens[r].widenPos = newLeafGen(masks, []int{}), []int{}
+			if noWiden {
+				ref.gens[len(ref.gens)-1].nOrder = 0
 			}
 		}
+		e := newTestExpander(regions)
 		for batch := 0; batch < 30; batch++ {
 			n, maxChunk := 1+rng.Intn(200), 1+rng.Intn(40)
-			got, want := e.NextBatch(n, maxChunk), ref.nextBatch(n, maxChunk)
+			got, want := e.AppendBatch(nil, n, maxChunk), ref.nextBatch(n, maxChunk)
 			if !slices.Equal(got, want) {
 				t.Fatalf("trial %d batch %d: heap proposed %d addresses, argmax %d, or in another order", trial, batch, len(got), len(want))
 			}
@@ -383,53 +426,53 @@ func TestExpanderHeapMatchesLinearArgmax(t *testing.T) {
 // rankPolicy is one generator's ranking over a LeafSearch as the test
 // drives it: the comparison, and the state updates that move its keys.
 type rankPolicy struct {
-	before   func(a, b *TreeNode) bool
-	took     func(l *TreeNode, got int)
-	report   func(l *TreeNode, r ProbeResult)
+	before   func(a, b *Cursor) bool
+	took     func(l *Cursor, got int)
+	report   func(l *Cursor, r ProbeResult)
 	feedback func() // after Resolve
 	rebuilt  func()
 }
 
 // rankPolicies mirror DET's, 6Scan's and 6Hit's rankings and updates.
 func rankPolicies() map[string]rankPolicy {
-	detScore := func(l *TreeNode) float64 { return (float64(l.Hits) + 1) / (float64(l.Probes) + 8) }
-	probes := func(l *TreeNode, got int) { l.Probes += got }
-	hits := func(l *TreeNode, r ProbeResult) { // the reward DET and 6Scan rank by
+	detScore := func(l *Cursor) float64 { return (float64(l.Hits) + 1) / (float64(l.Probes) + 8) }
+	probes := func(l *Cursor, got int) { l.Probes += got }
+	hits := func(l *Cursor, r ProbeResult) { // the reward DET and 6Scan rank by
 		if r.Active {
 			l.Hits++
 		}
 	}
-	q := map[*TreeNode]float64{}
-	qOf := func(l *TreeNode) float64 {
+	q := map[*Cursor]float64{}
+	qOf := func(l *Cursor) float64 {
 		if v, ok := q[l]; ok {
 			return v
 		}
 		return 0.5
 	}
-	batchN, batchH := map[*TreeNode]int{}, map[*TreeNode]int{}
+	batchN, batchH := map[*Cursor]int{}, map[*Cursor]int{}
 	return map[string]rankPolicy{
 		"DET": {
-			before: func(a, b *TreeNode) bool {
+			before: func(a, b *Cursor) bool {
 				if sa, sb := detScore(a), detScore(b); sa != sb {
 					return sa > sb
 				}
-				return len(a.Seeds) > len(b.Seeds)
+				return a.Seeds > b.Seeds
 			},
 			took: probes, report: hits, feedback: func() {}, rebuilt: func() {},
 		},
 		"6Scan": {
-			before: func(a, b *TreeNode) bool {
+			before: func(a, b *Cursor) bool {
 				if a.Hits != b.Hits {
 					return a.Hits > b.Hits
 				}
-				return len(a.Seeds) > len(b.Seeds)
+				return a.Seeds > b.Seeds
 			},
 			took: probes, report: hits, feedback: func() {}, rebuilt: func() {},
 		},
 		"6Hit": {
-			before: func(a, b *TreeNode) bool { return qOf(a) > qOf(b) },
-			took:   func(l *TreeNode, got int) { batchN[l] += got },
-			report: func(l *TreeNode, r ProbeResult) {
+			before: func(a, b *Cursor) bool { return qOf(a) > qOf(b) },
+			took:   func(l *Cursor, got int) { batchN[l] += got },
+			report: func(l *Cursor, r ProbeResult) {
 				hits(l, r) // which its ranking must not read
 				if r.Active {
 					batchH[l]++
@@ -445,7 +488,13 @@ func rankPolicies() map[string]rankPolicy {
 				clear(batchN)
 				clear(batchH)
 			},
-			rebuilt: func() { clear(q) },
+			// The rebuilt tree's leaves start over: its cursors reuse the
+			// slab, so keys of the old tree's leaves would name new ones.
+			rebuilt: func() {
+				clear(q)
+				clear(batchN)
+				clear(batchH)
+			},
 		},
 	}
 }
@@ -454,9 +503,9 @@ func TestLeafSearchRankingMatchesStableSort(t *testing.T) {
 	seeds := synthSeeds(t, 400)
 	// Leaves that never widen run dry, most of them within a few batches.
 	neverWiden := func(s *LeafSearch) {
-		for i, l := range s.leaves {
+		for i := range s.st.cursors {
 			if i%3 != 0 {
-				l.gen = newLeafGen(l.Masks, []int{})
+				setGen(s.st, i, newLeafGen(s.model.LeafModels[i].Masks, []int{}))
 			}
 		}
 	}
@@ -464,15 +513,14 @@ func TestLeafSearchRankingMatchesStableSort(t *testing.T) {
 		for trial := int64(0); trial < 8; trial++ {
 			p := rankPolicies()[name]
 			rng := rand.New(rand.NewSource(trial))
-			s := NewLeafSearch(mustMine(t, seeds, 2, SplitMinEntropy).Leaves(), p.before, p.took)
+			s := startedSearch(NewLeafSearch(mustMine(t, seeds, 2, SplitMinEntropy), p.before, p.took))
 			neverWiden(s)
 			var out [3][]ipaddr.Addr // the last three batches
-			var found []ipaddr.Addr
 			for step := 0; step < 120; step++ {
-				var want []*TreeNode
-				for _, l := range s.leaves {
-					if !l.dry {
-						want = append(want, l)
+				var want []*Cursor
+				for i := range s.st.cursors {
+					if c := &s.st.cursors[i]; !c.dry {
+						want = append(want, c)
 					}
 				}
 				sort.SliceStable(want, func(i, j int) bool { return p.before(want[i], want[j]) })
@@ -483,10 +531,10 @@ func TestLeafSearchRankingMatchesStableSort(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					pick = func(int) int { rr++; return rr - 1 }
 				}
-				out = [3][]ipaddr.Addr{s.NextBatch(n, rng.Intn(n+1), 1+rng.Intn(4), pick), out[0], out[1]}
-				got := make([]*TreeNode, len(s.ranked))
-				for i, li := range s.ranked {
-					got[i] = s.leaves[li]
+				out = [3][]ipaddr.Addr{s.AppendBatch(nil, n, rng.Intn(n+1), 1+rng.Intn(4), pick), out[0], out[1]}
+				got := make([]*Cursor, len(s.st.order))
+				for i, li := range s.st.order {
+					got[i] = &s.st.cursors[li]
 				}
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s trial %d step %d: ranking of %d live leaves differs from the stable sort of %d", name, trial, step, len(got), len(want))
@@ -494,19 +542,15 @@ func TestLeafSearchRankingMatchesStableSort(t *testing.T) {
 
 				switch rng.Intn(8) {
 				case 0: // no feedback this round: the next batch follows at once
-				case 1: // rebuild around some of what was found
-					s.Rebuild(seeds, found[:min(len(found), 100)], 2, SplitMinEntropy)
+				case 1: // rebuild around the hits reported so far
+					s.Rebuild(seeds, 2, SplitMinEntropy)
 					neverWiden(s)
 					p.rebuilt()
 				default: // results for some of what is out, late ones included
 					var results []ProbeResult
 					for _, a := range slices.Concat(out[:]...) {
 						if rng.Intn(4) > 0 {
-							r := ProbeResult{Addr: a, Active: rng.Intn(3) == 0}
-							if r.Active {
-								found = append(found, a)
-							}
-							results = append(results, r)
+							results = append(results, ProbeResult{Addr: a, Active: rng.Intn(3) == 0})
 						}
 					}
 					s.Resolve(results, p.report)

@@ -146,11 +146,10 @@ func (g *Generator) InitFromModel(m tga.Model, _ []ipaddr.Addr) error {
 	if !ok {
 		return fmt.Errorf("sixgen: model type %T", m)
 	}
-	g.clusters = tga.NewExpander(len(mm.Clusters))
-	for i := range mm.Clusters {
+	g.clusters = tga.NewExpander(len(mm.Clusters), func(i int) (*[ipaddr.NybbleCount]tga.ValueMask, float64, int) {
 		c := &mm.Clusters[i]
-		g.clusters.Add(&c.Masks, math.Sqrt(float64(c.Size)), 4*c.Size)
-	}
+		return &c.Masks, math.Sqrt(float64(c.Size)), 4 * c.Size
+	})
 	return nil
 }
 
@@ -158,11 +157,17 @@ func (g *Generator) InitFromModel(m tga.Model, _ []ipaddr.Addr) error {
 func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, seeds) }
 
 // NextBatch enumerates ranges weighted by cluster size, densest-first.
-func (g *Generator) NextBatch(n int) []ipaddr.Addr { return g.clusters.NextBatch(n, n/4+1) }
+func (g *Generator) NextBatch(n int) []ipaddr.Addr {
+	return g.AppendBatch(make([]ipaddr.Addr, 0, n), n)
+}
 
-// ShareCandidates implements the driver's shared candidate set (see
-// tga.RunContext).
-func (g *Generator) ShareCandidates(set *ipaddr.Set) { g.clusters.ShareCandidates(set) }
+// AppendBatch is NextBatch appending to dst (see tga.RunContext).
+func (g *Generator) AppendBatch(dst []ipaddr.Addr, n int) []ipaddr.Addr {
+	return g.clusters.AppendBatch(dst, n, n/4+1)
+}
+
+// Lend implements the driver's run scratch (see tga.RunContext).
+func (g *Generator) Lend(sc *tga.Scratch) { g.clusters.Lend(sc) }
 
 // Feedback implements tga.Generator; 6Gen ignores scan results.
 func (g *Generator) Feedback([]tga.ProbeResult) {}

@@ -176,11 +176,10 @@ func (g *Generator) InitFromModel(m tga.Model, _ []ipaddr.Addr) error {
 		return fmt.Errorf("sixgraph: model type %T", m)
 	}
 	g.model = mm
-	g.clusters = tga.NewExpander(len(mm.Clusters))
-	for i := range mm.Clusters {
+	g.clusters = tga.NewExpander(len(mm.Clusters), func(i int) (*[ipaddr.NybbleCount]tga.ValueMask, float64, int) {
 		c := &mm.Clusters[i]
-		g.clusters.Add(&c.Masks, 1+math.Log2(float64(c.Seeds)+1), c.Seeds)
-	}
+		return &c.Masks, 1 + math.Log2(float64(c.Seeds)+1), c.Seeds
+	})
 	return nil
 }
 
@@ -232,11 +231,17 @@ func withinDistance(a, b *packedMasks, d int) bool {
 }
 
 // NextBatch allocates across the merged patterns by weight.
-func (g *Generator) NextBatch(n int) []ipaddr.Addr { return g.clusters.NextBatch(n, n/4+1) }
+func (g *Generator) NextBatch(n int) []ipaddr.Addr {
+	return g.AppendBatch(make([]ipaddr.Addr, 0, n), n)
+}
 
-// ShareCandidates implements the driver's shared candidate set (see
-// tga.RunContext).
-func (g *Generator) ShareCandidates(set *ipaddr.Set) { g.clusters.ShareCandidates(set) }
+// AppendBatch is NextBatch appending to dst (see tga.RunContext).
+func (g *Generator) AppendBatch(dst []ipaddr.Addr, n int) []ipaddr.Addr {
+	return g.clusters.AppendBatch(dst, n, n/4+1)
+}
+
+// Lend implements the driver's run scratch (see tga.RunContext).
+func (g *Generator) Lend(sc *tga.Scratch) { g.clusters.Lend(sc) }
 
 // Feedback implements tga.Generator; 6Graph ignores scan results.
 func (g *Generator) Feedback([]tga.ProbeResult) {}

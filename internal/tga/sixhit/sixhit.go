@@ -36,10 +36,9 @@ type Generator struct {
 	rng    *rand.Rand
 	seeds  []ipaddr.Addr
 	search *tga.LeafSearch
-	q      map[*tga.TreeNode]float64 // leaves not yet updated are at initialQ
-	batchN map[*tga.TreeNode]int     // proposed this round
-	batchH map[*tga.TreeNode]int     // hits this round
-	hits   []ipaddr.Addr
+	q      map[*tga.Cursor]float64 // leaves not yet updated are at initialQ
+	batchN map[*tga.Cursor]int     // proposed this round
+	batchH map[*tga.Cursor]int     // hits this round
 	rounds int
 }
 
@@ -82,58 +81,61 @@ func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
 	}
 	g.rng = rand.New(rand.NewSource(g.seed))
 	g.seeds = seeds
-	g.search = tga.NewLeafSearch(tm.Leaves(), func(a, b *tga.TreeNode) bool { return g.qOf(a) > g.qOf(b) },
-		func(l *tga.TreeNode, got int) { g.batchN[l] += got })
-	g.q = make(map[*tga.TreeNode]float64)
-	g.batchN = make(map[*tga.TreeNode]int)
-	g.batchH = make(map[*tga.TreeNode]int)
+	g.search = tga.NewLeafSearch(tm, func(a, b *tga.Cursor) bool { return g.qOf(a) > g.qOf(b) },
+		func(c *tga.Cursor, got int) { g.batchN[c] += got })
+	g.q = make(map[*tga.Cursor]float64)
+	g.batchN = make(map[*tga.Cursor]int)
+	g.batchH = make(map[*tga.Cursor]int)
 	return nil
 }
 
 // Init builds the initial tree.
 func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, seeds) }
 
-func (g *Generator) qOf(l *tga.TreeNode) float64 {
-	if q, ok := g.q[l]; ok {
+func (g *Generator) qOf(c *tga.Cursor) float64 {
+	if q, ok := g.q[c]; ok {
 		return q
 	}
 	return initialQ
 }
 
-// ShareCandidates implements the driver's shared candidate set (see
-// tga.RunContext).
-func (g *Generator) ShareCandidates(set *ipaddr.Set) { g.search.ShareCandidates(set) }
+// Lend implements the driver's run scratch (see tga.RunContext).
+func (g *Generator) Lend(sc *tga.Scratch) { g.search.Lend(sc) }
 
 // NextBatch spends (1-ε) of the batch on the highest-Q leaves and ε on
 // uniformly random leaves.
 func (g *Generator) NextBatch(n int) []ipaddr.Addr {
-	return g.search.NextBatch(n, n-int(float64(n)*g.epsilon), 8, g.rng.Intn)
+	return g.AppendBatch(make([]ipaddr.Addr, 0, n), n)
+}
+
+// AppendBatch is NextBatch appending to dst (see tga.RunContext).
+func (g *Generator) AppendBatch(dst []ipaddr.Addr, n int) []ipaddr.Addr {
+	return g.search.AppendBatch(dst, n, n-int(float64(n)*g.epsilon), 8, g.rng.Intn)
 }
 
 // Feedback updates Q-values from the round's hit rates and periodically
 // recreates the tree.
 func (g *Generator) Feedback(results []tga.ProbeResult) {
-	g.search.Resolve(results, func(l *tga.TreeNode, r tga.ProbeResult) {
+	g.search.Resolve(results, func(c *tga.Cursor, r tga.ProbeResult) {
 		if r.Active {
-			g.batchH[l]++
-			l.Hits++
-			g.hits = append(g.hits, r.Addr)
+			g.batchH[c]++
+			c.Hits++
 		}
-		l.Probes++
+		c.Probes++
 	})
-	for l, n := range g.batchN {
+	for c, n := range g.batchN {
 		if n == 0 {
 			continue
 		}
-		reward := float64(g.batchH[l]) / float64(n)
-		g.q[l] = (1-alpha)*g.qOf(l) + alpha*reward
+		reward := float64(g.batchH[c]) / float64(n)
+		g.q[c] = (1-alpha)*g.qOf(c) + alpha*reward
 	}
 	clear(g.batchN)
 	clear(g.batchH)
 
 	g.rounds++
 	if g.rounds%g.rebuildEvery == 0 {
-		g.search.Rebuild(g.seeds, g.hits, tga.MinLeaf, tga.SplitLeftmost)
+		g.search.Rebuild(g.seeds, tga.MinLeaf, tga.SplitLeftmost)
 		clear(g.q) // the new leaves start over at initialQ
 	}
 }

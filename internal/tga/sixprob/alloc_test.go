@@ -1,4 +1,4 @@
-//go:build !race
+//go:build !race && !poison
 
 package sixprob
 
@@ -104,7 +104,7 @@ func (s minedModel) GetOrBuild(context.Context, tga.ModelBuilder, []ipaddr.Addr)
 
 // TestWarmDriverRunReusesFrontier pins a 6Prob run through the driver,
 // after a warm-up run and two collections, under the bytes of one default
-// frontier (3.9 MB): the driver takes its set back at the end of a run, the
+// frontier (3.9 MB): the driver takes its scratch back at the end of a run, the
 // generator returns its frontier to the free list then, and the next run's
 // InitFromModel takes it from there. A frontier allocated per run, or a
 // free list a collection empties, does not fit: the run's other state

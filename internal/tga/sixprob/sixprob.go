@@ -254,14 +254,14 @@ type cand struct {
 	muts  uint8
 }
 
-// ShareCandidates implements the driver's shared candidate set (see
-// tga.RunContext): set replaces the generator's own record of what it
-// proposed. A nil set is the driver taking its set back at the end of the
-// run: the generator then also returns its frontier to the free list and
-// is exhausted until the next InitFromModel.
-func (g *Generator) ShareCandidates(set *ipaddr.Set) {
-	g.emitted = set
-	if set == nil {
+// Lend implements the driver's run scratch (see tga.RunContext): its
+// candidate set replaces the generator's own record of what it proposed.
+// A nil scratch is the driver taking it back at the end of the run: the
+// generator then also returns its frontier to the free list and is
+// exhausted until the next InitFromModel.
+func (g *Generator) Lend(sc *tga.Scratch) {
+	g.emitted = sc.Candidates()
+	if sc == nil {
 		g.frontier.release()
 		g.model = nil
 	}
@@ -474,7 +474,24 @@ func newCandHeap(beam int) candHeap {
 // frontiers is the free list of emptied frontiers (about 3.9 MB each), one
 // per concurrent run of the experiment grid. It keeps only frontiers of
 // the default size, so a run never takes one that must grow by append.
-var frontiers = make(memo.FreeList[candHeap], memo.FreeListLen)
+var frontiers = memo.NewFreeList(scribbleFrontier)
+
+// scribbleFrontier is the free list's poison (memo.NewFreeList): every
+// entry out to the capacities, the lengths stay, is a complete junk
+// candidate at the top of the draw order, and every free slot is out of
+// range.
+func scribbleFrontier(h candHeap) {
+	heap, slab, free := h.heap[:cap(h.heap)], h.slab[:cap(h.slab)], h.free[:cap(h.free)]
+	for i := range heap {
+		heap[i] = key{slot: int32(i % max(len(slab), 1))}
+	}
+	for i := range slab {
+		slab[i] = cand{addr: ipaddr.AddrFrom64s(0x3fff_0bad_0000_0000, uint64(i)), depth: ipaddr.NybbleCount, muts: 1}
+	}
+	for i := range free {
+		free[i] = -1
+	}
+}
 
 // release empties h onto the free list when it is of the default size and
 // the list has room, and leaves h the zero frontier, which a second

@@ -60,30 +60,34 @@ func (g *Generator) InitFromModel(m tga.Model, _ []ipaddr.Addr) error {
 	if g.topShare <= 0 || g.topShare >= 1 {
 		g.topShare = 0.7
 	}
-	g.search = tga.NewLeafSearch(tm.Leaves(), ranksAbove, func(l *tga.TreeNode, got int) { l.Probes += got })
+	g.search = tga.NewLeafSearch(tm, ranksAbove, func(c *tga.Cursor, got int) { c.Probes += got })
 	return nil
 }
 
 // ranksAbove is the region encoding feedback: hit count, then seed count.
-func ranksAbove(a, b *tga.TreeNode) bool {
+func ranksAbove(a, b *tga.Cursor) bool {
 	if a.Hits != b.Hits {
 		return a.Hits > b.Hits
 	}
-	return len(a.Seeds) > len(b.Seeds)
+	return a.Seeds > b.Seeds
 }
 
 // Init builds the space tree with 6Tree's splitting order.
 func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, seeds) }
 
-// ShareCandidates implements the driver's shared candidate set (see
-// tga.RunContext).
-func (g *Generator) ShareCandidates(set *ipaddr.Set) { g.search.ShareCandidates(set) }
+// Lend implements the driver's run scratch (see tga.RunContext).
+func (g *Generator) Lend(sc *tga.Scratch) { g.search.Lend(sc) }
 
 // NextBatch spends topShare of the batch on regions sorted by region
 // encoding feedback (hit count, then seed count) and the rest round-robin
 // across all live regions.
 func (g *Generator) NextBatch(n int) []ipaddr.Addr {
-	return g.search.NextBatch(n, int(float64(n)*g.topShare), 4, func(int) int {
+	return g.AppendBatch(make([]ipaddr.Addr, 0, n), n)
+}
+
+// AppendBatch is NextBatch appending to dst (see tga.RunContext).
+func (g *Generator) AppendBatch(dst []ipaddr.Addr, n int) []ipaddr.Addr {
+	return g.search.AppendBatch(dst, n, int(float64(n)*g.topShare), 4, func(int) int {
 		g.rr++
 		return g.rr - 1
 	})
@@ -92,9 +96,9 @@ func (g *Generator) NextBatch(n int) []ipaddr.Addr {
 // Feedback decodes each result back to its region (the in-process
 // equivalent of the payload region encoding) and bumps hit counters.
 func (g *Generator) Feedback(results []tga.ProbeResult) {
-	g.search.Resolve(results, func(l *tga.TreeNode, r tga.ProbeResult) {
+	g.search.Resolve(results, func(c *tga.Cursor, r tga.ProbeResult) {
 		if r.Active {
-			l.Hits++
+			c.Hits++
 		}
 	})
 }

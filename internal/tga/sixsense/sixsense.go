@@ -272,10 +272,9 @@ func (g *Generator) skip(c ipaddr.Addr) bool {
 	return g.emitted.Contains(c) || g.aliasBlacklist.Contains(ipaddr.PrefixFrom(c, aliasBits).Addr())
 }
 
-// ShareCandidates implements the driver's shared candidate set (see
-// tga.RunContext): set replaces the generator's own record of what it
-// proposed.
-func (g *Generator) ShareCandidates(set *ipaddr.Set) { g.emitted = set }
+// Lend implements the driver's run scratch (see tga.RunContext): its
+// candidate set replaces the generator's own record of what it proposed.
+func (g *Generator) Lend(sc *tga.Scratch) { g.emitted = sc.Candidates() }
 
 // NextBatch splits the batch between reward-ranked arms and the
 // diversity share, sampling candidates from each arm's Markov model and

@@ -48,11 +48,10 @@ func (g *Generator) InitFromModel(m tga.Model, _ []ipaddr.Addr) error {
 	if !ok {
 		return fmt.Errorf("sixtree: model type %T", m)
 	}
-	g.leaves = tga.NewExpander(len(tm.LeafModels))
-	for i := range tm.LeafModels {
+	g.leaves = tga.NewExpander(len(tm.LeafModels), func(i int) (*[ipaddr.NybbleCount]tga.ValueMask, float64, int) {
 		l := &tm.LeafModels[i]
-		g.leaves.Add(&l.Masks, float64(len(l.Seeds)), 4*len(l.Seeds))
-	}
+		return &l.Masks, float64(len(l.Seeds)), 4 * len(l.Seeds)
+	})
 	return nil
 }
 
@@ -61,11 +60,17 @@ func (g *Generator) Init(seeds []ipaddr.Addr) error { return tga.InitByModel(g, 
 
 // NextBatch allocates n candidates across leaves proportionally to seed
 // weight.
-func (g *Generator) NextBatch(n int) []ipaddr.Addr { return g.leaves.NextBatch(n, n) }
+func (g *Generator) NextBatch(n int) []ipaddr.Addr {
+	return g.AppendBatch(make([]ipaddr.Addr, 0, n), n)
+}
 
-// ShareCandidates implements the driver's shared candidate set (see
-// tga.RunContext).
-func (g *Generator) ShareCandidates(set *ipaddr.Set) { g.leaves.ShareCandidates(set) }
+// AppendBatch is NextBatch appending to dst (see tga.RunContext).
+func (g *Generator) AppendBatch(dst []ipaddr.Addr, n int) []ipaddr.Addr {
+	return g.leaves.AppendBatch(dst, n, n)
+}
+
+// Lend implements the driver's run scratch (see tga.RunContext).
+func (g *Generator) Lend(sc *tga.Scratch) { g.leaves.Lend(sc) }
 
 // Feedback implements tga.Generator; 6Tree ignores scan results.
 func (g *Generator) Feedback([]tga.ProbeResult) {}

@@ -19,15 +19,17 @@
 // the caller's goroutine: each batch is generated, deduplicated, scanned,
 // dealiased and (for online generators) fed back before the next batch is
 // generated. A run's working memory — its candidate set, sized for the
-// budget, its batch buffers and its hit lists — comes off a bounded free
-// list, so a warm run allocates none of it; a generator that takes the
-// set (ShareCandidates) dedups its proposals there, so no address is
-// recorded twice, and hands it back when the run ends.
+// budget, its batch buffers, its hit lists and a scheduler's run state —
+// comes off a bounded free list (Scratch), so a warm run allocates none of
+// it; a generator that takes the scratch (Lend) dedups its proposals in
+// the set, so no address is recorded twice, keeps its scheduler's cursors
+// there, and hands it back when the run ends.
 package tga
 
 import (
 	"context"
 	"fmt"
+	"runtime/pprof"
 	"slices"
 	"sort"
 	"time"
@@ -66,6 +68,8 @@ type Generator interface {
 	// NextBatch proposes up to n candidate addresses. An empty result
 	// means the generator is exhausted. The returned slice belongs to the
 	// caller, who may overwrite it; the generator must not read it again.
+	// A generator may also have a method AppendBatch(dst, n) that appends
+	// the same batch to dst and returns it, which the driver prefers.
 	NextBatch(n int) []ipaddr.Addr
 	// Feedback reports scan outcomes for previously proposed candidates.
 	// Offline generators ignore it. results is valid only during the
@@ -148,25 +152,34 @@ func Run(g Generator, seeds []ipaddr.Addr, cfg RunConfig) (*RunResult, error) {
 // with per-batch budget consumption, and accumulates tga.* counters in the
 // tracer's registry. A batch span ends before the next one starts.
 //
-// The run's scratch comes from a free list the package keeps: the
-// candidate set, emptied and sized for the budget, the batch buffers the
-// scans append into and the dealiaser partitions in place, and the hit
-// lists, of which the result gets exact-size copies on every way out of
-// the run, cancellation included (nil when empty). When the prober has a
-// method AppendScan(ctx, dst []scanner.Result, targets, p), as
-// *scanner.Scanner does, each batch's results are appended into the
-// scratch; any other prober's ScanContext returns them. When g has a method
-// ShareCandidates(*ipaddr.Set), the driver lends g the set: it calls the
-// method once, after init and before the first batch, with that set, and
-// from then on g checks its proposals against the set and records every
-// one there — seeds and addresses past the budget included — and the
-// driver no longer adds to it, only filtering seeds and overflow out of
-// each batch. On every way out of the run after init (budget reached,
-// generator exhausted, ctx cancelled) the driver takes the set back with
-// ShareCandidates(nil) before the free list gets it, so a spent generator
-// fails loudly rather than writing into a set another run holds. A
-// generator without the method keeps its own dedup, and the driver
-// records the fresh candidates in the set itself.
+// The run's scratch (Scratch) comes from a free list the package keeps:
+// the candidate set, emptied and sized for the budget, the batch buffers
+// the generator and the scans append into and the dealiaser partitions in
+// place, the hit lists, of which the result gets exact-size copies on
+// every way out of the run, cancellation included (nil when empty), and a
+// scheduler's run state. When the prober has a method AppendScan(ctx, dst
+// []scanner.Result, targets, p), as *scanner.Scanner does, each batch's
+// results are appended into the scratch; any other prober's ScanContext
+// returns them. Likewise a generator's AppendBatch(dst, n) fills the
+// scratch's batch buffer, and NextBatch is the fallback. When g has a
+// method Lend(*Scratch), the driver lends g the scratch: it calls the
+// method once, after init and before the first batch, and from then on g
+// checks its proposals against the candidate set and records every one
+// there — seeds and addresses past the budget included — and may keep its
+// scheduler state in the scratch; the driver no longer adds to the set,
+// only filtering seeds and overflow out of each batch. On every way out of
+// the run after init (budget reached, generator exhausted, ctx cancelled)
+// the driver takes the scratch back with Lend(nil) before the free list
+// gets it, so a spent generator fails loudly rather than writing into
+// state another run holds. A generator without the method keeps its own
+// dedup and state, and the driver records the fresh candidates in the set
+// itself.
+//
+// The run's goroutine carries profiler labels (runtime/pprof): a layer,
+// one of tga.init, tga.next_batch, scanner.scan, alias.split and
+// tga.feedback, and in the generator's three, tga=<the generator's name>;
+// the scanner's workers inherit scanner.scan. When the run returns, the
+// goroutine carries the labels ctx carries.
 func RunContext(ctx context.Context, g Generator, seeds []ipaddr.Addr, cfg RunConfig) (*RunResult, error) {
 	if cfg.Budget <= 0 || cfg.Budget > ipaddr.MaxSetLen {
 		return nil, fmt.Errorf("tga: budget must be in [1, %d], got %d", ipaddr.MaxSetLen, cfg.Budget)
@@ -190,7 +203,9 @@ func RunContext(ctx context.Context, g Generator, seeds []ipaddr.Addr, cfg RunCo
 		reg:     telemetry.FromContext(ctx).Registry(),
 		runSpan: runSpan,
 		res:     &RunResult{generator: g.Name(), proto: cfg.Proto},
+		labels:  newRunLabels(ctx, g.Name()),
 	}
+	defer pprof.SetGoroutineLabels(ctx)
 
 	if err := d.init(ctx, seeds); err != nil {
 		d.endRun(err)
@@ -199,10 +214,10 @@ func RunContext(ctx context.Context, g Generator, seeds []ipaddr.Addr, cfg RunCo
 	if cfg.ExcludeSeeds {
 		d.excluded = seeds
 	}
-	sharer, _ := g.(interface{ ShareCandidates(*ipaddr.Set) })
-	d.sc, d.shared = getScratch(cfg.Budget), sharer != nil
+	lender, _ := g.(interface{ Lend(*Scratch) })
+	d.sc, d.shared = getScratch(cfg.Budget), lender != nil
 	if d.shared {
-		sharer.ShareCandidates(d.sc.seen)
+		lender.Lend(d.sc)
 	}
 	if cfg.Prober == nil {
 		// The run lists its candidates, at most its budget of them.
@@ -211,7 +226,7 @@ func RunContext(ctx context.Context, g Generator, seeds []ipaddr.Addr, cfg RunCo
 
 	err := d.runLockstep(ctx)
 	if d.shared {
-		sharer.ShareCandidates(nil)
+		lender.Lend(nil)
 	}
 	d.res.Hits, d.res.AliasedHits = exactCopy(d.sc.hits), exactCopy(d.sc.aliasedHits)
 	putScratch(d.sc)
@@ -220,34 +235,53 @@ func RunContext(ctx context.Context, g Generator, seeds []ipaddr.Addr, cfg RunCo
 	return d.res, err
 }
 
-// runScratch is one run's memory that outlives it: the candidate set, the
-// batch loop's buffers (the scan's results, the active addresses the
-// dealiaser partitions in place, the feedback, the aliased hits as a set)
-// and the hit lists the batches append to.
-type runScratch struct {
+// Scratch is one run's memory that outlives it: the candidate set, the
+// batch loop's buffers (the generator's batch, the scan's results, the
+// active addresses the dealiaser partitions in place, the feedback, the
+// aliased hits as a set), the hit lists the batches append to, and a
+// scheduler's run state (the cursor slab and what ranks it, the pending
+// proposals, the raw hits). The driver lends it to a generator with a
+// method Lend(*Scratch) (see RunContext).
+type Scratch struct {
 	seen              *ipaddr.Set
+	batch             []ipaddr.Addr
 	results           []scanner.Result
 	active            []ipaddr.Addr
 	fb                []ProbeResult
 	aliases           ipaddr.Set
 	hits, aliasedHits []ipaddr.Addr
+	sched             schedState
 	// most is the most addresses a set was sized or filled for in this
 	// run, a lower bound on the storage Reset leaves them holding.
 	most int
 }
 
+// Candidates returns the run's candidate set, which a generator lent the
+// scratch checks and records its proposals in (nil for a nil scratch:
+// the take-back). The zero Scratch is ready to use: it makes an empty
+// set.
+func (sc *Scratch) Candidates() *ipaddr.Set {
+	if sc == nil {
+		return nil
+	}
+	if sc.seen == nil {
+		sc.seen = ipaddr.NewSet()
+	}
+	return sc.seen
+}
+
 // runScratches keeps finished runs' scratch, one per concurrent run of
 // the experiment grid; scratch with a set or buffer holding more entries
 // than the policy keeps is dropped.
-var runScratches = make(memo.FreeList[*runScratch], memo.FreeListLen)
+var runScratches = memo.NewFreeList(scribbleScratch)
 
 // getScratch returns scratch whose set is empty with room for budget
 // addresses and whose buffers are empty: recycled when the free list has
 // some, fresh otherwise.
-func getScratch(budget int) *runScratch {
+func getScratch(budget int) *Scratch {
 	sc, ok := runScratches.Get()
 	if !ok {
-		return &runScratch{seen: ipaddr.NewSetCap(budget), most: budget}
+		return &Scratch{seen: ipaddr.NewSetCap(budget), most: budget}
 	}
 	sc.seen.Reset(budget)
 	sc.hits, sc.aliasedHits = sc.hits[:0], sc.aliasedHits[:0]
@@ -257,9 +291,62 @@ func getScratch(budget int) *runScratch {
 
 // putScratch puts sc on the free list unless it is too large or the list
 // is full. Nothing may read or write sc afterwards.
-func putScratch(sc *runScratch) {
-	runScratches.Recycle(sc, max(sc.most, sc.seen.Len(), cap(sc.results), cap(sc.active),
-		cap(sc.fb), cap(sc.hits), cap(sc.aliasedHits)))
+func putScratch(sc *Scratch) {
+	runScratches.Recycle(sc, max(sc.most, sc.seen.Len(), cap(sc.batch), cap(sc.results), cap(sc.active),
+		cap(sc.fb), cap(sc.hits), cap(sc.aliasedHits), sc.sched.entries()))
+}
+
+// scribbleScratch is the free list's poison (memo.NewFreeList). Every
+// buffer is filled out to its capacity: the batch, the active addresses
+// and the hit lists with junk addresses, the results with active junk, the
+// feedback with aliased hits; the candidate set gets junk and the aliased
+// set every candidate of the run that used it last. The scheduler state
+// gets dry, over-counted cursors whose enumerators are out of range, junk
+// rankings, enumerators and raw hits, and a pending proposal from an
+// out-of-range leaf for every candidate.
+func scribbleScratch(sc *Scratch) {
+	junk := ipaddr.AddrFrom64s(0x3fff_0bad_0000_0000, 0x7)
+	for _, s := range [][]ipaddr.Addr{sc.batch, sc.active, sc.hits, sc.aliasedHits, sc.sched.hits} {
+		for i := range s[:cap(s)] {
+			s[:cap(s)][i] = junk
+		}
+	}
+	sc.batch, sc.active = sc.batch[:cap(sc.batch)], sc.active[:cap(sc.active)]
+	sc.hits, sc.aliasedHits = sc.hits[:cap(sc.hits)], sc.aliasedHits[:cap(sc.aliasedHits)]
+	sc.results = sc.results[:cap(sc.results)]
+	for i := range sc.results {
+		sc.results[i] = scanner.Result{Addr: junk, Status: scanner.StatusActive}
+	}
+	sc.fb = sc.fb[:cap(sc.fb)]
+	for i := range sc.fb {
+		sc.fb[i] = ProbeResult{Addr: junk, Active: true, Aliased: true}
+	}
+	sc.seen.Each(func(a ipaddr.Addr) { sc.aliases.Add(a) })
+	sc.seen.Add(junk)
+
+	st := &sc.sched
+	st.hits = st.hits[:cap(st.hits)]
+	st.cursors = st.cursors[:cap(st.cursors)]
+	for i := range st.cursors {
+		st.cursors[i] = Cursor{Seeds: -1, Probes: 1 << 40, Hits: 1 << 40, weight: -1, produced: 1 << 40, gen: -1, dry: true}
+	}
+	st.gens = st.gens[:cap(st.gens)]
+	for i := range st.gens {
+		st.gens[i] = leafGen{job: maskEnum{cur: junk, state: enumRunning}, nOrder: 0}
+	}
+	for _, s := range []*[]int32{&st.order, &st.spare, &st.moved, &st.drawn} {
+		*s = (*s)[:cap(*s)]
+		for i := range *s {
+			(*s)[i] = -1
+		}
+	}
+	st.mark = st.mark[:cap(st.mark)]
+	for i := range st.mark {
+		st.mark[i] = inMoved | inDrawn
+	}
+	if st.pending != nil {
+		sc.seen.Each(func(a ipaddr.Addr) { st.pending[a] = -1 })
+	}
 }
 
 // exactCopy returns a copy of s at its length, or nil when s is empty.
@@ -268,6 +355,30 @@ func exactCopy(s []ipaddr.Addr) []ipaddr.Addr {
 		return nil
 	}
 	return append(make([]ipaddr.Addr, 0, len(s)), s...)
+}
+
+// runLabels are a run's profiler label sets, one context per layer, built
+// once per run so that switching the goroutine between them
+// (pprof.SetGoroutineLabels) allocates nothing per batch.
+type runLabels struct {
+	init, nextBatch, scan, split, feedback context.Context
+}
+
+// newRunLabels derives the run's label sets from the caller's: each adds
+// its layer to the labels ctx carries, and the generator's own layers add
+// tga=name, so that a tga label's CPU is the generator's alone.
+func newRunLabels(ctx context.Context, name string) runLabels {
+	gen := pprof.WithLabels(ctx, pprof.Labels("tga", name))
+	layer := func(ctx context.Context, l string) context.Context {
+		return pprof.WithLabels(ctx, pprof.Labels("layer", l))
+	}
+	return runLabels{
+		init:      layer(gen, "tga.init"),
+		nextBatch: layer(gen, "tga.next_batch"),
+		scan:      layer(ctx, "scanner.scan"),
+		split:     layer(ctx, "alias.split"),
+		feedback:  layer(gen, "tga.feedback"),
+	}
 }
 
 // driver carries one run's state.
@@ -279,9 +390,10 @@ type driver struct {
 	res     *RunResult
 
 	excluded  []ipaddr.Addr // the canonical seeds when ExcludeSeeds, else nil
-	sc        *runScratch   // the run's candidate set and buffers
+	sc        *Scratch      // the run's candidate set and buffers
 	shared    bool          // the generator writes sc.seen, the driver does not
-	generated int           // fresh candidates so far
+	labels    runLabels
+	generated int // fresh candidates so far
 	idle      int
 	batchIdx  int
 }
@@ -291,6 +403,7 @@ type driver struct {
 // initializes run state.
 func (d *driver) init(ctx context.Context, seeds []ipaddr.Addr) error {
 	initSpan := d.runSpan.Child("init", nil)
+	pprof.SetGoroutineLabels(d.labels.init)
 	start := time.Now()
 	var err error
 	if mb, ok := d.g.(ModelBuilder); ok && d.cfg.Models != nil {
@@ -331,7 +444,16 @@ func (d *driver) endRun(err error) {
 // are discarded.
 func (d *driver) produce(parent *telemetry.Span) (fresh []ipaddr.Addr, cont bool) {
 	genSpan := parent.Child("generate", nil)
-	batch := d.g.NextBatch(d.cfg.BatchSize)
+	pprof.SetGoroutineLabels(d.labels.nextBatch)
+	var batch []ipaddr.Addr
+	if ab, ok := d.g.(interface {
+		AppendBatch([]ipaddr.Addr, int) []ipaddr.Addr
+	}); ok {
+		d.sc.batch = ab.AppendBatch(d.sc.batch[:0], d.cfg.BatchSize)
+		batch = d.sc.batch
+	} else {
+		batch = d.g.NextBatch(d.cfg.BatchSize)
+	}
 	rem := d.cfg.Budget - d.generated
 	fresh = batch[:0]
 	for _, a := range batch {
@@ -369,6 +491,7 @@ func (d *driver) produce(parent *telemetry.Span) (fresh []ipaddr.Addr, cont bool
 // stage spans; the caller ends it.
 func (d *driver) consume(ctx context.Context, batchSpan *telemetry.Span, fresh []ipaddr.Addr) (hits, aliased int, err error) {
 	scanSpan := batchSpan.Child("scan", nil)
+	pprof.SetGoroutineLabels(d.labels.scan)
 	var results []scanner.Result
 	if as, ok := d.cfg.Prober.(interface {
 		AppendScan(context.Context, []scanner.Result, []ipaddr.Addr, proto.Protocol) ([]scanner.Result, error)
@@ -393,6 +516,7 @@ func (d *driver) consume(ctx context.Context, batchSpan *telemetry.Span, fresh [
 	clean, aliasedAddrs := active, []ipaddr.Addr(nil)
 	if d.cfg.Dealiaser != nil {
 		dealiasSpan := batchSpan.Child("dealias", nil)
+		pprof.SetGoroutineLabels(d.labels.split)
 		clean, aliasedAddrs = d.cfg.Dealiaser.Split(active)
 		dealiasSpan.EndWith(telemetry.Attrs{"clean": len(clean), "aliased": len(aliasedAddrs)})
 	}
@@ -403,6 +527,7 @@ func (d *driver) consume(ctx context.Context, batchSpan *telemetry.Span, fresh [
 
 	if d.g.Online() {
 		fbSpan := batchSpan.Child("feedback", nil)
+		pprof.SetGoroutineLabels(d.labels.feedback)
 		aliases := &d.sc.aliases
 		if len(aliasedAddrs) > 0 {
 			aliases.Reset(len(aliasedAddrs))

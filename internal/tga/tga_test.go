@@ -121,16 +121,13 @@ func TestMineTreeShape(t *testing.T) {
 		"2001:db8:a::1", "2001:db8:a::2", "2001:db8:a::3",
 		"2001:db8:b::1", "2001:db8:b::2",
 	)
-	leaves := mustMine(t, seeds, 1, SplitLeftmost).Leaves()
+	leaves := mustMine(t, seeds, 1, SplitLeftmost).LeafModels
 	if len(leaves) < 2 {
 		t.Fatalf("leaves = %d", len(leaves))
 	}
 	total := 0
 	for _, l := range leaves {
 		total += len(l.Seeds)
-		if l.gen != nil || l.dry || l.Probes != 0 || l.Hits != 0 {
-			t.Fatal("leaf has run state before its first draw")
-		}
 	}
 	if total != len(seeds) {
 		t.Fatalf("leaves cover %d seeds, want %d", total, len(seeds))

@@ -47,23 +47,6 @@ func SplitMinEntropy(seeds []ipaddr.Addr, candidates uint32) int {
 	return best
 }
 
-// TreeNode is a run's view of one leaf of a mined space tree: the leaf's
-// read-only pattern masks and seed group, shared with the model, and the
-// state the run changes.
-type TreeNode struct {
-	*TreeLeafModel
-
-	// gen is nil until a run first draws from the leaf: a generator
-	// starting over Masks then yields what one started earlier would have.
-	// Dry is set once the generator has run out, and Gen is dropped with it.
-	gen *leafGen
-	dry bool
-
-	// Online statistics, updated by adaptive generators.
-	Probes int
-	Hits   int
-}
-
 // MinLeaf is the leaf size every tree TGA (6Tree, DET, 6Hit, 6Scan,
 // 6Graph) mines and rebuilds its space tree with: a node of fewer seeds
 // does not split.

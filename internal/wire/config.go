@@ -78,8 +78,9 @@ func (c ChainConfig) Fingerprint() string {
 }
 
 // String is the chain's canonical text: "; "-separated sections in Build
-// order, every value and seed explicit, so ParseChainConfig(c.String(), s)
-// returns c for any s and any c that ParseChainConfig returned.
+// order, every value and seed explicit. Each section is "taps" or a name
+// and the payload its -wire-<name> flag takes (ChainFlags), so giving each
+// to its flag reads c back under any default seed.
 func (c ChainConfig) String() string {
 	var secs []string
 	if c.Taps {
@@ -102,24 +103,6 @@ func (c ChainConfig) String() string {
 }
 
 func num(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// ParseChainConfig parses String's text: sections separated by ";", each
-// a name and its payload — "taps", "shape pps=N,jitter=J[,seed=S]",
-// "rotate [seed=S,]addr,addr,..." and "faults loss=P,dup=P,delay=P[,seed=S]"
-// — in any order; a repeated section or key keeps its last value. seed
-// fills every seed= left out.
-func ParseChainConfig(s string, seed uint64) (ChainConfig, error) {
-	var c ChainConfig
-	for _, sec := range strings.Split(s, ";") {
-		if sec = strings.TrimSpace(sec); sec != "" {
-			name, payload, _ := strings.Cut(sec, " ")
-			if err := c.set(name, payload, seed); err != nil {
-				return ChainConfig{}, fmt.Errorf("wire: chain %w", err)
-			}
-		}
-	}
-	return c, nil
-}
 
 // ChainFlags defines the -wire-taps, -wire-shape, -wire-rotate and
 // -wire-faults flags on fs, one per section, each parsed by fs.Parse. The

@@ -24,9 +24,11 @@ func TestChainConfigBuild(t *testing.T) {
 	if base := w.Link(); (wire.ChainConfig{}).Build(base, nil) != wire.Link(base) {
 		t.Fatal("zero ChainConfig did not build the bare link itself")
 	}
-	c, err := wire.ParseChainConfig("taps; shape pps=100000,jitter=0.5; rotate 2001:db8:feed::1,2001:db8:feed::2; faults loss=0.3", 9)
-	if err != nil {
-		t.Fatal(err)
+	c := wire.ChainConfig{
+		Taps:   true,
+		Shape:  wire.ShapeConfig{PPS: 100000, Jitter: 0.5, Seed: 9},
+		Rotate: wire.RotateConfig{Seed: 9, Pool: []ipaddr.Addr{ipaddr.MustParse("2001:db8:feed::1"), ipaddr.MustParse("2001:db8:feed::2")}},
+		Faults: wire.FaultsConfig{Loss: 0.3, Seed: 9},
 	}
 	reg := telemetry.NewRegistry()
 	_, stats := scanThrough(c.Build(w.Link(), reg), targets, proto.ICMP)
@@ -82,7 +84,7 @@ func TestChainConfigFingerprint(t *testing.T) {
 		seen[fp] = true
 	}
 	for _, s := range []string{"faults loss=0", "faults seed=5", "faults loss=0.3; faults dup=0"} {
-		if c, err := wire.ParseChainConfig(s, 1); err != nil || !reflect.DeepEqual(c, wire.ChainConfig{}) {
+		if c, err := chainFlags(s, 1); err != nil || !reflect.DeepEqual(c, wire.ChainConfig{}) {
 			t.Errorf("%q parses to %+v (%v), want the zero chain", s, c, err)
 		}
 	}
@@ -107,11 +109,39 @@ func TestChainFlags(t *testing.T) {
 	}
 }
 
-// FuzzParseChainConfig feeds ParseChainConfig text a user typed. Read as
-// a -wire-shape or -wire-faults payload, whatever it accepts lies in range
-// and an explicit seed= reaches the config exactly as typed. Read as a
-// whole chain, whatever it accepts prints as canonical text that parses
-// back to the same config under any default seed.
+// chainFlags reads chain text through ChainFlags, as a command line
+// gives it: each ";"-separated section "name payload" is the flag
+// -wire-name=payload ("taps" is -wire-taps), and seed fills every seed=
+// left out. A repeated section keeps its last value, as a repeated flag
+// does.
+func chainFlags(text string, seed uint64) (wire.ChainConfig, error) {
+	fs := flag.NewFlagSet("wire", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	chain := wire.ChainFlags(fs)
+	var args []string
+	for _, sec := range strings.Split(text, ";") {
+		if sec = strings.TrimSpace(sec); sec == "" {
+			continue
+		}
+		name, payload, _ := strings.Cut(sec, " ")
+		if name == "taps" && payload == "" {
+			args = append(args, "-wire-taps")
+			continue
+		}
+		args = append(args, "-wire-"+name+"="+payload)
+	}
+	if err := fs.Parse(args); err != nil {
+		return wire.ChainConfig{}, err
+	}
+	return chain(seed), nil
+}
+
+// FuzzParseChainConfig feeds the -wire-* section parser (ChainFlags) text
+// a user typed. Read as a -wire-shape or -wire-faults payload, whatever it
+// accepts lies in range and an explicit seed= reaches the config exactly
+// as typed. Read as a whole chain, one flag per section, whatever it
+// accepts prints as canonical text that reads back through the flags to
+// the same config under any default seed.
 func FuzzParseChainConfig(f *testing.F) {
 	f.Add("pps=100000,jitter=0.2", uint64(7))
 	f.Add("loss=0.05,dup=0.01,delay=0.02", uint64(1<<53+1))
@@ -120,12 +150,12 @@ func FuzzParseChainConfig(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string, seed uint64) {
 		const def = 42
 		check := func(in string, wantSeed uint64) {
-			if c, err := wire.ParseChainConfig("shape "+in, def); err == nil {
+			if c, err := chainFlags("shape "+in, def); err == nil {
 				if sc := c.Shape; sc.PPS < 1 || !(sc.Jitter >= 0 && sc.Jitter <= 1) || sc.Seed != wantSeed {
 					t.Fatalf("shape %q = %+v, want pps >= 1, jitter in [0,1], seed %d", in, sc, wantSeed)
 				}
 			}
-			if c, err := wire.ParseChainConfig("faults "+in, def); err == nil {
+			if c, err := chainFlags("faults "+in, def); err == nil {
 				fc := c.Faults
 				for _, p := range []float64{fc.Loss, fc.Dupe, fc.Delay} {
 					if !(p >= 0 && p <= 1) {
@@ -144,12 +174,12 @@ func FuzzParseChainConfig(f *testing.F) {
 			}
 		}
 
-		c, err := wire.ParseChainConfig(s, seed)
+		c, err := chainFlags(s, seed)
 		if err != nil {
 			return
 		}
 		text := c.String()
-		again, err := wire.ParseChainConfig(text, ^seed)
+		again, err := chainFlags(text, ^seed)
 		if err != nil || !reflect.DeepEqual(again, c) || again.String() != text {
 			t.Fatalf("%q parses to %+v, prints as %q, reads back as %+v (%v)", s, c, text, again, err)
 		}
