@@ -186,71 +186,124 @@ func (d *Dealiaser) PrefixesTested() int {
 // call closes or waits on.
 var isClean, isAliased = make(chan struct{}), make(chan struct{})
 
-// smallSplit is how many /96s an online Split lists on its stack, so
-// that a batch whose verdicts are all cached allocates nothing. It is the
-// experiments' TGA batch size, which bounds the active addresses the
-// driver splits: every driver call of a repro_icmp pass fits, where 256
-// entries fit 49 % of them and 512 fit 89 %. A longer input, such as a
-// seed set, lists its /96s in a fresh slice.
+// smallSplit is how many addresses a Split classifies on its stack —
+// their verdicts and the /96s it tests — so that a batch whose verdicts
+// are all cached allocates nothing. It is the experiments' TGA batch
+// size, which bounds the active addresses the driver splits: every driver
+// call of a repro_icmp pass fits, where 256 entries fit 49 % of them and
+// 512 fit 89 %. A longer input, such as a seed set, gets one verdict
+// slice and one /96 list, each of the length it needs.
 const smallSplit = 1024
+
+// verdict is what one Split call makes of one input address, in the
+// order its aliased partition lists them: kept, then on the offline list,
+// then in a /96 that tested aliased. hot marks, under ModeCooldown, an
+// address whose /96 is to be confirmed.
+type verdict uint8
+
+const (
+	kept verdict = iota
+	listed
+	tested
+	hot
+)
 
 // Split separates addrs into clean (kept) and aliased (discarded)
 // according to the mode, partitioning in place: clean is written over the
 // front of addrs, so the input is overwritten, and aliased is allocated
-// only when it is non-empty. Online testing batches all unknown /96s into
-// one scan. Both partitions preserve the input order (offline-listed
-// aliases first under ModeJoint), so a run's hit list is reproducible.
+// only when it is non-empty, at its final length. Online testing batches
+// all unknown /96s into one scan. Both partitions preserve the input
+// order (offline-listed aliases first under ModeJoint), so a run's hit
+// list is reproducible.
 func (d *Dealiaser) Split(addrs []ipaddr.Addr) (clean, aliased []ipaddr.Addr) {
 	if d.mode == ModeNone || len(addrs) == 0 {
 		return addrs, nil
 	}
+	var stack [smallSplit]verdict
+	v := stack[:]
+	if len(addrs) > len(stack) {
+		v = make([]verdict, len(addrs))
+	}
+	v = v[:len(addrs)]
 	if d.mode == ModeCooldown {
-		return d.splitCooldown(addrs)
+		return d.splitCooldown(addrs, v)
 	}
 
-	if d.mode == ModeOffline || d.mode == ModeJoint {
-		clean = addrs[:0]
-		for _, a := range addrs {
-			if d.offline != nil && d.offline.Contains(a) {
-				aliased = append(aliased, a)
-			} else {
-				clean = append(clean, a)
+	nListed := 0
+	if (d.mode == ModeOffline || d.mode == ModeJoint) && d.offline != nil {
+		for i, a := range addrs {
+			if d.offline.Contains(a) {
+				v[i] = listed
+				nListed++
 			}
 		}
-		if d.mode == ModeOffline {
-			return clean, aliased
-		}
-		addrs = clean
+	}
+	if d.mode == ModeOffline {
+		return partition(addrs, v, nListed, 0)
 	}
 
-	// Online: test the /96s no verdict covers yet, then classify by
-	// walking what is left, so both partitions keep the input order.
-	var stack [smallSplit]ipaddr.Prefix
-	prefixes := stack[:0]
-	if len(addrs) > len(stack) {
-		prefixes = make([]ipaddr.Prefix, 0, len(addrs))
-	}
-	for _, a := range addrs {
-		prefixes = append(prefixes, ipaddr.PrefixFrom(a, AliasPrefixBits))
-	}
-	d.confirm(distinctPrefixes(prefixes))
-
+	// Online: test the /96s of the unlisted addresses no verdict covers
+	// yet, then mark the addresses in the ones that tested aliased.
+	var stackP [smallSplit]ipaddr.Prefix
+	d.confirm(prefixesOf(stackP[:0], addrs, v, kept, len(addrs)-nListed))
 	d.mu.Lock()
-	clean, aliased = d.classify(addrs, aliased)
+	nTested := d.mark(addrs, v)
 	d.mu.Unlock()
-	return clean, aliased
+	return partition(addrs, v, nListed, nTested)
 }
 
-// classify moves the addresses of addrs whose /96 tested aliased to the
-// end of aliased and the rest, clean or untested, to the front of addrs,
-// both in input order. The caller holds mu.
-func (d *Dealiaser) classify(addrs, aliased []ipaddr.Addr) ([]ipaddr.Addr, []ipaddr.Addr) {
-	clean := addrs[:0]
-	for _, a := range addrs {
-		if d.claims[ipaddr.PrefixFrom(a, AliasPrefixBits)] == isAliased {
-			aliased = append(aliased, a)
-		} else {
+// prefixesOf lists, canonically ordered and distinct, the /96s of the n
+// addresses of addrs whose verdict is want, turning each such verdict to
+// kept: in buf's storage when n fits its capacity, else in a slice of
+// capacity n.
+func prefixesOf(buf []ipaddr.Prefix, addrs []ipaddr.Addr, v []verdict, want verdict, n int) []ipaddr.Prefix {
+	prefixes := buf[:0]
+	if n > cap(buf) {
+		prefixes = make([]ipaddr.Prefix, 0, n)
+	}
+	for i, a := range addrs {
+		if v[i] == want {
+			prefixes = append(prefixes, ipaddr.PrefixFrom(a, AliasPrefixBits))
+			v[i] = kept
+		}
+	}
+	return distinctPrefixes(prefixes)
+}
+
+// mark gives every kept address of addrs whose /96 tested aliased the
+// verdict tested and returns how many it marked. The caller holds mu.
+func (d *Dealiaser) mark(addrs []ipaddr.Addr, v []verdict) int {
+	n := 0
+	for i, a := range addrs {
+		if v[i] == kept && d.claims[ipaddr.PrefixFrom(a, AliasPrefixBits)] == isAliased {
+			v[i] = tested
+			n++
+		}
+	}
+	return n
+}
+
+// partition moves the kept addresses of addrs to its front, in input
+// order, and returns them with the rest in one slice of exactly their
+// number: the nListed offline-listed addresses, then the nTested in /96s
+// that tested aliased, each in input order. v holds addrs' verdicts.
+func partition(addrs []ipaddr.Addr, v []verdict, nListed, nTested int) (clean, aliased []ipaddr.Addr) {
+	if nListed+nTested == 0 {
+		return addrs, nil
+	}
+	aliased = make([]ipaddr.Addr, nListed+nTested)
+	clean = addrs[:0]
+	l, t := 0, nListed
+	for i, a := range addrs {
+		switch v[i] {
+		case kept:
 			clean = append(clean, a)
+		case listed:
+			aliased[l] = a
+			l++
+		default:
+			aliased[t] = a
+			t++
 		}
 	}
 	return clean, aliased

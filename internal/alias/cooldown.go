@@ -40,22 +40,24 @@ const cooldownTrigger = 4
 // pathological known-alias list cannot blow up the suspicion list.
 const maxCandidatePrefixes = 4096
 
-// splitCooldown is Split under ModeCooldown. Three phases: account
-// densities, confirm the suspicious /96s with the shared probe test, then
-// classify in place by the /96 claim table exactly like the online walk.
-func (d *Dealiaser) splitCooldown(addrs []ipaddr.Addr) (clean, aliased []ipaddr.Addr) {
+// splitCooldown is Split under ModeCooldown, with v the addresses'
+// verdicts, all kept. Three phases: account densities, confirm the
+// suspicious /96s with the shared probe test, then mark and partition by
+// the /96 claim table exactly like the online mode.
+func (d *Dealiaser) splitCooldown(addrs []ipaddr.Addr, v []verdict) (clean, aliased []ipaddr.Addr) {
 	// Phase 1 (under mu): bump per-/64 densities for the whole batch,
-	// then collect the /96s of addresses in hot aggregates or
-	// candidate-listed prefixes.
+	// then mark the addresses in hot aggregates or candidate-listed
+	// prefixes, whose /96s are listed at their count.
 	d.mu.Lock()
 	for _, a := range addrs {
 		d.density[ipaddr.PrefixFrom(a, cooldownAggrBits)]++
 	}
-	var hot []ipaddr.Prefix
-	for _, a := range addrs {
+	nHot := 0
+	for i, a := range addrs {
 		if d.density[ipaddr.PrefixFrom(a, cooldownAggrBits)] >= d.trigger ||
 			(d.candidates != nil && d.candidates.Contains(a)) {
-			hot = append(hot, ipaddr.PrefixFrom(a, AliasPrefixBits))
+			v[i] = hot
+			nHot++
 		}
 	}
 	d.mu.Unlock()
@@ -63,10 +65,11 @@ func (d *Dealiaser) splitCooldown(addrs []ipaddr.Addr) (clean, aliased []ipaddr.
 	// Phase 2: the standard probesPerPrefix confirmation, shared with the
 	// online mode (singleflight claims, verdict cache, deterministic probe
 	// addresses), so concurrent Splits confirm each /96 once.
-	claimed := d.confirm(distinctPrefixes(hot))
+	var stack [smallSplit]ipaddr.Prefix
+	claimed := d.confirm(prefixesOf(stack[:0], addrs, v, hot, nHot))
 
-	// Phase 3: classify at /96. Untested prefixes have no verdict and
-	// default clean; confirmed-aliased ones are cooled down.
+	// Phase 3: mark at /96. Untested prefixes have no verdict and default
+	// clean; confirmed-aliased ones are cooled down.
 	d.mu.Lock()
 	newlyCooled := 0
 	for _, p := range claimed {
@@ -74,10 +77,10 @@ func (d *Dealiaser) splitCooldown(addrs []ipaddr.Addr) (clean, aliased []ipaddr.
 			newlyCooled++
 		}
 	}
-	clean, aliased = d.classify(addrs, nil)
+	nTested := d.mark(addrs, v)
 	d.mu.Unlock()
 	d.cCooled.Add(int64(newlyCooled))
-	return clean, aliased
+	return partition(addrs, v, 0, nTested)
 }
 
 // candidateList builds the suspicion list: the structural candidates

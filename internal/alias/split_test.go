@@ -217,3 +217,52 @@ func TestSplitPartitionsInPlace(t *testing.T) {
 		}
 	}
 }
+
+// seedSplitInput is a seed-set-sized input, far past smallSplit: 20,000
+// addresses, 16 in each of 1,250 /64s of 2001:db8:d::/48, four in each of
+// a /64's first four /96s, of which the prober finds the first and last
+// aliased. The offline list names the first 256 /64s.
+func seedSplitInput() (addrs []ipaddr.Addr, prober *countingProber, list *OfflineList) {
+	for i := uint64(0); i < 20000; i++ {
+		addrs = append(addrs, ipaddr.AddrFrom64s(0x20010db8_000d_0000|i/16, (i/4%4)<<32|(i%4+1)))
+	}
+	prober = &countingProber{activeFn: func(a ipaddr.Addr) bool { return (a.Lo()>>32)%3 == 0 }}
+	list = NewOfflineList([]ipaddr.Prefix{ipaddr.MustParsePrefix("2001:db8:d::/56")})
+	return addrs, prober, list
+}
+
+// TestSeedSizedSplitMatchesReference holds Split to refSplit on inputs
+// past smallSplit, whose verdicts and /96 lists Split keeps off the
+// stack: seedSplitInput shuffled, and splitInputs' batches joined into
+// one, each split cold and then warm, in every mode.
+func TestSeedSizedSplitMatchesReference(t *testing.T) {
+	seedAddrs, seedProber, seedList := seedSplitInput()
+	rand.New(rand.NewSource(3)).Shuffle(len(seedAddrs), func(i, j int) { seedAddrs[i], seedAddrs[j] = seedAddrs[j], seedAddrs[i] })
+	prober, list, batches := splitInputs(5, 120)
+	joined := slices.Concat(batches...)
+	if len(joined) <= smallSplit {
+		t.Fatalf("joined batches hold %d addresses, want more than %d", len(joined), smallSplit)
+	}
+	for _, in := range []struct {
+		addrs  []ipaddr.Addr
+		prober *countingProber
+		list   *OfflineList
+	}{{seedAddrs, seedProber, seedList}, {joined, prober, list}} {
+		for _, mode := range Modes {
+			got := New(mode, in.list, in.prober, proto.ICMP, 1, nil)
+			ref := New(mode, in.list, in.prober, proto.ICMP, 1, nil)
+			for pass := 0; pass < 2; pass++ {
+				wantClean, wantAliased := refSplit(ref, slices.Clone(in.addrs))
+				clean, aliased := got.Split(slices.Clone(in.addrs))
+				if !slices.Equal(clean, wantClean) || !slices.Equal(aliased, wantAliased) || cap(aliased) != len(aliased) {
+					t.Fatalf("%d addresses, %v pass %d: split %d/%d (aliased capacity %d), reference %d/%d",
+						len(in.addrs), mode, pass, len(clean), len(aliased), cap(aliased), len(wantClean), len(wantAliased))
+				}
+			}
+			if got.ProbesSent() != ref.ProbesSent() || got.PrefixesTested() != ref.PrefixesTested() {
+				t.Fatalf("%d addresses, %v: %d probes over %d /96s, reference %d over %d", len(in.addrs), mode,
+					got.ProbesSent(), got.PrefixesTested(), ref.ProbesSent(), ref.PrefixesTested())
+			}
+		}
+	}
+}

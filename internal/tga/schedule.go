@@ -49,6 +49,8 @@ type schedState struct {
 	mark    []uint8 // LeafSearch, per leaf: inMoved, inDrawn
 	pending map[ipaddr.Addr]int32
 	hits    []ipaddr.Addr
+	// budget is the driver run's budget, 0 outside the driver (reset).
+	budget int
 }
 
 // reset empties st for a run over n leaves or regions, every cursor
@@ -58,8 +60,15 @@ func (st *schedState) reset(n int) {
 	st.cursors = slices.Grow(st.cursors[:0], n)[:n]
 	clear(st.cursors)
 	// Every region may be drawn from, so the enumerator slab gets room for
-	// all of them at once rather than growing by doubling mid-run.
-	st.gens = slices.Grow(st.gens[:0], n)
+	// all of them at once rather than growing by doubling mid-run — but for
+	// no more than the run's budget: a region drawn from almost always
+	// yields one of the budget's addresses, and a run that draws from more
+	// regions regrows the slab.
+	reserve := n
+	if st.budget > 0 {
+		reserve = min(n, st.budget)
+	}
+	st.gens = slices.Grow(st.gens[:0], reserve)
 	st.order, st.spare, st.moved, st.drawn = st.order[:0], st.spare[:0], st.moved[:0], st.drawn[:0]
 	st.mark = slices.Grow(st.mark[:0], n)[:n]
 	clear(st.mark)

@@ -14,12 +14,14 @@
 package sixgen
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"seedscan/internal/ipaddr"
+	"seedscan/internal/memo"
 	"seedscan/internal/tga"
 )
 
@@ -36,19 +38,12 @@ type Generator struct {
 	clusters *tga.Expander
 }
 
-// cluster is one cluster while it is being mined.
-type cluster struct {
-	rep   ipaddr.Addr // first member, the cluster representative
-	masks [ipaddr.NybbleCount]tga.ValueMask
-	size  int
-}
-
 // absorb widens c's range to include a.
-func (c *cluster) absorb(a ipaddr.Addr) {
+func (c *clusterModel) absorb(a ipaddr.Addr) {
 	for i := 0; i < ipaddr.NybbleCount; i++ {
-		c.masks[i] |= 1 << a.Nybble(i)
+		c.Masks[i] |= 1 << a.Nybble(i)
 	}
-	c.size++
+	c.Size++
 }
 
 // model is 6Gen's cacheable mined model: the clusters in density order,
@@ -57,7 +52,8 @@ type model struct {
 	Clusters []clusterModel
 }
 
-// clusterModel is one mined cluster.
+// clusterModel is one mined cluster: its first member, the cluster
+// representative, the union of its members' values and their number.
 type clusterModel struct {
 	Rep   ipaddr.Addr
 	Masks [ipaddr.NybbleCount]tga.ValueMask
@@ -85,57 +81,66 @@ func (g *Generator) ModelParams() string {
 	return fmt.Sprintf("6gen/radius=%d,maxclusters=%d", clusterRadius, g.maxClusters())
 }
 
-// mineClusters is the greedy clustering in seed order, with the global
-// cluster cap: once the cap is reached, seeds join their prefix's
-// first cluster regardless of radius.
-func mineClusters(seeds []ipaddr.Addr, radius, maxClusters int) []*cluster {
-	// Greedy clustering with a prefix index: seeds sharing their top 16
-	// nybbles are clustering candidates (cross-prefix seeds are farther
-	// than any useful radius anyway).
-	byPrefix := make(map[uint64][]*cluster)
-	var clusters []*cluster
-	for _, a := range seeds {
-		key := a.Hi()
-		var best *cluster
-		bestDist := radius + 1
-		for _, c := range byPrefix[key] {
-			if d := c.rep.NybbleDistance(a); d < bestDist {
-				best, bestDist = c, d
+// mineClusters is the greedy clustering in seed order, in dst's storage,
+// with the global cluster cap: once the cap is reached, seeds join their
+// prefix's first cluster regardless of radius.
+func mineClusters(dst []clusterModel, seeds []ipaddr.Addr, radius, maxClusters int) []clusterModel {
+	// Seeds sharing their top 16 nybbles are clustering candidates
+	// (cross-prefix seeds are farther than any useful radius anyway).
+	// Canonical seeds sharing them lie back to back, so a seed's
+	// candidates are the clusters opened since its prefix's first seed.
+	clusters, first := dst[:0], 0
+	for i, a := range seeds {
+		if i > 0 && a.Hi() != seeds[i-1].Hi() {
+			first = len(clusters)
+		}
+		best, bestDist := -1, radius+1
+		for j := first; j < len(clusters); j++ {
+			if d := clusters[j].Rep.NybbleDistance(a); d < bestDist {
+				best, bestDist = j, d
 			}
 		}
-		if best == nil && len(clusters) >= maxClusters && len(byPrefix[key]) > 0 {
-			best = byPrefix[key][0]
+		if best < 0 && len(clusters) >= maxClusters && len(clusters) > first {
+			best = first
 		}
-		if best == nil {
-			best = &cluster{rep: a}
-			byPrefix[key] = append(byPrefix[key], best)
-			clusters = append(clusters, best)
+		if best < 0 {
+			clusters = append(clusters, clusterModel{Rep: a})
+			best = len(clusters) - 1
 		}
-		best.absorb(a)
+		clusters[best].absorb(a)
 	}
 	return clusters
 }
 
-// BuildModel implements tga.ModelBuilder: it mines the clusters and
-// snapshots them in density order.
+// clusterBufs keeps finished BuildModels' clustering buffers, one per
+// concurrent build of the experiment grid.
+var clusterBufs = memo.NewFreeList(scribbleClusters)
+
+// scribbleClusters is the free list's poison (memo.NewFreeList): the
+// buffer holds junk clusters out to its capacity.
+func scribbleClusters(clusters []clusterModel) {
+	clusters = clusters[:cap(clusters)]
+	for i := range clusters {
+		clusters[i] = clusterModel{Rep: ipaddr.AddrFrom64s(0x3fff_0bad_0000_0000, 0x6), Size: -1}
+	}
+}
+
+// BuildModel implements tga.ModelBuilder: it mines the clusters, in a
+// buffer off the free list, and snapshots them in density order. The
+// model is all it allocates.
 func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("sixgen: empty seed set")
 	}
-	clusters := mineClusters(seeds, clusterRadius, g.maxClusters())
-	// Density order: seeds per range combination, descending.
-	sort.SliceStable(clusters, func(i, j int) bool {
-		di := float64(clusters[i].size) / tga.MaskSize(clusters[i].masks)
-		dj := float64(clusters[j].size) / tga.MaskSize(clusters[j].masks)
-		if di != dj {
-			return di > dj
-		}
-		return clusters[i].size > clusters[j].size
+	buf, _ := clusterBufs.Get()
+	clusters := mineClusters(buf, seeds, clusterRadius, g.maxClusters())
+	// Density order: seeds per range combination, descending, then size.
+	density := func(c *clusterModel) float64 { return float64(c.Size) / tga.MaskSize(c.Masks) }
+	slices.SortStableFunc(clusters, func(a, b clusterModel) int {
+		return cmp.Or(cmp.Compare(density(&b), density(&a)), cmp.Compare(b.Size, a.Size))
 	})
-	m := &model{Clusters: make([]clusterModel, len(clusters))}
-	for i, c := range clusters {
-		m.Clusters[i] = clusterModel{Rep: c.rep, Masks: c.masks, Size: c.size}
-	}
+	m := &model{Clusters: slices.Clone(clusters)}
+	clusterBufs.Recycle(clusters, cap(clusters))
 	return m, nil
 }
 

@@ -20,6 +20,7 @@ import (
 	"slices"
 
 	"seedscan/internal/ipaddr"
+	"seedscan/internal/memo"
 	"seedscan/internal/tga"
 	"seedscan/internal/tga/det"
 )
@@ -87,7 +88,9 @@ func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 func (g *Generator) Base() tga.ModelBuilder { return det.New() }
 
 // Derive implements tga.ModelDeriver: the tree's leaves with similar
-// patterns merged. Only the leaves' masks and seed counts are read.
+// patterns merged. Only the leaves' masks and seed counts are read. The
+// model is all it allocates: the join's rows, union-find and slots come
+// off joinScratches.
 func (g *Generator) Derive(base tga.Model) (tga.Model, error) {
 	tm, ok := base.(*tga.TreeModel)
 	if !ok {
@@ -95,9 +98,14 @@ func (g *Generator) Derive(base tga.Model) (tga.Model, error) {
 	}
 	leaves := tm.LeafModels
 	mergeDist := g.mergeDistance()
+	sc, ok := joinScratches.Get()
+	if !ok {
+		sc = new(joinScratch)
+	}
 
 	// Pattern graph: union-find over leaves within the merge distance.
-	parent := make([]int32, len(leaves))
+	parent := slices.Grow(sc.parent[:0], len(leaves))[:len(leaves)]
+	sc.parent = parent
 	for i := range parent {
 		parent[i] = int32(i)
 	}
@@ -115,7 +123,8 @@ func (g *Generator) Derive(base tga.Model) (tga.Model, error) {
 	// near-linear on Internet-scale seed sets. The leading masks are the
 	// first bucketWords packed words, which the join then skips. Sorting
 	// the packed rows by that key lays each bucket out side by side.
-	rows := make([]packedRow, len(leaves))
+	rows := slices.Grow(sc.rows[:0], len(leaves))[:len(leaves)]
+	sc.rows = rows
 	for i := range leaves {
 		rows[i] = packedRow{pack(&leaves[i].Masks), int32(i)}
 	}
@@ -150,7 +159,9 @@ func (g *Generator) Derive(base tga.Model) (tga.Model, error) {
 		}
 	}
 	clusters := make([]clusterModel, 0, n)
-	slot := make([]int32, len(leaves))
+	slot := slices.Grow(sc.slot[:0], len(leaves))[:len(leaves)]
+	sc.slot = slot
+	clear(slot)
 	for i := range leaves {
 		r := find(int32(i))
 		if slot[r] == 0 {
@@ -163,9 +174,42 @@ func (g *Generator) Derive(base tga.Model) (tga.Model, error) {
 		}
 		c.Seeds += len(leaves[i].Seeds)
 	}
+	joinScratches.Recycle(sc, len(leaves))
 	// Deterministic order: biggest clusters first.
 	slices.SortStableFunc(clusters, func(a, b clusterModel) int { return cmp.Compare(b.Seeds, a.Seeds) })
 	return &model{Clusters: clusters}, nil
+}
+
+// joinScratch is the pattern join's working memory, lent by joinScratches
+// to one Derive at a time: the packed rows, the union-find parents and the
+// component slots, one entry per leaf each.
+type joinScratch struct {
+	rows         []packedRow
+	parent, slot []int32
+}
+
+// joinScratches keeps finished joins' scratch, one per concurrent Derive
+// of the experiment grid.
+var joinScratches = memo.NewFreeList(scribbleJoin)
+
+// scribbleJoin is the free list's poison (memo.NewFreeList): every buffer
+// is filled out to its capacity with rows, parents and slots that name
+// no leaf.
+func scribbleJoin(sc *joinScratch) {
+	junk := packedRow{leaf: -1}
+	for i := range junk.masks {
+		junk.masks[i] = ^uint64(0)
+	}
+	sc.rows = sc.rows[:cap(sc.rows)]
+	for i := range sc.rows {
+		sc.rows[i] = junk
+	}
+	for _, s := range []*[]int32{&sc.parent, &sc.slot} {
+		*s = (*s)[:cap(*s)]
+		for i := range *s {
+			(*s)[i] = -1
+		}
+	}
 }
 
 // InitFromModel implements tga.ModelBuilder: it materializes fresh

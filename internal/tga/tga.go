@@ -281,11 +281,11 @@ var runScratches = memo.NewFreeList(scribbleScratch)
 func getScratch(budget int) *Scratch {
 	sc, ok := runScratches.Get()
 	if !ok {
-		return &Scratch{seen: ipaddr.NewSetCap(budget), most: budget}
+		return &Scratch{seen: ipaddr.NewSetCap(budget), most: budget, sched: schedState{budget: budget}}
 	}
 	sc.seen.Reset(budget)
 	sc.hits, sc.aliasedHits = sc.hits[:0], sc.aliasedHits[:0]
-	sc.most = budget
+	sc.most, sc.sched.budget = budget, budget
 	return sc
 }
 

@@ -2,8 +2,10 @@ package tga
 
 import (
 	"math/bits"
+	"slices"
 
 	"seedscan/internal/ipaddr"
+	"seedscan/internal/memo"
 )
 
 // SplitHeuristic picks the nybble position a tree node splits on, from the
@@ -55,24 +57,69 @@ const MinLeaf = 4
 // mineTree partitions seeds into the leaves of a space tree: each node
 // splits on the position chosen by h until minLeaf seeds or no varying
 // position remains. Empty seeds make one empty leaf.
+//
+// The model is all it allocates: the partition buffers and the leaves'
+// windows come off mineScratches, and the leaves' seeds are copied, in
+// leaf order, into one array of the input's length, each leaf's capacity
+// clipped to its length; a root that does not split keeps the input as
+// its seeds.
 func mineTree(seeds []ipaddr.Addr, minLeaf int, h SplitHeuristic) *TreeModel {
 	n := len(seeds)
-	buf := make([]ipaddr.Addr, 2*n)
-	b := &treeBuild{minLeaf: max(minLeaf, 1), h: h, part: [2][]ipaddr.Addr{buf[:n:n], buf[n:]}}
+	sc, ok := mineScratches.Get()
+	if !ok {
+		sc = new(mineScratch)
+	}
+	buf := slices.Grow(sc.part[:0], 2*n)[:2*n]
+	b := &treeBuild{minLeaf: max(minLeaf, 1), h: h, part: [2][]ipaddr.Addr{buf[:n:n], buf[n:]}, leaves: sc.leaves[:0]}
 	b.mine(seeds, 0, 0)
 	// A leaf is far larger than its window, so the leaves are allocated
 	// once, at their final length, after the windows are known.
 	m := &TreeModel{LeafModels: make([]TreeLeafModel, len(b.leaves))}
+	var own []ipaddr.Addr
+	if b.leaves[0].part >= 0 {
+		own = make([]ipaddr.Addr, n)
+	}
 	start := 0
 	for i, w := range b.leaves {
 		leaf := seeds // a root that does not split is its own leaf
 		if w.part >= 0 {
-			leaf = b.part[w.part][start:w.end:w.end]
+			leaf = own[start:w.end:w.end]
+			copy(leaf, b.part[w.part][start:w.end])
 		}
 		m.LeafModels[i] = TreeLeafModel{Masks: observedMasks(leaf), Seeds: leaf}
 		start = int(w.end)
 	}
+	sc.part, sc.leaves = buf, b.leaves
+	mineScratches.Recycle(sc, max(len(buf), len(b.leaves)))
 	return m
+}
+
+// mineScratch is a tree build's working memory, lent by mineScratches to
+// one build at a time: the two partition buffers, back to back, and the
+// leaves' windows. The model a build returns holds none of it.
+type mineScratch struct {
+	part   []ipaddr.Addr
+	leaves []window
+}
+
+// mineScratches keeps finished builds' scratch, one per concurrent build
+// of the experiment grid.
+var mineScratches = memo.NewFreeList(scribbleMine)
+
+// scribbleMine is the free list's poison (memo.NewFreeList): the
+// partition buffers hold junk addresses out to their capacity and the
+// windows point past any buffer, so a model that kept a window into the
+// scratch reads junk after the next build.
+func scribbleMine(sc *mineScratch) {
+	junk := ipaddr.AddrFrom64s(0x3fff_0bad_0000_0000, 0x5)
+	sc.part = sc.part[:cap(sc.part)]
+	for i := range sc.part {
+		sc.part[i] = junk
+	}
+	sc.leaves = sc.leaves[:cap(sc.leaves)]
+	for i := range sc.leaves {
+		sc.leaves[i] = window{end: -1, part: 2}
+	}
 }
 
 // treeBuild is one tree construction: the split rule, the two buffers the
